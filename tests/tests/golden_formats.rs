@@ -1,0 +1,390 @@
+//! Golden on-disk formats (DESIGN.md §16).
+//!
+//! Each test drives a fixed tiny workload through the public writers and
+//! compares the file that lands on disk, byte for byte, with a hex
+//! literal pinned here — then feeds the pinned bytes back through the
+//! public reader. A store directory written by any earlier build must
+//! reopen under every later one, so a diff in these literals is a format
+//! break, never a snapshot to regenerate.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
+use bytes::Bytes;
+use cfstore::recovery::{read_manifest, write_manifest, ManifestTable, MANIFEST_FILE};
+use cfstore::segment::{read_segment, write_segment};
+use cfstore::shard::resharding::{
+    read_catalog, read_journal, resolve_journal, Catalog, JournalRecord, Resolution, TOPOLOGY_FILE,
+};
+use cfstore::shard::SHARDS_FILE;
+use cfstore::wal::{read_wal, WalRecord, WalWriter, WAL_FILE};
+use cfstore::{
+    CellVersion, CrashSpec, KeyRange, Manifest, Put, Reshard, ReshardPhase, RowData, SegmentReader,
+    ShardOptions, ShardedStore, SyncPolicy, Topology,
+};
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "pstorm-golden-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Decode a hex literal, ignoring the whitespace that wraps it.
+fn unhex(s: &str) -> Vec<u8> {
+    let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    assert!(digits.len().is_multiple_of(2), "odd hex literal");
+    digits
+        .chunks(2)
+        .map(|p| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap())
+        .collect()
+}
+
+fn assert_golden(what: &str, written: &[u8], golden: &str) {
+    assert_eq!(
+        hex(written),
+        hex(&unhex(golden)),
+        "{what}: the bytes on disk moved"
+    );
+}
+
+// ---------------------------------------------------------------------
+// WAL: one frame, five records, BatchMarker first
+// ---------------------------------------------------------------------
+
+const WAL_GOLDEN: &str = "
+    00000093 2f4c3b99 0000000000000400 00000005
+    05 0000000000000001 00000002 00000000 00000002
+    01 00000001 74 00000002 00000001 66 00000001 67 0000000000000100 0000000000000001
+    02 00000001 74 00000004 726f7731 00000001 66 00000001 63 00000001 76 0000000000000007
+    03 00000001 74 00000004 726f7730
+    04 00000001 74 0000000000000001 0000000000000002 00000001 6d
+";
+
+fn wal_records() -> Vec<WalRecord> {
+    vec![
+        WalRecord::BatchMarker {
+            gsn: 1,
+            participants: vec![0, 2],
+        },
+        WalRecord::CreateTable {
+            name: "t".into(),
+            families: vec!["f".into(), "g".into()],
+            split_threshold: 256,
+            root_region_id: 1,
+        },
+        WalRecord::Put {
+            table: "t".into(),
+            row: Bytes::from("row1"),
+            family: "f".into(),
+            column: Bytes::from("c"),
+            value: Bytes::from("v"),
+            timestamp: 7,
+        },
+        WalRecord::DeleteRow {
+            table: "t".into(),
+            row: Bytes::from("row0"),
+        },
+        WalRecord::RegionSplit {
+            table: "t".into(),
+            parent_id: 1,
+            new_id: 2,
+            split_key: Bytes::from("m"),
+        },
+    ]
+}
+
+#[test]
+fn wal_frame_bytes_are_pinned() {
+    let dir = tmp_dir("wal");
+    let path = dir.join(WAL_FILE);
+    let mut w = WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+    assert_eq!(w.append_at(1024, &wal_records()).unwrap(), 1024);
+    drop(w);
+    assert_golden("wal.log", &std::fs::read(&path).unwrap(), WAL_GOLDEN);
+
+    std::fs::write(&path, unhex(WAL_GOLDEN)).unwrap();
+    let scan = read_wal(&path).unwrap();
+    assert!(scan.truncation.is_none());
+    assert_eq!(scan.valid_bytes, scan.total_bytes);
+    assert_eq!(scan.frame_offsets, vec![0]);
+    assert_eq!(scan.frames.len(), 1);
+    assert_eq!(scan.frames[0].lsn, 1024);
+    assert_eq!(scan.frames[0].records, wal_records());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// MANIFEST
+// ---------------------------------------------------------------------
+
+const MANIFEST_GOLDEN: &str = "
+    4d465331 0000007a 93f1a469
+    000000000000002a 0000000000000063 0000000000000007 0000000000000003
+    00000001 00000004 4a6f6273 00000002 00000001 66 00000001 67 0000000000000100
+    00000002
+    00000016 7365672d3030303030332d723030303030312e736567
+    00000016 7365672d3030303030332d723030303030322e736567
+";
+
+fn manifest() -> Manifest {
+    Manifest {
+        flushed_lsn: 42,
+        clock: 99,
+        next_region_id: 7,
+        generation: 3,
+        tables: vec![ManifestTable {
+            name: "Jobs".into(),
+            families: vec!["f".into(), "g".into()],
+            split_threshold: 256,
+        }],
+        segments: vec![
+            "seg-000003-r000001.seg".into(),
+            "seg-000003-r000002.seg".into(),
+        ],
+    }
+}
+
+#[test]
+fn manifest_bytes_are_pinned() {
+    let dir = tmp_dir("manifest");
+    write_manifest(&dir, &manifest()).unwrap();
+    let path = dir.join(MANIFEST_FILE);
+    assert_golden("MANIFEST", &std::fs::read(&path).unwrap(), MANIFEST_GOLDEN);
+
+    std::fs::write(&path, unhex(MANIFEST_GOLDEN)).unwrap();
+    assert_eq!(read_manifest(&dir).unwrap(), Some(manifest()));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// SHARDS v1 / v2 and the TOPOLOGY journal, from one tiny reshard
+// ---------------------------------------------------------------------
+
+const SHARDS_V1_GOLDEN: &str = "53484431 00000008 2f45c64f 00000001 00000001";
+
+const SHARDS_V2_GOLDEN: &str = "
+    53484431 00000020 6ad97c0b 00000002 00000001
+    0000000000000001 00000001 00000000 00000001 00000001
+";
+
+const TOPOLOGY_GOLDEN: &str = "
+    544f5031
+    0000002d 4480ebbd 01 0000000000000001
+        00000001 00000001 00000000
+        00000002 00000001 00000001 00000000 00000001 00000001
+    0000000d 5248da79 02 0000000000000001 00000000
+    0000000d 254feaef 02 0000000000000001 00000001
+    00000009 cce27534 04 0000000000000001
+    00000009 db996177 05 0000000000000001
+";
+
+fn target_topology() -> Topology {
+    let mut t = Topology::uniform(2, 1);
+    t.overrides.insert(0, vec![1]);
+    t
+}
+
+/// 1 shard → 2 shards with slot 0 pinned onto shard 1: the smallest plan
+/// whose journal holds every record kind a clean run writes and whose
+/// final catalog needs the v2 body (epoch ≠ 0 and an override).
+#[test]
+fn shards_catalog_and_topology_journal_bytes_are_pinned() {
+    let dir = tmp_dir("shards");
+    let opts = ShardOptions {
+        shards: 1,
+        replication: 1,
+        ..ShardOptions::default()
+    };
+    let (store, _) = ShardedStore::open_with_opts(&dir, opts).unwrap();
+    assert_golden(
+        "SHARDS v1",
+        &std::fs::read(dir.join(SHARDS_FILE)).unwrap(),
+        SHARDS_V1_GOLDEN,
+    );
+    store.create_table("t", &["f"]).unwrap();
+    for i in 0..4 {
+        store
+            .put("t", Put::new(format!("row{i}"), "f", "c", "v"))
+            .unwrap();
+    }
+    store
+        .begin_reshard(Reshard::to(2, 1).with_override(0, vec![1]))
+        .unwrap();
+    while store.reshard_step().unwrap().phase != ReshardPhase::Gc {}
+    assert_golden(
+        "TOPOLOGY",
+        &std::fs::read(dir.join(TOPOLOGY_FILE)).unwrap(),
+        TOPOLOGY_GOLDEN,
+    );
+    assert_eq!(
+        store.resume_reshard().unwrap().unwrap().phase,
+        ReshardPhase::Done
+    );
+    assert_golden(
+        "SHARDS v2",
+        &std::fs::read(dir.join(SHARDS_FILE)).unwrap(),
+        SHARDS_V2_GOLDEN,
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The read side, from the pinned bytes alone.
+    let dir = tmp_dir("shards-read");
+    std::fs::write(dir.join(SHARDS_FILE), unhex(SHARDS_V1_GOLDEN)).unwrap();
+    let v1 = Catalog {
+        topology: Topology::uniform(1, 1),
+        epoch: 0,
+    };
+    assert_eq!(read_catalog(&dir).unwrap(), Some(v1));
+    std::fs::write(dir.join(SHARDS_FILE), unhex(SHARDS_V2_GOLDEN)).unwrap();
+    let v2 = Catalog {
+        topology: target_topology(),
+        epoch: 1,
+    };
+    assert_eq!(read_catalog(&dir).unwrap(), Some(v2));
+
+    std::fs::write(dir.join(TOPOLOGY_FILE), unhex(TOPOLOGY_GOLDEN)).unwrap();
+    let scan = read_journal(&dir).unwrap().unwrap();
+    assert_eq!(scan.valid_bytes, scan.total_bytes);
+    assert_eq!(
+        scan.records,
+        vec![
+            JournalRecord::Begin {
+                epoch: 1,
+                old: Topology::uniform(1, 1),
+                new: target_topology(),
+            },
+            JournalRecord::Copied { epoch: 1, unit: 0 },
+            JournalRecord::Copied { epoch: 1, unit: 1 },
+            JournalRecord::Verified { epoch: 1 },
+            JournalRecord::Cutover { epoch: 1 },
+        ]
+    );
+    assert!(matches!(
+        resolve_journal(&scan.records).unwrap(),
+        Resolution::PostCutover { epoch: 1, .. }
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Segment: 33 rows = two blocks (32 + 1), bounded key range
+// ---------------------------------------------------------------------
+
+const SEGMENT_GOLDEN: &str = "
+    5347314400000604 66df836200000020 0000000372303000 0000010000000166
+    0000000100000001 6300000001000000 000000000156a2cb af00000003763030
+    0000000372303100 0000010000000166 0000000100000001 6300000001000000
+    000000000221a5fb 3900000003763031 0000000372303200 0000010000000166
+    0000000100000001 6300000001000000 0000000003b8acaa 8300000003763032
+    0000000372303300 0000010000000166 0000000100000001 6300000001000000
+    0000000004cfab9a 1500000003763033 0000000372303400 0000010000000166
+    0000000100000001 6300000001000000 000000000551cf0f b600000003763034
+    0000000372303500 0000010000000166 0000000100000001 6300000001000000
+    000000000626c83f 2000000003763035 0000000372303600 0000010000000166
+    0000000100000001 6300000001000000 0000000007bfc16e 9a00000003763036
+    0000000372303700 0000010000000166 0000000100000001 6300000001000000
+    0000000008c8c65e 0c00000003763037 0000000372303800 0000010000000166
+    0000000100000001 6300000001000000 0000000009587943 9d00000003763038
+    0000000372303900 0000010000000166 0000000100000001 6300000001000000
+    000000000a2f7e73 0b00000003763039 0000000372313000 0000010000000166
+    0000000100000001 6300000001000000 000000000b4fb9fa ee00000003763130
+    0000000372313100 0000010000000166 0000000100000001 6300000001000000
+    000000000c38beca 7800000003763131 0000000372313200 0000010000000166
+    0000000100000001 6300000001000000 000000000da1b79b c200000003763132
+    0000000372313300 0000010000000166 0000000100000001 6300000001000000
+    000000000ed6b0ab 5400000003763133 0000000372313400 0000010000000166
+    0000000100000001 6300000001000000 000000000f48d43e f700000003763134
+    0000000372313500 0000010000000166 0000000100000001 6300000001000000
+    00000000103fd30e 6100000003763135 0000000372313600 0000010000000166
+    0000000100000001 6300000001000000 0000000011a6da5f db00000003763136
+    0000000372313700 0000010000000166 0000000100000001 6300000001000000
+    0000000012d1dd6f 4d00000003763137 0000000372313800 0000010000000166
+    0000000100000001 6300000001000000 0000000013416272 dc00000003763138
+    0000000372313900 0000010000000166 0000000100000001 6300000001000000
+    0000000014366542 4a00000003763139 0000000372323000 0000010000000166
+    0000000100000001 6300000001000000 00000000156494a9 2d00000003763230
+    0000000372323100 0000010000000166 0000000100000001 6300000001000000
+    0000000016139399 bb00000003763231 0000000372323200 0000010000000166
+    0000000100000001 6300000001000000 00000000178a9ac8 0100000003763232
+    0000000372323300 0000010000000166 0000000100000001 6300000001000000
+    0000000018fd9df8 9700000003763233 0000000372323400 0000010000000166
+    0000000100000001 6300000001000000 000000001963f96d 3400000003763234
+    0000000372323500 0000010000000166 0000000100000001 6300000001000000
+    000000001a14fe5d a200000003763235 0000000372323600 0000010000000166
+    0000000100000001 6300000001000000 000000001b8df70c 1800000003763236
+    0000000372323700 0000010000000166 0000000100000001 6300000001000000
+    000000001cfaf03c 8e00000003763237 0000000372323800 0000010000000166
+    0000000100000001 6300000001000000 000000001d6a4f21 1f00000003763238
+    0000000372323900 0000010000000166 0000000100000001 6300000001000000
+    000000001e1d4811 8900000003763239 0000000372333000 0000010000000166
+    0000000100000001 6300000001000000 000000001f7d8f98 6c00000003763330
+    0000000372333100 0000010000000166 0000000100000001 6300000001000000
+    00000000200a88a8 fa00000003763331 000000344ad6edd6 0000000100000003
+    7233320000000100 0000016600000001 0000000163000000 0100000000000000
+    219381f940000000 037633320000004d 24ab4e0e00000004 4a6f627300000000
+    0000000700000001 7201000000017300 0000000000002100 0000020000000372
+    3030000000000000 00040000060c0000 0003723332000000 0000000610000000
+    3c00000000000006 4c53475452
+";
+
+fn segment_rows() -> BTreeMap<Bytes, RowData> {
+    (0..33u64)
+        .map(|i| {
+            let mut cols = BTreeMap::new();
+            cols.insert(
+                Bytes::from("c"),
+                vec![CellVersion::new(i + 1, Bytes::from(format!("v{i:02}")))],
+            );
+            let mut data: RowData = BTreeMap::new();
+            data.insert("f".to_string(), cols);
+            (Bytes::from(format!("r{i:02}")), data)
+        })
+        .collect()
+}
+
+fn segment_range() -> KeyRange {
+    KeyRange {
+        start: Bytes::from("r"),
+        end: Some(Bytes::from("s")),
+    }
+}
+
+fn check_segment(path: &Path) {
+    let loaded = read_segment(path).unwrap();
+    assert_eq!(loaded.meta.table, "Jobs");
+    assert_eq!(loaded.meta.region_id, 7);
+    assert_eq!(loaded.meta.range, segment_range());
+    assert_eq!(loaded.meta.row_count, 33);
+    assert_eq!(loaded.meta.blocks.len(), 2);
+    assert_eq!(loaded.rows, segment_rows());
+
+    let reader = SegmentReader::open(path).unwrap();
+    assert_eq!(reader.meta(), &loaded.meta);
+    let mut merged = reader.read_block(0).unwrap();
+    assert_eq!(merged.len(), 32);
+    merged.extend(reader.read_block(1).unwrap());
+    assert_eq!(merged, segment_rows());
+}
+
+#[test]
+fn two_block_segment_bytes_are_pinned() {
+    let dir = tmp_dir("segment");
+    let path = dir.join("seg-000001-r000007.seg");
+    write_segment(&path, "Jobs", 7, &segment_range(), &segment_rows()).unwrap();
+    assert_golden("segment", &std::fs::read(&path).unwrap(), SEGMENT_GOLDEN);
+    check_segment(&path);
+
+    std::fs::write(&path, unhex(SEGMENT_GOLDEN)).unwrap();
+    check_segment(&path);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
