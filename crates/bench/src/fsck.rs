@@ -21,7 +21,7 @@
 use cfstore::recovery::{read_manifest, RecoveryReport};
 use cfstore::segment::verify_segment_deep;
 use cfstore::shard::resharding::{
-    read_catalog, read_journal, resolve_journal, Catalog, Resolution, TOPOLOGY_FILE,
+    read_catalog, read_journal, resolve_against_catalog, Catalog, Pending, TOPOLOGY_FILE,
 };
 use cfstore::shard::SHARDS_FILE;
 use cfstore::{BlockCache, MiniStore, SegmentReader, ShardedStore, Topology};
@@ -224,45 +224,33 @@ fn resolve_topology(dir: &Path, catalog: &Catalog) -> Result<TopologyView, Strin
             scan.total_bytes - scan.valid_bytes
         ));
     }
-    match resolve_journal(&scan.records) {
-        Err(e) => return Err(format!("{TOPOLOGY_FILE} journal: {e}")),
-        Ok(Resolution::None) => {
+    // The same resolution reopen applies; only the printing is fsck's.
+    let pending = resolve_against_catalog(catalog, &scan.records)
+        .map_err(|e| format!("{TOPOLOGY_FILE} journal: {e}"))?;
+    match pending {
+        Pending::None => {
             println!("reshard journal     : empty (crash before Begin; recovery deletes it)");
         }
-        Ok(Resolution::PreCutover {
+        Pending::PreCutover {
             epoch,
-            old,
-            new,
+            target,
             copied,
             verified,
-        }) => {
-            if old != catalog.topology || epoch != catalog.epoch + 1 {
-                return Err(format!(
-                    "{TOPOLOGY_FILE} Begin (epoch {epoch}) disagrees with the {SHARDS_FILE} \
-                     catalog (epoch {})",
-                    catalog.epoch
-                ));
-            }
+        } => {
             println!(
                 "reshard journal     : epoch {epoch} pre-cutover, {}/{} unit(s) copied{} \
                  — old epoch serves",
                 copied.len(),
-                new.shards,
+                target.shards,
                 if verified { ", verified" } else { "" },
             );
-            view.target_pre = Some(new);
+            view.target_pre = Some(target);
         }
-        Ok(Resolution::PostCutover { epoch, old, new }) => {
-            let swapped = if catalog.topology == new && catalog.epoch == epoch {
-                true
-            } else if catalog.topology == old && epoch == catalog.epoch + 1 {
-                false
-            } else {
-                return Err(format!(
-                    "{TOPOLOGY_FILE} Cutover (epoch {epoch}) matches neither the old nor \
-                     the new topology in the {SHARDS_FILE} catalog"
-                ));
-            };
+        Pending::PostCutover {
+            epoch,
+            target,
+            swapped,
+        } => {
             println!(
                 "reshard journal     : epoch {epoch} POST-cutover ({}) — new epoch serves",
                 if swapped {
@@ -271,7 +259,7 @@ fn resolve_topology(dir: &Path, catalog: &Catalog) -> Result<TopologyView, Strin
                     "catalog swap pending"
                 }
             );
-            view.active = new;
+            view.active = target;
             view.gc_pending = true;
         }
     }

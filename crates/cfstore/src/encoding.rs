@@ -15,6 +15,8 @@ pub enum CodecError {
     BadTag(u8),
     /// A string was not valid UTF-8.
     BadUtf8,
+    /// A record decoded completely but this many bytes were left over.
+    Trailing(usize),
     /// A tenant id failed [`validate_tenant`] (empty, too long, or
     /// containing a character outside `[A-Za-z0-9_.-]`).
     BadTenant(String),
@@ -26,6 +28,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated value"),
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#x}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in encoded string"),
+            CodecError::Trailing(n) => write!(f, "{n} trailing bytes after the record"),
             CodecError::BadTenant(t) => write!(
                 f,
                 "invalid tenant id {t:?} (want 1..={MAX_TENANT_LEN} chars of [A-Za-z0-9_.-])"

@@ -29,7 +29,9 @@
 //! * [`shard`] — N replicated store shards behind one API: commit rule,
 //!   read-path healing, whole-shard rebuild (DESIGN.md §13), and
 //!   crash-safe online resharding (DESIGN.md §15).
-//! * [`wal`] — the length+CRC-framed write-ahead log and crash injection.
+//! * [`frame`] — the one length+CRC framing, decode cursor, and
+//!   crash-after-N-bytes writer under every file below (DESIGN.md §16).
+//! * [`wal`] — the framed write-ahead log and its crash points.
 //! * [`segment`] — immutable sorted segment files with block checksums.
 //! * [`blockcache`] — the bounded deterministic LRU over segment blocks.
 //! * [`recovery`] — the reopen path: manifest, replay, `RecoveryReport`.
@@ -38,6 +40,7 @@
 pub mod blockcache;
 pub mod encoding;
 pub mod filter;
+pub mod frame;
 pub mod kv;
 pub mod recovery;
 pub mod region;

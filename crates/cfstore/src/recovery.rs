@@ -38,14 +38,14 @@
 //! byte is unaccounted for).
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::blockcache::BlockCache;
-use crate::encoding::crc32;
+use crate::encoding::CodecError;
+use crate::frame::{self, put_str, Cursor};
 use crate::region::{KeyRange, RowData};
 use crate::segment::{SegmentError, SegmentReader};
 use crate::wal::{self, WalRecord, WalTruncation, WAL_FILE};
@@ -106,7 +106,7 @@ impl From<SegmentError> for RecoveryError {
     }
 }
 
-fn io_err(path: &Path, source: std::io::Error) -> RecoveryError {
+pub(crate) fn io_err(path: &Path, source: std::io::Error) -> RecoveryError {
     RecoveryError::Io {
         path: path.display().to_string(),
         source,
@@ -138,78 +138,42 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut body = BytesMut::new();
+    fn encode(&self, body: &mut Vec<u8>) {
         body.put_u64(self.flushed_lsn);
         body.put_u64(self.clock);
         body.put_u64(self.next_region_id);
         body.put_u64(self.generation);
         body.put_u32(self.tables.len() as u32);
         for t in &self.tables {
-            put_str(&mut body, &t.name);
+            put_str(body, &t.name);
             body.put_u32(t.families.len() as u32);
             for f in &t.families {
-                put_str(&mut body, f);
+                put_str(body, f);
             }
             body.put_u64(t.split_threshold);
         }
         body.put_u32(self.segments.len() as u32);
         for s in &self.segments {
-            put_str(&mut body, s);
+            put_str(body, s);
         }
-        let mut out = Vec::with_capacity(12 + body.len());
-        out.extend_from_slice(&MANIFEST_MAGIC.to_be_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        out.extend_from_slice(&crc32(&body).to_be_bytes());
-        out.extend_from_slice(&body);
-        out
     }
 
-    fn decode(data: &[u8]) -> Result<Manifest, String> {
-        if data.len() < 12 {
-            return Err(format!("file too short ({} bytes)", data.len()));
-        }
-        if u32::from_be_bytes(data[0..4].try_into().unwrap()) != MANIFEST_MAGIC {
-            return Err("bad magic".to_string());
-        }
-        let len = u32::from_be_bytes(data[4..8].try_into().unwrap()) as usize;
-        let crc = u32::from_be_bytes(data[8..12].try_into().unwrap());
-        if data.len() < 12 + len {
-            return Err("torn body".to_string());
-        }
-        let body = &data[12..12 + len];
-        if crc32(body) != crc {
-            return Err("checksum mismatch".to_string());
-        }
-        let mut buf = body;
-        let flushed_lsn = take_u64(&mut buf)?;
-        let clock = take_u64(&mut buf)?;
-        let next_region_id = take_u64(&mut buf)?;
-        let generation = take_u64(&mut buf)?;
-        let n_tables = take_u32(&mut buf)? as usize;
-        let mut tables = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            let name = take_str(&mut buf)?;
-            let n_fam = take_u32(&mut buf)? as usize;
-            let mut families = Vec::with_capacity(n_fam);
-            for _ in 0..n_fam {
-                families.push(take_str(&mut buf)?);
-            }
-            let split_threshold = take_u64(&mut buf)?;
-            tables.push(ManifestTable {
-                name,
-                families,
-                split_threshold,
-            });
-        }
-        let n_segs = take_u32(&mut buf)? as usize;
-        let mut segments = Vec::with_capacity(n_segs);
-        for _ in 0..n_segs {
-            segments.push(take_str(&mut buf)?);
-        }
-        if !buf.is_empty() {
-            return Err(format!("{} trailing bytes", buf.len()));
-        }
+    fn decode(body: &[u8]) -> Result<Manifest, CodecError> {
+        let mut c = Cursor::new(body);
+        let flushed_lsn = c.u64()?;
+        let clock = c.u64()?;
+        let next_region_id = c.u64()?;
+        let generation = c.u64()?;
+        // A table is at least `name len · family count · threshold`.
+        let tables = c.seq(16, |c| {
+            Ok(ManifestTable {
+                name: c.str()?,
+                families: c.strings()?,
+                split_threshold: c.u64()?,
+            })
+        })?;
+        let segments = c.strings()?;
+        c.finish()?;
         Ok(Manifest {
             flushed_lsn,
             clock,
@@ -221,32 +185,36 @@ impl Manifest {
     }
 }
 
-/// Write the manifest atomically: temp file, then rename over MANIFEST.
-/// Rename is atomic on every platform we run on, so a crash leaves either
-/// the old manifest or the new one — never a torn hybrid.
+/// A catalog file or journal that exists but does not verify or decode.
+pub(crate) fn corrupt_file(path: &Path, detail: impl ToString) -> RecoveryError {
+    RecoveryError::ManifestCorrupt {
+        path: path.display().to_string(),
+        detail: detail.to_string(),
+    }
+}
+
+/// Read a `magic · frame` file ([`frame::decode_file`]) and decode its
+/// body; `Ok(None)` when the file does not exist.
+pub(crate) fn read_framed_file<T>(
+    path: &Path,
+    magic: u32,
+    decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
+) -> Result<Option<T>, RecoveryError> {
+    let Some(data) = frame::read_optional(path).map_err(|e| io_err(path, e))? else {
+        return Ok(None);
+    };
+    let body = frame::decode_file(&data, magic).map_err(|d| corrupt_file(path, d))?;
+    decode(body).map(Some).map_err(|e| corrupt_file(path, e))
+}
+
+/// Write the manifest atomically ([`frame::write_file_atomic`]).
 pub fn write_manifest(dir: &Path, m: &Manifest) -> Result<(), std::io::Error> {
-    let tmp = dir.join("MANIFEST.tmp");
-    let target = dir.join(MANIFEST_FILE);
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(&m.encode())?;
-    drop(f);
-    std::fs::rename(&tmp, &target)
+    frame::write_file_atomic(&dir.join(MANIFEST_FILE), MANIFEST_MAGIC, |b| m.encode(b))
 }
 
 /// Read the manifest; `Ok(None)` when the store never flushed.
 pub fn read_manifest(dir: &Path) -> Result<Option<Manifest>, RecoveryError> {
-    let path = dir.join(MANIFEST_FILE);
-    let data = match std::fs::read(&path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err(&path, e)),
-    };
-    Manifest::decode(&data)
-        .map(Some)
-        .map_err(|detail| RecoveryError::ManifestCorrupt {
-            path: path.display().to_string(),
-            detail,
-        })
+    read_framed_file(&dir.join(MANIFEST_FILE), MANIFEST_MAGIC, Manifest::decode)
 }
 
 /// One recovered region: its identity, range, and rows — either
@@ -476,12 +444,7 @@ pub fn recover(
 
     // Physically drop the torn tail so future appends stay clean.
     if report.wal_bytes_dropped > 0 {
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&wal_path)
-            .map_err(|e| io_err(&wal_path, e))?;
-        f.set_len(scan.valid_bytes)
-            .map_err(|e| io_err(&wal_path, e))?;
+        frame::truncate_and_sync(&wal_path, scan.valid_bytes).map_err(|e| io_err(&wal_path, e))?;
     }
 
     // Every table needs at least one region covering the key space.
@@ -673,40 +636,6 @@ fn region_for<'t>(
 /// Segment file name for a region flushed at a generation.
 pub fn segment_file_name(generation: u64, region_id: u64) -> String {
     format!("seg-{generation:06}-r{region_id:06}.seg")
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn take_str(buf: &mut &[u8]) -> Result<String, String> {
-    if buf.len() < 4 {
-        return Err("truncated length prefix".to_string());
-    }
-    let len = buf.get_u32() as usize;
-    if buf.len() < len {
-        return Err("truncated string".to_string());
-    }
-    let s = std::str::from_utf8(&buf[..len])
-        .map_err(|_| "invalid UTF-8".to_string())?
-        .to_string();
-    buf.advance(len);
-    Ok(s)
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, String> {
-    if buf.len() < 8 {
-        return Err("truncated u64".to_string());
-    }
-    Ok(buf.get_u64())
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, String> {
-    if buf.len() < 4 {
-        return Err("truncated u32".to_string());
-    }
-    Ok(buf.get_u32())
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //!
 //! A flush writes each region's memstore to one segment, HBase-HFile
 //! style: a magic header, a sequence of *blocks* (each holding up to
-//! [`BLOCK_ROWS`] rows, length+CRC framed exactly like WAL frames), and a
+//! [`BLOCK_ROWS`] rows, one [`crate::frame`] each), and a
 //! *trailer* carrying the region metadata (table, id, key range), a block
 //! index of `(first_key, offset, len)` entries, and the row count. The
-//! trailer is itself CRC-framed and located by a fixed-size footer
+//! trailer is itself one frame and located by a fixed-size footer
 //! (`trailer_offset · tail magic`) at the end of the file, so a reader
 //! can validate a segment back-to-front without trusting anything
 //! unchecked.
@@ -22,12 +22,13 @@
 //! [`SegmentError`], never as silent data loss.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
-use crate::encoding::crc32;
+use crate::encoding::CodecError;
+use crate::frame::{self, put_bytes, put_str, Cursor};
 use crate::kv::CellVersion;
 use crate::region::{KeyRange, RowData};
 
@@ -37,6 +38,8 @@ pub const BLOCK_ROWS: usize = 32;
 
 const MAGIC_HEAD: u32 = 0x5347_3144; // "SG1D"
 const MAGIC_TAIL: u32 = 0x5347_5452; // "SGTR"
+/// `trailer_offset u64 · tail magic u32`, the only bytes outside every CRC.
+const FOOTER_LEN: u64 = 12;
 
 /// Errors reading a segment file.
 #[derive(Debug)]
@@ -102,49 +105,45 @@ pub fn encode_segment(
     range: &KeyRange,
     rows: &BTreeMap<Bytes, RowData>,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC_HEAD.to_be_bytes());
+    let mut out = MAGIC_HEAD.to_be_bytes().to_vec();
     let mut blocks: Vec<(Bytes, u64, u32)> = Vec::new();
     let entries: Vec<(&Bytes, &RowData)> = rows.iter().collect();
     for chunk in entries.chunks(BLOCK_ROWS) {
-        let mut body = BytesMut::new();
-        body.put_u32(chunk.len() as u32);
-        for (key, data) in chunk {
-            encode_row(&mut body, key, data);
-        }
-        let offset = out.len() as u64;
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        out.extend_from_slice(&crc32(&body).to_be_bytes());
-        out.extend_from_slice(&body);
-        blocks.push((chunk[0].0.clone(), offset, (8 + body.len()) as u32));
+        let offset = out.len();
+        frame::encode(&mut out, |body| {
+            body.put_u32(chunk.len() as u32);
+            for (key, data) in chunk {
+                encode_row(body, key, data);
+            }
+        });
+        let framed_len = (out.len() - offset) as u32;
+        blocks.push((chunk[0].0.clone(), offset as u64, framed_len));
     }
 
-    // Trailer: region metadata + block index, CRC-framed.
-    let mut trailer = BytesMut::new();
-    put_bytes(&mut trailer, table.as_bytes());
-    trailer.put_u64(region_id);
-    put_bytes(&mut trailer, &range.start);
-    match &range.end {
-        Some(end) => {
-            trailer.put_u8(1);
-            put_bytes(&mut trailer, end);
-        }
-        None => trailer.put_u8(0),
-    }
-    trailer.put_u64(rows.len() as u64);
-    trailer.put_u32(blocks.len() as u32);
-    for (first_key, offset, len) in &blocks {
-        put_bytes(&mut trailer, first_key);
-        trailer.put_u64(*offset);
-        trailer.put_u32(*len);
-    }
+    // Trailer: region metadata + block index, one frame.
     let trailer_offset = out.len() as u64;
-    out.extend_from_slice(&(trailer.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(&trailer).to_be_bytes());
-    out.extend_from_slice(&trailer);
+    frame::encode(&mut out, |trailer| {
+        put_str(trailer, table);
+        trailer.put_u64(region_id);
+        put_bytes(trailer, &range.start);
+        match &range.end {
+            Some(end) => {
+                trailer.put_u8(1);
+                put_bytes(trailer, end);
+            }
+            None => trailer.put_u8(0),
+        }
+        trailer.put_u64(rows.len() as u64);
+        trailer.put_u32(blocks.len() as u32);
+        for (first_key, offset, len) in &blocks {
+            put_bytes(trailer, first_key);
+            trailer.put_u64(*offset);
+            trailer.put_u32(*len);
+        }
+    });
     // Fixed footer: where the trailer starts, and the tail magic.
-    out.extend_from_slice(&trailer_offset.to_be_bytes());
-    out.extend_from_slice(&MAGIC_TAIL.to_be_bytes());
+    out.put_u64(trailer_offset);
+    out.put_u32(MAGIC_TAIL);
     out
 }
 
@@ -157,89 +156,34 @@ pub fn write_segment(
     range: &KeyRange,
     rows: &BTreeMap<Bytes, RowData>,
 ) -> Result<(), SegmentError> {
-    let bytes = encode_segment(table, region_id, range, rows);
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&bytes)?;
+    std::fs::write(path, encode_segment(table, region_id, range, rows))?;
     Ok(())
 }
 
 /// Load and fully verify a segment: footer magic, trailer checksum, then
-/// every block checksum, then row decoding.
+/// every block checksum, then row decoding — [`SegmentReader::open`]
+/// followed by every [`SegmentReader::read_block`], so the eager and the
+/// lazy path cannot disagree about what a valid segment is.
 pub fn read_segment(path: &Path) -> Result<LoadedSegment, SegmentError> {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string());
-    let data = std::fs::read(path)?;
-    let corrupt = |detail: String| SegmentError::Corrupt {
-        file: name.clone(),
-        detail,
-    };
-    if data.len() < 4 + 12 {
-        return Err(corrupt(format!("file too short ({} bytes)", data.len())));
-    }
-    if u32::from_be_bytes(data[0..4].try_into().unwrap()) != MAGIC_HEAD {
-        return Err(corrupt("bad header magic".to_string()));
-    }
-    let tail = &data[data.len() - 12..];
-    let trailer_offset = u64::from_be_bytes(tail[0..8].try_into().unwrap()) as usize;
-    if u32::from_be_bytes(tail[8..12].try_into().unwrap()) != MAGIC_TAIL {
-        return Err(corrupt(
-            "bad tail magic (torn or overwritten file)".to_string(),
-        ));
-    }
-    if trailer_offset + 8 > data.len() - 12 {
-        return Err(corrupt(format!(
-            "trailer offset {trailer_offset} out of range"
-        )));
-    }
-    let t = &data[trailer_offset..data.len() - 12];
-    let tlen = u32::from_be_bytes(t[0..4].try_into().unwrap()) as usize;
-    let tcrc = u32::from_be_bytes(t[4..8].try_into().unwrap());
-    if t.len() < 8 + tlen {
-        return Err(corrupt("trailer torn".to_string()));
-    }
-    let tbody = &t[8..8 + tlen];
-    if crc32(tbody) != tcrc {
-        return Err(corrupt("trailer checksum mismatch".to_string()));
-    }
-    let meta = decode_trailer(tbody).map_err(|d| corrupt(format!("trailer: {d}")))?;
-
+    let reader = SegmentReader::open(path)?;
     let mut rows = BTreeMap::new();
-    for (i, (first_key, offset, len)) in meta.blocks.iter().enumerate() {
-        let (offset, len) = (*offset as usize, *len as usize);
-        if len < 8 || offset + len > trailer_offset {
-            return Err(corrupt(format!("block {i} overruns the trailer")));
-        }
-        let b = &data[offset..offset + len];
-        let blen = u32::from_be_bytes(b[0..4].try_into().unwrap()) as usize;
-        let bcrc = u32::from_be_bytes(b[4..8].try_into().unwrap());
-        if 8 + blen != len {
-            return Err(corrupt(format!("block {i} length mismatch")));
-        }
-        let body = &b[8..];
-        if crc32(body) != bcrc {
-            return Err(corrupt(format!(
-                "block {i} checksum mismatch (first key {:?})",
-                String::from_utf8_lossy(first_key)
-            )));
-        }
-        decode_block(body, &mut rows).map_err(|d| corrupt(format!("block {i}: {d}")))?;
+    for idx in 0..reader.block_count() {
+        rows.extend(reader.read_block(idx)?);
     }
-    if rows.len() as u64 != meta.row_count {
-        return Err(corrupt(format!(
-            "row count mismatch: trailer says {}, blocks held {}",
-            meta.row_count,
-            rows.len()
-        )));
+    if rows.len() as u64 != reader.meta.row_count {
+        return Err(SegmentError::Corrupt {
+            file: reader.file_name,
+            detail: format!(
+                "row count mismatch: trailer says {}, blocks held {}",
+                reader.meta.row_count,
+                rows.len()
+            ),
+        });
     }
-    Ok(LoadedSegment { meta, rows })
-}
-
-/// Verify a segment without materializing rows — the `store_fsck` scrub
-/// path. Returns the metadata on success.
-pub fn verify_segment(path: &Path) -> Result<SegmentMeta, SegmentError> {
-    read_segment(path).map(|s| s.meta)
+    Ok(LoadedSegment {
+        meta: reader.meta,
+        rows,
+    })
 }
 
 /// Verify a segment *including every cell-version checksum*. Block CRCs
@@ -248,10 +192,7 @@ pub fn verify_segment(path: &Path) -> Result<SegmentMeta, SegmentError> {
 /// in the memstore). `store_fsck` and the heal path use this stronger
 /// scrub so a replica is only ever repaired from a provably clean peer.
 pub fn verify_segment_deep(path: &Path) -> Result<SegmentMeta, SegmentError> {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string());
+    let name = file_name_of(path);
     let loaded = read_segment(path)?;
     for (key, data) in &loaded.rows {
         for cols in data.values() {
@@ -285,8 +226,8 @@ static NEXT_READER_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 /// verifies its CRC, and decodes just those ≤[`BLOCK_ROWS`] rows — the
 /// read-amplification unit behind [`crate::BlockCache`].
 ///
-/// The full back-to-front verification of [`read_segment`] still exists
-/// for fsck; a reader only defers *when* a rotted block surfaces (at
+/// [`read_segment`] (fsck's full verification) is this reader driven over
+/// every block; a reader only defers *when* a rotted block surfaces (at
 /// first read instead of at open), never whether it does.
 #[derive(Debug)]
 pub struct SegmentReader {
@@ -296,58 +237,65 @@ pub struct SegmentReader {
     file: parking_lot::Mutex<std::fs::File>,
 }
 
+/// What [`SegmentError::Corrupt`] calls a segment: its file name, as the
+/// manifest lists it.
+fn file_name_of(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| path.display().to_string())
+}
+
 impl SegmentReader {
     /// Open a segment, verifying header magic, footer, and the trailer
     /// checksum — but no block bodies.
     pub fn open(path: &Path) -> Result<SegmentReader, SegmentError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let file_name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
+        let file_name = file_name_of(path);
         let corrupt = |detail: String| SegmentError::Corrupt {
             file: file_name.clone(),
             detail,
         };
         let mut file = std::fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        if file_len < (4 + 12) as u64 {
+        if file_len < 4 + FOOTER_LEN {
             return Err(corrupt(format!("file too short ({file_len} bytes)")));
         }
         let mut head = [0u8; 4];
         file.read_exact(&mut head)?;
-        if u32::from_be_bytes(head) != MAGIC_HEAD {
+        if head != MAGIC_HEAD.to_be_bytes() {
             return Err(corrupt("bad header magic".to_string()));
         }
-        let mut tail = [0u8; 12];
-        file.seek(SeekFrom::End(-12))?;
-        file.read_exact(&mut tail)?;
-        let trailer_offset = u64::from_be_bytes(tail[0..8].try_into().unwrap());
-        if u32::from_be_bytes(tail[8..12].try_into().unwrap()) != MAGIC_TAIL {
+        let mut footer = [0u8; FOOTER_LEN as usize];
+        file.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
+        file.read_exact(&mut footer)?;
+        let (offset, magic) = footer.split_first_chunk::<8>().expect("a 12-byte footer");
+        if magic != MAGIC_TAIL.to_be_bytes() {
             return Err(corrupt(
                 "bad tail magic (torn or overwritten file)".to_string(),
             ));
         }
-        if trailer_offset + 8 > file_len - 12 {
+        // The footer is outside every CRC: a flipped bit in it must not
+        // overflow the arithmetic that locates the trailer.
+        let trailer_offset = u64::from_be_bytes(*offset);
+        let trailer_end = file_len - FOOTER_LEN;
+        if trailer_offset
+            .checked_add(frame::HEADER_LEN as u64)
+            .is_none_or(|end| end > trailer_end)
+        {
             return Err(corrupt(format!(
                 "trailer offset {trailer_offset} out of range"
             )));
         }
-        let mut t = vec![0u8; (file_len - 12 - trailer_offset) as usize];
+        let mut t = vec![0u8; (trailer_end - trailer_offset) as usize];
         file.seek(SeekFrom::Start(trailer_offset))?;
         file.read_exact(&mut t)?;
-        let tlen = u32::from_be_bytes(t[0..4].try_into().unwrap()) as usize;
-        let tcrc = u32::from_be_bytes(t[4..8].try_into().unwrap());
-        if t.len() < 8 + tlen {
-            return Err(corrupt("trailer torn".to_string()));
-        }
-        let tbody = &t[8..8 + tlen];
-        if crc32(tbody) != tcrc {
-            return Err(corrupt("trailer checksum mismatch".to_string()));
-        }
-        let meta = decode_trailer(tbody).map_err(|d| corrupt(format!("trailer: {d}")))?;
+        let tbody = frame::verify_exact(&t).map_err(|d| corrupt(format!("trailer: {d}")))?;
+        let meta = decode_trailer(tbody).map_err(|e| corrupt(format!("trailer: {e}")))?;
         for (i, (_, offset, len)) in meta.blocks.iter().enumerate() {
-            if *len < 8 || offset + *len as u64 > trailer_offset {
+            if (*len as usize) < frame::HEADER_LEN
+                || offset
+                    .checked_add(*len as u64)
+                    .is_none_or(|end| end > trailer_offset)
+            {
                 return Err(corrupt(format!("block {i} overruns the trailer")));
             }
         }
@@ -412,10 +360,9 @@ impl SegmentReader {
     }
 
     /// Read, CRC-verify, and decode one block. This is the only place
-    /// where block bodies leave the disk on the lazy path; corruption
-    /// surfaces here as the same typed error [`read_segment`] raises.
+    /// where block bodies leave the disk; corruption surfaces here as a
+    /// typed error.
     pub fn read_block(&self, idx: usize) -> Result<BTreeMap<Bytes, RowData>, SegmentError> {
-        use std::io::{Read, Seek, SeekFrom};
         let corrupt = |detail: String| SegmentError::Corrupt {
             file: self.file_name.clone(),
             detail,
@@ -427,29 +374,21 @@ impl SegmentReader {
             file.seek(SeekFrom::Start(*offset))?;
             file.read_exact(&mut framed)?;
         }
-        let blen = u32::from_be_bytes(framed[0..4].try_into().unwrap()) as usize;
-        let bcrc = u32::from_be_bytes(framed[4..8].try_into().unwrap());
-        if 8 + blen != framed.len() {
-            return Err(corrupt(format!("block {idx} length mismatch")));
-        }
-        let body = &framed[8..];
-        if crc32(body) != bcrc {
-            return Err(corrupt(format!(
-                "block {idx} checksum mismatch (first key {:?})",
+        let body = frame::verify_exact(&framed).map_err(|d| {
+            corrupt(format!(
+                "block {idx}: {d} (first key {:?})",
                 String::from_utf8_lossy(first_key)
-            )));
-        }
-        let mut rows = BTreeMap::new();
-        decode_block(body, &mut rows).map_err(|d| corrupt(format!("block {idx}: {d}")))?;
-        Ok(rows)
+            ))
+        })?;
+        decode_block(body).map_err(|e| corrupt(format!("block {idx}: {e}")))
     }
 }
 
-fn encode_row(buf: &mut BytesMut, key: &Bytes, data: &RowData) {
+fn encode_row(buf: &mut Vec<u8>, key: &Bytes, data: &RowData) {
     put_bytes(buf, key);
     buf.put_u32(data.len() as u32);
     for (family, cols) in data {
-        put_bytes(buf, family.as_bytes());
+        put_str(buf, family);
         buf.put_u32(cols.len() as u32);
         for (col, versions) in cols {
             put_bytes(buf, col);
@@ -466,65 +405,57 @@ fn encode_row(buf: &mut BytesMut, key: &Bytes, data: &RowData) {
     }
 }
 
-fn decode_block(body: &[u8], rows: &mut BTreeMap<Bytes, RowData>) -> Result<(), String> {
-    let mut buf = body;
-    let n = take_u32(&mut buf)? as usize;
-    for _ in 0..n {
-        let key = take_bytes(&mut buf)?;
-        let n_fam = take_u32(&mut buf)? as usize;
-        let mut data: RowData = BTreeMap::new();
-        for _ in 0..n_fam {
-            let family = take_string(&mut buf)?;
-            let n_cols = take_u32(&mut buf)? as usize;
+/// Shortest encodings, for [`Cursor::count`]: a row, family or column is
+/// at least its name's length prefix plus the count of what it holds; a
+/// cell version is `timestamp · checksum · value len`; a block-index
+/// entry is `first-key len · offset · framed len`.
+const MIN_NESTED_BYTES: usize = 8;
+const MIN_VERSION_BYTES: usize = 16;
+const MIN_INDEX_ENTRY_BYTES: usize = 16;
+
+fn decode_block(body: &[u8]) -> Result<BTreeMap<Bytes, RowData>, CodecError> {
+    let mut c = Cursor::new(body);
+    let mut rows = BTreeMap::new();
+    for _ in 0..c.count(MIN_NESTED_BYTES)? {
+        let key = c.bytes()?;
+        let mut data = RowData::new();
+        for _ in 0..c.count(MIN_NESTED_BYTES)? {
+            let family = c.str()?;
             let mut cols = BTreeMap::new();
-            for _ in 0..n_cols {
-                let col = take_bytes(&mut buf)?;
-                let n_ver = take_u32(&mut buf)? as usize;
-                let mut versions = Vec::with_capacity(n_ver);
-                for _ in 0..n_ver {
-                    let timestamp = take_u64(&mut buf)?;
-                    let checksum = take_u32(&mut buf)?;
-                    let value = take_bytes(&mut buf)?;
-                    versions.push(CellVersion {
-                        timestamp,
-                        value,
-                        checksum,
-                    });
-                }
+            for _ in 0..c.count(MIN_NESTED_BYTES)? {
+                let col = c.bytes()?;
+                let versions = c.seq(MIN_VERSION_BYTES, |c| {
+                    Ok(CellVersion {
+                        timestamp: c.u64()?,
+                        checksum: c.u32()?,
+                        value: c.bytes()?,
+                    })
+                })?;
                 cols.insert(col, versions);
             }
             data.insert(family, cols);
         }
         rows.insert(key, data);
     }
-    if !buf.is_empty() {
-        return Err(format!("{} trailing bytes in block", buf.len()));
-    }
-    Ok(())
+    c.finish()?;
+    Ok(rows)
 }
 
-fn decode_trailer(body: &[u8]) -> Result<SegmentMeta, String> {
-    let mut buf = body;
-    let table = take_string(&mut buf)?;
-    let region_id = take_u64(&mut buf)?;
-    let start = take_bytes(&mut buf)?;
-    let end = match take_u8(&mut buf)? {
+fn decode_trailer(body: &[u8]) -> Result<SegmentMeta, CodecError> {
+    let mut c = Cursor::new(body);
+    let table = c.str()?;
+    let region_id = c.u64()?;
+    let start = c.bytes()?;
+    let end = match c.u8()? {
         0 => None,
-        1 => Some(take_bytes(&mut buf)?),
-        t => return Err(format!("bad range-end tag {t}")),
+        1 => Some(c.bytes()?),
+        t => return Err(CodecError::BadTag(t)),
     };
-    let row_count = take_u64(&mut buf)?;
-    let n_blocks = take_u32(&mut buf)? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        let first_key = take_bytes(&mut buf)?;
-        let offset = take_u64(&mut buf)?;
-        let len = take_u32(&mut buf)?;
-        blocks.push((first_key, offset, len));
-    }
-    if !buf.is_empty() {
-        return Err(format!("{} trailing bytes in trailer", buf.len()));
-    }
+    let row_count = c.u64()?;
+    let blocks = c.seq(MIN_INDEX_ENTRY_BYTES, |c| {
+        Ok((c.bytes()?, c.u64()?, c.u32()?))
+    })?;
+    c.finish()?;
     Ok(SegmentMeta {
         table,
         region_id,
@@ -532,50 +463,6 @@ fn decode_trailer(body: &[u8]) -> Result<SegmentMeta, String> {
         row_count,
         blocks,
     })
-}
-
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn take_bytes(buf: &mut &[u8]) -> Result<Bytes, String> {
-    if buf.len() < 4 {
-        return Err("truncated length prefix".to_string());
-    }
-    let len = buf.get_u32() as usize;
-    if buf.len() < len {
-        return Err(format!("field of {len} bytes exceeds remaining input"));
-    }
-    let out = Bytes::copy_from_slice(&buf[..len]);
-    buf.advance(len);
-    Ok(out)
-}
-
-fn take_string(buf: &mut &[u8]) -> Result<String, String> {
-    let b = take_bytes(buf)?;
-    String::from_utf8(b.to_vec()).map_err(|_| "invalid UTF-8".to_string())
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, String> {
-    if buf.len() < 8 {
-        return Err("truncated u64".to_string());
-    }
-    Ok(buf.get_u64())
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, String> {
-    if buf.len() < 4 {
-        return Err("truncated u32".to_string());
-    }
-    Ok(buf.get_u32())
-}
-
-fn take_u8(buf: &mut &[u8]) -> Result<u8, String> {
-    if buf.is_empty() {
-        return Err("truncated u8".to_string());
-    }
-    Ok(buf.get_u8())
 }
 
 #[cfg(test)]
@@ -673,6 +560,59 @@ mod tests {
             read_segment(&path),
             Err(SegmentError::Corrupt { .. })
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn assert_corrupt(path: &Path, needle: &str) {
+        for result in [
+            SegmentReader::open(path).map(|_| ()),
+            read_segment(path).map(|_| ()),
+        ] {
+            match result {
+                Err(SegmentError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(needle), "{detail}")
+                }
+                other => panic!("expected corruption, got {other:?}"),
+            }
+        }
+    }
+
+    /// The footer sits outside every CRC; all-ones in its offset field
+    /// used to overflow `trailer_offset + 8`.
+    #[test]
+    fn all_ones_trailer_offset_is_a_typed_corruption() {
+        let path = tmp_file("ffoffset");
+        write_segment(&path, "t", 1, &KeyRange::all(), &sample_rows(40)).unwrap();
+        let mut data = std::fs::read(&path).unwrap();
+        let n = data.len();
+        data[n - 12..n - 4].fill(0xff);
+        std::fs::write(&path, &data).unwrap();
+        assert_corrupt(&path, "trailer offset");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Same arithmetic one level in: a CRC-valid trailer whose block
+    /// index points at `u64::MAX` used to overflow `offset + len`.
+    #[test]
+    fn block_index_entry_at_u64_max_is_a_typed_corruption() {
+        let path = tmp_file("ffblock");
+        let mut data = MAGIC_HEAD.to_be_bytes().to_vec();
+        let trailer_offset = data.len() as u64;
+        frame::encode(&mut data, |t| {
+            put_str(t, "t");
+            t.put_u64(1);
+            put_bytes(t, b"");
+            t.put_u8(0);
+            t.put_u64(0);
+            t.put_u32(1);
+            put_bytes(t, b"k");
+            t.put_u64(u64::MAX);
+            t.put_u32(16);
+        });
+        data.put_u64(trailer_offset);
+        data.put_u32(MAGIC_TAIL);
+        std::fs::write(&path, &data).unwrap();
+        assert_corrupt(&path, "overruns the trailer");
         std::fs::remove_file(&path).unwrap();
     }
 

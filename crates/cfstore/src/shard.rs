@@ -66,15 +66,18 @@ use std::thread::JoinHandle;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
+use crate::frame;
 use crate::kv::{Put, RowResult};
-use crate::recovery::{self, RecoveryError, RecoveryReport};
+use crate::recovery::{self, io_err, RecoveryError, RecoveryReport};
 use crate::region::{RowData, ScanMetrics};
 use crate::store::{
     MetaEntry, MiniStore, Scan, ShardOp, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
 };
 use crate::wal::{self, CrashSpec, SyncPolicy, WalRecord, WAL_FILE};
 
-use resharding::{Catalog, JournalRecord, JournalWriter, Migration, Resolution, Topology};
+use resharding::{
+    Catalog, DonorExports, JournalRecord, JournalWriter, Migration, Pending, Topology,
+};
 
 /// The shard catalog file at the root of a sharded store directory.
 pub const SHARDS_FILE: &str = "SHARDS";
@@ -397,10 +400,7 @@ impl ShardedStore {
             source: e,
         })?;
         let topo_path = dir.join(resharding::TOPOLOGY_FILE);
-        let topo_corrupt = |detail: String| RecoveryError::ManifestCorrupt {
-            path: topo_path.display().to_string(),
-            detail,
-        };
+        let topo_corrupt = |detail: String| recovery::corrupt_file(&topo_path, detail);
         // The on-disk catalog wins over the options: the topology only
         // changes through the journaled reshard protocol.
         let journal = resharding::read_journal(dir)?;
@@ -432,100 +432,28 @@ impl ShardedStore {
             .map_err(|detail| RecoveryError::InconsistentLog { detail })?;
 
         // ---- Resolve the resharding journal against the catalog ----
-        enum Pending {
-            None,
-            Pre {
-                epoch: u64,
-                target: Topology,
-                copied: BTreeSet<u32>,
-                verified: bool,
-                valid_bytes: u64,
-            },
-            Post {
-                epoch: u64,
-                target: Topology,
-                swapped: bool,
-                valid_bytes: u64,
-            },
-        }
         let mut pending = Pending::None;
         if let Some(scan) = journal {
             if scan.valid_bytes < scan.total_bytes {
                 // Torn tail: truncate it away before any writer appends.
-                let f = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&topo_path)
-                    .map_err(|e| RecoveryError::Io {
-                        path: topo_path.display().to_string(),
-                        source: e,
-                    })?;
-                f.set_len(scan.valid_bytes)
-                    .and_then(|()| f.sync_all())
-                    .map_err(|e| RecoveryError::Io {
-                        path: topo_path.display().to_string(),
-                        source: e,
-                    })?;
+                frame::truncate_and_sync(&topo_path, scan.valid_bytes)
+                    .map_err(|e| io_err(&topo_path, e))?;
             }
-            match resharding::resolve_journal(&scan.records).map_err(topo_corrupt)? {
-                Resolution::None => {
-                    // A crash tore the header or the Begin record: no
-                    // migration ever started; drop the empty journal.
-                    std::fs::remove_file(&topo_path).map_err(|e| RecoveryError::Io {
-                        path: topo_path.display().to_string(),
-                        source: e,
-                    })?;
-                }
-                Resolution::PreCutover {
-                    epoch,
-                    old,
-                    new,
-                    copied,
-                    verified,
-                } => {
-                    if old != catalog.topology || epoch != catalog.epoch + 1 {
-                        return Err(topo_corrupt(format!(
-                            "TOPOLOGY Begin (epoch {epoch}) disagrees with the \
-                             SHARDS catalog (epoch {})",
-                            catalog.epoch
-                        )));
-                    }
-                    pending = Pending::Pre {
-                        epoch,
-                        target: new,
-                        copied,
-                        verified,
-                        valid_bytes: scan.valid_bytes,
-                    };
-                }
-                Resolution::PostCutover { epoch, old, new } => {
-                    let swapped = if catalog.topology == new && catalog.epoch == epoch {
-                        true
-                    } else if catalog.topology == old && epoch == catalog.epoch + 1 {
-                        false
-                    } else {
-                        return Err(topo_corrupt(
-                            "TOPOLOGY Cutover matches neither the old nor the new \
-                             topology in the SHARDS catalog"
-                                .to_string(),
-                        ));
-                    };
-                    pending = Pending::Post {
-                        epoch,
-                        target: new,
-                        swapped,
-                        valid_bytes: scan.valid_bytes,
-                    };
-                }
+            pending = resharding::resolve_against_catalog(&catalog, &scan.records)
+                .map_err(topo_corrupt)?;
+            if pending == Pending::None {
+                // A crash tore the header or the Begin record: no
+                // migration ever started; drop the empty journal.
+                std::fs::remove_file(&topo_path).map_err(|e| io_err(&topo_path, e))?;
             }
         }
         // The placement reads use, and how many shard dirs to probe.
         let (active, active_epoch) = match &pending {
-            Pending::None => (catalog.topology.clone(), catalog.epoch),
-            Pending::Pre { .. } => (catalog.topology.clone(), catalog.epoch),
-            Pending::Post { epoch, target, .. } => (target.clone(), *epoch),
+            Pending::None | Pending::PreCutover { .. } => (catalog.topology.clone(), catalog.epoch),
+            Pending::PostCutover { epoch, target, .. } => (target.clone(), *epoch),
         };
         let n_total = match &pending {
-            Pending::Pre { target, .. } => active.shards.max(target.shards),
+            Pending::PreCutover { target, .. } => active.shards.max(target.shards),
             _ => active.shards,
         };
 
@@ -600,21 +528,8 @@ impl ShardedStore {
                 }
             }
             if let Some(offset) = cut {
-                let f = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&ps.wal_path)
-                    .map_err(|e| RecoveryError::Io {
-                        path: ps.wal_path.display().to_string(),
-                        source: e,
-                    })?;
-                f.set_len(offset).map_err(|e| RecoveryError::Io {
-                    path: ps.wal_path.display().to_string(),
-                    source: e,
-                })?;
-                f.sync_all().map_err(|e| RecoveryError::Io {
-                    path: ps.wal_path.display().to_string(),
-                    source: e,
-                })?;
+                frame::truncate_and_sync(&ps.wal_path, offset)
+                    .map_err(|e| io_err(&ps.wal_path, e))?;
             }
         }
 
@@ -706,12 +621,11 @@ impl ShardedStore {
                 path: dir.display().to_string(),
                 source: std::io::Error::other(format!("shard rebuild: {e}")),
             };
-            // Donor exports cached per (donor, table): one verified full
-            // read per donor feeds every lost shard. A rebuilt shard
-            // receives its *active*-topology ownership; target-epoch
+            // One donor export cache feeds every lost shard. A rebuilt
+            // shard receives its *active*-topology ownership; target-epoch
             // content it held pre-crash is restored by re-copying its
             // unit (journaled as `Invalidated` below).
-            let mut exports: BTreeMap<(u32, String), BTreeMap<Bytes, RowData>> = BTreeMap::new();
+            let mut exports = DonorExports::new();
             for &b in &lost {
                 for (table, (families, threshold)) in &schemas {
                     let fams: Vec<&str> = families.iter().map(|f| f.as_str()).collect();
@@ -719,42 +633,18 @@ impl ShardedStore {
                         .create_table_with_threshold(table, &fams, *threshold)
                         .map_err(io)?;
                     let mut rows: BTreeMap<Bytes, RowData> = BTreeMap::new();
-                    for s in 0..active.shards {
-                        let reps = active.replicas(s);
-                        if !reps.contains(&b) {
-                            continue;
-                        }
-                        let mut copied = false;
-                        let mut last_err: Option<StoreError> = None;
-                        for &d in reps.iter().filter(|&&d| d != b && !lost.contains(&d)) {
-                            let key = (d, table.clone());
-                            if !exports.contains_key(&key) {
-                                match shards[d as usize].export_table_rows(table) {
-                                    Ok(map) => {
-                                        exports.insert(key.clone(), map);
-                                    }
-                                    Err(e) => {
-                                        last_err = Some(e);
-                                        continue;
-                                    }
-                                }
-                            }
-                            let donor = &exports[&key];
-                            for (row, data) in donor {
-                                if active.slot_of_row(row) == s {
-                                    rows.insert(row.clone(), data.clone());
-                                }
-                            }
-                            copied = true;
-                            break;
-                        }
-                        if !copied {
-                            if let Some(e) = last_err {
-                                return Err(io(e));
-                            }
-                            // No surviving donor holds this slot at all —
-                            // already rejected by the coverage check.
-                        }
+                    for s in (0..active.shards).filter(|s| active.replicas(*s).contains(&b)) {
+                        rows.extend(
+                            resharding::export_slot_from_peers(
+                                &shards,
+                                &active,
+                                s,
+                                table,
+                                &lost,
+                                &mut exports,
+                            )
+                            .map_err(io)?,
+                        );
                     }
                     healed_rows += shards[b as usize].heal_table(table, rows).map_err(io)?;
                 }
@@ -798,16 +688,14 @@ impl ShardedStore {
         };
         let migration = match pending {
             Pending::None => None,
-            Pending::Pre {
+            Pending::PreCutover {
                 epoch,
                 target,
                 mut copied,
                 mut verified,
-                valid_bytes,
             } => {
                 let mut journal =
-                    JournalWriter::open_existing(dir, valid_bytes, opts.crash_topology)
-                        .map_err(io_store)?;
+                    JournalWriter::open_existing(dir, opts.crash_topology).map_err(io_store)?;
                 // A lost shard was rebuilt with active-epoch content
                 // only: any `Copied` claim it held is now false, so
                 // journal the invalidation and re-copy on resume.
@@ -831,14 +719,13 @@ impl ShardedStore {
                     journal,
                 })
             }
-            Pending::Post {
+            Pending::PostCutover {
                 epoch,
                 target,
                 swapped,
-                valid_bytes,
             } => {
-                let journal = JournalWriter::open_existing(dir, valid_bytes, opts.crash_topology)
-                    .map_err(io_store)?;
+                let journal =
+                    JournalWriter::open_existing(dir, opts.crash_topology).map_err(io_store)?;
                 Some(Migration {
                     epoch,
                     copied: (0..target.shards).collect(),
@@ -1345,14 +1232,20 @@ impl ShardedStore {
             .filter(|m| !m.cut_over)
             .map(|m| m.target.clone());
         let mut rows: BTreeMap<Bytes, RowData> = BTreeMap::new();
-        let mut exports: BTreeMap<(u32, String), BTreeMap<Bytes, RowData>> = BTreeMap::new();
+        let (mut exports, skip) = (DonorExports::new(), BTreeSet::from([bad]));
         for s in 0..active.shards {
             let bad_active = active.replicas(s).contains(&bad);
             if !bad_active && target_pre.is_none() {
                 continue;
             }
-            let slot_rows =
-                resharding::export_slot_from_peers(st, &active, s, table, Some(bad), &mut exports)?;
+            let slot_rows = resharding::export_slot_from_peers(
+                &st.shards,
+                &active,
+                s,
+                table,
+                &skip,
+                &mut exports,
+            )?;
             for (row, data) in slot_rows {
                 if bad_active || target_pre.as_ref().is_some_and(|t| t.owns(bad, &row)) {
                     rows.insert(row, data);

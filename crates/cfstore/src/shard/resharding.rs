@@ -26,22 +26,23 @@
 //! in either case the journal makes the migration resumable — every
 //! step is idempotent, so redoing a half-finished unit is harmless.
 //!
-//! The journal uses the WAL's framing discipline (`len · crc32 · body`
-//! behind a file magic): a torn tail is truncated and resolved, while a
+//! The journal is [`crate::frame`]s behind a file magic, like the WAL: a
+//! torn tail is truncated and resolved, while a
 //! CRC-valid-but-undecodable record or a bad file magic is *unresolvable*
 //! — no crash of our writer can produce it — and `store_fsck` reports it
 //! with exit code 3.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 
 use super::{shard_dir_name, GlobalState, ShardedInner, ShardedMeta, ShardedStore};
-use crate::recovery::RecoveryError;
+use crate::encoding::CodecError;
+use crate::frame::{self, CrashWriter, Cursor, WriteError};
+use crate::recovery::{corrupt_file, io_err, read_framed_file, RecoveryError};
 use crate::region::RowData;
-use crate::store::StoreError;
+use crate::store::{MiniStore, StoreError};
 
 /// The resharding journal file at the root of a sharded store directory.
 pub const TOPOLOGY_FILE: &str = "TOPOLOGY";
@@ -125,50 +126,39 @@ impl Topology {
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.shards.to_be_bytes());
-        out.extend_from_slice(&self.replication.to_be_bytes());
-        out.extend_from_slice(&(self.overrides.len() as u32).to_be_bytes());
-        for (slot, set) in &self.overrides {
-            out.extend_from_slice(&slot.to_be_bytes());
-            out.extend_from_slice(&(set.len() as u32).to_be_bytes());
-            for g in set {
-                out.extend_from_slice(&g.to_be_bytes());
-            }
-        }
+        out.put_u32(self.shards);
+        out.put_u32(self.replication);
+        put_overrides(out, &self.overrides);
     }
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let shards = take_u32(buf, pos)?;
-        let replication = take_u32(buf, pos)?;
-        let count = take_u32(buf, pos)?;
-        let mut overrides = BTreeMap::new();
-        for _ in 0..count {
-            let slot = take_u32(buf, pos)?;
-            let len = take_u32(buf, pos)?;
-            let mut set = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                set.push(take_u32(buf, pos)?);
-            }
-            overrides.insert(slot, set);
-        }
-        Some(Topology {
-            shards,
-            replication,
-            overrides,
+    fn decode(c: &mut Cursor<'_>) -> Result<Self, CodecError> {
+        Ok(Topology {
+            shards: c.u32()?,
+            replication: c.u32()?,
+            overrides: read_overrides(c)?,
         })
     }
 }
 
-fn take_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let b = buf.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_be_bytes(b.try_into().ok()?))
+/// `count · (slot · replica count · replicas)*`, shared by the journal's
+/// `Begin` record and the v2 catalog body.
+fn put_overrides(out: &mut Vec<u8>, overrides: &BTreeMap<u32, Vec<u32>>) {
+    out.put_u32(overrides.len() as u32);
+    for (slot, set) in overrides {
+        out.put_u32(*slot);
+        out.put_u32(set.len() as u32);
+        for g in set {
+            out.put_u32(*g);
+        }
+    }
 }
 
-fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let b = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_be_bytes(b.try_into().ok()?))
+fn read_overrides(c: &mut Cursor<'_>) -> Result<BTreeMap<u32, Vec<u32>>, CodecError> {
+    let mut overrides = BTreeMap::new();
+    for _ in 0..c.count(8)? {
+        overrides.insert(c.u32()?, c.seq(4, Cursor::u32)?);
+    }
+    Ok(overrides)
 }
 
 // ---------------------------------------------------------------------
@@ -183,95 +173,54 @@ pub struct Catalog {
     pub epoch: u64,
 }
 
-/// Write the catalog atomically (tmp + rename). Epoch-0 topologies with
-/// no overrides use the original 8-byte v1 body so pre-reshard layouts
-/// stay byte-identical; anything richer appends `epoch · overrides`.
-pub(crate) fn write_catalog(dir: &Path, catalog: &Catalog) -> std::io::Result<()> {
-    let mut body = Vec::with_capacity(8);
-    body.extend_from_slice(&catalog.topology.shards.to_be_bytes());
-    body.extend_from_slice(&catalog.topology.replication.to_be_bytes());
-    if catalog.epoch != 0 || !catalog.topology.overrides.is_empty() {
-        body.extend_from_slice(&catalog.epoch.to_be_bytes());
-        body.extend_from_slice(&(catalog.topology.overrides.len() as u32).to_be_bytes());
-        for (slot, set) in &catalog.topology.overrides {
-            body.extend_from_slice(&slot.to_be_bytes());
-            body.extend_from_slice(&(set.len() as u32).to_be_bytes());
-            for g in set {
-                body.extend_from_slice(&g.to_be_bytes());
-            }
+impl Catalog {
+    /// Epoch-0 topologies with no overrides use the original 8-byte v1
+    /// body so pre-reshard layouts stay byte-identical; anything richer
+    /// appends `epoch · overrides`.
+    fn encode(&self, body: &mut Vec<u8>) {
+        body.put_u32(self.topology.shards);
+        body.put_u32(self.topology.replication);
+        if self.epoch != 0 || !self.topology.overrides.is_empty() {
+            body.put_u64(self.epoch);
+            put_overrides(body, &self.topology.overrides);
         }
     }
-    let mut buf = Vec::with_capacity(12 + body.len());
-    buf.extend_from_slice(&super::SHARDS_MAGIC.to_be_bytes());
-    buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&crate::encoding::crc32(&body).to_be_bytes());
-    buf.extend_from_slice(&body);
-    let tmp = dir.join("SHARDS.tmp");
-    std::fs::write(&tmp, &buf)?;
-    std::fs::rename(&tmp, dir.join(super::SHARDS_FILE))
+
+    /// Both the v1 8-byte body and the extended one decode.
+    fn decode(body: &[u8]) -> Result<Self, CodecError> {
+        let mut c = Cursor::new(body);
+        let shards = c.u32()?;
+        let replication = c.u32()?;
+        let (epoch, overrides) = match c.remaining() {
+            0 => (0, BTreeMap::new()),
+            _ => (c.u64()?, read_overrides(&mut c)?),
+        };
+        c.finish()?;
+        Ok(Catalog {
+            topology: Topology {
+                shards,
+                replication,
+                overrides,
+            },
+            epoch,
+        })
+    }
 }
 
-/// Read the catalog: `Ok(None)` when absent (fresh directory). Both the
-/// v1 8-byte body and the extended epoch/overrides body decode.
+/// Write the catalog atomically ([`frame::write_file_atomic`]).
+pub(crate) fn write_catalog(dir: &Path, catalog: &Catalog) -> std::io::Result<()> {
+    frame::write_file_atomic(&dir.join(super::SHARDS_FILE), super::SHARDS_MAGIC, |b| {
+        catalog.encode(b)
+    })
+}
+
+/// Read the catalog: `Ok(None)` when absent (fresh directory).
 pub fn read_catalog(dir: &Path) -> Result<Option<Catalog>, RecoveryError> {
-    let path = dir.join(super::SHARDS_FILE);
-    let data = match std::fs::read(&path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(RecoveryError::Io {
-                path: path.display().to_string(),
-                source: e,
-            })
-        }
-    };
-    let corrupt = |detail: &str| RecoveryError::ManifestCorrupt {
-        path: path.display().to_string(),
-        detail: detail.to_string(),
-    };
-    if data.len() < 12 || data[0..4] != super::SHARDS_MAGIC.to_be_bytes() {
-        return Err(corrupt("bad magic or truncated header"));
-    }
-    let len = u32::from_be_bytes(data[4..8].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_be_bytes(data[8..12].try_into().expect("4 bytes"));
-    if data.len() != 12 + len || len < 8 {
-        return Err(corrupt("bad body length"));
-    }
-    let body = &data[12..];
-    if crate::encoding::crc32(body) != crc {
-        return Err(corrupt("body checksum mismatch"));
-    }
-    let mut pos = 0usize;
-    let shards = take_u32(body, &mut pos).expect("len ≥ 8");
-    let replication = take_u32(body, &mut pos).expect("len ≥ 8");
-    let (epoch, overrides) = if pos == body.len() {
-        (0, BTreeMap::new())
-    } else {
-        let epoch = take_u64(body, &mut pos).ok_or_else(|| corrupt("truncated epoch"))?;
-        let count = take_u32(body, &mut pos).ok_or_else(|| corrupt("truncated overrides"))?;
-        let mut overrides = BTreeMap::new();
-        for _ in 0..count {
-            let slot = take_u32(body, &mut pos).ok_or_else(|| corrupt("truncated override"))?;
-            let n = take_u32(body, &mut pos).ok_or_else(|| corrupt("truncated override"))?;
-            let mut set = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                set.push(take_u32(body, &mut pos).ok_or_else(|| corrupt("truncated override"))?);
-            }
-            overrides.insert(slot, set);
-        }
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes after overrides"));
-        }
-        (epoch, overrides)
-    };
-    Ok(Some(Catalog {
-        topology: Topology {
-            shards,
-            replication,
-            overrides,
-        },
-        epoch,
-    }))
+    read_framed_file(
+        &dir.join(super::SHARDS_FILE),
+        super::SHARDS_MAGIC,
+        Catalog::decode,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -309,63 +258,52 @@ const TAG_VERIFIED: u8 = 4;
 const TAG_CUTOVER: u8 = 5;
 
 impl JournalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    fn encode(&self, b: &mut Vec<u8>) {
+        let (tag, epoch) = match self {
+            JournalRecord::Begin { epoch, .. } => (TAG_BEGIN, epoch),
+            JournalRecord::Copied { epoch, .. } => (TAG_COPIED, epoch),
+            JournalRecord::Invalidated { epoch, .. } => (TAG_INVALIDATED, epoch),
+            JournalRecord::Verified { epoch } => (TAG_VERIFIED, epoch),
+            JournalRecord::Cutover { epoch } => (TAG_CUTOVER, epoch),
+        };
+        b.put_u8(tag);
+        b.put_u64(*epoch);
         match self {
-            JournalRecord::Begin { epoch, old, new } => {
-                b.push(TAG_BEGIN);
-                b.extend_from_slice(&epoch.to_be_bytes());
-                old.encode(&mut b);
-                new.encode(&mut b);
+            JournalRecord::Begin { old, new, .. } => {
+                old.encode(b);
+                new.encode(b);
             }
-            JournalRecord::Copied { epoch, unit } => {
-                b.push(TAG_COPIED);
-                b.extend_from_slice(&epoch.to_be_bytes());
-                b.extend_from_slice(&unit.to_be_bytes());
+            JournalRecord::Copied { unit, .. } | JournalRecord::Invalidated { unit, .. } => {
+                b.put_u32(*unit)
             }
-            JournalRecord::Invalidated { epoch, unit } => {
-                b.push(TAG_INVALIDATED);
-                b.extend_from_slice(&epoch.to_be_bytes());
-                b.extend_from_slice(&unit.to_be_bytes());
-            }
-            JournalRecord::Verified { epoch } => {
-                b.push(TAG_VERIFIED);
-                b.extend_from_slice(&epoch.to_be_bytes());
-            }
-            JournalRecord::Cutover { epoch } => {
-                b.push(TAG_CUTOVER);
-                b.extend_from_slice(&epoch.to_be_bytes());
-            }
+            JournalRecord::Verified { .. } | JournalRecord::Cutover { .. } => {}
         }
-        b
     }
 
-    fn decode(body: &[u8]) -> Option<Self> {
-        let tag = *body.first()?;
-        let mut pos = 1usize;
-        let epoch = take_u64(body, &mut pos)?;
+    fn decode(body: &[u8]) -> Result<Self, CodecError> {
+        let mut c = Cursor::new(body);
+        let tag = c.u8()?;
+        let epoch = c.u64()?;
         let rec = match tag {
-            TAG_BEGIN => {
-                let old = Topology::decode(body, &mut pos)?;
-                let new = Topology::decode(body, &mut pos)?;
-                JournalRecord::Begin { epoch, old, new }
-            }
+            TAG_BEGIN => JournalRecord::Begin {
+                epoch,
+                old: Topology::decode(&mut c)?,
+                new: Topology::decode(&mut c)?,
+            },
             TAG_COPIED => JournalRecord::Copied {
                 epoch,
-                unit: take_u32(body, &mut pos)?,
+                unit: c.u32()?,
             },
             TAG_INVALIDATED => JournalRecord::Invalidated {
                 epoch,
-                unit: take_u32(body, &mut pos)?,
+                unit: c.u32()?,
             },
             TAG_VERIFIED => JournalRecord::Verified { epoch },
             TAG_CUTOVER => JournalRecord::Cutover { epoch },
-            _ => return None,
+            t => return Err(CodecError::BadTag(t)),
         };
-        if pos != body.len() {
-            return None;
-        }
-        Some(rec)
+        c.finish()?;
+        Ok(rec)
     }
 }
 
@@ -388,59 +326,34 @@ pub struct JournalScan {
 /// (no crash of our writer produces it) and errors.
 pub fn read_journal(dir: &Path) -> Result<Option<JournalScan>, RecoveryError> {
     let path = dir.join(TOPOLOGY_FILE);
-    let data = match std::fs::read(&path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(RecoveryError::Io {
-                path: path.display().to_string(),
-                source: e,
-            })
-        }
+    let Some(data) = frame::read_optional(&path).map_err(|e| io_err(&path, e))? else {
+        return Ok(None);
     };
-    let corrupt = |detail: String| RecoveryError::ManifestCorrupt {
-        path: path.display().to_string(),
-        detail,
-    };
-    let total_bytes = data.len() as u64;
-    if data.len() < 4 {
-        // A torn header write: nothing usable, nothing migrating.
-        return Ok(Some(JournalScan {
-            records: Vec::new(),
-            valid_bytes: 0,
-            total_bytes,
-        }));
-    }
-    if data[0..4] != TOPOLOGY_MAGIC.to_be_bytes() {
-        return Err(corrupt("bad TOPOLOGY magic".to_string()));
-    }
     let mut records = Vec::new();
-    let mut pos = 4usize;
-    let mut valid_bytes = 4u64;
-    while pos + 8 <= data.len() {
-        let len = u32::from_be_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_be_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if pos + 8 + len > data.len() {
-            break; // torn tail
+    // A header torn before its fourth byte: nothing usable, nothing
+    // migrating.
+    let mut valid = 0;
+    if let Some(magic) = data.first_chunk::<4>() {
+        if *magic != TOPOLOGY_MAGIC.to_be_bytes() {
+            return Err(corrupt_file(&path, "bad TOPOLOGY magic"));
         }
-        let body = &data[pos + 8..pos + 8 + len];
-        if crate::encoding::crc32(body) != crc {
-            break; // torn tail
+        valid = magic.len();
+        while let Ok(body) = frame::verify(&data[valid..]) {
+            let rec = JournalRecord::decode(body).map_err(|e| {
+                let detail = format!(
+                    "CRC-valid record at offset {valid} does not decode ({e}) — \
+                     not producible by a crash"
+                );
+                corrupt_file(&path, detail)
+            })?;
+            records.push(rec);
+            valid += frame::HEADER_LEN + body.len();
         }
-        let rec = JournalRecord::decode(body).ok_or_else(|| {
-            corrupt(format!(
-                "CRC-valid record at offset {pos} does not decode — \
-                 not producible by a crash"
-            ))
-        })?;
-        records.push(rec);
-        pos += 8 + len;
-        valid_bytes = pos as u64;
     }
     Ok(Some(JournalScan {
         records,
-        valid_bytes,
-        total_bytes,
+        valid_bytes: valid as u64,
+        total_bytes: data.len() as u64,
     }))
 }
 
@@ -533,15 +446,91 @@ pub fn resolve_journal(records: &[JournalRecord]) -> Result<Resolution, String> 
     })
 }
 
-/// Append-only journal writer with the same crash-injection discipline
-/// as the WAL: `crash_after_bytes` counts cumulative `TOPOLOGY` bytes
-/// written this session and tears the append that crosses the budget.
+/// What the journal means for a store whose `SHARDS` catalog it is held
+/// against: which topology serves, and what is left to do.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Pending {
+    /// No migration.
+    None,
+    /// The catalog's (old) topology serves; `copied` units of `target`
+    /// can be skipped on resume.
+    PreCutover {
+        epoch: u64,
+        target: Topology,
+        copied: BTreeSet<u32>,
+        verified: bool,
+    },
+    /// `target` serves; GC remains — the catalog swap itself unless
+    /// `swapped`, then the cleanup.
+    PostCutover {
+        epoch: u64,
+        target: Topology,
+        swapped: bool,
+    },
+}
+
+/// Resolve a journal's intact records against the catalog next to it.
+/// The one place that decides this — reopen and `store_fsck` both call
+/// it — and that rejects a journal the catalog contradicts (no crash of
+/// the writer leaves the two disagreeing).
+pub fn resolve_against_catalog(
+    catalog: &Catalog,
+    records: &[JournalRecord],
+) -> Result<Pending, String> {
+    let follows_catalog = |epoch: u64, old: &Topology| {
+        *old == catalog.topology && epoch.checked_sub(1) == Some(catalog.epoch)
+    };
+    Ok(match resolve_journal(records)? {
+        Resolution::None => Pending::None,
+        Resolution::PreCutover {
+            epoch,
+            old,
+            new,
+            copied,
+            verified,
+        } => {
+            if !follows_catalog(epoch, &old) {
+                return Err(format!(
+                    "{TOPOLOGY_FILE} Begin (epoch {epoch}) disagrees with the {} catalog \
+                     (epoch {})",
+                    super::SHARDS_FILE,
+                    catalog.epoch
+                ));
+            }
+            Pending::PreCutover {
+                epoch,
+                target: new,
+                copied,
+                verified,
+            }
+        }
+        Resolution::PostCutover { epoch, old, new } => {
+            let swapped = if catalog.topology == new && catalog.epoch == epoch {
+                true
+            } else if follows_catalog(epoch, &old) {
+                false
+            } else {
+                return Err(format!(
+                    "{TOPOLOGY_FILE} Cutover (epoch {epoch}) matches neither the old nor the \
+                     new topology in the {} catalog",
+                    super::SHARDS_FILE
+                ));
+            };
+            Pending::PostCutover {
+                epoch,
+                target: new,
+                swapped,
+            }
+        }
+    })
+}
+
+/// Append-only journal writer: a [`CrashWriter`] that fsyncs every
+/// append (torn ones too — the torn bytes are durable, exactly like a
+/// real power cut mid-write) and whose budget counts cumulative
+/// `TOPOLOGY` bytes written this session.
 pub(crate) struct JournalWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    bytes_written: u64,
-    crash_after_bytes: Option<u64>,
-    crashed: bool,
+    out: CrashWriter,
 }
 
 impl JournalWriter {
@@ -549,85 +538,31 @@ impl JournalWriter {
     /// file magic. The magic counts against the crash budget too — a
     /// torn header resolves to "no migration".
     pub(crate) fn create(dir: &Path, crash_after_bytes: Option<u64>) -> Result<Self, StoreError> {
-        let path = dir.join(TOPOLOGY_FILE);
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| StoreError::Io(format!("create {}: {e}", path.display())))?;
-        let mut w = JournalWriter {
-            file,
-            path,
-            bytes_written: 0,
-            crash_after_bytes,
-            crashed: false,
-        };
-        w.write_through(&TOPOLOGY_MAGIC.to_be_bytes())?;
-        Ok(w)
+        let file = std::fs::File::create(dir.join(TOPOLOGY_FILE)).map_err(WriteError::Io)?;
+        let mut out = CrashWriter::new(file, 0, crash_after_bytes, true);
+        out.write(&TOPOLOGY_MAGIC.to_be_bytes())?;
+        Ok(JournalWriter { out })
     }
 
-    /// Reattach to an existing journal, truncating a torn tail first.
+    /// Reattach to an existing journal whose torn tail, if it had one,
+    /// reopen already cut off.
     pub(crate) fn open_existing(
         dir: &Path,
-        valid_bytes: u64,
         crash_after_bytes: Option<u64>,
     ) -> Result<Self, StoreError> {
-        let path = dir.join(TOPOLOGY_FILE);
         let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|e| StoreError::Io(format!("open {}: {e}", path.display())))?;
-        file.set_len(valid_bytes)
-            .and_then(|()| file.sync_all())
-            .map_err(|e| StoreError::Io(format!("truncate {}: {e}", path.display())))?;
-        use std::io::Seek as _;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))
-            .map_err(|e| StoreError::Io(format!("seek {}: {e}", path.display())))?;
+            .append(true)
+            .open(dir.join(TOPOLOGY_FILE))
+            .map_err(WriteError::Io)?;
         Ok(JournalWriter {
-            file,
-            path,
-            bytes_written: 0,
-            crash_after_bytes,
-            crashed: false,
+            out: CrashWriter::new(file, 0, crash_after_bytes, true),
         })
     }
 
     pub(crate) fn append(&mut self, rec: &JournalRecord) -> Result<(), StoreError> {
-        let body = rec.encode();
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crate::encoding::crc32(&body).to_be_bytes());
-        frame.extend_from_slice(&body);
-        self.write_through(&frame)
-    }
-
-    /// Write with the crash budget applied: if the budget lands inside
-    /// `buf`, only the prefix reaches the file (then fsync — the torn
-    /// bytes are durable, exactly like a real power cut mid-write).
-    fn write_through(&mut self, buf: &[u8]) -> Result<(), StoreError> {
-        if self.crashed {
-            return Err(StoreError::Crashed);
-        }
-        let io = |e: std::io::Error| StoreError::Io(format!("{}: {e}", self.path.display()));
-        if let Some(budget) = self.crash_after_bytes {
-            let remaining = budget.saturating_sub(self.bytes_written);
-            if (buf.len() as u64) > remaining {
-                let keep = &buf[..remaining as usize];
-                if !keep.is_empty() {
-                    self.file.write_all(keep).map_err(io)?;
-                }
-                self.file.sync_all().map_err(io)?;
-                self.bytes_written += remaining;
-                self.crashed = true;
-                return Err(StoreError::Crashed);
-            }
-        }
-        self.file.write_all(buf).map_err(io)?;
-        self.file.sync_all().map_err(io)?;
-        self.bytes_written += buf.len() as u64;
-        Ok(())
+        let mut framed = Vec::new();
+        frame::encode(&mut framed, |b| rec.encode(b));
+        Ok(self.out.write(&framed)?)
     }
 }
 
@@ -969,10 +904,8 @@ fn ensure_target_shards(
     let io = |e: RecoveryError| StoreError::Io(format!("open target shard: {e}"));
     for g in st.shards.len() as u32..target.shards {
         let (mut store, _) =
-            crate::store::MiniStore::open_with_opts(&inner.dir.join(shard_dir_name(g)), {
-                inner.store_opts(g)
-            })
-            .map_err(io)?;
+            MiniStore::open_with_opts(&inner.dir.join(shard_dir_name(g)), inner.store_opts(g))
+                .map_err(io)?;
         store.set_obs(inner.obs());
         st.shards.push(store);
     }
@@ -1015,11 +948,12 @@ fn copy_unit(
         }
     }
     let mut rows_copied = 0u64;
-    let mut exports: BTreeMap<(u32, String), BTreeMap<Bytes, RowData>> = BTreeMap::new();
+    let (mut exports, no_skip) = (DonorExports::new(), BTreeSet::new());
     for table in schemas.keys() {
         let mut rows: BTreeMap<Bytes, RowData> = BTreeMap::new();
         for s in 0..active.shards {
-            let donor = export_slot_from_peers(st, &active, s, table, None, &mut exports)?;
+            let donor =
+                export_slot_from_peers(&st.shards, &active, s, table, &no_skip, &mut exports)?;
             for (row, data) in donor {
                 if target.owns(unit, &row) {
                     rows.insert(row, data);
@@ -1043,25 +977,30 @@ fn copy_unit(
     Ok(status)
 }
 
-/// Export the rows of one active slot from the first clean replica,
-/// caching exports per `(donor, table)`. `skip` excludes a shard from
-/// donating (the shard being healed).
+/// Verified full exports of a table, cached per `(donor shard, table)`:
+/// one read per donor feeds every slot and every shard that needs it.
+pub(super) type DonorExports = BTreeMap<(u32, String), BTreeMap<Bytes, RowData>>;
+
+/// Export the rows of one slot of `topo` from its first clean replica —
+/// the one donor-selection rule under whole-shard rebuild, read-path
+/// heal, reshard copy and reshard verify. `skip` excludes shards from
+/// donating (the ones being rebuilt or healed).
 pub(super) fn export_slot_from_peers(
-    st: &GlobalState,
+    shards: &[MiniStore],
     topo: &Topology,
     slot: u32,
     table: &str,
-    skip: Option<u32>,
-    exports: &mut BTreeMap<(u32, String), BTreeMap<Bytes, RowData>>,
+    skip: &BTreeSet<u32>,
+    exports: &mut DonorExports,
 ) -> Result<BTreeMap<Bytes, RowData>, StoreError> {
     let mut last_err: Option<StoreError> = None;
     for d in topo.replicas(slot) {
-        if Some(d) == skip {
+        if skip.contains(&d) {
             continue;
         }
         let key = (d, table.to_string());
         if !exports.contains_key(&key) {
-            match st.shards[d as usize].export_table_rows(table) {
+            match shards[d as usize].export_table_rows(table) {
                 Ok(map) => {
                     exports.insert(key.clone(), map);
                 }
@@ -1092,16 +1031,16 @@ fn verify_units(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardSta
     let target = m.target.clone();
     let active = st.active.clone();
     let schemas = st.schemas.clone();
-    let mut exports: BTreeMap<(u32, String), BTreeMap<Bytes, RowData>> = BTreeMap::new();
+    let (mut exports, no_skip) = (DonorExports::new(), BTreeSet::new());
     for table in schemas.keys() {
         let mut truth: BTreeMap<Bytes, RowData> = BTreeMap::new();
         for s in 0..active.shards {
             truth.extend(export_slot_from_peers(
-                st,
+                &st.shards,
                 &active,
                 s,
                 table,
-                None,
+                &no_skip,
                 &mut exports,
             )?);
         }
@@ -1243,7 +1182,8 @@ mod tests {
     use super::*;
     use crate::kv::Put;
     use crate::shard::{ShardOptions, ShardedStore};
-    use crate::store::{MiniStore, Scan};
+    use crate::store::Scan;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1290,9 +1230,9 @@ mod tests {
         t.overrides.insert(3, vec![0, 4]);
         let mut buf = Vec::new();
         t.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(Topology::decode(&buf, &mut pos), Some(t.clone()));
-        assert_eq!(pos, buf.len());
+        let mut c = Cursor::new(&buf);
+        assert_eq!(Topology::decode(&mut c), Ok(t.clone()));
+        assert_eq!(c.finish(), Ok(()));
         assert!(t.validate().is_ok());
         assert_eq!(t.replicas(3), vec![0, 4], "override wins");
         assert_eq!(t.replicas(2), vec![2, 3], "modular default elsewhere");

@@ -9,18 +9,14 @@
 //!
 //! ## Frame format
 //!
-//! ```text
-//! ┌─────────┬─────────┬──────────────────────────────────────┐
-//! │ len u32 │ crc u32 │ body: lsn u64 · count u32 · records  │
-//! └─────────┴─────────┴──────────────────────────────────────┘
-//! ```
-//!
-//! `len` is the body length in bytes; `crc` is CRC-32 (IEEE) over the
-//! body. The recovery path ([`read_wal`]) walks frames until the file
-//! ends cleanly, a frame is torn (fewer bytes than `len` promises), its
-//! checksum mismatches, or a record fails to decode — and reports where
-//! and why it stopped instead of erroring, because a torn tail is the
-//! *expected* artifact of a crash mid-append.
+//! The framing — `len u32 · crc u32 · body`, and how a torn or rotted
+//! frame is told apart — is [`crate::frame`]'s and shared with every
+//! other cfstore file. A WAL frame's body is `lsn u64 · count u32 ·
+//! records`. The recovery path ([`read_wal`]) walks frames until the file
+//! ends cleanly, a frame is torn, its checksum mismatches, or a record
+//! fails to decode — and reports where and why it stopped instead of
+//! erroring, because a torn tail is the *expected* artifact of a crash
+//! mid-append.
 //!
 //! ## Crash injection
 //!
@@ -31,13 +27,13 @@
 //! (PR 2), the default spec is fully inert and the property tests
 //! enumerate crash points to assert the recovery invariants.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::fs::OpenOptions;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
-use crate::encoding::crc32;
+use crate::encoding::CodecError;
+use crate::frame::{self, put_bytes, put_str, CrashWriter, Cursor, FrameError};
 
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -130,36 +126,9 @@ impl std::fmt::Display for WalTruncation {
     }
 }
 
-/// Errors from the WAL writer.
-#[derive(Debug)]
-pub enum WalError {
-    /// The injected [`CrashSpec`] fired; the store is dead until reopened.
-    Crashed,
-    /// A real I/O failure underneath the log.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for WalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalError::Crashed => write!(f, "injected crash point fired"),
-            WalError::Io(e) => write!(f, "wal I/O error: {e}"),
-        }
-    }
-}
-impl std::error::Error for WalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WalError::Crashed => None,
-            WalError::Io(e) => Some(e),
-        }
-    }
-}
-impl From<std::io::Error> for WalError {
-    fn from(e: std::io::Error) -> Self {
-        WalError::Io(e)
-    }
-}
+/// Errors from the WAL writer: an injected [`CrashSpec`] point fired (the
+/// store is dead until reopened), or a real I/O failure under the log.
+pub use crate::frame::WriteError as WalError;
 
 /// Deterministic crash points for the durability property tests.
 ///
@@ -215,22 +184,20 @@ pub enum SyncPolicy {
 /// The append side of the log: frame encoding, group-commit buffering,
 /// and the crash-injection bookkeeping shared with the flush path.
 pub struct WalWriter {
-    file: File,
+    /// The file, behind the [`CrashSpec::after_wal_bytes`] budget. Its
+    /// byte count is cumulative across flush truncations.
+    out: CrashWriter,
     /// Group-commit buffer of fully framed bytes not yet written.
     buf: Vec<u8>,
     pending_frames: usize,
     policy: SyncPolicy,
     next_lsn: u64,
-    /// Total bytes that have reached the file (the crash-byte currency).
-    bytes_written: u64,
     /// Region splits logged so far (for [`CrashSpec::during_split`]).
     splits_logged: u32,
     /// Segment files fully written by flushes (for
     /// [`CrashSpec::during_flush_segment`]).
     pub(crate) segments_written: u32,
     crash: CrashSpec,
-    /// Set once any crash point fires; every later call fails fast.
-    crashed: bool,
 }
 
 impl WalWriter {
@@ -245,22 +212,20 @@ impl WalWriter {
     ) -> Result<Self, WalError> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(WalWriter {
-            file,
+            out: CrashWriter::new(file, existing_len, crash.after_wal_bytes, false),
             buf: Vec::new(),
             pending_frames: 0,
             policy,
             next_lsn,
-            bytes_written: existing_len,
             splits_logged: 0,
             segments_written: 0,
             crash,
-            crashed: false,
         })
     }
 
     /// Whether an injected crash point already fired.
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.out.is_crashed()
     }
 
     /// The LSN the next appended frame will carry.
@@ -273,19 +238,26 @@ impl WalWriter {
     /// currency), so callers tracking WAL growth between flushes must
     /// remember their own baseline.
     pub(crate) fn bytes_written(&self) -> u64 {
-        self.bytes_written
+        self.out.written()
     }
 
     /// Append one frame holding `records` (atomic as a unit on replay).
     /// Returns the frame's LSN. Depending on the [`SyncPolicy`] the frame
     /// may still sit in the group-commit buffer when this returns.
     pub fn append(&mut self, records: &[WalRecord]) -> Result<u64, WalError> {
-        if self.crashed {
+        if self.is_crashed() {
             return Err(WalError::Crashed);
         }
         let lsn = self.next_lsn;
-        let frame = encode_frame(lsn, records);
         self.next_lsn += 1;
+        let start = self.buf.len();
+        frame::encode(&mut self.buf, |body| {
+            body.put_u64(lsn);
+            body.put_u32(records.len() as u32);
+            for r in records {
+                encode_record(body, r);
+            }
+        });
 
         // Mid-split crash point: tear this frame halfway regardless of
         // where the byte budget stands.
@@ -296,17 +268,11 @@ impl WalWriter {
             let n = self.splits_logged;
             self.splits_logged += 1;
             if self.crash.during_split == Some(n) {
-                // Force-flush anything already buffered, then tear.
-                let _ = self.write_through(&[]);
-                let half = frame.len() / 2;
-                let _ = self.file.write_all(&frame[..half]);
-                self.bytes_written += half as u64;
-                self.crashed = true;
-                return Err(WalError::Crashed);
+                let half = start + (self.buf.len() - start) / 2;
+                return Err(self.out.crash_after(&self.buf[start..half]));
             }
         }
 
-        self.buf.extend_from_slice(&frame);
         self.pending_frames += 1;
         let should_flush = match self.policy {
             SyncPolicy::EveryOp => true,
@@ -336,47 +302,27 @@ impl WalWriter {
     /// Force the group-commit buffer to the file. After `Ok`, every
     /// previously appended frame is durable.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        if self.crashed {
+        if self.is_crashed() {
             return Err(WalError::Crashed);
         }
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let buf = std::mem::take(&mut self.buf);
         self.pending_frames = 0;
-        self.write_through(&buf)
-    }
-
-    /// Write raw bytes to the file honouring the crash-byte budget;
-    /// tears the write at the budget boundary when it fires.
-    fn write_through(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        if let Some(limit) = self.crash.after_wal_bytes {
-            if self.bytes_written + bytes.len() as u64 > limit {
-                let keep = (limit.saturating_sub(self.bytes_written)) as usize;
-                self.file.write_all(&bytes[..keep])?;
-                self.bytes_written += keep as u64;
-                self.crashed = true;
-                return Err(WalError::Crashed);
-            }
-        }
-        self.file.write_all(bytes)?;
-        self.bytes_written += bytes.len() as u64;
-        Ok(())
+        let result = self.out.write(&self.buf);
+        self.buf.clear();
+        result
     }
 
     /// Reset the log after a successful flush persisted everything
     /// through `flushed_lsn` into segments: the file is truncated to
-    /// empty and appends continue with fresh byte accounting.
+    /// empty and appends continue. The crash byte budget keeps counting
+    /// cumulative bytes, so `after_wal_bytes` enumerates crash points
+    /// across flush boundaries instead of resetting with the file.
     pub fn reset_after_flush(&mut self) -> Result<(), WalError> {
-        if self.crashed {
+        if self.is_crashed() {
             return Err(WalError::Crashed);
         }
         self.buf.clear();
         self.pending_frames = 0;
-        self.file.set_len(0)?;
-        // NOTE: the crash byte budget keeps counting cumulative bytes, so
-        // `after_wal_bytes` enumerates crash points across flush
-        // boundaries instead of resetting with the file.
+        self.out.file().set_len(0)?;
         Ok(())
     }
 
@@ -384,38 +330,17 @@ impl WalWriter {
     /// writer) when segment number `segments_written` is the configured
     /// victim. The flush path calls this before completing each segment.
     pub(crate) fn check_flush_crash(&mut self) -> Result<(), WalError> {
-        if self.crashed {
+        if self.is_crashed() {
             return Err(WalError::Crashed);
         }
         if self.crash.during_flush_segment == Some(self.segments_written) {
-            self.crashed = true;
-            return Err(WalError::Crashed);
+            return Err(self.out.crash_after(&[]));
         }
         Ok(())
     }
 }
 
-/// Encode one frame: `len · crc · body(lsn · count · records)`.
-fn encode_frame(lsn: u64, records: &[WalRecord]) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    body.put_u64(lsn);
-    body.put_u32(records.len() as u32);
-    for r in records {
-        encode_record(&mut body, r);
-    }
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(&body).to_be_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn encode_record(buf: &mut BytesMut, r: &WalRecord) {
+fn encode_record(buf: &mut Vec<u8>, r: &WalRecord) {
     match r {
         WalRecord::CreateTable {
             name,
@@ -424,10 +349,10 @@ fn encode_record(buf: &mut BytesMut, r: &WalRecord) {
             root_region_id,
         } => {
             buf.put_u8(TAG_CREATE_TABLE);
-            put_bytes(buf, name.as_bytes());
+            put_str(buf, name);
             buf.put_u32(families.len() as u32);
             for f in families {
-                put_bytes(buf, f.as_bytes());
+                put_str(buf, f);
             }
             buf.put_u64(*split_threshold);
             buf.put_u64(*root_region_id);
@@ -441,16 +366,16 @@ fn encode_record(buf: &mut BytesMut, r: &WalRecord) {
             timestamp,
         } => {
             buf.put_u8(TAG_PUT);
-            put_bytes(buf, table.as_bytes());
+            put_str(buf, table);
             put_bytes(buf, row);
-            put_bytes(buf, family.as_bytes());
+            put_str(buf, family);
             put_bytes(buf, column);
             put_bytes(buf, value);
             buf.put_u64(*timestamp);
         }
         WalRecord::DeleteRow { table, row } => {
             buf.put_u8(TAG_DELETE_ROW);
-            put_bytes(buf, table.as_bytes());
+            put_str(buf, table);
             put_bytes(buf, row);
         }
         WalRecord::RegionSplit {
@@ -460,7 +385,7 @@ fn encode_record(buf: &mut BytesMut, r: &WalRecord) {
             split_key,
         } => {
             buf.put_u8(TAG_REGION_SPLIT);
-            put_bytes(buf, table.as_bytes());
+            put_str(buf, table);
             buf.put_u64(*parent_id);
             buf.put_u64(*new_id);
             put_bytes(buf, split_key);
@@ -476,88 +401,41 @@ fn encode_record(buf: &mut BytesMut, r: &WalRecord) {
     }
 }
 
-fn take_bytes(buf: &mut &[u8]) -> Result<Bytes, String> {
-    if buf.len() < 4 {
-        return Err("truncated length prefix".to_string());
-    }
-    let len = buf.get_u32() as usize;
-    if buf.len() < len {
-        return Err(format!("field of {len} bytes exceeds remaining input"));
-    }
-    let out = Bytes::copy_from_slice(&buf[..len]);
-    buf.advance(len);
-    Ok(out)
-}
+/// The shortest record on the wire: a `DeleteRow` of an empty table name
+/// and row key (`tag · len · len`).
+const MIN_RECORD_BYTES: usize = 9;
 
-fn take_string(buf: &mut &[u8]) -> Result<String, String> {
-    let b = take_bytes(buf)?;
-    String::from_utf8(b.to_vec()).map_err(|_| "invalid UTF-8".to_string())
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, String> {
-    if buf.len() < 8 {
-        return Err("truncated u64".to_string());
-    }
-    Ok(buf.get_u64())
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, String> {
-    if buf.len() < 4 {
-        return Err("truncated u32".to_string());
-    }
-    Ok(buf.get_u32())
-}
-
-fn decode_record(buf: &mut &[u8]) -> Result<WalRecord, String> {
-    if buf.is_empty() {
-        return Err("missing record tag".to_string());
-    }
-    let tag = buf.get_u8();
-    match tag {
-        TAG_CREATE_TABLE => {
-            let name = take_string(buf)?;
-            let n = take_u32(buf)? as usize;
-            let mut families = Vec::with_capacity(n);
-            for _ in 0..n {
-                families.push(take_string(buf)?);
-            }
-            let split_threshold = take_u64(buf)?;
-            let root_region_id = take_u64(buf)?;
-            Ok(WalRecord::CreateTable {
-                name,
-                families,
-                split_threshold,
-                root_region_id,
-            })
-        }
+fn decode_record(c: &mut Cursor<'_>) -> Result<WalRecord, CodecError> {
+    match c.u8()? {
+        TAG_CREATE_TABLE => Ok(WalRecord::CreateTable {
+            name: c.str()?,
+            families: c.strings()?,
+            split_threshold: c.u64()?,
+            root_region_id: c.u64()?,
+        }),
         TAG_PUT => Ok(WalRecord::Put {
-            table: take_string(buf)?,
-            row: take_bytes(buf)?,
-            family: take_string(buf)?,
-            column: take_bytes(buf)?,
-            value: take_bytes(buf)?,
-            timestamp: take_u64(buf)?,
+            table: c.str()?,
+            row: c.bytes()?,
+            family: c.str()?,
+            column: c.bytes()?,
+            value: c.bytes()?,
+            timestamp: c.u64()?,
         }),
         TAG_DELETE_ROW => Ok(WalRecord::DeleteRow {
-            table: take_string(buf)?,
-            row: take_bytes(buf)?,
+            table: c.str()?,
+            row: c.bytes()?,
         }),
         TAG_REGION_SPLIT => Ok(WalRecord::RegionSplit {
-            table: take_string(buf)?,
-            parent_id: take_u64(buf)?,
-            new_id: take_u64(buf)?,
-            split_key: take_bytes(buf)?,
+            table: c.str()?,
+            parent_id: c.u64()?,
+            new_id: c.u64()?,
+            split_key: c.bytes()?,
         }),
-        TAG_BATCH_MARKER => {
-            let gsn = take_u64(buf)?;
-            let n = take_u32(buf)? as usize;
-            let mut participants = Vec::with_capacity(n);
-            for _ in 0..n {
-                participants.push(take_u32(buf)?);
-            }
-            Ok(WalRecord::BatchMarker { gsn, participants })
-        }
-        t => Err(format!("unknown record tag {t:#x}")),
+        TAG_BATCH_MARKER => Ok(WalRecord::BatchMarker {
+            gsn: c.u64()?,
+            participants: c.seq(4, Cursor::u32)?,
+        }),
+        t => Err(CodecError::BadTag(t)),
     }
 }
 
@@ -588,74 +466,49 @@ pub struct WalScan {
 /// Scan the WAL at `path`, stopping (without erroring) at the first torn
 /// or corrupt frame. A missing file scans as empty.
 pub fn read_wal(path: &Path) -> Result<WalScan, std::io::Error> {
-    let data = match std::fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let total_bytes = data.len() as u64;
+    let data = frame::read_optional(path)?.unwrap_or_default();
     let mut frames = Vec::new();
     let mut frame_offsets = Vec::new();
-    let mut offset = 0usize;
+    let mut valid = 0usize;
     let mut truncation = None;
-    while offset < data.len() {
-        let rest = &data[offset..];
-        if rest.len() < 8 {
-            truncation = Some(WalTruncation::Torn {
-                offset: offset as u64,
-            });
-            break;
-        }
-        let len = u32::from_be_bytes(rest[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_be_bytes(rest[4..8].try_into().unwrap());
-        if rest.len() < 8 + len {
-            truncation = Some(WalTruncation::Torn {
-                offset: offset as u64,
-            });
-            break;
-        }
-        let body = &rest[8..8 + len];
-        if crc32(body) != crc {
-            truncation = Some(WalTruncation::BadChecksum {
-                offset: offset as u64,
-            });
-            break;
-        }
-        match decode_frame_body(body) {
-            Ok(frame) => {
-                frames.push(frame);
-                frame_offsets.push(offset as u64);
+    while valid < data.len() {
+        let offset = valid as u64;
+        let decoded = match frame::verify(&data[valid..]) {
+            Ok(body) => decode_frame_body(body)
+                .map(|f| (f, body.len()))
+                .map_err(|e| WalTruncation::BadRecord {
+                    offset,
+                    detail: e.to_string(),
+                }),
+            Err(FrameError::Torn) => Err(WalTruncation::Torn { offset }),
+            Err(FrameError::BadChecksum) => Err(WalTruncation::BadChecksum { offset }),
+        };
+        match decoded {
+            Ok((f, body_len)) => {
+                frames.push(f);
+                frame_offsets.push(offset);
+                valid += frame::HEADER_LEN + body_len;
             }
-            Err(detail) => {
-                truncation = Some(WalTruncation::BadRecord {
-                    offset: offset as u64,
-                    detail,
-                });
+            Err(t) => {
+                truncation = Some(t);
                 break;
             }
         }
-        offset += 8 + len;
     }
     Ok(WalScan {
         frames,
         frame_offsets,
-        valid_bytes: offset as u64,
-        total_bytes,
+        valid_bytes: valid as u64,
+        total_bytes: data.len() as u64,
         truncation,
     })
 }
 
-fn decode_frame_body(body: &[u8]) -> Result<WalFrame, String> {
-    let mut buf = body;
-    let lsn = take_u64(&mut buf)?;
-    let count = take_u32(&mut buf)? as usize;
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        records.push(decode_record(&mut buf)?);
-    }
-    if !buf.is_empty() {
-        return Err(format!("{} trailing bytes after records", buf.len()));
-    }
+fn decode_frame_body(body: &[u8]) -> Result<WalFrame, CodecError> {
+    let mut c = Cursor::new(body);
+    let lsn = c.u64()?;
+    let records = c.seq(MIN_RECORD_BYTES, decode_record)?;
+    c.finish()?;
     Ok(WalFrame { lsn, records })
 }
 

@@ -1,51 +1,12 @@
 //! Binary codec for profiles and CFGs stored as HBase cell values.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use cfstore::encoding::CodecError;
+use cfstore::frame::{put_str, Cursor};
 use mrsim::{MapPhase, ReducePhase};
 use profiler::{CostFactors, JobProfile, MapProfile, ReduceProfile};
 use staticanalysis::{Cfg, Node, NodeKind};
-
-fn put_str(b: &mut BytesMut, s: &str) {
-    b.put_u32(s.len() as u32);
-    b.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
-    if buf.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let len = buf.get_u32() as usize;
-    if buf.len() < len {
-        return Err(CodecError::Truncated);
-    }
-    let s = std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadUtf8)?;
-    let out = s.to_string();
-    buf.advance(len);
-    Ok(out)
-}
-
-fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
-    if buf.len() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_f64())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
-    if buf.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
-    if buf.is_empty() {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
 
 fn put_opt_f64(b: &mut BytesMut, v: Option<f64>) {
     match v {
@@ -57,10 +18,10 @@ fn put_opt_f64(b: &mut BytesMut, v: Option<f64>) {
     }
 }
 
-fn get_opt_f64(buf: &mut &[u8]) -> Result<Option<f64>, CodecError> {
-    match get_u8(buf)? {
+fn opt_f64(c: &mut Cursor<'_>) -> Result<Option<f64>, CodecError> {
+    match c.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(get_f64(buf)?)),
+        1 => Ok(Some(c.f64()?)),
         t => Err(CodecError::BadTag(t)),
     }
 }
@@ -71,18 +32,21 @@ fn put_cost_factors(b: &mut BytesMut, cf: &CostFactors) {
     }
 }
 
-fn get_cost_factors(buf: &mut &[u8]) -> Result<CostFactors, CodecError> {
+fn cost_factors(c: &mut Cursor<'_>) -> Result<CostFactors, CodecError> {
     Ok(CostFactors {
-        read_hdfs_io_cost: get_f64(buf)?,
-        write_hdfs_io_cost: get_f64(buf)?,
-        read_local_io_cost: get_f64(buf)?,
-        write_local_io_cost: get_f64(buf)?,
-        network_cost: get_f64(buf)?,
-        map_cpu_cost: get_f64(buf)?,
-        reduce_cpu_cost: get_f64(buf)?,
-        combine_cpu_cost: get_f64(buf)?,
+        read_hdfs_io_cost: c.f64()?,
+        write_hdfs_io_cost: c.f64()?,
+        read_local_io_cost: c.f64()?,
+        write_local_io_cost: c.f64()?,
+        network_cost: c.f64()?,
+        map_cpu_cost: c.f64()?,
+        reduce_cpu_cost: c.f64()?,
+        combine_cpu_cost: c.f64()?,
     })
 }
+
+/// One `phase_ms` entry on the wire: `phase tag u8 · ms f64`.
+const PHASE_BYTES: usize = 9;
 
 fn map_phase_tag(p: MapPhase) -> u8 {
     match p {
@@ -193,16 +157,16 @@ fn encode_reduce_profile(b: &mut BytesMut, r: &ReduceProfile) {
 
 /// Decode a job profile from a cell value.
 pub fn decode_profile(bytes: &[u8]) -> Result<JobProfile, CodecError> {
-    let mut buf = bytes;
-    let job_id = get_str(&mut buf)?;
-    let dataset = get_str(&mut buf)?;
-    let input_bytes = get_f64(&mut buf)?;
-    let num_map_tasks = get_u32(&mut buf)?;
-    let confidence = get_f64(&mut buf)?;
-    let map = decode_map_profile(&mut buf)?;
-    let reduce = match get_u8(&mut buf)? {
+    let c = &mut Cursor::new(bytes);
+    let job_id = c.str()?;
+    let dataset = c.str()?;
+    let input_bytes = c.f64()?;
+    let num_map_tasks = c.u32()?;
+    let confidence = c.f64()?;
+    let map = decode_map_profile(c)?;
+    let reduce = match c.u8()? {
         0 => None,
-        1 => Some(decode_reduce_profile(&mut buf)?),
+        1 => Some(decode_reduce_profile(c)?),
         t => return Err(CodecError::BadTag(t)),
     };
     Ok(JobProfile {
@@ -216,61 +180,43 @@ pub fn decode_profile(bytes: &[u8]) -> Result<JobProfile, CodecError> {
     })
 }
 
-fn decode_map_profile(buf: &mut &[u8]) -> Result<MapProfile, CodecError> {
+fn decode_map_profile(c: &mut Cursor<'_>) -> Result<MapProfile, CodecError> {
     Ok(MapProfile {
-        source_job: get_str(buf)?,
-        dataset: get_str(buf)?,
-        input_bytes_total: get_f64(buf)?,
-        input_bytes_per_task: get_f64(buf)?,
-        input_records_per_task: get_f64(buf)?,
-        avg_input_record_bytes: get_f64(buf)?,
-        avg_intermediate_record_bytes: get_f64(buf)?,
-        size_selectivity: get_f64(buf)?,
-        pairs_selectivity: get_f64(buf)?,
-        combine_size_selectivity: get_opt_f64(buf)?,
-        combine_pairs_selectivity: get_opt_f64(buf)?,
-        map_ops_per_record: get_f64(buf)?,
-        combine_ops_per_record: get_opt_f64(buf)?,
-        combine_ref_records: get_opt_f64(buf)?,
-        intermediate_key_alpha: get_opt_f64(buf)?,
-        cost_factors: get_cost_factors(buf)?,
-        phase_ms: {
-            let n = get_u32(buf)? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = get_u8(buf)?;
-                let ms = get_f64(buf)?;
-                v.push((map_phase_from(tag)?, ms));
-            }
-            v
-        },
-        tasks_observed: get_u32(buf)?,
+        source_job: c.str()?,
+        dataset: c.str()?,
+        input_bytes_total: c.f64()?,
+        input_bytes_per_task: c.f64()?,
+        input_records_per_task: c.f64()?,
+        avg_input_record_bytes: c.f64()?,
+        avg_intermediate_record_bytes: c.f64()?,
+        size_selectivity: c.f64()?,
+        pairs_selectivity: c.f64()?,
+        combine_size_selectivity: opt_f64(c)?,
+        combine_pairs_selectivity: opt_f64(c)?,
+        map_ops_per_record: c.f64()?,
+        combine_ops_per_record: opt_f64(c)?,
+        combine_ref_records: opt_f64(c)?,
+        intermediate_key_alpha: opt_f64(c)?,
+        cost_factors: cost_factors(c)?,
+        phase_ms: c.seq(PHASE_BYTES, |c| Ok((map_phase_from(c.u8()?)?, c.f64()?)))?,
+        tasks_observed: c.u32()?,
     })
 }
 
-fn decode_reduce_profile(buf: &mut &[u8]) -> Result<ReduceProfile, CodecError> {
+fn decode_reduce_profile(c: &mut Cursor<'_>) -> Result<ReduceProfile, CodecError> {
     Ok(ReduceProfile {
-        source_job: get_str(buf)?,
-        dataset: get_str(buf)?,
-        in_records: get_f64(buf)?,
-        in_bytes: get_f64(buf)?,
-        out_records: get_f64(buf)?,
-        out_bytes: get_f64(buf)?,
-        size_selectivity: get_f64(buf)?,
-        pairs_selectivity: get_f64(buf)?,
-        reduce_ops_per_record: get_f64(buf)?,
-        cost_factors: get_cost_factors(buf)?,
-        phase_ms: {
-            let n = get_u32(buf)? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = get_u8(buf)?;
-                let ms = get_f64(buf)?;
-                v.push((reduce_phase_from(tag)?, ms));
-            }
-            v
-        },
-        tasks_observed: get_u32(buf)?,
+        source_job: c.str()?,
+        dataset: c.str()?,
+        in_records: c.f64()?,
+        in_bytes: c.f64()?,
+        out_records: c.f64()?,
+        out_bytes: c.f64()?,
+        size_selectivity: c.f64()?,
+        pairs_selectivity: c.f64()?,
+        reduce_ops_per_record: c.f64()?,
+        cost_factors: cost_factors(c)?,
+        phase_ms: c.seq(PHASE_BYTES, |c| Ok((reduce_phase_from(c.u8()?)?, c.f64()?)))?,
+        tasks_observed: c.u32()?,
     })
 }
 
@@ -300,12 +246,11 @@ pub fn encode_cfg(cfg: &Cfg) -> Bytes {
 
 /// Decode a CFG from a cell value.
 pub fn decode_cfg(bytes: &[u8]) -> Result<Cfg, CodecError> {
-    let mut buf = bytes;
-    let n = get_u32(&mut buf)? as usize;
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = get_u8(&mut buf)?;
-        let emits = get_u8(&mut buf)? != 0;
+    let mut c = Cursor::new(bytes);
+    // A node is at least `kind tag · emits flag · successor count`.
+    let nodes = c.seq(6, |c| {
+        let tag = c.u8()?;
+        let emits = c.u8()? != 0;
         let kind = match tag {
             0 => NodeKind::Entry,
             1 => NodeKind::Basic { emits },
@@ -314,15 +259,11 @@ pub fn decode_cfg(bytes: &[u8]) -> Result<Cfg, CodecError> {
             4 => NodeKind::Exit,
             other => return Err(CodecError::BadTag(other)),
         };
-        let n_succ = get_u32(&mut buf)? as usize;
-        let mut succ = Vec::with_capacity(n_succ);
-        for _ in 0..n_succ {
-            succ.push(get_u32(&mut buf)? as usize);
-        }
-        nodes.push(Node { kind, succ });
-    }
-    let exit = get_u32(&mut buf)? as usize;
-    let max_loop_depth = get_u32(&mut buf)? as usize;
+        let succ = c.seq(4, |c| Ok(c.u32()? as usize))?;
+        Ok(Node { kind, succ })
+    })?;
+    let exit = c.u32()? as usize;
+    let max_loop_depth = c.u32()? as usize;
     Cfg::from_parts(nodes, exit, max_loop_depth).ok_or(CodecError::Truncated)
 }
 

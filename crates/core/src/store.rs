@@ -30,7 +30,6 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 
 use cfstore::encoding::{decode_f64, decode_f64_vec, encode_f64, encode_f64_vec};
-use cfstore::wal::{CrashSpec, SyncPolicy};
 use cfstore::{
     MiniStore, Put, RecoveryError, RecoveryReport, Reshard, ReshardStatus, RowResult, Scan,
     ScanMetrics, ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError, StoreOptions,
@@ -261,29 +260,12 @@ impl ProfileStore {
     /// and eagerly rebuilding the stage-1 columnar index from the
     /// recovered rows. Returns the store plus the [`RecoveryReport`].
     pub fn reopen(dir: &Path) -> Result<(Self, RecoveryReport), ProfileStoreError> {
-        Self::reopen_with(dir, SyncPolicy::EveryOp, CrashSpec::default())
+        Self::reopen_with_opts(dir, StoreOptions::default())
     }
 
-    /// [`Self::reopen`] with an explicit sync policy and crash spec (the
-    /// crash-recovery property tests' entry point).
-    pub fn reopen_with(
-        dir: &Path,
-        policy: SyncPolicy,
-        crash: CrashSpec,
-    ) -> Result<(Self, RecoveryReport), ProfileStoreError> {
-        Self::reopen_with_opts(
-            dir,
-            StoreOptions {
-                sync: policy,
-                crash,
-                ..StoreOptions::default()
-            },
-        )
-    }
-
-    /// [`Self::reopen`] with full [`StoreOptions`] control — block cache
-    /// budget and the background flusher (the hot-path benchmarks' entry
-    /// point).
+    /// [`Self::reopen`] with full [`StoreOptions`] control — sync policy
+    /// and crash injection (the crash-recovery property tests), block
+    /// cache budget and the background flusher (the hot-path benchmarks).
     pub fn reopen_with_opts(
         dir: &Path,
         opts: StoreOptions,
@@ -300,21 +282,15 @@ impl ProfileStore {
     /// columnar index, tuning loop — behaves identically to
     /// [`Self::reopen`].
     pub fn reopen_sharded(dir: &Path) -> Result<(Self, ShardedRecoveryReport), ProfileStoreError> {
-        Self::reopen_sharded_with_opts(dir, ShardOptions::default())
+        Self::reopen_sharded_traced(dir, ShardOptions::default(), obs::Registry::disabled())
     }
 
     /// [`Self::reopen_sharded`] with explicit [`ShardOptions`] (shard
-    /// count, replication factor, crash injection for the chaos tests).
-    pub fn reopen_sharded_with_opts(
-        dir: &Path,
-        opts: ShardOptions,
-    ) -> Result<(Self, ShardedRecoveryReport), ProfileStoreError> {
-        Self::reopen_sharded_traced(dir, opts, obs::Registry::disabled())
-    }
-
-    /// [`Self::reopen_sharded_with_opts`] with an observability registry
-    /// attached from the first byte of recovery, so shard-rebuild and
-    /// heal counters (`cfstore.shard.<id>.heal.*`) are captured.
+    /// count, replication factor, crash injection for the chaos tests)
+    /// and an observability registry attached from the first byte of
+    /// recovery, so shard-rebuild and heal counters
+    /// (`cfstore.shard.<id>.heal.*`) are captured; pass
+    /// [`obs::Registry::disabled`] to trace nothing.
     pub fn reopen_sharded_traced(
         dir: &Path,
         opts: ShardOptions,

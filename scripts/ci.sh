@@ -73,6 +73,21 @@ cargo test -q -p pstorm-tests --test property_tenants -- --ignored
 echo "==> bounded reshard-chaos sweep"
 cargo test -q -p pstorm-tests --test property_reshard -- --ignored
 
+# One framing, one cursor (DESIGN.md §16): checksums over file bytes are
+# computed in frame.rs only (encoding.rs defines crc32, kv.rs stamps
+# cells), and the field helpers every decoder shares are defined there
+# and nowhere else under crates/. Test modules are exempt.
+echo "==> source gate (one framing, one decode cursor)"
+nontest() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }' "$@"; }
+if nontest $(find crates/cfstore/src -name '*.rs' ! -name frame.rs ! -name encoding.rs ! -name kv.rs) | grep -F 'crc32('; then exit 1; fi
+if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | grep -E 'fn (take_|get_u|put_bytes|put_str)'; then exit 1; fi
+
+# The benchmark harness at 1/20 scale: every workload, untraced and
+# traced, every output check on (benchmark/README.md). Catches a change
+# that breaks what BENCHMARK.json runs before the driver does.
+echo "==> benchmark smoke"
+./benchmark/smoke.sh
+
 # Documentation gate 2: every `DESIGN.md §N` reference in the repo must
 # resolve to a real section, and relative doc links must not dangle.
 echo "==> doc link check"

@@ -14,14 +14,19 @@ use bytes::Bytes;
 use cfstore::recovery::{read_manifest, write_manifest, ManifestTable, MANIFEST_FILE};
 use cfstore::segment::{read_segment, write_segment};
 use cfstore::shard::resharding::{
-    read_catalog, read_journal, resolve_journal, Catalog, JournalRecord, Resolution, TOPOLOGY_FILE,
+    read_catalog, read_journal, resolve_against_catalog, resolve_journal, Catalog, JournalRecord,
+    Resolution, TOPOLOGY_FILE,
 };
 use cfstore::shard::SHARDS_FILE;
 use cfstore::wal::{read_wal, WalRecord, WalWriter, WAL_FILE};
 use cfstore::{
     CellVersion, CrashSpec, KeyRange, Manifest, Put, Reshard, ReshardPhase, RowData, SegmentReader,
-    ShardOptions, ShardedStore, SyncPolicy, Topology,
+    ShardOptions, ShardedStore, SyncPolicy, Topology, WalTruncation,
 };
+use mrsim::{MapPhase, ReducePhase};
+use profiler::{CostFactors, JobProfile, MapProfile, ReduceProfile};
+use pstorm::codec::{decode_cfg, decode_profile, encode_cfg, encode_profile};
+use staticanalysis::{Cfg, Node, NodeKind};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -386,5 +391,375 @@ fn two_block_segment_bytes_are_pinned() {
 
     std::fs::write(&path, unhex(SEGMENT_GOLDEN)).unwrap();
     check_segment(&path);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Totality: every reader × every truncation × every single-bit flip
+// ---------------------------------------------------------------------
+//
+// The pinned images above (plus one encoded profile and one encoded CFG)
+// go through their public readers damaged in every way a disk or a crash
+// can damage them one step at a time. Nothing may panic, abort, or size
+// an allocation by a number the damaged bytes supplied. Where a CRC
+// covers the bytes, every mutation must also be *noticed*. Frames are
+// then re-sealed around a damaged body with a fresh CRC, so the record
+// decoders behind the checksum meet hostile input too.
+
+/// Forwards to the system allocator, remembering the largest single
+/// request the current thread made — the only way to see an allocation
+/// that was sized by hostile input and then (had it succeeded) freed.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    // A const-initialised `Cell` has no lazy init and no destructor, so
+    // touching it from inside the allocator cannot allocate or recurse.
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+// SAFETY: every method hands its arguments, unchanged, to `System` — the
+// caller's obligations under `GlobalAlloc` are exactly `System`'s.
+unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        note_request(layout.size());
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Run one reader over `input`, holding its largest allocation to a
+/// small multiple of the input (decoded rows cost more than their
+/// encoding; a count read off damaged bytes would cost megabytes).
+fn measured<T>(input: &[u8], read: impl FnOnce() -> T) -> T {
+    PEAK.with(|p| p.set(0));
+    let out = read();
+    let peak = PEAK.with(std::cell::Cell::get);
+    let bound = 64 * input.len() + 4096;
+    assert!(
+        peak <= bound,
+        "a reader of {} input bytes made one allocation of {peak} bytes (bound {bound})",
+        input.len()
+    );
+    out
+}
+
+/// What a reader made of one input; anything else it might do — panic,
+/// abort, an I/O error — fails the test.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// Returned everything the pristine file holds.
+    Accepted,
+    /// A typed error, or — for an append-only log — fewer frames than the
+    /// pristine file holds (a tail dropped and accounted for, or a cut
+    /// that fell exactly between two frames).
+    Noticed,
+}
+
+fn verdict_of<T, E: std::fmt::Display>(r: Result<T, E>, typed: impl Fn(&E) -> bool) -> Verdict {
+    match r {
+        Ok(_) => Verdict::Accepted,
+        Err(e) => {
+            assert!(typed(&e), "not the typed corruption error: {e}");
+            Verdict::Noticed
+        }
+    }
+}
+
+fn is_corrupt_catalog(e: &cfstore::RecoveryError) -> bool {
+    matches!(e, cfstore::RecoveryError::ManifestCorrupt { .. })
+}
+
+fn is_corrupt_segment(e: &cfstore::SegmentError) -> bool {
+    matches!(e, cfstore::SegmentError::Corrupt { .. })
+}
+
+fn read_wal_image(dir: &Path, image: &[u8]) -> Verdict {
+    let path = dir.join(WAL_FILE);
+    std::fs::write(&path, image).unwrap();
+    let scan = measured(image, || read_wal(&path)).expect("a damaged log is not an I/O error");
+    assert_eq!(scan.total_bytes, image.len() as u64);
+    assert!(scan.valid_bytes <= scan.total_bytes);
+    assert_eq!(scan.frames.len(), scan.frame_offsets.len());
+    match &scan.truncation {
+        None => assert_eq!(scan.valid_bytes, scan.total_bytes),
+        Some(t) => assert_eq!(
+            t.offset(),
+            scan.valid_bytes,
+            "the tail drops where it is cut"
+        ),
+    }
+    if scan.frames.len() == 1 {
+        Verdict::Accepted
+    } else {
+        Verdict::Noticed
+    }
+}
+
+fn read_manifest_image(dir: &Path, image: &[u8]) -> Verdict {
+    std::fs::write(dir.join(MANIFEST_FILE), image).unwrap();
+    verdict_of(measured(image, || read_manifest(dir)), is_corrupt_catalog)
+}
+
+fn read_catalog_image(dir: &Path, image: &[u8]) -> Verdict {
+    std::fs::write(dir.join(SHARDS_FILE), image).unwrap();
+    verdict_of(measured(image, || read_catalog(dir)), is_corrupt_catalog)
+}
+
+fn read_journal_image(dir: &Path, image: &[u8]) -> Verdict {
+    std::fs::write(dir.join(TOPOLOGY_FILE), image).unwrap();
+    match measured(image, || read_journal(dir)) {
+        Ok(scan) => {
+            let scan = scan.expect("the file exists");
+            assert_eq!(scan.total_bytes, image.len() as u64);
+            assert!(scan.valid_bytes <= scan.total_bytes);
+            // Whatever sequence survived must resolve or be refused —
+            // against the catalog too, as reopen and fsck do.
+            let catalog = Catalog {
+                topology: Topology::uniform(1, 1),
+                epoch: 0,
+            };
+            let _ = resolve_against_catalog(&catalog, &scan.records);
+            if scan.records.len() == 5 {
+                Verdict::Accepted
+            } else {
+                Verdict::Noticed
+            }
+        }
+        Err(e) => verdict_of(Err::<(), _>(e), is_corrupt_catalog),
+    }
+}
+
+fn read_segment_image(dir: &Path, image: &[u8]) -> Verdict {
+    let path = dir.join("damaged.seg");
+    std::fs::write(&path, image).unwrap();
+    let eager = verdict_of(measured(image, || read_segment(&path)), is_corrupt_segment);
+    // The lazy path: whatever opens must read or refuse block by block.
+    let lazy = match measured(image, || SegmentReader::open(&path)) {
+        Err(e) => verdict_of(Err::<(), _>(e), is_corrupt_segment),
+        Ok(reader) => (0..reader.block_count())
+            .map(|idx| {
+                assert!(reader.block_bytes(idx) <= image.len() as u64);
+                verdict_of(
+                    measured(image, || reader.read_block(idx)),
+                    is_corrupt_segment,
+                )
+            })
+            .find(|v| *v == Verdict::Noticed)
+            .unwrap_or(Verdict::Accepted),
+    };
+    if eager == Verdict::Accepted {
+        assert_eq!(lazy, Verdict::Accepted, "eager accepted what lazy refused");
+    }
+    eager
+}
+
+fn read_profile_image(_: &Path, image: &[u8]) -> Verdict {
+    verdict_of(measured(image, || decode_profile(image)), |_| true)
+}
+
+fn read_cfg_image(_: &Path, image: &[u8]) -> Verdict {
+    verdict_of(measured(image, || decode_cfg(image)), |_| true)
+}
+
+fn profile_image() -> Vec<u8> {
+    let cost_factors = CostFactors {
+        read_hdfs_io_cost: 1.0,
+        write_hdfs_io_cost: 2.0,
+        read_local_io_cost: 3.0,
+        write_local_io_cost: 4.0,
+        network_cost: 5.0,
+        map_cpu_cost: 6.0,
+        reduce_cpu_cost: 7.0,
+        combine_cpu_cost: 8.0,
+    };
+    let profile = JobProfile {
+        job_id: "wc@text".into(),
+        dataset: "text".into(),
+        input_bytes: 1e9,
+        num_map_tasks: 16,
+        map: MapProfile {
+            source_job: "wc".into(),
+            dataset: "text".into(),
+            input_bytes_total: 1e9,
+            input_bytes_per_task: 6.4e7,
+            input_records_per_task: 1e6,
+            avg_input_record_bytes: 64.0,
+            avg_intermediate_record_bytes: 12.0,
+            size_selectivity: 1.5,
+            pairs_selectivity: 9.0,
+            combine_size_selectivity: Some(0.1),
+            combine_pairs_selectivity: None,
+            map_ops_per_record: 20.0,
+            combine_ops_per_record: Some(3.0),
+            combine_ref_records: None,
+            intermediate_key_alpha: Some(1.1),
+            cost_factors,
+            phase_ms: vec![(MapPhase::Read, 10.0), (MapPhase::Spill, 2.5)],
+            tasks_observed: 16,
+        },
+        reduce: Some(ReduceProfile {
+            source_job: "wc".into(),
+            dataset: "text".into(),
+            in_records: 1e5,
+            in_bytes: 1e6,
+            out_records: 1e4,
+            out_bytes: 1e5,
+            size_selectivity: 0.1,
+            pairs_selectivity: 0.1,
+            reduce_ops_per_record: 5.0,
+            cost_factors,
+            phase_ms: vec![(ReducePhase::Shuffle, 4.0), (ReducePhase::Write, 1.0)],
+            tasks_observed: 4,
+        }),
+        confidence: 1.0,
+    };
+    let image = encode_profile(&profile);
+    assert_eq!(decode_profile(&image).unwrap(), profile);
+    image.to_vec()
+}
+
+fn cfg_image() -> Vec<u8> {
+    let node = |kind, succ: &[usize]| Node {
+        kind,
+        succ: succ.to_vec(),
+    };
+    let cfg = Cfg::from_parts(
+        vec![
+            node(NodeKind::Entry, &[1]),
+            node(NodeKind::LoopHeader, &[2, 4]),
+            node(NodeKind::Branch, &[3, 1]),
+            node(NodeKind::Basic { emits: true }, &[1]),
+            node(NodeKind::Exit, &[]),
+        ],
+        4,
+        1,
+    )
+    .unwrap();
+    let image = encode_cfg(&cfg);
+    assert!(decode_cfg(&image).unwrap().matches(&cfg));
+    image.to_vec()
+}
+
+/// One damaged copy per truncated prefix and per flipped bit.
+fn mutations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let prefixes = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+    let flips = (0..bytes.len() * 8).map(|bit| {
+        let mut m = bytes.to_vec();
+        m[bit / 8] ^= 1 << (bit % 8);
+        m
+    });
+    prefixes.chain(flips)
+}
+
+struct Case {
+    name: &'static str,
+    image: Vec<u8>,
+    read: fn(&Path, &[u8]) -> Verdict,
+    /// Where the back-to-back frames start (`None`: no CRC at this
+    /// layer — a stored cell carries its own, checked by the store).
+    first_frame: Option<usize>,
+}
+
+#[test]
+fn every_reader_is_total_on_truncated_and_bit_flipped_files() {
+    let framed = |name, golden: &str, read, first_frame| Case {
+        name,
+        image: unhex(golden),
+        read,
+        first_frame: Some(first_frame),
+    };
+    let cases = [
+        framed("wal.log", WAL_GOLDEN, read_wal_image, 0),
+        framed("MANIFEST", MANIFEST_GOLDEN, read_manifest_image, 4),
+        framed("SHARDS v1", SHARDS_V1_GOLDEN, read_catalog_image, 4),
+        framed("SHARDS v2", SHARDS_V2_GOLDEN, read_catalog_image, 4),
+        framed("TOPOLOGY", TOPOLOGY_GOLDEN, read_journal_image, 4),
+        framed("segment", SEGMENT_GOLDEN, read_segment_image, 4),
+        Case {
+            name: "profile cell",
+            image: profile_image(),
+            read: read_profile_image,
+            first_frame: None,
+        },
+        Case {
+            name: "cfg cell",
+            image: cfg_image(),
+            read: read_cfg_image,
+            first_frame: None,
+        },
+    ];
+    let dir = tmp_dir("totality");
+    for case in &cases {
+        let Case {
+            name, image, read, ..
+        } = case;
+        assert_eq!(read(&dir, image), Verdict::Accepted, "{name}: pristine");
+        let mut noticed = 0;
+        for damaged in mutations(image) {
+            match read(&dir, &damaged) {
+                Verdict::Noticed => noticed += 1,
+                Verdict::Accepted => assert!(
+                    case.first_frame.is_none(),
+                    "{name}: a CRC-covered file hid damage: {}",
+                    hex(&damaged)
+                ),
+            }
+        }
+        assert!(noticed > 0, "{name}: no mutation was ever refused");
+
+        // Behind the CRC: damage each frame's body, re-seal it.
+        let Some(mut at) = case.first_frame else {
+            continue;
+        };
+        let mut frames = 0;
+        while let Ok(body) = cfstore::frame::verify(&image[at..]) {
+            let after = at + cfstore::frame::HEADER_LEN + body.len();
+            for damaged_body in mutations(body) {
+                let mut resealed = image[..at].to_vec();
+                cfstore::frame::encode(&mut resealed, |b| b.extend_from_slice(&damaged_body));
+                resealed.extend_from_slice(&image[after..]);
+                read(&dir, &resealed);
+            }
+            frames += 1;
+            at = after;
+        }
+        assert!(frames > 0, "{name}: found no frame to re-seal");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The abort this used to be: a frame that passes its CRC and then
+/// claims `u32::MAX` records made `read_wal` reserve for all of them.
+#[test]
+fn a_sealed_wal_frame_claiming_four_billion_records_is_a_bad_record() {
+    let dir = tmp_dir("hostile-count");
+    let mut image = unhex(WAL_GOLDEN);
+    let intact = image.len() as u64;
+    cfstore::frame::encode(&mut image, |b| {
+        b.extend_from_slice(&2048u64.to_be_bytes());
+        b.extend_from_slice(&u32::MAX.to_be_bytes());
+    });
+    std::fs::write(dir.join(WAL_FILE), &image).unwrap();
+    let scan = measured(&image, || read_wal(&dir.join(WAL_FILE))).unwrap();
+    assert_eq!(scan.frames.len(), 1, "the frame before it still replays");
+    assert_eq!(scan.valid_bytes, intact);
+    assert!(
+        matches!(scan.truncation, Some(WalTruncation::BadRecord { offset, .. }) if offset == intact),
+        "{:?}",
+        scan.truncation
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -16,7 +16,7 @@
 //! never panics), and every recovery must bring back every profile the
 //! daemon acked as stored.
 
-use cfstore::{CrashSpec, SyncPolicy};
+use cfstore::{CrashSpec, StoreOptions, SyncPolicy};
 use datagen::corpus;
 use mrjobs::jobs;
 use mrsim::{simulate, ClusterSpec, FaultSpec, JobConfig};
@@ -169,10 +169,13 @@ fn thousand_seed_daemon_sweep_under_faults_and_crashes() {
         // profile write comes next is torn at a pseudo-random offset.
         if seed % 200 == 31 {
             let budget = wal_len(&dir) + 64 + rng() % 4096;
-            let (store, _) = ProfileStore::reopen_with(
+            let (store, _) = ProfileStore::reopen_with_opts(
                 &dir,
-                SyncPolicy::EveryOp,
-                CrashSpec::after_wal_bytes(budget),
+                StoreOptions {
+                    sync: SyncPolicy::EveryOp,
+                    crash: CrashSpec::after_wal_bytes(budget),
+                    ..StoreOptions::default()
+                },
             )
             .expect("rearm reopen");
             daemon.store = store;
@@ -183,12 +186,15 @@ fn thousand_seed_daemon_sweep_under_faults_and_crashes() {
         // flush must write at least one segment and the armed crash
         // point fires on segment 0.
         if seed % 200 == 131 {
-            let (store, _) = ProfileStore::reopen_with(
+            let (store, _) = ProfileStore::reopen_with_opts(
                 &dir,
-                SyncPolicy::EveryOp,
-                CrashSpec {
-                    during_flush_segment: Some(0),
-                    ..CrashSpec::default()
+                StoreOptions {
+                    sync: SyncPolicy::EveryOp,
+                    crash: CrashSpec {
+                        during_flush_segment: Some(0),
+                        ..CrashSpec::default()
+                    },
+                    ..StoreOptions::default()
                 },
             )
             .expect("rearm reopen");
