@@ -1,6 +1,9 @@
 //! End-to-end tuning-latency report: stage-1 matcher latency (pushdown
 //! scan vs lane-vectorized columnar sweep vs the scalar reference sweep)
 //! at several store sizes, full `match_profile` latency on both paths,
+//! `put_then_match` (a `put_profile` and the match that folds its index
+//! delta in — an in-memory merge where it used to rebuild the index from
+//! three scans),
 //! segment block reads through the bounded cache (cold vs warm), put
 //! latency with inline vs background flushing, online-resharding cost
 //! (rows moved per second by a grow migration, matcher latency with a
@@ -30,6 +33,9 @@ use staticanalysis::StaticFeatures;
 use whatif::{predict_runtime_ms_unplanned, WhatIfPlan, WhatIfQuery};
 
 const STORE_SIZES: [usize; 3] = [10, 100, 1000];
+/// Sizes of the `match_profile` / `put_then_match` trajectory (DESIGN.md
+/// §17): the cost of a match, and of a write before it, against N.
+const TRAJECTORY_SIZES: [usize; 3] = [250, 1000, 4000];
 const CBO_BUDGET: usize = 120;
 
 fn cl() -> ClusterSpec {
@@ -216,6 +222,53 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)
                 candidates_per_sec: cps(p50),
             });
         }
+    }
+}
+
+/// `match_profile` and `put_then_match` at [`TRAJECTORY_SIZES`]. Each
+/// `put_then_match` iteration replaces one stored profile (so the store
+/// stays at its size) and matches: the put leaves an index delta, the
+/// match folds it in. Before the index was write-maintained the same pair
+/// rebuilt the index from three prefix scans.
+fn bench_put_then_match(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)]) {
+    let q = matcher_query();
+    let cfg = MatcherConfig::default();
+    for size in TRAJECTORY_SIZES {
+        let store = store_of(size, seeds);
+        let mut push = |op: &'static str, samples: Vec<u128>| {
+            let p50 = percentile(&samples, 0.50);
+            entries.push(Entry {
+                op,
+                variant: "columnar",
+                store_size: size,
+                p50_ns: p50,
+                p95_ns: percentile(&samples, 0.95),
+                candidates_per_sec: Some(size as f64 / (p50 as f64 * 1e-9)),
+            });
+        };
+        if !STORE_SIZES.contains(&size) {
+            let samples = sample_ns(
+                || {
+                    let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
+                },
+                20,
+                2_000,
+            );
+            push("match_profile", samples);
+        }
+        let (statics, profile) = &seeds[0];
+        let mut p = profile.clone();
+        p.job_id = format!("{}#0", p.job_id);
+        let samples = sample_ns(
+            || {
+                p.map.size_selectivity *= 1.0 + 1e-6;
+                store.put_profile(statics, &p).unwrap();
+                let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
+            },
+            20,
+            2_000,
+        );
+        push("put_then_match", samples);
     }
 }
 
@@ -682,6 +735,7 @@ fn main() {
     let seeds = seed_profiles();
     eprintln!("benchmarking matcher...");
     bench_matcher(&mut entries, &seeds);
+    bench_put_then_match(&mut entries, &seeds);
     eprintln!("benchmarking durable store...");
     let (reopen_blocks, reopen_blocks_read) = bench_store(&mut entries, &seeds);
     eprintln!("benchmarking sharded store...");
@@ -697,6 +751,8 @@ fn main() {
         / find(&entries, "matcher_stage1", "columnar", 1000);
     let stage1_p50 = find(&entries, "matcher_stage1", "columnar", 1000);
     let lane_speedup = find(&entries, "matcher_stage1", "columnar_scalar", 1000) / stage1_p50;
+    let match_at_4000 = find(&entries, "match_profile", "columnar", 4000);
+    let put_then_match_at_4000 = find(&entries, "put_then_match", "columnar", 4000);
     let put_tail_ratio = entry(&entries, "store_put", "inline_flush", 2048).p95_ns as f64
         / entry(&entries, "store_put", "background_flush", 2048).p95_ns as f64;
     let legacy_cps = entries
@@ -727,7 +783,7 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_candidates_per_sec_speedup\": {cbo_speedup:.1},\n    \"cbo_search_legacy_candidates_per_sec\": {legacy_cps:.1},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1}\n  }}\n}}\n"
+        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_candidates_per_sec_speedup\": {cbo_speedup:.1},\n    \"cbo_search_legacy_candidates_per_sec\": {legacy_cps:.1},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -739,6 +795,11 @@ fn main() {
     println!("wrote {path}");
     println!("stage-1 matcher speedup at store size 1000: {stage1_speedup:.1}x");
     println!("stage-1 lane-vectorized vs scalar sweep: {lane_speedup:.1}x");
+    println!(
+        "at store size 4000: match_profile {:.0} us, put_then_match {:.0} us",
+        match_at_4000 / 1e3,
+        put_then_match_at_4000 / 1e3
+    );
     println!("lazy reopen read {reopen_blocks_read} of {reopen_blocks} segment blocks");
     println!("put p95 inline-flush / background-flush: {put_tail_ratio:.1}x");
     println!(

@@ -5,7 +5,8 @@
 //! The first submission is a store miss (profiled and stored); the second
 //! matches the stored profile and runs CBO-tuned, so the output shows the
 //! whole instrumented surface: sampling, matcher stages, CBO rounds,
-//! simulated phase spans, store counters, and task-duration histograms.
+//! simulated phase spans, store counters, and task-duration histograms;
+//! a listing of the store then scans the one stored job.
 //! A fixed sharded-store episode (corrupt-and-heal one replica, lose and
 //! rebuild one shard) then adds the per-shard `cfstore.shard.<id>.heal.*`
 //! counters (DESIGN.md §13).
@@ -67,6 +68,8 @@ fn main() {
             .submit(&spec, &ds, seed)
             .expect("fault-free cluster must serve the submission");
     }
+    // The scenario's one scan that returns a row (see `trace_snapshot.rs`).
+    assert_eq!(daemon.store.job_ids().expect("listing"), [spec.job_id()]);
     sharded_exercise(&reg);
 
     let snap = reg.snapshot();

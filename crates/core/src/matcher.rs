@@ -310,6 +310,9 @@ struct Candidate<'a> {
     dyn_feats: &'a [f64],
     input_bytes: f64,
     statics: Option<&'a StoredStatics>,
+    /// Which of the index's distinct static-feature sets `statics` is
+    /// ([`ColumnarIndex::statics_id`]); `None` on the scan path.
+    statics_id: Option<usize>,
     /// Row in the columnar index; `None` on the scan path.
     index_row: Option<usize>,
 }
@@ -382,6 +385,7 @@ fn match_side(
                     dyn_feats,
                     input_bytes: ix.input_bytes(i),
                     statics: ix.statics(i),
+                    statics_id: ix.statics_id(i),
                     index_row: Some(i),
                 });
             }
@@ -416,6 +420,7 @@ fn match_side(
                     dyn_feats,
                     input_bytes: row.input_bytes,
                     statics: scan_statics.get(row.job_id.as_str()),
+                    statics_id: None,
                     index_row: None,
                 });
             }
@@ -450,19 +455,32 @@ fn match_side(
             }
         });
     }
-    // Ablation: the wrong filter order — prune by static features before
-    // trusting the dynamics.
-    if cfg.static_filters_first {
-        stage1.retain(|c| {
-            let Some(statics) = c.statics else {
-                return false;
-            };
+    // The static filters' verdict on a candidate: whether its CFG matches
+    // and, if so, its Jaccard similarity. It depends on the candidate's
+    // statics alone, and a store of many profiles per job holds far fewer
+    // distinct statics than rows, so it is computed once per distinct id
+    // and looked up for every other candidate that carries the id.
+    let mut verdicts: Vec<Option<Option<f64>>> =
+        vec![None; index.map_or(0, ColumnarIndex::distinct_statics)];
+    let mut static_verdict = |c: &Candidate<'_>| -> Option<f64> {
+        let statics = c.statics?;
+        let judge = || {
             let stored_side = match side {
                 Side::Map => &statics.map,
                 Side::Reduce => &statics.reduce,
             };
-            q_side.cfg_match(stored_side) == 1.0 && q_side.jaccard(stored_side) >= cfg.theta_jacc
-        });
+            (q_side.cfg_match(stored_side) == 1.0).then(|| q_side.jaccard(stored_side))
+        };
+        match c.statics_id {
+            Some(id) => *verdicts[id].get_or_insert_with(judge),
+            None => judge(),
+        }
+    };
+
+    // Ablation: the wrong filter order — prune by static features before
+    // trusting the dynamics.
+    if cfg.static_filters_first {
+        stage1.retain(|c| static_verdict(c).is_some_and(|jacc| jacc >= cfg.theta_jacc));
     }
     reg.incr("matcher.stage1.candidates_in", candidates_in as u64);
     reg.incr("matcher.stage1.survivors", stage1.len() as u64);
@@ -477,16 +495,8 @@ fn match_side(
     let mut stage2 = Vec::new();
     let mut stage3: Vec<(&Candidate<'_>, f64)> = Vec::new();
     for cand in &stage1 {
-        let Some(statics) = cand.statics else {
-            continue;
-        };
-        let stored_side = match side {
-            Side::Map => &statics.map,
-            Side::Reduce => &statics.reduce,
-        };
-        if q_side.cfg_match(stored_side) == 1.0 {
+        if let Some(jacc) = static_verdict(cand) {
             stage2.push(cand);
-            let jacc = q_side.jaccard(stored_side);
             if jacc >= cfg.theta_jacc {
                 stage3.push((cand, jacc));
             }

@@ -21,13 +21,21 @@
 //! key it reads or writes, so each tenant sees a private copy of the
 //! table above. The default tenant's prefix is empty — single-tenant
 //! callers keep the exact legacy key layout, bit for bit.
+//!
+//! What the matcher asks on every submission — is the store empty, the
+//! normalization bounds, the [`ColumnarIndex`] — is answered from one
+//! in-memory state per namespace, shared by all views of the tenant, built
+//! by scan once and kept current by the namespace's own writes
+//! (DESIGN.md §17). A match reads the table only for the profiles it
+//! returns.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use cfstore::encoding::{decode_f64, decode_f64_vec, encode_f64, encode_f64_vec};
 use cfstore::{
@@ -55,6 +63,8 @@ pub const MAP_DYNAMIC_COLUMNS: [&str; 4] = [
 pub const RED_DYNAMIC_COLUMNS: [&str; 2] = ["RED_SIZE_SEL", "RED_PAIRS_SEL"];
 const INPUT_BYTES_COLUMN: &str = "INPUT_BYTES";
 const HAS_REDUCE_COLUMN: &str = "HAS_REDUCE";
+const MAP_CFG_COLUMN: &str = "MAP_CFG";
+const RED_CFG_COLUMN: &str = "RED_CFG";
 
 /// Errors from the profile store.
 #[derive(Debug)]
@@ -113,7 +123,7 @@ pub struct StoredEntry {
 }
 
 /// Static features as stored (categorical vectors + decoded CFGs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredStatics {
     pub map: SideFeatures,
     pub reduce: SideFeatures,
@@ -216,10 +226,129 @@ impl Backend {
     }
 }
 
+/// What every view of one backing store shares: the backend and one
+/// [`Namespace`] per tenant prefix, so two views of the same tenant see —
+/// and maintain — the same bounds and the same index (DESIGN.md §17).
+struct Shared {
+    backend: Backend,
+    namespaces: Mutex<HashMap<String, Arc<Namespace>>>,
+}
+
+impl Shared {
+    fn namespace(&self, ns: &str) -> Arc<Namespace> {
+        Arc::clone(self.namespaces.lock().entry(ns.to_string()).or_default())
+    }
+}
+
+/// The in-memory state of one row-key namespace: the decoded
+/// `Meta/normalization` row and the columnar index, both kept current by
+/// the namespace's own writes rather than re-read after them.
+#[derive(Default)]
+struct Namespace {
+    /// Serializes the namespace's writers — the bounds read-modify-write,
+    /// the batch, and the delta it leaves in `cache` are one critical
+    /// section — and the scans that load `cache` from the backend.
+    /// Always taken before `cache`, never while holding it.
+    write: Mutex<()>,
+    cache: RwLock<NsCache>,
+}
+
+impl Namespace {
+    /// Forget everything: the next reader loads from the backend again.
+    /// Called when a write fails, because a batch that was not
+    /// acknowledged may still have reached some rows.
+    fn invalidate(&self) {
+        *self.cache.write() = NsCache::default();
+    }
+}
+
+#[derive(Default)]
+struct NsCache {
+    /// `None` until first read from the backend.
+    bounds: Option<NormalizationBounds>,
+    /// The last snapshot; `None` until first built by scan. While it is
+    /// `None` writes record no deltas: the scan will see their rows.
+    index: Option<Arc<ColumnarIndex>>,
+    /// What acknowledged writes changed since `index`, in the order they
+    /// were acknowledged: a job id and what `put_profile` wrote for it, or
+    /// `None` for a `delete_job`. A write only appends here; everything
+    /// else about a delta is worked out when a reader folds them in.
+    pending: Vec<(Arc<str>, Option<WrittenRow>)>,
+}
+
+/// What one `put_profile` batch wrote, as far as the index cares.
+struct WrittenRow {
+    /// `statics` is still `None`: it depends on what the row held before.
+    row: IndexRow,
+    /// The `Static/` cells of the batch, in write order.
+    static_cells: Vec<(Bytes, Bytes)>,
+}
+
+impl NsCache {
+    /// Note an acknowledged write, if there is a snapshot to keep current
+    /// (the return value).
+    fn record(&mut self, job_id: &str, written: Option<WrittenRow>) -> bool {
+        if self.index.is_some() {
+            self.pending.push((Arc::from(job_id), written));
+        }
+        self.index.is_some()
+    }
+
+    /// The current snapshot, with the pending deltas folded into a new one
+    /// first if there are any; `None` while no index has been built. Reads
+    /// no store row.
+    fn fold_pending(&mut self) -> Option<Arc<ColumnarIndex>> {
+        let index = Arc::clone(self.index.as_ref()?);
+        if self.pending.is_empty() {
+            return Some(index);
+        }
+        // By job id: a later write to a job replaces the earlier delta,
+        // and the merge wants key order.
+        let mut deltas: BTreeMap<Arc<str>, Option<IndexRow>> = BTreeMap::new();
+        for (job_id, written) in std::mem::take(&mut self.pending) {
+            let row = written.map(
+                |WrittenRow {
+                     mut row,
+                     static_cells,
+                 }| {
+                    // A put rewrites columns; the ones it left out keep the
+                    // value the job's row had, in the table and so here.
+                    let held = match deltas.get(&job_id) {
+                        Some(delta) => delta.as_ref().and_then(|r| r.statics.as_ref()),
+                        None => index
+                            .find(&job_id)
+                            .and_then(|r| index.statics_entry(r))
+                            .map(|e| &e.cells),
+                    };
+                    row.statics = Some(overlay_cells(
+                        held.map_or(&[], |cells| &cells[..]),
+                        static_cells,
+                    ));
+                    row
+                },
+            );
+            deltas.insert(job_id, row);
+        }
+        match index.merged(&deltas) {
+            Ok(merged) => {
+                let merged = Arc::new(merged);
+                self.index = Some(Arc::clone(&merged));
+                Some(merged)
+            }
+            // Cells the table accepted that do not decode: a scan would
+            // refuse them too. Start over and let it.
+            Err(_) => {
+                *self = NsCache::default();
+                None
+            }
+        }
+    }
+}
+
 /// The PStorM profile store.
 pub struct ProfileStore {
     /// Shared with every [`Self::tenant_view`] of the same backing store.
-    store: Arc<Backend>,
+    shared: Arc<Shared>,
     /// Row-key namespace prefix: `""` for the default tenant (legacy
     /// layout), `t/<tenant>/` otherwise. Every key this store builds and
     /// every prefix it scans goes through [`Self::key`] / [`Self::pfx`],
@@ -229,12 +358,10 @@ pub struct ProfileStore {
     /// ([`cfstore::encoding::DEFAULT_TENANT`] unless created by
     /// [`Self::tenant_view`]).
     tenant: String,
-    /// Columnar in-memory projection of the numeric feature rows, rebuilt
-    /// lazily after writes. Per-view: each tenant view caches only its
-    /// own namespace. See [`ColumnarIndex`].
-    index: RwLock<Option<Arc<ColumnarIndex>>>,
-    /// Decoded `Meta/normalization` row, invalidated on every insert.
-    bounds_cache: RwLock<Option<NormalizationBounds>>,
+    /// `shared.namespace(ns)`: the normalization bounds and the
+    /// [`ColumnarIndex`] of this view's namespace, shared with every other
+    /// view of the same tenant.
+    state: Arc<Namespace>,
     /// Observability registry ([`obs::Registry::disabled`] by default);
     /// the matcher reads it through [`ProfileStore::obs`] so one enabled
     /// registry covers the whole store + matcher path.
@@ -246,14 +373,25 @@ impl ProfileStore {
     pub fn new() -> Result<Self, ProfileStoreError> {
         let store = Backend::Single(MiniStore::new());
         store.create_table(TABLE, &[FAMILY])?;
-        Ok(ProfileStore {
-            store: Arc::new(store),
+        Ok(Self::default_view(store))
+    }
+
+    fn default_view(backend: Backend) -> ProfileStore {
+        let shared = Arc::new(Shared {
+            backend,
+            namespaces: Mutex::new(HashMap::new()),
+        });
+        ProfileStore {
+            state: shared.namespace(""),
+            shared,
             ns: String::new(),
             tenant: cfstore::encoding::DEFAULT_TENANT.to_string(),
-            index: RwLock::new(None),
-            bounds_cache: RwLock::new(None),
             obs: obs::Registry::disabled(),
-        })
+        }
+    }
+
+    fn backend(&self) -> &Backend {
+        &self.shared.backend
     }
 
     /// Open (or create) a durable store at `dir`, running crash recovery
@@ -309,14 +447,7 @@ impl ProfileStore {
             Ok(()) | Err(StoreError::TableExists(_)) => {}
             Err(e) => return Err(e.into()),
         }
-        let ps = ProfileStore {
-            store: Arc::new(store),
-            ns: String::new(),
-            tenant: cfstore::encoding::DEFAULT_TENANT.to_string(),
-            index: RwLock::new(None),
-            bounds_cache: RwLock::new(None),
-            obs: obs::Registry::disabled(),
-        };
+        let ps = Self::default_view(store);
         // The first matcher query must not pay the rebuild; surface any
         // half-recovered row inconsistency now rather than mid-match.
         ps.columnar_index()?;
@@ -327,19 +458,18 @@ impl ProfileStore {
     /// it builds is namespaced under the tenant's prefix, so the matcher,
     /// columnar index, and normalization bounds running on the view see
     /// **only** that tenant's rows (DESIGN.md §14). Views share the
-    /// backend (and its WAL/segments/shards) but carry their own index
-    /// and bounds caches; create one view per tenant and route all of
-    /// that tenant's traffic through it. Viewing
-    /// [`cfstore::encoding::DEFAULT_TENANT`] yields the legacy key layout
-    /// unchanged.
+    /// backend (and its WAL/segments/shards), and all views of one tenant
+    /// share that tenant's index and bounds (DESIGN.md §17): a profile put
+    /// through one is matched through any other, and a view is cheap to
+    /// make and to drop. Viewing [`cfstore::encoding::DEFAULT_TENANT`]
+    /// yields the legacy key layout unchanged.
     pub fn tenant_view(&self, tenant: &str) -> Result<ProfileStore, ProfileStoreError> {
         let ns = cfstore::encoding::tenant_prefix(tenant)?;
         Ok(ProfileStore {
-            store: Arc::clone(&self.store),
+            state: self.shared.namespace(&ns),
+            shared: Arc::clone(&self.shared),
             ns,
             tenant: tenant.to_string(),
-            index: RwLock::new(None),
-            bounds_cache: RwLock::new(None),
             obs: self.obs.clone(),
         })
     }
@@ -375,18 +505,18 @@ impl ProfileStore {
     /// in-memory stores). Puts since the last flush survive crashes via
     /// the WAL either way; flushing bounds WAL replay length.
     pub fn flush(&self) -> Result<(), ProfileStoreError> {
-        Ok(self.store.flush()?)
+        Ok(self.backend().flush()?)
     }
 
     /// Whether this store is backed by a directory.
     pub fn is_durable(&self) -> bool {
-        self.store.is_durable()
+        self.backend().is_durable()
     }
 
     /// Whether an injected crash point has poisoned the underlying store
     /// (every further durable operation fails fast until [`Self::reopen`]).
     pub fn is_crashed(&self) -> bool {
-        self.store.is_crashed()
+        self.backend().is_crashed()
     }
 
     /// Route this store's (and the underlying [`MiniStore`]'s) metrics
@@ -398,8 +528,8 @@ impl ProfileStore {
     /// whatever registry they already had (only this view's `store.*`
     /// counters are redirected).
     pub fn set_obs(&mut self, reg: obs::Registry) {
-        if let Some(store) = Arc::get_mut(&mut self.store) {
-            store.set_obs(reg.clone());
+        if let Some(shared) = Arc::get_mut(&mut self.shared) {
+            shared.backend.set_obs(reg.clone());
         }
         self.obs = reg;
     }
@@ -418,7 +548,7 @@ impl ProfileStore {
     /// tenant's copy of the row.
     pub fn corrupt_cell(&self, row: &[u8], column: &[u8]) -> Result<bool, ProfileStoreError> {
         let full = [self.ns.as_bytes(), row].concat();
-        Ok(self.store.corrupt_cell(TABLE, &full, FAMILY, column)?)
+        Ok(self.backend().corrupt_cell(TABLE, &full, FAMILY, column)?)
     }
 
     /// Insert (or replace) a job's profile and features, maintaining the
@@ -465,50 +595,43 @@ impl ProfileStore {
         let mut puts: Vec<Put> = Vec::new();
 
         // Static/<job>: categorical features + CFG cells.
-        let static_key = self.key("Static", job_id);
-        for (name, value) in statics
+        let mut static_cells: Vec<(Bytes, Bytes)> = statics
             .map
             .categorical
             .iter()
             .chain(&statics.reduce.categorical)
-        {
-            puts.push(Put::new(
-                static_key.clone(),
-                FAMILY,
-                Bytes::copy_from_slice(name.as_bytes()),
-                Bytes::copy_from_slice(value.as_bytes()),
-            ));
-        }
+            .map(|(name, value)| {
+                (
+                    Bytes::copy_from_slice(name.as_bytes()),
+                    Bytes::copy_from_slice(value.as_bytes()),
+                )
+            })
+            .collect();
         if let Some(cfg) = &statics.map.cfg {
-            puts.push(Put::new(
-                static_key.clone(),
-                FAMILY,
-                "MAP_CFG",
-                encode_cfg(cfg),
-            ));
+            static_cells.push((Bytes::from(MAP_CFG_COLUMN), encode_cfg(cfg)));
         }
         if let Some(cfg) = &statics.reduce.cfg {
+            static_cells.push((Bytes::from(RED_CFG_COLUMN), encode_cfg(cfg)));
+        }
+        let static_key = self.key("Static", job_id);
+        for (column, value) in &static_cells {
             puts.push(Put::new(
                 static_key.clone(),
                 FAMILY,
-                "RED_CFG",
-                encode_cfg(cfg),
+                column.clone(),
+                value.clone(),
             ));
         }
 
         // Dynamic/<job>: dataflow statistics + input size + reduce flag.
         let dynamic_key = self.key("Dynamic", job_id);
         let map_dyn = profile.map.dynamic_features();
+        let red_dyn = profile.reduce.as_ref().map(|r| r.dynamic_features());
         for (name, v) in MAP_DYNAMIC_COLUMNS.iter().zip(&map_dyn) {
             puts.push(f64_put(dynamic_key.clone(), name, *v));
         }
-        if let Some(red) = &profile.reduce {
-            for (name, v) in RED_DYNAMIC_COLUMNS
-                .iter()
-                .zip(red.dynamic_features().iter())
-            {
-                puts.push(f64_put(dynamic_key.clone(), name, *v));
-            }
+        for (name, v) in RED_DYNAMIC_COLUMNS.iter().zip(red_dyn.iter().flatten()) {
+            puts.push(f64_put(dynamic_key.clone(), name, *v));
         }
         puts.push(f64_put(
             dynamic_key.clone(),
@@ -523,11 +646,9 @@ impl ProfileStore {
 
         // CostFactor/<job>.
         let cost_key = self.key("CostFactor", job_id);
-        for (name, v) in CostFactors::names()
-            .iter()
-            .zip(profile.map.cost_factors.as_vec())
-        {
-            puts.push(f64_put(cost_key.clone(), name, v));
+        let cost = profile.map.cost_factors.as_vec();
+        for (name, v) in CostFactors::names().iter().zip(&cost) {
+            puts.push(f64_put(cost_key.clone(), name, *v));
         }
 
         // Profile/<job>: the full blob.
@@ -538,16 +659,15 @@ impl ProfileStore {
             encode_profile(profile),
         ));
 
-        // Meta/normalization: extend min/max bounds.
-        let mut bounds = self.normalization_bounds()?;
-        let red_dyn = profile
-            .reduce
-            .as_ref()
-            .map(|r| r.dynamic_features())
-            .unwrap_or_else(|| vec![1.0, 1.0]);
-        let cost = profile.map.cost_factors.as_vec();
+        // Meta/normalization: extend min/max bounds. From reading them to
+        // publishing what was written, no other writer of this namespace
+        // — through this view or any other — gets in between.
+        let _writer = self.state.write.lock();
+        let mut bounds = self.bounds_locked()?;
         bounds.map_dyn.observe(&map_dyn);
-        bounds.red_dyn.observe(&red_dyn);
+        bounds
+            .red_dyn
+            .observe(red_dyn.as_deref().unwrap_or(&[1.0, 1.0]));
         bounds.cost.observe(&cost);
         let meta_key = self.meta_key();
         puts.push(Put::new(
@@ -569,30 +689,59 @@ impl ProfileStore {
             encode_bounds(&bounds.cost),
         ));
 
-        self.store.put_batch(TABLE, puts)?;
+        if let Err(e) = self.backend().put_batch(TABLE, puts) {
+            self.state.invalidate();
+            return Err(e.into());
+        }
 
-        // Caches update only after the batch is acknowledged, so a torn
-        // (never-acked) write leaves both consistent with the table.
-        *self.bounds_cache.write() = Some(bounds);
-        *self.index.write() = None;
+        // The caches follow only an acknowledged batch: its bounds, and
+        // the index row a scan of its cells would decode.
+        let mut cache = self.state.cache.write();
+        cache.bounds = Some(bounds);
+        let written = WrittenRow {
+            row: IndexRow {
+                map_dyn,
+                red_dyn,
+                input_bytes: profile.input_bytes,
+                cost,
+                statics: None,
+            },
+            static_cells,
+        };
+        if cache.record(job_id, Some(written)) {
+            self.obs.incr("store.index_deltas", 1);
+        }
         Ok(())
     }
 
     /// The current min/max normalization bounds (identity bounds when the
-    /// store is empty). Served from an in-memory cache kept in sync with
-    /// the `Meta/normalization` row; the matcher reads the bounds on every
-    /// submission and must not pay a decode for it.
+    /// store is empty). Served from the namespace's in-memory copy of the
+    /// `Meta/normalization` row, which every `put_profile` — through any
+    /// view of the tenant — updates as it writes the row; the matcher
+    /// reads the bounds on every submission and must not pay a decode for
+    /// it.
     pub fn normalization_bounds(&self) -> Result<NormalizationBounds, ProfileStoreError> {
-        if let Some(bounds) = self.bounds_cache.read().as_ref() {
+        if let Some(bounds) = self.state.cache.read().bounds.as_ref() {
+            return Ok(bounds.clone());
+        }
+        let _writer = self.state.write.lock();
+        self.bounds_locked()
+    }
+
+    /// [`Self::normalization_bounds`] for a caller that holds the
+    /// namespace's write lock, so no batch is in flight while the row is
+    /// read.
+    fn bounds_locked(&self) -> Result<NormalizationBounds, ProfileStoreError> {
+        if let Some(bounds) = self.state.cache.read().bounds.as_ref() {
             return Ok(bounds.clone());
         }
         let bounds = self.read_normalization_bounds()?;
-        *self.bounds_cache.write() = Some(bounds.clone());
+        self.state.cache.write().bounds = Some(bounds.clone());
         Ok(bounds)
     }
 
     fn read_normalization_bounds(&self) -> Result<NormalizationBounds, ProfileStoreError> {
-        let row = self.store.get(TABLE, self.meta_key().as_ref())?;
+        let row = self.backend().get(TABLE, self.meta_key().as_ref())?;
         let decode = |row: &RowResult,
                       col: &str,
                       dim: usize|
@@ -620,7 +769,7 @@ impl ProfileStore {
     pub fn get_profile(&self, job_id: &str) -> Result<Option<JobProfile>, ProfileStoreError> {
         self.obs.incr("store.get_profile", 1);
         let row = self
-            .store
+            .backend()
             .get(TABLE, self.key("Profile", job_id).as_ref())?;
         match row {
             Some(row) => {
@@ -635,16 +784,26 @@ impl ProfileStore {
 
     /// Delete every row of a job (profile eviction). The normalization
     /// bounds are monotone and deliberately not shrunk (matching the
-    /// paper's store), so only the columnar index needs invalidation.
+    /// paper's store), so only the columnar index follows the delete.
+    ///
+    /// `Dynamic/<job>` goes first: it is the row the index — and so
+    /// [`Self::len`] and the matcher — is built from, and `Profile/<job>`
+    /// goes last, so a delete cut short between rows leaves a job that no
+    /// match can name rather than a match whose profile is gone. Deleting
+    /// the job again removes what was left.
     pub fn delete_job(&self, job_id: &str) -> Result<bool, ProfileStoreError> {
-        let mut any = false;
-        for prefix in ["Static", "Dynamic", "CostFactor", "Profile"] {
-            any |= self
-                .store
-                .delete_row(TABLE, self.key(prefix, job_id).as_ref())?;
+        let _writer = self.state.write.lock();
+        let delete = |feature: &str| {
+            self.backend()
+                .delete_row(TABLE, self.key(feature, job_id).as_ref())
+                .inspect_err(|_| self.state.invalidate())
+        };
+        let mut any = delete("Dynamic")?;
+        if any && self.state.cache.write().record(job_id, None) {
+            self.obs.incr("store.index_deltas", 1);
         }
-        if any {
-            *self.index.write() = None;
+        for feature in ["Static", "CostFactor", "Profile"] {
+            any |= delete(feature)?;
         }
         Ok(any)
     }
@@ -652,7 +811,7 @@ impl ProfileStore {
     /// All stored job ids (scans the `Profile/` prefix).
     pub fn job_ids(&self) -> Result<Vec<String>, ProfileStoreError> {
         let (rows, _) = self
-            .store
+            .backend()
             .scan(TABLE, &Scan::prefix(&self.pfx("Profile")))?;
         let skip = self.skip("Profile");
         rows.iter()
@@ -664,12 +823,15 @@ impl ProfileStore {
             .collect()
     }
 
-    /// Number of stored profiles.
+    /// Number of stored profiles: the jobs in the [`ColumnarIndex`], that
+    /// is, the jobs with a `Dynamic/` row — the ones a match can return.
+    /// Answered from the index without reading a row; it differs from
+    /// `job_ids().len()` only for a job whose delete was cut short.
     pub fn len(&self) -> Result<usize, ProfileStoreError> {
-        Ok(self.job_ids()?.len())
+        Ok(self.columnar_index()?.len())
     }
 
-    /// Whether the store is empty.
+    /// Whether the store is empty (see [`Self::len`]).
     pub fn is_empty(&self) -> Result<bool, ProfileStoreError> {
         Ok(self.len()? == 0)
     }
@@ -690,7 +852,7 @@ impl ProfileStore {
                     None => false,
                 },
             }));
-        let (rows, metrics) = self.store.scan(TABLE, &scan)?;
+        let (rows, metrics) = self.backend().scan(TABLE, &scan)?;
         let parsed = rows
             .iter()
             .filter_map(|r| DynamicRow::parse(r, skip))
@@ -700,10 +862,13 @@ impl ProfileStore {
 
     /// Fetch a job's stored static features.
     pub fn get_statics(&self, job_id: &str) -> Result<Option<StoredStatics>, ProfileStoreError> {
-        let Some(row) = self.store.get(TABLE, self.key("Static", job_id).as_ref())? else {
+        let Some(row) = self
+            .backend()
+            .get(TABLE, self.key("Static", job_id).as_ref())?
+        else {
             return Ok(None);
         };
-        Ok(Some(decode_statics(&row)?))
+        Ok(Some(decode_statics(&static_cells_of(&row))?))
     }
 
     /// Fetch the static features of *every* stored job with a single
@@ -711,12 +876,14 @@ impl ProfileStore {
     /// [`Self::get_statics`] point-gets when a matching stage needs most
     /// of the table anyway.
     pub fn all_statics(&self) -> Result<HashMap<String, StoredStatics>, ProfileStoreError> {
-        let (rows, _) = self.store.scan(TABLE, &Scan::prefix(&self.pfx("Static")))?;
+        let (rows, _) = self
+            .backend()
+            .scan(TABLE, &Scan::prefix(&self.pfx("Static")))?;
         let skip = self.skip("Static");
         rows.iter()
             .map(|row| {
                 let id = job_id_of(&row.row, skip)?;
-                Ok((id, decode_statics(row)?))
+                Ok((id, decode_statics(&static_cells_of(row))?))
             })
             .collect()
     }
@@ -724,7 +891,7 @@ impl ProfileStore {
     /// Fetch a job's cost-factor vector.
     pub fn get_cost_factors(&self, job_id: &str) -> Result<Option<Vec<f64>>, ProfileStoreError> {
         let Some(row) = self
-            .store
+            .backend()
             .get(TABLE, self.key("CostFactor", job_id).as_ref())?
         else {
             return Ok(None);
@@ -736,7 +903,7 @@ impl ProfileStore {
     /// `CostFactor/` prefix scan (batched alternative to point-gets).
     pub fn all_cost_factors(&self) -> Result<HashMap<String, Vec<f64>>, ProfileStoreError> {
         let (rows, _) = self
-            .store
+            .backend()
             .scan(TABLE, &Scan::prefix(&self.pfx("CostFactor")))?;
         let skip = self.skip("CostFactor");
         rows.iter()
@@ -748,42 +915,71 @@ impl ProfileStore {
             .collect()
     }
 
-    /// The columnar projection of the store's numeric feature rows,
-    /// rebuilding it first if a write invalidated it. The returned `Arc`
-    /// stays valid (a consistent snapshot) even if the store is written
-    /// afterwards.
+    /// The columnar projection of the namespace's feature rows. Built by
+    /// scan once — at open, or on first use of a tenant's namespace — and
+    /// from then on kept current by the writes themselves: each
+    /// acknowledged `put_profile` and `delete_job`, through any view of
+    /// the tenant, leaves a row delta, and this call folds the pending
+    /// deltas into a new snapshot without reading the backend. The
+    /// returned `Arc` is immutable: it stays a consistent snapshot of the
+    /// moment it was returned whatever is written afterwards.
     pub fn columnar_index(&self) -> Result<Arc<ColumnarIndex>, ProfileStoreError> {
-        if let Some(index) = self.index.read().as_ref() {
-            self.obs.incr("store.index_hits", 1);
-            return Ok(index.clone());
+        let ns = &*self.state;
+        {
+            let cache = ns.cache.read();
+            if let (Some(index), true) = (&cache.index, cache.pending.is_empty()) {
+                self.obs.incr("store.index_hits", 1);
+                return Ok(Arc::clone(index));
+            }
+        }
+        if let Some(index) = self.fold_pending() {
+            return Ok(index);
+        }
+        // Never built (or dropped by a failed write): scan, with the
+        // namespace's writers held off so that no row is both scanned and
+        // recorded as a delta. Another view may have got here first.
+        let _writer = ns.write.lock();
+        if let Some(index) = self.fold_pending() {
+            return Ok(index);
         }
         let index = Arc::new(self.build_columnar_index()?);
-        *self.index.write() = Some(index.clone());
+        ns.cache.write().index = Some(Arc::clone(&index));
         self.obs.incr("store.index_rebuilds", 1);
         Ok(index)
     }
 
-    fn build_columnar_index(&self) -> Result<ColumnarIndex, ProfileStoreError> {
-        let (dyn_rows, _) = self
-            .store
-            .scan(TABLE, &Scan::prefix(&self.pfx("Dynamic")))?;
-        let skip = self.skip("Dynamic");
-        let mut statics = self.all_statics()?;
+    fn fold_pending(&self) -> Option<Arc<ColumnarIndex>> {
+        let mut cache = self.state.cache.write();
+        let merged = !cache.pending.is_empty();
+        let index = cache.fold_pending()?;
+        drop(cache);
+        let counter = if merged {
+            "store.index_merges"
+        } else {
+            "store.index_hits"
+        };
+        self.obs.incr(counter, 1);
+        Some(index)
+    }
+
+    /// Build the index from scans of the namespace's `Dynamic/`,
+    /// `Static/` and `CostFactor/` rows, touching no cached state: what
+    /// [`Self::columnar_index`] does once per open, and the oracle the
+    /// maintained index is tested against (it must equal this, `==`).
+    pub fn build_columnar_index(&self) -> Result<ColumnarIndex, ProfileStoreError> {
+        let scan = |feature: &str| {
+            self.backend()
+                .scan(TABLE, &Scan::prefix(&self.pfx(feature)))
+        };
+        let (dyn_rows, _) = scan("Dynamic")?;
+        let (static_rows, _) = scan("Static")?;
+        let skip = self.skip("Static");
+        let static_rows: HashMap<&[u8], &RowResult> =
+            static_rows.iter().map(|r| (&r.row[skip..], r)).collect();
         let mut costs = self.all_cost_factors()?;
 
-        let n = dyn_rows.len();
-        let cost_dims = CostFactors::names().len();
-        let mut index = ColumnarIndex {
-            job_ids: Vec::with_capacity(n),
-            map_dyn: Vec::with_capacity(n * MAP_DYNAMIC_COLUMNS.len()),
-            red_dyn: Vec::with_capacity(n * RED_DYNAMIC_COLUMNS.len()),
-            map_lanes: LaneMatrix::empty(MAP_DYNAMIC_COLUMNS.len()),
-            red_lanes: LaneMatrix::empty(RED_DYNAMIC_COLUMNS.len()),
-            has_reduce: Vec::with_capacity(n),
-            cost: Vec::with_capacity(n * cost_dims),
-            input_bytes: Vec::with_capacity(n),
-            statics: Vec::with_capacity(n),
-        };
+        let skip = self.skip("Dynamic");
+        let mut builder = IndexBuilder::new(dyn_rows.len(), None);
         for row in &dyn_rows {
             let parsed = DynamicRow::parse(row, skip).ok_or_else(|| {
                 ProfileStoreError::Corrupt(format!(
@@ -794,34 +990,28 @@ impl ProfileStore {
             let cost = costs.remove(&parsed.job_id).ok_or_else(|| {
                 ProfileStoreError::Corrupt(format!("no CostFactor row for {}", parsed.job_id))
             })?;
-            index.map_dyn.extend_from_slice(&parsed.map_dyn);
-            match &parsed.red_dyn {
-                Some(red) => {
-                    index.red_dyn.extend_from_slice(red);
-                    index.has_reduce.push(true);
-                }
-                None => {
-                    index
-                        .red_dyn
-                        .extend(std::iter::repeat_n(0.0, RED_DYNAMIC_COLUMNS.len()));
-                    index.has_reduce.push(false);
-                }
-            }
-            index.cost.extend_from_slice(&cost);
-            index.input_bytes.push(parsed.input_bytes);
-            index.statics.push(statics.remove(&parsed.job_id));
-            index.job_ids.push(parsed.job_id);
+            let statics = static_rows
+                .get(parsed.job_id.as_bytes())
+                .map(|row| static_cells_of(row));
+            builder.push(
+                Arc::from(parsed.job_id),
+                &IndexRow {
+                    map_dyn: parsed.map_dyn,
+                    red_dyn: parsed.red_dyn,
+                    input_bytes: parsed.input_bytes,
+                    cost,
+                    statics,
+                },
+            )?;
         }
-        index.map_lanes = LaneMatrix::from_row_major(&index.map_dyn, MAP_DYNAMIC_COLUMNS.len(), n);
-        index.red_lanes = LaneMatrix::from_row_major(&index.red_dyn, RED_DYNAMIC_COLUMNS.len(), n);
-        Ok(index)
+        Ok(builder.finish())
     }
 
     /// The underlying HBase (diagnostics and benches). Only available
     /// on single-store backends; sharded stores have no single inner
     /// [`MiniStore`] — use [`Self::sharded`] instead.
     pub fn inner(&self) -> &MiniStore {
-        match &*self.store {
+        match self.backend() {
             Backend::Single(s) => s,
             Backend::Sharded(_) => {
                 panic!("ProfileStore::inner() on a sharded backend; use sharded()")
@@ -832,7 +1022,7 @@ impl ProfileStore {
     /// The underlying sharded store, when this store was opened with
     /// [`Self::reopen_sharded`] (`None` for single-store backends).
     pub fn sharded(&self) -> Option<&ShardedStore> {
-        match &*self.store {
+        match self.backend() {
             Backend::Sharded(s) => Some(s),
             Backend::Single(_) => None,
         }
@@ -873,14 +1063,14 @@ impl ProfileStore {
         if !self.ns.is_empty() {
             put.row = Bytes::from([self.ns.as_bytes(), put.row.as_ref()].concat());
         }
-        Ok(self.store.put(TABLE, put)?)
+        Ok(self.backend().put(TABLE, put)?)
     }
 
     /// Backend-routed raw row get from the `Jobs` table
     /// (namespace-relative, like [`Self::raw_put`]).
     pub(crate) fn raw_get(&self, row: &[u8]) -> Result<Option<RowResult>, ProfileStoreError> {
         let full = [self.ns.as_bytes(), row].concat();
-        Ok(self.store.get(TABLE, &full)?)
+        Ok(self.backend().get(TABLE, &full)?)
     }
 }
 
@@ -901,7 +1091,7 @@ pub const SWEEP_LANES: usize = 8;
 /// [`MinMaxNormalizer::distance`]; only the loop nest is interchanged, so
 /// survivor sets are bit-identical (property-tested against the scan
 /// oracle in `tests/tests/property_columnar.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct LaneMatrix {
     dims: usize,
     len: usize,
@@ -991,9 +1181,9 @@ impl LaneMatrix {
 /// instead of per-job point-gets. The [`MiniStore`] scan path remains the
 /// oracle: property tests assert both produce identical stage-1 survivor
 /// sets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarIndex {
-    job_ids: Vec<String>,
+    job_ids: Vec<Arc<str>>,
     /// Row-major `len() x MAP_DYNAMIC_COLUMNS.len()`.
     map_dyn: Vec<f64>,
     /// Row-major `len() x RED_DYNAMIC_COLUMNS.len()`; zero-padded for
@@ -1007,10 +1197,254 @@ pub struct ColumnarIndex {
     /// Row-major `len() x CostFactors::names().len()`.
     cost: Vec<f64>,
     input_bytes: Vec<f64>,
-    statics: Vec<Option<StoredStatics>>,
+    /// Per row, an id into `statics`; [`NO_STATICS`] for a job without a
+    /// `Static/` row.
+    statics_id: Vec<u32>,
+    /// The distinct static features of the rows, numbered in order of
+    /// first appearance — so the table, like every other field, is a
+    /// function of the rows alone, however the index came to hold them.
+    statics: Arc<StaticsTable>,
+}
+
+/// `statics_id` of a row whose job has no `Static/` row.
+const NO_STATICS: u32 = u32::MAX;
+
+/// The raw cells of one `Static/` row, `(column, value)` sorted by column:
+/// what static features are interned on. Jobs of one program share them
+/// byte for byte, so a store of many profiles per job decodes — and the
+/// matcher compares — each distinct CFG once.
+type StaticCells = Arc<[(Bytes, Bytes)]>;
+
+#[derive(Debug, PartialEq)]
+struct StaticsEntry {
+    cells: StaticCells,
+    decoded: StoredStatics,
+}
+
+#[derive(Debug, Default, PartialEq)]
+struct StaticsTable {
+    entries: Vec<Arc<StaticsEntry>>,
+    ids: HashMap<StaticCells, u32>,
+}
+
+impl StaticsTable {
+    fn new(entries: Vec<Arc<StaticsEntry>>) -> StaticsTable {
+        let ids = entries
+            .iter()
+            .enumerate()
+            .map(|(id, e)| (e.cells.clone(), id as u32))
+            .collect();
+        StaticsTable { entries, ids }
+    }
+}
+
+/// The cells of a scanned `Static/` row (a row's columns come sorted).
+fn static_cells_of(row: &RowResult) -> StaticCells {
+    row.columns(FAMILY)
+        .into_iter()
+        .map(|(c, v)| (c.clone(), v.clone()))
+        .collect()
+}
+
+/// The cells a `Static/` row holds after a batch wrote `written` over
+/// `held`: every written column replaces its old value (the last write of
+/// a column wins), every other column stays.
+fn overlay_cells(held: &[(Bytes, Bytes)], written: Vec<(Bytes, Bytes)>) -> StaticCells {
+    let mut cells: BTreeMap<Bytes, Bytes> = held.iter().cloned().collect();
+    cells.extend(written);
+    cells.into_iter().collect()
+}
+
+/// One job's row of the index, decoded: what a scan of its `Dynamic/`,
+/// `CostFactor/` and `Static/` rows yields, and what an acknowledged write
+/// leaves behind as a delta.
+#[derive(Debug)]
+struct IndexRow {
+    map_dyn: Vec<f64>,
+    red_dyn: Option<Vec<f64>>,
+    input_bytes: f64,
+    cost: Vec<f64>,
+    /// The job's `Static/` cells, if it has the row.
+    statics: Option<StaticCells>,
+}
+
+/// Appends rows in key order — decoded ones, or runs of an existing
+/// index's rows — renumbering static features by first appearance.
+struct IndexBuilder<'a> {
+    out: ColumnarIndex,
+    /// The table of the index rows are copied from.
+    base: Option<&'a Arc<StaticsTable>>,
+    /// `base` id → id in `entries`, [`NO_STATICS`] until first carried.
+    remap: Vec<u32>,
+    entries: Vec<Arc<StaticsEntry>>,
+    /// Ids of the entries that `base` does not hold.
+    fresh: HashMap<StaticCells, u32>,
+}
+
+impl<'a> IndexBuilder<'a> {
+    fn new(rows: usize, base: Option<&'a Arc<StaticsTable>>) -> Self {
+        IndexBuilder {
+            out: ColumnarIndex {
+                job_ids: Vec::with_capacity(rows),
+                map_dyn: Vec::with_capacity(rows * MAP_DYNAMIC_COLUMNS.len()),
+                red_dyn: Vec::with_capacity(rows * RED_DYNAMIC_COLUMNS.len()),
+                has_reduce: Vec::with_capacity(rows),
+                cost: Vec::with_capacity(rows * CostFactors::names().len()),
+                input_bytes: Vec::with_capacity(rows),
+                statics_id: Vec::with_capacity(rows),
+                ..ColumnarIndex::default()
+            },
+            base,
+            remap: vec![NO_STATICS; base.map_or(0, |b| b.entries.len())],
+            entries: Vec::new(),
+            fresh: HashMap::new(),
+        }
+    }
+
+    /// The new id of `base`'s entry `old`.
+    fn carry(&mut self, old: u32) -> u32 {
+        let slot = &mut self.remap[old as usize];
+        if *slot == NO_STATICS {
+            let base = self.base.expect("an id to carry comes from a base table");
+            *slot = self.entries.len() as u32;
+            self.entries.push(Arc::clone(&base.entries[old as usize]));
+        }
+        *slot
+    }
+
+    /// The id of `cells`, decoding them if no row so far carried them:
+    /// one decode per distinct set of cells, however many jobs share it.
+    fn intern(&mut self, cells: &StaticCells) -> Result<u32, ProfileStoreError> {
+        if let Some(&old) = self.base.and_then(|b| b.ids.get(cells)) {
+            return Ok(self.carry(old));
+        }
+        if let Some(&id) = self.fresh.get(cells) {
+            return Ok(id);
+        }
+        let id = self.entries.len() as u32;
+        self.entries.push(Arc::new(StaticsEntry {
+            cells: Arc::clone(cells),
+            decoded: decode_statics(cells)?,
+        }));
+        self.fresh.insert(Arc::clone(cells), id);
+        Ok(id)
+    }
+
+    fn push(&mut self, job_id: Arc<str>, row: &IndexRow) -> Result<(), ProfileStoreError> {
+        let id = match &row.statics {
+            Some(cells) => self.intern(cells)?,
+            None => NO_STATICS,
+        };
+        let out = &mut self.out;
+        out.job_ids.push(job_id);
+        out.map_dyn.extend_from_slice(&row.map_dyn);
+        match &row.red_dyn {
+            Some(red) => out.red_dyn.extend_from_slice(red),
+            None => out
+                .red_dyn
+                .extend(std::iter::repeat_n(0.0, RED_DYNAMIC_COLUMNS.len())),
+        }
+        out.has_reduce.push(row.red_dyn.is_some());
+        out.cost.extend_from_slice(&row.cost);
+        out.input_bytes.push(row.input_bytes);
+        out.statics_id.push(id);
+        Ok(())
+    }
+
+    /// Append `rows` of `from` (whose table is `base`) as they are.
+    fn copy_rows(&mut self, from: &ColumnarIndex, rows: Range<usize>) {
+        let span = |dims: usize| rows.start * dims..rows.end * dims;
+        for &old in &from.statics_id[rows.clone()] {
+            let id = if old == NO_STATICS {
+                old
+            } else {
+                self.carry(old)
+            };
+            self.out.statics_id.push(id);
+        }
+        let out = &mut self.out;
+        out.job_ids.extend_from_slice(&from.job_ids[rows.clone()]);
+        out.map_dyn
+            .extend_from_slice(&from.map_dyn[span(MAP_DYNAMIC_COLUMNS.len())]);
+        out.red_dyn
+            .extend_from_slice(&from.red_dyn[span(RED_DYNAMIC_COLUMNS.len())]);
+        out.has_reduce
+            .extend_from_slice(&from.has_reduce[rows.clone()]);
+        out.cost
+            .extend_from_slice(&from.cost[span(CostFactors::names().len())]);
+        out.input_bytes.extend_from_slice(&from.input_bytes[rows]);
+    }
+
+    fn finish(self) -> ColumnarIndex {
+        let mut out = self.out;
+        let n = out.job_ids.len();
+        out.map_lanes = LaneMatrix::from_row_major(&out.map_dyn, MAP_DYNAMIC_COLUMNS.len(), n);
+        out.red_lanes = LaneMatrix::from_row_major(&out.red_dyn, RED_DYNAMIC_COLUMNS.len(), n);
+        // The usual merge changes rows, not the set or order of distinct
+        // statics: keep the table, and its hash map, as they are.
+        let unchanged =
+            self.fresh.is_empty() && self.remap.iter().enumerate().all(|(i, &id)| id == i as u32);
+        out.statics = match self.base {
+            Some(base) if unchanged => Arc::clone(base),
+            _ => Arc::new(StaticsTable::new(self.entries)),
+        };
+        out
+    }
+}
+
+impl Default for ColumnarIndex {
+    /// The index of an empty namespace.
+    fn default() -> Self {
+        ColumnarIndex {
+            job_ids: Vec::new(),
+            map_dyn: Vec::new(),
+            red_dyn: Vec::new(),
+            map_lanes: LaneMatrix::empty(MAP_DYNAMIC_COLUMNS.len()),
+            red_lanes: LaneMatrix::empty(RED_DYNAMIC_COLUMNS.len()),
+            has_reduce: Vec::new(),
+            cost: Vec::new(),
+            input_bytes: Vec::new(),
+            statics_id: Vec::new(),
+            statics: Arc::default(),
+        }
+    }
 }
 
 impl ColumnarIndex {
+    /// This index with `pending` applied — one pass over both in key
+    /// order, copying the runs of rows between deltas; reads no store row.
+    /// Fails if a delta carries `Static/` cells that do not decode.
+    fn merged(
+        &self,
+        pending: &BTreeMap<Arc<str>, Option<IndexRow>>,
+    ) -> Result<ColumnarIndex, ProfileStoreError> {
+        let mut builder = IndexBuilder::new(self.len() + pending.len(), Some(&self.statics));
+        let mut next = 0;
+        for (job_id, delta) in pending {
+            let at = next + self.job_ids[next..].partition_point(|j| j < job_id);
+            builder.copy_rows(self, next..at);
+            // The job's old row, if it had one, is replaced or dropped.
+            next = at + usize::from(self.job_ids.get(at) == Some(job_id));
+            if let Some(row) = delta {
+                builder.push(Arc::clone(job_id), row)?;
+            }
+        }
+        builder.copy_rows(self, next..self.len());
+        Ok(builder.finish())
+    }
+
+    /// The row of `job_id`, if it is indexed.
+    fn find(&self, job_id: &str) -> Option<usize> {
+        self.job_ids.binary_search_by(|j| (**j).cmp(job_id)).ok()
+    }
+
+    fn statics_entry(&self, row: usize) -> Option<&StaticsEntry> {
+        self.statics
+            .entries
+            .get(self.statics_id[row] as usize)
+            .map(Arc::as_ref)
+    }
+
     pub fn len(&self) -> usize {
         self.job_ids.len()
     }
@@ -1047,7 +1481,22 @@ impl ColumnarIndex {
     }
 
     pub fn statics(&self, row: usize) -> Option<&StoredStatics> {
-        self.statics[row].as_ref()
+        self.statics_entry(row).map(|e| &e.decoded)
+    }
+
+    /// Which of the [`Self::distinct_statics`] static-feature sets the
+    /// row carries (`None`: the job has no `Static/` row). Rows with equal
+    /// ids have equal [`Self::statics`], so whatever is computed from a
+    /// row's statics alone needs computing once per id.
+    pub fn statics_id(&self, row: usize) -> Option<usize> {
+        let id = self.statics_id[row];
+        (id != NO_STATICS).then_some(id as usize)
+    }
+
+    /// How many distinct static-feature sets the rows carry; every
+    /// [`Self::statics_id`] is below it.
+    pub fn distinct_statics(&self) -> usize {
+        self.statics.entries.len()
     }
 
     /// Stage-1 sweep over the map-side dynamic features: rows whose
@@ -1108,18 +1557,24 @@ fn job_id_of(row_key: &[u8], skip: usize) -> Result<String, ProfileStoreError> {
         .map_err(|_| ProfileStoreError::Corrupt("non-UTF8 job id".to_string()))
 }
 
-fn decode_statics(row: &RowResult) -> Result<StoredStatics, ProfileStoreError> {
+/// Decode a `Static/` row from its cells (sorted by column).
+fn decode_statics(cells: &[(Bytes, Bytes)]) -> Result<StoredStatics, ProfileStoreError> {
+    let value = |column: &str| {
+        cells
+            .binary_search_by(|(c, _)| c.as_ref().cmp(column.as_bytes()))
+            .ok()
+            .map(|i| &cells[i].1)
+    };
     let read_side =
         |names: &[&'static str], cfg_col: &str| -> Result<SideFeatures, ProfileStoreError> {
             let mut categorical = Vec::with_capacity(names.len());
             for name in names {
-                let v = row
-                    .value(FAMILY, name.as_bytes())
+                let v = value(name)
                     .map(|b| String::from_utf8_lossy(b).to_string())
                     .unwrap_or_else(|| "NULL".to_string());
                 categorical.push((*name, v));
             }
-            let cfg: Option<Cfg> = match row.value(FAMILY, cfg_col.as_bytes()) {
+            let cfg: Option<Cfg> = match value(cfg_col) {
                 Some(bytes) => Some(decode_cfg(bytes)?),
                 None => None,
             };
@@ -1137,7 +1592,7 @@ fn decode_statics(row: &RowResult) -> Result<StoredStatics, ProfileStoreError> {
                 "COMBINER",
                 "PARTITIONER",
             ],
-            "MAP_CFG",
+            MAP_CFG_COLUMN,
         )?,
         reduce: read_side(
             &[
@@ -1148,7 +1603,7 @@ fn decode_statics(row: &RowResult) -> Result<StoredStatics, ProfileStoreError> {
                 "RED_IN_KEY",
                 "RED_IN_VAL",
             ],
-            "RED_CFG",
+            RED_CFG_COLUMN,
         )?,
     })
 }
@@ -1397,6 +1852,65 @@ mod tests {
                 None => assert!(index.red_dyn(i).is_none()),
             }
         }
+    }
+
+    #[test]
+    fn columnar_index_interns_statics_per_distinct_program() {
+        let store = ProfileStore::new().unwrap();
+        let text = corpus::random_text_1g();
+        let (wc_statics, wc) = profile_of(&jobs::word_count(), &text);
+        let (co_statics, co) = profile_of(&jobs::word_cooccurrence_pairs(2), &text);
+        let stored = |statics: &StaticFeatures, profile: &JobProfile, id: &str| {
+            let mut p = profile.clone();
+            p.job_id = id.to_string();
+            store.put_profile(statics, &p).unwrap();
+        };
+        stored(&wc_statics, &wc, "a-wc");
+        store.columnar_index().unwrap(); // built by scan; the rest are deltas
+        stored(&co_statics, &co, "b-co");
+        stored(&wc_statics, &wc, "c-wc");
+        let index = store.columnar_index().unwrap();
+        assert_eq!(index.len(), 3);
+        assert_eq!(index.distinct_statics(), 2);
+        assert_eq!(index.statics_id(0), Some(0));
+        assert_eq!(index.statics_id(1), Some(1));
+        assert_eq!(index.statics_id(2), Some(0));
+        assert_eq!(index.statics(2), index.statics(0));
+        assert_eq!(*index, store.build_columnar_index().unwrap());
+
+        // Ids follow first appearance in row order, also when a delete
+        // changes which row that is.
+        store.delete_job("a-wc").unwrap();
+        let index = store.columnar_index().unwrap();
+        assert_eq!(index.statics_id(0), Some(0));
+        assert_eq!(index.statics(0).unwrap().map.jaccard(&co_statics.map), 1.0);
+        assert_eq!(index.statics_id(1), Some(1));
+        assert_eq!(*index, store.build_columnar_index().unwrap());
+    }
+
+    #[test]
+    fn undecodable_statics_fail_the_index_like_a_scan_until_deleted() {
+        let store = ProfileStore::new().unwrap();
+        let (statics, good) = profile_of(&jobs::word_count(), &corpus::random_text_1g());
+        store.put_profile(&statics, &good).unwrap();
+        store.columnar_index().unwrap();
+
+        // A CFG whose exit is no node encodes, is acknowledged, and does
+        // not decode: the delta cannot be folded, and neither could a scan
+        // build the row.
+        let mut bad_statics = statics.clone();
+        bad_statics.map.cfg.as_mut().unwrap().exit = usize::MAX >> 40;
+        let mut bad = good.clone();
+        bad.job_id = "bad-cfg".to_string();
+        store.put_profile(&bad_statics, &bad).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                store.columnar_index(),
+                Err(ProfileStoreError::Codec(_))
+            ));
+        }
+        assert!(store.delete_job("bad-cfg").unwrap());
+        assert_eq!(store.len().unwrap(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! Scenario behind the numbers (see `trace_snapshot.rs`): one store miss
 //! (profile-and-store) then one match-and-tune of `word_count`, fixed
-//! seeds 1 and 2.
+//! seeds 1 and 2, then one listing of the store.
 
 use std::collections::BTreeMap;
 
@@ -420,6 +420,103 @@ fn cross_tenant_rows_scanned_stays_inside_the_tenant() {
         "tenant a's match scanned {delta} rows — at least one cross-tenant \
          scan leaked past the t/a/ envelope (b alone holds {b_rows})"
     );
+}
+
+/// The read budget of a match (DESIGN.md §17): on a store whose index is
+/// built, `match_profile` reads the backend only to fetch the winners'
+/// profiles — no scan, at most two point-gets — and a `put_profile` costs
+/// the next match one merge of its delta, never a rebuild, however many
+/// put→match cycles run.
+#[test]
+fn a_warm_match_scans_nothing_and_a_put_never_forces_a_rebuild() {
+    use mrsim::{ClusterSpec, JobConfig};
+    use profiler::SampleSize;
+    use pstorm::matcher::{match_profile, MatcherConfig, SubmittedJob};
+    use pstorm::ProfileStore;
+    use staticanalysis::StaticFeatures;
+
+    let cluster = ClusterSpec::ec2_c1_medium_16();
+    let ds = datagen::corpus::random_text_1g();
+    let spec = mrjobs::jobs::word_count();
+    let config = JobConfig::submitted(&spec);
+    let statics = StaticFeatures::extract(&spec);
+    let (profile, _) = profiler::collect_full_profile(&spec, &ds, &cluster, &config, 7).unwrap();
+    let sample =
+        profiler::collect_sample_profile(&spec, &ds, &cluster, &config, SampleSize::OneTask, 3)
+            .unwrap();
+    let q = SubmittedJob {
+        spec: spec.clone(),
+        statics: statics.clone(),
+        sample: sample.profile,
+        input_bytes: ds.logical_bytes,
+    };
+    let variant = |i: usize| {
+        let mut p = profile.clone();
+        p.job_id = format!("word-count#v{i:02}");
+        p.map.size_selectivity *= 1.0 + i as f64 / 100.0;
+        p
+    };
+
+    let reg = obs::Registry::new();
+    let mut store = ProfileStore::new().unwrap();
+    store.set_obs(reg.clone());
+    let counter = |name: &str| reg.snapshot().counters.get(name).copied().unwrap_or(0);
+    let matched = || {
+        match_profile(&store, &q, &MatcherConfig::default())
+            .unwrap()
+            .expect("word-count matches its own profiles")
+    };
+    for i in 0..3 {
+        store.put_profile(&statics, &variant(i)).unwrap();
+    }
+    matched(); // first use: the one scan-built index of this store's life
+    let rebuilds = counter("store.index_rebuilds");
+    assert_eq!(rebuilds, 1);
+
+    let (scans, rows, gets) = (
+        counter("cfstore.scans"),
+        counter("cfstore.rows_scanned"),
+        counter("cfstore.gets"),
+    );
+    matched();
+    assert_eq!(
+        counter("cfstore.scans"),
+        scans,
+        "a warm match scans nothing"
+    );
+    assert_eq!(counter("cfstore.rows_scanned"), rows);
+    let compose_gets = counter("cfstore.gets") - gets;
+    assert!(
+        (1..=2).contains(&compose_gets),
+        "compose fetches the winners' profiles and nothing else: {compose_gets} gets"
+    );
+
+    let (deltas, merges) = (counter("store.index_deltas"), counter("store.index_merges"));
+    for i in 3..53 {
+        store.put_profile(&statics, &variant(i)).unwrap();
+        matched();
+    }
+    assert_eq!(
+        counter("store.index_rebuilds"),
+        rebuilds,
+        "no put forces a rebuild"
+    );
+    assert_eq!(
+        counter("store.index_deltas") - deltas,
+        50,
+        "one delta a put"
+    );
+    assert_eq!(
+        counter("store.index_merges") - merges,
+        50,
+        "one merge a put→match"
+    );
+    assert_eq!(
+        counter("cfstore.scans"),
+        scans,
+        "50 put→match cycles scan nothing"
+    );
+    assert_eq!(store.len().unwrap(), 53);
 }
 
 /// Per-region read amplification (PR 4): the per-region counters must be

@@ -16,9 +16,10 @@ use pstorm::PStorM;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/trace_snapshot.json");
 
 /// The trace_report scenario: one store miss (profile-and-store), then one
-/// match-and-tune of the same job, on one enabled registry — followed by
-/// the deterministic sharded-store exercise, so the golden trace also pins
-/// the per-shard `cfstore.shard.<id>.heal.*` counters (DESIGN.md §13).
+/// match-and-tune of the same job, then a listing of the store, on one
+/// enabled registry — followed by the deterministic sharded-store exercise,
+/// so the golden trace also pins the per-shard `cfstore.shard.<id>.heal.*`
+/// counters (DESIGN.md §13).
 fn collect_trace() -> String {
     let mut daemon = PStorM::new().unwrap();
     let reg = obs::Registry::new();
@@ -27,6 +28,10 @@ fn collect_trace() -> String {
     let ds = corpus::random_text_1g();
     daemon.submit(&spec, &ds, 1).unwrap();
     daemon.submit(&spec, &ds, 2).unwrap();
+    // A submission reads no store row before compose (DESIGN.md §17), so
+    // the listing is the scenario's one scan that returns a row: what the
+    // per-region read counters in the golden trace count.
+    assert_eq!(daemon.store.job_ids().unwrap(), [spec.job_id()]);
     sharded_exercise(&reg);
     reg.snapshot().to_json()
 }
