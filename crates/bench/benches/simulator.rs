@@ -14,12 +14,41 @@ fn cl() -> ClusterSpec {
     ClusterSpec::ec2_c1_medium_16()
 }
 
+/// `analyze` is what every sample and every run costs. One light job and
+/// the shapes that dominate a suite pass: nested-loop pair emission on the
+/// large text corpus, itemset pairs, item co-rating pairs, and a PigMix
+/// group-by.
 fn bench_dataflow_analysis(c: &mut Criterion) {
-    let ds = corpus::random_text_1g();
-    let wc = jobs::word_count();
-    c.bench_function("sim/analyze_word_count_1g", |b| {
-        b.iter(|| analyze(&wc, &ds, &cl()).unwrap())
-    });
+    let cases = [
+        (
+            "sim/analyze_word_count_1g",
+            jobs::word_count(),
+            corpus::random_text_1g(),
+        ),
+        (
+            "sim/analyze_cooccurrence_pairs_wikipedia_35g",
+            jobs::word_cooccurrence_pairs(2),
+            corpus::wikipedia_35g(),
+        ),
+        (
+            "sim/analyze_fim_pass2_webdocs",
+            jobs::fim_pass2(4),
+            corpus::webdocs(),
+        ),
+        (
+            "sim/analyze_cf_item_similarity_10m",
+            jobs::cf_item_similarity(),
+            corpus::user_lists_10m(),
+        ),
+        (
+            "sim/analyze_pigmix_l3_35g",
+            jobs::pigmix(3),
+            corpus::pigmix_35g(),
+        ),
+    ];
+    for (name, spec, ds) in cases {
+        c.bench_function(name, |b| b.iter(|| analyze(&spec, &ds, &cl()).unwrap()));
+    }
 }
 
 fn bench_simulation(c: &mut Criterion) {

@@ -7,8 +7,10 @@
 //! segment block reads through the bounded cache (cold vs warm), put
 //! latency with inline vs background flushing, online-resharding cost
 //! (rows moved per second by a grow migration, matcher latency with a
-//! migration in flight vs quiesced), and CBO what-if search throughput
-//! on the legacy per-candidate path vs the planned/memoized search.
+//! migration in flight vs quiesced), CBO what-if search throughput
+//! on the legacy per-candidate path vs the planned/memoized search, and
+//! the dataflow measurement (`mrsim::analyze`) of every suite submission,
+//! by job family.
 //! Writes `BENCH_tuning_latency.json` at the repo root.
 //!
 //! Every "legacy" variant here is the pre-optimization code path, still
@@ -23,10 +25,11 @@ use std::time::Instant;
 use cfstore::{Put, Scan, StoreOptions};
 use datagen::corpus;
 use mrjobs::jobs;
-use mrsim::{ClusterSpec, JobConfig};
+use mrsim::{analyze, ClusterSpec, JobConfig};
 use optimizer::{optimize, CboOptions, ConfigSpace};
 use profiler::{collect_full_profile, collect_sample_profile, JobProfile, SampleSize};
 use pstorm::{match_profile, MatcherConfig, ProfileStore, SubmittedJob};
+use pstorm_bench::harness;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use staticanalysis::StaticFeatures;
@@ -718,6 +721,60 @@ fn bench_cbo(entries: &mut Vec<Entry>) {
     }
 }
 
+/// One job family's share of a pass over the suite: `analyze` once per
+/// submission of the family.
+struct AnalyzeFamily {
+    family: String,
+    submissions: usize,
+    /// Intermediate pairs the family's mappers emit over their samples.
+    pairs: u64,
+    /// Sum of the per-submission medians, so families add up to the suite.
+    p50_ns: u128,
+}
+
+/// `mrsim::analyze` — the UDF interpreter plus the grouping — is what a
+/// sample and a run cost in this reproduction (DESIGN.md §18). Times it on
+/// each of the 58 suite submissions; the 17 PigMix queries fold into one
+/// family.
+fn bench_analyze() -> Vec<AnalyzeFamily> {
+    let cluster = harness::cluster();
+    let mut families: Vec<AnalyzeFamily> = Vec::new();
+    for sub in harness::all_submissions() {
+        let samples = sample_ns(
+            || {
+                std::hint::black_box(analyze(&sub.spec, &sub.dataset, &cluster).unwrap());
+            },
+            3,
+            10,
+        );
+        let mut mapper = mrjobs::Interp::new(&sub.spec.map_udf, &sub.spec.params);
+        let mut out = Vec::new();
+        let mut pairs = 0;
+        for rec in &sub.dataset.records {
+            let stats = mapper.run(rec.key.clone(), rec.value.clone(), &mut out);
+            pairs += stats.unwrap().records_out;
+            out.clear();
+        }
+        let family = match sub.spec.name.as_str() {
+            name if name.starts_with("pigmix-") => "pigmix",
+            name => name,
+        };
+        if families.last().is_none_or(|f| f.family != family) {
+            families.push(AnalyzeFamily {
+                family: family.to_string(),
+                submissions: 0,
+                pairs: 0,
+                p50_ns: 0,
+            });
+        }
+        let row = families.last_mut().expect("pushed above");
+        row.submissions += 1;
+        row.pairs += pairs;
+        row.p50_ns += percentile(&samples, 0.50);
+    }
+    families
+}
+
 fn entry<'a>(entries: &'a [Entry], op: &str, variant: &str, size: usize) -> &'a Entry {
     entries
         .iter()
@@ -746,6 +803,12 @@ fn main() {
         bench_reshard(&mut entries, &seeds);
     eprintln!("benchmarking CBO...");
     bench_cbo(&mut entries);
+    eprintln!("benchmarking dataflow measurement...");
+    let analyze_families = bench_analyze();
+    let analyze_total_ns: u128 = analyze_families.iter().map(|f| f.p50_ns).sum();
+    let analyze_pairs: u64 = analyze_families.iter().map(|f| f.pairs).sum();
+    let analyze_total_ms = analyze_total_ns as f64 * 1e-6;
+    let analyze_pairs_per_s = analyze_pairs as f64 / (analyze_total_ns as f64 * 1e-9);
 
     let stage1_speedup = find(&entries, "matcher_stage1", "scan", 1000)
         / find(&entries, "matcher_stage1", "columnar", 1000);
@@ -781,9 +844,22 @@ fn main() {
         );
         json.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
     }
+    json.push_str("  ],\n  \"analyze\": [\n");
+    for (i, f) in analyze_families.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"family\": \"{}\", \"submissions\": {}, \"pairs\": {}, \"p50_ns\": {}}}",
+            f.family, f.submissions, f.pairs, f.p50_ns
+        );
+        json.push_str(if i + 1 < analyze_families.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
     let _ = write!(
         json,
-        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_candidates_per_sec_speedup\": {cbo_speedup:.1},\n    \"cbo_search_legacy_candidates_per_sec\": {legacy_cps:.1},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1}\n  }}\n}}\n"
+        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_candidates_per_sec_speedup\": {cbo_speedup:.1},\n    \"cbo_search_legacy_candidates_per_sec\": {legacy_cps:.1},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -809,4 +885,12 @@ fn main() {
     println!("reshard grow 3x2->4x2: {reshard_rows_moved} rows moved in {reshard_grow_ms:.1} ms");
     println!("matcher p50 mid-migration / quiesced: {reshard_matcher_ratio:.2}x");
     println!("CBO search throughput speedup: {cbo_speedup:.1}x");
+    println!(
+        "analyze over the {} suite submissions: {analyze_total_ms:.0} ms, {:.2} M pairs/s",
+        analyze_families
+            .iter()
+            .map(|f| f.submissions)
+            .sum::<usize>(),
+        analyze_pairs_per_s / 1e6
+    );
 }

@@ -26,9 +26,15 @@ use std::path::Path;
 
 use cfstore::{RecoveryReport, StoreError};
 use mrjobs::{Dataset, JobSpec};
-use mrsim::{simulate, ClusterSpec, JobConfig, JobReport, SimError};
+use mrsim::{
+    analyze, simulate, simulate_with_dataflow, ClusterSpec, Dataflow, JobConfig, JobReport,
+    SimError,
+};
 use optimizer::{optimize_traced, recommend, CboOptions};
-use profiler::{collect_full_profile, collect_sample_profile, JobProfile, SampleSize};
+use profiler::{
+    collect_full_profile_with_dataflow, collect_sample_profile_with_dataflow, JobProfile,
+    SampleSize,
+};
 use staticanalysis::StaticFeatures;
 
 use crate::matcher::{match_profile, MatchFailure, MatchResult, MatcherConfig, SubmittedJob};
@@ -327,6 +333,9 @@ impl PStorM {
         let mut sample_fault: Option<SimError> = None;
         {
             let sample_span = reg.span("daemon.sample");
+            // Which task is probed depends on the attempt's seed; what the
+            // job does to its data does not, so it is measured once.
+            let flow = analyze(spec, dataset, &self.cluster)?;
             let mut attempts = 0u32;
             for i in 0..=self.policy.sample_retries {
                 attempts = i + 1;
@@ -339,9 +348,10 @@ impl PStorM {
                     );
                     reg.advance_ms(backoff);
                 }
-                match collect_sample_profile(
+                match collect_sample_profile_with_dataflow(
                     spec,
-                    dataset,
+                    &flow,
+                    &dataset.name,
                     &self.cluster,
                     &submitted_config,
                     SampleSize::OneTask,
@@ -450,10 +460,12 @@ impl PStorM {
                 // partial confidence, which the matcher compensates for.
                 let mut profiled = None;
                 let mut last_fault: Option<SimError> = None;
+                let flow = analyze(spec, dataset, &self.cluster)?;
                 for i in 0..=self.policy.run_retries {
-                    match collect_full_profile(
+                    match collect_full_profile_with_dataflow(
                         spec,
-                        dataset,
+                        &flow,
+                        &dataset.name,
                         &self.cluster,
                         &submitted_config,
                         retry_seed(seed ^ 0x48, i),
@@ -644,6 +656,11 @@ pub(crate) fn run_degradation_ladder(
     let ladder_span = reg.span("daemon.degrade");
     let mut attempt_no = 0u32;
     let mut last_fault: Option<SimError> = None;
+    // One measurement serves every rung and retry: the dataflow depends on
+    // neither configuration nor seed. Taken at the first attempt, where
+    // `simulate` used to take it, so a job that cannot be measured fails
+    // after the same events as before.
+    let mut dataflow: Option<Dataflow> = None;
     for (config, label, oom_falls_through) in rungs {
         for _ in 0..=policy.run_retries {
             attempt_no += 1;
@@ -651,9 +668,14 @@ pub(crate) fn run_degradation_ladder(
                 "daemon.degrade.attempt",
                 &[("rung", label.into()), ("attempt", attempt_no.into())],
             );
-            match simulate(
+            let flow = match &dataflow {
+                Some(flow) => flow,
+                None => dataflow.insert(analyze(spec, dataset, cluster)?),
+            };
+            match simulate_with_dataflow(
                 spec,
-                dataset,
+                flow,
+                &dataset.name,
                 cluster,
                 &config,
                 retry_seed(seed ^ 0x47, attempt_no),

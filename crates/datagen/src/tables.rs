@@ -123,7 +123,7 @@ mod tests {
             .records
             .iter()
             .map(|r| match &r.value {
-                Value::Pair(t, _) => t.as_int().unwrap(),
+                Value::Pair(p) => p.0.as_int().unwrap(),
                 _ => panic!("expected pair"),
             })
             .collect();

@@ -6,9 +6,16 @@
 //! co-occurrence) accrues quadratically more ops per record than a
 //! single-loop UDF (word count), which is exactly the CPU-cost difference
 //! the paper attributes to their differing control flow graphs (Fig. 4.3).
+//!
+//! An [`Interp`] is built once per UDF — variable names become slots of a
+//! flat environment — and then invoked per record or per key group,
+//! reusing that environment; values are reference-counted
+//! ([`crate::value`]), so nothing an invocation reads is copied.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ir::{BinOp, Builtin, Expr, Stmt, Udf};
 use crate::value::{OrderedF64, Value};
@@ -75,91 +82,279 @@ impl ExecStats {
     }
 }
 
+/// Where a UDF's emitted pairs go. `bytes` is the pair's serialized size,
+/// which `Emit` has already computed for [`ExecStats::bytes_out`]; a sink
+/// that needs per-pair sizes keeps it instead of measuring again, and one
+/// that only needs the totals in [`ExecStats`] can drop the pair.
+pub trait Sink {
+    fn emit(&mut self, key: Value, value: Value, bytes: u64);
+}
+
+impl Sink for Vec<(Value, Value)> {
+    fn emit(&mut self, key: Value, value: Value, _bytes: u64) {
+        self.push((key, value));
+    }
+}
+
+/// An expression with its variable names resolved to environment slots
+/// and its job parameters looked up.
+enum RExpr {
+    Const(Value),
+    Var {
+        slot: usize,
+        name: &'static str,
+    },
+    /// The parameter's value, or its name when the job does not set it
+    /// (an error only if the expression is ever evaluated).
+    JobParam(Result<Value, &'static str>),
+    Bin(BinOp, Box<RExpr>, Box<RExpr>),
+    Call(Builtin, Vec<RExpr>),
+}
+
+/// A statement over [`RExpr`]s; mirrors [`Stmt`] shape for shape, so op
+/// accounting walks the same tree the CFG is derived from.
+enum RStmt {
+    Assign(usize, RExpr),
+    MapAdd {
+        slot: usize,
+        name: &'static str,
+        key: RExpr,
+        delta: RExpr,
+    },
+    ListPush {
+        slot: usize,
+        name: &'static str,
+        item: RExpr,
+    },
+    Emit(RExpr, RExpr),
+    If {
+        cond: RExpr,
+        then_branch: Vec<RStmt>,
+        else_branch: Vec<RStmt>,
+    },
+    While {
+        cond: RExpr,
+        body: Vec<RStmt>,
+    },
+    For {
+        slot: usize,
+        iter: RExpr,
+        body: Vec<RStmt>,
+    },
+}
+
+/// Assigns each distinct variable name of a UDF one slot.
+struct Resolver<'p> {
+    names: Vec<&'static str>,
+    job_params: &'p BTreeMap<String, Value>,
+}
+
+impl Resolver<'_> {
+    fn slot(&mut self, name: &'static str) -> usize {
+        match self.names.iter().position(|n| *n == name) {
+            Some(slot) => slot,
+            None => {
+                self.names.push(name);
+                self.names.len() - 1
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) -> RExpr {
+        match e {
+            Expr::Const(v) => RExpr::Const(v.clone()),
+            Expr::Var(name) => RExpr::Var {
+                slot: self.slot(name),
+                name,
+            },
+            Expr::JobParam(name) => {
+                RExpr::JobParam(self.job_params.get(*name).cloned().ok_or(*name))
+            }
+            Expr::Bin(op, a, b) => RExpr::Bin(*op, Box::new(self.expr(a)), Box::new(self.expr(b))),
+            Expr::Call(builtin, args) => {
+                RExpr::Call(*builtin, args.iter().map(|a| self.expr(a)).collect())
+            }
+        }
+    }
+
+    fn block(&mut self, block: &[Stmt]) -> Vec<RStmt> {
+        block.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> RStmt {
+        match s {
+            Stmt::Assign(name, e) => RStmt::Assign(self.slot(name), self.expr(e)),
+            Stmt::MapAdd(name, key, delta) => RStmt::MapAdd {
+                slot: self.slot(name),
+                name,
+                key: self.expr(key),
+                delta: self.expr(delta),
+            },
+            Stmt::ListPush(name, e) => RStmt::ListPush {
+                slot: self.slot(name),
+                name,
+                item: self.expr(e),
+            },
+            Stmt::Emit(k, v) => RStmt::Emit(self.expr(k), self.expr(v)),
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => RStmt::If {
+                cond: self.expr(cond),
+                then_branch: self.block(then_branch),
+                else_branch: self.block(else_branch),
+            },
+            Stmt::While { cond, body } => RStmt::While {
+                cond: self.expr(cond),
+                body: self.block(body),
+            },
+            Stmt::For { var, iter, body } => RStmt::For {
+                slot: self.slot(var),
+                iter: self.expr(iter),
+                body: self.block(body),
+            },
+        }
+    }
+}
+
+/// A UDF ready to be invoked many times: variable names resolved to slots
+/// once, and one environment reused by every invocation. The [`Udf`] it
+/// was built from is left as it is — that IR is what `staticanalysis`
+/// derives control flow graphs from.
+pub struct Interp {
+    body: Vec<RStmt>,
+    /// Slots of the UDF's two input bindings.
+    inputs: [usize; 2],
+    /// One slot per variable name; `None` until assigned in the current
+    /// invocation.
+    env: Vec<Option<Value>>,
+}
+
+impl Interp {
+    /// Resolve `udf` against the job's parameters.
+    pub fn new(udf: &Udf, job_params: &BTreeMap<String, Value>) -> Self {
+        let mut resolver = Resolver {
+            names: Vec::new(),
+            job_params,
+        };
+        let inputs = [resolver.slot(udf.params[0]), resolver.slot(udf.params[1])];
+        let body = resolver.block(&udf.body);
+        Interp {
+            body,
+            inputs,
+            env: vec![None; resolver.names.len()],
+        }
+    }
+
+    /// Invoke the UDF with its two inputs bound: an input record's key
+    /// and value for a mapper, an intermediate key and the list of its
+    /// grouped values for a combiner or reducer. Every other variable
+    /// starts unassigned, whatever earlier invocations left behind.
+    pub fn run(
+        &mut self,
+        first: Value,
+        second: Value,
+        out: &mut dyn Sink,
+    ) -> Result<ExecStats, InterpError> {
+        self.env.fill(None);
+        self.env[self.inputs[0]] = Some(first);
+        self.env[self.inputs[1]] = Some(second);
+        let mut frame = Frame {
+            env: &mut self.env,
+            out,
+            stats: ExecStats::default(),
+            steps: 0,
+        };
+        frame.exec_block(&self.body).map_err(|e| *e)?;
+        Ok(frame.stats)
+    }
+}
+
+/// What every interpreter step returns. Failures are rare and an
+/// [`InterpError`] is several words wide: boxing it keeps the `Result` an
+/// expression node hands back as small as the [`Value`] inside it.
+type Eval<T> = Result<T, Box<InterpError>>;
+
 /// One invocation context for a UDF.
 struct Frame<'a> {
-    env: HashMap<&'static str, Value>,
-    job_params: &'a BTreeMap<String, Value>,
-    out: &'a mut Vec<(Value, Value)>,
+    env: &'a mut [Option<Value>],
+    out: &'a mut dyn Sink,
     stats: ExecStats,
     steps: u64,
 }
 
-impl<'a> Frame<'a> {
-    fn tick(&mut self, cost: u64) -> Result<(), InterpError> {
+impl Frame<'_> {
+    fn tick(&mut self, cost: u64) -> Eval<()> {
         self.steps += 1;
         self.stats.ops += cost;
         if self.steps > MAX_STEPS {
-            Err(InterpError::StepLimitExceeded)
+            Err(InterpError::StepLimitExceeded.into())
         } else {
             Ok(())
         }
     }
 
-    fn eval(&mut self, expr: &Expr) -> Result<Value, InterpError> {
+    fn eval(&mut self, expr: &RExpr) -> Eval<Value> {
         self.tick(1)?;
         match expr {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(name) => self
-                .env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| InterpError::UnknownVar((*name).to_string())),
-            Expr::JobParam(name) => self
-                .job_params
-                .get(*name)
-                .cloned()
-                .ok_or_else(|| InterpError::UnknownJobParam((*name).to_string())),
-            Expr::Bin(op, a, b) => {
+            RExpr::Const(v) => Ok(v.clone()),
+            RExpr::Var { slot, name } => self.env[*slot]
+                .clone()
+                .ok_or_else(|| InterpError::UnknownVar((*name).to_string()).into()),
+            RExpr::JobParam(param) => param
+                .clone()
+                .map_err(|name| InterpError::UnknownJobParam(name.to_string()).into()),
+            RExpr::Bin(op, a, b) => {
                 let a = self.eval(a)?;
                 let b = self.eval(b)?;
                 eval_binop(*op, &a, &b)
             }
-            Expr::Call(builtin, args) => {
+            RExpr::Call(builtin, args) => {
                 if args.len() != builtin.arity() {
                     return Err(InterpError::ArityMismatch {
                         builtin: format!("{builtin:?}"),
                         expected: builtin.arity(),
                         got: args.len(),
-                    });
+                    }
+                    .into());
                 }
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
+                // No builtin takes more than three arguments.
+                let mut vals = [Value::Null, Value::Null, Value::Null];
+                for (val, arg) in vals.iter_mut().zip(args) {
+                    *val = self.eval(arg)?;
                 }
                 self.call_builtin(*builtin, vals)
             }
         }
     }
 
-    fn call_builtin(&mut self, b: Builtin, mut args: Vec<Value>) -> Result<Value, InterpError> {
+    fn call_builtin(&mut self, b: Builtin, args: [Value; 3]) -> Eval<Value> {
         use Builtin::*;
         let mut extra_cost = 0u64;
+        let [a0, a1, a2] = args;
         let result = match b {
             Tokenize => {
-                let s = text_arg(&args[0])?;
+                let s = text_arg(&a0)?;
                 extra_cost = s.len() as u64 / 8;
-                Value::List(
-                    s.split_whitespace()
-                        .map(|w| Value::text(w.to_string()))
-                        .collect(),
-                )
+                Value::list(s.split_whitespace().map(Value::text).collect())
             }
             Split => {
-                let s = text_arg(&args[0])?;
-                let sep = text_arg(&args[1])?;
+                let s = text_arg(&a0)?;
+                let sep = text_arg(&a1)?;
                 extra_cost = s.len() as u64 / 8;
                 if sep.is_empty() {
-                    Value::List(vec![Value::text(s.to_string())])
+                    Value::list(vec![a0.clone()])
                 } else {
-                    Value::List(s.split(sep).map(|p| Value::text(p.to_string())).collect())
+                    Value::list(s.split(sep).map(Value::text).collect())
                 }
             }
             Lower => {
-                let s = text_arg(&args[0])?;
+                let s = text_arg(&a0)?;
                 extra_cost = s.len() as u64 / 8;
                 Value::text(s.to_lowercase())
             }
-            Len => Value::Int(match &args[0] {
+            Len => Value::Int(match &a0 {
                 Value::Text(s) => s.len() as i64,
                 Value::List(l) => l.len() as i64,
                 Value::Map(m) => m.len() as i64,
@@ -168,8 +363,8 @@ impl<'a> Frame<'a> {
                 }
             }),
             Index => {
-                let i = int_arg(&args[1])?;
-                match &args[0] {
+                let i = int_arg(&a1)?;
+                match &a0 {
                     Value::List(l) => l
                         .get(usize::try_from(i).unwrap_or(usize::MAX))
                         .cloned()
@@ -177,80 +372,75 @@ impl<'a> Frame<'a> {
                     other => return type_err("list", other),
                 }
             }
-            Concat => {
-                let a = args[0].to_string();
-                let b = args[1].to_string();
-                Value::text(format!("{a}{b}"))
-            }
-            ToText => Value::text(args[0].to_string()),
+            Concat => Value::text(format!("{a0}{a1}")),
+            ToText => match a0 {
+                Value::Text(_) => a0,
+                other => Value::text(other.to_string()),
+            },
             ParseInt => Value::Int(
-                text_arg(&args[0])
+                text_arg(&a0)
                     .ok()
                     .and_then(|s| s.trim().parse::<i64>().ok())
                     .unwrap_or(0),
             ),
             ParseFloat => Value::float(
-                text_arg(&args[0])
+                text_arg(&a0)
                     .ok()
                     .and_then(|s| s.trim().parse::<f64>().ok())
                     .unwrap_or(0.0),
             ),
-            MakePair => {
-                let second = args.pop().expect("arity checked");
-                let first = args.pop().expect("arity checked");
-                Value::pair(first, second)
-            }
-            First => match &args[0] {
-                Value::Pair(a, _) => (**a).clone(),
+            MakePair => Value::pair(a0, a1),
+            First => match &a0 {
+                Value::Pair(p) => p.0.clone(),
                 other => return type_err("pair", other),
             },
-            Second => match &args[0] {
-                Value::Pair(_, b) => (**b).clone(),
+            Second => match &a0 {
+                Value::Pair(p) => p.1.clone(),
                 other => return type_err("pair", other),
             },
             MapGet => {
-                let k = text_arg(&args[1])?.to_string();
-                match &args[0] {
-                    Value::Map(m) => m.get(&k).cloned().unwrap_or(Value::Null),
+                let k = text_arg(&a1)?;
+                match &a0 {
+                    Value::Map(m) => m.get(k).cloned().unwrap_or(Value::Null),
                     other => return type_err("map", other),
                 }
             }
             Contains => {
-                let s = text_arg(&args[0])?;
-                let pat = text_arg(&args[1])?;
+                let s = text_arg(&a0)?;
+                let pat = text_arg(&a1)?;
                 extra_cost = s.len() as u64 / 16;
                 Value::Int(s.contains(pat) as i64)
             }
-            NotEmpty => Value::Int(args[0].is_truthy() as i64),
-            Hash => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                hash_value(&args[0], &mut h);
-                Value::Int((h >> 1) as i64)
-            }
+            NotEmpty => Value::Int(a0.is_truthy() as i64),
+            Hash => Value::Int(value_hash(&a0) as i64),
             Range => {
-                let a = int_arg(&args[0])?;
-                let b = int_arg(&args[1])?;
-                extra_cost = b.saturating_sub(a).max(0) as u64 / 4;
-                Value::List((a..b).map(Value::Int).collect())
+                let range = self.range_within_steps(&a0, &a1)?;
+                extra_cost = range_extra_cost(&range);
+                Value::list(range.map(Value::Int).collect())
             }
-            Min => num_binary(&args[0], &args[1], f64::min)?,
-            Max => num_binary(&args[0], &args[1], f64::max)?,
+            Min => num_binary(&a0, &a1, f64::min)?,
+            Max => num_binary(&a0, &a1, f64::max)?,
             Substr => {
-                let s = text_arg(&args[0])?;
-                let from = int_arg(&args[1])?.clamp(0, s.len() as i64) as usize;
-                let to = int_arg(&args[2])?.clamp(from as i64, s.len() as i64) as usize;
-                Value::text(s[from..to].to_string())
+                let s = text_arg(&a0)?;
+                let from = int_arg(&a1)?.clamp(0, s.len() as i64) as usize;
+                let to = int_arg(&a2)?.clamp(from as i64, s.len() as i64) as usize;
+                // Indices are bytes; an index inside a multi-byte
+                // character rounds down to the character's first byte.
+                let from = s.floor_char_boundary(from);
+                let to = s.floor_char_boundary(to);
+                Value::text(&s[from..to])
             }
-            SumList => match &args[0] {
+            SumList => match &a0 {
                 Value::List(l) => {
                     extra_cost = l.len() as u64 / 4;
                     let mut acc = 0.0;
                     let mut all_int = true;
-                    for v in l {
+                    for v in l.iter() {
                         all_int &= matches!(v, Value::Int(_));
-                        acc += v
-                            .as_float()
-                            .ok_or_else(|| type_err("number", v).unwrap_err())?;
+                        match v.as_float() {
+                            Some(x) => acc += x,
+                            None => return type_err("number", v),
+                        }
                     }
                     if all_int {
                         Value::Int(acc as i64)
@@ -260,99 +450,125 @@ impl<'a> Frame<'a> {
                 }
                 other => return type_err("list", other),
             },
-            SortList => match &args[0] {
-                Value::List(l) => {
-                    let mut l = l.clone();
+            SortList => match a0 {
+                Value::List(mut l) => {
                     extra_cost = (l.len() as u64).saturating_mul(4);
-                    l.sort();
+                    Arc::make_mut(&mut l).sort();
                     Value::List(l)
                 }
-                other => return type_err("list", other),
+                other => return type_err("list", &other),
             },
-            MapKeys => match &args[0] {
+            MapKeys => match &a0 {
                 Value::Map(m) => {
                     extra_cost = m.len() as u64 / 4;
-                    Value::List(m.keys().map(|k| Value::text(k.clone())).collect())
+                    Value::list(m.keys().map(|k| Value::text(k.as_str())).collect())
                 }
                 other => return type_err("map", other),
             },
-            EmptyList => Value::List(vec![]),
-            EmptyMap => Value::Map(BTreeMap::new()),
+            EmptyList => Value::list(vec![]),
+            EmptyMap => Value::map(BTreeMap::new()),
         };
         self.stats.ops += b.base_cost() + extra_cost;
         Ok(result)
     }
 
-    fn exec_block(&mut self, block: &[Stmt]) -> Result<(), InterpError> {
+    /// The bounds of `range(from, to)`, refused when the range is longer
+    /// than the steps this invocation has left: producing it is that many
+    /// steps of work, and no loop could walk it within the limit anyway.
+    /// Checked before anything is allocated for it.
+    fn range_within_steps(&self, from: &Value, to: &Value) -> Eval<std::ops::Range<i64>> {
+        let from = int_arg(from)?;
+        let to = int_arg(to)?;
+        let len = to.saturating_sub(from).max(0) as u64;
+        if len > MAX_STEPS.saturating_sub(self.steps) {
+            return Err(InterpError::StepLimitExceeded.into());
+        }
+        Ok(from..to)
+    }
+
+    fn exec_block(&mut self, block: &[RStmt]) -> Eval<()> {
         for stmt in block {
             self.exec(stmt)?;
         }
         Ok(())
     }
 
-    fn exec(&mut self, stmt: &Stmt) -> Result<(), InterpError> {
+    /// The variable a `MapAdd`/`ListPush` updates in place.
+    fn assigned(&mut self, slot: usize, name: &'static str) -> Eval<&mut Value> {
+        self.env[slot]
+            .as_mut()
+            .ok_or_else(|| InterpError::UnknownVar(name.to_string()).into())
+    }
+
+    fn exec(&mut self, stmt: &RStmt) -> Eval<()> {
         self.tick(1)?;
         match stmt {
-            Stmt::Assign(name, e) => {
+            RStmt::Assign(slot, e) => {
                 let v = self.eval(e)?;
-                self.env.insert(name, v);
+                self.env[*slot] = Some(v);
                 Ok(())
             }
-            Stmt::MapAdd(name, key, delta) => {
-                let k = {
-                    let kv = self.eval(key)?;
-                    kv.to_string()
-                };
+            RStmt::MapAdd {
+                slot,
+                name,
+                key,
+                delta,
+            } => {
+                let key = self.eval(key)?;
                 let d = self.eval(delta)?.as_float().ok_or(InterpError::TypeError {
                     expected: "number",
                     got: "non-numeric delta".to_string(),
                 })?;
-                let slot = self
-                    .env
-                    .get_mut(name)
-                    .ok_or_else(|| InterpError::UnknownVar((*name).to_string()))?;
-                match slot {
+                match self.assigned(*slot, name)? {
                     Value::Map(m) => {
-                        let entry = m.entry(k).or_insert(Value::Int(0));
-                        let cur = entry.as_float().unwrap_or(0.0);
-                        let next = cur + d;
                         // Preserve integer representation for whole numbers so
                         // "stripes" counters stay compact.
-                        *entry = if next.fract() == 0.0 && next.abs() < i64::MAX as f64 {
-                            Value::Int(next as i64)
-                        } else {
-                            Value::Float(OrderedF64(next))
+                        let bump = |cur: f64| {
+                            let next = cur + d;
+                            if next.fract() == 0.0 && next.abs() < i64::MAX as f64 {
+                                Value::Int(next as i64)
+                            } else {
+                                Value::Float(OrderedF64(next))
+                            }
                         };
+                        let key: Cow<str> = match &key {
+                            Value::Text(s) => Cow::Borrowed(s),
+                            other => Cow::Owned(other.to_string()),
+                        };
+                        let m = Arc::make_mut(m);
+                        match m.get_mut(&*key) {
+                            Some(entry) => *entry = bump(entry.as_float().unwrap_or(0.0)),
+                            None => {
+                                m.insert(key.into_owned(), bump(0.0));
+                            }
+                        }
                         Ok(())
                     }
-                    other => Err(type_err("map", other).unwrap_err()),
+                    other => type_err("map", other),
                 }
             }
-            Stmt::ListPush(name, e) => {
-                let v = self.eval(e)?;
-                let slot = self
-                    .env
-                    .get_mut(name)
-                    .ok_or_else(|| InterpError::UnknownVar((*name).to_string()))?;
-                match slot {
+            RStmt::ListPush { slot, name, item } => {
+                let v = self.eval(item)?;
+                match self.assigned(*slot, name)? {
                     Value::List(l) => {
-                        l.push(v);
+                        Arc::make_mut(l).push(v);
                         Ok(())
                     }
-                    other => Err(type_err("list", other).unwrap_err()),
+                    other => type_err("list", other),
                 }
             }
-            Stmt::Emit(k, v) => {
+            RStmt::Emit(k, v) => {
                 let k = self.eval(k)?;
                 let v = self.eval(v)?;
+                let bytes = k.serialized_size() + v.serialized_size();
                 self.stats.records_out += 1;
-                self.stats.bytes_out += k.serialized_size() + v.serialized_size();
+                self.stats.bytes_out += bytes;
                 // Emitting costs serialization work proportional to size.
                 self.stats.ops += 2;
-                self.out.push((k, v));
+                self.out.emit(k, v, bytes);
                 Ok(())
             }
-            Stmt::If {
+            RStmt::If {
                 cond,
                 then_branch,
                 else_branch,
@@ -363,20 +579,41 @@ impl<'a> Frame<'a> {
                     self.exec_block(else_branch)
                 }
             }
-            Stmt::While { cond, body } => {
+            RStmt::While { cond, body } => {
                 while self.eval(cond)?.is_truthy() {
                     self.exec_block(body)?;
                 }
                 Ok(())
             }
-            Stmt::For { var, iter, body } => {
+            // `for x in range(a, b)` walks the bounds without building the
+            // list; steps and ops are those of evaluating the call.
+            RStmt::For {
+                slot,
+                iter: RExpr::Call(Builtin::Range, bounds),
+                body,
+            } if bounds.len() == 2 => {
+                self.tick(1)?;
+                let from = self.eval(&bounds[0])?;
+                let to = self.eval(&bounds[1])?;
+                let range = self.range_within_steps(&from, &to)?;
+                self.stats.ops += Builtin::Range.base_cost() + range_extra_cost(&range);
+                for i in range {
+                    self.tick(1)?;
+                    self.env[*slot] = Some(Value::Int(i));
+                    self.exec_block(body)?;
+                }
+                Ok(())
+            }
+            RStmt::For { slot, iter, body } => {
+                // Holding the list keeps the iteration a snapshot: a push
+                // to the same variable inside the body copies on write.
                 let list = match self.eval(iter)? {
                     Value::List(l) => l,
-                    other => return Err(type_err("list", &other).unwrap_err()),
+                    other => return type_err("list", &other),
                 };
-                for item in list {
+                for item in list.iter() {
                     self.tick(1)?;
-                    self.env.insert(var, item);
+                    self.env[*slot] = Some(item.clone());
                     self.exec_block(body)?;
                 }
                 Ok(())
@@ -385,30 +622,35 @@ impl<'a> Frame<'a> {
     }
 }
 
-fn text_arg(v: &Value) -> Result<&str, InterpError> {
-    v.as_text().ok_or(InterpError::TypeError {
-        expected: "text",
-        got: format!("{:?}", v.value_type()),
-    })
+/// The data-dependent op cost of `range`: a quarter op per element.
+fn range_extra_cost(range: &std::ops::Range<i64>) -> u64 {
+    range.end.saturating_sub(range.start).max(0) as u64 / 4
 }
 
-fn int_arg(v: &Value) -> Result<i64, InterpError> {
-    v.as_int().ok_or(InterpError::TypeError {
-        expected: "int",
-        got: format!("{:?}", v.value_type()),
-    })
+fn text_arg(v: &Value) -> Eval<&str> {
+    match v.as_text() {
+        Some(s) => Ok(s),
+        None => type_err("text", v),
+    }
 }
 
-/// Helper that builds a `Result::Err` for a type mismatch; returned as
-/// `Result` so call sites can use `?` or `.unwrap_err()` uniformly.
-fn type_err(expected: &'static str, got: &Value) -> Result<Value, InterpError> {
+fn int_arg(v: &Value) -> Eval<i64> {
+    match v.as_int() {
+        Some(i) => Ok(i),
+        None => type_err("int", v),
+    }
+}
+
+/// The `Err` for a type mismatch.
+fn type_err<T>(expected: &'static str, got: &Value) -> Eval<T> {
     Err(InterpError::TypeError {
         expected,
         got: format!("{:?}", got.value_type()),
-    })
+    }
+    .into())
 }
 
-fn num_binary(a: &Value, b: &Value, f: fn(f64, f64) -> f64) -> Result<Value, InterpError> {
+fn num_binary(a: &Value, b: &Value, f: fn(f64, f64) -> f64) -> Eval<Value> {
     let (x, y) = match (a.as_float(), b.as_float()) {
         (Some(x), Some(y)) => (x, y),
         _ => return type_err("number", a),
@@ -421,7 +663,7 @@ fn num_binary(a: &Value, b: &Value, f: fn(f64, f64) -> f64) -> Result<Value, Int
     }
 }
 
-fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, InterpError> {
+fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Eval<Value> {
     use BinOp::*;
     match op {
         And => return Ok(Value::Int((a.is_truthy() && b.is_truthy()) as i64)),
@@ -447,7 +689,8 @@ fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, InterpError> {
             return Err(InterpError::TypeError {
                 expected: "number",
                 got: format!("{:?} {op:?} {:?}", a.value_type(), b.value_type()),
-            })
+            }
+            .into())
         }
     };
     let both_int = matches!((a, b), (Value::Int(_), Value::Int(_)));
@@ -457,13 +700,13 @@ fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, InterpError> {
         Mul => x * y,
         Div => {
             if y == 0.0 {
-                return Err(InterpError::DivisionByZero);
+                return Err(InterpError::DivisionByZero.into());
             }
             x / y
         }
         Mod => {
             if y == 0.0 {
-                return Err(InterpError::DivisionByZero);
+                return Err(InterpError::DivisionByZero.into());
             }
             x % y
         }
@@ -488,13 +731,13 @@ fn hash_value(v: &Value, h: &mut u64) {
         Value::Int(i) => i.to_le_bytes().iter().for_each(|b| mix(h, *b)),
         Value::Float(f) => f.0.to_bits().to_le_bytes().iter().for_each(|b| mix(h, *b)),
         Value::Text(s) => s.as_bytes().iter().for_each(|b| mix(h, *b)),
-        Value::Pair(a, b) => {
-            hash_value(a, h);
-            hash_value(b, h);
+        Value::Pair(p) => {
+            hash_value(&p.0, h);
+            hash_value(&p.1, h);
         }
         Value::List(l) => l.iter().for_each(|x| hash_value(x, h)),
         Value::Map(m) => {
-            for (k, x) in m {
+            for (k, x) in m.iter() {
                 k.as_bytes().iter().for_each(|b| mix(h, *b));
                 hash_value(x, h);
             }
@@ -509,7 +752,8 @@ pub fn value_hash(v: &Value) -> u64 {
     h >> 1
 }
 
-/// Run a mapper UDF over one input record.
+/// Run a mapper UDF over one input record. One-shot: resolves the UDF on
+/// every call; a loop over records holds an [`Interp`] instead.
 pub fn run_map(
     udf: &Udf,
     job_params: &BTreeMap<String, Value>,
@@ -517,13 +761,11 @@ pub fn run_map(
     value: &Value,
     out: &mut Vec<(Value, Value)>,
 ) -> Result<ExecStats, InterpError> {
-    let mut env = HashMap::with_capacity(8);
-    env.insert(udf.params[0], key.clone());
-    env.insert(udf.params[1], value.clone());
-    run_frame(udf, job_params, env, out)
+    Interp::new(udf, job_params).run(key.clone(), value.clone(), out)
 }
 
-/// Run a reducer/combiner UDF over one intermediate key group.
+/// Run a reducer/combiner UDF over one intermediate key group. One-shot,
+/// like [`run_map`].
 pub fn run_reduce(
     udf: &Udf,
     job_params: &BTreeMap<String, Value>,
@@ -531,27 +773,7 @@ pub fn run_reduce(
     values: Vec<Value>,
     out: &mut Vec<(Value, Value)>,
 ) -> Result<ExecStats, InterpError> {
-    let mut env = HashMap::with_capacity(8);
-    env.insert(udf.params[0], key.clone());
-    env.insert(udf.params[1], Value::List(values));
-    run_frame(udf, job_params, env, out)
-}
-
-fn run_frame(
-    udf: &Udf,
-    job_params: &BTreeMap<String, Value>,
-    env: HashMap<&'static str, Value>,
-    out: &mut Vec<(Value, Value)>,
-) -> Result<ExecStats, InterpError> {
-    let mut frame = Frame {
-        env,
-        job_params,
-        out,
-        stats: ExecStats::default(),
-        steps: 0,
-    };
-    frame.exec_block(&udf.body)?;
-    Ok(frame.stats)
+    Interp::new(udf, job_params).run(key.clone(), Value::list(values), out)
 }
 
 #[cfg(test)]
@@ -732,6 +954,123 @@ mod tests {
         run_map(&udf, &no_params(), &Value::Null, &Value::Null, &mut out).unwrap();
         assert_eq!(out[0], (Value::text("a"), Value::Int(7)));
         assert_eq!(out[1], (Value::text("el"), Value::Int(42)));
+    }
+
+    #[test]
+    fn substr_floors_byte_indices_to_char_boundaries() {
+        // "héllo": `é` is bytes 1..3, so index 2 falls inside it.
+        let udf = Udf::mapper(
+            "s",
+            vec![
+                emit(
+                    call(Builtin::Substr, vec![var("value"), c_int(0), c_int(2)]),
+                    call(Builtin::Substr, vec![var("value"), c_int(2), c_int(4)]),
+                ),
+                emit(
+                    call(Builtin::Substr, vec![var("value"), c_int(2), c_int(2)]),
+                    call(Builtin::Substr, vec![var("value"), c_int(-3), c_int(99)]),
+                ),
+            ],
+        );
+        let mut out = vec![];
+        run_map(
+            &udf,
+            &no_params(),
+            &Value::Null,
+            &Value::text("héllo"),
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out[0], (Value::text("h"), Value::text("él")));
+        assert_eq!(out[1], (Value::text(""), Value::text("héllo")));
+    }
+
+    #[test]
+    fn a_range_longer_than_the_step_limit_is_refused_before_allocating() {
+        let huge = || call(Builtin::Range, vec![c_int(0), c_int(1 << 40)]);
+        let as_value = Udf::mapper("v", vec![assign("r", huge())]);
+        let as_loop = Udf::mapper("l", vec![for_each("i", huge(), vec![])]);
+        for udf in [as_value, as_loop] {
+            let mut out = vec![];
+            let err =
+                run_map(&udf, &no_params(), &Value::Null, &Value::Null, &mut out).unwrap_err();
+            assert_eq!(err, InterpError::StepLimitExceeded);
+        }
+    }
+
+    #[test]
+    fn looping_over_a_range_costs_what_building_its_list_costs() {
+        let bounds = || call(Builtin::Range, vec![c_int(2), c_int(11)]);
+        let direct = Udf::mapper(
+            "d",
+            vec![for_each("i", bounds(), vec![emit(var("i"), c_int(1))])],
+        );
+        let via_list = Udf::mapper(
+            "l",
+            vec![
+                assign("r", bounds()),
+                for_each("i", var("r"), vec![emit(var("i"), c_int(1))]),
+            ],
+        );
+        let (mut out_d, mut out_l) = (vec![], vec![]);
+        let d = run_map(
+            &direct,
+            &no_params(),
+            &Value::Null,
+            &Value::Null,
+            &mut out_d,
+        )
+        .unwrap();
+        let l = run_map(
+            &via_list,
+            &no_params(),
+            &Value::Null,
+            &Value::Null,
+            &mut out_l,
+        )
+        .unwrap();
+        assert_eq!(out_d, out_l);
+        assert_eq!(out_d.len(), 9);
+        // The detour is one more statement and one more variable read.
+        assert_eq!(l.ops, d.ops + 2);
+    }
+
+    #[test]
+    fn a_reused_interpreter_starts_every_invocation_unassigned() {
+        let udf = Udf::mapper(
+            "m",
+            vec![
+                if_then(var("key"), vec![assign("seen", c_int(1))]),
+                emit(var("key"), var("seen")),
+            ],
+        );
+        let mut interp = Interp::new(&udf, &no_params());
+        let mut out = vec![];
+        let first = interp.run(Value::Int(1), Value::Null, &mut out).unwrap();
+        assert_eq!(out, vec![(Value::Int(1), Value::Int(1))]);
+        // `seen` was assigned by the first record only.
+        let err = interp
+            .run(Value::Int(0), Value::Null, &mut out)
+            .unwrap_err();
+        assert_eq!(err, InterpError::UnknownVar("seen".to_string()));
+        // Steps and stats are per invocation, too.
+        let again = interp.run(Value::Int(1), Value::Null, &mut out).unwrap();
+        assert_eq!(again, first);
+    }
+
+    #[test]
+    fn a_push_inside_a_loop_over_the_same_list_does_not_extend_the_loop() {
+        let udf = Udf::mapper(
+            "p",
+            vec![
+                assign("l", call(Builtin::Range, vec![c_int(0), c_int(3)])),
+                for_each("x", var("l"), vec![Stmt::ListPush("l", var("x"))]),
+                emit(len(var("l")), c_int(0)),
+            ],
+        );
+        let mut out = vec![];
+        run_map(&udf, &no_params(), &Value::Null, &Value::Null, &mut out).unwrap();
+        assert_eq!(out[0].0, Value::Int(6));
     }
 
     #[test]

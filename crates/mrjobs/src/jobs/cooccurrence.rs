@@ -278,7 +278,7 @@ mod tests {
             spec.reduce_udf.as_ref().unwrap(),
             &spec.params,
             &Value::text("a"),
-            vec![Value::Map(m1), Value::Map(m2)],
+            vec![Value::map(m1), Value::map(m2)],
             &mut out,
         )
         .unwrap();
@@ -309,7 +309,7 @@ mod tests {
         .unwrap();
         let cat = out
             .iter()
-            .find(|(k, _)| matches!(k, Value::Pair(_, b) if b.as_text() == Some("cat")))
+            .find(|(k, _)| matches!(k, Value::Pair(p) if p.1.as_text() == Some("cat")))
             .unwrap();
         assert_eq!(cat.1, Value::float(0.5));
     }

@@ -163,7 +163,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             red[0].1,
-            Value::List(vec![Value::text("doc1"), Value::text("doc9")])
+            Value::list(vec![Value::text("doc1"), Value::text("doc9")])
         );
     }
 

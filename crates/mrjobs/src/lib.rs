@@ -28,7 +28,7 @@ pub mod spec;
 pub mod value;
 
 pub use dataset::Dataset;
-pub use interp::{run_map, run_reduce, ExecStats, InterpError};
+pub use interp::{run_map, run_reduce, ExecStats, Interp, InterpError, Sink};
 pub use ir::{BinOp, Builtin, Expr, Stmt, Udf};
 pub use spec::{JobSpec, JobSpecBuilder, Partitioner};
 pub use value::{Record, Value, ValueType};

@@ -6,10 +6,19 @@
 //! sortable) and a serialized-size model that approximates Hadoop's
 //! `Writable` wire format, which is what the simulator's byte counters and
 //! the profile dataflow statistics are based on.
+//!
+//! The heap variants are shared-ownership: cloning a text, pair, list or
+//! map bumps a reference count and copies nothing, so the interpreter can
+//! read a variable, index a list, iterate and emit without a deep copy.
+//! The in-place updates of the IR (`ListPush`, `MapAdd`, sorting) go
+//! through [`Arc::make_mut`], which copies only when the value is shared.
+//! `Arc` rather than `Rc` because `TuningService` workers share one
+//! `Dataset` across threads.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dynamically typed record value, the equivalent of a Hadoop `Writable`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -21,14 +30,14 @@ pub enum Value {
     /// 64-bit float (`DoubleWritable`). Ordered by IEEE total order.
     Float(OrderedF64),
     /// UTF-8 text (`Text`).
-    Text(String),
+    Text(Arc<str>),
     /// A pair of values (`PairOfWritables`).
-    Pair(Box<Value>, Box<Value>),
+    Pair(Arc<(Value, Value)>),
     /// A list of values (`ArrayWritable`).
-    List(Vec<Value>),
+    List(Arc<Vec<Value>>),
     /// A string-keyed associative map (`MapWritable`), used by the
     /// "stripes" family of jobs.
-    Map(BTreeMap<String, Value>),
+    Map(Arc<BTreeMap<String, Value>>),
 }
 
 /// An `f64` wrapper with a total order (IEEE-754 `total_cmp`), so values can
@@ -60,7 +69,7 @@ impl std::hash::Hash for OrderedF64 {
 
 impl Value {
     /// Convenience constructor for text values.
-    pub fn text(s: impl Into<String>) -> Self {
+    pub fn text(s: impl Into<Arc<str>>) -> Self {
         Value::Text(s.into())
     }
 
@@ -71,7 +80,17 @@ impl Value {
 
     /// Convenience constructor for pairs.
     pub fn pair(a: Value, b: Value) -> Self {
-        Value::Pair(Box::new(a), Box::new(b))
+        Value::Pair(Arc::new((a, b)))
+    }
+
+    /// Convenience constructor for lists.
+    pub fn list(items: Vec<Value>) -> Self {
+        Value::List(Arc::new(items))
+    }
+
+    /// Convenience constructor for maps.
+    pub fn map(entries: BTreeMap<String, Value>) -> Self {
+        Value::Map(Arc::new(entries))
     }
 
     /// Truthiness used by `if`/`while` conditions in the UDF IR.
@@ -97,7 +116,7 @@ impl Value {
             Value::Int(_) => 8,
             Value::Float(_) => 8,
             Value::Text(s) => vint_size(s.len() as u64) + s.len() as u64,
-            Value::Pair(a, b) => a.serialized_size() + b.serialized_size(),
+            Value::Pair(p) => p.0.serialized_size() + p.1.serialized_size(),
             Value::List(l) => 4 + l.iter().map(Value::serialized_size).sum::<u64>(),
             Value::Map(m) => {
                 4 + m
@@ -160,11 +179,11 @@ impl Ord for Value {
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Int(a), Int(b)) => a.cmp(b),
-            (Int(a), Float(b)) => OrderedF64(*a as f64).cmp(b),
-            (Float(a), Int(b)) => a.cmp(&OrderedF64(*b as f64)),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Float(a), Float(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
-            (Pair(a1, a2), Pair(b1, b2)) => a1.cmp(b1).then_with(|| a2.cmp(b2)),
+            (Pair(a), Pair(b)) => a.cmp(b),
             (List(a), List(b)) => a.cmp(b),
             (Map(a), Map(b)) => a.cmp(b),
             // Cross-type ordering falls back to a stable type rank so that
@@ -172,6 +191,18 @@ impl Ord for Value {
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
+}
+
+/// An integer against a float, exactly. Comparing `i as f64` alone would
+/// call `2^53 + 1` equal to the float `2^53` and so to the integer `2^53`,
+/// which it exceeds: not an order, and sorting by it (the simulator groups
+/// intermediate keys by sorting them) is allowed to panic. Where the
+/// rounded integer ties with the float, the float is that rounded integer
+/// and the two are compared as integers.
+fn cmp_int_float(i: i64, f: OrderedF64) -> Ordering {
+    OrderedF64(i as f64)
+        .cmp(&f)
+        .then_with(|| i128::from(i).cmp(&(f.0 as i128)))
 }
 
 impl Value {
@@ -195,7 +226,7 @@ impl fmt::Display for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => write!(f, "{}", x.0),
             Value::Text(s) => write!(f, "{s}"),
-            Value::Pair(a, b) => write!(f, "({a}, {b})"),
+            Value::Pair(p) => write!(f, "({}, {})", p.0, p.1),
             Value::List(l) => {
                 write!(f, "[")?;
                 for (i, v) in l.iter().enumerate() {
@@ -320,6 +351,26 @@ mod tests {
     }
 
     #[test]
+    fn mixed_numeric_order_is_transitive_beyond_2_pow_53() {
+        let big = 1i64 << 53;
+        let (a, b, c) = (
+            Value::Int(big),
+            Value::float(big as f64),
+            Value::Int(big + 1),
+        );
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        assert_eq!(a.cmp(&c), Ordering::Less);
+        assert_eq!(b.cmp(&c), Ordering::Less);
+        assert_eq!(c.cmp(&b), Ordering::Greater);
+        assert_eq!(
+            Value::Int(i64::MAX).cmp(&Value::float(i64::MAX as f64)),
+            Ordering::Less
+        );
+        assert_eq!(Value::Int(0).cmp(&Value::float(-0.0)), Ordering::Greater);
+        assert_eq!(Value::Int(1).cmp(&Value::float(f64::NAN)), Ordering::Less);
+    }
+
+    #[test]
     fn pair_ordering_is_lexicographic() {
         let a = Value::pair(Value::text("a"), Value::text("z"));
         let b = Value::pair(Value::text("b"), Value::text("a"));
@@ -337,11 +388,11 @@ mod tests {
 
     #[test]
     fn container_sizes_include_cardinality() {
-        let l = Value::List(vec![Value::Int(1), Value::Int(2)]);
+        let l = Value::list(vec![Value::Int(1), Value::Int(2)]);
         assert_eq!(l.serialized_size(), 4 + 16);
         let mut m = BTreeMap::new();
         m.insert("k".to_string(), Value::Int(1));
-        assert_eq!(Value::Map(m).serialized_size(), 4 + 1 + 1 + 8);
+        assert_eq!(Value::map(m).serialized_size(), 4 + 1 + 1 + 8);
     }
 
     #[test]
@@ -351,7 +402,7 @@ mod tests {
         assert!(Value::Int(1).is_truthy());
         assert!(!Value::text("").is_truthy());
         assert!(Value::text("x").is_truthy());
-        assert!(!Value::List(vec![]).is_truthy());
+        assert!(!Value::list(vec![]).is_truthy());
     }
 
     #[test]
@@ -362,6 +413,18 @@ mod tests {
             Value::pair(Value::Null, Value::Null).value_type(),
             ValueType::Pair
         );
+    }
+
+    #[test]
+    fn clones_share_and_values_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Value>();
+        let words = Value::list(vec![Value::text("a"), Value::text("b")]);
+        let copy = words.clone();
+        match (&words, &copy) {
+            (Value::List(a), Value::List(b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => unreachable!(),
+        }
     }
 
     #[test]

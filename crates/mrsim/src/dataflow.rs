@@ -1,17 +1,18 @@
 //! Config-independent dataflow measurement.
 //!
-//! For a given (job, dataset) pair, the simulator runs the job's UDFs over
-//! the physical sample once, divided into representative chunks (one chunk
-//! stands in for one HDFS split), and extrapolates per-task and total
-//! dataflow statistics to the dataset's logical scale. Everything that
-//! depends on the *configuration* (spills, merges, compression, reducer
-//! count) is left to the phase cost model in [`crate::phases`]; everything
-//! here depends only on the job semantics and the data.
+//! For a given (job, dataset) pair, each [`analyze`] call runs the job's
+//! UDFs over the physical sample once, divided into representative chunks
+//! (one chunk stands in for one HDFS split), and extrapolates per-task and
+//! total dataflow statistics to the dataset's logical scale. Nothing is
+//! remembered between calls: a caller that needs the dataflow for several
+//! configurations or seeds measures once and reuses the [`Dataflow`].
+//! Everything that depends on the *configuration* (spills, merges,
+//! compression, reducer count) is left to the phase cost model in
+//! [`crate::phases`]; everything here depends only on the job semantics
+//! and the data.
 
-use std::collections::BTreeMap;
-
-use mrjobs::interp::{run_map, run_reduce, value_hash};
-use mrjobs::{Dataset, JobSpec, Partitioner, Value};
+use mrjobs::interp::{value_hash, Interp, Sink};
+use mrjobs::{Dataset, ExecStats, JobSpec, Partitioner, Udf, Value};
 
 use crate::cluster::ClusterSpec;
 use crate::error::SimError;
@@ -179,6 +180,80 @@ fn chunk_count(records: usize) -> usize {
     (records / 100).clamp(4, 20)
 }
 
+/// A UDF resolved for repeated invocation, with what a failure inside it
+/// is reported against.
+struct Runner<'a> {
+    interp: Interp,
+    job: &'a str,
+    udf: &'a str,
+}
+
+impl<'a> Runner<'a> {
+    fn new(spec: &'a JobSpec, udf: &'a Udf) -> Self {
+        Runner {
+            interp: Interp::new(udf, &spec.params),
+            job: &spec.name,
+            udf: &udf.name,
+        }
+    }
+
+    fn run(
+        &mut self,
+        first: Value,
+        second: Value,
+        out: &mut dyn Sink,
+    ) -> Result<ExecStats, SimError> {
+        self.interp
+            .run(first, second, out)
+            .map_err(|source| SimError::Udf {
+                job: self.job.to_string(),
+                udf: self.udf.to_string(),
+                source,
+            })
+    }
+}
+
+/// The map output of the whole sample in emission order, each pair with
+/// the serialized size `Emit` computed for it. Keys apart from values, so
+/// the reducer can take the values while the grouping still reads the keys.
+#[derive(Default)]
+struct MapOutput {
+    keys: Vec<Value>,
+    values: Vec<Value>,
+    bytes: Vec<u64>,
+}
+
+impl Sink for MapOutput {
+    fn emit(&mut self, key: Value, value: Value, bytes: u64) {
+        self.keys.push(key);
+        self.values.push(value);
+        self.bytes.push(bytes);
+    }
+}
+
+/// Combiner and reducer output is only counted, and [`ExecStats`] already
+/// carries the counts.
+struct Discard;
+
+impl Sink for Discard {
+    fn emit(&mut self, _key: Value, _value: Value, _bytes: u64) {}
+}
+
+/// Stable-sort pair indices by key. Stability is what makes this a
+/// grouping: among equal keys, indices stay in emission order. Sorting a
+/// concatenation of already-sorted runs (the per-chunk orders the combiner
+/// left behind) is a merge of those runs.
+fn sort_by_key(order: &mut [usize], keys: &[Value]) {
+    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+}
+
+/// Split key-sorted indices into groups of `Ord`-equal keys, in key order.
+/// The first index of a group is its first-emitted pair, whose key
+/// represents the group.
+fn groups<'o>(order: &'o [usize], keys: &'o [Value]) -> impl Iterator<Item = &'o [usize]> {
+    order.chunk_by(|&a, &b| keys[a].cmp(&keys[b]).is_eq())
+}
+
 /// Run the job's UDFs over the dataset sample and extrapolate dataflow to
 /// logical scale.
 pub fn analyze(
@@ -195,9 +270,16 @@ pub fn analyze(
     let chunks = chunk_count(dataset.len());
     let chunk_size = dataset.len().div_ceil(chunks);
 
+    let mut mapper = Runner::new(spec, &spec.map_udf);
+    let mut combiner = spec.combine_udf.as_ref().map(|udf| Runner::new(spec, udf));
+
     let mut per_task = Vec::with_capacity(chunks);
-    let mut all_pairs: Vec<(Value, Value)> = Vec::new();
+    let mut out = MapOutput::default();
+    // Pair indices, sorted by key within each chunk once the chunk has been
+    // combined, and across the whole sample before the reducer runs.
+    let mut order: Vec<usize> = Vec::new();
     let mut chunk_boundaries = Vec::with_capacity(chunks);
+    let mut total_out_bytes = 0u64;
 
     // Combiner accumulators.
     let mut comb_in_records = 0.0f64;
@@ -207,46 +289,33 @@ pub fn analyze(
     let mut comb_ops = 0.0f64;
 
     for chunk in dataset.records.chunks(chunk_size) {
-        let mut out = Vec::new();
-        let mut map_ops = 0u64;
+        let chunk_start = out.keys.len();
+        let mut map_stats = ExecStats::default();
         let mut in_bytes = 0u64;
         for rec in chunk {
             in_bytes += rec.serialized_size();
-            let stats = run_map(&spec.map_udf, &spec.params, &rec.key, &rec.value, &mut out)
-                .map_err(|e| SimError::Udf {
-                    job: spec.name.clone(),
-                    udf: spec.map_udf.name.clone(),
-                    source: e,
-                })?;
-            map_ops += stats.ops;
+            map_stats.merge(mapper.run(rec.key.clone(), rec.value.clone(), &mut out)?);
         }
-        let out_records = out.len() as f64;
-        let out_bytes: u64 = out
-            .iter()
-            .map(|(k, v)| k.serialized_size() + v.serialized_size())
-            .sum();
+        let out_records = map_stats.records_out as f64;
+        let out_bytes = map_stats.bytes_out;
+        total_out_bytes += out_bytes;
+        order.extend(chunk_start..out.keys.len());
 
-        // Per-chunk combining approximates per-spill combining.
-        if let Some(comb) = &spec.combine_udf {
-            let grouped = group_pairs(out.clone());
+        // Per-chunk combining approximates per-spill combining. The
+        // combiner sees clones of the values (reference-count bumps): the
+        // reducer below consumes the originals.
+        if let Some(comb) = &mut combiner {
+            let chunk_order = &mut order[chunk_start..];
+            sort_by_key(chunk_order, &out.keys);
             comb_in_records += out_records;
             comb_in_bytes += out_bytes as f64;
-            for (key, values) in grouped {
-                let mut comb_out = Vec::new();
-                let stats =
-                    run_reduce(comb, &spec.params, &key, values, &mut comb_out).map_err(|e| {
-                        SimError::Udf {
-                            job: spec.name.clone(),
-                            udf: comb.name.clone(),
-                            source: e,
-                        }
-                    })?;
+            for group in groups(chunk_order, &out.keys) {
+                let key = out.keys[group[0]].clone();
+                let values = Value::list(group.iter().map(|&i| out.values[i].clone()).collect());
+                let stats = comb.run(key, values, &mut Discard)?;
                 comb_ops += stats.ops as f64;
-                comb_out_records += comb_out.len() as f64;
-                comb_out_bytes += comb_out
-                    .iter()
-                    .map(|(k, v)| (k.serialized_size() + v.serialized_size()) as f64)
-                    .sum::<f64>();
+                comb_out_records += stats.records_out as f64;
+                comb_out_bytes += stats.bytes_out as f64;
             }
         }
 
@@ -261,39 +330,21 @@ pub fn analyze(
             input_bytes: bytes_per_task,
             out_records: out_records * scale,
             out_bytes: out_bytes as f64 * scale,
-            map_ops: map_ops as f64 * scale,
+            map_ops: map_stats.ops as f64 * scale,
         });
-        all_pairs.extend(out);
-        chunk_boundaries.push(all_pairs.len());
+        chunk_boundaries.push(out.keys.len());
     }
+    let MapOutput {
+        keys,
+        mut values,
+        bytes: pair_bytes,
+    } = out;
 
-    // Heaps-law distinct-key growth exponent of the intermediate keys,
-    // shared by the combiner model and the reduce-output scaling.
-    let key_alpha = {
-        let half_idx = if chunk_boundaries.len() >= 2 {
-            chunk_boundaries[chunk_boundaries.len() / 2 - 1]
-        } else {
-            all_pairs.len() / 2
-        };
-        distinct_growth_alpha(&all_pairs, half_idx)
-    };
-
-    let combine = spec.combine_udf.as_ref().map(|_| CombineFlow {
-        record_selectivity: safe_ratio(comb_out_records, comb_in_records, 1.0),
-        size_selectivity: safe_ratio(comb_out_bytes, comb_in_bytes, 1.0),
-        ops_per_record: safe_ratio(comb_ops, comb_in_records, 0.0),
-        ref_records: comb_in_records / per_task.len().max(1) as f64,
-        alpha: key_alpha,
-    });
-
-    let total_sample_out_bytes: f64 = all_pairs
-        .iter()
-        .map(|(k, v)| (k.serialized_size() + v.serialized_size()) as f64)
-        .sum();
-    let avg_intermediate_record_bytes = if all_pairs.is_empty() {
+    let total_sample_out_bytes = total_out_bytes as f64;
+    let avg_intermediate_record_bytes = if keys.is_empty() {
         0.0
     } else {
-        total_sample_out_bytes / all_pairs.len() as f64
+        total_sample_out_bytes / keys.len() as f64
     };
 
     // Overall sample→logical scale for intermediate data.
@@ -305,74 +356,91 @@ pub fn analyze(
         1.0
     };
 
-    let reduce = match &spec.reduce_udf {
-        None => None,
-        Some(reduce_udf) => {
-            let alpha = key_alpha;
-
-            let grouped = group_pairs(all_pairs.clone());
-            let sample_groups = grouped.len() as f64;
-            let sample_in_records = all_pairs.len() as f64;
-
-            let mut out_records = 0.0f64;
-            let mut out_bytes = 0.0f64;
-            let mut ops = 0.0f64;
-            let mut max_group_bytes_sample = 0.0f64;
-            let mut weights: Vec<(u64, f64)> = Vec::with_capacity(grouped.len());
-            for (key, values) in grouped {
-                let group_bytes: f64 = values
+    // Map-only jobs without a combiner use neither the grouping nor the
+    // Heaps exponent it yields.
+    let mut reduced = None;
+    let mut key_alpha = 1.0;
+    if combiner.is_some() || spec.reduce_udf.is_some() {
+        sort_by_key(&mut order, &keys);
+        let half_idx = if chunk_boundaries.len() >= 2 {
+            chunk_boundaries[chunk_boundaries.len() / 2 - 1]
+        } else {
+            keys.len() / 2
+        };
+        let mut growth = DistinctGrowth::new(keys.len(), half_idx);
+        let mut reducer = spec.reduce_udf.as_ref().map(|udf| Runner::new(spec, udf));
+        let mut sample = ReduceSample::default();
+        for group in groups(&order, &keys) {
+            growth.count(group, &keys);
+            if let Some(red) = &mut reducer {
+                let key = keys[group[0]].clone();
+                // `Ord`-equal keys serialize to the same number of bytes
+                // (an `Int` and the `Float` it equals are 8 bytes each;
+                // every other equality is structural), so each pair's own
+                // size is the size of (representative key, value).
+                let group_bytes: f64 = group.iter().map(|&i| pair_bytes[i] as f64).sum();
+                sample.max_group_bytes = sample.max_group_bytes.max(group_bytes);
+                sample
+                    .weights
+                    .push((partition_hash(&key, spec.partitioner), group_bytes));
+                // The reducer consumes the map output: values move out.
+                let group_values = group
                     .iter()
-                    .map(|v| (key.serialized_size() + v.serialized_size()) as f64)
-                    .sum();
-                max_group_bytes_sample = max_group_bytes_sample.max(group_bytes);
-                let h = partition_hash(&key, spec.partitioner);
-                weights.push((h, group_bytes));
-                let mut red_out = Vec::new();
-                let stats = run_reduce(reduce_udf, &spec.params, &key, values, &mut red_out)
-                    .map_err(|e| SimError::Udf {
-                        job: spec.name.clone(),
-                        udf: reduce_udf.name.clone(),
-                        source: e,
-                    })?;
-                ops += stats.ops as f64;
-                out_records += red_out.len() as f64;
-                out_bytes += red_out
-                    .iter()
-                    .map(|(k, v)| (k.serialized_size() + v.serialized_size()) as f64)
-                    .sum::<f64>();
+                    .map(|&i| std::mem::replace(&mut values[i], Value::Null))
+                    .collect();
+                let stats = red.run(key, Value::list(group_values), &mut Discard)?;
+                sample.ops += stats.ops as f64;
+                sample.out_records += stats.records_out as f64;
+                sample.out_bytes += stats.bytes_out as f64;
             }
-
-            // Cap the key-weight table; aggregate the tail uniformly.
-            const MAX_WEIGHTS: usize = 4096;
-            let mut uniform_weight = 0.0;
-            if weights.len() > MAX_WEIGHTS {
-                weights.sort_by(|a, b| b.1.total_cmp(&a.1));
-                uniform_weight = weights[MAX_WEIGHTS..].iter().map(|(_, w)| w).sum();
-                weights.truncate(MAX_WEIGHTS);
-            }
-
-            // Scaled quantities. Input scales linearly; distinct keys scale
-            // with Heaps exponent alpha; output scales between the two
-            // depending on how aggregating the reducer is.
-            let in_records = sample_in_records * inter_scale;
-            let in_bytes = total_sample_out_bytes * inter_scale;
-            let distinct_keys = sample_groups * inter_scale.powf(alpha);
-            let out_sel = safe_ratio(out_records, sample_in_records, 1.0).min(1.0);
-            let out_scale = out_sel * inter_scale + (1.0 - out_sel) * inter_scale.powf(alpha);
-
-            Some(ReduceFlow {
-                in_records,
-                in_bytes,
-                out_records: out_records * out_scale,
-                out_bytes: out_bytes * out_scale,
-                ops_per_record: safe_ratio(ops, sample_in_records, 0.0),
-                distinct_keys,
-                max_group_bytes: max_group_bytes_sample * inter_scale,
-                key_weights: weights,
-                uniform_weight,
-            })
         }
-    };
+        key_alpha = growth.alpha();
+        reduced = reducer.map(|_| sample);
+    }
+
+    let combine = combiner.map(|_| CombineFlow {
+        record_selectivity: safe_ratio(comb_out_records, comb_in_records, 1.0),
+        size_selectivity: safe_ratio(comb_out_bytes, comb_in_bytes, 1.0),
+        ops_per_record: safe_ratio(comb_ops, comb_in_records, 0.0),
+        ref_records: comb_in_records / per_task.len().max(1) as f64,
+        alpha: key_alpha,
+    });
+
+    let reduce = reduced.map(|sample| {
+        let sample_groups = sample.weights.len() as f64;
+        let sample_in_records = keys.len() as f64;
+        let mut weights = sample.weights;
+
+        // Cap the key-weight table; aggregate the tail uniformly.
+        const MAX_WEIGHTS: usize = 4096;
+        let mut uniform_weight = 0.0;
+        if weights.len() > MAX_WEIGHTS {
+            weights.sort_by(|a, b| b.1.total_cmp(&a.1));
+            uniform_weight = weights[MAX_WEIGHTS..].iter().map(|(_, w)| w).sum();
+            weights.truncate(MAX_WEIGHTS);
+        }
+
+        // Scaled quantities. Input scales linearly; distinct keys scale
+        // with Heaps exponent alpha; output scales between the two
+        // depending on how aggregating the reducer is.
+        let in_records = sample_in_records * inter_scale;
+        let in_bytes = total_sample_out_bytes * inter_scale;
+        let distinct_keys = sample_groups * inter_scale.powf(key_alpha);
+        let out_sel = safe_ratio(sample.out_records, sample_in_records, 1.0).min(1.0);
+        let out_scale = out_sel * inter_scale + (1.0 - out_sel) * inter_scale.powf(key_alpha);
+
+        ReduceFlow {
+            in_records,
+            in_bytes,
+            out_records: sample.out_records * out_scale,
+            out_bytes: sample.out_bytes * out_scale,
+            ops_per_record: safe_ratio(sample.ops, sample_in_records, 0.0),
+            distinct_keys,
+            max_group_bytes: sample.max_group_bytes * inter_scale,
+            key_weights: weights,
+            uniform_weight,
+        }
+    });
 
     Ok(Dataflow {
         num_map_tasks,
@@ -384,51 +452,81 @@ pub fn analyze(
     })
 }
 
-/// Group key-value pairs by key, preserving key order.
-fn group_pairs(pairs: Vec<(Value, Value)>) -> BTreeMap<Value, Vec<Value>> {
-    let mut grouped: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
-    for (k, v) in pairs {
-        grouped.entry(k).or_default().push(v);
-    }
-    grouped
+/// What running the reducer over the sample's groups measured, before
+/// extrapolation.
+#[derive(Default)]
+struct ReduceSample {
+    out_records: f64,
+    out_bytes: f64,
+    ops: f64,
+    max_group_bytes: f64,
+    /// `(partition_hash, byte_weight)` per group, in key order.
+    weights: Vec<(u64, f64)>,
 }
 
 /// Hash used for partitioning a key, honouring the job's partitioner.
 fn partition_hash(key: &Value, partitioner: Partitioner) -> u64 {
     match (partitioner, key) {
-        (Partitioner::FirstOfPair, Value::Pair(first, _)) => value_hash(first),
+        (Partitioner::FirstOfPair, Value::Pair(pair)) => value_hash(&pair.0),
         _ => value_hash(key),
     }
 }
 
 /// Heaps-law exponent: distinct(n) ~ n^alpha, estimated from the sample
-/// prefix vs the full sample. Clamped to [0.05, 1].
-fn distinct_growth_alpha(pairs: &[(Value, Value)], half_idx: usize) -> f64 {
-    if pairs.len() < 4 {
-        return 1.0;
-    }
-    let half_idx = half_idx.clamp(1, pairs.len());
-    if half_idx >= pairs.len() {
-        return 1.0;
-    }
-    let mut seen = std::collections::HashSet::new();
-    let mut d_half = 0usize;
-    for (i, (k, _)) in pairs.iter().enumerate() {
-        if seen.insert(k) && i < half_idx {
-            d_half += 1;
+/// prefix vs the full sample, counted off the grouping. Distinct here is
+/// by `Eq`, which is finer than the grouping's `Ord` (`Int(1)` and
+/// `Float(1.0)` share a group and are two keys), so each group is split
+/// into its `Eq` classes — nearly always just one.
+struct DistinctGrowth {
+    pairs: usize,
+    half_idx: usize,
+    d_half: usize,
+    d_full: usize,
+    /// First occurrences of the current group's `Eq` classes.
+    firsts: Vec<usize>,
+}
+
+impl DistinctGrowth {
+    fn new(pairs: usize, half_idx: usize) -> Self {
+        DistinctGrowth {
+            pairs,
+            half_idx: half_idx.clamp(1, pairs.max(1)),
+            d_half: 0,
+            d_full: 0,
+            firsts: Vec::new(),
         }
     }
-    let d_full = seen.len();
-    if d_half == 0 || d_full <= d_half {
-        // No growth in the second half: saturated key space.
-        return 0.05;
+
+    /// Count the distinct keys of one group: a key is new at its first
+    /// occurrence, and belongs to the prefix if that falls before
+    /// `half_idx`. `group` is in emission order.
+    fn count(&mut self, group: &[usize], keys: &[Value]) {
+        self.firsts.clear();
+        for &i in group {
+            if !self.firsts.iter().any(|&f| keys[f] == keys[i]) {
+                self.firsts.push(i);
+            }
+        }
+        self.d_full += self.firsts.len();
+        self.d_half += self.firsts.iter().filter(|&&i| i < self.half_idx).count();
     }
-    let alpha =
-        ((d_full as f64 / d_half as f64).ln()) / ((pairs.len() as f64 / half_idx as f64).ln());
-    if !alpha.is_finite() {
-        return 1.0;
+
+    /// The exponent, clamped to [0.05, 1].
+    fn alpha(&self) -> f64 {
+        if self.pairs < 4 || self.half_idx >= self.pairs {
+            return 1.0;
+        }
+        if self.d_half == 0 || self.d_full <= self.d_half {
+            // No growth in the second half: saturated key space.
+            return 0.05;
+        }
+        let alpha = ((self.d_full as f64 / self.d_half as f64).ln())
+            / ((self.pairs as f64 / self.half_idx as f64).ln());
+        if !alpha.is_finite() {
+            return 1.0;
+        }
+        alpha.clamp(0.05, 1.0)
     }
-    alpha.clamp(0.05, 1.0)
 }
 
 fn safe_ratio(num: f64, den: f64, default: f64) -> f64 {
@@ -538,6 +636,32 @@ mod tests {
             red.out_bytes,
             red.in_bytes
         );
+    }
+
+    #[test]
+    fn groups_merge_by_ord_and_distinct_keys_count_by_eq() {
+        let keys = vec![
+            Value::Int(2),
+            Value::float(1.0),
+            Value::Int(1),
+            Value::float(2.0),
+            Value::Int(1),
+        ];
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        sort_by_key(&mut order, &keys);
+        // `Int(k)` and `Float(k)` share a group; members stay in emission
+        // order, so the first is the group's first-emitted key.
+        let grouped: Vec<&[usize]> = groups(&order, &keys).collect();
+        assert_eq!(grouped, [&[1, 2, 4][..], &[0, 3][..]]);
+
+        // ...but they are two distinct keys each, and a key is in the
+        // prefix if it first occurs before index 2.
+        let mut growth = DistinctGrowth::new(keys.len(), 2);
+        for group in grouped {
+            growth.count(group, &keys);
+        }
+        assert_eq!((growth.d_half, growth.d_full), (2, 4));
+        assert_eq!(growth.alpha(), (4f64 / 2.0).ln() / (5f64 / 2.0).ln());
     }
 
     #[test]

@@ -10,4 +10,7 @@ pub mod profile;
 pub mod sampler;
 
 pub use profile::{profile_from_run, CostFactors, JobProfile, MapProfile, ReduceProfile};
-pub use sampler::{collect_full_profile, collect_sample_profile, SampleRun, SampleSize};
+pub use sampler::{
+    collect_full_profile, collect_full_profile_with_dataflow, collect_sample_profile,
+    collect_sample_profile_with_dataflow, SampleRun, SampleSize,
+};

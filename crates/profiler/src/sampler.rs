@@ -46,8 +46,22 @@ pub fn collect_full_profile(
     seed: u64,
 ) -> Result<(JobProfile, mrsim::JobReport), SimError> {
     let flow = analyze(spec, dataset, cluster)?;
-    let report = simulate_with_dataflow(spec, &flow, &dataset.name, cluster, config, seed)?;
-    let profile = profile_from_run(spec, &flow, &report);
+    collect_full_profile_with_dataflow(spec, &flow, &dataset.name, cluster, config, seed)
+}
+
+/// [`collect_full_profile`] from a pre-measured dataflow. The dataflow
+/// depends on neither configuration nor seed, so a caller that retries
+/// under other seeds measures once and calls this per attempt.
+pub fn collect_full_profile_with_dataflow(
+    spec: &JobSpec,
+    flow: &Dataflow,
+    dataset_name: &str,
+    cluster: &ClusterSpec,
+    config: &JobConfig,
+    seed: u64,
+) -> Result<(JobProfile, mrsim::JobReport), SimError> {
+    let report = simulate_with_dataflow(spec, flow, dataset_name, cluster, config, seed)?;
+    let profile = profile_from_run(spec, flow, &report);
     Ok((profile, report))
 }
 
@@ -62,16 +76,24 @@ pub fn collect_sample_profile(
     seed: u64,
 ) -> Result<SampleRun, SimError> {
     let flow = analyze(spec, dataset, cluster)?;
-    let sampled = restrict_dataflow(&flow, size, seed);
+    collect_sample_profile_with_dataflow(spec, &flow, &dataset.name, cluster, config, size, seed)
+}
+
+/// [`collect_sample_profile`] from the pre-measured dataflow of the whole
+/// job; which tasks are sampled still follows from `seed`.
+pub fn collect_sample_profile_with_dataflow(
+    spec: &JobSpec,
+    flow: &Dataflow,
+    dataset_name: &str,
+    cluster: &ClusterSpec,
+    config: &JobConfig,
+    size: SampleSize,
+    seed: u64,
+) -> Result<SampleRun, SimError> {
+    let sampled = restrict_dataflow(flow, size, seed);
     let map_slots_used = sampled.num_map_tasks;
-    let report = simulate_with_dataflow(
-        spec,
-        &sampled,
-        &dataset.name,
-        cluster,
-        config,
-        seed ^ 0x5a17,
-    )?;
+    let report =
+        simulate_with_dataflow(spec, &sampled, dataset_name, cluster, config, seed ^ 0x5a17)?;
     let profile = profile_from_run(spec, &sampled, &report);
     Ok(SampleRun {
         profile,

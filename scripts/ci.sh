@@ -4,27 +4,44 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# Wall seconds per gate step, printed as one table at the end: every
+# simulator-backed suite runs the UDF interpreter in a debug build, so
+# this is where a slow kernel (or a slow new suite) shows first.
+step_names=()
+step_secs=()
+step_started=$SECONDS
+step() {
+  if [ ${#step_names[@]} -gt ${#step_secs[@]} ]; then
+    step_secs+=($((SECONDS - step_started)))
+  fi
+  if [ $# -gt 0 ]; then
+    step_names+=("$1")
+    step_started=$SECONDS
+    echo "==> $1"
+  fi
+}
+
+step "cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+step "cargo test -q"
 cargo test -q
 
-echo "==> cargo fmt --check"
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -- -D warnings"
+step "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Documentation gate: first-party crates must build rustdoc warning-free
 # (broken intra-doc links, missing code-block languages, ...). Scoped with
 # -p so the vendored dependency stand-ins are not held to the same bar.
-echo "==> cargo doc (deny warnings)"
+step "cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p obs -p mrjobs -p datagen -p staticanalysis -p mrsim -p profiler \
   -p whatif -p optimizer -p cfstore -p mlmatch -p pstorm -p pstorm-bench
 
-echo "==> trace snapshot (fixed-seed trace must be bit-identical)"
+step "trace snapshot (fixed-seed trace must be bit-identical)"
 cargo test -q -p pstorm-tests --test trace_snapshot
 
 # Budget regression gate: hard thresholds over the golden trace's
@@ -32,14 +49,14 @@ cargo test -q -p pstorm-tests --test trace_snapshot
 # per-stage survivor funnel, per-region read-amplification sums, and
 # the block-cache hit-rate / flush-compaction accounting ceilings.
 # Regenerating the snapshot does NOT loosen these; see budget_gate.rs.
-echo "==> budget gate (search budget + matcher funnel + cache/flush envelopes)"
+step "budget gate (search budget + matcher funnel + cache/flush envelopes)"
 cargo test -q -p pstorm-tests --test budget_gate
 
 # Block-cache oracle: lazy segment-backed reads through the bounded
 # cache must be bit-identical to full materialization at every budget
 # (including 0 bytes), and a crash injected into the background flusher
 # mid-segment-write must lose nothing.
-echo "==> block cache property tests (cached reads vs materialized oracle)"
+step "block cache property tests (cached reads vs materialized oracle)"
 cargo test -q -p pstorm-tests --test property_block_cache
 
 # Sharded-store gate (PR 7): crash/loss/heal properties — any single
@@ -47,14 +64,14 @@ cargo test -q -p pstorm-tests --test property_block_cache
 # identical META catalog, on-disk segment corruption healed from a
 # replica, matcher output unchanged across shard loss. The heal-counter
 # ceilings themselves are part of the budget gate above.
-echo "==> shard property tests (crash sweep + loss rebuild + heal)"
+step "shard property tests (crash sweep + loss rebuild + heal)"
 cargo test -q -p pstorm-tests --test property_shards
 
 # Bounded shard-chaos sweep: each shard killed once at a sampled WAL
 # offset across several workload seeds. (The exhaustive every-byte sweep
 # already runs in the suite above; this keeps a second, differently
 # seeded pass in the gate without the full enumeration cost.)
-echo "==> bounded shard-chaos sweep"
+step "bounded shard-chaos sweep"
 cargo test -q -p pstorm-tests --test property_shards -- --ignored
 
 # Multi-tenant isolation sweep (PR 8): ≥1000 seeds of interleaved
@@ -62,7 +79,7 @@ cargo test -q -p pstorm-tests --test property_shards -- --ignored
 # tenant's outcomes pinned bit-identical to a solo single-tenant daemon
 # and every acked profile served back. The flood/durable tests run in
 # the plain suite above; the `--ignored` test is the full sweep.
-echo "==> multi-tenant isolation sweep"
+step "multi-tenant isolation sweep"
 cargo test -q -p pstorm-tests --test property_tenants -- --ignored
 
 # Elastic-resharding gate (PR 9): crash at every TOPOLOGY journal byte
@@ -70,14 +87,14 @@ cargo test -q -p pstorm-tests --test property_tenants -- --ignored
 # pause-at-every-step fsck/resume checks, override placement, matcher
 # stability mid-migration, and fsck exit codes — all in the plain suite
 # above; the `--ignored` test is the bounded randomized chaos pass.
-echo "==> bounded reshard-chaos sweep"
+step "bounded reshard-chaos sweep"
 cargo test -q -p pstorm-tests --test property_reshard -- --ignored
 
 # One framing, one cursor (DESIGN.md §16): checksums over file bytes are
 # computed in frame.rs only (encoding.rs defines crc32, kv.rs stamps
 # cells), and the field helpers every decoder shares are defined there
 # and nowhere else under crates/. Test modules are exempt.
-echo "==> source gate (one framing, one decode cursor)"
+step "source gate (one framing, one decode cursor)"
 nontest() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }' "$@"; }
 if nontest $(find crates/cfstore/src -name '*.rs' ! -name frame.rs ! -name encoding.rs ! -name kv.rs) | grep -F 'crc32('; then exit 1; fi
 if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | grep -E 'fn (take_|get_u|put_bytes|put_str)'; then exit 1; fi
@@ -85,12 +102,19 @@ if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | gre
 # The benchmark harness at 1/20 scale: every workload, untraced and
 # traced, every output check on (benchmark/README.md). Catches a change
 # that breaks what BENCHMARK.json runs before the driver does.
-echo "==> benchmark smoke"
+step "benchmark smoke"
 ./benchmark/smoke.sh
 
 # Documentation gate 2: every `DESIGN.md §N` reference in the repo must
 # resolve to a real section, and relative doc links must not dangle.
-echo "==> doc link check"
+step "doc link check"
 ./scripts/check_docs.sh
 
+step
+echo
+echo "wall seconds per step"
+for i in "${!step_names[@]}"; do
+  printf '%6d  %s\n' "${step_secs[$i]}" "${step_names[$i]}"
+done
+printf '%6d  total\n' "$SECONDS"
 echo "CI OK"

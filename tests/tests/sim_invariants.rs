@@ -157,7 +157,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(2, 16, 4, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Value::pair(a, b)),
-            prop::collection::vec(inner, 0..4).prop_map(Value::List),
+            prop::collection::vec(inner, 0..4).prop_map(Value::list),
         ]
     })
 }
