@@ -1,23 +1,20 @@
-//! End-to-end tuning-latency report: stage-1 matcher latency (pushdown
-//! scan vs lane-vectorized columnar sweep vs the scalar reference sweep)
-//! at several store sizes, full `match_profile` latency on both paths,
-//! `put_then_match` (a `put_profile` and the match that folds its index
-//! delta in — an in-memory merge where it used to rebuild the index from
-//! three scans),
-//! segment block reads through the bounded cache (cold vs warm), put
-//! latency with inline vs background flushing, online-resharding cost
-//! (rows moved per second by a grow migration, matcher latency with a
-//! migration in flight vs quiesced), CBO what-if search throughput
-//! on the legacy per-candidate path vs the planned/memoized search, and
-//! the dataflow measurement (`mrsim::analyze`) of every suite submission,
-//! by job family.
+//! End-to-end tuning-latency report: stage-1 matcher latency (the
+//! lane-vectorized columnar sweep vs its scalar reference sweep vs the
+//! `filter_dynamic` pushdown scan) at several store sizes, full
+//! `match_profile` latency, `put_then_match` (a `put_profile` and the
+//! match that folds its index delta in), segment block reads through the
+//! bounded cache (cold vs warm), put latency with inline vs background
+//! flushing, online-resharding cost (rows moved per second by a grow
+//! migration, matcher latency with a migration in flight vs quiesced),
+//! CBO search and what-if evaluation throughput, and the dataflow
+//! measurement (`mrsim::analyze`) of every suite submission, by job
+//! family.
 //! Writes `BENCH_tuning_latency.json` at the repo root.
 //!
-//! Every "legacy" variant here is the pre-optimization code path, still
-//! live behind a flag (`MatcherConfig::use_columnar_index = false`,
-//! `ColumnarIndex::sweep_map_dyn_scalar`,
-//! `whatif::predict_runtime_ms_unplanned`), so the numbers compare two
-//! reachable implementations, not a reconstruction.
+//! Every row times code a submission can reach. The three stage-1 rows
+//! compare the production sweep with the two references it is
+//! property-tested against (`ColumnarIndex::sweep_map_dyn_scalar`,
+//! `ProfileStore::filter_dynamic`), both public store API.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -33,7 +30,7 @@ use pstorm_bench::harness;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use staticanalysis::StaticFeatures;
-use whatif::{predict_runtime_ms_unplanned, WhatIfPlan, WhatIfQuery};
+use whatif::WhatIfPlan;
 
 const STORE_SIZES: [usize; 3] = [10, 100, 1000];
 /// Sizes of the `match_profile` / `put_then_match` trajectory (DESIGN.md
@@ -195,36 +192,31 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)
         let p50 = percentile(&samples, 0.50);
         entries.push(Entry {
             op: "matcher_stage1",
-            variant: "scan",
+            variant: "filter_dynamic",
             store_size: size,
             p50_ns: p50,
             p95_ns: percentile(&samples, 0.95),
             candidates_per_sec: cps(p50),
         });
 
-        // The whole matching workflow on both paths.
-        for (variant, use_index) in [("columnar", true), ("scan", false)] {
-            let cfg = MatcherConfig {
-                use_columnar_index: use_index,
-                ..MatcherConfig::default()
-            };
-            let samples = sample_ns(
-                || {
-                    let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
-                },
-                20,
-                2_000,
-            );
-            let p50 = percentile(&samples, 0.50);
-            entries.push(Entry {
-                op: "match_profile",
-                variant,
-                store_size: size,
-                p50_ns: p50,
-                p95_ns: percentile(&samples, 0.95),
-                candidates_per_sec: cps(p50),
-            });
-        }
+        // The whole matching workflow.
+        let cfg = MatcherConfig::default();
+        let samples = sample_ns(
+            || {
+                let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
+            },
+            20,
+            2_000,
+        );
+        let p50 = percentile(&samples, 0.50);
+        entries.push(Entry {
+            op: "match_profile",
+            variant: "columnar",
+            store_size: size,
+            p50_ns: p50,
+            p95_ns: percentile(&samples, 0.95),
+            candidates_per_sec: cps(p50),
+        });
     }
 }
 
@@ -622,42 +614,6 @@ fn bench_cbo(entries: &mut Vec<Entry>) {
         collect_full_profile(&spec, &text, &cluster, &JobConfig::submitted(&spec), 5).unwrap();
     let input_bytes = text.logical_bytes;
 
-    // Legacy search loop: same candidate stream the CBO draws, but each
-    // candidate rebuilds the dataflow and runs the full simulation — the
-    // per-candidate cost the CBO paid before plan hoisting + memoization.
-    let space = ConfigSpace::for_cluster(&cluster);
-    let samples = sample_ns(
-        || {
-            let mut rng = StdRng::seed_from_u64(0xcb0);
-            let mut best = f64::INFINITY;
-            for _ in 0..CBO_BUDGET {
-                let cfg = space.decode(&space.sample_uniform(&mut rng));
-                let q = WhatIfQuery {
-                    spec: &spec,
-                    profile: &profile,
-                    input_bytes,
-                    cluster: &cluster,
-                    config: &cfg,
-                };
-                if let Ok(ms) = predict_runtime_ms_unplanned(&q) {
-                    best = best.min(ms);
-                }
-            }
-            std::hint::black_box(best);
-        },
-        5,
-        60,
-    );
-    let legacy_p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "cbo_search",
-        variant: "legacy",
-        store_size: 0,
-        p50_ns: legacy_p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: Some(CBO_BUDGET as f64 / (legacy_p50 as f64 * 1e-9)),
-    });
-
     // The current search: WhatIfPlan hoisted once, runtime-only simulation,
     // memoized predictions, parallel rounds.
     let opts = CboOptions {
@@ -682,43 +638,30 @@ fn bench_cbo(entries: &mut Vec<Entry>) {
     });
 
     // Raw what-if evaluation throughput, isolated from search logic.
+    let space = ConfigSpace::for_cluster(&cluster);
     let plan = WhatIfPlan::new(&spec, &profile, input_bytes, &cluster);
     let mut rng = StdRng::seed_from_u64(7);
     let cfgs: Vec<JobConfig> = (0..CBO_BUDGET)
         .map(|_| space.decode(&space.sample_uniform(&mut rng)))
         .collect();
-    for (variant, planned) in [("legacy", false), ("planned", true)] {
-        let samples = sample_ns(
-            || {
-                for cfg in &cfgs {
-                    let r = if planned {
-                        plan.predict(cfg)
-                    } else {
-                        let q = WhatIfQuery {
-                            spec: &spec,
-                            profile: &profile,
-                            input_bytes,
-                            cluster: &cluster,
-                            config: cfg,
-                        };
-                        predict_runtime_ms_unplanned(&q)
-                    };
-                    std::hint::black_box(r.ok());
-                }
-            },
-            5,
-            60,
-        );
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "whatif_eval",
-            variant,
-            store_size: 0,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: Some(cfgs.len() as f64 / (p50 as f64 * 1e-9)),
-        });
-    }
+    let samples = sample_ns(
+        || {
+            for cfg in &cfgs {
+                std::hint::black_box(plan.predict(cfg).ok());
+            }
+        },
+        5,
+        60,
+    );
+    let p50 = percentile(&samples, 0.50);
+    entries.push(Entry {
+        op: "whatif_eval",
+        variant: "planned",
+        store_size: 0,
+        p50_ns: p50,
+        p95_ns: percentile(&samples, 0.95),
+        candidates_per_sec: Some(cfgs.len() as f64 / (p50 as f64 * 1e-9)),
+    });
 }
 
 /// One job family's share of a pass over the suite: `analyze` once per
@@ -810,7 +753,7 @@ fn main() {
     let analyze_total_ms = analyze_total_ns as f64 * 1e-6;
     let analyze_pairs_per_s = analyze_pairs as f64 / (analyze_total_ns as f64 * 1e-9);
 
-    let stage1_speedup = find(&entries, "matcher_stage1", "scan", 1000)
+    let stage1_speedup = find(&entries, "matcher_stage1", "filter_dynamic", 1000)
         / find(&entries, "matcher_stage1", "columnar", 1000);
     let stage1_p50 = find(&entries, "matcher_stage1", "columnar", 1000);
     let lane_speedup = find(&entries, "matcher_stage1", "columnar_scalar", 1000) / stage1_p50;
@@ -818,17 +761,11 @@ fn main() {
     let put_then_match_at_4000 = find(&entries, "put_then_match", "columnar", 4000);
     let put_tail_ratio = entry(&entries, "store_put", "inline_flush", 2048).p95_ns as f64
         / entry(&entries, "store_put", "background_flush", 2048).p95_ns as f64;
-    let legacy_cps = entries
-        .iter()
-        .find(|e| e.op == "cbo_search" && e.variant == "legacy")
-        .and_then(|e| e.candidates_per_sec)
-        .unwrap();
     let current_cps = entries
         .iter()
         .find(|e| e.op == "cbo_search" && e.variant == "current")
         .and_then(|e| e.candidates_per_sec)
         .unwrap();
-    let cbo_speedup = current_cps / legacy_cps;
     let shard_rebuild_ms = shard_rebuild_ns as f64 * 1e-6;
 
     let mut json = String::from("{\n  \"benchmarks\": [\n");
@@ -859,7 +796,7 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_candidates_per_sec_speedup\": {cbo_speedup:.1},\n    \"cbo_search_legacy_candidates_per_sec\": {legacy_cps:.1},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0}\n  }}\n}}\n"
+        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -884,7 +821,7 @@ fn main() {
     println!("whole-shard rebuild: {shard_healed} rows healed in {shard_rebuild_ms:.1} ms");
     println!("reshard grow 3x2->4x2: {reshard_rows_moved} rows moved in {reshard_grow_ms:.1} ms");
     println!("matcher p50 mid-migration / quiesced: {reshard_matcher_ratio:.2}x");
-    println!("CBO search throughput speedup: {cbo_speedup:.1}x");
+    println!("CBO search: {current_cps:.0} candidates/s");
     println!(
         "analyze over the {} suite submissions: {analyze_total_ms:.0} ms, {:.2} M pairs/s",
         analyze_families

@@ -19,14 +19,11 @@
 //! The final answer composes the map-side winner's map profile with the
 //! reduce-side winner's reduce profile.
 
-use std::collections::HashMap;
-
-use mlmatch::MinMaxNormalizer;
 use mrjobs::JobSpec;
 use profiler::JobProfile;
 use staticanalysis::{SideFeatures, StaticFeatures};
 
-use crate::store::{ColumnarIndex, DynamicRow, ProfileStore, ProfileStoreError, StoredStatics};
+use crate::store::{ColumnarIndex, NormalizationBounds, ProfileStore, ProfileStoreError};
 
 /// Matcher thresholds; defaults are the paper's evaluation settings (§6).
 #[derive(Debug, Clone, Copy)]
@@ -48,11 +45,6 @@ pub struct MatcherConfig {
     /// Ablation: disable composite profiles — require the map and reduce
     /// winners to be the same stored job.
     pub allow_composition: bool,
-    /// Serve stage 1 (and the later stages' feature lookups) from the
-    /// store's in-memory [`ColumnarIndex`] instead of pushed-down region
-    /// scans. The two paths produce identical results (property-tested);
-    /// the scan path is kept as the oracle and perf baseline.
-    pub use_columnar_index: bool,
     /// How much the stage-1 Euclidean threshold widens for low-confidence
     /// probes: θ is scaled by `1 + widen · (1 − confidence)`. A probe built
     /// from a fault-free run (confidence 1.0) is unaffected; a heavily
@@ -70,7 +62,6 @@ impl Default for MatcherConfig {
             include_cost_factors_in_stage1: false,
             tie_break_input_size: true,
             allow_composition: true,
-            use_columnar_index: true,
             low_confidence_widen: 0.5,
         }
     }
@@ -211,22 +202,10 @@ pub fn match_profile(
         return Ok(Err(MatchFailure::EmptyStore));
     }
     let bounds = store.normalization_bounds()?;
-    let index = if cfg.use_columnar_index {
-        Some(store.columnar_index()?)
-    } else {
-        None
-    };
+    let index = store.columnar_index()?;
 
     // ---- Map side -------------------------------------------------------
-    let map_side = match match_side(
-        store,
-        q,
-        cfg,
-        Side::Map,
-        &bounds.map_dyn,
-        &bounds.cost,
-        index.as_deref(),
-    )? {
+    let map_side = match match_side(store, q, cfg, Side::Map, &bounds, &index)? {
         Ok(m) => m,
         Err(f) => {
             reg.incr("matcher.no_match", 1);
@@ -237,15 +216,7 @@ pub fn match_profile(
 
     // ---- Reduce side ----------------------------------------------------
     let reduce_side = if q.sample.reduce.is_some() {
-        match match_side(
-            store,
-            q,
-            cfg,
-            Side::Reduce,
-            &bounds.red_dyn,
-            &bounds.cost,
-            index.as_deref(),
-        )? {
+        match match_side(store, q, cfg, Side::Reduce, &bounds, &index)? {
             Ok(m) => Some(m),
             Err(f) => {
                 reg.incr("matcher.no_match", 1);
@@ -302,32 +273,22 @@ pub fn match_profile(
     Ok(Ok(result))
 }
 
-/// A stage-1 survivor, borrowing its features from whichever backing the
-/// path used (columnar index rows, or the owned scan results).
-struct Candidate<'a> {
-    job_id: &'a str,
-    /// The matched side's dynamic features.
-    dyn_feats: &'a [f64],
-    input_bytes: f64,
-    statics: Option<&'a StoredStatics>,
-    /// Which of the index's distinct static-feature sets `statics` is
-    /// ([`ColumnarIndex::statics_id`]); `None` on the scan path.
-    statics_id: Option<usize>,
-    /// Row in the columnar index; `None` on the scan path.
-    index_row: Option<usize>,
-}
-
+/// One side of Fig. 4.4 over the store's columnar index; a candidate is
+/// an index row.
 fn match_side(
     store: &ProfileStore,
     q: &SubmittedJob,
     cfg: &MatcherConfig,
     side: Side,
-    dyn_bounds: &MinMaxNormalizer,
-    cost_bounds: &MinMaxNormalizer,
-    index: Option<&ColumnarIndex>,
+    bounds: &NormalizationBounds,
+    ix: &ColumnarIndex,
 ) -> Result<Result<SideMatch, MatchFailure>, ProfileStoreError> {
-    let (q_dyn, q_side): (Vec<f64>, &SideFeatures) = match side {
-        Side::Map => (q.sample.map.dynamic_features(), &q.statics.map),
+    let (q_dyn, q_side, dyn_bounds): (Vec<f64>, &SideFeatures, _) = match side {
+        Side::Map => (
+            q.sample.map.dynamic_features(),
+            &q.statics.map,
+            &bounds.map_dyn,
+        ),
         Side::Reduce => (
             q.sample
                 .reduce
@@ -335,6 +296,7 @@ fn match_side(
                 .expect("reduce side matching requires a reduce sample")
                 .dynamic_features(),
             &q.statics.reduce,
+            &bounds.red_dyn,
         ),
     };
     // Graceful degradation: a probe profiled under faults carries partial,
@@ -347,7 +309,6 @@ fn match_side(
     let side_span = reg.span("matcher.side");
     side_span.attr("side", side.label());
     side_span.attr("theta", theta);
-    side_span.attr("columnar", index.is_some());
     if widen > 1.0 {
         reg.event(
             "matcher.confidence_widen",
@@ -361,126 +322,47 @@ fn match_side(
     }
 
     // Stage 1: dynamic-feature Euclidean filter — a vectorized sweep of
-    // the columnar index, or the legacy pushed-down region scan. Both call
-    // the same `MinMaxNormalizer::distance` and visit rows in the same
-    // (key) order, so the survivor lists are identical.
-    let scan_rows: Vec<DynamicRow>;
-    let mut scan_statics: HashMap<String, StoredStatics> = HashMap::new();
-    let mut stage1: Vec<Candidate<'_>> = Vec::new();
-    let candidates_in: usize;
-    match index {
-        Some(ix) => {
-            candidates_in = ix.len();
-            let rows = match side {
-                Side::Map => ix.sweep_map_dyn(dyn_bounds, &q_dyn, theta),
-                Side::Reduce => ix.sweep_red_dyn(dyn_bounds, &q_dyn, theta),
-            };
-            for i in rows {
-                let dyn_feats = match side {
-                    Side::Map => ix.map_dyn(i),
-                    Side::Reduce => ix.red_dyn(i).expect("reduce sweep only yields reduce rows"),
-                };
-                stage1.push(Candidate {
-                    job_id: ix.job_id(i),
-                    dyn_feats,
-                    input_bytes: ix.input_bytes(i),
-                    statics: ix.statics(i),
-                    statics_id: ix.statics_id(i),
-                    index_row: Some(i),
-                });
-            }
-        }
-        None => {
-            let bounds = dyn_bounds.clone();
-            let q_dyn_cl = q_dyn.clone();
-            let (rows, metrics) = store.filter_dynamic(move |row: &DynamicRow| {
-                let stored: Option<&[f64]> = match side {
-                    Side::Map => Some(&row.map_dyn),
-                    Side::Reduce => row.red_dyn.as_deref(),
-                };
-                match stored {
-                    Some(v) => bounds.distance(&q_dyn_cl, v) <= theta,
-                    None => false, // map-only rows cannot serve a reduce side
-                }
-            })?;
-            candidates_in = metrics.rows_scanned as usize;
-            scan_rows = rows;
-            // One batched prefix scan for the statics the later stages
-            // need, instead of a point-get per surviving row.
-            if !scan_rows.is_empty() {
-                scan_statics = store.all_statics()?;
-            }
-            for row in &scan_rows {
-                let dyn_feats: &[f64] = match side {
-                    Side::Map => &row.map_dyn,
-                    Side::Reduce => row.red_dyn.as_deref().expect("filter kept reduce rows"),
-                };
-                stage1.push(Candidate {
-                    job_id: &row.job_id,
-                    dyn_feats,
-                    input_bytes: row.input_bytes,
-                    statics: scan_statics.get(row.job_id.as_str()),
-                    statics_id: None,
-                    index_row: None,
-                });
-            }
-        }
-    }
+    // the columnar index, survivors in row (key) order.
+    let candidates_in = ix.len();
+    let mut stage1: Vec<usize> = match side {
+        Side::Map => ix.sweep_map_dyn(dyn_bounds, &q_dyn, theta),
+        Side::Reduce => ix.sweep_red_dyn(dyn_bounds, &q_dyn, theta),
+    };
 
-    // Cost factors for a candidate: an index row slice, or a lazily
-    // batch-scanned table on the legacy path (never per-row point-gets).
-    let scan_costs_for =
-        |cands: &[Candidate<'_>]| -> Result<HashMap<String, Vec<f64>>, ProfileStoreError> {
-            if index.is_none() && !cands.is_empty() {
-                store.all_cost_factors()
-            } else {
-                Ok(HashMap::new())
-            }
-        };
-
+    // The Euclidean filter over cost factors: the alternative filter, and
+    // the ablation just below.
+    let near_in_cost = |rows: &[usize]| -> Vec<usize> {
+        let q_cost = q.sample.map.cost_factors.as_vec();
+        let theta_cost = cfg.theta_eucl_fraction * (q_cost.len() as f64).sqrt();
+        let near = |c: &usize| bounds.cost.distance(&q_cost, ix.cost_factors(*c)) <= theta_cost;
+        rows.iter().copied().filter(near).collect()
+    };
     // Ablation: also require cost-factor proximity at stage 1 (the paper
     // keeps these high-variance features out of the primary vector).
     if cfg.include_cost_factors_in_stage1 {
-        let q_cost = q.sample.map.cost_factors.as_vec();
-        let theta_cost = cfg.theta_eucl_fraction * (q_cost.len() as f64).sqrt();
-        let costs = scan_costs_for(&stage1)?;
-        stage1.retain(|c| {
-            let stored: Option<&[f64]> = match (index, c.index_row) {
-                (Some(ix), Some(i)) => Some(ix.cost_factors(i)),
-                _ => costs.get(c.job_id).map(Vec::as_slice),
-            };
-            match stored {
-                Some(v) => cost_bounds.distance(&q_cost, v) <= theta_cost,
-                None => false,
-            }
-        });
+        stage1 = near_in_cost(&stage1);
     }
     // The static filters' verdict on a candidate: whether its CFG matches
     // and, if so, its Jaccard similarity. It depends on the candidate's
     // statics alone, and a store of many profiles per job holds far fewer
     // distinct statics than rows, so it is computed once per distinct id
     // and looked up for every other candidate that carries the id.
-    let mut verdicts: Vec<Option<Option<f64>>> =
-        vec![None; index.map_or(0, ColumnarIndex::distinct_statics)];
-    let mut static_verdict = |c: &Candidate<'_>| -> Option<f64> {
-        let statics = c.statics?;
-        let judge = || {
+    let mut verdicts: Vec<Option<Option<f64>>> = vec![None; ix.distinct_statics()];
+    let mut static_verdict = |c: usize| -> Option<f64> {
+        let (statics, id) = (ix.statics(c)?, ix.statics_id(c)?);
+        *verdicts[id].get_or_insert_with(|| {
             let stored_side = match side {
                 Side::Map => &statics.map,
                 Side::Reduce => &statics.reduce,
             };
             (q_side.cfg_match(stored_side) == 1.0).then(|| q_side.jaccard(stored_side))
-        };
-        match c.statics_id {
-            Some(id) => *verdicts[id].get_or_insert_with(judge),
-            None => judge(),
-        }
+        })
     };
 
     // Ablation: the wrong filter order — prune by static features before
     // trusting the dynamics.
     if cfg.static_filters_first {
-        stage1.retain(|c| static_verdict(c).is_some_and(|jacc| jacc >= cfg.theta_jacc));
+        stage1.retain(|c| static_verdict(*c).is_some_and(|jacc| jacc >= cfg.theta_jacc));
     }
     reg.incr("matcher.stage1.candidates_in", candidates_in as u64);
     reg.incr("matcher.stage1.survivors", stage1.len() as u64);
@@ -493,8 +375,8 @@ fn match_side(
 
     // Stages 2 & 3: CFG and Jaccard over stored static features.
     let mut stage2 = Vec::new();
-    let mut stage3: Vec<(&Candidate<'_>, f64)> = Vec::new();
-    for cand in &stage1 {
+    let mut stage3: Vec<(usize, f64)> = Vec::new();
+    for &cand in &stage1 {
         if let Some(jacc) = static_verdict(cand) {
             stage2.push(cand);
             if jacc >= cfg.theta_jacc {
@@ -505,14 +387,20 @@ fn match_side(
 
     // Tie-break by closest input size (§4.3), then by smallest dynamic
     // distance for candidates on the very same dataset.
-    let dyn_distance = |c: &Candidate<'_>| -> f64 { dyn_bounds.distance(&q_dyn, c.dyn_feats) };
-    let pick = |candidates: &[&Candidate<'_>]| -> String {
-        candidates
+    let dyn_distance = |c: usize| -> f64 {
+        let stored = match side {
+            Side::Map => ix.map_dyn(c),
+            Side::Reduce => ix.red_dyn(c).expect("reduce sweep only yields reduce rows"),
+        };
+        dyn_bounds.distance(&q_dyn, stored)
+    };
+    let pick = |candidates: &[usize]| -> String {
+        let winner = candidates
             .iter()
-            .min_by(|a, b| {
+            .min_by(|&&a, &&b| {
                 if cfg.tie_break_input_size {
-                    let da = (a.input_bytes - q.input_bytes as f64).abs();
-                    let db = (b.input_bytes - q.input_bytes as f64).abs();
+                    let da = (ix.input_bytes(a) - q.input_bytes as f64).abs();
+                    let db = (ix.input_bytes(b) - q.input_bytes as f64).abs();
                     da.total_cmp(&db)
                         .then_with(|| dyn_distance(a).total_cmp(&dyn_distance(b)))
                 } else {
@@ -521,9 +409,8 @@ fn match_side(
                     std::cmp::Ordering::Less
                 }
             })
-            .expect("non-empty candidate set")
-            .job_id
-            .to_string()
+            .expect("non-empty candidate set");
+        ix.job_id(*winner).to_string()
     };
 
     reg.incr("matcher.stage2.survivors", stage2.len() as u64);
@@ -540,7 +427,7 @@ fn match_side(
             .iter()
             .map(|(_, j)| *j)
             .fold(f64::NEG_INFINITY, f64::max);
-        let finalists: Vec<&Candidate<'_>> = stage3
+        let finalists: Vec<usize> = stage3
             .iter()
             .filter(|(_, j)| (*j - best_jacc).abs() < 1e-9)
             .map(|(c, _)| *c)
@@ -558,22 +445,7 @@ fn match_side(
 
     // Alternative filter: Euclidean over the cost factors of the stage-1
     // survivors (the paper's fallback for previously unseen jobs).
-    let q_cost = q.sample.map.cost_factors.as_vec();
-    let theta_cost = cfg.theta_eucl_fraction * (q_cost.len() as f64).sqrt();
-    let costs = scan_costs_for(&stage1)?;
-    let fallback: Vec<&Candidate<'_>> = stage1
-        .iter()
-        .filter(|c| {
-            let stored: Option<&[f64]> = match (index, c.index_row) {
-                (Some(ix), Some(i)) => Some(ix.cost_factors(i)),
-                _ => costs.get(c.job_id).map(Vec::as_slice),
-            };
-            match stored {
-                Some(v) => cost_bounds.distance(&q_cost, v) <= theta_cost,
-                None => false,
-            }
-        })
-        .collect();
+    let fallback = near_in_cost(&stage1);
     reg.incr("matcher.fallback.survivors", fallback.len() as u64);
     side_span.attr("fallback", fallback.len());
     if fallback.is_empty() {
@@ -736,40 +608,6 @@ mod tests {
             .unwrap();
         assert!(result.reduce.is_none());
         assert!(result.profile.reduce.is_none());
-    }
-
-    #[test]
-    fn columnar_and_scan_paths_agree() {
-        let text = corpus::random_text_1g();
-        let store = store_with(&[
-            (jobs::word_count(), text.clone()),
-            (jobs::word_cooccurrence_pairs(2), text.clone()),
-            (jobs::bigram_relative_frequency(), text.clone()),
-            (jobs::sort(), corpus::teragen_1g()),
-        ]);
-        let scan_cfg = MatcherConfig {
-            use_columnar_index: false,
-            ..MatcherConfig::default()
-        };
-        for (spec, seed) in [
-            (jobs::word_count(), 3),
-            (jobs::word_count_while_variant(), 11),
-            (jobs::word_cooccurrence_pairs(2), 5),
-            (jobs::word_cooccurrence_stripes(2), 7), // far-out dynamics: failure paths must agree too
-        ] {
-            let q = submitted(&spec, &text, seed);
-            let via_index = match_profile(&store, &q, &MatcherConfig::default()).unwrap();
-            let via_scan = match_profile(&store, &q, &scan_cfg).unwrap();
-            match (via_index, via_scan) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.map, b.map, "{}", spec.name);
-                    assert_eq!(a.reduce, b.reduce, "{}", spec.name);
-                    assert_eq!(a.profile, b.profile, "{}", spec.name);
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{}", spec.name),
-                (a, b) => panic!("{}: paths disagree: {a:?} vs {b:?}", spec.name),
-            }
-        }
     }
 
     #[test]

@@ -871,23 +871,6 @@ impl ProfileStore {
         Ok(Some(decode_statics(&static_cells_of(&row))?))
     }
 
-    /// Fetch the static features of *every* stored job with a single
-    /// `Static/` prefix scan — the batched alternative to per-job
-    /// [`Self::get_statics`] point-gets when a matching stage needs most
-    /// of the table anyway.
-    pub fn all_statics(&self) -> Result<HashMap<String, StoredStatics>, ProfileStoreError> {
-        let (rows, _) = self
-            .backend()
-            .scan(TABLE, &Scan::prefix(&self.pfx("Static")))?;
-        let skip = self.skip("Static");
-        rows.iter()
-            .map(|row| {
-                let id = job_id_of(&row.row, skip)?;
-                Ok((id, decode_statics(&static_cells_of(row))?))
-            })
-            .collect()
-    }
-
     /// Fetch a job's cost-factor vector.
     pub fn get_cost_factors(&self, job_id: &str) -> Result<Option<Vec<f64>>, ProfileStoreError> {
         let Some(row) = self
@@ -1178,9 +1161,10 @@ impl LaneMatrix {
 /// sweeps), and a `LaneMatrix` blocked for the vectorized sweep — a few
 /// dozen bytes per row buys the hot path its SIMD layout. The statics and
 /// cost factors ride along so the later stages become array lookups
-/// instead of per-job point-gets. The [`MiniStore`] scan path remains the
-/// oracle: property tests assert both produce identical stage-1 survivor
-/// sets.
+/// instead of per-job point-gets. The stored rows remain the oracle:
+/// property tests assert that every index row equals point reads of them
+/// and that the sweep's survivors equal a pushed-down
+/// [`ProfileStore::filter_dynamic`] scan's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarIndex {
     job_ids: Vec<Arc<str>>,
@@ -1975,18 +1959,12 @@ mod tests {
             store.put_profile(&s, &p).unwrap();
         }
         let all_costs = store.all_cost_factors().unwrap();
-        let all_statics = store.all_statics().unwrap();
         assert_eq!(all_costs.len(), 3);
-        assert_eq!(all_statics.len(), 3);
         for id in store.job_ids().unwrap() {
             assert_eq!(
                 all_costs[&id],
                 store.get_cost_factors(&id).unwrap().unwrap()
             );
-            let a = &all_statics[&id];
-            let b = store.get_statics(&id).unwrap().unwrap();
-            assert_eq!(a.map.jaccard(&b.map), 1.0);
-            assert_eq!(a.reduce.jaccard(&b.reduce), 1.0);
         }
     }
 

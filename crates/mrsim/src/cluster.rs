@@ -53,6 +53,25 @@ impl Default for CostRates {
     }
 }
 
+impl CostRates {
+    /// Scale IO/network components by `io_f` and CPU components by `cpu_f`
+    /// — one task's observed rates on a more- or less-loaded node.
+    pub fn jittered(&self, io_f: f64, cpu_f: f64) -> CostRates {
+        CostRates {
+            read_hdfs_ns_per_byte: self.read_hdfs_ns_per_byte * io_f,
+            write_hdfs_ns_per_byte: self.write_hdfs_ns_per_byte * io_f,
+            read_local_ns_per_byte: self.read_local_ns_per_byte * io_f,
+            write_local_ns_per_byte: self.write_local_ns_per_byte * io_f,
+            network_ns_per_byte: self.network_ns_per_byte * io_f,
+            cpu_ns_per_op: self.cpu_ns_per_op * cpu_f,
+            sort_ns_per_record: self.sort_ns_per_record * cpu_f,
+            serde_ns_per_byte: self.serde_ns_per_byte * cpu_f,
+            compress_ns_per_byte: self.compress_ns_per_byte * cpu_f,
+            decompress_ns_per_byte: self.decompress_ns_per_byte * cpu_f,
+        }
+    }
+}
+
 /// The compression codec model (LZO-like): output/input size ratio.
 pub const COMPRESSION_RATIO: f64 = 0.45;
 
@@ -79,8 +98,8 @@ pub struct ClusterSpec {
     /// `i` scales every task duration on worker `i`. Missing entries mean
     /// `1.0`; an empty vector is a fully uniform cluster.
     pub node_slowdown: Vec<f64>,
-    /// Fault-injection parameters; [`FaultSpec::default`] is fully inert
-    /// and keeps the simulator on its legacy bit-identical path.
+    /// Fault-injection parameters; under [`FaultSpec::default`] no fault
+    /// draw of the scheduler can fire.
     pub faults: FaultSpec,
 }
 

@@ -2,11 +2,16 @@
 //!
 //! Given a job, a dataset, a cluster, and a configuration, the engine:
 //! 1. measures (or reuses) the config-independent dataflow,
-//! 2. checks the reduce-side memory model,
-//! 3. computes per-task phase costs with per-task node-utilization noise,
-//! 4. schedules tasks onto slots in waves (maps first; reducers gated by
+//! 2. checks the dataflow's shape and the reduce-side memory model,
+//! 3. prices every task *attempt* with per-attempt node-utilization noise,
+//! 4. schedules attempts onto slots in waves (maps first; reducers gated by
 //!    `mapred.reduce.slowstart.completed.maps` and by shuffle completion),
+//!    retrying failed attempts, re-executing map output lost with its node
+//!    and racing speculative backups against stragglers,
 //! 5. returns a [`JobReport`] with everything the profiler needs.
+//!
+//! There is one scheduler (DESIGN.md §19): where nothing can fail it runs
+//! the same attempt queue with every fault draw coming up empty.
 
 use std::collections::VecDeque;
 
@@ -17,10 +22,13 @@ use mrjobs::{Dataset, JobSpec, ValueType};
 
 use crate::cluster::{ClusterSpec, CostRates};
 use crate::config::JobConfig;
-use crate::dataflow::{analyze, Dataflow};
+use crate::dataflow::{analyze, CombineFlow, Dataflow, ReduceFlow, SplitFlow};
 use crate::error::SimError;
-use crate::faults::FaultStats;
-use crate::phases::{map_task_costs, reduce_task_costs, MapTaskInputs, ReduceTaskInputs};
+use crate::faults::{FaultSpec, FaultStats};
+use crate::phases::{
+    map_task_costs, reduce_task_costs, MapTaskCosts, MapTaskInputs, ReducePhase, ReduceTaskCosts,
+    ReduceTaskInputs,
+};
 use crate::report::{JobReport, MapTaskReport, ReduceTaskReport};
 
 /// Fixed job-level overhead (submission, setup, commit), in ms.
@@ -37,25 +45,6 @@ const CONTAINER_INFLATION: f64 = 6.0;
 
 /// Fraction of the child heap usable for materializing a reduce group.
 const HEAP_USABLE_FRACTION: f64 = 0.75;
-
-impl CostRates {
-    /// Scale IO/network components by `io_f` and CPU components by `cpu_f`
-    /// — one task's observed rates on a more- or less-loaded node.
-    pub fn jittered(&self, io_f: f64, cpu_f: f64) -> CostRates {
-        CostRates {
-            read_hdfs_ns_per_byte: self.read_hdfs_ns_per_byte * io_f,
-            write_hdfs_ns_per_byte: self.write_hdfs_ns_per_byte * io_f,
-            read_local_ns_per_byte: self.read_local_ns_per_byte * io_f,
-            write_local_ns_per_byte: self.write_local_ns_per_byte * io_f,
-            network_ns_per_byte: self.network_ns_per_byte * io_f,
-            cpu_ns_per_op: self.cpu_ns_per_op * cpu_f,
-            sort_ns_per_record: self.sort_ns_per_record * cpu_f,
-            serde_ns_per_byte: self.serde_ns_per_byte * cpu_f,
-            compress_ns_per_byte: self.compress_ns_per_byte * cpu_f,
-            decompress_ns_per_byte: self.decompress_ns_per_byte * cpu_f,
-        }
-    }
-}
 
 /// Simulate a job execution end to end (measures dataflow first).
 pub fn simulate(
@@ -80,156 +69,16 @@ pub fn simulate_with_dataflow(
     config: &JobConfig,
     seed: u64,
 ) -> Result<JobReport, SimError> {
-    config.validate()?;
-    check_memory(spec, dataflow, cluster, config)?;
-    if cluster.faults.is_inert() && cluster.is_uniform_speed() {
-        simulate_clean(spec, dataflow, dataset_name, cluster, config, seed)
-    } else {
-        simulate_faulty(spec, dataflow, dataset_name, cluster, config, seed)
-    }
-}
-
-/// The legacy fault-free scheduler. Kept byte-for-byte in behavior: with
-/// `FaultSpec::default()` and no straggler nodes the public entry points
-/// land here, which is what the pinned `to_bits` regression tests assert.
-fn simulate_clean(
-    spec: &JobSpec,
-    dataflow: &Dataflow,
-    dataset_name: &str,
-    cluster: &ClusterSpec,
-    config: &JobConfig,
-    seed: u64,
-) -> Result<JobReport, SimError> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let sigma = cluster.heterogeneity;
-
-    // ---- Map wave scheduling -------------------------------------------
-    let m = dataflow.num_map_tasks;
-    let mut slot_free = vec![0.0f64; cluster.map_slots().max(1) as usize];
-    let mut map_reports = Vec::with_capacity(m as usize);
-    let mut total_final_bytes_disk = 0.0;
-    let mut total_final_bytes_uncomp = 0.0;
-    let mut total_final_records = 0.0;
-    for task_id in 0..m {
-        let flow = &dataflow.per_task[task_id as usize % dataflow.per_task.len()];
-        let io_f = lognormal(&mut rng, sigma);
-        let cpu_f = lognormal(&mut rng, sigma);
-        let rates = cluster.rates.jittered(io_f, cpu_f);
-        let inputs = MapTaskInputs {
-            input_bytes: flow.input_bytes,
-            input_records: flow.input_records,
-            out_records: flow.out_records,
-            out_bytes: flow.out_bytes,
-            map_cpu_ops: flow.map_ops,
-            combine: dataflow.combine,
-        };
-        let costs = map_task_costs(config, &rates, &inputs);
-        total_final_bytes_disk += costs.final_out_bytes;
-        total_final_bytes_uncomp += costs.final_out_bytes_uncompressed;
-        total_final_records += costs.final_out_records;
-
-        let dur_ms = costs.total_ns() / 1e6;
-        let slot = earliest_slot(&slot_free);
-        let start = slot_free[slot];
-        let end = start + dur_ms;
-        slot_free[slot] = end;
-        map_reports.push(MapTaskReport {
-            task_id,
-            start_ms: start,
-            end_ms: end,
-            phases: costs.phases,
-            input_records: flow.input_records,
-            input_bytes: flow.input_bytes,
-            out_records: flow.out_records,
-            out_bytes: flow.out_bytes,
-            final_out_records: costs.final_out_records,
-            final_out_bytes: costs.final_out_bytes,
-            num_spills: costs.num_spills,
-            observed_rates: rates,
-            map_cpu_ops: flow.map_ops,
-            attempt: 1,
-            speculative: false,
-        });
-    }
-
-    // Map completion ordering for slowstart gating.
-    let mut map_ends: Vec<f64> = map_reports.iter().map(|t| t.end_ms).collect();
-    map_ends.sort_by(|a, b| a.total_cmp(b));
-    let maps_done_ms = *map_ends.last().unwrap_or(&0.0);
-    let slowstart_idx =
-        ((config.reduce_slowstart * m as f64).ceil() as usize).clamp(1, map_ends.len());
-    let reducers_eligible_ms = map_ends[slowstart_idx - 1];
-
-    // ---- Reduce wave scheduling ----------------------------------------
-    let mut reduce_reports = Vec::new();
-    if let Some(red) = &dataflow.reduce {
-        let r = config.num_reduce_tasks;
-        let shares = red.partition_shares(r, spec.partitioner);
-        let mut rslot_free = vec![reducers_eligible_ms; cluster.reduce_slots().max(1) as usize];
-        // Reduce input records depend on whether the combiner ran.
-        let total_in_records = if config.use_combiner && dataflow.combine.is_some() {
-            total_final_records
-        } else {
-            red.in_records
-        };
-        // Aggregating reducers cannot emit more records than they consume;
-        // the output estimate (distinct-key based) and the combined-input
-        // estimate are extrapolated separately, so reconcile them here.
-        let (total_out_records, total_out_bytes) =
-            if red.out_records < red.in_records && red.out_records > total_in_records {
-                let shrink = total_in_records / red.out_records;
-                (total_in_records, red.out_bytes * shrink)
-            } else {
-                (red.out_records, red.out_bytes)
-            };
-        for (task_id, share) in shares.iter().enumerate() {
-            let io_f = lognormal(&mut rng, sigma);
-            let cpu_f = lognormal(&mut rng, sigma);
-            let rates = cluster.rates.jittered(io_f, cpu_f);
-            let inputs = ReduceTaskInputs {
-                shuffle_bytes_disk: total_final_bytes_disk * share,
-                shuffle_bytes: total_final_bytes_uncomp * share,
-                in_records: total_in_records * share,
-                num_segments: m,
-                reduce_ops_per_record: red.ops_per_record,
-                out_bytes: total_out_bytes * share,
-                out_records: total_out_records * share,
-                heap_bytes: cluster.heap_bytes() as f64,
-                map_compressed: config.compress_map_output,
-            };
-            let costs = reduce_task_costs(config, &rates, &inputs);
-
-            let slot = earliest_slot(&rslot_free);
-            let start = rslot_free[slot];
-            // Shuffle overlaps map execution but cannot complete before the
-            // last map task finished producing output.
-            let shuffle_ns: f64 = costs
-                .phases
-                .iter()
-                .filter(|(p, _)| matches!(p, crate::phases::ReducePhase::Shuffle))
-                .map(|(_, t)| t)
-                .sum();
-            let post_shuffle_ns = costs.total_ns() - shuffle_ns;
-            let shuffle_end = (start + shuffle_ns / 1e6).max(maps_done_ms);
-            let end = shuffle_end + post_shuffle_ns / 1e6;
-            rslot_free[slot] = end;
-            reduce_reports.push(ReduceTaskReport {
-                task_id: task_id as u32,
-                start_ms: start,
-                end_ms: end,
-                phases: costs.phases,
-                shuffle_bytes: inputs.shuffle_bytes,
-                in_records: inputs.in_records,
-                out_records: inputs.out_records,
-                out_bytes: inputs.out_bytes,
-                observed_rates: rates,
-                reduce_ops_per_record: red.ops_per_record,
-                attempt: 1,
-            });
-        }
-    }
-
-    let last_end = reduce_reports
+    check_inputs(spec, dataflow, cluster, config)?;
+    let mut sched = Scheduler::new(spec, dataflow, cluster, config, seed);
+    let (map_tasks, map_out) = sched.run_maps()?;
+    let mut map_ends: Vec<f64> = map_tasks.iter().map(|t| t.end_ms).collect();
+    let (maps_done_ms, reducers_eligible_ms) = map_wave_gates(&mut map_ends, config);
+    let reduce_tasks = match &dataflow.reduce {
+        Some(red) => sched.run_reduces(red, &map_out, maps_done_ms, reducers_eligible_ms)?,
+        None => Vec::new(),
+    };
+    let last_end = reduce_tasks
         .iter()
         .map(|t| t.end_ms)
         .fold(maps_done_ms, f64::max);
@@ -240,473 +89,546 @@ fn simulate_clean(
         config: config.clone(),
         runtime_ms: last_end + JOB_OVERHEAD_MS,
         maps_done_ms,
-        map_tasks: map_reports,
-        reduce_tasks: reduce_reports,
-        faults: FaultStats::default(),
+        map_tasks,
+        reduce_tasks,
+        // All-zero where nothing was armed; see `FaultStats`.
+        faults: if is_undisturbed(cluster) {
+            FaultStats::default()
+        } else {
+            sched.stats
+        },
     })
 }
 
-/// The fault-aware scheduler: bounded task retries, straggler nodes,
-/// whole-node loss with re-execution of lost map output, and speculative
-/// backups for the slowest map stragglers.
-///
-/// Fault decisions come from a dedicated `chaos` RNG stream; per-attempt
-/// noise comes from the same noise stream the clean path uses (but draws
-/// happen per *attempt*, so retry patterns shift the sequence — only the
-/// inert path is bit-identical to the legacy engine, which is the
-/// guarantee the regression tests pin down).
-fn simulate_faulty(
-    spec: &JobSpec,
-    dataflow: &Dataflow,
-    dataset_name: &str,
-    cluster: &ClusterSpec,
-    config: &JobConfig,
-    seed: u64,
-) -> Result<JobReport, SimError> {
-    let faults = cluster.faults.clamped();
-    let sigma = cluster.heterogeneity;
-    let mut noise = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let mut chaos = StdRng::seed_from_u64(seed ^ FAULT_SEED_SALT);
-    let mut stats = FaultStats::default();
+/// True when no fault can fire and every node runs at nominal speed.
+fn is_undisturbed(cluster: &ClusterSpec) -> bool {
+    cluster.faults.is_inert() && cluster.is_uniform_speed()
+}
 
-    let m = dataflow.num_map_tasks;
-    let spn = cluster.map_slots_per_node.max(1) as usize;
-    let workers = cluster.workers.max(1) as usize;
-    let has_reduce = dataflow.reduce.is_some();
+fn map_inputs(flow: &SplitFlow, combine: Option<CombineFlow>) -> MapTaskInputs {
+    MapTaskInputs {
+        input_bytes: flow.input_bytes,
+        input_records: flow.input_records,
+        out_records: flow.out_records,
+        out_bytes: flow.out_bytes,
+        map_cpu_ops: flow.map_ops,
+        combine,
+    }
+}
 
-    // ---- Node death schedule -------------------------------------------
-    // Deaths are placed uniformly inside a rough fault-free makespan
-    // estimate; a death drawn past the real end simply never fires.
-    let est = estimate_makespan_ms(dataflow, cluster, config, has_reduce);
-    let mut node_death = vec![f64::INFINITY; workers];
-    for d in node_death.iter_mut() {
-        if chaos.gen::<f64>() < faults.node_loss_prob {
-            *d = chaos.gen::<f64>() * est;
+/// Final map output — of one task, or summed over the job's winning
+/// attempts in task order (the order fixes the sums' last bits).
+#[derive(Clone, Copy, Default)]
+struct MapOutput {
+    bytes_disk: f64,
+    bytes_uncomp: f64,
+    records: f64,
+}
+
+impl MapOutput {
+    fn of(costs: &MapTaskCosts) -> Self {
+        MapOutput {
+            bytes_disk: costs.final_out_bytes,
+            bytes_uncomp: costs.final_out_bytes_uncompressed,
+            records: costs.final_out_records,
         }
     }
-    stats.nodes_lost = node_death.iter().filter(|d| d.is_finite()).count() as u32;
 
-    // ---- Map attempts ---------------------------------------------------
-    struct MapWin {
-        report: MapTaskReport,
-        node: usize,
-        final_uncomp: f64,
+    fn add(&mut self, task: &MapOutput) {
+        self.bytes_disk += task.bytes_disk;
+        self.bytes_uncomp += task.bytes_uncomp;
+        self.records += task.records;
     }
-    let mut winners: Vec<Option<MapWin>> = (0..m).map(|_| None).collect();
-    let mut slot_free = vec![0.0f64; cluster.map_slots().max(1) as usize];
-    let mut pending: VecDeque<(u32, u32)> = (0..m).map(|t| (t, 1)).collect();
+}
 
-    // One scheduling step for the queue of pending (task, attempt) pairs.
-    // Each attempt draws fresh noise, may fail partway (injected), may be
-    // killed by losing its node, or completes and becomes the task's
-    // current winner.
-    macro_rules! drain_map_queue {
-        () => {
-            while let Some((task_id, attempt)) = pending.pop_front() {
-                if attempt > config.max_map_attempts {
-                    return Err(SimError::TaskAttemptsExhausted {
-                        job: spec.job_id(),
-                        task: format!("map-{task_id}"),
-                        attempts: config.max_map_attempts,
-                    });
-                }
-                let Some(slot) = earliest_alive_slot(&slot_free, &node_death, spn) else {
-                    return Err(SimError::ClusterLost { job: spec.job_id() });
-                };
-                let node = slot / spn;
-                let start = slot_free[slot];
-                let io_f = lognormal(&mut noise, sigma);
-                let cpu_f = lognormal(&mut noise, sigma);
-                let slow = cluster.node_slowdown_factor(node);
-                let rates = cluster.rates.jittered(io_f * slow, cpu_f * slow);
-                let flow = &dataflow.per_task[task_id as usize % dataflow.per_task.len()];
-                let inputs = MapTaskInputs {
-                    input_bytes: flow.input_bytes,
-                    input_records: flow.input_records,
-                    out_records: flow.out_records,
-                    out_bytes: flow.out_bytes,
-                    map_cpu_ops: flow.map_ops,
-                    combine: dataflow.combine,
-                };
-                let costs = map_task_costs(config, &rates, &inputs);
-                let dur_ms = costs.total_ns() / 1e6;
-                stats.scheduled_attempts += 1;
-                if chaos.gen::<f64>() < faults.task_failure_prob {
-                    // Injected attempt failure partway through the run.
-                    let died_at = (start + dur_ms * chaos.gen::<f64>()).min(node_death[node]);
-                    stats.failed_attempts += 1;
-                    stats.wasted_ms += died_at - start;
-                    slot_free[slot] = died_at;
-                    pending.push_back((task_id, attempt + 1));
-                    continue;
-                }
-                let end = start + dur_ms;
-                if node_death[node] < end {
-                    // Node died under the attempt; the kill does not count
-                    // against the task's attempt budget (as in Hadoop).
-                    stats.failed_attempts += 1;
-                    stats.wasted_ms += node_death[node] - start;
-                    slot_free[slot] = node_death[node];
-                    pending.push_back((task_id, attempt));
-                    continue;
-                }
-                stats.successful_attempts += 1;
-                slot_free[slot] = end;
-                winners[task_id as usize] = Some(MapWin {
-                    report: MapTaskReport {
-                        task_id,
-                        start_ms: start,
-                        end_ms: end,
-                        phases: costs.phases,
-                        input_records: flow.input_records,
-                        input_bytes: flow.input_bytes,
-                        out_records: flow.out_records,
-                        out_bytes: flow.out_bytes,
-                        final_out_records: costs.final_out_records,
-                        final_out_bytes: costs.final_out_bytes,
-                        num_spills: costs.num_spills,
-                        observed_rates: rates,
-                        map_cpu_ops: flow.map_ops,
-                        attempt,
-                        speculative: false,
-                    },
-                    node,
-                    final_uncomp: costs.final_out_bytes_uncompressed,
+/// Sort the map end times; return when the last map finished and when
+/// reducers become eligible under `reduce_slowstart`.
+fn map_wave_gates(map_ends: &mut [f64], config: &JobConfig) -> (f64, f64) {
+    map_ends.sort_by(f64::total_cmp);
+    let m = map_ends.len();
+    let slowstart_idx = ((config.reduce_slowstart * m as f64).ceil() as usize).clamp(1, m);
+    (map_ends[m - 1], map_ends[slowstart_idx - 1])
+}
+
+/// The whole reduce wave as one task's inputs: the job-wide volumes every
+/// reduce task takes its partition share of.
+fn reduce_wave_inputs(
+    red: &ReduceFlow,
+    dataflow: &Dataflow,
+    cluster: &ClusterSpec,
+    config: &JobConfig,
+    map_out: &MapOutput,
+) -> ReduceTaskInputs {
+    // Reduce input records depend on whether the combiner ran.
+    let in_records = if config.use_combiner && dataflow.combine.is_some() {
+        map_out.records
+    } else {
+        red.in_records
+    };
+    // Aggregating reducers cannot emit more records than they consume;
+    // the output estimate (distinct-key based) and the combined-input
+    // estimate are extrapolated separately, so reconcile them here.
+    let (out_records, out_bytes) =
+        if red.out_records < red.in_records && red.out_records > in_records {
+            (in_records, red.out_bytes * (in_records / red.out_records))
+        } else {
+            (red.out_records, red.out_bytes)
+        };
+    ReduceTaskInputs {
+        shuffle_bytes_disk: map_out.bytes_disk,
+        shuffle_bytes: map_out.bytes_uncomp,
+        in_records,
+        num_segments: dataflow.num_map_tasks,
+        reduce_ops_per_record: red.ops_per_record,
+        out_bytes,
+        out_records,
+        heap_bytes: cluster.heap_bytes() as f64,
+        map_compressed: config.compress_map_output,
+    }
+}
+
+/// One reduce task's `share` of the wave.
+fn share_of(wave: &ReduceTaskInputs, share: f64) -> ReduceTaskInputs {
+    ReduceTaskInputs {
+        shuffle_bytes_disk: wave.shuffle_bytes_disk * share,
+        shuffle_bytes: wave.shuffle_bytes * share,
+        in_records: wave.in_records * share,
+        out_bytes: wave.out_bytes * share,
+        out_records: wave.out_records * share,
+        ..*wave
+    }
+}
+
+/// A reduce task's `(shuffle, everything after)` time in ns.
+fn shuffle_split(costs: &ReduceTaskCosts) -> (f64, f64) {
+    let shuffle_ns: f64 = costs
+        .phases
+        .iter()
+        .filter(|(p, _)| matches!(p, ReducePhase::Shuffle))
+        .map(|(_, t)| t)
+        .sum();
+    (shuffle_ns, costs.total_ns() - shuffle_ns)
+}
+
+/// When a reduce task started at `start` ends: its shuffle overlaps map
+/// execution but cannot complete before the last map task finished
+/// producing output.
+fn reduce_end_ms(start: f64, (shuffle_ns, post_shuffle_ns): (f64, f64), maps_done_ms: f64) -> f64 {
+    (start + shuffle_ns / 1e6).max(maps_done_ms) + post_shuffle_ns / 1e6
+}
+
+/// Slots of one kind (map or reduce), `per_node` consecutive ones to a
+/// worker, each with the virtual time it frees.
+struct Slots {
+    free: Vec<f64>,
+    per_node: usize,
+}
+
+impl Slots {
+    fn new(total: u32, per_node: u32, free_at: f64) -> Self {
+        Slots {
+            free: vec![free_at; total.max(1) as usize],
+            per_node: per_node.max(1) as usize,
+        }
+    }
+
+    /// The earliest-free slot whose node is still alive when the slot
+    /// frees; `None` when every surviving node is gone.
+    fn earliest_alive(&self, node_death: &[f64]) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, t) in self.free.iter().enumerate() {
+            if node_death[i / self.per_node] <= *t {
+                continue;
+            }
+            match best {
+                None => best = Some(i),
+                Some(b) if *t < self.free[b] => best = Some(i),
+                _ => {}
+            }
+        }
+        best
+    }
+}
+
+/// A map task's current winning attempt.
+struct MapWin {
+    report: MapTaskReport,
+    node: usize,
+    out: MapOutput,
+}
+
+/// Why an attempt did not finish.
+enum Died {
+    /// Injected failure partway through; counts against the attempt cap.
+    Failed,
+    /// Its node was lost under it; the kill does not count against the
+    /// task's attempt budget (as in Hadoop).
+    Killed,
+}
+
+/// The attempt scheduler: bounded task retries, straggler nodes,
+/// whole-node loss with re-execution of lost map output, and speculative
+/// backups for the slowest map stragglers. Noise is drawn per *attempt*,
+/// so a retry pattern shifts the noise sequence of the tasks after it.
+struct Scheduler<'a> {
+    spec: &'a JobSpec,
+    dataflow: &'a Dataflow,
+    cluster: &'a ClusterSpec,
+    config: &'a JobConfig,
+    faults: FaultSpec,
+    noise: StdRng,
+    chaos: StdRng,
+    /// Virtual time each worker dies; infinite for survivors.
+    node_death: Vec<f64>,
+    stats: FaultStats,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(
+        spec: &'a JobSpec,
+        dataflow: &'a Dataflow,
+        cluster: &'a ClusterSpec,
+        config: &'a JobConfig,
+        seed: u64,
+    ) -> Self {
+        let faults = cluster.faults.clamped();
+        let mut chaos = StdRng::seed_from_u64(seed ^ FAULT_SEED_SALT);
+        // Deaths are placed uniformly inside a rough fault-free makespan
+        // estimate; a death drawn past the real end simply never fires.
+        let est = estimate_makespan_ms(dataflow, cluster, config);
+        let mut node_death = vec![f64::INFINITY; cluster.workers.max(1) as usize];
+        for d in node_death.iter_mut() {
+            if chaos.gen::<f64>() < faults.node_loss_prob {
+                *d = chaos.gen::<f64>() * est;
+            }
+        }
+        let stats = FaultStats {
+            nodes_lost: node_death.iter().filter(|d| d.is_finite()).count() as u32,
+            ..FaultStats::default()
+        };
+        Scheduler {
+            spec,
+            dataflow,
+            cluster,
+            config,
+            faults,
+            noise: StdRng::seed_from_u64(seed ^ 0x5eed),
+            chaos,
+            node_death,
+            stats,
+        }
+    }
+
+    /// The rates one attempt observes on `node`: fresh utilization noise
+    /// times the node's persistent slowdown.
+    fn draw_rates(&mut self, node: usize) -> CostRates {
+        let sigma = self.cluster.heterogeneity;
+        let io_f = lognormal(&mut self.noise, sigma);
+        let cpu_f = lognormal(&mut self.noise, sigma);
+        let slow = self.cluster.node_slowdown_factor(node);
+        self.cluster.rates.jittered(io_f * slow, cpu_f * slow)
+    }
+
+    /// Decide the fate of a priced attempt that would hold `slot` over
+    /// `[start, end]`: it may fail partway (injected), be killed by losing
+    /// its node, or finish. Frees the slot accordingly and tallies a death.
+    fn settle(
+        &mut self,
+        slots: &mut Slots,
+        slot: usize,
+        start: f64,
+        dur_ms: f64,
+        end: f64,
+    ) -> Result<(), Died> {
+        let death = self.node_death[slot / slots.per_node];
+        self.stats.scheduled_attempts += 1;
+        let (freed, fate) = if self.chaos.gen::<f64>() < self.faults.task_failure_prob {
+            let died_at = (start + dur_ms * self.chaos.gen::<f64>()).min(death);
+            (died_at, Err(Died::Failed))
+        } else if death < end {
+            (death, Err(Died::Killed))
+        } else {
+            (end, Ok(()))
+        };
+        slots.free[slot] = freed;
+        if fate.is_err() {
+            self.stats.failed_attempts += 1;
+            self.stats.wasted_ms += freed - start;
+        }
+        fate
+    }
+
+    /// Price and run one attempt of map task `task_id` on `slot` from
+    /// `start`.
+    fn map_attempt(
+        &mut self,
+        slots: &mut Slots,
+        slot: usize,
+        start: f64,
+        task_id: u32,
+        attempt: u32,
+        speculative: bool,
+    ) -> Result<MapWin, Died> {
+        let node = slot / slots.per_node;
+        let rates = self.draw_rates(node);
+        let per_task = &self.dataflow.per_task;
+        let flow = &per_task[task_id as usize % per_task.len()];
+        let costs = map_task_costs(
+            self.config,
+            &rates,
+            &map_inputs(flow, self.dataflow.combine),
+        );
+        let dur_ms = costs.total_ns() / 1e6;
+        let end = start + dur_ms;
+        self.settle(slots, slot, start, dur_ms, end)?;
+        let out = MapOutput::of(&costs);
+        Ok(MapWin {
+            report: MapTaskReport {
+                task_id,
+                start_ms: start,
+                end_ms: end,
+                phases: costs.phases,
+                input_records: flow.input_records,
+                input_bytes: flow.input_bytes,
+                out_records: flow.out_records,
+                out_bytes: flow.out_bytes,
+                final_out_records: costs.final_out_records,
+                final_out_bytes: costs.final_out_bytes,
+                num_spills: costs.num_spills,
+                observed_rates: rates,
+                map_cpu_ops: flow.map_ops,
+                attempt,
+                speculative,
+            },
+            node,
+            out,
+        })
+    }
+
+    /// Run the queue of pending `(task, attempt)` pairs dry: each goes to
+    /// the earliest-free slot on a live node, a failed attempt requeues as
+    /// the next attempt up to `cap`, a killed one requeues as itself.
+    fn drain(
+        &mut self,
+        kind: &str,
+        cap: u32,
+        pending: &mut VecDeque<(u32, u32)>,
+        slots: &mut Slots,
+        mut run: impl FnMut(&mut Self, &mut Slots, usize, u32, u32) -> Result<(), Died>,
+    ) -> Result<(), SimError> {
+        while let Some((task_id, attempt)) = pending.pop_front() {
+            if attempt > cap {
+                return Err(SimError::TaskAttemptsExhausted {
+                    job: self.spec.job_id(),
+                    task: format!("{kind}-{task_id}"),
+                    attempts: cap,
                 });
             }
-        };
+            let Some(slot) = slots.earliest_alive(&self.node_death) else {
+                return Err(SimError::ClusterLost {
+                    job: self.spec.job_id(),
+                });
+            };
+            match run(self, slots, slot, task_id, attempt) {
+                Ok(()) => self.stats.successful_attempts += 1,
+                Err(Died::Failed) => pending.push_back((task_id, attempt + 1)),
+                Err(Died::Killed) => pending.push_back((task_id, attempt)),
+            }
+        }
+        Ok(())
     }
-    drain_map_queue!();
 
-    // ---- Speculative backups for map stragglers ------------------------
-    if faults.speculation && m > 1 {
-        let mut durs: Vec<f64> = winners
-            .iter()
-            .map(|w| w.as_ref().map(|w| w.report.duration_ms()).unwrap_or(0.0))
-            .collect();
-        durs.sort_by(|a, b| a.total_cmp(b));
-        let median = durs[durs.len() / 2];
-        let threshold = median * faults.speculation_threshold;
-        let max_backups = ((m as f64) * faults.speculation_cap).ceil() as usize;
-        // Slowest first, bounded by the speculation cap.
-        let mut stragglers: Vec<u32> = (0..m)
-            .filter(|t| {
-                winners[*t as usize]
-                    .as_ref()
-                    .map(|w| w.report.duration_ms() > threshold)
-                    .unwrap_or(false)
+    /// The map wave: every task's winning attempt in task order, and their
+    /// summed output.
+    fn run_maps(&mut self) -> Result<(Vec<MapTaskReport>, MapOutput), SimError> {
+        let m = self.dataflow.num_map_tasks;
+        let cluster = self.cluster;
+        let mut slots = Slots::new(cluster.map_slots(), cluster.map_slots_per_node, 0.0);
+        let mut winners: Vec<Option<MapWin>> = (0..m).map(|_| None).collect();
+        let mut pending: VecDeque<(u32, u32)> = (0..m).map(|t| (t, 1)).collect();
+        for round in 0.. {
+            self.drain(
+                "map",
+                self.config.max_map_attempts,
+                &mut pending,
+                &mut slots,
+                |s, slots, slot, task_id, attempt| {
+                    let start = slots.free[slot];
+                    let win = s.map_attempt(slots, slot, start, task_id, attempt, false)?;
+                    winners[task_id as usize] = Some(win);
+                    Ok(())
+                },
+            )?;
+            if round == 0 && self.faults.speculation && m > 1 {
+                self.speculate(&mut slots, &mut winners);
+            }
+            // Map output lives on the local disk of the node that ran the
+            // task; when that node is (or will be) lost and a reduce phase
+            // still needs the output, the task re-executes elsewhere.
+            // Iterate until every winning attempt sits on a surviving node.
+            if self.dataflow.reduce.is_some() {
+                for t in 0..m {
+                    let w = won(&winners, t);
+                    if self.node_death[w.node].is_finite() {
+                        self.stats.map_tasks_reexecuted += 1;
+                        self.stats.wasted_ms += w.report.duration_ms();
+                        pending.push_back((t, 1));
+                    }
+                }
+            }
+            if pending.is_empty() {
+                break;
+            }
+        }
+        let mut total = MapOutput::default();
+        let reports = winners
+            .into_iter()
+            .map(|w| {
+                let w = w.expect("a drained queue leaves every map task a winner");
+                total.add(&w.out);
+                w.report
             })
             .collect();
-        stragglers.sort_by(|a, b| {
-            let da = winners[*a as usize].as_ref().unwrap().report.duration_ms();
-            let db = winners[*b as usize].as_ref().unwrap().report.duration_ms();
-            db.total_cmp(&da)
-        });
+        Ok((reports, total))
+    }
+
+    /// Race one backup attempt against each of the slowest map stragglers,
+    /// slowest first, bounded by the speculation cap.
+    fn speculate(&mut self, slots: &mut Slots, winners: &mut [Option<MapWin>]) {
+        let m = winners.len() as u32;
+        let dur = |winners: &[Option<MapWin>], t: u32| won(winners, t).report.duration_ms();
+        let mut durs: Vec<f64> = (0..m).map(|t| dur(winners, t)).collect();
+        durs.sort_by(f64::total_cmp);
+        let threshold = durs[durs.len() / 2] * self.faults.speculation_threshold;
+        let max_backups = (f64::from(m) * self.faults.speculation_cap).ceil() as usize;
+        let mut stragglers: Vec<u32> = (0..m).filter(|t| dur(winners, *t) > threshold).collect();
+        stragglers.sort_by(|a, b| dur(winners, *b).total_cmp(&dur(winners, *a)));
         stragglers.truncate(max_backups);
         for task_id in stragglers {
-            let (orig_start, orig_end, orig_attempt) = {
-                let w = winners[task_id as usize].as_ref().unwrap();
-                (w.report.start_ms, w.report.end_ms, w.report.attempt)
-            };
-            let Some(slot) = earliest_alive_slot(&slot_free, &node_death, spn) else {
+            let orig = &won(winners, task_id).report;
+            let (orig_start, orig_end, orig_attempt) = (orig.start_ms, orig.end_ms, orig.attempt);
+            let Some(slot) = slots.earliest_alive(&self.node_death) else {
                 break; // cluster nearly gone; no capacity to speculate
             };
-            let start = slot_free[slot].max(orig_start);
+            let start = slots.free[slot].max(orig_start);
             if start >= orig_end {
                 continue; // original finished before a backup could launch
             }
-            let node = slot / spn;
-            let io_f = lognormal(&mut noise, sigma);
-            let cpu_f = lognormal(&mut noise, sigma);
-            let slow = cluster.node_slowdown_factor(node);
-            let rates = cluster.rates.jittered(io_f * slow, cpu_f * slow);
-            let flow = &dataflow.per_task[task_id as usize % dataflow.per_task.len()];
-            let inputs = MapTaskInputs {
-                input_bytes: flow.input_bytes,
-                input_records: flow.input_records,
-                out_records: flow.out_records,
-                out_bytes: flow.out_bytes,
-                map_cpu_ops: flow.map_ops,
-                combine: dataflow.combine,
-            };
-            let costs = map_task_costs(config, &rates, &inputs);
-            let dur_ms = costs.total_ns() / 1e6;
-            stats.scheduled_attempts += 1;
-            if chaos.gen::<f64>() < faults.task_failure_prob {
-                let died_at = (start + dur_ms * chaos.gen::<f64>()).min(node_death[node]);
-                stats.failed_attempts += 1;
-                stats.wasted_ms += died_at - start;
-                slot_free[slot] = died_at;
+            let Ok(backup) = self.map_attempt(slots, slot, start, task_id, orig_attempt + 1, true)
+            else {
                 continue; // the original result stands
-            }
-            let end = start + dur_ms;
-            if node_death[node] < end {
-                stats.failed_attempts += 1;
-                stats.wasted_ms += node_death[node] - start;
-                slot_free[slot] = node_death[node];
-                continue;
-            }
-            slot_free[slot] = end;
-            if end < orig_end {
-                // Backup wins: the backup counts as the success and the
-                // original attempt — already tallied as a success when the
-                // wave drained — is reclassified as the speculative kill,
-                // so `successful_attempts` nets out unchanged.
-                stats.speculative_kills += 1;
-                stats.speculative_wins += 1;
-                stats.wasted_ms += end - orig_start;
-                winners[task_id as usize] = Some(MapWin {
-                    report: MapTaskReport {
-                        task_id,
-                        start_ms: start,
-                        end_ms: end,
-                        phases: costs.phases,
-                        input_records: flow.input_records,
-                        input_bytes: flow.input_bytes,
-                        out_records: flow.out_records,
-                        out_bytes: flow.out_bytes,
-                        final_out_records: costs.final_out_records,
-                        final_out_bytes: costs.final_out_bytes,
-                        num_spills: costs.num_spills,
-                        observed_rates: rates,
-                        map_cpu_ops: flow.map_ops,
-                        attempt: orig_attempt + 1,
-                        speculative: true,
-                    },
-                    node,
-                    final_uncomp: costs.final_out_bytes_uncompressed,
-                });
+            };
+            // One of the two completed copies is discarded. When the backup
+            // wins it counts as the success and the original attempt —
+            // already tallied as a success when the wave drained — is
+            // reclassified as the speculative kill, so
+            // `successful_attempts` nets out unchanged.
+            self.stats.speculative_kills += 1;
+            if backup.report.end_ms < orig_end {
+                self.stats.speculative_wins += 1;
+                self.stats.wasted_ms += backup.report.end_ms - orig_start;
+                winners[task_id as usize] = Some(backup);
             } else {
-                // Original wins: the completed backup is discarded.
-                stats.speculative_kills += 1;
-                stats.wasted_ms += end - start;
+                self.stats.wasted_ms += backup.report.end_ms - start;
             }
         }
     }
 
-    // ---- Node loss: re-execute map output lost with its node -----------
-    // Map output lives on the local disk of the node that ran the task;
-    // when that node is (or will be) lost and a reduce phase still needs
-    // the output, the task re-executes elsewhere. Iterate until every
-    // winning attempt sits on a surviving node.
-    if has_reduce {
-        loop {
-            let mut lost = false;
-            for t in 0..m {
-                let relaunch = {
-                    let w = winners[t as usize].as_ref().unwrap();
-                    node_death[w.node].is_finite()
-                };
-                if relaunch {
-                    stats.map_tasks_reexecuted += 1;
-                    {
-                        let w = winners[t as usize].as_ref().unwrap();
-                        stats.wasted_ms += w.report.duration_ms();
-                    }
-                    pending.push_back((t, 1));
-                    lost = true;
-                }
-            }
-            if !lost {
-                break;
-            }
-            drain_map_queue!();
-        }
+    /// The reduce wave, in task order.
+    fn run_reduces(
+        &mut self,
+        red: &ReduceFlow,
+        map_out: &MapOutput,
+        maps_done_ms: f64,
+        reducers_eligible_ms: f64,
+    ) -> Result<Vec<ReduceTaskReport>, SimError> {
+        let (cluster, config) = (self.cluster, self.config);
+        let shares = red.partition_shares(config.num_reduce_tasks, self.spec.partitioner);
+        let wave = reduce_wave_inputs(red, self.dataflow, cluster, config, map_out);
+        let mut slots = Slots::new(
+            cluster.reduce_slots(),
+            cluster.reduce_slots_per_node,
+            reducers_eligible_ms,
+        );
+        let mut pending: VecDeque<(u32, u32)> = (0..shares.len() as u32).map(|t| (t, 1)).collect();
+        let mut reports = Vec::with_capacity(shares.len());
+        self.drain(
+            "reduce",
+            config.max_reduce_attempts,
+            &mut pending,
+            &mut slots,
+            |s, slots, slot, task_id, attempt| {
+                let start = slots.free[slot];
+                let rates = s.draw_rates(slot / slots.per_node);
+                let inputs = share_of(&wave, shares[task_id as usize]);
+                let costs = reduce_task_costs(config, &rates, &inputs);
+                let end = reduce_end_ms(start, shuffle_split(&costs), maps_done_ms);
+                s.settle(slots, slot, start, end - start, end)?;
+                reports.push(ReduceTaskReport {
+                    task_id,
+                    start_ms: start,
+                    end_ms: end,
+                    phases: costs.phases,
+                    shuffle_bytes: inputs.shuffle_bytes,
+                    in_records: inputs.in_records,
+                    out_records: inputs.out_records,
+                    out_bytes: inputs.out_bytes,
+                    observed_rates: rates,
+                    reduce_ops_per_record: red.ops_per_record,
+                    attempt,
+                });
+                Ok(())
+            },
+        )?;
+        reports.sort_by_key(|t| t.task_id);
+        Ok(reports)
     }
+}
 
-    let map_reports: Vec<MapTaskReport> = winners
-        .iter()
-        .map(|w| w.as_ref().unwrap().report.clone())
-        .collect();
-    let total_final_bytes_disk: f64 = map_reports.iter().map(|t| t.final_out_bytes).sum();
-    let total_final_records: f64 = map_reports.iter().map(|t| t.final_out_records).sum();
-    let total_final_bytes_uncomp: f64 = winners
-        .iter()
-        .map(|w| w.as_ref().unwrap().final_uncomp)
-        .sum();
+fn won(winners: &[Option<MapWin>], task_id: u32) -> &MapWin {
+    winners[task_id as usize]
+        .as_ref()
+        .expect("a drained queue leaves every map task a winner")
+}
 
-    let mut map_ends: Vec<f64> = map_reports.iter().map(|t| t.end_ms).collect();
-    map_ends.sort_by(|a, b| a.total_cmp(b));
-    let maps_done_ms = *map_ends.last().unwrap_or(&0.0);
-    let slowstart_idx =
-        ((config.reduce_slowstart * m as f64).ceil() as usize).clamp(1, map_ends.len().max(1));
-    let reducers_eligible_ms = if map_ends.is_empty() {
-        0.0
-    } else {
-        map_ends[slowstart_idx - 1]
+/// Duration (ms) and final output of each distinct per-task flow at the
+/// cluster's base rates.
+fn price_flows(
+    dataflow: &Dataflow,
+    cluster: &ClusterSpec,
+    config: &JobConfig,
+) -> Vec<(f64, MapOutput)> {
+    let price = |flow| {
+        let inputs = map_inputs(flow, dataflow.combine);
+        let costs = map_task_costs(config, &cluster.rates, &inputs);
+        (costs.total_ns() / 1e6, MapOutput::of(&costs))
     };
-
-    // ---- Reduce attempts ------------------------------------------------
-    let mut reduce_reports = Vec::new();
-    if let Some(red) = &dataflow.reduce {
-        let r = config.num_reduce_tasks;
-        let shares = red.partition_shares(r, spec.partitioner);
-        let rspn = cluster.reduce_slots_per_node.max(1) as usize;
-        let mut rslot_free = vec![reducers_eligible_ms; cluster.reduce_slots().max(1) as usize];
-        let total_in_records = if config.use_combiner && dataflow.combine.is_some() {
-            total_final_records
-        } else {
-            red.in_records
-        };
-        let (total_out_records, total_out_bytes) =
-            if red.out_records < red.in_records && red.out_records > total_in_records {
-                let shrink = total_in_records / red.out_records;
-                (total_in_records, red.out_bytes * shrink)
-            } else {
-                (red.out_records, red.out_bytes)
-            };
-        let mut rpending: VecDeque<(usize, u32)> = (0..shares.len()).map(|t| (t, 1)).collect();
-        while let Some((task_id, attempt)) = rpending.pop_front() {
-            if attempt > config.max_reduce_attempts {
-                return Err(SimError::TaskAttemptsExhausted {
-                    job: spec.job_id(),
-                    task: format!("reduce-{task_id}"),
-                    attempts: config.max_reduce_attempts,
-                });
-            }
-            let Some(slot) = earliest_alive_slot(&rslot_free, &node_death, rspn) else {
-                return Err(SimError::ClusterLost { job: spec.job_id() });
-            };
-            let node = slot / rspn;
-            let start = rslot_free[slot];
-            let share = shares[task_id];
-            let io_f = lognormal(&mut noise, sigma);
-            let cpu_f = lognormal(&mut noise, sigma);
-            let slow = cluster.node_slowdown_factor(node);
-            let rates = cluster.rates.jittered(io_f * slow, cpu_f * slow);
-            let inputs = ReduceTaskInputs {
-                shuffle_bytes_disk: total_final_bytes_disk * share,
-                shuffle_bytes: total_final_bytes_uncomp * share,
-                in_records: total_in_records * share,
-                num_segments: m,
-                reduce_ops_per_record: red.ops_per_record,
-                out_bytes: total_out_bytes * share,
-                out_records: total_out_records * share,
-                heap_bytes: cluster.heap_bytes() as f64,
-                map_compressed: config.compress_map_output,
-            };
-            let costs = reduce_task_costs(config, &rates, &inputs);
-            let shuffle_ns: f64 = costs
-                .phases
-                .iter()
-                .filter(|(p, _)| matches!(p, crate::phases::ReducePhase::Shuffle))
-                .map(|(_, t)| t)
-                .sum();
-            let post_shuffle_ns = costs.total_ns() - shuffle_ns;
-            let shuffle_end = (start + shuffle_ns / 1e6).max(maps_done_ms);
-            let end = shuffle_end + post_shuffle_ns / 1e6;
-            let dur_ms = end - start;
-            stats.scheduled_attempts += 1;
-            if chaos.gen::<f64>() < faults.task_failure_prob {
-                let died_at = (start + dur_ms * chaos.gen::<f64>()).min(node_death[node]);
-                stats.failed_attempts += 1;
-                stats.wasted_ms += died_at - start;
-                rslot_free[slot] = died_at;
-                rpending.push_back((task_id, attempt + 1));
-                continue;
-            }
-            if node_death[node] < end {
-                stats.failed_attempts += 1;
-                stats.wasted_ms += node_death[node] - start;
-                rslot_free[slot] = node_death[node];
-                rpending.push_back((task_id, attempt));
-                continue;
-            }
-            stats.successful_attempts += 1;
-            rslot_free[slot] = end;
-            reduce_reports.push(ReduceTaskReport {
-                task_id: task_id as u32,
-                start_ms: start,
-                end_ms: end,
-                phases: costs.phases,
-                shuffle_bytes: inputs.shuffle_bytes,
-                in_records: inputs.in_records,
-                out_records: inputs.out_records,
-                out_bytes: inputs.out_bytes,
-                observed_rates: rates,
-                reduce_ops_per_record: red.ops_per_record,
-                attempt,
-            });
-        }
-        reduce_reports.sort_by_key(|t| t.task_id);
-    }
-
-    let last_end = reduce_reports
-        .iter()
-        .map(|t| t.end_ms)
-        .fold(maps_done_ms, f64::max);
-
-    Ok(JobReport {
-        job_id: spec.job_id(),
-        dataset: dataset_name.to_string(),
-        config: config.clone(),
-        runtime_ms: last_end + JOB_OVERHEAD_MS,
-        maps_done_ms,
-        map_tasks: map_reports,
-        reduce_tasks: reduce_reports,
-        faults: stats,
-    })
+    dataflow.per_task.iter().map(price).collect()
 }
 
 /// Rough fault-free makespan estimate used to place node deaths inside
 /// the job's lifetime. Accuracy only shapes *where* deaths land; any
 /// deterministic estimate keeps the simulation reproducible.
-fn estimate_makespan_ms(
-    dataflow: &Dataflow,
-    cluster: &ClusterSpec,
-    config: &JobConfig,
-    has_reduce: bool,
-) -> f64 {
-    let rates = cluster.rates.jittered(1.0, 1.0);
-    let per_flow: Vec<f64> = dataflow
-        .per_task
-        .iter()
-        .map(|flow| {
-            let inputs = MapTaskInputs {
-                input_bytes: flow.input_bytes,
-                input_records: flow.input_records,
-                out_records: flow.out_records,
-                out_bytes: flow.out_bytes,
-                map_cpu_ops: flow.map_ops,
-                combine: dataflow.combine,
-            };
-            map_task_costs(config, &rates, &inputs).total_ns() / 1e6
-        })
-        .collect();
+fn estimate_makespan_ms(dataflow: &Dataflow, cluster: &ClusterSpec, config: &JobConfig) -> f64 {
+    let per_flow = price_flows(dataflow, cluster, config);
     let mut total = 0.0;
     for task_id in 0..dataflow.num_map_tasks {
-        total += per_flow[task_id as usize % per_flow.len()];
+        total += per_flow[task_id as usize % per_flow.len()].0;
     }
     let wave = total / f64::from(cluster.map_slots().max(1));
-    wave * if has_reduce { 3.0 } else { 1.5 } + JOB_OVERHEAD_MS
-}
-
-/// The earliest-free slot whose node is still alive when the slot frees;
-/// `None` when every surviving node is gone.
-fn earliest_alive_slot(slot_free: &[f64], node_death: &[f64], spn: usize) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, t) in slot_free.iter().enumerate() {
-        if node_death[i / spn] <= *t {
-            continue;
-        }
-        match best {
-            None => best = Some(i),
-            Some(b) if *t < slot_free[b] => best = Some(i),
-            _ => {}
-        }
-    }
-    best
+    wave * if dataflow.reduce.is_some() { 3.0 } else { 1.5 } + JOB_OVERHEAD_MS
 }
 
 /// Predict only the job runtime (ms) from a pre-measured dataflow,
 /// without materializing per-task reports.
 ///
-/// For a deterministic cluster (`heterogeneity == 0`) this takes a fast
-/// path that prices each *distinct* per-task flow once and replays the
-/// slot schedule arithmetically; the result is bit-identical to
+/// For a deterministic cluster (`heterogeneity == 0`, no fault able to
+/// fire, no straggler node) this takes a fast path that prices each
+/// *distinct* per-task flow once and replays the slot schedule
+/// arithmetically; the result is bit-identical to
 /// `simulate_with_dataflow(..).runtime_ms` (asserted by tests) because the
-/// full engine draws no noise at zero heterogeneity and the fast path
-/// mirrors its accumulation order exactly. Heterogeneous clusters fall
+/// scheduler draws no noise at zero heterogeneity and both accumulate
+/// through the same helpers in the same order. Any other cluster falls
 /// back to the full simulation. This is the What-If engine's hot path:
 /// the CBO prices hundreds of configurations per search, and skipping
 /// 560 `MapTaskReport` allocations per call is most of the win.
@@ -718,121 +640,53 @@ pub fn simulate_runtime_ms(
     config: &JobConfig,
     seed: u64,
 ) -> Result<f64, SimError> {
-    if cluster.heterogeneity > 0.0 || !cluster.faults.is_inert() || !cluster.is_uniform_speed() {
+    if cluster.heterogeneity > 0.0 || !is_undisturbed(cluster) {
         return Ok(
             simulate_with_dataflow(spec, dataflow, dataset_name, cluster, config, seed)?.runtime_ms,
         );
     }
-    config.validate()?;
-    check_memory(spec, dataflow, cluster, config)?;
+    check_inputs(spec, dataflow, cluster, config)?;
 
     // ---- Map wave: one cost computation per distinct flow --------------
     let m = dataflow.num_map_tasks;
-    let rates = cluster.rates.jittered(1.0, 1.0);
-    struct FlowCost {
-        dur_ms: f64,
-        final_out_bytes: f64,
-        final_out_bytes_uncompressed: f64,
-        final_out_records: f64,
-    }
-    let flow_costs: Vec<FlowCost> = dataflow
-        .per_task
-        .iter()
-        .map(|flow| {
-            let inputs = MapTaskInputs {
-                input_bytes: flow.input_bytes,
-                input_records: flow.input_records,
-                out_records: flow.out_records,
-                out_bytes: flow.out_bytes,
-                map_cpu_ops: flow.map_ops,
-                combine: dataflow.combine,
-            };
-            let costs = map_task_costs(config, &rates, &inputs);
-            FlowCost {
-                dur_ms: costs.total_ns() / 1e6,
-                final_out_bytes: costs.final_out_bytes,
-                final_out_bytes_uncompressed: costs.final_out_bytes_uncompressed,
-                final_out_records: costs.final_out_records,
-            }
-        })
-        .collect();
+    let flow_costs = price_flows(dataflow, cluster, config);
 
     let mut slot_free = vec![0.0f64; cluster.map_slots().max(1) as usize];
     let mut map_ends = Vec::with_capacity(m as usize);
-    let mut total_final_bytes_disk = 0.0;
-    let mut total_final_bytes_uncomp = 0.0;
-    let mut total_final_records = 0.0;
+    let mut map_out = MapOutput::default();
     for task_id in 0..m {
-        let fc = &flow_costs[task_id as usize % flow_costs.len()];
-        total_final_bytes_disk += fc.final_out_bytes;
-        total_final_bytes_uncomp += fc.final_out_bytes_uncompressed;
-        total_final_records += fc.final_out_records;
+        let (dur_ms, out) = &flow_costs[task_id as usize % flow_costs.len()];
+        map_out.add(out);
         let slot = earliest_slot(&slot_free);
-        let end = slot_free[slot] + fc.dur_ms;
+        let end = slot_free[slot] + dur_ms;
         slot_free[slot] = end;
         map_ends.push(end);
     }
-    map_ends.sort_by(|a, b| a.total_cmp(b));
-    let maps_done_ms = *map_ends.last().unwrap_or(&0.0);
-    let slowstart_idx =
-        ((config.reduce_slowstart * m as f64).ceil() as usize).clamp(1, map_ends.len());
-    let reducers_eligible_ms = map_ends[slowstart_idx - 1];
+    let (maps_done_ms, reducers_eligible_ms) = map_wave_gates(&mut map_ends, config);
 
     // ---- Reduce wave ----------------------------------------------------
     let mut last_end = maps_done_ms;
     if let Some(red) = &dataflow.reduce {
-        let r = config.num_reduce_tasks;
-        let shares = red.partition_shares(r, spec.partitioner);
+        let shares = red.partition_shares(config.num_reduce_tasks, spec.partitioner);
+        let wave = reduce_wave_inputs(red, dataflow, cluster, config, &map_out);
         let mut rslot_free = vec![reducers_eligible_ms; cluster.reduce_slots().max(1) as usize];
-        let total_in_records = if config.use_combiner && dataflow.combine.is_some() {
-            total_final_records
-        } else {
-            red.in_records
-        };
-        let (total_out_records, total_out_bytes) =
-            if red.out_records < red.in_records && red.out_records > total_in_records {
-                let shrink = total_in_records / red.out_records;
-                (total_in_records, red.out_bytes * shrink)
-            } else {
-                (red.out_records, red.out_bytes)
-            };
         // The what-if dataflow partitions uniformly (and real hash
         // partitions repeat shares), so identical shares produce identical
         // task costs — price each distinct share once and replay.
-        let mut share_costs: Vec<(u64, f64, f64)> = Vec::with_capacity(2);
+        let mut share_costs: Vec<(u64, (f64, f64))> = Vec::with_capacity(2);
         for share in shares.iter() {
             let bits = share.to_bits();
-            let (shuffle_ns, post_shuffle_ns) =
-                match share_costs.iter().find(|(b, _, _)| *b == bits) {
-                    Some((_, s, p)) => (*s, *p),
-                    None => {
-                        let inputs = ReduceTaskInputs {
-                            shuffle_bytes_disk: total_final_bytes_disk * share,
-                            shuffle_bytes: total_final_bytes_uncomp * share,
-                            in_records: total_in_records * share,
-                            num_segments: m,
-                            reduce_ops_per_record: red.ops_per_record,
-                            out_bytes: total_out_bytes * share,
-                            out_records: total_out_records * share,
-                            heap_bytes: cluster.heap_bytes() as f64,
-                            map_compressed: config.compress_map_output,
-                        };
-                        let costs = reduce_task_costs(config, &rates, &inputs);
-                        let shuffle_ns: f64 = costs
-                            .phases
-                            .iter()
-                            .filter(|(p, _)| matches!(p, crate::phases::ReducePhase::Shuffle))
-                            .map(|(_, t)| t)
-                            .sum();
-                        let post_shuffle_ns = costs.total_ns() - shuffle_ns;
-                        share_costs.push((bits, shuffle_ns, post_shuffle_ns));
-                        (shuffle_ns, post_shuffle_ns)
-                    }
-                };
+            let split = match share_costs.iter().find(|(b, _)| *b == bits) {
+                Some((_, split)) => *split,
+                None => {
+                    let costs = reduce_task_costs(config, &cluster.rates, &share_of(&wave, *share));
+                    let split = shuffle_split(&costs);
+                    share_costs.push((bits, split));
+                    split
+                }
+            };
             let slot = earliest_slot(&rslot_free);
-            let start = rslot_free[slot];
-            let shuffle_end = (start + shuffle_ns / 1e6).max(maps_done_ms);
-            let end = shuffle_end + post_shuffle_ns / 1e6;
+            let end = reduce_end_ms(rslot_free[slot], split, maps_done_ms);
             rslot_free[slot] = end;
             last_end = last_end.max(end);
         }
@@ -841,17 +695,23 @@ pub fn simulate_runtime_ms(
     Ok(last_end + JOB_OVERHEAD_MS)
 }
 
-/// The reduce-side memory model (see DESIGN.md): jobs with container-typed
-/// intermediate values must materialize merged groups; if the largest
-/// scaled group inflated by Java object overhead exceeds the usable heap,
-/// the task dies with an OOM — as the co-occurrence stripes job did on the
-/// 35 GB dataset in the paper.
-fn check_memory(
+/// What both public entries require before any task is priced: a valid
+/// configuration, a dataflow with at least one map task (its fields are
+/// public, so a hand-built one may have none), and the reduce-side memory
+/// model (see DESIGN.md): jobs with container-typed intermediate values
+/// must materialize merged groups; if the largest scaled group inflated by
+/// Java object overhead exceeds the usable heap, the task dies with an OOM
+/// — as the co-occurrence stripes job did on the 35 GB dataset in the paper.
+fn check_inputs(
     spec: &JobSpec,
     dataflow: &Dataflow,
     cluster: &ClusterSpec,
     config: &JobConfig,
 ) -> Result<(), SimError> {
+    config.validate()?;
+    if dataflow.num_map_tasks == 0 || dataflow.per_task.is_empty() {
+        return Err(SimError::EmptyDataflow { job: spec.job_id() });
+    }
     let Some(red) = &dataflow.reduce else {
         return Ok(());
     };
@@ -1069,6 +929,37 @@ mod tests {
         };
         let err = simulate(&jobs::word_count(), &ds, &cluster(), &bad, 1).unwrap_err();
         assert!(matches!(err, SimError::Config(_)));
+    }
+
+    /// `Dataflow`'s fields are public: a hand-built one with no map task
+    /// is a typed error at both entries, on the fast path and off it.
+    #[test]
+    fn dataflow_without_map_tasks_is_rejected() {
+        let ds = corpus::random_text_1g();
+        let spec = jobs::word_count();
+        let measured = analyze(&spec, &ds, &cluster()).unwrap();
+        let no_tasks = Dataflow {
+            num_map_tasks: 0,
+            ..measured.clone()
+        };
+        let no_flows = Dataflow {
+            per_task: Vec::new(),
+            ..measured
+        };
+        let zero_het = ClusterSpec {
+            heterogeneity: 0.0,
+            ..cluster()
+        };
+        let config = JobConfig::default();
+        for flow in [&no_tasks, &no_flows] {
+            for cl in [&cluster(), &zero_het] {
+                let full = simulate_with_dataflow(&spec, flow, &ds.name, cl, &config, 1);
+                let fast = simulate_runtime_ms(&spec, flow, &ds.name, cl, &config, 1);
+                let expected = SimError::EmptyDataflow { job: spec.job_id() };
+                assert_eq!(full.unwrap_err(), expected);
+                assert_eq!(fast.unwrap_err(), expected);
+            }
+        }
     }
 
     /// Pinned pre-fault-injection outputs: `FaultSpec::default()` must keep

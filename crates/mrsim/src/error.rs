@@ -10,6 +10,9 @@ use crate::config::ConfigError;
 pub enum SimError {
     /// The dataset sample contains no records.
     EmptyDataset(String),
+    /// A hand-built dataflow with no map task to schedule
+    /// (`num_map_tasks == 0` or an empty `per_task`): not a job.
+    EmptyDataflow { job: String },
     /// A UDF failed during dataflow measurement.
     Udf {
         job: String,
@@ -43,6 +46,9 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::EmptyDataset(name) => write!(f, "dataset `{name}` has no sample records"),
+            SimError::EmptyDataflow { job } => {
+                write!(f, "job `{job}`: dataflow has no map tasks")
+            }
             SimError::Udf { job, udf, source } => {
                 write!(f, "job `{job}`: UDF `{udf}` failed: {source}")
             }

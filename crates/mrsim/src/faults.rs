@@ -7,10 +7,12 @@
 //! stream (seeded separately from the per-task noise stream) so turning
 //! faults on does not perturb the noise draws of the fault-free model.
 //!
-//! `FaultSpec::default()` disables everything and the engine routes to the
-//! exact legacy scheduling code, so the fault-free simulation stays
-//! bit-identical (asserted by regression tests against pinned
-//! `f64::to_bits` values).
+//! There is one scheduler. Under `FaultSpec::default()` it runs the same
+//! attempt queue with every draw of the `chaos` stream coming up empty:
+//! one attempt per task, the noise stream untouched, and — on a cluster
+//! with no straggler node either — all-zero [`FaultStats`]. The reports
+//! it produces are pinned by value (`tests/tests/golden_reports.rs` and
+//! the `f64::to_bits` regression test in `engine.rs`).
 
 /// Fault-injection parameters of a simulated cluster.
 ///
@@ -59,8 +61,10 @@ impl FaultSpec {
         }
     }
 
-    /// True when no fault mechanism can fire; the engine then uses the
-    /// legacy (bit-identical) scheduling path.
+    /// True when no fault mechanism can fire: no attempt fails, no node is
+    /// lost, nothing is speculated. The scheduler then runs each task once,
+    /// and [`simulate_runtime_ms`](crate::simulate_runtime_ms) may take its
+    /// arithmetic fast path.
     pub fn is_inert(&self) -> bool {
         self.task_failure_prob <= 0.0 && self.node_loss_prob <= 0.0 && !self.speculation
     }
@@ -87,8 +91,10 @@ impl FaultSpec {
 ///     == scheduled_attempts
 /// ```
 ///
-/// On the legacy (inert) path no attempts are "scheduled" through the
-/// fault machinery and the stats stay all-zero.
+/// Where nothing can make the accounting differ from "every task ran
+/// once" — an inert [`FaultSpec`] on a cluster without straggler nodes —
+/// the stats are reported all-zero; readers take `scheduled_attempts > 0`
+/// to mean the fault machinery was armed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultStats {
     /// Total task attempts handed to a slot (map + reduce + speculative).

@@ -32,8 +32,8 @@ pub struct MapTaskReport {
     pub observed_rates: CostRates,
     /// Interpreter ops of the map UDF.
     pub map_cpu_ops: f64,
-    /// 1-based attempt number of the winning attempt (1 on the fault-free
-    /// path; higher after retries).
+    /// 1-based attempt number of the winning attempt (1 when nothing
+    /// failed; higher after retries).
     pub attempt: u32,
     /// True when this result came from a speculative backup that beat the
     /// original attempt.
@@ -102,14 +102,15 @@ pub struct JobReport {
     pub maps_done_ms: f64,
     pub map_tasks: Vec<MapTaskReport>,
     pub reduce_tasks: Vec<ReduceTaskReport>,
-    /// Fault-injection accounting; all-zero on the fault-free path.
+    /// Attempt accounting; all-zero when no fault can fire and no node
+    /// straggles (see [`FaultStats`]).
     pub faults: FaultStats,
 }
 
 impl JobReport {
-    /// Fraction of scheduled attempts that ran to completion — 1.0 on the
-    /// fault-free path (nothing goes through the fault machinery). The
-    /// profiler uses this as the confidence of profiles built from the run.
+    /// Fraction of scheduled attempts that ran to completion — 1.0 when
+    /// the accounting is all-zero (nothing could fail). The profiler uses
+    /// this as the confidence of profiles built from the run.
     pub fn attempt_success_rate(&self) -> f64 {
         if self.faults.scheduled_attempts == 0 {
             1.0

@@ -12,8 +12,8 @@
 
 use mrjobs::JobSpec;
 use mrsim::{
-    simulate_runtime_ms, simulate_with_dataflow, ClusterSpec, CombineFlow, CostRates, Dataflow,
-    JobConfig, ReduceFlow, SimError, SplitFlow,
+    simulate_runtime_ms, ClusterSpec, CombineFlow, CostRates, Dataflow, JobConfig, ReduceFlow,
+    SimError, SplitFlow,
 };
 use profiler::JobProfile;
 
@@ -43,8 +43,7 @@ pub struct WhatIfPlan<'a> {
 
 impl<'a> WhatIfPlan<'a> {
     /// Reconstruct the dataflow and effective rates for `profile` scaled to
-    /// `input_bytes`. Performs exactly the per-query setup the unplanned
-    /// path does, in the same order, so predictions are bit-identical.
+    /// `input_bytes`.
     pub fn new(
         spec: &'a JobSpec,
         profile: &JobProfile,
@@ -98,21 +97,6 @@ impl<'a> WhatIfPlan<'a> {
 /// configurations should build the plan once instead.
 pub fn predict_runtime_ms(q: &WhatIfQuery<'_>) -> Result<f64, SimError> {
     WhatIfPlan::new(q.spec, q.profile, q.input_bytes, q.cluster).predict(q.config)
-}
-
-/// The pre-plan implementation of [`predict_runtime_ms`]: rebuilds the
-/// dataflow per call and runs the full report-materializing simulation.
-/// Kept as the perf baseline and as a bit-identity oracle for the planned
-/// path (see `planned_prediction_is_bit_identical_to_unplanned`).
-pub fn predict_runtime_ms_unplanned(q: &WhatIfQuery<'_>) -> Result<f64, SimError> {
-    let flow = dataflow_from_profile(q.profile, q.input_bytes, q.cluster);
-    let mut cluster = q.cluster.clone();
-    cluster.heterogeneity = 0.0;
-    cluster.faults = mrsim::FaultSpec::default();
-    cluster.node_slowdown.clear();
-    cluster.rates = rates_from_profile(q.profile, &q.cluster.rates);
-    let report = simulate_with_dataflow(q.spec, &flow, "what-if", &cluster, q.config, 0)?;
-    Ok(report.runtime_ms)
 }
 
 /// Reconstruct a (uniform) dataflow from profile statistics, scaled to a
@@ -211,7 +195,7 @@ mod tests {
     use super::*;
     use datagen::corpus;
     use mrjobs::jobs;
-    use mrsim::simulate;
+    use mrsim::{simulate, simulate_with_dataflow};
     use profiler::collect_full_profile;
 
     fn cl() -> ClusterSpec {
@@ -320,6 +304,20 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, SimError::Config(_)));
+    }
+
+    /// The pre-plan implementation of [`predict_runtime_ms`]: rebuilds the
+    /// dataflow per call and runs the full report-materializing simulation.
+    /// The bit-identity oracle for the planned path.
+    fn predict_runtime_ms_unplanned(q: &WhatIfQuery<'_>) -> Result<f64, SimError> {
+        let flow = dataflow_from_profile(q.profile, q.input_bytes, q.cluster);
+        let mut cluster = q.cluster.clone();
+        cluster.heterogeneity = 0.0;
+        cluster.faults = mrsim::FaultSpec::default();
+        cluster.node_slowdown.clear();
+        cluster.rates = rates_from_profile(q.profile, &q.cluster.rates);
+        let report = simulate_with_dataflow(q.spec, &flow, "what-if", &cluster, q.config, 0)?;
+        Ok(report.runtime_ms)
     }
 
     #[test]

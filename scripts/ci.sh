@@ -99,6 +99,12 @@ nontest() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FIL
 if nontest $(find crates/cfstore/src -name '*.rs' ! -name frame.rs ! -name encoding.rs ! -name kv.rs) | grep -F 'crc32('; then exit 1; fi
 if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | grep -E 'fn (take_|get_u|put_bytes|put_str)'; then exit 1; fi
 
+# One production path per operation (DESIGN.md §19): the twins ROADMAP
+# item 4 named do not come back as shipped code. Test modules, where
+# `predict_runtime_ms_unplanned` lives on as an oracle, are exempt.
+step "source gate (no shipped twins)"
+if nontest $(find crates -name '*.rs') | grep -E 'fn simulate_clean|use_columnar_index|fn predict_runtime_ms_unplanned|"legacy"'; then exit 1; fi
+
 # The benchmark harness at 1/20 scale: every workload, untraced and
 # traced, every output check on (benchmark/README.md). Catches a change
 # that breaks what BENCHMARK.json runs before the driver does.
