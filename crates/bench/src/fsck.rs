@@ -6,25 +6,29 @@
 //!
 //! * `0` — clean: nothing a `--repair` run would change. A resharding
 //!   migration paused at any journal-resolvable point is *clean*: the
-//!   `TOPOLOGY` journal explains every extra or not-yet-created shard
-//!   directory.
+//!   `TOPOLOGY` journal explains every extra shard directory.
 //! * `1` — unrecoverable: corrupt manifest or corrupt referenced
 //!   segment in a single store (in a sharded store those make the
 //!   shard *lost*, which `--repair` heals from its replicas).
 //! * `2` — usage error (the binary's argv layer).
 //! * `3` — corruption detected and `--repair` not given: torn WAL
-//!   tail, cell checksum mismatch, lost shard, a shard directory
-//!   layout contradicting the `SHARDS` catalog, or a `TOPOLOGY`
+//!   tail, cell checksum mismatch, lost shard (directory missing,
+//!   manifest or segment corrupt, or empty among non-empty peers), an
+//!   uncommitted cross-shard batch, a torn or never-begun `TOPOLOGY`
+//!   journal, a shard directory nothing explains, or a `TOPOLOGY`
 //!   journal that cannot be resolved against the catalog (a torn
 //!   cutover no crash of the writer could produce).
+//!
+//! For a sharded store the verdict is [`ShardedStore::recovery_plan`] —
+//! the very plan a reopen executes — plus this module's own deep scrub
+//! of every live shard, which reads further than a lazy open does (every
+//! block, every retained cell version).
 
 use cfstore::recovery::{read_manifest, RecoveryReport};
 use cfstore::segment::verify_segment_deep;
-use cfstore::shard::resharding::{
-    read_catalog, read_journal, resolve_against_catalog, Catalog, Pending, TOPOLOGY_FILE,
-};
-use cfstore::shard::SHARDS_FILE;
-use cfstore::{BlockCache, MiniStore, SegmentReader, ShardedStore, Topology};
+use cfstore::shard::resharding::{read_catalog, Catalog};
+use cfstore::shard::{Probe, SHARDS_FILE};
+use cfstore::{BlockCache, MiniStore, SegmentReader, ShardOptions, ShardedStore};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -191,134 +195,10 @@ fn run_single(dir: &Path, repair: bool) -> u8 {
     verdict(&scrubbed.corruption)
 }
 
-/// How the `TOPOLOGY` journal (if any) resolves against the catalog —
-/// this decides which shard directories *should* exist.
-struct TopologyView {
-    /// The placement reads would use (old epoch pre-cutover, new after).
-    active: Topology,
-    /// Pre-cutover migration target, whose dirs may legitimately exist
-    /// beyond the catalog's shard count (or not exist yet).
-    target_pre: Option<Topology>,
-    /// Post-cutover: directories above `active.shards` are pending GC.
-    gc_pending: bool,
-    corruption: Vec<String>,
-}
-
-fn resolve_topology(dir: &Path, catalog: &Catalog) -> Result<TopologyView, String> {
-    let mut view = TopologyView {
-        active: catalog.topology.clone(),
-        target_pre: None,
-        gc_pending: false,
-        corruption: Vec::new(),
-    };
-    let scan = match read_journal(dir) {
-        Ok(None) => return Ok(view),
-        Ok(Some(scan)) => scan,
-        // Bad magic or a CRC-valid record that does not decode: no
-        // crash of the writer produces this — unresolvable.
-        Err(e) => return Err(format!("{TOPOLOGY_FILE} journal: {e}")),
-    };
-    if scan.valid_bytes < scan.total_bytes {
-        view.corruption.push(format!(
-            "{TOPOLOGY_FILE}: torn tail ({} byte(s) to truncate)",
-            scan.total_bytes - scan.valid_bytes
-        ));
-    }
-    // The same resolution reopen applies; only the printing is fsck's.
-    let pending = resolve_against_catalog(catalog, &scan.records)
-        .map_err(|e| format!("{TOPOLOGY_FILE} journal: {e}"))?;
-    match pending {
-        Pending::None => {
-            println!("reshard journal     : empty (crash before Begin; recovery deletes it)");
-        }
-        Pending::PreCutover {
-            epoch,
-            target,
-            copied,
-            verified,
-        } => {
-            println!(
-                "reshard journal     : epoch {epoch} pre-cutover, {}/{} unit(s) copied{} \
-                 — old epoch serves",
-                copied.len(),
-                target.shards,
-                if verified { ", verified" } else { "" },
-            );
-            view.target_pre = Some(target);
-        }
-        Pending::PostCutover {
-            epoch,
-            target,
-            swapped,
-        } => {
-            println!(
-                "reshard journal     : epoch {epoch} POST-cutover ({}) — new epoch serves",
-                if swapped {
-                    "catalog swapped, cleanup pending"
-                } else {
-                    "catalog swap pending"
-                }
-            );
-            view.active = target;
-            view.gc_pending = true;
-        }
-    }
-    Ok(view)
-}
-
-/// Cross-check the catalog and journal against the `shard-NNN`
-/// directories actually on disk: phantom (expected but missing) active
-/// dirs are lost shards; extra dirs are corruption unless the journal
-/// explains them (pre-cutover targets, post-cutover GC backlog).
-fn check_shard_dirs(dir: &Path, view: &TopologyView, corruption: &mut Vec<String>) {
-    let mut present: Vec<u32> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(id) = entry
-                .file_name()
-                .to_str()
-                .and_then(|n| n.strip_prefix("shard-"))
-                .and_then(|n| n.parse::<u32>().ok())
-            {
-                if entry.path().is_dir() {
-                    present.push(id);
-                }
-            }
-        }
-    }
-    present.sort_unstable();
-    let expected_max = view
-        .target_pre
-        .as_ref()
-        .map(|t| t.shards.max(view.active.shards))
-        .unwrap_or(view.active.shards);
-    for &id in &present {
-        if id >= expected_max {
-            if view.gc_pending {
-                println!("shard dir {id:>9}   : extra (dropped by cutover; GC pending)");
-            } else {
-                corruption.push(format!(
-                    "extra shard dir {id} (catalog says {} shard(s), no journal explains it)",
-                    view.active.shards
-                ));
-            }
-        }
-    }
-    // Missing *target* dirs pre-cutover are fine (crash before Prepare
-    // finished); missing *active* dirs are lost shards, reported by the
-    // per-shard scrub loop itself.
-    if let Some(t) = &view.target_pre {
-        for g in view.active.shards..t.shards {
-            if !present.contains(&g) {
-                println!("shard dir {g:>9}   : migration target not yet created (resumable)");
-            }
-        }
-    }
-}
-
-/// Scrub a sharded store directory shard by shard; with `--repair`, run
-/// shard-aware recovery (rebuilds lost shards, aborts uncommitted
-/// cross-shard batches, resumes or resolves a resharding migration).
+/// Scrub a sharded store directory: print the recovery plan, deep-scrub
+/// every shard the plan keeps; with `--repair`, run shard-aware recovery
+/// (rebuilds lost shards, aborts uncommitted cross-shard batches,
+/// resumes or resolves a resharding migration).
 fn run_sharded(dir: &Path, catalog: &Catalog, repair: bool) -> u8 {
     println!(
         "sharded store       : {} shard(s), replication {}, epoch {}{}",
@@ -332,64 +212,40 @@ fn run_sharded(dir: &Path, catalog: &Catalog, repair: bool) -> u8 {
         }
     );
     let mut corruption: Vec<String> = Vec::new();
-    let view = match resolve_topology(dir, catalog) {
-        Ok(v) => v,
-        Err(e) => {
-            // Unresolvable TOPOLOGY/SHARDS disagreement: recovery would
-            // refuse this directory too. Without --repair that is the
-            // strongest finding fsck can make.
-            corruption.push(format!("unresolvable: {e}"));
-            if !repair {
-                return verdict(&corruption);
+    match ShardedStore::recovery_plan(dir, &ShardOptions::default()) {
+        Ok(plan) => {
+            for (finding, line) in plan.lines() {
+                println!("recovery plan       : {line}");
+                if finding {
+                    corruption.push(line);
+                }
             }
-            TopologyView {
-                active: catalog.topology.clone(),
-                target_pre: None,
-                gc_pending: false,
-                corruption: Vec::new(),
+            let mut total = RecoveryReport::default();
+            for (g, probe) in plan.probes.iter().enumerate() {
+                if !matches!(probe, Probe::Alive(_)) || plan.lost.contains_key(&(g as u32)) {
+                    continue;
+                }
+                let shard_dir = dir.join(format!("shard-{g:03}"));
+                println!("-- shard {g} ({}) --", shard_dir.display());
+                match scrub(&shard_dir, "  ") {
+                    Ok(s) => {
+                        total.merge(&s.report);
+                        corruption
+                            .extend(s.corruption.into_iter().map(|c| format!("shard {g}: {c}")));
+                    }
+                    // Unrecoverable for a single store; a sharded reopen
+                    // rebuilds the shard from its replicas.
+                    Err(e) => corruption.push(format!("shard {g}: {e}")),
+                }
             }
+            println!("---- aggregate across shards ----");
+            print!("{}", total.render_text());
         }
-    };
-    corruption.extend(view.corruption.iter().cloned());
-    check_shard_dirs(dir, &view, &mut corruption);
-
-    let mut total = RecoveryReport::default();
-    let scrub_shard =
-        |g: u32, required: bool, corruption: &mut Vec<String>, total: &mut RecoveryReport| {
-            let shard_dir = dir.join(format!("shard-{g:03}"));
-            println!("-- shard {g} ({}) --", shard_dir.display());
-            if !shard_dir.is_dir() {
-                if required {
-                    corruption.push(format!("shard {g}: directory missing (lost shard)"));
-                    println!("  LOST: directory missing");
-                } else {
-                    println!("  absent (migration target; created on resume)");
-                }
-                return;
-            }
-            match scrub(&shard_dir, "  ") {
-                Ok(s) => {
-                    total.merge(&s.report);
-                    corruption.extend(s.corruption.into_iter().map(|c| format!("shard {g}: {c}")));
-                }
-                // Unrecoverable for a single store = lost for a shard:
-                // the replicas can rebuild it.
-                Err(e) => {
-                    corruption.push(format!("shard {g}: {e} (lost shard)"));
-                    println!("  LOST: {e}");
-                }
-            }
-        };
-    for g in 0..view.active.shards {
-        scrub_shard(g, true, &mut corruption, &mut total);
+        // An unresolvable TOPOLOGY/SHARDS disagreement: recovery refuses
+        // this directory too. Without --repair that is the strongest
+        // finding fsck can make.
+        Err(e) => corruption.push(format!("unresolvable: {e}")),
     }
-    if let Some(t) = &view.target_pre {
-        for g in view.active.shards..t.shards {
-            scrub_shard(g, false, &mut corruption, &mut total);
-        }
-    }
-    println!("---- aggregate across shards ----");
-    print!("{}", total.render_text());
 
     if repair {
         match ShardedStore::open(dir) {

@@ -40,6 +40,7 @@
 pub mod blockcache;
 pub mod encoding;
 pub mod filter;
+mod flusher;
 pub mod frame;
 pub mod kv;
 pub mod recovery;

@@ -61,23 +61,21 @@ pub mod resharding;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
+use crate::flusher::Flusher;
 use crate::frame;
 use crate::kv::{Put, RowResult};
 use crate::recovery::{self, io_err, RecoveryError, RecoveryReport};
-use crate::region::{RowData, ScanMetrics};
+use crate::region::ScanMetrics;
 use crate::store::{
-    MetaEntry, MiniStore, Scan, ShardOp, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
+    Install, MetaEntry, MiniStore, Scan, ShardOp, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
 };
 use crate::wal::{self, CrashSpec, SyncPolicy, WalRecord, WAL_FILE};
 
-use resharding::{
-    Catalog, DonorExports, JournalRecord, JournalWriter, Migration, Pending, Topology,
-};
+use resharding::{Catalog, Donors, Migration, Pending, Topology};
 
 /// The shard catalog file at the root of a sharded store directory.
 pub const SHARDS_FILE: &str = "SHARDS";
@@ -208,19 +206,8 @@ impl ShardedRecoveryReport {
     }
 }
 
-/// Wake-up state shared between writers and the sharded flusher.
-#[derive(Default)]
-struct ShardFlushSignal {
-    pending: bool,
-    shutdown: bool,
-}
-
-/// The vendored `parking_lot` has no `Condvar`, so the flusher handshake
-/// uses `std::sync` (same as the single-store flusher).
-struct ShardFlusherShared {
-    signal: std::sync::Mutex<ShardFlushSignal>,
-    cv: std::sync::Condvar,
-}
+/// `table → (families, split_threshold)`, mirrored on every shard.
+pub(crate) type Schemas = BTreeMap<String, (Vec<String>, usize)>;
 
 /// Everything behind the global lock: the shards and the write-order
 /// state. One lock serializes all batches so gsn order == WAL order on
@@ -229,8 +216,7 @@ struct GlobalState {
     /// Length = the active shard count, or `max(old, new)` while a
     /// migration is in flight (dual-apply needs both placements open).
     shards: Vec<MiniStore>,
-    /// `table → (families, split_threshold)`, mirrored on every shard.
-    schemas: BTreeMap<String, (Vec<String>, usize)>,
+    schemas: Schemas,
     next_gsn: u64,
     /// Global logical clock; cells are stamped here (not per shard) so
     /// replicas hold bit-identical versions.
@@ -270,20 +256,20 @@ struct ShardedInner {
     dir: PathBuf,
     state: Mutex<GlobalState>,
     obs: RwLock<obs::Registry>,
-    flush_shared: Option<Arc<ShardFlusherShared>>,
-    background_flush_wal_bytes: Option<u64>,
-    block_cache_bytes: u64,
-    crash_shard: Option<(u32, CrashSpec)>,
-    crash_topology: Option<u64>,
+    /// What the store was opened with (the on-disk catalog overrides
+    /// its `shards`/`replication`).
+    opts: ShardOptions,
 }
 
 impl ShardedInner {
     fn obs(&self) -> obs::Registry {
         self.obs.read().clone()
     }
+}
 
-    /// Per-shard open options (also used when a grow creates shards at
-    /// runtime). Shard-level flushers stay off: the sharded flusher
+impl ShardOptions {
+    /// Per-shard open options (at reopen, and when a grow creates shards
+    /// at runtime). Shard-level flushers stay off: the sharded flusher
     /// drives per-shard flushes so they serialize under the global lock.
     fn store_opts(&self, g: u32) -> StoreOptions {
         StoreOptions {
@@ -302,40 +288,72 @@ impl ShardedInner {
 /// is transparently fanned out, replicated, and healed.
 pub struct ShardedStore {
     inner: Arc<ShardedInner>,
-    flusher: Option<JoinHandle<()>>,
-}
-
-// ---------------------------------------------------------------------
-// SHARDS catalog file
-// ---------------------------------------------------------------------
-
-/// Read the shard catalog: `Ok(None)` when absent (fresh directory),
-/// `(shards, replication)` when present and intact. Compatibility
-/// wrapper over [`resharding::read_catalog`], which also exposes the
-/// epoch and per-slot overrides.
-pub fn read_shards_file(dir: &Path) -> Result<Option<(u32, u32)>, RecoveryError> {
-    Ok(resharding::read_catalog(dir)?.map(|c| (c.topology.shards, c.topology.replication)))
+    /// One thread for the whole store ([`flush_grown_shards`]); dropping
+    /// the handle joins it.
+    flusher: Option<Flusher>,
 }
 
 pub(crate) fn shard_dir_name(shard: u32) -> String {
     format!("shard-{shard:03}")
 }
 
-// ---------------------------------------------------------------------
-// Reopen pre-pass
-// ---------------------------------------------------------------------
-
-/// What the raw (pre-`MiniStore::open`) probe of one shard dir found.
-struct ProbedShard {
-    flushed_lsn: u64,
-    /// `(gsn, participants, frame byte offset)` per marker frame, WAL order.
-    markers: Vec<(u64, Vec<u32>, u64)>,
-    wal_path: PathBuf,
-    /// Holds any persistent state at all (manifest or WAL bytes).
-    nonempty: bool,
+/// The shard id a directory entry names — the inverse of
+/// [`shard_dir_name`], and the only parser of it.
+fn shard_dir_id(name: &std::ffi::OsStr) -> Option<u32> {
+    name.to_str()?.strip_prefix("shard-")?.parse().ok()
 }
 
-enum Probe {
+/// `remove` a file or directory tree unless it is already gone: rebuild,
+/// GC and abort steps are re-run after a crash, so each tolerates having
+/// half-happened.
+fn remove_if_present(
+    path: &Path,
+    remove: impl FnOnce(&Path) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    match remove(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
+/// Create every table of `schemas` on one shard, tolerating the ones it
+/// already has (a reopened target, a resumed copy).
+fn mirror_schemas(shard: &MiniStore, schemas: &Schemas) -> Result<(), StoreError> {
+    for (table, (families, threshold)) in schemas {
+        let fams: Vec<&str> = families.iter().map(|f| f.as_str()).collect();
+        match shard.create_table_with_threshold(table, &fams, *threshold) {
+            Ok(()) | Err(StoreError::TableExists(_)) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Count one heal event against its shard and against the store-wide
+/// rollup (`cfstore.shard.heal.<what>`), which exists for
+/// low-cardinality alerting and must always equal the per-shard sum.
+fn count_heal(reg: &obs::Registry, shard: u32, what: &str, n: u64) {
+    reg.incr(&format!("cfstore.shard.{shard}.heal.{what}"), n);
+    reg.incr(&format!("cfstore.shard.heal.{what}"), n);
+}
+
+// ---------------------------------------------------------------------
+// Reopen: probe → plan → execute (DESIGN.md §20)
+// ---------------------------------------------------------------------
+
+/// What the raw (pre-`MiniStore::open`) probe of one live shard dir found.
+#[derive(Debug)]
+pub struct ProbedShard {
+    pub flushed_lsn: u64,
+    /// `(gsn, participants, frame byte offset)` per marker frame, WAL order.
+    pub markers: Vec<(u64, Vec<u32>, u64)>,
+    /// Holds any persistent state at all (manifest or WAL bytes).
+    pub nonempty: bool,
+}
+
+/// The raw state of one shard directory.
+#[derive(Debug)]
+pub enum Probe {
     /// Directory missing entirely.
     Missing,
     /// Directory present but its manifest fails verification — at-rest
@@ -354,10 +372,7 @@ fn probe_shard(dir: &Path) -> Result<Probe, RecoveryError> {
         Err(e) => return Err(e),
     };
     let wal_path = dir.join(WAL_FILE);
-    let scan = wal::read_wal(&wal_path).map_err(|e| RecoveryError::Io {
-        path: wal_path.display().to_string(),
-        source: e,
-    })?;
+    let scan = wal::read_wal(&wal_path).map_err(|e| io_err(&wal_path, e))?;
     let mut markers = Vec::new();
     for (i, frame) in scan.frames.iter().enumerate() {
         if let Some(WalRecord::BatchMarker { gsn, participants }) = frame.records.first() {
@@ -367,9 +382,354 @@ fn probe_shard(dir: &Path) -> Result<Probe, RecoveryError> {
     Ok(Probe::Alive(ProbedShard {
         flushed_lsn: manifest.as_ref().map(|m| m.flushed_lsn).unwrap_or(0),
         markers,
-        wal_path,
         nonempty: manifest.is_some() || scan.total_bytes > 0,
     }))
+}
+
+/// What reopening a sharded store directory will do, decided without
+/// writing a byte: [`ShardedStore::open`] executes it and `store_fsck`
+/// prints it, so the two cannot disagree about what is lost, torn or
+/// uncommitted (DESIGN.md §20).
+#[derive(Debug)]
+pub struct RecoveryPlan {
+    /// The `SHARDS` catalog; for a fresh directory (`catalog_missing`)
+    /// the one the options ask for, which open writes.
+    pub catalog: Catalog,
+    pub catalog_missing: bool,
+    /// `(intact bytes, torn tail bytes)` of the `TOPOLOGY` journal, when
+    /// there is one. Open truncates the torn tail.
+    pub journal: Option<(u64, u64)>,
+    /// How the journal's intact records resolve against the catalog.
+    /// `Pending::None` *with* a journal is a crash before `Begin`: no
+    /// migration ever started and open deletes the file.
+    pub pending: Pending,
+    /// The placement reads use — the target once cut over — and its epoch.
+    pub active: Topology,
+    pub epoch: u64,
+    /// One probe per shard directory open touches: every active shard,
+    /// plus a pre-cutover target's.
+    pub probes: Vec<Probe>,
+    /// Shards with no usable state while their peers have some, and why.
+    /// Open wipes and rebuilds each from its replicas.
+    pub lost: BTreeMap<u32, &'static str>,
+    /// Cross-shard batches the commit rule aborts: a surviving
+    /// participant neither holds the gsn's frame nor flushed past it, so
+    /// the writer never acknowledged it.
+    pub aborted: BTreeSet<u64>,
+    /// `shard → byte offset` of its first uncommitted frame; open
+    /// truncates that WAL there.
+    pub wal_cuts: BTreeMap<u32, u64>,
+    /// `shard-NNN` directories beyond `probes`. After a cutover they are
+    /// the GC backlog; otherwise nothing explains them (open leaves
+    /// them alone, `store_fsck` flags them).
+    pub extra_dirs: Vec<u32>,
+    /// Highest committed gsn any survivor knows of.
+    max_gsn: u64,
+}
+
+impl RecoveryPlan {
+    /// The plan, one line per thing an operator needs to know. `true`
+    /// marks a *finding*: something executing the plan changes on disk,
+    /// or a shard directory nothing explains. No finding ⇔ a reopen
+    /// leaves the directory exactly as it found it — `store_fsck`'s
+    /// exit code 0.
+    pub fn lines(&self) -> Vec<(bool, String)> {
+        let journal = resharding::TOPOLOGY_FILE;
+        let mut out = Vec::new();
+        let mut say = |finding: bool, line: String| out.push((finding, line));
+        let torn_tail = |torn: u64| match torn {
+            0 => String::new(),
+            n => format!("; a reopen truncates its {n} torn tail byte(s)"),
+        };
+        match (&self.pending, self.journal) {
+            (_, None) => {}
+            (Pending::None, Some(_)) => say(
+                true,
+                format!("{journal}: no Begin record (crash before one); a reopen deletes it"),
+            ),
+            (
+                Pending::PreCutover {
+                    epoch,
+                    target,
+                    copied,
+                    verified,
+                },
+                Some((_, torn)),
+            ) => say(
+                torn > 0,
+                format!(
+                    "{journal}: epoch {epoch} pre-cutover, {}/{} unit(s) copied{}, old epoch \
+                     serves{}",
+                    copied.len(),
+                    target.shards,
+                    if *verified { " and verified" } else { "" },
+                    torn_tail(torn),
+                ),
+            ),
+            (Pending::PostCutover { epoch, swapped, .. }, Some((_, torn))) => say(
+                torn > 0,
+                format!(
+                    "{journal}: epoch {epoch} POST-cutover (catalog swap {}), new epoch \
+                     serves{}",
+                    if *swapped { "done" } else { "pending" },
+                    torn_tail(torn),
+                ),
+            ),
+        }
+        for (g, why) in &self.lost {
+            say(
+                true,
+                format!("shard {g}: lost ({why}); a reopen rebuilds it from its replicas"),
+            );
+        }
+        for gsn in &self.aborted {
+            say(
+                true,
+                format!("uncommitted cross-shard batch gsn {gsn}; a reopen aborts it"),
+            );
+        }
+        for (g, offset) in &self.wal_cuts {
+            say(
+                true,
+                format!("shard {g}: a reopen cuts its WAL at byte {offset}, its first uncommitted frame"),
+            );
+        }
+        // After a cutover, directories beyond the new shard count are the
+        // GC backlog; otherwise nothing explains them.
+        let gc_pending = matches!(self.pending, Pending::PostCutover { .. });
+        for id in &self.extra_dirs {
+            let why = if gc_pending {
+                "dropped by cutover, GC pending"
+            } else {
+                "unexplained"
+            };
+            say(!gc_pending, format!("shard dir {id}: extra ({why})"));
+        }
+        out
+    }
+
+    /// Phase 1 of open: make the files say what the plan decided. Write
+    /// a fresh catalog, cut the journal's torn tail before any writer
+    /// appends (or delete a journal that never reached `Begin`), and cut
+    /// every survivor's WAL at its first uncommitted frame.
+    fn truncate(&self, dir: &Path) -> Result<(), RecoveryError> {
+        if self.catalog_missing {
+            resharding::write_catalog(dir, &self.catalog)
+                .map_err(|e| io_err(&dir.join(SHARDS_FILE), e))?;
+        }
+        let topo_path = dir.join(resharding::TOPOLOGY_FILE);
+        match self.journal {
+            Some(_) if self.pending == Pending::None => {
+                remove_if_present(&topo_path, |p| std::fs::remove_file(p))
+                    .map_err(|e| io_err(&topo_path, e))?
+            }
+            Some((valid, torn)) if torn > 0 => {
+                frame::truncate_and_sync(&topo_path, valid).map_err(|e| io_err(&topo_path, e))?
+            }
+            _ => {}
+        }
+        for (&g, &offset) in &self.wal_cuts {
+            let wal_path = dir.join(shard_dir_name(g)).join(WAL_FILE);
+            frame::truncate_and_sync(&wal_path, offset).map_err(|e| io_err(&wal_path, e))?;
+        }
+        Ok(())
+    }
+}
+
+/// A shard is lost when it has no usable state while its peers do. When
+/// *nothing* is nonempty this is a fresh store and every shard simply
+/// opens empty.
+fn classify_lost(probes: &[Probe]) -> BTreeMap<u32, &'static str> {
+    let any_nonempty = probes.iter().any(|p| match p {
+        Probe::Alive(ps) => ps.nonempty,
+        Probe::Corrupt => true,
+        Probe::Missing => false,
+    });
+    let mut lost = BTreeMap::new();
+    for (g, p) in probes.iter().enumerate().filter(|_| any_nonempty) {
+        let why = match p {
+            Probe::Missing => "directory missing",
+            Probe::Corrupt => "manifest corrupt",
+            Probe::Alive(ps) if !ps.nonempty => "empty among non-empty peers",
+            Probe::Alive(_) => continue,
+        };
+        lost.insert(g as u32, why);
+    }
+    lost
+}
+
+/// The commit rule over the survivors' WALs: gsn G is committed ⇔ every
+/// surviving participant holds its frame or has flushed past it. Lost
+/// shards cannot veto (their vote is unknowable; survivors' frames are
+/// the authority). Returns the aborted gsns, each survivor's cut offset
+/// (its first uncommitted frame) and the highest committed gsn.
+fn commit_rule(
+    probes: &[Probe],
+    lost: &BTreeMap<u32, &'static str>,
+) -> (BTreeSet<u64>, BTreeMap<u32, u64>, u64) {
+    let survivor = |g: u32| match probes.get(g as usize) {
+        Some(Probe::Alive(ps)) if !lost.contains_key(&g) => Some(ps),
+        _ => None,
+    };
+    // A participant that is out of range, lost, or not alive (which,
+    // outside `lost`, only happens when nothing is nonempty — and then
+    // no markers exist) cannot veto.
+    let committed = |gsn: u64, participants: &[u32]| -> bool {
+        participants.iter().all(|&p| {
+            survivor(p).is_none_or(|ps| {
+                ps.markers.iter().any(|(g, _, _)| *g == gsn) || ps.flushed_lsn >= gsn * LSN_STRIDE
+            })
+        })
+    };
+    let (mut aborted, mut cuts, mut max_gsn) = (BTreeSet::new(), BTreeMap::new(), 0u64);
+    for g in 0..probes.len() as u32 {
+        let Some(ps) = survivor(g) else { continue };
+        max_gsn = max_gsn.max(ps.flushed_lsn / LSN_STRIDE);
+        for (gsn, participants, offset) in &ps.markers {
+            if committed(*gsn, participants) {
+                debug_assert!(
+                    !cuts.contains_key(&g),
+                    "committed gsn {gsn} after an uncommitted one: \
+                     the global lock should make that impossible"
+                );
+                max_gsn = max_gsn.max(*gsn);
+            } else {
+                aborted.insert(*gsn);
+                cuts.entry(g).or_insert(*offset);
+            }
+        }
+    }
+    (aborted, cuts, max_gsn)
+}
+
+/// Phase 2 of open: open every survivor, adding to `lost` a shard whose
+/// catalog opened but whose segments do not; refuse if some slot kept
+/// no replica; then wipe each lost shard's directory and open it empty.
+/// Returns each shard with its recovery report.
+fn open_shards(
+    dir: &Path,
+    opts: &ShardOptions,
+    plan: &RecoveryPlan,
+    lost: &mut BTreeSet<u32>,
+    reg: &obs::Registry,
+) -> Result<Vec<(MiniStore, RecoveryReport)>, RecoveryError> {
+    let mut opened = Vec::with_capacity(plan.probes.len());
+    for g in 0..plan.probes.len() as u32 {
+        if lost.contains(&g) {
+            opened.push(None);
+            continue;
+        }
+        match MiniStore::open_with_opts(&dir.join(shard_dir_name(g)), opts.store_opts(g)) {
+            Ok(pair) => opened.push(Some(pair)),
+            // At-rest corruption below the manifest level: the shard
+            // opened its catalog but a referenced segment fails
+            // verification — reclassify as lost and rebuild.
+            Err(RecoveryError::Segment(_)) | Err(RecoveryError::ManifestCorrupt { .. }) => {
+                lost.insert(g);
+                opened.push(None);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    // Every *active* slot must keep at least one surviving replica, or
+    // data is unrecoverable and pretending otherwise would be silent
+    // loss. (Losing a target-only shard pre-cutover is fine: its unit is
+    // invalidated and re-copied from the active epoch.)
+    for s in 0..plan.active.shards {
+        let reps = plan.active.replicas(s);
+        if reps.iter().all(|g| lost.contains(g)) {
+            return Err(RecoveryError::InconsistentLog {
+                detail: format!("slot {s} lost all replicas ({reps:?}); cannot rebuild"),
+            });
+        }
+    }
+    let mut shards = Vec::with_capacity(opened.len());
+    for (g, pair) in opened.into_iter().enumerate() {
+        let (mut store, report) = match pair {
+            Some(pair) => pair,
+            None => {
+                let d = dir.join(shard_dir_name(g as u32));
+                remove_if_present(&d, |p| std::fs::remove_dir_all(p)).map_err(|e| io_err(&d, e))?;
+                MiniStore::open_with_opts(&d, opts.store_opts(g as u32))?
+            }
+        };
+        store.set_obs(reg.clone());
+        shards.push((store, report));
+    }
+    Ok(shards)
+}
+
+/// Phase 3 of open: give every lost shard its schemas and the rows it
+/// owns under the *active* topology (target-epoch content it held
+/// pre-crash is restored by re-copying its unit, journaled as
+/// `Invalidated` in phase 4). Returns the rows copied.
+fn rebuild_lost(
+    dir: &Path,
+    shards: &[MiniStore],
+    schemas: &Schemas,
+    active: &Topology,
+    lost: &BTreeSet<u32>,
+    reg: &obs::Registry,
+) -> Result<u64, RecoveryError> {
+    if lost.is_empty() {
+        return Ok(0);
+    }
+    let io = |e: StoreError| io_err(dir, std::io::Error::other(format!("shard rebuild: {e}")));
+    // One donor export cache feeds every lost shard.
+    let mut donors = Donors::excluding(lost.iter().copied());
+    let mut healed_rows = 0;
+    for &b in lost {
+        let shard = &shards[b as usize];
+        mirror_schemas(shard, schemas).map_err(io)?;
+        let mut rows_here = 0;
+        // A rebuilt shard gets every row of the slots it serves.
+        let serves = |slot| active.replicas(slot).contains(&b);
+        for table in schemas.keys() {
+            let all = |_, _: &[u8]| true;
+            let rows = resharding::owned_rows(shards, active, table, &mut donors, serves, all)
+                .map_err(io)?;
+            rows_here += shard
+                .install_table_rows(table, rows, Install::Replace)
+                .map_err(io)?;
+        }
+        count_heal(reg, b, "rebuilds", 1);
+        if rows_here > 0 {
+            count_heal(reg, b, "rows", rows_here);
+        }
+        healed_rows += rows_here;
+    }
+    // Flush EVERYTHING: survivors may still hold WAL frames whose
+    // participant sets name the rebuilt shards. The rebuilt WALs will
+    // never contain those gsns, so leaving the survivors' frames in
+    // place would make committed batches look uncommitted at the *next*
+    // reopen. Flushing moves every shard's flushed_lsn past them.
+    for store in shards {
+        store.flush().map_err(io)?;
+    }
+    Ok(healed_rows)
+}
+
+/// The sharded background flusher's work: flush any shard whose WAL
+/// outgrew the threshold. Runs under the global lock — it serializes
+/// with writers exactly like a caller-driven [`ShardedStore::flush`], so
+/// crash safety reduces to the single-store argument.
+fn flush_grown_shards(inner: &ShardedInner, threshold: u64) {
+    let mut st = inner.state.lock();
+    if st.poisoned {
+        return;
+    }
+    for g in 0..st.shards.len() {
+        if st.shards[g].wal_bytes_since_flush() >= threshold {
+            match st.shards[g].flush() {
+                Ok(()) => inner.obs().incr("cfstore.shard.flush.background", 1),
+                Err(StoreError::Crashed) => {
+                    st.poisoned = true;
+                    break;
+                }
+                Err(_) => {}
+            }
+        }
+    }
 }
 
 impl ShardedStore {
@@ -386,403 +746,145 @@ impl ShardedStore {
         Self::open_traced(dir, opts, obs::Registry::disabled())
     }
 
-    /// Open with an observability registry attached from the first
-    /// byte, so rebuild/heal counters from recovery itself are counted.
-    /// All shards share the one registry (counters namespaced by
-    /// `cfstore.shard.<id>.*` where a per-shard split matters).
-    pub fn open_traced(
-        dir: &Path,
-        opts: ShardOptions,
-        reg: obs::Registry,
-    ) -> Result<(Self, ShardedRecoveryReport), RecoveryError> {
-        std::fs::create_dir_all(dir).map_err(|e| RecoveryError::Io {
-            path: dir.display().to_string(),
-            source: e,
-        })?;
+    /// Decide, read-only, what opening `dir` will do: resolve the
+    /// `TOPOLOGY` journal against the `SHARDS` catalog, probe every shard
+    /// directory the resulting topology names, classify the lost ones
+    /// and apply the cross-shard commit rule to the survivors' WALs.
+    /// `opts` only matters for a directory with no catalog yet.
+    pub fn recovery_plan(dir: &Path, opts: &ShardOptions) -> Result<RecoveryPlan, RecoveryError> {
         let topo_path = dir.join(resharding::TOPOLOGY_FILE);
         let topo_corrupt = |detail: String| recovery::corrupt_file(&topo_path, detail);
         // The on-disk catalog wins over the options: the topology only
         // changes through the journaled reshard protocol.
         let journal = resharding::read_journal(dir)?;
-        let catalog = match resharding::read_catalog(dir)? {
-            Some(c) => c,
-            None => {
-                if journal.is_some() {
-                    return Err(topo_corrupt(
-                        "TOPOLOGY journal present without a SHARDS catalog".to_string(),
-                    ));
-                }
-                let c = Catalog {
-                    topology: Topology::uniform(opts.shards, opts.replication),
-                    epoch: 0,
-                };
-                c.topology
-                    .validate()
-                    .map_err(|detail| RecoveryError::InconsistentLog { detail })?;
-                resharding::write_catalog(dir, &c).map_err(|e| RecoveryError::Io {
-                    path: dir.join(SHARDS_FILE).display().to_string(),
-                    source: e,
-                })?;
-                c
-            }
-        };
+        let on_disk = resharding::read_catalog(dir)?;
+        if on_disk.is_none() && journal.is_some() {
+            return Err(topo_corrupt(
+                "TOPOLOGY journal present without a SHARDS catalog".to_string(),
+            ));
+        }
+        let catalog_missing = on_disk.is_none();
+        let catalog = on_disk.unwrap_or_else(|| Catalog {
+            topology: Topology::uniform(opts.shards, opts.replication),
+            epoch: 0,
+        });
         catalog
             .topology
             .validate()
             .map_err(|detail| RecoveryError::InconsistentLog { detail })?;
-
-        // ---- Resolve the resharding journal against the catalog ----
-        let mut pending = Pending::None;
-        if let Some(scan) = journal {
-            if scan.valid_bytes < scan.total_bytes {
-                // Torn tail: truncate it away before any writer appends.
-                frame::truncate_and_sync(&topo_path, scan.valid_bytes)
-                    .map_err(|e| io_err(&topo_path, e))?;
-            }
-            pending = resharding::resolve_against_catalog(&catalog, &scan.records)
-                .map_err(topo_corrupt)?;
-            if pending == Pending::None {
-                // A crash tore the header or the Begin record: no
-                // migration ever started; drop the empty journal.
-                std::fs::remove_file(&topo_path).map_err(|e| io_err(&topo_path, e))?;
-            }
-        }
+        let pending = match &journal {
+            Some(scan) => resharding::resolve_against_catalog(&catalog, &scan.records)
+                .map_err(topo_corrupt)?,
+            None => Pending::None,
+        };
         // The placement reads use, and how many shard dirs to probe.
-        let (active, active_epoch) = match &pending {
+        let (active, epoch) = match &pending {
             Pending::None | Pending::PreCutover { .. } => (catalog.topology.clone(), catalog.epoch),
             Pending::PostCutover { epoch, target, .. } => (target.clone(), *epoch),
         };
-        let n_total = match &pending {
+        let n = match &pending {
             Pending::PreCutover { target, .. } => active.shards.max(target.shards),
             _ => active.shards,
         };
-
-        // ---- Phase A: raw pre-pass — commit rule, WAL truncation ----
-        let n = n_total;
-        let mut probes = Vec::with_capacity(n as usize);
-        for g in 0..n {
-            probes.push(probe_shard(&dir.join(shard_dir_name(g)))?);
-        }
-        let any_nonempty = probes.iter().any(|p| match p {
-            Probe::Alive(ps) => ps.nonempty,
-            Probe::Corrupt => true,
-            Probe::Missing => false,
-        });
-        // A shard is lost when it has no usable state while its peers
-        // do. When *nothing* is nonempty this is a fresh store and
-        // every shard simply opens empty.
-        let mut lost: BTreeSet<u32> = BTreeSet::new();
-        for (g, p) in probes.iter().enumerate() {
-            let is_lost = match p {
-                Probe::Missing | Probe::Corrupt => any_nonempty,
-                Probe::Alive(ps) => any_nonempty && !ps.nonempty,
-            };
-            if is_lost {
-                lost.insert(g as u32);
-            }
-        }
-
-        // gsn G committed ⇔ every surviving participant holds its frame
-        // or has flushed past it. Lost shards cannot veto (their vote is
-        // unknowable; survivors' frames are the authority).
-        let committed = |gsn: u64, participants: &[u32]| -> bool {
-            participants.iter().all(|&p| {
-                if p >= n || lost.contains(&p) {
-                    return true;
-                }
-                match &probes[p as usize] {
-                    Probe::Alive(ps) => {
-                        ps.markers.iter().any(|(g, _, _)| *g == gsn)
-                            || ps.flushed_lsn >= gsn * LSN_STRIDE
-                    }
-                    // Non-alive but not in `lost` only happens when
-                    // nothing is nonempty — then no markers exist and
-                    // this closure is never reached.
-                    _ => true,
-                }
-            })
-        };
-
-        let mut aborted: BTreeSet<u64> = BTreeSet::new();
-        let mut max_gsn: u64 = 0;
-        for (g, p) in probes.iter().enumerate() {
-            let ps = match p {
-                Probe::Alive(ps) if !lost.contains(&(g as u32)) => ps,
-                _ => continue,
-            };
-            max_gsn = max_gsn.max(ps.flushed_lsn / LSN_STRIDE);
-            let mut cut: Option<u64> = None;
-            for (gsn, participants, offset) in &ps.markers {
-                if committed(*gsn, participants) {
-                    debug_assert!(
-                        cut.is_none(),
-                        "committed gsn {gsn} after an uncommitted one: \
-                         the global lock should make that impossible"
-                    );
-                    max_gsn = max_gsn.max(*gsn);
-                } else {
-                    aborted.insert(*gsn);
-                    if cut.is_none() {
-                        cut = Some(*offset);
-                    }
-                }
-            }
-            if let Some(offset) = cut {
-                frame::truncate_and_sync(&ps.wal_path, offset)
-                    .map_err(|e| io_err(&ps.wal_path, e))?;
-            }
-        }
-
-        // ---- Phase B: open surviving shards ----
-        let shard_opts = |g: u32| StoreOptions {
-            sync: SyncPolicy::EveryOp,
-            crash: match &opts.crash_shard {
-                Some((victim, spec)) if *victim == g => spec.clone(),
-                _ => CrashSpec::default(),
-            },
-            block_cache_bytes: opts.block_cache_bytes,
-            // Shard-level flushers stay off: the sharded flusher drives
-            // per-shard flushes so they serialize under the global lock.
-            background_flush_wal_bytes: None,
-        };
-        let mut opened: Vec<Option<(MiniStore, RecoveryReport)>> = (0..n).map(|_| None).collect();
-        for g in 0..n {
-            if lost.contains(&g) {
-                continue;
-            }
-            match MiniStore::open_with_opts(&dir.join(shard_dir_name(g)), shard_opts(g)) {
-                Ok(pair) => opened[g as usize] = Some(pair),
-                // At-rest corruption below the manifest level: the shard
-                // opened its catalog but a referenced segment fails
-                // verification — reclassify as lost and rebuild.
-                Err(RecoveryError::Segment(_)) | Err(RecoveryError::ManifestCorrupt { .. }) => {
-                    lost.insert(g);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Every *active* slot must keep at least one surviving replica,
-        // or data is unrecoverable and pretending otherwise would be
-        // silent loss. (Losing a target-only shard pre-cutover is fine:
-        // its unit is invalidated and re-copied from the active epoch.)
-        if any_nonempty {
-            for s in 0..active.shards {
-                let reps = active.replicas(s);
-                if reps.iter().all(|g| lost.contains(g)) {
-                    return Err(RecoveryError::InconsistentLog {
-                        detail: format!("slot {s} lost all replicas ({reps:?}); cannot rebuild"),
-                    });
-                }
-            }
-        }
-
-        // ---- Phase C: rebuild lost shards from their peers ----
-        for g in 0..n {
-            if !lost.contains(&g) {
-                continue;
-            }
-            let d = dir.join(shard_dir_name(g));
-            match std::fs::remove_dir_all(&d) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    return Err(RecoveryError::Io {
-                        path: d.display().to_string(),
-                        source: e,
-                    })
-                }
-            }
-            let pair = MiniStore::open_with_opts(&d, shard_opts(g))?;
-            opened[g as usize] = Some(pair);
-        }
-        let mut shards: Vec<MiniStore> = Vec::with_capacity(n as usize);
-        let mut reports: Vec<RecoveryReport> = Vec::with_capacity(n as usize);
-        for slot in opened {
-            let (mut store, report) = slot.expect("every shard opened or rebuilt");
-            store.set_obs(reg.clone());
-            shards.push(store);
-            reports.push(report);
-        }
-
-        let schemas: BTreeMap<String, (Vec<String>, usize)> = shards
-            .iter()
-            .enumerate()
-            .find(|(g, _)| !lost.contains(&(*g as u32)))
-            .map(|(_, s)| s.table_schemas())
-            .unwrap_or_default()
+        let probes = (0..n)
+            .map(|g| probe_shard(&dir.join(shard_dir_name(g))))
+            .collect::<Result<Vec<_>, _>>()?;
+        let lost = classify_lost(&probes);
+        let (aborted, wal_cuts, max_gsn) = commit_rule(&probes, &lost);
+        let mut extra_dirs: Vec<u32> = std::fs::read_dir(dir)
             .into_iter()
-            .map(|(name, families, threshold)| (name, (families, threshold)))
+            .flatten()
+            .flatten()
+            .filter(|e| e.path().is_dir())
+            .filter_map(|e| shard_dir_id(&e.file_name()))
+            .filter(|id| *id >= n)
             .collect();
+        extra_dirs.sort_unstable();
+        Ok(RecoveryPlan {
+            catalog,
+            catalog_missing,
+            journal: journal.map(|j| (j.valid_bytes, j.total_bytes - j.valid_bytes)),
+            pending,
+            active,
+            epoch,
+            probes,
+            lost,
+            aborted,
+            wal_cuts,
+            extra_dirs,
+            max_gsn,
+        })
+    }
 
-        let mut healed_rows: u64 = 0;
-        if !lost.is_empty() {
-            let io = |e: StoreError| RecoveryError::Io {
-                path: dir.display().to_string(),
-                source: std::io::Error::other(format!("shard rebuild: {e}")),
-            };
-            // One donor export cache feeds every lost shard. A rebuilt
-            // shard receives its *active*-topology ownership; target-epoch
-            // content it held pre-crash is restored by re-copying its
-            // unit (journaled as `Invalidated` below).
-            let mut exports = DonorExports::new();
-            for &b in &lost {
-                for (table, (families, threshold)) in &schemas {
-                    let fams: Vec<&str> = families.iter().map(|f| f.as_str()).collect();
-                    shards[b as usize]
-                        .create_table_with_threshold(table, &fams, *threshold)
-                        .map_err(io)?;
-                    let mut rows: BTreeMap<Bytes, RowData> = BTreeMap::new();
-                    for s in (0..active.shards).filter(|s| active.replicas(*s).contains(&b)) {
-                        rows.extend(
-                            resharding::export_slot_from_peers(
-                                &shards,
-                                &active,
-                                s,
-                                table,
-                                &lost,
-                                &mut exports,
-                            )
-                            .map_err(io)?,
-                        );
-                    }
-                    healed_rows += shards[b as usize].heal_table(table, rows).map_err(io)?;
-                }
-                reg.incr(&format!("cfstore.shard.{b}.heal.rebuilds"), 1);
-                reg.incr("cfstore.shard.heal.rebuilds", 1);
-            }
-            if healed_rows > 0 {
-                for &b in &lost {
-                    reg.incr(&format!("cfstore.shard.{b}.heal.rows"), healed_rows);
-                }
-                reg.incr("cfstore.shard.heal.rows", healed_rows);
-            }
-            // Flush EVERYTHING: survivors may still hold WAL frames whose
-            // participant sets name the rebuilt shards. The rebuilt WALs
-            // will never contain those gsns, so leaving the survivors'
-            // frames in place would make committed batches look
-            // uncommitted at the *next* reopen. Flushing moves every
-            // shard's flushed_lsn past them.
-            for store in &shards {
-                store.flush().map_err(io)?;
-            }
+    /// Open with an observability registry attached from the first
+    /// byte, so rebuild/heal counters from recovery itself are counted.
+    /// All shards share the one registry (counters namespaced by
+    /// `cfstore.shard.<id>.*` where a per-shard split matters).
+    ///
+    /// Open is [`ShardedStore::recovery_plan`] followed by its
+    /// execution: truncate what the plan cut, open the survivors, rebuild
+    /// the lost shards from their peers, reattach an in-flight migration,
+    /// assemble the handle.
+    pub fn open_traced(
+        dir: &Path,
+        opts: ShardOptions,
+        reg: obs::Registry,
+    ) -> Result<(Self, ShardedRecoveryReport), RecoveryError> {
+        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        let plan = Self::recovery_plan(dir, &opts)?;
+        plan.truncate(dir)?;
+        let mut lost: BTreeSet<u32> = plan.lost.keys().copied().collect();
+        let (shards, reports): (Vec<_>, Vec<_>) = open_shards(dir, &opts, &plan, &mut lost, &reg)?
+            .into_iter()
+            .unzip();
+        let survivor = (0..shards.len()).find(|g| !lost.contains(&(*g as u32)));
+        let schemas = survivor.map_or_else(Schemas::new, |g| shards[g].table_schemas());
+        let healed_rows = rebuild_lost(dir, &shards, &schemas, &plan.active, &lost, &reg)?;
+        // Phase 4: reattach the journaled migration. A lost shard was
+        // rebuilt with active-epoch content only, so `resumed` journals
+        // away any `Copied` claim it held.
+        let migration =
+            Migration::resumed(dir, opts.crash_topology, plan.pending, &lost).map_err(|e| {
+                let detail = std::io::Error::other(format!("resharding journal: {e}"));
+                io_err(&dir.join(resharding::TOPOLOGY_FILE), detail)
+            })?;
+        if migration.is_some() {
+            reg.incr("cfstore.reshard.resumes", 1);
         }
 
-        // ---- Phase D: global counters, report, flusher ----
-        let clock = shards
-            .iter()
-            .map(|s| s.clock_value())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let next_gsn = max_gsn + 1;
         let mut total = RecoveryReport::default();
         for rep in &reports {
             total.merge(rep);
         }
-
-        // ---- Reconstruct the in-flight migration from the journal ----
-        let io_store = |e: StoreError| RecoveryError::Io {
-            path: topo_path.display().to_string(),
-            source: std::io::Error::other(format!("resharding journal: {e}")),
-        };
-        let migration = match pending {
-            Pending::None => None,
-            Pending::PreCutover {
-                epoch,
-                target,
-                mut copied,
-                mut verified,
-            } => {
-                let mut journal =
-                    JournalWriter::open_existing(dir, opts.crash_topology).map_err(io_store)?;
-                // A lost shard was rebuilt with active-epoch content
-                // only: any `Copied` claim it held is now false, so
-                // journal the invalidation and re-copy on resume.
-                for &b in &lost {
-                    if copied.remove(&b) {
-                        journal
-                            .append(&JournalRecord::Invalidated { epoch, unit: b })
-                            .map_err(io_store)?;
-                        verified = false;
-                    }
-                }
-                Some(Migration {
-                    epoch,
-                    target,
-                    copied,
-                    verified,
-                    cut_over: false,
-                    gc_pruned: false,
-                    catalog_swapped: false,
-                    rows_copied: 0,
-                    journal,
-                })
-            }
-            Pending::PostCutover {
-                epoch,
-                target,
-                swapped,
-            } => {
-                let journal =
-                    JournalWriter::open_existing(dir, opts.crash_topology).map_err(io_store)?;
-                Some(Migration {
-                    epoch,
-                    copied: (0..target.shards).collect(),
-                    target,
-                    verified: true,
-                    cut_over: true,
-                    gc_pruned: swapped,
-                    catalog_swapped: swapped,
-                    rows_copied: 0,
-                    journal,
-                })
-            }
-        };
-        let reshard_in_flight = migration.as_ref().map(|m| m.epoch);
-        if reshard_in_flight.is_some() {
-            reg.incr("cfstore.reshard.resumes", 1);
-        }
         let report = ShardedRecoveryReport {
             shards: reports,
             total,
-            lost_shards: lost.iter().copied().collect(),
-            aborted_batches: aborted.len() as u64,
+            lost_shards: lost.into_iter().collect(),
+            aborted_batches: plan.aborted.len() as u64,
             healed_rows,
-            reshard_in_flight,
+            reshard_in_flight: migration.as_ref().map(|m| m.epoch),
         };
-
-        let flush_shared = opts.background_flush_wal_bytes.map(|_| {
-            Arc::new(ShardFlusherShared {
-                signal: std::sync::Mutex::new(ShardFlushSignal::default()),
-                cv: std::sync::Condvar::new(),
-            })
-        });
+        let clock = shards.iter().map(|s| s.clock_value()).max();
         let inner = Arc::new(ShardedInner {
             dir: dir.to_path_buf(),
             state: Mutex::new(GlobalState {
                 shards,
                 schemas,
-                next_gsn,
-                clock,
+                next_gsn: plan.max_gsn + 1,
+                clock: clock.unwrap_or(1).max(1),
                 poisoned: false,
-                active,
-                epoch: active_epoch,
+                active: plan.active,
+                epoch: plan.epoch,
                 migration,
             }),
             obs: RwLock::new(reg),
-            flush_shared: flush_shared.clone(),
-            background_flush_wal_bytes: opts.background_flush_wal_bytes,
-            block_cache_bytes: opts.block_cache_bytes,
-            crash_shard: opts.crash_shard.clone(),
-            crash_topology: opts.crash_topology,
+            opts,
         });
-        let flusher = flush_shared.map(|shared| {
+        let flusher = inner.opts.background_flush_wal_bytes.map(|threshold| {
             let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("cfstore-shard-flusher".to_string())
-                .spawn(move || shard_flusher_loop(inner, shared))
-                .expect("spawn sharded background flusher")
+            Flusher::spawn("cfstore-shard-flusher", move || {
+                flush_grown_shards(&inner, threshold)
+            })
         });
         Ok((ShardedStore { inner, flusher }, report))
     }
@@ -822,7 +924,7 @@ impl ShardedStore {
         }];
         let per_shard: BTreeMap<u32, Vec<ShardOp>> =
             participants.iter().map(|&g| (g, ops.clone())).collect();
-        Self::commit_batch(inner, &mut st, &participants, &per_shard)?;
+        Self::commit_batch(&mut st, &participants, &per_shard)?;
         st.schemas.insert(name.to_string(), (fams, split_threshold));
         Ok(())
     }
@@ -885,20 +987,15 @@ impl ShardedStore {
                     _ => None,
                 })
                 .collect();
-            if let Err(e) = st.shards[g as usize].prepare_rows(table, &rows) {
-                match e {
-                    StoreError::Corruption { .. } | StoreError::SegmentCorrupt { .. } => {
-                        let o = inner.obs();
-                        o.incr(&format!("cfstore.shard.{g}.heal.reads"), 1);
-                        o.incr("cfstore.shard.heal.reads", 1);
-                        Self::heal_shard_table(inner, &mut st, g, table)?;
-                        st.shards[g as usize].prepare_rows(table, &rows)?;
-                    }
-                    _ => return Err(e),
-                }
-            }
+            // A write has no other replica to fall through to: whatever
+            // stopped the heal stops the batch.
+            Self::with_heal(inner, &mut st, g, table, |s| s.prepare_rows(table, &rows)).map_err(
+                |e| match e {
+                    Unhealed::Fatal(e) | Unhealed::StillCorrupt { cause: e, .. } => e,
+                },
+            )?;
         }
-        Self::commit_batch(inner, &mut st, &participants, &per_shard)?;
+        Self::commit_batch(&mut st, &participants, &per_shard)?;
         self.maybe_wake_flusher(&st);
         Ok(())
     }
@@ -924,7 +1021,7 @@ impl ShardedStore {
         }];
         let per_shard: BTreeMap<u32, Vec<ShardOp>> =
             participants.iter().map(|&g| (g, ops.clone())).collect();
-        Self::commit_batch(inner, &mut st, &participants, &per_shard)?;
+        Self::commit_batch(&mut st, &participants, &per_shard)?;
         self.maybe_wake_flusher(&st);
         Ok(true)
     }
@@ -953,24 +1050,11 @@ impl ShardedStore {
         // Reads consult the active placement only: pre-cutover that is
         // the old epoch, making the cutover record the visibility switch.
         for g in st.active.replicas_of_row(row) {
-            match st.shards[g as usize].get(table, row) {
+            match Self::with_heal(inner, st, g, table, |s| s.get(table, row)) {
                 Ok(res) => return Ok(res),
-                Err(e @ (StoreError::Corruption { .. } | StoreError::SegmentCorrupt { .. })) => {
-                    let o = inner.obs();
-                    o.incr(&format!("cfstore.shard.{g}.heal.reads"), 1);
-                    o.incr("cfstore.shard.heal.reads", 1);
-                    match Self::heal_shard_table(inner, st, g, table) {
-                        Ok(_) => match st.shards[g as usize].get(table, row) {
-                            Ok(res) => return Ok(res),
-                            Err(e2) => last_err = Some(e2),
-                        },
-                        // Heal could not complete (e.g. the shard is
-                        // crash-poisoned and cannot flush): keep serving
-                        // from the next replica.
-                        Err(_) => last_err = Some(e),
-                    }
-                }
-                Err(e) => return Err(e),
+                Err(Unhealed::Fatal(e)) => return Err(e),
+                // Keep serving from the next replica.
+                Err(Unhealed::StillCorrupt { seen, .. }) => last_err = Some(seen),
             }
         }
         Err(last_err.expect("loop returns unless every replica errored"))
@@ -1001,31 +1085,13 @@ impl ShardedStore {
         let mut metrics = ScanMetrics::default();
         let mut last_err: Option<StoreError> = None;
         for g in 0..n {
-            let outcome = match st.shards[g as usize].scan(table, scan) {
-                Ok(ok) => Some(ok),
-                Err(e @ (StoreError::Corruption { .. } | StoreError::SegmentCorrupt { .. })) => {
-                    let o = inner.obs();
-                    o.incr(&format!("cfstore.shard.{g}.heal.reads"), 1);
-                    o.incr("cfstore.shard.heal.reads", 1);
-                    match Self::heal_shard_table(inner, &mut st, g, table) {
-                        Ok(_) => match st.shards[g as usize].scan(table, scan) {
-                            Ok(ok) => Some(ok),
-                            Err(e2) => {
-                                last_err = Some(e2);
-                                None
-                            }
-                        },
-                        Err(_) => {
-                            last_err = Some(e);
-                            None
-                        }
-                    }
+            match Self::with_heal(inner, &mut st, g, table, |s| s.scan(table, scan)) {
+                Ok((rows, m)) => {
+                    metrics.merge(m);
+                    per_shard[g as usize] = Some(rows);
                 }
-                Err(e) => return Err(e),
-            };
-            if let Some((rows, m)) = outcome {
-                metrics.merge(m);
-                per_shard[g as usize] = Some(rows);
+                Err(Unhealed::Fatal(e)) => return Err(e),
+                Err(Unhealed::StillCorrupt { seen, .. }) => last_err = Some(seen),
             }
         }
         // Resolve each slot from its first scannable replica.
@@ -1180,7 +1246,6 @@ impl ShardedStore {
     /// shards' WALs now disagree and only the reopen commit rule may
     /// reconcile them.
     fn commit_batch(
-        inner: &ShardedInner,
         st: &mut GlobalState,
         participants: &[u32],
         per_shard: &BTreeMap<u32, Vec<ShardOp>>,
@@ -1204,8 +1269,34 @@ impl ShardedStore {
                 return Err(e);
             }
         }
-        let _ = inner;
         Ok(())
+    }
+
+    /// Run `op` against shard `g`; when it fails a CRC (cell checksum or
+    /// segment block), count the heal read, repair the shard's copy of
+    /// `table` from its peers and run `op` once more. The one
+    /// heal-and-retry under `get`, `scan` and the `put_batch` pre-pass.
+    fn with_heal<T>(
+        inner: &ShardedInner,
+        st: &mut GlobalState,
+        g: u32,
+        table: &str,
+        op: impl Fn(&MiniStore) -> Result<T, StoreError>,
+    ) -> Result<T, Unhealed> {
+        let seen = match op(&st.shards[g as usize]) {
+            Err(e @ (StoreError::Corruption { .. } | StoreError::SegmentCorrupt { .. })) => e,
+            other => return other.map_err(Unhealed::Fatal),
+        };
+        count_heal(&inner.obs(), g, "reads", 1);
+        match Self::heal_shard_table(inner, st, g, table) {
+            Ok(_) => op(&st.shards[g as usize]).map_err(|e| Unhealed::StillCorrupt {
+                seen: e.clone(),
+                cause: e,
+            }),
+            // The heal could not complete (e.g. the shard is
+            // crash-poisoned and cannot flush).
+            Err(cause) => Err(Unhealed::StillCorrupt { seen, cause }),
+        }
     }
 
     /// Repair one shard's copy of a table from its peers: copy every
@@ -1220,55 +1311,33 @@ impl ShardedStore {
         bad: u32,
         table: &str,
     ) -> Result<u64, StoreError> {
-        let active = st.active.clone();
         // Pre-cutover, a migration target shard also holds dual-applied
         // and copied rows it owns under the *new* topology; the heal
         // must restore those too or a completed Copy unit would lose
         // rows silently. Post-cutover (and with no migration) the
         // active topology is the only owner set.
-        let target_pre = st
-            .migration
-            .as_ref()
-            .filter(|m| !m.cut_over)
-            .map(|m| m.target.clone());
-        let mut rows: BTreeMap<Bytes, RowData> = BTreeMap::new();
-        let (mut exports, skip) = (DonorExports::new(), BTreeSet::from([bad]));
-        for s in 0..active.shards {
-            let bad_active = active.replicas(s).contains(&bad);
-            if !bad_active && target_pre.is_none() {
-                continue;
-            }
-            let slot_rows = resharding::export_slot_from_peers(
-                &st.shards,
-                &active,
-                s,
-                table,
-                &skip,
-                &mut exports,
-            )?;
-            for (row, data) in slot_rows {
-                if bad_active || target_pre.as_ref().is_some_and(|t| t.owns(bad, &row)) {
-                    rows.insert(row, data);
-                }
-            }
-        }
-        let healed = st.shards[bad as usize].heal_table(table, rows)?;
+        let target_pre = st.migration.as_ref().filter(|m| !m.cut_over);
+        let serves = |slot| st.active.replicas(slot).contains(&bad);
+        let reads = |slot| serves(slot) || target_pre.is_some();
+        let owns =
+            |slot, row: &[u8]| serves(slot) || target_pre.is_some_and(|m| m.target.owns(bad, row));
+        let mut donors = Donors::excluding([bad]);
+        let rows = resharding::owned_rows(&st.shards, &st.active, table, &mut donors, reads, owns)?;
+        let healed = st.shards[bad as usize].install_table_rows(table, rows, Install::Replace)?;
         // Durability of the repair, and the moment the bad on-disk copy
         // is rewritten (the superseded segment file is deleted).
         st.shards[bad as usize].flush()?;
-        let o = inner.obs();
-        o.incr(&format!("cfstore.shard.{bad}.heal.repairs"), 1);
-        o.incr(&format!("cfstore.shard.{bad}.heal.rows"), healed);
-        o.incr("cfstore.shard.heal.repairs", 1);
-        o.incr("cfstore.shard.heal.rows", healed);
+        let reg = inner.obs();
+        count_heal(&reg, bad, "repairs", 1);
+        count_heal(&reg, bad, "rows", healed);
         Ok(healed)
     }
 
+    /// Called under the global lock, which the flusher's work takes.
     fn maybe_wake_flusher(&self, st: &GlobalState) {
-        let (Some(threshold), Some(shared)) = (
-            self.inner.background_flush_wal_bytes,
-            self.inner.flush_shared.as_ref(),
-        ) else {
+        let (Some(threshold), Some(flusher)) =
+            (self.inner.opts.background_flush_wal_bytes, &self.flusher)
+        else {
             return;
         };
         if st
@@ -1276,69 +1345,20 @@ impl ShardedStore {
             .iter()
             .any(|s| s.wal_bytes_since_flush() >= threshold)
         {
-            shared
-                .signal
-                .lock()
-                .expect("sharded flusher signal lock")
-                .pending = true;
-            shared.cv.notify_all();
+            flusher.wake();
         }
     }
 }
 
-impl Drop for ShardedStore {
-    fn drop(&mut self) {
-        if let Some(handle) = self.flusher.take() {
-            if let Some(shared) = &self.inner.flush_shared {
-                shared
-                    .signal
-                    .lock()
-                    .expect("sharded flusher signal lock")
-                    .shutdown = true;
-                shared.cv.notify_all();
-            }
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The sharded background flusher: one thread for the whole store,
-/// flushing any shard whose WAL outgrew the threshold. Flushes run
-/// under the global lock — they serialize with writers exactly like a
-/// caller-driven [`ShardedStore::flush`], so crash safety reduces to
-/// the single-store argument.
-fn shard_flusher_loop(inner: Arc<ShardedInner>, shared: Arc<ShardFlusherShared>) {
-    let threshold = inner
-        .background_flush_wal_bytes
-        .expect("flusher only runs with a threshold");
-    loop {
-        {
-            let mut sig = shared.signal.lock().expect("sharded flusher signal lock");
-            while !sig.pending && !sig.shutdown {
-                sig = shared.cv.wait(sig).expect("sharded flusher signal wait");
-            }
-            if sig.shutdown {
-                return;
-            }
-            sig.pending = false;
-        }
-        let mut st = inner.state.lock();
-        if st.poisoned {
-            continue;
-        }
-        for g in 0..st.shards.len() {
-            if st.shards[g].wal_bytes_since_flush() >= threshold {
-                match st.shards[g].flush() {
-                    Ok(()) => inner.obs().incr("cfstore.shard.flush.background", 1),
-                    Err(StoreError::Crashed) => {
-                        st.poisoned = true;
-                        break;
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
-    }
+/// Why [`ShardedStore::with_heal`] gave up on one shard.
+enum Unhealed {
+    /// Not a CRC failure: no replica can help, every caller propagates it.
+    Fatal(StoreError),
+    /// The shard's copy is corrupt and could not be repaired (`cause`:
+    /// the heal's own error, or the retry's). A read remembers `seen` —
+    /// the error a client gets if every replica fails — and falls
+    /// through to the next replica; a write propagates `cause`.
+    StillCorrupt { seen: StoreError, cause: StoreError },
 }
 
 #[cfg(test)]
@@ -1398,7 +1418,10 @@ mod tests {
             assert_eq!(store.shard_count(), 4);
             assert!(rep.lost_shards.is_empty());
         }
-        assert_eq!(read_shards_file(&dir).unwrap(), Some((4, 2)));
+        let catalog = resharding::read_catalog(&dir)
+            .unwrap()
+            .expect("catalog written");
+        assert_eq!(catalog.topology, Topology::uniform(4, 2));
         // Reopen with conflicting options: the file wins.
         let (store, _) = ShardedStore::open_with_opts(
             &dir,

@@ -37,12 +37,15 @@ use std::path::Path;
 
 use bytes::{BufMut, Bytes};
 
-use super::{shard_dir_name, GlobalState, ShardedInner, ShardedMeta, ShardedStore};
+use super::{
+    mirror_schemas, remove_if_present, shard_dir_id, shard_dir_name, GlobalState, ShardedInner,
+    ShardedMeta, ShardedStore,
+};
 use crate::encoding::CodecError;
 use crate::frame::{self, CrashWriter, Cursor, WriteError};
 use crate::recovery::{corrupt_file, io_err, read_framed_file, RecoveryError};
 use crate::region::RowData;
-use crate::store::{MiniStore, StoreError};
+use crate::store::{Install, MiniStore, StoreError};
 
 /// The resharding journal file at the root of a sharded store directory.
 pub const TOPOLOGY_FILE: &str = "TOPOLOGY";
@@ -692,6 +695,69 @@ pub(crate) struct Migration {
 }
 
 impl Migration {
+    /// A migration whose `Begin` record was just journaled.
+    fn begun(epoch: u64, target: Topology, journal: JournalWriter) -> Self {
+        Migration {
+            epoch,
+            target,
+            copied: BTreeSet::new(),
+            verified: false,
+            cut_over: false,
+            gc_pruned: false,
+            catalog_swapped: false,
+            rows_copied: 0,
+            journal,
+        }
+    }
+
+    /// The migration a reopen found in the journal (`Pending::None`:
+    /// none), with its writer reattached. `lost` shards were just
+    /// rebuilt with active-epoch content only: pre-cutover, any `Copied`
+    /// claim one held is now false, so journal the invalidation and let
+    /// the resume copy that unit again.
+    pub(crate) fn resumed(
+        dir: &Path,
+        crash_after_bytes: Option<u64>,
+        pending: Pending,
+        lost: &BTreeSet<u32>,
+    ) -> Result<Option<Self>, StoreError> {
+        let journal = || JournalWriter::open_existing(dir, crash_after_bytes);
+        let mut m = match pending {
+            Pending::None => return Ok(None),
+            Pending::PreCutover {
+                epoch,
+                target,
+                copied,
+                verified,
+            } => Migration {
+                copied,
+                verified,
+                ..Self::begun(epoch, target, journal()?)
+            },
+            Pending::PostCutover {
+                epoch,
+                target,
+                swapped,
+            } => Migration {
+                copied: (0..target.shards).collect(),
+                verified: true,
+                cut_over: true,
+                gc_pruned: swapped,
+                catalog_swapped: swapped,
+                ..Self::begun(epoch, target, journal()?)
+            },
+        };
+        for &unit in lost.iter().filter(|_| !m.cut_over) {
+            if m.copied.remove(&unit) {
+                let epoch = m.epoch;
+                m.journal
+                    .append(&JournalRecord::Invalidated { epoch, unit })?;
+                m.verified = false;
+            }
+        }
+        Ok(Some(m))
+    }
+
     pub(crate) fn status(&self) -> ReshardStatus {
         let phase = if !self.cut_over {
             if (self.copied.len() as u32) < self.target.shards {
@@ -743,7 +809,7 @@ impl ShardedStore {
             ));
         }
         let epoch = st.epoch + 1;
-        let mut journal = JournalWriter::create(&inner.dir, inner.crash_topology)?;
+        let mut journal = JournalWriter::create(&inner.dir, inner.opts.crash_topology)?;
         let begin = JournalRecord::Begin {
             epoch,
             old: st.active.clone(),
@@ -762,19 +828,11 @@ impl ShardedStore {
             st.poisoned = true;
             return Err(e);
         }
-        st.migration = Some(Migration {
-            epoch,
-            target,
-            copied: BTreeSet::new(),
-            verified: false,
-            cut_over: false,
-            gc_pruned: false,
-            catalog_swapped: false,
-            rows_copied: 0,
-            journal,
-        });
+        let m = st
+            .migration
+            .insert(Migration::begun(epoch, target, journal));
         inner.obs().incr("cfstore.reshard.begins", 1);
-        Ok(st.migration.as_ref().expect("just set").status())
+        Ok(m.status())
     }
 
     /// Advance the in-flight migration by one unit of work: copy one
@@ -787,9 +845,6 @@ impl ShardedStore {
         let mut st = inner.state.lock();
         if st.poisoned {
             return Err(StoreError::Crashed);
-        }
-        if st.migration.is_none() {
-            return Err(StoreError::Io("no reshard in flight".to_string()));
         }
         let result = step_inner(inner, &mut st);
         if let Err(e) = &result {
@@ -809,10 +864,14 @@ impl ShardedStore {
         }
         let reg = self.inner.obs();
         let _span = reg.span("cfstore.reshard.run");
+        self.run_to_done().map(Some)
+    }
+
+    fn run_to_done(&self) -> Result<ReshardStatus, StoreError> {
         loop {
             let status = self.reshard_step()?;
             if status.phase == ReshardPhase::Done {
-                return Ok(Some(status));
+                return Ok(status);
             }
         }
     }
@@ -825,12 +884,7 @@ impl ShardedStore {
         let reg = self.inner.obs();
         let _span = reg.span("cfstore.reshard.run");
         self.begin_reshard(plan)?;
-        loop {
-            let status = self.reshard_step()?;
-            if status.phase == ReshardPhase::Done {
-                return Ok(status);
-            }
-        }
+        self.run_to_done()
     }
 
     /// Abandon a migration that has **not** cut over: superset rows are
@@ -856,12 +910,7 @@ impl ShardedStore {
         st.shards.truncate(active.shards as usize);
         st.migration = None;
         remove_extra_shard_dirs(&inner.dir, active.shards)?;
-        let path = inner.dir.join(TOPOLOGY_FILE);
-        match std::fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::Io(format!("{}: {e}", path.display()))),
-        }
+        remove_journal(&inner.dir)?;
         inner.obs().incr("cfstore.reshard.aborts", 1);
         Ok(())
     }
@@ -878,19 +927,24 @@ impl ShardedStore {
     }
 }
 
+/// One step of the migration, which is taken out of the state while
+/// its step runs (so a step holds `&mut Migration` and `&mut
+/// GlobalState` at once) and put back unless that step finished it.
 fn step_inner(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardStatus, StoreError> {
-    let m = st.migration.as_ref().expect("caller checked");
-    if !m.cut_over {
-        let next_unit = (0..m.target.shards).find(|u| !m.copied.contains(u));
-        if let Some(unit) = next_unit {
-            return copy_unit(inner, st, unit);
-        }
-        if !m.verified {
-            return verify_units(inner, st);
-        }
-        return do_cutover(inner, st);
+    let Some(mut m) = st.migration.take() else {
+        return Err(StoreError::Io("no reshard in flight".to_string()));
+    };
+    let next_unit = (0..m.target.shards).find(|u| !m.copied.contains(u));
+    let result = match next_unit {
+        _ if m.cut_over => gc_step(inner, st, &mut m),
+        Some(unit) => copy_unit(inner, st, &mut m, unit),
+        None if !m.verified => verify_units(inner, st, &mut m),
+        None => do_cutover(inner, st, &mut m),
+    };
+    if !matches!(&result, Ok(status) if status.phase == ReshardPhase::Done) {
+        st.migration = Some(m);
     }
-    gc_step(inner, st)
+    result
 }
 
 /// Mirror every schema onto target-only shards (grow), opening their
@@ -903,24 +957,42 @@ fn ensure_target_shards(
 ) -> Result<(), StoreError> {
     let io = |e: RecoveryError| StoreError::Io(format!("open target shard: {e}"));
     for g in st.shards.len() as u32..target.shards {
+        let dir = inner.dir.join(shard_dir_name(g));
         let (mut store, _) =
-            MiniStore::open_with_opts(&inner.dir.join(shard_dir_name(g)), inner.store_opts(g))
-                .map_err(io)?;
+            MiniStore::open_with_opts(&dir, inner.opts.store_opts(g)).map_err(io)?;
         store.set_obs(inner.obs());
         st.shards.push(store);
     }
-    let schemas = st.schemas.clone();
-    for g in 0..target.shards {
-        for (table, (families, threshold)) in &schemas {
-            let fams: Vec<&str> = families.iter().map(|f| f.as_str()).collect();
-            match st.shards[g as usize].create_table_with_threshold(table, &fams, *threshold) {
-                Ok(()) | Err(StoreError::TableExists(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        st.shards[g as usize].flush()?;
+    for shard in &st.shards[..target.shards as usize] {
+        mirror_schemas(shard, &st.schemas)?;
+        shard.flush()?;
     }
     Ok(())
+}
+
+/// The rows of `table` some shard must hold: of every slot of the active
+/// placement that `reads` selects, the rows `owns(slot, row)` accepts,
+/// each slot read from its first clean replica among `donors`. The one
+/// builder under whole-shard rebuild, read-path heal, reshard copy and
+/// reshard verify — they differ only in the two predicates. A slot
+/// `reads` rejects is never exported, so its replicas being unreadable
+/// does not fail the caller.
+pub(super) fn owned_rows(
+    shards: &[MiniStore],
+    active: &Topology,
+    table: &str,
+    donors: &mut Donors,
+    reads: impl Fn(u32) -> bool,
+    owns: impl Fn(u32, &[u8]) -> bool,
+) -> Result<BTreeMap<Bytes, RowData>, StoreError> {
+    let mut rows = BTreeMap::new();
+    for slot in (0..active.shards).filter(|slot| reads(*slot)) {
+        let keep = |row: &[u8]| owns(slot, row);
+        rows.extend(export_slot_from_peers(
+            shards, active, slot, table, donors, keep,
+        )?);
+    }
+    Ok(rows)
 }
 
 /// Copy one target unit: merge-install every row the unit owns under
@@ -932,77 +1004,72 @@ fn ensure_target_shards(
 fn copy_unit(
     inner: &ShardedInner,
     st: &mut GlobalState,
+    m: &mut Migration,
     unit: u32,
 ) -> Result<ReshardStatus, StoreError> {
-    let m = st.migration.as_ref().expect("caller checked");
-    let target = m.target.clone();
-    let active = st.active.clone();
-    let schemas = st.schemas.clone();
+    let shard = &st.shards[unit as usize];
     // Resumed migrations may hit a unit whose tables were never created
     // (crash between Begin and the grow-shard flush).
-    for (table, (families, threshold)) in &schemas {
-        let fams: Vec<&str> = families.iter().map(|f| f.as_str()).collect();
-        match st.shards[unit as usize].create_table_with_threshold(table, &fams, *threshold) {
-            Ok(()) | Err(StoreError::TableExists(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
+    mirror_schemas(shard, &st.schemas)?;
     let mut rows_copied = 0u64;
-    let (mut exports, no_skip) = (DonorExports::new(), BTreeSet::new());
-    for table in schemas.keys() {
-        let mut rows: BTreeMap<Bytes, RowData> = BTreeMap::new();
-        for s in 0..active.shards {
-            let donor =
-                export_slot_from_peers(&st.shards, &active, s, table, &no_skip, &mut exports)?;
-            for (row, data) in donor {
-                if target.owns(unit, &row) {
-                    rows.insert(row, data);
-                }
-            }
-        }
-        rows_copied += st.shards[unit as usize].merge_table_rows(table, rows)?;
+    let mut donors = Donors::excluding([]);
+    for table in st.schemas.keys() {
+        let owns = |_, row: &[u8]| m.target.owns(unit, row);
+        let rows = owned_rows(&st.shards, &st.active, table, &mut donors, |_| true, owns)?;
+        rows_copied += shard.install_table_rows(table, rows, Install::Merge)?;
     }
-    st.shards[unit as usize].flush()?;
-    let m = st.migration.as_mut().expect("caller checked");
+    shard.flush()?;
     m.journal.append(&JournalRecord::Copied {
         epoch: m.epoch,
         unit,
     })?;
     m.copied.insert(unit);
     m.rows_copied += rows_copied;
-    let status = m.status();
     let reg = inner.obs();
     reg.incr("cfstore.reshard.units_copied", 1);
     reg.incr("cfstore.reshard.rows_copied", rows_copied);
-    Ok(status)
+    Ok(m.status())
 }
 
-/// Verified full exports of a table, cached per `(donor shard, table)`:
-/// one read per donor feeds every slot and every shard that needs it.
-pub(super) type DonorExports = BTreeMap<(u32, String), BTreeMap<Bytes, RowData>>;
+/// Where rows may be copied from: any shard outside `skip` (the ones
+/// being rebuilt or healed). A donor's verified full export of a table
+/// is cached per `(donor shard, table)`: one read per donor feeds every
+/// slot and every shard that needs it.
+pub(super) struct Donors {
+    skip: BTreeSet<u32>,
+    exports: BTreeMap<(u32, String), BTreeMap<Bytes, RowData>>,
+}
 
-/// Export the rows of one slot of `topo` from its first clean replica —
-/// the one donor-selection rule under whole-shard rebuild, read-path
-/// heal, reshard copy and reshard verify. `skip` excludes shards from
-/// donating (the ones being rebuilt or healed).
-pub(super) fn export_slot_from_peers(
+impl Donors {
+    pub(super) fn excluding(skip: impl IntoIterator<Item = u32>) -> Self {
+        Donors {
+            skip: skip.into_iter().collect(),
+            exports: BTreeMap::new(),
+        }
+    }
+}
+
+/// Export the rows of one slot of `topo` that `keep` wants, from the
+/// slot's first clean replica among `donors` — the one donor-selection
+/// rule.
+fn export_slot_from_peers(
     shards: &[MiniStore],
     topo: &Topology,
     slot: u32,
     table: &str,
-    skip: &BTreeSet<u32>,
-    exports: &mut DonorExports,
+    donors: &mut Donors,
+    keep: impl Fn(&[u8]) -> bool,
 ) -> Result<BTreeMap<Bytes, RowData>, StoreError> {
     let mut last_err: Option<StoreError> = None;
     for d in topo.replicas(slot) {
-        if skip.contains(&d) {
+        if donors.skip.contains(&d) {
             continue;
         }
         let key = (d, table.to_string());
-        if !exports.contains_key(&key) {
+        if !donors.exports.contains_key(&key) {
             match shards[d as usize].export_table_rows(table) {
                 Ok(map) => {
-                    exports.insert(key.clone(), map);
+                    donors.exports.insert(key.clone(), map);
                 }
                 Err(e) => {
                     last_err = Some(e);
@@ -1010,10 +1077,10 @@ pub(super) fn export_slot_from_peers(
                 }
             }
         }
-        let donor = &exports[&key];
+        let donor = &donors.exports[&key];
         return Ok(donor
             .iter()
-            .filter(|(row, _)| topo.slot_of_row(row) == slot)
+            .filter(|(row, _)| topo.slot_of_row(row) == slot && keep(row))
             .map(|(row, data)| (row.clone(), data.clone()))
             .collect());
     }
@@ -1026,41 +1093,29 @@ pub(super) fn export_slot_from_peers(
 
 /// Compare every target unit's new-epoch ownership against
 /// old-placement truth, cell-for-cell, then journal `Verified`.
-fn verify_units(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardStatus, StoreError> {
-    let m = st.migration.as_ref().expect("caller checked");
-    let target = m.target.clone();
-    let active = st.active.clone();
-    let schemas = st.schemas.clone();
-    let (mut exports, no_skip) = (DonorExports::new(), BTreeSet::new());
-    for table in schemas.keys() {
-        let mut truth: BTreeMap<Bytes, RowData> = BTreeMap::new();
-        for s in 0..active.shards {
-            truth.extend(export_slot_from_peers(
-                &st.shards,
-                &active,
-                s,
-                table,
-                &no_skip,
-                &mut exports,
-            )?);
-        }
-        for unit in 0..target.shards {
+fn verify_units(
+    inner: &ShardedInner,
+    st: &mut GlobalState,
+    m: &mut Migration,
+) -> Result<ReshardStatus, StoreError> {
+    let mut donors = Donors::excluding([]);
+    for table in st.schemas.keys() {
+        for unit in 0..m.target.shards {
+            let owns = |_, row: &[u8]| m.target.owns(unit, row);
+            let truth = owned_rows(&st.shards, &st.active, table, &mut donors, |_| true, owns)?;
             let held = st.shards[unit as usize].export_table_rows(table)?;
-            for (row, data) in &truth {
-                if !target.owns(unit, row) {
-                    continue;
-                }
-                if held.get(row) != Some(data) {
-                    return Err(StoreError::Io(format!(
-                        "reshard verify failed: unit {unit} row {:?} of `{table}` \
-                         disagrees with old-placement truth",
-                        String::from_utf8_lossy(row)
-                    )));
-                }
+            if let Some((row, _)) = truth
+                .iter()
+                .find(|(row, data)| held.get(*row) != Some(data))
+            {
+                return Err(StoreError::Io(format!(
+                    "reshard verify failed: unit {unit} row {:?} of `{table}` \
+                     disagrees with old-placement truth",
+                    String::from_utf8_lossy(row)
+                )));
             }
         }
     }
-    let m = st.migration.as_mut().expect("caller checked");
     m.journal
         .append(&JournalRecord::Verified { epoch: m.epoch })?;
     m.verified = true;
@@ -1071,62 +1126,55 @@ fn verify_units(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardSta
 /// Append the `Cutover` record — the atomic commit point — then swap
 /// the active topology. A torn append leaves the store in the old epoch
 /// (and poisoned, like any mid-protocol crash).
-fn do_cutover(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardStatus, StoreError> {
-    let m = st.migration.as_mut().expect("caller checked");
+fn do_cutover(
+    inner: &ShardedInner,
+    st: &mut GlobalState,
+    m: &mut Migration,
+) -> Result<ReshardStatus, StoreError> {
     m.journal
         .append(&JournalRecord::Cutover { epoch: m.epoch })?;
     m.cut_over = true;
     st.epoch = m.epoch;
     st.active = m.target.clone();
-    let status = st.migration.as_ref().expect("caller checked").status();
     inner.obs().incr("cfstore.reshard.cutovers", 1);
-    Ok(status)
+    Ok(m.status())
 }
 
 /// One GC step: prune every surviving shard to its exact new ownership,
 /// then swap the catalog, then delete dropped dirs + the journal. Three
 /// separate steps so a crash between any two reopens resumable; each is
 /// idempotent.
-fn gc_step(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardStatus, StoreError> {
-    let m = st.migration.as_ref().expect("caller checked");
-    let (epoch, pruned, swapped) = (m.epoch, m.gc_pruned, m.catalog_swapped);
+fn gc_step(
+    inner: &ShardedInner,
+    st: &mut GlobalState,
+    m: &mut Migration,
+) -> Result<ReshardStatus, StoreError> {
     let active = st.active.clone();
-    if !pruned {
+    if !m.gc_pruned {
         prune_to_ownership(st, &active)?;
-        let m = st.migration.as_mut().expect("caller checked");
         m.gc_pruned = true;
         return Ok(m.status());
     }
-    if !swapped {
-        write_catalog(
-            &inner.dir,
-            &Catalog {
-                topology: active.clone(),
-                epoch,
-            },
-        )
-        .map_err(|e| StoreError::Io(format!("swap SHARDS catalog: {e}")))?;
+    if !m.catalog_swapped {
+        let catalog = Catalog {
+            topology: active.clone(),
+            epoch: m.epoch,
+        };
+        write_catalog(&inner.dir, &catalog)
+            .map_err(|e| StoreError::Io(format!("swap SHARDS catalog: {e}")))?;
         st.shards.truncate(active.shards as usize);
-        let m = st.migration.as_mut().expect("caller checked");
         m.catalog_swapped = true;
         return Ok(m.status());
     }
     remove_extra_shard_dirs(&inner.dir, active.shards)?;
-    let path = inner.dir.join(TOPOLOGY_FILE);
-    match std::fs::remove_file(&path) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(StoreError::Io(format!("{}: {e}", path.display()))),
-    }
-    let rows_copied = st.migration.as_ref().expect("caller checked").rows_copied;
-    st.migration = None;
+    remove_journal(&inner.dir)?;
     inner.obs().incr("cfstore.reshard.completions", 1);
     Ok(ReshardStatus {
-        epoch,
+        epoch: m.epoch,
         phase: ReshardPhase::Done,
         units_total: active.shards,
         units_copied: active.shards,
-        rows_copied,
+        rows_copied: m.rows_copied,
     })
 }
 
@@ -1135,43 +1183,35 @@ fn gc_step(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardStatus, 
 /// each. Also flushes so no shard's WAL still holds frames naming
 /// participants outside the new topology as unflushed state.
 fn prune_to_ownership(st: &mut GlobalState, topo: &Topology) -> Result<(), StoreError> {
-    let schemas = st.schemas.clone();
-    for g in 0..topo.shards {
-        for table in schemas.keys() {
-            let held = st.shards[g as usize].export_table_rows(table)?;
-            let keep: BTreeMap<Bytes, RowData> = held
-                .into_iter()
-                .filter(|(row, _)| topo.owns(g, row))
-                .collect();
-            st.shards[g as usize].heal_table(table, keep)?;
+    for (g, shard) in st.shards[..topo.shards as usize].iter().enumerate() {
+        for table in st.schemas.keys() {
+            let mut keep = shard.export_table_rows(table)?;
+            keep.retain(|row, _| topo.owns(g as u32, row));
+            shard.install_table_rows(table, keep, Install::Replace)?;
         }
-        st.shards[g as usize].flush()?;
+        shard.flush()?;
     }
     Ok(())
+}
+
+fn store_io(path: &Path, e: std::io::Error) -> StoreError {
+    StoreError::Io(format!("{}: {e}", path.display()))
+}
+
+/// Delete the journal: the last act of a finished or aborted migration.
+fn remove_journal(dir: &Path) -> Result<(), StoreError> {
+    let path = dir.join(TOPOLOGY_FILE);
+    remove_if_present(&path, |p| std::fs::remove_file(p)).map_err(|e| store_io(&path, e))
 }
 
 /// Delete any `shard-NNN` directory with `NNN ≥ keep` (dropped by a
 /// shrink, or created by an aborted grow). Idempotent.
 fn remove_extra_shard_dirs(dir: &Path, keep: u32) -> Result<(), StoreError> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| StoreError::Io(format!("{}: {e}", dir.display())))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| StoreError::Io(format!("{}: {e}", dir.display())))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(id) = name
-            .strip_prefix("shard-")
-            .and_then(|s| s.parse::<u32>().ok())
-        else {
-            continue;
-        };
-        if id >= keep {
+    for entry in std::fs::read_dir(dir).map_err(|e| store_io(dir, e))? {
+        let entry = entry.map_err(|e| store_io(dir, e))?;
+        if shard_dir_id(&entry.file_name()).is_some_and(|id| id >= keep) {
             let p = entry.path();
-            match std::fs::remove_dir_all(&p) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(StoreError::Io(format!("{}: {e}", p.display()))),
-            }
+            remove_if_present(&p, |p| std::fs::remove_dir_all(p)).map_err(|e| store_io(&p, e))?;
         }
     }
     Ok(())

@@ -32,9 +32,10 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::{BlockCache, BlockCacheStats};
 use crate::filter::Filter;
+use crate::flusher::Flusher;
 use crate::kv::{Put, RowResult};
 use crate::recovery::{self, Manifest, ManifestTable, RecoveryError, RecoveryReport};
-use crate::region::{KeyRange, Region, ScanMetrics};
+use crate::region::{KeyRange, Region, RowData, ScanMetrics};
 use crate::segment::{self, SegmentError};
 use crate::wal::{CrashSpec, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE};
 
@@ -209,6 +210,20 @@ pub(crate) enum ShardOp {
     },
 }
 
+/// What [`MiniStore::install_table_rows`] does to the rows a table
+/// already holds. Two semantics, each with its own callers — not a knob:
+/// a heal, rebuild or prune must *drop* whatever the region held (the
+/// base is corrupt, or the rows are no longer owned), while a reshard
+/// copy must *keep* it (the target already holds dual-applied writes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Install {
+    /// The given rows become the table's entire contents, installed
+    /// without reading the current (possibly corrupt) base.
+    Replace,
+    /// The given rows overwrite their own keys; every other row stays.
+    Merge,
+}
+
 /// The durable half of a store: the WAL writer plus flush bookkeeping.
 /// All durable mutations lock this, so WAL order == apply order.
 struct DurableState {
@@ -253,21 +268,8 @@ impl Default for StoreOptions {
     }
 }
 
-/// Wake-up state shared between writers and the background flusher.
-#[derive(Default)]
-struct FlushSignal {
-    flush_pending: bool,
-    shutdown: bool,
-}
-
-/// std primitives here (not `parking_lot`) because the wake-up needs a
-/// condition variable paired with its mutex.
-struct FlusherShared {
-    signal: std::sync::Mutex<FlushSignal>,
-    cv: std::sync::Condvar,
-}
-
-/// Everything the store owns, shareable with the background flusher.
+/// Everything the store owns, shareable with the background flusher
+/// (which needs exactly [`StoreInner::flush`] and [`StoreInner::obs`]).
 struct StoreInner {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
     clock: AtomicU64,
@@ -285,10 +287,6 @@ struct StoreInner {
     /// `Some` when the store is backed by a directory (WAL + segments);
     /// `None` for the classic in-memory store.
     durable: Option<Mutex<DurableState>>,
-    /// WAL-growth threshold that triggers a background flush.
-    background_flush_wal_bytes: Option<u64>,
-    /// Present iff a background flusher thread is running.
-    flush_shared: Option<Arc<FlusherShared>>,
 }
 
 /// The miniature column-family store. A thin handle around the shared
@@ -296,30 +294,10 @@ struct StoreInner {
 /// background flusher (when one is configured).
 pub struct MiniStore {
     inner: Arc<StoreInner>,
-    flusher: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The background flusher: wait for a WAL-growth signal, run the same
-/// compacting flush a caller would, repeat. Flush failures (an injected
-/// crash point, real I/O trouble) poison the store for writers exactly
-/// as a foreground flush would; the flusher just waits for the next
-/// signal (which a poisoned store never sends).
-fn flusher_loop(inner: Arc<StoreInner>, shared: Arc<FlusherShared>) {
-    loop {
-        {
-            let mut g = shared.signal.lock().expect("flusher signal lock");
-            while !g.flush_pending && !g.shutdown {
-                g = shared.cv.wait(g).expect("flusher signal wait");
-            }
-            if g.shutdown {
-                return;
-            }
-            g.flush_pending = false;
-        }
-        if inner.flush().is_ok() {
-            inner.obs().incr("cfstore.flush.background", 1);
-        }
-    }
+    /// The WAL-growth threshold that wakes the background flusher, and
+    /// the flusher: wait for the wake-up, run the same compacting flush
+    /// a caller would, repeat.
+    flusher: Option<(u64, Flusher)>,
 }
 
 impl MiniStore {
@@ -334,8 +312,6 @@ impl MiniStore {
                 obs: RwLock::new(obs::Registry::disabled()),
                 cache: Arc::new(BlockCache::new(0)),
                 durable: None,
-                background_flush_wal_bytes: None,
-                flush_shared: None,
             }),
             flusher: None,
         }
@@ -415,12 +391,6 @@ impl MiniStore {
                 }),
             );
         }
-        let flush_shared = opts.background_flush_wal_bytes.map(|_| {
-            Arc::new(FlusherShared {
-                signal: std::sync::Mutex::new(FlushSignal::default()),
-                cv: std::sync::Condvar::new(),
-            })
-        });
         let inner = Arc::new(StoreInner {
             tables: RwLock::new(tables),
             clock: AtomicU64::new(state.clock),
@@ -434,15 +404,15 @@ impl MiniStore {
                 generation: state.generation,
                 wal_bytes_at_reset,
             })),
-            background_flush_wal_bytes: opts.background_flush_wal_bytes,
-            flush_shared: flush_shared.clone(),
         });
-        let flusher = flush_shared.map(|shared| {
+        let flusher = opts.background_flush_wal_bytes.map(|threshold| {
             let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("cfstore-flusher".to_string())
-                .spawn(move || flusher_loop(inner, shared))
-                .expect("spawn background flusher")
+            let work = move || {
+                if inner.flush().is_ok() {
+                    inner.obs().incr("cfstore.flush.background", 1);
+                }
+            };
+            (threshold, Flusher::spawn("cfstore-flusher", work))
         });
         Ok((MiniStore { inner, flusher }, report))
     }
@@ -479,54 +449,10 @@ impl MiniStore {
         self.create_table_with_threshold(name, families, DEFAULT_SPLIT_THRESHOLD)
     }
 
-    /// Create a table with a custom region-split threshold (used by the
-    /// store-scalability benchmarks).
-    pub fn create_table_with_threshold(
-        &self,
-        name: &str,
-        families: &[&str],
-        split_threshold: usize,
-    ) -> Result<(), StoreError> {
-        self.inner
-            .create_table_with_threshold(name, families, split_threshold)
-    }
-
     /// Write one cell. In durable mode the cell is WAL-logged (and, under
     /// [`SyncPolicy::EveryOp`], durable) before it becomes visible.
     pub fn put(&self, table: &str, put: Put) -> Result<(), StoreError> {
         self.put_batch(table, vec![put])
-    }
-
-    /// Write a batch of cells as one atomic unit: in durable mode the
-    /// whole batch is a single WAL frame, so recovery replays all of it
-    /// or none of it — multi-row values (a whole profile) never reappear
-    /// half-written after a crash.
-    pub fn put_batch(&self, table: &str, puts: Vec<Put>) -> Result<(), StoreError> {
-        self.inner.put_batch(table, puts)
-    }
-
-    /// Read one row (checksum-verified).
-    pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
-        self.inner.get(table, row)
-    }
-
-    /// Chaos hook: corrupt the latest version of one stored cell in place
-    /// (bit-flip without a checksum update), so the next read of that row
-    /// fails with [`StoreError::Corruption`]. Returns whether a cell was
-    /// actually hit.
-    pub fn corrupt_cell(
-        &self,
-        table: &str,
-        row: &[u8],
-        family: &str,
-        column: &[u8],
-    ) -> Result<bool, StoreError> {
-        self.inner.corrupt_cell(table, row, family, column)
-    }
-
-    /// Delete one row.
-    pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
-        self.inner.delete_row(table, row)
     }
 
     /// Flush dirty regions to immutable segment files and swap the
@@ -536,99 +462,6 @@ impl MiniStore {
     /// in-memory stores.
     pub fn flush(&self) -> Result<(), StoreError> {
         self.inner.flush()
-    }
-
-    /// Scan with server-side filtering; regions are scanned in parallel
-    /// (one logical region server each) and results merged in key order.
-    pub fn scan(
-        &self,
-        table: &str,
-        scan: &Scan,
-    ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        self.inner.scan(table, scan)
-    }
-
-    /// The META catalog: one entry per region, keyed like §5.2.2 describes.
-    pub fn meta_entries(&self) -> Vec<MetaEntry> {
-        self.inner.meta_entries()
-    }
-
-    /// Number of regions backing a table.
-    pub fn region_count(&self, table: &str) -> Result<usize, StoreError> {
-        self.inner.region_count(table)
-    }
-
-    // ---- sharded-mode support (crate-internal, driven by `shard.rs`) ----
-
-    /// Lower a cross-shard batch to WAL records (marker first) and append
-    /// them as one frame at `lsn_base = gsn * LSN_STRIDE`. Only the log is
-    /// touched — the sharded store appends to *every* participant before
-    /// applying anywhere, so a torn append on a later participant leaves
-    /// no half-applied memory to undo. Returns the lowered records for
-    /// the apply stage.
-    pub(crate) fn append_sharded_frame(
-        &self,
-        lsn_base: u64,
-        gsn: u64,
-        participants: &[u32],
-        ops: &[ShardOp],
-    ) -> Result<Vec<WalRecord>, StoreError> {
-        self.inner
-            .append_sharded_frame(lsn_base, gsn, participants, ops)
-    }
-
-    /// Apply the records of an already-appended sharded frame to memory,
-    /// running the usual split check afterwards (splits are WAL-logged at
-    /// the LSNs following the frame, inside the same gsn stride).
-    pub(crate) fn apply_sharded_records(&self, records: &[WalRecord]) -> Result<(), StoreError> {
-        self.inner.apply_sharded_records(records)
-    }
-
-    /// Materialize every region that owns one of `rows`, surfacing any
-    /// segment corruption *before* a batch is framed.
-    pub(crate) fn prepare_rows(&self, table: &str, rows: &[Bytes]) -> Result<(), StoreError> {
-        self.inner.prepare_rows(table, rows)
-    }
-
-    /// Replace a table's contents wholesale with rows copied from a
-    /// healthy replica (see [`Region::install_rows`]); not WAL-logged —
-    /// the caller makes the repair durable with an immediate flush.
-    /// Returns the number of rows installed.
-    pub(crate) fn heal_table(
-        &self,
-        table: &str,
-        rows: BTreeMap<Bytes, crate::region::RowData>,
-    ) -> Result<u64, StoreError> {
-        self.inner.heal_table(table, rows)
-    }
-
-    /// Merge rows into a table *without* disturbing rows outside the
-    /// given set — the resharding copier installs a unit's backlog
-    /// while dual-applied writes the target already holds survive.
-    /// Like [`MiniStore::heal_table`], not WAL-logged; the caller
-    /// flushes immediately after. Returns the number of rows merged.
-    pub(crate) fn merge_table_rows(
-        &self,
-        table: &str,
-        rows: BTreeMap<Bytes, crate::region::RowData>,
-    ) -> Result<u64, StoreError> {
-        self.inner.merge_table_rows(table, rows)
-    }
-
-    /// Export a table's full contents — every row, every retained cell
-    /// version — verifying each version's checksum so a heal never copies
-    /// corruption from its donor.
-    pub(crate) fn export_table_rows(
-        &self,
-        table: &str,
-    ) -> Result<BTreeMap<Bytes, crate::region::RowData>, StoreError> {
-        self.inner.export_table_rows(table)
-    }
-
-    /// `(name, families, split_threshold)` for every table — the schema a
-    /// shard rebuild replays onto a fresh replacement shard.
-    pub(crate) fn table_schemas(&self) -> Vec<(String, Vec<String>, usize)> {
-        self.inner.table_schemas()
     }
 
     /// Current logical-clock value (the next timestamp this store would
@@ -662,27 +495,10 @@ impl MiniStore {
             .map(|m| m.lock().wal.bytes_written())
             .unwrap_or(0)
     }
-}
 
-impl Drop for MiniStore {
-    fn drop(&mut self) {
-        if let Some(handle) = self.flusher.take() {
-            if let Some(shared) = &self.inner.flush_shared {
-                shared.signal.lock().expect("flusher signal lock").shutdown = true;
-                shared.cv.notify_all();
-            }
-            let _ = handle.join();
-        }
-    }
-}
-
-impl StoreInner {
-    /// Snapshot the current registry (cheap: `Arc` clone).
-    fn obs(&self) -> obs::Registry {
-        self.obs.read().clone()
-    }
-
-    fn create_table_with_threshold(
+    /// Create a table with a custom region-split threshold (used by the
+    /// store-scalability benchmarks).
+    pub fn create_table_with_threshold(
         &self,
         name: &str,
         families: &[&str],
@@ -690,12 +506,12 @@ impl StoreInner {
     ) -> Result<(), StoreError> {
         // Lock order everywhere: durable state first, then the catalog,
         // then region internals — so flushes and mutations never deadlock.
-        let mut durable = self.durable.as_ref().map(|m| m.lock());
-        let mut tables = self.tables.write();
+        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let mut tables = self.inner.tables.write();
         if tables.contains_key(name) {
             return Err(StoreError::TableExists(name.to_string()));
         }
-        let root_region_id = self.next_region_id.fetch_add(1, Ordering::Relaxed);
+        let root_region_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = durable.as_mut() {
             d.wal.append(&[WalRecord::CreateTable {
                 name: name.to_string(),
@@ -717,15 +533,20 @@ impl StoreInner {
     }
 
     fn table(&self, name: &str) -> Result<Arc<Table>, StoreError> {
-        self.tables
+        self.inner
+            .tables
             .read()
             .get(name)
             .cloned()
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))
     }
 
-    fn put_batch(&self, table: &str, puts: Vec<Put>) -> Result<(), StoreError> {
-        self.obs().incr("cfstore.puts", puts.len() as u64);
+    /// Write a batch of cells as one atomic unit: in durable mode the
+    /// whole batch is a single WAL frame, so recovery replays all of it
+    /// or none of it — multi-row values (a whole profile) never reappear
+    /// half-written after a crash.
+    pub fn put_batch(&self, table: &str, puts: Vec<Put>) -> Result<(), StoreError> {
+        self.inner.obs().incr("cfstore.puts", puts.len() as u64);
         let t = self.table(table)?;
         for put in &puts {
             if !t.families.iter().any(|f| f == &put.family) {
@@ -735,46 +556,32 @@ impl StoreInner {
                 });
             }
         }
-        let mut durable = self.durable.as_ref().map(|m| m.lock());
-        let mut stamped = Vec::with_capacity(puts.len());
+        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let stamp = |put| (put, self.inner.clock.fetch_add(1, Ordering::Relaxed));
+        let stamped: Vec<(Put, u64)> = puts.into_iter().map(stamp).collect();
         if let Some(d) = durable.as_mut() {
             // Log-then-apply: stamp every cell, frame the whole batch,
             // and only touch memory once the log accepted it. A torn
             // frame means the caller never saw an ack and recovery drops
             // the tail — nothing to undo.
-            let mut records = Vec::with_capacity(puts.len());
-            for put in puts {
-                let ts = self.clock.fetch_add(1, Ordering::Relaxed);
-                records.push(WalRecord::Put {
-                    table: table.to_string(),
-                    row: put.row.clone(),
-                    family: put.family.clone(),
-                    column: put.column.clone(),
-                    value: put.value.clone(),
-                    timestamp: ts,
-                });
-                stamped.push((put, ts));
-            }
-            d.wal.append(&records)?;
+            let record = |(put, ts): &(Put, u64)| WalRecord::Put {
+                table: table.to_string(),
+                row: put.row.clone(),
+                family: put.family.clone(),
+                column: put.column.clone(),
+                value: put.value.clone(),
+                timestamp: *ts,
+            };
+            d.wal
+                .append(&stamped.iter().map(record).collect::<Vec<_>>())?;
             // Wake the background flusher once the WAL has grown past
             // the configured threshold since the last flush. Signalled
             // under the durable lock (the flusher blocks on it), so the
             // wake-up cannot race a concurrent flush's reset.
-            if let (Some(threshold), Some(shared)) =
-                (self.background_flush_wal_bytes, &self.flush_shared)
-            {
-                if d.wal.bytes_written() - d.wal_bytes_at_reset >= threshold {
-                    let mut g = shared.signal.lock().expect("flusher signal lock");
-                    if !g.flush_pending {
-                        g.flush_pending = true;
-                        shared.cv.notify_one();
-                    }
+            if let Some((threshold, flusher)) = &self.flusher {
+                if d.wal.bytes_written() - d.wal_bytes_at_reset >= *threshold {
+                    flusher.wake();
                 }
-            }
-        } else {
-            for put in puts {
-                let ts = self.clock.fetch_add(1, Ordering::Relaxed);
-                stamped.push((put, ts));
             }
         }
         let mut touched: Vec<Arc<Region>> = Vec::new();
@@ -828,7 +635,7 @@ impl StoreInner {
         let Some(split_key) = region.median_key() else {
             return Ok(());
         };
-        let new_id = self.next_region_id.fetch_add(1, Ordering::Relaxed);
+        let new_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = durable {
             d.wal.append(&[WalRecord::RegionSplit {
                 table: table.to_string(),
@@ -845,7 +652,7 @@ impl StoreInner {
             .position(|r| r.id == region.id)
             .expect("region still registered");
         regions.insert(pos + 1, Arc::new(upper));
-        let obs = self.obs();
+        let obs = self.inner.obs();
         obs.event(
             "cfstore.region.split",
             &[
@@ -858,8 +665,9 @@ impl StoreInner {
         Ok(())
     }
 
-    fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
-        let obs = self.obs();
+    /// Read one row (checksum-verified).
+    pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
+        let obs = self.inner.obs();
         obs.incr("cfstore.gets", 1);
         let t = self.table(table)?;
         let regions = t.regions.read();
@@ -873,7 +681,11 @@ impl StoreInner {
         Ok(result)
     }
 
-    fn corrupt_cell(
+    /// Chaos hook: corrupt the latest version of one stored cell in place
+    /// (bit-flip without a checksum update), so the next read of that row
+    /// fails with [`StoreError::Corruption`]. Returns whether a cell was
+    /// actually hit.
+    pub fn corrupt_cell(
         &self,
         table: &str,
         row: &[u8],
@@ -887,15 +699,21 @@ impl StoreInner {
             .any(|r| r.contains_key(row) && r.corrupt_cell(row, family, column)))
     }
 
-    fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
+    /// Delete one row.
+    pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
         let t = self.table(table)?;
-        let mut durable = self.durable.as_ref().map(|m| m.lock());
+        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
         if let Some(d) = durable.as_mut() {
             d.wal.append(&[WalRecord::DeleteRow {
                 table: table.to_string(),
                 row: Bytes::copy_from_slice(row),
             }])?;
         }
+        Self::remove_row(&t, row)
+    }
+
+    /// Remove a row from the region owning it; whether it existed.
+    fn remove_row(t: &Table, row: &[u8]) -> Result<bool, StoreError> {
         loop {
             let region = {
                 let regions = t.regions.read();
@@ -909,6 +727,353 @@ impl StoreInner {
                 return Ok(existed);
             }
         }
+    }
+
+    /// Scan with server-side filtering; regions are scanned in parallel
+    /// (one logical region server each) and results merged in key order.
+    pub fn scan(
+        &self,
+        table: &str,
+        scan: &Scan,
+    ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
+        let t = self.table(table)?;
+        let regions: Vec<Arc<Region>> = {
+            let guard = t.regions.read();
+            guard
+                .iter()
+                .filter(|r| range_overlaps(&r.range(), &scan.start, scan.stop.as_deref()))
+                .cloned()
+                .collect()
+        };
+        let filter = scan.filter.as_deref();
+        let mut partials: Vec<(Vec<RowResult>, ScanMetrics)> = Vec::with_capacity(regions.len());
+        if regions.len() <= 1 {
+            for r in &regions {
+                partials.push(r.scan(&scan.start, scan.stop.as_deref(), filter)?);
+            }
+        } else {
+            let results = crossbeam::thread::scope(|s| {
+                let handles: Vec<_> = regions
+                    .iter()
+                    .map(|r| {
+                        let start = &scan.start;
+                        let stop = scan.stop.as_deref();
+                        s.spawn(move |_| r.scan(start, stop, filter))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("region scan panicked"))
+                    .collect::<Vec<_>>()
+            })
+            .expect("scan scope");
+            for result in results {
+                partials.push(result?);
+            }
+        }
+        // Per-region read-amplification counters (rows each region
+        // touched vs returned), recorded before the merge flattens the
+        // partials. Key formatting is gated so the disabled-registry
+        // fast path stays allocation-free.
+        let obs = self.inner.obs();
+        if obs.is_enabled() {
+            for (region, (_, m)) in regions.iter().zip(&partials) {
+                obs.incr(
+                    &format!("cfstore.region.{}.rows_scanned", region.id),
+                    m.rows_scanned,
+                );
+                obs.incr(
+                    &format!("cfstore.region.{}.rows_returned", region.id),
+                    m.rows_returned,
+                );
+            }
+        }
+        let mut rows = Vec::new();
+        let mut metrics = ScanMetrics::default();
+        for (mut part, m) in partials {
+            rows.append(&mut part);
+            metrics.merge(m);
+        }
+        rows.sort_by(|a, b| a.row.cmp(&b.row));
+        // Counters are recorded once per scan from the merged metrics, so
+        // parallel region scans never contend on the registry mutex.
+        obs.incr("cfstore.scans", 1);
+        obs.incr("cfstore.rows_scanned", metrics.rows_scanned);
+        obs.incr("cfstore.rows_returned", metrics.rows_returned);
+        obs.incr("cfstore.cells_verified", metrics.cells_scanned);
+        Ok((rows, metrics))
+    }
+
+    /// The META catalog: one entry per region, keyed like §5.2.2 describes.
+    pub fn meta_entries(&self) -> Vec<MetaEntry> {
+        let tables = self.inner.tables.read();
+        let mut entries = Vec::new();
+        for (name, t) in tables.iter() {
+            for r in t.regions.read().iter() {
+                entries.push(MetaEntry {
+                    table: name.clone(),
+                    start_key: r.range().start.clone(),
+                    region_id: r.id,
+                    region_server: (r.id % self.inner.region_servers as u64) as u32,
+                });
+            }
+        }
+        entries
+    }
+
+    /// Number of regions backing a table.
+    pub fn region_count(&self, table: &str) -> Result<usize, StoreError> {
+        Ok(self.table(table)?.regions.read().len())
+    }
+
+    // ---- sharded-mode support (crate-internal, driven by `shard.rs`) ----
+
+    /// Lower a cross-shard batch to WAL records (marker first) and append
+    /// them as one frame at `lsn_base = gsn * LSN_STRIDE`. Only the log is
+    /// touched — the sharded store appends to *every* participant before
+    /// applying anywhere, so a torn append on a later participant leaves
+    /// no half-applied memory to undo. Returns the lowered records for
+    /// the apply stage.
+    pub(crate) fn append_sharded_frame(
+        &self,
+        lsn_base: u64,
+        gsn: u64,
+        participants: &[u32],
+        ops: &[ShardOp],
+    ) -> Result<Vec<WalRecord>, StoreError> {
+        let mut records = Vec::with_capacity(ops.len() + 1);
+        records.push(WalRecord::BatchMarker {
+            gsn,
+            participants: participants.to_vec(),
+        });
+        for op in ops {
+            records.push(match op {
+                ShardOp::CreateTable {
+                    name,
+                    families,
+                    split_threshold,
+                } => WalRecord::CreateTable {
+                    name: name.clone(),
+                    families: families.clone(),
+                    split_threshold: *split_threshold,
+                    root_region_id: self.inner.next_region_id.fetch_add(1, Ordering::Relaxed),
+                },
+                ShardOp::Put {
+                    table,
+                    put,
+                    timestamp,
+                } => WalRecord::Put {
+                    table: table.clone(),
+                    row: put.row.clone(),
+                    family: put.family.clone(),
+                    column: put.column.clone(),
+                    value: put.value.clone(),
+                    timestamp: *timestamp,
+                },
+                ShardOp::DeleteRow { table, row } => WalRecord::DeleteRow {
+                    table: table.clone(),
+                    row: row.clone(),
+                },
+            });
+        }
+        let mut d = self
+            .inner
+            .durable
+            .as_ref()
+            .expect("sharded shards are always durable")
+            .lock();
+        d.wal.append_at(lsn_base, &records)?;
+        Ok(records)
+    }
+
+    /// Apply the records of an already-appended sharded frame to memory,
+    /// running the usual split check afterwards (splits are WAL-logged at
+    /// the LSNs following the frame, inside the same gsn stride). The
+    /// batch path promoted every target region *before* the frame was
+    /// appended anywhere ([`MiniStore::prepare_rows`]), so nothing here
+    /// can fail with a corruption error; the only fallible part is
+    /// WAL-logging a split this batch triggers, and by then the frame is
+    /// durable on every participant — recovery replays it whole.
+    pub(crate) fn apply_sharded_records(&self, records: &[WalRecord]) -> Result<(), StoreError> {
+        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let mut touched: Vec<(String, Arc<Table>, Arc<Region>)> = Vec::new();
+        let mut puts = 0u64;
+        for record in records {
+            match record {
+                WalRecord::BatchMarker { .. } => {}
+                WalRecord::CreateTable {
+                    name,
+                    families,
+                    split_threshold,
+                    root_region_id,
+                } => {
+                    let mut tables = self.inner.tables.write();
+                    if tables.contains_key(name) {
+                        return Err(StoreError::TableExists(name.clone()));
+                    }
+                    let region = Arc::new(Region::new(*root_region_id, KeyRange::all()));
+                    tables.insert(
+                        name.clone(),
+                        Arc::new(Table {
+                            families: families.clone(),
+                            regions: RwLock::new(vec![region]),
+                            split_threshold: *split_threshold as usize,
+                        }),
+                    );
+                }
+                WalRecord::Put {
+                    table,
+                    row,
+                    family,
+                    column,
+                    value,
+                    timestamp,
+                } => {
+                    puts += 1;
+                    // Keep the shard's own clock (and therefore its
+                    // manifest's clock field) ahead of every globally
+                    // stamped timestamp it stores, so a reopened sharded
+                    // store resumes its global clock correctly even when
+                    // every frame was flushed out of the WALs.
+                    self.inner
+                        .clock
+                        .fetch_max(*timestamp + 1, Ordering::Relaxed);
+                    let t = self.table(table)?;
+                    let put = Put {
+                        row: row.clone(),
+                        family: family.clone(),
+                        column: column.clone(),
+                        value: value.clone(),
+                    };
+                    let region = Self::apply_put(&t, put, *timestamp)?;
+                    if !touched
+                        .iter()
+                        .any(|(name, _, r)| name == table && r.id == region.id)
+                    {
+                        touched.push((table.clone(), t, region));
+                    }
+                }
+                WalRecord::DeleteRow { table, row } => {
+                    Self::remove_row(&*self.table(table)?, row)?;
+                }
+                WalRecord::RegionSplit { .. } => {
+                    debug_assert!(false, "sharded frames never carry split records");
+                }
+            }
+        }
+        for (name, t, region) in touched {
+            if region.row_count() > t.split_threshold {
+                self.split_region(&name, &t, &region, durable.as_deref_mut())?;
+            }
+        }
+        if puts > 0 {
+            self.inner.obs().incr("cfstore.puts", puts);
+        }
+        Ok(())
+    }
+
+    /// Materialize every region that owns one of `rows`, surfacing any
+    /// segment corruption *before* a batch is framed.
+    pub(crate) fn prepare_rows(&self, table: &str, rows: &[Bytes]) -> Result<(), StoreError> {
+        let t = self.table(table)?;
+        let regions = t.regions.read();
+        for row in rows {
+            if let Some(r) = regions.iter().find(|r| r.contains_key(row)) {
+                r.prepare_for_write()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Install rows copied from healthy replicas into a table, region by
+    /// region ([`Region::install_rows`]) — wholesale or merged, per
+    /// [`Install`]. Not WAL-logged (a replay would try to promote the
+    /// corrupt base a heal is replacing): the caller makes it durable
+    /// with an immediate flush. Returns the number of rows installed.
+    pub(crate) fn install_table_rows(
+        &self,
+        table: &str,
+        rows: BTreeMap<Bytes, RowData>,
+        how: Install,
+    ) -> Result<u64, StoreError> {
+        let t = self.table(table)?;
+        // Hold the durable lock so no flush snapshots a half-installed
+        // table.
+        let _durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let regions = t.regions.read();
+        let installed = rows.len() as u64;
+        for region in regions.iter() {
+            let range = region.range();
+            let lower = std::ops::Bound::Included(range.start.clone());
+            let upper = match &range.end {
+                Some(end) => std::ops::Bound::Excluded(end.clone()),
+                None => std::ops::Bound::Unbounded,
+            };
+            let mine: BTreeMap<Bytes, RowData> = rows
+                .range::<Bytes, _>((lower, upper))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            match how {
+                Install::Replace => region.install_rows(mine),
+                Install::Merge if mine.is_empty() => {}
+                Install::Merge => {
+                    let mut all = region.export_rows()?;
+                    all.extend(mine);
+                    region.install_rows(all);
+                }
+            }
+        }
+        Ok(installed)
+    }
+
+    /// Export a table's full contents — every row, every retained cell
+    /// version — verifying each version's checksum so a heal never copies
+    /// corruption from its donor.
+    pub(crate) fn export_table_rows(
+        &self,
+        table: &str,
+    ) -> Result<BTreeMap<Bytes, RowData>, StoreError> {
+        let t = self.table(table)?;
+        let regions: Vec<Arc<Region>> = t.regions.read().iter().cloned().collect();
+        let mut out = BTreeMap::new();
+        for r in regions {
+            for (key, data) in r.export_rows()? {
+                // A heal donor must be provably clean: verify *every*
+                // retained version, not just the latest a read would
+                // check, so corruption never propagates between replicas.
+                for cols in data.values() {
+                    for (col, versions) in cols {
+                        for v in versions {
+                            if !v.verify() {
+                                return Err(StoreError::Corruption {
+                                    row: String::from_utf8_lossy(&key).into_owned(),
+                                    column: String::from_utf8_lossy(col).into_owned(),
+                                });
+                            }
+                        }
+                    }
+                }
+                out.insert(key, data);
+            }
+        }
+        Ok(out)
+    }
+
+    /// `table → (families, split_threshold)` — the schemas a shard rebuild
+    /// replays onto a fresh replacement shard.
+    pub(crate) fn table_schemas(&self) -> crate::shard::Schemas {
+        let tables = self.inner.tables.read();
+        let schema = |(name, t): (&String, &Arc<Table>)| {
+            (name.clone(), (t.families.clone(), t.split_threshold))
+        };
+        tables.iter().map(schema).collect()
+    }
+}
+
+impl StoreInner {
+    /// Snapshot the current registry (cheap: `Arc` clone).
+    fn obs(&self) -> obs::Registry {
+        self.obs.read().clone()
     }
 
     /// The compacting flush (DESIGN.md §12): rewrite only *dirty*
@@ -1019,355 +1184,6 @@ impl StoreInner {
         obs.incr("cfstore.flush.segments_written", written);
         obs.incr("cfstore.flush.segments_reused", reused);
         Ok(())
-    }
-
-    fn scan(&self, table: &str, scan: &Scan) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let t = self.table(table)?;
-        let regions: Vec<Arc<Region>> = {
-            let guard = t.regions.read();
-            guard
-                .iter()
-                .filter(|r| range_overlaps(&r.range(), &scan.start, scan.stop.as_deref()))
-                .cloned()
-                .collect()
-        };
-        let filter = scan.filter.as_deref();
-        let mut partials: Vec<(Vec<RowResult>, ScanMetrics)> = Vec::with_capacity(regions.len());
-        if regions.len() <= 1 {
-            for r in &regions {
-                partials.push(r.scan(&scan.start, scan.stop.as_deref(), filter)?);
-            }
-        } else {
-            let results = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = regions
-                    .iter()
-                    .map(|r| {
-                        let start = &scan.start;
-                        let stop = scan.stop.as_deref();
-                        s.spawn(move |_| r.scan(start, stop, filter))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("region scan panicked"))
-                    .collect::<Vec<_>>()
-            })
-            .expect("scan scope");
-            for result in results {
-                partials.push(result?);
-            }
-        }
-        // Per-region read-amplification counters (rows each region
-        // touched vs returned), recorded before the merge flattens the
-        // partials. Key formatting is gated so the disabled-registry
-        // fast path stays allocation-free.
-        let obs = self.obs();
-        if obs.is_enabled() {
-            for (region, (_, m)) in regions.iter().zip(&partials) {
-                obs.incr(
-                    &format!("cfstore.region.{}.rows_scanned", region.id),
-                    m.rows_scanned,
-                );
-                obs.incr(
-                    &format!("cfstore.region.{}.rows_returned", region.id),
-                    m.rows_returned,
-                );
-            }
-        }
-        let mut rows = Vec::new();
-        let mut metrics = ScanMetrics::default();
-        for (mut part, m) in partials {
-            rows.append(&mut part);
-            metrics.merge(m);
-        }
-        rows.sort_by(|a, b| a.row.cmp(&b.row));
-        // Counters are recorded once per scan from the merged metrics, so
-        // parallel region scans never contend on the registry mutex.
-        obs.incr("cfstore.scans", 1);
-        obs.incr("cfstore.rows_scanned", metrics.rows_scanned);
-        obs.incr("cfstore.rows_returned", metrics.rows_returned);
-        obs.incr("cfstore.cells_verified", metrics.cells_scanned);
-        Ok((rows, metrics))
-    }
-
-    fn meta_entries(&self) -> Vec<MetaEntry> {
-        let tables = self.tables.read();
-        let mut entries = Vec::new();
-        for (name, t) in tables.iter() {
-            for r in t.regions.read().iter() {
-                entries.push(MetaEntry {
-                    table: name.clone(),
-                    start_key: r.range().start.clone(),
-                    region_id: r.id,
-                    region_server: (r.id % self.region_servers as u64) as u32,
-                });
-            }
-        }
-        entries
-    }
-
-    fn region_count(&self, table: &str) -> Result<usize, StoreError> {
-        Ok(self.table(table)?.regions.read().len())
-    }
-
-    // ---- sharded-mode support ----
-
-    fn append_sharded_frame(
-        &self,
-        lsn_base: u64,
-        gsn: u64,
-        participants: &[u32],
-        ops: &[ShardOp],
-    ) -> Result<Vec<WalRecord>, StoreError> {
-        let mut records = Vec::with_capacity(ops.len() + 1);
-        records.push(WalRecord::BatchMarker {
-            gsn,
-            participants: participants.to_vec(),
-        });
-        for op in ops {
-            records.push(match op {
-                ShardOp::CreateTable {
-                    name,
-                    families,
-                    split_threshold,
-                } => WalRecord::CreateTable {
-                    name: name.clone(),
-                    families: families.clone(),
-                    split_threshold: *split_threshold,
-                    root_region_id: self.next_region_id.fetch_add(1, Ordering::Relaxed),
-                },
-                ShardOp::Put {
-                    table,
-                    put,
-                    timestamp,
-                } => WalRecord::Put {
-                    table: table.clone(),
-                    row: put.row.clone(),
-                    family: put.family.clone(),
-                    column: put.column.clone(),
-                    value: put.value.clone(),
-                    timestamp: *timestamp,
-                },
-                ShardOp::DeleteRow { table, row } => WalRecord::DeleteRow {
-                    table: table.clone(),
-                    row: row.clone(),
-                },
-            });
-        }
-        let mut d = self
-            .durable
-            .as_ref()
-            .expect("sharded shards are always durable")
-            .lock();
-        d.wal.append_at(lsn_base, &records)?;
-        Ok(records)
-    }
-
-    /// Apply an already-logged sharded frame. The batch path promoted
-    /// every target region *before* the frame was appended anywhere
-    /// ([`StoreInner::prepare_rows`]), so nothing here can fail with a
-    /// corruption error; the only fallible part is WAL-logging a split
-    /// this batch triggers, and by then the frame is durable on every
-    /// participant — recovery replays it whole.
-    fn apply_sharded_records(&self, records: &[WalRecord]) -> Result<(), StoreError> {
-        let mut durable = self.durable.as_ref().map(|m| m.lock());
-        let mut touched: Vec<(String, Arc<Table>, Arc<Region>)> = Vec::new();
-        let mut puts = 0u64;
-        for record in records {
-            match record {
-                WalRecord::BatchMarker { .. } => {}
-                WalRecord::CreateTable {
-                    name,
-                    families,
-                    split_threshold,
-                    root_region_id,
-                } => {
-                    let mut tables = self.tables.write();
-                    if tables.contains_key(name) {
-                        return Err(StoreError::TableExists(name.clone()));
-                    }
-                    let region = Arc::new(Region::new(*root_region_id, KeyRange::all()));
-                    tables.insert(
-                        name.clone(),
-                        Arc::new(Table {
-                            families: families.clone(),
-                            regions: RwLock::new(vec![region]),
-                            split_threshold: *split_threshold as usize,
-                        }),
-                    );
-                }
-                WalRecord::Put {
-                    table,
-                    row,
-                    family,
-                    column,
-                    value,
-                    timestamp,
-                } => {
-                    puts += 1;
-                    // Keep the shard's own clock (and therefore its
-                    // manifest's clock field) ahead of every globally
-                    // stamped timestamp it stores, so a reopened sharded
-                    // store resumes its global clock correctly even when
-                    // every frame was flushed out of the WALs.
-                    self.clock.fetch_max(*timestamp + 1, Ordering::Relaxed);
-                    let t = self.table(table)?;
-                    let put = Put {
-                        row: row.clone(),
-                        family: family.clone(),
-                        column: column.clone(),
-                        value: value.clone(),
-                    };
-                    let region = Self::apply_put(&t, put, *timestamp)?;
-                    if !touched
-                        .iter()
-                        .any(|(name, _, r)| name == table && r.id == region.id)
-                    {
-                        touched.push((table.clone(), t, region));
-                    }
-                }
-                WalRecord::DeleteRow { table, row } => {
-                    let t = self.table(table)?;
-                    loop {
-                        let region = {
-                            let regions = t.regions.read();
-                            regions.iter().find(|r| r.contains_key(row)).cloned()
-                        };
-                        let Some(region) = region else {
-                            break;
-                        };
-                        if region.delete_row(row)?.is_some() {
-                            break;
-                        }
-                    }
-                }
-                WalRecord::RegionSplit { .. } => {
-                    debug_assert!(false, "sharded frames never carry split records");
-                }
-            }
-        }
-        for (name, t, region) in touched {
-            if region.row_count() > t.split_threshold {
-                self.split_region(&name, &t, &region, durable.as_deref_mut())?;
-            }
-        }
-        if puts > 0 {
-            self.obs().incr("cfstore.puts", puts);
-        }
-        Ok(())
-    }
-
-    fn prepare_rows(&self, table: &str, rows: &[Bytes]) -> Result<(), StoreError> {
-        let t = self.table(table)?;
-        let regions = t.regions.read();
-        for row in rows {
-            if let Some(r) = regions.iter().find(|r| r.contains_key(row)) {
-                r.prepare_for_write()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn heal_table(
-        &self,
-        table: &str,
-        rows: BTreeMap<Bytes, crate::region::RowData>,
-    ) -> Result<u64, StoreError> {
-        let t = self.table(table)?;
-        // Hold the durable lock so no flush snapshots a half-installed
-        // table; the heal itself is deliberately *not* WAL-logged (a
-        // replay would try to promote the corrupt base this heal is
-        // replacing) — durability comes from the flush the caller runs
-        // right after.
-        let _durable = self.durable.as_ref().map(|m| m.lock());
-        let regions = t.regions.read();
-        let healed = rows.len() as u64;
-        for region in regions.iter() {
-            let range = region.range();
-            let lower = std::ops::Bound::Included(range.start.clone());
-            let upper = match &range.end {
-                Some(end) => std::ops::Bound::Excluded(end.clone()),
-                None => std::ops::Bound::Unbounded,
-            };
-            let mine: BTreeMap<Bytes, crate::region::RowData> = rows
-                .range::<Bytes, _>((lower, upper))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            region.install_rows(mine);
-        }
-        Ok(healed)
-    }
-
-    fn merge_table_rows(
-        &self,
-        table: &str,
-        rows: BTreeMap<Bytes, crate::region::RowData>,
-    ) -> Result<u64, StoreError> {
-        let t = self.table(table)?;
-        // Same durability story as heal_table: not WAL-logged, the
-        // caller flushes right after. Unlike a heal, existing rows
-        // outside `rows` survive — a migration target keeps its
-        // dual-applied writes while the copier installs the backlog.
-        let _durable = self.durable.as_ref().map(|m| m.lock());
-        let regions = t.regions.read();
-        let merged = rows.len() as u64;
-        for region in regions.iter() {
-            let range = region.range();
-            let lower = std::ops::Bound::Included(range.start.clone());
-            let upper = match &range.end {
-                Some(end) => std::ops::Bound::Excluded(end.clone()),
-                None => std::ops::Bound::Unbounded,
-            };
-            let mine: BTreeMap<Bytes, crate::region::RowData> = rows
-                .range::<Bytes, _>((lower, upper))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let mut all = region.export_rows()?;
-            all.extend(mine);
-            region.install_rows(all);
-        }
-        Ok(merged)
-    }
-
-    fn export_table_rows(
-        &self,
-        table: &str,
-    ) -> Result<BTreeMap<Bytes, crate::region::RowData>, StoreError> {
-        let t = self.table(table)?;
-        let regions: Vec<Arc<Region>> = t.regions.read().iter().cloned().collect();
-        let mut out = BTreeMap::new();
-        for r in regions {
-            for (key, data) in r.export_rows()? {
-                // A heal donor must be provably clean: verify *every*
-                // retained version, not just the latest a read would
-                // check, so corruption never propagates between replicas.
-                for cols in data.values() {
-                    for (col, versions) in cols {
-                        for v in versions {
-                            if !v.verify() {
-                                return Err(StoreError::Corruption {
-                                    row: String::from_utf8_lossy(&key).into_owned(),
-                                    column: String::from_utf8_lossy(col).into_owned(),
-                                });
-                            }
-                        }
-                    }
-                }
-                out.insert(key, data);
-            }
-        }
-        Ok(out)
-    }
-
-    fn table_schemas(&self) -> Vec<(String, Vec<String>, usize)> {
-        self.tables
-            .read()
-            .iter()
-            .map(|(name, t)| (name.clone(), t.families.clone(), t.split_threshold))
-            .collect()
     }
 }
 

@@ -105,6 +105,26 @@ if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | gre
 step "source gate (no shipped twins)"
 if nontest $(find crates -name '*.rs') | grep -E 'fn simulate_clean|use_columnar_index|fn predict_runtime_ms_unplanned|"legacy"'; then exit 1; fi
 
+# One of each mechanism in the shard layer (DESIGN.md §20): one flusher
+# (the only condition variable lives in flusher.rs), one installer, one
+# owned-row-set builder (the sole caller of `export_slot_from_peers`), no
+# catalog wrapper kept for its own test — and `store_fsck` takes its
+# sharded verdict from `ShardedStore::recovery_plan`: it neither parses
+# `shard-NNN` names nor resolves the journal itself.
+step "source gate (one of each in the shard layer)"
+cfstore_src=$(find crates/cfstore/src -name '*.rs')
+count() { nontest $cfstore_src | grep -cE "$1" || true; }
+if nontest $(find crates/cfstore/src -name '*.rs' ! -name flusher.rs) | grep -F 'Condvar'; then exit 1; fi
+if [ "$(count 'Condvar::new')" -gt 1 ]; then echo "more than one Condvar::new in cfstore"; exit 1; fi
+if [ "$(count 'fn .*flusher_loop|fn run_flusher')" -gt 1 ]; then echo "more than one flusher loop"; exit 1; fi
+if nontest $cfstore_src | grep -E 'fn heal_table|fn merge_table_rows|fn read_shards_file'; then exit 1; fi
+if [ "$(nontest $cfstore_src | grep -F 'export_slot_from_peers(' | grep -vcF 'fn export_slot_from_peers(')" -gt 1 ]; then
+  echo "export_slot_from_peers has more than one call site"; exit 1
+fi
+if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/fsck.rs; then exit 1; fi
+shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/cfstore/src/flusher.rs crates/bench/src/fsck.rs"
+shard_layer_lines=$(nontest $shard_layer_files | wc -l)
+
 # The benchmark harness at 1/20 scale: every workload, untraced and
 # traced, every output check on (benchmark/README.md). Catches a change
 # that breaks what BENCHMARK.json runs before the driver does.
@@ -123,4 +143,6 @@ for i in "${!step_names[@]}"; do
   printf '%6d  %s\n' "${step_secs[$i]}" "${step_names[$i]}"
 done
 printf '%6d  total\n' "$SECONDS"
+# Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16).
+printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + flusher.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 echo "CI OK"

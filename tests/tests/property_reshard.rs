@@ -21,7 +21,9 @@
 //! (f) **`store_fsck` exit codes**: 0 on resolvable intermediate
 //!     epochs, 3 on phantom/missing shard dirs, a corrupt journal
 //!     magic, or an unresolvable TOPOLOGY/SHARDS contradiction (the
-//!     torn-cutover case) — and `--repair` heals what recovery can.
+//!     torn-cutover case) — and `--repair` heals what recovery can. At
+//!     every crash point of (a) and (b), exit 0 ⇔ the reopen changes
+//!     nothing, journal bytes included.
 
 use std::path::{Path, PathBuf};
 
@@ -254,8 +256,24 @@ fn check_crash_point(
     let out = drive(&store, ops, plan);
     drop(store);
 
+    // `store_fsck` exits 0 exactly when the reopen changes nothing: no
+    // lost shard, no aborted batch, no dropped WAL byte, and not a byte
+    // of the journal truncated (or the whole never-begun file deleted).
+    let fsck = pstorm_bench::fsck::run(&dir, false);
+    let journal_before = std::fs::read(dir.join(TOPOLOGY_FILE)).ok();
     let (reopened, report) =
         ShardedStore::open_with_opts(&dir, opts(init.0, init.1)).expect("reopen after crash");
+    let unchanged = report.lost_shards.is_empty()
+        && report.aborted_batches == 0
+        && report.total.wal_bytes_dropped == 0
+        && std::fs::read(dir.join(TOPOLOGY_FILE)).ok() == journal_before;
+    assert_eq!(
+        fsck,
+        if unchanged { 0 } else { 3 },
+        "{tag}: fsck disagrees with the reopen ({} aborted, {} WAL byte(s) dropped)",
+        report.aborted_batches,
+        report.total.wal_bytes_dropped
+    );
     // A torn journal or WAL is never mistaken for shard loss, and at
     // most the single in-flight batch aborts.
     assert!(

@@ -22,9 +22,18 @@
 //! (d) **Matcher output is unchanged**: the same profiles stored in a
 //!     sharded store produce the same match as an unsharded store,
 //!     before and after killing each shard in turn.
+//! (e) **`store_fsck` and reopen agree**: at every crash point of (a),
+//!     and for an emptied shard directory and an uncommitted cross-shard
+//!     batch, `fsck::run(dir, false)` exits 0 exactly when the reopen
+//!     that follows changes nothing.
+//! (f) **The write path heals too**: a `put` whose target region sits on
+//!     a corrupt segment repairs the replica *before* any WAL byte is
+//!     appended — or, when the repair cannot be made durable, fails
+//!     without appending one.
 
 use cfstore::{
-    CrashSpec, MiniStore, Put, RowResult, Scan, ShardOptions, ShardedStore, StoreError, SyncPolicy,
+    CrashSpec, MiniStore, Put, RowResult, Scan, SegmentReader, ShardOptions, ShardedRecoveryReport,
+    ShardedStore, StoreError, SyncPolicy,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -166,6 +175,15 @@ fn oracle_prefixes(tag: &str, ops: &[Op]) -> Vec<Vec<RowResult>> {
     snaps
 }
 
+/// `store_fsck`'s contract (OPERATIONS.md): exit 0 means a `--repair`
+/// run — a reopen — would change nothing. This is what a reopen changing
+/// nothing looks like from its report.
+fn reopen_changed_nothing(report: &ShardedRecoveryReport) -> bool {
+    report.lost_shards.is_empty()
+        && report.aborted_batches == 0
+        && report.total.wal_bytes_dropped == 0
+}
+
 /// The core of the shard-kill sweep: crash shard `victim` after it wrote
 /// `crash_at` WAL bytes (background flusher racing), reopen the whole
 /// sharded store, and verify nothing acked was lost and nothing was torn.
@@ -201,8 +219,22 @@ fn check_shard_crash_point(
     }
     drop(store);
 
+    let fsck = pstorm_bench::fsck::run(&dir, false);
     let (reopened, report) =
         ShardedStore::open_with_opts(&dir, base_opts()).expect("reopen after shard crash");
+    assert_eq!(
+        fsck,
+        if reopen_changed_nothing(&report) {
+            0
+        } else {
+            3
+        },
+        "victim {victim} at byte {crash_at}: fsck disagrees with the reopen: {} lost, \
+         {} aborted, {} WAL byte(s) dropped",
+        report.lost_shards.len(),
+        report.aborted_batches,
+        report.total.wal_bytes_dropped
+    );
     // A crashed shard is torn, never *lost* — WAL truncation and the
     // commit rule reconcile it without a rebuild.
     assert!(
@@ -459,6 +491,28 @@ proptest! {
     }
 }
 
+/// Flip one byte in the middle of the largest flushed segment of a shard
+/// directory — it lands in a block body, which the lazy reopen does not
+/// read, so the corruption is found by the first *read* of that block,
+/// not by recovery. Returns the segment's path.
+fn rot_largest_segment(shard_dir: &Path) -> PathBuf {
+    let segment = std::fs::read_dir(shard_dir)
+        .expect("read shard dir")
+        .flatten()
+        .filter(|e| {
+            let n = e.file_name().to_string_lossy().into_owned();
+            n.starts_with("seg-") && n.ends_with(".seg")
+        })
+        .max_by_key(|e| e.metadata().map(|m| m.len()).unwrap_or(0))
+        .expect("the shard has a segment")
+        .path();
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&segment, &bytes).expect("write corrupt segment");
+    segment
+}
+
 /// On-disk segment corruption heals from a replica and *rewrites the bad
 /// copy*: flip a byte in the middle of a flushed segment file, scan, and
 /// the store serves bit-identical results while replacing the corrupt
@@ -480,25 +534,9 @@ fn corrupt_segment_on_disk_heals_from_replica_and_rewrites_bad_copy() {
     }
     let (store, _) = ShardedStore::open_with_opts(&dir, base_opts()).expect("clean reopen");
     let want = scan_all(&store);
-    // Pick the largest flushed segment of shard 0 — a mid-file flip
-    // lands in a block body, which the lazy reopen does not read (so the
-    // corruption is found by the *scan*, not by recovery).
     let shard_dir = store.shard_dir(0);
     drop(store);
-    let victim_seg = std::fs::read_dir(&shard_dir)
-        .expect("read shard dir")
-        .flatten()
-        .filter(|e| {
-            let n = e.file_name().to_string_lossy().into_owned();
-            n.starts_with("seg-") && n.ends_with(".seg")
-        })
-        .max_by_key(|e| e.metadata().map(|m| m.len()).unwrap_or(0))
-        .expect("shard 0 has a segment")
-        .path();
-    let mut bytes = std::fs::read(&victim_seg).expect("read segment");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&victim_seg, &bytes).expect("write corrupt segment");
+    let victim_seg = rot_largest_segment(&shard_dir);
 
     let reg = obs::Registry::new();
     let (store, report) =
@@ -533,6 +571,221 @@ fn corrupt_segment_on_disk_heals_from_replica_and_rewrites_bad_copy() {
         repairs_before,
         "heal must be durable — the second scan repaired again"
     );
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// (e) The two states `store_fsck` used to call clean while a reopen
+/// repaired them: a shard directory emptied in place (present, but no
+/// MANIFEST and no WAL among peers that have both), and a whole frame of
+/// a cross-shard batch on a survivor whose peer never logged it.
+#[test]
+fn fsck_flags_an_emptied_shard_dir_and_an_uncommitted_batch() {
+    use pstorm_bench::fsck;
+
+    let dir = tmp_dir("fsck-emptied");
+    init_store(&dir);
+    {
+        let store = open_sharded(&dir, base_opts());
+        for op in &workload(5, 30) {
+            apply_sharded(&store, op).expect("workload op");
+        }
+        store.flush().expect("flush");
+    }
+    assert_eq!(fsck::run(&dir, false), 0, "clean store");
+    let emptied = dir.join("shard-001");
+    std::fs::remove_dir_all(&emptied).expect("empty shard 1");
+    std::fs::create_dir(&emptied).expect("keep the directory");
+    assert_eq!(
+        fsck::run(&dir, false),
+        3,
+        "shard empty among non-empty peers"
+    );
+    let plan = ShardedStore::recovery_plan(&dir, &base_opts()).expect("plan");
+    assert_eq!(plan.lost.get(&1), Some(&"empty among non-empty peers"));
+    assert_eq!(fsck::run(&dir, true), 0, "repair rebuilds it");
+    assert_eq!(fsck::run(&dir, false), 0, "the rebuild stuck");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    // Shard 2 dies before its first WAL byte: the first batch that names
+    // it reaches its lower-numbered peer's WAL whole and shard 2's not
+    // at all — uncommitted, never acked, and aborted by the next reopen.
+    let dir = tmp_dir("fsck-uncommitted");
+    init_store(&dir);
+    {
+        let store = open_sharded(
+            &dir,
+            ShardOptions {
+                crash_shard: Some((2, CrashSpec::after_wal_bytes(0))),
+                ..base_opts()
+            },
+        );
+        let crashed = workload(5, 30)
+            .iter()
+            .any(|op| apply_sharded(&store, op) == Err(StoreError::Crashed));
+        assert!(crashed, "some batch must name shard 2");
+    }
+    assert_eq!(fsck::run(&dir, false), 3, "uncommitted cross-shard batch");
+    // The plan fsck printed names the gsn and the survivor's cut.
+    let plan = ShardedStore::recovery_plan(&dir, &base_opts()).expect("plan");
+    let gsn = *plan.aborted.first().expect("one aborted gsn");
+    assert_eq!((plan.aborted.len(), plan.wal_cuts.len()), (1, 1));
+    let names_gsn =
+        |(finding, line): &(bool, String)| *finding && line.contains(&format!("batch gsn {gsn}"));
+    assert!(plan.lines().iter().any(names_gsn), "{:?}", plan.lines());
+    let (_, report) = ShardedStore::open_with_opts(&dir, base_opts()).expect("reopen");
+    assert_eq!(report.aborted_batches, 1);
+    assert_eq!(
+        report.total.wal_bytes_dropped, 0,
+        "whole frames, no torn tail"
+    );
+    assert_eq!(fsck::run(&dir, false), 0, "the reopen aborted it");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The non-delete workload the corrupt-block tests flush before rotting
+/// a block (deletes could empty the victim segment).
+fn rot_workload() -> Vec<Op> {
+    workload(77, 80)
+        .into_iter()
+        .filter(|op| !matches!(op, Op::Delete { .. }))
+        .collect()
+}
+
+/// A store holding `rot_workload()`, flushed, with one block body of
+/// shard 0's largest segment flipped on disk, reopened with `opts` —
+/// plus the segment's path and a stored row of it whose primary is
+/// shard 0.
+fn store_with_rotten_primary_block(
+    tag: &str,
+    opts: ShardOptions,
+    reg: &obs::Registry,
+) -> (PathBuf, ShardedStore, PathBuf, Vec<u8>) {
+    let dir = tmp_dir(tag);
+    init_store(&dir);
+    let rows = {
+        let store = open_sharded(&dir, base_opts());
+        for op in &rot_workload() {
+            apply_sharded(&store, op).expect("workload op");
+        }
+        store.flush().expect("flush");
+        scan_all(&store)
+    };
+    // The envelope (header, trailer, footer) still verifies: only a
+    // block body rotted.
+    let segment = rot_largest_segment(&dir.join("shard-000"));
+    let range = SegmentReader::open(&segment)
+        .expect("segment metadata")
+        .meta()
+        .range
+        .clone();
+
+    let (store, report) =
+        ShardedStore::open_traced(&dir, opts, reg.clone()).expect("lazy reopen over corruption");
+    assert!(
+        report.lost_shards.is_empty(),
+        "the lazy open must not notice"
+    );
+    let healed_already = |k: &String| k.contains(".heal.");
+    assert!(!reg.snapshot().counters.keys().any(healed_already));
+    let row = rows
+        .iter()
+        .map(|r| r.row.to_vec())
+        .find(|row| range.contains(row) && store.primary_shard(row) == 0)
+        .expect("the segment holds a row whose primary is shard 0");
+    (dir, store, segment, row)
+}
+
+/// (f) The heal ladder under `put_batch`: corruption found while
+/// materializing the target region is repaired from the replica, and
+/// only then is the batch logged.
+#[test]
+fn put_to_a_corrupt_block_heals_first_then_logs() {
+    let reg = obs::Registry::new();
+    let (dir, store, segment, row) = store_with_rotten_primary_block("put-heal", base_opts(), &reg);
+    let put = Put::new(row, FAMILY, "c9", b"after the heal".to_vec());
+    store.put(TABLE, put.clone()).expect("healed put");
+
+    let counters = reg.snapshot().counters;
+    assert_eq!(counters["cfstore.shard.0.heal.reads"], 1);
+    assert_eq!(counters["cfstore.shard.0.heal.repairs"], 1);
+    assert_eq!(counters["cfstore.shard.heal.reads"], 1);
+    assert_eq!(counters["cfstore.shard.heal.repairs"], 1);
+    assert!(
+        !segment.exists(),
+        "the corrupt segment file must be replaced"
+    );
+    // The single-store oracle lives the same life — flush, reopen, one
+    // more put — so equality is bit-level, timestamps included.
+    let oracle_dir = tmp_dir("put-heal-oracle");
+    let open_oracle = || {
+        MiniStore::open_with(&oracle_dir, SyncPolicy::EveryOp, CrashSpec::default())
+            .expect("oracle open")
+            .0
+    };
+    let oracle = open_oracle();
+    oracle
+        .create_table_with_threshold(TABLE, &[FAMILY], SPLIT_THRESHOLD)
+        .expect("oracle table");
+    for op in &rot_workload() {
+        apply_single(&oracle, op).expect("oracle op");
+    }
+    oracle.flush().expect("oracle flush");
+    drop(oracle);
+    let oracle = open_oracle();
+    oracle.put(TABLE, put).expect("oracle put");
+    let got = scan_all(&store);
+    assert_eq!(
+        got,
+        oracle.scan(TABLE, &Scan::all()).expect("oracle scan").0,
+        "healed-then-written store diverged from the single-store oracle"
+    );
+    for row in &got {
+        for g in store.replica_shards(&row.row) {
+            let (copies, _) = store
+                .shard_scan(g, TABLE, &Scan::prefix(&row.row))
+                .expect("replica scan");
+            assert_eq!(copies, std::slice::from_ref(row), "replica {g} diverged");
+        }
+    }
+    drop((store, oracle));
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    std::fs::remove_dir_all(&oracle_dir).expect("cleanup oracle");
+}
+
+/// (f) When the repair cannot be made durable (the victim dies in the
+/// heal's flush), the put fails with that error and no participant's
+/// WAL received a byte — the batch was never half-logged.
+#[test]
+fn put_whose_heal_cannot_flush_fails_without_logging() {
+    let reg = obs::Registry::new();
+    let opts = ShardOptions {
+        crash_shard: Some((
+            0,
+            CrashSpec {
+                during_flush_segment: Some(0),
+                ..CrashSpec::default()
+            },
+        )),
+        ..base_opts()
+    };
+    let (dir, store, segment, row) = store_with_rotten_primary_block("put-noheal", opts, &reg);
+    let wal_bytes = |store: &ShardedStore| -> Vec<u64> {
+        (0..SHARDS)
+            .map(|g| store.shard_wal_bytes_written(g))
+            .collect()
+    };
+    let before = wal_bytes(&store);
+    let put = Put::new(row.clone(), FAMILY, "c9", b"never logged".to_vec());
+    assert_eq!(store.put(TABLE, put), Err(StoreError::Crashed));
+    assert_eq!(wal_bytes(&store), before, "a failed heal must not log");
+    let counters = reg.snapshot().counters;
+    assert_eq!(counters["cfstore.shard.0.heal.reads"], 1);
+    assert!(!counters.contains_key("cfstore.shard.0.heal.repairs"));
+    assert!(segment.exists(), "nothing superseded the corrupt segment");
+    // Reads still serve: the get falls through to the clean replica.
+    let got = store.get(TABLE, &row).expect("replica read").expect("row");
+    assert!(got.value(FAMILY, b"c9").is_none());
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
