@@ -6,9 +6,9 @@
 //! bounded cache (cold vs warm), put latency with inline vs background
 //! flushing, online-resharding cost (rows moved per second by a grow
 //! migration, matcher latency with a migration in flight vs quiesced),
-//! CBO search and what-if evaluation throughput, and the dataflow
-//! measurement (`mrsim::analyze`) of every suite submission, by job
-//! family.
+//! CBO search and what-if evaluation throughput at 16 and at 560 map
+//! tasks, and the dataflow measurement (`mrsim::analyze`) of every suite
+//! submission, by job family.
 //! Writes `BENCH_tuning_latency.json` at the repo root.
 //!
 //! Every row times code a submission can reach. The three stage-1 rows
@@ -606,62 +606,78 @@ fn bench_reshard(
     (rows_moved, grow_ms, mid_over_quiesced)
 }
 
+/// The CBO and the what-if evaluation under it, on word count at 16 map
+/// tasks (`random-text-1g`) and at 560 (`wikipedia-35g`, as every `*-35g`
+/// submission): a prediction must not cost more because the job has more
+/// splits.
 fn bench_cbo(entries: &mut Vec<Entry>) {
-    let text = corpus::random_text_1g();
     let spec = jobs::word_count();
     let cluster = cl();
-    let (profile, _) =
-        collect_full_profile(&spec, &text, &cluster, &JobConfig::submitted(&spec), 5).unwrap();
-    let input_bytes = text.logical_bytes;
+    for (dataset, search_variant, eval_variant) in [
+        (corpus::random_text_1g(), "current", "planned"),
+        (
+            corpus::wikipedia_35g(),
+            "current_560_splits",
+            "planned_560_splits",
+        ),
+    ] {
+        let (profile, _) =
+            collect_full_profile(&spec, &dataset, &cluster, &JobConfig::submitted(&spec), 5)
+                .unwrap();
+        let input_bytes = dataset.logical_bytes;
 
-    // The current search: WhatIfPlan hoisted once, runtime-only simulation,
-    // memoized predictions, parallel rounds.
-    let opts = CboOptions {
-        budget: CBO_BUDGET,
-        ..CboOptions::default()
-    };
-    let samples = sample_ns(
-        || {
-            std::hint::black_box(optimize(&spec, &profile, input_bytes, &cluster, &opts).unwrap());
-        },
-        5,
-        60,
-    );
-    let current_p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "cbo_search",
-        variant: "current",
-        store_size: 0,
-        p50_ns: current_p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: Some(CBO_BUDGET as f64 / (current_p50 as f64 * 1e-9)),
-    });
+        // The search: WhatIfPlan hoisted once, closed-form runtime-only
+        // prediction, memoized, evaluated on this thread.
+        let opts = CboOptions {
+            budget: CBO_BUDGET,
+            ..CboOptions::default()
+        };
+        let samples = sample_ns(
+            || {
+                std::hint::black_box(
+                    optimize(&spec, &profile, input_bytes, &cluster, &opts).unwrap(),
+                );
+            },
+            5,
+            60,
+        );
+        let p50 = percentile(&samples, 0.50);
+        entries.push(Entry {
+            op: "cbo_search",
+            variant: search_variant,
+            store_size: 0,
+            p50_ns: p50,
+            p95_ns: percentile(&samples, 0.95),
+            candidates_per_sec: Some(CBO_BUDGET as f64 / (p50 as f64 * 1e-9)),
+        });
 
-    // Raw what-if evaluation throughput, isolated from search logic.
-    let space = ConfigSpace::for_cluster(&cluster);
-    let plan = WhatIfPlan::new(&spec, &profile, input_bytes, &cluster);
-    let mut rng = StdRng::seed_from_u64(7);
-    let cfgs: Vec<JobConfig> = (0..CBO_BUDGET)
-        .map(|_| space.decode(&space.sample_uniform(&mut rng)))
-        .collect();
-    let samples = sample_ns(
-        || {
-            for cfg in &cfgs {
-                std::hint::black_box(plan.predict(cfg).ok());
-            }
-        },
-        5,
-        60,
-    );
-    let p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "whatif_eval",
-        variant: "planned",
-        store_size: 0,
-        p50_ns: p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: Some(cfgs.len() as f64 / (p50 as f64 * 1e-9)),
-    });
+        // Raw what-if evaluation throughput, isolated from search logic:
+        // one sample is `CBO_BUDGET` predictions.
+        let space = ConfigSpace::for_cluster(&cluster);
+        let plan = WhatIfPlan::new(&spec, &profile, input_bytes, &cluster);
+        let mut rng = StdRng::seed_from_u64(7);
+        let cfgs: Vec<JobConfig> = (0..CBO_BUDGET)
+            .map(|_| space.decode(&space.sample_uniform(&mut rng)))
+            .collect();
+        let samples = sample_ns(
+            || {
+                for cfg in &cfgs {
+                    std::hint::black_box(plan.predict(cfg).ok());
+                }
+            },
+            5,
+            60,
+        );
+        let p50 = percentile(&samples, 0.50);
+        entries.push(Entry {
+            op: "whatif_eval",
+            variant: eval_variant,
+            store_size: 0,
+            p50_ns: p50,
+            p95_ns: percentile(&samples, 0.95),
+            candidates_per_sec: Some(cfgs.len() as f64 / (p50 as f64 * 1e-9)),
+        });
+    }
 }
 
 /// One job family's share of a pass over the suite: `analyze` once per
@@ -693,7 +709,7 @@ fn bench_analyze() -> Vec<AnalyzeFamily> {
         let mut mapper = mrjobs::Interp::new(&sub.spec.map_udf, &sub.spec.params);
         let mut out = Vec::new();
         let mut pairs = 0;
-        for rec in &sub.dataset.records {
+        for rec in sub.dataset.records.iter() {
             let stats = mapper.run(rec.key.clone(), rec.value.clone(), &mut out);
             pairs += stats.unwrap().records_out;
             out.clear();
@@ -767,6 +783,9 @@ fn main() {
         .and_then(|e| e.candidates_per_sec)
         .unwrap();
     let shard_rebuild_ms = shard_rebuild_ns as f64 * 1e-6;
+    // Per prediction: the row's sample is `CBO_BUDGET` of them.
+    let whatif_eval_at_560 =
+        find(&entries, "whatif_eval", "planned_560_splits", 0) / CBO_BUDGET as f64;
 
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -796,7 +815,7 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0}\n  }}\n}}\n"
+        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -822,6 +841,7 @@ fn main() {
     println!("reshard grow 3x2->4x2: {reshard_rows_moved} rows moved in {reshard_grow_ms:.1} ms");
     println!("matcher p50 mid-migration / quiesced: {reshard_matcher_ratio:.2}x");
     println!("CBO search: {current_cps:.0} candidates/s");
+    println!("what-if prediction at 560 splits: {whatif_eval_at_560:.0} ns");
     println!(
         "analyze over the {} suite submissions: {analyze_total_ms:.0} ms, {:.2} M pairs/s",
         analyze_families

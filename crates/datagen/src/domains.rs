@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn transactions_are_deduped_and_sorted() {
         let ds = transactions("t", 50, 8, 100, 1, 0);
-        for r in &ds.records {
+        for r in ds.records.iter() {
             let items: Vec<&str> = r.value.as_text().unwrap().split(' ').collect();
             let mut sorted = items.clone();
             sorted.sort_unstable();
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn ratings_are_half_stars() {
         let ds = ratings("r", 100, 20, 50, 2, 0);
-        for r in &ds.records {
+        for r in ds.records.iter() {
             let rating: f64 = r
                 .value
                 .as_text()
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn rule_lines_never_self_reference() {
         let ds = rule_lines("rl", 200, 50, 4, 0);
-        for r in &ds.records {
+        for r in ds.records.iter() {
             let f: Vec<&str> = r.value.as_text().unwrap().split(' ').collect();
             assert_ne!(f[0], f[1]);
         }

@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn teragen_records_are_100_bytes_of_payload() {
         let ds = teragen("t", 20, 1, 0);
-        for r in &ds.records {
+        for r in ds.records.iter() {
             assert_eq!(r.key.as_text().unwrap().len(), 10);
             assert_eq!(r.value.as_text().unwrap().len(), 90);
         }
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn pigmix_rows_have_five_fields() {
         let ds = pigmix_rows("p", 10, 3, 0);
-        for r in &ds.records {
+        for r in ds.records.iter() {
             let n = r.value.as_text().unwrap().split_whitespace().count();
             assert_eq!(n, 5);
         }

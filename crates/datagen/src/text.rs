@@ -129,7 +129,7 @@ mod tests {
     fn zipf_corpus_repeats_head_words() {
         let ds = TextCorpusSpec::wikipedia("w", 400, 0).generate();
         let mut counts = std::collections::HashMap::new();
-        for r in &ds.records {
+        for r in ds.records.iter() {
             for w in r.value.as_text().unwrap().split_whitespace() {
                 *counts.entry(w.to_string()).or_insert(0usize) += 1;
             }

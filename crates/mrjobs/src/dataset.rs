@@ -7,6 +7,8 @@
 //! experiments laptop-fast while preserving per-record behaviour and the
 //! relative shapes of dataflow statistics.
 
+use std::sync::Arc;
+
 use crate::value::Record;
 
 /// A named dataset: a physical sample of records standing in for a
@@ -16,8 +18,10 @@ pub struct Dataset {
     /// Dataset name (e.g. `"wikipedia-35g"`); part of the experiment
     /// corpus definitions.
     pub name: String,
-    /// The materialized sample records.
-    pub records: Vec<Record>,
+    /// The materialized sample records, shared between clones: a
+    /// `TuningService` ticket carries its dataset to a worker thread, and
+    /// a clone per ticket must not copy the sample.
+    pub records: Arc<[Record]>,
     /// The size of the logical dataset this sample represents, in bytes.
     pub logical_bytes: u64,
 }
@@ -28,7 +32,7 @@ impl Dataset {
     pub fn new(name: impl Into<String>, records: Vec<Record>, logical_bytes: u64) -> Self {
         let mut ds = Dataset {
             name: name.into(),
-            records,
+            records: records.into(),
             logical_bytes,
         };
         if ds.logical_bytes == 0 {
@@ -83,6 +87,14 @@ mod tests {
         let ds = Dataset::new("d", records(4), 10_000);
         let phys = ds.physical_bytes();
         assert!((ds.scale() - 10_000.0 / phys as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_clone_shares_the_records() {
+        let ds = Dataset::new("d", records(4), 0);
+        let copy = ds.clone();
+        assert!(Arc::ptr_eq(&ds.records, &copy.records));
+        assert_eq!(copy.len(), 4);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! 5. returns a [`JobReport`] with everything the profiler needs.
 //!
 //! There is one scheduler (DESIGN.md §19): where nothing can fail it runs
-//! the same attempt queue with every fault draw coming up empty.
+//! the same attempt queue with every fault draw coming up empty. The
+//! runtime-only entry [`simulate_runtime_ms`] writes the schedule down
+//! instead of running it when every wave is uniform (DESIGN.md §21).
 
 use std::collections::VecDeque;
 
@@ -118,7 +120,7 @@ fn map_inputs(flow: &SplitFlow, combine: Option<CombineFlow>) -> MapTaskInputs {
 
 /// Final map output — of one task, or summed over the job's winning
 /// attempts in task order (the order fixes the sums' last bits).
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq)]
 struct MapOutput {
     bytes_disk: f64,
     bytes_uncomp: f64,
@@ -141,13 +143,18 @@ impl MapOutput {
     }
 }
 
+/// How many of `m` map tasks must have finished before reducers become
+/// eligible under `reduce_slowstart`: at least one, at most all.
+fn slowstart_count(config: &JobConfig, m: usize) -> usize {
+    ((config.reduce_slowstart * m as f64).ceil() as usize).clamp(1, m)
+}
+
 /// Sort the map end times; return when the last map finished and when
 /// reducers become eligible under `reduce_slowstart`.
 fn map_wave_gates(map_ends: &mut [f64], config: &JobConfig) -> (f64, f64) {
     map_ends.sort_by(f64::total_cmp);
     let m = map_ends.len();
-    let slowstart_idx = ((config.reduce_slowstart * m as f64).ceil() as usize).clamp(1, m);
-    (map_ends[m - 1], map_ends[slowstart_idx - 1])
+    (map_ends[m - 1], map_ends[slowstart_count(config, m) - 1])
 }
 
 /// The whole reduce wave as one task's inputs: the job-wide volumes every
@@ -620,18 +627,21 @@ fn estimate_makespan_ms(dataflow: &Dataflow, cluster: &ClusterSpec, config: &Job
 }
 
 /// Predict only the job runtime (ms) from a pre-measured dataflow,
-/// without materializing per-task reports.
+/// without materializing per-task reports. This is the What-If engine's
+/// unit cost: the CBO prices hundreds of configurations per search.
 ///
-/// For a deterministic cluster (`heterogeneity == 0`, no fault able to
-/// fire, no straggler node) this takes a fast path that prices each
-/// *distinct* per-task flow once and replays the slot schedule
-/// arithmetically; the result is bit-identical to
-/// `simulate_with_dataflow(..).runtime_ms` (asserted by tests) because the
-/// scheduler draws no noise at zero heterogeneity and both accumulate
-/// through the same helpers in the same order. Any other cluster falls
-/// back to the full simulation. This is the What-If engine's hot path:
-/// the CBO prices hundreds of configurations per search, and skipping
-/// 560 `MapTaskReport` allocations per call is most of the win.
+/// On a deterministic cluster (`heterogeneity == 0`, no fault able to
+/// fire, no straggler node), when every map task costs the same and every
+/// partition takes the same share — the dataflow a profile implies
+/// (`whatif::dataflow_from_profile`) is both — the schedule can be written
+/// down: slots fill wave by wave, so a phase of `n` tasks over `s` slots is
+/// `n.div_ceil(s)` steps, not `n` slot assignments. The result is
+/// bit-identical to `simulate_with_dataflow(..).runtime_ms` (asserted by
+/// tests) because a wave's end is reached by the same repeated addition a
+/// slot's free time is, the map output is summed by the same `m` adds in
+/// task order, and every cost comes from the helpers the scheduler uses.
+/// Anything else — several distinct flows, skewed partitions, noise, armed
+/// faults, stragglers — is the scheduler's.
 pub fn simulate_runtime_ms(
     spec: &JobSpec,
     dataflow: &Dataflow,
@@ -640,54 +650,53 @@ pub fn simulate_runtime_ms(
     config: &JobConfig,
     seed: u64,
 ) -> Result<f64, SimError> {
+    let scheduled = || {
+        simulate_with_dataflow(spec, dataflow, dataset_name, cluster, config, seed)
+            .map(|report| report.runtime_ms)
+    };
     if cluster.heterogeneity > 0.0 || !is_undisturbed(cluster) {
-        return Ok(
-            simulate_with_dataflow(spec, dataflow, dataset_name, cluster, config, seed)?.runtime_ms,
-        );
+        return scheduled();
     }
     check_inputs(spec, dataflow, cluster, config)?;
 
-    // ---- Map wave: one cost computation per distinct flow --------------
-    let m = dataflow.num_map_tasks;
+    // ---- Map phase ------------------------------------------------------
     let flow_costs = price_flows(dataflow, cluster, config);
-
-    let mut slot_free = vec![0.0f64; cluster.map_slots().max(1) as usize];
-    let mut map_ends = Vec::with_capacity(m as usize);
-    let mut map_out = MapOutput::default();
-    for task_id in 0..m {
-        let (dur_ms, out) = &flow_costs[task_id as usize % flow_costs.len()];
-        map_out.add(out);
-        let slot = earliest_slot(&slot_free);
-        let end = slot_free[slot] + dur_ms;
-        slot_free[slot] = end;
-        map_ends.push(end);
+    let (dur_ms, task_out) = flow_costs[0];
+    if flow_costs.iter().any(|c| *c != flow_costs[0]) {
+        return scheduled();
     }
-    let (maps_done_ms, reducers_eligible_ms) = map_wave_gates(&mut map_ends, config);
+    let m = dataflow.num_map_tasks;
+    let mut map_out = MapOutput::default();
+    for _ in 0..m {
+        map_out.add(&task_out);
+    }
+    // Task `t` runs in wave `t / slots`; sorted, the end times are each
+    // wave's end repeated once per task of the wave.
+    let slots = cluster.map_slots().max(1);
+    let gate_wave = (slowstart_count(config, m as usize) as u32 - 1) / slots;
+    let (mut maps_done_ms, mut reducers_eligible_ms) = (0.0, 0.0);
+    for wave in 0..m.div_ceil(slots) {
+        maps_done_ms += dur_ms;
+        if wave == gate_wave {
+            reducers_eligible_ms = maps_done_ms;
+        }
+    }
 
-    // ---- Reduce wave ----------------------------------------------------
+    // ---- Reduce phase ---------------------------------------------------
     let mut last_end = maps_done_ms;
     if let Some(red) = &dataflow.reduce {
         let shares = red.partition_shares(config.num_reduce_tasks, spec.partitioner);
+        if shares.iter().any(|s| *s != shares[0]) {
+            return scheduled();
+        }
         let wave = reduce_wave_inputs(red, dataflow, cluster, config, &map_out);
-        let mut rslot_free = vec![reducers_eligible_ms; cluster.reduce_slots().max(1) as usize];
-        // The what-if dataflow partitions uniformly (and real hash
-        // partitions repeat shares), so identical shares produce identical
-        // task costs — price each distinct share once and replay.
-        let mut share_costs: Vec<(u64, (f64, f64))> = Vec::with_capacity(2);
-        for share in shares.iter() {
-            let bits = share.to_bits();
-            let split = match share_costs.iter().find(|(b, _)| *b == bits) {
-                Some((_, split)) => *split,
-                None => {
-                    let costs = reduce_task_costs(config, &cluster.rates, &share_of(&wave, *share));
-                    let split = shuffle_split(&costs);
-                    share_costs.push((bits, split));
-                    split
-                }
-            };
-            let slot = earliest_slot(&rslot_free);
-            let end = reduce_end_ms(rslot_free[slot], split, maps_done_ms);
-            rslot_free[slot] = end;
+        let costs = reduce_task_costs(config, &cluster.rates, &share_of(&wave, shares[0]));
+        let split = shuffle_split(&costs);
+        // Every slot frees at the same time, so each wave starts where the
+        // one before it ended.
+        let mut end = reducers_eligible_ms;
+        for _ in 0..(shares.len() as u32).div_ceil(cluster.reduce_slots().max(1)) {
+            end = reduce_end_ms(end, split, maps_done_ms);
             last_end = last_end.max(end);
         }
     }
@@ -733,16 +742,6 @@ fn check_inputs(
         });
     }
     Ok(())
-}
-
-fn earliest_slot(slots: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, t) in slots.iter().enumerate() {
-        if *t < slots[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// A log-normal multiplicative noise factor with median 1.
@@ -846,42 +845,163 @@ mod tests {
         assert!(rep.map_tasks.iter().filter(|t| t.start_ms > 0.0).count() > 500);
     }
 
+    fn zero_het() -> ClusterSpec {
+        ClusterSpec {
+            heterogeneity: 0.0,
+            ..cluster()
+        }
+    }
+
+    /// A hand-built dataflow as a profile implies one: one per-task flow,
+    /// every intermediate byte spread uniformly over the partitions.
+    fn uniform_flow(m: u32, combine: bool, reduce: bool) -> Dataflow {
+        let task = SplitFlow {
+            input_records: 6.1e5,
+            input_bytes: 6.7e7,
+            out_records: 5.9e6,
+            out_bytes: 6.3e7,
+            map_ops: 4.3e7,
+        };
+        let (in_records, in_bytes) = (
+            task.out_records * f64::from(m),
+            task.out_bytes * f64::from(m),
+        );
+        Dataflow {
+            num_map_tasks: m,
+            per_task: vec![task],
+            combine: combine.then_some(CombineFlow {
+                record_selectivity: 0.31,
+                size_selectivity: 0.37,
+                ops_per_record: 6.0,
+                ref_records: 1.0e5,
+                alpha: 0.7,
+            }),
+            reduce: reduce.then(|| ReduceFlow {
+                in_records,
+                in_bytes,
+                out_records: in_records * 0.013,
+                out_bytes: in_bytes * 0.017,
+                ops_per_record: 9.0,
+                distinct_keys: 0.0,
+                max_group_bytes: 0.0,
+                key_weights: Vec::new(),
+                uniform_weight: in_bytes,
+            }),
+            input_bytes: task.input_bytes * f64::from(m),
+            avg_intermediate_record_bytes: task.out_bytes / task.out_records,
+        }
+    }
+
+    fn assert_runtime_only_is_the_schedulers(
+        spec: &JobSpec,
+        dataflow: &Dataflow,
+        cl: &ClusterSpec,
+        config: &JobConfig,
+    ) {
+        let full = simulate_with_dataflow(spec, dataflow, "edges", cl, config, 11).unwrap();
+        let fast = simulate_runtime_ms(spec, dataflow, "edges", cl, config, 11).unwrap();
+        assert_eq!(
+            full.runtime_ms.to_bits(),
+            fast.to_bits(),
+            "{} vs {fast}: {} map tasks, {config:?}",
+            full.runtime_ms,
+            dataflow.num_map_tasks
+        );
+    }
+
+    /// The closed form on the edges of its wave arithmetic: map phases of
+    /// under one wave, exactly `k` waves and one task over; slow-start
+    /// gates at the first task, the default and the last; reduce phases of
+    /// one task, exactly one wave, one over and several waves.
     #[test]
     fn runtime_only_path_is_bit_identical_on_deterministic_cluster() {
-        let zero_het = ClusterSpec {
-            heterogeneity: 0.0,
-            ..ClusterSpec::ec2_c1_medium_16()
+        let cl = zero_het();
+        let slots = cl.map_slots();
+        assert_eq!(slots, cl.reduce_slots());
+        let hash = jobs::word_count();
+        let total_order = jobs::sort();
+        assert_eq!(total_order.partitioner, mrjobs::Partitioner::TotalOrder);
+        for m in [1, 7, slots, 2 * slots, 2 * slots + 1, 560] {
+            for (combine, use_combiner) in [(true, true), (true, false), (false, true)] {
+                let flow = uniform_flow(m, combine, true);
+                for reduce_slowstart in [0.0, 0.05, 1.0] {
+                    for num_reduce_tasks in [1, slots, slots + 1, 97] {
+                        for (compress_map_output, compress_output) in
+                            [(false, false), (true, false), (false, true), (true, true)]
+                        {
+                            let config = JobConfig {
+                                use_combiner,
+                                reduce_slowstart,
+                                num_reduce_tasks,
+                                compress_map_output,
+                                compress_output,
+                                ..JobConfig::default()
+                            };
+                            assert_runtime_only_is_the_schedulers(&hash, &flow, &cl, &config);
+                            assert_runtime_only_is_the_schedulers(
+                                &total_order,
+                                &flow,
+                                &cl,
+                                &config,
+                            );
+                        }
+                    }
+                }
+            }
+            let map_only = uniform_flow(m, true, false);
+            assert_runtime_only_is_the_schedulers(&hash, &map_only, &cl, &JobConfig::default());
+        }
+
+        // States that are inert without being the default: the closed form
+        // still applies, and still is the scheduler's answer.
+        let inert = ClusterSpec {
+            node_slowdown: vec![1.0; 15],
+            faults: FaultSpec {
+                speculation_threshold: 3.0,
+                speculation_cap: 0.5,
+                ..FaultSpec::default()
+            },
+            ..zero_het()
+        };
+        assert!(is_undisturbed(&inert));
+        let flow = uniform_flow(2 * slots + 1, true, true);
+        assert_runtime_only_is_the_schedulers(&hash, &flow, &inert, &JobConfig::default());
+    }
+
+    /// Measured dataflows have several distinct per-task flows and skewed
+    /// partitions; so may a hand-built one. Those are the scheduler's, and
+    /// the runtime-only entry returns its bits. Balanced partitions over
+    /// skewed key weights (`TotalOrder`) are still uniform.
+    #[test]
+    fn runtime_only_path_falls_back_on_non_uniform_dataflows() {
+        let cl = zero_het();
+        let config = JobConfig {
+            num_reduce_tasks: 27,
+            reduce_slowstart: 1.0,
+            ..JobConfig::default()
         };
         for (ds, spec) in [
             (corpus::random_text_1g(), jobs::word_count()),
-            (corpus::random_text_1g(), jobs::word_cooccurrence_pairs(2)),
             (corpus::wikipedia_35g(), jobs::word_count()),
         ] {
-            let dataflow = analyze(&spec, &ds, &zero_het).unwrap();
-            for config in [
-                JobConfig::default(),
-                JobConfig {
-                    num_reduce_tasks: 27,
-                    use_combiner: false,
-                    compress_map_output: false,
-                    reduce_slowstart: 1.0,
-                    ..JobConfig::default()
-                },
-            ] {
-                let full =
-                    simulate_with_dataflow(&spec, &dataflow, &ds.name, &zero_het, &config, 11)
-                        .unwrap();
-                let fast = simulate_runtime_ms(&spec, &dataflow, &ds.name, &zero_het, &config, 11)
-                    .unwrap();
-                assert_eq!(
-                    full.runtime_ms.to_bits(),
-                    fast.to_bits(),
-                    "fast path diverged: {} vs {}",
-                    full.runtime_ms,
-                    fast
-                );
-            }
+            let measured = analyze(&spec, &ds, &cl).unwrap();
+            assert!(measured.per_task.len() > 1);
+            assert_runtime_only_is_the_schedulers(&spec, &measured, &cl, &config);
+            assert_runtime_only_is_the_schedulers(&spec, &measured, &cl, &JobConfig::default());
         }
+
+        let mut two_flows = uniform_flow(61, true, true);
+        let mut heavier = two_flows.per_task[0];
+        heavier.map_ops *= 3.0;
+        two_flows.per_task.push(heavier);
+        assert_runtime_only_is_the_schedulers(&jobs::word_count(), &two_flows, &cl, &config);
+
+        let mut skewed = uniform_flow(61, true, true);
+        let red = skewed.reduce.as_mut().unwrap();
+        red.key_weights = vec![(1, red.in_bytes * 0.2), (5, red.in_bytes * 0.1)];
+        red.uniform_weight = red.in_bytes * 0.7;
+        assert_runtime_only_is_the_schedulers(&jobs::word_count(), &skewed, &cl, &config);
+        assert_runtime_only_is_the_schedulers(&jobs::sort(), &skewed, &cl, &config);
     }
 
     #[test]
@@ -903,20 +1023,10 @@ mod tests {
     fn runtime_only_path_propagates_errors() {
         let spec = jobs::word_cooccurrence_stripes(2);
         let large = corpus::wikipedia_35g();
-        let zero_het = ClusterSpec {
-            heterogeneity: 0.0,
-            ..ClusterSpec::ec2_c1_medium_16()
-        };
-        let dataflow = analyze(&spec, &large, &zero_het).unwrap();
-        let err = simulate_runtime_ms(
-            &spec,
-            &dataflow,
-            &large.name,
-            &zero_het,
-            &JobConfig::default(),
-            1,
-        )
-        .unwrap_err();
+        let cl = zero_het();
+        let dataflow = analyze(&spec, &large, &cl).unwrap();
+        let err = simulate_runtime_ms(&spec, &dataflow, &large.name, &cl, &JobConfig::default(), 1)
+            .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }), "{err}");
     }
 
@@ -932,7 +1042,7 @@ mod tests {
     }
 
     /// `Dataflow`'s fields are public: a hand-built one with no map task
-    /// is a typed error at both entries, on the fast path and off it.
+    /// is a typed error at both entries, in the closed form and off it.
     #[test]
     fn dataflow_without_map_tasks_is_rejected() {
         let ds = corpus::random_text_1g();
@@ -946,13 +1056,9 @@ mod tests {
             per_task: Vec::new(),
             ..measured
         };
-        let zero_het = ClusterSpec {
-            heterogeneity: 0.0,
-            ..cluster()
-        };
         let config = JobConfig::default();
         for flow in [&no_tasks, &no_flows] {
-            for cl in [&cluster(), &zero_het] {
+            for cl in [&cluster(), &zero_het()] {
                 let full = simulate_with_dataflow(&spec, flow, &ds.name, cl, &config, 1);
                 let fast = simulate_runtime_ms(&spec, flow, &ds.name, cl, &config, 1);
                 let expected = SimError::EmptyDataflow { job: spec.job_id() };

@@ -63,8 +63,8 @@ impl FaultSpec {
 
     /// True when no fault mechanism can fire: no attempt fails, no node is
     /// lost, nothing is speculated. The scheduler then runs each task once,
-    /// and [`simulate_runtime_ms`](crate::simulate_runtime_ms) may take its
-    /// arithmetic fast path.
+    /// and [`simulate_runtime_ms`](crate::simulate_runtime_ms) may answer
+    /// in closed form.
     pub fn is_inert(&self) -> bool {
         self.task_failure_prob <= 0.0 && self.node_loss_prob <= 0.0 && !self.speculation
     }

@@ -8,7 +8,7 @@
 //!
 //! ## Performance architecture
 //!
-//! Three things make the search cheap without changing its answer:
+//! Two things make the search cheap without changing its answer:
 //!
 //! 1. **Plan hoisting** — the profile-derived dataflow and cost rates are
 //!    built once per search ([`whatif::WhatIfPlan`]), not once per
@@ -18,12 +18,12 @@
 //!    observe (combiner knobs without a combiner, reduce-side knobs
 //!    without a reduce phase), so re-sampled and effectively-equal
 //!    candidates cost nothing.
-//! 3. **Parallel rounds** — all candidates of a round are generated
-//!    up front (candidate generation never depended on evaluation
-//!    results within a round), evaluated concurrently on scoped threads,
-//!    and reduced sequentially in candidate order. The recommendation is
-//!    bit-identical to the serial search for a fixed seed; tests assert
-//!    this.
+//!
+//! A round's candidates are generated up front and its distinct misses
+//! priced in candidate order on the caller's thread: a prediction is a
+//! closed form costing well under a microsecond (DESIGN.md §21), so a
+//! whole round is cheaper than one thread spawn, and a `TuningService`
+//! worker's search stays on that worker's core.
 
 use std::collections::HashMap;
 
@@ -48,9 +48,9 @@ pub struct CboOptions {
     pub shrink: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Evaluate each round's candidate batch on scoped threads. The
-    /// result is bit-identical to the serial search; this only changes
-    /// wall-clock time.
+    /// Recorded, not read: the search evaluates on the caller's thread
+    /// whatever this says. The field stays because the benchmark writes
+    /// it into every run's `env` (DESIGN.md §21).
     pub parallel: bool,
 }
 
@@ -61,7 +61,7 @@ impl Default for CboOptions {
             rounds: 3,
             shrink: 0.4,
             seed: 0xcb0,
-            parallel: true,
+            parallel: false,
         }
     }
 }
@@ -136,43 +136,6 @@ fn config_key(cfg: &JobConfig, has_combiner: bool, has_reduce: bool) -> ConfigKe
     ])
 }
 
-/// Evaluate `configs` against `plan`, optionally on scoped threads.
-/// Results come back in input order regardless of completion order, so
-/// callers observe no difference between the serial and parallel paths.
-fn predict_batch(
-    plan: &WhatIfPlan<'_>,
-    configs: &[&JobConfig],
-    parallel: bool,
-) -> Vec<Result<f64, SimError>> {
-    let threads = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(configs.len())
-    } else {
-        1
-    };
-    if threads <= 1 {
-        return configs.iter().map(|cfg| plan.predict(cfg)).collect();
-    }
-    let chunk = configs.len().div_ceil(threads);
-    let mut results: Vec<Option<Result<f64, SimError>>> = vec![None; configs.len()];
-    crossbeam::thread::scope(|s| {
-        for (in_chunk, out_chunk) in configs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                for (cfg, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(plan.predict(cfg));
-                }
-            });
-        }
-    })
-    .expect("what-if evaluation thread panicked");
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot written by its chunk's thread"))
-        .collect()
-}
-
 /// Per-round evaluation bookkeeping surfaced through the observability
 /// layer (`cbo.round` span attributes and `cbo.*` counters).
 #[derive(Debug, Default, Clone, Copy)]
@@ -236,51 +199,46 @@ pub fn optimize_traced(
     let has_reduce = plan.has_reduce();
     let mut memo: HashMap<ConfigKey, Result<f64, SimError>> = HashMap::new();
 
-    // Evaluate one round's candidates: validate serially, look up the
-    // memo, run the distinct misses (possibly in parallel), and hand back
-    // per-candidate results in candidate order.
-    let mut eval_round = |cands: &[JobConfig],
-                          calls: &mut usize|
-     -> (Vec<Result<f64, SimError>>, RoundStats) {
-        *calls += cands.len();
-        let mut stats = RoundStats {
-            candidates: cands.len(),
-            ..RoundStats::default()
-        };
-        let keys: Vec<Result<ConfigKey, SimError>> = cands
-            .iter()
-            .map(|cfg| match cfg.validate() {
-                Ok(()) => Ok(config_key(cfg, has_combiner, has_reduce)),
-                Err(e) => Err(SimError::Config(e)),
-            })
-            .collect();
-        stats.invalid = keys.iter().filter(|k| k.is_err()).count();
-        let mut missing: Vec<(ConfigKey, &JobConfig)> = Vec::new();
-        for (cfg, key) in cands.iter().zip(&keys) {
-            if let Ok(key) = key {
-                if !memo.contains_key(key) && missing.iter().all(|(k, _)| k != key) {
-                    missing.push((*key, cfg));
+    // Evaluate one round's candidates: validate, look up the memo, price
+    // the distinct misses, and hand back per-candidate results in
+    // candidate order.
+    let mut eval_round =
+        |cands: &[JobConfig], calls: &mut usize| -> (Vec<Result<f64, SimError>>, RoundStats) {
+            *calls += cands.len();
+            let mut stats = RoundStats {
+                candidates: cands.len(),
+                ..RoundStats::default()
+            };
+            let keys: Vec<Result<ConfigKey, SimError>> = cands
+                .iter()
+                .map(|cfg| match cfg.validate() {
+                    Ok(()) => Ok(config_key(cfg, has_combiner, has_reduce)),
+                    Err(e) => Err(SimError::Config(e)),
+                })
+                .collect();
+            stats.invalid = keys.iter().filter(|k| k.is_err()).count();
+            let mut missing: Vec<(ConfigKey, &JobConfig)> = Vec::new();
+            for (cfg, key) in cands.iter().zip(&keys) {
+                if let Ok(key) = key {
+                    if !memo.contains_key(key) && missing.iter().all(|(k, _)| k != key) {
+                        missing.push((*key, cfg));
+                    }
                 }
             }
-        }
-        stats.evals = missing.len();
-        stats.memo_hits = cands.len() - stats.invalid - stats.evals;
-        let miss_cfgs: Vec<&JobConfig> = missing.iter().map(|(_, cfg)| *cfg).collect();
-        for ((key, _), res) in missing
-            .iter()
-            .zip(predict_batch(&plan, &miss_cfgs, opts.parallel))
-        {
-            memo.insert(*key, res);
-        }
-        let results = keys
-            .into_iter()
-            .map(|key| match key {
-                Ok(key) => memo[&key].clone(),
-                Err(e) => Err(e),
-            })
-            .collect();
-        (results, stats)
-    };
+            stats.evals = missing.len();
+            stats.memo_hits = cands.len() - stats.invalid - stats.evals;
+            for (key, cfg) in missing {
+                memo.insert(key, plan.predict(cfg));
+            }
+            let results = keys
+                .into_iter()
+                .map(|key| match key {
+                    Ok(key) => memo[&key].clone(),
+                    Err(e) => Err(e),
+                })
+                .collect();
+            (results, stats)
+        };
 
     let record_round = |reg: &obs::Registry, label: &str, stats: RoundStats, best_ms: f64| {
         if !reg.is_enabled() {
@@ -310,16 +268,19 @@ pub fn optimize_traced(
     record_round(reg, "seed", seed_stats, best_ms);
     let mut best_x: Option<[f64; ConfigSpace::DIMS]> = None;
 
-    let per_round = (opts.budget.saturating_sub(1) / (opts.rounds + 1)).max(1);
+    // The seed spent one call; the rest is split evenly over the rounds,
+    // and a budget too small for one candidate in every round buys only
+    // the rounds it covers.
+    let after_seed = opts.budget.saturating_sub(1);
+    let per_round = (after_seed / (opts.rounds + 1)).max(1);
+    let rounds_run = (opts.rounds + 1).min(after_seed / per_round);
 
     // Round 0: uniform exploration, then `rounds` exploitation rounds in
-    // a shrinking box around the incumbent. Candidate generation draws
-    // from the RNG exactly as the pre-batched search did (evaluation
-    // never consumed randomness), and the sequential reduction visits
-    // candidates in generation order, so the incumbent trajectory — and
-    // therefore the recommendation — is independent of `opts.parallel`.
+    // a shrinking box around the incumbent. Evaluation consumes no
+    // randomness, and the reduction visits candidates in generation
+    // order, so the seed alone fixes the incumbent trajectory.
     let mut radius = 0.5;
-    for round in 0..=opts.rounds {
+    for round in 0..rounds_run {
         let center = if round == 0 {
             None
         } else {
@@ -435,6 +396,56 @@ mod tests {
         assert!(rec.wif_calls <= 45, "calls {}", rec.wif_calls);
     }
 
+    /// `budget` bounds the what-if calls whatever `rounds` says; only the
+    /// seed evaluation of the submitted configuration is unconditional.
+    #[test]
+    fn small_budgets_are_not_overspent() {
+        let ds = corpus::random_text_1g();
+        let spec = jobs::word_count();
+        let (profile, _) =
+            collect_full_profile(&spec, &ds, &cl(), &JobConfig::default(), 3).unwrap();
+        let submitted_pred = predict_runtime_ms(&WhatIfQuery {
+            spec: &spec,
+            profile: &profile,
+            input_bytes: ds.logical_bytes,
+            cluster: &cl(),
+            config: &JobConfig::submitted(&spec),
+        })
+        .unwrap();
+        for budget in 0..=8 {
+            for rounds in 0..=3 {
+                let opts = CboOptions {
+                    budget,
+                    rounds,
+                    ..CboOptions::default()
+                };
+                let rec = optimize(&spec, &profile, ds.logical_bytes, &cl(), &opts).unwrap();
+                assert!(
+                    rec.wif_calls <= budget.max(1),
+                    "budget {budget}, rounds {rounds}: {} calls",
+                    rec.wif_calls
+                );
+                assert!(rec.predicted_ms <= submitted_pred);
+            }
+        }
+        // The budgets the repository uses spend what they always spent.
+        for (budget, spent) in [
+            (30, 29),
+            (40, 37),
+            (60, 57),
+            (80, 77),
+            (120, 117),
+            (300, 297),
+        ] {
+            let opts = CboOptions {
+                budget,
+                ..CboOptions::default()
+            };
+            let rec = optimize(&spec, &profile, ds.logical_bytes, &cl(), &opts).unwrap();
+            assert_eq!(rec.wif_calls, spent, "budget {budget}");
+        }
+    }
+
     #[test]
     fn cbo_is_deterministic_in_seed() {
         let ds = corpus::random_text_1g();
@@ -450,48 +461,6 @@ mod tests {
         assert_eq!(a.config, b.config);
         assert_eq!(a.predicted_ms.to_bits(), b.predicted_ms.to_bits());
         assert_eq!(a.wif_calls, b.wif_calls);
-    }
-
-    #[test]
-    fn parallel_search_is_bit_identical_to_serial() {
-        let ds = corpus::wikipedia_1g();
-        for spec in [jobs::word_count(), jobs::word_cooccurrence_pairs(2)] {
-            let (profile, _) =
-                collect_full_profile(&spec, &ds, &cl(), &JobConfig::submitted(&spec), 3).unwrap();
-            let serial = optimize(
-                &spec,
-                &profile,
-                ds.logical_bytes,
-                &cl(),
-                &CboOptions {
-                    budget: 80,
-                    parallel: false,
-                    ..CboOptions::default()
-                },
-            )
-            .unwrap();
-            let parallel = optimize(
-                &spec,
-                &profile,
-                ds.logical_bytes,
-                &cl(),
-                &CboOptions {
-                    budget: 80,
-                    parallel: true,
-                    ..CboOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(serial.config, parallel.config);
-            assert_eq!(
-                serial.predicted_ms.to_bits(),
-                parallel.predicted_ms.to_bits(),
-                "serial {} vs parallel {}",
-                serial.predicted_ms,
-                parallel.predicted_ms
-            );
-            assert_eq!(serial.wif_calls, parallel.wif_calls);
-        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ impl<'a> WhatIfPlan<'a> {
         let mut cluster = cluster.clone();
         cluster.heterogeneity = 0.0;
         // The WIF prices idealized executions: no fault injection, no
-        // straggler nodes. Keeps predictions deterministic and on the
-        // engine's runtime-only fast path even for a faulty home cluster.
+        // straggler nodes. Keeps predictions deterministic and in the
+        // engine's closed form even for a faulty home cluster.
         cluster.faults = mrsim::FaultSpec::default();
         cluster.node_slowdown.clear();
         cluster.rates = rates_from_profile(profile, &cluster.rates);
@@ -82,7 +82,8 @@ impl<'a> WhatIfPlan<'a> {
     /// Predict the virtual runtime (ms) under `config`.
     pub fn predict(&self, config: &JobConfig) -> Result<f64, SimError> {
         // deterministic: the WIF is an analytic model (seed 0, zero
-        // heterogeneity — the engine takes its runtime-only fast path).
+        // heterogeneity, one flow, uniform shares — the engine answers in
+        // closed form).
         simulate_runtime_ms(self.spec, &self.flow, "what-if", &self.cluster, config, 0)
     }
 }

@@ -125,6 +125,15 @@ if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/
 shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/cfstore/src/flusher.rs crates/bench/src/fsck.rs"
 shard_layer_lines=$(nontest $shard_layer_files | wc -l)
 
+# One prediction path, no fan-out (DESIGN.md §21): the optimizer spawns
+# no thread — a round of closed-form predictions costs less than one
+# spawn, and a service worker's search must stay on its own core — and
+# the runtime-only entry of the engine keeps no per-task slot replay
+# beside the closed form (non-uniform inputs go to the one scheduler).
+step "source gate (closed-form what-if, CBO on the caller's thread)"
+if nontest $(find crates/optimizer/src -name '*.rs') | grep -E 'thread::|crossbeam::'; then exit 1; fi
+if nontest crates/mrsim/src/engine.rs | grep -E 'fn earliest_slot|share_costs'; then exit 1; fi
+
 # The benchmark harness at 1/20 scale: every workload, untraced and
 # traced, every output check on (benchmark/README.md). Catches a change
 # that breaks what BENCHMARK.json runs before the driver does.

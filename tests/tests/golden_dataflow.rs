@@ -279,7 +279,7 @@ fn summed_exec_stats_of_every_udf_are_pinned() {
 fn the_synthetic_job_merges_by_ord_and_counts_by_eq() {
     let (spec, ds) = synthetic_mixed_keys();
     let mut pairs = Vec::new();
-    for rec in &ds.records {
+    for rec in ds.records.iter() {
         run_map(
             &spec.map_udf,
             &spec.params,
