@@ -4,8 +4,9 @@
 //! reproduction costs, so it gets rewritten for speed — and every profile,
 //! matcher decision, CBO recommendation and virtual runtime downstream is
 //! a function of the `Dataflow` it returns. This suite pins that function:
-//! for each of the 58 suite submissions, and for one synthetic job built
-//! to sit on the grouping's sharp edges, a digest over every `Dataflow`
+//! for each of the 58 suite submissions, and for two synthetic jobs built
+//! to sit on the grouping's sharp edges (mixed numeric keys; keys hostile
+//! to a byte encoding of the order), a digest over every `Dataflow`
 //! field by `to_bits` plus the summed `ExecStats` of the map, combine and
 //! reduce UDFs. A diff in these literals is a change in what the simulator
 //! measures, never a snapshot to regenerate for a refactor.
@@ -203,6 +204,159 @@ fn synthetic_mixed_keys() -> (JobSpec, Dataset) {
     (spec, Dataset::new("synthetic", records, 10 << 30))
 }
 
+/// Every key a byte-wise rendering of `Value`'s order can get wrong.
+///
+/// * Texts containing `\0` (alone, doubled, trailing, before a multi-byte
+///   character), texts that are proper prefixes of each other and the
+///   empty text: a terminator or an escape that does not order exactly
+///   like the bytes it stands for moves a group boundary.
+/// * `Pair(Text, Int)` against `Pair(Text, Float)` of equal value, pairs
+///   whose first components share more than eight bytes, nested pairs.
+/// * The numeric edges — `Int(2^53)`, `Int(2^53 + 1)`, `Float(2^53)`,
+///   `Int(i64::MIN/MAX)`, `±0.0`, `±inf`, both NaNs — bare, and as first
+///   components of pairs whose second components order the other way.
+/// * `Null`, and `List` and `Map` keys that are `Ord`-equal and not `Eq`.
+fn hostile_keys() -> Vec<Value> {
+    let t = Value::text;
+    let p = Value::pair;
+    let f = Value::float;
+    let big = 1i64 << 53;
+    let map_of = |v: Value| Value::map(BTreeMap::from([("a".to_string(), v)]));
+    let mut keys = vec![
+        Value::Null,
+        t(""),
+        t("\0"),
+        t("\0\0"),
+        t("a"),
+        t("a\0"),
+        t("a\0\0"),
+        t("a\0b"),
+        t("a\0é"),
+        t("a\u{1}"),
+        t("ab"),
+        t("\0é"),
+        t("é"),
+        t("é\0"),
+        t("a\0\u{10ffff}"),
+        t("\u{10ffff}"),
+        p(t("k"), Value::Int(3)),
+        p(t("k"), f(3.0)),
+        p(t("k"), f(3.5)),
+        p(t("k"), Value::Int(4)),
+        p(t("k\0"), Value::Int(1)),
+        p(t("k"), t("\0")),
+        p(t("k"), Value::Null),
+        p(t("item1234-shared"), t("b")),
+        p(t("item1234-shared"), t("a")),
+        p(t("item1234-shared"), t("a\0")),
+        p(t("item1234-shareD"), t("z")),
+        p(t("item1234"), t("item5678")),
+        p(t("item1234"), t("item5679")),
+        p(p(t("a"), t("b")), t("c")),
+        p(p(t("a"), t("b\0")), t("c")),
+        p(p(t("a"), t("b")), t("")),
+        p(t("a"), p(t("b"), t("c"))),
+        p(p(t("a"), Value::Int(1)), p(f(1.0), t("x"))),
+        p(p(t("a"), f(1.0)), p(Value::Int(1), t("x"))),
+        p(Value::Null, Value::Null),
+        p(Value::Null, t("")),
+        p(t(""), Value::Null),
+        Value::list(vec![]),
+        Value::list(vec![Value::Int(1)]),
+        Value::list(vec![f(1.0)]),
+        Value::list(vec![Value::Int(1), Value::Int(2)]),
+        Value::list(vec![t("a\0")]),
+        p(t("p"), Value::list(vec![Value::Int(1)])),
+        p(t("p"), Value::list(vec![f(1.0)])),
+        p(t("p"), Value::list(vec![Value::Int(2)])),
+        p(Value::list(vec![Value::Int(1)]), t("b")),
+        p(Value::list(vec![f(1.0)]), t("a")),
+        Value::map(BTreeMap::new()),
+        map_of(Value::Int(1)),
+        map_of(f(1.0)),
+        map_of(t("\0")),
+        p(map_of(Value::Int(1)), t("b")),
+        p(map_of(f(1.0)), t("a")),
+    ];
+    // The numeric edges, bare and leading a pair. The second components
+    // run against the first components' order, so a pair decided on a
+    // truncated first component comes out on the wrong side.
+    let numerics = [
+        f(-f64::NAN),
+        f(f64::NEG_INFINITY),
+        Value::Int(i64::MIN),
+        f(i64::MIN as f64),
+        Value::Int(-big - 1),
+        Value::Int(-big),
+        f(-(big as f64)),
+        Value::Int(-1),
+        f(-1.0),
+        f(-0.0),
+        Value::Int(0),
+        f(0.0),
+        f(f64::MIN_POSITIVE),
+        Value::Int(1),
+        f(1.0),
+        Value::Int(big - 1),
+        Value::Int(big),
+        f(big as f64),
+        Value::Int(big + 1),
+        Value::Int(big + 2),
+        f((big + 2) as f64),
+        f(i64::MAX as f64),
+        Value::Int(i64::MAX),
+        f(f64::INFINITY),
+        f(f64::NAN),
+    ];
+    for (rank, n) in numerics.iter().enumerate() {
+        keys.push(n.clone());
+        let against = ["z", "y", "x", "a\0", "a"][rank % 5];
+        keys.push(p(n.clone(), t(against)));
+        keys.push(p(t("n"), n.clone()));
+    }
+    keys
+}
+
+/// The hostile keys, handed to an identity mapper through the dataset's
+/// records in a scrambled, repeating order, so every group has members in
+/// several chunks and its `Ord`-equal spellings take turns being first.
+/// Values and UDFs are those of [`synthetic_mixed_keys`]: decimal floats
+/// summed and printed as text by a combiner and a reducer, so both
+/// groupings run and a reordering inside a group changes bytes.
+fn synthetic_hostile_keys() -> (JobSpec, Dataset) {
+    let sum_as_text = |name: &str| {
+        Udf::reducer(
+            name,
+            vec![emit(
+                var("key"),
+                call(
+                    Builtin::ToText,
+                    vec![call(Builtin::SumList, vec![var("values")])],
+                ),
+            )],
+        )
+    };
+    let spec = JobSpec::builder("synthetic-hostile-keys")
+        .map_types(ValueType::Text, ValueType::Float)
+        .intermediate_types(ValueType::Text, ValueType::Float)
+        .output_types(ValueType::Text, ValueType::Text)
+        .mapper(
+            "IdentityMapper",
+            Udf::mapper("IdentityMapper", vec![emit(var("key"), var("value"))]),
+        )
+        .combiner("SumAsTextCombiner", sum_as_text("SumAsTextCombiner"))
+        .reducer("SumAsTextReducer", sum_as_text("SumAsTextReducer"))
+        .build();
+    let keys = hostile_keys();
+    let records = (0..6_000usize)
+        .map(|i| {
+            let key = keys[(i * 37 + (i / keys.len()) * 11) % keys.len()].clone();
+            Record::new(key, Value::float(i as f64 * 0.1))
+        })
+        .collect();
+    (spec, Dataset::new("synthetic", records, 10 << 30))
+}
+
 fn cases() -> Vec<(String, JobSpec, Dataset)> {
     let mut cases: Vec<_> = harness::all_submissions()
         .into_iter()
@@ -214,8 +368,9 @@ fn cases() -> Vec<(String, JobSpec, Dataset)> {
             )
         })
         .collect();
-    let (spec, ds) = synthetic_mixed_keys();
-    cases.push((format!("{}@{}", spec.job_id(), ds.name), spec, ds));
+    for (spec, ds) in [synthetic_mixed_keys(), synthetic_hostile_keys()] {
+        cases.push((format!("{}@{}", spec.job_id(), ds.name), spec, ds));
+    }
     cases
 }
 
@@ -250,7 +405,7 @@ fn check<T: PartialEq>(
 #[test]
 fn the_suite_is_58_submissions_plus_the_synthetic_job() {
     assert_eq!(harness::all_submissions().len(), 58);
-    assert_eq!(GOLDEN.len(), 59);
+    assert_eq!(GOLDEN.len(), 60);
 }
 
 #[test]
@@ -306,6 +461,48 @@ fn the_synthetic_job_merges_by_ord_and_counts_by_eq() {
     let red = flow.reduce.unwrap();
     assert_eq!(red.key_weights.len(), 4096);
     assert!(red.uniform_weight > 0.0);
+}
+
+/// The hostile job does carry what it was built to carry: every key in
+/// the table reaches the grouping, and the table holds `Ord`-equal keys
+/// that are not `Eq` — bare, inside pairs, and inside the list and map
+/// keys no byte encoding renders.
+#[test]
+fn the_hostile_job_groups_fewer_keys_than_it_counts() {
+    let (spec, ds) = synthetic_hostile_keys();
+    let mut pairs = Vec::new();
+    for rec in ds.records.iter() {
+        run_map(
+            &spec.map_udf,
+            &spec.params,
+            &rec.key,
+            &rec.value,
+            &mut pairs,
+        )
+        .unwrap();
+    }
+    let groups = group(&pairs);
+    let distinct: std::collections::HashSet<&Value> = pairs.iter().map(|(k, _)| k).collect();
+    assert_eq!(pairs.len(), 6_000);
+    assert_eq!(distinct.len(), hostile_keys().len());
+    assert_eq!((groups.len(), distinct.len()), (110, 129));
+    let opaque = |k: &&Value| {
+        let leaf = |v: &Value| matches!(v, Value::List(_) | Value::Map(_));
+        leaf(k) || matches!(k, Value::Pair(p) if leaf(&p.0) || leaf(&p.1))
+    };
+    assert_eq!(groups.keys().filter(opaque).count(), 13);
+    // Every key is emitted 46 or 47 times. `Int(2^53)` shares a group with
+    // `Float(2^53)`, and `Int(2^53 + 2)` with its float; `Int(2^53 + 1)`,
+    // which `as f64` rounds onto its neighbour, joins neither.
+    let big = 1i64 << 53;
+    let members = |k: i64| groups[&Value::Int(k)].len();
+    assert!(members(big) >= 92 && members(big + 2) >= 92);
+    assert!(members(big + 1) <= 47);
+
+    let flow = analyze(&spec, &ds, &harness::cluster()).unwrap();
+    let alpha = flow.combine.unwrap().alpha;
+    assert_eq!(alpha, 0.05, "every key occurs in the first half");
+    assert_eq!(flow.reduce.unwrap().key_weights.len(), groups.len());
 }
 
 const GOLDEN: &[Row] = &[
@@ -969,6 +1166,20 @@ const GOLDEN: &[Row] = &[
             [666668, 40000, 640000],
             [88000, 6000, 112299],
             [75650, 5050, 90484],
+        ],
+    ),
+    (
+        "synthetic-hostile-keys@synthetic",
+        [
+            0x6dfe43d7837f6e98,
+            0xa0e884f24e933275,
+            0xb2294601a2b9e2e5,
+            0x0c8a603fec9c1116,
+        ],
+        [
+            [30000, 6000, 103498],
+            [28979, 2200, 43613],
+            [2868, 110, 2498],
         ],
     ),
 ];
