@@ -8,7 +8,9 @@
 //! migration, matcher latency with a migration in flight vs quiesced),
 //! CBO search and what-if evaluation throughput at 16 and at 560 map
 //! tasks, and the dataflow measurement (`mrsim::analyze`) of every suite
-//! submission, by job family.
+//! submission, by job family, with its two halves apart: the grouping
+//! (`group_sort`, beside a `Value`-comparing sort as oracle) and the map
+//! UDF under the interpreter (`interp_map`).
 //! Writes `BENCH_tuning_latency.json` at the repo root.
 //!
 //! Every row times code a submission can reach. The three stage-1 rows
@@ -21,7 +23,9 @@ use std::time::Instant;
 
 use cfstore::{Put, Scan, StoreOptions};
 use datagen::corpus;
-use mrjobs::jobs;
+use mrjobs::interp::{Interp, Sink};
+use mrjobs::{jobs, Value};
+use mrsim::sortkey::KeyArena;
 use mrsim::{analyze, ClusterSpec, JobConfig};
 use optimizer::{optimize, CboOptions, ConfigSpace};
 use profiler::{collect_full_profile, collect_sample_profile, JobProfile, SampleSize};
@@ -734,6 +738,123 @@ fn bench_analyze() -> Vec<AnalyzeFamily> {
     families
 }
 
+/// Emitted pairs only counted.
+struct Discard;
+
+impl Sink for Discard {
+    fn emit(&mut self, _key: Value, _value: Value, _bytes: u64) {}
+}
+
+fn submission<'s>(subs: &'s [harness::Submission], case: &str) -> &'s harness::Submission {
+    subs.iter()
+        .find(|s| format!("{}@{}", s.spec.job_id(), s.dataset.name) == case)
+        .unwrap_or_else(|| panic!("{case} is not in the suite"))
+}
+
+/// Grouping the emitted keys of one submission, both ways, beside the
+/// `analyze` of the same submission the grouping is a share of.
+struct GroupSort {
+    case: &'static str,
+    pairs: usize,
+    arena_p50_ns: u128,
+    value_cmp_p50_ns: u128,
+    analyze_p50_ns: u128,
+}
+
+/// The grouping half of `analyze` on its own (DESIGN.md §22): the emitted
+/// keys of three sort-heavy submissions pushed into a `KeyArena`, sorted
+/// and split into groups — what `analyze` does with them — and, as the
+/// oracle row, the same keys grouped by a stable `sort_by(Value::cmp)` +
+/// `chunk_by`, the grouping the arena replaced.
+fn bench_group_sort(subs: &[harness::Submission]) -> Vec<GroupSort> {
+    let cluster = harness::cluster();
+    let cases = [
+        "word-count@wikipedia-35g",
+        "word-cooccurrence-pairs[window=2]@wikipedia-35g",
+        "cf-item-similarity@user-lists-10m",
+    ];
+    cases
+        .into_iter()
+        .map(|case| {
+            let sub = submission(subs, case);
+            let mut mapper = Interp::new(&sub.spec.map_udf, &sub.spec.params);
+            let mut out: Vec<(Value, Value)> = Vec::new();
+            for rec in sub.dataset.records.iter() {
+                mapper
+                    .run(rec.key.clone(), rec.value.clone(), &mut out)
+                    .unwrap();
+            }
+            let keys: Vec<Value> = out.into_iter().map(|(key, _)| key).collect();
+            let analyzed = sample_ns(
+                || {
+                    std::hint::black_box(analyze(&sub.spec, &sub.dataset, &cluster).unwrap());
+                },
+                3,
+                10,
+            );
+
+            let mut groups = [0usize; 2];
+            let arena = sample_ns(
+                || {
+                    let mut arena = KeyArena::new();
+                    for key in &keys {
+                        arena.push(key).unwrap();
+                    }
+                    arena.sort(0, &keys);
+                    groups[0] = std::hint::black_box(arena.groups(0, &keys).count());
+                },
+                5,
+                40,
+            );
+            let value_cmp = sample_ns(
+                || {
+                    let mut order: Vec<usize> = (0..keys.len()).collect();
+                    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+                    let grouped = order.chunk_by(|&a, &b| keys[a].cmp(&keys[b]).is_eq());
+                    groups[1] = std::hint::black_box(grouped.count());
+                },
+                5,
+                40,
+            );
+            assert_eq!(groups[0], groups[1], "{case}: the two groupings disagree");
+            GroupSort {
+                case,
+                pairs: keys.len(),
+                arena_p50_ns: percentile(&arena, 0.50),
+                value_cmp_p50_ns: percentile(&value_cmp, 0.50),
+                analyze_p50_ns: percentile(&analyzed, 0.50),
+            }
+        })
+        .collect()
+}
+
+/// One mapper under the interpreter, output discarded: `(case, records,
+/// p50 ns of a pass over the sample)`.
+fn bench_interp_map(subs: &[harness::Submission]) -> Vec<(&'static str, usize, u128)> {
+    [
+        "pigmix-l1[threshold=7]@pigmix-1g",
+        "word-count@random-text-1g",
+    ]
+    .into_iter()
+    .map(|case| {
+        let sub = submission(subs, case);
+        let mut mapper = Interp::new(&sub.spec.map_udf, &sub.spec.params);
+        let samples = sample_ns(
+            || {
+                for rec in sub.dataset.records.iter() {
+                    mapper
+                        .run(rec.key.clone(), rec.value.clone(), &mut Discard)
+                        .unwrap();
+                }
+            },
+            20,
+            200,
+        );
+        (case, sub.dataset.len(), percentile(&samples, 0.50))
+    })
+    .collect()
+}
+
 fn entry<'a>(entries: &'a [Entry], op: &str, variant: &str, size: usize) -> &'a Entry {
     entries
         .iter()
@@ -768,6 +889,12 @@ fn main() {
     let analyze_pairs: u64 = analyze_families.iter().map(|f| f.pairs).sum();
     let analyze_total_ms = analyze_total_ns as f64 * 1e-6;
     let analyze_pairs_per_s = analyze_pairs as f64 / (analyze_total_ns as f64 * 1e-9);
+    let subs = harness::all_submissions();
+    let group_sorts = bench_group_sort(&subs);
+    let sum_ns = |of: fn(&GroupSort) -> u128| group_sorts.iter().map(of).sum::<u128>() as f64;
+    let group_sort_share = sum_ns(|g| g.arena_p50_ns) / sum_ns(|g| g.analyze_p50_ns);
+    let group_sort_speedup = sum_ns(|g| g.value_cmp_p50_ns) / sum_ns(|g| g.arena_p50_ns);
+    let interp_maps = bench_interp_map(&subs);
 
     let stage1_speedup = find(&entries, "matcher_stage1", "filter_dynamic", 1000)
         / find(&entries, "matcher_stage1", "columnar", 1000);
@@ -813,9 +940,38 @@ fn main() {
             "\n"
         });
     }
+    json.push_str("  ],\n  \"group_sort\": [\n");
+    let group_sort_rows: Vec<String> = group_sorts
+        .iter()
+        .flat_map(|g| {
+            [("arena", g.arena_p50_ns), ("value_cmp", g.value_cmp_p50_ns)].map(|(variant, p50_ns)| {
+                format!(
+                    "    {{\"case\": \"{}\", \"variant\": \"{variant}\", \"pairs\": {}, \"p50_ns\": {p50_ns}, \"pairs_per_s\": {:.0}}}",
+                    g.case,
+                    g.pairs,
+                    g.pairs as f64 / (p50_ns as f64 * 1e-9)
+                )
+            })
+        })
+        .collect();
+    json.push_str(&group_sort_rows.join(",\n"));
+    json.push('\n');
+    json.push_str("  ],\n  \"interp_map\": [\n");
+    for (i, (case, records, p50_ns)) in interp_maps.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"case\": \"{case}\", \"records\": {records}, \"p50_ns\": {p50_ns}, \"ns_per_record\": {:.0}}}",
+            *p50_ns as f64 / *records as f64
+        );
+        json.push_str(if i + 1 < interp_maps.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
     let _ = write!(
         json,
-        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0}\n  }}\n}}\n"
+        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -850,4 +1006,14 @@ fn main() {
             .sum::<usize>(),
         analyze_pairs_per_s / 1e6
     );
+    println!(
+        "grouping (arena) is {:.0} % of analyze on its three cases, {group_sort_speedup:.1}x a Value-comparing sort",
+        group_sort_share * 100.0
+    );
+    for (case, records, p50_ns) in &interp_maps {
+        println!(
+            "{case} mapper: {:.0} ns/record",
+            *p50_ns as f64 / *records as f64
+        );
+    }
 }

@@ -9,8 +9,11 @@
 //!
 //! An [`Interp`] is built once per UDF — variable names become slots of a
 //! flat environment — and then invoked per record or per key group,
-//! reusing that environment; values are reference-counted
-//! ([`crate::value`]), so nothing an invocation reads is copied.
+//! reusing that environment. Evaluating an expression only reads the
+//! environment: a variable, a constant or a job parameter is handed on by
+//! reference, a computed value owned, and a value is cloned (for the heap
+//! variants of [`crate::value`], a reference-count bump) only where a
+//! statement or builtin stores it.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -108,7 +111,14 @@ enum RExpr {
     /// (an error only if the expression is ever evaluated).
     JobParam(Result<Value, &'static str>),
     Bin(BinOp, Box<RExpr>, Box<RExpr>),
+    /// A builtin with as many arguments as it takes.
     Call(Builtin, Vec<RExpr>),
+    /// A builtin with `got` arguments where it takes another number: an
+    /// error, if the expression is ever evaluated.
+    BadCall {
+        builtin: Builtin,
+        got: usize,
+    },
 }
 
 /// A statement over [`RExpr`]s; mirrors [`Stmt`] shape for shape, so op
@@ -171,6 +181,10 @@ impl Resolver<'_> {
                 RExpr::JobParam(self.job_params.get(*name).cloned().ok_or(*name))
             }
             Expr::Bin(op, a, b) => RExpr::Bin(*op, Box::new(self.expr(a)), Box::new(self.expr(b))),
+            Expr::Call(builtin, args) if args.len() != builtin.arity() => RExpr::BadCall {
+                builtin: *builtin,
+                got: args.len(),
+            },
             Expr::Call(builtin, args) => {
                 RExpr::Call(*builtin, args.iter().map(|a| self.expr(a)).collect())
             }
@@ -238,7 +252,7 @@ impl Interp {
             names: Vec::new(),
             job_params,
         };
-        let inputs = [resolver.slot(udf.params[0]), resolver.slot(udf.params[1])];
+        let inputs = udf.params.map(|name| resolver.slot(name));
         let body = resolver.block(&udf.body);
         Interp {
             body,
@@ -263,11 +277,17 @@ impl Interp {
         let mut frame = Frame {
             env: &mut self.env,
             out,
-            stats: ExecStats::default(),
-            steps: 0,
+            meter: Meter::default(),
         };
         frame.exec_block(&self.body).map_err(|e| *e)?;
-        Ok(frame.stats)
+        Ok(frame.meter.stats)
+    }
+
+    /// Take back the second input of the invocation that just returned, if
+    /// the UDF left it bound: a caller that built a list for it can reuse
+    /// the allocation once nothing else holds the list.
+    pub fn take_second(&mut self) -> Option<Value> {
+        self.env[self.inputs[1]].take()
     }
 }
 
@@ -276,15 +296,22 @@ impl Interp {
 /// expression node hands back as small as the [`Value`] inside it.
 type Eval<T> = Result<T, Box<InterpError>>;
 
-/// One invocation context for a UDF.
-struct Frame<'a> {
-    env: &'a mut [Option<Value>],
-    out: &'a mut dyn Sink,
+/// What an expression evaluates to: borrowed from the environment, the
+/// resolved UDF or the operand it is a part of, or computed and owned.
+type Operand<'a> = Cow<'a, Value>;
+
+/// Stands in for the arguments a builtin does not take.
+static NULL: Value = Value::Null;
+
+/// What an invocation has spent and emitted so far: all that evaluating an
+/// expression writes.
+#[derive(Default)]
+struct Meter {
     stats: ExecStats,
     steps: u64,
 }
 
-impl Frame<'_> {
+impl Meter {
     fn tick(&mut self, cost: u64) -> Eval<()> {
         self.steps += 1;
         self.stats.ops += cost;
@@ -293,183 +320,6 @@ impl Frame<'_> {
         } else {
             Ok(())
         }
-    }
-
-    fn eval(&mut self, expr: &RExpr) -> Eval<Value> {
-        self.tick(1)?;
-        match expr {
-            RExpr::Const(v) => Ok(v.clone()),
-            RExpr::Var { slot, name } => self.env[*slot]
-                .clone()
-                .ok_or_else(|| InterpError::UnknownVar((*name).to_string()).into()),
-            RExpr::JobParam(param) => param
-                .clone()
-                .map_err(|name| InterpError::UnknownJobParam(name.to_string()).into()),
-            RExpr::Bin(op, a, b) => {
-                let a = self.eval(a)?;
-                let b = self.eval(b)?;
-                eval_binop(*op, &a, &b)
-            }
-            RExpr::Call(builtin, args) => {
-                if args.len() != builtin.arity() {
-                    return Err(InterpError::ArityMismatch {
-                        builtin: format!("{builtin:?}"),
-                        expected: builtin.arity(),
-                        got: args.len(),
-                    }
-                    .into());
-                }
-                // No builtin takes more than three arguments.
-                let mut vals = [Value::Null, Value::Null, Value::Null];
-                for (val, arg) in vals.iter_mut().zip(args) {
-                    *val = self.eval(arg)?;
-                }
-                self.call_builtin(*builtin, vals)
-            }
-        }
-    }
-
-    fn call_builtin(&mut self, b: Builtin, args: [Value; 3]) -> Eval<Value> {
-        use Builtin::*;
-        let mut extra_cost = 0u64;
-        let [a0, a1, a2] = args;
-        let result = match b {
-            Tokenize => {
-                let s = text_arg(&a0)?;
-                extra_cost = s.len() as u64 / 8;
-                Value::list(s.split_whitespace().map(Value::text).collect())
-            }
-            Split => {
-                let s = text_arg(&a0)?;
-                let sep = text_arg(&a1)?;
-                extra_cost = s.len() as u64 / 8;
-                if sep.is_empty() {
-                    Value::list(vec![a0.clone()])
-                } else {
-                    Value::list(s.split(sep).map(Value::text).collect())
-                }
-            }
-            Lower => {
-                let s = text_arg(&a0)?;
-                extra_cost = s.len() as u64 / 8;
-                Value::text(s.to_lowercase())
-            }
-            Len => Value::Int(match &a0 {
-                Value::Text(s) => s.len() as i64,
-                Value::List(l) => l.len() as i64,
-                Value::Map(m) => m.len() as i64,
-                other => {
-                    return type_err("text/list/map", other);
-                }
-            }),
-            Index => {
-                let i = int_arg(&a1)?;
-                match &a0 {
-                    Value::List(l) => l
-                        .get(usize::try_from(i).unwrap_or(usize::MAX))
-                        .cloned()
-                        .unwrap_or(Value::Null),
-                    other => return type_err("list", other),
-                }
-            }
-            Concat => Value::text(format!("{a0}{a1}")),
-            ToText => match a0 {
-                Value::Text(_) => a0,
-                other => Value::text(other.to_string()),
-            },
-            ParseInt => Value::Int(
-                text_arg(&a0)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<i64>().ok())
-                    .unwrap_or(0),
-            ),
-            ParseFloat => Value::float(
-                text_arg(&a0)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<f64>().ok())
-                    .unwrap_or(0.0),
-            ),
-            MakePair => Value::pair(a0, a1),
-            First => match &a0 {
-                Value::Pair(p) => p.0.clone(),
-                other => return type_err("pair", other),
-            },
-            Second => match &a0 {
-                Value::Pair(p) => p.1.clone(),
-                other => return type_err("pair", other),
-            },
-            MapGet => {
-                let k = text_arg(&a1)?;
-                match &a0 {
-                    Value::Map(m) => m.get(k).cloned().unwrap_or(Value::Null),
-                    other => return type_err("map", other),
-                }
-            }
-            Contains => {
-                let s = text_arg(&a0)?;
-                let pat = text_arg(&a1)?;
-                extra_cost = s.len() as u64 / 16;
-                Value::Int(s.contains(pat) as i64)
-            }
-            NotEmpty => Value::Int(a0.is_truthy() as i64),
-            Hash => Value::Int(value_hash(&a0) as i64),
-            Range => {
-                let range = self.range_within_steps(&a0, &a1)?;
-                extra_cost = range_extra_cost(&range);
-                Value::list(range.map(Value::Int).collect())
-            }
-            Min => num_binary(&a0, &a1, f64::min)?,
-            Max => num_binary(&a0, &a1, f64::max)?,
-            Substr => {
-                let s = text_arg(&a0)?;
-                let from = int_arg(&a1)?.clamp(0, s.len() as i64) as usize;
-                let to = int_arg(&a2)?.clamp(from as i64, s.len() as i64) as usize;
-                // Indices are bytes; an index inside a multi-byte
-                // character rounds down to the character's first byte.
-                let from = s.floor_char_boundary(from);
-                let to = s.floor_char_boundary(to);
-                Value::text(&s[from..to])
-            }
-            SumList => match &a0 {
-                Value::List(l) => {
-                    extra_cost = l.len() as u64 / 4;
-                    let mut acc = 0.0;
-                    let mut all_int = true;
-                    for v in l.iter() {
-                        all_int &= matches!(v, Value::Int(_));
-                        match v.as_float() {
-                            Some(x) => acc += x,
-                            None => return type_err("number", v),
-                        }
-                    }
-                    if all_int {
-                        Value::Int(acc as i64)
-                    } else {
-                        Value::float(acc)
-                    }
-                }
-                other => return type_err("list", other),
-            },
-            SortList => match a0 {
-                Value::List(mut l) => {
-                    extra_cost = (l.len() as u64).saturating_mul(4);
-                    Arc::make_mut(&mut l).sort();
-                    Value::List(l)
-                }
-                other => return type_err("list", &other),
-            },
-            MapKeys => match &a0 {
-                Value::Map(m) => {
-                    extra_cost = m.len() as u64 / 4;
-                    Value::list(m.keys().map(|k| Value::text(k.as_str())).collect())
-                }
-                other => return type_err("map", other),
-            },
-            EmptyList => Value::list(vec![]),
-            EmptyMap => Value::map(BTreeMap::new()),
-        };
-        self.stats.ops += b.base_cost() + extra_cost;
-        Ok(result)
     }
 
     /// The bounds of `range(from, to)`, refused when the range is longer
@@ -484,6 +334,218 @@ impl Frame<'_> {
             return Err(InterpError::StepLimitExceeded.into());
         }
         Ok(from..to)
+    }
+}
+
+/// Evaluate `expr` against the environment `env`, which it only reads.
+fn eval<'a>(env: &'a [Option<Value>], meter: &mut Meter, expr: &'a RExpr) -> Eval<Operand<'a>> {
+    meter.tick(1)?;
+    match expr {
+        RExpr::Const(v) => Ok(Cow::Borrowed(v)),
+        RExpr::Var { slot, name } => match &env[*slot] {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => Err(InterpError::UnknownVar((*name).to_string()).into()),
+        },
+        RExpr::JobParam(param) => match param {
+            Ok(v) => Ok(Cow::Borrowed(v)),
+            Err(name) => Err(InterpError::UnknownJobParam((*name).to_string()).into()),
+        },
+        RExpr::Bin(op, a, b) => {
+            let a = eval(env, meter, a)?;
+            let b = eval(env, meter, b)?;
+            eval_binop(*op, &a, &b).map(Cow::Owned)
+        }
+        RExpr::Call(builtin, args) => {
+            // No builtin takes more than three arguments.
+            let mut vals = [
+                Cow::Borrowed(&NULL),
+                Cow::Borrowed(&NULL),
+                Cow::Borrowed(&NULL),
+            ];
+            for (val, arg) in vals.iter_mut().zip(args) {
+                *val = eval(env, meter, arg)?;
+            }
+            call_builtin(meter, *builtin, vals)
+        }
+        RExpr::BadCall { builtin, got } => Err(InterpError::ArityMismatch {
+            builtin: format!("{builtin:?}"),
+            expected: builtin.arity(),
+            got: *got,
+        }
+        .into()),
+    }
+}
+
+/// The part of `whole` that `pick` selects (`Null` when it selects none):
+/// borrowed from where a borrowed operand lives, cloned out of an owned one.
+fn part_of<'a>(
+    whole: Operand<'a>,
+    pick: impl for<'v> FnOnce(&'v Value) -> Eval<Option<&'v Value>>,
+) -> Eval<Operand<'a>> {
+    Ok(match whole {
+        Cow::Borrowed(v) => pick(v)?.map_or(Cow::Borrowed(&NULL), Cow::Borrowed),
+        Cow::Owned(v) => Cow::Owned(pick(&v)?.cloned().unwrap_or(Value::Null)),
+    })
+}
+
+/// Charge `b` for an operand, or a part of one, that it hands on rather
+/// than computes.
+fn handed_on<'a>(meter: &mut Meter, b: Builtin, operand: Operand<'a>) -> Eval<Operand<'a>> {
+    meter.stats.ops += b.base_cost();
+    Ok(operand)
+}
+
+fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Eval<Operand<'a>> {
+    use Builtin::*;
+    let mut extra_cost = 0u64;
+    let [a0, a1, a2] = args;
+    let result = match b {
+        Tokenize => {
+            let s = text_arg(&a0)?;
+            extra_cost = s.len() as u64 / 8;
+            Value::list(s.split_whitespace().map(Value::text).collect())
+        }
+        Split => {
+            let s = text_arg(&a0)?;
+            let sep = text_arg(&a1)?;
+            extra_cost = s.len() as u64 / 8;
+            if sep.is_empty() {
+                Value::list(vec![Value::clone(&a0)])
+            } else {
+                Value::list(s.split(sep).map(Value::text).collect())
+            }
+        }
+        Lower => {
+            let s = text_arg(&a0)?;
+            extra_cost = s.len() as u64 / 8;
+            Value::text(s.to_lowercase())
+        }
+        Len => Value::Int(match &*a0 {
+            Value::Text(s) => s.len() as i64,
+            Value::List(l) => l.len() as i64,
+            Value::Map(m) => m.len() as i64,
+            other => {
+                return type_err("text/list/map", other);
+            }
+        }),
+        Index => {
+            let i = int_arg(&a1)?;
+            let item = part_of(a0, |list| match list {
+                Value::List(l) => Ok(l.get(usize::try_from(i).unwrap_or(usize::MAX))),
+                other => type_err("list", other),
+            })?;
+            return handed_on(meter, b, item);
+        }
+        Concat => Value::text(format!("{a0}{a1}")),
+        ToText if matches!(*a0, Value::Text(_)) => return handed_on(meter, b, a0),
+        ToText => Value::text(a0.to_string()),
+        ParseInt => Value::Int(
+            text_arg(&a0)
+                .ok()
+                .and_then(|s| s.trim().parse::<i64>().ok())
+                .unwrap_or(0),
+        ),
+        ParseFloat => Value::float(
+            text_arg(&a0)
+                .ok()
+                .and_then(|s| s.trim().parse::<f64>().ok())
+                .unwrap_or(0.0),
+        ),
+        MakePair => Value::pair(a0.into_owned(), a1.into_owned()),
+        First | Second => {
+            let half = part_of(a0, |pair| match pair {
+                Value::Pair(p) => Ok(Some(if b == First { &p.0 } else { &p.1 })),
+                other => type_err("pair", other),
+            })?;
+            return handed_on(meter, b, half);
+        }
+        MapGet => {
+            let k = text_arg(&a1)?;
+            let entry = part_of(a0, |map| match map {
+                Value::Map(m) => Ok(m.get(k)),
+                other => type_err("map", other),
+            })?;
+            return handed_on(meter, b, entry);
+        }
+        Contains => {
+            let s = text_arg(&a0)?;
+            let pat = text_arg(&a1)?;
+            extra_cost = s.len() as u64 / 16;
+            Value::Int(s.contains(pat) as i64)
+        }
+        NotEmpty => Value::Int(a0.is_truthy() as i64),
+        Hash => Value::Int(value_hash(&a0) as i64),
+        Range => {
+            let range = meter.range_within_steps(&a0, &a1)?;
+            extra_cost = range_extra_cost(&range);
+            Value::list(range.map(Value::Int).collect())
+        }
+        Min => num_binary(&a0, &a1, f64::min)?,
+        Max => num_binary(&a0, &a1, f64::max)?,
+        Substr => {
+            let s = text_arg(&a0)?;
+            let from = int_arg(&a1)?.clamp(0, s.len() as i64) as usize;
+            let to = int_arg(&a2)?.clamp(from as i64, s.len() as i64) as usize;
+            // Indices are bytes; an index inside a multi-byte
+            // character rounds down to the character's first byte.
+            let from = s.floor_char_boundary(from);
+            let to = s.floor_char_boundary(to);
+            Value::text(&s[from..to])
+        }
+        SumList => match &*a0 {
+            Value::List(l) => {
+                extra_cost = l.len() as u64 / 4;
+                let mut acc = 0.0;
+                let mut all_int = true;
+                for v in l.iter() {
+                    all_int &= matches!(v, Value::Int(_));
+                    match v.as_float() {
+                        Some(x) => acc += x,
+                        None => return type_err("number", v),
+                    }
+                }
+                if all_int {
+                    Value::Int(acc as i64)
+                } else {
+                    Value::float(acc)
+                }
+            }
+            other => return type_err("list", other),
+        },
+        // Sorting a list a variable still holds sorts a copy of it.
+        SortList => match a0.into_owned() {
+            Value::List(mut l) => {
+                extra_cost = (l.len() as u64).saturating_mul(4);
+                Arc::make_mut(&mut l).sort();
+                Value::List(l)
+            }
+            other => return type_err("list", &other),
+        },
+        MapKeys => match &*a0 {
+            Value::Map(m) => {
+                extra_cost = m.len() as u64 / 4;
+                Value::list(m.keys().map(|k| Value::text(k.as_str())).collect())
+            }
+            other => return type_err("map", other),
+        },
+        EmptyList => Value::list(vec![]),
+        EmptyMap => Value::map(BTreeMap::new()),
+    };
+    meter.stats.ops += b.base_cost() + extra_cost;
+    Ok(Cow::Owned(result))
+}
+
+/// One invocation context for a UDF: the environment its statements
+/// write, where its pairs go, and what it has spent.
+struct Frame<'a> {
+    env: &'a mut [Option<Value>],
+    out: &'a mut dyn Sink,
+    meter: Meter,
+}
+
+impl Frame<'_> {
+    fn eval<'e>(&'e mut self, expr: &'e RExpr) -> Eval<Operand<'e>> {
+        eval(self.env, &mut self.meter, expr)
     }
 
     fn exec_block(&mut self, block: &[RStmt]) -> Eval<()> {
@@ -501,10 +563,10 @@ impl Frame<'_> {
     }
 
     fn exec(&mut self, stmt: &RStmt) -> Eval<()> {
-        self.tick(1)?;
+        self.meter.tick(1)?;
         match stmt {
             RStmt::Assign(slot, e) => {
-                let v = self.eval(e)?;
+                let v = self.eval(e)?.into_owned();
                 self.env[*slot] = Some(v);
                 Ok(())
             }
@@ -514,7 +576,9 @@ impl Frame<'_> {
                 key,
                 delta,
             } => {
-                let key = self.eval(key)?;
+                // Owned: the map it goes into is in the environment a
+                // borrowed key would still be reading.
+                let key = self.eval(key)?.into_owned();
                 let d = self.eval(delta)?.as_float().ok_or(InterpError::TypeError {
                     expected: "number",
                     got: "non-numeric delta".to_string(),
@@ -548,7 +612,7 @@ impl Frame<'_> {
                 }
             }
             RStmt::ListPush { slot, name, item } => {
-                let v = self.eval(item)?;
+                let v = self.eval(item)?.into_owned();
                 match self.assigned(*slot, name)? {
                     Value::List(l) => {
                         Arc::make_mut(l).push(v);
@@ -558,13 +622,14 @@ impl Frame<'_> {
                 }
             }
             RStmt::Emit(k, v) => {
-                let k = self.eval(k)?;
-                let v = self.eval(v)?;
+                let k = self.eval(k)?.into_owned();
+                let v = self.eval(v)?.into_owned();
                 let bytes = k.serialized_size() + v.serialized_size();
-                self.stats.records_out += 1;
-                self.stats.bytes_out += bytes;
+                let stats = &mut self.meter.stats;
+                stats.records_out += 1;
+                stats.bytes_out += bytes;
                 // Emitting costs serialization work proportional to size.
-                self.stats.ops += 2;
+                stats.ops += 2;
                 self.out.emit(k, v, bytes);
                 Ok(())
             }
@@ -591,14 +656,14 @@ impl Frame<'_> {
                 slot,
                 iter: RExpr::Call(Builtin::Range, bounds),
                 body,
-            } if bounds.len() == 2 => {
-                self.tick(1)?;
-                let from = self.eval(&bounds[0])?;
-                let to = self.eval(&bounds[1])?;
-                let range = self.range_within_steps(&from, &to)?;
-                self.stats.ops += Builtin::Range.base_cost() + range_extra_cost(&range);
+            } => {
+                self.meter.tick(1)?;
+                let from = eval(self.env, &mut self.meter, &bounds[0])?;
+                let to = eval(self.env, &mut self.meter, &bounds[1])?;
+                let range = self.meter.range_within_steps(&from, &to)?;
+                self.meter.stats.ops += Builtin::Range.base_cost() + range_extra_cost(&range);
                 for i in range {
-                    self.tick(1)?;
+                    self.meter.tick(1)?;
                     self.env[*slot] = Some(Value::Int(i));
                     self.exec_block(body)?;
                 }
@@ -607,12 +672,12 @@ impl Frame<'_> {
             RStmt::For { slot, iter, body } => {
                 // Holding the list keeps the iteration a snapshot: a push
                 // to the same variable inside the body copies on write.
-                let list = match self.eval(iter)? {
+                let list = match self.eval(iter)?.into_owned() {
                     Value::List(l) => l,
                     other => return type_err("list", &other),
                 };
                 for item in list.iter() {
-                    self.tick(1)?;
+                    self.meter.tick(1)?;
                     self.env[*slot] = Some(item.clone());
                     self.exec_block(body)?;
                 }
@@ -1071,6 +1136,85 @@ mod tests {
         let mut out = vec![];
         run_map(&udf, &no_params(), &Value::Null, &Value::Null, &mut out).unwrap();
         assert_eq!(out[0].0, Value::Int(6));
+    }
+
+    #[test]
+    fn a_wrong_number_of_arguments_fails_where_the_call_is_evaluated() {
+        // Resolving checks the arity; only evaluating the call raises it,
+        // after the statements before it ran and before any argument is
+        // looked at (`nope` is unbound).
+        let udf = Udf::mapper(
+            "a",
+            vec![
+                emit(c_int(1), c_int(1)),
+                if_then(
+                    var("key"),
+                    vec![emit(
+                        call(Builtin::Index, vec![var("nope")]),
+                        call(Builtin::EmptyList, vec![c_int(0)]),
+                    )],
+                ),
+            ],
+        );
+        let mut interp = Interp::new(&udf, &no_params());
+        let mut out = vec![];
+        let untaken = interp.run(Value::Int(0), Value::Null, &mut out).unwrap();
+        assert_eq!((out.len(), untaken.records_out), (1, 1));
+        let err = interp
+            .run(Value::Int(1), Value::Null, &mut out)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            InterpError::ArityMismatch {
+                builtin: "Index".to_string(),
+                expected: 2,
+                got: 1,
+            }
+        );
+        assert_eq!(out.len(), 2, "the emit before the bad call went out");
+    }
+
+    #[test]
+    fn parts_of_a_variable_are_read_in_place_and_stored_by_value() {
+        // `index`, `len`, `first` and `second` hand on parts of `l` and
+        // `p` without copying them; what an `assign` or `emit` stores is
+        // a value of its own, which the later push does not reach.
+        let udf = Udf::mapper(
+            "r",
+            vec![
+                assign("l", call(Builtin::Range, vec![c_int(0), c_int(3)])),
+                assign("p", make_pair(var("l"), c_int(7))),
+                assign("n", add(len(var("l")), index(var("l"), c_int(1)))),
+                assign("q", first(var("p"))),
+                emit(var("n"), second(var("p"))),
+                emit(var("q"), index(var("l"), c_int(9))),
+                Stmt::ListPush("l", var("n")),
+                emit(var("l"), len(first(var("p")))),
+            ],
+        );
+        let mut out = vec![];
+        run_map(&udf, &no_params(), &Value::Null, &Value::Null, &mut out).unwrap();
+        let ints = |v: &[i64]| Value::list(v.iter().map(|&i| Value::Int(i)).collect());
+        assert_eq!(out[0], (Value::Int(4), Value::Int(7)));
+        assert_eq!(out[1], (ints(&[0, 1, 2]), Value::Null));
+        assert_eq!(out[2], (ints(&[0, 1, 2, 4]), Value::Int(3)));
+    }
+
+    #[test]
+    fn sorting_a_variable_sorts_a_copy() {
+        let udf = Udf::mapper(
+            "s",
+            vec![
+                assign("l", call(Builtin::EmptyList, vec![])),
+                Stmt::ListPush("l", c_int(2)),
+                Stmt::ListPush("l", c_int(1)),
+                emit(call(Builtin::SortList, vec![var("l")]), var("l")),
+            ],
+        );
+        let mut out = vec![];
+        run_map(&udf, &no_params(), &Value::Null, &Value::Null, &mut out).unwrap();
+        let ints = |v: &[i64]| Value::list(v.iter().map(|&i| Value::Int(i)).collect());
+        assert_eq!(out[0], (ints(&[1, 2]), ints(&[2, 1])));
     }
 
     #[test]

@@ -175,8 +175,10 @@ pub struct Udf {
     /// The function's name (enters nothing; the *class* names in the job
     /// spec are the static features).
     pub name: String,
-    /// Input bindings, normally `["key", "value"]` or `["key", "values"]`.
-    pub params: Vec<&'static str>,
+    /// The two input bindings, normally `["key", "value"]` or
+    /// `["key", "values"]`. An array: a UDF with fewer has nothing to be
+    /// invoked on, and the interpreter binds exactly two.
+    pub params: [&'static str; 2],
     /// The statement body.
     pub body: Vec<Stmt>,
 }
@@ -185,7 +187,7 @@ impl Udf {
     pub fn mapper(name: impl Into<String>, body: Vec<Stmt>) -> Self {
         Udf {
             name: name.into(),
-            params: vec!["key", "value"],
+            params: ["key", "value"],
             body,
         }
     }
@@ -193,7 +195,7 @@ impl Udf {
     pub fn reducer(name: impl Into<String>, body: Vec<Stmt>) -> Self {
         Udf {
             name: name.into(),
-            params: vec!["key", "values"],
+            params: ["key", "values"],
             body,
         }
     }
@@ -343,8 +345,8 @@ mod tests {
     #[test]
     fn udf_constructors_bind_conventional_params() {
         let m = Udf::mapper("M", vec![]);
-        assert_eq!(m.params, vec!["key", "value"]);
+        assert_eq!(m.params, ["key", "value"]);
         let r = Udf::reducer("R", vec![]);
-        assert_eq!(r.params, vec!["key", "values"]);
+        assert_eq!(r.params, ["key", "values"]);
     }
 }

@@ -428,6 +428,13 @@ mod tests {
     }
 
     #[test]
+    fn a_value_is_three_words() {
+        // Every vector of pairs the simulator holds is sized by this.
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 24);
+    }
+
+    #[test]
     fn record_size_is_sum_of_parts() {
         let r = Record::new(Value::text("key"), Value::Int(7));
         assert_eq!(r.serialized_size(), 4 + 8);

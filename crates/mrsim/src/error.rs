@@ -13,6 +13,10 @@ pub enum SimError {
     /// A hand-built dataflow with no map task to schedule
     /// (`num_map_tasks == 0` or an empty `per_task`): not a job.
     EmptyDataflow { job: String },
+    /// The sample's map output has more pairs or more key bytes than the
+    /// 32-bit indices and offsets the grouping sorts on can address, or a
+    /// single pair of 4 GiB.
+    MapOutputTooLarge { job: String },
     /// A UDF failed during dataflow measurement.
     Udf {
         job: String,
@@ -48,6 +52,12 @@ impl fmt::Display for SimError {
             SimError::EmptyDataset(name) => write!(f, "dataset `{name}` has no sample records"),
             SimError::EmptyDataflow { job } => {
                 write!(f, "job `{job}`: dataflow has no map tasks")
+            }
+            SimError::MapOutputTooLarge { job } => {
+                write!(
+                    f,
+                    "job `{job}`: the sample's map output exceeds 2^32 pairs, key bytes or bytes in one pair"
+                )
             }
             SimError::Udf { job, udf, source } => {
                 write!(f, "job `{job}`: UDF `{udf}` failed: {source}")

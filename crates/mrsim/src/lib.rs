@@ -16,6 +16,8 @@
 //! * [`faults`] — seedable fault injection: attempt failures, bounded
 //!   retries, straggler nodes, speculation, and whole-node loss.
 //! * [`report`] — per-task and per-job execution reports.
+//! * [`sortkey`] — intermediate keys as order-preserving bytes: what
+//!   [`dataflow`] sorts, groups and counts distinct keys on.
 //! * [`trace`] — replaying a [`JobReport`]'s virtual timeline into the
 //!   deterministic observability layer (`obs`).
 
@@ -27,6 +29,7 @@ pub mod error;
 pub mod faults;
 pub mod phases;
 pub mod report;
+pub mod sortkey;
 pub mod trace;
 
 pub use cluster::{ClusterSpec, CostRates, COMPRESSION_RATIO};

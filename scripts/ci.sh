@@ -134,6 +134,18 @@ step "source gate (closed-form what-if, CBO on the caller's thread)"
 if nontest $(find crates/optimizer/src -name '*.rs') | grep -E 'thread::|crossbeam::'; then exit 1; fi
 if nontest crates/mrsim/src/engine.rs | grep -E 'fn earliest_slot|share_costs'; then exit 1; fi
 
+# One grouping, on bytes (DESIGN.md §22): `analyze` sorts, groups and
+# counts distinct keys on the key arena; `Value::cmp` is reached from the
+# simulator only to break the tie of a key the arena could not render
+# (one call site, in sortkey.rs), and no `Value`-comparing sort comes
+# back beside it.
+step "source gate (one grouping, on the key arena)"
+mrsim_src=$(find crates/mrsim/src -name '*.rs')
+if [ "$(nontest $mrsim_src | grep -cF '.cmp(&keys[' || true)" -gt 1 ]; then
+  echo "more than one Value comparison of keys in mrsim"; exit 1
+fi
+if nontest $mrsim_src | grep -F 'fn sort_by_key'; then exit 1; fi
+
 # The benchmark harness at 1/20 scale: every workload, untraced and
 # traced, every output check on (benchmark/README.md). Catches a change
 # that breaks what BENCHMARK.json runs before the driver does.
