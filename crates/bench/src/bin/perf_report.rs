@@ -630,8 +630,8 @@ fn bench_cbo(entries: &mut Vec<Entry>) {
                 .unwrap();
         let input_bytes = dataset.logical_bytes;
 
-        // The search: WhatIfPlan hoisted once, closed-form runtime-only
-        // prediction, memoized, evaluated on this thread.
+        // The search: WhatIfPlan hoisted once, each candidate priced in
+        // closed form as it is drawn, on this thread.
         let opts = CboOptions {
             budget: CBO_BUDGET,
             ..CboOptions::default()

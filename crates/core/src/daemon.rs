@@ -18,9 +18,10 @@
 //! task attempt caps — every rung reported through
 //! [`SubmissionOutcome::Degraded`].
 //!
-//! A `PStorM` serves one caller at a time per tenant; the concurrent,
-//! multi-tenant front-end over many daemons is
-//! [`crate::service::TuningService`] (DESIGN.md §14).
+//! A `PStorM` holds no state of its own — everything a submission leaves
+//! behind is in the store — so the concurrent, multi-tenant front-end,
+//! [`crate::service::TuningService`] (DESIGN.md §14), builds one per
+//! submission over the tenant's view of the store.
 
 use std::path::Path;
 
@@ -209,7 +210,7 @@ impl PStorM {
         dir: &Path,
         reg: obs::Registry,
     ) -> Result<(Self, RecoveryReport), ProfileStoreError> {
-        let (mut store, report) = {
+        let (store, report) = {
             let span = reg.span("recovery.reopen");
             let (store, report) = ProfileStore::reopen(dir)?;
             let virtual_ms = report.records_replayed as f64 * RECOVERY_MS_PER_RECORD
@@ -235,18 +236,9 @@ impl PStorM {
             span.attr("recovery_ms", virtual_ms);
             (store, report)
         };
-        store.set_obs(reg.clone());
-        Ok((
-            PStorM {
-                store,
-                cluster: ClusterSpec::ec2_c1_medium_16(),
-                matcher: MatcherConfig::default(),
-                cbo: CboOptions::default(),
-                policy: DegradationPolicy::default(),
-                obs: reg,
-            },
-            report,
-        ))
+        let mut daemon = Self::with_store(store, ClusterSpec::ec2_c1_medium_16());
+        daemon.set_obs(reg);
+        Ok((daemon, report))
     }
 
     /// Record every subsystem — daemon lifecycle, profile store, matcher,
@@ -319,11 +311,31 @@ impl PStorM {
         dataset: &Dataset,
         seed: u64,
     ) -> Result<SubmissionReport, DaemonError> {
-        let reg = self.obs.clone();
-        let span = reg.span("daemon.submit");
+        let span = self.obs.span("daemon.submit");
         span.attr("job_id", spec.job_id());
         span.attr("dataset", dataset.name.as_str());
         span.attr("seed", seed);
+        let report = self.serve(spec, dataset, seed)?;
+        span.attr(
+            "outcome",
+            match report.outcome {
+                SubmissionOutcome::Tuned { .. } => "tuned",
+                SubmissionOutcome::ProfiledAndStored { .. } => "profiled_and_stored",
+                SubmissionOutcome::Degraded { .. } => "degraded",
+            },
+        );
+        Ok(report)
+    }
+
+    /// The workflow under [`Self::submit`]'s span: steps 1–4 of the module
+    /// docs.
+    fn serve(
+        &self,
+        spec: &JobSpec,
+        dataset: &Dataset,
+        seed: u64,
+    ) -> Result<SubmissionReport, DaemonError> {
+        let reg = &self.obs;
         let submitted_config = JobConfig::submitted(spec);
 
         // Step 1: the 1-task probe, retried with capped exponential
@@ -375,22 +387,11 @@ impl PStorM {
             // Rung 1 exhausted: no dynamic features, so matching is off
             // the table. Run the job anyway, un-tuned.
             let fault = sample_fault.expect("sampling loop ran at least once");
-            let (config, run, rung) =
-                self.degraded_production_run(spec, dataset, &submitted_config, None, seed)?;
-            reg.incr("daemon.degraded", 1);
-            span.attr("outcome", "degraded");
-            return Ok(SubmissionReport {
-                job_id: spec.job_id(),
-                outcome: SubmissionOutcome::Degraded {
-                    config,
-                    reason: format!(
-                        "sampling probe failed {} times (last: {fault}); skipped matching; {rung}",
-                        self.policy.sample_retries + 1
-                    ),
-                },
-                run,
-                sampling_ms,
-            });
+            let why = format!(
+                "sampling probe failed {} times (last: {fault}); skipped matching",
+                self.policy.sample_retries + 1
+            );
+            return self.serve_degraded(spec, dataset, None, seed, sampling_ms, &why);
         };
         let q = SubmittedJob {
             spec: spec.clone(),
@@ -409,13 +410,12 @@ impl PStorM {
                     dataset.logical_bytes,
                     &self.cluster,
                     &self.cbo,
-                    &reg,
+                    reg,
                 )?;
                 match simulate(spec, dataset, &self.cluster, &rec.config, seed ^ 0x47) {
                     Ok(run) => {
-                        mrsim::trace::record_report(&reg, &run);
+                        mrsim::trace::record_report(reg, &run);
                         reg.incr("daemon.tuned", 1);
-                        span.attr("outcome", "tuned");
                         Ok(SubmissionReport {
                             job_id: spec.job_id(),
                             outcome: SubmissionOutcome::Tuned {
@@ -427,30 +427,19 @@ impl PStorM {
                             sampling_ms,
                         })
                     }
-                    Err(e) if e.is_fault() || matches!(e, SimError::OutOfMemory { .. }) => {
-                        // The tuned run died. OOM here means the CBO's
-                        // settings (not the user's) were too aggressive
-                        // for this profile, so it also falls down the
-                        // ladder rather than failing the submission.
-                        let (config, run, rung) = self.degraded_production_run(
+                    // The tuned run died. OOM here means the CBO's settings
+                    // (not the user's) were too aggressive for this profile,
+                    // so it also falls down the ladder rather than failing
+                    // the submission.
+                    Err(e) if e.is_fault() || matches!(e, SimError::OutOfMemory { .. }) => self
+                        .serve_degraded(
                             spec,
                             dataset,
-                            &submitted_config,
                             Some(&rec.config),
                             seed,
-                        )?;
-                        reg.incr("daemon.degraded", 1);
-                        span.attr("outcome", "degraded");
-                        Ok(SubmissionReport {
-                            job_id: spec.job_id(),
-                            outcome: SubmissionOutcome::Degraded {
-                                config,
-                                reason: format!("tuned run failed ({e}); {rung}"),
-                            },
-                            run,
                             sampling_ms,
-                        })
-                    }
+                            &format!("tuned run failed ({e})"),
+                        ),
                     Err(e) => Err(e.into()),
                 }
             }
@@ -484,77 +473,50 @@ impl PStorM {
                         Err(e) => return Err(e.into()),
                     }
                 }
-                match profiled {
-                    Some((profile, run)) => {
-                        mrsim::trace::record_report(&reg, &run);
-                        match self.store.put_profile(&q.statics, &profile) {
-                            Ok(()) => {
-                                reg.incr("daemon.profiled", 1);
-                                span.attr("outcome", "profiled_and_stored");
-                                Ok(SubmissionReport {
-                                    job_id: spec.job_id(),
-                                    outcome: SubmissionOutcome::ProfiledAndStored { failure },
-                                    run,
-                                    sampling_ms,
-                                })
-                            }
-                            // A crashed/unreachable store must not fail a
-                            // job that already ran to completion: serve the
-                            // run, report the lost persistence as a
-                            // degradation. Matching keeps working from the
-                            // in-memory state; the profile is re-collected
-                            // on the next submission after a reopen.
-                            Err(ProfileStoreError::Store(
-                                e @ (StoreError::Crashed | StoreError::Io(_)),
-                            )) => {
-                                reg.incr("daemon.degraded", 1);
-                                reg.event(
-                                    "daemon.store_unavailable",
-                                    &[("error", e.to_string().into())],
-                                );
-                                span.attr("outcome", "degraded");
-                                Ok(SubmissionReport {
-                                    job_id: spec.job_id(),
-                                    outcome: SubmissionOutcome::Degraded {
-                                        config: submitted_config.clone(),
-                                        reason: format!(
-                                            "job served, but the profile store rejected the \
-                                             collected profile ({e}); nothing persisted"
-                                        ),
-                                    },
-                                    run,
-                                    sampling_ms,
-                                })
-                            }
-                            Err(e) => Err(e.into()),
+                let Some((profile, run)) = profiled else {
+                    // Profiling kept faulting: serve the job without
+                    // storing a (nonexistent) profile.
+                    let fault = last_fault.expect("profiling loop ran at least once");
+                    let why =
+                        format!("profiling run kept faulting (last: {fault}); no profile stored");
+                    return self.serve_degraded(spec, dataset, None, seed, sampling_ms, &why);
+                };
+                mrsim::trace::record_report(reg, &run);
+                let outcome = match self.store.put_profile(&q.statics, &profile) {
+                    Ok(()) => {
+                        reg.incr("daemon.profiled", 1);
+                        SubmissionOutcome::ProfiledAndStored { failure }
+                    }
+                    // A crashed/unreachable store must not fail a job that
+                    // already ran to completion: serve the run, report the
+                    // lost persistence as a degradation (no ladder — the
+                    // run exists). Matching keeps working from the
+                    // in-memory state; the profile is re-collected on the
+                    // next submission after a reopen.
+                    Err(ProfileStoreError::Store(
+                        e @ (StoreError::Crashed | StoreError::Io(_)),
+                    )) => {
+                        reg.incr("daemon.degraded", 1);
+                        reg.event(
+                            "daemon.store_unavailable",
+                            &[("error", e.to_string().into())],
+                        );
+                        SubmissionOutcome::Degraded {
+                            config: submitted_config,
+                            reason: format!(
+                                "job served, but the profile store rejected the \
+                                 collected profile ({e}); nothing persisted"
+                            ),
                         }
                     }
-                    None => {
-                        // Profiling kept faulting: serve the job without
-                        // storing a (nonexistent) profile.
-                        let fault = last_fault.expect("profiling loop ran at least once");
-                        let (config, run, rung) = self.degraded_production_run(
-                            spec,
-                            dataset,
-                            &submitted_config,
-                            None,
-                            seed,
-                        )?;
-                        reg.incr("daemon.degraded", 1);
-                        span.attr("outcome", "degraded");
-                        Ok(SubmissionReport {
-                            job_id: spec.job_id(),
-                            outcome: SubmissionOutcome::Degraded {
-                                config,
-                                reason: format!(
-                                    "profiling run kept faulting (last: {fault}); no profile stored; {rung}"
-                                ),
-                            },
-                            run,
-                            sampling_ms,
-                        })
-                    }
-                }
+                    Err(e) => return Err(e.into()),
+                };
+                Ok(SubmissionReport {
+                    job_id: spec.job_id(),
+                    outcome,
+                    run,
+                    sampling_ms,
+                })
             }
         }
     }
@@ -573,141 +535,114 @@ impl PStorM {
         seed: u64,
         why: &str,
     ) -> Result<SubmissionReport, DaemonError> {
-        let submitted_config = JobConfig::submitted(spec);
-        let (config, run, rung) =
-            self.degraded_production_run(spec, dataset, &submitted_config, None, seed)?;
-        self.obs.incr("daemon.degraded", 1);
-        Ok(SubmissionReport {
-            job_id: spec.job_id(),
-            outcome: SubmissionOutcome::Degraded {
-                config,
-                reason: format!("{why}; {rung}"),
-            },
-            run,
-            sampling_ms: 0.0,
-        })
+        self.serve_degraded(spec, dataset, None, seed, 0.0, why)
     }
 
-    /// Walk the run ladder until some configuration survives the cluster
-    /// (see [`run_degradation_ladder`]).
-    fn degraded_production_run(
+    /// The degraded exit: walk the run ladder until some configuration
+    /// survives the cluster — CBO-tuned settings (if any) →
+    /// `optimizer::rbo` settings → the submitted configuration → the
+    /// submitted configuration with lenient task attempt caps — and report
+    /// the run as `Degraded` for the reason `"{why}; {rung}"`. Each rung
+    /// gets `run_retries + 1` seeds; only injected faults (and, on
+    /// optimizer rungs, optimizer-induced OOM) fall through to the next
+    /// rung — deterministic errors return `Err` immediately.
+    fn serve_degraded(
         &self,
         spec: &JobSpec,
         dataset: &Dataset,
-        submitted: &JobConfig,
         tuned: Option<&JobConfig>,
         seed: u64,
-    ) -> Result<(JobConfig, JobReport, String), DaemonError> {
-        run_degradation_ladder(
-            &self.cluster,
-            &self.policy,
-            &self.obs,
-            spec,
-            dataset,
-            submitted,
-            tuned,
-            seed,
-        )
-    }
-}
+        sampling_ms: f64,
+        why: &str,
+    ) -> Result<SubmissionReport, DaemonError> {
+        let reg = &self.obs;
+        let submitted = JobConfig::submitted(spec);
+        let mut lenient = submitted.clone();
+        lenient.max_map_attempts = self.policy.lenient_attempt_cap;
+        lenient.max_reduce_attempts = self.policy.lenient_attempt_cap;
 
-/// Walk the run ladder until some configuration survives the cluster:
-/// CBO-tuned settings (if any) → `optimizer::rbo` settings → the
-/// submitted configuration → the submitted configuration with lenient
-/// task attempt caps. Each rung gets `run_retries + 1` seeds; only
-/// injected faults (and, on optimizer rungs, optimizer-induced OOM)
-/// fall through to the next rung — deterministic errors return `Err`
-/// immediately.
-///
-/// Free-standing so [`crate::service`] can shed load through the ladder
-/// without borrowing a tenant's daemon.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_degradation_ladder(
-    cluster: &ClusterSpec,
-    policy: &DegradationPolicy,
-    reg: &obs::Registry,
-    spec: &JobSpec,
-    dataset: &Dataset,
-    submitted: &JobConfig,
-    tuned: Option<&JobConfig>,
-    seed: u64,
-) -> Result<(JobConfig, JobReport, String), DaemonError> {
-    let mut lenient = submitted.clone();
-    lenient.max_map_attempts = policy.lenient_attempt_cap;
-    lenient.max_reduce_attempts = policy.lenient_attempt_cap;
+        // (config, label, does optimizer-induced OOM fall through?)
+        let mut rungs: Vec<(JobConfig, &str, bool)> = Vec::new();
+        if let Some(t) = tuned {
+            rungs.push((t.clone(), "CBO-tuned settings", true));
+        }
+        rungs.push((
+            recommend(spec, &self.cluster).config,
+            "rule-based optimizer settings",
+            true,
+        ));
+        rungs.push((submitted, "submitted configuration", false));
+        rungs.push((
+            lenient,
+            "submitted configuration with lenient attempt caps",
+            false,
+        ));
 
-    // (config, label, does optimizer-induced OOM fall through?)
-    let mut rungs: Vec<(JobConfig, &str, bool)> = Vec::new();
-    if let Some(t) = tuned {
-        rungs.push((t.clone(), "CBO-tuned settings", true));
-    }
-    rungs.push((
-        recommend(spec, cluster).config,
-        "rule-based optimizer settings",
-        true,
-    ));
-    rungs.push((submitted.clone(), "submitted configuration", false));
-    rungs.push((
-        lenient,
-        "submitted configuration with lenient attempt caps",
-        false,
-    ));
-
-    let ladder_span = reg.span("daemon.degrade");
-    let mut attempt_no = 0u32;
-    let mut last_fault: Option<SimError> = None;
-    // One measurement serves every rung and retry: the dataflow depends on
-    // neither configuration nor seed. Taken at the first attempt, where
-    // `simulate` used to take it, so a job that cannot be measured fails
-    // after the same events as before.
-    let mut dataflow: Option<Dataflow> = None;
-    for (config, label, oom_falls_through) in rungs {
-        for _ in 0..=policy.run_retries {
-            attempt_no += 1;
-            reg.event(
-                "daemon.degrade.attempt",
-                &[("rung", label.into()), ("attempt", attempt_no.into())],
-            );
-            let flow = match &dataflow {
-                Some(flow) => flow,
-                None => dataflow.insert(analyze(spec, dataset, cluster)?),
-            };
-            match simulate_with_dataflow(
-                spec,
-                flow,
-                &dataset.name,
-                cluster,
-                &config,
-                retry_seed(seed ^ 0x47, attempt_no),
-            ) {
-                Ok(run) => {
-                    reg.event(
-                        "daemon.degrade.served",
-                        &[("rung", label.into()), ("attempts", attempt_no.into())],
-                    );
-                    ladder_span.attr("served_by", label);
-                    ladder_span.attr("attempts", attempt_no);
-                    mrsim::trace::record_report(reg, &run);
-                    let rung =
-                        format!("served by {label} after {attempt_no} fallback run attempt(s)");
-                    return Ok((config, run, rung));
+        let ladder_span = reg.span("daemon.degrade");
+        let mut attempt_no = 0u32;
+        let mut last_fault: Option<SimError> = None;
+        // One measurement serves every rung and retry: the dataflow depends on
+        // neither configuration nor seed. Taken at the first attempt, where
+        // `simulate` used to take it, so a job that cannot be measured fails
+        // after the same events as before.
+        let mut dataflow: Option<Dataflow> = None;
+        for (config, label, oom_falls_through) in rungs {
+            for _ in 0..=self.policy.run_retries {
+                attempt_no += 1;
+                reg.event(
+                    "daemon.degrade.attempt",
+                    &[("rung", label.into()), ("attempt", attempt_no.into())],
+                );
+                let flow = match &dataflow {
+                    Some(flow) => flow,
+                    None => dataflow.insert(analyze(spec, dataset, &self.cluster)?),
+                };
+                match simulate_with_dataflow(
+                    spec,
+                    flow,
+                    &dataset.name,
+                    &self.cluster,
+                    &config,
+                    retry_seed(seed ^ 0x47, attempt_no),
+                ) {
+                    Ok(run) => {
+                        reg.event(
+                            "daemon.degrade.served",
+                            &[("rung", label.into()), ("attempts", attempt_no.into())],
+                        );
+                        ladder_span.attr("served_by", label);
+                        ladder_span.attr("attempts", attempt_no);
+                        mrsim::trace::record_report(reg, &run);
+                        reg.incr("daemon.degraded", 1);
+                        return Ok(SubmissionReport {
+                            job_id: spec.job_id(),
+                            outcome: SubmissionOutcome::Degraded {
+                                config,
+                                reason: format!(
+                                    "{why}; served by {label} after {attempt_no} fallback run attempt(s)"
+                                ),
+                            },
+                            run,
+                            sampling_ms,
+                        });
+                    }
+                    Err(e) if e.is_fault() => last_fault = Some(e),
+                    // OOM is seed-independent: no point retrying the rung.
+                    Err(e @ SimError::OutOfMemory { .. }) if oom_falls_through => {
+                        last_fault = Some(e);
+                        break;
+                    }
+                    Err(e) => return Err(e.into()),
                 }
-                Err(e) if e.is_fault() => last_fault = Some(e),
-                // OOM is seed-independent: no point retrying the rung.
-                Err(e @ SimError::OutOfMemory { .. }) if oom_falls_through => {
-                    last_fault = Some(e);
-                    break;
-                }
-                Err(e) => return Err(e.into()),
             }
         }
+        ladder_span.attr("served_by", "none");
+        // Every rung exhausted — the cluster is hostile beyond what the
+        // policy tolerates. Surface the last fault as a typed error.
+        Err(DaemonError::Sim(
+            last_fault.expect("ladder has at least one rung"),
+        ))
     }
-    ladder_span.attr("served_by", "none");
-    // Every rung exhausted — the cluster is hostile beyond what the
-    // policy tolerates. Surface the last fault as a typed error.
-    Err(DaemonError::Sim(
-        last_fault.expect("ladder has at least one rung"),
-    ))
 }
 
 #[cfg(test)]

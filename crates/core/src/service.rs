@@ -15,12 +15,11 @@
 //!    with each other), so a tenant's outcomes are a deterministic
 //!    function of its own submission sequence — the isolation invariant
 //!    the multi-tenant chaos sweep pins.
-//! 2. **Admission control.** Counting semaphores bound in-flight
-//!    tuning pipelines and their memory budget. When the queue or a
-//!    semaphore is exhausted the service *sheds*: the job still runs,
-//!    straight down the degradation ladder
-//!    ([`PStorM::submit_untuned`]), and resolves as
-//!    [`SubmissionOutcome::Degraded`] — overload never surfaces as an
+//! 2. **Admission control.** Two counts bound in-flight tuning
+//!    pipelines and their memory budget. When the queue or a count is
+//!    exhausted the service *sheds*: the job still runs, straight down
+//!    the degradation ladder ([`PStorM::submit_untuned`]), and resolves
+//!    as [`SubmissionOutcome::Degraded`] — overload never surfaces as an
 //!    error and never blocks another tenant's slot.
 //! 3. **Per-tenant circuit breakers.** `breaker_max_failures`
 //!    consecutive hard failures open a tenant's breaker: further
@@ -30,20 +29,26 @@
 //!    A tenant stuck in a failure loop costs the service almost
 //!    nothing.
 //!
+//! All of it is state of one scheduler behind one lock, which a worker
+//! takes twice per submission — to claim it and to complete it — and never
+//! holds while the submission runs (DESIGN.md §23). A submission that
+//! panics is caught between the two: it costs its own ticket (a hard
+//! failure, dead-lettered with the panic message), not its tenant or its
+//! worker.
+//!
 //! Everything is observable: `service.queue.*` / `service.admission.*`
 //! gauges and counters, and `tenant.<id>.*` counters per tenant.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use mrjobs::{Dataset, JobSpec};
 use mrsim::{ClusterSpec, FaultSpec};
 
-use crate::daemon::{
-    run_degradation_ladder, DaemonError, PStorM, SubmissionOutcome, SubmissionReport,
-};
+use crate::daemon::{DaemonError, PStorM, SubmissionOutcome, SubmissionReport};
 use crate::store::{ProfileStore, ProfileStoreError};
 
 /// Tuning knobs of a [`TuningService`].
@@ -59,11 +64,11 @@ pub struct ServiceConfig {
     /// sheds new submissions on the caller's thread instead of accepting
     /// them.
     pub queue_depth: usize,
-    /// Admission semaphore over concurrently *tuning* submissions (the
-    /// full sample → match → CBO pipeline). Exhausted permits shed the
-    /// submission down the degradation ladder.
+    /// Admission bound on concurrently *tuning* submissions (the full
+    /// sample → match → CBO pipeline). With every slot taken a
+    /// submission is shed down the degradation ladder.
     pub max_in_flight: usize,
-    /// Admission semaphore over the memory charged to in-flight tuning
+    /// Admission bound on the memory charged to in-flight tuning
     /// pipelines, in bytes.
     pub memory_budget_bytes: u64,
     /// Memory charged per tuning pipeline against
@@ -119,8 +124,10 @@ pub enum ServiceOutcome {
     /// degradation policy, unrecoverable store failure). Counted against
     /// the tenant's circuit breaker and dead-lettered.
     Failed { job_id: String, error: DaemonError },
-    /// The submission never ran: the tenant's circuit breaker was open
-    /// (or the service shut down first). Dead-lettered.
+    /// The submission has nothing to report: the tenant's circuit breaker
+    /// was open and it never ran, or it panicked while running (caught;
+    /// counted against the breaker like a failure), or the service shut
+    /// down first. Dead-lettered.
     Rejected { job_id: String, reason: String },
 }
 
@@ -163,42 +170,6 @@ impl Ticket {
     }
 }
 
-/// A counting semaphore over `Mutex<u64>` (the vendored `parking_lot`
-/// shim has no `Condvar`, and admission never blocks — exhausted permits
-/// shed instead of waiting — so try/release is the whole API).
-struct Semaphore {
-    capacity: u64,
-    available: Mutex<u64>,
-}
-
-impl Semaphore {
-    fn new(capacity: u64) -> Self {
-        Semaphore {
-            capacity,
-            available: Mutex::new(capacity),
-        }
-    }
-
-    fn try_acquire(&self, n: u64) -> bool {
-        let mut avail = self.available.lock().unwrap();
-        if *avail >= n {
-            *avail -= n;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release(&self, n: u64) {
-        let mut avail = self.available.lock().unwrap();
-        *avail = (*avail + n).min(self.capacity);
-    }
-
-    fn in_use(&self) -> u64 {
-        self.capacity - *self.available.lock().unwrap()
-    }
-}
-
 /// Per-tenant circuit-breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Breaker {
@@ -224,45 +195,89 @@ struct Request {
     reply: mpsc::Sender<ServiceOutcome>,
 }
 
+/// Everything the service knows about one tenant. It lives under the
+/// scheduler lock, but only the worker that has claimed the tenant (and
+/// `submit`, appending to `items`) ever changes it.
 struct TenantQueue {
     items: VecDeque<Request>,
     /// Whether this tenant is in `ready` or claimed by a worker. An
     /// active tenant is never re-enqueued into `ready`, which is what
-    /// serializes each tenant's submissions.
+    /// serializes each tenant's submissions — and what makes the claim
+    /// the only exclusion the rest of this state needs.
     active: bool,
+    /// Whether a worker has ever claimed a submission of this tenant
+    /// (a tenant that was only ever shed at the queue has not).
+    claimed: bool,
+    breaker: Breaker,
+    /// Sequence number of the next dead letter.
+    dlq_seq: u64,
+    /// Oldest first; bounded by `dlq_capacity`.
+    dlq: VecDeque<DeadLetter>,
 }
 
 struct Sched {
     queues: HashMap<String, TenantQueue>,
     /// Tenants with pending work, none of which is currently claimed.
     ready: VecDeque<String>,
-    /// Total queued (not yet claimed) requests, bounded by `queue_depth`.
+    /// Total queued (not yet claimed) requests; each tenant's share is
+    /// bounded by `queue_depth`.
     queued: usize,
     /// Requests currently being processed by workers.
     in_flight: usize,
+    /// Admission: tuning pipelines in flight (≤ `max_in_flight`) and the
+    /// memory charged to them (≤ `memory_budget_bytes`).
+    tasks_in_flight: usize,
+    memory_in_use: u64,
+    /// Tenants that have had a submission claimed.
+    tenants: usize,
     shutdown: bool,
 }
 
-struct TenantState {
-    daemon: Mutex<PStorM>,
-    breaker: Mutex<Breaker>,
-    /// `(next seq, entries)`; bounded by `dlq_capacity`.
-    dlq: Mutex<(u64, VecDeque<DeadLetter>)>,
-}
-
 struct Inner {
+    /// The service's one lock. Nothing that can block or fail runs under
+    /// it — queue and counter updates and registry calls only — so it is
+    /// held for microseconds: a submission runs between two holds of it,
+    /// never inside one.
     sched: Mutex<Sched>,
     /// Workers wait here for ready tenants.
     work_cv: Condvar,
     /// `quiesce` waits here for the queue and workers to drain.
     idle_cv: Condvar,
-    tenants: Mutex<HashMap<String, Arc<TenantState>>>,
-    tasks: Semaphore,
-    memory: Semaphore,
     cfg: ServiceConfig,
     cluster: ClusterSpec,
     base: ProfileStore,
     obs: obs::Registry,
+}
+
+impl Inner {
+    /// Poisoning is survived, not propagated: a guard dropped by a panic
+    /// (only a registry call could raise one in there) must not wedge
+    /// every tenant behind it.
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The daemon one submission runs on, built for it: the tenant's view
+    /// of the store, the service cluster under `faults`, the configured
+    /// matcher, CBO and policy, recording into `reg`. A daemon is a value,
+    /// not state — everything a submission leaves behind lives in the
+    /// tenant's namespace, which every view of the tenant shares
+    /// (DESIGN.md §17).
+    fn daemon(
+        &self,
+        tenant: &str,
+        faults: FaultSpec,
+        reg: obs::Registry,
+    ) -> Result<PStorM, ProfileStoreError> {
+        let mut cluster = self.cluster.clone();
+        cluster.faults = faults;
+        let mut daemon = PStorM::with_store(self.base.tenant_view(tenant)?, cluster);
+        daemon.matcher = self.cfg.matcher;
+        daemon.cbo = self.cfg.cbo.clone();
+        daemon.policy = self.cfg.policy;
+        daemon.set_obs(reg);
+        Ok(daemon)
+    }
 }
 
 /// The concurrent multi-tenant tuning front-end. See the module docs.
@@ -295,13 +310,13 @@ impl TuningService {
                 ready: VecDeque::new(),
                 queued: 0,
                 in_flight: 0,
+                tasks_in_flight: 0,
+                memory_in_use: 0,
+                tenants: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            tenants: Mutex::new(HashMap::new()),
-            tasks: Semaphore::new(cfg.max_in_flight.max(1) as u64),
-            memory: Semaphore::new(cfg.memory_budget_bytes),
             cfg,
             cluster,
             base: store,
@@ -391,7 +406,7 @@ impl TuningService {
         };
 
         let accepted = {
-            let mut sched = inner.sched.lock().unwrap();
+            let mut sched = inner.sched();
             let shutdown = sched.shutdown;
             let tq = sched
                 .queues
@@ -399,6 +414,10 @@ impl TuningService {
                 .or_insert_with(|| TenantQueue {
                     items: VecDeque::new(),
                     active: false,
+                    claimed: false,
+                    breaker: Breaker::Closed { failures: 0 },
+                    dlq_seq: 0,
+                    dlq: VecDeque::new(),
                 });
             if shutdown || tq.items.len() >= inner.cfg.queue_depth {
                 false
@@ -432,30 +451,18 @@ impl TuningService {
 
         // Queue full (or shutting down): shed on the caller's thread.
         // The job still runs — straight down the ladder, against the
-        // service cluster, outside the tenant pipeline — and resolves as
-        // Degraded, so overload is never an error.
+        // service cluster, outside the tenant pipeline and its trace — and
+        // resolves as Degraded, so overload is never an error.
         inner.obs.incr("service.queue.shed", 1);
         inner.obs.incr(&format!("tenant.{tenant}.shed"), 1);
-        let submitted = mrsim::JobConfig::submitted(spec);
-        let outcome = match run_degradation_ladder(
-            &inner.cluster,
-            &inner.cfg.policy,
-            &obs::Registry::disabled(),
-            spec,
-            dataset,
-            &submitted,
-            None,
-            seed,
-        ) {
-            Ok((config, run, rung)) => ServiceOutcome::Served(SubmissionReport {
-                job_id: spec.job_id(),
-                outcome: SubmissionOutcome::Degraded {
-                    config,
-                    reason: format!("request queue full; shed without tuning; {rung}"),
-                },
-                run,
-                sampling_ms: 0.0,
-            }),
+        let daemon = inner.daemon(
+            tenant,
+            inner.cluster.faults.clone(),
+            obs::Registry::disabled(),
+        )?;
+        let why = "request queue full; shed without tuning";
+        let outcome = match daemon.submit_untuned(spec, dataset, seed, why) {
+            Ok(report) => ServiceOutcome::Served(report),
             Err(error) => ServiceOutcome::Failed {
                 job_id: spec.job_id(),
                 error,
@@ -468,19 +475,21 @@ impl TuningService {
     /// Block until every queued submission has been processed and all
     /// workers are idle. Tickets resolved before `quiesce` returns.
     pub fn quiesce(&self) {
-        let mut sched = self.inner.sched.lock().unwrap();
+        let mut sched = self.inner.sched();
         while sched.queued > 0 || sched.in_flight > 0 {
-            sched = self.inner.idle_cv.wait(sched).unwrap();
+            sched = self
+                .inner
+                .idle_cv
+                .wait(sched)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// A tenant's dead-letter queue, oldest first.
     pub fn dead_letters(&self, tenant: &str) -> Vec<DeadLetter> {
-        let tenants = self.inner.tenants.lock().unwrap();
-        match tenants.get(tenant) {
-            Some(state) => state.dlq.lock().unwrap().1.iter().cloned().collect(),
-            None => Vec::new(),
-        }
+        let sched = self.inner.sched();
+        let tq = sched.queues.get(tenant);
+        tq.map_or_else(Vec::new, |tq| tq.dlq.iter().cloned().collect())
     }
 
     /// A fresh read view of a tenant's namespace in the backing store
@@ -522,251 +531,246 @@ impl Drop for TuningService {
     /// Graceful shutdown: stop accepting, drain everything already
     /// queued (every ticket resolves), then join the workers.
     fn drop(&mut self) {
-        {
-            let mut sched = self.inner.sched.lock().unwrap();
-            sched.shutdown = true;
-            self.inner.work_cv.notify_all();
-        }
+        self.inner.sched().shutdown = true;
+        self.inner.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
+/// What the claim decided about a submission.
+#[derive(Clone, Copy, PartialEq)]
+enum Gate {
+    /// The tenant's breaker is open: dead-lettered at the claim, not run.
+    FastFail,
+    /// No tuning slot or no memory for it: runs untuned, holding nothing.
+    Shed,
+    /// Holds one tuning slot and its memory charge until completion.
+    Admitted,
+}
+
+/// A worker takes the lock twice per submission. The *claim* decides
+/// everything the scheduler decides — which tenant runs, whether its
+/// breaker lets the submission through, whether a tuning slot and its
+/// memory charge are free; the *completion* applies everything the
+/// finished submission changes. The submission runs between the two with
+/// no lock held, and the ticket resolves after the second, so
+/// `dead_letters()` and the counters are current when `wait()` returns.
 fn worker_loop(inner: &Inner) {
-    loop {
-        let req = {
-            let mut sched = inner.sched.lock().unwrap();
-            loop {
-                if let Some(tenant) = sched.ready.pop_front() {
-                    let tq = sched.queues.get_mut(&tenant).expect("ready tenant queued");
-                    let req = tq.items.pop_front().expect("ready tenant has work");
-                    sched.queued -= 1;
-                    sched.in_flight += 1;
-                    inner
-                        .obs
-                        .set_gauge("service.queue.depth", sched.queued as f64);
-                    // The tenant stays `active` (claimed) until this
-                    // request finishes — its later submissions wait.
-                    break req;
+    while let Some((req, gate)) = claim(inner) {
+        let job_id = req.spec.job_id();
+        let outcome = match gate {
+            Gate::FastFail => ServiceOutcome::Rejected {
+                job_id,
+                reason: "circuit breaker open; submission dead-lettered".to_string(),
+            },
+            // A panic in a submission costs that submission: it is a hard
+            // failure of the ticket, and the completion below still runs —
+            // the tenant is re-readied and this worker lives on.
+            _ => match catch_unwind(AssertUnwindSafe(|| run(inner, &req, gate))) {
+                Ok(Ok(report)) => ServiceOutcome::Served(report),
+                Ok(Err(error)) => ServiceOutcome::Failed { job_id, error },
+                Err(payload) => {
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("no message");
+                    ServiceOutcome::Rejected {
+                        job_id,
+                        reason: format!("submission panicked: {message}"),
+                    }
                 }
-                if sched.shutdown {
-                    return;
-                }
-                sched = inner.work_cv.wait(sched).unwrap();
+            },
+        };
+        complete(inner, &req, gate, &outcome);
+        let _ = req.reply.send(outcome);
+    }
+}
+
+/// The claim: wait for a ready tenant, take its oldest submission, pass it
+/// through the tenant's breaker, then through admission. `None` once the
+/// service is shutting down and nothing is ready.
+fn claim(inner: &Inner) -> Option<(Request, Gate)> {
+    let (cfg, obs) = (&inner.cfg, &inner.obs);
+    let mut guard = inner.sched();
+    let tenant = loop {
+        if let Some(tenant) = guard.ready.pop_front() {
+            break tenant;
+        }
+        if guard.shutdown {
+            return None;
+        }
+        guard = inner
+            .work_cv
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner);
+    };
+    let sched = &mut *guard;
+    let (tq, req) = sched
+        .queues
+        .get_mut(&tenant)
+        .and_then(|tq| tq.items.pop_front().map(|req| (tq, req)))
+        .expect("a ready tenant has a queue with work in it");
+    // The tenant stays `active` (claimed) until `complete` — its later
+    // submissions wait.
+    sched.queued -= 1;
+    sched.in_flight += 1;
+    obs.set_gauge("service.queue.depth", sched.queued as f64);
+    if !tq.claimed {
+        tq.claimed = true;
+        sched.tenants += 1;
+        obs.set_gauge("service.tenants", sched.tenants as f64);
+    }
+    obs.incr(&format!("tenant.{tenant}.submissions"), 1);
+
+    // Circuit breaker: while open, fast-fail without touching the cluster
+    // or consuming admission permits.
+    if let Breaker::Open { remaining } = tq.breaker {
+        tq.breaker = if remaining <= 1 {
+            Breaker::HalfOpen
+        } else {
+            Breaker::Open {
+                remaining: remaining - 1,
             }
         };
+        obs.incr(&format!("tenant.{tenant}.breaker.fast_fail"), 1);
+        dead_letter(inner, tq, &req, "circuit breaker open");
+        obs.incr(&format!("tenant.{tenant}.rejected"), 1);
+        return Some((req, Gate::FastFail));
+    }
 
-        let tenant = req.tenant.clone();
-        process(inner, req);
+    // Admission: a full tuning pipeline needs one slot and its memory
+    // charge. Either one exhausted → shed, still serialized with the
+    // tenant's other submissions.
+    let mem = cfg.submission_memory_bytes;
+    let gate = if sched.tasks_in_flight < cfg.max_in_flight.max(1)
+        && cfg.memory_budget_bytes - sched.memory_in_use >= mem
+    {
+        sched.tasks_in_flight += 1;
+        sched.memory_in_use += mem;
+        Gate::Admitted
+    } else {
+        obs.incr("service.admission.shed", 1);
+        obs.incr(&format!("tenant.{tenant}.shed"), 1);
+        Gate::Shed
+    };
+    admission_gauges(obs, sched);
+    Some((req, gate))
+}
 
-        let mut sched = inner.sched.lock().unwrap();
-        sched.in_flight -= 1;
-        let tq = sched
-            .queues
-            .get_mut(&tenant)
-            .expect("processed tenant queued");
-        if tq.items.is_empty() {
-            tq.active = false;
+fn admission_gauges(obs: &obs::Registry, sched: &Sched) {
+    obs.set_gauge(
+        "service.admission.tasks_in_flight",
+        sched.tasks_in_flight as f64,
+    );
+    obs.set_gauge(
+        "service.admission.memory_in_use",
+        sched.memory_in_use as f64,
+    );
+}
+
+/// Run one claimed submission on a daemon of its own. No lock is held.
+fn run(inner: &Inner, req: &Request, gate: Gate) -> Result<SubmissionReport, DaemonError> {
+    let faults = req.faults.as_ref().unwrap_or(&inner.cluster.faults);
+    let daemon = inner.daemon(&req.tenant, faults.clone(), inner.obs.clone())?;
+    if gate == Gate::Admitted {
+        daemon.submit(&req.spec, &req.dataset, req.seed)
+    } else {
+        let why = "admission control: no free tuning slot; shed under overload";
+        daemon.submit_untuned(&req.spec, &req.dataset, req.seed, why)
+    }
+}
+
+/// The completion: return the permits, move the breaker, dead-letter a
+/// failure, re-ready the tenant, signal idleness.
+fn complete(inner: &Inner, req: &Request, gate: Gate, outcome: &ServiceOutcome) {
+    let (cfg, obs, tenant) = (&inner.cfg, &inner.obs, &req.tenant);
+    // Hard failures — a typed error, or a panic — count against the
+    // tenant's breaker and are dead-lettered; a fast-fail already was, at
+    // the claim.
+    let failure = match outcome {
+        ServiceOutcome::Failed { error, .. } => Some(error.to_string()),
+        ServiceOutcome::Rejected { reason, .. } if gate != Gate::FastFail => Some(reason.clone()),
+        _ => None,
+    };
+
+    let mut guard = inner.sched();
+    let sched = &mut *guard;
+    if gate == Gate::Admitted {
+        sched.tasks_in_flight -= 1;
+        sched.memory_in_use -= cfg.submission_memory_bytes;
+        admission_gauges(obs, sched);
+    }
+    let tq = sched.queues.get_mut(tenant);
+    let tq = tq.expect("a claimed tenant has a queue");
+    if let ServiceOutcome::Served(report) = outcome {
+        if tq.breaker == Breaker::HalfOpen {
+            obs.incr(&format!("tenant.{tenant}.breaker.closed"), 1);
+        }
+        tq.breaker = Breaker::Closed { failures: 0 };
+        let label = match &report.outcome {
+            SubmissionOutcome::Tuned { .. } => "tuned",
+            SubmissionOutcome::ProfiledAndStored { .. } => "profiled",
+            SubmissionOutcome::Degraded { .. } => "degraded",
+        };
+        obs.incr(&format!("tenant.{tenant}.{label}"), 1);
+    }
+    if let Some(reason) = failure {
+        let max_failures = cfg.breaker_max_failures.max(1);
+        let failures = match tq.breaker {
+            Breaker::Closed { failures } => failures + 1,
+            // A failed half-open trial re-opens immediately. (An open
+            // breaker fast-fails at the claim; it has no trial to fail.)
+            Breaker::HalfOpen | Breaker::Open { .. } => max_failures,
+        };
+        if failures >= max_failures {
+            tq.breaker = Breaker::Open {
+                remaining: cfg.breaker_cooldown.max(1),
+            };
+            obs.incr(&format!("tenant.{tenant}.breaker.trips"), 1);
+            obs.event(
+                "service.breaker.open",
+                &[
+                    ("tenant", tenant.as_str().into()),
+                    ("cooldown", cfg.breaker_cooldown.into()),
+                ],
+            );
         } else {
-            sched.ready.push_back(tenant);
-            inner.work_cv.notify_one();
+            tq.breaker = Breaker::Closed { failures };
         }
-        if sched.queued == 0 && sched.in_flight == 0 {
-            inner.idle_cv.notify_all();
-        }
+        obs.incr(&format!("tenant.{tenant}.failed"), 1);
+        dead_letter(inner, tq, req, &reason);
+    }
+
+    if tq.items.is_empty() {
+        tq.active = false;
+    } else {
+        sched.ready.push_back(tenant.clone());
+        inner.work_cv.notify_one();
+    }
+    sched.in_flight -= 1;
+    if sched.queued == 0 && sched.in_flight == 0 {
+        inner.idle_cv.notify_all();
     }
 }
 
-fn tenant_state(inner: &Inner, tenant: &str) -> Arc<TenantState> {
-    let mut tenants = inner.tenants.lock().unwrap();
-    if let Some(state) = tenants.get(tenant) {
-        return Arc::clone(state);
-    }
-    let view = inner
-        .base
-        .tenant_view(tenant)
-        .expect("tenant id validated at submit");
-    let mut daemon = PStorM::with_store(view, inner.cluster.clone());
-    daemon.matcher = inner.cfg.matcher;
-    daemon.cbo = inner.cfg.cbo.clone();
-    daemon.policy = inner.cfg.policy;
-    daemon.set_obs(inner.obs.clone());
-    let state = Arc::new(TenantState {
-        daemon: Mutex::new(daemon),
-        breaker: Mutex::new(Breaker::Closed { failures: 0 }),
-        dlq: Mutex::new((0, VecDeque::new())),
-    });
-    tenants.insert(tenant.to_string(), Arc::clone(&state));
-    inner.obs.set_gauge("service.tenants", tenants.len() as f64);
-    state
-}
-
-fn dead_letter(inner: &Inner, state: &TenantState, tenant: &str, req: &Request, reason: &str) {
-    let mut dlq = state.dlq.lock().unwrap();
-    let seq = dlq.0;
-    dlq.0 += 1;
-    dlq.1.push_back(DeadLetter {
-        seq,
+fn dead_letter(inner: &Inner, tq: &mut TenantQueue, req: &Request, reason: &str) {
+    let (obs, tenant) = (&inner.obs, &req.tenant);
+    tq.dlq.push_back(DeadLetter {
+        seq: tq.dlq_seq,
         job_id: req.spec.job_id(),
         seed: req.seed,
         reason: reason.to_string(),
     });
-    if dlq.1.len() > inner.cfg.dlq_capacity {
-        dlq.1.pop_front();
-        inner.obs.incr(&format!("tenant.{tenant}.dlq.dropped"), 1);
+    tq.dlq_seq += 1;
+    if tq.dlq.len() > inner.cfg.dlq_capacity {
+        tq.dlq.pop_front();
+        obs.incr(&format!("tenant.{tenant}.dlq.dropped"), 1);
     }
-    inner
-        .obs
-        .set_gauge(&format!("tenant.{tenant}.dlq.depth"), dlq.1.len() as f64);
-    inner.obs.incr(&format!("tenant.{tenant}.dlq.enqueued"), 1);
-}
-
-/// Process one claimed request: breaker gate → admission → run.
-fn process(inner: &Inner, req: Request) {
-    let tenant = req.tenant.clone();
-    let state = tenant_state(inner, &tenant);
-    inner.obs.incr(&format!("tenant.{tenant}.submissions"), 1);
-
-    // Circuit breaker: while open, fast-fail without touching the
-    // cluster or consuming admission permits.
-    let half_open_trial = {
-        let mut breaker = state.breaker.lock().unwrap();
-        match *breaker {
-            Breaker::Open { remaining } => {
-                *breaker = if remaining <= 1 {
-                    Breaker::HalfOpen
-                } else {
-                    Breaker::Open {
-                        remaining: remaining - 1,
-                    }
-                };
-                inner
-                    .obs
-                    .incr(&format!("tenant.{tenant}.breaker.fast_fail"), 1);
-                dead_letter(inner, &state, &tenant, &req, "circuit breaker open");
-                inner.obs.incr(&format!("tenant.{tenant}.rejected"), 1);
-                let _ = req.reply.send(ServiceOutcome::Rejected {
-                    job_id: req.spec.job_id(),
-                    reason: "circuit breaker open; submission dead-lettered".to_string(),
-                });
-                return;
-            }
-            Breaker::HalfOpen => true,
-            Breaker::Closed { .. } => false,
-        }
-    };
-
-    // Admission: a full tuning pipeline needs one task permit and its
-    // memory charge. Either one exhausted → shed through the tenant's
-    // own daemon (still serialized with its other submissions).
-    let mem = inner.cfg.submission_memory_bytes;
-    let admitted = inner.tasks.try_acquire(1) && {
-        if inner.memory.try_acquire(mem) {
-            true
-        } else {
-            inner.tasks.release(1);
-            false
-        }
-    };
-    inner.obs.set_gauge(
-        "service.admission.tasks_in_flight",
-        inner.tasks.in_use() as f64,
-    );
-    inner.obs.set_gauge(
-        "service.admission.memory_in_use",
-        inner.memory.in_use() as f64,
-    );
-
-    let result = {
-        let mut daemon = state.daemon.lock().unwrap();
-        daemon.cluster.faults = req
-            .faults
-            .clone()
-            .unwrap_or_else(|| inner.cluster.faults.clone());
-        if admitted {
-            daemon.submit(&req.spec, &req.dataset, req.seed)
-        } else {
-            inner.obs.incr("service.admission.shed", 1);
-            inner.obs.incr(&format!("tenant.{tenant}.shed"), 1);
-            daemon.submit_untuned(
-                &req.spec,
-                &req.dataset,
-                req.seed,
-                "admission control: no free tuning slot; shed under overload",
-            )
-        }
-    };
-    if admitted {
-        inner.tasks.release(1);
-        inner.memory.release(mem);
-        inner.obs.set_gauge(
-            "service.admission.tasks_in_flight",
-            inner.tasks.in_use() as f64,
-        );
-        inner.obs.set_gauge(
-            "service.admission.memory_in_use",
-            inner.memory.in_use() as f64,
-        );
-    }
-
-    let outcome = match result {
-        Ok(report) => {
-            {
-                let mut breaker = state.breaker.lock().unwrap();
-                if half_open_trial {
-                    inner
-                        .obs
-                        .incr(&format!("tenant.{tenant}.breaker.closed"), 1);
-                }
-                *breaker = Breaker::Closed { failures: 0 };
-            }
-            let label = match &report.outcome {
-                SubmissionOutcome::Tuned { .. } => "tuned",
-                SubmissionOutcome::ProfiledAndStored { .. } => "profiled",
-                SubmissionOutcome::Degraded { .. } => "degraded",
-            };
-            inner.obs.incr(&format!("tenant.{tenant}.{label}"), 1);
-            ServiceOutcome::Served(report)
-        }
-        Err(error) => {
-            let tripped = {
-                let mut breaker = state.breaker.lock().unwrap();
-                let failures = match *breaker {
-                    Breaker::Closed { failures } => failures + 1,
-                    // A failed half-open trial re-opens immediately.
-                    Breaker::HalfOpen => inner.cfg.breaker_max_failures.max(1),
-                    Breaker::Open { .. } => unreachable!("open breakers fast-fail above"),
-                };
-                if failures >= inner.cfg.breaker_max_failures.max(1) {
-                    *breaker = Breaker::Open {
-                        remaining: inner.cfg.breaker_cooldown.max(1),
-                    };
-                    true
-                } else {
-                    *breaker = Breaker::Closed { failures };
-                    false
-                }
-            };
-            if tripped {
-                inner.obs.incr(&format!("tenant.{tenant}.breaker.trips"), 1);
-                inner.obs.event(
-                    "service.breaker.open",
-                    &[
-                        ("tenant", tenant.as_str().into()),
-                        ("cooldown", inner.cfg.breaker_cooldown.into()),
-                    ],
-                );
-            }
-            inner.obs.incr(&format!("tenant.{tenant}.failed"), 1);
-            dead_letter(inner, &state, &tenant, &req, &error.to_string());
-            ServiceOutcome::Failed {
-                job_id: req.spec.job_id(),
-                error,
-            }
-        }
-    };
-    let _ = req.reply.send(outcome);
+    obs.set_gauge(&format!("tenant.{tenant}.dlq.depth"), tq.dlq.len() as f64);
+    obs.incr(&format!("tenant.{tenant}.dlq.enqueued"), 1);
 }
 
 #[cfg(test)]
@@ -998,6 +1002,70 @@ mod tests {
         assert_eq!(dlq.len(), 2);
         assert_eq!(dlq[0].seq, 2, "oldest entries dropped: {dlq:?}");
         assert_eq!(counter(&svc, "tenant.bad.dlq.dropped"), 2);
+    }
+
+    /// A submission that panics is a hard failure of its own ticket: the
+    /// tenant's later tickets still resolve, the failure counts against
+    /// its breaker and is dead-lettered with the panic message, the permits
+    /// come back, another tenant is served by the same (only) worker, and
+    /// `quiesce` returns. The panic needs no hook: the simulator divides by
+    /// a public `ClusterSpec`'s block size.
+    #[test]
+    fn a_panicking_submission_costs_one_ticket_not_the_tenant() {
+        let mut cluster = ClusterSpec::ec2_c1_medium_16();
+        cluster.hdfs_block_mb = 0;
+        let cfg = ServiceConfig {
+            workers: 1,
+            breaker_max_failures: 2,
+            breaker_cooldown: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = TuningService::with_obs(
+            ProfileStore::new().unwrap(),
+            cluster,
+            cfg,
+            obs::Registry::new(),
+        );
+        // Without the fix the second ticket never resolves: script the
+        // service on a thread this test can give up on.
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let spec = jobs::word_count();
+            let ds = corpus::random_text_1g();
+            let reasons: Vec<String> = [("a", 1), ("a", 2), ("a", 3), ("b", 4)]
+                .iter()
+                .map(
+                    |&(tenant, seed)| match svc.submit(tenant, &spec, &ds, seed).unwrap().wait() {
+                        ServiceOutcome::Rejected { reason, .. } => reason,
+                        other => panic!("{tenant}/{seed}: expected a rejection, got {other:?}"),
+                    },
+                )
+                .collect();
+            svc.quiesce();
+            let _ = done_tx.send((reasons, svc));
+        });
+        let (reasons, svc) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a panicked submission wedged its tenant");
+
+        for panicked in [&reasons[0], &reasons[1], &reasons[3]] {
+            assert!(
+                panicked.starts_with("submission panicked: ")
+                    && panicked.contains("divide by zero"),
+                "{panicked}"
+            );
+        }
+        assert!(reasons[2].contains("circuit breaker open"), "{reasons:?}");
+        let dlq = svc.dead_letters("a");
+        assert_eq!(dlq.len(), 3, "{dlq:?}");
+        assert_eq!(dlq[0].reason, reasons[0]);
+        assert_eq!(counter(&svc, "tenant.a.failed"), 2);
+        assert_eq!(counter(&svc, "tenant.a.breaker.trips"), 1);
+        assert_eq!(counter(&svc, "tenant.a.breaker.fast_fail"), 1);
+        assert_eq!(counter(&svc, "tenant.b.failed"), 1);
+        let gauges = svc.obs().snapshot().gauges;
+        assert_eq!(gauges["service.admission.tasks_in_flight"], 0.0);
+        assert_eq!(gauges["service.admission.memory_in_use"], 0.0);
     }
 
     #[test]

@@ -8,24 +8,14 @@
 //!
 //! ## Performance architecture
 //!
-//! Two things make the search cheap without changing its answer:
-//!
-//! 1. **Plan hoisting** — the profile-derived dataflow and cost rates are
-//!    built once per search ([`whatif::WhatIfPlan`]), not once per
-//!    candidate.
-//! 2. **Memoization** — predictions are cached under a canonical
-//!    fingerprint of the configuration that ignores fields the job cannot
-//!    observe (combiner knobs without a combiner, reduce-side knobs
-//!    without a reduce phase), so re-sampled and effectively-equal
-//!    candidates cost nothing.
-//!
-//! A round's candidates are generated up front and its distinct misses
-//! priced in candidate order on the caller's thread: a prediction is a
-//! closed form costing well under a microsecond (DESIGN.md §21), so a
-//! whole round is cheaper than one thread spawn, and a `TuningService`
-//! worker's search stays on that worker's core.
-
-use std::collections::HashMap;
+//! The profile-derived dataflow and cost rates are built once per search
+//! ([`whatif::WhatIfPlan`]), not once per candidate, and each candidate is
+//! priced as it is drawn, on the caller's thread: a prediction is a closed
+//! form costing well under a microsecond (DESIGN.md §21), so a whole round
+//! is cheaper than one thread spawn, and a `TuningService` worker's search
+//! stays on that worker's core. Nothing is kept between candidates: two
+//! samples of a continuous 14-dimensional space do not coincide, so there
+//! is nothing a cache of predictions could serve (DESIGN.md §23).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,82 +62,9 @@ impl Default for CboOptions {
 pub struct Recommendation {
     pub config: JobConfig,
     pub predicted_ms: f64,
-    /// How many What-If calls the search spent (memoized hits included:
-    /// the budget bounds candidates considered, not distinct simulations).
+    /// How many What-If calls the search spent: every candidate
+    /// considered, the ones validation rejected included.
     pub wif_calls: usize,
-}
-
-/// Canonical fingerprint of a [`JobConfig`] for prediction memoization.
-///
-/// Two configurations with equal keys are guaranteed to produce
-/// bit-identical What-If predictions for the plan the key was built
-/// against: fields that are inert for the job's dataflow (combiner knobs
-/// when there is no combiner, reduce-side knobs when there is no reduce
-/// phase) are zeroed out of the key. Only *validated* configurations may
-/// be keyed — validation looks at inert fields too, so an invalid config
-/// could otherwise collide with a valid one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ConfigKey([u64; ConfigSpace::DIMS]);
-
-fn config_key(cfg: &JobConfig, has_combiner: bool, has_reduce: bool) -> ConfigKey {
-    ConfigKey([
-        cfg.io_sort_mb,
-        cfg.io_sort_record_percent.to_bits(),
-        cfg.io_sort_spill_percent.to_bits(),
-        cfg.io_sort_factor as u64,
-        (has_combiner && cfg.use_combiner) as u64,
-        if has_combiner {
-            cfg.min_num_spills_for_combine as u64
-        } else {
-            0
-        },
-        cfg.compress_map_output as u64,
-        if has_reduce {
-            cfg.reduce_slowstart.to_bits()
-        } else {
-            0
-        },
-        if has_reduce {
-            cfg.num_reduce_tasks as u64
-        } else {
-            0
-        },
-        if has_reduce {
-            cfg.shuffle_input_buffer_percent.to_bits()
-        } else {
-            0
-        },
-        if has_reduce {
-            cfg.shuffle_merge_percent.to_bits()
-        } else {
-            0
-        },
-        if has_reduce {
-            cfg.inmem_merge_threshold as u64
-        } else {
-            0
-        },
-        if has_reduce {
-            cfg.reduce_input_buffer_percent.to_bits()
-        } else {
-            0
-        },
-        (has_reduce && cfg.compress_output) as u64,
-    ])
-}
-
-/// Per-round evaluation bookkeeping surfaced through the observability
-/// layer (`cbo.round` span attributes and `cbo.*` counters).
-#[derive(Debug, Default, Clone, Copy)]
-struct RoundStats {
-    /// Candidates considered this round (what-if *calls*).
-    candidates: usize,
-    /// Candidates served from the memo (or duplicated within the round).
-    memo_hits: usize,
-    /// Distinct predictions actually simulated.
-    evals: usize,
-    /// Candidates rejected by configuration validation.
-    invalid: usize,
 }
 
 /// Search for the best configuration for `spec` on `input_bytes` of data,
@@ -173,8 +90,8 @@ pub fn optimize(
 }
 
 /// [`optimize`], recording the search into `reg`: a `cbo.search` span
-/// with one `cbo.round` child per round (candidates, memo hits, distinct
-/// evaluations, incumbent after the round) plus the `cbo.*` counters.
+/// with one `cbo.round` child per round (candidates, predictions made,
+/// invalid candidates, incumbent after the round) plus the `cbo.*` counters.
 /// With a disabled registry this *is* `optimize` — the instrumentation
 /// reduces to one branch per round, far below measurement noise.
 pub fn optimize_traced(
@@ -187,7 +104,6 @@ pub fn optimize_traced(
 ) -> Result<Recommendation, SimError> {
     let space = ConfigSpace::for_cluster(cluster);
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut wif_calls = 0usize;
 
     let search_span = reg.span("cbo.search");
     search_span.attr("job_id", spec.job_id());
@@ -195,77 +111,29 @@ pub fn optimize_traced(
     search_span.attr("rounds", opts.rounds);
 
     let plan = WhatIfPlan::new(spec, profile, input_bytes, cluster);
-    let has_combiner = plan.has_combiner();
-    let has_reduce = plan.has_reduce();
-    let mut memo: HashMap<ConfigKey, Result<f64, SimError>> = HashMap::new();
 
-    // Evaluate one round's candidates: validate, look up the memo, price
-    // the distinct misses, and hand back per-candidate results in
-    // candidate order.
-    let mut eval_round =
-        |cands: &[JobConfig], calls: &mut usize| -> (Vec<Result<f64, SimError>>, RoundStats) {
-            *calls += cands.len();
-            let mut stats = RoundStats {
-                candidates: cands.len(),
-                ..RoundStats::default()
-            };
-            let keys: Vec<Result<ConfigKey, SimError>> = cands
-                .iter()
-                .map(|cfg| match cfg.validate() {
-                    Ok(()) => Ok(config_key(cfg, has_combiner, has_reduce)),
-                    Err(e) => Err(SimError::Config(e)),
-                })
-                .collect();
-            stats.invalid = keys.iter().filter(|k| k.is_err()).count();
-            let mut missing: Vec<(ConfigKey, &JobConfig)> = Vec::new();
-            for (cfg, key) in cands.iter().zip(&keys) {
-                if let Ok(key) = key {
-                    if !memo.contains_key(key) && missing.iter().all(|(k, _)| k != key) {
-                        missing.push((*key, cfg));
-                    }
-                }
-            }
-            stats.evals = missing.len();
-            stats.memo_hits = cands.len() - stats.invalid - stats.evals;
-            for (key, cfg) in missing {
-                memo.insert(key, plan.predict(cfg));
-            }
-            let results = keys
-                .into_iter()
-                .map(|key| match key {
-                    Ok(key) => memo[&key].clone(),
-                    Err(e) => Err(e),
-                })
-                .collect();
-            (results, stats)
-        };
-
-    let record_round = |reg: &obs::Registry, label: &str, stats: RoundStats, best_ms: f64| {
+    let record_round = |label: &str, candidates: usize, invalid: usize, best_ms: f64| {
         if !reg.is_enabled() {
             return;
         }
         let span = reg.span("cbo.round");
         span.attr("round", label);
-        span.attr("candidates", stats.candidates);
-        span.attr("memo_hits", stats.memo_hits);
-        span.attr("evals", stats.evals);
-        span.attr("invalid", stats.invalid);
+        span.attr("candidates", candidates);
+        span.attr("evals", candidates - invalid);
+        span.attr("invalid", invalid);
         span.attr("best_ms", best_ms);
-        reg.incr("cbo.wif_calls", stats.candidates as u64);
-        reg.incr("cbo.memo_hits", stats.memo_hits as u64);
-        reg.incr("cbo.evals", stats.evals as u64);
-        reg.incr("cbo.invalid_configs", stats.invalid as u64);
+        reg.incr("cbo.wif_calls", candidates as u64);
+        reg.incr("cbo.evals", (candidates - invalid) as u64);
+        reg.incr("cbo.invalid_configs", invalid as u64);
     };
 
     // Seed the incumbent with the job's own submitted configuration, so
     // the CBO never recommends something worse than "do nothing" (by its
     // own prediction).
-    let submitted = JobConfig::submitted(spec);
-    let mut best_cfg = submitted.clone();
-    let (mut seed_results, seed_stats) =
-        eval_round(std::slice::from_ref(&submitted), &mut wif_calls);
-    let mut best_ms = seed_results.pop().expect("one result for one candidate")?;
-    record_round(reg, "seed", seed_stats, best_ms);
+    let mut best_cfg = JobConfig::submitted(spec);
+    let mut best_ms = plan.predict(&best_cfg)?;
+    let mut wif_calls = 1usize;
+    record_round("seed", 1, 0, best_ms);
     let mut best_x: Option<[f64; ConfigSpace::DIMS]> = None;
 
     // The seed spent one call; the rest is split evenly over the rounds,
@@ -276,9 +144,10 @@ pub fn optimize_traced(
     let rounds_run = (opts.rounds + 1).min(after_seed / per_round);
 
     // Round 0: uniform exploration, then `rounds` exploitation rounds in
-    // a shrinking box around the incumbent. Evaluation consumes no
-    // randomness, and the reduction visits candidates in generation
-    // order, so the seed alone fixes the incumbent trajectory.
+    // a shrinking box around the incumbent *as the round began*. Each
+    // candidate is validated and priced (`predict` does both) as it is
+    // drawn; pricing consumes no randomness, so the seed alone fixes the
+    // candidates and the incumbent trajectory.
     let mut radius = 0.5;
     for round in 0..rounds_run {
         let center = if round == 0 {
@@ -290,24 +159,25 @@ pub fn optimize_traced(
                 None => space.sample_uniform(&mut rng),
             })
         };
-        let xs: Vec<[f64; ConfigSpace::DIMS]> = (0..per_round)
-            .map(|_| match &center {
+        let mut invalid = 0usize;
+        for _ in 0..per_round {
+            let x = match &center {
                 None => space.sample_uniform(&mut rng),
                 Some(c) => space.sample_near(&mut rng, c, radius),
-            })
-            .collect();
-        let cfgs: Vec<JobConfig> = xs.iter().map(|x| space.decode(x)).collect();
-        let (results, stats) = eval_round(&cfgs, &mut wif_calls);
-        for ((x, cfg), res) in xs.into_iter().zip(cfgs).zip(results) {
-            if let Ok(ms) = res {
-                if ms < best_ms {
+            };
+            let cfg = space.decode(&x);
+            match plan.predict(&cfg) {
+                Ok(ms) if ms < best_ms => {
                     best_ms = ms;
                     best_cfg = cfg;
                     best_x = Some(x);
                 }
+                Err(SimError::Config(_)) => invalid += 1,
+                _ => {}
             }
         }
-        record_round(reg, &round.to_string(), stats, best_ms);
+        wif_calls += per_round;
+        record_round(&round.to_string(), per_round, invalid, best_ms);
     }
 
     search_span.attr("wif_calls", wif_calls);
@@ -461,30 +331,5 @@ mod tests {
         assert_eq!(a.config, b.config);
         assert_eq!(a.predicted_ms.to_bits(), b.predicted_ms.to_bits());
         assert_eq!(a.wif_calls, b.wif_calls);
-    }
-
-    #[test]
-    fn memo_key_separates_observable_fields() {
-        let a = JobConfig::default();
-        let b = JobConfig {
-            num_reduce_tasks: 27,
-            ..JobConfig::default()
-        };
-        // Reduce-side field: distinct keys for a reduce job, identical for
-        // a map-only job.
-        assert_ne!(config_key(&a, true, true), config_key(&b, true, true));
-        assert_eq!(config_key(&a, true, false), config_key(&b, true, false));
-        let c = JobConfig {
-            use_combiner: false,
-            ..JobConfig::default()
-        };
-        assert_ne!(config_key(&a, true, true), config_key(&c, true, true));
-        assert_eq!(config_key(&a, false, true), config_key(&c, false, true));
-        // Map-side fields always discriminate.
-        let d = JobConfig {
-            io_sort_mb: 200,
-            ..JobConfig::default()
-        };
-        assert_ne!(config_key(&a, false, false), config_key(&d, false, false));
     }
 }

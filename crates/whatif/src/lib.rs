@@ -66,19 +66,6 @@ impl<'a> WhatIfPlan<'a> {
         }
     }
 
-    /// Whether the reconstructed dataflow has a combiner. Configuration
-    /// fields controlling the combiner are inert when this is false —
-    /// callers memoizing predictions can ignore them.
-    pub fn has_combiner(&self) -> bool {
-        self.flow.combine.is_some()
-    }
-
-    /// Whether the reconstructed dataflow has a reduce phase. Reduce-side
-    /// configuration fields are inert when this is false.
-    pub fn has_reduce(&self) -> bool {
-        self.flow.reduce.is_some()
-    }
-
     /// Predict the virtual runtime (ms) under `config`.
     pub fn predict(&self, config: &JobConfig) -> Result<f64, SimError> {
         // deterministic: the WIF is an analytic model (seed 0, zero

@@ -45,7 +45,7 @@ step "trace snapshot (fixed-seed trace must be bit-identical)"
 cargo test -q -p pstorm-tests --test trace_snapshot
 
 # Budget regression gate: hard thresholds over the golden trace's
-# counters — CBO what-if/memo accounting and ceiling, the matcher's
+# counters — CBO what-if accounting and ceiling, the matcher's
 # per-stage survivor funnel, per-region read-amplification sums, and
 # the block-cache hit-rate / flush-compaction accounting ceilings.
 # Regenerating the snapshot does NOT loosen these; see budget_gate.rs.
@@ -146,6 +146,28 @@ if [ "$(nontest $mrsim_src | grep -cF '.cmp(&keys[' || true)" -gt 1 ]; then
 fi
 if nontest $mrsim_src | grep -F 'fn sort_by_key'; then exit 1; fi
 
+# The serving path owns its state (DESIGN.md §23): the service keeps
+# everything it schedules on behind one mutex, reached through one helper
+# (a worker takes it twice per ticket: claim and completion), with no
+# per-tenant lock, no semaphore and no panic site beyond its two queue
+# invariants (the third match is the doc example's); a submission has one
+# degraded exit that walks the ladder and one that does not; and the CBO
+# is a search, not a cache.
+step "source gate (one service lock, one degraded exit, no prediction memo)"
+service_count() { nontest crates/core/src/service.rs | grep -cE "$1" || true; }
+if [ "$(service_count 'Mutex<')" -ne 1 ]; then echo "service.rs must declare exactly one Mutex"; exit 1; fi
+if [ "$(service_count '\.lock\(\)')" -gt 2 ]; then echo "more than two .lock() sites in service.rs"; exit 1; fi
+if [ "$(service_count '\.unwrap\(\)|\.expect\(|unreachable!|panic!')" -gt 3 ]; then
+  echo "more than three unwrap/expect/unreachable!/panic! in service.rs"; exit 1
+fi
+if nontest crates/core/src/service.rs | grep -E 'struct (TenantState|Semaphore)'; then exit 1; fi
+if [ "$(nontest $(find crates/core/src -name '*.rs') | grep -cE 'SubmissionOutcome::Degraded \{$' || true)" -gt 2 ]; then
+  echo "more than two Degraded report constructions in crates/core/src"; exit 1
+fi
+if nontest $(find crates/optimizer/src -name '*.rs') | grep -E 'HashMap|config_key|memo_hits|[Mm]emoiz'; then exit 1; fi
+serving_path_files="crates/core/src/service.rs crates/core/src/daemon.rs crates/optimizer/src/cbo.rs crates/whatif/src/lib.rs"
+serving_path_lines=$(nontest $serving_path_files | wc -l)
+
 # The benchmark harness at 1/20 scale: every workload, untraced and
 # traced, every output check on (benchmark/README.md). Catches a change
 # that breaks what BENCHMARK.json runs before the driver does.
@@ -166,4 +188,6 @@ done
 printf '%6d  total\n' "$SECONDS"
 # Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16).
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + flusher.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
+# 1997 before the serving path owned its state (DESIGN.md §23).
+printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
 echo "CI OK"
