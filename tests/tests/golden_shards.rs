@@ -34,6 +34,7 @@ use cfstore::shard::resharding::TOPOLOGY_FILE;
 use cfstore::{
     Put, Reshard, ReshardPhase, Scan, ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError,
 };
+use pstorm_tests::{disk_digest, fnv, FNV_BASIS};
 
 const TABLE: &str = "profiles";
 const FAMILY: &str = "d";
@@ -125,15 +126,6 @@ fn seeded(dir: &Path, shards: u32, replication: u32, seed: u64, len: usize) -> S
     store
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Rows held and a digest over every cell of one shard's full scan.
 fn shard_digest(store: &ShardedStore, shard: u32) -> (usize, u64) {
     let (rows, _) = store
@@ -153,33 +145,6 @@ fn shard_digest(store: &ShardedStore, shard: u32) -> (usize, u64) {
         }
     }
     (rows.len(), h)
-}
-
-/// Digest of every file under `dir`: relative path and bytes, path order.
-fn disk_digest(dir: &Path) -> u64 {
-    fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in std::fs::read_dir(dir).expect("read dir").flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let rel = path.strip_prefix(root).expect("under root");
-                out.push((
-                    rel.to_string_lossy().into_owned(),
-                    std::fs::read(&path).expect("read file"),
-                ));
-            }
-        }
-    }
-    let mut files = Vec::new();
-    walk(dir, dir, &mut files);
-    files.sort();
-    let mut h = FNV_BASIS;
-    for (name, bytes) in &files {
-        fnv(&mut h, name.as_bytes());
-        fnv(&mut h, bytes);
-    }
-    h
 }
 
 /// The transcript one scenario accumulates and compares to its literal.
