@@ -522,7 +522,7 @@ fn bench_reshard(
     entries: &mut Vec<Entry>,
     seeds: &[(StaticFeatures, JobProfile)],
 ) -> (u64, f64, f64) {
-    use cfstore::{Reshard, ReshardPhase};
+    use cfstore::{ReshardPhase, Topology};
 
     let dir = std::env::temp_dir().join(format!("pstorm-perf-reshard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -562,7 +562,7 @@ fn bench_reshard(
     // One-shot: grow 3×2 → 4×2, timing the whole migration from the
     // journaled Begin through copy, verify, cutover, and GC.
     let t = Instant::now();
-    let status = store.reshard(Reshard::to(4, 2)).unwrap();
+    let status = store.reshard(Topology::uniform(4, 2)).unwrap();
     let grow_ns = t.elapsed().as_nanos();
     assert!(matches!(status.phase, ReshardPhase::Done));
     let rows_moved = status.rows_copied;
@@ -579,7 +579,7 @@ fn bench_reshard(
     // the first copy unit — dual-apply armed, reads still served by the
     // 4×2 epoch — then sample the matcher in exactly that state.
     let sharded = store.sharded().expect("store is sharded");
-    sharded.begin_reshard(Reshard::to(3, 2)).unwrap();
+    sharded.begin_reshard(Topology::uniform(3, 2)).unwrap();
     sharded.reshard_step().unwrap();
     let samples = sample_ns(
         || {

@@ -95,6 +95,73 @@ pub fn verify_exact(buf: &[u8]) -> Result<&[u8], String> {
 }
 
 // ---------------------------------------------------------------------
+// Append-only logs of frames (the WAL, the TOPOLOGY journal)
+// ---------------------------------------------------------------------
+
+/// Why a walk over back-to-back frames stopped before the end of its
+/// buffer: the frame at `valid_bytes` is damaged, or intact and not a
+/// record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScanStop {
+    Frame(FrameError),
+    Record(CodecError),
+}
+
+/// What a log holds: every record up to the first frame that is not one.
+#[derive(Debug)]
+pub struct LogScan<T> {
+    pub records: Vec<T>,
+    /// Byte offset of each record's frame, parallel to `records`.
+    pub offsets: Vec<u64>,
+    /// Bytes up to the end of the last intact, decodable frame.
+    pub valid_bytes: u64,
+    /// Length of the buffer; `total_bytes - valid_bytes` is the tail.
+    pub total_bytes: u64,
+    /// `None` when the buffer ended on a frame boundary.
+    pub stop: Option<ScanStop>,
+}
+
+/// Walk the frames of `data` from byte `start`, decoding each body with
+/// `decode`, and stop — without erroring — at the first one that is
+/// torn, fails its CRC or does not decode. What the stop *means* is the
+/// caller's: a crash tears the tail of a log, and only some logs can
+/// explain an intact frame that is not a record.
+pub fn scan_log<T>(
+    data: &[u8],
+    start: usize,
+    mut decode: impl FnMut(&[u8]) -> Result<T, CodecError>,
+) -> LogScan<T> {
+    let (mut records, mut offsets, mut stop) = (Vec::new(), Vec::new(), None);
+    let mut at = start;
+    while at < data.len() {
+        let record = match verify(&data[at..]) {
+            Ok(body) => decode(body)
+                .map(|r| (r, body.len()))
+                .map_err(ScanStop::Record),
+            Err(e) => Err(ScanStop::Frame(e)),
+        };
+        match record {
+            Ok((record, body_len)) => {
+                records.push(record);
+                offsets.push(at as u64);
+                at += HEADER_LEN + body_len;
+            }
+            Err(why) => {
+                stop = Some(why);
+                break;
+            }
+        }
+    }
+    LogScan {
+        records,
+        offsets,
+        valid_bytes: at as u64,
+        total_bytes: data.len() as u64,
+        stop,
+    }
+}
+
+// ---------------------------------------------------------------------
 // `magic · frame` files (MANIFEST, SHARDS)
 // ---------------------------------------------------------------------
 

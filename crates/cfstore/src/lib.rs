@@ -58,7 +58,7 @@ pub use kv::{CellVersion, Put, RowResult};
 pub use recovery::{Manifest, RecoveryError, RecoveryReport};
 pub use region::{KeyRange, Region, RowData, ScanMetrics};
 pub use segment::{SegmentError, SegmentReader};
-pub use shard::resharding::{Reshard, ReshardPhase, ReshardStatus, Topology};
+pub use shard::resharding::{ReshardPhase, ReshardStatus, Topology};
 pub use shard::{ShardOptions, ShardedMeta, ShardedRecoveryReport, ShardedStore};
 pub use store::{MetaEntry, MiniStore, Scan, StoreError, StoreOptions};
 pub use wal::{CrashSpec, SyncPolicy, WalTruncation};

@@ -1,6 +1,6 @@
-//! The reopen path: manifest, segment loading, WAL replay, and the
-//! [`RecoveryReport`] that accounts for every byte the recovery kept or
-//! dropped.
+//! What a reopen reads and reports: the MANIFEST, the segments it names,
+//! and the [`RecoveryReport`] that accounts for every byte the reopen
+//! kept or dropped.
 //!
 //! A durable store directory contains:
 //!
@@ -10,7 +10,8 @@
 //! <dir>/seg-*.seg     immutable flushed segments (one per region)
 //! ```
 //!
-//! Recovery is a pure function of that directory:
+//! [`crate::MiniStore::open`] is a pure function of that directory
+//! (DESIGN.md §24):
 //!
 //! 1. read the MANIFEST (missing → a never-flushed store; corrupt → a
 //!    typed [`RecoveryError::ManifestCorrupt`], because the manifest is
@@ -18,37 +19,34 @@
 //!    means at-rest rot);
 //! 2. open every referenced segment *lazily*: the header, footer, and
 //!    trailer index are checksum-verified up front, but block bodies stay
-//!    on disk — a clean region is rebuilt segment-backed, reading blocks
-//!    on demand through the store's [`BlockCache`]. Block CRCs are
+//!    on disk — a clean region is built segment-backed, reading blocks
+//!    on demand through the store's [`crate::BlockCache`]. Block CRCs are
 //!    verified on fill, so rot still surfaces as a typed
 //!    [`RecoveryError::Segment`]/[`crate::StoreError`] the moment the
 //!    data is actually read (and `store_fsck` scrubs every block);
-//! 3. scan the WAL, replaying only frames with `lsn > flushed_lsn`
-//!    (frames at or below it are already inside segments — the replay is
-//!    idempotent across the flush/truncate race), and **truncate** at the
-//!    first torn or corrupt frame instead of erroring — a torn tail is
-//!    the expected fingerprint of a crash mid-append;
+//! 3. scan the WAL and **truncate** it at the first torn or corrupt frame
+//!    instead of erroring — a torn tail is the expected fingerprint of a
+//!    crash mid-append — then hand every frame with `lsn > flushed_lsn`
+//!    (frames at or below it are already inside segments) to the store's
+//!    one applier, the code that applied it the first time;
 //! 4. report everything: segments loaded, frames replayed and skipped,
 //!    valid vs dropped WAL bytes, and why truncation happened.
 //!
 //! The crash-anywhere property tests assert that for *every* enumerable
-//! crash point, `recover` yields a store whose scans are bit-identical
-//! to a never-crashed oracle restricted to acknowledged writes, and that
+//! crash point a reopen yields a store whose scans are bit-identical to a
+//! never-crashed oracle restricted to acknowledged writes, and that
 //! `wal_bytes_valid + wal_bytes_dropped` equals the WAL file length (no
 //! byte is unaccounted for).
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes};
+use bytes::BufMut;
 
-use crate::blockcache::BlockCache;
 use crate::encoding::CodecError;
 use crate::frame::{self, put_str, Cursor};
-use crate::region::{KeyRange, RowData};
 use crate::segment::{SegmentError, SegmentReader};
-use crate::wal::{self, WalRecord, WalTruncation, WAL_FILE};
+use crate::wal::WalTruncation;
 
 /// Manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -217,44 +215,6 @@ pub fn read_manifest(dir: &Path) -> Result<Option<Manifest>, RecoveryError> {
     read_framed_file(&dir.join(MANIFEST_FILE), MANIFEST_MAGIC, Manifest::decode)
 }
 
-/// One recovered region: its identity, range, and rows — either
-/// materialized (WAL replay touched it) or still backed by an open
-/// segment reader (`base` is `Some` and `rows` is empty).
-#[derive(Debug)]
-pub struct RecoveredRegion {
-    pub id: u64,
-    pub range: KeyRange,
-    pub rows: BTreeMap<Bytes, RowData>,
-    /// The verified-but-unread segment this region is lazily backed by.
-    /// Invariant: `base.is_some()` implies `rows.is_empty()`.
-    pub base: Option<Arc<SegmentReader>>,
-}
-
-/// One recovered table.
-#[derive(Debug)]
-pub struct RecoveredTable {
-    pub name: String,
-    pub families: Vec<String>,
-    pub split_threshold: u64,
-    /// Regions sorted by start key, ranges covering the key space.
-    pub regions: Vec<RecoveredRegion>,
-}
-
-/// Everything `MiniStore::open` needs to rebuild itself.
-#[derive(Debug)]
-pub struct RecoveredState {
-    pub tables: Vec<RecoveredTable>,
-    /// Logical clock to resume from (`max assigned timestamp + 1`).
-    pub clock: u64,
-    pub next_region_id: u64,
-    pub generation: u64,
-    /// LSN the reopened WAL writer continues from.
-    pub next_lsn: u64,
-    pub flushed_lsn: u64,
-    /// Length the WAL file was truncated to (valid frames only).
-    pub wal_len: u64,
-}
-
 /// The typed account of one recovery: what was kept, what was dropped,
 /// and why. `wal_bytes_valid + wal_bytes_dropped == ` the WAL's on-disk
 /// length before truncation — no byte goes unaccounted.
@@ -349,56 +309,21 @@ impl RecoveryReport {
     }
 }
 
-/// Recover a store directory. Returns the rebuilt state and the report;
-/// also physically truncates the WAL to its valid prefix so subsequent
-/// appends never interleave with a torn tail. Clean regions come back
-/// segment-backed; `cache` serves the block reads replay needs to
-/// promote the regions it mutates (and is the same cache the reopened
-/// store keeps using).
-pub fn recover(
+/// Open every segment the manifest names — header, footer and trailer
+/// index checksum-verified, block bodies left on disk — counting them
+/// into `report`, and list the `seg-*.seg` files it does not name.
+pub(crate) fn open_segments(
     dir: &Path,
-    cache: &Arc<BlockCache>,
-) -> Result<(RecoveredState, RecoveryReport), RecoveryError> {
-    let mut report = RecoveryReport::default();
-
-    // 1. The committed catalog.
-    let manifest = read_manifest(dir)?.unwrap_or_default();
-
-    // 2. Committed segments (and note orphans for the report).
-    let mut tables: BTreeMap<String, RecoveredTable> = BTreeMap::new();
-    for t in &manifest.tables {
-        tables.insert(
-            t.name.clone(),
-            RecoveredTable {
-                name: t.name.clone(),
-                families: t.families.clone(),
-                split_threshold: t.split_threshold,
-                regions: Vec::new(),
-            },
-        );
-    }
-    let mut max_region_id = 0u64;
+    manifest: &Manifest,
+    report: &mut RecoveryReport,
+) -> Result<Vec<Arc<SegmentReader>>, RecoveryError> {
+    let mut readers = Vec::with_capacity(manifest.segments.len());
     for seg_name in &manifest.segments {
         let reader = Arc::new(SegmentReader::open(&dir.join(seg_name))?);
-        let meta = reader.meta().clone();
         report.segments_loaded += 1;
-        report.segment_rows += meta.row_count;
+        report.segment_rows += reader.meta().row_count;
         report.segment_blocks += reader.block_count() as u64;
-        max_region_id = max_region_id.max(meta.region_id);
-        let table = tables
-            .get_mut(&meta.table)
-            .ok_or_else(|| RecoveryError::InconsistentLog {
-                detail: format!(
-                    "segment `{seg_name}` references unknown table `{}`",
-                    meta.table
-                ),
-            })?;
-        table.regions.push(RecoveredRegion {
-            id: meta.region_id,
-            range: meta.range,
-            rows: BTreeMap::new(),
-            base: Some(reader),
-        });
+        readers.push(reader);
     }
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -412,225 +337,13 @@ pub fn recover(
         }
         report.orphan_segments.sort();
     }
-
-    // 3. The WAL tail.
-    let wal_path = dir.join(WAL_FILE);
-    let scan = wal::read_wal(&wal_path).map_err(|e| io_err(&wal_path, e))?;
-    report.wal_bytes_valid = scan.valid_bytes;
-    report.wal_bytes_dropped = scan.total_bytes - scan.valid_bytes;
-    report.truncation = scan.truncation;
-
-    let mut clock = manifest.clock;
-    let mut max_lsn = manifest.flushed_lsn;
-    for frame in &scan.frames {
-        max_lsn = max_lsn.max(frame.lsn);
-        if frame.lsn <= manifest.flushed_lsn {
-            report.frames_skipped += 1;
-            continue;
-        }
-        report.frames_replayed += 1;
-        for record in &frame.records {
-            report.records_replayed += 1;
-            apply_record(
-                &mut tables,
-                record,
-                &mut clock,
-                &mut max_region_id,
-                cache,
-                &mut report,
-            )?;
-        }
-    }
-
-    // Physically drop the torn tail so future appends stay clean.
-    if report.wal_bytes_dropped > 0 {
-        frame::truncate_and_sync(&wal_path, scan.valid_bytes).map_err(|e| io_err(&wal_path, e))?;
-    }
-
-    // Every table needs at least one region covering the key space.
-    let mut next_region_id = manifest.next_region_id.max(max_region_id + 1).max(1);
-    let mut out_tables = Vec::new();
-    for (_, mut t) in tables {
-        if t.regions.is_empty() {
-            t.regions.push(RecoveredRegion {
-                id: next_region_id,
-                range: KeyRange::all(),
-                rows: BTreeMap::new(),
-                base: None,
-            });
-            next_region_id += 1;
-        }
-        t.regions.sort_by(|a, b| a.range.start.cmp(&b.range.start));
-        out_tables.push(t);
-    }
-
-    Ok((
-        RecoveredState {
-            tables: out_tables,
-            clock: clock + 1,
-            next_region_id,
-            generation: manifest.generation + 1,
-            next_lsn: max_lsn + 1,
-            flushed_lsn: manifest.flushed_lsn,
-            wal_len: scan.valid_bytes,
-        },
-        report,
-    ))
+    Ok(readers)
 }
 
-/// Promote a segment-backed recovered region before replay mutates it:
-/// read every block once (CRC-verified, through the shared cache) into
-/// `rows` and drop the base. No-op for materialized regions.
-fn promote(
-    region: &mut RecoveredRegion,
-    cache: &BlockCache,
-    report: &mut RecoveryReport,
-) -> Result<(), RecoveryError> {
-    let Some(reader) = region.base.take() else {
-        return Ok(());
-    };
-    debug_assert!(region.rows.is_empty(), "lazy regions carry no rows");
-    for idx in 0..reader.block_count() {
-        let block = cache.get_or_load(&reader, idx)?;
-        report.segment_blocks_read += 1;
-        for (key, data) in block.iter() {
-            region.rows.insert(key.clone(), data.clone());
-        }
-    }
-    Ok(())
-}
-
-/// Apply one replayed record to the recovered table map. Pure in-memory
-/// except for block reads that promote segment-backed regions; never
-/// writes to the log (recovery must not re-log what it replays).
-fn apply_record(
-    tables: &mut BTreeMap<String, RecoveredTable>,
-    record: &WalRecord,
-    clock: &mut u64,
-    max_region_id: &mut u64,
-    cache: &BlockCache,
-    report: &mut RecoveryReport,
-) -> Result<(), RecoveryError> {
-    match record {
-        WalRecord::CreateTable {
-            name,
-            families,
-            split_threshold,
-            root_region_id,
-        } => {
-            // Re-created tables (logged before a flush captured them)
-            // are idempotent.
-            *max_region_id = (*max_region_id).max(*root_region_id);
-            tables
-                .entry(name.clone())
-                .or_insert_with(|| RecoveredTable {
-                    name: name.clone(),
-                    families: families.clone(),
-                    split_threshold: *split_threshold,
-                    regions: vec![RecoveredRegion {
-                        id: *root_region_id,
-                        range: KeyRange::all(),
-                        rows: BTreeMap::new(),
-                        base: None,
-                    }],
-                });
-            Ok(())
-        }
-        WalRecord::Put {
-            table,
-            row,
-            family,
-            column,
-            value,
-            timestamp,
-        } => {
-            *clock = (*clock).max(*timestamp);
-            let t = lookup(tables, table)?;
-            let region = region_for(t, row, table)?;
-            promote(region, cache, report)?;
-            let versions = region
-                .rows
-                .entry(row.clone())
-                .or_default()
-                .entry(family.clone())
-                .or_default()
-                .entry(column.clone())
-                .or_default();
-            // Timestamp-sorted descending insert, mirroring the live
-            // write path, so replay order == WAL order == live order.
-            let pos = versions
-                .iter()
-                .position(|v| v.timestamp <= *timestamp)
-                .unwrap_or(versions.len());
-            versions.insert(pos, crate::kv::CellVersion::new(*timestamp, value.clone()));
-            versions.truncate(crate::region::MAX_VERSIONS);
-            Ok(())
-        }
-        WalRecord::DeleteRow { table, row } => {
-            let t = lookup(tables, table)?;
-            let region = region_for(t, row, table)?;
-            promote(region, cache, report)?;
-            region.rows.remove(row);
-            Ok(())
-        }
-        WalRecord::RegionSplit {
-            table,
-            parent_id,
-            new_id,
-            split_key,
-        } => {
-            *max_region_id = (*max_region_id).max(*new_id);
-            let t = lookup(tables, table)?;
-            let Some(parent) = t.regions.iter_mut().find(|r| r.id == *parent_id) else {
-                return Err(RecoveryError::InconsistentLog {
-                    detail: format!("split of unknown region {parent_id} in `{table}`"),
-                });
-            };
-            promote(parent, cache, report)?;
-            let upper_rows = parent.rows.split_off(split_key);
-            let upper = RecoveredRegion {
-                id: *new_id,
-                range: KeyRange {
-                    start: split_key.clone(),
-                    end: parent.range.end.clone(),
-                },
-                rows: upper_rows,
-                base: None,
-            };
-            parent.range.end = Some(split_key.clone());
-            t.regions.push(upper);
-            Ok(())
-        }
-        // Commit markers are bookkeeping for the sharded pre-pass (which
-        // runs *before* per-shard recovery and truncates uncommitted
-        // batches); by the time a frame replays here its batch is known
-        // committed, so the marker itself applies nothing.
-        WalRecord::BatchMarker { .. } => Ok(()),
-    }
-}
-
-fn lookup<'t>(
-    tables: &'t mut BTreeMap<String, RecoveredTable>,
-    name: &str,
-) -> Result<&'t mut RecoveredTable, RecoveryError> {
-    tables
-        .get_mut(name)
-        .ok_or_else(|| RecoveryError::InconsistentLog {
-            detail: format!("record references unknown table `{name}`"),
-        })
-}
-
-fn region_for<'t>(
-    t: &'t mut RecoveredTable,
-    row: &[u8],
-    table: &str,
-) -> Result<&'t mut RecoveredRegion, RecoveryError> {
-    t.regions
-        .iter_mut()
-        .find(|r| r.range.contains(row))
-        .ok_or_else(|| RecoveryError::InconsistentLog {
-            detail: format!("no region covers a replayed row in `{table}`"),
-        })
+/// A log record or segment that names what its store does not hold — the
+/// directory mixes files from different stores.
+pub(crate) fn inconsistent(detail: String) -> RecoveryError {
+    RecoveryError::InconsistentLog { detail }
 }
 
 /// Segment file name for a region flushed at a generation.
@@ -690,12 +403,12 @@ mod tests {
     #[test]
     fn empty_directory_recovers_to_empty_state() {
         let dir = tmp_dir("empty");
-        let cache = Arc::new(BlockCache::new(1 << 20));
-        let (state, report) = recover(&dir, &cache).unwrap();
-        assert!(state.tables.is_empty());
+        let (store, report) = crate::MiniStore::open(&dir).unwrap();
+        assert!(store.meta_entries().is_empty());
         assert_eq!(report.frames_replayed, 0);
         assert_eq!(report.wal_bytes_dropped, 0);
         assert!(report.truncation.is_none());
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

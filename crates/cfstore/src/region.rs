@@ -29,7 +29,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::blockcache::BlockCache;
 use crate::filter::Filter;
 use crate::kv::{CellVersion, Put, RowResult};
-use crate::segment::SegmentReader;
+use crate::segment::{SegmentError, SegmentReader};
 use crate::store::StoreError;
 
 /// Maximum cell versions retained per column, like HBase's default.
@@ -171,8 +171,10 @@ impl Region {
 
     /// Promote a segment-backed region to materialized: read every block
     /// once (through the cache) into the memstore and drop the base.
-    /// Idempotent; a no-op for materialized regions.
-    fn ensure_materialized(&self) -> Result<(), StoreError> {
+    /// Idempotent; a no-op for materialized regions. Every mutation goes
+    /// through here first, so an unreadable segment is the one error a
+    /// mutation can fail with.
+    fn ensure_materialized(&self) -> Result<(), SegmentError> {
         let mut base = self.base.write();
         let Some(b) = base.as_ref() else {
             return Ok(());
@@ -194,7 +196,7 @@ impl Region {
     /// failure surfaces (and can be healed from a replica) while the
     /// batch can still be cleanly rejected — once the frame is logged on
     /// one shard, the in-memory apply must not be able to fail.
-    pub(crate) fn prepare_for_write(&self) -> Result<(), StoreError> {
+    pub(crate) fn prepare_for_write(&self) -> Result<(), SegmentError> {
         self.ensure_materialized()
     }
 
@@ -215,7 +217,7 @@ impl Region {
     /// shrinking the range, so the answer cannot go stale. A write to a
     /// segment-backed region promotes it first (which can surface a
     /// typed corruption error from the segment).
-    pub fn put(&self, put: Put, timestamp: u64) -> Result<bool, StoreError> {
+    pub fn put(&self, put: Put, timestamp: u64) -> Result<bool, SegmentError> {
         self.ensure_materialized()?;
         let mut rows = self.rows.write();
         if !self.range.read().contains(&put.row) {
@@ -229,11 +231,10 @@ impl Region {
             .or_default()
             .entry(put.column)
             .or_default();
-        // Keep versions sorted by timestamp descending regardless of
-        // arrival order, so a WAL replay (which re-applies writes in log
-        // order) lands bit-identical to the live write path. In the
-        // common monotonic case the insert position is 0, exactly the
-        // old behaviour.
+        // Keep versions sorted by timestamp descending whatever order
+        // they arrive in: a log is applied as it was written, by whoever
+        // wrote it. The stores stamp monotonically, so the insert
+        // position is 0.
         let pos = versions
             .iter()
             .position(|v| v.timestamp <= timestamp)
@@ -267,7 +268,7 @@ impl Region {
     /// Delete one row entirely. Returns `None` when the row key no longer
     /// belongs to this region (concurrent split — retry), otherwise
     /// whether the row existed.
-    pub fn delete_row(&self, row: &[u8]) -> Result<Option<bool>, StoreError> {
+    pub fn delete_row(&self, row: &[u8]) -> Result<Option<bool>, SegmentError> {
         self.ensure_materialized()?;
         let mut rows = self.rows.write();
         if !self.range.read().contains(row) {
@@ -362,7 +363,7 @@ impl Region {
         self.rows.read().len()
     }
 
-    /// The median row key — the point `split` would cut at. Returns
+    /// The median row key — the point a split cuts at. Returns
     /// `None` when the region has fewer than 2 rows. Exposed separately
     /// so the durable store can write-ahead-log the split point *before*
     /// applying it (log-then-apply, like every other mutation).
@@ -381,26 +382,15 @@ impl Region {
         rows.keys().nth(rows.len() / 2).cloned()
     }
 
-    /// Split this region at its median row key, returning the new upper
-    /// region. Returns `None` when the region has fewer than 2 rows.
-    pub fn split(&self, new_id: u64) -> Option<Region> {
-        let median = self.median_key()?;
-        self.split_at(&median, new_id)
-    }
-
-    /// Split this region at an explicit key (used both by `split` and by
-    /// WAL replay, which must reproduce the logged split point exactly).
-    /// Returns `None` if the key is empty or outside this region's range,
-    /// or if a segment-backed region cannot be promoted (unreadable
-    /// segment — the subsequent read will surface the typed error).
-    pub fn split_at(&self, key: &Bytes, new_id: u64) -> Option<Region> {
-        if self.ensure_materialized().is_err() {
-            return None;
-        }
+    /// Split this region at an explicit key: the logged split point, for
+    /// the live split and for its replay alike. `Ok(None)` if the key is
+    /// empty or outside this region's range.
+    pub fn split_at(&self, key: &Bytes, new_id: u64) -> Result<Option<Region>, SegmentError> {
+        self.ensure_materialized()?;
         let mut rows = self.rows.write();
         let mut my_range = self.range.write();
         if !my_range.contains(key) || key.is_empty() {
-            return None;
+            return Ok(None);
         }
         let upper_rows = rows.split_off(key);
         let upper = Region {
@@ -418,25 +408,12 @@ impl Region {
         // halves diverge from any flushed segment.
         my_range.end = Some(key.clone());
         self.dirty.store(true, Ordering::Release);
-        Some(upper)
-    }
-
-    /// Rebuild a materialized region from recovered parts (segment load +
-    /// WAL replay touched it, so it is dirty relative to any segment).
-    pub fn from_parts(id: u64, range: KeyRange, rows: BTreeMap<Bytes, RowData>) -> Self {
-        Region {
-            id,
-            range: RwLock::new(range),
-            rows: RwLock::new(rows),
-            base: RwLock::new(None),
-            dirty: AtomicBool::new(true),
-            flushed_as: Mutex::new(None),
-        }
+        Ok(Some(upper))
     }
 
     /// Snapshot this region's rows for a segment flush, promoting a
     /// segment-backed region first.
-    pub fn export_rows(&self) -> Result<BTreeMap<Bytes, RowData>, StoreError> {
+    pub fn export_rows(&self) -> Result<BTreeMap<Bytes, RowData>, SegmentError> {
         self.ensure_materialized()?;
         Ok(self.rows.read().clone())
     }
@@ -603,7 +580,7 @@ mod tests {
         for k in ["a", "b", "c", "d", "e", "f"] {
             put(&r, k, "c", "v", 1);
         }
-        let upper = r.split(2).unwrap();
+        let upper = r.split_at(&r.median_key().unwrap(), 2).unwrap().unwrap();
         assert_eq!(r.row_count() + upper.row_count(), 6);
         assert!(upper.row_count() >= 3);
         assert_eq!(upper.range().start, Bytes::from("d"));
@@ -616,7 +593,7 @@ mod tests {
     fn tiny_region_refuses_split() {
         let r = Region::new(1, KeyRange::all());
         put(&r, "only", "c", "v", 1);
-        assert!(r.split(2).is_none());
+        assert!(r.median_key().is_none());
     }
 
     #[test]

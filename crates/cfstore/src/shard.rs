@@ -45,14 +45,14 @@
 //! ## Elastic topology
 //!
 //! The shard count, replication factor, and per-slot placement live in
-//! an epoch-stamped [`resharding::Topology`]. A [`resharding::Reshard`]
-//! plan changes it **online** — grow/shrink N, change R, or rebalance
-//! hot slots — via the journaled state machine in [`resharding`]
-//! (DESIGN.md §15): reads stay on the old placement until the journaled
-//! `Cutover` record, writes are dual-applied to both placements under
-//! the same gsn, and a crash at any byte of any WAL or of the
-//! `TOPOLOGY` journal reopens into exactly one epoch with the migration
-//! resumable.
+//! an epoch-stamped [`resharding::Topology`]. Handing
+//! [`ShardedStore::reshard`] another one changes it **online** —
+//! grow/shrink N, change R, or rebalance hot slots — via the journaled
+//! state machine in [`resharding`] (DESIGN.md §15): reads stay on the
+//! old placement until the journaled `Cutover` record, writes are
+//! dual-applied to both placements under the same gsn, and a crash at
+//! any byte of any WAL or of the `TOPOLOGY` journal reopens into exactly
+//! one epoch with the migration resumable.
 //!
 //! [`Region::install_rows`]: crate::region::Region
 
@@ -71,7 +71,7 @@ use crate::kv::{Put, RowResult};
 use crate::recovery::{self, io_err, RecoveryError, RecoveryReport};
 use crate::region::ScanMetrics;
 use crate::store::{
-    Install, MetaEntry, MiniStore, Scan, ShardOp, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
+    Install, MetaEntry, MiniStore, Scan, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
 };
 use crate::wal::{self, CrashSpec, SyncPolicy, WalRecord, WAL_FILE};
 
@@ -917,14 +917,15 @@ impl ShardedStore {
         // Every open shard, including migration targets: a table born
         // mid-migration must exist in both epochs.
         let participants: Vec<u32> = (0..st.shards.len() as u32).collect();
-        let ops = vec![ShardOp::CreateTable {
+        let create = WalRecord::CreateTable {
             name: name.to_string(),
             families: fams.clone(),
             split_threshold: split_threshold as u64,
-        }];
-        let per_shard: BTreeMap<u32, Vec<ShardOp>> =
-            participants.iter().map(|&g| (g, ops.clone())).collect();
-        Self::commit_batch(&mut st, &participants, &per_shard)?;
+            // Region ids are each shard's own: filled in as it logs.
+            root_region_id: 0,
+        };
+        let per_shard = participants.iter().map(|&g| (g, vec![create.clone()]));
+        Self::commit_batch(&mut st, &participants, per_shard.collect())?;
         st.schemas.insert(name.to_string(), (fams, split_threshold));
         Ok(())
     }
@@ -960,7 +961,9 @@ impl ShardedStore {
                 });
             }
         }
-        let mut per_shard: BTreeMap<u32, Vec<ShardOp>> = BTreeMap::new();
+        // Per shard: the rows it is about to be written, and the records
+        // that write them.
+        let mut per_shard: BTreeMap<u32, (Vec<Bytes>, Vec<WalRecord>)> = BTreeMap::new();
         for put in puts {
             let ts = st.clock;
             st.clock += 1;
@@ -968,9 +971,14 @@ impl ShardedStore {
             // to the old and new replica sets under one gsn, so every
             // copy — either epoch — stays bit-identical.
             for g in st.write_replicas(&put.row) {
-                per_shard.entry(g).or_default().push(ShardOp::Put {
+                let (rows, records) = per_shard.entry(g).or_default();
+                rows.push(put.row.clone());
+                records.push(WalRecord::Put {
                     table: table.to_string(),
-                    put: put.clone(),
+                    row: put.row.clone(),
+                    family: put.family.clone(),
+                    column: put.column.clone(),
+                    value: put.value.clone(),
                     timestamp: ts,
                 });
             }
@@ -979,23 +987,17 @@ impl ShardedStore {
         // Materialize target regions up front: at-rest corruption must
         // surface (and heal) *before* any WAL append, because puts are
         // not idempotent and a half-applied batch cannot be retried.
-        for (&g, ops) in &per_shard {
-            let rows: Vec<Bytes> = ops
-                .iter()
-                .filter_map(|op| match op {
-                    ShardOp::Put { put, .. } => Some(put.row.clone()),
-                    _ => None,
-                })
-                .collect();
+        for (&g, (rows, _)) in &per_shard {
             // A write has no other replica to fall through to: whatever
             // stopped the heal stops the batch.
-            Self::with_heal(inner, &mut st, g, table, |s| s.prepare_rows(table, &rows)).map_err(
+            Self::with_heal(inner, &mut st, g, table, |s| s.prepare_rows(table, rows)).map_err(
                 |e| match e {
                     Unhealed::Fatal(e) | Unhealed::StillCorrupt { cause: e, .. } => e,
                 },
             )?;
         }
-        Self::commit_batch(&mut st, &participants, &per_shard)?;
+        let per_shard = per_shard.into_iter().map(|(g, (_, records))| (g, records));
+        Self::commit_batch(&mut st, &participants, per_shard.collect())?;
         self.maybe_wake_flusher(&st);
         Ok(())
     }
@@ -1015,13 +1017,12 @@ impl ShardedStore {
             return Ok(false);
         }
         let participants = st.write_replicas(row);
-        let ops = vec![ShardOp::DeleteRow {
+        let delete = WalRecord::DeleteRow {
             table: table.to_string(),
             row: Bytes::copy_from_slice(row),
-        }];
-        let per_shard: BTreeMap<u32, Vec<ShardOp>> =
-            participants.iter().map(|&g| (g, ops.clone())).collect();
-        Self::commit_batch(&mut st, &participants, &per_shard)?;
+        };
+        let per_shard = participants.iter().map(|&g| (g, vec![delete.clone()]));
+        Self::commit_batch(&mut st, &participants, per_shard.collect())?;
         self.maybe_wake_flusher(&st);
         Ok(true)
     }
@@ -1240,31 +1241,33 @@ impl ShardedStore {
     // Internals
     // -----------------------------------------------------------------
 
-    /// Frame-and-apply one batch: append the frame (marker first) to
-    /// every participant's WAL, then apply it everywhere. Any failure
-    /// after the first byte of the first append poisons the store — the
-    /// shards' WALs now disagree and only the reopen commit rule may
-    /// reconcile them.
+    /// Frame-and-apply one batch: append each participant's frame
+    /// (marker first, then its records) to its WAL, then apply them
+    /// everywhere. Any failure after the first byte of the first append
+    /// poisons the store — the shards' WALs now disagree and only the
+    /// reopen commit rule may reconcile them.
     fn commit_batch(
         st: &mut GlobalState,
         participants: &[u32],
-        per_shard: &BTreeMap<u32, Vec<ShardOp>>,
+        per_shard: BTreeMap<u32, Vec<WalRecord>>,
     ) -> Result<(), StoreError> {
         let gsn = st.next_gsn;
         st.next_gsn += 1;
-        let lsn_base = gsn * LSN_STRIDE;
         let mut frames: Vec<(u32, Vec<WalRecord>)> = Vec::with_capacity(per_shard.len());
-        for (&g, ops) in per_shard {
-            match st.shards[g as usize].append_sharded_frame(lsn_base, gsn, participants, ops) {
-                Ok(records) => frames.push((g, records)),
-                Err(e) => {
-                    st.poisoned = true;
-                    return Err(e);
-                }
+        for (g, ops) in per_shard {
+            let mut records = vec![WalRecord::BatchMarker {
+                gsn,
+                participants: participants.to_vec(),
+            }];
+            records.extend(ops);
+            if let Err(e) = st.shards[g as usize].log_frame_at(gsn * LSN_STRIDE, &mut records) {
+                st.poisoned = true;
+                return Err(e);
             }
+            frames.push((g, records));
         }
-        for (g, records) in &frames {
-            if let Err(e) = st.shards[*g as usize].apply_sharded_records(records) {
+        for (g, records) in frames {
+            if let Err(e) = st.shards[g as usize].apply_frame(records) {
                 st.poisoned = true;
                 return Err(e);
             }

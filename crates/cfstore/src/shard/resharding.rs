@@ -1,8 +1,8 @@
 //! Online, crash-proven topology changes for [`ShardedStore`]
 //! (DESIGN.md §15).
 //!
-//! A [`Reshard`] plan — grow/shrink N, change R, or rebalance hot slots
-//! — executes as an epoch-stamped state machine journaled in the
+//! A target [`Topology`] — grow/shrink N, change R, or rebalance hot
+//! slots — is reached as an epoch-stamped state machine journaled in the
 //! `TOPOLOGY` file next to the `SHARDS` catalog:
 //!
 //! ```text
@@ -42,7 +42,7 @@ use super::{
     ShardedMeta, ShardedStore,
 };
 use crate::encoding::CodecError;
-use crate::frame::{self, CrashWriter, Cursor, WriteError};
+use crate::frame::{self, CrashWriter, Cursor, ScanStop, WriteError};
 use crate::recovery::{corrupt_file, io_err, read_framed_file, RecoveryError};
 use crate::region::RowData;
 use crate::store::{Install, MiniStore, StoreError};
@@ -76,6 +76,12 @@ impl Topology {
             replication,
             overrides: BTreeMap::new(),
         }
+    }
+
+    /// Pin one slot's replica set explicitly.
+    pub fn with_override(mut self, slot: u32, replicas: Vec<u32>) -> Self {
+        self.overrides.insert(slot, replicas);
+        self
     }
 
     /// The slot a row key hashes to under this topology.
@@ -231,8 +237,8 @@ pub fn read_catalog(dir: &Path) -> Result<Option<Catalog>, RecoveryError> {
 // ---------------------------------------------------------------------
 
 /// One journal record. The writer appends them strictly in protocol
-/// order; [`resolve_journal`] rejects any sequence the protocol cannot
-/// produce.
+/// order; [`resolve_against_catalog`] rejects any sequence the protocol
+/// cannot produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A reshard began: old and new topologies, stamped with the epoch
@@ -332,71 +338,79 @@ pub fn read_journal(dir: &Path) -> Result<Option<JournalScan>, RecoveryError> {
     let Some(data) = frame::read_optional(&path).map_err(|e| io_err(&path, e))? else {
         return Ok(None);
     };
-    let mut records = Vec::new();
+    let total_bytes = data.len() as u64;
     // A header torn before its fourth byte: nothing usable, nothing
     // migrating.
-    let mut valid = 0;
-    if let Some(magic) = data.first_chunk::<4>() {
-        if *magic != TOPOLOGY_MAGIC.to_be_bytes() {
-            return Err(corrupt_file(&path, "bad TOPOLOGY magic"));
-        }
-        valid = magic.len();
-        while let Ok(body) = frame::verify(&data[valid..]) {
-            let rec = JournalRecord::decode(body).map_err(|e| {
-                let detail = format!(
-                    "CRC-valid record at offset {valid} does not decode ({e}) — \
-                     not producible by a crash"
-                );
-                corrupt_file(&path, detail)
-            })?;
-            records.push(rec);
-            valid += frame::HEADER_LEN + body.len();
-        }
+    let Some(magic) = data.first_chunk::<4>() else {
+        return Ok(Some(JournalScan {
+            records: Vec::new(),
+            valid_bytes: 0,
+            total_bytes,
+        }));
+    };
+    if *magic != TOPOLOGY_MAGIC.to_be_bytes() {
+        return Err(corrupt_file(&path, "bad TOPOLOGY magic"));
+    }
+    let scan = frame::scan_log(&data, magic.len(), JournalRecord::decode);
+    if let Some(ScanStop::Record(e)) = scan.stop {
+        let detail = format!(
+            "CRC-valid record at offset {} does not decode ({e}) — \
+             not producible by a crash",
+            scan.valid_bytes
+        );
+        return Err(corrupt_file(&path, detail));
     }
     Ok(Some(JournalScan {
-        records,
-        valid_bytes: valid as u64,
-        total_bytes: data.len() as u64,
+        records: scan.records,
+        valid_bytes: scan.valid_bytes,
+        total_bytes,
     }))
 }
 
-/// Where a journal leaves the store.
+/// What the journal means for a store whose `SHARDS` catalog it is held
+/// against: which topology serves, and what is left to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Resolution {
-    /// No `Begin` record — no migration (an empty or header-only file
-    /// left by a crash during `Prepare`; reopen deletes it).
+pub enum Pending {
+    /// No migration.
     None,
-    /// Migration in flight, commit point not reached: the old topology
-    /// is active and `copied` units can be skipped on resume.
+    /// The catalog's (old) topology serves; `copied` units of `target`
+    /// can be skipped on resume.
     PreCutover {
         epoch: u64,
-        old: Topology,
-        new: Topology,
+        target: Topology,
         copied: BTreeSet<u32>,
         verified: bool,
     },
-    /// Commit point reached: the new topology is active; only GC
-    /// remains.
+    /// `target` serves; GC remains — the catalog swap itself unless
+    /// `swapped`, then the cleanup.
     PostCutover {
         epoch: u64,
-        old: Topology,
-        new: Topology,
+        target: Topology,
+        swapped: bool,
     },
 }
 
-/// Interpret an intact record sequence, rejecting anything the
-/// protocol's writer cannot have produced (those are unresolvable
-/// corruption, not crash states).
-pub fn resolve_journal(records: &[JournalRecord]) -> Result<Resolution, String> {
+/// Resolve a journal's intact records against the catalog next to it.
+/// The one place that decides this — reopen and `store_fsck` both call
+/// it — and that rejects a record sequence the protocol's writer cannot
+/// have produced, or one the catalog contradicts (no crash of the writer
+/// leaves the two disagreeing): those are unresolvable corruption, not
+/// crash states.
+pub fn resolve_against_catalog(
+    catalog: &Catalog,
+    records: &[JournalRecord],
+) -> Result<Pending, String> {
+    // No `Begin` record — no migration (an empty or header-only file
+    // left by a crash during `Prepare`; reopen deletes it).
     let Some(first) = records.first() else {
-        return Ok(Resolution::None);
+        return Ok(Pending::None);
     };
     let JournalRecord::Begin { epoch, old, new } = first else {
         return Err("journal does not start with Begin".to_string());
     };
     old.validate()?;
     new.validate()?;
-    let (epoch, old, new) = (*epoch, old.clone(), new.clone());
+    let epoch = *epoch;
     let mut copied: BTreeSet<u32> = BTreeSet::new();
     let mut verified = false;
     let mut cut_over = false;
@@ -436,95 +450,39 @@ pub fn resolve_journal(records: &[JournalRecord]) -> Result<Resolution, String> 
             }
         }
     }
-    Ok(if cut_over {
-        Resolution::PostCutover { epoch, old, new }
+    let follows_catalog = *old == catalog.topology && epoch.checked_sub(1) == Some(catalog.epoch);
+    let target = new.clone();
+    if !cut_over {
+        if !follows_catalog {
+            return Err(format!(
+                "{TOPOLOGY_FILE} Begin (epoch {epoch}) disagrees with the {} catalog \
+                 (epoch {})",
+                super::SHARDS_FILE,
+                catalog.epoch
+            ));
+        }
+        return Ok(Pending::PreCutover {
+            epoch,
+            target,
+            copied,
+            verified,
+        });
+    }
+    let swapped = if catalog.topology == target && catalog.epoch == epoch {
+        true
+    } else if follows_catalog {
+        false
     } else {
-        Resolution::PreCutover {
-            epoch,
-            old,
-            new,
-            copied,
-            verified,
-        }
-    })
-}
-
-/// What the journal means for a store whose `SHARDS` catalog it is held
-/// against: which topology serves, and what is left to do.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Pending {
-    /// No migration.
-    None,
-    /// The catalog's (old) topology serves; `copied` units of `target`
-    /// can be skipped on resume.
-    PreCutover {
-        epoch: u64,
-        target: Topology,
-        copied: BTreeSet<u32>,
-        verified: bool,
-    },
-    /// `target` serves; GC remains — the catalog swap itself unless
-    /// `swapped`, then the cleanup.
-    PostCutover {
-        epoch: u64,
-        target: Topology,
-        swapped: bool,
-    },
-}
-
-/// Resolve a journal's intact records against the catalog next to it.
-/// The one place that decides this — reopen and `store_fsck` both call
-/// it — and that rejects a journal the catalog contradicts (no crash of
-/// the writer leaves the two disagreeing).
-pub fn resolve_against_catalog(
-    catalog: &Catalog,
-    records: &[JournalRecord],
-) -> Result<Pending, String> {
-    let follows_catalog = |epoch: u64, old: &Topology| {
-        *old == catalog.topology && epoch.checked_sub(1) == Some(catalog.epoch)
+        return Err(format!(
+            "{TOPOLOGY_FILE} Cutover (epoch {epoch}) matches neither the old nor the \
+             new topology in the {} catalog",
+            super::SHARDS_FILE
+        ));
     };
-    Ok(match resolve_journal(records)? {
-        Resolution::None => Pending::None,
-        Resolution::PreCutover {
-            epoch,
-            old,
-            new,
-            copied,
-            verified,
-        } => {
-            if !follows_catalog(epoch, &old) {
-                return Err(format!(
-                    "{TOPOLOGY_FILE} Begin (epoch {epoch}) disagrees with the {} catalog \
-                     (epoch {})",
-                    super::SHARDS_FILE,
-                    catalog.epoch
-                ));
-            }
-            Pending::PreCutover {
-                epoch,
-                target: new,
-                copied,
-                verified,
-            }
-        }
-        Resolution::PostCutover { epoch, old, new } => {
-            let swapped = if catalog.topology == new && catalog.epoch == epoch {
-                true
-            } else if follows_catalog(epoch, &old) {
-                false
-            } else {
-                return Err(format!(
-                    "{TOPOLOGY_FILE} Cutover (epoch {epoch}) matches neither the old nor the \
-                     new topology in the {} catalog",
-                    super::SHARDS_FILE
-                ));
-            };
-            Pending::PostCutover {
-                epoch,
-                target: new,
-                swapped,
-            }
-        }
+    Ok(Pending::PostCutover {
+        epoch,
+        target,
+        swapped,
     })
 }
 
@@ -573,42 +531,6 @@ impl JournalWriter {
 // Plans and status
 // ---------------------------------------------------------------------
 
-/// A requested topology change: the *target* topology. Build with
-/// [`Reshard::to`] (grow/shrink/R-change) and optionally pin hot slots
-/// with [`Reshard::with_override`], or derive a rebalance plan from
-/// read-amp counters with [`rebalance_hot_slots`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reshard {
-    pub shards: u32,
-    pub replication: u32,
-    pub overrides: BTreeMap<u32, Vec<u32>>,
-}
-
-impl Reshard {
-    /// Target `shards × replication` with default placement.
-    pub fn to(shards: u32, replication: u32) -> Self {
-        Reshard {
-            shards,
-            replication,
-            overrides: BTreeMap::new(),
-        }
-    }
-
-    /// Pin one slot's replica set explicitly.
-    pub fn with_override(mut self, slot: u32, replicas: Vec<u32>) -> Self {
-        self.overrides.insert(slot, replicas);
-        self
-    }
-
-    pub(crate) fn into_topology(self) -> Topology {
-        Topology {
-            shards: self.shards,
-            replication: self.replication,
-            overrides: self.overrides,
-        }
-    }
-}
-
 /// Derive a rebalance plan from the per-region read-amplification
 /// counters (`cfstore.region.<id>.rows_scanned`): slots whose primary is
 /// the most-scanned shard are re-pinned onto a replica window starting
@@ -618,7 +540,7 @@ pub fn rebalance_hot_slots(
     meta: &ShardedMeta,
     counters: &BTreeMap<String, u64>,
     max_moves: usize,
-) -> Option<Reshard> {
+) -> Option<Topology> {
     let mut load = vec![0u64; meta.shards as usize];
     for (shard, entry) in &meta.regions {
         let key = format!("cfstore.region.{}.rows_scanned", entry.region_id);
@@ -629,7 +551,7 @@ pub fn rebalance_hot_slots(
     if load[hottest as usize] == load[coldest as usize] {
         return None;
     }
-    let mut plan = Reshard::to(meta.shards, meta.replication);
+    let mut plan = Topology::uniform(meta.shards, meta.replication);
     let mut moves = 0usize;
     for (slot, set) in meta.placement.iter().enumerate() {
         if moves >= max_moves {
@@ -790,7 +712,7 @@ impl ShardedStore {
     /// schemas. Returns without copying — drive the migration with
     /// [`ShardedStore::reshard_step`] / [`ShardedStore::resume_reshard`],
     /// or use [`ShardedStore::reshard`] to run it to completion.
-    pub fn begin_reshard(&self, plan: Reshard) -> Result<ReshardStatus, StoreError> {
+    pub fn begin_reshard(&self, target: Topology) -> Result<ReshardStatus, StoreError> {
         let inner = &self.inner;
         let mut st = inner.state.lock();
         if st.poisoned {
@@ -801,7 +723,6 @@ impl ShardedStore {
                 "a reshard is already in flight; resume or abort it first".to_string(),
             ));
         }
-        let target = plan.into_topology();
         target.validate().map_err(StoreError::Io)?;
         if target == st.active {
             return Err(StoreError::Io(
@@ -880,10 +801,10 @@ impl ShardedStore {
     /// run the store comes out in the new topology with the journal
     /// deleted; on an error mid-way the journal keeps the migration
     /// resumable after reopen.
-    pub fn reshard(&self, plan: Reshard) -> Result<ReshardStatus, StoreError> {
+    pub fn reshard(&self, target: Topology) -> Result<ReshardStatus, StoreError> {
         let reg = self.inner.obs();
         let _span = reg.span("cfstore.reshard.run");
-        self.begin_reshard(plan)?;
+        self.begin_reshard(target)?;
         self.run_to_done()
     }
 
@@ -1342,8 +1263,12 @@ mod tests {
         let scan = read_journal(&dir).unwrap().unwrap();
         assert!(scan.valid_bytes < scan.total_bytes);
         assert_eq!(scan.records, vec![begin.clone()]);
-        match resolve_journal(&scan.records).unwrap() {
-            Resolution::PreCutover {
+        let catalog = Catalog {
+            topology: old,
+            epoch: 0,
+        };
+        match resolve_against_catalog(&catalog, &scan.records).unwrap() {
+            Pending::PreCutover {
                 epoch,
                 copied,
                 verified,
@@ -1371,20 +1296,21 @@ mod tests {
             old: old.clone(),
             new: new.clone(),
         };
+        let catalog = Catalog {
+            topology: old.clone(),
+            epoch: 0,
+        };
+        let resolve = |records: &[JournalRecord]| resolve_against_catalog(&catalog, records);
         // Not starting with Begin.
-        assert!(resolve_journal(&[JournalRecord::Verified { epoch: 1 }]).is_err());
+        assert!(resolve(&[JournalRecord::Verified { epoch: 1 }]).is_err());
         // Cutover without Verified.
-        assert!(resolve_journal(&[begin.clone(), JournalRecord::Cutover { epoch: 1 }]).is_err());
+        assert!(resolve(&[begin.clone(), JournalRecord::Cutover { epoch: 1 }]).is_err());
         // Epoch mismatch.
-        assert!(
-            resolve_journal(&[begin.clone(), JournalRecord::Copied { epoch: 2, unit: 0 }]).is_err()
-        );
+        assert!(resolve(&[begin.clone(), JournalRecord::Copied { epoch: 2, unit: 0 }]).is_err());
         // Unit outside the target topology.
-        assert!(
-            resolve_journal(&[begin.clone(), JournalRecord::Copied { epoch: 1, unit: 4 }]).is_err()
-        );
+        assert!(resolve(&[begin.clone(), JournalRecord::Copied { epoch: 1, unit: 4 }]).is_err());
         // Records after Cutover.
-        assert!(resolve_journal(&[
+        assert!(resolve(&[
             begin.clone(),
             JournalRecord::Verified { epoch: 1 },
             JournalRecord::Cutover { epoch: 1 },
@@ -1392,7 +1318,7 @@ mod tests {
         ])
         .is_err());
         // Invalidated clears Verified, so a Cutover after it is invalid.
-        assert!(resolve_journal(&[
+        assert!(resolve(&[
             begin.clone(),
             JournalRecord::Copied { epoch: 1, unit: 0 },
             JournalRecord::Verified { epoch: 1 },
@@ -1408,8 +1334,8 @@ mod tests {
             JournalRecord::Cutover { epoch: 1 },
         ];
         assert!(matches!(
-            resolve_journal(&full).unwrap(),
-            Resolution::PostCutover { epoch: 1, .. }
+            resolve(&full).unwrap(),
+            Pending::PostCutover { epoch: 1, .. }
         ));
     }
 
@@ -1417,7 +1343,7 @@ mod tests {
     fn grow_reshard_end_to_end() {
         let dir = tmp_dir("grow");
         let (store, oracle) = seeded(&dir, 3, 2, 40);
-        let status = store.reshard(Reshard::to(4, 2)).unwrap();
+        let status = store.reshard(Topology::uniform(4, 2)).unwrap();
         assert_eq!(status.phase, ReshardPhase::Done);
         assert_eq!(status.epoch, 1);
         assert_eq!(store.shard_count(), 4);
@@ -1438,7 +1364,7 @@ mod tests {
     fn shrink_reshard_end_to_end() {
         let dir = tmp_dir("shrink");
         let (store, oracle) = seeded(&dir, 3, 2, 40);
-        let status = store.reshard(Reshard::to(2, 2)).unwrap();
+        let status = store.reshard(Topology::uniform(2, 2)).unwrap();
         assert_eq!(status.phase, ReshardPhase::Done);
         assert_eq!(store.shard_count(), 2);
         assert!(
@@ -1458,7 +1384,7 @@ mod tests {
     fn replication_change_keeps_replicas_identical() {
         let dir = tmp_dir("rchange");
         let (store, oracle) = seeded(&dir, 3, 1, 40);
-        store.reshard(Reshard::to(3, 2)).unwrap();
+        store.reshard(Topology::uniform(3, 2)).unwrap();
         assert_eq!(store.replication(), 2);
         assert_matches_oracle(&store, &oracle);
         // Every row now has two bit-identical copies.
@@ -1481,7 +1407,7 @@ mod tests {
     fn mid_migration_writes_dual_apply_and_reads_serve_old_epoch() {
         let dir = tmp_dir("midmig");
         let (store, oracle) = seeded(&dir, 3, 2, 30);
-        store.begin_reshard(Reshard::to(4, 2)).unwrap();
+        store.begin_reshard(Topology::uniform(4, 2)).unwrap();
         // Copy one unit, then write while the migration is parked.
         let st = store.reshard_step().unwrap();
         assert_eq!(st.phase, ReshardPhase::Copy);
@@ -1508,7 +1434,7 @@ mod tests {
     fn abort_before_cutover_restores_the_old_world() {
         let dir = tmp_dir("abort");
         let (store, oracle) = seeded(&dir, 3, 2, 30);
-        store.begin_reshard(Reshard::to(4, 2)).unwrap();
+        store.begin_reshard(Topology::uniform(4, 2)).unwrap();
         store.reshard_step().unwrap();
         store.abort_reshard().unwrap();
         assert_eq!(store.shard_count(), 3);
@@ -1517,7 +1443,7 @@ mod tests {
         assert!(!dir.join(super::shard_dir_name(3)).exists());
         assert_matches_oracle(&store, &oracle);
         // The store is still fully operational: a second plan runs clean.
-        store.reshard(Reshard::to(4, 2)).unwrap();
+        store.reshard(Topology::uniform(4, 2)).unwrap();
         assert_matches_oracle(&store, &oracle);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1538,7 +1464,7 @@ mod tests {
             },
         )
         .unwrap();
-        store.begin_reshard(Reshard::to(4, 2)).unwrap();
+        store.begin_reshard(Topology::uniform(4, 2)).unwrap();
         let err = loop {
             match store.reshard_step() {
                 Ok(_) => continue,
@@ -1590,7 +1516,7 @@ mod tests {
         // Slot 0's primary (the hot shard 0) is re-pinned onto the
         // coldest shard (shard 1, which scanned nothing at all).
         assert_eq!(plan.overrides.get(&0), Some(&vec![1, 2]));
-        assert!(plan.into_topology().validate().is_ok());
+        assert!(plan.validate().is_ok());
         // Balanced counters produce no plan.
         assert!(rebalance_hot_slots(&meta, &BTreeMap::new(), 4).is_none());
     }

@@ -5,14 +5,16 @@
 //!
 //! A store opened with [`MiniStore::new`] is purely in-memory, exactly
 //! as before. A store opened with [`MiniStore::open`] is backed by a
-//! directory: every mutation is written to the WAL *before* it touches
-//! memory (log-then-apply), [`MiniStore::flush`] persists dirty regions
-//! as immutable segment files and swaps the MANIFEST atomically, and
-//! reopening the directory replays the WAL tail over lazily opened
-//! segments (clean regions stay segment-backed, reading blocks through
-//! a shared [`BlockCache`]). Durable mutations are serialized under one
-//! lock so the WAL order is exactly the apply order — replay is then a
-//! faithful rerun.
+//! directory: every mutation is built as [`WalRecord`]s, written to the
+//! WAL *before* it touches memory, and then handed to the store's one
+//! applier (log-then-apply, DESIGN.md §24); [`MiniStore::flush`] persists
+//! dirty regions as immutable segment files and swaps the MANIFEST
+//! atomically; and reopening the directory hands the WAL tail to that
+//! same applier over lazily opened segments (clean regions stay
+//! segment-backed, reading blocks through a shared [`BlockCache`]).
+//! Durable mutations are serialized under one lock so the WAL order is
+//! exactly the apply order — replay is then a rerun, by the code that ran
+//! the first time.
 //!
 //! [`StoreOptions::background_flush_wal_bytes`] moves flushing off the
 //! write path: a background flusher thread wakes whenever the WAL grows
@@ -33,11 +35,14 @@ use parking_lot::{Mutex, RwLock};
 use crate::blockcache::{BlockCache, BlockCacheStats};
 use crate::filter::Filter;
 use crate::flusher::Flusher;
+use crate::frame;
 use crate::kv::{Put, RowResult};
-use crate::recovery::{self, Manifest, ManifestTable, RecoveryError, RecoveryReport};
+use crate::recovery::{
+    self, inconsistent, io_err, Manifest, ManifestTable, RecoveryError, RecoveryReport,
+};
 use crate::region::{KeyRange, Region, RowData, ScanMetrics};
 use crate::segment::{self, SegmentError};
-use crate::wal::{CrashSpec, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE};
+use crate::wal::{self, CrashSpec, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE};
 
 /// Rows per region before a split is triggered.
 pub(crate) const DEFAULT_SPLIT_THRESHOLD: usize = 256;
@@ -124,6 +129,16 @@ impl From<SegmentError> for StoreError {
     }
 }
 
+/// What the applier refused, as a live mutation reports it.
+impl From<RecoveryError> for StoreError {
+    fn from(e: RecoveryError) -> Self {
+        match e {
+            RecoveryError::Segment(e) => e.into(),
+            other => StoreError::Io(other.to_string()),
+        }
+    }
+}
+
 /// A scan request.
 pub struct Scan {
     /// Inclusive start row.
@@ -179,6 +194,73 @@ struct Table {
     split_threshold: usize,
 }
 
+impl Table {
+    fn new(families: Vec<String>, split_threshold: usize, regions: Vec<Arc<Region>>) -> Self {
+        Table {
+            families,
+            regions: RwLock::new(regions),
+            split_threshold,
+        }
+    }
+
+    /// The region owning `row`. Region ranges cover the key space, so a
+    /// miss means the log and the segments are not one store's.
+    fn region_for(&self, row: &[u8], table: &str) -> Result<Arc<Region>, RecoveryError> {
+        let regions = self.regions.read();
+        let owner = regions.iter().find(|r| r.contains_key(row)).cloned();
+        owner.ok_or_else(|| inconsistent(format!("no region covers a replayed row in `{table}`")))
+    }
+}
+
+/// Insert a table with its all-covering root region unless the catalog
+/// already has one of that name: a `CreateTable` logged before a flush
+/// captured the table replays over it as a no-op.
+fn create_table_in(
+    tables: &mut BTreeMap<String, Arc<Table>>,
+    name: String,
+    families: Vec<String>,
+    split_threshold: usize,
+    root_region_id: u64,
+) {
+    tables.entry(name).or_insert_with(|| {
+        let root = Arc::new(Region::new(root_region_id, KeyRange::all()));
+        Arc::new(Table::new(families, split_threshold, vec![root]))
+    });
+}
+
+/// Split region `parent_id` of a table's (write-locked) region list at
+/// `split_key`, registering the upper half as `new_id` right behind it.
+fn split_region_in(
+    regions: &mut Vec<Arc<Region>>,
+    table: &str,
+    parent_id: u64,
+    new_id: u64,
+    split_key: &Bytes,
+) -> Result<(), RecoveryError> {
+    let Some(pos) = regions.iter().position(|r| r.id == parent_id) else {
+        return Err(inconsistent(format!(
+            "split of unknown region {parent_id} in `{table}`"
+        )));
+    };
+    let Some(upper) = regions[pos].split_at(split_key, new_id)? else {
+        return Err(inconsistent(format!(
+            "split key outside region {parent_id} of `{table}`"
+        )));
+    };
+    regions.insert(pos + 1, Arc::new(upper));
+    Ok(())
+}
+
+/// What applying one frame did that its live caller acts on.
+#[derive(Default)]
+struct Applied {
+    /// `(table name, table, region)` of every region a put landed in,
+    /// once each, in first-touch order: what the split check looks at.
+    touched: Vec<(String, Arc<Table>, Arc<Region>)>,
+    /// Rows a `DeleteRow` found and removed.
+    rows_deleted: usize,
+}
+
 /// An entry of the META catalog: `(table, start_key, region_id) → region
 /// server` (§5.2.2's key shape).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,27 +269,6 @@ pub struct MetaEntry {
     pub start_key: Bytes,
     pub region_id: u64,
     pub region_server: u32,
-}
-
-/// One logical operation inside a cross-shard batch, before the owning
-/// shard lowers it to [`WalRecord`]s (allocating region ids locally; cell
-/// timestamps were already stamped by the sharded store's global clock).
-#[derive(Debug, Clone)]
-pub(crate) enum ShardOp {
-    CreateTable {
-        name: String,
-        families: Vec<String>,
-        split_threshold: u64,
-    },
-    Put {
-        table: String,
-        put: Put,
-        timestamp: u64,
-    },
-    DeleteRow {
-        table: String,
-        row: Bytes,
-    },
 }
 
 /// What [`MiniStore::install_table_rows`] does to the rows a table
@@ -319,7 +380,7 @@ impl MiniStore {
 
     /// Open (or create) a durable store at `dir`, running recovery:
     /// open manifest-referenced segments (metadata checksum-verified,
-    /// blocks lazy), replay the WAL tail, and truncate any torn tail.
+    /// blocks lazy), truncate any torn WAL tail, and replay the rest.
     /// Returns the store plus the [`RecoveryReport`] accounting for
     /// every replayed and dropped byte.
     pub fn open(dir: &Path) -> Result<(Self, RecoveryReport), RecoveryError> {
@@ -348,63 +409,102 @@ impl MiniStore {
         dir: &Path,
         opts: StoreOptions,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        std::fs::create_dir_all(dir).map_err(|e| RecoveryError::Io {
-            path: dir.display().to_string(),
-            source: e,
-        })?;
+        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         let cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
-        let (state, report) = recovery::recover(dir, &cache)?;
-        let wal_path = dir.join(WAL_FILE);
-        let wal = WalWriter::open(
-            &wal_path,
-            state.wal_len,
-            state.next_lsn,
-            opts.sync,
-            opts.crash,
-        )
-        .map_err(|e| RecoveryError::Io {
-            path: wal_path.display().to_string(),
-            source: match e {
-                WalError::Io(io) => io,
-                WalError::Crashed => std::io::Error::other("crash during open"),
-            },
-        })?;
-        let wal_bytes_at_reset = wal.bytes_written();
-        let mut tables = BTreeMap::new();
-        for t in state.tables {
-            let regions: Vec<Arc<Region>> = t
-                .regions
-                .into_iter()
-                .map(|r| match r.base {
-                    Some(reader) => {
-                        Arc::new(Region::from_segment(r.id, r.range, reader, cache.clone()))
-                    }
-                    None => Arc::new(Region::from_parts(r.id, r.range, r.rows)),
-                })
-                .collect();
-            tables.insert(
-                t.name,
-                Arc::new(Table {
-                    families: t.families,
-                    regions: RwLock::new(regions),
-                    split_threshold: t.split_threshold as usize,
-                }),
-            );
+        let mut report = RecoveryReport::default();
+
+        // The committed catalog and its segments: every region comes back
+        // segment-backed and clean.
+        let manifest = recovery::read_manifest(dir)?.unwrap_or_default();
+        let mut tables: BTreeMap<String, Arc<Table>> = BTreeMap::new();
+        for t in &manifest.tables {
+            let table = Table::new(t.families.clone(), t.split_threshold as usize, Vec::new());
+            tables.insert(t.name.clone(), Arc::new(table));
         }
+        let mut next_region_id = manifest.next_region_id.max(1);
+        let mut lazy: Vec<(Arc<Region>, u64)> = Vec::new();
+        for reader in recovery::open_segments(dir, &manifest, &mut report)? {
+            let meta = reader.meta().clone();
+            let Some(table) = tables.get(&meta.table) else {
+                return Err(inconsistent(format!(
+                    "segment `{}` references unknown table `{}`",
+                    reader.file_name(),
+                    meta.table
+                )));
+            };
+            next_region_id = next_region_id.max(meta.region_id.saturating_add(1));
+            let blocks = reader.block_count() as u64;
+            let region = Region::from_segment(meta.region_id, meta.range, reader, cache.clone());
+            let region = Arc::new(region);
+            lazy.push((region.clone(), blocks));
+            table.regions.write().push(region);
+        }
+        for t in tables.values() {
+            let by_start = |a: &Arc<Region>, b: &Arc<Region>| a.range().start.cmp(&b.range().start);
+            t.regions.write().sort_by(by_start);
+        }
+
+        // The WAL: account for every byte, drop the torn tail physically
+        // so appends never interleave with it, and continue after the
+        // highest LSN seen.
+        let wal_path = dir.join(WAL_FILE);
+        let scan = wal::read_wal(&wal_path).map_err(|e| io_err(&wal_path, e))?;
+        report.wal_bytes_valid = scan.valid_bytes;
+        report.wal_bytes_dropped = scan.total_bytes - scan.valid_bytes;
+        report.truncation = scan.truncation;
+        if report.wal_bytes_dropped > 0 {
+            frame::truncate_and_sync(&wal_path, scan.valid_bytes)
+                .map_err(|e| io_err(&wal_path, e))?;
+        }
+        let max_lsn = scan.frames.iter().map(|f| f.lsn).max();
+        let next_lsn = manifest.flushed_lsn.max(max_lsn.unwrap_or(0)) + 1;
+        let wal = WalWriter::open(&wal_path, scan.valid_bytes, next_lsn, opts.sync, opts.crash)
+            .map_err(|e| match e {
+                WalError::Io(io) => io_err(&wal_path, io),
+                WalError::Crashed => io_err(&wal_path, std::io::Error::other("crash during open")),
+            })?;
+        let wal_bytes_at_reset = wal.bytes_written();
         let inner = Arc::new(StoreInner {
             tables: RwLock::new(tables),
-            clock: AtomicU64::new(state.clock),
-            next_region_id: AtomicU64::new(state.next_region_id),
+            // The next timestamp to assign: past the manifest's, and —
+            // the applier raises it — past every replayed one.
+            clock: AtomicU64::new(manifest.clock + 1),
+            next_region_id: AtomicU64::new(next_region_id),
             region_servers: 4,
             obs: RwLock::new(obs::Registry::disabled()),
             cache,
             durable: Some(Mutex::new(DurableState {
                 dir: dir.to_path_buf(),
                 wal,
-                generation: state.generation,
+                generation: manifest.generation + 1,
                 wal_bytes_at_reset,
             })),
         });
+
+        // Replay: frames a flush did not capture go through the applier
+        // that applied them the first time. Nothing is logged, and what
+        // the puts touched is dropped: a split the live write made is in
+        // the log behind it.
+        for frame in scan.frames {
+            if frame.lsn <= manifest.flushed_lsn {
+                report.frames_skipped += 1;
+                continue;
+            }
+            report.frames_replayed += 1;
+            report.records_replayed += frame.records.len() as u64;
+            inner.apply(frame.records)?;
+        }
+        // A region replay wrote to was promoted, every block read once.
+        let promoted = lazy.iter().filter(|(r, _)| !r.is_lazy());
+        report.segment_blocks_read = promoted.map(|(_, blocks)| blocks).sum();
+        // Every table needs at least one region covering the key space.
+        for t in inner.tables.read().values() {
+            let mut regions = t.regions.write();
+            if regions.is_empty() {
+                let id = inner.next_region_id.fetch_add(1, Ordering::Relaxed);
+                regions.push(Arc::new(Region::new(id, KeyRange::all())));
+            }
+        }
         let flusher = opts.background_flush_wal_bytes.map(|threshold| {
             let inner = inner.clone();
             let work = move || {
@@ -506,29 +606,26 @@ impl MiniStore {
     ) -> Result<(), StoreError> {
         // Lock order everywhere: durable state first, then the catalog,
         // then region internals — so flushes and mutations never deadlock.
+        // The catalog stays write-locked from the existence check to the
+        // insert, which is why this calls the applier's `CreateTable` arm
+        // rather than the applier.
         let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
         let mut tables = self.inner.tables.write();
         if tables.contains_key(name) {
             return Err(StoreError::TableExists(name.to_string()));
         }
+        let families: Vec<String> = families.iter().map(|f| f.to_string()).collect();
         let root_region_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = durable.as_mut() {
             d.wal.append(&[WalRecord::CreateTable {
                 name: name.to_string(),
-                families: families.iter().map(|f| f.to_string()).collect(),
+                families: families.clone(),
                 split_threshold: split_threshold as u64,
                 root_region_id,
             }])?;
         }
-        let region = Arc::new(Region::new(root_region_id, KeyRange::all()));
-        tables.insert(
-            name.to_string(),
-            Arc::new(Table {
-                families: families.iter().map(|f| f.to_string()).collect(),
-                regions: RwLock::new(vec![region]),
-                split_threshold,
-            }),
-        );
+        let name = name.to_string();
+        create_table_in(&mut tables, name, families, split_threshold, root_region_id);
         Ok(())
     }
 
@@ -557,23 +654,21 @@ impl MiniStore {
             }
         }
         let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
-        let stamp = |put| (put, self.inner.clock.fetch_add(1, Ordering::Relaxed));
-        let stamped: Vec<(Put, u64)> = puts.into_iter().map(stamp).collect();
+        let record = |put: Put| WalRecord::Put {
+            table: table.to_string(),
+            row: put.row,
+            family: put.family,
+            column: put.column,
+            value: put.value,
+            timestamp: self.inner.clock.fetch_add(1, Ordering::Relaxed),
+        };
+        let records: Vec<WalRecord> = puts.into_iter().map(record).collect();
         if let Some(d) = durable.as_mut() {
             // Log-then-apply: stamp every cell, frame the whole batch,
             // and only touch memory once the log accepted it. A torn
             // frame means the caller never saw an ack and recovery drops
             // the tail — nothing to undo.
-            let record = |(put, ts): &(Put, u64)| WalRecord::Put {
-                table: table.to_string(),
-                row: put.row.clone(),
-                family: put.family.clone(),
-                column: put.column.clone(),
-                value: put.value.clone(),
-                timestamp: *ts,
-            };
-            d.wal
-                .append(&stamped.iter().map(record).collect::<Vec<_>>())?;
+            d.wal.append(&records)?;
             // Wake the background flusher once the WAL has grown past
             // the configured threshold since the last flush. Signalled
             // under the durable lock (the flusher blocks on it), so the
@@ -584,46 +679,32 @@ impl MiniStore {
                 }
             }
         }
-        let mut touched: Vec<Arc<Region>> = Vec::new();
-        for (put, ts) in stamped {
-            let region = Self::apply_put(&t, put, ts)?;
-            if !touched.iter().any(|r| r.id == region.id) {
-                touched.push(region);
-            }
-        }
-        // Split check (amortized: only when a region grew large).
-        for region in touched {
+        let applied = self.inner.apply(records)?;
+        self.split_grown(applied, durable.as_deref_mut())
+    }
+
+    /// The half of a live write that replay never runs: split every
+    /// region the write touched that outgrew its table's threshold
+    /// (amortized: only when a region grew large).
+    fn split_grown(
+        &self,
+        applied: Applied,
+        mut durable: Option<&mut DurableState>,
+    ) -> Result<(), StoreError> {
+        for (table, t, region) in applied.touched {
             if region.row_count() > t.split_threshold {
-                self.split_region(table, &t, &region, durable.as_deref_mut())?;
+                self.split_region(&table, &t, &region, durable.as_deref_mut())?;
             }
         }
         Ok(())
     }
 
-    /// Apply one stamped cell to the region owning its row. A concurrent
-    /// split can shrink the chosen region's range between lookup and
-    /// write; `Region::put` detects this under its lock and we retry
-    /// against the refreshed region list. Writing to a segment-backed
-    /// region promotes it, which can surface a typed corruption error.
-    fn apply_put(t: &Table, put: Put, ts: u64) -> Result<Arc<Region>, StoreError> {
-        loop {
-            let region = {
-                let regions = t.regions.read();
-                regions
-                    .iter()
-                    .find(|r| r.contains_key(&put.row))
-                    .cloned()
-                    .expect("region ranges cover the key space")
-            };
-            if region.put(put.clone(), ts)? {
-                return Ok(region);
-            }
-        }
-    }
-
     /// Split one oversized region at its median key. In durable mode the
     /// split point and new region id are WAL-logged *before* the split is
-    /// applied, so replay reproduces the exact region topology.
+    /// applied, so replay reproduces the exact region topology. The
+    /// region list stays write-locked from the median to the insert,
+    /// which is why this calls the applier's `RegionSplit` arm rather
+    /// than the applier.
     fn split_region(
         &self,
         table: &str,
@@ -644,14 +725,7 @@ impl MiniStore {
                 split_key: split_key.clone(),
             }])?;
         }
-        let Some(upper) = region.split_at(&split_key, new_id) else {
-            return Ok(());
-        };
-        let pos = regions
-            .iter()
-            .position(|r| r.id == region.id)
-            .expect("region still registered");
-        regions.insert(pos + 1, Arc::new(upper));
+        split_region_in(&mut regions, table, region.id, new_id, &split_key)?;
         let obs = self.inner.obs();
         obs.event(
             "cfstore.region.split",
@@ -701,32 +775,16 @@ impl MiniStore {
 
     /// Delete one row.
     pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
-        let t = self.table(table)?;
+        self.table(table)?;
         let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let records = vec![WalRecord::DeleteRow {
+            table: table.to_string(),
+            row: Bytes::copy_from_slice(row),
+        }];
         if let Some(d) = durable.as_mut() {
-            d.wal.append(&[WalRecord::DeleteRow {
-                table: table.to_string(),
-                row: Bytes::copy_from_slice(row),
-            }])?;
+            d.wal.append(&records)?;
         }
-        Self::remove_row(&t, row)
-    }
-
-    /// Remove a row from the region owning it; whether it existed.
-    fn remove_row(t: &Table, row: &[u8]) -> Result<bool, StoreError> {
-        loop {
-            let region = {
-                let regions = t.regions.read();
-                regions.iter().find(|r| r.contains_key(row)).cloned()
-            };
-            let Some(region) = region else {
-                return Ok(false);
-            };
-            // `None` means a concurrent split moved the key: re-resolve.
-            if let Some(existed) = region.delete_row(row)? {
-                return Ok(existed);
-            }
-        }
+        Ok(self.inner.apply(records)?.rows_deleted > 0)
     }
 
     /// Scan with server-side filtering; regions are scanned in parallel
@@ -828,53 +886,21 @@ impl MiniStore {
 
     // ---- sharded-mode support (crate-internal, driven by `shard.rs`) ----
 
-    /// Lower a cross-shard batch to WAL records (marker first) and append
-    /// them as one frame at `lsn_base = gsn * LSN_STRIDE`. Only the log is
-    /// touched — the sharded store appends to *every* participant before
-    /// applying anywhere, so a torn append on a later participant leaves
-    /// no half-applied memory to undo. Returns the lowered records for
-    /// the apply stage.
-    pub(crate) fn append_sharded_frame(
+    /// Append one frame of a cross-shard batch (marker first) at
+    /// `lsn = gsn * LSN_STRIDE`, filling in this shard's own region id
+    /// for any table the frame creates. Only the log is touched — the
+    /// sharded store appends to *every* participant before applying
+    /// anywhere, so a torn append on a later participant leaves no
+    /// half-applied memory to undo.
+    pub(crate) fn log_frame_at(
         &self,
-        lsn_base: u64,
-        gsn: u64,
-        participants: &[u32],
-        ops: &[ShardOp],
-    ) -> Result<Vec<WalRecord>, StoreError> {
-        let mut records = Vec::with_capacity(ops.len() + 1);
-        records.push(WalRecord::BatchMarker {
-            gsn,
-            participants: participants.to_vec(),
-        });
-        for op in ops {
-            records.push(match op {
-                ShardOp::CreateTable {
-                    name,
-                    families,
-                    split_threshold,
-                } => WalRecord::CreateTable {
-                    name: name.clone(),
-                    families: families.clone(),
-                    split_threshold: *split_threshold,
-                    root_region_id: self.inner.next_region_id.fetch_add(1, Ordering::Relaxed),
-                },
-                ShardOp::Put {
-                    table,
-                    put,
-                    timestamp,
-                } => WalRecord::Put {
-                    table: table.clone(),
-                    row: put.row.clone(),
-                    family: put.family.clone(),
-                    column: put.column.clone(),
-                    value: put.value.clone(),
-                    timestamp: *timestamp,
-                },
-                ShardOp::DeleteRow { table, row } => WalRecord::DeleteRow {
-                    table: table.clone(),
-                    row: row.clone(),
-                },
-            });
+        lsn: u64,
+        records: &mut [WalRecord],
+    ) -> Result<(), StoreError> {
+        for record in records.iter_mut() {
+            if let WalRecord::CreateTable { root_region_id, .. } = record {
+                *root_region_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
+            }
         }
         let mut d = self
             .inner
@@ -882,90 +908,28 @@ impl MiniStore {
             .as_ref()
             .expect("sharded shards are always durable")
             .lock();
-        d.wal.append_at(lsn_base, &records)?;
-        Ok(records)
+        d.wal.append_at(lsn, records)?;
+        Ok(())
     }
 
-    /// Apply the records of an already-appended sharded frame to memory,
-    /// running the usual split check afterwards (splits are WAL-logged at
-    /// the LSNs following the frame, inside the same gsn stride). The
-    /// batch path promoted every target region *before* the frame was
-    /// appended anywhere ([`MiniStore::prepare_rows`]), so nothing here
-    /// can fail with a corruption error; the only fallible part is
-    /// WAL-logging a split this batch triggers, and by then the frame is
-    /// durable on every participant — recovery replays it whole.
-    pub(crate) fn apply_sharded_records(&self, records: &[WalRecord]) -> Result<(), StoreError> {
+    /// Apply an already-appended sharded frame to memory, running the
+    /// usual split check afterwards (splits are WAL-logged at the LSNs
+    /// following the frame, inside the same gsn stride). The batch path
+    /// promoted every target region *before* the frame was appended
+    /// anywhere ([`MiniStore::prepare_rows`]), so nothing here can fail
+    /// with a corruption error; the only fallible part is WAL-logging a
+    /// split this batch triggers, and by then the frame is durable on
+    /// every participant — recovery replays it whole. Cell timestamps
+    /// are the sharded store's global clock's; the applier keeps this
+    /// shard's own clock (and so its manifest's) ahead of them, so a
+    /// reopened sharded store resumes its clock correctly even when
+    /// every frame was flushed out of the WALs.
+    pub(crate) fn apply_frame(&self, records: Vec<WalRecord>) -> Result<(), StoreError> {
         let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
-        let mut touched: Vec<(String, Arc<Table>, Arc<Region>)> = Vec::new();
-        let mut puts = 0u64;
-        for record in records {
-            match record {
-                WalRecord::BatchMarker { .. } => {}
-                WalRecord::CreateTable {
-                    name,
-                    families,
-                    split_threshold,
-                    root_region_id,
-                } => {
-                    let mut tables = self.inner.tables.write();
-                    if tables.contains_key(name) {
-                        return Err(StoreError::TableExists(name.clone()));
-                    }
-                    let region = Arc::new(Region::new(*root_region_id, KeyRange::all()));
-                    tables.insert(
-                        name.clone(),
-                        Arc::new(Table {
-                            families: families.clone(),
-                            regions: RwLock::new(vec![region]),
-                            split_threshold: *split_threshold as usize,
-                        }),
-                    );
-                }
-                WalRecord::Put {
-                    table,
-                    row,
-                    family,
-                    column,
-                    value,
-                    timestamp,
-                } => {
-                    puts += 1;
-                    // Keep the shard's own clock (and therefore its
-                    // manifest's clock field) ahead of every globally
-                    // stamped timestamp it stores, so a reopened sharded
-                    // store resumes its global clock correctly even when
-                    // every frame was flushed out of the WALs.
-                    self.inner
-                        .clock
-                        .fetch_max(*timestamp + 1, Ordering::Relaxed);
-                    let t = self.table(table)?;
-                    let put = Put {
-                        row: row.clone(),
-                        family: family.clone(),
-                        column: column.clone(),
-                        value: value.clone(),
-                    };
-                    let region = Self::apply_put(&t, put, *timestamp)?;
-                    if !touched
-                        .iter()
-                        .any(|(name, _, r)| name == table && r.id == region.id)
-                    {
-                        touched.push((table.clone(), t, region));
-                    }
-                }
-                WalRecord::DeleteRow { table, row } => {
-                    Self::remove_row(&*self.table(table)?, row)?;
-                }
-                WalRecord::RegionSplit { .. } => {
-                    debug_assert!(false, "sharded frames never carry split records");
-                }
-            }
-        }
-        for (name, t, region) in touched {
-            if region.row_count() > t.split_threshold {
-                self.split_region(&name, &t, &region, durable.as_deref_mut())?;
-            }
-        }
+        let is_put = |r: &&WalRecord| matches!(r, WalRecord::Put { .. });
+        let puts = records.iter().filter(is_put).count() as u64;
+        let applied = self.inner.apply(records)?;
+        self.split_grown(applied, durable.as_deref_mut())?;
         if puts > 0 {
             self.inner.obs().incr("cfstore.puts", puts);
         }
@@ -1074,6 +1038,99 @@ impl StoreInner {
     /// Snapshot the current registry (cheap: `Arc` clone).
     fn obs(&self) -> obs::Registry {
         self.obs.read().clone()
+    }
+
+    /// The one applier of [`WalRecord`]s (DESIGN.md §24): a live write
+    /// hands it the frame it just logged, a sharded batch the frame every
+    /// participant logged, and a reopen the frames it found. It never
+    /// logs and never decides a split; it keeps `clock` and
+    /// `next_region_id` ahead of whatever the records carry. Writing to a
+    /// segment-backed region promotes it, which can surface a typed
+    /// corruption error; a record naming a table, region or range the
+    /// store does not hold is refused as [`RecoveryError::InconsistentLog`].
+    fn apply(&self, records: Vec<WalRecord>) -> Result<Applied, RecoveryError> {
+        let table = |name: &str| {
+            let found = self.tables.read().get(name).cloned();
+            found.ok_or_else(|| inconsistent(format!("record references unknown table `{name}`")))
+        };
+        let mut applied = Applied::default();
+        for record in records {
+            match record {
+                // Bookkeeping for the sharded reopen's commit rule, which
+                // runs before any shard replays: by now the batch is
+                // known committed.
+                WalRecord::BatchMarker { .. } => {}
+                WalRecord::CreateTable {
+                    name,
+                    families,
+                    split_threshold,
+                    root_region_id,
+                } => {
+                    let next = root_region_id.saturating_add(1);
+                    self.next_region_id.fetch_max(next, Ordering::Relaxed);
+                    let threshold = split_threshold as usize;
+                    let mut tables = self.tables.write();
+                    create_table_in(&mut tables, name, families, threshold, root_region_id);
+                }
+                WalRecord::Put {
+                    table: name,
+                    row,
+                    family,
+                    column,
+                    value,
+                    timestamp,
+                } => {
+                    let next = timestamp.saturating_add(1);
+                    self.clock.fetch_max(next, Ordering::Relaxed);
+                    let t = table(&name)?;
+                    let put = Put {
+                        row,
+                        family,
+                        column,
+                        value,
+                    };
+                    // A concurrent split can shrink the chosen region's
+                    // range between lookup and write; `Region::put`
+                    // detects this under its lock and we retry against
+                    // the refreshed region list.
+                    let region = loop {
+                        let region = t.region_for(&put.row, &name)?;
+                        if region.put(put.clone(), timestamp)? {
+                            break region;
+                        }
+                    };
+                    let seen =
+                        |(n, _, r): &(String, _, Arc<Region>)| *n == name && r.id == region.id;
+                    if !applied.touched.iter().any(seen) {
+                        applied.touched.push((name, t, region));
+                    }
+                }
+                WalRecord::DeleteRow { table: name, row } => {
+                    let t = table(&name)?;
+                    // `None` means a concurrent split moved the key:
+                    // re-resolve.
+                    let existed = loop {
+                        if let Some(existed) = t.region_for(&row, &name)?.delete_row(&row)? {
+                            break existed;
+                        }
+                    };
+                    applied.rows_deleted += usize::from(existed);
+                }
+                WalRecord::RegionSplit {
+                    table: name,
+                    parent_id,
+                    new_id,
+                    split_key,
+                } => {
+                    let next = new_id.saturating_add(1);
+                    self.next_region_id.fetch_max(next, Ordering::Relaxed);
+                    let t = table(&name)?;
+                    let mut regions = t.regions.write();
+                    split_region_in(&mut regions, &name, parent_id, new_id, &split_key)?;
+                }
+            }
+        }
+        Ok(applied)
     }
 
     /// The compacting flush (DESIGN.md §12): rewrite only *dirty*
@@ -1532,6 +1589,76 @@ mod tests {
         // may be.
         assert!(rows.len() <= acked);
         assert!(acked - rows.len() < 4, "lost more than one commit group");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Append one hand-built frame behind whatever the store logged.
+    fn append_by_hand(dir: &Path, lsn: u64, records: &[WalRecord]) {
+        let path = dir.join(WAL_FILE);
+        let len = std::fs::metadata(&path).unwrap().len();
+        let mut w =
+            WalWriter::open(&path, len, lsn, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        w.append(records).unwrap();
+    }
+
+    #[test]
+    fn a_replayed_create_of_a_flushed_table_is_a_noop() {
+        let dir = tmp_dir("recreate");
+        {
+            let (store, _) = MiniStore::open(&dir).unwrap();
+            store.create_table("t", &["f"]).unwrap();
+            store.put("t", bput("r1", "c", "v")).unwrap();
+            store.flush().unwrap();
+        }
+        let create = WalRecord::CreateTable {
+            name: "t".into(),
+            families: vec!["other".into()],
+            split_threshold: 2,
+            root_region_id: 40,
+        };
+        append_by_hand(&dir, 100, &[create]);
+        let (store, report) = MiniStore::open(&dir).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(store.meta_entries().len(), 1);
+        assert_eq!(
+            store.meta_entries()[0].region_id,
+            1,
+            "the flushed table stays"
+        );
+        assert!(store.get("t", b"r1").unwrap().is_some());
+        // The id the record carried is spent all the same.
+        store.create_table("u", &["f"]).unwrap();
+        assert_eq!(store.meta_entries()[1].region_id, 41);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Replay is the live path, so a replayed delete of a row its region
+    /// does not hold leaves the region as the live delete did: promoted,
+    /// but clean, and the next flush reuses its segment by name.
+    #[test]
+    fn a_replayed_delete_of_a_missing_row_leaves_its_region_clean() {
+        let dir = tmp_dir("noopdelete");
+        {
+            let (store, _) = MiniStore::open(&dir).unwrap();
+            store.create_table("t", &["f"]).unwrap();
+            store.put("t", bput("r1", "c", "v")).unwrap();
+            store.flush().unwrap();
+            assert!(!store.delete_row("t", b"missing").unwrap());
+        }
+        let (mut store, report) = MiniStore::open(&dir).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(
+            report.segment_blocks_read, 1,
+            "the delete promoted the region"
+        );
+        let reg = obs::Registry::new();
+        store.set_obs(reg.clone());
+        store.flush().unwrap();
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters["cfstore.flush.segments_reused"], 1);
+        assert_eq!(counters["cfstore.flush.segments_written"], 0);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

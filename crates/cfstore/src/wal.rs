@@ -33,7 +33,7 @@ use std::path::Path;
 use bytes::{BufMut, Bytes};
 
 use crate::encoding::CodecError;
-use crate::frame::{self, put_bytes, put_str, CrashWriter, Cursor, FrameError};
+use crate::frame::{self, put_bytes, put_str, CrashWriter, Cursor, FrameError, ScanStop};
 
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -467,39 +467,23 @@ pub struct WalScan {
 /// or corrupt frame. A missing file scans as empty.
 pub fn read_wal(path: &Path) -> Result<WalScan, std::io::Error> {
     let data = frame::read_optional(path)?.unwrap_or_default();
-    let mut frames = Vec::new();
-    let mut frame_offsets = Vec::new();
-    let mut valid = 0usize;
-    let mut truncation = None;
-    while valid < data.len() {
-        let offset = valid as u64;
-        let decoded = match frame::verify(&data[valid..]) {
-            Ok(body) => decode_frame_body(body)
-                .map(|f| (f, body.len()))
-                .map_err(|e| WalTruncation::BadRecord {
-                    offset,
-                    detail: e.to_string(),
-                }),
-            Err(FrameError::Torn) => Err(WalTruncation::Torn { offset }),
-            Err(FrameError::BadChecksum) => Err(WalTruncation::BadChecksum { offset }),
-        };
-        match decoded {
-            Ok((f, body_len)) => {
-                frames.push(f);
-                frame_offsets.push(offset);
-                valid += frame::HEADER_LEN + body_len;
-            }
-            Err(t) => {
-                truncation = Some(t);
-                break;
-            }
-        }
-    }
+    let scan = frame::scan_log(&data, 0, decode_frame_body);
+    // Whatever stopped the scan, the log ends there: a crash tears the
+    // tail, and a frame that does not decode is dropped with it.
+    let offset = scan.valid_bytes;
+    let truncation = scan.stop.map(|why| match why {
+        ScanStop::Frame(FrameError::Torn) => WalTruncation::Torn { offset },
+        ScanStop::Frame(FrameError::BadChecksum) => WalTruncation::BadChecksum { offset },
+        ScanStop::Record(e) => WalTruncation::BadRecord {
+            offset,
+            detail: e.to_string(),
+        },
+    });
     Ok(WalScan {
-        frames,
-        frame_offsets,
-        valid_bytes: valid as u64,
-        total_bytes: data.len() as u64,
+        frames: scan.records,
+        frame_offsets: scan.offsets,
+        valid_bytes: scan.valid_bytes,
+        total_bytes: scan.total_bytes,
         truncation,
     })
 }

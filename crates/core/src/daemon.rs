@@ -261,7 +261,7 @@ impl PStorM {
     /// backends — open with [`ProfileStore::reopen_sharded`] first.
     pub fn reshard(
         &self,
-        plan: cfstore::Reshard,
+        plan: cfstore::Topology,
     ) -> Result<cfstore::ReshardStatus, ProfileStoreError> {
         self.store.reshard(plan)
     }

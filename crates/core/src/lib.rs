@@ -33,7 +33,7 @@ pub mod store;
 pub mod workflow;
 
 pub use altmodels::{OpenTsdbModel, PrefixModel, ProfileLayout, TwoTableModel};
-pub use cfstore::{Reshard, ReshardPhase, ReshardStatus};
+pub use cfstore::{ReshardPhase, ReshardStatus, Topology};
 pub use daemon::{DaemonError, PStorM, SubmissionOutcome, SubmissionReport};
 pub use explain::{explain, Explanation};
 pub use extensions::{statics_with_params, transfer_profile};

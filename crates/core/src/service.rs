@@ -516,7 +516,7 @@ impl TuningService {
     /// Errors on single-store backends.
     pub fn reshard(
         &self,
-        plan: cfstore::Reshard,
+        plan: cfstore::Topology,
     ) -> Result<cfstore::ReshardStatus, ProfileStoreError> {
         self.inner.base.reshard(plan)
     }

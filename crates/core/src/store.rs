@@ -39,8 +39,8 @@ use parking_lot::{Mutex, RwLock};
 
 use cfstore::encoding::{decode_f64, decode_f64_vec, encode_f64, encode_f64_vec};
 use cfstore::{
-    MiniStore, Put, RecoveryError, RecoveryReport, Reshard, ReshardStatus, RowResult, Scan,
-    ScanMetrics, ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError, StoreOptions,
+    MiniStore, Put, RecoveryError, RecoveryReport, ReshardStatus, RowResult, Scan, ScanMetrics,
+    ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError, StoreOptions, Topology,
 };
 use mlmatch::{DimPrep, MinMaxNormalizer};
 use profiler::{CostFactors, JobProfile};
@@ -1023,7 +1023,7 @@ impl ProfileStore {
     /// begin, copy every unit, verify, cut over, GC. The store keeps
     /// serving reads and writes throughout — tenants submitting through
     /// the service never see the migration except in the counters.
-    pub fn reshard(&self, plan: Reshard) -> Result<ReshardStatus, ProfileStoreError> {
+    pub fn reshard(&self, plan: Topology) -> Result<ReshardStatus, ProfileStoreError> {
         Ok(self.sharded_or_err()?.reshard(plan)?)
     }
 

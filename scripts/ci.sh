@@ -125,6 +125,21 @@ if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/
 shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/cfstore/src/flusher.rs crates/bench/src/fsck.rs"
 shard_layer_lines=$(nontest $shard_layer_files | wc -l)
 
+# Replay is apply (DESIGN.md §24): a WAL record is applied to the live
+# `Table`/`Region` objects by one piece of code, whether a write just
+# logged it, a sharded batch did, or a reopen found it. No shadow region
+# model to replay into, no second mutation enum to lower from, no
+# resolver beside `resolve_against_catalog`, no plan type beside
+# `Topology` — and outside wal.rs exactly one match arm takes a
+# `RegionSplit` apart.
+step "source gate (replay is apply)"
+if nontest $cfstore_src | grep -E 'struct Recovered(Region|Table)|fn apply_record|fn from_parts|enum ShardOp|fn apply_sharded_records|\benum Resolution\b|\bstruct Reshard\b'; then exit 1; fi
+if [ "$(nontest $(find crates/cfstore/src -name '*.rs' ! -name wal.rs) | grep -cE ': +WalRecord::RegionSplit \{' || true)" -gt 1 ]; then
+  echo "more than one RegionSplit destructuring outside wal.rs"; exit 1
+fi
+store_core_files="crates/cfstore/src/store.rs crates/cfstore/src/recovery.rs crates/cfstore/src/region.rs"
+store_core_lines=$(nontest $store_core_files | wc -l)
+
 # One prediction path, no fan-out (DESIGN.md §21): the optimizer spawns
 # no thread — a round of closed-form predictions costs less than one
 # spawn, and a service worker's search must stay on its own core — and
@@ -190,4 +205,6 @@ printf '%6d  total\n' "$SECONDS"
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + flusher.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
+# 2357 before replay was apply (DESIGN.md §24).
+printf '%6d  non-test lines in store.rs + recovery.rs + region.rs\n' "$store_core_lines"
 echo "CI OK"

@@ -14,14 +14,14 @@ use bytes::Bytes;
 use cfstore::recovery::{read_manifest, write_manifest, ManifestTable, MANIFEST_FILE};
 use cfstore::segment::{read_segment, write_segment};
 use cfstore::shard::resharding::{
-    read_catalog, read_journal, resolve_against_catalog, resolve_journal, Catalog, JournalRecord,
-    Resolution, TOPOLOGY_FILE,
+    read_catalog, read_journal, resolve_against_catalog, Catalog, JournalRecord, Pending,
+    TOPOLOGY_FILE,
 };
 use cfstore::shard::SHARDS_FILE;
 use cfstore::wal::{read_wal, WalRecord, WalWriter, WAL_FILE};
 use cfstore::{
-    CellVersion, CrashSpec, KeyRange, Manifest, Put, Reshard, ReshardPhase, RowData, SegmentReader,
-    ShardOptions, ShardedStore, SyncPolicy, Topology, WalTruncation,
+    CellVersion, CrashSpec, KeyRange, Manifest, MiniStore, Put, ReshardPhase, RowData,
+    SegmentReader, ShardOptions, ShardedStore, SyncPolicy, Topology, WalTruncation,
 };
 use mrsim::{MapPhase, ReducePhase};
 use profiler::{CostFactors, JobProfile, MapProfile, ReduceProfile};
@@ -222,7 +222,7 @@ fn shards_catalog_and_topology_journal_bytes_are_pinned() {
             .unwrap();
     }
     store
-        .begin_reshard(Reshard::to(2, 1).with_override(0, vec![1]))
+        .begin_reshard(Topology::uniform(2, 1).with_override(0, vec![1]))
         .unwrap();
     while store.reshard_step().unwrap().phase != ReshardPhase::Gc {}
     assert_golden(
@@ -249,7 +249,7 @@ fn shards_catalog_and_topology_journal_bytes_are_pinned() {
         topology: Topology::uniform(1, 1),
         epoch: 0,
     };
-    assert_eq!(read_catalog(&dir).unwrap(), Some(v1));
+    assert_eq!(read_catalog(&dir).unwrap(), Some(v1.clone()));
     std::fs::write(dir.join(SHARDS_FILE), unhex(SHARDS_V2_GOLDEN)).unwrap();
     let v2 = Catalog {
         topology: target_topology(),
@@ -275,8 +275,8 @@ fn shards_catalog_and_topology_journal_bytes_are_pinned() {
         ]
     );
     assert!(matches!(
-        resolve_journal(&scan.records).unwrap(),
-        Resolution::PostCutover { epoch: 1, .. }
+        resolve_against_catalog(&v1, &scan.records).unwrap(),
+        Pending::PostCutover { epoch: 1, .. }
     ));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -508,6 +508,23 @@ fn read_wal_image(dir: &Path, image: &[u8]) -> Verdict {
     }
 }
 
+/// The applier behind the reader: reopen a store over the image. A
+/// frame the scan keeps is replayed, and a re-sealed one may name a
+/// table, region or key range the log never made — refused, typed.
+fn replay_wal_image(dir: &Path, image: &[u8]) -> Verdict {
+    let dir = dir.join("replay");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(WAL_FILE), image).unwrap();
+    match measured(image, || MiniStore::open(&dir)) {
+        Ok((_, report)) if report.frames_replayed == 1 => Verdict::Accepted,
+        Ok(_) => Verdict::Noticed,
+        Err(e) => verdict_of(Err::<(), _>(e), |e| {
+            matches!(e, cfstore::RecoveryError::InconsistentLog { .. })
+        }),
+    }
+}
+
 fn read_manifest_image(dir: &Path, image: &[u8]) -> Verdict {
     std::fs::write(dir.join(MANIFEST_FILE), image).unwrap();
     verdict_of(measured(image, || read_manifest(dir)), is_corrupt_catalog)
@@ -683,6 +700,7 @@ fn every_reader_is_total_on_truncated_and_bit_flipped_files() {
     };
     let cases = [
         framed("wal.log", WAL_GOLDEN, read_wal_image, 0),
+        framed("wal.log replayed", WAL_GOLDEN, replay_wal_image, 0),
         framed("MANIFEST", MANIFEST_GOLDEN, read_manifest_image, 4),
         framed("SHARDS v1", SHARDS_V1_GOLDEN, read_catalog_image, 4),
         framed("SHARDS v2", SHARDS_V2_GOLDEN, read_catalog_image, 4),
@@ -761,5 +779,101 @@ fn a_sealed_wal_frame_claiming_four_billion_records_is_a_bad_record() {
         "{:?}",
         scan.truncation
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A log no writer of ours produces — every frame intact, some record
+/// naming what the store never held — is refused by the applier with a
+/// typed error that says which, on a reopen as it would be live.
+#[test]
+fn an_inconsistent_log_is_a_typed_refusal_not_a_panic() {
+    let create = WalRecord::CreateTable {
+        name: "t".into(),
+        families: vec!["f".into()],
+        split_threshold: 256,
+        root_region_id: 1,
+    };
+    let split = |table: &str, parent_id, split_key: &'static str| WalRecord::RegionSplit {
+        table: table.into(),
+        parent_id,
+        new_id: parent_id + 1,
+        split_key: Bytes::from(split_key),
+    };
+    let put = WalRecord::Put {
+        table: "ghost".into(),
+        row: Bytes::from("row1"),
+        family: "f".into(),
+        column: Bytes::from("c"),
+        value: Bytes::from("v"),
+        timestamp: 7,
+    };
+    let delete = WalRecord::DeleteRow {
+        table: "ghost".into(),
+        row: Bytes::from("row0"),
+    };
+    let unknown_table = "record references unknown table `ghost`";
+    let cases: [(Vec<WalRecord>, &str); 5] = [
+        (vec![create.clone(), put], unknown_table),
+        (vec![create.clone(), delete], unknown_table),
+        (vec![create.clone(), split("ghost", 1, "m")], unknown_table),
+        (
+            vec![create.clone(), split("t", 9, "m")],
+            "split of unknown region 9 in `t`",
+        ),
+        (
+            vec![create, split("t", 1, "m"), split("t", 1, "q")],
+            "split key outside region 1 of `t`",
+        ),
+    ];
+    for (records, want) in cases {
+        let dir = tmp_dir("inconsistent");
+        let path = dir.join(WAL_FILE);
+        let mut w =
+            WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        for record in &records {
+            w.append(std::slice::from_ref(record)).unwrap();
+        }
+        drop(w);
+        match MiniStore::open(&dir) {
+            Err(cfstore::RecoveryError::InconsistentLog { detail }) => assert_eq!(detail, want),
+            Err(e) => panic!("{records:?}: not the typed refusal: {e}"),
+            Ok(_) => panic!("{records:?}: an inconsistent log opened"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // Ids and timestamps at the top of their range are not the applier's
+    // to overflow on either.
+    let dir = tmp_dir("saturating");
+    let mut w = WalWriter::open(
+        &dir.join(WAL_FILE),
+        0,
+        1,
+        SyncPolicy::EveryOp,
+        CrashSpec::default(),
+    )
+    .unwrap();
+    let records = [
+        WalRecord::CreateTable {
+            name: "t".into(),
+            families: vec!["f".into()],
+            split_threshold: 256,
+            root_region_id: u64::MAX,
+        },
+        WalRecord::Put {
+            table: "t".into(),
+            row: Bytes::from("row1"),
+            family: "f".into(),
+            column: Bytes::from("c"),
+            value: Bytes::from("v"),
+            timestamp: u64::MAX,
+        },
+    ];
+    w.append(&records).unwrap();
+    drop(w);
+    let (store, report) = MiniStore::open(&dir).unwrap();
+    assert_eq!(report.records_replayed, 2);
+    assert_eq!(store.meta_entries()[0].region_id, u64::MAX);
+    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }

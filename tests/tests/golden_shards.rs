@@ -32,7 +32,8 @@ use std::path::{Path, PathBuf};
 
 use cfstore::shard::resharding::TOPOLOGY_FILE;
 use cfstore::{
-    Put, Reshard, ReshardPhase, Scan, ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError,
+    Put, ReshardPhase, Scan, ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError,
+    Topology,
 };
 use pstorm_tests::{disk_digest, fnv, FNV_BASIS};
 
@@ -461,7 +462,7 @@ fn corrupt_block_healed_through_put_is_pinned() {
 /// One plan, twice: run clean to `Done`; then torn mid-copy by a
 /// `crash_topology` budget that dies inside the second `Copied` append,
 /// reopened, written to while the migration is parked, and resumed.
-fn reshard_transcript(tag: &str, init: (u32, u32), plan: Reshard) -> String {
+fn reshard_transcript(tag: &str, init: (u32, u32), plan: Topology) -> String {
     let mut t = Transcript::new();
     let after = plan.shards;
     let widest = init.0.max(after);
@@ -529,7 +530,7 @@ fn reshard_transcript(tag: &str, init: (u32, u32), plan: Reshard) -> String {
     t.out
 }
 
-fn check_reshard(name: &str, init: (u32, u32), plan: Reshard, want: &str) {
+fn check_reshard(name: &str, init: (u32, u32), plan: Topology, want: &str) {
     let t = Transcript {
         out: reshard_transcript(name, init, plan),
     };
@@ -790,12 +791,17 @@ disk 0x493d88c43e0a5e47
 
 #[test]
 fn grow_3_to_5_is_pinned() {
-    check_reshard("GROW_3_TO_5", (3, 2), Reshard::to(5, 2), GROW_3_TO_5);
+    check_reshard("GROW_3_TO_5", (3, 2), Topology::uniform(5, 2), GROW_3_TO_5);
 }
 
 #[test]
 fn shrink_5_to_2_is_pinned() {
-    check_reshard("SHRINK_5_TO_2", (5, 2), Reshard::to(2, 2), SHRINK_5_TO_2);
+    check_reshard(
+        "SHRINK_5_TO_2",
+        (5, 2),
+        Topology::uniform(2, 2),
+        SHRINK_5_TO_2,
+    );
 }
 
 #[test]
@@ -803,7 +809,7 @@ fn replication_2_to_3_is_pinned() {
     check_reshard(
         "REPLICATION_2_TO_3",
         (3, 2),
-        Reshard::to(3, 3),
+        Topology::uniform(3, 3),
         REPLICATION_2_TO_3,
     );
 }
@@ -813,7 +819,7 @@ fn override_plan_is_pinned() {
     check_reshard(
         "OVERRIDE_SLOT_0",
         (3, 2),
-        Reshard::to(3, 2).with_override(0, vec![2, 0]),
+        Topology::uniform(3, 2).with_override(0, vec![2, 0]),
         OVERRIDE_SLOT_0,
     );
 }
@@ -877,7 +883,7 @@ fn heal_mid_migration_then_abort_is_pinned() {
     drop(seeded(&dir, 3, 2, 7, 60));
     let reg = obs::Registry::new();
     let (store, _) = open(&dir, opts(3, 2), &reg);
-    store.begin_reshard(Reshard::to(5, 2)).expect("begin");
+    store.begin_reshard(Topology::uniform(5, 2)).expect("begin");
     for _ in 0..2 {
         let status = store.reshard_step().expect("copy step");
         t.note(format!("step {status:?}"));
@@ -962,7 +968,7 @@ fn lost_copied_unit_mid_migration_is_pinned() {
     drop(seeded(&dir, 3, 2, 9, 60));
     {
         let (store, _) = open(&dir, opts(3, 2), &obs::Registry::disabled());
-        store.begin_reshard(Reshard::to(5, 2)).expect("begin");
+        store.begin_reshard(Topology::uniform(5, 2)).expect("begin");
         for _ in 0..3 {
             let status = store.reshard_step().expect("copy step");
             t.note(format!("step {status:?}"));

@@ -29,8 +29,8 @@ use std::path::{Path, PathBuf};
 
 use cfstore::shard::resharding::TOPOLOGY_FILE;
 use cfstore::{
-    CrashSpec, MiniStore, Put, Reshard, ReshardPhase, RowResult, Scan, ShardOptions, ShardedStore,
-    StoreError, SyncPolicy,
+    CrashSpec, MiniStore, Put, ReshardPhase, RowResult, Scan, ShardOptions, ShardedStore,
+    StoreError, SyncPolicy, Topology,
 };
 
 const TABLE: &str = "profiles";
@@ -167,11 +167,11 @@ fn oracle_prefixes(tag: &str, ops: &[Op]) -> Vec<Vec<RowResult>> {
 }
 
 /// The three plan shapes the acceptance sweep must survive.
-fn scenarios() -> Vec<(&'static str, (u32, u32), Reshard)> {
+fn scenarios() -> Vec<(&'static str, (u32, u32), Topology)> {
     vec![
-        ("grow", (3, 2), Reshard::to(4, 2)),
-        ("shrink", (3, 2), Reshard::to(2, 2)),
-        ("repl", (3, 2), Reshard::to(3, 3)),
+        ("grow", (3, 2), Topology::uniform(4, 2)),
+        ("shrink", (3, 2), Topology::uniform(2, 2)),
+        ("repl", (3, 2), Topology::uniform(3, 3)),
     ]
 }
 
@@ -190,7 +190,7 @@ struct RunOutcome {
 fn drive_inner(
     store: &ShardedStore,
     ops: &[Op],
-    plan: &Reshard,
+    plan: &Topology,
     out: &mut RunOutcome,
 ) -> Result<(), StoreError> {
     let half = ops.len() / 2;
@@ -216,7 +216,7 @@ fn drive_inner(
     }
 }
 
-fn drive(store: &ShardedStore, ops: &[Op], plan: &Reshard) -> RunOutcome {
+fn drive(store: &ShardedStore, ops: &[Op], plan: &Topology) -> RunOutcome {
     let mut out = RunOutcome {
         applied: 0,
         in_flight: None,
@@ -237,7 +237,7 @@ fn check_crash_point(
     tag: &str,
     ops: &[Op],
     init: (u32, u32),
-    plan: &Reshard,
+    plan: &Topology,
     crash_shard: Option<(u32, u64)>,
     crash_topology: Option<u64>,
     oracles: &[Vec<RowResult>],
@@ -351,7 +351,7 @@ fn check_crash_point(
 
 /// Journal length of a clean run of the canonical interleaving, right
 /// after the `Cutover` append (its maximum) — the sweep range for (a).
-fn measure_journal_len(ops: &[Op], init: (u32, u32), plan: &Reshard) -> u64 {
+fn measure_journal_len(ops: &[Op], init: (u32, u32), plan: &Topology) -> u64 {
     let dir = tmp_dir("measure-topo");
     init_store(&dir, init);
     let store = open_sharded(
@@ -384,7 +384,7 @@ fn measure_journal_len(ops: &[Op], init: (u32, u32), plan: &Reshard) -> u64 {
 /// Per-original-shard WAL sizes after all ops of the canonical
 /// interleaving (measured mid-migration, before GC can drop a shard) —
 /// the sweep range for (b).
-fn measure_wal_lens(ops: &[Op], init: (u32, u32), plan: &Reshard) -> Vec<u64> {
+fn measure_wal_lens(ops: &[Op], init: (u32, u32), plan: &Topology) -> Vec<u64> {
     let dir = tmp_dir("measure-wal");
     init_store(&dir, init);
     let store = open_sharded(
@@ -570,7 +570,7 @@ fn rebalance_overrides_survive_reshard_and_reopen() {
     for op in &ops {
         apply_sharded(&store, op).expect("workload op");
     }
-    let plan = Reshard::to(3, 2).with_override(0, vec![2, 0]);
+    let plan = Topology::uniform(3, 2).with_override(0, vec![2, 0]);
     let status = store.reshard(plan).expect("reshard");
     assert_eq!(status.phase, ReshardPhase::Done);
     assert_eq!(status.epoch, 1);
@@ -677,7 +677,9 @@ fn matcher_output_is_unchanged_mid_migration() {
 
     // Begin a grow and copy one unit: old epoch must keep serving.
     let handle = sharded.sharded().expect("sharded backend");
-    handle.begin_reshard(Reshard::to(4, 2)).expect("begin");
+    handle
+        .begin_reshard(Topology::uniform(4, 2))
+        .expect("begin");
     handle.reshard_step().expect("one copy step");
     assert_same(&sharded, "mid-migration (old epoch serves)");
 
@@ -739,7 +741,7 @@ fn fsck_crosschecks_catalog_journal_and_shard_dirs() {
         for op in &ops {
             apply_sharded(&store, op).expect("workload op");
         }
-        store.begin_reshard(Reshard::to(4, 2)).expect("begin");
+        store.begin_reshard(Topology::uniform(4, 2)).expect("begin");
         store.reshard_step().expect("one step");
     }
     let journal = dir.join(TOPOLOGY_FILE);
@@ -762,7 +764,7 @@ fn fsck_crosschecks_catalog_journal_and_shard_dirs() {
         for op in &ops {
             apply_sharded(&store, op).expect("workload op");
         }
-        store.begin_reshard(Reshard::to(4, 2)).expect("begin");
+        store.begin_reshard(Topology::uniform(4, 2)).expect("begin");
         drop(store);
         std::fs::read(dir_a.join(TOPOLOGY_FILE)).expect("read journal")
     };
@@ -787,7 +789,7 @@ fn fsck_crosschecks_catalog_journal_and_shard_dirs() {
         for op in &ops {
             apply_sharded(&store, op).expect("workload op");
         }
-        let mut status = store.begin_reshard(Reshard::to(4, 2)).expect("begin");
+        let mut status = store.begin_reshard(Topology::uniform(4, 2)).expect("begin");
         while status.phase != ReshardPhase::Gc {
             status = store.reshard_step().expect("step");
         }
