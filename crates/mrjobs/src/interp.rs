@@ -1217,6 +1217,488 @@ mod tests {
         assert_eq!(out[0], (ints(&[1, 2]), ints(&[2, 1])));
     }
 
+    /// What a UDF sees of a split text: each row is a mapper body run over
+    /// one line, with the pairs it emits (their `Debug` rendering, so an
+    /// `Int` is not a `Float` and a list is not its text) and the whole of
+    /// its [`ExecStats`], or the error it stops with.
+    #[test]
+    fn pieces_behave_as_the_list_they_stand_for() {
+        type Expected = Result<(&'static str, [u64; 3]), InterpError>;
+        let split = |text: Expr, sep: &str| call(Builtin::Split, vec![text, c_text(sep)]);
+        let on = |b: Builtin, x: Expr| call(b, vec![x]);
+        let to_text = |x: Expr| call(Builtin::ToText, vec![x]);
+        let f_of_tokens = || assign("f", tokenize(var("value")));
+        let type_error = |expected: &'static str, got: &str| {
+            Err(InterpError::TypeError {
+                expected,
+                got: got.to_string(),
+            })
+        };
+        let table: Vec<(&str, &str, Vec<Stmt>, Expected)> = vec![
+            (
+                "separators leading, trailing and doubled",
+                " a  b ",
+                vec![
+                    assign("f", split(var("value"), " ")),
+                    emit(var("f"), len(var("f"))),
+                    emit(index(var("f"), c_int(0)), index(var("f"), c_int(1))),
+                    emit(tokenize(var("value")), not_empty(index(var("f"), c_int(2)))),
+                ],
+                Ok((
+                    "[(List([Text(\"\"), Text(\"a\"), Text(\"\"), Text(\"b\"), Text(\"\")]), Int(5)), (Text(\"\"), Text(\"a\")), (List([Text(\"a\"), Text(\"b\")]), Int(0))]",
+                    [45, 3, 38],
+                )),
+            ),
+            (
+                "no separator found, and the empty separator",
+                "nosep",
+                vec![
+                    assign("f", split(var("value"), ",")),
+                    assign("e", split(var("value"), "")),
+                    emit(var("f"), var("e")),
+                    emit(index(var("e"), c_int(0)), len(var("e"))),
+                    emit(split(c_text(""), ","), split(c_text(""), "")),
+                ],
+                Ok((
+                    "[(List([Text(\"nosep\")]), List([Text(\"nosep\")])), (Text(\"nosep\"), Int(1)), (List([Text(\"\")]), List([Text(\"\")]))]",
+                    [50, 3, 44],
+                )),
+            ),
+            (
+                "a multi-byte separator between multi-byte pieces",
+                "é→ü→→ß",
+                vec![
+                    assign("m", split(var("value"), "→")),
+                    emit(var("m"), len(index(var("m"), c_int(0)))),
+                    emit(
+                        call(
+                            Builtin::Substr,
+                            vec![index(var("m"), c_int(3)), c_int(1), c_int(2)],
+                        ),
+                        on(Builtin::Lower, index(var("m"), c_int(1))),
+                    ),
+                ],
+                Ok((
+                    "[(List([Text(\"é\"), Text(\"ü\"), Text(\"\"), Text(\"ß\")]), Int(2)), (Text(\"ß\"), Text(\"ü\"))]",
+                    [44, 2, 28],
+                )),
+            ),
+            (
+                "a split and a tokenize of a piece",
+                "k a,b,c 7",
+                vec![
+                    assign("f", split(var("value"), " ")),
+                    assign("c", split(index(var("f"), c_int(1)), ",")),
+                    emit(var("c"), index(var("c"), c_int(2))),
+                    emit(
+                        tokenize(index(var("f"), c_int(1))),
+                        split(index(var("c"), c_int(1)), ""),
+                    ),
+                    emit(
+                        on(Builtin::ParseInt, index(var("f"), c_int(2))),
+                        on(Builtin::ParseFloat, index(var("f"), c_int(2))),
+                    ),
+                ],
+                Ok((
+                    "[(List([Text(\"a\"), Text(\"b\"), Text(\"c\")]), Text(\"c\")), (List([Text(\"a,b,c\")]), List([Text(\"b\")])), (Int(7), Float(OrderedF64(7.0)))]",
+                    [73, 3, 44],
+                )),
+            ),
+            (
+                "tokenize of whitespace and of nothing",
+                "  \t ",
+                vec![
+                    emit(tokenize(var("value")), tokenize(c_text(""))),
+                    emit(
+                        len(tokenize(var("value"))),
+                        not_empty(tokenize(var("value"))),
+                    ),
+                    emit(
+                        on(Builtin::SumList, tokenize(var("value"))),
+                        index(tokenize(var("value")), c_int(0)),
+                    ),
+                ],
+                Ok((
+                    "[(List([]), List([])), (Int(0), Int(0)), (Int(0), Null)]",
+                    [59, 3, 33],
+                )),
+            ),
+            (
+                "index below 0, past the end and by a Float",
+                "a b c",
+                vec![
+                    f_of_tokens(),
+                    emit(index(var("f"), c_int(-1)), index(var("f"), c_int(3))),
+                    emit(index(var("f"), c_float(1.9)), index(var("f"), c_float(-0.5))),
+                    emit(
+                        index(var("f"), c_int(i64::MIN)),
+                        index(var("f"), c_int(i64::MAX)),
+                    ),
+                ],
+                Ok((
+                    "[(Null, Null), (Text(\"b\"), Text(\"a\")), (Null, Null)]",
+                    [46, 3, 8],
+                )),
+            ),
+            (
+                "the list of pieces as key and as value",
+                "ab c",
+                vec![f_of_tokens(), emit(var("f"), var("f"))],
+                Ok((
+                    "[(List([Text(\"ab\"), Text(\"c\")]), List([Text(\"ab\"), Text(\"c\")]))]",
+                    [12, 1, 18],
+                )),
+            ),
+            (
+                "a piece as MapAdd key and pushed to a list",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    assign("acc", call(Builtin::EmptyMap, vec![])),
+                    assign("l", call(Builtin::EmptyList, vec![])),
+                    Stmt::MapAdd("acc", index(var("f"), c_int(0)), c_int(1)),
+                    Stmt::MapAdd("acc", index(var("f"), c_int(0)), c_float(0.5)),
+                    Stmt::MapAdd("acc", index(var("f"), c_int(2)), c_int(1)),
+                    Stmt::MapAdd("acc", var("f"), c_int(1)),
+                    Stmt::ListPush("l", index(var("f"), c_int(1))),
+                    Stmt::ListPush("l", var("f")),
+                    emit(var("l"), var("acc")),
+                ],
+                Ok((
+                    "[(List([Text(\"b\"), List([Text(\"a\"), Text(\"b\")])]), Map({\"[a, b]\": Int(1), \"a\": Float(OrderedF64(1.5)), \"null\": Int(1)}))]",
+                    [50, 1, 56],
+                )),
+            ),
+            (
+                "a loop over pieces is a snapshot",
+                "a b c",
+                vec![
+                    f_of_tokens(),
+                    for_each(
+                        "p",
+                        var("f"),
+                        vec![
+                            assign("n", len(var("f"))),
+                            Stmt::ListPush("f", var("p")),
+                            if_then(
+                                eq(var("p"), c_text("b")),
+                                vec![assign("f", split(var("value"), "b"))],
+                            ),
+                            emit(var("p"), var("n")),
+                        ],
+                    ),
+                    emit(var("f"), len(var("f"))),
+                ],
+                Ok((
+                    "[(Text(\"a\"), Int(3)), (Text(\"b\"), Int(4)), (Text(\"c\"), Int(2)), (List([Text(\"a \"), Text(\" c\"), Text(\"c\")]), Int(3))]",
+                    [76, 4, 50],
+                )),
+            ),
+            (
+                "a copy is a copy",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    assign("g", var("f")),
+                    Stmt::ListPush("g", c_text("z")),
+                    emit(var("f"), var("g")),
+                    emit(
+                        eq(var("f"), var("g")),
+                        eq(var("f"), split(var("value"), " ")),
+                    ),
+                    emit(
+                        lt(var("f"), var("g")),
+                        eq(index(var("f"), c_int(0)), c_text("a")),
+                    ),
+                ],
+                Ok((
+                    "[(List([Text(\"a\"), Text(\"b\")]), List([Text(\"a\"), Text(\"b\"), Text(\"z\")])), (Int(0), Int(1)), (Int(1), Int(1))]",
+                    [44, 3, 50],
+                )),
+            ),
+            (
+                "sort, hash and to_text of the whole list",
+                "b a b",
+                vec![
+                    f_of_tokens(),
+                    emit(on(Builtin::SortList, var("f")), var("f")),
+                    emit(
+                        on(Builtin::Hash, var("f")),
+                        on(Builtin::Hash, index(var("f"), c_int(1))),
+                    ),
+                    emit(to_text(var("f")), to_text(index(var("f"), c_int(0)))),
+                    emit(
+                        concat(var("f"), index(var("f"), c_int(1))),
+                        add(index(var("f"), c_int(0)), index(var("f"), c_int(1))),
+                    ),
+                ],
+                Ok((
+                    "[(List([Text(\"a\"), Text(\"b\"), Text(\"b\")]), List([Text(\"b\"), Text(\"a\"), Text(\"b\")])), (Int(8041881893901685), Int(6319093600277820998)), (Text(\"[b, a, b]\"), Text(\"b\")), (Text(\"[b, a, b]a\"), Text(\"ba\"))]",
+                    [89, 4, 62],
+                )),
+            ),
+            (
+                "texts read where they lie",
+                "Ab 12 3.5 ",
+                vec![
+                    assign("f", split(var("value"), " ")),
+                    emit(
+                        on(Builtin::ParseInt, index(var("f"), c_int(1))),
+                        on(Builtin::ParseFloat, index(var("f"), c_int(2))),
+                    ),
+                    emit(
+                        call(
+                            Builtin::Contains,
+                            vec![index(var("f"), c_int(0)), index(var("f"), c_int(3))],
+                        ),
+                        call(
+                            Builtin::Contains,
+                            vec![index(var("f"), c_int(3)), index(var("f"), c_int(0))],
+                        ),
+                    ),
+                    emit(
+                        on(Builtin::Lower, index(var("f"), c_int(0))),
+                        call(
+                            Builtin::Substr,
+                            vec![index(var("f"), c_int(2)), c_int(1), c_int(9)],
+                        ),
+                    ),
+                    emit(
+                        len(index(var("f"), c_int(2))),
+                        not_empty(index(var("f"), c_int(3))),
+                    ),
+                    emit(
+                        bin(
+                            BinOp::And,
+                            index(var("f"), c_int(0)),
+                            index(var("f"), c_int(3)),
+                        ),
+                        bin(BinOp::Or, index(var("f"), c_int(3)), var("f")),
+                    ),
+                    emit(
+                        call(
+                            Builtin::MapGet,
+                            vec![call(Builtin::EmptyMap, vec![]), index(var("f"), c_int(0))],
+                        ),
+                        call(
+                            Builtin::MakePair,
+                            vec![index(var("f"), c_int(0)), var("f")],
+                        ),
+                    ),
+                ],
+                Ok((
+                    "[(Int(12), Float(OrderedF64(3.5))), (Int(1), Int(0)), (Text(\"ab\"), Text(\".5\")), (Int(3), Int(0)), (Int(0), Int(1)), (Null, Pair((Text(\"Ab\"), List([Text(\"Ab\"), Text(\"12\"), Text(\"3.5\"), Text(\"\")]))))]",
+                    [143, 6, 89],
+                )),
+            ),
+            (
+                "parse_float of a list is 0.0, not an error",
+                "1 2",
+                vec![
+                    f_of_tokens(),
+                    emit(
+                        on(Builtin::ParseFloat, var("f")),
+                        on(Builtin::ParseInt, var("f")),
+                    ),
+                ],
+                Ok((
+                    "[(Float(OrderedF64(0.0)), Int(0))]",
+                    [18, 1, 16],
+                )),
+            ),
+            (
+                "first of a list",
+                "a b",
+                vec![f_of_tokens(), emit(first(var("f")), c_int(0))],
+                type_error("pair", "List"),
+            ),
+            (
+                "sum of a list of texts",
+                "1 2",
+                vec![f_of_tokens(), emit(on(Builtin::SumList, var("f")), c_int(0))],
+                type_error("number", "Text"),
+            ),
+            (
+                "index of a piece",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    emit(index(index(var("f"), c_int(0)), c_int(0)), c_int(0)),
+                ],
+                type_error("list", "Text"),
+            ),
+            (
+                "index by a piece",
+                "1 2",
+                vec![
+                    f_of_tokens(),
+                    emit(index(var("f"), index(var("f"), c_int(0))), c_int(0)),
+                ],
+                type_error("int", "Text"),
+            ),
+            (
+                "split of a list",
+                "a b",
+                vec![f_of_tokens(), emit(split(var("f"), " "), c_int(0))],
+                type_error("text", "List"),
+            ),
+            (
+                "split by a list",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    emit(
+                        call(Builtin::Split, vec![index(var("f"), c_int(0)), var("f")]),
+                        c_int(0),
+                    ),
+                ],
+                type_error("text", "List"),
+            ),
+            (
+                "map_get of a list",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    emit(
+                        call(Builtin::MapGet, vec![var("f"), index(var("f"), c_int(0))]),
+                        c_int(0),
+                    ),
+                ],
+                type_error("map", "List"),
+            ),
+            (
+                "MapAdd into a list of pieces",
+                "a b",
+                vec![f_of_tokens(), Stmt::MapAdd("f", c_text("a"), c_int(1))],
+                type_error("map", "List"),
+            ),
+            (
+                "a loop over a piece",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    for_each("p", index(var("f"), c_int(0)), vec![]),
+                ],
+                type_error("list", "Text"),
+            ),
+            (
+                "a range bounded by a list",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    for_each(
+                        "i",
+                        call(Builtin::Range, vec![c_int(0), var("f")]),
+                        vec![],
+                    ),
+                ],
+                type_error("int", "List"),
+            ),
+            (
+                "substr of a list",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    emit(
+                        call(Builtin::Substr, vec![var("f"), c_int(0), c_int(1)]),
+                        c_int(0),
+                    ),
+                ],
+                type_error("text", "List"),
+            ),
+            (
+                "len of what index found past the end",
+                "a b",
+                vec![f_of_tokens(), emit(len(index(var("f"), c_int(2))), c_int(0))],
+                type_error("text/list/map", "Null"),
+            ),
+            (
+                "min of a piece and a number",
+                "1 2",
+                vec![
+                    f_of_tokens(),
+                    emit(
+                        call(Builtin::Min, vec![index(var("f"), c_int(0)), c_int(1)]),
+                        c_int(0),
+                    ),
+                ],
+                type_error("number", "Text"),
+            ),
+            (
+                "a list plus a number",
+                "1 2",
+                vec![f_of_tokens(), emit(add(var("f"), c_int(1)), c_int(0))],
+                type_error("number", "List Add Int"),
+            ),
+            (
+                "a piece times a piece",
+                "1 2",
+                vec![
+                    f_of_tokens(),
+                    emit(
+                        mul(index(var("f"), c_int(0)), index(var("f"), c_int(1))),
+                        c_int(0),
+                    ),
+                ],
+                type_error("number", "Text Mul Text"),
+            ),
+            (
+                "the step limit inside a loop over pieces",
+                "a b",
+                vec![
+                    f_of_tokens(),
+                    for_each(
+                        "p",
+                        var("f"),
+                        vec![while_loop(var("p"), vec![assign("x", var("p"))])],
+                    ),
+                ],
+                Err(InterpError::StepLimitExceeded),
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (name, line, body, expected) in table {
+            let mut out = vec![];
+            let got = run_map(
+                &Udf::mapper(name, body),
+                &no_params(),
+                &Value::Null,
+                &Value::text(line),
+                &mut out,
+            )
+            .map(|s| (format!("{out:?}"), [s.ops, s.records_out, s.bytes_out]));
+            let got = got
+                .as_ref()
+                .map(|(pairs, stats)| (pairs.as_str(), *stats))
+                .map_err(Clone::clone);
+            if got != expected {
+                wrong.push(format!("{name}: {got:?}"));
+            }
+        }
+        assert!(wrong.is_empty(), "rows that moved:\n{}", wrong.join("\n"));
+
+        // A reducer that rebinds its second input to a split hands the
+        // list of its pieces back.
+        let rebinding = Udf::reducer(
+            "r",
+            vec![
+                assign("values", split(var("key"), ",")),
+                emit(var("key"), len(var("values"))),
+            ],
+        );
+        let mut interp = Interp::new(&rebinding, &no_params());
+        let mut out = vec![];
+        interp
+            .run(Value::text("a,b"), Value::list(vec![]), &mut out)
+            .unwrap();
+        assert_eq!(out, vec![(Value::text("a,b"), Value::Int(2))]);
+        assert_eq!(
+            interp.take_second(),
+            Some(Value::list(vec![Value::text("a"), Value::text("b")]))
+        );
+        assert_eq!(interp.take_second(), None);
+    }
+
     #[test]
     fn value_hash_is_deterministic_and_spreads() {
         let h1 = value_hash(&Value::text("alpha"));

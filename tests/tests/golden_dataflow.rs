@@ -4,10 +4,11 @@
 //! reproduction costs, so it gets rewritten for speed — and every profile,
 //! matcher decision, CBO recommendation and virtual runtime downstream is
 //! a function of the `Dataflow` it returns. This suite pins that function:
-//! for each of the 58 suite submissions, and for two synthetic jobs built
+//! for each of the 58 suite submissions, for two synthetic jobs built
 //! to sit on the grouping's sharp edges (mixed numeric keys; keys hostile
-//! to a byte encoding of the order), a digest over every `Dataflow`
-//! field by `to_bits` plus the summed `ExecStats` of the map, combine and
+//! to a byte encoding of the order) and for one built to sit on the
+//! interpreter's (the pieces of a split text, held, read and stored every
+//! way the IR allows), a digest over every `Dataflow` field by `to_bits` plus the summed `ExecStats` of the map, combine and
 //! reduce UDFs. A diff in these literals is a change in what the simulator
 //! measures, never a snapshot to regenerate for a refactor.
 //!
@@ -357,6 +358,195 @@ fn synthetic_hostile_keys() -> (JobSpec, Dataset) {
     (spec, Dataset::new("synthetic", records, 10 << 30))
 }
 
+/// Every way a UDF can hold, read and store the pieces of a text.
+///
+/// * The texts: separators leading, trailing and doubled (empty pieces),
+///   absent, and empty (one piece, the text itself); a multi-byte
+///   separator between multi-byte pieces; lines that are empty or all
+///   whitespace.
+/// * The reads: `index` below 0, past the end and by a `Float`; a `split`
+///   of a piece; `len`, `not_empty`, `to_text`, `parse_int`/`parse_float`,
+///   `contains`, `lower`, `substr`, `concat`, `+`, `==` and `<` on pieces
+///   and on what `index` hands back when there is none.
+/// * The stores: the list of pieces itself emitted as a key (the key
+///   arena's opaque path) and as a value (`serialized_size` = 4 + Σ), a
+///   piece as a `MapAdd` key and pushed to a list, `sort_list`, `hash` and
+///   `to_text` of the whole list.
+/// * The aliasing: a `for` over the list whose body reads, pushes to and
+///   reassigns the variable it iterates (the loop is a snapshot), and a
+///   copy `g = t` that a push to `g` must not show through.
+///
+/// Combiner and reducer split and tokenize again — the printed form of
+/// whatever value the mapper emitted — so all three UDFs take the paths.
+fn synthetic_hostile_pieces() -> (JobSpec, Dataset) {
+    let split = |text: mrjobs::Expr, sep: &str| call(Builtin::Split, vec![text, c_text(sep)]);
+    let on = |b: Builtin, x: mrjobs::Expr| call(b, vec![x]);
+    let to_text = |x: mrjobs::Expr| call(Builtin::ToText, vec![x]);
+    let push = |list: &'static str, x: mrjobs::Expr| mrjobs::Stmt::ListPush(list, x);
+    let map_add = |map: &'static str, k: mrjobs::Expr| mrjobs::Stmt::MapAdd(map, k, c_int(1));
+    let mapper = Udf::mapper(
+        "HostilePiecesMapper",
+        vec![
+            assign("f", split(var("value"), " ")),
+            assign("t", tokenize(var("value"))),
+            emit(len(var("f")), len(var("t"))),
+            assign("e", split(var("value"), "")),
+            emit(index(var("e"), c_int(0)), len(var("e"))),
+            assign("m", split(var("value"), "→")),
+            emit(var("m"), index(var("m"), c_int(1))),
+            emit(index(var("f"), c_int(-1)), index(var("f"), c_int(99))),
+            emit(index(var("f"), c_float(1.9)), index(var("t"), c_float(0.2))),
+            if_then(
+                gt(len(var("f")), c_int(1)),
+                vec![
+                    assign("c", split(index(var("f"), c_int(1)), ",")),
+                    emit(index(var("c"), c_int(0)), var("c")),
+                    emit(
+                        concat(index(var("f"), c_int(0)), index(var("f"), c_int(1))),
+                        add(index(var("f"), c_int(0)), index(var("c"), c_int(0))),
+                    ),
+                ],
+            ),
+            emit(
+                not_empty(index(var("t"), c_int(0))),
+                on(Builtin::ParseInt, index(var("f"), c_int(2))),
+            ),
+            emit(
+                on(Builtin::ParseFloat, index(var("t"), c_int(2))),
+                call(
+                    Builtin::Contains,
+                    vec![to_text(index(var("t"), c_int(0))), c_text("a")],
+                ),
+            ),
+            emit(
+                on(Builtin::Lower, to_text(index(var("t"), c_int(0)))),
+                call(
+                    Builtin::Substr,
+                    vec![to_text(index(var("t"), c_int(1))), c_int(0), c_int(2)],
+                ),
+            ),
+            emit(
+                len(to_text(index(var("t"), c_int(0)))),
+                lt(index(var("t"), c_int(0)), index(var("t"), c_int(1))),
+            ),
+            assign("acc", call(Builtin::EmptyMap, vec![])),
+            assign("l", call(Builtin::EmptyList, vec![])),
+            map_add("acc", index(var("t"), c_int(0))),
+            map_add("acc", index(var("f"), c_int(0))),
+            push("l", index(var("t"), c_int(1))),
+            push("l", var("t")),
+            emit(var("l"), var("acc")),
+            for_each(
+                "p",
+                var("f"),
+                vec![
+                    assign("n", len(var("f"))),
+                    push("f", var("p")),
+                    if_then(
+                        eq(var("p"), c_text("b")),
+                        vec![assign("f", tokenize(var("value")))],
+                    ),
+                    emit(var("p"), var("n")),
+                ],
+            ),
+            emit(var("f"), len(var("f"))),
+            assign("g", var("t")),
+            push("g", c_text("z")),
+            emit(eq(var("t"), var("g")), eq(var("t"), tokenize(var("value")))),
+            emit(len(var("t")), len(var("g"))),
+            emit(to_text(var("t")), on(Builtin::Hash, var("t"))),
+            emit(on(Builtin::SortList, var("f")), not_empty(var("m"))),
+            emit(
+                on(Builtin::Hash, index(var("t"), c_int(0))),
+                on(Builtin::ParseFloat, var("t")),
+            ),
+        ],
+    );
+    let combiner = Udf::reducer(
+        "HostilePiecesCombiner",
+        vec![
+            assign("out", call(Builtin::EmptyList, vec![])),
+            assign("acc", call(Builtin::EmptyMap, vec![])),
+            for_each(
+                "v",
+                var("values"),
+                vec![
+                    assign("parts", split(to_text(var("v")), ",")),
+                    push("out", index(var("parts"), c_int(0))),
+                    push("out", len(tokenize(to_text(var("v"))))),
+                    for_each(
+                        "q",
+                        var("parts"),
+                        vec![if_then(not_empty(var("q")), vec![map_add("acc", var("q"))])],
+                    ),
+                ],
+            ),
+            emit(var("key"), var("out")),
+            emit(to_text(var("key")), var("acc")),
+        ],
+    );
+    let reducer = Udf::reducer(
+        "HostilePiecesReducer",
+        vec![
+            assign("joined", c_text("")),
+            assign("n", c_int(0)),
+            for_each(
+                "v",
+                var("values"),
+                vec![
+                    assign("w", tokenize(to_text(var("v")))),
+                    assign(
+                        "joined",
+                        concat(var("joined"), to_text(index(var("w"), c_int(0)))),
+                    ),
+                    assign("n", add(var("n"), len(split(to_text(var("v")), ", ")))),
+                ],
+            ),
+            emit(var("key"), var("joined")),
+            emit(split(to_text(var("key")), ""), var("n")),
+        ],
+    );
+    let spec = JobSpec::builder("synthetic-hostile-pieces")
+        .map_types(ValueType::Int, ValueType::Text)
+        .intermediate_types(ValueType::Text, ValueType::Text)
+        .output_types(ValueType::Text, ValueType::Text)
+        .mapper("HostilePiecesMapper", mapper)
+        .combiner("HostilePiecesCombiner", combiner)
+        .reducer("HostilePiecesReducer", reducer)
+        .build();
+    let lines = [
+        " a b  c ",
+        "nosep",
+        "",
+        "  \t ",
+        "b x,y,,z 3.5 tail",
+        "é→ü→→ß",
+        "→",
+        "αβγ δ,ε ζ 7",
+        "a,b c,d 12 b",
+        "x  ",
+        "b",
+        " , ",
+    ];
+    let suffixes = ["", " 4", "→9,9"];
+    let records = (0..1_200usize)
+        .map(|i| {
+            let line = lines[i % lines.len()];
+            let suffix = suffixes[i / lines.len() % suffixes.len()];
+            let tag = if i % 5 == 0 {
+                format!(" r{}", i % 7)
+            } else {
+                String::new()
+            };
+            Record::new(
+                Value::Int(i as i64),
+                Value::text(format!("{line}{suffix}{tag}")),
+            )
+        })
+        .collect();
+    (spec, Dataset::new("synthetic", records, 10 << 30))
+}
+
 fn cases() -> Vec<(String, JobSpec, Dataset)> {
     let mut cases: Vec<_> = harness::all_submissions()
         .into_iter()
@@ -368,7 +558,11 @@ fn cases() -> Vec<(String, JobSpec, Dataset)> {
             )
         })
         .collect();
-    for (spec, ds) in [synthetic_mixed_keys(), synthetic_hostile_keys()] {
+    for (spec, ds) in [
+        synthetic_mixed_keys(),
+        synthetic_hostile_keys(),
+        synthetic_hostile_pieces(),
+    ] {
         cases.push((format!("{}@{}", spec.job_id(), ds.name), spec, ds));
     }
     cases
@@ -405,7 +599,7 @@ fn check<T: PartialEq>(
 #[test]
 fn the_suite_is_58_submissions_plus_the_synthetic_job() {
     assert_eq!(harness::all_submissions().len(), 58);
-    assert_eq!(GOLDEN.len(), 60);
+    assert_eq!(GOLDEN.len(), 61);
 }
 
 #[test]
@@ -502,6 +696,42 @@ fn the_hostile_job_groups_fewer_keys_than_it_counts() {
     let flow = analyze(&spec, &ds, &harness::cluster()).unwrap();
     let alpha = flow.combine.unwrap().alpha;
     assert_eq!(alpha, 0.05, "every key occurs in the first half");
+    assert_eq!(flow.reduce.unwrap().key_weights.len(), groups.len());
+}
+
+/// The pieces job does reach what it was built to reach: lists of pieces
+/// as keys and as values, empty pieces and `Null`s from an `index` that
+/// found nothing as keys, maps keyed by pieces as values.
+#[test]
+fn the_pieces_job_emits_lists_empty_pieces_and_nulls() {
+    let (spec, ds) = synthetic_hostile_pieces();
+    let mut pairs = Vec::new();
+    for rec in ds.records.iter() {
+        run_map(
+            &spec.map_udf,
+            &spec.params,
+            &rec.key,
+            &rec.value,
+            &mut pairs,
+        )
+        .unwrap();
+    }
+    let groups = group(&pairs);
+    let count = |is: fn(&Value) -> bool| {
+        (
+            pairs.iter().filter(|(k, _)| is(k)).count(),
+            pairs.iter().filter(|(_, v)| is(v)).count(),
+        )
+    };
+    assert_eq!((pairs.len(), groups.len()), (25_000, 1_724));
+    // (as keys, as values)
+    assert_eq!(count(|v| matches!(v, Value::List(_))), (4_800, 932));
+    assert_eq!(count(|v| matches!(v, Value::Map(_))), (0, 1_200));
+    assert_eq!(count(|v| *v == Value::Null), (1_468, 1_924));
+    assert_eq!(count(|v| *v == Value::text("")), (1_562, 327));
+
+    let flow = analyze(&spec, &ds, &harness::cluster()).unwrap();
+    assert!(flow.combine.is_some());
     assert_eq!(flow.reduce.unwrap().key_weights.len(), groups.len());
 }
 
@@ -1180,6 +1410,20 @@ const GOLDEN: &[Row] = &[
             [30000, 6000, 103498],
             [28979, 2200, 43613],
             [2868, 110, 2498],
+        ],
+    ),
+    (
+        "synthetic-hostile-pieces@synthetic",
+        [
+            0x5efc3435fb89a2ee,
+            0xbd2f4c6236cf996f,
+            0xf7c116cb6a9f8a89,
+            0x1db7c7d6f49a03e8,
+        ],
+        [
+            [517908, 25000, 418906],
+            [1148000, 9282, 589084],
+            [1080208, 3448, 165575],
         ],
     ),
 ];
