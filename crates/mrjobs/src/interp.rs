@@ -14,14 +14,25 @@
 //! reference, a computed value owned, and a value is cloned (for the heap
 //! variants of [`crate::value`], a reference-count bump) only where a
 //! statement or builtin stores it.
+//!
+//! The pieces of a text are views until stored (DESIGN.md §25): `split`
+//! and `tokenize` yield the text they were given and the spans of its
+//! pieces, a variable or an operand holds that table where the UDF sees a
+//! list of texts, `index` hands on "piece *i* of it", and the builtins
+//! that only read a text read it where it lies. A piece becomes a
+//! `Value::Text` of its own — one allocation — where something stores
+//! it, and the list of them a `Value::List` where something needs the
+//! list; [`Value`] itself knows nothing of this.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::ir::{BinOp, Builtin, Expr, Stmt, Udf};
-use crate::value::{OrderedF64, Value};
+use crate::value::{OrderedF64, Value, ValueType};
 
 /// Hard cap on loop iterations per UDF invocation; exceeded only by buggy
 /// job definitions, never by the shipped benchmarks.
@@ -242,7 +253,10 @@ pub struct Interp {
     inputs: [usize; 2],
     /// One slot per variable name; `None` until assigned in the current
     /// invocation.
-    env: Vec<Option<Value>>,
+    env: Vec<Option<Slot>>,
+    /// Every piece table a `split` or `tokenize` of this UDF has filled;
+    /// one that nothing else holds any more is filled again by the next.
+    tables: Vec<Rc<Pieces>>,
 }
 
 impl Interp {
@@ -258,6 +272,7 @@ impl Interp {
             body,
             inputs,
             env: vec![None; resolver.names.len()],
+            tables: Vec::new(),
         }
     }
 
@@ -271,13 +286,19 @@ impl Interp {
         second: Value,
         out: &mut dyn Sink,
     ) -> Result<ExecStats, InterpError> {
-        self.env.fill(None);
-        self.env[self.inputs[0]] = Some(first);
-        self.env[self.inputs[1]] = Some(second);
+        for slot in &mut self.env {
+            *slot = None;
+        }
+        self.env[self.inputs[0]] = Some(Slot::Value(first));
+        self.env[self.inputs[1]] = Some(Slot::Value(second));
         let mut frame = Frame {
             env: &mut self.env,
             out,
-            meter: Meter::default(),
+            meter: Meter {
+                stats: ExecStats::default(),
+                steps: 0,
+                tables: &mut self.tables,
+            },
         };
         frame.exec_block(&self.body).map_err(|e| *e)?;
         Ok(frame.meter.stats)
@@ -287,7 +308,100 @@ impl Interp {
     /// the UDF left it bound: a caller that built a list for it can reuse
     /// the allocation once nothing else holds the list.
     pub fn take_second(&mut self) -> Option<Value> {
-        self.env[self.inputs[1]].take()
+        self.env[self.inputs[1]].take().map(Slot::into_value)
+    }
+}
+
+/// What `split` and `tokenize` yield, and a UDF sees as a list of texts:
+/// the text they cut and where each piece lies in it. Reading a piece —
+/// its length, its digits, the piece itself as the text of a further
+/// split — reads the text where it lies; a piece becomes a `Value::Text`
+/// of its own the first time something stores it, and the table keeps
+/// that value, so a piece stored many times is one allocation shared.
+#[derive(Clone, Default)]
+struct Pieces {
+    text: Arc<str>,
+    pieces: Vec<Piece>,
+}
+
+#[derive(Clone)]
+struct Piece {
+    /// Where in the text the piece starts, and its length, in bytes.
+    offset: usize,
+    len: usize,
+    stored: OnceCell<Value>,
+}
+
+impl Pieces {
+    #[inline]
+    fn len(&self) -> usize {
+        self.pieces.len()
+    }
+
+    #[inline]
+    fn str_of(&self, piece: &Piece) -> &str {
+        // A piece is cut from `text`, so the range is always there.
+        self.text
+            .get(piece.offset..piece.offset + piece.len)
+            .unwrap_or_default()
+    }
+
+    #[inline]
+    fn str(&self, i: usize) -> &str {
+        self.pieces.get(i).map_or("", |piece| self.str_of(piece))
+    }
+
+    /// Piece `i` as a value, `Null` past the end: made the first time it
+    /// is asked for and kept, so that a piece read again and again —
+    /// `index` in a loop — goes on being the one text it was made.
+    #[inline]
+    fn value(&self, i: usize) -> &Value {
+        match self.pieces.get(i) {
+            Some(piece) => piece.stored.get_or_init(|| self.text_of(piece)),
+            None => &NULL,
+        }
+    }
+
+    /// A text of the piece's own; the text it was cut from when the piece
+    /// is all of it.
+    #[inline(never)]
+    fn text_of(&self, piece: &Piece) -> Value {
+        if piece.len == self.text.len() {
+            Value::Text(Arc::clone(&self.text))
+        } else {
+            Value::text(self.str_of(piece))
+        }
+    }
+
+    /// The list the pieces stand for. Out of line: it is the rare arm of
+    /// every place an operand becomes a value.
+    #[inline(never)]
+    fn to_list(&self) -> Value {
+        Value::list((0..self.len()).map(|i| self.value(i).clone()).collect())
+    }
+}
+
+/// What a variable holds: a value, or the pieces of a split text until
+/// something needs the list of them.
+#[derive(Clone)]
+enum Slot {
+    Value(Value),
+    Pieces(Rc<Pieces>),
+}
+
+impl Slot {
+    fn value_type(&self) -> ValueType {
+        match self {
+            Slot::Value(v) => v.value_type(),
+            Slot::Pieces(_) => ValueType::List,
+        }
+    }
+
+    fn into_value(self) -> Value {
+        match self {
+            Slot::Value(v) => v,
+            Slot::Pieces(p) => p.to_list(),
+        }
     }
 }
 
@@ -296,27 +410,128 @@ impl Interp {
 /// expression node hands back as small as the [`Value`] inside it.
 type Eval<T> = Result<T, Box<InterpError>>;
 
-/// What an expression evaluates to: borrowed from the environment, the
-/// resolved UDF or the operand it is a part of, or computed and owned.
-type Operand<'a> = Cow<'a, Value>;
+/// What an expression evaluates to: a value borrowed from the
+/// environment, the resolved UDF or the operand it is a part of, a value
+/// computed and owned, the pieces of a split text, or one of them.
+enum Operand<'a> {
+    Borrowed(&'a Value),
+    Owned(Value),
+    Pieces(Rc<Pieces>),
+    Piece(Rc<Pieces>, usize),
+}
+
+/// An operand as a builtin reads it, without storing it.
+enum Read<'o> {
+    Value(&'o Value),
+    Pieces(&'o Pieces),
+    Piece(&'o Pieces, usize),
+}
+
+impl Operand<'_> {
+    /// The operand, unless it is pieces or one of them.
+    #[inline(always)]
+    fn plain(&self) -> Option<&Value> {
+        match self {
+            Operand::Borrowed(v) => Some(v),
+            Operand::Owned(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn read(&self) -> Read<'_> {
+        match self {
+            Operand::Borrowed(v) => Read::Value(v),
+            Operand::Owned(v) => Read::Value(v),
+            Operand::Pieces(p) => Read::Pieces(p),
+            Operand::Piece(p, i) => Read::Piece(p, *i),
+        }
+    }
+
+    #[inline]
+    fn as_text(&self) -> Option<&str> {
+        match self.read() {
+            Read::Value(v) => v.as_text(),
+            Read::Pieces(_) => None,
+            Read::Piece(p, i) => Some(p.str(i)),
+        }
+    }
+
+    fn value_type(&self) -> ValueType {
+        match self.read() {
+            Read::Value(v) => v.value_type(),
+            Read::Pieces(_) => ValueType::List,
+            Read::Piece(..) => ValueType::Text,
+        }
+    }
+
+    #[inline]
+    fn is_truthy(&self) -> bool {
+        match self.read() {
+            Read::Value(v) => v.is_truthy(),
+            Read::Pieces(p) => p.len() > 0,
+            Read::Piece(p, i) => !p.str(i).is_empty(),
+        }
+    }
+
+    /// The value the operand stands for, where a consumer compares,
+    /// hashes or walks it: pieces as the list of them.
+    #[inline]
+    fn value(&self) -> Cow<'_, Value> {
+        match self.read() {
+            Read::Value(v) => Cow::Borrowed(v),
+            Read::Pieces(p) => Cow::Owned(p.to_list()),
+            Read::Piece(p, i) => Cow::Borrowed(p.value(i)),
+        }
+    }
+
+    /// The value the operand stands for, where a consumer stores it.
+    #[inline(always)]
+    fn into_owned(self) -> Value {
+        match self {
+            Operand::Borrowed(v) => v.clone(),
+            Operand::Owned(v) => v,
+            Operand::Pieces(p) => p.to_list(),
+            Operand::Piece(p, i) => p.value(i).clone(),
+        }
+    }
+
+    /// What a variable assigned the operand holds: pieces stay pieces.
+    #[inline]
+    fn into_slot(self) -> Slot {
+        match self {
+            Operand::Pieces(p) => Slot::Pieces(p),
+            other => Slot::Value(other.into_owned()),
+        }
+    }
+}
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.as_text() {
+            Some(s) => f.write_str(s),
+            None => self.value().fmt(f),
+        }
+    }
+}
 
 /// Stands in for the arguments a builtin does not take.
 static NULL: Value = Value::Null;
 
-/// What an invocation has spent and emitted so far: all that evaluating an
-/// expression writes.
-#[derive(Default)]
-struct Meter {
+/// What an invocation has spent and emitted so far, and the piece tables
+/// it may fill: all that evaluating an expression writes.
+struct Meter<'a> {
     stats: ExecStats,
     steps: u64,
+    tables: &'a mut Vec<Rc<Pieces>>,
 }
 
-impl Meter {
+impl Meter<'_> {
     fn tick(&mut self, cost: u64) -> Eval<()> {
         self.steps += 1;
         self.stats.ops += cost;
         if self.steps > MAX_STEPS {
-            Err(InterpError::StepLimitExceeded.into())
+            fail(InterpError::StepLimitExceeded)
         } else {
             Ok(())
         }
@@ -326,65 +541,102 @@ impl Meter {
     /// than the steps this invocation has left: producing it is that many
     /// steps of work, and no loop could walk it within the limit anyway.
     /// Checked before anything is allocated for it.
-    fn range_within_steps(&self, from: &Value, to: &Value) -> Eval<std::ops::Range<i64>> {
+    fn range_within_steps(&self, from: &Operand, to: &Operand) -> Eval<std::ops::Range<i64>> {
         let from = int_arg(from)?;
         let to = int_arg(to)?;
         let len = to.saturating_sub(from).max(0) as u64;
         if len > MAX_STEPS.saturating_sub(self.steps) {
-            return Err(InterpError::StepLimitExceeded.into());
+            return fail(InterpError::StepLimitExceeded);
         }
         Ok(from..to)
+    }
+
+    /// The pieces `parts` of `text` — subslices of it — as a table: one
+    /// that no variable or operand holds any more, filled again, or a new
+    /// one. A UDF holds at most one table per variable and per operand in
+    /// flight, so that is as many as there ever are.
+    fn cut<'s>(
+        &mut self,
+        text: &Arc<str>,
+        parts: impl Iterator<Item = &'s str>,
+    ) -> Operand<'static> {
+        let idle = self.tables.iter().position(|t| Rc::strong_count(t) == 1);
+        let mut table = idle.map_or_else(Rc::default, |i| self.tables.swap_remove(i));
+        // Unshared, so this is the table itself and copies nothing.
+        let filled = Rc::make_mut(&mut table);
+        filled.text = Arc::clone(text);
+        filled.pieces.clear();
+        let start = text.as_ptr().addr();
+        filled.pieces.extend(parts.map(|part| Piece {
+            offset: part.as_ptr().addr().wrapping_sub(start),
+            len: part.len(),
+            stored: OnceCell::new(),
+        }));
+        self.tables.push(Rc::clone(&table));
+        Operand::Pieces(table)
     }
 }
 
 /// Evaluate `expr` against the environment `env`, which it only reads.
-fn eval<'a>(env: &'a [Option<Value>], meter: &mut Meter, expr: &'a RExpr) -> Eval<Operand<'a>> {
+/// A leaf — a variable, a constant, a job parameter — is read where the
+/// expression around it is evaluated; only an operator or a call is a
+/// call of its own.
+#[inline(always)]
+fn eval<'a>(env: &'a [Option<Slot>], meter: &mut Meter, expr: &'a RExpr) -> Eval<Operand<'a>> {
     meter.tick(1)?;
     match expr {
-        RExpr::Const(v) => Ok(Cow::Borrowed(v)),
+        RExpr::Const(v) | RExpr::JobParam(Ok(v)) => Ok(Operand::Borrowed(v)),
         RExpr::Var { slot, name } => match &env[*slot] {
-            Some(v) => Ok(Cow::Borrowed(v)),
-            None => Err(InterpError::UnknownVar((*name).to_string()).into()),
+            Some(Slot::Value(v)) => Ok(Operand::Borrowed(v)),
+            Some(Slot::Pieces(p)) => Ok(Operand::Pieces(Rc::clone(p))),
+            None => unknown_var(name),
         },
-        RExpr::JobParam(param) => match param {
-            Ok(v) => Ok(Cow::Borrowed(v)),
-            Err(name) => Err(InterpError::UnknownJobParam((*name).to_string()).into()),
-        },
-        RExpr::Bin(op, a, b) => {
-            let a = eval(env, meter, a)?;
-            let b = eval(env, meter, b)?;
-            eval_binop(*op, &a, &b).map(Cow::Owned)
-        }
-        RExpr::Call(builtin, args) => {
-            // No builtin takes more than three arguments.
-            let mut vals = [
-                Cow::Borrowed(&NULL),
-                Cow::Borrowed(&NULL),
-                Cow::Borrowed(&NULL),
-            ];
-            for (val, arg) in vals.iter_mut().zip(args) {
-                *val = eval(env, meter, arg)?;
-            }
-            call_builtin(meter, *builtin, vals)
-        }
-        RExpr::BadCall { builtin, got } => Err(InterpError::ArityMismatch {
-            builtin: format!("{builtin:?}"),
-            expected: builtin.arity(),
-            got: *got,
-        }
-        .into()),
+        RExpr::Bin(op, a, b) => eval_bin(env, meter, *op, a, b),
+        RExpr::Call(builtin, args) => eval_call(env, meter, *builtin, args),
+        RExpr::JobParam(Err(name)) => unknown_job_param(name),
+        RExpr::BadCall { builtin, got } => bad_call(*builtin, *got),
     }
 }
 
+fn eval_bin<'a>(
+    env: &'a [Option<Slot>],
+    meter: &mut Meter,
+    op: BinOp,
+    a: &'a RExpr,
+    b: &'a RExpr,
+) -> Eval<Operand<'a>> {
+    let a = eval(env, meter, a)?;
+    let b = eval(env, meter, b)?;
+    eval_binop(op, &a.value(), &b.value()).map(Operand::Owned)
+}
+
+fn eval_call<'a>(
+    env: &'a [Option<Slot>],
+    meter: &mut Meter,
+    builtin: Builtin,
+    args: &'a [RExpr],
+) -> Eval<Operand<'a>> {
+    // No builtin takes more than three arguments.
+    let mut vals = [
+        Operand::Borrowed(&NULL),
+        Operand::Borrowed(&NULL),
+        Operand::Borrowed(&NULL),
+    ];
+    for (val, arg) in vals.iter_mut().zip(args) {
+        *val = eval(env, meter, arg)?;
+    }
+    call_builtin(meter, builtin, vals)
+}
+
 /// The part of `whole` that `pick` selects (`Null` when it selects none):
-/// borrowed from where a borrowed operand lives, cloned out of an owned one.
+/// borrowed from where a borrowed operand lives, cloned out of any other.
 fn part_of<'a>(
     whole: Operand<'a>,
     pick: impl for<'v> FnOnce(&'v Value) -> Eval<Option<&'v Value>>,
 ) -> Eval<Operand<'a>> {
     Ok(match whole {
-        Cow::Borrowed(v) => pick(v)?.map_or(Cow::Borrowed(&NULL), Cow::Borrowed),
-        Cow::Owned(v) => Cow::Owned(pick(&v)?.cloned().unwrap_or(Value::Null)),
+        Operand::Borrowed(v) => pick(v)?.map_or(Operand::Borrowed(&NULL), Operand::Borrowed),
+        other => Operand::Owned(pick(&other.into_owned())?.cloned().unwrap_or(Value::Null)),
     })
 }
 
@@ -401,53 +653,56 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
     let [a0, a1, a2] = args;
     let result = match b {
         Tokenize => {
-            let s = text_arg(&a0)?;
-            extra_cost = s.len() as u64 / 8;
-            Value::list(s.split_whitespace().map(Value::text).collect())
+            let (text, s) = text_within(&a0)?;
+            meter.stats.ops += b.base_cost() + s.len() as u64 / 8;
+            return Ok(meter.cut(text, s.split_whitespace()));
         }
         Split => {
-            let s = text_arg(&a0)?;
+            let (text, s) = text_within(&a0)?;
             let sep = text_arg(&a1)?;
-            extra_cost = s.len() as u64 / 8;
-            if sep.is_empty() {
-                Value::list(vec![Value::clone(&a0)])
-            } else {
-                Value::list(s.split(sep).map(Value::text).collect())
-            }
+            meter.stats.ops += b.base_cost() + s.len() as u64 / 8;
+            let mut chars = sep.chars();
+            return Ok(match (chars.next(), chars.next()) {
+                (None, _) => meter.cut(text, std::iter::once(s)),
+                (Some(c), None) => meter.cut(text, s.split(c)),
+                _ => meter.cut(text, s.split(sep)),
+            });
         }
         Lower => {
             let s = text_arg(&a0)?;
             extra_cost = s.len() as u64 / 8;
             Value::text(s.to_lowercase())
         }
-        Len => Value::Int(match &*a0 {
-            Value::Text(s) => s.len() as i64,
-            Value::List(l) => l.len() as i64,
-            Value::Map(m) => m.len() as i64,
-            other => {
-                return type_err("text/list/map", other);
-            }
+        Len => Value::Int(match a0.read() {
+            Read::Value(Value::Text(s)) => s.len() as i64,
+            Read::Piece(p, i) => p.str(i).len() as i64,
+            Read::Value(Value::List(l)) => l.len() as i64,
+            Read::Pieces(p) => p.len() as i64,
+            Read::Value(Value::Map(m)) => m.len() as i64,
+            Read::Value(other) => return type_err("text/list/map", other.value_type()),
         }),
         Index => {
-            let i = int_arg(&a1)?;
-            let item = part_of(a0, |list| match list {
-                Value::List(l) => Ok(l.get(usize::try_from(i).unwrap_or(usize::MAX))),
-                other => type_err("list", other),
-            })?;
+            let i = usize::try_from(int_arg(&a1)?).unwrap_or(usize::MAX);
+            let item = match a0 {
+                Operand::Pieces(p) if i < p.len() => Operand::Piece(p, i),
+                Operand::Pieces(_) => Operand::Borrowed(&NULL),
+                list => part_of(list, |list| match list {
+                    Value::List(l) => Ok(l.get(i)),
+                    other => type_err("list", other.value_type()),
+                })?,
+            };
             return handed_on(meter, b, item);
         }
         Concat => Value::text(format!("{a0}{a1}")),
-        ToText if matches!(*a0, Value::Text(_)) => return handed_on(meter, b, a0),
+        ToText if a0.as_text().is_some() => return handed_on(meter, b, a0),
         ToText => Value::text(a0.to_string()),
         ParseInt => Value::Int(
-            text_arg(&a0)
-                .ok()
+            a0.as_text()
                 .and_then(|s| s.trim().parse::<i64>().ok())
                 .unwrap_or(0),
         ),
         ParseFloat => Value::float(
-            text_arg(&a0)
-                .ok()
+            a0.as_text()
                 .and_then(|s| s.trim().parse::<f64>().ok())
                 .unwrap_or(0.0),
         ),
@@ -455,7 +710,7 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
         First | Second => {
             let half = part_of(a0, |pair| match pair {
                 Value::Pair(p) => Ok(Some(if b == First { &p.0 } else { &p.1 })),
-                other => type_err("pair", other),
+                other => type_err("pair", other.value_type()),
             })?;
             return handed_on(meter, b, half);
         }
@@ -463,7 +718,7 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
             let k = text_arg(&a1)?;
             let entry = part_of(a0, |map| match map {
                 Value::Map(m) => Ok(m.get(k)),
-                other => type_err("map", other),
+                other => type_err("map", other.value_type()),
             })?;
             return handed_on(meter, b, entry);
         }
@@ -474,7 +729,7 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
             Value::Int(s.contains(pat) as i64)
         }
         NotEmpty => Value::Int(a0.is_truthy() as i64),
-        Hash => Value::Int(value_hash(&a0) as i64),
+        Hash => Value::Int(value_hash(&a0.value()) as i64),
         Range => {
             let range = meter.range_within_steps(&a0, &a1)?;
             extra_cost = range_extra_cost(&range);
@@ -492,7 +747,7 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
             let to = s.floor_char_boundary(to);
             Value::text(&s[from..to])
         }
-        SumList => match &*a0 {
+        SumList => match &*a0.value() {
             Value::List(l) => {
                 extra_cost = l.len() as u64 / 4;
                 let mut acc = 0.0;
@@ -501,7 +756,7 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
                     all_int &= matches!(v, Value::Int(_));
                     match v.as_float() {
                         Some(x) => acc += x,
-                        None => return type_err("number", v),
+                        None => return type_err("number", v.value_type()),
                     }
                 }
                 if all_int {
@@ -510,7 +765,7 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
                     Value::float(acc)
                 }
             }
-            other => return type_err("list", other),
+            other => return type_err("list", other.value_type()),
         },
         // Sorting a list a variable still holds sorts a copy of it.
         SortList => match a0.into_owned() {
@@ -519,31 +774,32 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
                 Arc::make_mut(&mut l).sort();
                 Value::List(l)
             }
-            other => return type_err("list", &other),
+            other => return type_err("list", other.value_type()),
         },
-        MapKeys => match &*a0 {
+        MapKeys => match &*a0.value() {
             Value::Map(m) => {
                 extra_cost = m.len() as u64 / 4;
                 Value::list(m.keys().map(|k| Value::text(k.as_str())).collect())
             }
-            other => return type_err("map", other),
+            other => return type_err("map", other.value_type()),
         },
         EmptyList => Value::list(vec![]),
         EmptyMap => Value::map(BTreeMap::new()),
     };
     meter.stats.ops += b.base_cost() + extra_cost;
-    Ok(Cow::Owned(result))
+    Ok(Operand::Owned(result))
 }
 
 /// One invocation context for a UDF: the environment its statements
 /// write, where its pairs go, and what it has spent.
 struct Frame<'a> {
-    env: &'a mut [Option<Value>],
+    env: &'a mut [Option<Slot>],
     out: &'a mut dyn Sink,
-    meter: Meter,
+    meter: Meter<'a>,
 }
 
 impl Frame<'_> {
+    #[inline(always)]
     fn eval<'e>(&'e mut self, expr: &'e RExpr) -> Eval<Operand<'e>> {
         eval(self.env, &mut self.meter, expr)
     }
@@ -555,18 +811,26 @@ impl Frame<'_> {
         Ok(())
     }
 
+    /// One pass of a `for` body, with the loop variable set to `item`.
+    fn iterate(&mut self, slot: usize, item: Value, body: &[RStmt]) -> Eval<()> {
+        self.meter.tick(1)?;
+        self.env[slot] = Some(Slot::Value(item));
+        self.exec_block(body)
+    }
+
     /// The variable a `MapAdd`/`ListPush` updates in place.
-    fn assigned(&mut self, slot: usize, name: &'static str) -> Eval<&mut Value> {
-        self.env[slot]
-            .as_mut()
-            .ok_or_else(|| InterpError::UnknownVar(name.to_string()).into())
+    fn assigned(&mut self, slot: usize, name: &'static str) -> Eval<&mut Slot> {
+        match &mut self.env[slot] {
+            Some(var) => Ok(var),
+            None => unknown_var(name),
+        }
     }
 
     fn exec(&mut self, stmt: &RStmt) -> Eval<()> {
         self.meter.tick(1)?;
         match stmt {
             RStmt::Assign(slot, e) => {
-                let v = self.eval(e)?.into_owned();
+                let v = self.eval(e)?.into_slot();
                 self.env[*slot] = Some(v);
                 Ok(())
             }
@@ -579,12 +843,14 @@ impl Frame<'_> {
                 // Owned: the map it goes into is in the environment a
                 // borrowed key would still be reading.
                 let key = self.eval(key)?.into_owned();
-                let d = self.eval(delta)?.as_float().ok_or(InterpError::TypeError {
-                    expected: "number",
-                    got: "non-numeric delta".to_string(),
-                })?;
+                let d = self.eval(delta)?.plain().and_then(Value::as_float).ok_or(
+                    InterpError::TypeError {
+                        expected: "number",
+                        got: "non-numeric delta".to_string(),
+                    },
+                )?;
                 match self.assigned(*slot, name)? {
-                    Value::Map(m) => {
+                    Slot::Value(Value::Map(m)) => {
                         // Preserve integer representation for whole numbers so
                         // "stripes" counters stay compact.
                         let bump = |cur: f64| {
@@ -608,17 +874,22 @@ impl Frame<'_> {
                         }
                         Ok(())
                     }
-                    other => type_err("map", other),
+                    other => type_err("map", other.value_type()),
                 }
             }
             RStmt::ListPush { slot, name, item } => {
                 let v = self.eval(item)?.into_owned();
-                match self.assigned(*slot, name)? {
-                    Value::List(l) => {
+                let var = self.assigned(*slot, name)?;
+                // A push to pieces is a push to the list they stand for.
+                if let Slot::Pieces(p) = var {
+                    *var = Slot::Value(p.to_list());
+                }
+                match var {
+                    Slot::Value(Value::List(l)) => {
                         Arc::make_mut(l).push(v);
                         Ok(())
                     }
-                    other => type_err("list", other),
+                    other => type_err("list", other.value_type()),
                 }
             }
             RStmt::Emit(k, v) => {
@@ -663,26 +934,26 @@ impl Frame<'_> {
                 let range = self.meter.range_within_steps(&from, &to)?;
                 self.meter.stats.ops += Builtin::Range.base_cost() + range_extra_cost(&range);
                 for i in range {
-                    self.meter.tick(1)?;
-                    self.env[*slot] = Some(Value::Int(i));
-                    self.exec_block(body)?;
+                    self.iterate(*slot, Value::Int(i), body)?;
                 }
                 Ok(())
             }
-            RStmt::For { slot, iter, body } => {
-                // Holding the list keeps the iteration a snapshot: a push
-                // to the same variable inside the body copies on write.
-                let list = match self.eval(iter)?.into_owned() {
-                    Value::List(l) => l,
-                    other => return type_err("list", &other),
-                };
-                for item in list.iter() {
-                    self.meter.tick(1)?;
-                    self.env[*slot] = Some(item.clone());
-                    self.exec_block(body)?;
-                }
-                Ok(())
-            }
+            // Holding the list, or the pieces, keeps the iteration a
+            // snapshot: a push to the same variable inside the body copies
+            // on write. A loop visits a piece once and its variable dies
+            // with the iteration, so it takes a text of its own: one kept
+            // with the pieces would outlive its use by the rest of the
+            // invocation, and be freed cold.
+            RStmt::For { slot, iter, body } => match self.eval(iter)?.into_slot() {
+                Slot::Value(Value::List(l)) => l
+                    .iter()
+                    .try_for_each(|item| self.iterate(*slot, item.clone(), body)),
+                Slot::Pieces(p) => p
+                    .pieces
+                    .iter()
+                    .try_for_each(|piece| self.iterate(*slot, p.text_of(piece), body)),
+                other => type_err("list", other.value_type()),
+            },
         }
     }
 }
@@ -692,36 +963,78 @@ fn range_extra_cost(range: &std::ops::Range<i64>) -> u64 {
     range.end.saturating_sub(range.start).max(0) as u64 / 4
 }
 
-fn text_arg(v: &Value) -> Eval<&str> {
+#[inline]
+fn text_arg<'o>(v: &'o Operand) -> Eval<&'o str> {
     match v.as_text() {
         Some(s) => Ok(s),
-        None => type_err("text", v),
+        None => type_err("text", v.value_type()),
     }
 }
 
-fn int_arg(v: &Value) -> Eval<i64> {
-    match v.as_int() {
-        Some(i) => Ok(i),
-        None => type_err("int", v),
+/// A text operand, and the shared string it lies in: itself, or the text
+/// the piece was cut from.
+fn text_within<'o>(v: &'o Operand) -> Eval<(&'o Arc<str>, &'o str)> {
+    match v.read() {
+        Read::Value(Value::Text(s)) => Ok((s, s)),
+        Read::Piece(p, i) => Ok((&p.text, p.str(i))),
+        _ => type_err("text", v.value_type()),
     }
+}
+
+#[inline]
+fn int_arg(v: &Operand) -> Eval<i64> {
+    match v.plain().and_then(Value::as_int) {
+        Some(i) => Ok(i),
+        None => type_err("int", v.value_type()),
+    }
+}
+
+/// The `Err` for `error`. Out of line, like those below: a leaf of an
+/// expression is evaluated where it is used, and carries none of this
+/// along.
+#[cold]
+fn fail<T>(error: InterpError) -> Eval<T> {
+    Err(error.into())
+}
+
+#[cold]
+fn unknown_var<T>(name: &str) -> Eval<T> {
+    fail(InterpError::UnknownVar(name.to_string()))
+}
+
+#[cold]
+fn unknown_job_param<T>(name: &str) -> Eval<T> {
+    fail(InterpError::UnknownJobParam(name.to_string()))
+}
+
+#[cold]
+fn bad_call<T>(builtin: Builtin, got: usize) -> Eval<T> {
+    fail(InterpError::ArityMismatch {
+        builtin: format!("{builtin:?}"),
+        expected: builtin.arity(),
+        got,
+    })
 }
 
 /// The `Err` for a type mismatch.
-fn type_err<T>(expected: &'static str, got: &Value) -> Eval<T> {
-    Err(InterpError::TypeError {
+#[cold]
+fn type_err<T>(expected: &'static str, got: ValueType) -> Eval<T> {
+    fail(InterpError::TypeError {
         expected,
-        got: format!("{:?}", got.value_type()),
-    }
-    .into())
+        got: format!("{got:?}"),
+    })
 }
 
-fn num_binary(a: &Value, b: &Value, f: fn(f64, f64) -> f64) -> Eval<Value> {
-    let (x, y) = match (a.as_float(), b.as_float()) {
-        (Some(x), Some(y)) => (x, y),
-        _ => return type_err("number", a),
+fn num_binary(a: &Operand, b: &Operand, f: fn(f64, f64) -> f64) -> Eval<Value> {
+    let number = |v: &Operand| match v.plain().and_then(Value::as_float) {
+        Some(x) => Ok(x),
+        None => type_err("number", v.value_type()),
     };
-    let r = f(x, y);
-    if matches!((a, b), (Value::Int(_), Value::Int(_))) {
+    let r = f(number(a)?, number(b)?);
+    if matches!(
+        (a.plain(), b.plain()),
+        (Some(Value::Int(_)), Some(Value::Int(_)))
+    ) {
         Ok(Value::Int(r as i64))
     } else {
         Ok(Value::float(r))
@@ -1697,6 +2010,50 @@ mod tests {
             Some(Value::list(vec![Value::text("a"), Value::text("b")]))
         );
         assert_eq!(interp.take_second(), None);
+    }
+
+    #[test]
+    fn min_and_max_name_the_operand_that_is_not_a_number() {
+        let run = |b: Builtin, x: Expr, y: Expr| {
+            let udf = Udf::mapper("m", vec![emit(call(b, vec![x, y]), c_int(0))]);
+            let mut out = vec![];
+            run_map(&udf, &no_params(), &Value::Null, &Value::Null, &mut out)
+                .map(|_| out.remove(0).0)
+        };
+        let not_a_number = |got: &str| {
+            Err(InterpError::TypeError {
+                expected: "number",
+                got: got.to_string(),
+            })
+        };
+        assert_eq!(
+            run(Builtin::Max, c_int(1), c_text("x")),
+            not_a_number("Text")
+        );
+        assert_eq!(
+            run(Builtin::Min, c_float(1.5), var("key")),
+            not_a_number("Null")
+        );
+        // Both wrong: the first, as operands are read in order.
+        assert_eq!(
+            run(Builtin::Max, c_text("x"), var("key")),
+            not_a_number("Text")
+        );
+        assert_eq!(run(Builtin::Max, c_int(1), c_int(2)), Ok(Value::Int(2)));
+        assert_eq!(
+            run(Builtin::Min, c_int(1), c_float(2.0)),
+            Ok(Value::float(1.0))
+        );
+    }
+
+    #[test]
+    fn an_operand_and_a_variable_are_as_wide_as_a_value() {
+        // Every expression node hands an operand back and every
+        // invocation clears the variables: neither may outgrow the value
+        // it stands for (`value::tests::a_value_is_three_words`).
+        assert_eq!(std::mem::size_of::<Operand>(), 24);
+        assert_eq!(std::mem::size_of::<Eval<Operand>>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 24);
     }
 
     #[test]
