@@ -10,7 +10,8 @@
 //! tasks, and the dataflow measurement (`mrsim::analyze`) of every suite
 //! submission, by job family, with its two halves apart: the grouping
 //! (`group_sort`, beside a `Value`-comparing sort as oracle) and the map
-//! UDF under the interpreter (`interp_map`).
+//! UDF under the interpreter (`interp_map`, output dropped and kept) and
+//! the interpreter's cost per evaluated node (`interp_node`).
 //! Writes `BENCH_tuning_latency.json` at the repo root.
 //!
 //! Every row times code a submission can reach. The three stage-1 rows
@@ -828,31 +829,90 @@ fn bench_group_sort(subs: &[harness::Submission]) -> Vec<GroupSort> {
         .collect()
 }
 
-/// One mapper under the interpreter, output discarded: `(case, records,
-/// p50 ns of a pass over the sample)`.
-fn bench_interp_map(subs: &[harness::Submission]) -> Vec<(&'static str, usize, u128)> {
+/// One mapper under the interpreter over its sample, timed twice: with
+/// every emitted pair dropped at the sink, and with the pairs kept in a
+/// vector for the length of the pass, as `analyze` keeps its map output.
+struct InterpMap {
+    case: &'static str,
+    records: usize,
+    discarded_p50_ns: u128,
+    kept_p50_ns: u128,
+}
+
+impl InterpMap {
+    fn ns_per_record(&self) -> (f64, f64) {
+        let per_record = |ns: u128| ns as f64 / self.records as f64;
+        (
+            per_record(self.discarded_p50_ns),
+            per_record(self.kept_p50_ns),
+        )
+    }
+}
+
+/// The mappers `analyze` spends most of the suite in: one that splits a
+/// line and indexes fields, one that loops over tokens, and one that
+/// indexes the same tokens over and over from two nested range loops.
+fn bench_interp_map(subs: &[harness::Submission]) -> Vec<InterpMap> {
     [
         "pigmix-l1[threshold=7]@pigmix-1g",
         "word-count@random-text-1g",
+        "word-cooccurrence-pairs[window=2]@wikipedia-35g",
     ]
     .into_iter()
     .map(|case| {
         let sub = submission(subs, case);
         let mut mapper = Interp::new(&sub.spec.map_udf, &sub.spec.params);
-        let samples = sample_ns(
+        let mut pass = |out: &mut dyn Sink| {
+            for rec in sub.dataset.records.iter() {
+                mapper.run(rec.key.clone(), rec.value.clone(), out).unwrap();
+            }
+        };
+        let discarded = sample_ns(|| pass(&mut Discard), 20, 200);
+        let kept = sample_ns(
             || {
-                for rec in sub.dataset.records.iter() {
-                    mapper
-                        .run(rec.key.clone(), rec.value.clone(), &mut Discard)
-                        .unwrap();
-                }
+                let mut out: Vec<(Value, Value)> = Vec::new();
+                pass(&mut out);
+                std::hint::black_box(out);
             },
             20,
             200,
         );
-        (case, sub.dataset.len(), percentile(&samples, 0.50))
+        InterpMap {
+            case,
+            records: sub.dataset.len(),
+            discarded_p50_ns: percentile(&discarded, 0.50),
+            kept_p50_ns: percentile(&kept, 0.50),
+        }
     })
     .collect()
+}
+
+/// The tree walk with nothing else in it: `i = 0; while i < n: i = i + 1`
+/// spends one op per evaluated node and calls no builtin, so its op count
+/// is its node count. `(nodes, p50 ns of one invocation)`.
+fn bench_interp_node() -> (u64, u128) {
+    use mrjobs::ir::build::*;
+    let counter = mrjobs::Udf::mapper(
+        "Counter",
+        vec![
+            assign("i", c_int(0)),
+            while_loop(
+                lt(var("i"), var("value")),
+                vec![assign("i", add(var("i"), c_int(1)))],
+            ),
+        ],
+    );
+    let mut interp = Interp::new(&counter, &Default::default());
+    let mut nodes = 0;
+    let samples = sample_ns(
+        || {
+            let stats = interp.run(Value::Null, Value::Int(100_000), &mut Discard);
+            nodes = std::hint::black_box(stats.unwrap().ops);
+        },
+        20,
+        400,
+    );
+    (nodes, percentile(&samples, 0.50))
 }
 
 fn entry<'a>(entries: &'a [Entry], op: &str, variant: &str, size: usize) -> &'a Entry {
@@ -895,6 +955,8 @@ fn main() {
     let group_sort_share = sum_ns(|g| g.arena_p50_ns) / sum_ns(|g| g.analyze_p50_ns);
     let group_sort_speedup = sum_ns(|g| g.value_cmp_p50_ns) / sum_ns(|g| g.arena_p50_ns);
     let interp_maps = bench_interp_map(&subs);
+    let (interp_nodes, interp_node_p50_ns) = bench_interp_node();
+    let ns_per_node = interp_node_p50_ns as f64 / interp_nodes as f64;
 
     let stage1_speedup = find(&entries, "matcher_stage1", "filter_dynamic", 1000)
         / find(&entries, "matcher_stage1", "columnar", 1000);
@@ -957,11 +1019,12 @@ fn main() {
     json.push_str(&group_sort_rows.join(",\n"));
     json.push('\n');
     json.push_str("  ],\n  \"interp_map\": [\n");
-    for (i, (case, records, p50_ns)) in interp_maps.iter().enumerate() {
+    for (i, m) in interp_maps.iter().enumerate() {
+        let (discarded, kept) = m.ns_per_record();
         let _ = write!(
             json,
-            "    {{\"case\": \"{case}\", \"records\": {records}, \"p50_ns\": {p50_ns}, \"ns_per_record\": {:.0}}}",
-            *p50_ns as f64 / *records as f64
+            "    {{\"case\": \"{}\", \"records\": {}, \"p50_ns\": {}, \"ns_per_record\": {discarded:.0}, \"kept_p50_ns\": {}, \"kept_ns_per_record\": {kept:.0}}}",
+            m.case, m.records, m.discarded_p50_ns, m.kept_p50_ns
         );
         json.push_str(if i + 1 < interp_maps.len() {
             ",\n"
@@ -971,7 +1034,11 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2}\n  }}\n}}\n"
+        "  ],\n  \"interp_node\": {{\"nodes\": {interp_nodes}, \"p50_ns\": {interp_node_p50_ns}, \"ns_per_node\": {ns_per_node:.2}}},\n"
+    );
+    let _ = write!(
+        json,
+        "  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -1010,10 +1077,12 @@ fn main() {
         "grouping (arena) is {:.0} % of analyze on its three cases, {group_sort_speedup:.1}x a Value-comparing sort",
         group_sort_share * 100.0
     );
-    for (case, records, p50_ns) in &interp_maps {
+    for m in &interp_maps {
+        let (discarded, kept) = m.ns_per_record();
         println!(
-            "{case} mapper: {:.0} ns/record",
-            *p50_ns as f64 / *records as f64
+            "{} mapper: {discarded:.0} ns/record, {kept:.0} with its output kept",
+            m.case
         );
     }
+    println!("interpreter: {ns_per_node:.2} ns per evaluated node");
 }

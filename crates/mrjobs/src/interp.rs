@@ -286,6 +286,8 @@ impl Interp {
         second: Value,
         out: &mut dyn Sink,
     ) -> Result<ExecStats, InterpError> {
+        // Not `fill(None)`, which clones its argument into every slot: this
+        // runs once per reducer call, 100 000 times an `analyze`.
         for slot in &mut self.env {
             *slot = None;
         }
@@ -428,16 +430,6 @@ enum Read<'o> {
 }
 
 impl Operand<'_> {
-    /// The operand, unless it is pieces or one of them.
-    #[inline(always)]
-    fn plain(&self) -> Option<&Value> {
-        match self {
-            Operand::Borrowed(v) => Some(v),
-            Operand::Owned(v) => Some(v),
-            _ => None,
-        }
-    }
-
     #[inline]
     fn read(&self) -> Read<'_> {
         match self {
@@ -445,6 +437,15 @@ impl Operand<'_> {
             Operand::Owned(v) => Read::Value(v),
             Operand::Pieces(p) => Read::Pieces(p),
             Operand::Piece(p, i) => Read::Piece(p, *i),
+        }
+    }
+
+    /// The operand, unless it is pieces or one of them.
+    #[inline]
+    fn plain(&self) -> Option<&Value> {
+        match self.read() {
+            Read::Value(v) => Some(v),
+            _ => None,
         }
     }
 
@@ -661,6 +662,7 @@ fn call_builtin<'a>(meter: &mut Meter, b: Builtin, args: [Operand<'a>; 3]) -> Ev
             let (text, s) = text_within(&a0)?;
             let sep = text_arg(&a1)?;
             meter.stats.ops += b.base_cost() + s.len() as u64 / 8;
+            // A separator of one character is searched for as one.
             let mut chars = sep.chars();
             return Ok(match (chars.next(), chars.next()) {
                 (None, _) => meter.cut(text, std::iter::once(s)),

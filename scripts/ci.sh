@@ -161,6 +161,16 @@ if [ "$(nontest $mrsim_src | grep -cF '.cmp(&keys[' || true)" -gt 1 ]; then
 fi
 if nontest $mrsim_src | grep -F 'fn sort_by_key'; then exit 1; fi
 
+# Pieces of a text are views until stored (DESIGN.md §25): `split` and
+# `tokenize` build no text per piece and no list — the two
+# `.map(Value::text).collect()` of the walker before are not back — and a
+# list of texts is built from a split in one place.
+step "source gate (pieces are views)"
+if nontest crates/mrjobs/src/interp.rs | grep -F '.map(Value::text).collect()'; then exit 1; fi
+if [ "$(nontest crates/mrjobs/src/interp.rs | grep -cE 'fn to_list\b' || true)" -ne 1 ]; then
+  echo "interp.rs must define exactly one fn to_list"; exit 1
+fi
+
 # The serving path owns its state (DESIGN.md §23): the service keeps
 # everything it schedules on behind one mutex, reached through one helper
 # (a worker takes it twice per ticket: claim and completion), with no
@@ -182,6 +192,18 @@ fi
 if nontest $(find crates/optimizer/src -name '*.rs') | grep -E 'HashMap|config_key|memo_hits|[Mm]emoiz'; then exit 1; fi
 serving_path_files="crates/core/src/service.rs crates/core/src/daemon.rs crates/optimizer/src/cbo.rs crates/whatif/src/lib.rs"
 serving_path_lines=$(nontest $serving_path_files | wc -l)
+
+# The reproduction is a golden: every experiment binary prints, byte for
+# byte, the capture EXPERIMENTS.md quotes from (`fig6_2` at the GBRT scale
+# it was captured at). A change that moves a figure regenerates the
+# capture in a commit of its own and says so.
+step "reproduction is a golden (13 experiment binaries vs results/)"
+for capture in results/*.txt; do
+  bin=$(basename "$capture" .txt)
+  if ! PSTORM_GBRT_SCALE=0.1 "target/release/$bin" 2>/dev/null | cmp -s - "$capture"; then
+    echo "$bin no longer prints $capture"; exit 1
+  fi
+done
 
 # The benchmark harness at 1/20 scale: every workload, untraced and
 # traced, every output check on (benchmark/README.md). Catches a change
