@@ -2,7 +2,10 @@
 //! lane-vectorized columnar sweep vs its scalar reference sweep vs the
 //! `filter_dynamic` pushdown scan) at several store sizes, full
 //! `match_profile` latency, `put_then_match` (a `put_profile` and the
-//! match that folds its index delta in), segment block reads through the
+//! match that folds its index delta in), the stage-2 CFG comparison and
+//! the GBRT training the learned baseline needs before its first match,
+//! a selective scan with its filter pushed down vs applied by the client,
+//! segment block reads through the
 //! bounded cache (cold vs warm), put latency with inline vs background
 //! flushing, online-resharding cost (rows moved per second by a grow
 //! migration, matcher latency with a migration in flight vs quiesced),
@@ -24,6 +27,7 @@ use std::time::Instant;
 
 use cfstore::{Put, Scan, StoreOptions};
 use datagen::corpus;
+use mlmatch::{GbrtMatcher, GbrtParams, StoredJob};
 use mrjobs::interp::{Interp, Sink};
 use mrjobs::{jobs, Value};
 use mrsim::sortkey::KeyArena;
@@ -34,7 +38,7 @@ use pstorm::{match_profile, MatcherConfig, ProfileStore, SubmittedJob};
 use pstorm_bench::harness;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use staticanalysis::StaticFeatures;
+use staticanalysis::{Cfg, StaticFeatures};
 use whatif::WhatIfPlan;
 
 const STORE_SIZES: [usize; 3] = [10, 100, 1000];
@@ -77,8 +81,33 @@ struct Entry {
     store_size: usize,
     p50_ns: u128,
     p95_ns: u128,
-    candidates_per_sec: Option<f64>,
+    candidates_per_sec: f64,
 }
+
+impl Entry {
+    /// A row from sorted samples (a one-shot row passes its one timing);
+    /// one call handles `per_call` candidates, rows, gets or predictions.
+    fn new(
+        op: &'static str,
+        variant: &'static str,
+        store_size: usize,
+        samples: &[u128],
+        per_call: f64,
+    ) -> Entry {
+        let p50_ns = percentile(samples, 0.50);
+        Entry {
+            op,
+            variant,
+            store_size,
+            p50_ns,
+            p95_ns: percentile(samples, 0.95),
+            candidates_per_sec: per_call / (p50_ns as f64 * 1e-9),
+        }
+    }
+}
+
+/// A profile of each seed job with the statics it is stored under.
+type Seeds = [(StaticFeatures, JobProfile)];
 
 fn seed_profiles() -> Vec<(StaticFeatures, JobProfile)> {
     let text = corpus::random_text_1g();
@@ -98,8 +127,8 @@ fn seed_profiles() -> Vec<(StaticFeatures, JobProfile)> {
         .collect()
 }
 
-fn store_of(size: usize, seeds: &[(StaticFeatures, JobProfile)]) -> ProfileStore {
-    let store = ProfileStore::new().unwrap();
+/// `store` with `size` distinct profiles put, cycling through the seeds.
+fn filled(store: ProfileStore, size: usize, seeds: &Seeds) -> ProfileStore {
     for i in 0..size {
         let (statics, profile) = &seeds[i % seeds.len()];
         let mut p = profile.clone();
@@ -108,6 +137,13 @@ fn store_of(size: usize, seeds: &[(StaticFeatures, JobProfile)]) -> ProfileStore
         store.put_profile(statics, &p).unwrap();
     }
     store
+}
+
+/// Samples of the whole matching workflow on `store`.
+fn sample_match(store: &ProfileStore, q: &SubmittedJob) -> Vec<u128> {
+    let cfg = MatcherConfig::default();
+    let matched = || drop(std::hint::black_box(match_profile(store, q, &cfg).unwrap()));
+    sample_ns(matched, 20, 2_000)
 }
 
 /// The canonical incoming job every matcher bench queries with: a
@@ -132,18 +168,19 @@ fn matcher_query() -> SubmittedJob {
     }
 }
 
-fn bench_matcher(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)]) {
+fn bench_matcher(entries: &mut Vec<Entry>, seeds: &Seeds) {
     let q = matcher_query();
     let q_dyn = q.sample.map.dynamic_features();
 
     for size in STORE_SIZES {
-        let store = store_of(size, seeds);
+        let store = filled(ProfileStore::new().unwrap(), size, seeds);
         let bounds = store.normalization_bounds().unwrap();
         let theta = MatcherConfig::default().theta_eucl_fraction * (q_dyn.len() as f64).sqrt();
 
-        // Throughput: every stage-1 variant examines all `size` stored
-        // candidates per call, so candidates/s = size / p50.
-        let cps = |p50: u128| Some(size as f64 / (p50 as f64 * 1e-9));
+        // Every variant examines all `size` stored candidates per call.
+        let mut push = |op, variant, samples: Vec<u128>| {
+            entries.push(Entry::new(op, variant, size, &samples, size as f64));
+        };
 
         // Stage 1 in isolation: the dynamic-feature distance filter, on
         // the lane-vectorized sweep and the scalar reference sweep.
@@ -155,15 +192,7 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)
             50,
             20_000,
         );
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "matcher_stage1",
-            variant: "columnar",
-            store_size: size,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: cps(p50),
-        });
+        push("matcher_stage1", "columnar", samples);
 
         let samples = sample_ns(
             || {
@@ -172,15 +201,7 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)
             50,
             20_000,
         );
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "matcher_stage1",
-            variant: "columnar_scalar",
-            store_size: size,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: cps(p50),
-        });
+        push("matcher_stage1", "columnar_scalar", samples);
 
         let samples = sample_ns(
             || {
@@ -194,35 +215,56 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)
             50,
             20_000,
         );
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "matcher_stage1",
-            variant: "filter_dynamic",
-            store_size: size,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: cps(p50),
-        });
+        push("matcher_stage1", "filter_dynamic", samples);
+        push("match_profile", "columnar", sample_match(&store, &q));
+    }
+}
 
-        // The whole matching workflow.
-        let cfg = MatcherConfig::default();
+/// Stage 2's CFG comparison (§4.1.3, a synchronized BFS): the
+/// co-occurrence pairs mapper's CFG against word count's, which it does
+/// not match, and against itself, which walks the whole graph.
+fn bench_cfg_match(entries: &mut Vec<Entry>) {
+    let coocc = Cfg::from_udf(&jobs::word_cooccurrence_pairs(2).map_udf);
+    let wc = Cfg::from_udf(&jobs::word_count().map_udf);
+    assert!(!coocc.matches(&wc) && coocc.matches(&coocc));
+    for (variant, other) in [("mismatching", &wc), ("self", &coocc)] {
         let samples = sample_ns(
             || {
-                let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
+                std::hint::black_box(coocc.matches(std::hint::black_box(other)));
             },
-            20,
-            2_000,
+            50,
+            20_000,
         );
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "match_profile",
-            variant: "columnar",
-            store_size: size,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: cps(p50),
-        });
+        entries.push(Entry::new("cfg_match", variant, 0, &samples, 1.0));
     }
+}
+
+/// What the learned baseline of Fig. 6.2 pays before its first match and
+/// PStorM's matcher never does: GBRT 1 with 200 trees and no
+/// cross-validation, trained on the four seed profiles.
+fn bench_gbrt_train(entries: &mut Vec<Entry>, seeds: &Seeds) {
+    let store: Vec<StoredJob> = seeds
+        .iter()
+        .map(|(statics, profile)| StoredJob {
+            spec: jobs::word_count(), // spec only drives WIF targets
+            statics: statics.clone(),
+            profile: profile.clone(),
+        })
+        .collect();
+    let params = GbrtParams {
+        n_trees: 200,
+        cv_folds: 0,
+        train_fraction: 1.0,
+        ..GbrtParams::gbrt1()
+    };
+    let train = || GbrtMatcher::train(&store, &cl(), &params, 8, 3);
+    let samples = sample_ns(|| drop(train()), 5, 20);
+    let model = train();
+    assert!(store
+        .iter()
+        .all(|job| model.distance(&job.statics, &job.profile, job).is_finite()));
+    let n = store.len();
+    entries.push(Entry::new("gbrt_train", "200_trees", n, &samples, n as f64));
 }
 
 /// `match_profile` and `put_then_match` at [`TRAJECTORY_SIZES`]. Each
@@ -230,31 +272,16 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)
 /// stays at its size) and matches: the put leaves an index delta, the
 /// match folds it in. Before the index was write-maintained the same pair
 /// rebuilt the index from three prefix scans.
-fn bench_put_then_match(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)]) {
+fn bench_put_then_match(entries: &mut Vec<Entry>, seeds: &Seeds) {
     let q = matcher_query();
     let cfg = MatcherConfig::default();
     for size in TRAJECTORY_SIZES {
-        let store = store_of(size, seeds);
-        let mut push = |op: &'static str, samples: Vec<u128>| {
-            let p50 = percentile(&samples, 0.50);
-            entries.push(Entry {
-                op,
-                variant: "columnar",
-                store_size: size,
-                p50_ns: p50,
-                p95_ns: percentile(&samples, 0.95),
-                candidates_per_sec: Some(size as f64 / (p50 as f64 * 1e-9)),
-            });
+        let store = filled(ProfileStore::new().unwrap(), size, seeds);
+        let mut push = |op, samples: Vec<u128>| {
+            entries.push(Entry::new(op, "columnar", size, &samples, size as f64));
         };
         if !STORE_SIZES.contains(&size) {
-            let samples = sample_ns(
-                || {
-                    let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
-                },
-                20,
-                2_000,
-            );
-            push("match_profile", samples);
+            push("match_profile", sample_match(&store, &q));
         }
         let (statics, profile) = &seeds[0];
         let mut p = profile.clone();
@@ -279,24 +306,16 @@ fn bench_put_then_match(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobP
 /// background flusher. Returns `(blocks_indexed, blocks_read)` from the
 /// lazy reopen — the read-amplification proof that reopening is bounded
 /// by segment trailers, not segment bodies.
-fn bench_store(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)]) -> (u64, u64) {
+fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
     let base = std::env::temp_dir().join(format!("pstorm-perf-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let dir = base.join("read");
     let size = STORE_SIZES[2];
 
     // Build a segment-backed store: `size` profiles, flushed, closed.
-    {
-        let (store, _) = ProfileStore::reopen(&dir).unwrap();
-        for i in 0..size {
-            let (statics, profile) = &seeds[i % seeds.len()];
-            let mut p = profile.clone();
-            p.job_id = format!("{}#{}", p.job_id, i);
-            p.map.size_selectivity *= 1.0 + (i as f64) * 1e-4;
-            store.put_profile(statics, &p).unwrap();
-        }
-        store.flush().unwrap();
-    }
+    filled(ProfileStore::reopen(&dir).unwrap().0, size, seeds)
+        .flush()
+        .unwrap();
 
     // Lazy reopen with the default cache budget. The recovery report is
     // captured before any read: blocks are indexed from trailers only.
@@ -311,60 +330,34 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)])
         .map(|r| r.row.to_vec())
         .collect();
     assert!(!keys.is_empty(), "store must hold rows");
+    let mut push_gets = |variant, store: ProfileStore| {
+        let mut k = 0usize;
+        let samples = sample_ns(
+            || {
+                let key = &keys[k % keys.len()];
+                k += 1;
+                std::hint::black_box(store.inner().get("Jobs", key).unwrap());
+            },
+            200,
+            200_000,
+        );
+        entries.push(Entry::new("store_block_read", variant, size, &samples, 1.0));
+    };
 
     // Warm: the reopen's eager index scan plus the key scan above primed
     // the cache, so every get is a block-cache hit.
-    let mut k = 0usize;
-    let samples = sample_ns(
-        || {
-            let key = &keys[k % keys.len()];
-            k += 1;
-            std::hint::black_box(warm_store.inner().get("Jobs", key).unwrap());
-        },
-        200,
-        200_000,
-    );
-    let p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "store_block_read",
-        variant: "warm",
-        store_size: size,
-        p50_ns: p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: Some(1e9 / p50 as f64),
-    });
-    drop(warm_store);
+    push_gets("warm", warm_store);
 
     // Cold: a 0-byte budget admits nothing, so every get re-reads and
     // CRC-verifies its whole block from disk — the uncached unit cost.
-    let (cold_store, _) = ProfileStore::reopen_with_opts(
-        &dir,
-        StoreOptions {
-            block_cache_bytes: 0,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
-    let mut k = 0usize;
-    let samples = sample_ns(
-        || {
-            let key = &keys[k % keys.len()];
-            k += 1;
-            std::hint::black_box(cold_store.inner().get("Jobs", key).unwrap());
-        },
-        200,
-        200_000,
+    let uncached = StoreOptions {
+        block_cache_bytes: 0,
+        ..StoreOptions::default()
+    };
+    push_gets(
+        "cold",
+        ProfileStore::reopen_with_opts(&dir, uncached).unwrap().0,
     );
-    let p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "store_block_read",
-        variant: "cold",
-        store_size: size,
-        p50_ns: p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: Some(1e9 / p50 as f64),
-    });
-    drop(cold_store);
 
     // Put latency, per-op samples: inline flushing charges a periodic
     // segment rewrite to whichever put drew the short straw (visible at
@@ -406,20 +399,55 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &[(StaticFeatures, JobProfile)])
         let inline = variant == "inline_flush";
         let (store, _) = ProfileStore::reopen_with_opts(&dir, opts).unwrap();
         let samples = put_samples(&store, inline);
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "store_put",
-            variant,
-            store_size: PUTS,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: Some(1e9 / p50 as f64),
-        });
+        entries.push(Entry::new("store_put", variant, PUTS, &samples, 1.0));
         drop(store);
     }
 
     let _ = std::fs::remove_dir_all(&base);
     read_amp
+}
+
+/// Filters pushed down to the region servers (§5.3) against the same scan
+/// filtered by the client: 4 096 rows in 31 regions (split at 256), each
+/// scanned on its own thread, and a predicate that keeps 41 of the rows.
+fn bench_store_scan(entries: &mut Vec<Entry>) {
+    use cfstore::{MiniStore, PredicateFilter, RowResult};
+
+    const ROWS: usize = 4096;
+    let store = MiniStore::new();
+    store.create_table_with_threshold("t", &["f"], 256).unwrap();
+    for i in 0..ROWS {
+        let put = Put::new(format!("row{i:05}"), "f", "v", format!("{i}"));
+        store.put("t", put).unwrap();
+    }
+    let keep = |r: &RowResult| r.row.ends_with(b"00");
+    let pushdown = Scan::all().with_filter(Box::new(PredicateFilter {
+        name: "ends_with_00".to_string(),
+        pred: keep,
+    }));
+    let client_side = || {
+        let (rows, metrics) = store.scan("t", &Scan::all()).unwrap();
+        (rows.into_iter().filter(keep).collect::<Vec<_>>(), metrics)
+    };
+    // Both keep the same 41 rows; the regions ship 41 or all 4 096.
+    let (rows, metrics) = store.scan("t", &pushdown).unwrap();
+    assert_eq!((rows.len(), metrics.rows_returned), (41, 41));
+    let (rows, metrics) = client_side();
+    assert_eq!((rows.len(), metrics.rows_returned), (41, ROWS as u64));
+
+    let pushed_down = || drop(std::hint::black_box(store.scan("t", &pushdown).unwrap()));
+    let filtered = || drop(std::hint::black_box(client_side()));
+    let mut push = |variant, samples: Vec<u128>| {
+        entries.push(Entry::new(
+            "store_scan",
+            variant,
+            ROWS,
+            &samples,
+            ROWS as f64,
+        ));
+    };
+    push("filter_pushdown", sample_ns(pushed_down, 20, 20_000));
+    push("client_side_filter", sample_ns(filtered, 20, 20_000));
 }
 
 /// Sharded-store robustness costs (PR 7): what replication charges the
@@ -459,37 +487,22 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
         200,
         200_000,
     );
-    let p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "shard_get",
-        variant: "replicated",
-        store_size: ROWS,
-        p50_ns: p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: Some(1e9 / p50 as f64),
-    });
+    entries.push(Entry::new("shard_get", "replicated", ROWS, &samples, 1.0));
 
     // Merged scans: every replica of every row is visited (the read
     // amplification of redundancy — R rows scanned per merged row).
     let (rows, metrics) = store.scan("t", &Scan::all()).unwrap();
     assert_eq!(rows.len(), ROWS);
     assert_eq!(metrics.rows_scanned, replication as u64 * ROWS as u64);
-    let samples = sample_ns(
-        || {
-            std::hint::black_box(store.scan("t", &Scan::all()).unwrap());
-        },
-        20,
-        20_000,
-    );
-    let p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "shard_scan",
-        variant: "replicated",
-        store_size: ROWS,
-        p50_ns: p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: Some(ROWS as f64 / (p50 as f64 * 1e-9)),
-    });
+    let scanned = || drop(std::hint::black_box(store.scan("t", &Scan::all()).unwrap()));
+    let samples = sample_ns(scanned, 20, 20_000);
+    entries.push(Entry::new(
+        "shard_scan",
+        "replicated",
+        ROWS,
+        &samples,
+        ROWS as f64,
+    ));
 
     // One-shot: lose a whole shard, time the rebuilding reopen.
     let victim_dir = store.shard_dir(1);
@@ -500,14 +513,14 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
     let rebuild_ns = t.elapsed().as_nanos();
     assert_eq!(report.lost_shards, vec![1]);
     let healed = report.healed_rows;
-    entries.push(Entry {
-        op: "shard_rebuild",
-        variant: "whole_shard_loss",
-        store_size: ROWS,
-        p50_ns: rebuild_ns,
-        p95_ns: rebuild_ns,
-        candidates_per_sec: Some(healed as f64 / (rebuild_ns as f64 * 1e-9)),
-    });
+    let per_call = healed as f64;
+    entries.push(Entry::new(
+        "shard_rebuild",
+        "whole_shard_loss",
+        ROWS,
+        &[rebuild_ns],
+        per_call,
+    ));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     (metrics.rows_scanned, ROWS as u64, healed, rebuild_ns)
@@ -519,46 +532,25 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
 /// p50 on the same sharded profile store quiesced vs mid-copy
 /// (dual-apply armed, reads pinned to the old epoch). Returns
 /// `(rows_moved, grow_ms, mid_over_quiesced)` for the summary.
-fn bench_reshard(
-    entries: &mut Vec<Entry>,
-    seeds: &[(StaticFeatures, JobProfile)],
-) -> (u64, f64, f64) {
+fn bench_reshard(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, f64, f64) {
     use cfstore::{ReshardPhase, Topology};
 
     let dir = std::env::temp_dir().join(format!("pstorm-perf-reshard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let size = STORE_SIZES[1];
 
-    let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
-    for i in 0..size {
-        let (statics, profile) = &seeds[i % seeds.len()];
-        let mut p = profile.clone();
-        p.job_id = format!("{}#{}", p.job_id, i);
-        p.map.size_selectivity *= 1.0 + (i as f64) * 1e-4;
-        store.put_profile(statics, &p).unwrap();
-    }
+    let store = filled(ProfileStore::reopen_sharded(&dir).unwrap().0, size, seeds);
     store.flush().unwrap();
     let q = matcher_query();
-    let cfg = MatcherConfig::default();
-    let cps = |p50: u128| Some(size as f64 / (p50 as f64 * 1e-9));
+    let mut push = |variant, samples: &[u128], per_call| {
+        let row = Entry::new("reshard", variant, size, samples, per_call);
+        let p50_ns = row.p50_ns;
+        entries.push(row);
+        p50_ns
+    };
 
     // Matcher baseline with no migration in flight.
-    let samples = sample_ns(
-        || {
-            let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
-        },
-        20,
-        2_000,
-    );
-    let quiesced_p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "reshard",
-        variant: "matcher_quiesced",
-        store_size: size,
-        p50_ns: quiesced_p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: cps(quiesced_p50),
-    });
+    let quiesced_p50 = push("matcher_quiesced", &sample_match(&store, &q), size as f64);
 
     // One-shot: grow 3×2 → 4×2, timing the whole migration from the
     // journaled Begin through copy, verify, cutover, and GC.
@@ -567,14 +559,7 @@ fn bench_reshard(
     let grow_ns = t.elapsed().as_nanos();
     assert!(matches!(status.phase, ReshardPhase::Done));
     let rows_moved = status.rows_copied;
-    entries.push(Entry {
-        op: "reshard",
-        variant: "grow_3x2_to_4x2",
-        store_size: size,
-        p50_ns: grow_ns,
-        p95_ns: grow_ns,
-        candidates_per_sec: Some(rows_moved as f64 / (grow_ns as f64 * 1e-9)),
-    });
+    push("grow_3x2_to_4x2", &[grow_ns], rows_moved as f64);
 
     // Mid-migration: start shrinking back toward 3×2 and pause after
     // the first copy unit — dual-apply armed, reads still served by the
@@ -582,22 +567,11 @@ fn bench_reshard(
     let sharded = store.sharded().expect("store is sharded");
     sharded.begin_reshard(Topology::uniform(3, 2)).unwrap();
     sharded.reshard_step().unwrap();
-    let samples = sample_ns(
-        || {
-            let _ = std::hint::black_box(match_profile(&store, &q, &cfg).unwrap());
-        },
-        20,
-        2_000,
+    let mid_p50 = push(
+        "matcher_mid_migration",
+        &sample_match(&store, &q),
+        size as f64,
     );
-    let mid_p50 = percentile(&samples, 0.50);
-    entries.push(Entry {
-        op: "reshard",
-        variant: "matcher_mid_migration",
-        store_size: size,
-        p50_ns: mid_p50,
-        p95_ns: percentile(&samples, 0.95),
-        candidates_per_sec: cps(mid_p50),
-    });
     let done = store
         .resume_reshard()
         .unwrap()
@@ -646,15 +620,14 @@ fn bench_cbo(entries: &mut Vec<Entry>) {
             5,
             60,
         );
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "cbo_search",
-            variant: search_variant,
-            store_size: 0,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: Some(CBO_BUDGET as f64 / (p50 as f64 * 1e-9)),
-        });
+        let budget = CBO_BUDGET as f64;
+        entries.push(Entry::new(
+            "cbo_search",
+            search_variant,
+            0,
+            &samples,
+            budget,
+        ));
 
         // Raw what-if evaluation throughput, isolated from search logic:
         // one sample is `CBO_BUDGET` predictions.
@@ -673,15 +646,7 @@ fn bench_cbo(entries: &mut Vec<Entry>) {
             5,
             60,
         );
-        let p50 = percentile(&samples, 0.50);
-        entries.push(Entry {
-            op: "whatif_eval",
-            variant: eval_variant,
-            store_size: 0,
-            p50_ns: p50,
-            p95_ns: percentile(&samples, 0.95),
-            candidates_per_sec: Some(cfgs.len() as f64 / (p50 as f64 * 1e-9)),
-        });
+        entries.push(Entry::new("whatif_eval", eval_variant, 0, &samples, budget));
     }
 }
 
@@ -933,8 +898,11 @@ fn main() {
     eprintln!("benchmarking matcher...");
     bench_matcher(&mut entries, &seeds);
     bench_put_then_match(&mut entries, &seeds);
+    bench_cfg_match(&mut entries);
+    bench_gbrt_train(&mut entries, &seeds);
     eprintln!("benchmarking durable store...");
     let (reopen_blocks, reopen_blocks_read) = bench_store(&mut entries, &seeds);
+    bench_store_scan(&mut entries);
     eprintln!("benchmarking sharded store...");
     let (shard_scanned, shard_returned, shard_healed, shard_rebuild_ns) =
         bench_sharded(&mut entries);
@@ -966,75 +934,72 @@ fn main() {
     let put_then_match_at_4000 = find(&entries, "put_then_match", "columnar", 4000);
     let put_tail_ratio = entry(&entries, "store_put", "inline_flush", 2048).p95_ns as f64
         / entry(&entries, "store_put", "background_flush", 2048).p95_ns as f64;
-    let current_cps = entries
-        .iter()
-        .find(|e| e.op == "cbo_search" && e.variant == "current")
-        .and_then(|e| e.candidates_per_sec)
-        .unwrap();
+    let current_cps = entry(&entries, "cbo_search", "current", 0).candidates_per_sec;
     let shard_rebuild_ms = shard_rebuild_ns as f64 * 1e-6;
     // Per prediction: the row's sample is `CBO_BUDGET` of them.
     let whatif_eval_at_560 =
         find(&entries, "whatif_eval", "planned_560_splits", 0) / CBO_BUDGET as f64;
 
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let cps = match e.candidates_per_sec {
-            Some(v) => format!("{v:.1}"),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            json,
-            "    {{\"op\": \"{}\", \"variant\": \"{}\", \"store_size\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"candidates_per_sec\": {}}}",
-            e.op, e.variant, e.store_size, e.p50_ns, e.p95_ns, cps
-        );
-        json.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"analyze\": [\n");
-    for (i, f) in analyze_families.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"family\": \"{}\", \"submissions\": {}, \"pairs\": {}, \"p50_ns\": {}}}",
-            f.family, f.submissions, f.pairs, f.p50_ns
-        );
-        json.push_str(if i + 1 < analyze_families.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n  \"group_sort\": [\n");
-    let group_sort_rows: Vec<String> = group_sorts
-        .iter()
-        .flat_map(|g| {
-            [("arena", g.arena_p50_ns), ("value_cmp", g.value_cmp_p50_ns)].map(|(variant, p50_ns)| {
+    let mut json = String::from("{\n");
+    let mut array = |name: &str, rows: Vec<String>| {
+        let _ = writeln!(json, "  \"{name}\": [\n{}\n  ],", rows.join(",\n"));
+    };
+    array(
+        "benchmarks",
+        entries
+            .iter()
+            .map(|e| {
                 format!(
-                    "    {{\"case\": \"{}\", \"variant\": \"{variant}\", \"pairs\": {}, \"p50_ns\": {p50_ns}, \"pairs_per_s\": {:.0}}}",
-                    g.case,
-                    g.pairs,
-                    g.pairs as f64 / (p50_ns as f64 * 1e-9)
+                    "    {{\"op\": \"{}\", \"variant\": \"{}\", \"store_size\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"candidates_per_sec\": {:.1}}}",
+                    e.op, e.variant, e.store_size, e.p50_ns, e.p95_ns, e.candidates_per_sec
                 )
             })
-        })
-        .collect();
-    json.push_str(&group_sort_rows.join(",\n"));
-    json.push('\n');
-    json.push_str("  ],\n  \"interp_map\": [\n");
-    for (i, m) in interp_maps.iter().enumerate() {
-        let (discarded, kept) = m.ns_per_record();
-        let _ = write!(
-            json,
-            "    {{\"case\": \"{}\", \"records\": {}, \"p50_ns\": {}, \"ns_per_record\": {discarded:.0}, \"kept_p50_ns\": {}, \"kept_ns_per_record\": {kept:.0}}}",
-            m.case, m.records, m.discarded_p50_ns, m.kept_p50_ns
-        );
-        json.push_str(if i + 1 < interp_maps.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = write!(
+            .collect(),
+    );
+    array(
+        "analyze",
+        analyze_families
+            .iter()
+            .map(|f| {
+                format!(
+                    "    {{\"family\": \"{}\", \"submissions\": {}, \"pairs\": {}, \"p50_ns\": {}}}",
+                    f.family, f.submissions, f.pairs, f.p50_ns
+                )
+            })
+            .collect(),
+    );
+    array(
+        "group_sort",
+        group_sorts
+            .iter()
+            .flat_map(|g| {
+                [("arena", g.arena_p50_ns), ("value_cmp", g.value_cmp_p50_ns)].map(|(variant, p50_ns)| {
+                    format!(
+                        "    {{\"case\": \"{}\", \"variant\": \"{variant}\", \"pairs\": {}, \"p50_ns\": {p50_ns}, \"pairs_per_s\": {:.0}}}",
+                        g.case,
+                        g.pairs,
+                        g.pairs as f64 / (p50_ns as f64 * 1e-9)
+                    )
+                })
+            })
+            .collect(),
+    );
+    array(
+        "interp_map",
+        interp_maps
+            .iter()
+            .map(|m| {
+                let (discarded, kept) = m.ns_per_record();
+                format!(
+                    "    {{\"case\": \"{}\", \"records\": {}, \"p50_ns\": {}, \"ns_per_record\": {discarded:.0}, \"kept_p50_ns\": {}, \"kept_ns_per_record\": {kept:.0}}}",
+                    m.case, m.records, m.discarded_p50_ns, m.kept_p50_ns
+                )
+            })
+            .collect(),
+    );
+    let _ = writeln!(
         json,
-        "  ],\n  \"interp_node\": {{\"nodes\": {interp_nodes}, \"p50_ns\": {interp_node_p50_ns}, \"ns_per_node\": {ns_per_node:.2}}},\n"
+        "  \"interp_node\": {{\"nodes\": {interp_nodes}, \"p50_ns\": {interp_node_p50_ns}, \"ns_per_node\": {ns_per_node:.2}}},"
     );
     let _ = write!(
         json,

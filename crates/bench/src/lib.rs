@@ -18,7 +18,8 @@
 //! | `sec5_2_models` | §5.2 — store data-model comparison |
 //! | `ablations` | DESIGN.md §3 — matcher/design ablations |
 //!
-//! Criterion microbenchmarks live in `benches/`.
+//! Wall-clock timings come from one binary, `perf_report`, which writes
+//! `BENCH_tuning_latency.json`.
 
 pub mod accuracy;
 pub mod fsck;

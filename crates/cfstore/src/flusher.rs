@@ -10,9 +10,11 @@
 //! that lock with the WAL covering the memstore, flush *timing* never
 //! matters to crash safety.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
+/// Nothing panics while holding its lock (the holders set or test these
+/// two bools, or wait), so a poisoned lock still guards valid state.
 #[derive(Default)]
 struct Signal {
     pending: bool,
@@ -36,7 +38,11 @@ impl Flusher {
     /// are its own business: a flush that hits an injected crash point
     /// or real I/O trouble poisons the store for writers exactly as a
     /// foreground flush would, and a poisoned store never wakes again.
-    pub(crate) fn spawn(name: &str, mut work: impl FnMut() + Send + 'static) -> Self {
+    /// Fails only if the OS refuses the thread.
+    pub(crate) fn spawn(
+        name: &str,
+        mut work: impl FnMut() + Send + 'static,
+    ) -> std::io::Result<Self> {
         let shared = Shared::default();
         let theirs = shared.clone();
         let thread = std::thread::Builder::new()
@@ -45,9 +51,9 @@ impl Flusher {
                 let (signal, cv) = &*theirs;
                 loop {
                     {
-                        let mut g = signal.lock().expect("flusher signal lock");
+                        let mut g = signal.lock().unwrap_or_else(PoisonError::into_inner);
                         while !g.pending && !g.shutdown {
-                            g = cv.wait(g).expect("flusher signal wait");
+                            g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
                         }
                         if g.shutdown {
                             return;
@@ -56,18 +62,20 @@ impl Flusher {
                     }
                     work();
                 }
-            })
-            .expect("spawn background flusher");
-        Flusher {
+            })?;
+        Ok(Flusher {
             shared,
             thread: Some(thread),
-        }
+        })
     }
 
     /// Ask for one more run of the work closure.
     pub(crate) fn wake(&self) {
         let (signal, cv) = &*self.shared;
-        signal.lock().expect("flusher signal lock").pending = true;
+        signal
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pending = true;
         cv.notify_one();
     }
 }
@@ -75,9 +83,10 @@ impl Flusher {
 impl Drop for Flusher {
     fn drop(&mut self) {
         let (signal, cv) = &*self.shared;
-        if let Ok(mut g) = signal.lock() {
-            g.shutdown = true;
-        }
+        signal
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
         cv.notify_one();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();

@@ -880,12 +880,17 @@ impl ShardedStore {
             obs: RwLock::new(reg),
             opts,
         });
-        let flusher = inner.opts.background_flush_wal_bytes.map(|threshold| {
-            let inner = inner.clone();
-            Flusher::spawn("cfstore-shard-flusher", move || {
-                flush_grown_shards(&inner, threshold)
+        let flusher = inner
+            .opts
+            .background_flush_wal_bytes
+            .map(|threshold| {
+                let inner = inner.clone();
+                Flusher::spawn("cfstore-shard-flusher", move || {
+                    flush_grown_shards(&inner, threshold)
+                })
             })
-        });
+            .transpose()
+            .map_err(|e| io_err(dir, e))?;
         Ok((ShardedStore { inner, flusher }, report))
     }
 
@@ -1058,6 +1063,8 @@ impl ShardedStore {
                 Err(Unhealed::StillCorrupt { seen, .. }) => last_err = Some(seen),
             }
         }
+        // `Topology::validate` holds every opened topology to R ≥ 1, so
+        // the loop ran at least once.
         Err(last_err.expect("loop returns unless every replica errored"))
     }
 
@@ -1104,6 +1111,8 @@ impl ShardedStore {
                 .into_iter()
                 .find(|&g| per_shard[g as usize].is_some());
             if source_for_slot[s as usize].is_none() {
+                // R ≥ 1 (`Topology::validate`): the slot has a replica,
+                // and its scan failed.
                 return Err(last_err
                     .take()
                     .expect("a slot is unscannable only after replica errors"));

@@ -505,15 +505,19 @@ impl MiniStore {
                 regions.push(Arc::new(Region::new(id, KeyRange::all())));
             }
         }
-        let flusher = opts.background_flush_wal_bytes.map(|threshold| {
-            let inner = inner.clone();
-            let work = move || {
-                if inner.flush().is_ok() {
-                    inner.obs().incr("cfstore.flush.background", 1);
-                }
-            };
-            (threshold, Flusher::spawn("cfstore-flusher", work))
-        });
+        let flusher = opts
+            .background_flush_wal_bytes
+            .map(|threshold| {
+                let inner = inner.clone();
+                let work = move || {
+                    if inner.flush().is_ok() {
+                        inner.obs().incr("cfstore.flush.background", 1);
+                    }
+                };
+                Flusher::spawn("cfstore-flusher", work).map(|f| (threshold, f))
+            })
+            .transpose()
+            .map_err(|e| io_err(dir, e))?;
         Ok((MiniStore { inner, flusher }, report))
     }
 
@@ -810,21 +814,21 @@ impl MiniStore {
                 partials.push(r.scan(&scan.start, scan.stop.as_deref(), filter)?);
             }
         } else {
-            let results = crossbeam::thread::scope(|s| {
+            let results = std::thread::scope(|s| {
                 let handles: Vec<_> = regions
                     .iter()
                     .map(|r| {
                         let start = &scan.start;
                         let stop = scan.stop.as_deref();
-                        s.spawn(move |_| r.scan(start, stop, filter))
+                        s.spawn(move || r.scan(start, stop, filter))
                     })
                     .collect();
+                // A region's panic goes on unwinding on the caller's thread.
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("region scan panicked"))
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                     .collect::<Vec<_>>()
-            })
-            .expect("scan scope");
+            });
             for result in results {
                 partials.push(result?);
             }
@@ -902,6 +906,8 @@ impl MiniStore {
                 *root_region_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
             }
         }
+        // Only the sharded store calls this, and it opens every shard
+        // with `MiniStore::open_with_opts`, which always sets `durable`.
         let mut d = self
             .inner
             .durable
@@ -1412,6 +1418,25 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted);
         assert_eq!(rows.len(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "filter panicked on k050")]
+    fn a_region_scan_panic_reaches_the_caller_with_its_own_message() {
+        let store = MiniStore::new();
+        store.create_table_with_threshold("t", &["f"], 8).unwrap();
+        for i in 0..100 {
+            store.put("t", bput(&format!("k{i:03}"), "c", "v")).unwrap();
+        }
+        assert!(store.region_count("t").unwrap() > 1, "scans on threads");
+        let scan = Scan::all().with_filter(Box::new(PredicateFilter {
+            name: "panics on k050".to_string(),
+            pred: |r: &RowResult| {
+                assert!(r.row.as_ref() != b"k050", "filter panicked on k050");
+                true
+            },
+        }));
+        let _ = store.scan("t", &scan);
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -125,6 +125,18 @@ if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/
 shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/cfstore/src/flusher.rs crates/bench/src/fsck.rs"
 shard_layer_lines=$(nontest $shard_layer_files | wc -l)
 
+# cfstore's threads and panic sites (DESIGN.md §26): a scan's regions run
+# on `std::thread::scope` threads, not through a vendored stand-in; the
+# flusher has no panic site, and each one left in store.rs (one) and
+# shard.rs (two) names the invariant that guarantees it.
+step "source gate (cfstore: std threads, audited panic sites)"
+if nontest $cfstore_src | grep -F 'crossbeam::'; then exit 1; fi
+panics() { nontest "crates/cfstore/src/$1" | grep -cE 'expect\(|unwrap\(\)|panic!|unreachable!' || true; }
+if [ "$(panics flusher.rs)" -gt 0 ] || [ "$(panics store.rs)" -gt 1 ] || [ "$(panics shard.rs)" -gt 2 ]; then
+  echo "cfstore panic sites: flusher.rs $(panics flusher.rs) (max 0), store.rs $(panics store.rs) (max 1), shard.rs $(panics shard.rs) (max 2)"
+  exit 1
+fi
+
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live
 # `Table`/`Region` objects by one piece of code, whether a write just
 # logged it, a sharded batch did, or a reopen found it. No shadow region
@@ -192,6 +204,14 @@ fi
 if nontest $(find crates/optimizer/src -name '*.rs') | grep -E 'HashMap|config_key|memo_hits|[Mm]emoiz'; then exit 1; fi
 serving_path_files="crates/core/src/service.rs crates/core/src/daemon.rs crates/optimizer/src/cbo.rs crates/whatif/src/lib.rs"
 serving_path_lines=$(nontest $serving_path_files | wc -l)
+
+# One timing tool (DESIGN.md §26): every wall-clock row is a `perf_report`
+# row, built by its one `Entry` constructor.
+step "source gate (one timing tool, one perf_report row constructor)"
+if [ -e crates/bench/benches ]; then echo "crates/bench/benches is back"; exit 1; fi
+if [ "$(nontest crates/bench/src/bin/perf_report.rs | grep -cE '(\(|: +)Entry \{$' || true)" -ne 1 ]; then
+  echo "perf_report.rs must construct Entry in exactly one place"; exit 1
+fi
 
 # The reproduction is a golden: every experiment binary prints, byte for
 # byte, the capture EXPERIMENTS.md quotes from (`fig6_2` at the GBRT scale
