@@ -451,9 +451,7 @@ pub fn analyze(
                 // size is the size of (representative key, value).
                 let group_bytes: f64 = group.iter().map(|r| pair_bytes[r.index()] as f64).sum();
                 sample.max_group_bytes = sample.max_group_bytes.max(group_bytes);
-                sample
-                    .weights
-                    .push((partition_hash(&key, spec.partitioner), group_bytes));
+                sample.weights.push((group[0].index(), group_bytes));
                 // The reducer consumes the map output: values move out.
                 let group_values = group
                     .iter()
@@ -489,6 +487,12 @@ pub fn analyze(
             uniform_weight = weights[MAX_WEIGHTS..].iter().map(|(_, w)| w).sum();
             weights.truncate(MAX_WEIGHTS);
         }
+        // Only the kept groups are hashed; the sort above is stable on
+        // weight alone, so which survive does not depend on the hash.
+        let key_weights = weights
+            .into_iter()
+            .map(|(first, w)| (partition_hash(&keys[first], spec.partitioner), w))
+            .collect();
 
         // Scaled quantities. Input scales linearly; distinct keys scale
         // with Heaps exponent alpha; output scales between the two
@@ -507,7 +511,7 @@ pub fn analyze(
             ops_per_record: safe_ratio(sample.ops, sample_in_records, 0.0),
             distinct_keys,
             max_group_bytes: sample.max_group_bytes * inter_scale,
-            key_weights: weights,
+            key_weights,
             uniform_weight,
         }
     });
@@ -530,8 +534,9 @@ struct ReduceSample {
     out_bytes: f64,
     ops: f64,
     max_group_bytes: f64,
-    /// `(partition_hash, byte_weight)` per group, in key order.
-    weights: Vec<(u64, f64)>,
+    /// `(index of the first pair, byte_weight)` per group, in key order:
+    /// the first pair's key represents the group.
+    weights: Vec<(usize, f64)>,
 }
 
 /// Hash used for partitioning a key, honouring the job's partitioner.
