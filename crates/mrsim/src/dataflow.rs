@@ -6,19 +6,25 @@
 //! total dataflow statistics to the dataset's logical scale. Nothing is
 //! remembered between calls: a caller that needs the dataflow for several
 //! configurations or seeds measures once and reuses the [`Dataflow`].
+//! As map tasks run on slots of their own, a call maps the second half of
+//! its chunks on a helper thread while fewer calls and helpers than cores
+//! are busy in the process (DESIGN.md §27): that count is load, not state,
+//! and the result is the same bits either way.
 //! Everything that depends on the *configuration* (spills, merges,
 //! compression, reducer count) is left to the phase cost model in
 //! [`crate::phases`]; everything here depends only on the job semantics
 //! and the data.
 
-use std::sync::Arc;
+use std::ops::{Index, IndexMut};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
 use mrjobs::interp::{value_hash, Interp, Sink};
-use mrjobs::{Dataset, ExecStats, JobSpec, Partitioner, Udf, Value};
+use mrjobs::{Dataset, ExecStats, JobSpec, Partitioner, Record, Udf, Value};
 
 use crate::cluster::ClusterSpec;
 use crate::error::SimError;
-use crate::sortkey::{KeyArena, KeyRec};
+use crate::sortkey::{ArenaFull, KeyArena, KeyRec, Keys};
 
 /// Per-map-task dataflow at logical scale. Tasks cycle over the measured
 /// chunks, so tasks differ the way real splits differ.
@@ -241,10 +247,11 @@ impl<'a> Runner<'a> {
 /// The map output of the whole sample in emission order, each pair with
 /// the serialized size `Emit` computed for it. Keys apart from values, so
 /// the reducer can take the values while the grouping still reads the keys.
+#[derive(Default)]
 struct MapOutput {
-    keys: Vec<Value>,
-    values: Vec<Value>,
-    bytes: Vec<u32>,
+    keys: Segments<Value>,
+    values: Segments<Value>,
+    bytes: Segments<u32>,
     /// The keys once more, as the sortable bytes the grouping reads; absent
     /// when nothing will group this output.
     arena: Option<KeyArena>,
@@ -254,17 +261,7 @@ struct MapOutput {
 }
 
 impl MapOutput {
-    fn new(grouped: bool) -> Self {
-        MapOutput {
-            keys: Vec::new(),
-            values: Vec::new(),
-            bytes: Vec::new(),
-            arena: grouped.then(KeyArena::new),
-            full: false,
-        }
-    }
-
-    /// Size every vector for the whole sample from what its first chunk
+    /// Size every vector for the whole run from what its first chunk
     /// emitted, plus an eighth: growing by doubling would hold, at the
     /// last reallocation, three times what the output needs. Only for an
     /// output whose key vector will pass [`FRESHLY_MAPPED_BYTES`]; a
@@ -273,13 +270,13 @@ impl MapOutput {
     /// 5 000 pairs: 8 % of the whole measurement).
     fn reserve_for(&mut self, chunks: usize) {
         let more = |first_chunk: usize| first_chunk * (chunks - 1) + first_chunk * chunks / 8;
-        let pairs = more(self.keys.len());
-        if (self.keys.len() + pairs) * std::mem::size_of::<Value>() < FRESHLY_MAPPED_BYTES {
+        let pairs = more(self.keys.first.len());
+        if (self.keys.first.len() + pairs) * std::mem::size_of::<Value>() < FRESHLY_MAPPED_BYTES {
             return;
         }
-        self.keys.reserve_exact(pairs);
-        self.values.reserve_exact(pairs);
-        self.bytes.reserve_exact(pairs);
+        self.keys.first.reserve_exact(pairs);
+        self.values.first.reserve_exact(pairs);
+        self.bytes.first.reserve_exact(pairs);
         if let Some(arena) = &mut self.arena {
             arena.reserve_exact(pairs, more(arena.tail_bytes()));
         }
@@ -303,9 +300,45 @@ impl Sink for MapOutput {
                 return;
             }
         }
-        self.keys.push(key);
-        self.values.push(value);
-        self.bytes.push(bytes);
+        self.keys.first.push(key);
+        self.values.first.push(value);
+        self.bytes.first.push(bytes);
+    }
+}
+
+/// A vector of map output in up to two segments, the pairs of one run of
+/// chunks and then those of the run after it, indexed as one: the second
+/// run's pairs are never copied.
+struct Segments<T> {
+    first: Vec<T>,
+    second: Vec<T>,
+}
+
+impl<T> Default for Segments<T> {
+    fn default() -> Self {
+        Segments {
+            first: Vec::new(),
+            second: Vec::new(),
+        }
+    }
+}
+
+impl<T> Index<usize> for Segments<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        self.first
+            .get(i)
+            .unwrap_or_else(|| &self.second[i - self.first.len()])
+    }
+}
+
+impl<T> IndexMut<usize> for Segments<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        let split = self.first.len();
+        self.first
+            .get_mut(i)
+            .unwrap_or_else(|| &mut self.second[i - split])
     }
 }
 
@@ -317,75 +350,96 @@ impl Sink for Discard {
     fn emit(&mut self, _key: Value, _value: Value, _bytes: u64) {}
 }
 
-/// Run the job's UDFs over the dataset sample and extrapolate dataflow to
-/// logical scale.
-pub fn analyze(
-    spec: &JobSpec,
-    dataset: &Dataset,
-    cluster: &ClusterSpec,
-) -> Result<Dataflow, SimError> {
-    if dataset.is_empty() {
-        return Err(SimError::EmptyDataset(dataset.name.clone()));
+/// What mapping a run of consecutive chunks measured, each chunk mapped,
+/// sorted and combined as the map task it stands for would be.
+#[derive(Default)]
+struct MapRun {
+    out: MapOutput,
+    per_task: Vec<SplitFlow>,
+    /// Pairs emitted by the end of each chunk.
+    ends: Vec<usize>,
+    /// What the mapper and the combiner emitted over the run: integer
+    /// counts, so the totals do not depend on how the chunks are split into
+    /// runs, and their `f64`s (exact below 2^53) read the same bits.
+    mapped: ExecStats,
+    combined: ExecStats,
+}
+
+impl MapRun {
+    /// Follow this run with the run of the chunks after it, whose pairs stay
+    /// in its own vectors as the second segment: only key records move.
+    fn then(mut self, next: MapRun, spec: &JobSpec) -> Result<MapRun, SimError> {
+        let base = self.out.keys.first.len();
+        if let (Some(arena), Some(next)) = (&mut self.out.arena, next.out.arena) {
+            arena
+                .append(next)
+                .map_err(|ArenaFull| SimError::MapOutputTooLarge {
+                    job: spec.name.clone(),
+                })?;
+        }
+        self.out.keys.second = next.out.keys.first;
+        self.out.values.second = next.out.values.first;
+        self.out.bytes.second = next.out.bytes.first;
+        self.per_task.extend(next.per_task);
+        self.ends.extend(next.ends.iter().map(|end| base + end));
+        self.mapped.merge(next.mapped);
+        self.combined.merge(next.combined);
+        Ok(self)
     }
-    let num_map_tasks = cluster.num_splits(dataset.logical_bytes);
-    let bytes_per_task = dataset.logical_bytes as f64 / num_map_tasks as f64;
+}
 
-    let chunks = chunk_count(dataset.len());
-    let chunk_size = dataset.len().div_ceil(chunks);
-
+/// Map `records`, `chunk_size` at a time, with a mapper and a combiner of
+/// the run's own.
+fn map_run(
+    spec: &JobSpec,
+    records: &[Record],
+    chunk_size: usize,
+    bytes_per_task: f64,
+) -> Result<MapRun, SimError> {
+    let chunks = records.len().div_ceil(chunk_size);
     let mut mapper = Runner::new(spec, &spec.map_udf);
     let mut combiner = spec.combine_udf.as_ref().map(|udf| Runner::new(spec, udf));
-
     // Map-only jobs without a combiner use neither the grouping nor the
     // Heaps exponent it yields.
     let grouped = combiner.is_some() || spec.reduce_udf.is_some();
+    let mut run = MapRun {
+        out: MapOutput {
+            arena: grouped.then(KeyArena::new),
+            ..MapOutput::default()
+        },
+        per_task: Vec::with_capacity(chunks),
+        ends: Vec::with_capacity(chunks),
+        ..MapRun::default()
+    };
+    let out = &mut run.out;
 
-    let mut per_task = Vec::with_capacity(chunks);
-    let mut out = MapOutput::new(grouped);
-    let mut chunk_boundaries = Vec::with_capacity(chunks);
-    let mut total_out_bytes = 0u64;
-
-    // Combiner accumulators.
-    let mut comb_in_records = 0.0f64;
-    let mut comb_in_bytes = 0.0f64;
-    let mut comb_out_records = 0.0f64;
-    let mut comb_out_bytes = 0.0f64;
-    let mut comb_ops = 0.0f64;
-
-    for chunk in dataset.records.chunks(chunk_size) {
-        let chunk_start = out.keys.len();
+    for chunk in records.chunks(chunk_size) {
+        let chunk_start = out.keys.first.len();
         let mut map_stats = ExecStats::default();
         let mut in_bytes = 0u64;
         for rec in chunk {
             in_bytes += rec.serialized_size();
-            map_stats.merge(mapper.run(rec.key.clone(), rec.value.clone(), &mut out)?);
+            map_stats.merge(mapper.run(rec.key.clone(), rec.value.clone(), out)?);
             if out.full {
                 return Err(SimError::MapOutputTooLarge {
                     job: spec.name.clone(),
                 });
             }
         }
-        let out_records = map_stats.records_out as f64;
-        let out_bytes = map_stats.bytes_out;
-        total_out_bytes += out_bytes;
+        run.mapped.merge(map_stats);
         if chunk_start == 0 {
-            out.reserve_for(dataset.len().div_ceil(chunk_size));
+            out.reserve_for(chunks);
         }
 
         // Per-chunk combining approximates per-spill combining. The
         // combiner sees clones of the values (reference-count bumps): the
-        // reducer below consumes the originals.
-        if let (Some(comb), Some(arena)) = (&mut combiner, &mut out.arena) {
+        // reducer consumes the originals.
+        if let (Some(combiner), Some(arena)) = (&mut combiner, &mut out.arena) {
             arena.sort(chunk_start, &out.keys);
-            comb_in_records += out_records;
-            comb_in_bytes += out_bytes as f64;
             for group in arena.groups(chunk_start, &out.keys) {
                 let key = out.keys[group[0].index()].clone();
                 let values = group.iter().map(|r| out.values[r.index()].clone());
-                let stats = comb.run_group(key, values)?;
-                comb_ops += stats.ops as f64;
-                comb_out_records += stats.records_out as f64;
-                comb_out_bytes += stats.bytes_out as f64;
+                run.combined.merge(combiner.run_group(key, values)?);
             }
         }
 
@@ -395,28 +449,98 @@ pub fn analyze(
         } else {
             1.0
         };
-        per_task.push(SplitFlow {
+        run.per_task.push(SplitFlow {
             input_records: chunk.len() as f64 * scale,
             input_bytes: bytes_per_task,
-            out_records: out_records * scale,
-            out_bytes: out_bytes as f64 * scale,
+            out_records: map_stats.records_out as f64 * scale,
+            out_bytes: map_stats.bytes_out as f64 * scale,
             map_ops: map_stats.ops as f64 * scale,
         });
-        chunk_boundaries.push(out.keys.len());
+        run.ends.push(out.keys.first.len());
     }
-    let MapOutput {
-        keys,
-        mut values,
-        bytes: pair_bytes,
-        arena,
-        ..
-    } = out;
+    Ok(run)
+}
 
-    let total_sample_out_bytes = total_out_bytes as f64;
-    let avg_intermediate_record_bytes = if keys.is_empty() {
+/// `analyze` calls in flight in this process plus the helpers lent to them.
+/// A measure of load that publishes no data, hence `Relaxed`.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// One `analyze` call's share of [`BUSY`], held until it returns.
+struct Load(usize);
+
+impl Drop for Load {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(self.0, Relaxed);
+    }
+}
+
+/// Run `mine` on this thread and `theirs` on a scoped helper beside it. A
+/// panic on the helper resumes here with its own payload.
+fn beside<A, B: Send>(mine: impl FnOnce() -> A, theirs: impl FnOnce() -> B + Send) -> (A, B) {
+    std::thread::scope(|s| {
+        let helper = s.spawn(theirs);
+        let mine = mine();
+        match helper.join() {
+            Ok(theirs) => (mine, theirs),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
+/// Run the job's UDFs over the dataset sample and extrapolate dataflow to
+/// logical scale, on a helper thread too while a core is idle.
+pub fn analyze(
+    spec: &JobSpec,
+    dataset: &Dataset,
+    cluster: &ClusterSpec,
+) -> Result<Dataflow, SimError> {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    // The call itself, and a helper if that leaves no more busy than cores.
+    let load = if BUSY.fetch_add(2, Relaxed) + 2 <= cores {
+        Load(2)
+    } else {
+        BUSY.fetch_sub(1, Relaxed);
+        Load(1)
+    };
+    measure(spec, dataset, cluster, load.0 == 2)
+}
+
+/// [`analyze`], lending a helper the second half of the chunks iff `lend`.
+fn measure(
+    spec: &JobSpec,
+    dataset: &Dataset,
+    cluster: &ClusterSpec,
+    lend: bool,
+) -> Result<Dataflow, SimError> {
+    if dataset.is_empty() {
+        return Err(SimError::EmptyDataset(dataset.name.clone()));
+    }
+    let num_map_tasks = cluster.num_splits(dataset.logical_bytes);
+    let bytes_per_task = dataset.logical_bytes as f64 / num_map_tasks as f64;
+
+    let chunk_size = dataset.len().div_ceil(chunk_count(dataset.len()));
+    let chunks = dataset.len().div_ceil(chunk_size);
+
+    let map = |records: &[Record]| map_run(spec, records, chunk_size, bytes_per_task);
+
+    // The first failing record wins: the first run's, then the second's.
+    let run = if lend && chunks >= 2 {
+        let (head, tail) = dataset.records.split_at(chunks / 2 * chunk_size);
+        let (first, second) = beside(|| map(head), || map(tail));
+        first?.then(second?, spec)?
+    } else {
+        map(&dataset.records)?
+    };
+    let (keys, mut values, pair_bytes) = (run.out.keys, run.out.values, run.out.bytes);
+    let (per_task, mapped, combined) = (run.per_task, run.mapped, run.combined);
+    let pairs = keys.first.len() + keys.second.len();
+
+    let total_sample_out_bytes = mapped.bytes_out as f64;
+    let avg_intermediate_record_bytes = if pairs == 0 {
         0.0
     } else {
-        total_sample_out_bytes / keys.len() as f64
+        total_sample_out_bytes / pairs as f64
     };
 
     // Overall sample→logical scale for intermediate data.
@@ -430,15 +554,15 @@ pub fn analyze(
 
     let mut reduced = None;
     let mut key_alpha = 1.0;
-    if let Some(mut arena) = arena {
+    if let Some(mut arena) = run.out.arena {
         // Every chunk is sorted already when a combiner ran: a merge.
         arena.sort(0, &keys);
-        let half_idx = if chunk_boundaries.len() >= 2 {
-            chunk_boundaries[chunk_boundaries.len() / 2 - 1]
+        let half_idx = if run.ends.len() >= 2 {
+            run.ends[run.ends.len() / 2 - 1]
         } else {
-            keys.len() / 2
+            pairs / 2
         };
-        let mut growth = DistinctGrowth::new(keys.len(), half_idx);
+        let mut growth = DistinctGrowth::new(pairs, half_idx);
         let mut reducer = spec.reduce_udf.as_ref().map(|udf| Runner::new(spec, udf));
         let mut sample = ReduceSample::default();
         for group in arena.groups(0, &keys) {
@@ -466,17 +590,19 @@ pub fn analyze(
         reduced = reducer.map(|_| sample);
     }
 
-    let combine = combiner.map(|_| CombineFlow {
-        record_selectivity: safe_ratio(comb_out_records, comb_in_records, 1.0),
-        size_selectivity: safe_ratio(comb_out_bytes, comb_in_bytes, 1.0),
-        ops_per_record: safe_ratio(comb_ops, comb_in_records, 0.0),
+    // Every chunk was combined: the combiner took in all the map output.
+    let comb_in_records = mapped.records_out as f64;
+    let combine = spec.combine_udf.as_ref().map(|_| CombineFlow {
+        record_selectivity: safe_ratio(combined.records_out as f64, comb_in_records, 1.0),
+        size_selectivity: safe_ratio(combined.bytes_out as f64, total_sample_out_bytes, 1.0),
+        ops_per_record: safe_ratio(combined.ops as f64, comb_in_records, 0.0),
         ref_records: comb_in_records / per_task.len().max(1) as f64,
         alpha: key_alpha,
     });
 
     let reduce = reduced.map(|sample| {
         let sample_groups = sample.weights.len() as f64;
-        let sample_in_records = keys.len() as f64;
+        let sample_in_records = pairs as f64;
         let mut weights = sample.weights;
 
         // Cap the key-weight table; aggregate the tail uniformly.
@@ -577,7 +703,7 @@ impl DistinctGrowth {
     /// `half_idx`. `group` is in emission order; `one_key` says its members
     /// are all `Eq` (the grouping knows from the keys' bytes), which
     /// spares comparing them.
-    fn count(&mut self, group: &[KeyRec], keys: &[Value], one_key: bool) {
+    fn count<K: Keys + ?Sized>(&mut self, group: &[KeyRec], keys: &K, one_key: bool) {
         self.firsts.clear();
         let members = if one_key { &group[..1] } else { group };
         for i in members.iter().map(KeyRec::index) {
@@ -615,10 +741,17 @@ fn safe_ratio(num: f64, den: f64, default: f64) -> f64 {
     }
 }
 
+/// The synthetic cases `golden_dataflow.rs` pins beside the suite.
+#[cfg(test)]
+#[path = "../../../tests/src/synthetic.rs"]
+mod synthetic;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::corpus;
+    use datagen::corpus::{self, SizeClass};
+    use mrjobs::interp::InterpError;
+    use mrjobs::ir::build::*;
     use mrjobs::jobs;
 
     fn cluster() -> ClusterSpec {
@@ -766,5 +899,98 @@ mod tests {
             flow.per_task.iter().any(|t| t.out_records != first),
             "chunks should differ slightly"
         );
+    }
+
+    /// `golden_dataflow.rs`'s 61 cases: the 58 suite submissions (one per
+    /// job and dataset; the stripes job cannot run on the large one) and
+    /// the three synthetic jobs.
+    fn golden_cases() -> Vec<(JobSpec, Dataset)> {
+        let mut cases: Vec<(JobSpec, Dataset)> = Vec::new();
+        for spec in jobs::standard_suite() {
+            for size in [SizeClass::Small, SizeClass::Large] {
+                let ds = corpus::input_for(&spec.name, size);
+                let seen = cases
+                    .iter()
+                    .any(|(s, d)| s.job_id() == spec.job_id() && d.name == ds.name);
+                let stripes_large =
+                    spec.name == "word-cooccurrence-stripes" && size == SizeClass::Large;
+                if !seen && !stripes_large {
+                    cases.push((spec.clone(), ds));
+                }
+            }
+        }
+        cases.extend(super::synthetic::cases());
+        cases
+    }
+
+    /// `cargo test` runs tests side by side, so the load gate mostly keeps
+    /// the goldens' `analyze` calls on one thread: force each way here.
+    #[test]
+    fn a_lent_helper_changes_no_bit_of_any_dataflow() {
+        let cases = golden_cases();
+        assert_eq!(cases.len(), 61);
+        for (spec, ds) in &cases {
+            let alone = measure(spec, ds, &cluster(), false).unwrap();
+            let helped = measure(spec, ds, &cluster(), true).unwrap();
+            assert_eq!(
+                format!("{helped:?}"),
+                format!("{alone:?}"),
+                "{}@{}",
+                spec.job_id(),
+                ds.name
+            );
+        }
+    }
+
+    /// `value + 1` over 800 records, 8 chunks of 100: the second run starts
+    /// at record 400. A value that is not a number fails the mapper with a
+    /// type error naming its type.
+    fn failing_at(bad: &[(usize, Value)]) -> (JobSpec, Dataset) {
+        let spec = JobSpec::builder("add-one")
+            .mapper(
+                "AddOne",
+                Udf::mapper(
+                    "AddOne",
+                    vec![emit(var("key"), add(var("value"), c_int(1)))],
+                ),
+            )
+            .build();
+        let mut records: Vec<Record> = (0..800)
+            .map(|i| Record::new(Value::Int(i), Value::Int(i)))
+            .collect();
+        for (at, value) in bad {
+            records[*at].value = value.clone();
+        }
+        (spec, Dataset::new("failing", records, 1 << 30))
+    }
+
+    fn failed_on(spec: &JobSpec, ds: &Dataset, lend: bool) -> String {
+        match measure(spec, ds, &cluster(), lend) {
+            Err(SimError::Udf {
+                source: InterpError::TypeError { got, .. },
+                ..
+            }) => got,
+            other => panic!("expected a type error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_udf_failing_only_in_the_second_run_is_reported() {
+        let (spec, ds) = failing_at(&[(600, Value::text("x"))]);
+        assert!(failed_on(&spec, &ds, true).starts_with("Text"));
+        assert_eq!(failed_on(&spec, &ds, true), failed_on(&spec, &ds, false));
+    }
+
+    #[test]
+    fn a_udf_failing_in_both_runs_reports_the_first_runs_record() {
+        let (spec, ds) = failing_at(&[(100, Value::Null), (600, Value::text("x"))]);
+        assert!(failed_on(&spec, &ds, true).starts_with("Null"));
+        assert_eq!(failed_on(&spec, &ds, true), failed_on(&spec, &ds, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "the helper's own message")]
+    fn a_helper_panic_reaches_the_caller_with_its_own_message() {
+        beside(|| (), || panic!("the helper's own message"));
     }
 }

@@ -38,6 +38,7 @@
 //! bytes end, every key sharing them ends too.
 
 use std::cmp::Ordering;
+use std::ops::Index;
 
 use mrjobs::Value;
 
@@ -145,6 +146,12 @@ impl KeyRec {
     }
 }
 
+/// The pushed keys by index, which break the tie of two keys the bytes do
+/// not order: a vector, or a map output kept in two segments.
+pub trait Keys: Index<usize, Output = Value> {}
+
+impl<K: Index<usize, Output = Value> + ?Sized> Keys for K {}
+
 /// The arena holds more keys or bytes than a `u32` addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaFull;
@@ -216,13 +223,32 @@ impl KeyArena {
         Ok(())
     }
 
+    /// Append the records and tails of `next`, whose keys were emitted
+    /// after this arena's, as if they had been pushed here: each record's
+    /// index and tail offset move past this arena's and are checked as
+    /// [`KeyArena::push`] checks them.
+    pub(crate) fn append(&mut self, next: KeyArena) -> Result<(), ArenaFull> {
+        let (base, tail_base) = (self.recs.len(), self.tails.len());
+        self.recs.reserve_exact(next.recs.len());
+        for rec in next.recs {
+            let index = slot(base + rec.index())?;
+            let tail = match rec.tail {
+                NO_TAIL => NO_TAIL,
+                tail => slot(tail_base + tail as usize)?,
+            };
+            self.recs.push(KeyRec { index, tail, ..rec });
+        }
+        self.tails.extend_from_slice(&next.tails);
+        Ok(())
+    }
+
     /// Stable-sort the records from position `from` on by key. `keys` are
     /// the pushed keys by index, read only to break an opaque key's tie.
     /// Stability is what makes this a grouping: among equal keys, records
     /// stay in emission order. Sorting a concatenation of already-sorted
     /// runs (the per-chunk orders the combiner left behind) is a merge of
     /// those runs.
-    pub fn sort(&mut self, from: usize, keys: &[Value]) {
+    pub fn sort<K: Keys + ?Sized>(&mut self, from: usize, keys: &K) {
         let tails = &self.tails;
         self.recs[from..].sort_by(|a, b| {
             a.prefix
@@ -234,10 +260,10 @@ impl KeyArena {
     /// The sorted records from position `from` on, split into groups of
     /// `Ord`-equal keys, in key order. The first record of a group is its
     /// first-emitted pair, whose key represents the group.
-    pub fn groups<'a>(
+    pub fn groups<'a, K: Keys + ?Sized>(
         &'a self,
         from: usize,
-        keys: &'a [Value],
+        keys: &'a K,
     ) -> impl Iterator<Item = &'a [KeyRec]> {
         self.recs[from..]
             .chunk_by(|a, b| a.prefix == b.prefix && cmp_tails(&self.tails, a, b, keys).is_eq())
@@ -271,7 +297,7 @@ fn entry(tails: &[u8], tail: u32) -> (usize, &[u8]) {
 }
 
 /// Order two keys whose prefixes tie.
-fn cmp_tails(tails: &[u8], a: &KeyRec, b: &KeyRec, keys: &[Value]) -> Ordering {
+fn cmp_tails<K: Keys + ?Sized>(tails: &[u8], a: &KeyRec, b: &KeyRec, keys: &K) -> Ordering {
     let (a_flags, a_rest) = entry(tails, a.tail);
     let (b_flags, b_rest) = entry(tails, b.tail);
     // Only as far as both have bytes: an opaque key's stop short of the
@@ -547,7 +573,8 @@ mod tests {
         /// The arena's sort is `sort_by(Value::cmp)`, ties in emission
         /// order, and its groups are the `BTreeMap` grouping that
         /// `golden_dataflow.rs` keeps as oracle — on the whole output, and
-        /// on a tail of it sorted alone as a chunk is.
+        /// on a tail of it sorted alone as a chunk is. An arena appended to
+        /// another is the arena of both pushed in order.
         #[test]
         fn the_arena_sorts_and_groups_as_values_do(
             keys in prop::collection::vec(arb_key(), 0..40),
@@ -555,6 +582,10 @@ mod tests {
         ) {
             let from = from.min(keys.len());
             let mut arena = arena_of(&keys);
+            let mut appended = arena_of(&keys[..from]);
+            appended.append(arena_of(&keys[from..])).unwrap();
+            prop_assert_eq!(format!("{:?}", appended.recs), format!("{:?}", arena.recs));
+            prop_assert_eq!(&appended.tails, &arena.tails);
             for start in [from, 0] {
                 let mut by_value: Vec<usize> = (start..keys.len()).collect();
                 by_value.sort_by(|&a, &b| keys[a].cmp(&keys[b]));

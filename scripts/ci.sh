@@ -173,6 +173,21 @@ if [ "$(nontest $mrsim_src | grep -cF '.cmp(&keys[' || true)" -gt 1 ]; then
 fi
 if nontest $mrsim_src | grep -F 'fn sort_by_key'; then exit 1; fi
 
+# One lent helper, no pool (DESIGN.md §27): `analyze` maps the second half
+# of its chunks on one scoped thread while fewer calls and helpers than
+# cores are busy. The simulator has exactly one `thread::scope` and one
+# `available_parallelism`, both in dataflow.rs, and the layers that call
+# `analyze` spawn nothing for it.
+step "source gate (analyze lends one helper, gated on load)"
+for site in 'thread::scope' 'available_parallelism'; do
+  if [ "$(nontest $mrsim_src | grep -cF "$site" || true)" -ne 1 ] ||
+    [ "$(nontest crates/mrsim/src/dataflow.rs | grep -cF "$site" || true)" -ne 1 ]; then
+    echo "mrsim must have exactly one $site, in dataflow.rs"; exit 1
+  fi
+done
+if nontest crates/core/src/daemon.rs crates/core/src/service.rs $(find crates/profiler/src -name '*.rs') |
+  grep -E 'thread::scope|available_parallelism'; then exit 1; fi
+
 # Pieces of a text are views until stored (DESIGN.md §25): `split` and
 # `tokenize` build no text per piece and no list — the two
 # `.map(Value::text).collect()` of the walker before are not back — and a

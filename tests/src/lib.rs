@@ -1,7 +1,10 @@
 //! Integration tests for the PStorM-rs workspace live under `tests/tests/`.
-//! What more than one golden suite digests with lives here.
+//! What more than one golden suite digests with, and the synthetic cases
+//! `mrsim`'s own tests share with `golden_dataflow.rs`, live here.
 
 use std::path::Path;
+
+pub mod synthetic;
 
 /// FNV-1a offset basis: the start value of every digest below.
 pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
