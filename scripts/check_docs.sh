@@ -20,7 +20,9 @@ refs=$(grep -rhoE 'DESIGN\.md §[0-9]+' "${docs[@]}" CHANGES.md crates tests scr
 checked=0
 for n in $refs; do
   checked=$((checked + 1))
-  if ! printf '%s\n' "$sections" | grep -qx "$n"; then
+  # A here-string, not a pipe: under `pipefail`, `grep -q` leaving early
+  # could fail the writer with SIGPIPE and report a section as missing.
+  if ! grep -qx "$n" <<<"$sections"; then
     echo "ERROR: 'DESIGN.md §$n' is referenced but DESIGN.md has no '## $n.' section" >&2
     fail=1
   fi
