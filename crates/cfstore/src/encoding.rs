@@ -270,6 +270,45 @@ mod tests {
         assert_ne!(crc32(b"hello"), crc32(b"hellp"));
     }
 
+    /// CRC-32/IEEE one bit at a time, with no table: the oracle.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 == 1 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn crc32_matches_the_reference_at_every_length_and_alignment() {
+        let mut x = 0x9e37_79b9u32;
+        let buf: Vec<u8> = (0..256 + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        for align in 0..16 {
+            for len in 0..=256 {
+                let data = &buf[align..align + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_reference(data),
+                    "{len} bytes at offset {align}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn tenant_prefix_roundtrips_through_split() {
         for tenant in ["acme", "zen-corp", "a", "T.9_x"] {

@@ -1687,6 +1687,92 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Eight readers of one cold block fill it once and all see their
+    /// rows; eight readers of a rotted block each get the corruption, and
+    /// nothing is cached.
+    #[test]
+    fn concurrent_readers_of_one_cold_block_fill_it_once() {
+        const READERS: usize = 8;
+        let dir = tmp_dir("coldblock");
+        {
+            let (store, _) = MiniStore::open(&dir).unwrap();
+            store.create_table("t", &["f"]).unwrap();
+            for i in 0..READERS {
+                store
+                    .put("t", bput(&format!("r{i}"), "c", &format!("v{i}")))
+                    .unwrap();
+            }
+            store.flush().unwrap();
+        }
+        let seg = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "seg"))
+            .unwrap();
+        let reader = segment::SegmentReader::open(&seg).unwrap();
+        assert_eq!(reader.block_count(), 1);
+        let block_bytes = reader.block_bytes(0);
+
+        let read_all = |store: &MiniStore| {
+            let start = std::sync::Barrier::new(READERS);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..READERS)
+                    .map(|i| {
+                        let start = &start;
+                        s.spawn(move || {
+                            start.wait();
+                            store.get("t", format!("r{i}").as_bytes())
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let open = || {
+            let (mut store, _) = MiniStore::open(&dir).unwrap();
+            let reg = obs::Registry::new();
+            store.set_obs(reg.clone());
+            (store, reg)
+        };
+
+        let (store, reg) = open();
+        for (i, got) in read_all(&store).into_iter().enumerate() {
+            let row = got.unwrap().unwrap();
+            assert_eq!(
+                row.value("f", b"c").unwrap().as_ref(),
+                format!("v{i}").as_bytes()
+            );
+        }
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters["cfstore.block_cache.misses"], 1);
+        assert_eq!(counters["cfstore.block_cache.hits"], READERS as u64 - 1);
+        assert_eq!(counters["cfstore.block_cache.fill_bytes"], block_bytes);
+        assert_eq!(store.cache_stats().entries, 1);
+        drop(store);
+
+        // Rot one byte of the block's body: magic, then the frame header.
+        let mut data = std::fs::read(&seg).unwrap();
+        data[4 + frame::HEADER_LEN + 4] ^= 0xff;
+        std::fs::write(&seg, &data).unwrap();
+        let (store, reg) = open();
+        for got in read_all(&store) {
+            assert!(
+                matches!(got, Err(StoreError::SegmentCorrupt { .. })),
+                "{got:?}"
+            );
+        }
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters["cfstore.block_cache.misses"], READERS as u64);
+        assert_eq!(counters.get("cfstore.block_cache.fill_bytes"), None);
+        assert_eq!(store.cache_stats().entries, 0);
+        assert_eq!(store.cache_stats().used_bytes, 0);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn in_memory_store_flush_is_a_noop() {
         let store = MiniStore::new();
