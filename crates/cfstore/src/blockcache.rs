@@ -24,15 +24,24 @@
 //!    entries until the block fits; a block larger than the whole budget
 //!    (or any block under a 0-byte budget) is served but never admitted,
 //!    so the budget is a hard ceiling, not a hint.
+//! 4. **Fills off the lock, one per block.** A miss leaves a marker for
+//!    the block in the map and reads, CRC-checks and decodes with the lock
+//!    released, so readers of different blocks fill side by side (the
+//!    threads of one scan, DESIGN.md §28). A reader that finds the marker
+//!    waits for that fill and then looks again — a hit that bumps recency
+//!    as any hit does — so concurrent readers of one block fill it once.
+//!    Admission takes the lock again after the fill. A single thread's
+//!    hits, misses, evictions and eviction order are what they were when
+//!    the lock was held across the fill.
 //!
 //! Counters (recorded against the store's `obs` registry):
 //! `cfstore.block_cache.hits`, `.misses`, `.evictions`, `.fill_bytes`.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::region::RowData;
 use crate::segment::{SegmentError, SegmentReader};
@@ -51,11 +60,18 @@ struct Entry {
     tick: u64,
 }
 
+/// What the map holds for a block: its admitted rows, or the marker of a
+/// fill in flight that other readers of the block wait for.
+enum Slot {
+    Filling,
+    Cached(Entry),
+}
+
 #[derive(Default)]
 struct Inner {
-    map: HashMap<Key, Entry>,
-    /// LRU order: tick → key, oldest first. Ticks are unique, so this is
-    /// a total order and eviction is deterministic.
+    map: HashMap<Key, Slot>,
+    /// LRU order: tick → key, oldest first, one per cached entry. Ticks
+    /// are unique, so this is a total order and eviction is deterministic.
     order: BTreeMap<u64, Key>,
     used: u64,
     next_tick: u64,
@@ -72,7 +88,10 @@ pub struct BlockCacheStats {
 /// The shared segment block cache. See the module docs for the policy.
 pub struct BlockCache {
     budget: u64,
+    /// std primitives (not `parking_lot`, whose vendored stand-in has no
+    /// `Condvar`): readers of a block being filled wait on `filled`.
     inner: Mutex<Inner>,
+    filled: Condvar,
     /// Observability sink, swapped in by `MiniStore::set_obs` after open
     /// (recovery-time fills run against the disabled default).
     obs: RwLock<obs::Registry>,
@@ -83,9 +102,16 @@ impl BlockCache {
     pub fn new(budget: u64) -> Self {
         BlockCache {
             budget,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::default(),
+            filled: Condvar::new(),
             obs: RwLock::new(obs::Registry::disabled()),
         }
+    }
+
+    /// Nothing panics while holding the lock but on a broken map/order
+    /// invariant, so a poisoned lock still guards valid state.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Attach the registry the hit/miss/eviction counters record against.
@@ -100,9 +126,9 @@ impl BlockCache {
 
     /// Current occupancy.
     pub fn stats(&self) -> BlockCacheStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         BlockCacheStats {
-            entries: inner.map.len(),
+            entries: inner.order.len(),
             used_bytes: inner.used,
             budget_bytes: self.budget,
         }
@@ -113,23 +139,26 @@ impl BlockCache {
     /// never reused, so without this its admitted blocks would pin cache
     /// budget until evicted by pressure.
     pub fn evict_reader(&self, reader_id: u64) {
-        let mut inner = self.inner.lock();
-        let victims: Vec<Key> = inner
-            .map
-            .keys()
-            .filter(|(rid, _)| *rid == reader_id)
-            .copied()
+        let mut inner = self.lock();
+        let victims: Vec<(u64, Key)> = inner
+            .order
+            .iter()
+            .filter(|(_, (rid, _))| *rid == reader_id)
+            .map(|(&tick, &key)| (tick, key))
             .collect();
-        for key in victims {
-            let entry = inner.map.remove(&key).expect("key just listed");
-            inner.order.remove(&entry.tick);
-            inner.used -= entry.bytes;
+        for (tick, key) in victims {
+            inner.order.remove(&tick);
+            if let Some(Slot::Cached(entry)) = inner.map.remove(&key) {
+                inner.used -= entry.bytes;
+            }
         }
     }
 
     /// Serve block `idx` of `reader`, from cache or by a CRC-verified
-    /// fill. The cache lock is held across the fill, so concurrent
-    /// readers of the same block never duplicate the I/O.
+    /// fill. A miss leaves a marker for the block and fills with the lock
+    /// released, so fills of different blocks run side by side; readers
+    /// of the same block wait for that one fill and then look again (a
+    /// hit, or a fill of their own if it failed or was not admitted).
     pub fn get_or_load(
         &self,
         reader: &SegmentReader,
@@ -137,44 +166,93 @@ impl BlockCache {
     ) -> Result<BlockRows, SegmentError> {
         let key: Key = (reader.id(), idx as u32);
         let obs = self.obs.read().clone();
-        let mut inner = self.inner.lock();
-        if let Some(entry) = inner.map.get(&key) {
-            let (old_tick, rows) = (entry.tick, entry.rows.clone());
-            let tick = inner.next_tick;
-            inner.next_tick += 1;
-            inner.order.remove(&old_tick);
-            inner.order.insert(tick, key);
-            inner.map.get_mut(&key).expect("entry present").tick = tick;
-            obs.incr("cfstore.block_cache.hits", 1);
-            return Ok(rows);
-        }
-        obs.incr("cfstore.block_cache.misses", 1);
-        let bytes = reader.block_bytes(idx);
-        let rows: BlockRows = Arc::new(reader.read_block(idx)?);
-        obs.incr("cfstore.block_cache.fill_bytes", bytes);
-        if bytes <= self.budget {
-            while inner.used + bytes > self.budget {
-                let (&victim_tick, &victim_key) =
-                    inner.order.iter().next().expect("used > 0 implies entries");
-                inner.order.remove(&victim_tick);
-                let evicted = inner.map.remove(&victim_key).expect("order and map agree");
-                inner.used -= evicted.bytes;
-                obs.incr("cfstore.block_cache.evictions", 1);
+        let mut guard = self.lock();
+        loop {
+            let inner = &mut *guard;
+            match inner.map.get_mut(&key) {
+                Some(Slot::Cached(entry)) => {
+                    let tick = inner.next_tick;
+                    inner.next_tick += 1;
+                    inner.order.remove(&entry.tick);
+                    inner.order.insert(tick, key);
+                    entry.tick = tick;
+                    obs.incr("cfstore.block_cache.hits", 1);
+                    return Ok(entry.rows.clone());
+                }
+                Some(Slot::Filling) => {
+                    guard = self
+                        .filled
+                        .wait(guard)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                None => break,
             }
-            let tick = inner.next_tick;
-            inner.next_tick += 1;
-            inner.order.insert(tick, key);
-            inner.map.insert(
-                key,
-                Entry {
-                    rows: rows.clone(),
-                    bytes,
-                    tick,
-                },
-            );
-            inner.used += bytes;
         }
+        guard.map.insert(key, Slot::Filling);
+        drop(guard);
+        let claim = Claim { cache: self, key };
+        obs.incr("cfstore.block_cache.misses", 1);
+        let (rows, bytes) = fill(reader, idx)?;
+        obs.incr("cfstore.block_cache.fill_bytes", bytes);
+        claim.admit(rows.clone(), bytes, &obs);
         Ok(rows)
+    }
+}
+
+/// Read, CRC-check and decode one block, holding no cache lock.
+fn fill(reader: &SegmentReader, idx: usize) -> Result<(BlockRows, u64), SegmentError> {
+    Ok((Arc::new(reader.read_block(idx)?), reader.block_bytes(idx)))
+}
+
+/// The fill marker of one block. However the fill ends (admitted, served
+/// but not admitted, failed or panicking) dropping the claim takes the
+/// marker out of the map and wakes the block's waiters, so a failure is
+/// never cached and every waiter looks again.
+struct Claim<'a> {
+    cache: &'a BlockCache,
+    key: Key,
+}
+
+impl Claim<'_> {
+    /// Admit a filled block: evict least-recently-used entries until it
+    /// fits, unless it is larger than the whole budget. The evicted blocks
+    /// are freed after the lock is released.
+    fn admit(self, rows: BlockRows, bytes: u64, obs: &obs::Registry) {
+        if bytes > self.cache.budget {
+            return;
+        }
+        let mut evicted = Vec::new();
+        let mut inner = self.cache.lock();
+        while inner.used + bytes > self.cache.budget {
+            let (_, victim) = inner.order.pop_first().expect("used > 0 implies entries");
+            match inner.map.remove(&victim) {
+                Some(Slot::Cached(entry)) => {
+                    inner.used -= entry.bytes;
+                    evicted.push(entry.rows);
+                }
+                _ => unreachable!("order lists cached entries only"),
+            }
+            obs.incr("cfstore.block_cache.evictions", 1);
+        }
+        let tick = inner.next_tick;
+        inner.next_tick += 1;
+        inner.order.insert(tick, self.key);
+        let entry = Entry { rows, bytes, tick };
+        inner.map.insert(self.key, Slot::Cached(entry));
+        inner.used += bytes;
+        drop(inner);
+        drop(evicted);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut inner = self.cache.lock();
+        if let Some(Slot::Filling) = inner.map.get(&self.key) {
+            inner.map.remove(&self.key);
+        }
+        drop(inner);
+        self.cache.filled.notify_all();
     }
 }
 
@@ -233,6 +311,24 @@ mod tests {
         assert_eq!(snap.counters["cfstore.block_cache.misses"], 4);
         assert!(snap.counters["cfstore.block_cache.evictions"] >= 1);
         assert!(cache.stats().used_bytes <= cache.budget());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A fill that panics takes its marker with it: the next reader of the
+    /// block fills (and panics) again instead of waiting forever.
+    #[test]
+    fn a_panicking_fill_leaves_no_marker() {
+        let (path, reader) = sample_segment("panic", 40);
+        let cache = BlockCache::new(1 << 20);
+        let past_the_end = reader.block_count();
+        for _ in 0..2 {
+            let fill = || cache.get_or_load(&reader, past_the_end);
+            let fill = std::panic::AssertUnwindSafe(fill);
+            assert!(std::panic::catch_unwind(fill).is_err());
+        }
+        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.get_or_load(&reader, 0).is_ok());
+        assert_eq!(cache.stats().entries, 1);
         std::fs::remove_file(&path).unwrap();
     }
 

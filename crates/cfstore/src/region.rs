@@ -256,13 +256,15 @@ impl Region {
                 };
                 let block = b.cache.get_or_load(&b.reader, idx)?;
                 return block
-                    .get(row)
-                    .map(|data| materialize(row, data))
+                    .get_key_value(row)
+                    .map(|(key, data)| materialize(key, data))
                     .transpose();
             }
         }
         let rows = self.rows.read();
-        rows.get(row).map(|data| materialize(row, data)).transpose()
+        rows.get_key_value(row)
+            .map(|(key, data)| materialize(key, data))
+            .transpose()
     }
 
     /// Delete one row entirely. Returns `None` when the row key no longer
@@ -466,8 +468,10 @@ fn visit_row(
     Ok(())
 }
 
-fn materialize(row: &[u8], data: &RowData) -> Result<RowResult, StoreError> {
-    let mut result = RowResult::new(Bytes::copy_from_slice(row));
+/// The latest version of every cell of a stored row, checksum-verified.
+/// The result shares the stored key rather than copying it.
+fn materialize(row: &Bytes, data: &RowData) -> Result<RowResult, StoreError> {
+    let mut result = RowResult::new(row.clone());
     for (family, cols) in data {
         let out_cols = result.families.entry(family.clone()).or_default();
         for (col, versions) in cols {
@@ -510,6 +514,17 @@ mod tests {
         let got = r.get(b"row1").unwrap().unwrap();
         assert_eq!(got.value("cf", b"c").unwrap().as_ref(), b"v1");
         assert!(r.get(b"missing").unwrap().is_none());
+    }
+
+    /// A row read back carries the stored key itself, not a copy of it.
+    #[test]
+    fn reads_hand_on_the_stored_row_key() {
+        let r = Region::new(1, KeyRange::all());
+        put(&r, "row1", "c", "v1", 1);
+        let got = r.get(b"row1").unwrap().unwrap();
+        let (scanned, _) = r.scan(b"", None, None).unwrap();
+        assert_eq!(got.row, Bytes::from("row1"));
+        assert_eq!(got.row.as_ptr(), scanned[0].row.as_ptr());
     }
 
     #[test]

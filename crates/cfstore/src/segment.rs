@@ -361,7 +361,8 @@ impl SegmentReader {
 
     /// Read, CRC-verify, and decode one block. This is the only place
     /// where block bodies leave the disk; corruption surfaces here as a
-    /// typed error.
+    /// typed error. The framed block is frozen once, and every row key,
+    /// column and value decoded from it is a slice of that one buffer.
     pub fn read_block(&self, idx: usize) -> Result<BTreeMap<Bytes, RowData>, SegmentError> {
         let corrupt = |detail: String| SegmentError::Corrupt {
             file: self.file_name.clone(),
@@ -374,13 +375,15 @@ impl SegmentReader {
             file.seek(SeekFrom::Start(*offset))?;
             file.read_exact(&mut framed)?;
         }
+        let framed = Bytes::from(framed);
         let body = frame::verify_exact(&framed).map_err(|d| {
             corrupt(format!(
                 "block {idx}: {d} (first key {:?})",
                 String::from_utf8_lossy(first_key)
             ))
         })?;
-        decode_block(body).map_err(|e| corrupt(format!("block {idx}: {e}")))
+        decode_block(Cursor::sharing(&framed, body))
+            .map_err(|e| corrupt(format!("block {idx}: {e}")))
     }
 }
 
@@ -413,8 +416,7 @@ const MIN_NESTED_BYTES: usize = 8;
 const MIN_VERSION_BYTES: usize = 16;
 const MIN_INDEX_ENTRY_BYTES: usize = 16;
 
-fn decode_block(body: &[u8]) -> Result<BTreeMap<Bytes, RowData>, CodecError> {
-    let mut c = Cursor::new(body);
+fn decode_block(mut c: Cursor) -> Result<BTreeMap<Bytes, RowData>, CodecError> {
     let mut rows = BTreeMap::new();
     for _ in 0..c.count(MIN_NESTED_BYTES)? {
         let key = c.bytes()?;
@@ -641,6 +643,38 @@ mod tests {
         // Range pruning covers exactly the overlapping blocks.
         let r = reader.blocks_overlapping(b"row0050", Some(b"row0060"));
         assert!(r.len() <= 2 && !r.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every key, column and value of a block lies in one buffer no longer
+    /// than the framed block: they are slices of it, not copies.
+    #[test]
+    fn a_block_decodes_into_slices_of_one_buffer() {
+        let path = tmp_file("slices");
+        write_segment(&path, "t", 1, &KeyRange::all(), &sample_rows(40)).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
+        for idx in 0..reader.block_count() {
+            let block = reader.read_block(idx).unwrap();
+            let mut fields: Vec<&Bytes> = Vec::new();
+            for (key, data) in &block {
+                fields.push(key);
+                for (col, versions) in data.values().flatten() {
+                    fields.push(col);
+                    fields.extend(versions.iter().map(|v| &v.value));
+                }
+            }
+            let lo = fields.iter().map(|b| b.as_ptr() as usize).min().unwrap();
+            let hi = fields
+                .iter()
+                .map(|b| b.as_ptr_range().end as usize)
+                .max()
+                .unwrap();
+            assert!(
+                hi - lo < reader.block_bytes(idx) as usize,
+                "block {idx}: fields span {} bytes",
+                hi - lo
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

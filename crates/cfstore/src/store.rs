@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -791,12 +791,26 @@ impl MiniStore {
         Ok(self.inner.apply(records)?.rows_deleted > 0)
     }
 
-    /// Scan with server-side filtering; regions are scanned in parallel
-    /// (one logical region server each) and results merged in key order.
+    /// Scan with server-side filtering; the overlapping regions are
+    /// scanned in parallel, in as many contiguous runs as there are cores
+    /// (one logical region server each), and merged in key order.
     pub fn scan(
         &self,
         table: &str,
         scan: &Scan,
+    ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+        self.scan_on(table, scan, cores)
+    }
+
+    /// [`Self::scan`] on at most `width` threads, the caller's included.
+    pub(crate) fn scan_on(
+        &self,
+        table: &str,
+        scan: &Scan,
+        width: usize,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
         let t = self.table(table)?;
         let regions: Vec<Arc<Region>> = {
@@ -807,32 +821,7 @@ impl MiniStore {
                 .cloned()
                 .collect()
         };
-        let filter = scan.filter.as_deref();
-        let mut partials: Vec<(Vec<RowResult>, ScanMetrics)> = Vec::with_capacity(regions.len());
-        if regions.len() <= 1 {
-            for r in &regions {
-                partials.push(r.scan(&scan.start, scan.stop.as_deref(), filter)?);
-            }
-        } else {
-            let results = std::thread::scope(|s| {
-                let handles: Vec<_> = regions
-                    .iter()
-                    .map(|r| {
-                        let start = &scan.start;
-                        let stop = scan.stop.as_deref();
-                        s.spawn(move || r.scan(start, stop, filter))
-                    })
-                    .collect();
-                // A region's panic goes on unwinding on the caller's thread.
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect::<Vec<_>>()
-            });
-            for result in results {
-                partials.push(result?);
-            }
-        }
+        let partials = scan_regions(&regions, scan, width)?;
         // Per-region read-amplification counters (rows each region
         // touched vs returned), recorded before the merge flattens the
         // partials. Key formatting is gated so the disabled-registry
@@ -1256,6 +1245,46 @@ impl Default for MiniStore {
     }
 }
 
+/// Scan `regions` in `width` contiguous runs: the caller scans the first
+/// and one scoped thread each of the others, every run its regions in
+/// order, stopping at its first error. The partials come back in region
+/// order, so the first error in region order is the one returned; a
+/// panic resumes on the caller with its own payload.
+fn scan_regions(
+    regions: &[Arc<Region>],
+    scan: &Scan,
+    width: usize,
+) -> Result<Vec<(Vec<RowResult>, ScanMetrics)>, StoreError> {
+    let filter = scan.filter.as_deref();
+    let run = |run: &[Arc<Region>]| -> Result<Vec<_>, StoreError> {
+        run.iter()
+            .map(|r| r.scan(&scan.start, scan.stop.as_deref(), filter))
+            .collect()
+    };
+    let width = width.clamp(1, regions.len().max(1));
+    if width == 1 {
+        return run(regions);
+    }
+    let cut = |i: usize| i * regions.len() / width;
+    let runs: Vec<&[Arc<Region>]> = (0..width).map(|i| &regions[cut(i)..cut(i + 1)]).collect();
+    let run = &run;
+    let results = std::thread::scope(|s| {
+        let others: Vec<_> = runs[1..].iter().map(|&r| s.spawn(move || run(r))).collect();
+        let mut results = vec![run(runs[0])];
+        results.extend(
+            others
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        results
+    });
+    let mut partials = Vec::with_capacity(regions.len());
+    for result in results {
+        partials.extend(result?);
+    }
+    Ok(partials)
+}
+
 fn range_overlaps(range: &KeyRange, start: &[u8], stop: Option<&[u8]>) -> bool {
     let starts_before_range_end = match &range.end {
         Some(end) => start < end.as_ref(),
@@ -1437,6 +1466,140 @@ mod tests {
             },
         }));
         let _ = store.scan("t", &scan);
+    }
+
+    /// A scan runs on at most as many threads as there are cores, the
+    /// caller's included, however many regions it covers.
+    #[test]
+    fn a_scan_of_many_regions_runs_on_at_most_one_thread_per_core() {
+        let store = MiniStore::new();
+        store.create_table_with_threshold("t", &["f"], 8).unwrap();
+        for i in 0..200 {
+            store.put("t", bput(&format!("k{i:03}"), "c", "v")).unwrap();
+        }
+        assert!(store.region_count("t").unwrap() >= 20);
+        let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let record = seen.clone();
+        let scan = Scan::all().with_filter(Box::new(PredicateFilter {
+            name: "records its thread".to_string(),
+            pred: move |_: &RowResult| {
+                record.lock().insert(std::thread::current().id());
+                true
+            },
+        }));
+        let (rows, _) = store.scan("t", &scan).unwrap();
+        assert_eq!(rows.len(), 200);
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let threads = seen.lock().len();
+        assert!(
+            (1..=cores).contains(&threads),
+            "{threads} threads on {cores} cores"
+        );
+    }
+
+    /// A store of `keys` split every `threshold` rows, flushed and reopened
+    /// segment-backed when `dir` is given, with the cells of `corrupt`
+    /// rotted in place.
+    fn scan_width_store(
+        keys: &[u32],
+        threshold: usize,
+        dir: Option<&Path>,
+        cache_bytes: u64,
+        corrupt: &[usize],
+    ) -> MiniStore {
+        let opts = || StoreOptions {
+            sync: SyncPolicy::GroupCommit(1 << 20),
+            block_cache_bytes: cache_bytes,
+            ..StoreOptions::default()
+        };
+        let store = match dir {
+            Some(dir) => MiniStore::open_with_opts(dir, opts()).unwrap().0,
+            None => MiniStore::new(),
+        };
+        store
+            .create_table_with_threshold("t", &["f"], threshold)
+            .unwrap();
+        for (i, k) in keys.iter().enumerate() {
+            let (row, col) = (format!("k{k:04}"), format!("c{}", i % 3));
+            store.put("t", bput(&row, &col, &format!("v{i}"))).unwrap();
+        }
+        let store = match dir {
+            Some(dir) => {
+                store.flush().unwrap();
+                drop(store);
+                MiniStore::open_with_opts(dir, opts()).unwrap().0
+            }
+            None => store,
+        };
+        for &i in corrupt {
+            let (row, col) = (
+                format!("k{:04}", keys[i % keys.len()]),
+                format!("c{}", i % 3),
+            );
+            store
+                .corrupt_cell("t", row.as_bytes(), "f", col.as_bytes())
+                .unwrap();
+        }
+        store
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// One thread, two, or one per region: a scan returns the same
+        /// rows, `ScanMetrics` and per-region counters, and with one or
+        /// two rotted cells the same first error, in region order.
+        #[test]
+        fn every_scan_width_scans_alike(
+            keys in proptest::collection::vec(0u32..2000, 20..160),
+            threshold in 4usize..12,
+            lazy in proptest::prelude::any::<bool>(),
+            cache_bytes in proptest::prop_oneof![
+                proptest::prelude::Just(0u64),
+                400u64..4000,
+                proptest::prelude::Just(8u64 << 20),
+            ],
+            corrupt in proptest::collection::vec(0usize..1000, 0..3),
+            bounds in (0u32..2100, 0u32..2100),
+        ) {
+            let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+            let dir = tmp_dir("widths");
+            let mut store = scan_width_store(
+                &keys,
+                threshold,
+                lazy.then_some(dir.as_path()),
+                cache_bytes,
+                &corrupt,
+            );
+            let regions = store.region_count("t").unwrap();
+            let scan = || Scan {
+                start: Bytes::from(format!("k{lo:04}")),
+                stop: (lo != hi).then(|| Bytes::from(format!("k{hi:04}"))),
+                filter: Some(Box::new(PredicateFilter {
+                    name: "even keys".to_string(),
+                    pred: |r: &RowResult| r.row.last().is_some_and(|d| d % 2 == 0),
+                })),
+            };
+            let mut seen = Vec::new();
+            for width in [1, 2, regions] {
+                let reg = obs::Registry::new();
+                store.set_obs(reg.clone());
+                let result = store.scan_on("t", &scan(), width);
+                let counters: BTreeMap<String, u64> = reg
+                    .snapshot()
+                    .counters
+                    .into_iter()
+                    .filter(|(name, _)| !name.starts_with("cfstore.block_cache."))
+                    .collect();
+                seen.push((width, result, counters));
+            }
+            for (width, result, counters) in &seen[1..] {
+                proptest::prop_assert_eq!(result, &seen[0].1, "width {} of {}", width, regions);
+                proptest::prop_assert_eq!(counters, &seen[0].2, "width {} of {}", width, regions);
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
