@@ -6,7 +6,8 @@
 //! the GBRT training the learned baseline needs before its first match,
 //! a selective scan with its filter pushed down vs applied by the client,
 //! segment block reads through the
-//! bounded cache (cold vs warm), put latency with inline vs background
+//! bounded cache (cold vs warm), a 4 000-profile store's reopen, CRC-32
+//! over 64 KiB, put latency with inline vs background
 //! flushing, online-resharding cost (rows moved per second by a grow
 //! migration, matcher latency with a migration in flight vs quiesced),
 //! CBO search and what-if evaluation throughput at 16 and at 560 map
@@ -405,6 +406,55 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
 
     let _ = std::fs::remove_dir_all(&base);
     read_amp
+}
+
+/// What a restarted PStorM pays before it can match (DESIGN.md §28):
+/// `ProfileStore::reopen_with_opts` on a flushed store of 4 000 profiles
+/// with a 1 MiB block cache, smaller than the rows it reads — the shape of
+/// the benchmark's `bigstore_reads`. The reopen scans every `Dynamic/`,
+/// `Static/` and `CostFactor/` row into the columnar index.
+fn bench_store_reopen(entries: &mut Vec<Entry>, seeds: &Seeds) {
+    let dir = std::env::temp_dir().join(format!("pstorm-perf-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let size = TRAJECTORY_SIZES[2];
+    filled(ProfileStore::reopen(&dir).unwrap().0, size, seeds)
+        .flush()
+        .unwrap();
+    let opts = || StoreOptions {
+        block_cache_bytes: 1 << 20,
+        ..StoreOptions::default()
+    };
+    let reopen = || {
+        drop(std::hint::black_box(
+            ProfileStore::reopen_with_opts(&dir, opts()).unwrap(),
+        ))
+    };
+    let samples = sample_ns(reopen, 10, 200);
+    entries.push(Entry::new(
+        "store_reopen",
+        "4000_profiles",
+        size,
+        &samples,
+        size as f64,
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// CRC-32 over 64 KiB: the check every frame, segment block and cell
+/// read pays. One call handles 65 536 bytes, so the row's rate is bytes
+/// per second.
+fn bench_crc32(entries: &mut Vec<Entry>) {
+    let data: Vec<u8> = (0..64u32 << 10)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+        .collect();
+    let samples = sample_ns(
+        || {
+            std::hint::black_box(cfstore::encoding::crc32(std::hint::black_box(&data)));
+        },
+        100,
+        100_000,
+    );
+    entries.push(Entry::new("crc32", "64KiB", 0, &samples, data.len() as f64));
 }
 
 /// Filters pushed down to the region servers (§5.3) against the same scan
@@ -902,6 +952,8 @@ fn main() {
     bench_gbrt_train(&mut entries, &seeds);
     eprintln!("benchmarking durable store...");
     let (reopen_blocks, reopen_blocks_read) = bench_store(&mut entries, &seeds);
+    bench_store_reopen(&mut entries, &seeds);
+    bench_crc32(&mut entries);
     bench_store_scan(&mut entries);
     eprintln!("benchmarking sharded store...");
     let (shard_scanned, shard_returned, shard_healed, shard_rebuild_ns) =
@@ -1021,6 +1073,11 @@ fn main() {
         put_then_match_at_4000 / 1e3
     );
     println!("lazy reopen read {reopen_blocks_read} of {reopen_blocks} segment blocks");
+    println!(
+        "reopen of 4000 profiles at a 1 MiB cache: {:.1} ms; crc32: {:.2} GB/s",
+        find(&entries, "store_reopen", "4000_profiles", 4000) / 1e6,
+        entry(&entries, "crc32", "64KiB", 0).candidates_per_sec / 1e9
+    );
     println!("put p95 inline-flush / background-flush: {put_tail_ratio:.1}x");
     println!(
         "sharded scan read amplification: {shard_scanned} scanned for {shard_returned} returned"

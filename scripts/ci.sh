@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 step_names=()
 step_secs=()
 step_started=$SECONDS
+
+# Host CPU steal over the run, printed beside the table (ROADMAP F4): on a
+# shared VM the host can take a third of the vCPUs, and then the seconds
+# below, and any timing gate, say little. `total steal` from /proc/stat.
+cpu_times() { awk '/^cpu / { print $2 + $3 + $4 + $5 + $6 + $7 + $8 + $9, $9 }' /proc/stat 2>/dev/null; }
+read -r cpu_total0 cpu_steal0 < <(cpu_times) || true
 step() {
   if [ ${#step_names[@]} -gt ${#step_secs[@]} ]; then
     step_secs+=($((SECONDS - step_started)))
@@ -106,7 +112,8 @@ step "source gate (no shipped twins)"
 if nontest $(find crates -name '*.rs') | grep -E 'fn simulate_clean|use_columnar_index|fn predict_runtime_ms_unplanned|"legacy"'; then exit 1; fi
 
 # One of each mechanism in the shard layer (DESIGN.md §20): one flusher
-# (the only condition variable lives in flusher.rs), one installer, one
+# (its condition variable lives in flusher.rs; the only other one is the
+# block cache's, which readers of a block being filled wait on), one installer, one
 # owned-row-set builder (the sole caller of `export_slot_from_peers`), no
 # catalog wrapper kept for its own test — and `store_fsck` takes its
 # sharded verdict from `ShardedStore::recovery_plan`: it neither parses
@@ -114,8 +121,8 @@ if nontest $(find crates -name '*.rs') | grep -E 'fn simulate_clean|use_columnar
 step "source gate (one of each in the shard layer)"
 cfstore_src=$(find crates/cfstore/src -name '*.rs')
 count() { nontest $cfstore_src | grep -cE "$1" || true; }
-if nontest $(find crates/cfstore/src -name '*.rs' ! -name flusher.rs) | grep -F 'Condvar'; then exit 1; fi
-if [ "$(count 'Condvar::new')" -gt 1 ]; then echo "more than one Condvar::new in cfstore"; exit 1; fi
+if nontest $(find crates/cfstore/src -name '*.rs' ! -name flusher.rs ! -name blockcache.rs) | grep -F 'Condvar'; then exit 1; fi
+if [ "$(count 'Condvar::new')" -gt 2 ]; then echo "more than two Condvar::new in cfstore"; exit 1; fi
 if [ "$(count 'fn .*flusher_loop|fn run_flusher')" -gt 1 ]; then echo "more than one flusher loop"; exit 1; fi
 if nontest $cfstore_src | grep -E 'fn heal_table|fn merge_table_rows|fn read_shards_file'; then exit 1; fi
 if [ "$(nontest $cfstore_src | grep -F 'export_slot_from_peers(' | grep -vcF 'fn export_slot_from_peers(')" -gt 1 ]; then
@@ -135,6 +142,32 @@ panics() { nontest "crates/cfstore/src/$1" | grep -cE 'expect\(|unwrap\(\)|panic
 if [ "$(panics flusher.rs)" -gt 0 ] || [ "$(panics store.rs)" -gt 1 ] || [ "$(panics shard.rs)" -gt 2 ]; then
   echo "cfstore panic sites: flusher.rs $(panics flusher.rs) (max 0), store.rs $(panics store.rs) (max 1), shard.rs $(panics shard.rs) (max 2)"
   exit 1
+fi
+
+# Store reads run in parallel (DESIGN.md §28): a scan fans its regions out
+# to the cores, not one thread per region — cfstore has exactly one
+# `thread::scope` and one `available_parallelism`, both in store.rs; a
+# block fill reads, checks and decodes with no cache lock held
+# (`read_block(` sits in a blockcache.rs function that takes no lock); and
+# only a segment block is decoded into slices of its buffer
+# (`slice_ref(` is used in frame.rs and segment.rs and nowhere else).
+step "source gate (store reads: scans on the cores, fills off the cache lock)"
+for site in 'thread::scope' 'available_parallelism'; do
+  if [ "$(nontest $cfstore_src | grep -cF "$site" || true)" -ne 1 ] ||
+    [ "$(nontest crates/cfstore/src/store.rs | grep -cF "$site" || true)" -ne 1 ]; then
+    echo "cfstore must have exactly one $site, in store.rs"; exit 1
+  fi
+done
+if nontest crates/cfstore/src/blockcache.rs | awk '
+  /fn [a-z_]+/ { f = $0 }
+  /read_block\(/ { reads[f] = 1 }
+  /\.lock\(\)/ { locks[f] = 1 }
+  END { for (f in reads) if (f in locks) { print "read_block under the cache lock in: " f; found = 1 } exit !found }'; then
+  exit 1
+fi
+if [ "$(nontest crates/cfstore/src/frame.rs crates/cfstore/src/segment.rs | grep -cF 'slice_ref(' || true)" -lt 1 ] ||
+  nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs ! -path crates/cfstore/src/segment.rs) | grep -F 'slice_ref('; then
+  echo "slice_ref( belongs to frame.rs and segment.rs alone"; exit 1
 fi
 
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live
@@ -258,6 +291,13 @@ for i in "${!step_names[@]}"; do
   printf '%6d  %s\n' "${step_secs[$i]}" "${step_names[$i]}"
 done
 printf '%6d  total\n' "$SECONDS"
+read -r cpu_total1 cpu_steal1 < <(cpu_times) || true
+if [ -n "${cpu_total0:-}" ] && [ -n "${cpu_total1:-}" ] && [ "$cpu_total1" -gt "$cpu_total0" ]; then
+  awk -v s=$((cpu_steal1 - cpu_steal0)) -v t=$((cpu_total1 - cpu_total0)) \
+    'BEGIN { printf "%6.1f  %% of CPU time stolen by the host (steal in /proc/stat)\n", 100 * s / t }'
+else
+  echo "   n/a  % of CPU time stolen by the host (no /proc/stat)"
+fi
 # Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16).
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + flusher.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
