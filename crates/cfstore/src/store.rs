@@ -1936,6 +1936,390 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The region owning `row`, found by walking the region list from the
+    /// front: the oracle the store's routing is checked against.
+    fn linear_owner(regions: &[Arc<Region>], row: &[u8]) -> Option<usize> {
+        regions.iter().position(|r| r.contains_key(row))
+    }
+
+    fn regions_of(store: &MiniStore, table: &str) -> Vec<Arc<Region>> {
+        store.inner.tables.read()[table].regions.read().clone()
+    }
+
+    /// The region list is sorted by start key and tiles the key space: it
+    /// starts at the empty key, each region ends where the next starts,
+    /// and the last one is unbounded.
+    fn assert_tiles(regions: &[Arc<Region>]) {
+        let ranges: Vec<KeyRange> = regions.iter().map(|r| r.range()).collect();
+        assert_eq!(ranges[0].start, Bytes::new(), "{ranges:?}");
+        for pair in ranges.windows(2) {
+            assert!(pair[0].start < pair[1].start, "{ranges:?}");
+            assert_eq!(pair[0].end.as_ref(), Some(&pair[1].start), "{ranges:?}");
+        }
+        assert_eq!(ranges[ranges.len() - 1].end, None, "{ranges:?}");
+    }
+
+    /// One single-row operation of the routing property: a row number,
+    /// and a column number where the operation names a cell.
+    #[derive(Debug, Clone)]
+    enum RouteOp {
+        Put(u16, u8),
+        Get(u16),
+        Delete(u16),
+        Prepare(Vec<u16>),
+        Corrupt(u16, u8),
+    }
+
+    fn route_op() -> impl proptest::strategy::Strategy<Value = RouteOp> {
+        use proptest::strategy::Strategy;
+        proptest::prop_oneof![
+            3 => (0u16..400, 0u8..3).prop_map(|(k, c)| RouteOp::Put(k, c)),
+            2 => (0u16..400).prop_map(RouteOp::Get),
+            1 => (0u16..400).prop_map(RouteOp::Delete),
+            1 => proptest::collection::vec(0u16..400, 1..6).prop_map(RouteOp::Prepare),
+            1 => (0u16..400, 0u8..3).prop_map(|(k, c)| RouteOp::Corrupt(k, c)),
+        ]
+    }
+
+    /// Row key `n`; 0 and 1 are the two ends of the key space, the empty
+    /// key and `ff ff`.
+    fn route_key(n: u16) -> Bytes {
+        match n {
+            0 => Bytes::new(),
+            1 => Bytes::from(vec![0xff, 0xff]),
+            n => Bytes::from(format!("k{n:04}")),
+        }
+    }
+
+    /// Table `t` holding `keys` (column `c{i % 3}` of the `i`-th), split
+    /// every `threshold` rows: live splits in memory (`mode` 0), splits
+    /// replayed from the WAL (1), or flushed and reopened segment-backed
+    /// (2).
+    fn routing_store(keys: &[u16], threshold: usize, mode: u8, dir: &Path) -> MiniStore {
+        let opts = || StoreOptions {
+            sync: SyncPolicy::GroupCommit(1 << 20),
+            ..StoreOptions::default()
+        };
+        let store = match mode {
+            0 => MiniStore::new(),
+            _ => MiniStore::open_with_opts(dir, opts()).unwrap().0,
+        };
+        store
+            .create_table_with_threshold("t", &["f"], threshold)
+            .unwrap();
+        for (i, &k) in keys.iter().enumerate() {
+            let put = Put::new(route_key(k), "f", format!("c{}", i % 3), format!("v{i}"));
+            store.put("t", put).unwrap();
+        }
+        match mode {
+            0 => return store,
+            1 => store
+                .inner
+                .durable
+                .as_ref()
+                .unwrap()
+                .lock()
+                .wal
+                .sync()
+                .unwrap(),
+            _ => store.flush().unwrap(),
+        }
+        drop(store);
+        let (store, report) = MiniStore::open_with_opts(dir, opts()).unwrap();
+        assert_eq!(report.frames_replayed > 0, mode == 1);
+        store
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every put, get, delete, `prepare_rows` and `corrupt_cell` lands
+        /// in the region a walk of the region list from the front picks —
+        /// over live splits, splits replayed from the WAL and a reopened
+        /// segment-backed table — and the list stays sorted by start and
+        /// tiles the key space.
+        #[test]
+        fn single_row_operations_land_where_the_linear_walk_says(
+            keys in proptest::collection::vec(0u16..400, 0..160),
+            threshold in 2usize..9,
+            mode in 0u8..3,
+            ops in proptest::collection::vec(route_op(), 1..60),
+        ) {
+            use std::collections::BTreeSet;
+            let dir = tmp_dir("routing");
+            let store = routing_store(&keys, threshold, mode, &dir);
+            // What the table holds: the columns of each row, and which of
+            // them are rotted (a second `corrupt_cell` flips them back).
+            let mut cells: BTreeMap<Bytes, BTreeSet<u8>> = BTreeMap::new();
+            for (i, &k) in keys.iter().enumerate() {
+                cells.entry(route_key(k)).or_default().insert((i % 3) as u8);
+            }
+            let mut rotted: BTreeSet<(Bytes, u8)> = BTreeSet::new();
+            assert_tiles(&regions_of(&store, "t"));
+            for (i, op) in ops.into_iter().enumerate() {
+                let regions = regions_of(&store, "t");
+                let owner = |row: &[u8]| linear_owner(&regions, row).unwrap();
+                match op {
+                    RouteOp::Put(k, c) => {
+                        let row = route_key(k);
+                        let value = Bytes::from(format!("p{i}"));
+                        let put = Put::new(row.clone(), "f", format!("c{c}"), value.clone());
+                        store.put("t", put).unwrap();
+                        cells.entry(row.clone()).or_default().insert(c);
+                        rotted.remove(&(row.clone(), c));
+                        // The put may have split its region: ask again.
+                        let regions = regions_of(&store, "t");
+                        let owner = linear_owner(&regions, &row).unwrap();
+                        let rows = regions[owner].export_rows().unwrap();
+                        let column = Bytes::from(format!("c{c}"));
+                        proptest::prop_assert_eq!(&rows[&row]["f"][&column][0].value, &value);
+                        for (j, r) in regions.iter().enumerate() {
+                            if j != owner {
+                                proptest::prop_assert_eq!(r.get(&row), Ok(None));
+                            }
+                        }
+                        assert_tiles(&regions);
+                    }
+                    RouteOp::Get(k) => {
+                        let row = route_key(k);
+                        proptest::prop_assert_eq!(
+                            store.get("t", &row),
+                            regions[owner(&row[..])].get(&row)
+                        );
+                    }
+                    RouteOp::Delete(k) => {
+                        let row = route_key(k);
+                        let held = cells.remove(&row).is_some();
+                        rotted.retain(|(r, _)| *r != row);
+                        proptest::prop_assert_eq!(store.delete_row("t", &row), Ok(held));
+                        for r in &regions {
+                            proptest::prop_assert_eq!(r.get(&row), Ok(None));
+                        }
+                    }
+                    RouteOp::Prepare(ks) => {
+                        let rows: Vec<Bytes> = ks.into_iter().map(route_key).collect();
+                        let lazy: Vec<bool> = regions.iter().map(|r| r.is_lazy()).collect();
+                        store.prepare_rows("t", &rows).unwrap();
+                        let owners: BTreeSet<usize> = rows.iter().map(|r| owner(&r[..])).collect();
+                        for (j, r) in regions.iter().enumerate() {
+                            let promoted = owners.contains(&j);
+                            proptest::prop_assert_eq!(r.is_lazy(), lazy[j] && !promoted);
+                        }
+                    }
+                    RouteOp::Corrupt(k, c) => {
+                        let row = route_key(k);
+                        let expected = cells.get(&row).is_some_and(|cols| cols.contains(&c));
+                        let column = format!("c{c}");
+                        let hit = store.corrupt_cell("t", &row, "f", column.as_bytes());
+                        proptest::prop_assert_eq!(hit, Ok(expected));
+                        if expected && !rotted.remove(&(row.clone(), c)) {
+                            rotted.insert((row.clone(), c));
+                        }
+                        let rot = rotted.iter().any(|(r, _)| *r == row);
+                        let got = regions[owner(&row[..])].get(&row);
+                        proptest::prop_assert_eq!(got.is_err(), rot, "{:?}", got);
+                    }
+                }
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Two in-memory stores' worth of set-up for the row-run tests: tables
+    /// `a` and `b` with families `f` and `g`, `a` cut into three regions at
+    /// `r3` and `r6`.
+    fn run_store() -> MiniStore {
+        let store = MiniStore::new();
+        for t in ["a", "b"] {
+            store
+                .create_table_with_threshold(t, &["f", "g"], usize::MAX)
+                .unwrap();
+        }
+        let root = store.meta_entries()[0].region_id;
+        let split = |parent_id, new_id, key: &str| WalRecord::RegionSplit {
+            table: "a".into(),
+            parent_id,
+            new_id,
+            split_key: Bytes::from(key.to_string()),
+        };
+        store
+            .inner
+            .apply(vec![split(root, 100, "r3"), split(100, 101, "r6")])
+            .unwrap();
+        assert_eq!(store.region_count("a").unwrap(), 3);
+        store
+    }
+
+    /// `records` applied to one store as one batch and to another record by
+    /// record leave every cell, timestamp and checksum, the region list and
+    /// the store clock the same.
+    fn assert_batch_applies_as_cells(records: Vec<WalRecord>) {
+        let batched = run_store();
+        let per_cell = run_store();
+        batched.inner.apply(records.clone()).unwrap();
+        for record in records {
+            per_cell.inner.apply(vec![record]).unwrap();
+        }
+        for t in ["a", "b"] {
+            assert_eq!(batched.export_table_rows(t), per_cell.export_table_rows(t));
+        }
+        assert_eq!(batched.meta_entries(), per_cell.meta_entries());
+        assert_eq!(batched.clock_value(), per_cell.clock_value());
+    }
+
+    fn run_put(table: &str, row: &str, family: &str, column: &str, timestamp: u64) -> WalRecord {
+        WalRecord::Put {
+            table: table.into(),
+            row: Bytes::from(row.to_string()),
+            family: family.into(),
+            column: Bytes::from(column.to_string()),
+            value: Bytes::from(format!("{table}/{row}/{family}:{column}@{timestamp}")),
+            timestamp,
+        }
+    }
+
+    #[test]
+    fn a_batch_of_row_runs_applies_as_its_cells_do() {
+        let put = |table, row, column, timestamp| run_put(table, row, "f", column, timestamp);
+        let delete = |table: &str, row: &str| WalRecord::DeleteRow {
+            table: table.into(),
+            row: Bytes::from(row.to_string()),
+        };
+        assert_batch_applies_as_cells(vec![
+            // One row in two runs, another row's run between them.
+            put("a", "r1", "c1", 10),
+            put("a", "r1", "c2", 11),
+            put("a", "r5", "c1", 12),
+            put("a", "r1", "c3", 13),
+            // Two tables interleaved, one row name in both.
+            put("b", "r1", "c1", 14),
+            put("a", "r1", "c4", 15),
+            put("b", "r1", "c2", 16),
+            put("a", "r7", "c1", 17),
+            // A delete between two runs of one row.
+            put("a", "r5", "c2", 18),
+            delete("a", "r5"),
+            put("a", "r5", "c3", 19),
+            // Timestamps out of order inside one run, past the version
+            // cap; the run's last timestamp is not its largest.
+            put("a", "r8", "c1", 1000),
+            put("a", "r8", "c1", 2),
+            put("a", "r8", "c1", 34),
+            run_put("a", "r8", "g", "c1", 5),
+            put("a", "r8", "c1", 999),
+            put("a", "r8", "c2", 3),
+        ]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random batches over two tables, ten rows in three regions, two
+        /// families and random timestamps (one record in twelve a delete)
+        /// apply as their records do one by one.
+        #[test]
+        fn random_batches_apply_as_their_cells_do(
+            records in proptest::collection::vec(
+                (0u8..12, 0u8..2, 0u8..10, 0u8..4, 0u64..3000),
+                1..60,
+            ),
+        ) {
+            let records = records
+                .into_iter()
+                .map(|(kind, table, row, column, timestamp)| {
+                    let table = ["a", "b"][table as usize];
+                    let row = format!("r{row}");
+                    match kind {
+                        0 => WalRecord::DeleteRow {
+                            table: table.into(),
+                            row: Bytes::from(row),
+                        },
+                        _ => {
+                            let family = ["f", "g"][(kind % 2) as usize];
+                            run_put(table, &row, family, &format!("c{column}"), timestamp)
+                        }
+                    }
+                })
+                .collect();
+            assert_batch_applies_as_cells(records);
+        }
+    }
+
+    /// A row written in runs while splits keep moving it to a new region
+    /// gets every cell exactly once: one version each, in one region.
+    #[test]
+    fn a_split_racing_a_row_run_lands_every_cell_once() {
+        const RUNS: u64 = 64;
+        const CELLS: u64 = 32;
+        let store = MiniStore::new();
+        store
+            .create_table_with_threshold("t", &["f"], usize::MAX)
+            .unwrap();
+        let inner = &store.inner;
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                // The split keys rise and all sort below `m`: each one cuts
+                // the region holding `m` and moves the row to a new region.
+                let mut i = 0u64;
+                while i < 2000 && (i < 16 || !done.load(Ordering::Acquire)) {
+                    let split_key = Bytes::from(format!("l{i:05}"));
+                    let parent_id = {
+                        let regions = regions_of(&store, "t");
+                        regions[linear_owner(&regions, &split_key).unwrap()].id
+                    };
+                    let split = WalRecord::RegionSplit {
+                        table: "t".into(),
+                        parent_id,
+                        new_id: 1000 + i,
+                        split_key,
+                    };
+                    inner.apply(vec![split]).unwrap();
+                    i += 1;
+                }
+            });
+            start.wait();
+            for run in 0..RUNS {
+                let records = (0..CELLS)
+                    .map(|c| {
+                        let timestamp = 1 + run * CELLS + c;
+                        WalRecord::Put {
+                            table: "t".into(),
+                            row: Bytes::from("m"),
+                            family: "f".into(),
+                            column: Bytes::from(format!("c{timestamp:05}")),
+                            value: Bytes::from(format!("v{timestamp}")),
+                            timestamp,
+                        }
+                    })
+                    .collect();
+                inner.apply(records).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let regions = regions_of(&store, "t");
+        assert!(regions.len() > 1, "the splits ran");
+        assert_tiles(&regions);
+        let holders: Vec<&Arc<Region>> = regions
+            .iter()
+            .filter(|r| r.get(b"m").unwrap().is_some())
+            .collect();
+        assert_eq!(holders.len(), 1);
+        let rows = holders[0].export_rows().unwrap();
+        let cols = &rows[&b"m"[..]]["f"];
+        assert_eq!(cols.len() as u64, RUNS * CELLS);
+        for (column, versions) in cols {
+            assert_eq!(versions.len(), 1, "{column:?}");
+            let ts = versions[0].timestamp;
+            assert_eq!(column, &Bytes::from(format!("c{ts:05}")));
+            assert_eq!(versions[0].value, Bytes::from(format!("v{ts}")));
+        }
+        assert_eq!(store.clock_value(), 1 + RUNS * CELLS);
+    }
+
     #[test]
     fn in_memory_store_flush_is_a_noop() {
         let store = MiniStore::new();
