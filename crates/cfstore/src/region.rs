@@ -28,7 +28,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::BlockCache;
 use crate::filter::Filter;
-use crate::kv::{CellVersion, Put, RowResult};
+use crate::kv::{CellVersion, RowResult};
 use crate::segment::{SegmentError, SegmentReader};
 use crate::store::StoreError;
 
@@ -62,6 +62,15 @@ impl KeyRange {
                 None => true,
             }
     }
+}
+
+/// One cell of a row run ([`Region::put_row`]): a stamped `Put` minus
+/// the row the run shares.
+pub(crate) struct RunCell {
+    pub(crate) family: String,
+    pub(crate) column: Bytes,
+    pub(crate) value: Bytes,
+    pub(crate) timestamp: u64,
 }
 
 /// A lazily read segment backing a clean recovered region.
@@ -210,37 +219,52 @@ impl Region {
         self.range.read().contains(key)
     }
 
-    /// Write a cell. Returns `Ok(false)` when the row no longer belongs
-    /// to this region (a concurrent split moved the key range) — the
-    /// caller must re-resolve the region and retry. The range check
-    /// happens under the rows write lock, which `split` also holds while
-    /// shrinking the range, so the answer cannot go stale. A write to a
-    /// segment-backed region promotes it first (which can surface a
-    /// typed corruption error from the segment).
-    pub fn put(&self, put: Put, timestamp: u64) -> Result<bool, SegmentError> {
+    /// Whether this region's range starts at or before `key`: the probe
+    /// of a binary search over a table's region list, which is sorted by
+    /// start key (a region's start never moves; a split moves its end).
+    pub(crate) fn starts_at_or_before(&self, key: &[u8]) -> bool {
+        self.range.read().start.as_ref() <= key
+    }
+
+    /// Write a run of cells to one row, promoting, locking the rows and
+    /// checking the range once for the whole run. Returns `Ok(false)`,
+    /// with `cells` untouched, when the row no longer belongs to this
+    /// region (a concurrent split moved the key range) — the caller must
+    /// re-resolve the region and retry. The range check happens under the
+    /// rows write lock, which `split_at` also holds while shrinking the
+    /// range, so the answer cannot go stale. A write to a segment-backed
+    /// region promotes it first (which can surface a typed corruption
+    /// error from the segment). Every cell keeps its own timestamp and
+    /// checksum, and every column its `MAX_VERSIONS` cap.
+    pub(crate) fn put_row(
+        &self,
+        row: &Bytes,
+        cells: &mut Vec<RunCell>,
+    ) -> Result<bool, SegmentError> {
         self.ensure_materialized()?;
         let mut rows = self.rows.write();
-        if !self.range.read().contains(&put.row) {
+        if !self.range.read().contains(row) {
             return Ok(false);
         }
         self.dirty.store(true, Ordering::Release);
-        let versions = rows
-            .entry(put.row)
-            .or_default()
-            .entry(put.family)
-            .or_default()
-            .entry(put.column)
-            .or_default();
-        // Keep versions sorted by timestamp descending whatever order
-        // they arrive in: a log is applied as it was written, by whoever
-        // wrote it. The stores stamp monotonically, so the insert
-        // position is 0.
-        let pos = versions
-            .iter()
-            .position(|v| v.timestamp <= timestamp)
-            .unwrap_or(versions.len());
-        versions.insert(pos, CellVersion::new(timestamp, put.value));
-        versions.truncate(MAX_VERSIONS);
+        let data = rows.entry(row.clone()).or_default();
+        for cell in cells.drain(..) {
+            let versions = data
+                .entry(cell.family)
+                .or_default()
+                .entry(cell.column)
+                .or_default();
+            // Keep versions sorted by timestamp descending whatever order
+            // they arrive in: a log is applied as it was written, by
+            // whoever wrote it. The stores stamp monotonically, so the
+            // insert position is 0.
+            let pos = versions
+                .iter()
+                .position(|v| v.timestamp <= cell.timestamp)
+                .unwrap_or(versions.len());
+            versions.insert(pos, CellVersion::new(cell.timestamp, cell.value));
+            versions.truncate(MAX_VERSIONS);
+        }
         Ok(true)
     }
 
@@ -494,17 +518,15 @@ mod tests {
     use super::*;
 
     fn put(region: &Region, row: &str, col: &str, val: &str, ts: u64) {
-        assert!(region
-            .put(
-                Put::new(
-                    Bytes::copy_from_slice(row.as_bytes()),
-                    "cf",
-                    Bytes::copy_from_slice(col.as_bytes()),
-                    Bytes::copy_from_slice(val.as_bytes()),
-                ),
-                ts,
-            )
-            .unwrap());
+        let mut cells = vec![RunCell {
+            family: "cf".to_string(),
+            column: Bytes::copy_from_slice(col.as_bytes()),
+            value: Bytes::copy_from_slice(val.as_bytes()),
+            timestamp: ts,
+        }];
+        let row = Bytes::copy_from_slice(row.as_bytes());
+        assert!(region.put_row(&row, &mut cells).unwrap());
+        assert!(cells.is_empty());
     }
 
     #[test]
@@ -602,6 +624,24 @@ mod tests {
         assert_eq!(r.range().end, Some(Bytes::from("d")));
         assert!(r.contains_key(b"a"));
         assert!(!r.contains_key(b"d"));
+    }
+
+    #[test]
+    fn a_row_run_the_range_lost_is_handed_back_untouched() {
+        let r = Region::new(1, KeyRange::all());
+        put(&r, "a", "c", "v", 1);
+        put(&r, "b", "c", "v", 1);
+        let _upper = r.split_at(&Bytes::from("b"), 2).unwrap().unwrap();
+        let cell = |timestamp| RunCell {
+            family: "cf".to_string(),
+            column: Bytes::from("c"),
+            value: Bytes::from("v"),
+            timestamp,
+        };
+        let mut cells = vec![cell(2), cell(3)];
+        assert!(!r.put_row(&Bytes::from("c"), &mut cells).unwrap());
+        assert_eq!(cells.len(), 2);
+        assert!(r.get(b"c").unwrap().is_none());
     }
 
     #[test]

@@ -967,25 +967,30 @@ impl ShardedStore {
             }
         }
         // Per shard: the rows it is about to be written, and the records
-        // that write them.
+        // that write them. Consecutive puts to one row are placed once.
         let mut per_shard: BTreeMap<u32, (Vec<Bytes>, Vec<WalRecord>)> = BTreeMap::new();
-        for put in puts {
-            let ts = st.clock;
-            st.clock += 1;
-            // Dual-apply during a migration: the same stamped cell goes
+        for run in puts.chunk_by(|a, b| a.row == b.row) {
+            let row = &run[0].row;
+            let stamped = st.clock;
+            st.clock += run.len() as u64;
+            // Dual-apply during a migration: the same stamped cells go
             // to the old and new replica sets under one gsn, so every
             // copy — either epoch — stays bit-identical.
-            for g in st.write_replicas(&put.row) {
+            for g in st.write_replicas(row) {
                 let (rows, records) = per_shard.entry(g).or_default();
-                rows.push(put.row.clone());
-                records.push(WalRecord::Put {
-                    table: table.to_string(),
-                    row: put.row.clone(),
-                    family: put.family.clone(),
-                    column: put.column.clone(),
-                    value: put.value.clone(),
-                    timestamp: ts,
-                });
+                rows.push(row.clone());
+                records.extend(
+                    run.iter()
+                        .zip(stamped..)
+                        .map(|(put, timestamp)| WalRecord::Put {
+                            table: table.to_string(),
+                            row: row.clone(),
+                            family: put.family.clone(),
+                            column: put.column.clone(),
+                            value: put.value.clone(),
+                            timestamp,
+                        }),
+                );
             }
         }
         let participants: Vec<u32> = per_shard.keys().copied().collect();

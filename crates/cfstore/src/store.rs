@@ -40,7 +40,7 @@ use crate::kv::{Put, RowResult};
 use crate::recovery::{
     self, inconsistent, io_err, Manifest, ManifestTable, RecoveryError, RecoveryReport,
 };
-use crate::region::{KeyRange, Region, RowData, ScanMetrics};
+use crate::region::{KeyRange, Region, RowData, RunCell, ScanMetrics};
 use crate::segment::{self, SegmentError};
 use crate::wal::{self, CrashSpec, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE};
 
@@ -207,9 +207,21 @@ impl Table {
     /// miss means the log and the segments are not one store's.
     fn region_for(&self, row: &[u8], table: &str) -> Result<Arc<Region>, RecoveryError> {
         let regions = self.regions.read();
-        let owner = regions.iter().find(|r| r.contains_key(row)).cloned();
+        let owner = owner_index(&regions, row).map(|i| regions[i].clone());
         owner.ok_or_else(|| inconsistent(format!("no region covers a replayed row in `{table}`")))
     }
+}
+
+/// Where `row` belongs in a table's region list: the one routing step of
+/// every single-row operation. The list is sorted by start key — open
+/// sorts it, a split inserts its upper half right behind its parent — so
+/// the owner is the last region starting at or before `row`, found by
+/// binary search in O(log regions), and its range must hold `row`, or
+/// the list does not tile the key space.
+fn owner_index(regions: &[Arc<Region>], row: &[u8]) -> Option<usize> {
+    let after = regions.partition_point(|r| r.starts_at_or_before(row));
+    let i = after.checked_sub(1)?;
+    regions[i].contains_key(row).then_some(i)
 }
 
 /// Insert a table with its all-covering root region unless the catalog
@@ -230,6 +242,7 @@ fn create_table_in(
 
 /// Split region `parent_id` of a table's (write-locked) region list at
 /// `split_key`, registering the upper half as `new_id` right behind it.
+/// The parent is the region owning the split key.
 fn split_region_in(
     regions: &mut Vec<Arc<Region>>,
     table: &str,
@@ -237,15 +250,18 @@ fn split_region_in(
     new_id: u64,
     split_key: &Bytes,
 ) -> Result<(), RecoveryError> {
-    let Some(pos) = regions.iter().position(|r| r.id == parent_id) else {
+    let outside = || inconsistent(format!("split key outside region {parent_id} of `{table}`"));
+    let owner = owner_index(regions, split_key);
+    let Some(pos) = owner.filter(|&i| regions[i].id == parent_id) else {
+        if regions.iter().any(|r| r.id == parent_id) {
+            return Err(outside());
+        }
         return Err(inconsistent(format!(
             "split of unknown region {parent_id} in `{table}`"
         )));
     };
     let Some(upper) = regions[pos].split_at(split_key, new_id)? else {
-        return Err(inconsistent(format!(
-            "split key outside region {parent_id} of `{table}`"
-        )));
+        return Err(outside());
     };
     regions.insert(pos + 1, Arc::new(upper));
     Ok(())
@@ -749,8 +765,8 @@ impl MiniStore {
         obs.incr("cfstore.gets", 1);
         let t = self.table(table)?;
         let regions = t.regions.read();
-        let result = match regions.iter().find(|r| r.contains_key(row)) {
-            Some(r) => r.get(row)?,
+        let result = match owner_index(&regions, row) {
+            Some(i) => regions[i].get(row)?,
             None => None,
         };
         if let Some(row) = &result {
@@ -772,9 +788,8 @@ impl MiniStore {
     ) -> Result<bool, StoreError> {
         let t = self.table(table)?;
         let regions = t.regions.read();
-        Ok(regions
-            .iter()
-            .any(|r| r.contains_key(row) && r.corrupt_cell(row, family, column)))
+        let owner = owner_index(&regions, row);
+        Ok(owner.is_some_and(|i| regions[i].corrupt_cell(row, family, column)))
     }
 
     /// Delete one row.
@@ -937,8 +952,8 @@ impl MiniStore {
         let t = self.table(table)?;
         let regions = t.regions.read();
         for row in rows {
-            if let Some(r) = regions.iter().find(|r| r.contains_key(row)) {
-                r.prepare_for_write()?;
+            if let Some(i) = owner_index(&regions, row) {
+                regions[i].prepare_for_write()?;
             }
         }
         Ok(())
@@ -1039,7 +1054,10 @@ impl StoreInner {
     /// hands it the frame it just logged, a sharded batch the frame every
     /// participant logged, and a reopen the frames it found. It never
     /// logs and never decides a split; it keeps `clock` and
-    /// `next_region_id` ahead of whatever the records carry. Writing to a
+    /// `next_region_id` ahead of whatever the records carry. Consecutive
+    /// puts to one table and row are one row run: the table and the region
+    /// are resolved once and the region writes the run under one lock
+    /// ([`Region::put_row`]), each cell as it would alone. Writing to a
     /// segment-backed region promotes it, which can surface a typed
     /// corruption error; a record naming a table, region or range the
     /// store does not hold is refused as [`RecoveryError::InconsistentLog`].
@@ -1049,7 +1067,8 @@ impl StoreInner {
             found.ok_or_else(|| inconsistent(format!("record references unknown table `{name}`")))
         };
         let mut applied = Applied::default();
-        for record in records {
+        let mut records = records.into_iter().peekable();
+        while let Some(record) = records.next() {
             match record {
                 // Bookkeeping for the sharded reopen's commit rule, which
                 // runs before any shard replays: by now the batch is
@@ -1075,22 +1094,48 @@ impl StoreInner {
                     value,
                     timestamp,
                 } => {
-                    let next = timestamp.saturating_add(1);
-                    self.clock.fetch_max(next, Ordering::Relaxed);
-                    let t = table(&name)?;
-                    let put = Put {
-                        row,
+                    // A row run: this put and every put right behind it to
+                    // the same table and row, resolved and written once.
+                    // The clock goes past the run's largest timestamp,
+                    // which need not be its last: a log is applied in the
+                    // order it was written, by whoever wrote it.
+                    let mut newest = timestamp;
+                    let mut cells = vec![RunCell {
                         family,
                         column,
                         value,
+                        timestamp,
+                    }];
+                    let same_row = |next: &WalRecord| match next {
+                        WalRecord::Put { table, row: r, .. } => *table == name && *r == row,
+                        _ => false,
                     };
+                    while let Some(WalRecord::Put {
+                        family,
+                        column,
+                        value,
+                        timestamp,
+                        ..
+                    }) = records.next_if(same_row)
+                    {
+                        newest = newest.max(timestamp);
+                        cells.push(RunCell {
+                            family,
+                            column,
+                            value,
+                            timestamp,
+                        });
+                    }
+                    self.clock
+                        .fetch_max(newest.saturating_add(1), Ordering::Relaxed);
+                    let t = table(&name)?;
                     // A concurrent split can shrink the chosen region's
-                    // range between lookup and write; `Region::put`
-                    // detects this under its lock and we retry against
-                    // the refreshed region list.
+                    // range between lookup and write; `Region::put_row`
+                    // detects this under its lock and hands the cells
+                    // back, and we retry against the refreshed region list.
                     let region = loop {
-                        let region = t.region_for(&put.row, &name)?;
-                        if region.put(put.clone(), timestamp)? {
+                        let region = t.region_for(&row, &name)?;
+                        if region.put_row(&row, &mut cells)? {
                             break region;
                         }
                     };
