@@ -6,9 +6,9 @@
 //! the GBRT training the learned baseline needs before its first match,
 //! a selective scan with its filter pushed down vs applied by the client,
 //! segment block reads through the
-//! bounded cache (cold vs warm), a 4 000-profile store's reopen, CRC-32
-//! over 64 KiB, put latency with inline vs background
-//! flushing, online-resharding cost (rows moved per second by a grow
+//! bounded cache (cold vs warm), a 4 000-profile store's reopen and a
+//! profile put on it, CRC-32 over 64 KiB, put latency with inline vs
+//! background flushing, online-resharding cost (rows moved per second by a grow
 //! migration, matcher latency with a migration in flight vs quiesced),
 //! CBO search and what-if evaluation throughput at 16 and at 560 map
 //! tasks, and the dataflow measurement (`mrsim::analyze`) of every suite
@@ -128,13 +128,19 @@ fn seed_profiles() -> Vec<(StaticFeatures, JobProfile)> {
         .collect()
 }
 
+/// Distinct profile `i`: seed `i mod 4` under its own job id.
+fn variant(seeds: &Seeds, i: usize) -> (&StaticFeatures, JobProfile) {
+    let (statics, profile) = &seeds[i % seeds.len()];
+    let mut p = profile.clone();
+    p.job_id = format!("{}#{}", p.job_id, i);
+    p.map.size_selectivity *= 1.0 + (i as f64) * 1e-4;
+    (statics, p)
+}
+
 /// `store` with `size` distinct profiles put, cycling through the seeds.
 fn filled(store: ProfileStore, size: usize, seeds: &Seeds) -> ProfileStore {
     for i in 0..size {
-        let (statics, profile) = &seeds[i % seeds.len()];
-        let mut p = profile.clone();
-        p.job_id = format!("{}#{}", p.job_id, i);
-        p.map.size_selectivity *= 1.0 + (i as f64) * 1e-4;
+        let (statics, p) = variant(seeds, i);
         store.put_profile(statics, &p).unwrap();
     }
     store
@@ -408,12 +414,21 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
     read_amp
 }
 
-/// What a restarted PStorM pays before it can match (DESIGN.md §28):
-/// `ProfileStore::reopen_with_opts` on a flushed store of 4 000 profiles
-/// with a 1 MiB block cache, smaller than the rows it reads — the shape of
-/// the benchmark's `bigstore_reads`. The reopen scans every `Dynamic/`,
+/// A flushed store of 4 000 profiles, reopened: what a restarted PStorM
+/// pays before it can match (DESIGN.md §28), and what a profile put costs
+/// it afterwards (DESIGN.md §29).
+///
+/// `store_reopen/4000_profiles` is `ProfileStore::reopen_with_opts` with a
+/// 1 MiB block cache, smaller than the rows it reads — the shape of the
+/// benchmark's `bigstore_reads`. The reopen scans every `Dynamic/`,
 /// `Static/` and `CostFactor/` row into the columnar index.
-fn bench_store_reopen(entries: &mut Vec<Entry>, seeds: &Seeds) {
+///
+/// `store_put/reopened_4000` is `put_profile` of profiles the store has
+/// not seen, on the store reopened at the default cache — the shape of
+/// the benchmark's `churn_durable` ingest. A put writes ≈ 30 cells in five
+/// rows, and the first put into a region promotes it.
+fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
+    const PUTS: usize = 2000;
     let dir = std::env::temp_dir().join(format!("pstorm-perf-reopen-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let size = TRAJECTORY_SIZES[2];
@@ -437,6 +452,25 @@ fn bench_store_reopen(entries: &mut Vec<Entry>, seeds: &Seeds) {
         &samples,
         size as f64,
     ));
+
+    let (store, _) = ProfileStore::reopen(&dir).unwrap();
+    // One more than the most `sample_ns` takes: its warm-up call.
+    let fresh: Vec<_> = (size..=size + PUTS).map(|i| variant(seeds, i)).collect();
+    let mut fresh = fresh.iter();
+    let put = || {
+        if let Some((statics, p)) = fresh.next() {
+            store.put_profile(statics, p).unwrap();
+        }
+    };
+    let samples = sample_ns(put, 200, PUTS);
+    entries.push(Entry::new(
+        "store_put",
+        "reopened_4000",
+        size,
+        &samples,
+        1.0,
+    ));
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -952,7 +986,7 @@ fn main() {
     bench_gbrt_train(&mut entries, &seeds);
     eprintln!("benchmarking durable store...");
     let (reopen_blocks, reopen_blocks_read) = bench_store(&mut entries, &seeds);
-    bench_store_reopen(&mut entries, &seeds);
+    bench_reopened_store(&mut entries, &seeds);
     bench_crc32(&mut entries);
     bench_store_scan(&mut entries);
     eprintln!("benchmarking sharded store...");
@@ -1074,8 +1108,9 @@ fn main() {
     );
     println!("lazy reopen read {reopen_blocks_read} of {reopen_blocks} segment blocks");
     println!(
-        "reopen of 4000 profiles at a 1 MiB cache: {:.1} ms; crc32: {:.2} GB/s",
+        "reopen of 4000 profiles at a 1 MiB cache: {:.1} ms, then put_profile {:.1} us; crc32: {:.2} GB/s",
         find(&entries, "store_reopen", "4000_profiles", 4000) / 1e6,
+        find(&entries, "store_put", "reopened_4000", 4000) / 1e3,
         entry(&entries, "crc32", "64KiB", 0).candidates_per_sec / 1e9
     );
     println!("put p95 inline-flush / background-flush: {put_tail_ratio:.1}x");

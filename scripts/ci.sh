@@ -182,6 +182,21 @@ if nontest $cfstore_src | grep -E 'struct Recovered(Region|Table)|fn apply_recor
 if [ "$(nontest $(find crates/cfstore/src -name '*.rs' ! -name wal.rs) | grep -cE ': +WalRecord::RegionSplit \{' || true)" -gt 1 ]; then
   echo "more than one RegionSplit destructuring outside wal.rs"; exit 1
 fi
+
+# One routing step (DESIGN.md §29): every single-row operation finds its
+# region through `owner_index`, a binary search over the table's sorted
+# region list, so that is the one non-test function of store.rs that
+# asks a region `contains_key(` (`tables.contains_key(` is the catalog
+# map's). The walk of the list from the front lives on as a test oracle.
+step "source gate (one routing step, by binary search)"
+routes=$(nontest crates/cfstore/src/store.rs |
+  awk '/fn [a-z_]+/ { f = $0 } /contains_key\(/ && !/tables\.contains_key\(/ { print f }')
+if [ "$(printf '%s\n' "$routes" | grep -c 'fn owner_index(' || true)" -ne 1 ] ||
+  [ "$(printf '%s\n' "$routes" | grep -c . || true)" -ne 1 ]; then
+  echo "store.rs must ask a region contains_key( once, in fn owner_index; it does in:"
+  printf '%s\n' "$routes"
+  exit 1
+fi
 store_core_files="crates/cfstore/src/store.rs crates/cfstore/src/recovery.rs crates/cfstore/src/region.rs"
 store_core_lines=$(nontest $store_core_files | wc -l)
 
@@ -298,6 +313,32 @@ if [ -n "${cpu_total0:-}" ] && [ -n "${cpu_total1:-}" ] && [ "$cpu_total1" -gt "
 else
   echo "   n/a  % of CPU time stolen by the host (no /proc/stat)"
 fi
+# Whether a second core is there in fact (DESIGN.md §29): a low steal share
+# does not say so. Hash 256 MiB of zeros once, then twice at once, three
+# times each in turn, keeping each one's fastest; the speed-up is two
+# hashes' throughput over one's — ≈ 2.0 on two free cores, ≈ 1.0 where the
+# two threads share one, and then no parallel gain (a lent `analyze`
+# helper, a scan on two threads) can show.
+hash_secs() {
+  local t0 pids=()
+  t0=$(date +%s.%N)
+  for _ in $(seq "$1"); do
+    head -c 256M /dev/zero | sha256sum >/dev/null &
+    pids+=($!)
+  done
+  wait "${pids[@]}"
+  awk -v t0="$t0" -v t1="$(date +%s.%N)" 'BEGIN { print t1 - t0 }'
+}
+one=; two=
+for _ in 1 2 3; do
+  one="$one $(hash_secs 1)"
+  two="$two $(hash_secs 2)"
+done
+least() { printf '%s\n' $1 | sort -g | head -1; }
+one=$(least "$one")
+two=$(least "$two")
+awk -v one="$one" -v two="$two" \
+  'BEGIN { printf "%6.2f  two-thread speed-up of sha256sum over 256 MiB (%.2f s alone, %.2f s two at once)\n", 2 * one / two, one, two }'
 # Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16).
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + flusher.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
