@@ -988,6 +988,49 @@ mod tests {
         assert_eq!(failed_on(&spec, &ds, true), failed_on(&spec, &ds, false));
     }
 
+    /// `failing_at`'s records under an identity mapper that reverses the
+    /// keys (record `i` emits key `799 - i`) and a reducer that adds one to
+    /// the first value of its group: one group a key, so key order is the
+    /// reverse of emission order and the middle group boundary is key 400.
+    /// A bad record below 400 fails an upper group, one above it a lower.
+    fn reducer_failing_at(bad: &[(usize, Value)]) -> (JobSpec, Dataset) {
+        let (_, ds) = failing_at(bad);
+        let spec = JobSpec::builder("first-plus-one")
+            .mapper(
+                "Reverse",
+                Udf::mapper(
+                    "Reverse",
+                    vec![emit(sub(c_int(799), var("key")), var("value"))],
+                ),
+            )
+            .reducer(
+                "FirstPlusOne",
+                Udf::reducer(
+                    "FirstPlusOne",
+                    vec![emit(
+                        var("key"),
+                        add(index(var("values"), c_int(0)), c_int(1)),
+                    )],
+                ),
+            )
+            .build();
+        (spec, ds)
+    }
+
+    #[test]
+    fn a_reducer_failing_only_in_the_upper_groups_is_reported() {
+        let (spec, ds) = reducer_failing_at(&[(100, Value::Null)]);
+        assert!(failed_on(&spec, &ds, true).starts_with("Null"));
+        assert_eq!(failed_on(&spec, &ds, true), failed_on(&spec, &ds, false));
+    }
+
+    #[test]
+    fn a_reducer_failing_in_both_halves_reports_the_lower_groups_record() {
+        let (spec, ds) = reducer_failing_at(&[(100, Value::Null), (600, Value::text("x"))]);
+        assert!(failed_on(&spec, &ds, true).starts_with("Text"));
+        assert_eq!(failed_on(&spec, &ds, true), failed_on(&spec, &ds, false));
+    }
+
     #[test]
     #[should_panic(expected = "the helper's own message")]
     fn a_helper_panic_reaches_the_caller_with_its_own_message() {
