@@ -851,7 +851,7 @@ fn bench_group_sort(subs: &[harness::Submission]) -> Vec<GroupSort> {
                         arena.push(key).unwrap();
                     }
                     arena.sort(0, &keys);
-                    groups[0] = std::hint::black_box(arena.groups(0, &keys).count());
+                    groups[0] = std::hint::black_box(arena.groups(.., &keys).count());
                 },
                 5,
                 40,

@@ -6,16 +6,18 @@
 //! total dataflow statistics to the dataset's logical scale. Nothing is
 //! remembered between calls: a caller that needs the dataflow for several
 //! configurations or seeds measures once and reuses the [`Dataflow`].
-//! As map tasks run on slots of their own, a call maps the second half of
-//! its chunks on a helper thread while fewer calls and helpers than cores
-//! are busy in the process (DESIGN.md §27): that count is load, not state,
+//! As map and reduce tasks run on slots of their own, a call lends a helper
+//! thread work while fewer calls and helpers than cores are busy in the
+//! process (DESIGN.md §27): the second half of the chunks, mapped and
+//! sorted there, and, once the map output reaches 512 KiB, the upper half
+//! of the key groups, reduced there (§30). That count is load, not state,
 //! and the result is the same bits either way.
 //! Everything that depends on the *configuration* (spills, merges,
 //! compression, reducer count) is left to the phase cost model in
 //! [`crate::phases`]; everything here depends only on the job semantics
 //! and the data.
 
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, Range};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
@@ -245,8 +247,8 @@ impl<'a> Runner<'a> {
 }
 
 /// The map output of the whole sample in emission order, each pair with
-/// the serialized size `Emit` computed for it. Keys apart from values, so
-/// the reducer can take the values while the grouping still reads the keys.
+/// the serialized size `Emit` computed for it. Keys apart from values: the
+/// sort and the grouping read the keys alone.
 #[derive(Default)]
 struct MapOutput {
     keys: Segments<Value>,
@@ -333,15 +335,6 @@ impl<T> Index<usize> for Segments<T> {
     }
 }
 
-impl<T> IndexMut<usize> for Segments<T> {
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        let split = self.first.len();
-        self.first
-            .get_mut(i)
-            .unwrap_or_else(|| &mut self.second[i - split])
-    }
-}
-
 /// Combiner and reducer output is only counted, and [`ExecStats`] already
 /// carries the counts.
 struct Discard;
@@ -366,6 +359,14 @@ struct MapRun {
 }
 
 impl MapRun {
+    /// This run with its key records sorted.
+    fn sorted(mut self) -> MapRun {
+        if let Some(arena) = &mut self.out.arena {
+            arena.sort(0, &self.out.keys);
+        }
+        self
+    }
+
     /// Follow this run with the run of the chunks after it, whose pairs stay
     /// in its own vectors as the second segment: only key records move.
     fn then(mut self, next: MapRun, spec: &JobSpec) -> Result<MapRun, SimError> {
@@ -389,12 +390,14 @@ impl MapRun {
 }
 
 /// Map `records`, `chunk_size` at a time, with a mapper and a combiner of
-/// the run's own.
+/// the run's own. The per-chunk vectors have room for `tasks` chunks, the
+/// whole sample's, so a run after this one is appended in place.
 fn map_run(
     spec: &JobSpec,
     records: &[Record],
     chunk_size: usize,
     bytes_per_task: f64,
+    tasks: usize,
 ) -> Result<MapRun, SimError> {
     let chunks = records.len().div_ceil(chunk_size);
     let mut mapper = Runner::new(spec, &spec.map_udf);
@@ -407,8 +410,8 @@ fn map_run(
             arena: grouped.then(KeyArena::new),
             ..MapOutput::default()
         },
-        per_task: Vec::with_capacity(chunks),
-        ends: Vec::with_capacity(chunks),
+        per_task: Vec::with_capacity(tasks),
+        ends: Vec::with_capacity(tasks),
         ..MapRun::default()
     };
     let out = &mut run.out;
@@ -436,7 +439,7 @@ fn map_run(
         // reducer consumes the originals.
         if let (Some(combiner), Some(arena)) = (&mut combiner, &mut out.arena) {
             arena.sort(chunk_start, &out.keys);
-            for group in arena.groups(chunk_start, &out.keys) {
+            for group in arena.groups(chunk_start.., &out.keys) {
                 let key = out.keys[group[0].index()].clone();
                 let values = group.iter().map(|r| out.values[r.index()].clone());
                 run.combined.merge(combiner.run_group(key, values)?);
@@ -487,6 +490,13 @@ fn beside<A, B: Send>(mine: impl FnOnce() -> A, theirs: impl FnOnce() -> B + Sen
     })
 }
 
+/// From this many bytes of map output on, a call that has a helper also
+/// reduces the upper half of its key groups on it (DESIGN.md §30). Below
+/// it are the 42 cheap suite submissions (at most 510 000 bytes), word
+/// count's smaller sample and fim-pass1: reducers so cheap that a second
+/// spawn bought them nothing or cost them a few per cent.
+const SPLIT_REDUCE_BYTES: u64 = 512 << 10;
+
 /// Run the job's UDFs over the dataset sample and extrapolate dataflow to
 /// logical scale, on a helper thread too while a core is idle.
 pub fn analyze(
@@ -503,153 +513,267 @@ pub fn analyze(
         BUSY.fetch_sub(1, Relaxed);
         Load(1)
     };
-    measure(spec, dataset, cluster, load.0 == 2)
+    measure(
+        spec,
+        dataset,
+        cluster,
+        (load.0 == 2).then_some(SPLIT_REDUCE_BYTES),
+    )
 }
 
-/// [`analyze`], lending a helper the second half of the chunks iff `lend`.
+/// [`analyze`]. `lend` is `None` to stay on this thread; otherwise a helper
+/// maps the second half of the chunks and, from `lend` bytes of map output
+/// on, reduces the upper half of the key groups.
 fn measure(
     spec: &JobSpec,
     dataset: &Dataset,
     cluster: &ClusterSpec,
-    lend: bool,
+    lend: Option<u64>,
 ) -> Result<Dataflow, SimError> {
-    if dataset.is_empty() {
-        return Err(SimError::EmptyDataset(dataset.name.clone()));
+    let sample = Sample::map(spec, dataset, cluster, lend.is_some())?;
+    let split = lend
+        .filter(|&from| sample.run.mapped.bytes_out >= from)
+        .and_then(|_| sample.middle_boundary());
+    let reduced = sample.reduce(spec, split)?;
+    Ok(sample.extrapolate(spec, reduced))
+}
+
+/// The sample mapped, combined and sorted into key order: what the reduce
+/// side reads in place and the extrapolation scales.
+struct Sample {
+    run: MapRun,
+    num_map_tasks: u32,
+    input_bytes: f64,
+}
+
+impl Sample {
+    /// Map the dataset's sample, the second half of its chunks on a helper
+    /// iff `lend`, and sort the map output by key.
+    fn map(
+        spec: &JobSpec,
+        dataset: &Dataset,
+        cluster: &ClusterSpec,
+        lend: bool,
+    ) -> Result<Sample, SimError> {
+        if dataset.is_empty() {
+            return Err(SimError::EmptyDataset(dataset.name.clone()));
+        }
+        let num_map_tasks = cluster.num_splits(dataset.logical_bytes);
+        let bytes_per_task = dataset.logical_bytes as f64 / num_map_tasks as f64;
+
+        let chunk_size = dataset.len().div_ceil(chunk_count(dataset.len()));
+        let chunks = dataset.len().div_ceil(chunk_size);
+
+        let map = |records: &[Record]| map_run(spec, records, chunk_size, bytes_per_task, chunks);
+
+        // The first failing record wins: the first run's, then the second's.
+        // Each side sorts its own run before the two are joined.
+        let run = if lend && chunks >= 2 {
+            let (head, tail) = dataset.records.split_at(chunks / 2 * chunk_size);
+            let sorted = |records| map(records).map(MapRun::sorted);
+            let (first, second) = beside(|| sorted(head), || sorted(tail));
+            first?.then(second?, spec)?
+        } else {
+            map(&dataset.records)?
+        };
+        Ok(Sample {
+            // A merge: of the chunks' sorted runs when a combiner ran, of
+            // the two halves' when a helper mapped one.
+            run: run.sorted(),
+            num_map_tasks,
+            input_bytes: dataset.logical_bytes as f64,
+        })
     }
-    let num_map_tasks = cluster.num_splits(dataset.logical_bytes);
-    let bytes_per_task = dataset.logical_bytes as f64 / num_map_tasks as f64;
 
-    let chunk_size = dataset.len().div_ceil(chunk_count(dataset.len()));
-    let chunks = dataset.len().div_ceil(chunk_size);
+    fn pairs(&self) -> usize {
+        self.run.out.keys.first.len() + self.run.out.keys.second.len()
+    }
 
-    let map = |records: &[Record]| map_run(spec, records, chunk_size, bytes_per_task);
+    /// The group boundary nearest the middle of the sorted map output, if
+    /// it has groups on both sides.
+    fn middle_boundary(&self) -> Option<usize> {
+        let arena = self.run.out.arena.as_ref()?;
+        let at = arena.boundary_near(self.pairs() / 2, &self.run.out.keys);
+        (0 < at && at < self.pairs()).then_some(at)
+    }
 
-    // The first failing record wins: the first run's, then the second's.
-    let run = if lend && chunks >= 2 {
-        let (head, tail) = dataset.records.split_at(chunks / 2 * chunk_size);
-        let (first, second) = beside(|| map(head), || map(tail));
-        first?.then(second?, spec)?
-    } else {
-        map(&dataset.records)?
-    };
-    let (keys, mut values, pair_bytes) = (run.out.keys, run.out.values, run.out.bytes);
-    let (per_task, mapped, combined) = (run.per_task, run.mapped, run.combined);
-    let pairs = keys.first.len() + keys.second.len();
-
-    let total_sample_out_bytes = mapped.bytes_out as f64;
-    let avg_intermediate_record_bytes = if pairs == 0 {
-        0.0
-    } else {
-        total_sample_out_bytes / pairs as f64
-    };
-
-    // Overall sample→logical scale for intermediate data.
-    let sample_tasks = per_task.len() as f64;
-    let inter_scale = if total_sample_out_bytes > 0.0 {
-        (per_task.iter().map(|t| t.out_bytes).sum::<f64>() / sample_tasks) * num_map_tasks as f64
-            / total_sample_out_bytes
-    } else {
-        1.0
-    };
-
-    let mut reduced = None;
-    let mut key_alpha = 1.0;
-    if let Some(mut arena) = run.out.arena {
-        // Every chunk is sorted already when a combiner ran: a merge.
-        arena.sort(0, &keys);
-        let half_idx = if run.ends.len() >= 2 {
-            run.ends[run.ends.len() / 2 - 1]
+    /// Count the distinct keys of every key group and run the reducer over
+    /// each; the groups from sorted position `split` onwards on a helper
+    /// beside this thread. `None` when nothing groups the map output.
+    fn reduce(&self, spec: &JobSpec, split: Option<usize>) -> Result<Option<Reduced>, SimError> {
+        let Some(arena) = &self.run.out.arena else {
+            return Ok(None);
+        };
+        let (pairs, ends) = (self.pairs(), &self.run.ends);
+        let half_idx = if ends.len() >= 2 {
+            ends[ends.len() / 2 - 1]
         } else {
             pairs / 2
         };
-        let mut growth = DistinctGrowth::new(pairs, half_idx);
-        let mut reducer = spec.reduce_udf.as_ref().map(|udf| Runner::new(spec, udf));
-        let mut sample = ReduceSample::default();
-        for group in arena.groups(0, &keys) {
-            growth.count(group, &keys, arena.ord_equal_is_eq(&group[0]));
-            if let Some(red) = &mut reducer {
-                let key = keys[group[0].index()].clone();
-                // `Ord`-equal keys serialize to the same number of bytes
-                // (an `Int` and the `Float` it equals are 8 bytes each;
-                // every other equality is structural), so each pair's own
-                // size is the size of (representative key, value).
-                let group_bytes: f64 = group.iter().map(|r| pair_bytes[r.index()] as f64).sum();
-                sample.max_group_bytes = sample.max_group_bytes.max(group_bytes);
-                sample.weights.push((group[0].index(), group_bytes));
-                // The reducer consumes the map output: values move out.
-                let group_values = group
-                    .iter()
-                    .map(|r| std::mem::replace(&mut values[r.index()], Value::Null));
-                let stats = red.run_group(key, group_values)?;
-                sample.ops += stats.ops as f64;
-                sample.out_records += stats.records_out as f64;
-                sample.out_bytes += stats.bytes_out as f64;
+        let reduce = |range| {
+            let growth = DistinctGrowth::new(pairs, half_idx);
+            reduce_groups(spec, &self.run.out, arena, range, growth)
+        };
+        let reduced = match split {
+            // The lower groups' failure wins, as it comes first in key order.
+            Some(at) => {
+                let (lower, upper) = beside(|| reduce(0..at), || reduce(at..pairs));
+                lower?.then(upper?)
             }
-        }
-        key_alpha = growth.alpha();
-        reduced = reducer.map(|_| sample);
+            None => reduce(0..pairs)?,
+        };
+        Ok(Some(reduced))
     }
 
-    // Every chunk was combined: the combiner took in all the map output.
-    let comb_in_records = mapped.records_out as f64;
-    let combine = spec.combine_udf.as_ref().map(|_| CombineFlow {
-        record_selectivity: safe_ratio(combined.records_out as f64, comb_in_records, 1.0),
-        size_selectivity: safe_ratio(combined.bytes_out as f64, total_sample_out_bytes, 1.0),
-        ops_per_record: safe_ratio(combined.ops as f64, comb_in_records, 0.0),
-        ref_records: comb_in_records / per_task.len().max(1) as f64,
-        alpha: key_alpha,
-    });
+    /// Scale what the sample measured to the dataset's logical size.
+    fn extrapolate(self, spec: &JobSpec, reduced: Option<Reduced>) -> Dataflow {
+        let (num_map_tasks, pairs) = (self.num_map_tasks, self.pairs());
+        let MapRun {
+            out,
+            per_task,
+            mapped,
+            combined,
+            ..
+        } = self.run;
 
-    let reduce = reduced.map(|sample| {
-        let sample_groups = sample.weights.len() as f64;
-        let sample_in_records = pairs as f64;
-        let mut weights = sample.weights;
+        let total_sample_out_bytes = mapped.bytes_out as f64;
+        let avg_intermediate_record_bytes = if pairs == 0 {
+            0.0
+        } else {
+            total_sample_out_bytes / pairs as f64
+        };
 
-        // Cap the key-weight table; aggregate the tail uniformly.
-        const MAX_WEIGHTS: usize = 4096;
-        let mut uniform_weight = 0.0;
-        if weights.len() > MAX_WEIGHTS {
-            weights.sort_by(|a, b| b.1.total_cmp(&a.1));
-            uniform_weight = weights[MAX_WEIGHTS..].iter().map(|(_, w)| w).sum();
-            weights.truncate(MAX_WEIGHTS);
+        // Overall sample→logical scale for intermediate data.
+        let sample_tasks = per_task.len() as f64;
+        let inter_scale = if total_sample_out_bytes > 0.0 {
+            (per_task.iter().map(|t| t.out_bytes).sum::<f64>() / sample_tasks)
+                * num_map_tasks as f64
+                / total_sample_out_bytes
+        } else {
+            1.0
+        };
+        let key_alpha = reduced.as_ref().map_or(1.0, |r| r.growth.alpha());
+
+        // Every chunk was combined: the combiner took in all the map output.
+        let comb_in_records = mapped.records_out as f64;
+        let combine = spec.combine_udf.as_ref().map(|_| CombineFlow {
+            record_selectivity: safe_ratio(combined.records_out as f64, comb_in_records, 1.0),
+            size_selectivity: safe_ratio(combined.bytes_out as f64, total_sample_out_bytes, 1.0),
+            ops_per_record: safe_ratio(combined.ops as f64, comb_in_records, 0.0),
+            ref_records: comb_in_records / per_task.len().max(1) as f64,
+            alpha: key_alpha,
+        });
+
+        let reducing = reduced.filter(|_| spec.reduce_udf.is_some());
+        let reduce = reducing.map(|Reduced { sample, .. }| {
+            let sample_groups = sample.weights.len() as f64;
+            let sample_in_records = pairs as f64;
+            let mut weights = sample.weights;
+
+            // Cap the key-weight table; aggregate the tail uniformly.
+            const MAX_WEIGHTS: usize = 4096;
+            let mut uniform_weight = 0.0;
+            if weights.len() > MAX_WEIGHTS {
+                weights.sort_by(|a, b| b.1.total_cmp(&a.1));
+                uniform_weight = weights[MAX_WEIGHTS..].iter().map(|(_, w)| w).sum();
+                weights.truncate(MAX_WEIGHTS);
+            }
+            // Only the kept groups are hashed; the sort above is stable on
+            // weight alone, so which survive does not depend on the hash.
+            let key_weights = weights
+                .into_iter()
+                .map(|(first, w)| (partition_hash(&out.keys[first], spec.partitioner), w))
+                .collect();
+
+            // Scaled quantities. Input scales linearly; distinct keys scale
+            // with Heaps exponent alpha; output scales between the two
+            // depending on how aggregating the reducer is.
+            let in_records = sample_in_records * inter_scale;
+            let in_bytes = total_sample_out_bytes * inter_scale;
+            let distinct_keys = sample_groups * inter_scale.powf(key_alpha);
+            let out_sel = safe_ratio(sample.out_records, sample_in_records, 1.0).min(1.0);
+            let out_scale = out_sel * inter_scale + (1.0 - out_sel) * inter_scale.powf(key_alpha);
+
+            ReduceFlow {
+                in_records,
+                in_bytes,
+                out_records: sample.out_records * out_scale,
+                out_bytes: sample.out_bytes * out_scale,
+                ops_per_record: safe_ratio(sample.ops, sample_in_records, 0.0),
+                distinct_keys,
+                max_group_bytes: sample.max_group_bytes * inter_scale,
+                key_weights,
+                uniform_weight,
+            }
+        });
+
+        Dataflow {
+            num_map_tasks,
+            per_task,
+            combine,
+            reduce,
+            input_bytes: self.input_bytes,
+            avg_intermediate_record_bytes,
         }
-        // Only the kept groups are hashed; the sort above is stable on
-        // weight alone, so which survive does not depend on the hash.
-        let key_weights = weights
-            .into_iter()
-            .map(|(first, w)| (partition_hash(&keys[first], spec.partitioner), w))
-            .collect();
+    }
+}
 
-        // Scaled quantities. Input scales linearly; distinct keys scale
-        // with Heaps exponent alpha; output scales between the two
-        // depending on how aggregating the reducer is.
-        let in_records = sample_in_records * inter_scale;
-        let in_bytes = total_sample_out_bytes * inter_scale;
-        let distinct_keys = sample_groups * inter_scale.powf(key_alpha);
-        let out_sel = safe_ratio(sample.out_records, sample_in_records, 1.0).min(1.0);
-        let out_scale = out_sel * inter_scale + (1.0 - out_sel) * inter_scale.powf(key_alpha);
-
-        ReduceFlow {
-            in_records,
-            in_bytes,
-            out_records: sample.out_records * out_scale,
-            out_bytes: sample.out_bytes * out_scale,
-            ops_per_record: safe_ratio(sample.ops, sample_in_records, 0.0),
-            distinct_keys,
-            max_group_bytes: sample.max_group_bytes * inter_scale,
-            key_weights,
-            uniform_weight,
+/// Count the distinct keys of the key groups at sorted positions `range`
+/// and run the job's reducer, if it has one, over each, with a reducer of
+/// the range's own. Values are read in place, by clone (a reference-count
+/// bump), so the two halves of a split read one map output at once.
+fn reduce_groups(
+    spec: &JobSpec,
+    out: &MapOutput,
+    arena: &KeyArena,
+    range: Range<usize>,
+    mut growth: DistinctGrowth,
+) -> Result<Reduced, SimError> {
+    let mut reducer = spec.reduce_udf.as_ref().map(|udf| Runner::new(spec, udf));
+    let mut sample = ReduceSample::default();
+    for group in arena.groups(range, &out.keys) {
+        growth.count(group, &out.keys, arena.ord_equal_is_eq(&group[0]));
+        if let Some(red) = &mut reducer {
+            let key = out.keys[group[0].index()].clone();
+            // `Ord`-equal keys serialize to the same number of bytes (an
+            // `Int` and the `Float` it equals are 8 bytes each; every other
+            // equality is structural), so each pair's own size is the size
+            // of (representative key, value).
+            let group_bytes: f64 = group.iter().map(|r| out.bytes[r.index()] as f64).sum();
+            sample.max_group_bytes = sample.max_group_bytes.max(group_bytes);
+            sample.weights.push((group[0].index(), group_bytes));
+            let values = group.iter().map(|r| out.values[r.index()].clone());
+            let stats = red.run_group(key, values)?;
+            sample.ops += stats.ops as f64;
+            sample.out_records += stats.records_out as f64;
+            sample.out_bytes += stats.bytes_out as f64;
         }
-    });
+    }
+    Ok(Reduced { sample, growth })
+}
 
-    Ok(Dataflow {
-        num_map_tasks,
-        per_task,
-        combine,
-        reduce,
-        input_bytes: dataset.logical_bytes as f64,
-        avg_intermediate_record_bytes,
-    })
+/// What the reduce side measured over a run of key groups.
+struct Reduced {
+    sample: ReduceSample,
+    growth: DistinctGrowth,
+}
+
+impl Reduced {
+    /// This run's measurement followed by that of the groups after it, as
+    /// one pass over both takes it: the weights in key order, the counts
+    /// summed (integers, exact in an `f64` below 2^53, so in any grouping),
+    /// the largest group the larger of the two.
+    fn then(mut self, upper: Reduced) -> Reduced {
+        let (sample, next) = (&mut self.sample, upper.sample);
+        sample.out_records += next.out_records;
+        sample.out_bytes += next.out_bytes;
+        sample.ops += next.ops;
+        sample.max_group_bytes = sample.max_group_bytes.max(next.max_group_bytes);
+        sample.weights.extend(next.weights);
+        self.growth.d_half += upper.growth.d_half;
+        self.growth.d_full += upper.growth.d_full;
+        self
+    }
 }
 
 /// What running the reducer over the sample's groups measured, before
@@ -866,7 +990,7 @@ mod tests {
         // `Int(k)` and `Float(k)` share a group; members stay in emission
         // order, so the first is the group's first-emitted key.
         let grouped: Vec<Vec<usize>> = arena
-            .groups(0, &keys)
+            .groups(.., &keys)
             .map(|group| group.iter().map(KeyRec::index).collect())
             .collect();
         assert_eq!(grouped, [&[1, 2, 4][..], &[0, 3][..]]);
@@ -874,7 +998,7 @@ mod tests {
         // ...but they are two distinct keys each, and a key is in the
         // prefix if it first occurs before index 2.
         let mut growth = DistinctGrowth::new(keys.len(), 2);
-        for group in arena.groups(0, &keys) {
+        for group in arena.groups(.., &keys) {
             assert!(!arena.ord_equal_is_eq(&group[0]));
             growth.count(group, &keys, false);
         }
@@ -924,21 +1048,72 @@ mod tests {
     }
 
     /// `cargo test` runs tests side by side, so the load gate mostly keeps
-    /// the goldens' `analyze` calls on one thread: force each way here.
+    /// the goldens' `analyze` calls on one thread: force each way here, and
+    /// a helper that reduces the upper key groups of every map output too.
     #[test]
     fn a_lent_helper_changes_no_bit_of_any_dataflow() {
         let cases = golden_cases();
         assert_eq!(cases.len(), 61);
         for (spec, ds) in &cases {
-            let alone = measure(spec, ds, &cluster(), false).unwrap();
-            let helped = measure(spec, ds, &cluster(), true).unwrap();
-            assert_eq!(
-                format!("{helped:?}"),
-                format!("{alone:?}"),
-                "{}@{}",
-                spec.job_id(),
-                ds.name
-            );
+            let alone = format!("{:?}", measure(spec, ds, &cluster(), None).unwrap());
+            for lend in [SPLIT_REDUCE_BYTES, 0] {
+                let helped = measure(spec, ds, &cluster(), Some(lend)).unwrap();
+                assert_eq!(
+                    format!("{helped:?}"),
+                    alone,
+                    "{}@{} split from {lend} bytes",
+                    spec.job_id(),
+                    ds.name
+                );
+            }
+        }
+    }
+
+    /// What the extrapolation reads of a reduce side's measurement, as bits.
+    fn bits(reduced: &Reduced) -> (Vec<(usize, u64)>, [u64; 4], [usize; 2]) {
+        let (sample, growth) = (&reduced.sample, &reduced.growth);
+        (
+            sample
+                .weights
+                .iter()
+                .map(|&(i, w)| (i, w.to_bits()))
+                .collect(),
+            [
+                sample.out_records,
+                sample.out_bytes,
+                sample.ops,
+                sample.max_group_bytes,
+            ]
+            .map(f64::to_bits),
+            [growth.d_half, growth.d_full],
+        )
+    }
+
+    /// Every group boundary of the three synthetic jobs as the split point,
+    /// ends and hostile keys included: the two halves of the reduce side
+    /// add up, bit for bit, to one pass over all the groups. Each job reads
+    /// its first 240 records, which emit every hostile key, both spellings
+    /// of the mixed keys and every line and suffix of the pieces job: a
+    /// split costs a whole reduce, and the pieces job's 1 200 records make
+    /// 1 725 boundaries of 26 ms each.
+    #[test]
+    fn a_reduce_split_at_any_group_boundary_changes_no_bit() {
+        for (spec, ds) in super::synthetic::cases() {
+            let head = ds.records[..ds.len().min(240)].to_vec();
+            let ds = Dataset::new(&ds.name, head, ds.logical_bytes);
+            let sample = Sample::map(&spec, &ds, &cluster(), false).unwrap();
+            let alone = bits(&sample.reduce(&spec, None).unwrap().unwrap());
+            let arena = sample.run.out.arena.as_ref().unwrap();
+            let ends = arena.groups(.., &sample.run.out.keys).scan(0, |at, group| {
+                *at += group.len();
+                Some(*at)
+            });
+            let boundaries: Vec<usize> = std::iter::once(0).chain(ends).collect();
+            assert!(boundaries.len() > 100, "{}: {boundaries:?}", spec.name);
+            for at in boundaries {
+                let split = sample.reduce(&spec, Some(at)).unwrap().unwrap();
+                assert!(bits(&split) == alone, "{} split at {at}", spec.name);
+            }
         }
     }
 
@@ -964,8 +1139,10 @@ mod tests {
         (spec, Dataset::new("failing", records, 1 << 30))
     }
 
+    /// The type a UDF failed on, run alone or with a helper that also
+    /// takes the upper key groups however small the map output.
     fn failed_on(spec: &JobSpec, ds: &Dataset, lend: bool) -> String {
-        match measure(spec, ds, &cluster(), lend) {
+        match measure(spec, ds, &cluster(), lend.then_some(0)) {
             Err(SimError::Udf {
                 source: InterpError::TypeError { got, .. },
                 ..
@@ -994,8 +1171,17 @@ mod tests {
     /// reverse of emission order and the middle group boundary is key 400.
     /// A bad record below 400 fails an upper group, one above it a lower.
     fn reducer_failing_at(bad: &[(usize, Value)]) -> (JobSpec, Dataset) {
+        reversed_then(bad, |first| add(first, c_int(1)))
+    }
+
+    /// `failing_at`'s records, keys reversed, and a reducer emitting `of`
+    /// its group's first value.
+    fn reversed_then(
+        bad: &[(usize, Value)],
+        of: impl FnOnce(mrjobs::Expr) -> mrjobs::Expr,
+    ) -> (JobSpec, Dataset) {
         let (_, ds) = failing_at(bad);
-        let spec = JobSpec::builder("first-plus-one")
+        let spec = JobSpec::builder("reversed")
             .mapper(
                 "Reverse",
                 Udf::mapper(
@@ -1004,13 +1190,10 @@ mod tests {
                 ),
             )
             .reducer(
-                "FirstPlusOne",
+                "OfFirst",
                 Udf::reducer(
-                    "FirstPlusOne",
-                    vec![emit(
-                        var("key"),
-                        add(index(var("values"), c_int(0)), c_int(1)),
-                    )],
+                    "OfFirst",
+                    vec![emit(var("key"), of(index(var("values"), c_int(0))))],
                 ),
             )
             .build();
@@ -1029,6 +1212,16 @@ mod tests {
         let (spec, ds) = reducer_failing_at(&[(100, Value::Null), (600, Value::text("x"))]);
         assert!(failed_on(&spec, &ds, true).starts_with("Text"));
         assert_eq!(failed_on(&spec, &ds, true), failed_on(&spec, &ds, false));
+    }
+
+    /// The interpreter's integer division panics on `i64::MIN / -1`. Put
+    /// in record 0, which emits the highest key, it panics in the upper
+    /// groups' reducer on the helper, and the caller resumes that panic.
+    #[test]
+    #[should_panic(expected = "attempt to divide with overflow")]
+    fn a_panic_in_the_upper_groups_reducer_reaches_the_caller_with_its_own_message() {
+        let (spec, ds) = reversed_then(&[(0, Value::Int(i64::MIN))], |first| div(first, c_int(-1)));
+        let _ = measure(&spec, &ds, &cluster(), Some(0));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! bytes end, every key sharing them ends too.
 
 use std::cmp::Ordering;
-use std::ops::Index;
+use std::ops::{Index, RangeBounds};
 
 use mrjobs::Value;
 
@@ -257,16 +257,33 @@ impl KeyArena {
         });
     }
 
-    /// The sorted records from position `from` on, split into groups of
+    /// The sorted records at positions `range`, split into groups of
     /// `Ord`-equal keys, in key order. The first record of a group is its
     /// first-emitted pair, whose key represents the group.
     pub fn groups<'a, K: Keys + ?Sized>(
         &'a self,
-        from: usize,
+        range: impl RangeBounds<usize>,
         keys: &'a K,
     ) -> impl Iterator<Item = &'a [KeyRec]> {
-        self.recs[from..]
-            .chunk_by(|a, b| a.prefix == b.prefix && cmp_tails(&self.tails, a, b, keys).is_eq())
+        let range = (range.start_bound().cloned(), range.end_bound().cloned());
+        self.recs[range].chunk_by(|a, b| same_group(&self.tails, a, b, keys))
+    }
+
+    /// The group boundary of the sorted records nearest position `at`, the
+    /// lower one of two as near: a position no group of `Ord`-equal keys
+    /// spans, `0` and the record count included.
+    pub(crate) fn boundary_near<K: Keys + ?Sized>(&self, at: usize, keys: &K) -> usize {
+        let len = self.recs.len();
+        let cuts = |&i: &usize| {
+            i == 0 || i == len || !same_group(&self.tails, &self.recs[i - 1], &self.recs[i], keys)
+        };
+        let below = (0..=at).rev().find(cuts).unwrap_or(0);
+        let above = (at..=len).find(cuts).unwrap_or(len);
+        if above - at < at - below {
+            above
+        } else {
+            below
+        }
     }
 
     /// Whether every key `Ord`-equal to this one is `Eq` to it as well:
@@ -294,6 +311,11 @@ fn entry(tails: &[u8], tail: u32) -> (usize, &[u8]) {
     }
     let len = header >> FLAG_BITS;
     (header & FLAGS, &bytes[read..read + len])
+}
+
+/// Whether two records' keys are `Ord`-equal: one group.
+fn same_group<K: Keys + ?Sized>(tails: &[u8], a: &KeyRec, b: &KeyRec, keys: &K) -> bool {
+    a.prefix == b.prefix && cmp_tails(tails, a, b, keys).is_eq()
 }
 
 /// Order two keys whose prefixes tie.
@@ -598,16 +620,87 @@ mod tests {
                     oracle.entry(key).or_default().push(i);
                 }
                 let grouped: Vec<Vec<usize>> = arena
-                    .groups(start, &keys)
+                    .groups(start.., &keys)
                     .map(|g| g.iter().map(KeyRec::index).collect())
                     .collect();
                 prop_assert_eq!(grouped, oracle.values().cloned().collect::<Vec<_>>());
-                for group in arena.groups(start, &keys) {
+                for group in arena.groups(start.., &keys) {
                     if arena.ord_equal_is_eq(&group[0]) {
                         prop_assert!(group.iter().all(|r| keys[r.index()] == keys[group[0].index()]));
                     }
                 }
             }
         }
+
+        /// Two arenas sorted apart and appended sort, as one, into the
+        /// records of the whole output sorted at once: a stable sort of two
+        /// stably sorted runs. And the group boundary nearest any position
+        /// is one `Value::cmp` sees, the nearest such (the lower of two),
+        /// never inside a group of `Ord`-equal keys.
+        #[test]
+        fn halves_sorted_apart_merge_and_boundaries_cut_no_group(
+            keys in prop::collection::vec(
+                prop_oneof![2 => arb_key(), 3 => (0..twins().len()).prop_map(|i| twins()[i].clone())],
+                0..40,
+            ),
+            from in 0usize..40,
+        ) {
+            let from = from.min(keys.len());
+            let mut whole = arena_of(&keys);
+            whole.sort(0, &keys);
+            let mut halves = arena_of(&keys[..from]);
+            halves.sort(0, &keys[..from]);
+            let mut tail = arena_of(&keys[from..]);
+            tail.sort(0, &keys[from..]);
+            halves.append(tail).unwrap();
+            halves.sort(0, &keys);
+            prop_assert_eq!(format!("{:?}", halves.recs), format!("{:?}", whole.recs));
+
+            let order: Vec<&Value> = whole.recs.iter().map(|r| &keys[r.index()]).collect();
+            let len = keys.len();
+            let cuts: Vec<usize> = (0..=len)
+                .filter(|&i| i == 0 || i == len || order[i - 1].cmp(order[i]).is_ne())
+                .collect();
+            for at in 0..=len {
+                let nearest = cuts.iter().copied().min_by_key(|&cut| (cut.abs_diff(at), cut));
+                prop_assert_eq!(Some(whole.boundary_near(at, &keys)), nearest, "at {}", at);
+            }
+        }
+    }
+
+    /// Keys `Ord`-equal and not `Eq` to one another, so that groups of
+    /// several spellings are common.
+    fn twins() -> [Value; 8] {
+        let list_of = |v: Value| Value::list(vec![v]);
+        [
+            Value::Int(1),
+            Value::float(1.0),
+            Value::Int(BIG + 1),
+            Value::float(BIG as f64),
+            list_of(Value::Int(1)),
+            list_of(Value::float(1.0)),
+            Value::pair(Value::Int(1), Value::text("a")),
+            Value::pair(Value::float(1.0), Value::text("a")),
+        ]
+    }
+
+    #[test]
+    fn the_boundary_nearest_a_position_keeps_int_and_float_together() {
+        let keys = [
+            Value::Int(1),
+            Value::float(1.0),
+            Value::Int(2),
+            Value::Int(1),
+            Value::float(1.0),
+        ];
+        let mut arena = arena_of(&keys);
+        arena.sort(0, &keys);
+        // Sorted: the four spellings of 1, then 2. Boundaries 0, 4, 5.
+        let nearest: Vec<usize> = (0..=5).map(|at| arena.boundary_near(at, &keys)).collect();
+        assert_eq!(
+            nearest,
+            [0, 0, 0, 4, 4, 5],
+            "2 is as near 0 as 4: the lower wins"
+        );
     }
 }
