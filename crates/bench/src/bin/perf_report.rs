@@ -964,6 +964,38 @@ fn bench_interp_node() -> (u64, u128) {
     (nodes, percentile(&samples, 0.50))
 }
 
+/// Whether a second core was there while the rows were taken, by
+/// `scripts/ci.sh`'s probe (DESIGN.md §29): `sha256sum` over 256 MiB of
+/// zeros, one hash and then two at once, each the fastest of three, as two
+/// hashes' throughput over one's — ≈ 2.0 on two free cores, ≈ 1.0 where
+/// two threads share one. Every lent `analyze` row leans on that core.
+/// `None` where the shell or its tools are missing.
+fn two_thread_speedup() -> Option<f64> {
+    let hashes = |n: usize| -> Option<f64> {
+        let t = Instant::now();
+        let children: Vec<_> = (0..n)
+            .map(|_| {
+                std::process::Command::new("sh")
+                    .args(["-c", "head -c 256M /dev/zero | sha256sum >/dev/null"])
+                    .spawn()
+            })
+            .collect::<Result<_, _>>()
+            .ok()?;
+        for mut child in children {
+            if !child.wait().ok()?.success() {
+                return None;
+            }
+        }
+        Some(t.elapsed().as_secs_f64())
+    };
+    let (mut one, mut two) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        one = one.min(hashes(1)?);
+        two = two.min(hashes(2)?);
+    }
+    Some(2.0 * one / two)
+}
+
 fn entry<'a>(entries: &'a [Entry], op: &str, variant: &str, size: usize) -> &'a Entry {
     entries
         .iter()
@@ -997,6 +1029,9 @@ fn main() {
         bench_reshard(&mut entries, &seeds);
     eprintln!("benchmarking CBO...");
     bench_cbo(&mut entries);
+    eprintln!("probing for a second core...");
+    let speedup = two_thread_speedup();
+    let speedup_json = speedup.map_or("null".to_string(), |x| format!("{x:.2}"));
     eprintln!("benchmarking dataflow measurement...");
     let analyze_families = bench_analyze();
     let analyze_total_ns: u128 = analyze_families.iter().map(|f| f.p50_ns).sum();
@@ -1089,7 +1124,7 @@ fn main() {
     );
     let _ = write!(
         json,
-        "  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2}\n  }}\n}}\n"
+        "  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2},\n    \"two_thread_speedup\": {speedup_json}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -1142,4 +1177,8 @@ fn main() {
         );
     }
     println!("interpreter: {ns_per_node:.2} ns per evaluated node");
+    match speedup {
+        Some(x) => println!("two-thread speed-up of sha256sum before the analyze rows: {x:.2}"),
+        None => println!("two-thread speed-up: no sh, head or sha256sum to probe with"),
+    }
 }

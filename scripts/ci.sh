@@ -236,6 +236,17 @@ done
 if nontest crates/core/src/daemon.rs crates/core/src/service.rs $(find crates/profiler/src -name '*.rs') |
   grep -E 'thread::scope|available_parallelism'; then exit 1; fi
 
+# The lent helper works through the whole call (DESIGN.md §30): dataflow.rs
+# runs `beside(` at two sites, the map half and the upper half of the key
+# groups, and the reducer reads the map output in place, by clone, so that
+# both halves read it at once — no value is moved out of it.
+step "source gate (the lent helper maps and reduces, values read in place)"
+besides=$(nontest crates/mrsim/src/dataflow.rs | grep -F 'beside(' | grep -vcF 'fn beside(' || true)
+if [ "$besides" -ne 2 ]; then
+  echo "dataflow.rs must call beside( at exactly two sites (the map half, the reduce half), not $besides"; exit 1
+fi
+if nontest crates/mrsim/src/dataflow.rs | grep -F 'mem::replace(&mut values'; then exit 1; fi
+
 # Pieces of a text are views until stored (DESIGN.md §25): `split` and
 # `tokenize` build no text per piece and no list — the two
 # `.map(Value::text).collect()` of the walker before are not back — and a
