@@ -435,8 +435,8 @@ fn map_run(
         }
 
         // Per-chunk combining approximates per-spill combining. The
-        // combiner sees clones of the values (reference-count bumps): the
-        // reducer consumes the originals.
+        // combiner, as the reducer does later, reads clones of the values
+        // (reference-count bumps).
         if let (Some(combiner), Some(arena)) = (&mut combiner, &mut out.arena) {
             arena.sort(chunk_start, &out.keys);
             for group in arena.groups(chunk_start.., &out.keys) {
