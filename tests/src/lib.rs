@@ -1,9 +1,11 @@
 //! Integration tests for the PStorM-rs workspace live under `tests/tests/`.
-//! What more than one golden suite digests with, and the synthetic cases
+//! What more than one golden suite digests with, the counting allocator
+//! the budget and totality suites measure with, and the synthetic cases
 //! `mrsim`'s own tests share with `golden_dataflow.rs`, live here.
 
 use std::path::Path;
 
+pub mod alloc;
 pub mod synthetic;
 
 /// FNV-1a offset basis: the start value of every digest below.

@@ -51,45 +51,9 @@
 //! out, so none is freed before the call returns. The other two did not
 //! move.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-
 use mrsim::analyze;
 use pstorm_bench::harness;
-
-/// Forwards to the system allocator, counting the allocations of every
-/// thread and tracking the process's live and peak live bytes.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicI64 = AtomicI64::new(0);
-static PEAK: AtomicI64 = AtomicI64::new(0);
-
-/// Statistics that publish no other data, hence `Relaxed`; the join of the
-/// thread that made them orders them before the caller reads them. The
-/// peak is the largest value `LIVE` itself took, as each update sees it.
-fn note(allocs: u64, delta: i64) {
-    ALLOCS.fetch_add(allocs, Relaxed);
-    let live = LIVE.fetch_add(delta, Relaxed) + delta;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method hands its arguments, unchanged, to `System` — the
-// caller's obligations under `GlobalAlloc` are exactly `System`'s.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use pstorm_tests::alloc::{self, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -148,12 +112,12 @@ fn one_analyze_stays_inside_its_allocation_and_memory_budget() {
             .unwrap_or_else(|| panic!("{} is not in the suite", budget.case));
         assert_eq!(sub.dataset.len() as u64, budget.records, "{}", budget.case);
 
-        let allocs_before = ALLOCS.load(Relaxed);
-        let live_before = LIVE.load(Relaxed);
-        PEAK.store(live_before, Relaxed);
+        let allocs_before = alloc::allocations();
+        let live_before = alloc::live_bytes();
+        alloc::reset_peak();
         let flow = analyze(&sub.spec, &sub.dataset, &cl).unwrap();
-        let allocs = ALLOCS.load(Relaxed) - allocs_before;
-        let peak = PEAK.load(Relaxed) - live_before;
+        let allocs = alloc::allocations() - allocs_before;
+        let peak = alloc::peak_bytes() - live_before;
         drop(flow);
 
         println!(

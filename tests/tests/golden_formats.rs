@@ -406,47 +406,19 @@ fn two_block_segment_bytes_are_pinned() {
 // then re-sealed around a damaged body with a fresh CRC, so the record
 // decoders behind the checksum meet hostile input too.
 
-/// Forwards to the system allocator, remembering the largest single
-/// request the current thread made — the only way to see an allocation
-/// that was sized by hostile input and then (had it succeeded) freed.
-struct PeakAlloc;
-
-thread_local! {
-    static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-fn note_request(size: usize) {
-    // A const-initialised `Cell` has no lazy init and no destructor, so
-    // touching it from inside the allocator cannot allocate or recurse.
-    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
-}
-
-// SAFETY: every method hands its arguments, unchanged, to `System` — the
-// caller's obligations under `GlobalAlloc` are exactly `System`'s.
-unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        note_request(layout.size());
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        note_request(new_size);
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Counts allocations; [`measured`] reads the largest single request
+/// the current thread made, the only way to see an allocation that was
+/// sized by hostile input and then (had it succeeded) freed.
 #[global_allocator]
-static ALLOC: PeakAlloc = PeakAlloc;
+static ALLOC: pstorm_tests::alloc::CountingAlloc = pstorm_tests::alloc::CountingAlloc;
 
 /// Run one reader over `input`, holding its largest allocation to a
 /// small multiple of the input (decoded rows cost more than their
 /// encoding; a count read off damaged bytes would cost megabytes).
 fn measured<T>(input: &[u8], read: impl FnOnce() -> T) -> T {
-    PEAK.with(|p| p.set(0));
+    pstorm_tests::alloc::reset_largest_request();
     let out = read();
-    let peak = PEAK.with(std::cell::Cell::get);
+    let peak = pstorm_tests::alloc::largest_request();
     let bound = 64 * input.len() + 4096;
     assert!(
         peak <= bound,
