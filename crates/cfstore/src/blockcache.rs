@@ -40,27 +40,22 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use bytes::Bytes;
 use parking_lot::RwLock;
 
-use crate::region::RowData;
-use crate::segment::{SegmentError, SegmentReader};
-
-/// Decoded rows of one block, shared between the cache and its readers.
-pub type BlockRows = Arc<BTreeMap<Bytes, RowData>>;
+use crate::segment::{Block, SegmentError, SegmentReader};
 
 /// Cache key: (process-unique reader id, block index).
 type Key = (u64, u32);
 
 struct Entry {
-    rows: BlockRows,
+    block: Arc<Block>,
     /// Framed on-disk size of the block (the byte cost charged).
     bytes: u64,
     /// Recency tick; also the key into `order`.
     tick: u64,
 }
 
-/// What the map holds for a block: its admitted rows, or the marker of a
+/// What the map holds for a block: the admitted block, or the marker of a
 /// fill in flight that other readers of the block wait for.
 enum Slot {
     Filling,
@@ -163,7 +158,7 @@ impl BlockCache {
         &self,
         reader: &SegmentReader,
         idx: usize,
-    ) -> Result<BlockRows, SegmentError> {
+    ) -> Result<Arc<Block>, SegmentError> {
         let key: Key = (reader.id(), idx as u32);
         let obs = self.obs.read().clone();
         let mut guard = self.lock();
@@ -177,7 +172,7 @@ impl BlockCache {
                     inner.order.insert(tick, key);
                     entry.tick = tick;
                     obs.incr("cfstore.block_cache.hits", 1);
-                    return Ok(entry.rows.clone());
+                    return Ok(entry.block.clone());
                 }
                 Some(Slot::Filling) => {
                     guard = self
@@ -192,15 +187,15 @@ impl BlockCache {
         drop(guard);
         let claim = Claim { cache: self, key };
         obs.incr("cfstore.block_cache.misses", 1);
-        let (rows, bytes) = fill(reader, idx)?;
+        let (block, bytes) = fill(reader, idx)?;
         obs.incr("cfstore.block_cache.fill_bytes", bytes);
-        claim.admit(rows.clone(), bytes, &obs);
-        Ok(rows)
+        claim.admit(block.clone(), bytes, &obs);
+        Ok(block)
     }
 }
 
 /// Read, CRC-check and decode one block, holding no cache lock.
-fn fill(reader: &SegmentReader, idx: usize) -> Result<(BlockRows, u64), SegmentError> {
+fn fill(reader: &SegmentReader, idx: usize) -> Result<(Arc<Block>, u64), SegmentError> {
     Ok((Arc::new(reader.read_block(idx)?), reader.block_bytes(idx)))
 }
 
@@ -217,7 +212,7 @@ impl Claim<'_> {
     /// Admit a filled block: evict least-recently-used entries until it
     /// fits, unless it is larger than the whole budget. The evicted blocks
     /// are freed after the lock is released.
-    fn admit(self, rows: BlockRows, bytes: u64, obs: &obs::Registry) {
+    fn admit(self, block: Arc<Block>, bytes: u64, obs: &obs::Registry) {
         if bytes > self.cache.budget {
             return;
         }
@@ -228,7 +223,7 @@ impl Claim<'_> {
             match inner.map.remove(&victim) {
                 Some(Slot::Cached(entry)) => {
                     inner.used -= entry.bytes;
-                    evicted.push(entry.rows);
+                    evicted.push(entry.block);
                 }
                 _ => unreachable!("order lists cached entries only"),
             }
@@ -237,7 +232,7 @@ impl Claim<'_> {
         let tick = inner.next_tick;
         inner.next_tick += 1;
         inner.order.insert(tick, self.key);
-        let entry = Entry { rows, bytes, tick };
+        let entry = Entry { block, bytes, tick };
         inner.map.insert(self.key, Slot::Cached(entry));
         inner.used += bytes;
         drop(inner);
@@ -259,10 +254,9 @@ impl Drop for Claim<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::KeyRange;
+    use crate::region::{KeyRange, RowData};
     use crate::segment::write_segment;
     use bytes::Bytes;
-    use std::collections::BTreeMap;
 
     fn sample_segment(tag: &str, rows: usize) -> (std::path::PathBuf, SegmentReader) {
         let path = std::env::temp_dir().join(format!(

@@ -17,6 +17,9 @@ pub enum CodecError {
     BadUtf8,
     /// A record decoded completely but this many bytes were left over.
     Trailing(usize),
+    /// Every field decoded, but the record breaks a rule every writer
+    /// keeps (keys out of order, an empty sequence where one never is).
+    Malformed(&'static str),
     /// A tenant id failed [`validate_tenant`] (empty, too long, or
     /// containing a character outside `[A-Za-z0-9_.-]`).
     BadTenant(String),
@@ -29,6 +32,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#x}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in encoded string"),
             CodecError::Trailing(n) => write!(f, "{n} trailing bytes after the record"),
+            CodecError::Malformed(why) => write!(f, "malformed record: {why}"),
             CodecError::BadTenant(t) => write!(
                 f,
                 "invalid tenant id {t:?} (want 1..={MAX_TENANT_LEN} chars of [A-Za-z0-9_.-])"

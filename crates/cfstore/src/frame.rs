@@ -228,24 +228,17 @@ pub fn put_str(buf: &mut impl BufMut, s: &str) {
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     buf: &'a [u8],
-    /// The frozen buffer `buf` lies in, when byte fields share it.
-    owner: Option<&'a Bytes>,
+    /// Length of the input the cursor began over: it has read
+    /// `len - buf.len()` bytes of it.
+    len: usize,
 }
 
 impl<'a> Cursor<'a> {
-    /// A cursor whose byte fields are copies out of `buf`.
+    /// A cursor at the front of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, owner: None }
-    }
-
-    /// A cursor over `body`, which lies in `owner`, whose byte fields are
-    /// slices sharing `owner` instead of copies: a segment block, read
-    /// once, hands out its keys, columns and values without an allocation
-    /// each. Every field then keeps the whole of `owner` alive.
-    pub fn sharing(owner: &'a Bytes, body: &'a [u8]) -> Self {
         Cursor {
-            buf: body,
-            owner: Some(owner),
+            buf,
+            len: buf.len(),
         }
     }
 
@@ -289,14 +282,18 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    /// A `len u32 · bytes` field: a slice of the owner of a
-    /// [`Self::sharing`] cursor, else one copy out of the input.
+    /// A `len u32 · bytes` field, copied out of the input.
     pub fn bytes(&mut self) -> Result<Bytes, CodecError> {
+        self.slice().map(Bytes::copy_from_slice)
+    }
+
+    /// A `len u32 · bytes` field as the range it occupies in the input
+    /// the cursor began over: for a decoder that keeps offsets into one
+    /// buffer instead of a copy or a slice per field (a segment block).
+    pub fn span(&mut self) -> Result<std::ops::Range<usize>, CodecError> {
         let field = self.slice()?;
-        Ok(match self.owner {
-            Some(owner) => owner.slice_ref(field),
-            None => Bytes::copy_from_slice(field),
-        })
+        let end = self.len - self.buf.len();
+        Ok(end - field.len()..end)
     }
 
     /// A `len u32 · UTF-8` field.
@@ -547,30 +544,23 @@ mod tests {
     }
 
     #[test]
-    fn a_sharing_cursor_hands_out_slices_of_its_owner() {
-        let mut framed = Vec::new();
-        encode(&mut framed, |b| {
-            put_bytes(b, b"key");
-            put_bytes(b, b"");
-            b.put_u32(7);
-            put_bytes(b, b"value");
-        });
-        let owner = Bytes::from(framed);
-        let body = verify_exact(&owner).unwrap();
-        let mut c = Cursor::sharing(&owner, body);
-        let fields = [c.bytes().unwrap(), c.bytes().unwrap()];
+    fn a_span_is_where_the_field_lies_in_the_input() {
+        let mut body = Vec::new();
+        put_bytes(&mut body, b"key");
+        put_bytes(&mut body, b"");
+        body.put_u32(7);
+        put_bytes(&mut body, b"value");
+        let mut c = Cursor::new(&body);
+        let spans = [c.span().unwrap(), c.span().unwrap()];
         assert_eq!(c.u32(), Ok(7));
-        let value = c.bytes().unwrap();
+        let value = c.span().unwrap();
         assert_eq!(c.clone().finish(), Ok(()));
-        assert_eq!(fields, [Bytes::from("key"), Bytes::new()]);
-        assert_eq!(value, Bytes::from("value"));
-        let within = |b: &Bytes| owner.as_ptr_range().contains(&b.as_ptr());
-        assert!(within(&fields[0]) && within(&value), "shared, not copied");
-        assert_eq!(c.bytes(), Err(CodecError::Truncated));
-        // The same bytes read by a copying cursor are the same fields.
-        let copied = Cursor::new(body).bytes().unwrap();
-        assert_eq!(copied, fields[0]);
-        assert!(!within(&copied), "a plain cursor copies");
+        assert_eq!(spans, [4..7, 11..11]);
+        assert_eq!(&body[value.clone()], b"value");
+        assert_eq!(value, 19..24);
+        assert_eq!(c.span(), Err(CodecError::Truncated));
+        // The same field read as bytes is a copy of the same range.
+        assert_eq!(Cursor::new(&body).bytes().unwrap(), Bytes::from("key"));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::blockcache::BlockCache;
 use crate::filter::Filter;
 use crate::kv::{CellVersion, RowResult};
-use crate::segment::{SegmentError, SegmentReader};
+use crate::segment::{Columns, SegmentError, SegmentReader};
 use crate::store::StoreError;
 
 /// Maximum cell versions retained per column, like HBase's default.
@@ -191,10 +191,7 @@ impl Region {
         let mut rows = self.rows.write();
         debug_assert!(rows.is_empty(), "lazy regions have empty memstores");
         for idx in 0..b.reader.block_count() {
-            let block = b.cache.get_or_load(&b.reader, idx)?;
-            for (key, data) in block.iter() {
-                rows.insert(key.clone(), data.clone());
-            }
+            rows.extend(b.cache.get_or_load(&b.reader, idx)?.rows());
         }
         *base = None;
         Ok(())
@@ -280,14 +277,14 @@ impl Region {
                 };
                 let block = b.cache.get_or_load(&b.reader, idx)?;
                 return block
-                    .get_key_value(row)
-                    .map(|(key, data)| materialize(key, data))
+                    .find(row)
+                    .map(|i| materialize(block.key(i), block.families(i)))
                     .transpose();
             }
         }
         let rows = self.rows.read();
         rows.get_key_value(row)
-            .map(|(key, data)| materialize(key, data))
+            .map(|(key, data)| materialize(key.clone(), families_of(data)))
             .transpose()
     }
 
@@ -319,11 +316,6 @@ impl Region {
         end: Option<&[u8]>,
         filter: Option<&dyn Filter>,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let lower = Bound::Included(Bytes::copy_from_slice(start));
-        let upper = match end {
-            Some(e) => Bound::Excluded(Bytes::copy_from_slice(e)),
-            None => Bound::Unbounded,
-        };
         let mut out = Vec::new();
         let mut metrics = ScanMetrics {
             regions_visited: 1,
@@ -334,16 +326,20 @@ impl Region {
             if let Some(b) = base.as_ref() {
                 for idx in b.reader.blocks_overlapping(start, end) {
                     let block = b.cache.get_or_load(&b.reader, idx)?;
-                    for (key, data) in block.range::<Bytes, _>((lower.clone(), upper.clone())) {
-                        visit_row(key, data, filter, &mut out, &mut metrics)?;
+                    for i in block.range(start, end) {
+                        let row = materialize(block.key(i), block.families(i))?;
+                        visit_row(row, filter, &mut out, &mut metrics);
                     }
                 }
                 return Ok((out, metrics));
             }
         }
+        let lower = Bound::Included(start);
+        let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
         let rows = self.rows.read();
-        for (key, data) in rows.range::<Bytes, _>((lower, upper)) {
-            visit_row(key, data, filter, &mut out, &mut metrics)?;
+        for (key, data) in rows.range::<[u8], _>((lower, upper)) {
+            let row = materialize(key.clone(), families_of(data))?;
+            visit_row(row, filter, &mut out, &mut metrics);
         }
         Ok((out, metrics))
     }
@@ -465,18 +461,16 @@ impl Region {
     }
 }
 
-/// The shared per-row scan body: materialize (verifying checksums),
-/// filter, account. Factored out so the segment-backed and materialized
-/// scan paths are bit-identical by construction.
+/// The shared per-row scan body: filter and account a materialized row.
+/// Factored out so the segment-backed and materialized scan paths are
+/// bit-identical by construction.
 fn visit_row(
-    key: &Bytes,
-    data: &RowData,
+    result: RowResult,
     filter: Option<&dyn Filter>,
     out: &mut Vec<RowResult>,
     metrics: &mut ScanMetrics,
-) -> Result<(), StoreError> {
+) {
     metrics.rows_scanned += 1;
-    let result = materialize(key, data)?;
     metrics.cells_scanned += result.cell_count() as u64;
     let passes = filter.map(|f| f.matches(&result)).unwrap_or(true);
     if passes {
@@ -489,26 +483,42 @@ fn visit_row(
             .sum::<u64>();
         out.push(result);
     }
-    Ok(())
 }
 
-/// The latest version of every cell of a stored row, checksum-verified.
-/// The result shares the stored key rather than copying it.
-fn materialize(row: &Bytes, data: &RowData) -> Result<RowResult, StoreError> {
-    let mut result = RowResult::new(row.clone());
-    for (family, cols) in data {
-        let out_cols = result.families.entry(family.clone()).or_default();
-        for (col, versions) in cols {
-            if let Some(latest) = versions.first() {
+/// A memstore row as [`crate::segment::Block::families`] hands out a
+/// block's.
+fn families_of(data: &RowData) -> impl Iterator<Item = (&[u8], impl Columns + '_)> {
+    data.iter().map(|(family, cols)| {
+        let columns = cols
+            .iter()
+            .map(|(col, versions)| (col.clone(), versions.iter().cloned()));
+        (family.as_bytes(), columns)
+    })
+}
+
+/// The latest version of every cell of a stored row, checksum-verified:
+/// the one body behind every row a read hands out, from the memstore or
+/// from a block. The result shares the stored key rather than copying it.
+fn materialize<'a>(
+    row: Bytes,
+    families: impl Iterator<Item = (&'a [u8], impl Columns + 'a)>,
+) -> Result<RowResult, StoreError> {
+    let mut result = RowResult::new(row);
+    for (family, columns) in families {
+        let mut out_cols = BTreeMap::new();
+        for (col, mut versions) in columns {
+            if let Some(latest) = versions.next() {
                 if !latest.verify() {
                     return Err(StoreError::Corruption {
-                        row: String::from_utf8_lossy(row).into_owned(),
-                        column: String::from_utf8_lossy(col).into_owned(),
+                        row: String::from_utf8_lossy(&result.row).into_owned(),
+                        column: String::from_utf8_lossy(&col).into_owned(),
                     });
                 }
-                out_cols.insert(col.clone(), latest.clone());
+                out_cols.insert(col, latest);
             }
         }
+        let family = String::from_utf8_lossy(family).into_owned();
+        result.families.insert(family, out_cols);
     }
     Ok(result)
 }

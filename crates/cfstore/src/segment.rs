@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::Path;
 
 use bytes::{BufMut, Bytes};
@@ -168,7 +169,7 @@ pub fn read_segment(path: &Path) -> Result<LoadedSegment, SegmentError> {
     let reader = SegmentReader::open(path)?;
     let mut rows = BTreeMap::new();
     for idx in 0..reader.block_count() {
-        rows.extend(reader.read_block(idx)?);
+        rows.extend(reader.read_block(idx)?.rows());
     }
     if rows.len() as u64 != reader.meta.row_count {
         return Err(SegmentError::Corrupt {
@@ -361,9 +362,9 @@ impl SegmentReader {
 
     /// Read, CRC-verify, and decode one block. This is the only place
     /// where block bodies leave the disk; corruption surfaces here as a
-    /// typed error. The framed block is frozen once, and every row key,
-    /// column and value decoded from it is a slice of that one buffer.
-    pub fn read_block(&self, idx: usize) -> Result<BTreeMap<Bytes, RowData>, SegmentError> {
+    /// typed error. The body is frozen once into the [`Block`]'s one
+    /// buffer, and its table holds offsets into it.
+    pub fn read_block(&self, idx: usize) -> Result<Block, SegmentError> {
         let corrupt = |detail: String| SegmentError::Corrupt {
             file: self.file_name.clone(),
             detail,
@@ -375,16 +376,134 @@ impl SegmentReader {
             file.seek(SeekFrom::Start(*offset))?;
             file.read_exact(&mut framed)?;
         }
-        let framed = Bytes::from(framed);
         let body = frame::verify_exact(&framed).map_err(|d| {
             corrupt(format!(
                 "block {idx}: {d} (first key {:?})",
                 String::from_utf8_lossy(first_key)
             ))
         })?;
-        decode_block(Cursor::sharing(&framed, body))
-            .map_err(|e| corrupt(format!("block {idx}: {e}")))
+        decode_block(Bytes::copy_from_slice(body)).map_err(|e| corrupt(format!("block {idx}: {e}")))
     }
+}
+
+/// `(offset, length)` of a [`Block`]'s field in its buffer, which is one
+/// frame body, so both fit in `u32`.
+type Field = (u32, u32);
+
+fn at(buf: &[u8], (offset, len): Field) -> &[u8] {
+    &buf[offset as usize..][..len as usize]
+}
+
+/// One cell version of a [`Block`]. The versions of a column share its
+/// `column` field, and the columns of a family its `family` field.
+#[derive(Debug, PartialEq, Eq)]
+struct Cell {
+    family: Field,
+    column: Field,
+    value: Field,
+    timestamp: u64,
+    checksum: u32,
+}
+
+/// A decoded segment block: its body in one buffer, one table of its cell
+/// versions in block order (keys, families and columns ascending, versions
+/// newest first) whose fields are offsets into that buffer, and a row
+/// index of each row's key and first cell. Keys, columns and values
+/// become `Bytes` sharing the buffer only where a read hands them out.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Block {
+    buf: Bytes,
+    rows: Vec<(Field, usize)>,
+    cells: Vec<Cell>,
+}
+
+impl Block {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The one place a block's field becomes `Bytes`: a slice of its buffer.
+    fn cut(&self, f: Field) -> Bytes {
+        self.buf.slice_ref(at(&self.buf, f))
+    }
+
+    /// The index of the row keyed `key`, if the block holds it.
+    pub fn find(&self, key: &[u8]) -> Option<usize> {
+        let found = self.rows.binary_search_by(|r| at(&self.buf, r.0).cmp(key));
+        found.ok()
+    }
+
+    /// The indices of the rows whose keys lie in `[start, end)`.
+    pub fn range(&self, start: &[u8], end: Option<&[u8]>) -> Range<usize> {
+        let below = |bound: &[u8]| self.rows.partition_point(|r| at(&self.buf, r.0) < bound);
+        let lo = below(start);
+        lo..end.map_or(self.len(), below).max(lo)
+    }
+
+    /// Row `i`'s key.
+    pub fn key(&self, i: usize) -> Bytes {
+        self.cut(self.rows[i].0)
+    }
+
+    /// Row `i`'s families in order, each with its columns.
+    pub fn families(&self, i: usize) -> impl Iterator<Item = (&[u8], impl Columns + '_)> {
+        let end = self.rows.get(i + 1).map_or(self.cells.len(), |r| r.1);
+        let families = self.cells[self.rows[i].1..end].chunk_by(|a, b| a.family == b.family);
+        families.map(move |family| {
+            let columns = family
+                .chunk_by(|a, b| a.column == b.column)
+                .map(move |cells| {
+                    (
+                        self.cut(cells[0].column),
+                        cells.iter().map(move |c| self.version(c)),
+                    )
+                });
+            (at(&self.buf, family[0].family), columns)
+        })
+    }
+
+    fn version(&self, c: &Cell) -> CellVersion {
+        CellVersion {
+            timestamp: c.timestamp,
+            checksum: c.checksum,
+            value: self.cut(c.value),
+        }
+    }
+
+    /// Every row with every version, as a memstore holds it: a promotion's
+    /// rows, and [`read_segment`]'s.
+    pub fn rows(&self) -> impl Iterator<Item = (Bytes, RowData)> + '_ {
+        (0..self.len()).map(|i| {
+            let mut data = RowData::new();
+            for (family, columns) in self.families(i) {
+                let mut cols = BTreeMap::new();
+                for (column, versions) in columns {
+                    cols.insert(column, versions.collect());
+                }
+                data.insert(String::from_utf8_lossy(family).into_owned(), cols);
+            }
+            (self.key(i), data)
+        })
+    }
+}
+
+/// One family's columns in order, each with its versions newest first:
+/// what a row read of a [`Block`] or of a memstore row walks.
+pub trait Columns: Iterator<Item = (Bytes, Self::Versions)> {
+    type Versions: Iterator<Item = CellVersion>;
+}
+
+impl<I, V> Columns for I
+where
+    I: Iterator<Item = (Bytes, V)>,
+    V: Iterator<Item = CellVersion>,
+{
+    type Versions = V;
 }
 
 fn encode_row(buf: &mut Vec<u8>, key: &Bytes, data: &RowData) {
@@ -416,31 +535,77 @@ const MIN_NESTED_BYTES: usize = 8;
 const MIN_VERSION_BYTES: usize = 16;
 const MIN_INDEX_ENTRY_BYTES: usize = 16;
 
-fn decode_block(mut c: Cursor) -> Result<BTreeMap<Bytes, RowData>, CodecError> {
-    let mut rows = BTreeMap::new();
-    for _ in 0..c.count(MIN_NESTED_BYTES)? {
-        let key = c.bytes()?;
-        let mut data = RowData::new();
-        for _ in 0..c.count(MIN_NESTED_BYTES)? {
-            let family = c.str()?;
-            let mut cols = BTreeMap::new();
-            for _ in 0..c.count(MIN_NESTED_BYTES)? {
-                let col = c.bytes()?;
-                let versions = c.seq(MIN_VERSION_BYTES, |c| {
-                    Ok(CellVersion {
-                        timestamp: c.u64()?,
-                        checksum: c.u32()?,
-                        value: c.bytes()?,
-                    })
-                })?;
-                cols.insert(col, versions);
-            }
-            data.insert(family, cols);
+/// Decode a block body into its flat table, sized exactly by a first
+/// walk over it: no count read off the body sizes anything.
+fn decode_block(buf: Bytes) -> Result<Block, CodecError> {
+    let (mut row_count, mut cell_count) = (0, 0);
+    walk(&buf, |key, _| {
+        row_count += usize::from(key.is_some());
+        cell_count += 1;
+    })?;
+    let mut rows = Vec::with_capacity(row_count);
+    let mut cells = Vec::with_capacity(cell_count);
+    walk(&buf, |key, cell| {
+        if let Some(key) = key {
+            rows.push((key, cells.len()));
         }
-        rows.insert(key, data);
+        cells.push(cell);
+    })?;
+    Ok(Block { buf, rows, cells })
+}
+
+/// Walk a block body's cell versions in block order, handing each to
+/// `each` with its row's key if it is the row's first. A block is what
+/// [`encode_segment`] writes from a memstore: keys, families and columns
+/// ascending and unrepeated, none of them empty; anything else is
+/// refused.
+fn walk(buf: &[u8], mut each: impl FnMut(Option<Field>, Cell)) -> Result<(), CodecError> {
+    let mut c = Cursor::new(buf);
+    let mut last_key = None;
+    for _ in 0..c.count(MIN_NESTED_BYTES)? {
+        let mut key = Some(after(buf, &mut last_key, c.span()?)?);
+        let mut last_family = None;
+        for _ in 0..nonempty(&mut c, MIN_NESTED_BYTES)? {
+            let family = after(buf, &mut last_family, c.span()?)?;
+            std::str::from_utf8(at(buf, family)).map_err(|_| CodecError::BadUtf8)?;
+            let mut last_column = None;
+            for _ in 0..nonempty(&mut c, MIN_NESTED_BYTES)? {
+                let column = after(buf, &mut last_column, c.span()?)?;
+                for _ in 0..nonempty(&mut c, MIN_VERSION_BYTES)? {
+                    let (timestamp, checksum, value) = (c.u64()?, c.u32()?, c.span()?);
+                    let value = (value.start as u32, value.len() as u32);
+                    let cell = Cell {
+                        family,
+                        column,
+                        value,
+                        timestamp,
+                        checksum,
+                    };
+                    each(key.take(), cell);
+                }
+            }
+        }
     }
-    c.finish()?;
-    Ok(rows)
+    c.finish()
+}
+
+/// `r`, refused unless it sorts after `last`, which it then becomes.
+fn after(buf: &[u8], last: &mut Option<Field>, r: Range<usize>) -> Result<Field, CodecError> {
+    let next = (r.start as u32, r.len() as u32);
+    let sorted = last
+        .replace(next)
+        .is_none_or(|last| at(buf, last) < at(buf, next));
+    sorted
+        .then_some(next)
+        .ok_or(CodecError::Malformed("keys out of order"))
+}
+
+/// The checked count of a sequence no writer leaves empty.
+fn nonempty(c: &mut Cursor, min_elem_bytes: usize) -> Result<usize, CodecError> {
+    match c.count(min_elem_bytes)? {
+        0 => Err(CodecError::Malformed("an empty row, family or column")),
+        n => Ok(n),
+    }
 }
 
 fn decode_trailer(body: &[u8]) -> Result<SegmentMeta, CodecError> {
@@ -470,6 +635,220 @@ fn decode_trailer(body: &[u8]) -> Result<SegmentMeta, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The nested decode the flat [`Block`] replaced, kept as its oracle:
+    /// every row in a map of families, every family a map of columns,
+    /// every column a `Vec` of its versions. It sorts what it is given and
+    /// keeps the last of a repeated key, and it accepts empty rows,
+    /// families and columns, none of which a writer produces.
+    fn oracle(body: &[u8]) -> Result<BTreeMap<Bytes, RowData>, CodecError> {
+        let mut c = Cursor::new(body);
+        let mut rows = BTreeMap::new();
+        for _ in 0..c.count(MIN_NESTED_BYTES)? {
+            let key = c.bytes()?;
+            let mut data = RowData::new();
+            for _ in 0..c.count(MIN_NESTED_BYTES)? {
+                let family = c.str()?;
+                let mut cols = BTreeMap::new();
+                for _ in 0..c.count(MIN_NESTED_BYTES)? {
+                    let col = c.bytes()?;
+                    let versions = c.seq(MIN_VERSION_BYTES, |c| {
+                        Ok(CellVersion {
+                            timestamp: c.u64()?,
+                            checksum: c.u32()?,
+                            value: c.bytes()?,
+                        })
+                    })?;
+                    cols.insert(col, versions);
+                }
+                data.insert(family, cols);
+            }
+            rows.insert(key, data);
+        }
+        c.finish()?;
+        Ok(rows)
+    }
+
+    /// A block body as [`encode_segment`] writes one.
+    fn block_body(rows: &BTreeMap<Bytes, RowData>) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.put_u32(rows.len() as u32);
+        for (key, data) in rows {
+            encode_row(&mut body, key, data);
+        }
+        body
+    }
+
+    /// A random row: 1–3 families of 1–4 columns of 1–3 versions, names
+    /// and values drawn from small pools that hold the empty string.
+    /// `rot` is whether each version's stored checksum is off by one.
+    type RowShape = Vec<(u8, Vec<(u8, Vec<(u8, bool)>)>)>;
+
+    fn build_rows(shape: &[(u8, RowShape)]) -> BTreeMap<Bytes, RowData> {
+        const KEYS: [&str; 6] = ["", "a", "b", "b\0", "row", "\u{ff}"];
+        const FAMILIES: [&str; 3] = ["f", "", "cf"];
+        const COLUMNS: [&[u8]; 5] = [b"", b"c", b"col", b"d", b"\xff"];
+        let mut ts = 0;
+        let mut rows = BTreeMap::new();
+        for (key, families) in shape {
+            let key = format!("{}{key}", KEYS[*key as usize % KEYS.len()]);
+            let mut data = RowData::new();
+            for (family, columns) in families {
+                let cols = data
+                    .entry(FAMILIES[*family as usize % 3].to_string())
+                    .or_default();
+                for (column, versions) in columns {
+                    let versions = versions
+                        .iter()
+                        .map(|&(len, rot)| {
+                            ts += 1;
+                            let value = Bytes::from(vec![ts as u8; len as usize]);
+                            let mut v = CellVersion::new(1000 - ts, value);
+                            v.checksum ^= u32::from(rot);
+                            v
+                        })
+                        .collect();
+                    cols.insert(Bytes::from(COLUMNS[*column as usize % 5]), versions);
+                }
+            }
+            rows.insert(Bytes::from(key), data);
+        }
+        rows
+    }
+
+    /// Every cell of a decoded block, as the oracle holds them, with each
+    /// column's latest version first.
+    fn latest_of_oracle(data: &RowData) -> Vec<(Vec<u8>, Bytes, CellVersion)> {
+        let mut out = Vec::new();
+        for (family, cols) in data {
+            for (column, versions) in cols {
+                let v = versions[0].clone();
+                out.push((family.as_bytes().to_vec(), column.clone(), v));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The flat table reads exactly what the nested decode reads: every
+        /// row in order with every version, each point lookup, each range
+        /// and each row's latest versions, with each cell's checksum
+        /// verdict.
+        #[test]
+        fn a_flat_block_reads_as_the_nested_oracle_decodes(
+            shape in proptest::collection::vec(
+                (
+                    0u8..64,
+                    proptest::collection::vec(
+                        (
+                            0u8..3,
+                            proptest::collection::vec(
+                                (0u8..5, proptest::collection::vec((0u8..4, proptest::arbitrary::any::<bool>()), 1..4)),
+                                1..5,
+                            ),
+                        ),
+                        1..4,
+                    ),
+                ),
+                1..33,
+            ),
+            probes in proptest::collection::vec((0u8..24, 0u8..24), 1..8),
+        ) {
+            let rows = build_rows(&shape);
+            let body = block_body(&rows);
+            let want = oracle(&body).unwrap();
+            proptest::prop_assert_eq!(&want, &rows);
+            let block = decode_block(Bytes::copy_from_slice(&body)).unwrap();
+
+            let got: Vec<(Bytes, RowData)> = block.rows().collect();
+            let want_rows: Vec<(Bytes, RowData)> = want.clone().into_iter().collect();
+            proptest::prop_assert_eq!(got, want_rows);
+            proptest::prop_assert_eq!(block.len(), want.len());
+            for (i, (key, data)) in want.iter().enumerate() {
+                proptest::prop_assert_eq!(block.find(key), Some(i));
+                proptest::prop_assert_eq!(&block.key(i), key);
+                let latest: Vec<_> = block
+                    .families(i)
+                    .flat_map(|(f, columns)| columns.map(move |(c, mut vs)| (f.to_vec(), c, vs.next().unwrap())))
+                    .collect();
+                let verdicts: Vec<bool> = latest.iter().map(|(_, _, v)| v.verify()).collect();
+                let oracle_latest = latest_of_oracle(data);
+                let oracle_verdicts: Vec<bool> =
+                    oracle_latest.iter().map(|(_, _, v)| v.verify()).collect();
+                proptest::prop_assert_eq!(latest, oracle_latest);
+                proptest::prop_assert_eq!(verdicts, oracle_verdicts);
+            }
+            let probe_key = |n: u8| Bytes::from(format!("{}{}", ["", "a", "b", "row"][n as usize % 4], n / 4));
+            for &(a, b) in &probes {
+                let (start, end) = (probe_key(a), probe_key(b));
+                proptest::prop_assert_eq!(block.find(&start).is_some(), want.contains_key(&start));
+                for end in [Some(&end), None] {
+                    let got: Vec<Bytes> = block
+                        .range(&start, end.map(|e| e.as_ref()))
+                        .map(|i| block.key(i))
+                        .collect();
+                    let want_keys: Vec<Bytes> = match end {
+                        Some(end) if *end <= start => Vec::new(),
+                        Some(end) => want.range(start.clone()..end.clone()).map(|(k, _)| k.clone()).collect(),
+                        None => want.range(start.clone()..).map(|(k, _)| k.clone()).collect(),
+                    };
+                    proptest::prop_assert_eq!(got, want_keys);
+                }
+            }
+        }
+    }
+
+    /// Decode totality, one layer under the block CRC: every truncation of
+    /// a block body, every single-byte flip and every single-bit flip of
+    /// it. The flat decode never panics; what it accepts the oracle reads
+    /// identically, and what the oracle refuses it refuses too. (It also
+    /// refuses what only the oracle's sorting and empty entries excuse.)
+    #[test]
+    fn every_damaged_block_body_decodes_as_the_oracle_does_or_is_refused() {
+        let shape: Vec<(u8, RowShape)> = (0..6u8)
+            .map(|r| {
+                let families = (0..1 + r % 3)
+                    .map(|f| {
+                        (
+                            f,
+                            (0..1 + (r + f) % 3)
+                                .map(|c| (c, vec![(r % 4, r == 4); 1 + (c as usize % 3)]))
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                (r * 3, families)
+            })
+            .collect();
+        let body = block_body(&build_rows(&shape));
+        let truncations = (0..body.len()).map(|n| body[..n].to_vec());
+        let flips = (0..body.len() * 9).map(|i| {
+            let mut damaged = body.clone();
+            damaged[i % body.len()] ^= match i / body.len() {
+                8 => 0xff,
+                bit => 1 << bit,
+            };
+            damaged
+        });
+        let (mut accepted, mut refused) = (0, 0);
+        for damaged in truncations.chain(flips) {
+            let want = oracle(&damaged);
+            match decode_block(Bytes::copy_from_slice(&damaged)) {
+                Ok(block) => {
+                    let got: BTreeMap<Bytes, RowData> = block.rows().collect();
+                    assert_eq!(Ok(got), want, "{damaged:02x?}");
+                    accepted += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            accepted > 0 && refused > body.len(),
+            "{accepted} accepted, {refused} refused"
+        );
+    }
 
     fn sample_rows(n: usize) -> BTreeMap<Bytes, RowData> {
         let mut rows = BTreeMap::new();
@@ -628,7 +1007,7 @@ mod tests {
         assert!(reader.block_count() > 1);
         let mut merged = BTreeMap::new();
         for idx in 0..reader.block_count() {
-            merged.extend(reader.read_block(idx).unwrap());
+            merged.extend(reader.read_block(idx).unwrap().rows());
         }
         assert_eq!(
             merged, rows,
@@ -638,7 +1017,7 @@ mod tests {
         // Point lookups route to the single covering block.
         let probe = Bytes::from("row0050");
         let idx = reader.block_for(&probe).unwrap();
-        assert!(reader.read_block(idx).unwrap().contains_key(&probe));
+        assert!(reader.read_block(idx).unwrap().find(&probe).is_some());
         assert!(reader.block_for(b"a-before-everything").is_none());
         // Range pruning covers exactly the overlapping blocks.
         let r = reader.blocks_overlapping(b"row0050", Some(b"row0060"));
@@ -655,12 +1034,12 @@ mod tests {
         let reader = SegmentReader::open(&path).unwrap();
         for idx in 0..reader.block_count() {
             let block = reader.read_block(idx).unwrap();
-            let mut fields: Vec<&Bytes> = Vec::new();
-            for (key, data) in &block {
+            let mut fields: Vec<Bytes> = Vec::new();
+            for (key, data) in block.rows() {
                 fields.push(key);
-                for (col, versions) in data.values().flatten() {
+                for (col, versions) in data.into_values().flatten() {
                     fields.push(col);
-                    fields.extend(versions.iter().map(|v| &v.value));
+                    fields.extend(versions.into_iter().map(|v| v.value));
                 }
             }
             let lo = fields.iter().map(|b| b.as_ptr() as usize).min().unwrap();

@@ -148,9 +148,7 @@ fi
 # to the cores the budget lends it, not one thread per region — cfstore has
 # exactly one `thread::scope`, in store.rs (the budget is the one-process
 # gate below); a block fill reads, checks and decodes with no cache lock
-# held (`read_block(` sits in a blockcache.rs function that takes no lock);
-# and only a segment block is decoded into slices of its buffer
-# (`slice_ref(` is used in frame.rs and segment.rs and nowhere else).
+# held (`read_block(` sits in a blockcache.rs function that takes no lock).
 step "source gate (store reads: scans on lent cores, fills off the cache lock)"
 if [ "$(nontest $cfstore_src | grep -cF 'thread::scope' || true)" -ne 1 ] ||
   [ "$(nontest crates/cfstore/src/store.rs | grep -cF 'thread::scope' || true)" -ne 1 ]; then
@@ -163,9 +161,25 @@ if nontest crates/cfstore/src/blockcache.rs | awk '
   END { for (f in reads) if (f in locks) { print "read_block under the cache lock in: " f; found = 1 } exit !found }'; then
   exit 1
 fi
-if [ "$(nontest crates/cfstore/src/frame.rs crates/cfstore/src/segment.rs | grep -cF 'slice_ref(' || true)" -lt 1 ] ||
-  nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs ! -path crates/cfstore/src/segment.rs) | grep -F 'slice_ref('; then
-  echo "slice_ref( belongs to frame.rs and segment.rs alone"; exit 1
+
+# Blocks decode flat (DESIGN.md §32): a segment block decodes into one
+# table of cell versions whose fields are offsets into the block's one
+# buffer, so `decode_block` builds no `BTreeMap` and no `RowData`, and the
+# cache holds no `BlockRows` alias of nested rows; and a field of a block
+# becomes `Bytes` in one place, `Block::cut` in segment.rs, the one
+# `slice_ref(` call under crates/.
+step "source gate (blocks decode flat, their fields cut in one place)"
+decode_body=$(nontest crates/cfstore/src/segment.rs | awk '/: fn decode_block\(/ { on = 1 } on { print } on && /: }$/ { exit }')
+if [ -z "$decode_body" ] || printf '%s\n' "$decode_body" | grep -E 'BTreeMap|RowData'; then
+  echo "segment.rs must have a fn decode_block that builds no BTreeMap or RowData"; exit 1
+fi
+if grep -rn 'BlockRows' crates; then echo "the BlockRows alias is back"; exit 1; fi
+cuts=$(nontest $(find crates -name '*.rs') | awk '/fn [a-z_]+/ { f = $0 } /slice_ref\(/ { print f }')
+if [ "$(printf '%s\n' "$cuts" | grep -c . || true)" -ne 1 ] ||
+  ! printf '%s\n' "$cuts" | grep -q '^crates/cfstore/src/segment.rs:.*fn cut('; then
+  echo "slice_ref( must be called once under crates/, in segment.rs's fn cut; it is in:"
+  printf '%s\n' "$cuts"
+  exit 1
 fi
 
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live

@@ -375,9 +375,9 @@ fn check_segment(path: &Path) {
 
     let reader = SegmentReader::open(path).unwrap();
     assert_eq!(reader.meta(), &loaded.meta);
-    let mut merged = reader.read_block(0).unwrap();
+    let mut merged: BTreeMap<Bytes, RowData> = reader.read_block(0).unwrap().rows().collect();
     assert_eq!(merged.len(), 32);
-    merged.extend(reader.read_block(1).unwrap());
+    merged.extend(reader.read_block(1).unwrap().rows());
     assert_eq!(merged, segment_rows());
 }
 
