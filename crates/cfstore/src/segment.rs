@@ -409,7 +409,8 @@ struct Cell {
 /// versions in block order (keys, families and columns ascending, versions
 /// newest first) whose fields are offsets into that buffer, and a row
 /// index of each row's key and first cell. Keys, columns and values
-/// become `Bytes` sharing the buffer only where a read hands them out.
+/// become `Bytes` sharing the buffer only where a read hands them out;
+/// family names were checked to be UTF-8 when the block was decoded.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Block {
     buf: Bytes,
@@ -423,6 +424,7 @@ impl Block {
         self.rows.len()
     }
 
+    /// Whether the block holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
@@ -798,6 +800,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What no writer produces is refused, though the nested decode read
+    /// it: rows, families or columns out of order or repeated, and an
+    /// empty row, family or column. The flat table could not hold them
+    /// faithfully — a point lookup bisects the keys, and an empty family
+    /// or column leaves no cell behind.
+    #[test]
+    fn a_block_no_writer_produces_is_refused() {
+        // Each row: key, then families of columns of (value) versions.
+        type Shape<'a> = &'a [(&'a str, &'a [(&'a str, &'a [(&'a str, usize)])])];
+        let body = |rows: Shape| {
+            let mut b = Vec::new();
+            b.put_u32(rows.len() as u32);
+            for (key, families) in rows {
+                put_bytes(&mut b, key.as_bytes());
+                b.put_u32(families.len() as u32);
+                for (family, columns) in *families {
+                    put_str(&mut b, family);
+                    b.put_u32(columns.len() as u32);
+                    for (column, versions) in *columns {
+                        put_bytes(&mut b, column.as_bytes());
+                        b.put_u32(*versions as u32);
+                        for ts in 0..*versions {
+                            b.put_u64(9 - ts as u64);
+                            b.put_u32(0);
+                            put_bytes(&mut b, b"v");
+                        }
+                    }
+                }
+            }
+            b
+        };
+        let fam: &[(&str, &[(&str, usize)])] = &[("f", &[("c", 1)])];
+        let refused: [(Shape, &str); 8] = [
+            (&[("b", fam), ("a", fam)], "out of order"),
+            (&[("a", fam), ("a", fam)], "out of order"),
+            (
+                &[("a", &[("g", &[("c", 1)]), ("f", &[("c", 1)])])],
+                "out of order",
+            ),
+            (
+                &[("a", &[("f", &[("c", 1)]), ("f", &[("d", 1)])])],
+                "out of order",
+            ),
+            (&[("a", &[("f", &[("d", 1), ("c", 1)])])], "out of order"),
+            (&[("a", &[])], "empty"),
+            (&[("a", &[("f", &[])])], "empty"),
+            (&[("a", &[("f", &[("c", 0)])])], "empty"),
+        ];
+        for (shape, why) in refused {
+            let b = body(shape);
+            assert!(oracle(&b).is_ok(), "{shape:?}");
+            match decode_block(Bytes::copy_from_slice(&b)) {
+                Err(CodecError::Malformed(detail)) => assert!(detail.contains(why), "{detail}"),
+                other => panic!("{shape:?}: expected Malformed({why}), got {other:?}"),
+            }
+        }
+        let kept: Shape = &[
+            ("", fam),
+            ("a", &[("", &[("", 2), ("c", 1)]), ("f", &[("c", 3)])]),
+        ];
+        let b = body(kept);
+        let block = decode_block(Bytes::copy_from_slice(&b)).unwrap();
+        assert_eq!(
+            block.rows().collect::<BTreeMap<_, _>>(),
+            oracle(&b).unwrap()
+        );
     }
 
     /// Decode totality, one layer under the block CRC: every truncation of
