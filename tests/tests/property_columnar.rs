@@ -18,7 +18,7 @@ use mrjobs::jobs;
 use mrsim::{ClusterSpec, JobConfig};
 use profiler::{collect_full_profile, collect_sample_profile, JobProfile, SampleSize};
 use proptest::prelude::*;
-use pstorm::{match_profile, MatcherConfig, ProfileStore, SubmittedJob};
+use pstorm::{match_profile, MatcherConfig, ProfileStore, StoredStatics, SubmittedJob};
 use staticanalysis::StaticFeatures;
 
 /// A handful of real profiles to perturb into synthetic store rows.
@@ -434,4 +434,251 @@ fn crash_between_the_deletes_of_a_job_never_matches_a_missing_profile() {
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+// ---- The scan-built index against point reads, in every region state ------
+
+/// `Put`s jobs `job-NNNN` for every `i` in `ids`, cycling through the
+/// seeds (map-only ones among them) with dynamics perturbed by `i`.
+fn fill(store: &ProfileStore, ids: std::ops::Range<usize>) {
+    for i in ids {
+        let scale = 0.5 + (i % 7) as f64 * 0.25;
+        let perturb = (i, scale, 1.0 + (i % 3) as f64 * 0.1, scale, i % 6 == 5);
+        let (statics, p) = perturbed(&perturb, format!("job-{i:04}"));
+        store.put_profile(statics, &p).unwrap();
+    }
+}
+
+/// `store.build_columnar_index()` row by row against point reads: the rows
+/// are the jobs an accept-all pushdown scan returns, in its order; each
+/// equals the job's stored profile and its `Static/` and `CostFactor/`
+/// rows; and the static-feature ids number the distinct sets in order of
+/// first appearance. The index `columnar_index` keeps equals it too.
+fn assert_built_from_point_reads(store: &ProfileStore, when: &str) {
+    let index = store.build_columnar_index().unwrap();
+    let (dynamic, _) = store.filter_dynamic(|_| true).unwrap();
+    assert_eq!(index.len(), dynamic.len(), "{when}: rows");
+    let mut firsts: Vec<StoredStatics> = Vec::new();
+    for (r, row) in dynamic.iter().enumerate() {
+        let job = index.job_id(r);
+        let at = format!("{when}: row {r} ({job})");
+        assert_eq!(row.job_id, job, "{at}");
+        let profile = store.get_profile(job).unwrap().unwrap();
+        let red = profile.reduce.as_ref().map(|red| red.dynamic_features());
+        assert_eq!(index.map_dyn(r), profile.map.dynamic_features(), "{at}");
+        assert_eq!(index.red_dyn(r), red.as_deref(), "{at}");
+        assert_eq!(index.input_bytes(r), profile.input_bytes, "{at}");
+        assert_eq!(
+            index.cost_factors(r),
+            profile.map.cost_factors.as_vec(),
+            "{at}"
+        );
+        let costs = store.get_cost_factors(job).unwrap();
+        assert_eq!(costs.as_deref(), Some(index.cost_factors(r)), "{at}");
+        let statics = store.get_statics(job).unwrap();
+        assert_eq!(index.statics(r), statics.as_ref(), "{at}");
+        let id = statics.map(|s| {
+            firsts.iter().position(|f| *f == s).unwrap_or_else(|| {
+                firsts.push(s);
+                firsts.len() - 1
+            })
+        });
+        assert_eq!(index.statics_id(r), id, "{at}");
+    }
+    assert_eq!(index.distinct_statics(), firsts.len(), "{when}");
+    assert!(*store.columnar_index().unwrap() == index, "{when}");
+}
+
+/// The block cache misses `store` has counted into `reg`.
+fn misses(reg: &obs::Registry) -> u64 {
+    let counters = reg.snapshot().counters;
+    counters
+        .get("cfstore.block_cache.misses")
+        .copied()
+        .unwrap_or(0)
+}
+
+#[test]
+fn the_scan_built_index_is_point_reads_in_every_region_state() {
+    let store = ProfileStore::new().unwrap();
+    fill(&store, 0..12);
+    assert_eq!(store.inner().region_count("Jobs").unwrap(), 1);
+    assert_built_from_point_reads(&store, "memstore");
+    fill(&store, 12..300);
+    let regions = store.inner().region_count("Jobs").unwrap();
+    assert!(regions > 2, "{regions} regions");
+    assert_built_from_point_reads(&store, "memstore, after splits");
+
+    // Flushed, and reopened at a cache smaller than one block: every region
+    // is segment-backed, and every block a scan reads is filled afresh.
+    let dir = fresh_dir("states");
+    let (flushed, _) = ProfileStore::reopen(&dir).unwrap();
+    fill(&flushed, 0..400);
+    flushed.flush().unwrap();
+    drop(flushed);
+    let opts = StoreOptions {
+        block_cache_bytes: 1,
+        ..StoreOptions::default()
+    };
+    let (mut store, _) = ProfileStore::reopen_with_opts(&dir, opts).unwrap();
+    let reg = obs::Registry::new();
+    store.set_obs(reg.clone());
+    let before = misses(&reg);
+    assert_built_from_point_reads(&store, "segment-backed");
+    assert!(
+        misses(&reg) > before,
+        "the segment-backed build read no block"
+    );
+
+    // A put promotes the regions it writes; the others stay segment-backed.
+    let regions = store.inner().region_count("Jobs").unwrap();
+    assert!(regions > 5, "{regions} regions");
+    let (statics, p) = perturbed(&(1, 1.0, 1.0, 1.0, false), "job-0000a".to_string());
+    store.put_profile(statics, &p).unwrap();
+    let before = misses(&reg);
+    assert_built_from_point_reads(&store, "segment-backed and promoted");
+    assert!(misses(&reg) > before, "no region stayed segment-backed");
+
+    // A tenant's view of the same store holds only the tenant's rows.
+    let acme = store.tenant_view("acme").unwrap();
+    fill(&acme, 40..100);
+    assert_built_from_point_reads(&acme, "tenant view");
+    assert_eq!(acme.build_columnar_index().unwrap().len(), 60);
+    assert_built_from_point_reads(&store, "beside a tenant");
+    drop((acme, store));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = fresh_dir("sharded");
+    let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
+    fill(&store, 0..80);
+    assert_built_from_point_reads(&store, "sharded");
+    store.flush().unwrap();
+    drop(store);
+    let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
+    assert_built_from_point_reads(&store, "sharded, reopened");
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What a scan-built index fails with, by its text, as bad rows pile up in
+/// a store of 240 jobs in several regions: each step adds a row whose error
+/// takes precedence over every error before it. The rules: a rotted cell
+/// (in the `Dynamic/`, then the `Static/`, then the `CostFactor/` rows,
+/// each by key order) before any row that does not parse; then a
+/// `CostFactor/` row that does not parse, whether or not its job has a
+/// `Dynamic/` row; then the first job, in key order, whose `Dynamic/` row
+/// does not parse, has no `CostFactor/` row, or whose statics, new to the
+/// index, do not decode. A reopen of the flushed store fails the same way.
+#[test]
+fn a_bad_row_fails_the_scan_built_index_with_the_errors_it_always_had() {
+    use cfstore::encoding::encode_f64;
+    use cfstore::Put;
+
+    let dir = fresh_dir("errors");
+    let (store, _) = ProfileStore::reopen(&dir).unwrap();
+    fill(&store, 0..240);
+    store.flush().unwrap();
+    drop(store);
+    let (store, _) = ProfileStore::reopen(&dir).unwrap();
+    let regions = store.inner().region_count("Jobs").unwrap();
+    assert!(regions > 2, "{regions} regions");
+    let put = |row: &str, column: &str, value: &[u8]| {
+        let put = Put::new(row.to_string(), "f", column.to_string(), value.to_vec());
+        store.inner().put("Jobs", put).unwrap();
+    };
+    let rot = |row: &str, column: &str| {
+        assert!(store
+            .corrupt_cell(row.as_bytes(), column.as_bytes())
+            .unwrap());
+    };
+    let fails = |step: &str, expected: &str| {
+        let err = store.build_columnar_index().unwrap_err().to_string();
+        assert_eq!(err, expected, "{step}");
+    };
+    let rotted = |row: &str, column: &str| {
+        format!("checksum mismatch in row `{row}`, column `{column}`: stored cell is corrupt")
+    };
+
+    put("Dynamic/job-0100", "INPUT_BYTES", b"abc");
+    fails(
+        "an undecodable Dynamic row",
+        "corrupt store row: undecodable Dynamic row Dynamic/job-0100",
+    );
+    put("Static/job-0090", "MAP_CFG", b"\x00\x00\x00\x07cfg");
+    fails("statics that do not decode", "codec: truncated value");
+    put("Static/job-0095", "RED_CFG", b"\xff");
+    fails(
+        "statics that do not decode, later",
+        "codec: truncated value",
+    );
+    assert!(store
+        .inner()
+        .delete_row("Jobs", b"CostFactor/job-0070")
+        .unwrap());
+    fails(
+        "a job with no CostFactor row",
+        "corrupt store row: no CostFactor row for job-0070",
+    );
+    put("Dynamic/job-0050", "MAP_SIZE_SEL", b"");
+    fails(
+        "an undecodable Dynamic row, earlier",
+        "corrupt store row: undecodable Dynamic row Dynamic/job-0050",
+    );
+    put("CostFactor/job-9999", "NETWORK_COST", &encode_f64(1.0));
+    fails(
+        "a CostFactor row of no job, missing a column",
+        "corrupt store row: CostFactor/job-9999 missing READ_HDFS_IO_COST",
+    );
+    put("CostFactor/job-0003", "MAP_CPU_COST", b"x");
+    fails("an undecodable CostFactor cell", "codec: truncated value");
+    rot("CostFactor/job-0110", "NETWORK_COST");
+    fails(
+        "a rotted CostFactor cell",
+        &rotted("CostFactor/job-0110", "NETWORK_COST"),
+    );
+    rot("Static/job-0111", "MAP_CFG");
+    fails(
+        "a rotted Static cell",
+        &rotted("Static/job-0111", "MAP_CFG"),
+    );
+    rot("Dynamic/job-0112", "RED_PAIRS_SEL");
+    fails(
+        "a rotted Dynamic cell",
+        &rotted("Dynamic/job-0112", "RED_PAIRS_SEL"),
+    );
+    rot("Dynamic/job-0001", "HAS_REDUCE");
+    let first = rotted("Dynamic/job-0001", "HAS_REDUCE");
+    fails("a rotted Dynamic cell, earlier", &first);
+
+    store.flush().unwrap();
+    drop(store);
+    match ProfileStore::reopen(&dir) {
+        Err(e) => assert_eq!(e.to_string(), first, "reopened"),
+        Ok(_) => panic!("the reopen built an index over rotted rows"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same rules on the sharded backend, where a scan merges the shards'
+/// rows: a job with no `CostFactor/` row, then an undecodable `Dynamic/`
+/// row before it.
+#[test]
+fn a_bad_row_fails_the_sharded_index_as_it_fails_the_single_store() {
+    use cfstore::Put;
+
+    let dir = fresh_dir("sharded-errors");
+    let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
+    fill(&store, 0..40);
+    let sharded = store.sharded().unwrap();
+    assert!(sharded.delete_row("Jobs", b"CostFactor/job-0030").unwrap());
+    let fails = |expected: &str| {
+        let err = store.build_columnar_index().unwrap_err().to_string();
+        assert_eq!(err, expected);
+    };
+    fails("corrupt store row: no CostFactor row for job-0030");
+    let put = Put::new("Dynamic/job-0020", "f", "MAP_PAIRS_SEL", b"\x01".to_vec());
+    sharded.put("Jobs", put).unwrap();
+    fails("corrupt store row: undecodable Dynamic row Dynamic/job-0020");
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
