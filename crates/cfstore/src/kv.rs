@@ -57,8 +57,15 @@ impl CellVersion {
 
     /// Whether the stored value still matches its write-time checksum.
     pub fn verify(&self) -> bool {
-        crate::encoding::crc32(&self.value) == self.checksum
+        intact(&self.value, self.checksum)
     }
+}
+
+/// Whether `value` still matches `checksum`, the CRC-32 stamped on it when
+/// it was written: the check every read of a cell makes, wherever the cell
+/// is stored.
+pub(crate) fn intact(value: &[u8], checksum: u32) -> bool {
+    crate::encoding::crc32(value) == checksum
 }
 
 /// A materialized row returned by gets and scans: family → column → latest

@@ -56,7 +56,7 @@ pub use filter::{
 };
 pub use kv::{CellVersion, Put, RowResult};
 pub use recovery::{Manifest, RecoveryError, RecoveryReport};
-pub use region::{KeyRange, Region, RowData, ScanMetrics};
+pub use region::{KeyRange, Latest, Region, RowData, RowView, ScanMetrics};
 pub use segment::{SegmentError, SegmentReader};
 pub use shard::resharding::{ReshardPhase, ReshardStatus, Topology};
 pub use shard::{ShardOptions, ShardedMeta, ShardedRecoveryReport, ShardedStore};

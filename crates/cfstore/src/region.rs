@@ -28,8 +28,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::BlockCache;
 use crate::filter::Filter;
-use crate::kv::{CellVersion, RowResult};
-use crate::segment::{Columns, SegmentError, SegmentReader};
+use crate::kv::{intact, CellVersion, RowResult};
+use crate::segment::{Block, SegmentError, SegmentReader};
 use crate::store::StoreError;
 
 /// Maximum cell versions retained per column, like HBase's default.
@@ -269,23 +269,11 @@ impl Region {
     /// On a segment-backed region this reads exactly one block through
     /// the cache; it never materializes the region.
     pub fn get(&self, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
-        {
-            let base = self.base.read();
-            if let Some(b) = base.as_ref() {
-                let Some(idx) = b.reader.block_for(row) else {
-                    return Ok(None);
-                };
-                let block = b.cache.get_or_load(&b.reader, idx)?;
-                return block
-                    .find(row)
-                    .map(|i| materialize(block.key(i), block.families(i)))
-                    .transpose();
-            }
-        }
-        let rows = self.rows.read();
-        rows.get_key_value(row)
-            .map(|(key, data)| materialize(key.clone(), families_of(data)))
-            .transpose()
+        // `row` and nothing after it: the one block `row` could be in.
+        let end = [row, &[0]].concat();
+        let mut found = None;
+        self.read(row, Some(&end), |row| found = Some(row))?;
+        Ok(found)
     }
 
     /// Delete one row entirely. Returns `None` when the row key no longer
@@ -321,27 +309,90 @@ impl Region {
             regions_visited: 1,
             ..ScanMetrics::default()
         };
-        {
-            let base = self.base.read();
-            if let Some(b) = base.as_ref() {
-                for idx in b.reader.blocks_overlapping(start, end) {
-                    let block = b.cache.get_or_load(&b.reader, idx)?;
-                    for i in block.range(start, end) {
-                        let row = materialize(block.key(i), block.families(i))?;
-                        visit_row(row, filter, &mut out, &mut metrics);
-                    }
+        self.read(start, end, |row| {
+            visit_row(row, filter, &mut out, &mut metrics)
+        })?;
+        Ok((out, metrics))
+    }
+
+    /// Visit the rows in `[start, end)` ∩ this region as [`RowView`]s,
+    /// checksum-verified as a scan verifies them and materialized for no
+    /// one. Returns the rows and cells a scan would count.
+    pub fn visit(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        mut each: impl FnMut(RowView<'_>),
+    ) -> Result<ScanMetrics, StoreError> {
+        let mut metrics = ScanMetrics {
+            regions_visited: 1,
+            ..ScanMetrics::default()
+        };
+        self.walk(start, end, |row| {
+            metrics.rows_scanned += 1;
+            metrics.cells_scanned += row.cells.len() as u64;
+            each(row)
+        })?;
+        metrics.rows_returned = metrics.rows_scanned;
+        Ok(metrics)
+    }
+
+    /// The rows in `[start, end)` materialized: what a get or a scan
+    /// hands out.
+    fn read(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        mut each: impl FnMut(RowResult),
+    ) -> Result<(), StoreError> {
+        self.walk(start, end, |row| each(materialize(row)))
+    }
+
+    /// Walk the rows in `[start, end)` in key order, handing each to
+    /// `each` once every one of its cells passed its checksum; the first
+    /// that does not fails the walk. The one body under every read of
+    /// rows, from a block or from the memstore.
+    fn walk(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        mut each: impl FnMut(RowView<'_>),
+    ) -> Result<(), StoreError> {
+        if let Some(b) = self.base.read().as_ref() {
+            for idx in b.reader.blocks_overlapping(start, end) {
+                let block = b.cache.get_or_load(&b.reader, idx)?;
+                let mut cells = Vec::new();
+                for i in block.range(start, end) {
+                    cells.clear();
+                    cells.extend(block.latest(i).map(|(family, column, value, ts, crc)| {
+                        let version = Version::Block(&block, ts, crc);
+                        Latest {
+                            family,
+                            column,
+                            value,
+                            version,
+                        }
+                    }));
+                    each(verified(block.key(i), &cells, Home::Block(&block))?);
                 }
-                return Ok((out, metrics));
             }
+            return Ok(());
         }
-        let lower = Bound::Included(start);
         let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
         let rows = self.rows.read();
-        for (key, data) in rows.range::<[u8], _>((lower, upper)) {
-            let row = materialize(key.clone(), families_of(data))?;
-            visit_row(row, filter, &mut out, &mut metrics);
+        let mut cells = Vec::new();
+        for (key, data) in rows.range::<[u8], _>((Bound::Included(start), upper)) {
+            cells.clear();
+            for (family, columns) in data {
+                for (column, versions) in columns {
+                    if let Some(latest) = versions.first() {
+                        cells.push(Latest::owned(family, column, latest));
+                    }
+                }
+            }
+            each(verified(key, &cells, Home::Owned(key))?);
         }
-        Ok((out, metrics))
+        Ok(())
     }
 
     /// Test/chaos hook: flip one byte of the latest stored version of a
@@ -485,42 +536,124 @@ fn visit_row(
     }
 }
 
-/// A memstore row as [`crate::segment::Block::families`] hands out a
-/// block's.
-fn families_of(data: &RowData) -> impl Iterator<Item = (&[u8], impl Columns + '_)> {
-    data.iter().map(|(family, cols)| {
-        let columns = cols
-            .iter()
-            .map(|(col, versions)| (col.clone(), versions.iter().cloned()));
-        (family.as_bytes(), columns)
-    })
+/// A stored row as a read walks it: its key and the latest version of
+/// each of its columns, families first, each cell checksum-verified, all
+/// borrowed from the block or the memstore row that holds them.
+pub struct RowView<'a> {
+    pub key: &'a [u8],
+    pub cells: &'a [Latest<'a>],
+    home: Home<'a>,
 }
 
-/// The latest version of every cell of a stored row, checksum-verified:
-/// the one body behind every row a read hands out, from the memstore or
-/// from a block. The result shares the stored key rather than copying it.
-fn materialize<'a>(
-    row: Bytes,
-    families: impl Iterator<Item = (&'a [u8], impl Columns + 'a)>,
-) -> Result<RowResult, StoreError> {
-    let mut result = RowResult::new(row);
-    for (family, columns) in families {
-        let mut out_cols = BTreeMap::new();
-        for (col, mut versions) in columns {
-            if let Some(latest) = versions.next() {
-                if !latest.verify() {
-                    return Err(StoreError::Corruption {
-                        row: String::from_utf8_lossy(&result.row).into_owned(),
-                        column: String::from_utf8_lossy(&col).into_owned(),
-                    });
-                }
-                out_cols.insert(col, latest);
-            }
+/// The latest version of one column of a [`RowView`].
+#[derive(Clone, Copy)]
+pub struct Latest<'a> {
+    pub family: &'a [u8],
+    pub column: &'a [u8],
+    pub value: &'a [u8],
+    version: Version<'a>,
+}
+
+/// Where a [`RowView`]'s key is stored, and a [`Latest`]'s version, so
+/// that a read that hands them out shares the stored bytes.
+#[derive(Clone, Copy)]
+enum Home<'a> {
+    /// A block: the key is a slice of its buffer.
+    Block(&'a Block),
+    /// A memstore row or a materialized one.
+    Owned(&'a Bytes),
+}
+
+#[derive(Clone, Copy)]
+enum Version<'a> {
+    /// A block's cell, its column and value slices of the block's buffer:
+    /// its timestamp and checksum.
+    Block(&'a Block, u64, u32),
+    /// A memstore's or a materialized row's column and latest version.
+    Owned(&'a Bytes, &'a CellVersion),
+}
+
+impl<'a> Latest<'a> {
+    fn owned(family: &'a str, column: &'a Bytes, latest: &'a CellVersion) -> Self {
+        let version = Version::Owned(column, latest);
+        Latest {
+            family: family.as_bytes(),
+            column,
+            value: &latest.value,
+            version,
         }
-        let family = String::from_utf8_lossy(family).into_owned();
-        result.families.insert(family, out_cols);
     }
-    Ok(result)
+
+    fn checksum(&self) -> u32 {
+        match self.version {
+            Version::Block(_, _, checksum) => checksum,
+            Version::Owned(_, latest) => latest.checksum,
+        }
+    }
+
+    /// The column and its version, sharing the stored bytes.
+    fn shared(self) -> (Bytes, CellVersion) {
+        match self.version {
+            Version::Block(block, timestamp, checksum) => {
+                let value = block.cut(self.value);
+                let version = CellVersion {
+                    timestamp,
+                    value,
+                    checksum,
+                };
+                (block.cut(self.column), version)
+            }
+            Version::Owned(column, latest) => (column.clone(), latest.clone()),
+        }
+    }
+}
+
+impl RowResult {
+    /// This row as a walk hands rows out, with its cells in `cells`: one
+    /// parser reads rows walked in place and rows read whole alike.
+    pub fn view<'a, 's>(&'a self, cells: &'s mut Vec<Latest<'a>>) -> RowView<'s> {
+        cells.clear();
+        for (family, columns) in &self.families {
+            cells.extend(columns.iter().map(|(c, v)| Latest::owned(family, c, v)));
+        }
+        RowView {
+            key: &self.row,
+            cells,
+            home: Home::Owned(&self.row),
+        }
+    }
+}
+
+/// `key` and `cells` as a [`RowView`], if every cell passes its checksum;
+/// otherwise the corruption of the first that does not.
+fn verified<'a>(
+    key: &'a [u8],
+    cells: &'a [Latest<'a>],
+    home: Home<'a>,
+) -> Result<RowView<'a>, StoreError> {
+    match cells.iter().find(|c| !intact(c.value, c.checksum())) {
+        Some(bad) => Err(StoreError::Corruption {
+            row: String::from_utf8_lossy(key).into_owned(),
+            column: String::from_utf8_lossy(bad.column).into_owned(),
+        }),
+        None => Ok(RowView { key, cells, home }),
+    }
+}
+
+/// A walked row as a read hands it out, sharing the stored bytes rather
+/// than copying them.
+fn materialize(row: RowView<'_>) -> RowResult {
+    let key = match row.home {
+        Home::Block(block) => block.cut(row.key),
+        Home::Owned(key) => key.clone(),
+    };
+    let mut result = RowResult::new(key);
+    for family in row.cells.chunk_by(|a, b| a.family == b.family) {
+        let columns = family.iter().map(|c| c.shared()).collect();
+        let name = String::from_utf8_lossy(family[0].family).into_owned();
+        result.families.insert(name, columns);
+    }
+    result
 }
 
 #[cfg(test)]

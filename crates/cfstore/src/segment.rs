@@ -429,9 +429,11 @@ impl Block {
         self.rows.is_empty()
     }
 
-    /// The one place a block's field becomes `Bytes`: a slice of its buffer.
-    fn cut(&self, f: Field) -> Bytes {
-        self.buf.slice_ref(at(&self.buf, f))
+    /// The one place a part of a block becomes `Bytes`: a slice of its
+    /// buffer. `part` must lie in the buffer, as every slice the block
+    /// hands out does.
+    pub(crate) fn cut(&self, part: &[u8]) -> Bytes {
+        self.buf.slice_ref(part)
     }
 
     /// The index of the row keyed `key`, if the block holds it.
@@ -448,33 +450,32 @@ impl Block {
     }
 
     /// Row `i`'s key.
-    pub fn key(&self, i: usize) -> Bytes {
-        self.cut(self.rows[i].0)
+    pub fn key(&self, i: usize) -> &[u8] {
+        at(&self.buf, self.rows[i].0)
     }
 
-    /// Row `i`'s families in order, each with its columns.
-    pub fn families(&self, i: usize) -> impl Iterator<Item = (&[u8], impl Columns + '_)> {
+    /// Row `i`'s columns in order, families first, each as the run of its
+    /// versions, newest first.
+    fn columns(&self, i: usize) -> impl Iterator<Item = &[Cell]> {
         let end = self.rows.get(i + 1).map_or(self.cells.len(), |r| r.1);
-        let families = self.cells[self.rows[i].1..end].chunk_by(|a, b| a.family == b.family);
-        families.map(move |family| {
-            let columns = family
-                .chunk_by(|a, b| a.column == b.column)
-                .map(move |cells| {
-                    (
-                        self.cut(cells[0].column),
-                        cells.iter().map(move |c| self.version(c)),
-                    )
-                });
-            (at(&self.buf, family[0].family), columns)
-        })
+        self.cells[self.rows[i].1..end].chunk_by(|a, b| a.column == b.column)
     }
 
-    fn version(&self, c: &Cell) -> CellVersion {
-        CellVersion {
-            timestamp: c.timestamp,
-            checksum: c.checksum,
-            value: self.cut(c.value),
-        }
+    /// The latest version of each of row `i`'s columns, families first:
+    /// its family, column and value as slices of the buffer, its timestamp
+    /// and its write-time checksum.
+    pub fn latest(&self, i: usize) -> impl Iterator<Item = (&[u8], &[u8], &[u8], u64, u32)> {
+        self.columns(i).map(|versions| {
+            let c = &versions[0];
+            let field = |f| at(&self.buf, f);
+            (
+                field(c.family),
+                field(c.column),
+                field(c.value),
+                c.timestamp,
+                c.checksum,
+            )
+        })
     }
 
     /// Every row with every version, as a memstore holds it: a promotion's
@@ -482,30 +483,20 @@ impl Block {
     pub fn rows(&self) -> impl Iterator<Item = (Bytes, RowData)> + '_ {
         (0..self.len()).map(|i| {
             let mut data = RowData::new();
-            for (family, columns) in self.families(i) {
-                let mut cols = BTreeMap::new();
-                for (column, versions) in columns {
-                    cols.insert(column, versions.collect());
-                }
-                data.insert(String::from_utf8_lossy(family).into_owned(), cols);
+            for versions in self.columns(i) {
+                let (family, column) = (at(&self.buf, versions[0].family), versions[0].column);
+                let versions = versions.iter().map(|c| CellVersion {
+                    timestamp: c.timestamp,
+                    checksum: c.checksum,
+                    value: self.cut(at(&self.buf, c.value)),
+                });
+                data.entry(String::from_utf8_lossy(family).into_owned())
+                    .or_default()
+                    .insert(self.cut(at(&self.buf, column)), versions.collect());
             }
-            (self.key(i), data)
+            (self.cut(self.key(i)), data)
         })
     }
-}
-
-/// One family's columns in order, each with its versions newest first:
-/// what a row read of a [`Block`] or of a memstore row walks.
-pub trait Columns: Iterator<Item = (Bytes, Self::Versions)> {
-    type Versions: Iterator<Item = CellVersion>;
-}
-
-impl<I, V> Columns for I
-where
-    I: Iterator<Item = (Bytes, V)>,
-    V: Iterator<Item = CellVersion>,
-{
-    type Versions = V;
 }
 
 fn encode_row(buf: &mut Vec<u8>, key: &Bytes, data: &RowData) {
@@ -770,10 +761,13 @@ mod tests {
             proptest::prop_assert_eq!(block.len(), want.len());
             for (i, (key, data)) in want.iter().enumerate() {
                 proptest::prop_assert_eq!(block.find(key), Some(i));
-                proptest::prop_assert_eq!(&block.key(i), key);
+                proptest::prop_assert_eq!(block.key(i), key.as_ref());
                 let latest: Vec<_> = block
-                    .families(i)
-                    .flat_map(|(f, columns)| columns.map(move |(c, mut vs)| (f.to_vec(), c, vs.next().unwrap())))
+                    .latest(i)
+                    .map(|(f, c, value, timestamp, checksum)| {
+                        let value = block.cut(value);
+                        (f.to_vec(), block.cut(c), CellVersion { timestamp, value, checksum })
+                    })
                     .collect();
                 let verdicts: Vec<bool> = latest.iter().map(|(_, _, v)| v.verify()).collect();
                 let oracle_latest = latest_of_oracle(data);
@@ -789,7 +783,7 @@ mod tests {
                 for end in [Some(&end), None] {
                     let got: Vec<Bytes> = block
                         .range(&start, end.map(|e| e.as_ref()))
-                        .map(|i| block.key(i))
+                        .map(|i| Bytes::copy_from_slice(block.key(i)))
                         .collect();
                     let want_keys: Vec<Bytes> = match end {
                         Some(end) if *end <= start => Vec::new(),

@@ -40,7 +40,7 @@ use crate::kv::{Put, RowResult};
 use crate::recovery::{
     self, inconsistent, io_err, Manifest, ManifestTable, RecoveryError, RecoveryReport,
 };
-use crate::region::{KeyRange, Region, RowData, RunCell, ScanMetrics};
+use crate::region::{KeyRange, Region, RowData, RowView, RunCell, ScanMetrics};
 use crate::segment::{self, SegmentError};
 use crate::wal::{self, CrashSpec, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE};
 
@@ -816,8 +816,31 @@ impl MiniStore {
         scan: &Scan,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
         let regions = self.overlapping(table, scan)?;
-        let cores = obs::cores::try_lend(regions.len().saturating_sub(1));
+        let cores = lend(&regions);
         self.scan_on(&regions, scan, 1 + cores.helpers())
+    }
+
+    /// Visit the rows in `scan`'s key range as [`RowView`]s, borrowed where
+    /// they are stored, checksum-verified and counted as [`Self::scan`]
+    /// verifies and counts them, on the threads it would run on: a scan
+    /// that materializes no row. Each region's rows fold into a
+    /// `T::default()`, and the `T`s come back in key order. The scan's
+    /// filter is not applied.
+    pub fn visit<T: Default + Send>(
+        &self,
+        table: &str,
+        scan: &Scan,
+        fold: impl Fn(&mut T, RowView<'_>) + Sync,
+    ) -> Result<Vec<T>, StoreError> {
+        let regions = self.overlapping(table, scan)?;
+        let cores = lend(&regions);
+        let (start, stop) = (&scan.start, scan.stop.as_deref());
+        let (parts, _) = self.read_regions(&regions, 1 + cores.helpers(), |r| {
+            let mut part = T::default();
+            let metrics = r.visit(start, stop, |row| fold(&mut part, row))?;
+            Ok((part, metrics))
+        })?;
+        Ok(parts)
     }
 
     /// The regions of `table` that `scan`'s key range overlaps, in order.
@@ -839,7 +862,24 @@ impl MiniStore {
         scan: &Scan,
         width: usize,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let partials = scan_regions(regions, scan, width)?;
+        let filter = scan.filter.as_deref();
+        let (start, stop) = (&scan.start, scan.stop.as_deref());
+        let (parts, metrics) =
+            self.read_regions(regions, width, |r| r.scan(start, stop, filter))?;
+        let mut rows: Vec<RowResult> = parts.into_iter().flatten().collect();
+        rows.sort_by(|a, b| a.row.cmp(&b.row));
+        Ok((rows, metrics))
+    }
+
+    /// `read` of each of `regions` on at most `width` threads
+    /// ([`read_in_runs`]), and the read counters of all of them.
+    fn read_regions<R: Send>(
+        &self,
+        regions: &[Arc<Region>],
+        width: usize,
+        read: impl Fn(&Region) -> Result<(R, ScanMetrics), StoreError> + Sync,
+    ) -> Result<(Vec<R>, ScanMetrics), StoreError> {
+        let partials = read_in_runs(regions, width, read)?;
         // Per-region read-amplification counters (rows each region
         // touched vs returned), recorded before the merge flattens the
         // partials. Key formatting is gated so the disabled-registry
@@ -857,20 +897,19 @@ impl MiniStore {
                 );
             }
         }
-        let mut rows = Vec::new();
+        let mut parts = Vec::with_capacity(partials.len());
         let mut metrics = ScanMetrics::default();
-        for (mut part, m) in partials {
-            rows.append(&mut part);
+        for (part, m) in partials {
+            parts.push(part);
             metrics.merge(m);
         }
-        rows.sort_by(|a, b| a.row.cmp(&b.row));
         // Counters are recorded once per scan from the merged metrics, so
         // parallel region scans never contend on the registry mutex.
         obs.incr("cfstore.scans", 1);
         obs.incr("cfstore.rows_scanned", metrics.rows_scanned);
         obs.incr("cfstore.rows_returned", metrics.rows_returned);
         obs.incr("cfstore.cells_verified", metrics.cells_scanned);
-        Ok((rows, metrics))
+        Ok((parts, metrics))
     }
 
     /// The META catalog: one entry per region, keyed like §5.2.2 describes.
@@ -1293,21 +1332,24 @@ impl Default for MiniStore {
     }
 }
 
-/// Scan `regions` in `width` contiguous runs: the caller scans the first
-/// and one scoped thread each of the others, every run its regions in
-/// order, stopping at its first error. The partials come back in region
-/// order, so the first error in region order is the one returned; a
-/// panic resumes on the caller with its own payload.
-fn scan_regions(
+/// This thread's core for a read of `regions`, and one more for each
+/// other region as far as the process's core budget lends them.
+fn lend(regions: &[Arc<Region>]) -> obs::cores::Lease {
+    obs::cores::try_lend(regions.len().saturating_sub(1))
+}
+
+/// `read` each of `regions` in `width` contiguous runs: the caller reads
+/// the first and one scoped thread each of the others, every run its
+/// regions in order, stopping at its first error. The partials come back
+/// in region order, so the first error in region order is the one
+/// returned; a panic resumes on the caller with its own payload.
+fn read_in_runs<R: Send>(
     regions: &[Arc<Region>],
-    scan: &Scan,
     width: usize,
-) -> Result<Vec<(Vec<RowResult>, ScanMetrics)>, StoreError> {
-    let filter = scan.filter.as_deref();
-    let run = |run: &[Arc<Region>]| -> Result<Vec<_>, StoreError> {
-        run.iter()
-            .map(|r| r.scan(&scan.start, scan.stop.as_deref(), filter))
-            .collect()
+    read: impl Fn(&Region) -> Result<R, StoreError> + Sync,
+) -> Result<Vec<R>, StoreError> {
+    let run = |run: &[Arc<Region>]| -> Result<Vec<R>, StoreError> {
+        run.iter().map(|r| read(r)).collect()
     };
     let width = width.clamp(1, regions.len().max(1));
     if width == 1 {
@@ -1683,6 +1725,21 @@ mod tests {
                 proptest::prop_assert_eq!(result, &seen[0].1, "width {} of {}", width, regions);
                 proptest::prop_assert_eq!(counters, &seen[0].2, "width {} of {}", width, regions);
             }
+            // A visit walks what an unfiltered scan returns, with its first
+            // error.
+            let unfiltered = || Scan { filter: None, ..scan() };
+            let flat = |row: RowView<'_>| {
+                let cells = row.cells.iter().map(|c| (c.family.to_vec(), c.column.to_vec(), c.value.to_vec()));
+                (row.key.to_vec(), cells.collect::<Vec<_>>())
+            };
+            let scanned = store.scan("t", &unfiltered()).map(|(rows, _)| {
+                let mut cells = Vec::new();
+                rows.iter().map(|r| flat(r.view(&mut cells))).collect::<Vec<_>>()
+            });
+            let visited = store
+                .visit("t", &unfiltered(), |part: &mut Vec<_>, row| part.push(flat(row)))
+                .map(|parts| parts.concat());
+            proptest::prop_assert_eq!(visited, scanned);
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
         }

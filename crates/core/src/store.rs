@@ -30,6 +30,7 @@
 //! returns.
 
 use std::collections::{BTreeMap, HashMap};
+use std::iter::Peekable;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -39,8 +40,9 @@ use parking_lot::{Mutex, RwLock};
 
 use cfstore::encoding::{decode_f64, decode_f64_vec, encode_f64, encode_f64_vec};
 use cfstore::{
-    MiniStore, Put, RecoveryError, RecoveryReport, ReshardStatus, RowResult, Scan, ScanMetrics,
-    ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError, StoreOptions, Topology,
+    MiniStore, Put, RecoveryError, RecoveryReport, ReshardStatus, RowResult, RowView, Scan,
+    ScanMetrics, ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError, StoreOptions,
+    Topology,
 };
 use mlmatch::{DimPrep, MinMaxNormalizer};
 use profiler::{CostFactors, JobProfile};
@@ -174,6 +176,29 @@ impl Backend {
         match self {
             Backend::Single(s) => s.scan(table, scan),
             Backend::Sharded(s) => s.scan(table, scan),
+        }
+    }
+
+    /// The rows `scan` covers folded into parts, in key order: a
+    /// [`MiniStore`] walks them where they are stored, a part per region
+    /// ([`MiniStore::visit`]); a [`ShardedStore`] scans and merges them,
+    /// and folds them into one part.
+    fn visit<T: Default + Send>(
+        &self,
+        table: &str,
+        scan: &Scan,
+        fold: impl Fn(&mut T, RowView<'_>) + Sync,
+    ) -> Result<Vec<T>, StoreError> {
+        match self {
+            Backend::Single(s) => s.visit(table, scan, fold),
+            Backend::Sharded(s) => {
+                let (rows, _) = s.scan(table, scan)?;
+                let (mut part, mut cells) = (T::default(), Vec::new());
+                for row in &rows {
+                    fold(&mut part, row.view(&mut cells));
+                }
+                Ok(vec![part])
+            }
         }
     }
 
@@ -315,10 +340,7 @@ impl NsCache {
                     // value the job's row had, in the table and so here.
                     let held = match deltas.get(&job_id) {
                         Some(delta) => delta.as_ref().and_then(|r| r.statics.as_ref()),
-                        None => index
-                            .find(&job_id)
-                            .and_then(|r| index.statics_entry(r))
-                            .map(|e| &e.cells),
+                        None => index.find(&job_id).and_then(|r| index.static_cells(r)),
                     };
                     row.statics = Some(overlay_cells(
                         held.map_or(&[], |cells| &cells[..]),
@@ -700,10 +722,12 @@ impl ProfileStore {
         cache.bounds = Some(bounds);
         let written = WrittenRow {
             row: IndexRow {
-                map_dyn,
-                red_dyn,
-                input_bytes: profile.input_bytes,
-                cost,
+                dynamic: Dynamic {
+                    map_dyn: array(&map_dyn),
+                    red_dyn: red_dyn.as_deref().map(array),
+                    input_bytes: profile.input_bytes,
+                },
+                cost: array(&cost),
                 statics: None,
             },
             static_cells,
@@ -815,11 +839,7 @@ impl ProfileStore {
             .scan(TABLE, &Scan::prefix(&self.pfx("Profile")))?;
         let skip = self.skip("Profile");
         rows.iter()
-            .map(|r| {
-                std::str::from_utf8(&r.row[skip..])
-                    .map(str::to_string)
-                    .map_err(|_| ProfileStoreError::Corrupt("non-UTF8 job id".to_string()))
-            })
+            .map(|r| job_id_of(&r.row[skip..]).map(str::to_string))
             .collect()
     }
 
@@ -847,15 +867,19 @@ impl ProfileStore {
         let scan =
             Scan::prefix(&self.pfx("Dynamic")).with_filter(Box::new(cfstore::PredicateFilter {
                 name: "dynamic-feature filter".to_string(),
-                pred: move |row: &RowResult| match DynamicRow::parse(row, skip) {
+                pred: move |row: &RowResult| match DynamicRow::parse(
+                    &row.view(&mut Vec::new()),
+                    skip,
+                ) {
                     Some(d) => predicate(&d),
                     None => false,
                 },
             }));
         let (rows, metrics) = self.backend().scan(TABLE, &scan)?;
+        let mut cells = Vec::new();
         let parsed = rows
             .iter()
-            .filter_map(|r| DynamicRow::parse(r, skip))
+            .filter_map(|r| DynamicRow::parse(&r.view(&mut cells), skip))
             .collect();
         Ok((parsed, metrics))
     }
@@ -868,7 +892,9 @@ impl ProfileStore {
         else {
             return Ok(None);
         };
-        Ok(Some(decode_statics(&static_cells_of(&row))?))
+        let mut cells = Vec::new();
+        let row = row.view(&mut cells);
+        Ok(Some(decode_statics(&copied(family_cells(&row)))?))
     }
 
     /// Fetch a job's cost-factor vector.
@@ -879,7 +905,8 @@ impl ProfileStore {
         else {
             return Ok(None);
         };
-        Ok(Some(decode_cost_factors(&row, job_id)?))
+        let costs = decode_cost_factors(&row.view(&mut Vec::new()), job_id)?;
+        Ok(Some(costs.to_vec()))
     }
 
     /// Fetch the cost factors of every stored job with a single
@@ -889,11 +916,12 @@ impl ProfileStore {
             .backend()
             .scan(TABLE, &Scan::prefix(&self.pfx("CostFactor")))?;
         let skip = self.skip("CostFactor");
+        let mut cells = Vec::new();
         rows.iter()
             .map(|row| {
-                let id = job_id_of(&row.row, skip)?;
-                let v = decode_cost_factors(row, &id)?;
-                Ok((id, v))
+                let id = job_id_of(&row.row[skip..])?;
+                let costs = decode_cost_factors(&row.view(&mut cells), id)?;
+                Ok((id.to_string(), costs.to_vec()))
             })
             .collect()
     }
@@ -949,45 +977,57 @@ impl ProfileStore {
     /// `Static/` and `CostFactor/` rows, touching no cached state: what
     /// [`Self::columnar_index`] does once per open, and the oracle the
     /// maintained index is tested against (it must equal this, `==`).
+    ///
+    /// The rows are parsed where they are stored, as the backend walks
+    /// them, and merge-joined by job id. What does not parse fails the
+    /// build only once every scan has verified its cells, and then in the
+    /// order the rows are read in: the `CostFactor/` rows first, then job
+    /// by job.
     pub fn build_columnar_index(&self) -> Result<ColumnarIndex, ProfileStoreError> {
-        let scan = |feature: &str| {
-            self.backend()
-                .scan(TABLE, &Scan::prefix(&self.pfx(feature)))
-        };
-        let (dyn_rows, _) = scan("Dynamic")?;
-        let (static_rows, _) = scan("Static")?;
-        let skip = self.skip("Static");
-        let static_rows: HashMap<&[u8], &RowResult> =
-            static_rows.iter().map(|r| (&r.row[skip..], r)).collect();
-        let mut costs = self.all_cost_factors()?;
-
-        let skip = self.skip("Dynamic");
-        let mut builder = IndexBuilder::new(dyn_rows.len(), None);
-        for row in &dyn_rows {
-            let parsed = DynamicRow::parse(row, skip).ok_or_else(|| {
-                ProfileStoreError::Corrupt(format!(
-                    "undecodable Dynamic row {}",
-                    String::from_utf8_lossy(&row.row)
-                ))
-            })?;
-            let cost = costs.remove(&parsed.job_id).ok_or_else(|| {
-                ProfileStoreError::Corrupt(format!("no CostFactor row for {}", parsed.job_id))
-            })?;
-            let statics = static_rows
-                .get(parsed.job_id.as_bytes())
-                .map(|row| static_cells_of(row));
-            builder.push(
-                Arc::from(parsed.job_id),
-                &IndexRow {
-                    map_dyn: parsed.map_dyn,
-                    red_dyn: parsed.red_dyn,
-                    input_bytes: parsed.input_bytes,
-                    cost,
-                    statics,
-                },
-            )?;
+        let dynamic = self.parse_rows("Dynamic", parse_dynamic)?;
+        let statics = self.parse_rows("Static", parse_static)?;
+        let mut costs = self.parse_rows("CostFactor", parse_cost)?;
+        if let Some(e) = costs.iter_mut().find_map(|part| part.error.take()) {
+            return Err(e);
+        }
+        let mut costs = costs.iter().flat_map(Part::rows).peekable();
+        let mut statics = statics
+            .iter()
+            .flat_map(|(part, sets)| part.rows().map(|(id, &set)| (id, &sets.sets[set as usize])))
+            .peekable();
+        let empty = Arc::default();
+        let mut builder = IndexBuilder::new(dynamic.iter().map(|p| p.rows.len()).sum(), &empty);
+        for part in dynamic {
+            for (job_id, dynamic) in part.rows() {
+                let cost = joined(&mut costs, job_id).ok_or_else(|| {
+                    ProfileStoreError::Corrupt(format!("no CostFactor row for {job_id}"))
+                })?;
+                let statics = match joined(&mut statics, job_id) {
+                    Some((hash, cells)) => builder.intern(*hash, cells)?,
+                    None => NO_STATICS,
+                };
+                builder.push(Arc::from(job_id), dynamic, cost, statics);
+            }
+            if let Some(e) = part.error {
+                return Err(e);
+            }
         }
         Ok(builder.finish())
+    }
+
+    /// The namespace's `<feature>/` rows, each parsed by `parse` with its
+    /// job id into the part of its region, in key order.
+    fn parse_rows<T: Default + Send>(
+        &self,
+        feature: &str,
+        parse: fn(&mut T, &[u8], &RowView<'_>),
+    ) -> Result<Vec<T>, StoreError> {
+        let skip = self.skip(feature);
+        let fold = |part: &mut T, row: RowView<'_>| {
+            parse(part, row.key.get(skip..).unwrap_or_default(), &row)
+        };
+        self.backend()
+            .visit(TABLE, &Scan::prefix(&self.pfx(feature)), fold)
     }
 
     /// The underlying HBase (diagnostics and benches). Only available
@@ -1196,38 +1236,80 @@ const NO_STATICS: u32 = u32::MAX;
 /// The raw cells of one `Static/` row, `(column, value)` sorted by column:
 /// what static features are interned on. Jobs of one program share them
 /// byte for byte, so a store of many profiles per job decodes — and the
-/// matcher compares — each distinct CFG once.
+/// matcher compares — each distinct CFG once. Copied out of the block or
+/// row they were read from, so an index keeps no block alive.
 type StaticCells = Arc<[(Bytes, Bytes)]>;
 
-#[derive(Debug, PartialEq)]
-struct StaticsEntry {
-    cells: StaticCells,
-    decoded: StoredStatics,
-}
-
+/// Distinct sets of `Static/` cells, numbered in order of first
+/// appearance, each with its [`hash_cells`], and found by it.
 #[derive(Debug, Default, PartialEq)]
-struct StaticsTable {
-    entries: Vec<Arc<StaticsEntry>>,
-    ids: HashMap<StaticCells, u32>,
+struct CellSets {
+    sets: Vec<(u64, StaticCells)>,
+    ids: HashMap<u64, Vec<u32>>,
 }
 
-impl StaticsTable {
-    fn new(entries: Vec<Arc<StaticsEntry>>) -> StaticsTable {
-        let ids = entries
-            .iter()
-            .enumerate()
-            .map(|(id, e)| (e.cells.clone(), id as u32))
-            .collect();
-        StaticsTable { entries, ids }
+impl CellSets {
+    /// The id of the set whose cells are `cells`, which hash to `hash`.
+    fn find<'a>(
+        &self,
+        hash: u64,
+        cells: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
+    ) -> Option<u32> {
+        self.ids.get(&hash)?.iter().copied().find(|&id| {
+            let mut cells = cells.clone();
+            let mut set = self.sets[id as usize].1.iter();
+            set.all(|(c, v)| cells.next() == Some((&c[..], &v[..]))) && cells.next().is_none()
+        })
+    }
+
+    fn push(&mut self, hash: u64, cells: StaticCells) -> u32 {
+        let id = self.sets.len() as u32;
+        self.ids.entry(hash).or_default().push(id);
+        self.sets.push((hash, cells));
+        id
     }
 }
 
-/// The cells of a scanned `Static/` row (a row's columns come sorted).
-fn static_cells_of(row: &RowResult) -> StaticCells {
-    row.columns(FAMILY)
-        .into_iter()
-        .map(|(c, v)| (c.clone(), v.clone()))
-        .collect()
+/// The distinct static features of an index's rows, numbered in order of
+/// first appearance: their cells, and each set decoded.
+#[derive(Debug, Default, PartialEq)]
+struct StaticsTable {
+    cells: CellSets,
+    decoded: Vec<Arc<StoredStatics>>,
+}
+
+/// The `(column, value)` cells of a row's family, in column order.
+fn family_cells<'a>(row: &RowView<'a>) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone {
+    let cells = row.cells.iter().filter(|c| c.family == FAMILY.as_bytes());
+    cells.map(|c| (c.column, c.value))
+}
+
+/// The latest value of a row's `column`.
+fn cell<'a>(row: &RowView<'a>, column: &str) -> Option<&'a [u8]> {
+    family_cells(row).find_map(|(c, v)| (c == column.as_bytes()).then_some(v))
+}
+
+fn copied<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> StaticCells {
+    let copy = |(c, v): (&[u8], &[u8])| (Bytes::copy_from_slice(c), Bytes::copy_from_slice(v));
+    cells.map(copy).collect()
+}
+
+/// A hash of cells for [`CellSets`]: FxHash's word step over each column's
+/// and value's length and bytes, cheap enough to take of every `Static/`
+/// row's CFGs. A full comparison settles every match.
+fn hash_cells<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> u64 {
+    let mut hash = 0u64;
+    let mut add =
+        |word: u64| hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    for part in cells.flat_map(|(c, v)| [c, v]) {
+        add(part.len() as u64);
+        for chunk in part.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            add(u64::from_le_bytes(word));
+        }
+    }
+    hash
 }
 
 /// The cells a `Static/` row holds after a batch wrote `written` over
@@ -1239,99 +1321,215 @@ fn overlay_cells(held: &[(Bytes, Bytes)], written: Vec<(Bytes, Bytes)>) -> Stati
     cells.into_iter().collect()
 }
 
-/// One job's row of the index, decoded: what a scan of its `Dynamic/`,
-/// `CostFactor/` and `Static/` rows yields, and what an acknowledged write
-/// leaves behind as a delta.
+/// The cost factors a row holds, in [`CostFactors::NAMES`] order.
+const COSTS: usize = CostFactors::NAMES.len();
+
+/// The numbers of a job's `Dynamic/` row.
+#[derive(Debug, Default)]
+struct Dynamic {
+    map_dyn: [f64; MAP_DYNAMIC_COLUMNS.len()],
+    red_dyn: Option<[f64; RED_DYNAMIC_COLUMNS.len()]>,
+    input_bytes: f64,
+}
+
+impl Dynamic {
+    /// Decoded in place from the row's cells; `None` if a column the row
+    /// needs is missing or does not decode.
+    fn parse(row: &RowView<'_>) -> Option<Dynamic> {
+        let f64s = |columns: &[&str], out: &mut [f64]| {
+            for (v, c) in out.iter_mut().zip(columns) {
+                *v = decode_f64(cell(row, c)?).ok()?;
+            }
+            Some(())
+        };
+        let mut dynamic = Dynamic::default();
+        let mut flags = [0.0; 2];
+        f64s(&MAP_DYNAMIC_COLUMNS, &mut dynamic.map_dyn)?;
+        f64s(&[HAS_REDUCE_COLUMN, INPUT_BYTES_COLUMN], &mut flags)?;
+        if flags[0] > 0.5 {
+            let red = dynamic.red_dyn.insert([0.0; RED_DYNAMIC_COLUMNS.len()]);
+            f64s(&RED_DYNAMIC_COLUMNS, red)?;
+        }
+        dynamic.input_bytes = flags[1];
+        Some(dynamic)
+    }
+}
+
+/// The first `N` of `values`, zero-padded: the columns a put writes of
+/// them, by `zip`.
+fn array<const N: usize>(values: &[f64]) -> [f64; N] {
+    let mut out = [0.0; N];
+    out.iter_mut().zip(values).for_each(|(o, v)| *o = *v);
+    out
+}
+
+/// One job's row of the index as an acknowledged write leaves it behind
+/// as a delta.
 #[derive(Debug)]
 struct IndexRow {
-    map_dyn: Vec<f64>,
-    red_dyn: Option<Vec<f64>>,
-    input_bytes: f64,
-    cost: Vec<f64>,
+    dynamic: Dynamic,
+    cost: [f64; COSTS],
     /// The job's `Static/` cells, if it has the row.
     statics: Option<StaticCells>,
+}
+
+/// One region's rows of one feature prefix, parsed where they are stored:
+/// the rows' job ids one after another, where each ends, and what the
+/// index takes from each row. Parsing stops at the first row that does
+/// not parse, and its error waits until every scan has verified its cells.
+#[derive(Default)]
+struct Part<T> {
+    ids: String,
+    ends: Vec<usize>,
+    rows: Vec<T>,
+    error: Option<ProfileStoreError>,
+}
+
+impl<T> Part<T> {
+    fn push(&mut self, parsed: Result<(&str, T), ProfileStoreError>) {
+        match parsed {
+            _ if self.error.is_some() => {}
+            Ok((id, row)) => {
+                self.ids.push_str(id);
+                self.ends.push(self.ids.len());
+                self.rows.push(row);
+            }
+            Err(e) => self.error = Some(e),
+        }
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (&str, &T)> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let ids = starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.ids[start..end]);
+        ids.zip(&self.rows)
+    }
+}
+
+fn parse_dynamic(part: &mut Part<Dynamic>, id: &[u8], row: &RowView<'_>) {
+    let parsed = std::str::from_utf8(id).ok().zip(Dynamic::parse(row));
+    part.push(parsed.ok_or_else(|| {
+        let key = String::from_utf8_lossy(row.key);
+        ProfileStoreError::Corrupt(format!("undecodable Dynamic row {key}"))
+    }));
+}
+
+fn parse_cost(part: &mut Part<[f64; COSTS]>, id: &[u8], row: &RowView<'_>) {
+    part.push(job_id_of(id).and_then(|id| Ok((id, decode_cost_factors(row, id)?))));
+}
+
+/// A `Static/` row's set of cells: copied out only if the part has not
+/// met the set before. A row whose job id is not UTF-8 has no `Dynamic/`
+/// row to join, and is left out.
+fn parse_static((part, sets): &mut (Part<u32>, CellSets), id: &[u8], row: &RowView<'_>) {
+    let Ok(id) = std::str::from_utf8(id) else {
+        return;
+    };
+    let cells = family_cells(row);
+    let hash = hash_cells(cells.clone());
+    let set = match sets.find(hash, cells.clone()) {
+        Some(set) => set,
+        None => sets.push(hash, copied(cells)),
+    };
+    part.push(Ok((id, set)));
+}
+
+/// The row of `job_id` in `rows`, sorted by job id, skipping the rows
+/// before it: one step of a merge-join by job id.
+fn joined<'a, T>(
+    rows: &mut Peekable<impl Iterator<Item = (&'a str, T)>>,
+    job_id: &str,
+) -> Option<T> {
+    while rows.next_if(|(id, _)| *id < job_id).is_some() {}
+    rows.next_if(|(id, _)| *id == job_id).map(|(_, row)| row)
 }
 
 /// Appends rows in key order — decoded ones, or runs of an existing
 /// index's rows — renumbering static features by first appearance.
 struct IndexBuilder<'a> {
     out: ColumnarIndex,
-    /// The table of the index rows are copied from.
-    base: Option<&'a Arc<StaticsTable>>,
-    /// `base` id → id in `entries`, [`NO_STATICS`] until first carried.
+    /// The table of the index rows are copied from (empty for a build).
+    base: &'a Arc<StaticsTable>,
+    /// `base` id → id in `table`, [`NO_STATICS`] until first carried.
     remap: Vec<u32>,
-    entries: Vec<Arc<StaticsEntry>>,
-    /// Ids of the entries that `base` does not hold.
-    fresh: HashMap<StaticCells, u32>,
+    table: StaticsTable,
+    /// Whether `table` holds a set that `base` does not.
+    fresh: bool,
 }
 
 impl<'a> IndexBuilder<'a> {
-    fn new(rows: usize, base: Option<&'a Arc<StaticsTable>>) -> Self {
+    fn new(rows: usize, base: &'a Arc<StaticsTable>) -> Self {
         IndexBuilder {
             out: ColumnarIndex {
                 job_ids: Vec::with_capacity(rows),
                 map_dyn: Vec::with_capacity(rows * MAP_DYNAMIC_COLUMNS.len()),
                 red_dyn: Vec::with_capacity(rows * RED_DYNAMIC_COLUMNS.len()),
                 has_reduce: Vec::with_capacity(rows),
-                cost: Vec::with_capacity(rows * CostFactors::names().len()),
+                cost: Vec::with_capacity(rows * COSTS),
                 input_bytes: Vec::with_capacity(rows),
                 statics_id: Vec::with_capacity(rows),
                 ..ColumnarIndex::default()
             },
             base,
-            remap: vec![NO_STATICS; base.map_or(0, |b| b.entries.len())],
-            entries: Vec::new(),
-            fresh: HashMap::new(),
+            remap: vec![NO_STATICS; base.decoded.len()],
+            table: StaticsTable::default(),
+            fresh: false,
         }
     }
 
-    /// The new id of `base`'s entry `old`.
+    /// The new id of `base`'s set `old`.
     fn carry(&mut self, old: u32) -> u32 {
         let slot = &mut self.remap[old as usize];
         if *slot == NO_STATICS {
-            let base = self.base.expect("an id to carry comes from a base table");
-            *slot = self.entries.len() as u32;
-            self.entries.push(Arc::clone(&base.entries[old as usize]));
+            let (hash, cells) = &self.base.cells.sets[old as usize];
+            *slot = self.table.cells.push(*hash, Arc::clone(cells));
+            self.table
+                .decoded
+                .push(Arc::clone(&self.base.decoded[old as usize]));
         }
         *slot
     }
 
-    /// The id of `cells`, decoding them if no row so far carried them:
-    /// one decode per distinct set of cells, however many jobs share it.
-    fn intern(&mut self, cells: &StaticCells) -> Result<u32, ProfileStoreError> {
-        if let Some(&old) = self.base.and_then(|b| b.ids.get(cells)) {
-            return Ok(self.carry(old));
-        }
-        if let Some(&id) = self.fresh.get(cells) {
+    /// The id of `cells`, which hash to `hash`, decoding them if no row so
+    /// far carried them: one decode per distinct set, however many jobs
+    /// share it.
+    fn intern(&mut self, hash: u64, cells: &StaticCells) -> Result<u32, ProfileStoreError> {
+        let borrowed = || cells.iter().map(|(c, v)| (&c[..], &v[..]));
+        if let Some(id) = self.table.cells.find(hash, borrowed()) {
             return Ok(id);
         }
-        let id = self.entries.len() as u32;
-        self.entries.push(Arc::new(StaticsEntry {
-            cells: Arc::clone(cells),
-            decoded: decode_statics(cells)?,
-        }));
-        self.fresh.insert(Arc::clone(cells), id);
-        Ok(id)
+        if let Some(old) = self.base.cells.find(hash, borrowed()) {
+            return Ok(self.carry(old));
+        }
+        let decoded = Arc::new(decode_statics(cells)?);
+        self.fresh = true;
+        self.table.decoded.push(decoded);
+        Ok(self.table.cells.push(hash, Arc::clone(cells)))
     }
 
-    fn push(&mut self, job_id: Arc<str>, row: &IndexRow) -> Result<(), ProfileStoreError> {
-        let id = match &row.statics {
-            Some(cells) => self.intern(cells)?,
-            None => NO_STATICS,
-        };
+    fn push(&mut self, job_id: Arc<str>, dynamic: &Dynamic, cost: &[f64], statics: u32) {
         let out = &mut self.out;
         out.job_ids.push(job_id);
-        out.map_dyn.extend_from_slice(&row.map_dyn);
-        match &row.red_dyn {
-            Some(red) => out.red_dyn.extend_from_slice(red),
-            None => out
-                .red_dyn
-                .extend(std::iter::repeat_n(0.0, RED_DYNAMIC_COLUMNS.len())),
-        }
-        out.has_reduce.push(row.red_dyn.is_some());
-        out.cost.extend_from_slice(&row.cost);
-        out.input_bytes.push(row.input_bytes);
-        out.statics_id.push(id);
+        out.map_dyn.extend_from_slice(&dynamic.map_dyn);
+        let red = dynamic.red_dyn.unwrap_or_default();
+        out.red_dyn.extend_from_slice(&red);
+        out.has_reduce.push(dynamic.red_dyn.is_some());
+        out.cost.extend_from_slice(cost);
+        out.input_bytes.push(dynamic.input_bytes);
+        out.statics_id.push(statics);
+    }
+
+    /// Append a delta's row, interning its statics.
+    fn push_row(&mut self, job_id: Arc<str>, row: &IndexRow) -> Result<(), ProfileStoreError> {
+        let statics = match &row.statics {
+            Some(cells) => {
+                let hash = hash_cells(cells.iter().map(|(c, v)| (&c[..], &v[..])));
+                self.intern(hash, cells)?
+            }
+            None => NO_STATICS,
+        };
+        self.push(job_id, &row.dynamic, &row.cost, statics);
         Ok(())
     }
 
@@ -1354,8 +1552,7 @@ impl<'a> IndexBuilder<'a> {
             .extend_from_slice(&from.red_dyn[span(RED_DYNAMIC_COLUMNS.len())]);
         out.has_reduce
             .extend_from_slice(&from.has_reduce[rows.clone()]);
-        out.cost
-            .extend_from_slice(&from.cost[span(CostFactors::names().len())]);
+        out.cost.extend_from_slice(&from.cost[span(COSTS)]);
         out.input_bytes.extend_from_slice(&from.input_bytes[rows]);
     }
 
@@ -1366,11 +1563,11 @@ impl<'a> IndexBuilder<'a> {
         out.red_lanes = LaneMatrix::from_row_major(&out.red_dyn, RED_DYNAMIC_COLUMNS.len(), n);
         // The usual merge changes rows, not the set or order of distinct
         // statics: keep the table, and its hash map, as they are.
-        let unchanged =
-            self.fresh.is_empty() && self.remap.iter().enumerate().all(|(i, &id)| id == i as u32);
-        out.statics = match self.base {
-            Some(base) if unchanged => Arc::clone(base),
-            _ => Arc::new(StaticsTable::new(self.entries)),
+        let unchanged = !self.fresh && self.remap.iter().enumerate().all(|(i, &id)| id == i as u32);
+        out.statics = if unchanged {
+            Arc::clone(self.base)
+        } else {
+            Arc::new(self.table)
         };
         out
     }
@@ -1402,7 +1599,7 @@ impl ColumnarIndex {
         &self,
         pending: &BTreeMap<Arc<str>, Option<IndexRow>>,
     ) -> Result<ColumnarIndex, ProfileStoreError> {
-        let mut builder = IndexBuilder::new(self.len() + pending.len(), Some(&self.statics));
+        let mut builder = IndexBuilder::new(self.len() + pending.len(), &self.statics);
         let mut next = 0;
         for (job_id, delta) in pending {
             let at = next + self.job_ids[next..].partition_point(|j| j < job_id);
@@ -1410,7 +1607,7 @@ impl ColumnarIndex {
             // The job's old row, if it had one, is replaced or dropped.
             next = at + usize::from(self.job_ids.get(at) == Some(job_id));
             if let Some(row) = delta {
-                builder.push(Arc::clone(job_id), row)?;
+                builder.push_row(Arc::clone(job_id), row)?;
             }
         }
         builder.copy_rows(self, next..self.len());
@@ -1422,11 +1619,11 @@ impl ColumnarIndex {
         self.job_ids.binary_search_by(|j| (**j).cmp(job_id)).ok()
     }
 
-    fn statics_entry(&self, row: usize) -> Option<&StaticsEntry> {
-        self.statics
-            .entries
-            .get(self.statics_id[row] as usize)
-            .map(Arc::as_ref)
+    /// The `Static/` cells of the row's job, if it has the row.
+    fn static_cells(&self, row: usize) -> Option<&StaticCells> {
+        let sets = &self.statics.cells.sets;
+        sets.get(self.statics_id[row] as usize)
+            .map(|(_, cells)| cells)
     }
 
     pub fn len(&self) -> usize {
@@ -1465,7 +1662,8 @@ impl ColumnarIndex {
     }
 
     pub fn statics(&self, row: usize) -> Option<&StoredStatics> {
-        self.statics_entry(row).map(|e| &e.decoded)
+        let decoded = &self.statics.decoded;
+        decoded.get(self.statics_id[row] as usize).map(Arc::as_ref)
     }
 
     /// Which of the [`Self::distinct_statics`] static-feature sets the
@@ -1480,7 +1678,7 @@ impl ColumnarIndex {
     /// How many distinct static-feature sets the rows carry; every
     /// [`Self::statics_id`] is below it.
     pub fn distinct_statics(&self) -> usize {
-        self.statics.entries.len()
+        self.statics.decoded.len()
     }
 
     /// Stage-1 sweep over the map-side dynamic features: rows whose
@@ -1535,10 +1733,8 @@ impl ColumnarIndex {
     }
 }
 
-fn job_id_of(row_key: &[u8], skip: usize) -> Result<String, ProfileStoreError> {
-    std::str::from_utf8(&row_key[skip..])
-        .map(str::to_string)
-        .map_err(|_| ProfileStoreError::Corrupt("non-UTF8 job id".to_string()))
+fn job_id_of(id: &[u8]) -> Result<&str, ProfileStoreError> {
+    std::str::from_utf8(id).map_err(|_| ProfileStoreError::Corrupt("non-UTF8 job id".to_string()))
 }
 
 /// Decode a `Static/` row from its cells (sorted by column).
@@ -1592,15 +1788,15 @@ fn decode_statics(cells: &[(Bytes, Bytes)]) -> Result<StoredStatics, ProfileStor
     })
 }
 
-fn decode_cost_factors(row: &RowResult, job_id: &str) -> Result<Vec<f64>, ProfileStoreError> {
-    let mut v = Vec::with_capacity(CostFactors::names().len());
-    for name in CostFactors::names() {
-        let bytes = row.value(FAMILY, name.as_bytes()).ok_or_else(|| {
+fn decode_cost_factors(row: &RowView<'_>, job_id: &str) -> Result<[f64; COSTS], ProfileStoreError> {
+    let mut costs = [0.0; COSTS];
+    for (v, name) in costs.iter_mut().zip(CostFactors::NAMES) {
+        let bytes = cell(row, name).ok_or_else(|| {
             ProfileStoreError::Corrupt(format!("CostFactor/{job_id} missing {name}"))
         })?;
-        v.push(decode_f64(bytes)?);
+        *v = decode_f64(bytes)?;
     }
-    Ok(v)
+    Ok(costs)
 }
 
 /// A decoded `Dynamic/` row as seen by pushdown predicates.
@@ -1615,28 +1811,14 @@ pub struct DynamicRow {
 impl DynamicRow {
     /// `skip` is the namespace + `Dynamic/` prefix length of the view
     /// that scanned the row ([`ProfileStore::skip`]).
-    fn parse(row: &RowResult, skip: usize) -> Option<DynamicRow> {
-        let job_id = std::str::from_utf8(row.row.get(skip..)?).ok()?;
-        let mut map_dyn = Vec::with_capacity(MAP_DYNAMIC_COLUMNS.len());
-        for c in MAP_DYNAMIC_COLUMNS {
-            map_dyn.push(decode_f64(row.value(FAMILY, c.as_bytes())?).ok()?);
-        }
-        let has_reduce = decode_f64(row.value(FAMILY, HAS_REDUCE_COLUMN.as_bytes())?).ok()? > 0.5;
-        let red_dyn = if has_reduce {
-            let mut v = Vec::with_capacity(RED_DYNAMIC_COLUMNS.len());
-            for c in RED_DYNAMIC_COLUMNS {
-                v.push(decode_f64(row.value(FAMILY, c.as_bytes())?).ok()?);
-            }
-            Some(v)
-        } else {
-            None
-        };
-        let input_bytes = decode_f64(row.value(FAMILY, INPUT_BYTES_COLUMN.as_bytes())?).ok()?;
+    fn parse(row: &RowView<'_>, skip: usize) -> Option<DynamicRow> {
+        let job_id = std::str::from_utf8(row.key.get(skip..)?).ok()?;
+        let dynamic = Dynamic::parse(row)?;
         Some(DynamicRow {
             job_id: job_id.to_string(),
-            map_dyn,
-            red_dyn,
-            input_bytes,
+            map_dyn: dynamic.map_dyn.to_vec(),
+            red_dyn: dynamic.red_dyn.map(|red| red.to_vec()),
+            input_bytes: dynamic.input_bytes,
         })
     }
 }

@@ -42,17 +42,20 @@ impl CostFactors {
     }
 
     /// Names matching [`CostFactors::as_vec`] order.
+    pub const NAMES: [&'static str; 8] = [
+        "READ_HDFS_IO_COST",
+        "WRITE_HDFS_IO_COST",
+        "READ_LOCAL_IO_COST",
+        "WRITE_LOCAL_IO_COST",
+        "NETWORK_COST",
+        "MAP_CPU_COST",
+        "REDUCE_CPU_COST",
+        "COMBINE_CPU_COST",
+    ];
+
+    /// [`Self::NAMES`] as a slice.
     pub fn names() -> &'static [&'static str] {
-        &[
-            "READ_HDFS_IO_COST",
-            "WRITE_HDFS_IO_COST",
-            "READ_LOCAL_IO_COST",
-            "WRITE_LOCAL_IO_COST",
-            "NETWORK_COST",
-            "MAP_CPU_COST",
-            "REDUCE_CPU_COST",
-            "COMBINE_CPU_COST",
-        ]
+        &Self::NAMES
     }
 }
 
