@@ -1033,6 +1033,10 @@ impl ProfileStore {
     /// The underlying HBase (diagnostics and benches). Only available
     /// on single-store backends; sharded stores have no single inner
     /// [`MiniStore`] — use [`Self::sharded`] instead.
+    ///
+    /// # Panics
+    ///
+    /// On a sharded backend.
     pub fn inner(&self) -> &MiniStore {
         match self.backend() {
             Backend::Single(s) => s,
@@ -1864,8 +1868,11 @@ fn f64_put(row: Bytes, column: &str, v: f64) -> Put {
 }
 
 impl Default for ProfileStore {
+    /// An empty in-memory store, as [`Self::new`] makes it.
     fn default() -> Self {
-        Self::new().expect("fresh store")
+        // `new` fails only if creating its one table fails, and a new
+        // in-memory store has no table to collide with and no log to fail.
+        Self::new().expect("a new in-memory store creates its one table")
     }
 }
 

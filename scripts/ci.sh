@@ -182,6 +182,27 @@ if [ "$(printf '%s\n' "$cuts" | grep -c . || true)" -ne 1 ] ||
   exit 1
 fi
 
+# The index is built from the stored cells (DESIGN.md §33): a reopen parses
+# the `Dynamic/`, `Static/` and `CostFactor/` rows where the backend walks
+# them, so the non-test `build_columnar_index` neither scans nor names a
+# `RowResult`; and a region's rows are read by one walk, whose rows a get
+# or a scan hands out through the one call of `materialize`. The profile
+# store's panic sites are counted as cfstore's are: `inner()` on a sharded
+# backend (its documented contract), `Default`'s new in-memory store (a
+# named invariant) and the `put_profile` doc example's `unwrap()`.
+step "source gate (the index is built from the stored cells, rows read by one walk)"
+build_body=$(nontest crates/core/src/store.rs | awk '/: +pub fn build_columnar_index\(/ { on = 1 } on { print } on && /:     }$/ { exit }')
+if [ -z "$build_body" ] || printf '%s\n' "$build_body" | grep -E '\.scan\(|RowResult'; then
+  echo "core/store.rs must have a fn build_columnar_index that calls no .scan( and names no RowResult"; exit 1
+fi
+if [ "$(nontest crates/cfstore/src/region.rs | grep -F 'materialize(' | grep -vcF 'fn materialize(' || true)" -ne 1 ]; then
+  echo "region.rs must call materialize( at exactly one site"; exit 1
+fi
+core_panics=$(nontest crates/core/src/store.rs | grep -cE 'expect\(|unwrap\(\)|panic!|unreachable!' || true)
+if [ "$core_panics" -gt 3 ]; then
+  echo "core/store.rs panic sites: $core_panics (max 3)"; exit 1
+fi
+
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live
 # `Table`/`Region` objects by one piece of code, whether a write just
 # logged it, a sharded batch did, or a reopen found it. No shadow region
