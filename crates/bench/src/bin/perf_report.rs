@@ -423,6 +423,11 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
 /// benchmark's `bigstore_reads`. The reopen scans every `Dynamic/`,
 /// `Static/` and `CostFactor/` row into the columnar index.
 ///
+/// `store_index_build/4000_profiles` is `build_columnar_index` on the same
+/// store reopened at a cache that holds every block the build reads, once
+/// they are cached: the part of a reopen that is neither recovery nor
+/// block fills (DESIGN.md §33).
+///
 /// `store_put/reopened_4000` is `put_profile` of profiles the store has
 /// not seen, on the store reopened at the default cache — the shape of
 /// the benchmark's `churn_durable` ingest. A put writes ≈ 30 cells in five
@@ -452,6 +457,22 @@ fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
         &samples,
         size as f64,
     ));
+
+    let warm = StoreOptions {
+        block_cache_bytes: 1 << 30,
+        ..StoreOptions::default()
+    };
+    let (store, _) = ProfileStore::reopen_with_opts(&dir, warm).unwrap();
+    let build = || drop(std::hint::black_box(store.build_columnar_index().unwrap()));
+    let samples = sample_ns(build, 10, 200);
+    entries.push(Entry::new(
+        "store_index_build",
+        "4000_profiles",
+        size,
+        &samples,
+        size as f64,
+    ));
+    drop(store);
 
     let (store, _) = ProfileStore::reopen(&dir).unwrap();
     // One more than the most `sample_ns` takes: its warm-up call.
@@ -1143,8 +1164,9 @@ fn main() {
     );
     println!("lazy reopen read {reopen_blocks_read} of {reopen_blocks} segment blocks");
     println!(
-        "reopen of 4000 profiles at a 1 MiB cache: {:.1} ms, then put_profile {:.1} us; crc32: {:.2} GB/s",
+        "reopen of 4000 profiles at a 1 MiB cache: {:.1} ms (index build on a warm cache {:.1} ms), then put_profile {:.1} us; crc32: {:.2} GB/s",
         find(&entries, "store_reopen", "4000_profiles", 4000) / 1e6,
+        find(&entries, "store_index_build", "4000_profiles", 4000) / 1e6,
         find(&entries, "store_put", "reopened_4000", 4000) / 1e3,
         entry(&entries, "crc32", "64KiB", 0).candidates_per_sec / 1e9
     );
