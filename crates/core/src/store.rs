@@ -991,9 +991,13 @@ impl ProfileStore {
             return Err(e);
         }
         let mut costs = costs.iter().flat_map(Part::rows).peekable();
-        let mut statics = statics
+        // A part's set is interned once: its id in the index, by part.
+        let mut ids: Vec<Vec<u32>> = statics
             .iter()
-            .flat_map(|(part, sets)| part.rows().map(|(id, &set)| (id, &sets.sets[set as usize])))
+            .map(|(_, sets)| vec![NO_STATICS; sets.sets.len()])
+            .collect();
+        let mut rows = (statics.iter().enumerate())
+            .flat_map(|(p, (part, _))| part.rows().map(move |(id, &set)| (id, (p, set as usize))))
             .peekable();
         let empty = Arc::default();
         let mut builder = IndexBuilder::new(dynamic.iter().map(|p| p.rows.len()).sum(), &empty);
@@ -1002,8 +1006,13 @@ impl ProfileStore {
                 let cost = joined(&mut costs, job_id).ok_or_else(|| {
                     ProfileStoreError::Corrupt(format!("no CostFactor row for {job_id}"))
                 })?;
-                let statics = match joined(&mut statics, job_id) {
-                    Some((hash, cells)) => builder.intern(*hash, cells)?,
+                let statics = match joined(&mut rows, job_id) {
+                    Some((p, set)) if ids[p][set] == NO_STATICS => {
+                        let (hash, cells) = &statics[p].1.sets[set];
+                        ids[p][set] = builder.intern(*hash, cells)?;
+                        ids[p][set]
+                    }
+                    Some((p, set)) => ids[p][set],
                     None => NO_STATICS,
                 };
                 builder.push(Arc::from(job_id), dynamic, cost, statics);
@@ -1259,11 +1268,16 @@ impl CellSets {
         hash: u64,
         cells: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
     ) -> Option<u32> {
-        self.ids.get(&hash)?.iter().copied().find(|&id| {
-            let mut cells = cells.clone();
-            let mut set = self.sets[id as usize].1.iter();
-            set.all(|(c, v)| cells.next() == Some((&c[..], &v[..]))) && cells.next().is_none()
-        })
+        let ids = self.ids.get(&hash)?;
+        ids.iter()
+            .copied()
+            .find(|&id| self.holds(id, cells.clone()))
+    }
+
+    /// Whether set `id`'s cells are `cells`.
+    fn holds<'a>(&self, id: u32, mut cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> bool {
+        let mut set = self.sets[id as usize].1.iter();
+        set.all(|(c, v)| cells.next() == Some((&c[..], &v[..]))) && cells.next().is_none()
     }
 
     fn push(&mut self, hash: u64, cells: StaticCells) -> u32 {
@@ -1431,10 +1445,21 @@ fn parse_static((part, sets): &mut (Part<u32>, CellSets), id: &[u8], row: &RowVi
         return;
     };
     let cells = family_cells(row);
-    let hash = hash_cells(cells.clone());
-    let set = match sets.find(hash, cells.clone()) {
-        Some(set) => set,
-        None => sets.push(hash, copied(cells)),
+    // The jobs of one program mostly lie together: try the last row's set
+    // before hashing.
+    let last = part
+        .rows
+        .last()
+        .filter(|&&set| sets.holds(set, cells.clone()));
+    let set = match last {
+        Some(&set) => set,
+        None => {
+            let hash = hash_cells(cells.clone());
+            match sets.find(hash, cells.clone()) {
+                Some(set) => set,
+                None => sets.push(hash, copied(cells)),
+            }
+        }
     };
     part.push(Ok((id, set)));
 }

@@ -17,7 +17,7 @@
 //! 22 300) and 8 367 690 bytes peak (ceiling 9 200 000). The build that
 //! parses the rows where they are stored (DESIGN.md §33) makes no
 //! `RowResult`, no `String` per job id and no `Vec` per row, and its index
-//! holds no block buffer alive: 3 115 allocations and 2 330 458 bytes peak,
+//! holds no block buffer alive: 3 122 allocations and 2 330 639 bytes peak,
 //! re-pinned with the same headroom.
 
 use std::path::PathBuf;
