@@ -30,6 +30,7 @@
 //! returns.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::iter::Peekable;
 use std::ops::Range;
 use std::path::Path;
@@ -1312,22 +1313,11 @@ fn copied<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> StaticCells 
     cells.map(copy).collect()
 }
 
-/// A hash of cells for [`CellSets`]: FxHash's word step over each column's
-/// and value's length and bytes, cheap enough to take of every `Static/`
-/// row's CFGs. A full comparison settles every match.
+/// A hash of cells for [`CellSets`].
 fn hash_cells<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> u64 {
-    let mut hash = 0u64;
-    let mut add =
-        |word: u64| hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    for part in cells.flat_map(|(c, v)| [c, v]) {
-        add(part.len() as u64);
-        for chunk in part.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            add(u64::from_le_bytes(word));
-        }
-    }
-    hash
+    let mut hasher = std::hash::DefaultHasher::new();
+    cells.for_each(|cell| cell.hash(&mut hasher));
+    hasher.finish()
 }
 
 /// The cells a `Static/` row holds after a batch wrote `written` over
