@@ -454,18 +454,18 @@ impl Block {
         at(&self.buf, self.rows[i].0)
     }
 
-    /// Row `i`'s columns in order, families first, each as the run of its
-    /// versions, newest first.
-    fn columns(&self, i: usize) -> impl Iterator<Item = &[Cell]> {
+    /// Row `i`'s cell versions in block order.
+    fn cells_of(&self, i: usize) -> &[Cell] {
         let end = self.rows.get(i + 1).map_or(self.cells.len(), |r| r.1);
-        self.cells[self.rows[i].1..end].chunk_by(|a, b| a.column == b.column)
+        &self.cells[self.rows[i].1..end]
     }
 
     /// The latest version of each of row `i`'s columns, families first:
     /// its family, column and value as slices of the buffer, its timestamp
     /// and its write-time checksum.
     pub fn latest(&self, i: usize) -> impl Iterator<Item = (&[u8], &[u8], &[u8], u64, u32)> {
-        self.columns(i).map(|versions| {
+        let columns = self.cells_of(i).chunk_by(|a, b| a.column == b.column);
+        columns.map(|versions| {
             let c = &versions[0];
             let field = |f| at(&self.buf, f);
             (
@@ -481,18 +481,23 @@ impl Block {
     /// Every row with every version, as a memstore holds it: a promotion's
     /// rows, and [`read_segment`]'s.
     pub fn rows(&self) -> impl Iterator<Item = (Bytes, RowData)> + '_ {
-        (0..self.len()).map(|i| {
+        let cut = |f| self.cut(at(&self.buf, f));
+        (0..self.len()).map(move |i| {
             let mut data = RowData::new();
-            for versions in self.columns(i) {
-                let (family, column) = (at(&self.buf, versions[0].family), versions[0].column);
-                let versions = versions.iter().map(|c| CellVersion {
-                    timestamp: c.timestamp,
-                    checksum: c.checksum,
-                    value: self.cut(at(&self.buf, c.value)),
-                });
-                data.entry(String::from_utf8_lossy(family).into_owned())
-                    .or_default()
-                    .insert(self.cut(at(&self.buf, column)), versions.collect());
+            for family in self.cells_of(i).chunk_by(|a, b| a.family == b.family) {
+                let columns = family
+                    .chunk_by(|a, b| a.column == b.column)
+                    .map(|versions| {
+                        let column = cut(versions[0].column);
+                        let versions = versions.iter().map(|c| CellVersion {
+                            timestamp: c.timestamp,
+                            checksum: c.checksum,
+                            value: cut(c.value),
+                        });
+                        (column, versions.collect())
+                    });
+                let name = String::from_utf8_lossy(at(&self.buf, family[0].family));
+                data.insert(name.into_owned(), columns.collect());
             }
             (self.cut(self.key(i)), data)
         })

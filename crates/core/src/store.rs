@@ -30,11 +30,11 @@
 //! returns.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::iter::Peekable;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -1313,9 +1313,11 @@ fn copied<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> StaticCells 
     cells.map(copy).collect()
 }
 
-/// A hash of cells for [`CellSets`].
+/// A hash of cells for [`CellSets`], keyed once per process so that cells
+/// a job's code determines cannot be made to collide.
 fn hash_cells<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> u64 {
-    let mut hasher = std::hash::DefaultHasher::new();
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    let mut hasher = KEYS.get_or_init(RandomState::new).build_hasher();
     cells.for_each(|cell| cell.hash(&mut hasher));
     hasher.finish()
 }
