@@ -997,7 +997,8 @@ impl ProfileStore {
             .iter()
             .map(|(_, sets)| vec![NO_STATICS; sets.sets.len()])
             .collect();
-        let mut rows = (statics.iter().enumerate())
+        let by_part = statics.iter().enumerate();
+        let mut static_rows = by_part
             .flat_map(|(p, (part, _))| part.rows().map(move |(id, &set)| (id, (p, set as usize))))
             .peekable();
         let empty = Arc::default();
@@ -1007,7 +1008,7 @@ impl ProfileStore {
                 let cost = joined(&mut costs, job_id).ok_or_else(|| {
                     ProfileStoreError::Corrupt(format!("no CostFactor row for {job_id}"))
                 })?;
-                let statics = match joined(&mut rows, job_id) {
+                let statics = match joined(&mut static_rows, job_id) {
                     Some((p, set)) if ids[p][set] == NO_STATICS => {
                         let (hash, cells) = &statics[p].1.sets[set];
                         ids[p][set] = builder.intern(*hash, cells)?;

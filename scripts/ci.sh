@@ -191,7 +191,10 @@ fi
 # backend (its documented contract), `Default`'s new in-memory store (a
 # named invariant) and the `put_profile` doc example's `unwrap()`.
 step "source gate (the index is built from the stored cells, rows read by one walk)"
-build_body=$(nontest crates/core/src/store.rs | awk '/: +pub fn build_columnar_index\(/ { on = 1 } on { print } on && /:     }$/ { exit }')
+# (awk reads to the end: store.rs outgrows a pipe buffer, and an early exit
+# would fail the pipeline with SIGPIPE.)
+build_body=$(nontest crates/core/src/store.rs |
+  awk '/: +pub fn build_columnar_index\(/ && !done { on = 1 } on { print } on && /:     }$/ { on = 0; done = 1 }')
 if [ -z "$build_body" ] || printf '%s\n' "$build_body" | grep -E '\.scan\(|RowResult'; then
   echo "core/store.rs must have a fn build_columnar_index that calls no .scan( and names no RowResult"; exit 1
 fi
