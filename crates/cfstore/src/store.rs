@@ -1740,6 +1740,21 @@ mod tests {
                 .visit("t", &unfiltered(), |part: &mut Vec<_>, row| part.push(flat(row)))
                 .map(|parts| parts.concat());
             proptest::prop_assert_eq!(visited, scanned);
+            // ... and counts what it reads as the scan does.
+            let mut read_counters = Vec::new();
+            for visit in [false, true] {
+                let reg = obs::Registry::new();
+                store.set_obs(reg.clone());
+                if visit {
+                    let _ = store.visit("t", &unfiltered(), |_: &mut (), _| {});
+                } else {
+                    let _ = store.scan("t", &unfiltered());
+                }
+                let counters = reg.snapshot().counters.into_iter();
+                let reads = counters.filter(|(name, _)| !name.starts_with("cfstore.block_cache."));
+                read_counters.push(reads.collect::<BTreeMap<String, u64>>());
+            }
+            proptest::prop_assert_eq!(&read_counters[0], &read_counters[1]);
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
         }
