@@ -318,7 +318,7 @@ impl Region {
     /// Visit the rows in `[start, end)` ∩ this region as [`RowView`]s,
     /// checksum-verified as a scan verifies them and materialized for no
     /// one. Returns the rows and cells a scan would count.
-    pub fn visit(
+    pub(crate) fn visit(
         &self,
         start: &[u8],
         end: Option<&[u8]>,

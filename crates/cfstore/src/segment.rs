@@ -463,7 +463,7 @@ impl Block {
     /// The latest version of each of row `i`'s columns, families first:
     /// its family, column and value as slices of the buffer, its timestamp
     /// and its write-time checksum.
-    pub fn latest(&self, i: usize) -> impl Iterator<Item = (&[u8], &[u8], &[u8], u64, u32)> {
+    pub(crate) fn latest(&self, i: usize) -> impl Iterator<Item = (&[u8], &[u8], &[u8], u64, u32)> {
         let columns = self.cells_of(i).chunk_by(|a, b| a.column == b.column);
         columns.map(|versions| {
             let c = &versions[0];
