@@ -364,15 +364,20 @@ impl Region {
                 let mut cells = Vec::new();
                 for i in block.range(start, end) {
                     cells.clear();
-                    cells.extend(block.latest(i).map(|(family, column, value, ts, crc)| {
-                        let version = Version::Block(&block, ts, crc);
-                        Latest {
-                            family,
-                            column,
-                            value,
-                            version,
-                        }
-                    }));
+                    cells.extend(
+                        block
+                            .latest(i)
+                            .map(|(family, column, value, ts, checksum)| {
+                                let version = Version::Block(&block, ts);
+                                Latest {
+                                    family,
+                                    column,
+                                    value,
+                                    checksum,
+                                    version,
+                                }
+                            }),
+                    );
                     each(verified(block.key(i), &cells, Home::Block(&block))?);
                 }
             }
@@ -551,6 +556,7 @@ pub struct Latest<'a> {
     pub family: &'a [u8],
     pub column: &'a [u8],
     pub value: &'a [u8],
+    checksum: u32,
     version: Version<'a>,
 }
 
@@ -567,8 +573,8 @@ enum Home<'a> {
 #[derive(Clone, Copy)]
 enum Version<'a> {
     /// A block's cell, its column and value slices of the block's buffer:
-    /// its timestamp and checksum.
-    Block(&'a Block, u64, u32),
+    /// its timestamp.
+    Block(&'a Block, u64),
     /// A memstore's or a materialized row's column and latest version.
     Owned(&'a Bytes, &'a CellVersion),
 }
@@ -580,26 +586,20 @@ impl<'a> Latest<'a> {
             family: family.as_bytes(),
             column,
             value: &latest.value,
+            checksum: latest.checksum,
             version,
-        }
-    }
-
-    fn checksum(&self) -> u32 {
-        match self.version {
-            Version::Block(_, _, checksum) => checksum,
-            Version::Owned(_, latest) => latest.checksum,
         }
     }
 
     /// The column and its version, sharing the stored bytes.
     fn shared(self) -> (Bytes, CellVersion) {
         match self.version {
-            Version::Block(block, timestamp, checksum) => {
+            Version::Block(block, timestamp) => {
                 let value = block.cut(self.value);
                 let version = CellVersion {
                     timestamp,
                     value,
-                    checksum,
+                    checksum: self.checksum,
                 };
                 (block.cut(self.column), version)
             }
@@ -631,7 +631,7 @@ fn verified<'a>(
     cells: &'a [Latest<'a>],
     home: Home<'a>,
 ) -> Result<RowView<'a>, StoreError> {
-    match cells.iter().find(|c| !intact(c.value, c.checksum())) {
+    match cells.iter().find(|c| !intact(c.value, c.checksum)) {
         Some(bad) => Err(StoreError::Corruption {
             row: String::from_utf8_lossy(key).into_owned(),
             column: String::from_utf8_lossy(bad.column).into_owned(),
