@@ -19,7 +19,7 @@
 //!   durability contract — are untouched for anything that can change.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -31,6 +31,10 @@ use crate::filter::Filter;
 use crate::kv::{intact, CellVersion, RowResult};
 use crate::segment::{Block, SegmentError, SegmentReader};
 use crate::store::StoreError;
+
+/// Room for a row's cells in a walk's view: a `Static/` row, the widest
+/// the profile store writes, has 16.
+const ROW_CELLS: usize = 16;
 
 /// Maximum cell versions retained per column, like HBase's default.
 pub(crate) const MAX_VERSIONS: usize = 3;
@@ -269,10 +273,8 @@ impl Region {
     /// On a segment-backed region this reads exactly one block through
     /// the cache; it never materializes the region.
     pub fn get(&self, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
-        // `row` and nothing after it: the one block `row` could be in.
-        let end = [row, &[0]].concat();
         let mut found = None;
-        self.read(row, Some(&end), |row| found = Some(row))?;
+        self.read(Keys::One(row), |row| found = Some(row))?;
         Ok(found)
     }
 
@@ -309,7 +311,7 @@ impl Region {
             regions_visited: 1,
             ..ScanMetrics::default()
         };
-        self.read(start, end, |row| {
+        self.read(Keys::Range(start, end), |row| {
             visit_row(row, filter, &mut out, &mut metrics)
         })?;
         Ok((out, metrics))
@@ -328,7 +330,7 @@ impl Region {
             regions_visited: 1,
             ..ScanMetrics::default()
         };
-        self.walk(start, end, |row| {
+        self.walk(Keys::Range(start, end), |row| {
             metrics.rows_scanned += 1;
             metrics.cells_scanned += row.cells.len() as u64;
             each(row)
@@ -337,32 +339,22 @@ impl Region {
         Ok(metrics)
     }
 
-    /// The rows in `[start, end)` materialized: what a get or a scan
-    /// hands out.
-    fn read(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        mut each: impl FnMut(RowResult),
-    ) -> Result<(), StoreError> {
-        self.walk(start, end, |row| each(materialize(row)))
+    /// The rows `keys` selects, materialized: what a get or a scan hands
+    /// out.
+    fn read(&self, keys: Keys<'_>, mut each: impl FnMut(RowResult)) -> Result<(), StoreError> {
+        self.walk(keys, |row| each(materialize(row)))
     }
 
-    /// Walk the rows in `[start, end)` in key order, handing each to
-    /// `each` once every one of its cells passed its checksum; the first
-    /// that does not fails the walk. The one body under every read of
-    /// rows, from a block or from the memstore.
-    fn walk(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        mut each: impl FnMut(RowView<'_>),
-    ) -> Result<(), StoreError> {
+    /// Walk the rows `keys` selects in key order, handing each to `each`
+    /// once every one of its cells passed its checksum; the first that
+    /// does not fails the walk. The one body under every read of rows,
+    /// from a block or from the memstore.
+    fn walk(&self, keys: Keys<'_>, mut each: impl FnMut(RowView<'_>)) -> Result<(), StoreError> {
         if let Some(b) = self.base.read().as_ref() {
-            for idx in b.reader.blocks_overlapping(start, end) {
+            for idx in keys.blocks(&b.reader) {
                 let block = b.cache.get_or_load(&b.reader, idx)?;
-                let mut cells = Vec::new();
-                for i in block.range(start, end) {
+                let mut cells = Vec::with_capacity(ROW_CELLS);
+                for i in keys.rows(&block) {
                     cells.clear();
                     cells.extend(
                         block
@@ -383,10 +375,9 @@ impl Region {
             }
             return Ok(());
         }
-        let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
         let rows = self.rows.read();
-        let mut cells = Vec::new();
-        for (key, data) in rows.range::<[u8], _>((Bound::Included(start), upper)) {
+        let mut cells = Vec::with_capacity(ROW_CELLS);
+        for (key, data) in rows.range::<[u8], _>(keys.bounds()) {
             cells.clear();
             for (family, columns) in data {
                 for (column, versions) in columns {
@@ -620,6 +611,42 @@ impl RowResult {
             key: &self.row,
             cells,
             home: Home::Owned(&self.row),
+        }
+    }
+}
+
+/// Which rows a walk visits.
+#[derive(Clone, Copy)]
+enum Keys<'k> {
+    /// Those in `[start, end)`.
+    Range(&'k [u8], Option<&'k [u8]>),
+    /// The one with this key, if it is stored: a get, which reads the one
+    /// block that can hold it.
+    One(&'k [u8]),
+}
+
+impl<'k> Keys<'k> {
+    fn blocks(self, reader: &SegmentReader) -> Range<usize> {
+        match self {
+            Keys::Range(start, end) => reader.blocks_overlapping(start, end),
+            Keys::One(key) => reader.block_for(key).map_or(0..0, |i| i..i + 1),
+        }
+    }
+
+    fn rows(self, block: &Block) -> Range<usize> {
+        match self {
+            Keys::Range(start, end) => block.range(start, end),
+            Keys::One(key) => block.find(key).map_or(0..0, |i| i..i + 1),
+        }
+    }
+
+    fn bounds(self) -> (Bound<&'k [u8]>, Bound<&'k [u8]>) {
+        match self {
+            Keys::Range(start, end) => (
+                Bound::Included(start),
+                end.map_or(Bound::Unbounded, Bound::Excluded),
+            ),
+            Keys::One(key) => (Bound::Included(key), Bound::Included(key)),
         }
     }
 }
