@@ -12,13 +12,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cfstore::{CrashSpec, StoreOptions};
+use cfstore::{CrashSpec, ShardOptions, StoreOptions, Topology};
 use datagen::corpus;
 use mrjobs::jobs;
 use mrsim::{ClusterSpec, JobConfig};
 use profiler::{collect_full_profile, collect_sample_profile, JobProfile, SampleSize};
 use proptest::prelude::*;
-use pstorm::{match_profile, MatcherConfig, ProfileStore, StoredStatics, SubmittedJob};
+use pstorm::{
+    match_profile, ColumnarIndex, MatcherConfig, ProfileStore, StoredStatics, SubmittedJob,
+};
 use staticanalysis::StaticFeatures;
 
 /// A handful of real profiles to perturb into synthetic store rows.
@@ -679,6 +681,221 @@ fn a_bad_row_fails_the_sharded_index_as_it_fails_the_single_store() {
     let put = Put::new("Dynamic/job-0020", "f", "MAP_PAIRS_SEL", b"\x01".to_vec());
     sharded.put("Jobs", put).unwrap();
     fails("corrupt store row: undecodable Dynamic row Dynamic/job-0020");
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---- The sharded build: topologies, a reshard, heal and failover ----------
+
+/// A sharded store at `dir`: `shards` shards of `replication` copies, one
+/// of them crashing at `crash`, traced into `reg`.
+fn open_sharded(
+    dir: &Path,
+    (shards, replication): (u32, u32),
+    crash_shard: Option<(u32, CrashSpec)>,
+    reg: &obs::Registry,
+) -> ProfileStore {
+    let opts = ShardOptions {
+        shards,
+        replication,
+        crash_shard,
+        ..ShardOptions::default()
+    };
+    ProfileStore::reopen_sharded_traced(dir, opts, reg.clone())
+        .unwrap()
+        .0
+}
+
+/// The index a one-region in-memory store of the jobs `fill` writes for
+/// `ids` builds.
+fn single_store_index(ids: std::ops::Range<usize>) -> ColumnarIndex {
+    let store = ProfileStore::new().unwrap();
+    fill(&store, ids);
+    store.build_columnar_index().unwrap()
+}
+
+/// A flushed sharded store of the jobs of `ids`, at `dir`.
+fn flushed_sharded(dir: &Path, layout: (u32, u32), ids: std::ops::Range<usize>) {
+    let store = open_sharded(dir, layout, None, &obs::Registry::disabled());
+    fill(&store, ids);
+    store.flush().unwrap();
+}
+
+/// Every `cfstore.shard.*` heal counter `reg` holds, one per line.
+fn heal_counters(reg: &obs::Registry) -> String {
+    let counters = reg.snapshot().counters;
+    let heals = counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("cfstore.shard.") && name.contains(".heal."));
+    heals.map(|(name, n)| format!("{name}={n}\n")).collect()
+}
+
+#[test]
+fn the_sharded_build_is_point_reads_in_every_topology() {
+    let want = single_store_index(0..160);
+    for layout in [(3, 2), (4, 3)] {
+        let dir = fresh_dir("topology");
+        let store = open_sharded(&dir, layout, None, &obs::Registry::disabled());
+        fill(&store, 0..160);
+        let when = format!("{layout:?}");
+        assert_built_from_point_reads(&store, &when);
+        assert!(store.build_columnar_index().unwrap() == want, "{when}");
+        store.flush().unwrap();
+        drop(store);
+        let store = open_sharded(&dir, layout, None, &obs::Registry::disabled());
+        assert_built_from_point_reads(&store, &format!("{when}, reopened"));
+        assert!(store.build_columnar_index().unwrap() == want, "{when}");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A reshard moves every slot's rows: grow 3 × R2 to 4 × R3, then shrink
+    // to 2 × R2, building after each and after a reopen.
+    let dir = fresh_dir("reshard");
+    flushed_sharded(&dir, (3, 2), 0..160);
+    let store = open_sharded(&dir, (3, 2), None, &obs::Registry::disabled());
+    for (shards, replication) in [(4, 3), (2, 2)] {
+        store
+            .reshard(Topology::uniform(shards, replication))
+            .unwrap();
+        assert_eq!(store.sharded().unwrap().shard_count(), shards);
+        let when = format!("resharded to {shards} × R{replication}");
+        assert_built_from_point_reads(&store, &when);
+        assert!(store.build_columnar_index().unwrap() == want, "{when}");
+    }
+    store.flush().unwrap();
+    drop(store);
+    let store = open_sharded(&dir, (2, 2), None, &obs::Registry::disabled());
+    assert_built_from_point_reads(&store, "resharded, reopened");
+    assert!(store.build_columnar_index().unwrap() == want);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A rotted cell on a row's primary replica heals under the build exactly
+/// as it healed under a scan: one heal read and one repair of the shard,
+/// and the same rows copied.
+#[test]
+fn a_rotted_primary_heals_under_the_sharded_build() {
+    let want = single_store_index(0..160);
+    let dir = fresh_dir("rotted-primary");
+    flushed_sharded(&dir, (3, 2), 0..160);
+    let reg = obs::Registry::new();
+    let store = open_sharded(&dir, (3, 2), None, &reg);
+    let sharded = store.sharded().unwrap();
+    assert_eq!(sharded.primary_shard(b"Dynamic/job-0007"), 0);
+    assert!(store
+        .corrupt_cell(b"Dynamic/job-0007", b"MAP_SIZE_SEL")
+        .unwrap());
+    assert!(store.build_columnar_index().unwrap() == want);
+    let healed = "cfstore.shard.0.heal.reads=1\n\
+                  cfstore.shard.0.heal.repairs=1\n\
+                  cfstore.shard.0.heal.rows=425\n\
+                  cfstore.shard.heal.reads=1\n\
+                  cfstore.shard.heal.repairs=1\n\
+                  cfstore.shard.heal.rows=425\n";
+    assert_eq!(heal_counters(&reg), healed);
+    assert_built_from_point_reads(&store, "healed");
+    assert_eq!(heal_counters(&reg), healed, "the heal held");
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A shard whose heal cannot complete — it crashed, so the repair cannot
+/// flush — stays corrupt, and each slot it serves is read from the slot's
+/// next replica: a later shard for some victims, an earlier one for others.
+#[test]
+fn a_shard_that_cannot_heal_leaves_its_slots_to_the_next_replica() {
+    let want = single_store_index(0..160);
+    for victim in 0..3 {
+        let dir = fresh_dir("unhealed");
+        flushed_sharded(&dir, (3, 2), 0..160);
+        let reg = obs::Registry::new();
+        let crash = Some((victim, CrashSpec::after_wal_bytes(0)));
+        let store = open_sharded(&dir, (3, 2), crash, &reg);
+        let sharded = store.sharded().unwrap();
+        let (statics, p) = perturbed(&(1, 1.0, 1.0, 1.0, false), "job-0000a".to_string());
+        assert!(store.put_profile(statics, &p).is_err(), "the put crashes");
+        assert!(sharded.is_crashed());
+        let row = (0..160)
+            .map(|i| format!("Dynamic/job-{i:04}"))
+            .find(|row| sharded.primary_shard(row.as_bytes()) == victim)
+            .unwrap();
+        assert!(store.corrupt_cell(row.as_bytes(), b"HAS_REDUCE").unwrap());
+        let when = format!("shard {victim} unhealed");
+        assert!(store.build_columnar_index().unwrap() == want, "{when}");
+        let reads = format!("cfstore.shard.{victim}.heal.reads=");
+        assert!(heal_counters(&reg).contains(&reads), "{when}");
+        assert!(!heal_counters(&reg).contains("repairs"), "{when}");
+        assert_built_from_point_reads(&store, &when);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Bad rows on different shards fail a sharded build in key order, however
+/// the shards are read: of two `CostFactor/` rows that do not decode the
+/// lower key wins, and a job with no `CostFactor/` row wins over an
+/// undecodable `Dynamic/` row after it. Each pair is chosen so that the
+/// later key's row is served by a lower-numbered shard.
+#[test]
+fn bad_rows_on_different_shards_fail_the_sharded_build_in_key_order() {
+    use cfstore::encoding::encode_f64;
+    use cfstore::Put;
+
+    let dir = fresh_dir("sharded-order");
+    let store = open_sharded(&dir, (3, 2), None, &obs::Registry::disabled());
+    fill(&store, 0..40);
+    let sharded = store.sharded().unwrap();
+    let shard = |row: &str| sharded.primary_shard(row.as_bytes());
+    let fails = |expected: &str| {
+        let err = store.build_columnar_index().unwrap_err().to_string();
+        assert_eq!(err, expected);
+    };
+    // The first pair of `<prefix>job-NNNN` keys, in `ids`, whose later key
+    // lives on a lower shard.
+    let inverted = |prefix: &str, ids: std::ops::Range<usize>| {
+        let row = |i: usize| format!("{prefix}job-{i:04}");
+        let mut pairs = ids
+            .clone()
+            .flat_map(|a| (a + 1..ids.end).map(move |b| (a, b)));
+        pairs
+            .find(|&(a, b)| shard(&row(b)) < shard(&row(a)))
+            .unwrap()
+    };
+
+    let (a, b) = inverted("CostFactor/", 9000..9020);
+    for i in [b, a] {
+        let put = Put::new(
+            format!("CostFactor/job-{i:04}"),
+            "f",
+            "NETWORK_COST",
+            encode_f64(1.0).to_vec(),
+        );
+        sharded.put("Jobs", put).unwrap();
+    }
+    fails(&format!(
+        "corrupt store row: CostFactor/job-{a:04} missing READ_HDFS_IO_COST"
+    ));
+    for i in [a, b] {
+        let row = format!("CostFactor/job-{i:04}");
+        assert!(sharded.delete_row("Jobs", row.as_bytes()).unwrap());
+    }
+    store.build_columnar_index().unwrap();
+
+    let (a, b) = inverted("Dynamic/", 0..40);
+    let put = Put::new(
+        format!("Dynamic/job-{b:04}"),
+        "f",
+        "MAP_PAIRS_SEL",
+        b"\x01".to_vec(),
+    );
+    sharded.put("Jobs", put).unwrap();
+    let cost = format!("CostFactor/job-{a:04}");
+    assert!(sharded.delete_row("Jobs", cost.as_bytes()).unwrap());
+    fails(&format!(
+        "corrupt store row: no CostFactor row for job-{a:04}"
+    ));
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
