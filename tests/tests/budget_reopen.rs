@@ -21,8 +21,19 @@
 //! re-pinned with the same headroom; later 3 122 with a per-part table of
 //! static-set ids, and then 2 987 once a row view's cells were presized
 //! instead of grown (ceiling re-pinned to 3 280).
+//!
+//! The sharded row counts one `ProfileStore::reopen_sharded` of a flushed
+//! 3-shard, R = 2 store of two tenants × 500 profiles, and each tenant's
+//! `columnar_index()` after it: a sharded open reads no rows until a
+//! tenant asks for its index, so this is what a restarted
+//! `tenants_sharded` service pays before its tenants can match. Its
+//! ceilings were pinned, with 10 % headroom, at the build that scanned
+//! each shard into `RowResult`s and merged them in a `BTreeMap`: 33 382
+//! allocations (ceiling 36 700) and 8 707 634 bytes peak (ceiling
+//! 9 580 000).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use cfstore::StoreOptions;
 use datagen::corpus;
@@ -42,13 +53,32 @@ const REOPEN_ALLOCS: u64 = 3_280;
 /// was live before it.
 const REOPEN_PEAK_BYTES: i64 = 2_560_000;
 
+/// Ceiling on the allocations of one sharded reopen and its tenants'
+/// index builds.
+const SHARDED_ALLOCS: u64 = 36_700;
+/// Ceiling on the heap bytes live at once meanwhile, beyond what was live
+/// before.
+const SHARDED_PEAK_BYTES: i64 = 9_580_000;
+
 const PROFILES: usize = 1000;
 
-/// A flushed store of `PROFILES` profiles: `perf_report`'s four seed jobs
-/// in turn, each under its own job id.
-fn flushed_store() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pstorm-budget-reopen-{}", std::process::id()));
+/// The tenants of the sharded store, `PROFILES / 2` profiles each.
+const TENANTS: [&str; 2] = ["acme", "zen"];
+
+/// The tests take turns: the peak is the process's.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// A fresh directory for the store of test `tag`.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("pstorm-budget-reopen-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Puts `count` profiles into `store`: `perf_report`'s four seed jobs in
+/// turn, each under its own job id.
+fn fill(store: &ProfileStore, count: usize) {
     let text = corpus::random_text_1g();
     let cluster = ClusterSpec::ec2_c1_medium_16();
     let seeds: Vec<_> = [
@@ -64,46 +94,62 @@ fn flushed_store() -> PathBuf {
         (StaticFeatures::extract(&spec), profile)
     })
     .collect();
-    let (store, _) = ProfileStore::reopen(&dir).unwrap();
-    for i in 0..PROFILES {
+    for i in 0..count {
         let (statics, profile) = &seeds[i % seeds.len()];
         let mut p = profile.clone();
         p.job_id = format!("{}#{i}", p.job_id);
         p.map.size_selectivity *= 1.0 + (i as f64) * 1e-4;
         store.put_profile(statics, &p).unwrap();
     }
-    store.flush().unwrap();
-    dir
+}
+
+/// Holds every core but the caller's, so a read runs on its caller's
+/// thread alone.
+fn hold_other_cores() -> Option<obs::cores::Lease> {
+    let others = obs::cores::count() - 1;
+    (others > 0).then(|| obs::cores::try_lend(others - 1))
+}
+
+/// The allocations `op` makes on this thread and the most heap bytes live
+/// at once meanwhile, beyond what was live before, once it has run once to
+/// warm the harness's and the store's lazies; the count must repeat.
+fn count(what: &str, mut op: impl FnMut()) -> (u64, i64) {
+    let mut once = || {
+        let before = alloc::thread_allocations();
+        let live = alloc::live_bytes();
+        alloc::reset_peak();
+        op();
+        (
+            alloc::thread_allocations() - before,
+            alloc::peak_bytes() - live,
+        )
+    };
+    once();
+    let (allocs, peak) = once();
+    assert_eq!(once().0, allocs, "the count of {what} repeats");
+    println!("{what}: {allocs} allocations, {peak} bytes peak");
+    (allocs, peak)
 }
 
 #[test]
 fn one_reopen_stays_inside_its_allocation_budget() {
-    let dir = flushed_store();
-    let others = obs::cores::count() - 1;
-    let _held = (others > 0).then(|| obs::cores::try_lend(others - 1));
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = fresh_dir("single");
+    let (store, _) = ProfileStore::reopen(&dir).unwrap();
+    fill(&store, PROFILES);
+    store.flush().unwrap();
+    drop(store);
+    let _held = hold_other_cores();
     let opts = || StoreOptions {
         block_cache_bytes: 1 << 20,
         ..StoreOptions::default()
     };
-    let reopen = || {
-        let before = alloc::thread_allocations();
-        let live = alloc::live_bytes();
-        alloc::reset_peak();
-        let (store, _) = ProfileStore::reopen_with_opts(&dir, opts()).unwrap();
-        let counts = (
-            alloc::thread_allocations() - before,
-            alloc::peak_bytes() - live,
-        );
-        assert_eq!(store.len().unwrap(), PROFILES);
-        drop(store);
-        counts
-    };
-    // Warm the harness's and the store's lazies with one reopen.
-    reopen();
-    let (allocs, peak) = reopen();
-    assert_eq!(reopen().0, allocs, "the count of one reopen repeats");
-    println!(
-        "reopen of {PROFILES} profiles at a 1 MiB cache: {allocs} allocations, {peak} bytes peak"
+    let (allocs, peak) = count(
+        &format!("reopen of {PROFILES} profiles at a 1 MiB cache"),
+        || {
+            let (store, _) = ProfileStore::reopen_with_opts(&dir, opts()).unwrap();
+            assert_eq!(store.len().unwrap(), PROFILES);
+        },
     );
     assert!(
         allocs <= REOPEN_ALLOCS,
@@ -112,6 +158,43 @@ fn one_reopen_stays_inside_its_allocation_budget() {
     assert!(
         peak <= REOPEN_PEAK_BYTES,
         "one reopen peaked at {peak} bytes live, ceiling {REOPEN_PEAK_BYTES}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Reopens the sharded store at `dir` and builds each tenant's index.
+fn reopen_sharded_tenants(dir: &Path) {
+    let (store, _) = ProfileStore::reopen_sharded(dir).unwrap();
+    for t in TENANTS {
+        let view = store.tenant_view(t).unwrap();
+        assert_eq!(view.columnar_index().unwrap().len(), PROFILES / 2);
+    }
+}
+
+#[test]
+fn one_sharded_reopen_stays_inside_its_allocation_budget() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = fresh_dir("sharded");
+    let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
+    for t in TENANTS {
+        fill(&store.tenant_view(t).unwrap(), PROFILES / 2);
+    }
+    store.flush().unwrap();
+    drop(store);
+    let _held = hold_other_cores();
+    let what = format!(
+        "sharded reopen of {} tenants x {} profiles and their index builds",
+        TENANTS.len(),
+        PROFILES / 2
+    );
+    let (allocs, peak) = count(&what, || reopen_sharded_tenants(&dir));
+    assert!(
+        allocs <= SHARDED_ALLOCS,
+        "one sharded reopen made {allocs} allocations, ceiling {SHARDED_ALLOCS}"
+    );
+    assert!(
+        peak <= SHARDED_PEAK_BYTES,
+        "one sharded reopen peaked at {peak} bytes live, ceiling {SHARDED_PEAK_BYTES}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
