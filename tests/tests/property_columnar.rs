@@ -835,9 +835,10 @@ fn a_shard_that_cannot_heal_leaves_its_slots_to_the_next_replica() {
 
 /// Bad rows on different shards fail a sharded build in key order, however
 /// the shards are read: of two `CostFactor/` rows that do not decode the
-/// lower key wins, and a job with no `CostFactor/` row wins over an
-/// undecodable `Dynamic/` row after it. Each pair is chosen so that the
-/// later key's row is served by a lower-numbered shard.
+/// lower key wins, and of a job with no `CostFactor/` row and an
+/// undecodable `Dynamic/` row, the lower key wins either way round. Each
+/// pair is chosen so that the later key's row is served by a lower-numbered
+/// shard.
 #[test]
 fn bad_rows_on_different_shards_fail_the_sharded_build_in_key_order() {
     use cfstore::encoding::encode_f64;
@@ -883,16 +884,26 @@ fn bad_rows_on_different_shards_fail_the_sharded_build_in_key_order() {
     }
     store.build_columnar_index().unwrap();
 
-    let (a, b) = inverted("Dynamic/", 0..40);
-    let put = Put::new(
-        format!("Dynamic/job-{b:04}"),
-        "f",
-        "MAP_PAIRS_SEL",
-        b"\x01".to_vec(),
-    );
-    sharded.put("Jobs", put).unwrap();
-    let cost = format!("CostFactor/job-{a:04}");
-    assert!(sharded.delete_row("Jobs", cost.as_bytes()).unwrap());
+    let undecodable = |i: usize| {
+        let row = format!("Dynamic/job-{i:04}");
+        let put = Put::new(row, "f", "MAP_PAIRS_SEL", b"\x01".to_vec());
+        sharded.put("Jobs", put).unwrap();
+    };
+    let no_cost = |i: usize| {
+        let row = format!("CostFactor/job-{i:04}");
+        assert!(sharded.delete_row("Jobs", row.as_bytes()).unwrap());
+    };
+    // An undecodable `Dynamic/` row before a job with no `CostFactor/` row.
+    let (c, d) = inverted("Dynamic/", 20..40);
+    undecodable(c);
+    no_cost(d);
+    fails(&format!(
+        "corrupt store row: undecodable Dynamic row Dynamic/job-{c:04}"
+    ));
+    // A job with no `CostFactor/` row before an undecodable `Dynamic/` row.
+    let (a, b) = inverted("Dynamic/", 0..20);
+    undecodable(b);
+    no_cost(a);
     fails(&format!(
         "corrupt store row: no CostFactor row for job-{a:04}"
     ));
