@@ -69,7 +69,7 @@ use crate::flusher::Flusher;
 use crate::frame;
 use crate::kv::{Put, RowResult};
 use crate::recovery::{self, io_err, RecoveryError, RecoveryReport};
-use crate::region::ScanMetrics;
+use crate::region::{RowView, ScanMetrics};
 use crate::store::{
     Install, MetaEntry, MiniStore, Scan, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
 };
@@ -1075,65 +1075,52 @@ impl ShardedStore {
 
     /// Scan with filter pushdown. Every shard is scanned; each slot's
     /// rows are taken from the first replica whose scan succeeded
-    /// (normally the primary), after heal-and-retry on corrupt shards.
-    /// Results are bit-identical to an unsharded store's scan; metrics
-    /// are summed across shard scans (replication makes `rows_scanned`
-    /// larger than a single store's — the read-amplification cost of
-    /// redundancy, visible on purpose).
+    /// (normally the primary), after heal-and-retry on corrupt shards
+    /// ([`Self::read_slots`]). Results are bit-identical to an unsharded
+    /// store's scan; metrics are summed across shard scans (replication
+    /// makes `rows_scanned` larger than a single store's — the
+    /// read-amplification cost of redundancy, visible on purpose).
     pub fn scan(
         &self,
         table: &str,
         scan: &Scan,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let inner = &self.inner;
-        let mut st = inner.state.lock();
-        if !st.schemas.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.to_string()));
+        let mut st = self.inner.state.lock();
+        let runs = Self::read_slots(&self.inner, &mut st, table, |shard, serves| {
+            let (mut rows, metrics) = shard.scan(table, scan)?;
+            rows.retain(|row| serves(&row.row));
+            Ok((rows, metrics))
+        })?;
+        let (mut rows, mut metrics) = (Vec::new(), ScanMetrics::default());
+        for (run, m) in runs {
+            rows.extend(run);
+            metrics.merge(m);
         }
-        // Active shards only: pre-cutover, migration targets are
-        // invisible to reads (their superset rows never leak because
-        // slot resolution below only consults active replicas anyway).
-        let n = st.active.shards;
-        let mut per_shard: Vec<Option<Vec<RowResult>>> = (0..n).map(|_| None).collect();
-        let mut metrics = ScanMetrics::default();
-        let mut last_err: Option<StoreError> = None;
-        for g in 0..n {
-            match Self::with_heal(inner, &mut st, g, table, |s| s.scan(table, scan)) {
-                Ok((rows, m)) => {
-                    metrics.merge(m);
-                    per_shard[g as usize] = Some(rows);
+        // A stable sort merges the shards' sorted runs.
+        rows.sort_by(|a, b| a.row.cmp(&b.row));
+        Ok((rows, metrics))
+    }
+
+    /// The rows `scan` covers folded into parts as [`MiniStore::visit`]
+    /// folds them: every shard's cells are walked, verified and healed as
+    /// [`Self::scan`] reads them, and each row is folded once, by the
+    /// shard that serves its slot. A part holds one region's rows of one
+    /// shard in key order; different shards' parts interleave.
+    pub fn visit<T: Default + Send>(
+        &self,
+        table: &str,
+        scan: &Scan,
+        fold: impl Fn(&mut T, RowView<'_>) + Sync,
+    ) -> Result<Vec<T>, StoreError> {
+        let mut st = self.inner.state.lock();
+        let parts = Self::read_slots(&self.inner, &mut st, table, |shard, serves| {
+            shard.visit(table, scan, |part, row| {
+                if serves(row.key) {
+                    fold(part, row);
                 }
-                Err(Unhealed::Fatal(e)) => return Err(e),
-                Err(Unhealed::StillCorrupt { seen, .. }) => last_err = Some(seen),
-            }
-        }
-        // Resolve each slot from its first scannable replica.
-        let mut source_for_slot: Vec<Option<u32>> = (0..n).map(|_| None).collect();
-        for s in 0..n {
-            source_for_slot[s as usize] = st
-                .active
-                .replicas(s)
-                .into_iter()
-                .find(|&g| per_shard[g as usize].is_some());
-            if source_for_slot[s as usize].is_none() {
-                // R ≥ 1 (`Topology::validate`): the slot has a replica,
-                // and its scan failed.
-                return Err(last_err
-                    .take()
-                    .expect("a slot is unscannable only after replica errors"));
-            }
-        }
-        let mut merged: BTreeMap<Bytes, RowResult> = BTreeMap::new();
-        for (g, rows) in per_shard.into_iter().enumerate() {
-            let Some(rows) = rows else { continue };
-            for row in rows {
-                let s = st.active.slot_of_row(&row.row);
-                if source_for_slot[s as usize] == Some(g as u32) {
-                    merged.insert(row.row.clone(), row);
-                }
-            }
-        }
-        Ok((merged.into_values().collect(), metrics))
+            })
+        })?;
+        Ok(parts.into_iter().flatten().collect())
     }
 
     /// Chaos hook: corrupt a stored cell on the *primary* replica of its
@@ -1313,6 +1300,60 @@ impl ShardedStore {
             // The heal could not complete (e.g. the shard is
             // crash-poisoned and cannot flush).
             Err(cause) => Err(Unhealed::StillCorrupt { seen, cause }),
+        }
+    }
+
+    /// Read `table` from every active shard in turn, through `read` with
+    /// heal-and-retry, for the rows of the slots it serves (`read` is
+    /// handed whether it serves a row): a slot is served by the first of
+    /// its replicas whose read succeeded. A shard that stays corrupt hands
+    /// its slots to their next replica, read again for them if its turn has
+    /// passed. The one slot resolution, under `scan` and `visit`.
+    fn read_slots<R>(
+        inner: &ShardedInner,
+        st: &mut GlobalState,
+        table: &str,
+        read: impl Fn(&MiniStore, &(dyn Fn(&[u8]) -> bool + Sync)) -> Result<R, StoreError>,
+    ) -> Result<Vec<R>, StoreError> {
+        if !st.schemas.contains_key(table) {
+            return Err(StoreError::NoSuchTable(table.to_string()));
+        }
+        // Active shards only: pre-cutover, migration targets are
+        // invisible to reads.
+        let n = st.active.shards;
+        let replicas: Vec<Vec<u32>> = (0..n).map(|s| st.active.replicas(s)).collect();
+        let (mut failed, mut done) = (vec![false; n as usize], vec![false; n as usize]);
+        let server = |s: usize, failed: &[bool]| replicas[s].iter().find(|&&g| !failed[g as usize]);
+        let (mut reads, mut last_err, mut turns) = (Vec::new(), None, Vec::from_iter((0..n).rev()));
+        while let Some(g) = turns.pop() {
+            let serves: Vec<bool> = (0..n as usize)
+                .map(|s| !done[s] && server(s, &failed) == Some(&g))
+                .collect();
+            let holds = |row: &[u8]| serves[slot_of(row, n) as usize];
+            match Self::with_heal(inner, st, g, table, |shard| read(shard, &holds)) {
+                Ok(r) => {
+                    reads.push(r);
+                    done.iter_mut().zip(&serves).for_each(|(d, &s)| *d |= s);
+                }
+                Err(Unhealed::Fatal(e)) => return Err(e),
+                Err(Unhealed::StillCorrupt { seen, .. }) => {
+                    (failed[g as usize], last_err) = (true, Some(seen));
+                    for s in (0..n as usize).filter(|&s| serves[s]) {
+                        match server(s, &failed) {
+                            Some(next) if !turns.contains(next) => turns.push(*next),
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+        match done.contains(&false) {
+            // R ≥ 1 (`Topology::validate`): a slot is unread only after
+            // every replica of it failed.
+            true => Err(last_err.unwrap_or_else(|| {
+                StoreError::Io(format!("a slot of `{table}` has no replica to read"))
+            })),
+            false => Ok(reads),
         }
     }
 

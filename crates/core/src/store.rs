@@ -180,10 +180,10 @@ impl Backend {
         }
     }
 
-    /// The rows `scan` covers folded into parts, in key order: a
-    /// [`MiniStore`] walks them where they are stored, a part per region
-    /// ([`MiniStore::visit`]); a [`ShardedStore`] scans and merges them,
-    /// and folds them into one part.
+    /// The rows `scan` covers, walked where they are stored and folded
+    /// into parts, each in key order: a part per region of a [`MiniStore`]
+    /// ([`MiniStore::visit`]), or per region of each shard of a
+    /// [`ShardedStore`], whose parts interleave ([`ShardedStore::visit`]).
     fn visit<T: Default + Send>(
         &self,
         table: &str,
@@ -192,14 +192,7 @@ impl Backend {
     ) -> Result<Vec<T>, StoreError> {
         match self {
             Backend::Single(s) => s.visit(table, scan, fold),
-            Backend::Sharded(s) => {
-                let (rows, _) = s.scan(table, scan)?;
-                let (mut part, mut cells) = (T::default(), Vec::new());
-                for row in &rows {
-                    fold(&mut part, row.view(&mut cells));
-                }
-                Ok(vec![part])
-            }
+            Backend::Sharded(s) => s.visit(table, scan, fold),
         }
     }
 
@@ -985,49 +978,56 @@ impl ProfileStore {
     /// order the rows are read in: the `CostFactor/` rows first, then job
     /// by job.
     pub fn build_columnar_index(&self) -> Result<ColumnarIndex, ProfileStoreError> {
-        let dynamic = self.parse_rows("Dynamic", parse_dynamic)?;
+        let mut dynamic = self.parse_rows("Dynamic", parse_dynamic)?;
         let statics = self.parse_rows("Static", parse_static)?;
         let mut costs = self.parse_rows("CostFactor", parse_cost)?;
-        if let Some(e) = costs.iter_mut().find_map(|part| part.error.take()) {
+        if let Some((_, e)) = first_error(&mut costs) {
             return Err(e);
         }
-        let mut costs = costs.iter().flat_map(Part::rows).peekable();
+        let mut costs = in_order(costs.iter().map(Part::rows))
+            .into_iter()
+            .peekable();
         // A part's set is interned once: its id in the index, by part.
         let mut ids: Vec<Vec<u32>> = statics
             .iter()
             .map(|(_, sets)| vec![NO_STATICS; sets.sets.len()])
             .collect();
         let by_part = statics.iter().enumerate();
-        let mut static_rows = by_part
-            .flat_map(|(p, (part, _))| part.rows().map(move |(id, &set)| (id, (p, set as usize))))
-            .peekable();
+        let by_part = by_part
+            .map(|(p, (part, _))| part.rows().map(move |(id, &set)| (id, (p, set as usize))));
+        let mut static_rows = in_order(by_part).into_iter().peekable();
+        // A part's rows stop at its error, which fails the build where its
+        // key falls among the other parts' rows.
+        let mut failed = first_error(&mut dynamic);
+        let dynamic = in_order(dynamic.iter().map(Part::rows));
         let empty = Arc::default();
-        let mut builder = IndexBuilder::new(dynamic.iter().map(|p| p.rows.len()).sum(), &empty);
-        for part in dynamic {
-            for (job_id, dynamic) in part.rows() {
-                let cost = joined(&mut costs, job_id).ok_or_else(|| {
-                    ProfileStoreError::Corrupt(format!("no CostFactor row for {job_id}"))
-                })?;
-                let statics = match joined(&mut static_rows, job_id) {
-                    Some((p, set)) if ids[p][set] == NO_STATICS => {
-                        let (hash, cells) = &statics[p].1.sets[set];
-                        ids[p][set] = builder.intern(*hash, cells)?;
-                        ids[p][set]
-                    }
-                    Some((p, set)) => ids[p][set],
-                    None => NO_STATICS,
-                };
-                builder.push(Arc::from(job_id), dynamic, cost, statics);
-            }
-            if let Some(e) = part.error {
+        let mut builder = IndexBuilder::new(dynamic.len(), &empty);
+        for (job_id, dynamic) in dynamic {
+            if let Some((_, e)) = failed.take_if(|(at, _)| **at < *job_id.as_bytes()) {
                 return Err(e);
             }
+            let cost = joined(&mut costs, job_id).ok_or_else(|| {
+                ProfileStoreError::Corrupt(format!("no CostFactor row for {job_id}"))
+            })?;
+            let statics = match joined(&mut static_rows, job_id) {
+                Some((p, set)) if ids[p][set] == NO_STATICS => {
+                    let (hash, cells) = &statics[p].1.sets[set];
+                    ids[p][set] = builder.intern(*hash, cells)?;
+                    ids[p][set]
+                }
+                Some((p, set)) => ids[p][set],
+                None => NO_STATICS,
+            };
+            builder.push(Arc::from(job_id), dynamic, cost, statics);
         }
-        Ok(builder.finish())
+        match failed {
+            Some((_, e)) => Err(e),
+            None => Ok(builder.finish()),
+        }
     }
 
     /// The namespace's `<feature>/` rows, each parsed by `parse` with its
-    /// job id into the part of its region, in key order.
+    /// job id into the part the backend folds it into ([`Backend::visit`]).
     fn parse_rows<T: Default + Send>(
         &self,
         feature: &str,
@@ -1387,17 +1387,18 @@ struct IndexRow {
 /// One region's rows of one feature prefix, parsed where they are stored:
 /// the rows' job ids one after another, where each ends, and what the
 /// index takes from each row. Parsing stops at the first row that does
-/// not parse, and its error waits until every scan has verified its cells.
+/// not parse; its error, with the row's job id, waits until every scan
+/// has verified its cells.
 #[derive(Default)]
 struct Part<T> {
     ids: String,
     ends: Vec<usize>,
     rows: Vec<T>,
-    error: Option<ProfileStoreError>,
+    error: Option<(Box<[u8]>, ProfileStoreError)>,
 }
 
 impl<T> Part<T> {
-    fn push(&mut self, parsed: Result<(&str, T), ProfileStoreError>) {
+    fn push(&mut self, id: &[u8], parsed: Result<(&str, T), ProfileStoreError>) {
         match parsed {
             _ if self.error.is_some() => {}
             Ok((id, row)) => {
@@ -1405,7 +1406,7 @@ impl<T> Part<T> {
                 self.ends.push(self.ids.len());
                 self.rows.push(row);
             }
-            Err(e) => self.error = Some(e),
+            Err(e) => self.error = Some((id.into(), e)),
         }
     }
 
@@ -1420,14 +1421,16 @@ impl<T> Part<T> {
 
 fn parse_dynamic(part: &mut Part<Dynamic>, id: &[u8], row: &RowView<'_>) {
     let parsed = std::str::from_utf8(id).ok().zip(Dynamic::parse(row));
-    part.push(parsed.ok_or_else(|| {
+    let parsed = parsed.ok_or_else(|| {
         let key = String::from_utf8_lossy(row.key);
         ProfileStoreError::Corrupt(format!("undecodable Dynamic row {key}"))
-    }));
+    });
+    part.push(id, parsed);
 }
 
 fn parse_cost(part: &mut Part<[f64; COSTS]>, id: &[u8], row: &RowView<'_>) {
-    part.push(job_id_of(id).and_then(|id| Ok((id, decode_cost_factors(row, id)?))));
+    let parsed = job_id_of(id).and_then(|job_id| Ok((job_id, decode_cost_factors(row, job_id)?)));
+    part.push(id, parsed);
 }
 
 /// A `Static/` row's set of cells: copied out only if the part has not
@@ -1454,7 +1457,28 @@ fn parse_static((part, sets): &mut (Part<u32>, CellSets), id: &[u8], row: &RowVi
             }
         }
     };
-    part.push(Ok((id, set)));
+    part.push(id.as_bytes(), Ok((id, set)));
+}
+
+/// The first error of `parts` in key order, taken out of its part.
+fn first_error<T>(parts: &mut [Part<T>]) -> Option<(Box<[u8]>, ProfileStoreError)> {
+    let errors = parts.iter().enumerate();
+    let (_, p) = errors
+        .filter_map(|(p, part)| Some((&part.error.as_ref()?.0, p)))
+        .min()?;
+    parts[p].error.take()
+}
+
+/// The rows of runs each sorted by job id, in job-id order: one after
+/// another and sorted, which costs a comparison a row when the runs already
+/// lie in order, as a single store's regions do. No id is in two runs.
+fn in_order<'a, T, I: Iterator<Item = (&'a str, T)>>(
+    runs: impl Iterator<Item = I> + Clone,
+) -> Vec<(&'a str, T)> {
+    let mut rows = Vec::with_capacity(runs.clone().map(|run| run.size_hint().0).sum());
+    rows.extend(runs.flatten());
+    rows.sort_unstable_by_key(|&(id, _)| id);
+    rows
 }
 
 /// The row of `job_id` in `rows`, sorted by job id, skipping the rows
