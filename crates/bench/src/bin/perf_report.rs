@@ -495,6 +495,41 @@ fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `store_reopen/sharded_2000_profiles`: a flushed 3-shard, R = 2 store of
+/// four tenants × 500 profiles, reopened with `ProfileStore::reopen_sharded`
+/// and each tenant's `columnar_index()` built — the shape of the tail of
+/// the benchmark's `tenants_sharded`. A sharded open reads no rows until a
+/// tenant asks for its index (DESIGN.md §34).
+fn bench_sharded_reopen(entries: &mut Vec<Entry>, seeds: &Seeds) {
+    const TENANTS: [&str; 4] = ["acme", "globex", "initech", "umbrella"];
+    const PER_TENANT: usize = 500;
+    let dir = std::env::temp_dir().join(format!("pstorm-perf-sharded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
+    for tenant in TENANTS {
+        filled(store.tenant_view(tenant).unwrap(), PER_TENANT, seeds);
+    }
+    store.flush().unwrap();
+    drop(store);
+    let reopen = || {
+        let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
+        for tenant in TENANTS {
+            let view = store.tenant_view(tenant).unwrap();
+            std::hint::black_box(view.columnar_index().unwrap());
+        }
+    };
+    let samples = sample_ns(reopen, 10, 200);
+    let size = TENANTS.len() * PER_TENANT;
+    entries.push(Entry::new(
+        "store_reopen",
+        "sharded_2000_profiles",
+        size,
+        &samples,
+        size as f64,
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// CRC-32 over 64 KiB: the check every frame, segment block and cell
 /// read pays. One call handles 65 536 bytes, so the row's rate is bytes
 /// per second.
@@ -1040,6 +1075,7 @@ fn main() {
     eprintln!("benchmarking durable store...");
     let (reopen_blocks, reopen_blocks_read) = bench_store(&mut entries, &seeds);
     bench_reopened_store(&mut entries, &seeds);
+    bench_sharded_reopen(&mut entries, &seeds);
     bench_crc32(&mut entries);
     bench_store_scan(&mut entries);
     eprintln!("benchmarking sharded store...");
@@ -1169,6 +1205,10 @@ fn main() {
         find(&entries, "store_index_build", "4000_profiles", 4000) / 1e6,
         find(&entries, "store_put", "reopened_4000", 4000) / 1e3,
         entry(&entries, "crc32", "64KiB", 0).candidates_per_sec / 1e9
+    );
+    println!(
+        "sharded reopen of 4 tenants x 500 profiles and their index builds: {:.1} ms",
+        find(&entries, "store_reopen", "sharded_2000_profiles", 2000) / 1e6
     );
     println!("put p95 inline-flush / background-flush: {put_tail_ratio:.1}x");
     println!(
