@@ -20,7 +20,10 @@
 //! holds no block buffer alive: 3 115 allocations and 2 330 458 bytes peak,
 //! re-pinned with the same headroom; later 3 122 with a per-part table of
 //! static-set ids, and then 2 987 once a row view's cells were presized
-//! instead of grown (ceiling re-pinned to 3 280).
+//! instead of grown (ceiling re-pinned to 3 280). Taking the parts' rows
+//! in key order for the sharded build (DESIGN.md §34) adds three vectors
+//! of row references, one per feature prefix: 2 990 allocations and
+//! 2 471 164 bytes peak, inside both ceilings.
 //!
 //! The sharded row counts one `ProfileStore::reopen_sharded` of a flushed
 //! 3-shard, R = 2 store of two tenants × 500 profiles, and each tenant's
@@ -30,7 +33,10 @@
 //! ceilings were pinned, with 10 % headroom, at the build that scanned
 //! each shard into `RowResult`s and merged them in a `BTreeMap`: 33 382
 //! allocations (ceiling 36 700) and 8 707 634 bytes peak (ceiling
-//! 9 580 000).
+//! 9 580 000). The build that walks each shard's rows in place (DESIGN.md
+//! §34) makes no `RowResult` for any replica's row and no merge map:
+//! 6 331 allocations and 6 839 457 bytes peak, re-pinned with the same
+//! headroom.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -55,10 +61,10 @@ const REOPEN_PEAK_BYTES: i64 = 2_560_000;
 
 /// Ceiling on the allocations of one sharded reopen and its tenants'
 /// index builds.
-const SHARDED_ALLOCS: u64 = 36_700;
+const SHARDED_ALLOCS: u64 = 6_970;
 /// Ceiling on the heap bytes live at once meanwhile, beyond what was live
 /// before.
-const SHARDED_PEAK_BYTES: i64 = 9_580_000;
+const SHARDED_PEAK_BYTES: i64 = 7_530_000;
 
 const PROFILES: usize = 1000;
 
