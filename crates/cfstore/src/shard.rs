@@ -1075,11 +1075,11 @@ impl ShardedStore {
 
     /// Scan with filter pushdown. Every shard is scanned; each slot's
     /// rows are taken from the first replica whose scan succeeded
-    /// (normally the primary), after heal-and-retry on corrupt shards
-    /// ([`Self::read_slots`]). Results are bit-identical to an unsharded
-    /// store's scan; metrics are summed across shard scans (replication
-    /// makes `rows_scanned` larger than a single store's — the
-    /// read-amplification cost of redundancy, visible on purpose).
+    /// (normally the primary), after heal-and-retry on corrupt shards.
+    /// Results are bit-identical to an unsharded store's scan; metrics
+    /// are summed across shard scans (replication makes `rows_scanned`
+    /// larger than a single store's — the read-amplification cost of
+    /// redundancy, visible on purpose).
     pub fn scan(
         &self,
         table: &str,
@@ -1315,11 +1315,9 @@ impl ShardedStore {
         table: &str,
         read: impl Fn(&MiniStore, &(dyn Fn(&[u8]) -> bool + Sync)) -> Result<R, StoreError>,
     ) -> Result<Vec<R>, StoreError> {
-        if !st.schemas.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.to_string()));
-        }
         // Active shards only: pre-cutover, migration targets are
-        // invisible to reads.
+        // invisible to reads. Every shard holds every table's schema, so
+        // a table none has fails the first read.
         let n = st.active.shards;
         let replicas: Vec<Vec<u32>> = (0..n).map(|s| st.active.replicas(s)).collect();
         let (mut failed, mut done) = (vec![false; n as usize], vec![false; n as usize]);
