@@ -833,6 +833,32 @@ fn a_shard_that_cannot_heal_leaves_its_slots_to_the_next_replica() {
     }
 }
 
+/// A slot none of whose replicas can be read fails the build with the
+/// error of the last shard that stayed corrupt: at R = 1 a crashed shard
+/// with a rotted cell has no other copy to serve its slots from.
+#[test]
+fn a_slot_with_no_readable_replica_fails_the_sharded_build() {
+    let dir = fresh_dir("unreadable");
+    flushed_sharded(&dir, (3, 1), 0..40);
+    let crash = Some((1, CrashSpec::after_wal_bytes(0)));
+    let store = open_sharded(&dir, (3, 1), crash, &obs::Registry::disabled());
+    let (statics, p) = perturbed(&(1, 1.0, 1.0, 1.0, false), "job-0000a".to_string());
+    assert!(store.put_profile(statics, &p).is_err(), "the put crashes");
+    let sharded = store.sharded().unwrap();
+    let row = (0..40)
+        .map(|i| format!("Dynamic/job-{i:04}"))
+        .find(|row| sharded.primary_shard(row.as_bytes()) == 1)
+        .unwrap();
+    assert!(store.corrupt_cell(row.as_bytes(), b"HAS_REDUCE").unwrap());
+    let err = store.build_columnar_index().unwrap_err().to_string();
+    assert_eq!(
+        err,
+        format!("checksum mismatch in row `{row}`, column `HAS_REDUCE`: stored cell is corrupt")
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Bad rows on different shards fail a sharded build in key order, however
 /// the shards are read: of two `CostFactor/` rows that do not decode the
 /// lower key wins, and of a job with no `CostFactor/` row and an
