@@ -1306,9 +1306,9 @@ impl ShardedStore {
     /// Read `table` from every active shard in turn, through `read` with
     /// heal-and-retry, for the rows of the slots it serves (`read` is
     /// handed whether it serves a row): a slot is served by the first of
-    /// its replicas whose read succeeded. A shard that stays corrupt hands
-    /// its slots to their next replica, read again for them if its turn has
-    /// passed. The one slot resolution, under `scan` and `visit`.
+    /// its replicas whose read succeeded. When a shard stays corrupt, the
+    /// reads start over without it, its slots served by their next
+    /// replica. The one slot resolution, under `scan` and `visit`.
     fn read_slots<R>(
         inner: &ShardedInner,
         st: &mut GlobalState,
@@ -1320,38 +1320,29 @@ impl ShardedStore {
         // a table none has fails the first read.
         let n = st.active.shards;
         let replicas: Vec<Vec<u32>> = (0..n).map(|s| st.active.replicas(s)).collect();
-        let (mut failed, mut done) = (vec![false; n as usize], vec![false; n as usize]);
-        let server = |s: usize, failed: &[bool]| replicas[s].iter().find(|&&g| !failed[g as usize]);
-        let (mut reads, mut last_err, mut turns) = (Vec::new(), None, Vec::from_iter((0..n).rev()));
-        while let Some(g) = turns.pop() {
-            let serves: Vec<bool> = (0..n as usize)
-                .map(|s| !done[s] && server(s, &failed) == Some(&g))
-                .collect();
-            let holds = |row: &[u8]| serves[slot_of(row, n) as usize];
-            match Self::with_heal(inner, st, g, table, |shard| read(shard, &holds)) {
-                Ok(r) => {
-                    reads.push(r);
-                    done.iter_mut().zip(&serves).for_each(|(d, &s)| *d |= s);
-                }
-                Err(Unhealed::Fatal(e)) => return Err(e),
-                Err(Unhealed::StillCorrupt { seen, .. }) => {
-                    (failed[g as usize], last_err) = (true, Some(seen));
-                    for s in (0..n as usize).filter(|&s| serves[s]) {
-                        match server(s, &failed) {
-                            Some(next) if !turns.contains(next) => turns.push(*next),
-                            _ => {}
-                        }
+        let (mut failed, mut last_err) = (vec![false; n as usize], None);
+        'pass: loop {
+            let first_live = |slot: &Vec<u32>| slot.iter().copied().find(|&g| !failed[g as usize]);
+            let server: Vec<Option<u32>> = replicas.iter().map(first_live).collect();
+            let mut reads = Vec::new();
+            for g in (0..n).filter(|&g| !failed[g as usize]) {
+                let serves = |row: &[u8]| server[slot_of(row, n) as usize] == Some(g);
+                match Self::with_heal(inner, st, g, table, |shard| read(shard, &serves)) {
+                    Ok(r) => reads.push(r),
+                    Err(Unhealed::Fatal(e)) => return Err(e),
+                    Err(Unhealed::StillCorrupt { seen, .. }) => {
+                        (failed[g as usize], last_err) = (true, Some(seen));
+                        continue 'pass;
                     }
                 }
             }
-        }
-        match done.contains(&false) {
-            // R ≥ 1 (`Topology::validate`): a slot is unread only after
-            // every replica of it failed.
-            true => Err(last_err.unwrap_or_else(|| {
-                StoreError::Io(format!("a slot of `{table}` has no replica to read"))
-            })),
-            false => Ok(reads),
+            // R ≥ 1 (`Topology::validate`): a slot has no server only
+            // after every replica of it failed.
+            if server.contains(&None) {
+                let none = || StoreError::Io(format!("a slot of `{table}` has no replica to read"));
+                return Err(last_err.unwrap_or_else(none));
+            }
+            return Ok(reads);
         }
     }
 
