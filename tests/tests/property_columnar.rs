@@ -772,6 +772,41 @@ fn the_sharded_build_is_point_reads_in_every_topology() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `filter_dynamic` on a sharded store returns the jobs whose rows pass in
+/// key order, as a single store of the same jobs does, though each shard
+/// serves its own slots' rows; its metrics sum every shard's scan. Pinned
+/// live and reopened.
+#[test]
+fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
+    let single = ProfileStore::new().unwrap();
+    fill(&single, 0..160);
+    let large = |d: &pstorm::DynamicRow| d.map_dyn[0] > 2.0;
+    let (want, _) = single.filter_dynamic(large).unwrap();
+    let want: Vec<String> = want.into_iter().map(|d| d.job_id).collect();
+    let dir = fresh_dir("filter-dynamic");
+    let mut store = open_sharded(&dir, (3, 2), None, &obs::Registry::disabled());
+    fill(&store, 0..160);
+    let mut metrics = Vec::new();
+    for when in ["live", "reopened"] {
+        if when == "reopened" {
+            store.flush().unwrap();
+            drop(store);
+            store = open_sharded(&dir, (3, 2), None, &obs::Registry::disabled());
+        }
+        let (rows, m) = store.filter_dynamic(large).unwrap();
+        let ids: Vec<String> = rows.into_iter().map(|d| d.job_id).collect();
+        assert_eq!(ids, want, "{when}");
+        metrics.push(format!("{m:?}"));
+    }
+    assert!(want.is_sorted());
+    assert_eq!(want.len(), 104);
+    let summed = "ScanMetrics { regions_visited: 3, rows_scanned: 320, cells_scanned: 2348, \
+                  rows_returned: 208, bytes_returned: 12160 }";
+    assert_eq!(metrics, [summed, summed]);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A rotted cell on a row's primary replica heals under the build exactly
 /// as it healed under a scan: one heal read and one repair of the shard,
 /// and the same rows copied.
