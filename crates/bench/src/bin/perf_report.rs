@@ -551,7 +551,7 @@ fn bench_crc32(entries: &mut Vec<Entry>) {
 /// filtered by the client: 4 096 rows in 31 regions (split at 256), each
 /// scanned on its own thread, and a predicate that keeps 41 of the rows.
 fn bench_store_scan(entries: &mut Vec<Entry>) {
-    use cfstore::{MiniStore, PredicateFilter, RowResult};
+    use cfstore::{MiniStore, PredicateFilter, RowView};
 
     const ROWS: usize = 4096;
     let store = MiniStore::new();
@@ -560,14 +560,13 @@ fn bench_store_scan(entries: &mut Vec<Entry>) {
         let put = Put::new(format!("row{i:05}"), "f", "v", format!("{i}"));
         store.put("t", put).unwrap();
     }
-    let keep = |r: &RowResult| r.row.ends_with(b"00");
     let pushdown = Scan::all().with_filter(Box::new(PredicateFilter {
-        name: "ends_with_00".to_string(),
-        pred: keep,
+        pred: |r: &RowView<'_>| r.key.ends_with(b"00"),
     }));
     let client_side = || {
         let (rows, metrics) = store.scan("t", &Scan::all()).unwrap();
-        (rows.into_iter().filter(keep).collect::<Vec<_>>(), metrics)
+        let kept = rows.into_iter().filter(|r| r.row.ends_with(b"00"));
+        (kept.collect::<Vec<_>>(), metrics)
     };
     // Both keep the same 41 rows; the regions ship 41 or all 4 096.
     let (rows, metrics) = store.scan("t", &pushdown).unwrap();

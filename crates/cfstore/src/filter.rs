@@ -1,21 +1,18 @@
 //! Server-side filters (the "filter-reaching mechanism" of §5.3).
 //!
 //! Filters are shipped to region servers and evaluated during the scan,
-//! so only passing rows travel back to the client — the optimization
-//! PStorM relies on to keep matching scalable as the store grows.
+//! on each row where the scan walks it, so only passing rows are
+//! materialized and travel back to the client — the optimization PStorM
+//! relies on to keep matching scalable as the store grows.
 
 use bytes::Bytes;
 
-use crate::kv::RowResult;
+use crate::region::RowView;
 
-/// A predicate evaluated at the region server against a materialized row.
+/// A predicate evaluated at the region server against a row as the scan
+/// walks it, before any row is materialized.
 pub trait Filter: Send + Sync {
-    fn matches(&self, row: &RowResult) -> bool;
-
-    /// A short description for diagnostics.
-    fn describe(&self) -> String {
-        "filter".to_string()
-    }
+    fn matches(&self, row: &RowView<'_>) -> bool;
 }
 
 /// Pass rows whose row key starts with a prefix — the idiom for feature-
@@ -25,11 +22,8 @@ pub struct RowPrefixFilter {
 }
 
 impl Filter for RowPrefixFilter {
-    fn matches(&self, row: &RowResult) -> bool {
-        row.row.starts_with(&self.prefix)
-    }
-    fn describe(&self) -> String {
-        format!("RowPrefixFilter({:?})", self.prefix)
+    fn matches(&self, row: &RowView<'_>) -> bool {
+        row.key.starts_with(&self.prefix)
     }
 }
 
@@ -55,11 +49,16 @@ pub struct SingleColumnValueFilter {
 }
 
 impl Filter for SingleColumnValueFilter {
-    fn matches(&self, row: &RowResult) -> bool {
-        let Some(v) = row.value(&self.family, &self.column) else {
+    fn matches(&self, row: &RowView<'_>) -> bool {
+        let (family, column) = (self.family.as_bytes(), self.column.as_ref());
+        let Some(cell) = row
+            .cells
+            .iter()
+            .find(|c| c.family == family && c.column == column)
+        else {
             return false;
         };
-        let ord = v.as_ref().cmp(self.value.as_ref());
+        let ord = cell.value.cmp(self.value.as_ref());
         match self.op {
             CompareOp::Equal => ord.is_eq(),
             CompareOp::NotEqual => ord.is_ne(),
@@ -69,27 +68,17 @@ impl Filter for SingleColumnValueFilter {
             CompareOp::GreaterOrEqual => ord.is_ge(),
         }
     }
-    fn describe(&self) -> String {
-        format!(
-            "SingleColumnValueFilter({}:{:?} {:?})",
-            self.family, self.column, self.op
-        )
-    }
 }
 
 /// An arbitrary predicate — what PStorM uses to push its Euclidean-
 /// distance and Jaccard filters down to the region servers.
-pub struct PredicateFilter<F: Fn(&RowResult) -> bool + Send + Sync> {
-    pub name: String,
+pub struct PredicateFilter<F: Fn(&RowView<'_>) -> bool + Send + Sync> {
     pub pred: F,
 }
 
-impl<F: Fn(&RowResult) -> bool + Send + Sync> Filter for PredicateFilter<F> {
-    fn matches(&self, row: &RowResult) -> bool {
+impl<F: Fn(&RowView<'_>) -> bool + Send + Sync> Filter for PredicateFilter<F> {
+    fn matches(&self, row: &RowView<'_>) -> bool {
         (self.pred)(row)
-    }
-    fn describe(&self) -> String {
-        self.name.clone()
     }
 }
 
@@ -99,25 +88,15 @@ pub struct FilterList {
 }
 
 impl Filter for FilterList {
-    fn matches(&self, row: &RowResult) -> bool {
+    fn matches(&self, row: &RowView<'_>) -> bool {
         self.filters.iter().all(|f| f.matches(row))
-    }
-    fn describe(&self) -> String {
-        format!(
-            "FilterList[{}]",
-            self.filters
-                .iter()
-                .map(|f| f.describe())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::CellVersion;
+    use crate::kv::{CellVersion, RowResult};
 
     fn row(key: &str, col_val: Option<(&str, &str)>) -> RowResult {
         let mut r = RowResult::new(Bytes::copy_from_slice(key.as_bytes()));
@@ -130,13 +109,18 @@ mod tests {
         r
     }
 
+    /// Whether `filter` passes `row` as a scan walks it.
+    fn passes(filter: &dyn Filter, row: &RowResult) -> bool {
+        filter.matches(&row.view(&mut Vec::new()))
+    }
+
     #[test]
     fn prefix_filter() {
         let f = RowPrefixFilter {
             prefix: Bytes::from("Static/"),
         };
-        assert!(f.matches(&row("Static/job1", None)));
-        assert!(!f.matches(&row("Dynamic/job1", None)));
+        assert!(passes(&f, &row("Static/job1", None)));
+        assert!(!passes(&f, &row("Dynamic/job1", None)));
     }
 
     #[test]
@@ -150,11 +134,11 @@ mod tests {
         let lo = row("r", Some(("c", "a")));
         let eq = row("r", Some(("c", "m")));
         let hi = row("r", Some(("c", "z")));
-        assert!(mk(CompareOp::Less).matches(&lo));
-        assert!(!mk(CompareOp::Less).matches(&eq));
-        assert!(mk(CompareOp::Equal).matches(&eq));
-        assert!(mk(CompareOp::GreaterOrEqual).matches(&hi));
-        assert!(mk(CompareOp::NotEqual).matches(&hi));
+        assert!(passes(&mk(CompareOp::Less), &lo));
+        assert!(!passes(&mk(CompareOp::Less), &eq));
+        assert!(passes(&mk(CompareOp::Equal), &eq));
+        assert!(passes(&mk(CompareOp::GreaterOrEqual), &hi));
+        assert!(passes(&mk(CompareOp::NotEqual), &hi));
     }
 
     #[test]
@@ -165,7 +149,7 @@ mod tests {
             op: CompareOp::NotEqual,
             value: Bytes::from("x"),
         };
-        assert!(!f.matches(&row("r", None)));
+        assert!(!passes(&f, &row("r", None)));
     }
 
     #[test]
@@ -176,13 +160,12 @@ mod tests {
                     prefix: Bytes::from("S"),
                 }),
                 Box::new(PredicateFilter {
-                    name: "nonempty".to_string(),
-                    pred: |r: &RowResult| !r.is_empty(),
+                    pred: |r: &RowView<'_>| !r.cells.is_empty(),
                 }),
             ],
         };
-        assert!(list.matches(&row("S1", Some(("c", "v")))));
-        assert!(!list.matches(&row("S1", None)));
-        assert!(!list.matches(&row("D1", Some(("c", "v")))));
+        assert!(passes(&list, &row("S1", Some(("c", "v")))));
+        assert!(!passes(&list, &row("S1", None)));
+        assert!(!passes(&list, &row("D1", Some(("c", "v")))));
     }
 }

@@ -23,7 +23,9 @@
 //!
 //! * [`kv`] — cells, puts, row results.
 //! * [`filter`] — pushdown predicates (`RowPrefixFilter`,
-//!   `SingleColumnValueFilter`, arbitrary predicates, conjunctions).
+//!   `SingleColumnValueFilter`, arbitrary predicates, conjunctions),
+//!   evaluated on each row where a scan walks it, before it is
+//!   materialized.
 //! * [`region`] — sorted row partitions with scan metrics and splits.
 //! * [`store`] — tables, META, the client API, durable mode.
 //! * [`shard`] — N replicated store shards behind one API: commit rule,

@@ -27,10 +27,9 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::BlockCache;
-use crate::filter::Filter;
 use crate::kv::{intact, CellVersion, RowResult};
 use crate::segment::{Block, SegmentError, SegmentReader};
-use crate::store::StoreError;
+use crate::store::{Scan, StoreError};
 
 /// Room for a row's cells in a walk's view: a `Static/` row, the widest
 /// the profile store writes, has 16.
@@ -274,7 +273,7 @@ impl Region {
     /// the cache; it never materializes the region.
     pub fn get(&self, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
         let mut found = None;
-        self.read(Keys::One(row), |row| found = Some(row))?;
+        self.walk(Keys::One(row), |row| found = Some(materialize(row)))?;
         Ok(found)
     }
 
@@ -294,55 +293,33 @@ impl Region {
         Ok(Some(existed))
     }
 
-    /// Scan rows in `[start, end)` ∩ this region, applying a server-side
-    /// filter and verifying cell checksums. Returns matching rows and the
-    /// scan metrics, or the first corruption encountered. On a
-    /// segment-backed region only the blocks overlapping the range are
-    /// read (through the cache); the row-level visit order, filtering,
-    /// and metrics are bit-identical to the materialized path.
-    pub fn scan(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        filter: Option<&dyn Filter>,
-    ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let mut out = Vec::new();
-        let mut metrics = ScanMetrics {
-            regions_visited: 1,
-            ..ScanMetrics::default()
-        };
-        self.read(Keys::Range(start, end), |row| {
-            visit_row(row, filter, &mut out, &mut metrics)
-        })?;
-        Ok((out, metrics))
-    }
-
-    /// Visit the rows in `[start, end)` ∩ this region as [`RowView`]s,
-    /// checksum-verified as a scan verifies them and materialized for no
-    /// one. Returns the rows and cells a scan would count.
+    /// Walk the rows in `scan`'s key range ∩ this region as [`RowView`]s,
+    /// checksum-verified, and hand `each` those that pass the scan's
+    /// filter, which runs on the walked row: a row it drops is never
+    /// materialized. Counts every row walked, and every row passed with the
+    /// bytes of its values as returned. On a segment-backed region only
+    /// the blocks overlapping the range are read (through the cache).
     pub(crate) fn visit(
         &self,
-        start: &[u8],
-        end: Option<&[u8]>,
+        scan: &Scan,
         mut each: impl FnMut(RowView<'_>),
     ) -> Result<ScanMetrics, StoreError> {
         let mut metrics = ScanMetrics {
             regions_visited: 1,
             ..ScanMetrics::default()
         };
-        self.walk(Keys::Range(start, end), |row| {
+        let filter = scan.filter.as_deref();
+        self.walk(Keys::Range(&scan.start, scan.stop.as_deref()), |row| {
             metrics.rows_scanned += 1;
             metrics.cells_scanned += row.cells.len() as u64;
-            each(row)
+            if filter.is_none_or(|f| f.matches(&row)) {
+                metrics.rows_returned += 1;
+                let bytes = row.cells.iter().map(|c| c.value.len() as u64);
+                metrics.bytes_returned += bytes.sum::<u64>();
+                each(row);
+            }
         })?;
-        metrics.rows_returned = metrics.rows_scanned;
         Ok(metrics)
-    }
-
-    /// The rows `keys` selects, materialized: what a get or a scan hands
-    /// out.
-    fn read(&self, keys: Keys<'_>, mut each: impl FnMut(RowResult)) -> Result<(), StoreError> {
-        self.walk(keys, |row| each(materialize(row)))
     }
 
     /// Walk the rows `keys` selects in key order, handing each to `each`
@@ -508,30 +485,6 @@ impl Region {
     }
 }
 
-/// The shared per-row scan body: filter and account a materialized row.
-/// Factored out so the segment-backed and materialized scan paths are
-/// bit-identical by construction.
-fn visit_row(
-    result: RowResult,
-    filter: Option<&dyn Filter>,
-    out: &mut Vec<RowResult>,
-    metrics: &mut ScanMetrics,
-) {
-    metrics.rows_scanned += 1;
-    metrics.cells_scanned += result.cell_count() as u64;
-    let passes = filter.map(|f| f.matches(&result)).unwrap_or(true);
-    if passes {
-        metrics.rows_returned += 1;
-        metrics.bytes_returned += result
-            .families
-            .values()
-            .flat_map(|cols| cols.values())
-            .map(|c| c.value.len() as u64)
-            .sum::<u64>();
-        out.push(result);
-    }
-}
-
 /// A stored row as a read walks it: its key and the latest version of
 /// each of its columns, families first, each cell checksum-verified, all
 /// borrowed from the block or the memstore row that holds them.
@@ -667,9 +620,9 @@ fn verified<'a>(
     }
 }
 
-/// A walked row as a read hands it out, sharing the stored bytes rather
-/// than copying them.
-fn materialize(row: RowView<'_>) -> RowResult {
+/// A walked row as a get or a scan hands it out, sharing the stored bytes
+/// rather than copying them.
+pub(crate) fn materialize(row: RowView<'_>) -> RowResult {
     let key = match row.home {
         Home::Block(block) => block.cut(row.key),
         Home::Owned(key) => key.clone(),
@@ -699,6 +652,14 @@ mod tests {
         assert!(cells.is_empty());
     }
 
+    /// What a scan keeps of `region`: the rows `scan` passes, materialized,
+    /// and the metrics.
+    fn scan(region: &Region, scan: &Scan) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
+        let mut rows = Vec::new();
+        let metrics = region.visit(scan, |row| rows.push(materialize(row)))?;
+        Ok((rows, metrics))
+    }
+
     #[test]
     fn put_get_roundtrip() {
         let r = Region::new(1, KeyRange::all());
@@ -714,7 +675,7 @@ mod tests {
         let r = Region::new(1, KeyRange::all());
         put(&r, "row1", "c", "v1", 1);
         let got = r.get(b"row1").unwrap().unwrap();
-        let (scanned, _) = r.scan(b"", None, None).unwrap();
+        let (scanned, _) = scan(&r, &Scan::all()).unwrap();
         assert_eq!(got.row, Bytes::from("row1"));
         assert_eq!(got.row.as_ptr(), scanned[0].row.as_ptr());
     }
@@ -759,7 +720,12 @@ mod tests {
         for k in ["a", "b", "c", "d"] {
             put(&r, k, "c", "v", 1);
         }
-        let (rows, metrics) = r.scan(b"b", Some(b"d"), None).unwrap();
+        let range = Scan {
+            start: Bytes::from("b"),
+            stop: Some(Bytes::from("d")),
+            filter: None,
+        };
+        let (rows, metrics) = scan(&r, &range).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(metrics.rows_scanned, 2);
         assert_eq!(metrics.rows_returned, 2);
@@ -775,7 +741,7 @@ mod tests {
         let f = RowPrefixFilter {
             prefix: Bytes::from("Static/"),
         };
-        let (rows, metrics) = r.scan(b"", None, Some(&f)).unwrap();
+        let (rows, metrics) = scan(&r, &Scan::all().with_filter(Box::new(f))).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(metrics.rows_scanned, 2);
         assert_eq!(metrics.rows_returned, 1);
@@ -839,7 +805,7 @@ mod tests {
         assert!(r.get(b"row2").unwrap().is_some());
         // A scan crossing the corrupt row reports it too.
         assert!(matches!(
-            r.scan(b"", None, None),
+            scan(&r, &Scan::all()),
             Err(StoreError::Corruption { .. })
         ));
     }

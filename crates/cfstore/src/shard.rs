@@ -71,7 +71,7 @@ use crate::kv::{Put, RowResult};
 use crate::recovery::{self, io_err, RecoveryError, RecoveryReport};
 use crate::region::{RowView, ScanMetrics};
 use crate::store::{
-    Install, MetaEntry, MiniStore, Scan, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
+    keep, Install, MetaEntry, MiniStore, Scan, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
 };
 use crate::wal::{self, CrashSpec, SyncPolicy, WalRecord, WAL_FILE};
 
@@ -1073,54 +1073,51 @@ impl ShardedStore {
         Err(last_err.expect("loop returns unless every replica errored"))
     }
 
-    /// Scan with filter pushdown. Every shard is scanned; each slot's
-    /// rows are taken from the first replica whose scan succeeded
-    /// (normally the primary), after heal-and-retry on corrupt shards.
-    /// Results are bit-identical to an unsharded store's scan; metrics
-    /// are summed across shard scans (replication makes `rows_scanned`
-    /// larger than a single store's — the read-amplification cost of
-    /// redundancy, visible on purpose).
+    /// Scan with filter pushdown: [`Self::visit`], keeping each row the
+    /// filter passes, materialized, in key order. Results are
+    /// bit-identical to an unsharded store's scan; metrics are summed
+    /// across shard reads (replication makes `rows_scanned` larger than a
+    /// single store's — the read-amplification cost of redundancy,
+    /// visible on purpose).
     pub fn scan(
         &self,
         table: &str,
         scan: &Scan,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let mut st = self.inner.state.lock();
-        let runs = Self::read_slots(&self.inner, &mut st, table, |shard, serves| {
-            let (mut rows, metrics) = shard.scan(table, scan)?;
-            rows.retain(|row| serves(&row.row));
-            Ok((rows, metrics))
-        })?;
-        let (mut rows, mut metrics) = (Vec::new(), ScanMetrics::default());
-        for (run, m) in runs {
-            rows.extend(run);
-            metrics.merge(m);
-        }
+        let (parts, metrics) = self.visit(table, scan, keep)?;
+        let mut rows: Vec<RowResult> = parts.into_iter().flatten().collect();
         // A stable sort merges the shards' sorted runs.
         rows.sort_by(|a, b| a.row.cmp(&b.row));
         Ok((rows, metrics))
     }
 
     /// The rows `scan` covers folded into parts as [`MiniStore::visit`]
-    /// folds them: every shard's cells are walked, verified and healed as
-    /// [`Self::scan`] reads them, and each row is folded once, by the
-    /// shard that serves its slot. A part holds one region's rows of one
-    /// shard in key order; different shards' parts interleave.
+    /// folds them: every shard is read, its cells verified and healed,
+    /// and each row its filter passes is folded once, by the shard that
+    /// serves its slot (normally the primary; [`Self::read_slots`]). A
+    /// part holds one region's rows of one shard in key order; different
+    /// shards' parts interleave. The metrics are summed over the shards'
+    /// reads that served.
     pub fn visit<T: Default + Send>(
         &self,
         table: &str,
         scan: &Scan,
         fold: impl Fn(&mut T, RowView<'_>) + Sync,
-    ) -> Result<Vec<T>, StoreError> {
+    ) -> Result<(Vec<T>, ScanMetrics), StoreError> {
         let mut st = self.inner.state.lock();
-        let parts = Self::read_slots(&self.inner, &mut st, table, |shard, serves| {
+        let reads = Self::read_slots(&self.inner, &mut st, table, |shard, serves| {
             shard.visit(table, scan, |part, row| {
                 if serves(row.key) {
                     fold(part, row);
                 }
             })
         })?;
-        Ok(parts.into_iter().flatten().collect())
+        let (mut parts, mut metrics) = (Vec::new(), ScanMetrics::default());
+        for (read, m) in reads {
+            parts.extend(read);
+            metrics.merge(m);
+        }
+        Ok((parts, metrics))
     }
 
     /// Chaos hook: corrupt a stored cell on the *primary* replica of its
@@ -1279,7 +1276,7 @@ impl ShardedStore {
     /// Run `op` against shard `g`; when it fails a CRC (cell checksum or
     /// segment block), count the heal read, repair the shard's copy of
     /// `table` from its peers and run `op` once more. The one
-    /// heal-and-retry under `get`, `scan` and the `put_batch` pre-pass.
+    /// heal-and-retry under `get`, `visit` and the `put_batch` pre-pass.
     fn with_heal<T>(
         inner: &ShardedInner,
         st: &mut GlobalState,
@@ -1308,7 +1305,7 @@ impl ShardedStore {
     /// handed whether it serves a row): a slot is served by the first of
     /// its replicas whose read succeeded. When a shard stays corrupt, the
     /// reads start over without it, its slots served by their next
-    /// replica. The one slot resolution, under `scan` and `visit`.
+    /// replica. The one slot resolution, under `visit`.
     fn read_slots<R>(
         inner: &ShardedInner,
         st: &mut GlobalState,

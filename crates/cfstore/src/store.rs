@@ -40,7 +40,7 @@ use crate::kv::{Put, RowResult};
 use crate::recovery::{
     self, inconsistent, io_err, Manifest, ManifestTable, RecoveryError, RecoveryReport,
 };
-use crate::region::{KeyRange, Region, RowData, RowView, RunCell, ScanMetrics};
+use crate::region::{materialize, KeyRange, Region, RowData, RowView, RunCell, ScanMetrics};
 use crate::segment::{self, SegmentError};
 use crate::wal::{self, CrashSpec, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE};
 
@@ -145,7 +145,8 @@ pub struct Scan {
     pub start: Bytes,
     /// Exclusive stop row; `None` scans to the end of the table.
     pub stop: Option<Bytes>,
-    /// Server-side filter, evaluated at the regions.
+    /// Server-side filter, evaluated at the regions on each row as the
+    /// scan walks it: only the rows it passes are materialized.
     pub filter: Option<Box<dyn Filter>>,
 }
 
@@ -806,41 +807,33 @@ impl MiniStore {
         Ok(self.inner.apply(records)?.rows_deleted > 0)
     }
 
-    /// Scan with server-side filtering; the overlapping regions are
-    /// scanned in parallel, in contiguous runs (one logical region server
-    /// each) on this thread and on one more for each core the process's
-    /// budget lends it ([`obs::cores`]), and merged in key order.
+    /// Scan with server-side filtering: [`Self::visit`], keeping each row
+    /// the filter passes, materialized, in key order.
     pub fn scan(
         &self,
         table: &str,
         scan: &Scan,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let regions = self.overlapping(table, scan)?;
-        let cores = lend(&regions);
-        self.scan_on(&regions, scan, 1 + cores.helpers())
+        let (parts, metrics) = self.visit(table, scan, keep)?;
+        Ok((parts.into_iter().flatten().collect(), metrics))
     }
 
-    /// Visit the rows in `scan`'s key range as [`RowView`]s, borrowed where
-    /// they are stored, checksum-verified and counted as [`Self::scan`]
-    /// verifies and counts them, on the threads it would run on: a scan
-    /// that materializes no row. Each region's rows fold into a
-    /// `T::default()`, and the `T`s come back in key order. The scan's
-    /// filter is not applied.
+    /// Visit the rows in `scan`'s key range that its filter passes, as
+    /// [`RowView`]s borrowed where they are stored, checksum-verified: the
+    /// one range read. The overlapping regions are read in contiguous runs
+    /// (one logical region server each) on this thread and on one more for
+    /// each core the process's budget lends it ([`obs::cores`]). Each
+    /// region's rows fold into a `T::default()`; the `T`s come back in key
+    /// order, with the metrics of every region read.
     pub fn visit<T: Default + Send>(
         &self,
         table: &str,
         scan: &Scan,
         fold: impl Fn(&mut T, RowView<'_>) + Sync,
-    ) -> Result<Vec<T>, StoreError> {
+    ) -> Result<(Vec<T>, ScanMetrics), StoreError> {
         let regions = self.overlapping(table, scan)?;
         let cores = lend(&regions);
-        let (start, stop) = (&scan.start, scan.stop.as_deref());
-        let (parts, _) = self.read_regions(&regions, 1 + cores.helpers(), |r| {
-            let mut part = T::default();
-            let metrics = r.visit(start, stop, |row| fold(&mut part, row))?;
-            Ok((part, metrics))
-        })?;
-        Ok(parts)
+        self.read_regions(&regions, 1 + cores.helpers(), scan, fold)
     }
 
     /// The regions of `table` that `scan`'s key range overlaps, in order.
@@ -854,32 +847,20 @@ impl MiniStore {
             .collect())
     }
 
-    /// [`Self::scan`] of `regions` on at most `width` threads, the
-    /// caller's included.
-    fn scan_on(
-        &self,
-        regions: &[Arc<Region>],
-        scan: &Scan,
-        width: usize,
-    ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let filter = scan.filter.as_deref();
-        let (start, stop) = (&scan.start, scan.stop.as_deref());
-        let (parts, metrics) =
-            self.read_regions(regions, width, |r| r.scan(start, stop, filter))?;
-        let mut rows: Vec<RowResult> = parts.into_iter().flatten().collect();
-        rows.sort_by(|a, b| a.row.cmp(&b.row));
-        Ok((rows, metrics))
-    }
-
-    /// `read` of each of `regions` on at most `width` threads
+    /// [`Self::visit`] of `regions` on at most `width` threads
     /// ([`read_in_runs`]), and the read counters of all of them.
-    fn read_regions<R: Send>(
+    fn read_regions<T: Default + Send>(
         &self,
         regions: &[Arc<Region>],
         width: usize,
-        read: impl Fn(&Region) -> Result<(R, ScanMetrics), StoreError> + Sync,
-    ) -> Result<(Vec<R>, ScanMetrics), StoreError> {
-        let partials = read_in_runs(regions, width, read)?;
+        scan: &Scan,
+        fold: impl Fn(&mut T, RowView<'_>) + Sync,
+    ) -> Result<(Vec<T>, ScanMetrics), StoreError> {
+        let partials = read_in_runs(regions, width, |r| {
+            let mut part = T::default();
+            let metrics = r.visit(scan, |row| fold(&mut part, row))?;
+            Ok((part, metrics))
+        })?;
         // Per-region read-amplification counters (rows each region
         // touched vs returned), recorded before the merge flattens the
         // partials. Key formatting is gated so the disabled-registry
@@ -1332,6 +1313,11 @@ impl Default for MiniStore {
     }
 }
 
+/// The fold of a scan: keep each row visited, materialized.
+pub(crate) fn keep(rows: &mut Vec<RowResult>, row: RowView<'_>) {
+    rows.push(materialize(row));
+}
+
 /// This thread's core for a read of `regions`, and one more for each
 /// other region as far as the process's core budget lends them.
 fn lend(regions: &[Arc<Region>]) -> obs::cores::Lease {
@@ -1475,8 +1461,7 @@ mod tests {
             store.put("t", bput(&format!("r{i:02}"), "c", "v")).unwrap();
         }
         let scan = Scan::all().with_filter(Box::new(PredicateFilter {
-            name: "even rows".to_string(),
-            pred: |r: &RowResult| r.row.last() == Some(&b'0'),
+            pred: |r: &RowView<'_>| r.key.last() == Some(&b'0'),
         }));
         let (rows, metrics) = store.scan("t", &scan).unwrap();
         assert_eq!(rows.len(), 5);
@@ -1549,9 +1534,8 @@ mod tests {
         }
         assert!(store.region_count("t").unwrap() > 1, "scans on threads");
         let scan = Scan::all().with_filter(Box::new(PredicateFilter {
-            name: "panics on k050".to_string(),
-            pred: |r: &RowResult| {
-                assert!(r.row.as_ref() != b"k050", "filter panicked on k050");
+            pred: |r: &RowView<'_>| {
+                assert!(r.key != b"k050", "filter panicked on k050");
                 true
             },
         }));
@@ -1574,8 +1558,7 @@ mod tests {
         let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
         let record = seen.clone();
         let scan = Scan::all().with_filter(Box::new(PredicateFilter {
-            name: "records its thread".to_string(),
-            pred: move |_: &RowResult| {
+            pred: move |_: &RowView<'_>| {
                 record.lock().insert(std::thread::current().id());
                 true
             },
@@ -1702,8 +1685,7 @@ mod tests {
                 start: Bytes::from(format!("k{lo:04}")),
                 stop: (lo != hi).then(|| Bytes::from(format!("k{hi:04}"))),
                 filter: Some(Box::new(PredicateFilter {
-                    name: "even keys".to_string(),
-                    pred: |r: &RowResult| r.row.last().is_some_and(|d| d % 2 == 0),
+                    pred: |r: &RowView<'_>| r.key.last().is_some_and(|d| d % 2 == 0),
                 })),
             };
             let mut seen = Vec::new();
@@ -1712,7 +1694,7 @@ mod tests {
                 store.set_obs(reg.clone());
                 let result = store
                     .overlapping("t", &scan())
-                    .and_then(|regions| store.scan_on(&regions, &scan(), width));
+                    .and_then(|regions| store.read_regions(&regions, width, &scan(), keep));
                 let counters: BTreeMap<String, u64> = reg
                     .snapshot()
                     .counters
@@ -1725,20 +1707,18 @@ mod tests {
                 proptest::prop_assert_eq!(result, &seen[0].1, "width {} of {}", width, regions);
                 proptest::prop_assert_eq!(counters, &seen[0].2, "width {} of {}", width, regions);
             }
-            // A visit walks what an unfiltered scan returns, with its first
-            // error.
-            let unfiltered = || Scan { filter: None, ..scan() };
+            // A visit hands out what a scan returns, with its first error.
             let flat = |row: RowView<'_>| {
                 let cells = row.cells.iter().map(|c| (c.family.to_vec(), c.column.to_vec(), c.value.to_vec()));
                 (row.key.to_vec(), cells.collect::<Vec<_>>())
             };
-            let scanned = store.scan("t", &unfiltered()).map(|(rows, _)| {
+            let scanned = store.scan("t", &scan()).map(|(rows, _)| {
                 let mut cells = Vec::new();
                 rows.iter().map(|r| flat(r.view(&mut cells))).collect::<Vec<_>>()
             });
             let visited = store
-                .visit("t", &unfiltered(), |part: &mut Vec<_>, row| part.push(flat(row)))
-                .map(|parts| parts.concat());
+                .visit("t", &scan(), |part: &mut Vec<_>, row| part.push(flat(row)))
+                .map(|(parts, _)| parts.concat());
             proptest::prop_assert_eq!(visited, scanned);
             // ... and counts what it reads as the scan does.
             let mut read_counters = Vec::new();
@@ -1746,9 +1726,9 @@ mod tests {
                 let reg = obs::Registry::new();
                 store.set_obs(reg.clone());
                 if visit {
-                    let _ = store.visit("t", &unfiltered(), |_: &mut (), _| {});
+                    let _ = store.visit("t", &scan(), |_: &mut (), _| {});
                 } else {
-                    let _ = store.scan("t", &unfiltered());
+                    let _ = store.scan("t", &scan());
                 }
                 let counters = reg.snapshot().counters.into_iter();
                 let reads = counters.filter(|(name, _)| !name.starts_with("cfstore.block_cache."));

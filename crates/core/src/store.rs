@@ -173,23 +173,17 @@ impl Backend {
         }
     }
 
-    fn scan(&self, table: &str, scan: &Scan) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        match self {
-            Backend::Single(s) => s.scan(table, scan),
-            Backend::Sharded(s) => s.scan(table, scan),
-        }
-    }
-
-    /// The rows `scan` covers, walked where they are stored and folded
-    /// into parts, each in key order: a part per region of a [`MiniStore`]
-    /// ([`MiniStore::visit`]), or per region of each shard of a
-    /// [`ShardedStore`], whose parts interleave ([`ShardedStore::visit`]).
+    /// The rows `scan` covers and its filter passes, walked where they are
+    /// stored and folded into parts, each in key order: a part per region
+    /// of a [`MiniStore`] ([`MiniStore::visit`]), or per region of each
+    /// shard of a [`ShardedStore`], whose parts interleave
+    /// ([`ShardedStore::visit`]); and the scan's metrics.
     fn visit<T: Default + Send>(
         &self,
         table: &str,
         scan: &Scan,
         fold: impl Fn(&mut T, RowView<'_>) + Sync,
-    ) -> Result<Vec<T>, StoreError> {
+    ) -> Result<(Vec<T>, ScanMetrics), StoreError> {
         match self {
             Backend::Single(s) => s.visit(table, scan, fold),
             Backend::Sharded(s) => s.visit(table, scan, fold),
@@ -828,12 +822,16 @@ impl ProfileStore {
 
     /// All stored job ids (scans the `Profile/` prefix).
     pub fn job_ids(&self) -> Result<Vec<String>, ProfileStoreError> {
-        let (rows, _) = self
-            .backend()
-            .scan(TABLE, &Scan::prefix(&self.pfx("Profile")))?;
         let skip = self.skip("Profile");
-        rows.iter()
-            .map(|r| job_id_of(&r.row[skip..]).map(str::to_string))
+        let id = |ids: &mut Vec<Box<[u8]>>, row: RowView<'_>| ids.push(row.key[skip..].into());
+        let (parts, _) = self
+            .backend()
+            .visit(TABLE, &Scan::prefix(&self.pfx("Profile")), id)?;
+        let mut ids: Vec<Box<[u8]>> = parts.into_iter().flatten().collect();
+        // Sharded parts interleave.
+        ids.sort_unstable();
+        ids.iter()
+            .map(|id| job_id_of(id).map(str::to_string))
             .collect()
     }
 
@@ -860,22 +858,18 @@ impl ProfileStore {
         let skip = self.skip("Dynamic");
         let scan =
             Scan::prefix(&self.pfx("Dynamic")).with_filter(Box::new(cfstore::PredicateFilter {
-                name: "dynamic-feature filter".to_string(),
-                pred: move |row: &RowResult| match DynamicRow::parse(
-                    &row.view(&mut Vec::new()),
-                    skip,
-                ) {
-                    Some(d) => predicate(&d),
-                    None => false,
+                pred: move |row: &RowView<'_>| {
+                    DynamicRow::parse(row, skip).is_some_and(|d| predicate(&d))
                 },
             }));
-        let (rows, metrics) = self.backend().scan(TABLE, &scan)?;
-        let mut cells = Vec::new();
-        let parsed = rows
-            .iter()
-            .filter_map(|r| DynamicRow::parse(&r.view(&mut cells), skip))
-            .collect();
-        Ok((parsed, metrics))
+        let parse = |rows: &mut Vec<DynamicRow>, row: RowView<'_>| {
+            rows.extend(DynamicRow::parse(&row, skip));
+        };
+        let (parts, metrics) = self.backend().visit(TABLE, &scan, parse)?;
+        let mut rows: Vec<DynamicRow> = parts.into_iter().flatten().collect();
+        // Sharded parts interleave; a row's key orders as its job id.
+        rows.sort_by(|a, b| a.job_id.cmp(&b.job_id));
+        Ok((rows, metrics))
     }
 
     /// Fetch a job's stored static features.
@@ -901,23 +895,6 @@ impl ProfileStore {
         };
         let costs = decode_cost_factors(&row.view(&mut Vec::new()), job_id)?;
         Ok(Some(costs.to_vec()))
-    }
-
-    /// Fetch the cost factors of every stored job with a single
-    /// `CostFactor/` prefix scan (batched alternative to point-gets).
-    pub fn all_cost_factors(&self) -> Result<HashMap<String, Vec<f64>>, ProfileStoreError> {
-        let (rows, _) = self
-            .backend()
-            .scan(TABLE, &Scan::prefix(&self.pfx("CostFactor")))?;
-        let skip = self.skip("CostFactor");
-        let mut cells = Vec::new();
-        rows.iter()
-            .map(|row| {
-                let id = job_id_of(&row.row[skip..])?;
-                let costs = decode_cost_factors(&row.view(&mut cells), id)?;
-                Ok((id.to_string(), costs.to_vec()))
-            })
-            .collect()
     }
 
     /// The columnar projection of the namespace's feature rows. Built by
@@ -1037,8 +1014,8 @@ impl ProfileStore {
         let fold = |part: &mut T, row: RowView<'_>| {
             parse(part, row.key.get(skip..).unwrap_or_default(), &row)
         };
-        self.backend()
-            .visit(TABLE, &Scan::prefix(&self.pfx(feature)), fold)
+        let scan = Scan::prefix(&self.pfx(feature));
+        Ok(self.backend().visit(TABLE, &scan, fold)?.0)
     }
 
     /// The underlying HBase (diagnostics and benches). Only available
@@ -1747,8 +1724,8 @@ impl ColumnarIndex {
 
     /// The pre-vectorization map-side sweep: one scalar
     /// [`MinMaxNormalizer::distance`] call per row-major row. Kept as the
-    /// reference implementation the property suite and `perf_report`
-    /// compare the lane-blocked sweep against.
+    /// reference implementation `perf_report` times the lane-blocked sweep
+    /// against (the property suite's oracle is [`ProfileStore::filter_dynamic`]).
     pub fn sweep_map_dyn_scalar(
         &self,
         bounds: &MinMaxNormalizer,
@@ -1759,21 +1736,6 @@ impl ColumnarIndex {
             .chunks_exact(MAP_DYNAMIC_COLUMNS.len())
             .enumerate()
             .filter(|(_, row)| bounds.distance(q, row) <= theta)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Scalar reference for [`Self::sweep_red_dyn`].
-    pub fn sweep_red_dyn_scalar(
-        &self,
-        bounds: &MinMaxNormalizer,
-        q: &[f64],
-        theta: f64,
-    ) -> Vec<usize> {
-        self.red_dyn
-            .chunks_exact(RED_DYNAMIC_COLUMNS.len())
-            .enumerate()
-            .filter(|(i, row)| self.has_reduce[*i] && bounds.distance(q, row) <= theta)
             .map(|(i, _)| i)
             .collect()
     }
@@ -2189,13 +2151,12 @@ mod tests {
             let (s, p) = profile_of(&spec, &ds);
             store.put_profile(&s, &p).unwrap();
         }
-        let all_costs = store.all_cost_factors().unwrap();
-        assert_eq!(all_costs.len(), 3);
-        for id in store.job_ids().unwrap() {
-            assert_eq!(
-                all_costs[&id],
-                store.get_cost_factors(&id).unwrap().unwrap()
-            );
+        let ids = store.job_ids().unwrap();
+        assert_eq!(ids.len(), 3);
+        assert!(ids.is_sorted());
+        for id in ids {
+            assert_eq!(store.get_profile(&id).unwrap().unwrap().job_id, id);
+            assert!(store.get_cost_factors(&id).unwrap().is_some());
         }
     }
 

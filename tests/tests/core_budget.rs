@@ -14,7 +14,7 @@ use std::thread::ThreadId;
 use std::time::Duration;
 
 use bytes::Bytes;
-use cfstore::{MiniStore, PredicateFilter, Put, RowResult, Scan};
+use cfstore::{MiniStore, PredicateFilter, Put, RowView, Scan};
 use datagen::corpus::{self, SizeClass};
 use mrjobs::jobs;
 use mrsim::ClusterSpec;
@@ -95,8 +95,7 @@ fn analyze_then_scan() -> HashSet<ThreadId> {
     let seen = Arc::new(Mutex::new(HashSet::new()));
     let record = Arc::clone(&seen);
     let scan = Scan::all().with_filter(Box::new(PredicateFilter {
-        name: "records its thread".to_string(),
-        pred: move |_: &RowResult| {
+        pred: move |_: &RowView<'_>| {
             record.lock().unwrap().insert(std::thread::current().id());
             true
         },
