@@ -186,7 +186,8 @@ fi
 # the `Dynamic/`, `Static/` and `CostFactor/` rows where the backend walks
 # them, so the non-test `build_columnar_index` neither scans nor names a
 # `RowResult`; and a region's rows are read by one walk, whose rows a get
-# or a scan hands out through the one call of `materialize`. The profile
+# hands out through region.rs's one call of `materialize` (a scan keeps
+# them through store.rs's `keep`). The profile
 # store's panic sites are counted as cfstore's are: `inner()` on a sharded
 # backend (its documented contract), `Default`'s new in-memory store (a
 # named invariant) and the `put_profile` doc example's `unwrap()`.
@@ -208,20 +209,39 @@ fi
 
 # A sharded index build walks each shard's rows in place (DESIGN.md §34):
 # `Backend::visit` forwards to the store's own walk on either backend and
-# scans nothing, and which replica serves which slot, failover included, is
-# resolved by one function in shard.rs whose only callers are `scan` and
-# `visit`.
-step "source gate (a sharded visit walks the shards in place, slots resolved once)"
+# scans nothing.
+step "source gate (a sharded visit walks the shards in place)"
 visit_body=$(nontest crates/core/src/store.rs |
   awk '/: +fn visit</ && !done { on = 1 } on { print } on && /:     }$/ { on = 0; done = 1 }')
 if [ -z "$visit_body" ] || printf '%s\n' "$visit_body" | grep -F '.scan('; then
   echo "core/store.rs must have a Backend::visit that calls no .scan("; exit 1
 fi
+
+# A scan is a visit that keeps its rows (DESIGN.md §35): each layer has one
+# range read, and its filter runs on the walked row. A region reads a range
+# only through `visit` (no `scan`, `read` or `visit_row` beside it); the
+# profile store reads through `Backend::visit` and calls no `.scan(` outside
+# its tests; the sharded store's `scan` folds over its `visit`, so a shard's
+# own `.scan(` is called only by the `shard_scan` test hook; and which
+# replica serves which slot, failover included, is resolved by one function
+# with one caller, the sharded `visit`.
+step "source gate (one range read per layer, slots resolved once)"
+if nontest crates/cfstore/src/region.rs | grep -E 'fn (scan|read)\(|fn visit_row\b'; then
+  echo "region.rs must read a range only through fn visit"; exit 1
+fi
+if nontest crates/core/src/store.rs | grep -F '.scan('; then
+  echo "core/store.rs must read rows through Backend::visit, not .scan("; exit 1
+fi
+scanners=$(nontest crates/cfstore/src/shard.rs |
+  awk '/ fn [a-z_]+/ { f = $0; sub(/.* fn /, "", f); sub(/[<(].*/, "", f) } /\.scan\(/ { print f }' | tr '\n' ' ')
+if [ "$scanners" != "shard_scan " ]; then
+  echo "shard.rs must call a shard's .scan( only in shard_scan; it does in: $scanners"; exit 1
+fi
 resolvers=$(nontest crates/cfstore/src/shard.rs | grep -c 'fn read_slots<' || true)
 callers=$(nontest crates/cfstore/src/shard.rs |
-  awk '/ fn [a-z_]+/ { f = $0; sub(/.* fn /, "", f); sub(/[<(].*/, "", f) } /read_slots\(/ { print f }' | sort | tr '\n' ' ')
-if [ "$resolvers" -ne 1 ] || [ "$callers" != "scan visit " ]; then
-  echo "shard.rs must have one fn read_slots, called once each by scan and visit; callers: $callers"; exit 1
+  awk '/ fn [a-z_]+/ { f = $0; sub(/.* fn /, "", f); sub(/[<(].*/, "", f) } /read_slots\(/ { print f }' | tr '\n' ' ')
+if [ "$resolvers" -ne 1 ] || [ "$callers" != "visit " ]; then
+  echo "shard.rs must have one fn read_slots, called once, by visit; callers: $callers"; exit 1
 fi
 
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live
