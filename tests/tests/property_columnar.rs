@@ -775,7 +775,7 @@ fn the_sharded_build_is_point_reads_in_every_topology() {
 /// `filter_dynamic` on a sharded store returns the jobs whose rows pass in
 /// key order, as a single store of the same jobs does, though each shard
 /// serves its own slots' rows; its metrics sum every shard's scan. Pinned
-/// live and reopened.
+/// live and reopened, with `job_ids`' order beside it.
 #[test]
 fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
     let single = ProfileStore::new().unwrap();
@@ -797,6 +797,7 @@ fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
         let ids: Vec<String> = rows.into_iter().map(|d| d.job_id).collect();
         assert_eq!(ids, want, "{when}");
         metrics.push(format!("{m:?}"));
+        assert_eq!(store.job_ids().unwrap(), single.job_ids().unwrap(), "{when}");
     }
     assert!(want.is_sorted());
     assert_eq!(want.len(), 104);
