@@ -51,11 +51,8 @@ pub struct SingleColumnValueFilter {
 impl Filter for SingleColumnValueFilter {
     fn matches(&self, row: &RowView<'_>) -> bool {
         let (family, column) = (self.family.as_bytes(), self.column.as_ref());
-        let Some(cell) = row
-            .cells
-            .iter()
-            .find(|c| c.family == family && c.column == column)
-        else {
+        let mut cells = row.cells.iter();
+        let Some(cell) = cells.find(|c| c.family == family && c.column == column) else {
             return false;
         };
         let ord = cell.value.cmp(self.value.as_ref());

@@ -797,7 +797,11 @@ fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
         let ids: Vec<String> = rows.into_iter().map(|d| d.job_id).collect();
         assert_eq!(ids, want, "{when}");
         metrics.push(format!("{m:?}"));
-        assert_eq!(store.job_ids().unwrap(), single.job_ids().unwrap(), "{when}");
+        assert_eq!(
+            store.job_ids().unwrap(),
+            single.job_ids().unwrap(),
+            "{when}"
+        );
     }
     assert!(want.is_sorted());
     assert_eq!(want.len(), 104);
