@@ -1094,10 +1094,9 @@ impl ShardedStore {
     /// The rows `scan` covers folded into parts as [`MiniStore::visit`]
     /// folds them: every shard is read, its cells verified and healed,
     /// and each row its filter passes is folded once, by the shard that
-    /// serves its slot (normally the primary; [`Self::read_slots`]). A
-    /// part holds one region's rows of one shard in key order; different
-    /// shards' parts interleave. The metrics are summed over the shards'
-    /// reads that served.
+    /// serves its slot (normally the primary). A part holds one region's
+    /// rows of one shard in key order; different shards' parts
+    /// interleave. The metrics are summed over the reads that served.
     pub fn visit<T: Default + Send>(
         &self,
         table: &str,
