@@ -8,8 +8,9 @@
 //!   migration paused at any journal-resolvable point is *clean*: the
 //!   `TOPOLOGY` journal explains every extra shard directory.
 //! * `1` — unrecoverable: corrupt manifest or corrupt referenced
-//!   segment in a single store (in a sharded store those make the
-//!   shard *lost*, which `--repair` heals from its replicas).
+//!   segment in a single store (in a sharded store `--repair` mends
+//!   those from the shard's replicas), or a sharded `--repair` whose
+//!   recovery, resumed reshard or scrub failed.
 //! * `2` — usage error (the binary's argv layer).
 //! * `3` — corruption detected and `--repair` not given: torn WAL
 //!   tail, cell checksum mismatch, lost shard (directory missing,
@@ -198,7 +199,8 @@ fn run_single(dir: &Path, repair: bool) -> u8 {
 /// Scrub a sharded store directory: print the recovery plan, deep-scrub
 /// every shard the plan keeps; with `--repair`, run shard-aware recovery
 /// (rebuilds lost shards, aborts uncommitted cross-shard batches,
-/// resumes or resolves a resharding migration).
+/// resumes or resolves a resharding migration), then
+/// [`ShardedStore::scrub`] (repairs a rotted block from its replicas).
 fn run_sharded(dir: &Path, catalog: &Catalog, repair: bool) -> u8 {
     println!(
         "sharded store       : {} shard(s), replication {}, epoch {}{}",
@@ -233,8 +235,10 @@ fn run_sharded(dir: &Path, catalog: &Catalog, repair: bool) -> u8 {
                         corruption
                             .extend(s.corruption.into_iter().map(|c| format!("shard {g}: {c}")));
                     }
-                    // Unrecoverable for a single store; a sharded reopen
-                    // rebuilds the shard from its replicas.
+                    // Unrecoverable for a single store; a sharded
+                    // `--repair` mends the shard from its replicas (the
+                    // reopen rebuilds one it cannot open, the scrub after
+                    // it repairs a rotted block).
                     Err(e) => corruption.push(format!("shard {g}: {e}")),
                 }
             }
@@ -262,6 +266,15 @@ fn run_sharded(dir: &Path, catalog: &Catalog, repair: bool) -> u8 {
                             eprintln!("store_fsck: reshard resume failed: {e}");
                             return 1;
                         }
+                    }
+                }
+                // A reopen reads lazily: rot in a block it never read
+                // is found and repaired by walking every stored row.
+                match store.scrub() {
+                    Ok(rows) => println!("scrub               : {rows} row(s) repaired"),
+                    Err(e) => {
+                        eprintln!("store_fsck: scrub failed: {e}");
+                        return 1;
                     }
                 }
                 let meta = store.meta();

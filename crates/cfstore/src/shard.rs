@@ -1,6 +1,7 @@
 //! Sharded, replicated cfstore: N store shards behind one client API,
-//! R-way row replication, read-path self-healing, and shard-aware
-//! recovery that survives the loss of any single shard (DESIGN.md §13).
+//! R-way row replication, read fail-over with repair from peers, and
+//! shard-aware recovery that survives the loss of any single shard
+//! (DESIGN.md §13).
 //!
 //! A [`ShardedStore`] is a directory holding a `SHARDS` catalog plus N
 //! subdirectories `shard-000` … `shard-NNN`, each a complete durable
@@ -11,8 +12,8 @@
 //!
 //! ## Write protocol
 //!
-//! All operations serialize under one global lock, so there is a single
-//! total order of batches, each stamped with a *global sequence number*
+//! Writes serialize under one global lock (reads share it), so there is
+//! a single total order of batches, each stamped with a *global sequence number*
 //! (gsn). A batch becomes one WAL frame per participating shard at
 //! `lsn = gsn × LSN_STRIDE` (1024), beginning with a
 //! [`WalRecord::BatchMarker`] naming the gsn and the full participant
@@ -32,11 +33,17 @@
 //!
 //! ## Healing
 //!
-//! A CRC failure on one replica (cell checksum or segment block) is
-//! repaired from another: the reader copies every verified row the bad
-//! shard owns from clean replicas, swaps them in below the corrupt
-//! base ([`Region::install_rows`]), and flushes — rewriting the bad
-//! copy on disk. Counted per shard as `cfstore.shard.<id>.heal.*`.
+//! Reads never write. A read that meets a CRC failure on one replica
+//! (cell checksum or segment block) serves the row or slot from the
+//! next replica and marks the bad shard *suspect*; later reads prefer
+//! the replicas that are not. The repair copies every verified row the
+//! suspect shard owns from clean replicas, swaps them in below the
+//! corrupt base ([`Region::install_rows`]), and flushes — rewriting the
+//! bad copy on disk. It runs at the start of every [`ShardedStore::flush`]
+//! and of the background flusher's work, in [`ShardedStore::scrub`]
+//! (which first walks every stored row), and before a write logs to a
+//! region it cannot read: a write has no replica to fail over to.
+//! Counted per shard as `cfstore.shard.<id>.heal.*` (DESIGN.md §36).
 //! Losing a shard *entirely* (directory deleted, manifest corrupt) is
 //! the degenerate case: reopen rebuilds the whole shard from its
 //! peers, then flushes everything so stale cross-shard gsn bookkeeping
@@ -63,7 +70,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use crate::flusher::Flusher;
 use crate::frame;
@@ -210,8 +217,9 @@ impl ShardedRecoveryReport {
 pub(crate) type Schemas = BTreeMap<String, (Vec<String>, usize)>;
 
 /// Everything behind the global lock: the shards and the write-order
-/// state. One lock serializes all batches so gsn order == WAL order on
-/// every shard — the commit rule depends on that.
+/// state. One lock, taken exclusively, serializes all batches so gsn
+/// order == WAL order on every shard — the commit rule depends on that.
+/// Reads take it shared.
 struct GlobalState {
     /// Length = the active shard count, or `max(old, new)` while a
     /// migration is in flight (dual-apply needs both placements open).
@@ -221,8 +229,8 @@ struct GlobalState {
     /// Global logical clock; cells are stamped here (not per shard) so
     /// replicas hold bit-identical versions.
     clock: u64,
-    /// A crash fired mid-protocol: refuse further mutations (reads and
-    /// heals keep serving), force a reopen to re-establish invariants.
+    /// A crash fired mid-protocol: refuse further mutations (reads keep
+    /// serving), force a reopen to re-establish invariants.
     poisoned: bool,
     /// The epoch-current placement. Reads always use this; it swaps to
     /// the target topology at the journaled `Cutover` record.
@@ -231,6 +239,10 @@ struct GlobalState {
     epoch: u64,
     /// In-flight reshard, if any (DESIGN.md §15).
     migration: Option<Migration>,
+    /// Shards a read met a CRC failure on, awaiting repair: the one thing
+    /// a read changes, so it is marked under the shared lock and cleared
+    /// under the exclusive one ([`ShardedStore::repair_suspects`]).
+    suspect: Mutex<BTreeSet<u32>>,
 }
 
 impl GlobalState {
@@ -250,11 +262,44 @@ impl GlobalState {
         }
         reps
     }
+
+    /// `replicas` in the order a read tries them: the suspect ones last.
+    fn by_preference(&self, mut replicas: Vec<u32>) -> Vec<u32> {
+        let suspect = self.suspect.lock();
+        replicas.sort_by_key(|g| suspect.contains(g));
+        replicas
+    }
+
+    /// A read of shard `g` failed with `e`: a CRC failure counts a heal
+    /// read, marks the shard suspect and is handed back for the read to
+    /// fail over; no replica can help with any other error.
+    fn fail_over(
+        &self,
+        reg: &obs::Registry,
+        g: u32,
+        e: StoreError,
+    ) -> Result<StoreError, StoreError> {
+        if !is_rot(&e) {
+            return Err(e);
+        }
+        count_heal(reg, g, "reads", 1);
+        self.suspect.lock().insert(g);
+        Ok(e)
+    }
+}
+
+/// A checksum failure (cell or segment block): what another replica can
+/// serve and a repair can mend.
+fn is_rot(e: &StoreError) -> bool {
+    matches!(
+        e,
+        StoreError::Corruption { .. } | StoreError::SegmentCorrupt { .. }
+    )
 }
 
 struct ShardedInner {
     dir: PathBuf,
-    state: Mutex<GlobalState>,
+    state: RwLock<GlobalState>,
     obs: RwLock<obs::Registry>,
     /// What the store was opened with (the on-disk catalog overrides
     /// its `shards`/`replication`).
@@ -264,6 +309,16 @@ struct ShardedInner {
 impl ShardedInner {
     fn obs(&self) -> obs::Registry {
         self.obs.read().clone()
+    }
+
+    /// The global lock, exclusively, for a mutation: refused once a crash
+    /// has poisoned the store.
+    fn writer(&self) -> Result<RwLockWriteGuard<'_, GlobalState>, StoreError> {
+        let st = self.state.write();
+        if st.poisoned {
+            return Err(StoreError::Crashed);
+        }
+        Ok(st)
     }
 }
 
@@ -709,26 +764,38 @@ fn rebuild_lost(
     Ok(healed_rows)
 }
 
-/// The sharded background flusher's work: flush any shard whose WAL
-/// outgrew the threshold. Runs under the global lock — it serializes
-/// with writers exactly like a caller-driven [`ShardedStore::flush`], so
-/// crash safety reduces to the single-store argument.
-fn flush_grown_shards(inner: &ShardedInner, threshold: u64) {
-    let mut st = inner.state.lock();
-    if st.poisoned {
-        return;
-    }
-    for g in 0..st.shards.len() {
-        if st.shards[g].wal_bytes_since_flush() >= threshold {
-            match st.shards[g].flush() {
-                Ok(()) => inner.obs().incr("cfstore.shard.flush.background", 1),
-                Err(StoreError::Crashed) => {
-                    st.poisoned = true;
-                    break;
-                }
-                Err(_) => {}
-            }
+/// Repair the suspect shards, then flush each shard `due` picks, stopping
+/// at the first error: the work of [`ShardedStore::flush`] and of the
+/// background flusher, under the exclusive lock. A shard whose repair
+/// cannot complete (no clean replica to copy from) stays suspect — its
+/// reads keep failing over, and [`ShardedStore::scrub`] reports why —
+/// and the flush goes on. Returns the shards flushed.
+fn flush_shards(
+    inner: &ShardedInner,
+    st: &mut GlobalState,
+    due: impl Fn(&MiniStore) -> bool,
+) -> Result<u64, StoreError> {
+    let _ = ShardedStore::repair_suspects(inner, st);
+    let mut flushed = 0;
+    for shard in st.shards.iter().filter(|s| due(s)) {
+        if let Err(e) = shard.flush() {
+            st.poisoned |= e == StoreError::Crashed;
+            return Err(e);
         }
+        flushed += 1;
+    }
+    Ok(flushed)
+}
+
+/// The sharded background flusher's work: [`flush_shards`] of the shards
+/// whose WAL outgrew the threshold. It serializes with writers exactly
+/// like a caller-driven [`ShardedStore::flush`], so crash safety reduces
+/// to the single-store argument.
+fn flush_grown_shards(inner: &ShardedInner, threshold: u64) {
+    let Ok(mut st) = inner.writer() else { return };
+    let grown = |s: &MiniStore| s.wal_bytes_since_flush() >= threshold;
+    if let Ok(n) = flush_shards(inner, &mut st, grown) {
+        inner.obs().incr("cfstore.shard.flush.background", n);
     }
 }
 
@@ -867,7 +934,7 @@ impl ShardedStore {
         let clock = shards.iter().map(|s| s.clock_value()).max();
         let inner = Arc::new(ShardedInner {
             dir: dir.to_path_buf(),
-            state: Mutex::new(GlobalState {
+            state: RwLock::new(GlobalState {
                 shards,
                 schemas,
                 next_gsn: plan.max_gsn + 1,
@@ -876,6 +943,7 @@ impl ShardedStore {
                 active: plan.active,
                 epoch: plan.epoch,
                 migration,
+                suspect: Mutex::default(),
             }),
             obs: RwLock::new(reg),
             opts,
@@ -911,10 +979,7 @@ impl ShardedStore {
         split_threshold: usize,
     ) -> Result<(), StoreError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
-        if st.poisoned {
-            return Err(StoreError::Crashed);
-        }
+        let mut st = inner.writer()?;
         if st.schemas.contains_key(name) {
             return Err(StoreError::TableExists(name.to_string()));
         }
@@ -949,10 +1014,7 @@ impl ShardedStore {
             return Ok(());
         }
         let inner = &self.inner;
-        let mut st = inner.state.lock();
-        if st.poisoned {
-            return Err(StoreError::Crashed);
-        }
+        let mut st = inner.writer()?;
         let (families, _) = st
             .schemas
             .get(table)
@@ -995,16 +1057,20 @@ impl ShardedStore {
         }
         let participants: Vec<u32> = per_shard.keys().copied().collect();
         // Materialize target regions up front: at-rest corruption must
-        // surface (and heal) *before* any WAL append, because puts are
-        // not idempotent and a half-applied batch cannot be retried.
+        // surface (and be repaired) *before* any WAL append, because puts
+        // are not idempotent and a half-applied batch cannot be retried.
+        // A write has no other replica to fail over to: whatever stops
+        // the repair, or the retry after it, stops the batch.
         for (&g, (rows, _)) in &per_shard {
-            // A write has no other replica to fall through to: whatever
-            // stopped the heal stops the batch.
-            Self::with_heal(inner, &mut st, g, table, |s| s.prepare_rows(table, rows)).map_err(
-                |e| match e {
-                    Unhealed::Fatal(e) | Unhealed::StillCorrupt { cause: e, .. } => e,
-                },
-            )?;
+            let shard = &st.shards[g as usize];
+            match shard.prepare_rows(table, rows) {
+                Err(e) if is_rot(&e) => {
+                    count_heal(&inner.obs(), g, "reads", 1);
+                    Self::repair(inner, &st, g, table)?;
+                    shard.prepare_rows(table, rows)?;
+                }
+                other => other?,
+            }
         }
         let per_shard = per_shard.into_iter().map(|(g, (_, records))| (g, records));
         Self::commit_batch(&mut st, &participants, per_shard.collect())?;
@@ -1015,14 +1081,11 @@ impl ShardedStore {
     /// Delete a row from every replica holding it.
     pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
-        if st.poisoned {
-            return Err(StoreError::Crashed);
-        }
+        let mut st = inner.writer()?;
         if !st.schemas.contains_key(table) {
             return Err(StoreError::NoSuchTable(table.to_string()));
         }
-        let existed = Self::get_inner(inner, &mut st, table, row)?.is_some();
+        let existed = Self::get_inner(inner, &st, table, row)?.is_some();
         if !existed {
             return Ok(false);
         }
@@ -1037,40 +1100,35 @@ impl ShardedStore {
         Ok(true)
     }
 
-    /// Read one row: try the primary, fail over through the replica set.
-    /// A checksum failure triggers an in-place heal of the bad replica
-    /// (copy-from-peer + flush, rewriting the corrupt segment) and a
-    /// retry; if the heal itself cannot complete, the read still serves
-    /// from the next replica.
+    /// Read one row: try its replicas in turn, the suspect ones last. A
+    /// checksum failure marks the replica suspect and fails over to the
+    /// next; the read itself writes nothing.
     pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
+        let st = inner.state.read();
         if !st.schemas.contains_key(table) {
             return Err(StoreError::NoSuchTable(table.to_string()));
         }
-        Self::get_inner(inner, &mut st, table, row)
+        Self::get_inner(inner, &st, table, row)
     }
 
     fn get_inner(
         inner: &ShardedInner,
-        st: &mut GlobalState,
+        st: &GlobalState,
         table: &str,
         row: &[u8],
     ) -> Result<Option<RowResult>, StoreError> {
-        let mut last_err: Option<StoreError> = None;
+        let mut last_err = None;
         // Reads consult the active placement only: pre-cutover that is
         // the old epoch, making the cutover record the visibility switch.
-        for g in st.active.replicas_of_row(row) {
-            match Self::with_heal(inner, st, g, table, |s| s.get(table, row)) {
-                Ok(res) => return Ok(res),
-                Err(Unhealed::Fatal(e)) => return Err(e),
-                // Keep serving from the next replica.
-                Err(Unhealed::StillCorrupt { seen, .. }) => last_err = Some(seen),
+        for g in st.by_preference(st.active.replicas_of_row(row)) {
+            match st.shards[g as usize].get(table, row) {
+                Err(e) => last_err = Some(st.fail_over(&inner.obs(), g, e)?),
+                ok => return ok,
             }
         }
-        // `Topology::validate` holds every opened topology to R ≥ 1, so
-        // the loop ran at least once.
-        Err(last_err.expect("loop returns unless every replica errored"))
+        // `Topology::validate` holds every opened topology to R ≥ 1.
+        Err(last_err.unwrap_or_else(|| StoreError::Io("a row has no replica to read".to_string())))
     }
 
     /// Scan with filter pushdown: [`Self::visit`], keeping each row the
@@ -1092,19 +1150,20 @@ impl ShardedStore {
     }
 
     /// The rows `scan` covers folded into parts as [`MiniStore::visit`]
-    /// folds them: every shard is read, its cells verified and healed,
-    /// and each row its filter passes is folded once, by the shard that
-    /// serves its slot (normally the primary). A part holds one region's
-    /// rows of one shard in key order; different shards' parts
-    /// interleave. The metrics are summed over the reads that served.
+    /// folds them: every shard that serves a slot is read, its cells
+    /// verified, and each row its filter passes is folded once, by the
+    /// shard that serves its slot (normally the primary). A part holds
+    /// one region's rows of one shard in key order; different shards'
+    /// parts interleave. The metrics are summed over the reads that
+    /// served.
     pub fn visit<T: Default + Send>(
         &self,
         table: &str,
         scan: &Scan,
         fold: impl Fn(&mut T, RowView<'_>) + Sync,
     ) -> Result<(Vec<T>, ScanMetrics), StoreError> {
-        let mut st = self.inner.state.lock();
-        let reads = Self::read_slots(&self.inner, &mut st, table, |shard, serves| {
+        let st = self.inner.state.read();
+        let reads = Self::read_slots(&self.inner, &st, table, |shard, serves| {
             shard.visit(table, scan, |part, row| {
                 if serves(row.key) {
                     fold(part, row);
@@ -1120,7 +1179,7 @@ impl ShardedStore {
     }
 
     /// Chaos hook: corrupt a stored cell on the *primary* replica of its
-    /// row, so the next read exercises the heal path.
+    /// row, so the next read exercises the fail-over path.
     pub fn corrupt_cell(
         &self,
         table: &str,
@@ -1128,30 +1187,41 @@ impl ShardedStore {
         family: &str,
         column: &[u8],
     ) -> Result<bool, StoreError> {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.write();
         let g = st.active.replicas_of_row(row)[0];
         st.shards[g as usize].corrupt_cell(table, row, family, column)
     }
 
-    /// Flush every shard.
+    /// Repair the suspect shards, then flush every shard.
     pub fn flush(&self) -> Result<(), StoreError> {
-        let mut st = self.inner.state.lock();
-        for g in 0..st.shards.len() {
-            if let Err(e) = st.shards[g].flush() {
-                if e == StoreError::Crashed {
-                    st.poisoned = true;
+        flush_shards(&self.inner, &mut self.inner.state.write(), |_| true).map(drop)
+    }
+
+    /// Verify every stored row and repair what fails: walk every table of
+    /// every open shard, mark each shard a walk fails on suspect, and
+    /// repair every suspect shard as [`Self::flush`] does. Returns the
+    /// rows repaired; an error is the repair's.
+    pub fn scrub(&self) -> Result<u64, StoreError> {
+        let mut st = self.inner.state.write();
+        for (g, shard) in st.shards.iter().enumerate() {
+            for table in st.schemas.keys() {
+                match shard.visit(table, &Scan::all(), |_: &mut (), _| {}) {
+                    Err(e) if is_rot(&e) => {
+                        st.suspect.lock().insert(g as u32);
+                        break;
+                    }
+                    other => drop(other?),
                 }
-                return Err(e);
             }
         }
-        Ok(())
+        Self::repair_suspects(&self.inner, &mut st)
     }
 
     /// The sharded META catalog: placement plus every region entry.
     /// Placement reflects the *active* topology — mid-migration the
     /// old epoch stays authoritative until cutover.
     pub fn meta(&self) -> ShardedMeta {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.read();
         let n = st.active.shards;
         ShardedMeta {
             shards: n,
@@ -1175,13 +1245,13 @@ impl ShardedStore {
     /// Mutations are refused until the directory is reopened; reads
     /// keep serving.
     pub fn is_crashed(&self) -> bool {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.read();
         st.poisoned || st.shards.iter().any(|s| s.is_crashed())
     }
 
     /// Swap the observability registry (shared by every shard).
     pub fn set_obs(&mut self, reg: obs::Registry) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.write();
         for s in st.shards.iter_mut() {
             s.set_obs(reg.clone());
         }
@@ -1191,12 +1261,12 @@ impl ShardedStore {
 
     /// Number of shards N in the active topology.
     pub fn shard_count(&self) -> u32 {
-        self.inner.state.lock().active.shards
+        self.inner.state.read().active.shards
     }
 
     /// Replication factor R of the active topology.
     pub fn replication(&self) -> u32 {
-        self.inner.state.lock().active.replication
+        self.inner.state.read().active.replication
     }
 
     /// The directory of one shard (tests reach in to kill/corrupt it).
@@ -1208,18 +1278,18 @@ impl ShardedStore {
     /// truncations — the currency [`CrashSpec::after_wal_bytes`] counts,
     /// so the crash sweeps measure a clean run and tear every byte.
     pub fn shard_wal_bytes_written(&self, shard: u32) -> u64 {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.read();
         st.shards[shard as usize].wal_bytes_written()
     }
 
     /// The primary shard a row lives on (active topology).
     pub fn primary_shard(&self, row: &[u8]) -> u32 {
-        self.inner.state.lock().active.replicas_of_row(row)[0]
+        self.inner.state.read().active.replicas_of_row(row)[0]
     }
 
     /// The full replica set of a row (active topology).
     pub fn replica_shards(&self, row: &[u8]) -> Vec<u32> {
-        self.inner.state.lock().active.replicas_of_row(row)
+        self.inner.state.read().active.replicas_of_row(row)
     }
 
     /// Scan one shard directly, bypassing placement resolution — the
@@ -1230,7 +1300,7 @@ impl ShardedStore {
         table: &str,
         scan: &Scan,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.read();
         st.shards[shard as usize].scan(table, scan)
     }
 
@@ -1272,42 +1342,16 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Run `op` against shard `g`; when it fails a CRC (cell checksum or
-    /// segment block), count the heal read, repair the shard's copy of
-    /// `table` from its peers and run `op` once more. The one
-    /// heal-and-retry under `get`, `visit` and the `put_batch` pre-pass.
-    fn with_heal<T>(
-        inner: &ShardedInner,
-        st: &mut GlobalState,
-        g: u32,
-        table: &str,
-        op: impl Fn(&MiniStore) -> Result<T, StoreError>,
-    ) -> Result<T, Unhealed> {
-        let seen = match op(&st.shards[g as usize]) {
-            Err(e @ (StoreError::Corruption { .. } | StoreError::SegmentCorrupt { .. })) => e,
-            other => return other.map_err(Unhealed::Fatal),
-        };
-        count_heal(&inner.obs(), g, "reads", 1);
-        match Self::heal_shard_table(inner, st, g, table) {
-            Ok(_) => op(&st.shards[g as usize]).map_err(|e| Unhealed::StillCorrupt {
-                seen: e.clone(),
-                cause: e,
-            }),
-            // The heal could not complete (e.g. the shard is
-            // crash-poisoned and cannot flush).
-            Err(cause) => Err(Unhealed::StillCorrupt { seen, cause }),
-        }
-    }
-
-    /// Read `table` from every active shard in turn, through `read` with
-    /// heal-and-retry, for the rows of the slots it serves (`read` is
-    /// handed whether it serves a row): a slot is served by the first of
-    /// its replicas whose read succeeded. When a shard stays corrupt, the
-    /// reads start over without it, its slots served by their next
-    /// replica. The one slot resolution, under `visit`.
+    /// Read `table` from the active shards, through `read`, for the rows
+    /// of the slots each serves (`read` is handed whether it serves a
+    /// row): a slot is served by the first of its replicas, the suspect
+    /// ones last, whose read has not failed. A read that fails a CRC
+    /// marks its shard suspect, and the reads start over with the shard's
+    /// slots served by their next replica. The one slot resolution, under
+    /// `visit`.
     fn read_slots<R>(
         inner: &ShardedInner,
-        st: &mut GlobalState,
+        st: &GlobalState,
         table: &str,
         read: impl Fn(&MiniStore, &(dyn Fn(&[u8]) -> bool + Sync)) -> Result<R, StoreError>,
     ) -> Result<Vec<R>, StoreError> {
@@ -1315,28 +1359,33 @@ impl ShardedStore {
         // invisible to reads. Every shard holds every table's schema, so
         // a table none has fails the first read.
         let n = st.active.shards;
-        let replicas: Vec<Vec<u32>> = (0..n).map(|s| st.active.replicas(s)).collect();
         let (mut failed, mut last_err) = (vec![false; n as usize], None);
         'pass: loop {
-            let first_live = |slot: &Vec<u32>| slot.iter().copied().find(|&g| !failed[g as usize]);
-            let server: Vec<Option<u32>> = replicas.iter().map(first_live).collect();
-            let mut reads = Vec::new();
-            for g in (0..n).filter(|&g| !failed[g as usize]) {
-                let serves = |row: &[u8]| server[slot_of(row, n) as usize] == Some(g);
-                match Self::with_heal(inner, st, g, table, |shard| read(shard, &serves)) {
-                    Ok(r) => reads.push(r),
-                    Err(Unhealed::Fatal(e)) => return Err(e),
-                    Err(Unhealed::StillCorrupt { seen, .. }) => {
-                        (failed[g as usize], last_err) = (true, Some(seen));
-                        continue 'pass;
-                    }
-                }
-            }
+            let first_live = |slot| {
+                let replicas = st.by_preference(st.active.replicas(slot));
+                replicas.into_iter().find(|&g| !failed[g as usize])
+            };
+            let server: Vec<Option<u32>> = (0..n).map(first_live).collect();
             // R ≥ 1 (`Topology::validate`): a slot has no server only
             // after every replica of it failed.
             if server.contains(&None) {
                 let none = || StoreError::Io(format!("a slot of `{table}` has no replica to read"));
                 return Err(last_err.unwrap_or_else(none));
+            }
+            // A shard that serves no slot is read all the same (its walk
+            // is counted), unless it is suspect.
+            let read_from = |g: &u32| server.contains(&Some(*g)) || !st.suspect.lock().contains(g);
+            let mut reads = Vec::new();
+            for g in (0..n).filter(read_from) {
+                let serves = |row: &[u8]| server[slot_of(row, n) as usize] == Some(g);
+                match read(&st.shards[g as usize], &serves) {
+                    Ok(r) => reads.push(r),
+                    Err(e) => {
+                        last_err = Some(st.fail_over(&inner.obs(), g, e)?);
+                        failed[g as usize] = true;
+                        continue 'pass;
+                    }
+                }
             }
             return Ok(reads);
         }
@@ -1348,14 +1397,16 @@ impl ShardedStore {
     /// durable and deleting the superseded corrupt segment file. The
     /// repair is deliberately *not* WAL-logged: replay would re-promote
     /// the corrupt base it replaces; durability comes from the flush.
-    fn heal_shard_table(
+    /// Called with the global lock held exclusively, by the `put_batch`
+    /// pre-pass and by [`Self::repair_suspects`] only.
+    fn repair(
         inner: &ShardedInner,
-        st: &mut GlobalState,
+        st: &GlobalState,
         bad: u32,
         table: &str,
     ) -> Result<u64, StoreError> {
         // Pre-cutover, a migration target shard also holds dual-applied
-        // and copied rows it owns under the *new* topology; the heal
+        // and copied rows it owns under the *new* topology; the repair
         // must restore those too or a completed Copy unit would lose
         // rows silently. Post-cutover (and with no migration) the
         // active topology is the only owner set.
@@ -1376,6 +1427,23 @@ impl ShardedStore {
         Ok(healed)
     }
 
+    /// Repair every table of each suspect shard, and clear its mark.
+    /// Returns the rows repaired. A repair that fails ends the pass with
+    /// its error, leaving its shard (and those after it) suspect.
+    fn repair_suspects(inner: &ShardedInner, st: &mut GlobalState) -> Result<u64, StoreError> {
+        let mut rows = 0;
+        while let Some(&g) = st.suspect.get_mut().first() {
+            // A shrink may have closed the shard since it was marked.
+            if (g as usize) < st.shards.len() {
+                for table in st.schemas.keys() {
+                    rows += Self::repair(inner, st, g, table)?;
+                }
+            }
+            st.suspect.get_mut().remove(&g);
+        }
+        Ok(rows)
+    }
+
     /// Called under the global lock, which the flusher's work takes.
     fn maybe_wake_flusher(&self, st: &GlobalState) {
         let (Some(threshold), Some(flusher)) =
@@ -1391,17 +1459,6 @@ impl ShardedStore {
             flusher.wake();
         }
     }
-}
-
-/// Why [`ShardedStore::with_heal`] gave up on one shard.
-enum Unhealed {
-    /// Not a CRC failure: no replica can help, every caller propagates it.
-    Fatal(StoreError),
-    /// The shard's copy is corrupt and could not be repaired (`cause`:
-    /// the heal's own error, or the retry's). A read remembers `seen` —
-    /// the error a client gets if every replica fails — and falls
-    /// through to the next replica; a write propagates `cause`.
-    StillCorrupt { seen: StoreError, cause: StoreError },
 }
 
 #[cfg(test)]
@@ -1552,6 +1609,7 @@ mod tests {
         assert!(store.corrupt_cell("t", victim, "f", b"c").unwrap());
         let got = store.get("t", victim).unwrap().expect("row still readable");
         assert_eq!(got.value("f", b"c").unwrap(), &Bytes::from("v7"));
+        assert!(store.scrub().unwrap() > 0);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counters[&format!("cfstore.shard.{primary}.heal.reads")],
@@ -1569,6 +1627,42 @@ mod tests {
             reg.snapshot().counters[&format!("cfstore.shard.{primary}.heal.repairs")],
             1
         );
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A read tries a suspect replica last, but it tries it: here the
+    /// other replica of the row is rotted too. Each of the two shards is
+    /// then the other's only donor for a slot, so neither can be
+    /// repaired: the flush goes on, and the scrub reports it.
+    #[test]
+    fn get_reads_a_suspect_replica_when_it_is_the_last_one() {
+        let dir = tmp_dir("suspect-last");
+        let reg = obs::Registry::new();
+        let (store, _) =
+            ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+        seed_rows(&store, 20);
+        let x = b"row0007";
+        let p = store.primary_shard(x);
+        assert!(store.corrupt_cell("t", x, "f", b"c").unwrap());
+        assert!(store.get("t", x).unwrap().is_some());
+        // A row whose primary is another shard and whose other replica is
+        // the suspect `p`; rot it on its primary.
+        let y = (0..20)
+            .map(|i| format!("row{i:04}"))
+            .find(|r| store.replica_shards(r.as_bytes())[1] == p)
+            .unwrap();
+        let q = store.primary_shard(y.as_bytes());
+        assert!(store.corrupt_cell("t", y.as_bytes(), "f", b"c").unwrap());
+        let got = store.get("t", y.as_bytes()).unwrap().expect("served by p");
+        let i: usize = y["row".len()..].parse().unwrap();
+        assert_eq!(got.value("f", b"c").unwrap(), &Bytes::from(format!("v{i}")));
+        let count =
+            |g: u32, what: &str| reg.snapshot().counters[&format!("cfstore.shard.{g}.heal.{what}")];
+        assert_eq!((count(p, "reads"), count(q, "reads")), (1, 1));
+        store.flush().unwrap();
+        assert!(store.scrub().is_err());
+        assert!(store.get("t", y.as_bytes()).unwrap().is_some());
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

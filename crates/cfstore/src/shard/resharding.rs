@@ -714,10 +714,7 @@ impl ShardedStore {
     /// or use [`ShardedStore::reshard`] to run it to completion.
     pub fn begin_reshard(&self, target: Topology) -> Result<ReshardStatus, StoreError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
-        if st.poisoned {
-            return Err(StoreError::Crashed);
-        }
+        let mut st = inner.writer()?;
         if st.migration.is_some() {
             return Err(StoreError::Io(
                 "a reshard is already in flight; resume or abort it first".to_string(),
@@ -763,10 +760,7 @@ impl ShardedStore {
     /// calls — interleave reads and writes freely.
     pub fn reshard_step(&self) -> Result<ReshardStatus, StoreError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
-        if st.poisoned {
-            return Err(StoreError::Crashed);
-        }
+        let mut st = inner.writer()?;
         let result = step_inner(inner, &mut st);
         if let Err(e) = &result {
             if *e == StoreError::Crashed {
@@ -814,10 +808,7 @@ impl ShardedStore {
     /// past its commit point can only roll forward.
     pub fn abort_reshard(&self) -> Result<(), StoreError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
-        if st.poisoned {
-            return Err(StoreError::Crashed);
-        }
+        let mut st = inner.writer()?;
         let Some(m) = &st.migration else {
             return Err(StoreError::Io("no reshard in flight".to_string()));
         };
@@ -838,13 +829,13 @@ impl ShardedStore {
 
     /// The in-flight migration, if any.
     pub fn reshard_status(&self) -> Option<ReshardStatus> {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.read();
         st.migration.as_ref().map(|m| m.status())
     }
 
     /// The active topology (epoch-current placement).
     pub fn topology(&self) -> Topology {
-        self.inner.state.lock().active.clone()
+        self.inner.state.read().active.clone()
     }
 }
 
@@ -894,7 +885,7 @@ fn ensure_target_shards(
 /// The rows of `table` some shard must hold: of every slot of the active
 /// placement that `reads` selects, the rows `owns(slot, row)` accepts,
 /// each slot read from its first clean replica among `donors`. The one
-/// builder under whole-shard rebuild, read-path heal, reshard copy and
+/// builder under whole-shard rebuild, shard repair, reshard copy and
 /// reshard verify — they differ only in the two predicates. A slot
 /// `reads` rejects is never exported, so its replicas being unreadable
 /// does not fail the caller.

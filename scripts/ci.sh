@@ -132,15 +132,15 @@ if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/
 shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/cfstore/src/flusher.rs crates/bench/src/fsck.rs"
 shard_layer_lines=$(nontest $shard_layer_files | wc -l)
 
-# cfstore's threads and panic sites (DESIGN.md §26): a scan's regions run
-# on `std::thread::scope` threads, not through a vendored stand-in; the
-# flusher has no panic site, and each one left in store.rs (one) and
-# shard.rs (one, `get`'s failover) names the invariant that guarantees it.
+# cfstore's threads and panic sites (DESIGN.md §26, §36): a scan's regions
+# run on `std::thread::scope` threads, not through a vendored stand-in; the
+# flusher and shard.rs have no panic site, and the one left in store.rs
+# names the invariant that guarantees it.
 step "source gate (cfstore: std threads, audited panic sites)"
 if nontest $cfstore_src | grep -F 'crossbeam::'; then exit 1; fi
 panics() { nontest "crates/cfstore/src/$1" | grep -cE 'expect\(|unwrap\(\)|panic!|unreachable!' || true; }
-if [ "$(panics flusher.rs)" -gt 0 ] || [ "$(panics store.rs)" -gt 1 ] || [ "$(panics shard.rs)" -gt 1 ]; then
-  echo "cfstore panic sites: flusher.rs $(panics flusher.rs) (max 0), store.rs $(panics store.rs) (max 1), shard.rs $(panics shard.rs) (max 1)"
+if [ "$(panics flusher.rs)" -gt 0 ] || [ "$(panics store.rs)" -gt 1 ] || [ "$(panics shard.rs)" -gt 0 ]; then
+  echo "cfstore panic sites: flusher.rs $(panics flusher.rs) (max 0), store.rs $(panics store.rs) (max 1), shard.rs $(panics shard.rs) (max 0)"
   exit 1
 fi
 
@@ -242,6 +242,31 @@ callers=$(nontest crates/cfstore/src/shard.rs |
   awk '/ fn [a-z_]+/ { f = $0; sub(/.* fn /, "", f); sub(/[<(].*/, "", f) } /read_slots\(/ { print f }' | tr '\n' ' ')
 if [ "$resolvers" -ne 1 ] || [ "$callers" != "visit " ]; then
   echo "shard.rs must have one fn read_slots, called once, by visit; callers: $callers"; exit 1
+fi
+
+# Reads never write (DESIGN.md §36): a sharded read takes the state lock
+# shared and fails over, marking a shard suspect; it never repairs. A
+# shard's copy of a table is repaired by one function, called by the write
+# pre-pass (a write cannot fail over) and by `repair_suspects` (flush, the
+# flusher and `scrub`), and by nothing else; the heal-and-retry wrapper
+# that every read went through is gone.
+step "source gate (reads never write: one repair, two callers)"
+if nontest crates/cfstore/src/shard.rs | grep -E '\bwith_heal\b|\bUnhealed\b'; then
+  echo "shard.rs must not bring back with_heal or Unhealed"; exit 1
+fi
+repairers=$(nontest crates/cfstore/src/shard.rs |
+  awk '/ fn [a-z_]+/ { f = $0; sub(/.* fn /, "", f); sub(/[<(].*/, "", f) }
+    /[^a-z_]repair\(/ && !/fn repair\(/ && !/: +\/\// { print f }' | sort -u | tr '\n' ' ')
+if [ "$repairers" != "put_batch repair_suspects " ]; then
+  echo "shard.rs must call repair( only from put_batch and repair_suspects; it does from: $repairers"; exit 1
+fi
+read_sigs=$(nontest crates/cfstore/src/shard.rs |
+  awk '/ fn (get_inner|read_slots)[<(]/ { on = 1; n++ } on { print } on && /\{$/ { on = 0 } END { print "fns " n }')
+if ! printf '%s\n' "$read_sigs" | grep -qx 'fns 2' || printf '%s\n' "$read_sigs" | grep -F '&mut GlobalState'; then
+  echo "shard.rs must have a fn get_inner and a fn read_slots, neither taking &mut GlobalState"; exit 1
+fi
+if ! nontest crates/cfstore/src/shard.rs | grep -qF 'state: RwLock<GlobalState>'; then
+  echo "shard.rs must keep its state behind an RwLock (state: RwLock<GlobalState>)"; exit 1
 fi
 
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live

@@ -273,7 +273,11 @@ fn shard_heal_budgets_hold() {
     let victim_row = b"row-0007";
     let g = store.primary_shard(victim_row);
     assert!(store.corrupt_cell("t", victim_row, "f", b"c").unwrap());
-    store.get("t", victim_row).unwrap().expect("healed read");
+    store
+        .get("t", victim_row)
+        .unwrap()
+        .expect("failed-over read");
+    store.scrub().unwrap();
     let c = heal_counters(&reg);
     assert_eq!(c[&format!("cfstore.shard.{g}.heal.reads")], 1);
     assert_eq!(c[&format!("cfstore.shard.{g}.heal.repairs")], 1);

@@ -13,7 +13,8 @@
 //!
 //! The cases: a single store over several regions, some segment-backed
 //! and some written since the reopen; a 3 × R2 sharded store whose primary
-//! copy of a row rotted and heals under the scan; and a 3 × R2 sharded
+//! copy of a row rotted, so that the scan fails over and a scrub after it
+//! repairs the copy; and a 3 × R2 sharded
 //! store whose crashed shard holds a rotted row, so that its slots are
 //! read from their next replica, for each shard as the victim.
 //!
@@ -233,9 +234,10 @@ fn sharded(dir: &Path, crash_shard: Option<(u32, CrashSpec)>, reg: &obs::Registr
 }
 
 /// A rotted cell on a row's primary replica: the scan's read of that shard
-/// fails its checksum, the shard's copy of the table is repaired from its
-/// peers, and the read retried. Each scan runs on a store of its own, so
-/// each heals.
+/// fails its checksum, and the shard's slots are read from their next
+/// replica, as when the shard cannot be repaired (the victim-1 transcripts
+/// of the next test); a scrub then repairs the shard's copy of the table
+/// from its peers. Each scan runs on a store of its own, so each repairs.
 #[test]
 fn a_sharded_store_whose_rotted_primary_heals() {
     let mut got = Vec::new();
@@ -246,12 +248,13 @@ fn a_sharded_store_whose_rotted_primary_heals() {
         assert!(store.corrupt_cell(TABLE, b"k007", "f", b"b").unwrap());
         let primary = store.primary_shard(b"k007");
         let mut scanned = transcript(store.scan(TABLE, &scan), &reg);
-        let repairs = reg
-            .snapshot()
-            .counters
-            .get("cfstore.shard.heal.repairs")
-            .copied();
-        scanned.push_str(&format!("primary={primary} repairs={repairs:?}\n"));
+        let repairs = || {
+            let counters = reg.snapshot().counters;
+            counters.get("cfstore.shard.heal.repairs").copied()
+        };
+        scanned.push_str(&format!("primary={primary} repairs={:?}\n", repairs()));
+        store.scrub().unwrap();
+        scanned.push_str(&format!("scrubbed: repairs={:?}\n", repairs()));
         got.push(scanned);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();

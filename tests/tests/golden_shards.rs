@@ -16,10 +16,11 @@
 //!   `SHARDS`, `TOPOLOGY`, each shard's `MANIFEST`, WAL and segments).
 //!
 //! The scenarios: whole-shard loss → rebuild; a corrupt on-disk block
-//! healed through `get`, through `scan` and through `put`; grow 3→5,
+//! met by `get` and by `scan` (which fail over; a `scrub` repairs it) and
+//! healed through `put`; grow 3→5,
 //! shrink 5→2, R 2→3 and a `with_override` plan, each run clean and run
 //! again torn mid-copy by `crash_topology`, written to while parked, and
-//! resumed; a heal while a migration is pre-cutover, then
+//! resumed; a repair while a migration is pre-cutover, then
 //! `abort_reshard`; and the loss of an already-copied target shard
 //! mid-migration.
 //!
@@ -348,14 +349,16 @@ fn corrupt_block_healed_through_get_is_pinned() {
     let mut t = Transcript::new();
     let (dir, store, reg) = with_corrupt_block("heal-get", &mut t);
     for key in 0..KEYS {
-        let got = store.get(TABLE, &row_key(key)).expect("healed get");
+        let got = store.get(TABLE, &row_key(key)).expect("failed-over get");
         t.note(format!(
             "get {key}: {:?} heal.reads={}",
             got.map(|r| r.cell_count()),
             heal_count(&reg, "reads")
         ));
     }
-    assert_eq!(heal_count(&reg, "repairs"), 1, "the gets healed shard 0");
+    assert_eq!(heal_count(&reg, "repairs"), 0, "a get never repairs");
+    assert!(store.scrub().expect("scrub") > 0);
+    assert_eq!(heal_count(&reg, "repairs"), 1, "the scrub healed shard 0");
     t.state("healed by get", &dir, &store, 3, &reg);
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -385,10 +388,12 @@ disk 0x412361a6879b3fda
 fn corrupt_block_healed_through_scan_is_pinned() {
     let mut t = Transcript::new();
     let (dir, store, reg) = with_corrupt_block("heal-scan", &mut t);
-    let (rows, metrics) = store.scan(TABLE, &Scan::all()).expect("healed scan");
+    let (rows, metrics) = store.scan(TABLE, &Scan::all()).expect("failed-over scan");
     t.note(format!("scan: {} rows, {metrics:?}", rows.len()));
+    assert_eq!(heal_count(&reg, "repairs"), 0, "a scan never repairs");
+    assert!(store.scrub().expect("scrub") > 0);
     t.state("healed by scan", &dir, &store, 3, &reg);
-    assert_eq!(heal_count(&reg, "repairs"), 1, "the scan healed shard 0");
+    assert_eq!(heal_count(&reg, "repairs"), 1, "the scrub healed shard 0");
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");
     t.check("HEAL_SCAN", HEAL_SCAN);
@@ -897,12 +902,13 @@ fn heal_mid_migration_then_abort_is_pinned() {
     assert!(store
         .corrupt_cell(TABLE, &victim.row, FAMILY, column)
         .expect("corrupt"));
-    let got = store.get(TABLE, &victim.row).expect("healed get");
+    let got = store.get(TABLE, &victim.row).expect("failed-over get");
     t.note(format!(
         "get {}: {:?}",
         String::from_utf8_lossy(&victim.row),
         got.map(|r| r.cell_count())
     ));
+    assert!(store.scrub().expect("scrub") > 0);
     t.state("healed pre-cutover", &dir, &store, 5, &reg);
     store.abort_reshard().expect("abort");
     t.state("aborted", &dir, &store, 3, &reg);

@@ -828,6 +828,7 @@ fn a_rotted_primary_heals_under_the_sharded_build() {
         .corrupt_cell(b"Dynamic/job-0007", b"MAP_SIZE_SEL")
         .unwrap());
     assert!(store.build_columnar_index().unwrap() == want);
+    sharded.scrub().unwrap();
     let healed = "cfstore.shard.0.heal.reads=1\n\
                   cfstore.shard.0.heal.repairs=1\n\
                   cfstore.shard.0.heal.rows=425\n\

@@ -15,10 +15,12 @@
 //!     in `cfstore.shard.<id>.heal.*`. Intra-shard region *boundaries*
 //!     are deliberately not compared — a rebuilt shard re-splits from
 //!     its own insertion order (DESIGN.md §13).
-//! (c) **Corrupt a flushed segment on disk** and the next scan heals the
-//!     bad replica from a peer, rewriting the corrupt copy (the old
+//! (c) **Corrupt a flushed segment on disk** and the next scan fails
+//!     over to a peer without writing a byte; a scrub then repairs the
+//!     bad replica from the peer, rewriting the corrupt copy (the old
 //!     segment file is gone afterwards), with the repair visible in the
-//!     heal counters and invisible in the scan results.
+//!     heal counters and invisible in the scan results — and
+//!     `store_fsck --repair` does the same.
 //! (d) **Matcher output is unchanged**: the same profiles stored in a
 //!     sharded store produce the same match as an unsharded store,
 //!     before and after killing each shard in turn.
@@ -546,6 +548,7 @@ fn corrupt_segment_on_disk_heals_from_replica_and_rewrites_bad_copy() {
         "a single bad block must heal in place, not demote the shard to lost"
     );
     assert_eq!(scan_all(&store), want, "healed scan diverged");
+    store.scrub().expect("scrub");
     let counters = reg.snapshot().counters;
     assert!(
         counters["cfstore.shard.0.heal.reads"] >= 1,
@@ -652,28 +655,34 @@ fn rot_workload() -> Vec<Op> {
         .collect()
 }
 
-/// A store holding `rot_workload()`, flushed, with one block body of
-/// shard 0's largest segment flipped on disk, reopened with `opts` —
-/// plus the segment's path and a stored row of it whose primary is
-/// shard 0.
-fn store_with_rotten_primary_block(
-    tag: &str,
-    opts: ShardOptions,
-    reg: &obs::Registry,
-) -> (PathBuf, ShardedStore, PathBuf, Vec<u8>) {
+/// A closed store holding `rot_workload()`, flushed, with one block body
+/// of shard 0's largest segment flipped on disk: its directory, the rows
+/// a clean reopen scanned before the flip, and the segment's path.
+fn flushed_then_rotted(tag: &str) -> (PathBuf, Vec<RowResult>, PathBuf) {
     let dir = tmp_dir(tag);
     init_store(&dir);
-    let rows = {
+    {
         let store = open_sharded(&dir, base_opts());
         for op in &rot_workload() {
             apply_sharded(&store, op).expect("workload op");
         }
         store.flush().expect("flush");
-        scan_all(&store)
-    };
+    }
+    let rows = scan_all(&open_sharded(&dir, base_opts()));
     // The envelope (header, trailer, footer) still verifies: only a
     // block body rotted.
     let segment = rot_largest_segment(&dir.join("shard-000"));
+    (dir, rows, segment)
+}
+
+/// [`flushed_then_rotted`], reopened with `opts` — plus the segment's
+/// path and a stored row of it whose primary is shard 0.
+fn store_with_rotten_primary_block(
+    tag: &str,
+    opts: ShardOptions,
+    reg: &obs::Registry,
+) -> (PathBuf, ShardedStore, PathBuf, Vec<u8>) {
+    let (dir, rows, segment) = flushed_then_rotted(tag);
     let range = SegmentReader::open(&segment)
         .expect("segment metadata")
         .meta()
@@ -786,6 +795,114 @@ fn put_whose_heal_cannot_flush_fails_without_logging() {
     // Reads still serve: the get falls through to the clean replica.
     let got = store.get(TABLE, &row).expect("replica read").expect("row");
     assert!(got.value(FAMILY, b"c9").is_none());
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// `store_fsck --repair` repairs a rotted block. The lazy reopen it runs
+/// never reads the block, so its scrub must, and the next fsck finds the
+/// store clean.
+#[test]
+fn store_fsck_repair_repairs_a_rotted_block() {
+    use pstorm_bench::fsck;
+
+    let (dir, _, _) = flushed_then_rotted("fsck-rot");
+    assert_eq!(fsck::run(&dir, false), 3, "the deep scrub finds the rot");
+    assert_eq!(fsck::run(&dir, true), 0, "the repair mends it");
+    assert_eq!(fsck::run(&dir, false), 0, "and leaves the store clean");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The `cfstore.shard.*heal*` counters.
+fn heal_counters(reg: &obs::Registry) -> BTreeMap<String, u64> {
+    let mut counters = reg.snapshot().counters;
+    counters.retain(|k, _| k.starts_with("cfstore.shard.") && k.contains(".heal."));
+    counters
+}
+
+/// A sharded read never writes: every `get` and a full scan over a
+/// rotted block fail over, serve what a clean reopen served, and leave
+/// every byte on disk as it was. One scrub then makes the one repair,
+/// and a second finds nothing to do.
+#[test]
+fn a_sharded_read_never_writes() {
+    let (dir, want, _) = flushed_then_rotted("read-no-write");
+    let reg = obs::Registry::new();
+    let (store, _) = ShardedStore::open_traced(&dir, base_opts(), reg.clone()).expect("reopen");
+    let before = pstorm_tests::disk_digest(&dir);
+    let got: Vec<RowResult> = want
+        .iter()
+        .map(|r| store.get(TABLE, &r.row).expect("get").expect("row"))
+        .collect();
+    assert_eq!(got, want, "the gets diverged from a clean reopen");
+    assert_eq!(
+        scan_all(&store),
+        want,
+        "the scan diverged from a clean reopen"
+    );
+    assert_eq!(pstorm_tests::disk_digest(&dir), before, "a read wrote");
+    let counters = heal_counters(&reg);
+    assert!(
+        counters["cfstore.shard.0.heal.reads"] >= 1,
+        "no fail-over counted"
+    );
+    assert!(
+        !counters.contains_key("cfstore.shard.heal.repairs"),
+        "a read repaired"
+    );
+
+    assert!(
+        store.scrub().expect("scrub") > 0,
+        "the scrub repaired no row"
+    );
+    let repaired = heal_counters(&reg);
+    assert_eq!(repaired["cfstore.shard.0.heal.repairs"], 1);
+    assert_eq!(repaired["cfstore.shard.heal.repairs"], 1);
+    assert_eq!(store.scrub().expect("second scrub"), 0);
+    assert_eq!(
+        heal_counters(&reg),
+        repaired,
+        "a clean scrub moved a counter"
+    );
+    assert_eq!(scan_all(&store), want);
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Two reads of one sharded store run at once: each visit's fold, on its
+/// first row, waits (up to 5 s) for the other visit to reach its own.
+#[test]
+fn two_sharded_visits_run_at_once() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::time::{Duration, Instant};
+
+    let dir = tmp_dir("two-visits");
+    init_store(&dir);
+    let store = open_sharded(&dir, base_opts());
+    for op in &rot_workload() {
+        apply_sharded(&store, op).expect("workload op");
+    }
+    let started = AtomicUsize::new(0);
+    let visit = || {
+        let (first, met) = (AtomicBool::new(true), AtomicBool::new(false));
+        let fold = |_: &mut (), _: cfstore::RowView<'_>| {
+            if first.swap(false, SeqCst) {
+                started.fetch_add(1, SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while started.load(SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                met.store(started.load(SeqCst) == 2, SeqCst);
+            }
+        };
+        store.visit(TABLE, &Scan::all(), fold).expect("visit");
+        met.load(SeqCst)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(visit), s.spawn(visit));
+        (a.join().expect("visit a"), b.join().expect("visit b"))
+    });
+    assert!(a && b, "the two visits ran one after the other ({a}, {b})");
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
