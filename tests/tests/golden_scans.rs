@@ -263,21 +263,23 @@ fn a_sharded_store_whose_rotted_primary_heals() {
         &got,
         &[
             "rows=80 first=k000 last=k079 digest=4ae6b96d17d600c4\n\
-             ScanMetrics { regions_visited: 18, rows_scanned: 160, cells_scanned: 360, rows_returned: 160, bytes_returned: 1062 }\n\
-             cfstore.cells_verified=360\n\
-             cfstore.rows_returned=160\n\
-             cfstore.rows_scanned=160\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 108, bytes_returned: 719 }\n\
+             cfstore.cells_verified=361\n\
+             cfstore.rows_returned=162\n\
+             cfstore.rows_scanned=162\n\
              cfstore.scans=3\n\
-             regions scanned/returned: 1=24/24 2=24/24 3=24/24 4=24/24 5=24/24 6=40/40\n\
-             primary=1 repairs=Some(1)\n",
+             regions scanned/returned: 1=24/24 2=24/24 3=24/24 4=24/24 5=24/24 6=42/42\n\
+             primary=1 repairs=None\n\
+             scrubbed: repairs=Some(1)\n",
             "rows=27 first=k001 last=k076 digest=8df6b3f789332efd\n\
-             ScanMetrics { regions_visited: 18, rows_scanned: 160, cells_scanned: 360, rows_returned: 54, bytes_returned: 336 }\n\
-             cfstore.cells_verified=360\n\
-             cfstore.rows_returned=54\n\
-             cfstore.rows_scanned=160\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 39, bytes_returned: 243 }\n\
+             cfstore.cells_verified=361\n\
+             cfstore.rows_returned=56\n\
+             cfstore.rows_scanned=162\n\
              cfstore.scans=3\n\
-             regions scanned/returned: 1=24/5 2=24/12 3=24/9 4=24/6 5=24/8 6=40/14\n\
-             primary=1 repairs=Some(1)\n",
+             regions scanned/returned: 1=24/6 2=24/11 3=24/8 4=24/8 5=24/9 6=42/14\n\
+             primary=1 repairs=None\n\
+             scrubbed: repairs=Some(1)\n",
         ],
     );
 }
