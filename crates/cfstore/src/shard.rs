@@ -13,8 +13,8 @@
 //! ## Write protocol
 //!
 //! Writes serialize under one global lock (reads share it), so there is
-//! a single total order of batches, each stamped with a *global sequence number*
-//! (gsn). A batch becomes one WAL frame per participating shard at
+//! a single total order of batches, each stamped with a *global sequence
+//! number* (gsn). A batch becomes one WAL frame per participating shard at
 //! `lsn = gsn × LSN_STRIDE` (1024), beginning with a
 //! [`WalRecord::BatchMarker`] naming the gsn and the full participant
 //! set. The frame is appended to **every** participant before it is
@@ -1082,13 +1082,12 @@ impl ShardedStore {
     pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
         let inner = &self.inner;
         let mut st = inner.writer()?;
-        if !st.schemas.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.to_string()));
-        }
-        let existed = Self::get_inner(inner, &st, table, row)?.is_some();
-        if !existed {
+        if Self::get_inner(inner, &st, table, row)?.is_none() {
             return Ok(false);
         }
+        // The delete applies to every replica, and a write cannot fail
+        // over: repair a shard the read above marked before it logs.
+        Self::repair_suspects(inner, &mut st)?;
         let participants = st.write_replicas(row);
         let delete = WalRecord::DeleteRow {
             table: table.to_string(),
@@ -1104,12 +1103,9 @@ impl ShardedStore {
     /// checksum failure marks the replica suspect and fails over to the
     /// next; the read itself writes nothing.
     pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
-        let inner = &self.inner;
-        let st = inner.state.read();
-        if !st.schemas.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.to_string()));
-        }
-        Self::get_inner(inner, &st, table, row)
+        // Every shard holds every table's schema: a table none has fails
+        // the first read.
+        Self::get_inner(&self.inner, &self.inner.state.read(), table, row)
     }
 
     fn get_inner(
@@ -1150,12 +1146,12 @@ impl ShardedStore {
     }
 
     /// The rows `scan` covers folded into parts as [`MiniStore::visit`]
-    /// folds them: every shard that serves a slot is read, its cells
-    /// verified, and each row its filter passes is folded once, by the
-    /// shard that serves its slot (normally the primary). A part holds
-    /// one region's rows of one shard in key order; different shards'
-    /// parts interleave. The metrics are summed over the reads that
-    /// served.
+    /// folds them: every shard is read (a suspect one only when it serves
+    /// a slot), its cells verified, and each row its filter passes is
+    /// folded once, by the shard that serves its slot (normally the
+    /// primary). A part holds one region's rows of one shard in key order;
+    /// different shards' parts interleave. The metrics are summed over
+    /// the reads that served.
     pub fn visit<T: Default + Send>(
         &self,
         table: &str,
@@ -1427,12 +1423,14 @@ impl ShardedStore {
         Ok(healed)
     }
 
-    /// Repair every table of each suspect shard, and clear its mark.
-    /// Returns the rows repaired. A repair that fails ends the pass with
-    /// its error, leaving its shard (and those after it) suspect.
+    /// Repair every table of each suspect shard, and clear its mark: at
+    /// every flush, in [`Self::scrub`], and in a `delete_row` whose read
+    /// marked a replica. Returns the rows repaired. A repair that fails
+    /// ends the pass with its error, leaving its shard (and those after
+    /// it) suspect.
     fn repair_suspects(inner: &ShardedInner, st: &mut GlobalState) -> Result<u64, StoreError> {
         let mut rows = 0;
-        while let Some(&g) = st.suspect.get_mut().first() {
+        for g in st.suspect.get_mut().clone() {
             // A shrink may have closed the shard since it was marked.
             if (g as usize) < st.shards.len() {
                 for table in st.schemas.keys() {

@@ -31,7 +31,7 @@
 //! (f) **The write path heals too**: a `put` whose target region sits on
 //!     a corrupt segment repairs the replica *before* any WAL byte is
 //!     appended — or, when the repair cannot be made durable, fails
-//!     without appending one.
+//!     without appending one — and so does a `delete_row`.
 
 use cfstore::{
     CrashSpec, MiniStore, Put, RowResult, Scan, SegmentReader, ShardOptions, ShardedRecoveryReport,
@@ -760,6 +760,34 @@ fn put_to_a_corrupt_block_heals_first_then_logs() {
     drop((store, oracle));
     std::fs::remove_dir_all(&dir).expect("cleanup");
     std::fs::remove_dir_all(&oracle_dir).expect("cleanup oracle");
+}
+
+/// (f) A delete of a row on a corrupt block: its existence check fails
+/// over past the bad replica, and the shard is repaired before the
+/// delete is logged, so the delete applies to every replica and the
+/// store is not poisoned.
+#[test]
+fn delete_of_a_row_on_a_corrupt_block_repairs_first_then_logs() {
+    let reg = obs::Registry::new();
+    let (dir, store, segment, row) =
+        store_with_rotten_primary_block("delete-heal", base_opts(), &reg);
+    assert!(store.delete_row(TABLE, &row).expect("repaired delete"));
+    assert!(!store.is_crashed(), "the delete poisoned the store");
+    assert!(store.get(TABLE, &row).expect("get").is_none());
+    let counters = reg.snapshot().counters;
+    assert_eq!(counters["cfstore.shard.0.heal.repairs"], 1);
+    assert!(
+        !segment.exists(),
+        "the corrupt segment file must be replaced"
+    );
+    for g in store.replica_shards(&row) {
+        let (copies, _) = store
+            .shard_scan(g, TABLE, &Scan::prefix(&row))
+            .expect("replica scan");
+        assert!(copies.is_empty(), "replica {g} kept the deleted row");
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// (f) When the repair cannot be made durable (the victim dies in the
