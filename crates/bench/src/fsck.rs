@@ -26,12 +26,11 @@
 //! block, every retained cell version).
 
 use cfstore::recovery::{read_manifest, RecoveryReport};
-use cfstore::segment::verify_segment_deep;
+use cfstore::segment::{read_segment, verify_segment_deep};
 use cfstore::shard::resharding::{read_catalog, Catalog};
 use cfstore::shard::{Probe, SHARDS_FILE};
-use cfstore::{BlockCache, MiniStore, SegmentReader, ShardOptions, ShardedStore};
+use cfstore::{MiniStore, ShardOptions, ShardedStore};
 use std::path::Path;
-use std::sync::Arc;
 
 /// What one directory scrub concluded.
 struct Scrub {
@@ -67,44 +66,22 @@ fn scrub(dir: &Path, label: &str) -> Result<Scrub, String> {
         }
     };
 
-    // 2. Every trusted segment must verify end to end. The scrub goes
-    // through the exact production read path: open lazily (header +
-    // trailer CRC only), then fetch every block body via the bounded
-    // block cache — cold pass fills and CRC-verifies each block, warm
-    // pass must be served entirely from cache. A deep pass then checks
-    // every retained cell version against its write-time CRC, catching
-    // corruption introduced *before* the block frame was written.
-    let cache = Arc::new(BlockCache::new(8 << 20));
-    let obs = obs::Registry::new();
-    cache.set_obs(obs.clone());
+    // 2. Every trusted segment must verify end to end: its trailer, every
+    // block's CRC and decode through the reader a lazy read uses
+    // (`read_segment`), then, in a deep pass, every retained cell version
+    // against its write-time CRC, catching corruption introduced *before*
+    // the block frame was written.
     for name in &trusted {
-        let reader = match SegmentReader::open(&dir.join(name)) {
-            Ok(r) => Arc::new(r),
-            Err(e) => return Err(format!("segment {name}: {e}")),
-        };
-        let meta = reader.meta().clone();
-        for pass in ["cold", "warm"] {
-            let mut rows = 0u64;
-            for idx in 0..reader.block_count() {
-                match cache.get_or_load(&reader, idx) {
-                    Ok(block) => rows += block.len() as u64,
-                    Err(e) => return Err(format!("segment {name} block {idx} ({pass}): {e}")),
-                }
-            }
-            if rows != meta.row_count {
-                return Err(format!(
-                    "segment {name} ({pass}): trailer says {} row(s), blocks hold {rows}",
-                    meta.row_count
-                ));
-            }
-        }
-        let deep = match verify_segment_deep(&dir.join(name)) {
+        let path = dir.join(name);
+        let segment = read_segment(&path).map_err(|e| format!("segment {name}: {e}"))?;
+        let deep = match verify_segment_deep(&path) {
             Ok(_) => "cells ok",
             Err(e) => {
                 corruption.push(format!("segment {name}: {e}"));
                 "CELL CORRUPTION"
             }
         };
+        let meta = &segment.meta;
         println!(
             "{label}segment {name}: {deep} — table {}, region {}, {} row(s), {} block(s)",
             meta.table,
@@ -116,17 +93,6 @@ fn scrub(dir: &Path, label: &str) -> Result<Scrub, String> {
         report.segment_rows += meta.row_count;
         report.segment_blocks += meta.blocks.len() as u64;
         report.segment_blocks_read += meta.blocks.len() as u64;
-    }
-    if !trusted.is_empty() {
-        let counters = obs.snapshot().counters;
-        let get = |k: &str| counters.get(k).copied().unwrap_or(0);
-        println!(
-            "{label}block cache         : {} miss(es) cold, {} hit(s) warm, {} fill byte(s), {} eviction(s)",
-            get("cfstore.block_cache.misses"),
-            get("cfstore.block_cache.hits"),
-            get("cfstore.block_cache.fill_bytes"),
-            get("cfstore.block_cache.evictions"),
-        );
     }
 
     // 3. Orphans: segment files a crashed flush left behind. Not trusted,
