@@ -262,10 +262,11 @@ if [ "$repairers" != "put_batch repair_suspects " ]; then
 fi
 read_sigs=$(nontest crates/cfstore/src/shard.rs |
   awk '/ fn (get_inner|read_slots)[<(]/ { on = 1; n++ } on { print } on && /\{$/ { on = 0 } END { print "fns " n }')
-if ! printf '%s\n' "$read_sigs" | grep -qx 'fns 2' || printf '%s\n' "$read_sigs" | grep -F '&mut GlobalState'; then
+if [ "${read_sigs##*$'\n'}" != "fns 2" ] || printf '%s\n' "$read_sigs" | grep -F '&mut GlobalState'; then
   echo "shard.rs must have a fn get_inner and a fn read_slots, neither taking &mut GlobalState"; exit 1
 fi
-if ! nontest crates/cfstore/src/shard.rs | grep -qF 'state: RwLock<GlobalState>'; then
+# (grep -c, not -q: an early exit would fail the pipeline with SIGPIPE.)
+if [ "$(nontest crates/cfstore/src/shard.rs | grep -cF 'state: RwLock<GlobalState>' || true)" -ne 1 ]; then
   echo "shard.rs must keep its state behind an RwLock (state: RwLock<GlobalState>)"; exit 1
 fi
 
