@@ -29,7 +29,7 @@
 //! * [`region`] — sorted row partitions with scan metrics and splits.
 //! * [`store`] — tables, META, the client API, durable mode.
 //! * [`shard`] — N replicated store shards behind one API: commit rule,
-//!   read-path healing, whole-shard rebuild (DESIGN.md §13), and
+//!   read fail-over and repair, whole-shard rebuild (DESIGN.md §13, §36), and
 //!   crash-safe online resharding (DESIGN.md §15).
 //! * [`frame`] — the one length+CRC framing, decode cursor, and
 //!   crash-after-N-bytes writer under every file below (DESIGN.md §16).

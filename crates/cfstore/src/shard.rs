@@ -340,7 +340,7 @@ impl ShardOptions {
 }
 
 /// The sharded store handle. API mirrors [`MiniStore`]; every operation
-/// is transparently fanned out, replicated, and healed.
+/// is transparently fanned out and replicated; reads fail over.
 pub struct ShardedStore {
     inner: Arc<ShardedInner>,
     /// One thread for the whole store ([`flush_grown_shards`]); dropping

@@ -944,7 +944,7 @@ fn copy_unit(
 }
 
 /// Where rows may be copied from: any shard outside `skip` (the ones
-/// being rebuilt or healed). A donor's verified full export of a table
+/// being rebuilt or repaired). A donor's verified full export of a table
 /// is cached per `(donor shard, table)`: one read per donor feeds every
 /// slot and every shard that needs it.
 pub(super) struct Donors {
