@@ -25,8 +25,9 @@
 //! of every live shard, which reads further than a lazy open does (every
 //! block, every retained cell version).
 
+use cfstore::kv::first_bad_version;
 use cfstore::recovery::{read_manifest, RecoveryReport};
-use cfstore::segment::{read_segment, verify_segment_deep};
+use cfstore::segment::{read_segment, SegmentError};
 use cfstore::shard::resharding::{read_catalog, Catalog};
 use cfstore::shard::{Probe, SHARDS_FILE};
 use cfstore::{MiniStore, ShardOptions, ShardedStore};
@@ -68,15 +69,25 @@ fn scrub(dir: &Path, label: &str) -> Result<Scrub, String> {
 
     // 2. Every trusted segment must verify end to end: its trailer, every
     // block's CRC and decode through the reader a lazy read uses
-    // (`read_segment`), then, in a deep pass, every retained cell version
-    // against its write-time CRC, catching corruption introduced *before*
-    // the block frame was written.
+    // (`read_segment`), then, in a deep pass over the rows that one read
+    // returned, every retained cell version against its write-time CRC
+    // (`first_bad_version`), catching corruption introduced *before* the
+    // block frame was written.
     for name in &trusted {
         let path = dir.join(name);
         let segment = read_segment(&path).map_err(|e| format!("segment {name}: {e}"))?;
-        let deep = match verify_segment_deep(&path) {
-            Ok(_) => "cells ok",
-            Err(e) => {
+        let deep = match first_bad_version(&segment.rows) {
+            None => "cells ok",
+            Some((row, column, ts)) => {
+                let detail = format!(
+                    "cell checksum mismatch at row {:?} column {:?} ts {ts}",
+                    String::from_utf8_lossy(row),
+                    String::from_utf8_lossy(column)
+                );
+                let e = SegmentError::Corrupt {
+                    file: name.clone(),
+                    detail,
+                };
                 corruption.push(format!("segment {name}: {e}"));
                 "CELL CORRUPTION"
             }
@@ -287,5 +298,33 @@ pub fn run(dir: &Path, repair: bool) -> u8 {
             eprintln!("store_fsck: {SHARDS_FILE} catalog: {e}");
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfstore::Put;
+
+    /// A cell corrupted in memory, then superseded by a newer write and
+    /// flushed, reads fine; the deep pass still finds the older version.
+    #[test]
+    fn a_superseded_corrupt_version_is_a_finding() {
+        let dir =
+            std::env::temp_dir().join(format!("pstorm-fsck-superseded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _) = MiniStore::open(&dir).unwrap();
+        store.create_table("t", &["f"]).unwrap();
+        store.put("t", Put::new("r", "f", "c", "old")).unwrap();
+        assert!(store.corrupt_cell("t", b"r", "f", b"c").unwrap());
+        store.put("t", Put::new("r", "f", "c", "new")).unwrap();
+        store.flush().unwrap();
+        assert!(
+            store.get("t", b"r").unwrap().is_some(),
+            "the latest version reads"
+        );
+        drop(store);
+        assert_eq!(run(&dir, false), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

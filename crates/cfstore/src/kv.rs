@@ -6,6 +6,8 @@
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
+use crate::region::RowData;
+
 /// A write: one cell destined for a row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Put {
@@ -66,6 +68,20 @@ impl CellVersion {
 /// is stored.
 pub(crate) fn intact(value: &[u8], checksum: u32) -> bool {
     crate::encoding::crc32(value) == checksum
+}
+
+/// The first retained version in `rows`, in row, family, column and version
+/// order, whose value no longer matches its write-time checksum, as `(row,
+/// column, timestamp)`. A read checks only the versions it returns; this
+/// checks every one, so corruption that a newer write superseded is still
+/// found (`store_fsck`'s deep pass, a heal donor's export).
+pub fn first_bad_version(rows: &BTreeMap<Bytes, RowData>) -> Option<(&Bytes, &Bytes, u64)> {
+    rows.iter().find_map(|(row, data)| {
+        data.values().flatten().find_map(|(column, versions)| {
+            let bad = versions.iter().find(|v| !v.verify())?;
+            Some((row, column, bad.timestamp))
+        })
+    })
 }
 
 /// A materialized row returned by gets and scans: family → column → latest

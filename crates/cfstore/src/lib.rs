@@ -63,4 +63,4 @@ pub use segment::{SegmentError, SegmentReader};
 pub use shard::resharding::{ReshardPhase, ReshardStatus, Topology};
 pub use shard::{ShardOptions, ShardedMeta, ShardedRecoveryReport, ShardedStore};
 pub use store::{MetaEntry, MiniStore, Scan, StoreError, StoreOptions};
-pub use wal::{CrashSpec, SyncPolicy, WalTruncation};
+pub use wal::{CrashSpec, WalTruncation};

@@ -187,36 +187,6 @@ pub fn read_segment(path: &Path) -> Result<LoadedSegment, SegmentError> {
     })
 }
 
-/// Verify a segment *including every cell-version checksum*. Block CRCs
-/// catch rot since the flush, but a cell checksum persisted verbatim can
-/// record corruption that predates the flush (the cell was already bad
-/// in the memstore). `store_fsck` and the heal path use this stronger
-/// scrub so a replica is only ever repaired from a provably clean peer.
-pub fn verify_segment_deep(path: &Path) -> Result<SegmentMeta, SegmentError> {
-    let name = file_name_of(path);
-    let loaded = read_segment(path)?;
-    for (key, data) in &loaded.rows {
-        for cols in data.values() {
-            for (col, versions) in cols {
-                for v in versions {
-                    if !v.verify() {
-                        return Err(SegmentError::Corrupt {
-                            file: name,
-                            detail: format!(
-                                "cell checksum mismatch at row {:?} column {:?} ts {}",
-                                String::from_utf8_lossy(key),
-                                String::from_utf8_lossy(col),
-                                v.timestamp
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(loaded.meta)
-}
-
 /// Monotonic ids for [`SegmentReader`]s, so the block cache can key
 /// entries by `(reader, block)` without hashing file paths.
 static NEXT_READER_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);

@@ -80,7 +80,7 @@ use crate::region::{RowView, ScanMetrics};
 use crate::store::{
     keep, Install, MetaEntry, MiniStore, Scan, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
 };
-use crate::wal::{self, CrashSpec, SyncPolicy, WalRecord, WAL_FILE};
+use crate::wal::{self, CrashSpec, WalRecord, WAL_FILE};
 
 use resharding::{Catalog, Donors, Migration, Pending, Topology};
 
@@ -328,13 +328,13 @@ impl ShardOptions {
     /// drives per-shard flushes so they serialize under the global lock.
     fn store_opts(&self, g: u32) -> StoreOptions {
         StoreOptions {
-            sync: SyncPolicy::EveryOp,
             crash: match &self.crash_shard {
                 Some((victim, spec)) if *victim == g => spec.clone(),
                 _ => CrashSpec::default(),
             },
             block_cache_bytes: self.block_cache_bytes,
             background_flush_wal_bytes: None,
+            ..StoreOptions::default()
         }
     }
 }

@@ -36,7 +36,7 @@ use crate::blockcache::{BlockCache, BlockCacheStats};
 use crate::filter::Filter;
 use crate::flusher::Flusher;
 use crate::frame;
-use crate::kv::{Put, RowResult};
+use crate::kv::{self, Put, RowResult};
 use crate::recovery::{
     self, inconsistent, io_err, Manifest, ManifestTable, RecoveryError, RecoveryReport,
 };
@@ -316,11 +316,11 @@ struct DurableState {
     wal_bytes_at_reset: u64,
 }
 
-/// How to open a durable store: sync policy, crash injection, block
-/// cache budget, and the optional background flusher.
+/// How to open a durable store: crash injection, block cache budget, and
+/// the optional background flusher.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
-    /// WAL sync policy (default: [`SyncPolicy::EveryOp`]).
+    /// The durability rule; [`SyncPolicy::EveryOp`] is its one value.
     pub sync: SyncPolicy,
     /// Injected crash points (default: never fires).
     pub crash: CrashSpec,
@@ -404,23 +404,6 @@ impl MiniStore {
         Self::open_with_opts(dir, StoreOptions::default())
     }
 
-    /// [`MiniStore::open`] with an explicit sync policy and crash spec
-    /// (the property tests' historical entry point).
-    pub fn open_with(
-        dir: &Path,
-        policy: SyncPolicy,
-        crash: CrashSpec,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        Self::open_with_opts(
-            dir,
-            StoreOptions {
-                sync: policy,
-                crash,
-                ..StoreOptions::default()
-            },
-        )
-    }
-
     /// [`MiniStore::open`] with full [`StoreOptions`] control.
     pub fn open_with_opts(
         dir: &Path,
@@ -475,11 +458,12 @@ impl MiniStore {
         }
         let max_lsn = scan.frames.iter().map(|f| f.lsn).max();
         let next_lsn = manifest.flushed_lsn.max(max_lsn.unwrap_or(0)) + 1;
-        let wal = WalWriter::open(&wal_path, scan.valid_bytes, next_lsn, opts.sync, opts.crash)
-            .map_err(|e| match e {
+        let wal = WalWriter::open(&wal_path, scan.valid_bytes, next_lsn, opts.crash).map_err(
+            |e| match e {
                 WalError::Io(io) => io_err(&wal_path, io),
                 WalError::Crashed => io_err(&wal_path, std::io::Error::other("crash during open")),
-            })?;
+            },
+        )?;
         let wal_bytes_at_reset = wal.bytes_written();
         let inner = Arc::new(StoreInner {
             tables: RwLock::new(tables),
@@ -570,8 +554,8 @@ impl MiniStore {
         self.create_table_with_threshold(name, families, DEFAULT_SPLIT_THRESHOLD)
     }
 
-    /// Write one cell. In durable mode the cell is WAL-logged (and, under
-    /// [`SyncPolicy::EveryOp`], durable) before it becomes visible.
+    /// Write one cell. In durable mode the cell's frame is written to the
+    /// WAL before the cell becomes visible.
     pub fn put(&self, table: &str, put: Put) -> Result<(), StoreError> {
         self.put_batch(table, vec![put])
     }
@@ -1034,24 +1018,17 @@ impl MiniStore {
         let regions: Vec<Arc<Region>> = t.regions.read().iter().cloned().collect();
         let mut out = BTreeMap::new();
         for r in regions {
-            for (key, data) in r.export_rows()? {
-                // A heal donor must be provably clean: verify *every*
-                // retained version, not just the latest a read would
-                // check, so corruption never propagates between replicas.
-                for cols in data.values() {
-                    for (col, versions) in cols {
-                        for v in versions {
-                            if !v.verify() {
-                                return Err(StoreError::Corruption {
-                                    row: String::from_utf8_lossy(&key).into_owned(),
-                                    column: String::from_utf8_lossy(col).into_owned(),
-                                });
-                            }
-                        }
-                    }
-                }
-                out.insert(key, data);
+            let rows = r.export_rows()?;
+            // A heal donor must be provably clean: every retained version,
+            // not just the latest a read would check, so corruption never
+            // propagates between replicas.
+            if let Some((row, column, _)) = kv::first_bad_version(&rows) {
+                return Err(StoreError::Corruption {
+                    row: String::from_utf8_lossy(row).into_owned(),
+                    column: String::from_utf8_lossy(column).into_owned(),
+                });
             }
+            out.extend(rows);
         }
         Ok(out)
     }
@@ -1208,9 +1185,10 @@ impl StoreInner {
             return Ok(());
         };
         let mut d = m.lock();
-        // Push any group-commit tail out first: everything logged must be
-        // durable before the manifest claims to supersede it.
-        d.wal.sync()?;
+        // A crashed store writes no segment and no MANIFEST.
+        if d.wal.is_crashed() {
+            return Err(StoreError::Crashed);
+        }
         let flushed_lsn = d.wal.next_lsn() - 1;
         let generation = d.generation + 1;
         let tables = self.tables.read();
@@ -1617,7 +1595,6 @@ mod tests {
         corrupt: &[usize],
     ) -> MiniStore {
         let opts = || StoreOptions {
-            sync: SyncPolicy::GroupCommit(1 << 20),
             block_cache_bytes: cache_bytes,
             ..StoreOptions::default()
         };
@@ -1830,9 +1807,11 @@ mod tests {
         let dir = tmp_dir("poison");
         let mut acked = Vec::new();
         {
-            let (store, _) =
-                MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::after_wal_bytes(700))
-                    .unwrap();
+            let opts = StoreOptions {
+                crash: CrashSpec::after_wal_bytes(700),
+                ..StoreOptions::default()
+            };
+            let (store, _) = MiniStore::open_with_opts(&dir, opts).unwrap();
             store.create_table("t", &["f"]).unwrap();
             for i in 0..50 {
                 let key = format!("r{i:02}");
@@ -1849,6 +1828,9 @@ mod tests {
                 Err(StoreError::Crashed)
             );
             assert_eq!(store.flush(), Err(StoreError::Crashed));
+            // ...before it writes a segment or a MANIFEST.
+            let files: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+            assert_eq!(files.len(), 1, "only wal.log: {files:?}");
         }
         let (store, report) = MiniStore::open(&dir).unwrap();
         assert!(report.wal_bytes_dropped > 0);
@@ -1866,15 +1848,15 @@ mod tests {
     fn crash_mid_flush_leaves_an_orphan_and_loses_nothing() {
         let dir = tmp_dir("midflush");
         {
-            let (store, _) = MiniStore::open_with(
-                &dir,
-                SyncPolicy::EveryOp,
-                CrashSpec {
-                    during_flush_segment: Some(0),
-                    ..CrashSpec::default()
-                },
-            )
-            .unwrap();
+            let crash = CrashSpec {
+                during_flush_segment: Some(0),
+                ..CrashSpec::default()
+            };
+            let opts = StoreOptions {
+                crash,
+                ..StoreOptions::default()
+            };
+            let (store, _) = MiniStore::open_with_opts(&dir, opts).unwrap();
             store.create_table("t", &["f"]).unwrap();
             for i in 0..10 {
                 store.put("t", bput(&format!("r{i}"), "c", "v")).unwrap();
@@ -1889,41 +1871,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn group_commit_crash_loses_at_most_the_unsynced_tail() {
-        let dir = tmp_dir("groupcrash");
-        let mut acked = 0usize;
-        {
-            let (store, _) = MiniStore::open_with(
-                &dir,
-                SyncPolicy::GroupCommit(4),
-                CrashSpec::after_wal_bytes(600),
-            )
-            .unwrap();
-            store.create_table("t", &["f"]).unwrap();
-            for i in 0..50 {
-                match store.put("t", bput(&format!("r{i:02}"), "c", "v")) {
-                    Ok(()) => acked += 1,
-                    Err(StoreError::Crashed) => break,
-                    Err(e) => panic!("unexpected {e}"),
-                }
-            }
-        }
-        let (store, _) = MiniStore::open(&dir).unwrap();
-        let (rows, _) = store.scan("t", &Scan::all()).unwrap();
-        // A synced prefix is never lost; an unsynced tail of < group size
-        // may be.
-        assert!(rows.len() <= acked);
-        assert!(acked - rows.len() < 4, "lost more than one commit group");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Append one hand-built frame behind whatever the store logged.
     fn append_by_hand(dir: &Path, lsn: u64, records: &[WalRecord]) {
         let path = dir.join(WAL_FILE);
         let len = std::fs::metadata(&path).unwrap().len();
-        let mut w =
-            WalWriter::open(&path, len, lsn, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        let mut w = WalWriter::open(&path, len, lsn, CrashSpec::default()).unwrap();
         w.append(records).unwrap();
     }
 
@@ -2134,13 +2086,9 @@ mod tests {
     /// replayed from the WAL (1), or flushed and reopened segment-backed
     /// (2).
     fn routing_store(keys: &[u16], threshold: usize, mode: u8, dir: &Path) -> MiniStore {
-        let opts = || StoreOptions {
-            sync: SyncPolicy::GroupCommit(1 << 20),
-            ..StoreOptions::default()
-        };
         let store = match mode {
             0 => MiniStore::new(),
-            _ => MiniStore::open_with_opts(dir, opts()).unwrap().0,
+            _ => MiniStore::open(dir).unwrap().0,
         };
         store
             .create_table_with_threshold("t", &["f"], threshold)
@@ -2151,19 +2099,11 @@ mod tests {
         }
         match mode {
             0 => return store,
-            1 => store
-                .inner
-                .durable
-                .as_ref()
-                .unwrap()
-                .lock()
-                .wal
-                .sync()
-                .unwrap(),
+            1 => {}
             _ => store.flush().unwrap(),
         }
         drop(store);
-        let (store, report) = MiniStore::open_with_opts(dir, opts()).unwrap();
+        let (store, report) = MiniStore::open(dir).unwrap();
         assert_eq!(report.frames_replayed > 0, mode == 1);
         store
     }

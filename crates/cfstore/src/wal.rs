@@ -1,4 +1,5 @@
-//! The write-ahead log: length+CRC-framed, append-only, group-committed.
+//! The write-ahead log: length+CRC-framed and append-only. Every append
+//! writes its frame to the file before it returns.
 //!
 //! Every durable mutation of a [`crate::MiniStore`] — table creation,
 //! puts, row deletes, region splits — is encoded as a [`WalRecord`] and
@@ -168,29 +169,25 @@ impl CrashSpec {
     }
 }
 
-/// When appended frames are pushed from the group-commit buffer to the
-/// file (and thereby become durable / acknowledged).
+/// The durability rule, which has one value: every append writes its
+/// frame to the log before it returns (DESIGN.md §37). cfstore never
+/// reads it; it stays while the benchmark records
+/// [`crate::StoreOptions::sync`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Every operation's frame hits the file before the call returns —
-    /// an acknowledged write is a durable write.
+    /// An acknowledged write is in the log.
     EveryOp,
-    /// Frames accumulate and are written together once `n` are pending
-    /// (or on an explicit [`WalWriter::sync`]). Higher throughput; a
-    /// crash can lose the un-synced tail, never a synced prefix.
-    GroupCommit(usize),
 }
 
-/// The append side of the log: frame encoding, group-commit buffering,
-/// and the crash-injection bookkeeping shared with the flush path.
+/// The append side of the log: frame encoding and the crash-injection
+/// bookkeeping shared with the flush path.
 pub struct WalWriter {
     /// The file, behind the [`CrashSpec::after_wal_bytes`] budget. Its
     /// byte count is cumulative across flush truncations.
     out: CrashWriter,
-    /// Group-commit buffer of fully framed bytes not yet written.
+    /// The encode buffer every append reuses: it holds one frame from its
+    /// encoding to its write, and is empty between appends.
     buf: Vec<u8>,
-    pending_frames: usize,
-    policy: SyncPolicy,
     next_lsn: u64,
     /// Region splits logged so far (for [`CrashSpec::during_split`]).
     splits_logged: u32,
@@ -207,15 +204,12 @@ impl WalWriter {
         path: &Path,
         existing_len: u64,
         next_lsn: u64,
-        policy: SyncPolicy,
         crash: CrashSpec,
     ) -> Result<Self, WalError> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(WalWriter {
             out: CrashWriter::new(file, existing_len, crash.after_wal_bytes, false),
             buf: Vec::new(),
-            pending_frames: 0,
-            policy,
             next_lsn,
             splits_logged: 0,
             segments_written: 0,
@@ -241,16 +235,16 @@ impl WalWriter {
         self.out.written()
     }
 
-    /// Append one frame holding `records` (atomic as a unit on replay).
-    /// Returns the frame's LSN. Depending on the [`SyncPolicy`] the frame
-    /// may still sit in the group-commit buffer when this returns.
+    /// Append one frame holding `records` (atomic as a unit on replay) and
+    /// write it to the file. Returns the frame's LSN. On `Ok` the frame is
+    /// in `wal.log`; no `fsync` follows, so it outlives the process, not
+    /// the machine.
     pub fn append(&mut self, records: &[WalRecord]) -> Result<u64, WalError> {
         if self.is_crashed() {
             return Err(WalError::Crashed);
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let start = self.buf.len();
         frame::encode(&mut self.buf, |body| {
             body.put_u64(lsn);
             body.put_u32(records.len() as u32);
@@ -264,24 +258,15 @@ impl WalWriter {
         let is_split = records
             .iter()
             .any(|r| matches!(r, WalRecord::RegionSplit { .. }));
-        if is_split {
-            let n = self.splits_logged;
-            self.splits_logged += 1;
-            if self.crash.during_split == Some(n) {
-                let half = start + (self.buf.len() - start) / 2;
-                return Err(self.out.crash_after(&self.buf[start..half]));
-            }
-        }
-
-        self.pending_frames += 1;
-        let should_flush = match self.policy {
-            SyncPolicy::EveryOp => true,
-            SyncPolicy::GroupCommit(n) => self.pending_frames >= n.max(1),
+        let tear = is_split && self.crash.during_split == Some(self.splits_logged);
+        self.splits_logged += u32::from(is_split);
+        let written = if tear {
+            Err(self.out.crash_after(&self.buf[..self.buf.len() / 2]))
+        } else {
+            self.out.write(&self.buf)
         };
-        if should_flush {
-            self.sync()?;
-        }
-        Ok(lsn)
+        self.buf.clear();
+        written.map(|()| lsn)
     }
 
     /// Append one frame with a caller-assigned LSN. The sharded store
@@ -299,18 +284,6 @@ impl WalWriter {
         self.append(records)
     }
 
-    /// Force the group-commit buffer to the file. After `Ok`, every
-    /// previously appended frame is durable.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        if self.is_crashed() {
-            return Err(WalError::Crashed);
-        }
-        self.pending_frames = 0;
-        let result = self.out.write(&self.buf);
-        self.buf.clear();
-        result
-    }
-
     /// Reset the log after a successful flush persisted everything
     /// through `flushed_lsn` into segments: the file is truncated to
     /// empty and appends continue. The crash byte budget keeps counting
@@ -320,8 +293,6 @@ impl WalWriter {
         if self.is_crashed() {
             return Err(WalError::Crashed);
         }
-        self.buf.clear();
-        self.pending_frames = 0;
         self.out.file().set_len(0)?;
         Ok(())
     }
@@ -548,8 +519,7 @@ mod tests {
     fn frames_roundtrip() {
         let dir = tmp_dir("roundtrip");
         let path = dir.join(WAL_FILE);
-        let mut w =
-            WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        let mut w = WalWriter::open(&path, 0, 1, CrashSpec::default()).unwrap();
         for r in sample_records() {
             w.append(std::slice::from_ref(&r)).unwrap();
         }
@@ -569,8 +539,7 @@ mod tests {
     fn torn_tail_is_reported_not_errored() {
         let dir = tmp_dir("torn");
         let path = dir.join(WAL_FILE);
-        let mut w =
-            WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        let mut w = WalWriter::open(&path, 0, 1, CrashSpec::default()).unwrap();
         for r in sample_records() {
             w.append(std::slice::from_ref(&r)).unwrap();
         }
@@ -590,8 +559,7 @@ mod tests {
     fn corrupt_frame_stops_the_scan() {
         let dir = tmp_dir("corrupt");
         let path = dir.join(WAL_FILE);
-        let mut w =
-            WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        let mut w = WalWriter::open(&path, 0, 1, CrashSpec::default()).unwrap();
         let recs = sample_records();
         w.append(&recs[..1]).unwrap();
         let first_len = std::fs::metadata(&path).unwrap().len() as usize;
@@ -615,8 +583,7 @@ mod tests {
         let dir = tmp_dir("crashbyte");
         let path = dir.join(WAL_FILE);
         // First, measure a clean run.
-        let mut w =
-            WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        let mut w = WalWriter::open(&path, 0, 1, CrashSpec::default()).unwrap();
         for r in sample_records() {
             w.append(std::slice::from_ref(&r)).unwrap();
         }
@@ -625,14 +592,7 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
 
         let limit = clean_len / 2;
-        let mut w = WalWriter::open(
-            &path,
-            0,
-            1,
-            SyncPolicy::EveryOp,
-            CrashSpec::after_wal_bytes(limit),
-        )
-        .unwrap();
+        let mut w = WalWriter::open(&path, 0, 1, CrashSpec::after_wal_bytes(limit)).unwrap();
         let mut acked = 0;
         for r in sample_records() {
             match w.append(std::slice::from_ref(&r)) {
@@ -649,31 +609,6 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), limit);
         let scan = read_wal(&path).unwrap();
         assert_eq!(scan.frames.len(), acked);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn group_commit_buffers_until_threshold() {
-        let dir = tmp_dir("group");
-        let path = dir.join(WAL_FILE);
-        let mut w = WalWriter::open(
-            &path,
-            0,
-            1,
-            SyncPolicy::GroupCommit(3),
-            CrashSpec::default(),
-        )
-        .unwrap();
-        let recs = sample_records();
-        w.append(&recs[..1]).unwrap();
-        w.append(&recs[..1]).unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "still buffered");
-        w.append(&recs[..1]).unwrap(); // third append flushes the group
-        assert!(std::fs::metadata(&path).unwrap().len() > 0);
-        w.append(&recs[..1]).unwrap();
-        w.sync().unwrap(); // explicit sync drains the partial group
-        let scan = read_wal(&path).unwrap();
-        assert_eq!(scan.frames.len(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -283,6 +283,26 @@ if [ "$(nontest $(find crates/cfstore/src -name '*.rs' ! -name wal.rs) | grep -c
   echo "more than one RegionSplit destructuring outside wal.rs"; exit 1
 fi
 
+# One durability rule (DESIGN.md §37): an acknowledged write is in the
+# log. Every WAL append writes its frame before it returns; no mode buffers
+# one past its call, so nothing names one, test modules included.
+# `StoreOptions::sync` stays while the benchmark records it: a one-variant
+# `SyncPolicy` that no file but wal.rs and store.rs names. The check of
+# every retained cell version has one home, `kv::first_bad_version`, which
+# `store_fsck`'s deep pass and a heal donor's export share.
+step "source gate (one durability rule)"
+all_src=$(find crates tests examples -name '*.rs')
+if [ "$(cat $all_src | grep -cE 'GroupCommit|pending_frames|fn open_with\(' || true)" -ne 0 ]; then
+  echo "crates/, tests/ and examples/ must not name GroupCommit, pending_frames or fn open_with("; exit 1
+fi
+if [ "$(grep -lF 'SyncPolicy' $all_src | grep -vcE '^crates/cfstore/src/(wal|store)\.rs$' || true)" -ne 0 ] ||
+  [ "$(awk '/^pub enum SyncPolicy \{/ { on = 1; next } on && /^\}/ { exit } on && /^    [A-Z]/ { n++ } END { print n + 0 }' crates/cfstore/src/wal.rs)" -ne 1 ]; then
+  echo "SyncPolicy must have one variant and be named only in cfstore's wal.rs and store.rs"; exit 1
+fi
+if [ "$(nontest $(find crates -name '*.rs') | grep -cF '.verify()' || true)" -ne 1 ]; then
+  echo "crates/ must call .verify() at exactly one non-test site"; exit 1
+fi
+
 # One routing step (DESIGN.md §29): every single-row operation finds its
 # region through `owner_index`, a binary search over the table's sorted
 # region list, so that is the one non-test function of store.rs that

@@ -108,7 +108,7 @@ fn matcher_stage_survivor_funnel_holds() {
 ///    entirely from cache — not one additional block fetch.
 #[test]
 fn block_cache_and_compaction_budgets_hold() {
-    use cfstore::{CrashSpec, MiniStore, Put, Scan, StoreError, SyncPolicy};
+    use cfstore::{MiniStore, Put, Scan, StoreError};
 
     let dir = std::env::temp_dir().join(format!("pstorm-budget-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -117,8 +117,7 @@ fn block_cache_and_compaction_budgets_hold() {
     // regions and several segments exist), flushed twice.
     let obs = obs::Registry::new();
     {
-        let (mut store, _) =
-            MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        let (mut store, _) = MiniStore::open(&dir).unwrap();
         store.set_obs(obs.clone());
         match store.create_table_with_threshold("t", &["f"], 8) {
             Ok(()) | Err(StoreError::TableExists(_)) => {}
@@ -163,8 +162,7 @@ fn block_cache_and_compaction_budgets_hold() {
     }
 
     // Session 2: reopen lazily and measure the read path.
-    let (mut store, report) =
-        MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+    let (mut store, report) = MiniStore::open(&dir).unwrap();
     assert_eq!(
         report.segment_blocks_read, 0,
         "clean reopen must not read segment block bodies"

@@ -21,7 +21,7 @@ use cfstore::shard::SHARDS_FILE;
 use cfstore::wal::{read_wal, WalRecord, WalWriter, WAL_FILE};
 use cfstore::{
     CellVersion, CrashSpec, KeyRange, Manifest, MiniStore, Put, ReshardPhase, RowData,
-    SegmentReader, ShardOptions, ShardedStore, SyncPolicy, Topology, WalTruncation,
+    SegmentReader, ShardOptions, ShardedStore, Topology, WalTruncation,
 };
 use mrsim::{MapPhase, ReducePhase};
 use profiler::{CostFactors, JobProfile, MapProfile, ReduceProfile};
@@ -111,7 +111,7 @@ fn wal_records() -> Vec<WalRecord> {
 fn wal_frame_bytes_are_pinned() {
     let dir = tmp_dir("wal");
     let path = dir.join(WAL_FILE);
-    let mut w = WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+    let mut w = WalWriter::open(&path, 0, 1, CrashSpec::default()).unwrap();
     assert_eq!(w.append_at(1024, &wal_records()).unwrap(), 1024);
     drop(w);
     assert_golden("wal.log", &std::fs::read(&path).unwrap(), WAL_GOLDEN);
@@ -800,8 +800,7 @@ fn an_inconsistent_log_is_a_typed_refusal_not_a_panic() {
     for (records, want) in cases {
         let dir = tmp_dir("inconsistent");
         let path = dir.join(WAL_FILE);
-        let mut w =
-            WalWriter::open(&path, 0, 1, SyncPolicy::EveryOp, CrashSpec::default()).unwrap();
+        let mut w = WalWriter::open(&path, 0, 1, CrashSpec::default()).unwrap();
         for record in &records {
             w.append(std::slice::from_ref(record)).unwrap();
         }
@@ -817,14 +816,7 @@ fn an_inconsistent_log_is_a_typed_refusal_not_a_panic() {
     // Ids and timestamps at the top of their range are not the applier's
     // to overflow on either.
     let dir = tmp_dir("saturating");
-    let mut w = WalWriter::open(
-        &dir.join(WAL_FILE),
-        0,
-        1,
-        SyncPolicy::EveryOp,
-        CrashSpec::default(),
-    )
-    .unwrap();
+    let mut w = WalWriter::open(&dir.join(WAL_FILE), 0, 1, CrashSpec::default()).unwrap();
     let records = [
         WalRecord::CreateTable {
             name: "t".into(),

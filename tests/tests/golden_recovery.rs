@@ -5,20 +5,19 @@
 //! never-crashed oracle, every WAL byte accounted for. This suite pins
 //! the same path *by value*. One scripted history runs in sessions:
 //!
-//! * **A** (inert, `EveryOp`, never flushed): two tables with split
-//!   thresholds of 4 and 3, single puts and multi-row batches that split
-//!   regions as a matter of routine, one cell overwritten past
-//!   `MAX_VERSIONS`, a delete;
+//! * **A** (inert, never flushed): two tables with split thresholds of 4
+//!   and 3, single puts and multi-row batches that split regions as a
+//!   matter of routine, one cell overwritten past `MAX_VERSIONS`, a
+//!   delete;
 //! * **the hand-written frame**: `WalWriter::append_at` straight onto the
 //!   store's log, at an LSN far ahead of it — puts whose timestamps are
 //!   out of order among themselves and against what the cells hold, one
 //!   far in the future, and a delete;
-//! * **B** (the session a case's `CrashSpec` kills, `EveryOp`): reopen
-//!   over all of that, more puts, deletes and batches, a mid-history
-//!   flush, then writes that promote nothing live but everything on the
-//!   next reopen;
-//! * **C** (inert, `GroupCommit(3)`, only when B survived): a tail of
-//!   frames dropped without a sync.
+//! * **B** (the session a case's `CrashSpec` kills): reopen over all of
+//!   that, more puts, deletes and batches, a mid-history flush, then
+//!   writes that promote nothing live but everything on the next reopen;
+//! * **C** (inert, only when B survived): more puts, a delete and an
+//!   overwrite, every one acknowledged and so every one in the log.
 //!
 //! Each case then reopens the directory and records the
 //! `RecoveryReport` (`Debug`, every field) of every reopen along the
@@ -42,7 +41,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use cfstore::wal::{WalRecord, WalWriter, WAL_FILE};
-use cfstore::{CrashSpec, MiniStore, Put, RecoveryReport, Scan, StoreError, SyncPolicy};
+use cfstore::{CrashSpec, MiniStore, Put, RecoveryReport, Scan, StoreError, StoreOptions};
 use pstorm_tests::{disk_digest, fnv, FNV_BASIS};
 
 const PROFILES: &str = "profiles";
@@ -167,9 +166,6 @@ fn session_c() -> Vec<Step> {
     steps.push(delete(PROFILES, job(40)));
     steps.push(put(PROFILES, profile_put(3, 0, 700)));
     steps.push(put(AUX, Put::new("x20", "a", "k", "synced")));
-    // Two frames past the last full commit group: lost with the process.
-    steps.push(put(PROFILES, profile_put(3, 1, 701)));
-    steps.push(put(AUX, Put::new("x20", "a", "k", "lost")));
     steps
 }
 
@@ -205,8 +201,12 @@ impl Transcript {
     }
 }
 
-fn open(dir: &Path, policy: SyncPolicy, crash: CrashSpec) -> (MiniStore, RecoveryReport) {
-    MiniStore::open_with(dir, policy, crash).expect("open")
+fn open(dir: &Path, crash: CrashSpec) -> (MiniStore, RecoveryReport) {
+    let opts = StoreOptions {
+        crash,
+        ..StoreOptions::default()
+    };
+    MiniStore::open_with_opts(dir, opts).expect("open")
 }
 
 /// Run `steps` until one is refused by the injected crash; `None` when
@@ -260,28 +260,22 @@ fn history(tag: &str, crash: CrashSpec) -> (String, (u64, u64)) {
     let dir = tmp_dir(tag);
     let mut t = Transcript { out: String::new() };
 
-    let (store, report) = open(&dir, SyncPolicy::EveryOp, CrashSpec::default());
+    let (store, report) = open(&dir, CrashSpec::default());
     t.report("open A", &report);
     assert_eq!(drive(&store, &session_a()), None);
     drop(store);
 
     let wal_path = dir.join(WAL_FILE);
     let wal_len = std::fs::metadata(&wal_path).expect("wal").len();
-    let mut wal = WalWriter::open(
-        &wal_path,
-        wal_len,
-        HAND_LSN,
-        SyncPolicy::EveryOp,
-        CrashSpec::default(),
-    )
-    .expect("open wal");
+    let mut wal =
+        WalWriter::open(&wal_path, wal_len, HAND_LSN, CrashSpec::default()).expect("open wal");
     assert_eq!(
         wal.append_at(HAND_LSN, &hand_frame()).expect("append"),
         HAND_LSN
     );
     drop(wal);
 
-    let (mut store, report) = open(&dir, SyncPolicy::EveryOp, crash);
+    let (mut store, report) = open(&dir, crash);
     t.report("open B", &report);
     let reg = obs::Registry::new();
     store.set_obs(reg.clone());
@@ -293,13 +287,13 @@ fn history(tag: &str, crash: CrashSpec) -> (String, (u64, u64)) {
     drop(store);
 
     if crashed_at.is_none() {
-        let (store, report) = open(&dir, SyncPolicy::GroupCommit(3), CrashSpec::default());
+        let (store, report) = open(&dir, CrashSpec::default());
         t.report("open C", &report);
         assert_eq!(drive(&store, &session_c()), None);
         drop(store);
     }
 
-    let (mut store, report) = open(&dir, SyncPolicy::EveryOp, CrashSpec::default());
+    let (mut store, report) = open(&dir, CrashSpec::default());
     t.report("reopen", &report);
     for e in store.meta_entries() {
         t.note(format!(
@@ -322,7 +316,7 @@ fn history(tag: &str, crash: CrashSpec) -> (String, (u64, u64)) {
     t.note(format!("files {}", file_list(&dir)));
     t.note(format!("disk {:#018x}", disk_digest(&dir)));
 
-    let (store, report) = open(&dir, SyncPolicy::EveryOp, CrashSpec::default());
+    let (store, report) = open(&dir, CrashSpec::default());
     t.report("reopen again", &report);
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");

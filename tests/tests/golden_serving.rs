@@ -31,7 +31,7 @@
 //! walked its ladder differently. They are never regenerated for a
 //! refactor.
 
-use cfstore::{CrashSpec, StoreOptions, SyncPolicy};
+use cfstore::{CrashSpec, StoreOptions};
 use datagen::corpus;
 use mrjobs::{jobs, Dataset, JobSpec};
 use mrsim::{ClusterSpec, FaultSpec};
@@ -468,7 +468,6 @@ fn run_row(i: usize, row: &Row) -> (String, Result<SubmissionReport, String>) {
             drop(ProfileStore::reopen(&dir).expect("create"));
             let wal = std::fs::metadata(dir.join(cfstore::wal::WAL_FILE)).expect("WAL");
             let opts = StoreOptions {
-                sync: SyncPolicy::EveryOp,
                 crash: CrashSpec::after_wal_bytes(wal.len() + wal_bytes),
                 ..StoreOptions::default()
             };

@@ -16,7 +16,7 @@
 //!   poisons the store without losing a single acked write — the
 //!   manifest never swaps, and recovery replays the intact WAL.
 
-use cfstore::{CrashSpec, MiniStore, Put, RowResult, StoreError, StoreOptions, SyncPolicy};
+use cfstore::{CrashSpec, MiniStore, Put, RowResult, StoreError, StoreOptions};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -125,8 +125,7 @@ fn check_budget(tag: &str, ops: &[Op], budget: u64) {
     // Subject: same ops, flushed to segments, reopened segment-backed.
     let dir = tmp_dir(tag);
     {
-        let (store, _) =
-            MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default()).expect("open");
+        let (store, _) = MiniStore::open(&dir).expect("open");
         create_table(&store);
         for op in ops {
             apply(&store, op);
@@ -255,7 +254,6 @@ fn background_flush_crash_loses_nothing() {
     let (store, _) = MiniStore::open_with_opts(
         &dir,
         StoreOptions {
-            sync: SyncPolicy::EveryOp,
             crash: CrashSpec {
                 during_flush_segment: Some(0),
                 ..CrashSpec::default()
@@ -298,8 +296,7 @@ fn background_flush_crash_loses_nothing() {
     );
     drop(store); // joins the flusher thread
 
-    let (reopened, report) = MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default())
-        .expect("reopen after background-flush crash");
+    let (reopened, report) = MiniStore::open(&dir).expect("reopen after background-flush crash");
     // The manifest never swapped: no segment is trusted, the torn
     // segment 0 is reported as an orphan, and the WAL replays whole.
     assert_eq!(

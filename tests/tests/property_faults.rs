@@ -16,7 +16,7 @@
 //! never panics), and every recovery must bring back every profile the
 //! daemon acked as stored.
 
-use cfstore::{CrashSpec, StoreOptions, SyncPolicy};
+use cfstore::{CrashSpec, StoreOptions};
 use datagen::corpus;
 use mrjobs::jobs;
 use mrsim::{simulate, ClusterSpec, FaultSpec, JobConfig};
@@ -173,7 +173,6 @@ fn thousand_seed_daemon_sweep_under_faults_and_crashes() {
             let (store, _) = ProfileStore::reopen_with_opts(
                 &dir,
                 StoreOptions {
-                    sync: SyncPolicy::EveryOp,
                     crash: CrashSpec::after_wal_bytes(budget),
                     ..StoreOptions::default()
                 },
@@ -190,7 +189,6 @@ fn thousand_seed_daemon_sweep_under_faults_and_crashes() {
             let (store, _) = ProfileStore::reopen_with_opts(
                 &dir,
                 StoreOptions {
-                    sync: SyncPolicy::EveryOp,
                     crash: CrashSpec {
                         during_flush_segment: Some(0),
                         ..CrashSpec::default()

@@ -2,8 +2,8 @@
 //!
 //! The central property — *crash anywhere, reopen, invariants hold*:
 //!
-//! (a) **No acked write is lost.** Under `SyncPolicy::EveryOp` every
-//!     operation that returned `Ok` before the crash is present after
+//! (a) **No acked write is lost.** Every operation that returned `Ok`
+//!     before the crash had its frame in the log, so it is present after
 //!     reopening.
 //! (b) **No torn write surfaces.** The one in-flight operation that
 //!     received `Err(Crashed)` is either atomically present or atomically
@@ -16,11 +16,11 @@
 //!
 //! Crash points are enumerated with `CrashSpec::after_wal_bytes(n)` over
 //! *every* byte offset of a workload's WAL (the exhaustive test) and over
-//! random offsets/workloads (the proptest sweep), plus the mid-flush and
-//! group-commit variants.
+//! random offsets/workloads (the proptest sweep), plus the mid-flush
+//! variant.
 
 use cfstore::wal::WAL_FILE;
-use cfstore::{CrashSpec, MiniStore, Put, RowResult, StoreError, StoreOptions, SyncPolicy};
+use cfstore::{CrashSpec, MiniStore, Put, RowResult, StoreError, StoreOptions};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -78,8 +78,12 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn open_store(dir: &Path, policy: SyncPolicy, crash: CrashSpec) -> MiniStore {
-    let (store, _) = MiniStore::open_with(dir, policy, crash).expect("open");
+fn open_store(dir: &Path, crash: CrashSpec) -> MiniStore {
+    let opts = StoreOptions {
+        crash,
+        ..StoreOptions::default()
+    };
+    let (store, _) = MiniStore::open_with_opts(dir, opts).expect("open");
     match store.create_table_with_threshold(TABLE, &[FAMILY], 8) {
         Ok(()) | Err(StoreError::TableExists(_)) => {}
         Err(e) => panic!("create_table: {e}"),
@@ -89,14 +93,12 @@ fn open_store(dir: &Path, policy: SyncPolicy, crash: CrashSpec) -> MiniStore {
 
 /// Open the crashing store with the background flusher armed at a small
 /// WAL-growth threshold, so the crash sweep also races background flushes
-/// against every crash point. Under `EveryOp` a flush appends no WAL
-/// bytes, so the crash budget fires at the same byte regardless of flush
-/// timing — the invariants must hold whenever the flusher happens to run.
+/// against every crash point. A flush appends no WAL bytes, so the crash
+/// budget fires at the same byte regardless of flush timing — the invariants must hold whenever the flusher happens to run.
 fn open_crashing_store(dir: &Path, crash: CrashSpec) -> MiniStore {
     let (store, _) = MiniStore::open_with_opts(
         dir,
         StoreOptions {
-            sync: SyncPolicy::EveryOp,
             crash,
             background_flush_wal_bytes: Some(700),
             ..StoreOptions::default()
@@ -114,7 +116,7 @@ fn open_crashing_store(dir: &Path, crash: CrashSpec) -> MiniStore {
 /// before any crash budget starts firing — a crash budget smaller than
 /// the CreateTable frame then simply tears the first workload op.
 fn init_table(dir: &Path) {
-    let store = open_store(dir, SyncPolicy::EveryOp, CrashSpec::default());
+    let store = open_store(dir, CrashSpec::default());
     drop(store);
 }
 
@@ -154,7 +156,7 @@ fn drive_until_crash(store: &MiniStore, ops: &[Op]) -> (usize, Option<usize>) {
 /// Build a never-crashed oracle store that executed exactly `ops`.
 fn oracle_rows(tag: &str, ops: &[Op]) -> Vec<RowResult> {
     let dir = tmp_dir(tag);
-    let store = open_store(&dir, SyncPolicy::EveryOp, CrashSpec::default());
+    let store = open_store(&dir, CrashSpec::default());
     for op in ops {
         apply(&store, op).expect("oracle op");
     }
@@ -180,8 +182,7 @@ fn check_crash_point(tag: &str, ops: &[Op], crash_at: u64) {
     let wal_before = std::fs::metadata(dir.join(WAL_FILE))
         .map(|m| m.len())
         .unwrap_or(0);
-    let (reopened, report) = MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default())
-        .expect("reopen after crash must succeed");
+    let (reopened, report) = MiniStore::open(&dir).expect("reopen after crash must succeed");
 
     // (d) every dropped byte accounted for, truncation offset == valid prefix.
     prop_assert_eq!(
@@ -229,7 +230,7 @@ fn crash_at_every_wal_byte_recovers_cleanly() {
     let ops = workload(42, 40);
     // First, measure the full WAL length with no crash.
     let dir = tmp_dir("measure");
-    let store = open_store(&dir, SyncPolicy::EveryOp, CrashSpec::default());
+    let store = open_store(&dir, CrashSpec::default());
     for op in &ops {
         apply(&store, op).expect("measure op");
     }
@@ -284,7 +285,6 @@ proptest! {
         let dir = tmp_dir("flush");
         let store = open_store(
             &dir,
-            SyncPolicy::EveryOp,
             CrashSpec { during_flush_segment: Some(victim), ..CrashSpec::default() },
         );
         for op in &ops {
@@ -300,9 +300,7 @@ proptest! {
         };
         drop(store);
 
-        let (reopened, report) =
-            MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default())
-                .expect("reopen after mid-flush crash");
+        let (reopened, report) = MiniStore::open(&dir).expect("reopen after mid-flush crash");
         if crashed {
             // The manifest never swapped, so no segment is trusted and
             // the torn one shows up as an orphan for fsck.
@@ -315,66 +313,6 @@ proptest! {
         let got = scan_all(&reopened);
         let want = oracle_rows("flush-o", &ops);
         prop_assert_eq!(got, want, "mid-flush crash must lose nothing");
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    // Group commit: a crash may lose the un-synced tail (strictly fewer
-    // than the group size), but never a synced prefix, and never tears a
-    // row. Unique keys make "prefix" checkable directly.
-    #[test]
-    fn group_commit_crash_loses_at_most_the_unsynced_tail(
-        seed in 0u64..1_000_000,
-        group in 2usize..6,
-        crash_at in 50u64..2000,
-    ) {
-        let dir = tmp_dir("gc");
-        init_table(&dir);
-        let store = open_store(
-            &dir,
-            SyncPolicy::GroupCommit(group),
-            CrashSpec::after_wal_bytes(crash_at),
-        );
-        let mut acked = Vec::new();
-        let mut in_flight = None;
-        for key in 0..40u64 {
-            let put = Put::new(
-                row_key(key),
-                FAMILY,
-                b"c0".to_vec(),
-                (seed ^ key).to_be_bytes().to_vec(),
-            );
-            match store.put(TABLE, put) {
-                Ok(()) => acked.push(key),
-                Err(StoreError::Crashed) => {
-                    in_flight = Some(key);
-                    break;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        drop(store);
-        let (reopened, _) = MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default())
-            .expect("reopen after group-commit crash");
-        let rows = scan_all(&reopened);
-        // Recovered rows are exactly a prefix of the submitted sequence:
-        // the acked keys, plus possibly the single in-flight put (its
-        // frame can be durable when the crash fired while syncing a
-        // later region-split frame in the same group-commit buffer).
-        let mut expected = acked.clone();
-        expected.extend(in_flight);
-        prop_assert!(rows.len() <= expected.len());
-        for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(row.row.as_ref(), row_key(expected[i]).as_slice());
-            let got = row.value(FAMILY, b"c0").expect("cell present");
-            prop_assert_eq!(got.as_ref(), (seed ^ expected[i]).to_be_bytes().as_slice());
-        }
-        // …missing strictly fewer acked frames than one commit group.
-        prop_assert!(
-            acked.len().saturating_sub(rows.len()) < group,
-            "lost {} acked rows with group size {group}",
-            acked.len().saturating_sub(rows.len())
-        );
         drop(reopened);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use cfstore::shard::resharding::TOPOLOGY_FILE;
 use cfstore::{
     CrashSpec, MiniStore, Put, ReshardPhase, RowResult, Scan, ShardOptions, ShardedStore,
-    StoreError, SyncPolicy, Topology,
+    StoreError, Topology,
 };
 
 const TABLE: &str = "profiles";
@@ -150,8 +150,7 @@ fn scan_all(store: &ShardedStore) -> Vec<RowResult> {
 /// neither the copy phase nor dual-apply may invent or re-stamp a cell.
 fn oracle_prefixes(tag: &str, ops: &[Op]) -> Vec<Vec<RowResult>> {
     let dir = tmp_dir(tag);
-    let (store, _) =
-        MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default()).expect("oracle open");
+    let (store, _) = MiniStore::open(&dir).expect("oracle open");
     store
         .create_table_with_threshold(TABLE, &[FAMILY], SPLIT_THRESHOLD)
         .expect("oracle table");

@@ -35,7 +35,7 @@
 
 use cfstore::{
     CrashSpec, MiniStore, Put, RowResult, Scan, SegmentReader, ShardOptions, ShardedRecoveryReport,
-    ShardedStore, StoreError, SyncPolicy,
+    ShardedStore, StoreError,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -161,8 +161,7 @@ fn scan_all(store: &ShardedStore) -> Vec<RowResult> {
 /// single store's, so equality here is bit-level, timestamps included.
 fn oracle_prefixes(tag: &str, ops: &[Op]) -> Vec<Vec<RowResult>> {
     let dir = tmp_dir(tag);
-    let (store, _) =
-        MiniStore::open_with(&dir, SyncPolicy::EveryOp, CrashSpec::default()).expect("oracle open");
+    let (store, _) = MiniStore::open(&dir).expect("oracle open");
     store
         .create_table_with_threshold(TABLE, &[FAMILY], SPLIT_THRESHOLD)
         .expect("oracle table");
@@ -727,11 +726,7 @@ fn put_to_a_corrupt_block_heals_first_then_logs() {
     // The single-store oracle lives the same life — flush, reopen, one
     // more put — so equality is bit-level, timestamps included.
     let oracle_dir = tmp_dir("put-heal-oracle");
-    let open_oracle = || {
-        MiniStore::open_with(&oracle_dir, SyncPolicy::EveryOp, CrashSpec::default())
-            .expect("oracle open")
-            .0
-    };
+    let open_oracle = || MiniStore::open(&oracle_dir).expect("oracle open").0;
     let oracle = open_oracle();
     oracle
         .create_table_with_threshold(TABLE, &[FAMILY], SPLIT_THRESHOLD)
