@@ -266,16 +266,14 @@ mod tests {
         ));
         let mut data = BTreeMap::new();
         for i in 0..rows {
-            let mut cols = BTreeMap::new();
-            cols.insert(
+            let cols = vec![(
                 Bytes::from("c"),
                 vec![crate::kv::CellVersion::new(
                     i as u64 + 1,
                     Bytes::from(format!("v{i}")),
                 )],
-            );
-            let mut row: RowData = BTreeMap::new();
-            row.insert("f".to_string(), cols);
+            )];
+            let row: RowData = vec![("f".to_string(), cols)];
             data.insert(Bytes::from(format!("row{i:04}")), row);
         }
         write_segment(&path, "t", 1, &KeyRange::all(), &data).unwrap();

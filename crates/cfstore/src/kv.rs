@@ -75,9 +75,12 @@ pub(crate) fn intact(value: &[u8], checksum: u32) -> bool {
 /// column, timestamp)`. A read checks only the versions it returns; this
 /// checks every one, so corruption that a newer write superseded is still
 /// found (`store_fsck`'s deep pass, a heal donor's export).
-pub fn first_bad_version(rows: &BTreeMap<Bytes, RowData>) -> Option<(&Bytes, &Bytes, u64)> {
-    rows.iter().find_map(|(row, data)| {
-        data.values().flatten().find_map(|(column, versions)| {
+pub fn first_bad_version<'a>(
+    rows: impl IntoIterator<Item = (&'a Bytes, &'a RowData)>,
+) -> Option<(&'a Bytes, &'a Bytes, u64)> {
+    rows.into_iter().find_map(|(row, data)| {
+        let mut columns = data.iter().flat_map(|(_, columns)| columns);
+        columns.find_map(|(column, versions)| {
             let bad = versions.iter().find(|v| !v.verify())?;
             Some((row, column, bad.timestamp))
         })

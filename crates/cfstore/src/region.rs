@@ -18,7 +18,7 @@
 //!   cache), so the memstore invariants — and the WAL-covers-memstore
 //!   durability contract — are untouched for anything that can change.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::BlockCache;
-use crate::kv::{intact, CellVersion, RowResult};
+use crate::kv::{self, intact, CellVersion, RowResult};
 use crate::segment::{Block, SegmentError, SegmentReader};
 use crate::store::{Scan, StoreError};
 
@@ -38,10 +38,12 @@ const ROW_CELLS: usize = 16;
 /// Maximum cell versions retained per column, like HBase's default.
 pub(crate) const MAX_VERSIONS: usize = 3;
 
-/// Key of one stored row inside a region: family → column → versions
-/// (newest first). Public because segment files and recovery move rows
-/// in and out of regions in this shape.
-pub type RowData = BTreeMap<String, BTreeMap<Bytes, Vec<CellVersion>>>;
+/// One stored row, flat: its families in name order, each holding its
+/// columns in name order, each column its retained versions newest first.
+/// Every `Vec` is sized exactly: the memstore holds a row in this shape for
+/// as long as its region stays in memory. Public because segment files and
+/// recovery move rows in and out of regions in this shape.
+pub type RowData = Vec<(String, Vec<(Bytes, Vec<CellVersion>)>)>;
 
 /// A half-open row-key range `[start, end)`; `None` end means unbounded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,23 +249,14 @@ impl Region {
             return Ok(false);
         }
         self.dirty.store(true, Ordering::Release);
-        let data = rows.entry(row.clone()).or_default();
-        for cell in cells.drain(..) {
-            let versions = data
-                .entry(cell.family)
-                .or_default()
-                .entry(cell.column)
-                .or_default();
-            // Keep versions sorted by timestamp descending whatever order
-            // they arrive in: a log is applied as it was written, by
-            // whoever wrote it. The stores stamp monotonically, so the
-            // insert position is 0.
-            let pos = versions
-                .iter()
-                .position(|v| v.timestamp <= cell.timestamp)
-                .unwrap_or(versions.len());
-            versions.insert(pos, CellVersion::new(cell.timestamp, cell.value));
-            versions.truncate(MAX_VERSIONS);
+        match rows.entry(row.clone()) {
+            Entry::Occupied(data) => {
+                let data = data.into_mut();
+                cells.drain(..).for_each(|cell| put_cell(data, cell));
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(new_row(cells));
+            }
         }
         Ok(true)
     }
@@ -368,6 +361,26 @@ impl Region {
         Ok(())
     }
 
+    /// Check every retained cell version of this region against its
+    /// write-time checksum ([`kv::first_bad_version`]); the first that
+    /// fails is the error. Read where the rows are stored: a
+    /// segment-backed region's blocks one at a time, through the cache,
+    /// without promoting it.
+    pub(crate) fn verify_versions(&self) -> Result<(), StoreError> {
+        let check = |bad: Option<(&Bytes, &Bytes, u64)>| match bad {
+            Some((row, column, _)) => Err(StoreError::corruption(row, column)),
+            None => Ok(()),
+        };
+        if let Some(b) = self.base.read().as_ref() {
+            for idx in 0..b.reader.block_count() {
+                let rows: Vec<_> = b.cache.get_or_load(&b.reader, idx)?.rows().collect();
+                check(kv::first_bad_version(rows.iter().map(|(k, v)| (k, v))))?;
+            }
+            return Ok(());
+        }
+        check(kv::first_bad_version(&*self.rows.read()))
+    }
+
     /// Test/chaos hook: flip one byte of the latest stored version of a
     /// cell *without* refreshing its checksum, simulating at-rest bit rot.
     /// Returns whether a cell was actually hit. Corrupting is a mutation,
@@ -378,14 +391,12 @@ impl Region {
             return false;
         }
         let mut rows = self.rows.write();
-        let Some(versions) = rows
+        let Some(latest) = rows
             .get_mut(row)
-            .and_then(|fams| fams.get_mut(family))
-            .and_then(|cols| cols.get_mut(column))
+            .and_then(|data| data.iter_mut().find(|(f, _)| f == family))
+            .and_then(|(_, columns)| columns.iter_mut().find(|(c, _)| c.as_ref() == column))
+            .and_then(|(_, versions)| versions.first_mut())
         else {
-            return false;
-        };
-        let Some(latest) = versions.first_mut() else {
             return false;
         };
         let mut v = latest.value.to_vec();
@@ -483,6 +494,66 @@ impl Region {
         self.dirty.store(true, Ordering::Release);
         *self.flushed_as.lock() = None;
     }
+}
+
+/// A new row from a run of its cells, which it takes, each level of it
+/// allocated once at its exact size. A column keeps what [`put_cell`]
+/// would keep of its cells put one by one in run order: the
+/// [`MAX_VERSIONS`] newest, and of equal timestamps the later first.
+fn new_row(cells: &mut Vec<RunCell>) -> RowData {
+    let same_family = |a: &RunCell, b: &RunCell| a.family == b.family;
+    let same_column = |a: &RunCell, b: &RunCell| a.column == b.column;
+    // Row order, each column's cells newest first. The sort is stable, so
+    // reversing the run first puts the later of two equal timestamps first.
+    cells.reverse();
+    cells.sort_by(|a, b| {
+        (&a.family, &a.column, b.timestamp).cmp(&(&b.family, &b.column, a.timestamp))
+    });
+    let mut row = RowData::with_capacity(cells.chunk_by(same_family).count());
+    for family in cells.chunk_by_mut(same_family) {
+        let mut columns = Vec::with_capacity(family.chunk_by(same_column).count());
+        for versions in family.chunk_by(same_column) {
+            let kept = versions.iter().take(MAX_VERSIONS);
+            let kept = kept.map(|c| CellVersion::new(c.timestamp, c.value.clone()));
+            columns.push((versions[0].column.clone(), kept.collect()));
+        }
+        row.push((std::mem::take(&mut family[0].family), columns));
+    }
+    cells.clear();
+    row
+}
+
+/// Write one cell into a stored row: families and columns stay in name
+/// order, a column's versions newest first whatever order they arrive in
+/// (a log is applied as it was written, by whoever wrote it; the stores
+/// stamp monotonically, so the insert position is 0), at most
+/// [`MAX_VERSIONS`] of them, and every `Vec` exactly sized.
+fn put_cell(row: &mut RowData, cell: RunCell) {
+    let columns = sorted_entry(row, cell.family);
+    let versions = sorted_entry(columns, cell.column);
+    let pos = versions
+        .iter()
+        .position(|v| v.timestamp <= cell.timestamp)
+        .unwrap_or(versions.len());
+    if pos < MAX_VERSIONS {
+        versions.truncate(MAX_VERSIONS - 1);
+        versions.reserve_exact(1);
+        versions.insert(pos, CellVersion::new(cell.timestamp, cell.value));
+    }
+}
+
+/// The value keyed `key` in `list`, which is sorted by key; a missing one
+/// is inserted empty in its place, with room made for it alone.
+fn sorted_entry<K: Ord, V: Default>(list: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let i = match list.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(i) => i,
+        Err(i) => {
+            list.reserve_exact(1);
+            list.insert(i, (key, V::default()));
+            i
+        }
+    };
+    &mut list[i].1
 }
 
 /// A stored row as a read walks it: its key and the latest version of
@@ -612,10 +683,7 @@ fn verified<'a>(
     home: Home<'a>,
 ) -> Result<RowView<'a>, StoreError> {
     match cells.iter().find(|c| !intact(c.value, c.checksum)) {
-        Some(bad) => Err(StoreError::Corruption {
-            row: String::from_utf8_lossy(key).into_owned(),
-            column: String::from_utf8_lossy(bad.column).into_owned(),
-        }),
+        Some(bad) => Err(StoreError::corruption(key, bad.column)),
         None => Ok(RowView { key, cells, home }),
     }
 }
@@ -637,7 +705,7 @@ pub(crate) fn materialize(row: RowView<'_>) -> RowResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn put(region: &Region, row: &str, col: &str, val: &str, ts: u64) {
@@ -817,6 +885,54 @@ mod tests {
         assert!(!r.corrupt_cell(b"nope", "cf", b"c"));
         assert!(!r.corrupt_cell(b"row1", "cf", b"other"));
         assert!(r.get(b"row1").unwrap().is_some());
+    }
+
+    /// Whether every `Vec` of `row` is exactly as long as its capacity.
+    pub(crate) fn exactly_sized(row: &RowData) -> bool {
+        let mut columns = row.iter().map(|(_, columns)| columns);
+        let mut versions = columns.clone().flatten().map(|(_, versions)| versions);
+        row.len() == row.capacity()
+            && columns.all(|c| c.len() == c.capacity())
+            && versions.all(|v| v.len() == v.capacity())
+    }
+
+    proptest::proptest! {
+        /// A new row built from a run holds what putting the run's cells
+        /// one by one into an empty row holds, and so does a run written
+        /// to a stored row; every `Vec` is exactly sized either way.
+        #[test]
+        fn a_run_builds_the_row_its_cells_put_one_by_one_build(
+            run in proptest::collection::vec((0u8..2, 0u8..3, 0u64..4), 1..48),
+            more in proptest::collection::vec((0u8..3, 0u8..3, 0u64..6), 0..12),
+        ) {
+            let cells = |run: &[(u8, u8, u64)]| -> Vec<RunCell> {
+                run.iter()
+                    .enumerate()
+                    .map(|(i, &(f, c, timestamp))| RunCell {
+                        family: format!("f{f}"),
+                        column: Bytes::from(format!("c{c}")),
+                        value: Bytes::from(format!("v{i}")),
+                        timestamp,
+                    })
+                    .collect()
+            };
+            let mut one_by_one = RowData::new();
+            cells(&run).into_iter().for_each(|cell| put_cell(&mut one_by_one, cell));
+            let built = new_row(&mut cells(&run));
+            proptest::prop_assert_eq!(&built, &one_by_one);
+            proptest::prop_assert!(exactly_sized(&built));
+
+            let region = Region::new(1, KeyRange::all());
+            let key = Bytes::from("row");
+            for run in [&run, &more] {
+                let mut run = cells(run);
+                proptest::prop_assert!(region.put_row(&key, &mut run).unwrap());
+            }
+            cells(&more).into_iter().for_each(|cell| put_cell(&mut one_by_one, cell));
+            let stored = region.export_rows().unwrap().remove(&key).unwrap();
+            proptest::prop_assert!(exactly_sized(&region.rows.read()[&key]));
+            proptest::prop_assert_eq!(stored, one_by_one);
+        }
     }
 
     #[test]

@@ -452,22 +452,24 @@ impl Block {
     /// rows, and [`read_segment`]'s.
     pub fn rows(&self) -> impl Iterator<Item = (Bytes, RowData)> + '_ {
         let cut = |f| self.cut(at(&self.buf, f));
+        let same_family = |a: &Cell, b: &Cell| a.family == b.family;
+        let same_column = |a: &Cell, b: &Cell| a.column == b.column;
         (0..self.len()).map(move |i| {
-            let mut data = RowData::new();
-            for family in self.cells_of(i).chunk_by(|a, b| a.family == b.family) {
-                let columns = family
-                    .chunk_by(|a, b| a.column == b.column)
-                    .map(|versions| {
-                        let column = cut(versions[0].column);
-                        let versions = versions.iter().map(|c| CellVersion {
-                            timestamp: c.timestamp,
-                            checksum: c.checksum,
-                            value: cut(c.value),
-                        });
-                        (column, versions.collect())
+            let cells = self.cells_of(i);
+            let mut data = RowData::with_capacity(cells.chunk_by(same_family).count());
+            for family in cells.chunk_by(same_family) {
+                let mut columns = Vec::with_capacity(family.chunk_by(same_column).count());
+                columns.extend(family.chunk_by(same_column).map(|versions| {
+                    let column = cut(versions[0].column);
+                    let versions = versions.iter().map(|c| CellVersion {
+                        timestamp: c.timestamp,
+                        checksum: c.checksum,
+                        value: cut(c.value),
                     });
+                    (column, versions.collect())
+                }));
                 let name = String::from_utf8_lossy(at(&self.buf, family[0].family));
-                data.insert(name.into_owned(), columns.collect());
+                data.push((name.into_owned(), columns));
             }
             (self.cut(self.key(i)), data)
         })
@@ -614,7 +616,7 @@ mod tests {
         let mut rows = BTreeMap::new();
         for _ in 0..c.count(MIN_NESTED_BYTES)? {
             let key = c.bytes()?;
-            let mut data = RowData::new();
+            let mut data = Nested::new();
             for _ in 0..c.count(MIN_NESTED_BYTES)? {
                 let family = c.str()?;
                 let mut cols = BTreeMap::new();
@@ -631,10 +633,20 @@ mod tests {
                 }
                 data.insert(family, cols);
             }
-            rows.insert(key, data);
+            rows.insert(key, flat(data));
         }
         c.finish()?;
         Ok(rows)
+    }
+
+    /// A row as the oracle builds it, in maps.
+    type Nested = BTreeMap<String, BTreeMap<Bytes, Vec<CellVersion>>>;
+
+    /// A nested row in the stored layout.
+    fn flat(data: Nested) -> RowData {
+        let columns =
+            |(family, cols): (String, BTreeMap<_, _>)| (family, cols.into_iter().collect());
+        data.into_iter().map(columns).collect()
     }
 
     /// A block body as [`encode_segment`] writes one.
@@ -660,7 +672,7 @@ mod tests {
         let mut rows = BTreeMap::new();
         for (key, families) in shape {
             let key = format!("{}{key}", KEYS[*key as usize % KEYS.len()]);
-            let mut data = RowData::new();
+            let mut data = Nested::new();
             for (family, columns) in families {
                 let cols = data
                     .entry(FAMILIES[*family as usize % 3].to_string())
@@ -679,7 +691,7 @@ mod tests {
                     cols.insert(Bytes::from(COLUMNS[*column as usize % 5]), versions);
                 }
             }
-            rows.insert(Bytes::from(key), data);
+            rows.insert(Bytes::from(key), flat(data));
         }
         rows
     }
@@ -703,7 +715,7 @@ mod tests {
         /// The flat table reads exactly what the nested decode reads: every
         /// row in order with every version, each point lookup, each range
         /// and each row's latest versions, with each cell's checksum
-        /// verdict.
+        /// verdict. Every row it hands a promotion is exactly sized.
         #[test]
         fn a_flat_block_reads_as_the_nested_oracle_decodes(
             shape in proptest::collection::vec(
@@ -731,6 +743,8 @@ mod tests {
             let block = decode_block(Bytes::copy_from_slice(&body)).unwrap();
 
             let got: Vec<(Bytes, RowData)> = block.rows().collect();
+            let exact = got.iter().all(|(_, data)| crate::region::tests::exactly_sized(data));
+            proptest::prop_assert!(exact, "a promoted row has room to spare");
             let want_rows: Vec<(Bytes, RowData)> = want.clone().into_iter().collect();
             proptest::prop_assert_eq!(got, want_rows);
             proptest::prop_assert_eq!(block.len(), want.len());
@@ -892,16 +906,14 @@ mod tests {
     fn sample_rows(n: usize) -> BTreeMap<Bytes, RowData> {
         let mut rows = BTreeMap::new();
         for i in 0..n {
-            let mut cols = BTreeMap::new();
-            cols.insert(
+            let cols = vec![(
                 Bytes::from("c"),
                 vec![
                     CellVersion::new(2 * i as u64 + 2, Bytes::from(format!("v{i}-new"))),
                     CellVersion::new(2 * i as u64 + 1, Bytes::from(format!("v{i}-old"))),
                 ],
-            );
-            let mut data: RowData = BTreeMap::new();
-            data.insert("f".to_string(), cols);
+            )];
+            let data: RowData = vec![("f".to_string(), cols)];
             rows.insert(Bytes::from(format!("row{i:04}")), data);
         }
         rows
@@ -1076,7 +1088,7 @@ mod tests {
             let mut fields: Vec<Bytes> = Vec::new();
             for (key, data) in block.rows() {
                 fields.push(key);
-                for (col, versions) in data.into_values().flatten() {
+                for (col, versions) in data.into_iter().flat_map(|(_, cols)| cols) {
                     fields.push(col);
                     fields.extend(versions.into_iter().map(|v| v.value));
                 }
@@ -1120,12 +1132,13 @@ mod tests {
         let path = tmp_file("crc");
         let mut rows = sample_rows(1);
         // Pre-corrupt a cell in memory (value no longer matches checksum).
+        // Its one row holds family "f", column "c".
         let data = rows.values_mut().next().unwrap();
-        let v = &mut data.get_mut("f").unwrap().get_mut(b"c".as_ref()).unwrap()[0];
+        let v = &mut data[0].1[0].1[0];
         v.value = Bytes::from("tampered");
         write_segment(&path, "t", 1, &KeyRange::all(), &rows).unwrap();
         let loaded = read_segment(&path).unwrap();
-        let cell = &loaded.rows.values().next().unwrap()["f"][b"c".as_ref()][0];
+        let cell = &loaded.rows.values().next().unwrap()[0].1[0].1[0];
         assert!(!cell.verify(), "stored checksum must travel verbatim");
         std::fs::remove_file(&path).unwrap();
     }

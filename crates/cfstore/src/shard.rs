@@ -1193,20 +1193,21 @@ impl ShardedStore {
         flush_shards(&self.inner, &mut self.inner.state.write(), |_| true).map(drop)
     }
 
-    /// Verify every stored row and repair what fails: walk every table of
-    /// every open shard, mark each shard a walk fails on suspect, and
-    /// repair every suspect shard as [`Self::flush`] does. Returns the
-    /// rows repaired; an error is the repair's.
+    /// Verify every retained cell version and repair what fails: check
+    /// every table of every open shard, region by region, as
+    /// `store_fsck`'s deep pass does, mark each shard a check fails on
+    /// suspect, and repair every suspect shard as [`Self::flush`] does.
+    /// Returns the rows repaired; an error is the repair's.
     pub fn scrub(&self) -> Result<u64, StoreError> {
         let mut st = self.inner.state.write();
         for (g, shard) in st.shards.iter().enumerate() {
             for table in st.schemas.keys() {
-                match shard.visit(table, &Scan::all(), |_: &mut (), _| {}) {
+                match shard.verify_versions(table) {
                     Err(e) if is_rot(&e) => {
                         st.suspect.lock().insert(g as u32);
                         break;
                     }
-                    other => drop(other?),
+                    other => other?,
                 }
             }
         }

@@ -111,6 +111,16 @@ impl std::fmt::Display for StoreError {
 }
 impl std::error::Error for StoreError {}
 
+impl StoreError {
+    /// The corruption of `row`'s cell in `column`.
+    pub(crate) fn corruption(row: &[u8], column: &[u8]) -> Self {
+        StoreError::Corruption {
+            row: String::from_utf8_lossy(row).into_owned(),
+            column: String::from_utf8_lossy(column).into_owned(),
+        }
+    }
+}
+
 impl From<WalError> for StoreError {
     fn from(e: WalError) -> Self {
         match e {
@@ -1023,14 +1033,20 @@ impl MiniStore {
             // not just the latest a read would check, so corruption never
             // propagates between replicas.
             if let Some((row, column, _)) = kv::first_bad_version(&rows) {
-                return Err(StoreError::Corruption {
-                    row: String::from_utf8_lossy(row).into_owned(),
-                    column: String::from_utf8_lossy(column).into_owned(),
-                });
+                return Err(StoreError::corruption(row, column));
             }
             out.extend(rows);
         }
         Ok(out)
+    }
+
+    /// Check every retained cell version of `table` against its
+    /// write-time checksum, one region at a time, where each is stored
+    /// ([`Region::verify_versions`]): a corrupt version that a newer
+    /// write superseded fails this, though no read returns it.
+    pub(crate) fn verify_versions(&self, table: &str) -> Result<(), StoreError> {
+        let regions = self.table(table)?.regions.read().to_vec();
+        regions.iter().try_for_each(|r| r.verify_versions())
     }
 
     /// `table → (families, split_threshold)` — the schemas a shard rebuild
@@ -2150,7 +2166,11 @@ mod tests {
                         let owner = linear_owner(&regions, &row).unwrap();
                         let rows = regions[owner].export_rows().unwrap();
                         let column = Bytes::from(format!("c{c}"));
-                        proptest::prop_assert_eq!(&rows[&row]["f"][&column][0].value, &value);
+                        let [(_, columns)] = &rows[&row][..] else {
+                            panic!("the row holds one family, \"f\"");
+                        };
+                        let stored = columns.iter().find(|(c, _)| *c == column);
+                        proptest::prop_assert_eq!(&stored.unwrap().1[0].value, &value);
                         for (j, r) in regions.iter().enumerate() {
                             if j != owner {
                                 proptest::prop_assert_eq!(r.get(&row), Ok(None));
@@ -2387,7 +2407,10 @@ mod tests {
             .collect();
         assert_eq!(holders.len(), 1);
         let rows = holders[0].export_rows().unwrap();
-        let cols = &rows[&b"m"[..]]["f"];
+        let [(family, cols)] = &rows[&b"m"[..]][..] else {
+            panic!("row m holds one family");
+        };
+        assert_eq!(family, "f");
         assert_eq!(cols.len() as u64, RUNS * CELLS);
         for (column, versions) in cols {
             assert_eq!(versions.len(), 1, "{column:?}");

@@ -68,6 +68,7 @@ const INPUT_BYTES_COLUMN: &str = "INPUT_BYTES";
 const HAS_REDUCE_COLUMN: &str = "HAS_REDUCE";
 const MAP_CFG_COLUMN: &str = "MAP_CFG";
 const RED_CFG_COLUMN: &str = "RED_CFG";
+const BLOB_COLUMN: &str = "blob";
 
 /// Errors from the profile store.
 #[derive(Debug)]
@@ -618,10 +619,10 @@ impl ProfileStore {
             })
             .collect();
         if let Some(cfg) = &statics.map.cfg {
-            static_cells.push((Bytes::from(MAP_CFG_COLUMN), encode_cfg(cfg)));
+            static_cells.push((fixed_column(MAP_CFG_COLUMN), encode_cfg(cfg)));
         }
         if let Some(cfg) = &statics.reduce.cfg {
-            static_cells.push((Bytes::from(RED_CFG_COLUMN), encode_cfg(cfg)));
+            static_cells.push((fixed_column(RED_CFG_COLUMN), encode_cfg(cfg)));
         }
         let static_key = self.key("Static", job_id);
         for (column, value) in &static_cells {
@@ -665,7 +666,7 @@ impl ProfileStore {
         puts.push(Put::new(
             self.key("Profile", job_id),
             FAMILY,
-            "blob",
+            fixed_column(BLOB_COLUMN),
             encode_profile(profile),
         ));
 
@@ -785,7 +786,7 @@ impl ProfileStore {
             .get(TABLE, self.key("Profile", job_id).as_ref())?;
         match row {
             Some(row) => {
-                let blob = row.value(FAMILY, b"blob").ok_or_else(|| {
+                let blob = row.value(FAMILY, BLOB_COLUMN.as_bytes()).ok_or_else(|| {
                     ProfileStoreError::Corrupt(format!("Profile/{job_id} has no blob"))
                 })?;
                 Ok(Some(decode_profile(blob)?))
@@ -1862,13 +1863,31 @@ fn decode_bounds(bytes: &[u8]) -> Result<MinMaxNormalizer, ProfileStoreError> {
     })
 }
 
-fn f64_put(row: Bytes, column: &str, v: f64) -> Put {
-    Put::new(
-        row,
-        FAMILY,
-        Bytes::copy_from_slice(column.as_bytes()),
-        encode_f64(v),
-    )
+fn f64_put(row: Bytes, column: &'static str, v: f64) -> Put {
+    Put::new(row, FAMILY, fixed_column(column), encode_f64(v))
+}
+
+/// A column every profile writes, as `Bytes` shared by every put of it
+/// rather than copied into each: a stored cell keeps the column name it
+/// was put with, and 19 of a profile's cells have one of these names.
+fn fixed_column(name: &'static str) -> Bytes {
+    static COLUMNS: OnceLock<BTreeMap<&'static str, Bytes>> = OnceLock::new();
+    let columns = COLUMNS.get_or_init(|| {
+        let fixed = [
+            INPUT_BYTES_COLUMN,
+            HAS_REDUCE_COLUMN,
+            MAP_CFG_COLUMN,
+            RED_CFG_COLUMN,
+            BLOB_COLUMN,
+        ];
+        let names = MAP_DYNAMIC_COLUMNS.iter().chain(&RED_DYNAMIC_COLUMNS);
+        let names = names.chain(&fixed).chain(CostFactors::names());
+        names.map(|&name| (name, Bytes::from(name))).collect()
+    });
+    columns
+        .get(name)
+        .cloned()
+        .unwrap_or_else(|| Bytes::from(name))
 }
 
 impl Default for ProfileStore {

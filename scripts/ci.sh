@@ -182,6 +182,16 @@ if [ "$(printf '%s\n' "$cuts" | grep -c . || true)" -ne 1 ] ||
   exit 1
 fi
 
+# One row layout (DESIGN.md §38): a stored row is a sorted `Vec` of
+# families, each a sorted `Vec` of `(column, versions)`, every `Vec` sized
+# exactly — in the memstore, a promoted region, a flush, a heal export and
+# `kv::first_bad_version` alike. No map of columns comes back into
+# non-test cfstore (the segment tests' nested oracle builds one).
+step "source gate (one row layout)"
+if [ "$(nontest $cfstore_src | grep -cF 'BTreeMap<Bytes, Vec<CellVersion>>' || true)" -ne 0 ]; then
+  echo "non-test cfstore must not name BTreeMap<Bytes, Vec<CellVersion>>: a row is flat (DESIGN.md §38)"; exit 1
+fi
+
 # The index is built from the stored cells (DESIGN.md §33): a reopen parses
 # the `Dynamic/`, `Static/` and `CostFactor/` rows where the backend walks
 # them, so the non-test `build_columnar_index` neither scans nor names a

@@ -46,13 +46,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn segment_rows() -> BTreeMap<Bytes, RowData> {
     (0..33u64)
         .map(|i| {
-            let mut cols = BTreeMap::new();
-            cols.insert(
+            let cols = vec![(
                 Bytes::from("c"),
                 vec![CellVersion::new(i + 1, Bytes::from(format!("v{i:02}")))],
-            );
-            let mut data: RowData = BTreeMap::new();
-            data.insert("f".to_string(), cols);
+            )];
+            let data: RowData = vec![("f".to_string(), cols)];
             (Bytes::from(format!("r{i:02}")), data)
         })
         .collect()

@@ -38,7 +38,18 @@
 //! 6 331 allocations and 6 839 457 bytes peak, re-pinned with the same
 //! headroom; then 6 295 once the slot resolution stopped building a mask
 //! and a turn stack per shard read (allocations ceiling re-pinned to
-//! 6 925).
+//! 6 925); 6 286 once a stored row is flat (DESIGN.md §38).
+//!
+//! The heap row counts what a durable store of 1 000 profiles holds live
+//! per profile: once [`fill`] has put them, and once the store, flushed
+//! and reopened, has taken a write in every region, which promotes each
+//! into memory. A written region stays in memory until the next reopen,
+//! so these are what a long-running store costs. With each row held as
+//! nested maps, and each column's versions in a `Vec` of capacity 4, it
+//! read 15 555 and 10 519 bytes. One flat row of exactly sized `Vec`s
+//! (DESIGN.md §38) reads 7 834 and 6 758, and 7 210 filled once
+//! `put_profile` shares its fixed column names between puts; pinned with
+//! 10 % headroom.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -69,6 +80,13 @@ const SHARDED_ALLOCS: u64 = 6_925;
 const SHARDED_PEAK_BYTES: i64 = 7_530_000;
 
 const PROFILES: usize = 1000;
+
+/// Ceiling on the heap bytes a durable store holds live per profile once
+/// [`fill`] has put them.
+const FILLED_BYTES_PER_PROFILE: i64 = 7_900;
+/// Ceiling on the same of that store flushed, reopened and written to in
+/// every region, which promotes each into memory.
+const PROMOTED_BYTES_PER_PROFILE: i64 = 7_400;
 
 /// The tenants of the sharded store, `PROFILES / 2` profiles each.
 const TENANTS: [&str; 2] = ["acme", "zen"];
@@ -204,5 +222,55 @@ fn one_sharded_reopen_stays_inside_its_allocation_budget() {
         peak <= SHARDED_PEAK_BYTES,
         "one sharded reopen peaked at {peak} bytes live, ceiling {SHARDED_PEAK_BYTES}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Deletes a row that is not stored from every region of `store`'s one
+/// table: a write that changes no row and promotes each region it lands
+/// in.
+fn promote_every_region(store: &ProfileStore) {
+    let inner = store.inner();
+    for region in inner.meta_entries() {
+        // The key right after the region's start key: inside the region,
+        // and no profile row.
+        let absent = [region.start_key.as_ref(), b"\0"].concat();
+        assert!(!inner.delete_row(&region.table, &absent).unwrap());
+    }
+}
+
+#[test]
+fn a_stored_profile_stays_inside_its_heap_budget() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // Warm the lazies a fill leaves behind.
+    fill(&ProfileStore::new().unwrap(), 4);
+    let dir = fresh_dir("heap");
+    let per_profile = |before: i64| (alloc::live_bytes() - before) / PROFILES as i64;
+
+    let before = alloc::live_bytes();
+    let (store, _) = ProfileStore::reopen(&dir).unwrap();
+    fill(&store, PROFILES);
+    let filled = per_profile(before);
+    store.flush().unwrap();
+    drop(store);
+
+    let before = alloc::live_bytes();
+    let opts = StoreOptions {
+        block_cache_bytes: 1 << 20,
+        ..StoreOptions::default()
+    };
+    let (store, _) = ProfileStore::reopen_with_opts(&dir, opts).unwrap();
+    promote_every_region(&store);
+    assert!(store.inner().meta_entries().len() > 1, "one region");
+    let promoted = per_profile(before);
+    println!("{PROFILES} profiles: {filled} bytes live per profile filled, {promoted} promoted");
+    assert!(
+        filled <= FILLED_BYTES_PER_PROFILE,
+        "a filled store holds {filled} bytes per profile, ceiling {FILLED_BYTES_PER_PROFILE}"
+    );
+    assert!(
+        promoted <= PROMOTED_BYTES_PER_PROFILE,
+        "a promoted store holds {promoted} bytes per profile, ceiling {PROMOTED_BYTES_PER_PROFILE}"
+    );
+    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }

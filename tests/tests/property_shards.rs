@@ -20,7 +20,9 @@
 //!     bad replica from the peer, rewriting the corrupt copy (the old
 //!     segment file is gone afterwards), with the repair visible in the
 //!     heal counters and invisible in the scan results — and
-//!     `store_fsck --repair` does the same.
+//!     `store_fsck --repair` does the same. The scrub checks every
+//!     retained version, as `store_fsck`'s deep pass does, so a corrupt
+//!     version a newer put superseded is repaired too.
 //! (d) **Matcher output is unchanged**: the same profiles stored in a
 //!     sharded store produce the same match as an unsharded store,
 //!     before and after killing each shard in turn.
@@ -833,6 +835,45 @@ fn store_fsck_repair_repairs_a_rotted_block() {
     assert_eq!(fsck::run(&dir, false), 3, "the deep scrub finds the rot");
     assert_eq!(fsck::run(&dir, true), 0, "the repair mends it");
     assert_eq!(fsck::run(&dir, false), 0, "and leaves the store clean");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A version corrupted in memory and superseded by a newer put before a
+/// flush: no read returns it, and `store_fsck`'s deep pass checks every
+/// retained version, so the scrub must too. It repairs the shard, and
+/// the flushed store then passes the deep pass.
+#[test]
+fn scrub_repairs_a_corrupt_version_a_newer_put_superseded() {
+    use pstorm_bench::fsck;
+
+    let dir = tmp_dir("scrub-superseded");
+    init_store(&dir);
+    let store = open_sharded(&dir, base_opts());
+    for op in &rot_workload() {
+        apply_sharded(&store, op).expect("workload op");
+    }
+    let row = row_key(7);
+    let stored = store.get(TABLE, &row).expect("get").expect("row");
+    let (column, _) = stored.columns(FAMILY)[0];
+    let column = column.clone();
+    assert!(store
+        .corrupt_cell(TABLE, &row, FAMILY, &column)
+        .expect("corrupt"));
+    let newer = Put::new(row.clone(), FAMILY, column.clone(), b"newer".to_vec());
+    store.put(TABLE, newer).expect("newer put");
+    let got = store.get(TABLE, &row).expect("a read of the newer version");
+    assert_eq!(
+        got.expect("row").value(FAMILY, &column).map(|v| &v[..]),
+        Some(&b"newer"[..])
+    );
+
+    assert!(
+        store.scrub().expect("scrub") >= 1,
+        "the scrub repaired no row"
+    );
+    store.flush().expect("flush");
+    drop(store);
+    assert_eq!(fsck::run(&dir, false), 0, "the deep pass finds corruption");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
