@@ -260,7 +260,10 @@ fn a_stored_profile_stays_inside_its_heap_budget() {
     };
     let (store, _) = ProfileStore::reopen_with_opts(&dir, opts).unwrap();
     promote_every_region(&store);
-    assert!(store.inner().meta_entries().len() > 1, "one region");
+    assert!(
+        store.inner().meta_entries().len() > 1,
+        "the store never split"
+    );
     let promoted = per_profile(before);
     println!("{PROFILES} profiles: {filled} bytes live per profile filled, {promoted} promoted");
     assert!(

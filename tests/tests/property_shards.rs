@@ -854,8 +854,7 @@ fn scrub_repairs_a_corrupt_version_a_newer_put_superseded() {
     }
     let row = row_key(7);
     let stored = store.get(TABLE, &row).expect("get").expect("row");
-    let (column, _) = stored.columns(FAMILY)[0];
-    let column = column.clone();
+    let column = stored.columns(FAMILY)[0].0.clone();
     assert!(store
         .corrupt_cell(TABLE, &row, FAMILY, &column)
         .expect("corrupt"));
