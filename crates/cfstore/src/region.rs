@@ -18,7 +18,7 @@
 //!   cache), so the memstore invariants — and the WAL-covers-memstore
 //!   durability contract — are untouched for anything that can change.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -249,15 +249,8 @@ impl Region {
             return Ok(false);
         }
         self.dirty.store(true, Ordering::Release);
-        match rows.entry(row.clone()) {
-            Entry::Occupied(data) => {
-                let data = data.into_mut();
-                cells.drain(..).for_each(|cell| put_cell(data, cell));
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(new_row(cells));
-            }
-        }
+        let data = rows.entry(row.clone()).or_default();
+        cells.drain(..).for_each(|cell| put_cell(data, cell));
         Ok(true)
     }
 
@@ -373,8 +366,9 @@ impl Region {
         };
         if let Some(b) = self.base.read().as_ref() {
             for idx in 0..b.reader.block_count() {
-                let rows: Vec<_> = b.cache.get_or_load(&b.reader, idx)?.rows().collect();
-                check(kv::first_bad_version(rows.iter().map(|(k, v)| (k, v))))?;
+                for (key, data) in b.cache.get_or_load(&b.reader, idx)?.rows() {
+                    check(kv::first_bad_version([(&key, &data)]))?;
+                }
             }
             return Ok(());
         }
@@ -494,33 +488,6 @@ impl Region {
         self.dirty.store(true, Ordering::Release);
         *self.flushed_as.lock() = None;
     }
-}
-
-/// A new row from a run of its cells, which it takes, each level of it
-/// allocated once at its exact size. A column keeps what [`put_cell`]
-/// would keep of its cells put one by one in run order: the
-/// [`MAX_VERSIONS`] newest, and of equal timestamps the later first.
-fn new_row(cells: &mut Vec<RunCell>) -> RowData {
-    let same_family = |a: &RunCell, b: &RunCell| a.family == b.family;
-    let same_column = |a: &RunCell, b: &RunCell| a.column == b.column;
-    // Row order, each column's cells newest first. The sort is stable, so
-    // reversing the run first puts the later of two equal timestamps first.
-    cells.reverse();
-    cells.sort_by(|a, b| {
-        (&a.family, &a.column, b.timestamp).cmp(&(&b.family, &b.column, a.timestamp))
-    });
-    let mut row = RowData::with_capacity(cells.chunk_by(same_family).count());
-    for family in cells.chunk_by_mut(same_family) {
-        let mut columns = Vec::with_capacity(family.chunk_by(same_column).count());
-        for versions in family.chunk_by(same_column) {
-            let kept = versions.iter().take(MAX_VERSIONS);
-            let kept = kept.map(|c| CellVersion::new(c.timestamp, c.value.clone()));
-            columns.push((versions[0].column.clone(), kept.collect()));
-        }
-        row.push((std::mem::take(&mut family[0].family), columns));
-    }
-    cells.clear();
-    row
 }
 
 /// Write one cell into a stored row: families and columns stay in name
@@ -897,41 +864,54 @@ pub(crate) mod tests {
     }
 
     proptest::proptest! {
-        /// A new row built from a run holds what putting the run's cells
-        /// one by one into an empty row holds, and so does a run written
-        /// to a stored row; every `Vec` is exactly sized either way.
+        /// Runs written to a row keep, for each column, the
+        /// `MAX_VERSIONS` newest of its cells, newest first and of equal
+        /// timestamps the later first, families and columns in name
+        /// order; every `Vec` is exactly sized.
         #[test]
-        fn a_run_builds_the_row_its_cells_put_one_by_one_build(
+        fn a_row_keeps_each_columns_newest_versions_exactly_sized(
             run in proptest::collection::vec((0u8..2, 0u8..3, 0u64..4), 1..48),
             more in proptest::collection::vec((0u8..3, 0u8..3, 0u64..6), 0..12),
         ) {
-            let cells = |run: &[(u8, u8, u64)]| -> Vec<RunCell> {
+            let all: Vec<_> = run.iter().chain(&more).collect();
+            let cells = |run: &[(u8, u8, u64)], first: usize| -> Vec<RunCell> {
                 run.iter()
                     .enumerate()
                     .map(|(i, &(f, c, timestamp))| RunCell {
                         family: format!("f{f}"),
                         column: Bytes::from(format!("c{c}")),
-                        value: Bytes::from(format!("v{i}")),
+                        value: Bytes::from(format!("v{}", first + i)),
                         timestamp,
                     })
                     .collect()
             };
-            let mut one_by_one = RowData::new();
-            cells(&run).into_iter().for_each(|cell| put_cell(&mut one_by_one, cell));
-            let built = new_row(&mut cells(&run));
-            proptest::prop_assert_eq!(&built, &one_by_one);
-            proptest::prop_assert!(exactly_sized(&built));
+            let mut columns = BTreeMap::<(u8, u8), Vec<(u64, usize)>>::new();
+            for (i, &&(f, c, timestamp)) in all.iter().enumerate() {
+                columns.entry((f, c)).or_default().push((timestamp, i));
+            }
+            let mut expected = RowData::new();
+            for ((f, c), mut versions) in columns {
+                versions.sort_by(|a, b| b.cmp(a));
+                versions.truncate(MAX_VERSIONS);
+                let versions = versions.iter().map(|&(timestamp, i)| {
+                    CellVersion::new(timestamp, Bytes::from(format!("v{i}")))
+                });
+                let column = (Bytes::from(format!("c{c}")), versions.collect());
+                match expected.last_mut() {
+                    Some((family, columns)) if *family == format!("f{f}") => columns.push(column),
+                    _ => expected.push((format!("f{f}"), vec![column])),
+                }
+            }
 
             let region = Region::new(1, KeyRange::all());
             let key = Bytes::from("row");
-            for run in [&run, &more] {
-                let mut run = cells(run);
+            for (run, first) in [(&run, 0), (&more, run.len())] {
+                let mut run = cells(run, first);
                 proptest::prop_assert!(region.put_row(&key, &mut run).unwrap());
             }
-            cells(&more).into_iter().for_each(|cell| put_cell(&mut one_by_one, cell));
-            let stored = region.export_rows().unwrap().remove(&key).unwrap();
             proptest::prop_assert!(exactly_sized(&region.rows.read()[&key]));
-            proptest::prop_assert_eq!(stored, one_by_one);
+            let stored = region.export_rows().unwrap().remove(&key).unwrap();
+            proptest::prop_assert_eq!(stored, expected);
         }
     }
 

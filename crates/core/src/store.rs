@@ -1884,10 +1884,9 @@ fn fixed_column(name: &'static str) -> Bytes {
         let names = names.chain(&fixed).chain(CostFactors::names());
         names.map(|&name| (name, Bytes::from(name))).collect()
     });
-    columns
-        .get(name)
-        .cloned()
-        .unwrap_or_else(|| Bytes::from(name))
+    let column = columns.get(name).cloned();
+    debug_assert!(column.is_some(), "{name} is not listed as a fixed column");
+    column.unwrap_or_else(|| Bytes::from(name))
 }
 
 impl Default for ProfileStore {
