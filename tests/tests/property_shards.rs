@@ -847,8 +847,49 @@ fn scrub_repairs_a_corrupt_version_a_newer_put_superseded() {
     use pstorm_bench::fsck;
 
     let dir = tmp_dir("scrub-superseded");
-    init_store(&dir);
+    let store = store_with_a_superseded_corrupt_version(&dir);
+    assert!(
+        store.scrub().expect("scrub") >= 1,
+        "the scrub repaired no row"
+    );
+    store.flush().expect("flush");
+    drop(store);
+    assert_eq!(fsck::run(&dir, false), 0, "the deep pass finds corruption");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The same version flushed and the store reopened: the scrub checks the
+/// reopened regions' blocks, whose CRCs pass, version by version.
+#[test]
+fn scrub_repairs_a_superseded_corrupt_version_on_disk() {
+    use pstorm_bench::fsck;
+
+    let dir = tmp_dir("scrub-superseded-on-disk");
+    let store = store_with_a_superseded_corrupt_version(&dir);
+    store.flush().expect("flush");
+    drop(store);
+    assert_eq!(
+        fsck::run(&dir, false),
+        3,
+        "the deep pass finds no corruption"
+    );
     let store = open_sharded(&dir, base_opts());
+    assert!(
+        store.scrub().expect("scrub") >= 1,
+        "the scrub repaired no row"
+    );
+    store.flush().expect("flush");
+    drop(store);
+    assert_eq!(fsck::run(&dir, false), 0, "the deep pass finds corruption");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A sharded store in `dir` after `rot_workload`, one of whose cells was
+/// corrupted in memory and then put anew, so that no read returns the
+/// corrupt version.
+fn store_with_a_superseded_corrupt_version(dir: &Path) -> ShardedStore {
+    init_store(dir);
+    let store = open_sharded(dir, base_opts());
     for op in &rot_workload() {
         apply_sharded(&store, op).expect("workload op");
     }
@@ -865,15 +906,7 @@ fn scrub_repairs_a_corrupt_version_a_newer_put_superseded() {
         got.expect("row").value(FAMILY, &column).map(|v| &v[..]),
         Some(&b"newer"[..])
     );
-
-    assert!(
-        store.scrub().expect("scrub") >= 1,
-        "the scrub repaired no row"
-    );
-    store.flush().expect("flush");
-    drop(store);
-    assert_eq!(fsck::run(&dir, false), 0, "the deep pass finds corruption");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+    store
 }
 
 /// The `cfstore.shard.*heal*` counters.
