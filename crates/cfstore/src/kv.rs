@@ -4,15 +4,19 @@
 //! `(row-key, column-family, column-name, timestamp)` (§5.1).
 
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::region::RowData;
 
-/// A write: one cell destined for a row.
+/// A write: one cell destined for a row. The row key, the column and the
+/// value are `Bytes`, so the puts of one row share its key and the puts of
+/// one column its name; a family named by a `&'static str` is not copied
+/// into each put of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Put {
     pub row: Bytes,
-    pub family: String,
+    pub family: Cow<'static, str>,
     pub column: Bytes,
     pub value: Bytes,
 }
@@ -20,7 +24,7 @@ pub struct Put {
 impl Put {
     pub fn new(
         row: impl Into<Bytes>,
-        family: impl Into<String>,
+        family: impl Into<Cow<'static, str>>,
         column: impl Into<Bytes>,
         value: impl Into<Bytes>,
     ) -> Self {

@@ -30,6 +30,7 @@ use crate::blockcache::BlockCache;
 use crate::kv::{self, intact, CellVersion, RowResult};
 use crate::segment::{Block, SegmentError, SegmentReader};
 use crate::store::{Scan, StoreError};
+use crate::wal::{Cell, Cells};
 
 /// Room for a row's cells in a walk's view: a `Static/` row, the widest
 /// the profile store writes, has 16.
@@ -67,15 +68,6 @@ impl KeyRange {
                 None => true,
             }
     }
-}
-
-/// One cell of a row run ([`Region::put_row`]): a stamped `Put` minus
-/// the row the run shares.
-pub(crate) struct RunCell {
-    pub(crate) family: String,
-    pub(crate) column: Bytes,
-    pub(crate) value: Bytes,
-    pub(crate) timestamp: u64,
 }
 
 /// A lazily read segment backing a clean recovered region.
@@ -230,19 +222,17 @@ impl Region {
 
     /// Write a run of cells to one row, promoting, locking the rows and
     /// checking the range once for the whole run. Returns `Ok(false)`,
-    /// with `cells` untouched, when the row no longer belongs to this
+    /// having written nothing, when the row no longer belongs to this
     /// region (a concurrent split moved the key range) — the caller must
     /// re-resolve the region and retry. The range check happens under the
     /// rows write lock, which `split_at` also holds while shrinking the
     /// range, so the answer cannot go stale. A write to a segment-backed
     /// region promotes it first (which can surface a typed corruption
     /// error from the segment). Every cell keeps its own timestamp and
-    /// checksum, and every column its `MAX_VERSIONS` cap.
-    pub(crate) fn put_row(
-        &self,
-        row: &Bytes,
-        cells: &mut Vec<RunCell>,
-    ) -> Result<bool, SegmentError> {
+    /// checksum, and every column its `MAX_VERSIONS` cap. A family that
+    /// takes new columns makes room for the rest of the run at once and
+    /// is sized exactly again when the run is written.
+    pub(crate) fn put_row(&self, row: &Bytes, cells: Cells<'_>) -> Result<bool, SegmentError> {
         self.ensure_materialized()?;
         let mut rows = self.rows.write();
         if !self.range.read().contains(row) {
@@ -250,7 +240,12 @@ impl Region {
         }
         self.dirty.store(true, Ordering::Release);
         let data = rows.entry(row.clone()).or_default();
-        cells.drain(..).for_each(|cell| put_cell(data, cell));
+        let n = cells.len();
+        for (i, cell) in cells.iter().enumerate() {
+            put_cell(data, cell, n - i);
+        }
+        data.iter_mut()
+            .for_each(|(_, columns)| columns.shrink_to_fit());
         Ok(true)
     }
 
@@ -494,10 +489,12 @@ impl Region {
 /// order, a column's versions newest first whatever order they arrive in
 /// (a log is applied as it was written, by whoever wrote it; the stores
 /// stamp monotonically, so the insert position is 0), at most
-/// [`MAX_VERSIONS`] of them, and every `Vec` exactly sized.
-fn put_cell(row: &mut RowData, cell: RunCell) {
-    let columns = sorted_entry(row, cell.family);
-    let versions = sorted_entry(columns, cell.column);
+/// [`MAX_VERSIONS`] of them, and every `Vec` exactly sized but a family
+/// that takes a new column when it is full: it makes room for `room`
+/// columns, the cells left in the run ([`Region::put_row`] sizes it again).
+fn put_cell(row: &mut RowData, cell: Cell<'_>, room: usize) {
+    let columns = sorted_entry(row, cell.family, 1, || cell.family.to_owned());
+    let versions = sorted_entry(columns, cell.column, room, || cell.column.clone());
     let pos = versions
         .iter()
         .position(|v| v.timestamp <= cell.timestamp)
@@ -505,18 +502,31 @@ fn put_cell(row: &mut RowData, cell: RunCell) {
     if pos < MAX_VERSIONS {
         versions.truncate(MAX_VERSIONS - 1);
         versions.reserve_exact(1);
-        versions.insert(pos, CellVersion::new(cell.timestamp, cell.value));
+        versions.insert(pos, CellVersion::new(cell.timestamp, cell.value.clone()));
     }
 }
 
 /// The value keyed `key` in `list`, which is sorted by key; a missing one
-/// is inserted empty in its place, with room made for it alone.
-fn sorted_entry<K: Ord, V: Default>(list: &mut Vec<(K, V)>, key: K) -> &mut V {
-    let i = match list.binary_search_by(|(k, _)| k.cmp(&key)) {
+/// is inserted empty in its place as `owned()`, and a full `list` first
+/// makes room for `room` entries.
+fn sorted_entry<'l, K, Q, V>(
+    list: &'l mut Vec<(K, V)>,
+    key: &Q,
+    room: usize,
+    owned: impl FnOnce() -> K,
+) -> &'l mut V
+where
+    K: std::borrow::Borrow<Q>,
+    Q: Ord + ?Sized,
+    V: Default,
+{
+    let i = match list.binary_search_by(|(k, _)| k.borrow().cmp(key)) {
         Ok(i) => i,
         Err(i) => {
-            list.reserve_exact(1);
-            list.insert(i, (key, V::default()));
+            if list.len() == list.capacity() {
+                list.reserve_exact(room);
+            }
+            list.insert(i, (owned(), V::default()));
             i
         }
     };
@@ -674,17 +684,24 @@ pub(crate) fn materialize(row: RowView<'_>) -> RowResult {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::wal::WalRecord;
+
+    /// A logged put to row `row` of table `t`, as a run's cell.
+    pub(crate) fn cell(family: &str, column: &str, value: &str, timestamp: u64) -> WalRecord {
+        WalRecord::Put {
+            table: "t".to_string(),
+            row: Bytes::from("row"),
+            family: family.to_string(),
+            column: Bytes::copy_from_slice(column.as_bytes()),
+            value: Bytes::copy_from_slice(value.as_bytes()),
+            timestamp,
+        }
+    }
 
     fn put(region: &Region, row: &str, col: &str, val: &str, ts: u64) {
-        let mut cells = vec![RunCell {
-            family: "cf".to_string(),
-            column: Bytes::copy_from_slice(col.as_bytes()),
-            value: Bytes::copy_from_slice(val.as_bytes()),
-            timestamp: ts,
-        }];
+        let cells = [cell("cf", col, val, ts)];
         let row = Bytes::copy_from_slice(row.as_bytes());
-        assert!(region.put_row(&row, &mut cells).unwrap());
-        assert!(cells.is_empty());
+        assert!(region.put_row(&row, Cells::Logged(&cells)).unwrap());
     }
 
     /// What a scan keeps of `region`: the rows `scan` passes, materialized,
@@ -803,15 +820,8 @@ pub(crate) mod tests {
         put(&r, "a", "c", "v", 1);
         put(&r, "b", "c", "v", 1);
         let _upper = r.split_at(&Bytes::from("b"), 2).unwrap().unwrap();
-        let cell = |timestamp| RunCell {
-            family: "cf".to_string(),
-            column: Bytes::from("c"),
-            value: Bytes::from("v"),
-            timestamp,
-        };
-        let mut cells = vec![cell(2), cell(3)];
-        assert!(!r.put_row(&Bytes::from("c"), &mut cells).unwrap());
-        assert_eq!(cells.len(), 2);
+        let cells = [cell("cf", "c", "v", 2), cell("cf", "c", "v", 3)];
+        assert!(!r.put_row(&Bytes::from("c"), Cells::Logged(&cells)).unwrap());
         assert!(r.get(b"c").unwrap().is_none());
     }
 
@@ -874,14 +884,11 @@ pub(crate) mod tests {
             more in proptest::collection::vec((0u8..3, 0u8..3, 0u64..6), 0..12),
         ) {
             let all: Vec<_> = run.iter().chain(&more).collect();
-            let cells = |run: &[(u8, u8, u64)], first: usize| -> Vec<RunCell> {
+            let cells = |run: &[(u8, u8, u64)], first: usize| -> Vec<WalRecord> {
                 run.iter()
                     .enumerate()
-                    .map(|(i, &(f, c, timestamp))| RunCell {
-                        family: format!("f{f}"),
-                        column: Bytes::from(format!("c{c}")),
-                        value: Bytes::from(format!("v{}", first + i)),
-                        timestamp,
+                    .map(|(i, &(f, c, timestamp))| {
+                        cell(&format!("f{f}"), &format!("c{c}"), &format!("v{}", first + i), timestamp)
                     })
                     .collect()
             };
@@ -906,8 +913,8 @@ pub(crate) mod tests {
             let region = Region::new(1, KeyRange::all());
             let key = Bytes::from("row");
             for (run, first) in [(&run, 0), (&more, run.len())] {
-                let mut run = cells(run, first);
-                proptest::prop_assert!(region.put_row(&key, &mut run).unwrap());
+                let run = cells(run, first);
+                proptest::prop_assert!(region.put_row(&key, Cells::Logged(&run)).unwrap());
             }
             proptest::prop_assert!(exactly_sized(&region.rows.read()[&key]));
             let stored = region.export_rows().unwrap().remove(&key).unwrap();

@@ -80,7 +80,7 @@ use crate::region::{RowView, ScanMetrics};
 use crate::store::{
     keep, Install, MetaEntry, MiniStore, Scan, StoreError, StoreOptions, DEFAULT_SPLIT_THRESHOLD,
 };
-use crate::wal::{self, CrashSpec, WalRecord, WAL_FILE};
+use crate::wal::{self, CrashSpec, Op, Run, WalRecord, WAL_FILE};
 
 use resharding::{Catalog, Donors, Migration, Pending, Topology};
 
@@ -987,15 +987,16 @@ impl ShardedStore {
         // Every open shard, including migration targets: a table born
         // mid-migration must exist in both epochs.
         let participants: Vec<u32> = (0..st.shards.len() as u32).collect();
-        let create = WalRecord::CreateTable {
+        // Region ids are each shard's own.
+        let create = |shard: &MiniStore| WalRecord::CreateTable {
             name: name.to_string(),
             families: fams.clone(),
             split_threshold: split_threshold as u64,
-            // Region ids are each shard's own: filled in as it logs.
-            root_region_id: 0,
+            root_region_id: shard.reserve_region_id(),
         };
-        let per_shard = participants.iter().map(|&g| (g, vec![create.clone()]));
-        Self::commit_batch(&mut st, &participants, per_shard.collect())?;
+        let creates: Vec<WalRecord> = st.shards.iter().map(create).collect();
+        let frame = |g: u32| std::iter::once(Op::Record(&creates[g as usize]));
+        Self::commit_batch(&mut st, &participants, frame)?;
         st.schemas.insert(name.to_string(), (fams, split_threshold));
         Ok(())
     }
@@ -1008,7 +1009,8 @@ impl ShardedStore {
     /// Write a batch atomically across shards: every cell is stamped by
     /// the global clock, the batch gets one gsn, and the frame reaches
     /// every participating replica's WAL before any of them applies it.
-    /// Recovery keeps all of it or none of it on every shard.
+    /// Recovery keeps all of it or none of it on every shard. Each
+    /// replica is handed the same row runs of the caller's puts.
     pub fn put_batch(&self, table: &str, puts: Vec<Put>) -> Result<(), StoreError> {
         if puts.is_empty() {
             return Ok(());
@@ -1018,62 +1020,50 @@ impl ShardedStore {
         let (families, _) = st
             .schemas
             .get(table)
-            .ok_or_else(|| StoreError::NoSuchTable(table.to_string()))?
-            .clone();
-        for p in &puts {
-            if !families.contains(&p.family) {
-                return Err(StoreError::NoSuchColumnFamily {
-                    table: table.to_string(),
-                    family: p.family.clone(),
-                });
-            }
+            .ok_or_else(|| StoreError::NoSuchTable(table.to_string()))?;
+        if let Some(p) = puts
+            .iter()
+            .find(|p| !families.iter().any(|f| *f == p.family))
+        {
+            return Err(StoreError::NoSuchColumnFamily {
+                table: table.to_string(),
+                family: p.family.to_string(),
+            });
         }
-        // Per shard: the rows it is about to be written, and the records
-        // that write them. Consecutive puts to one row are placed once.
-        let mut per_shard: BTreeMap<u32, (Vec<Bytes>, Vec<WalRecord>)> = BTreeMap::new();
-        for run in puts.chunk_by(|a, b| a.row == b.row) {
-            let row = &run[0].row;
-            let stamped = st.clock;
-            st.clock += run.len() as u64;
-            // Dual-apply during a migration: the same stamped cells go
-            // to the old and new replica sets under one gsn, so every
-            // copy — either epoch — stays bit-identical.
-            for g in st.write_replicas(row) {
-                let (rows, records) = per_shard.entry(g).or_default();
-                rows.push(row.clone());
-                records.extend(
-                    run.iter()
-                        .zip(stamped..)
-                        .map(|(put, timestamp)| WalRecord::Put {
-                            table: table.to_string(),
-                            row: row.clone(),
-                            family: put.family.clone(),
-                            column: put.column.clone(),
-                            value: put.value.clone(),
-                            timestamp,
-                        }),
-                );
-            }
-        }
-        let participants: Vec<u32> = per_shard.keys().copied().collect();
+        // Each run goes to its row's write replicas. Dual-apply during a
+        // migration: the same stamped cells go to the old and new replica
+        // sets under one gsn, so every copy — either epoch — stays
+        // bit-identical.
+        let first = st.clock;
+        st.clock += puts.len() as u64;
+        let placed: Vec<(Run<'_>, Vec<u32>)> = wal::runs(table, &puts, first)
+            .map(|run| (run, st.write_replicas(run.row)))
+            .collect();
+        let mut participants: Vec<u32> = placed.iter().flat_map(|(_, g)| g).copied().collect();
+        participants.sort_unstable();
+        participants.dedup();
+        let runs_of = |g: u32| {
+            let hosted = move |(_, replicas): &&(Run<'_>, Vec<u32>)| replicas.contains(&g);
+            placed.iter().filter(hosted).map(|(run, _)| *run)
+        };
         // Materialize target regions up front: at-rest corruption must
         // surface (and be repaired) *before* any WAL append, because puts
         // are not idempotent and a half-applied batch cannot be retried.
         // A write has no other replica to fail over to: whatever stops
         // the repair, or the retry after it, stops the batch.
-        for (&g, (rows, _)) in &per_shard {
+        for &g in &participants {
             let shard = &st.shards[g as usize];
-            match shard.prepare_rows(table, rows) {
+            let rows = || runs_of(g).map(|run| run.row);
+            match shard.prepare_rows(table, rows()) {
                 Err(e) if is_rot(&e) => {
                     count_heal(&inner.obs(), g, "reads", 1);
                     Self::repair(inner, &st, g, table)?;
-                    shard.prepare_rows(table, rows)?;
+                    shard.prepare_rows(table, rows())?;
                 }
                 other => other?,
             }
         }
-        let per_shard = per_shard.into_iter().map(|(g, (_, records))| (g, records));
-        Self::commit_batch(&mut st, &participants, per_shard.collect())?;
+        Self::commit_batch(&mut st, &participants, |g| runs_of(g).map(Op::Run))?;
         self.maybe_wake_flusher(&st);
         Ok(())
     }
@@ -1093,8 +1083,8 @@ impl ShardedStore {
             table: table.to_string(),
             row: Bytes::copy_from_slice(row),
         };
-        let per_shard = participants.iter().map(|&g| (g, vec![delete.clone()]));
-        Self::commit_batch(&mut st, &participants, per_shard.collect())?;
+        let frame = |_| std::iter::once(Op::Record(&delete));
+        Self::commit_batch(&mut st, &participants, frame)?;
         self.maybe_wake_flusher(&st);
         Ok(true)
     }
@@ -1306,32 +1296,32 @@ impl ShardedStore {
     // -----------------------------------------------------------------
 
     /// Frame-and-apply one batch: append each participant's frame
-    /// (marker first, then its records) to its WAL, then apply them
-    /// everywhere. Any failure after the first byte of the first append
-    /// poisons the store — the shards' WALs now disagree and only the
-    /// reopen commit rule may reconcile them.
-    fn commit_batch(
+    /// (marker first, then its ops, `frame(g)`) to its WAL, then apply
+    /// them everywhere. Any failure after the first byte of the first
+    /// append poisons the store — the shards' WALs now disagree and only
+    /// the reopen commit rule may reconcile them.
+    fn commit_batch<'a, I: Iterator<Item = Op<'a>>>(
         st: &mut GlobalState,
         participants: &[u32],
-        per_shard: BTreeMap<u32, Vec<WalRecord>>,
+        frame: impl Fn(u32) -> I,
     ) -> Result<(), StoreError> {
         let gsn = st.next_gsn;
         st.next_gsn += 1;
-        let mut frames: Vec<(u32, Vec<WalRecord>)> = Vec::with_capacity(per_shard.len());
-        for (g, ops) in per_shard {
-            let mut records = vec![WalRecord::BatchMarker {
-                gsn,
-                participants: participants.to_vec(),
-            }];
-            records.extend(ops);
-            if let Err(e) = st.shards[g as usize].log_frame_at(gsn * LSN_STRIDE, &mut records) {
+        let marker = WalRecord::BatchMarker {
+            gsn,
+            participants: participants.to_vec(),
+        };
+        let framed = |g| std::iter::once(Op::Record(&marker)).chain(frame(g).map(|op| op));
+        // In shard order, whatever order the marker names them in.
+        let n = st.shards.len() as u32;
+        for g in (0..n).filter(|g| participants.contains(g)) {
+            if let Err(e) = st.shards[g as usize].log_frame_at(gsn * LSN_STRIDE, framed(g)) {
                 st.poisoned = true;
                 return Err(e);
             }
-            frames.push((g, records));
         }
-        for (g, records) in frames {
-            if let Err(e) = st.shards[g as usize].apply_frame(records) {
+        for g in (0..n).filter(|g| participants.contains(g)) {
+            if let Err(e) = st.shards[g as usize].apply_frame(framed(g)) {
                 st.poisoned = true;
                 return Err(e);
             }

@@ -40,9 +40,11 @@ use crate::kv::{self, Put, RowResult};
 use crate::recovery::{
     self, inconsistent, io_err, Manifest, ManifestTable, RecoveryError, RecoveryReport,
 };
-use crate::region::{materialize, KeyRange, Region, RowData, RowView, RunCell, ScanMetrics};
+use crate::region::{materialize, KeyRange, Region, RowData, RowView, ScanMetrics};
 use crate::segment::{self, SegmentError};
-use crate::wal::{self, CrashSpec, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE};
+use crate::wal::{
+    self, Cells, CrashSpec, Op, Run, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE,
+};
 
 /// Rows per region before a split is triggered.
 pub(crate) const DEFAULT_SPLIT_THRESHOLD: usize = 256;
@@ -280,10 +282,10 @@ fn split_region_in(
 
 /// What applying one frame did that its live caller acts on.
 #[derive(Default)]
-struct Applied {
+struct Applied<'a> {
     /// `(table name, table, region)` of every region a put landed in,
     /// once each, in first-touch order: what the split check looks at.
-    touched: Vec<(String, Arc<Table>, Arc<Region>)>,
+    touched: Vec<(&'a str, Arc<Table>, Arc<Region>)>,
     /// Rows a `DeleteRow` found and removed.
     rows_deleted: usize,
 }
@@ -503,7 +505,7 @@ impl MiniStore {
             }
             report.frames_replayed += 1;
             report.records_replayed += frame.records.len() as u64;
-            inner.apply(frame.records)?;
+            inner.apply(wal::ops(&frame.records))?;
         }
         // A region replay wrote to was promoted, every block read once.
         let promoted = lazy.iter().filter(|(r, _)| !r.is_lazy());
@@ -656,34 +658,36 @@ impl MiniStore {
     /// Write a batch of cells as one atomic unit: in durable mode the
     /// whole batch is a single WAL frame, so recovery replays all of it
     /// or none of it — multi-row values (a whole profile) never reappear
-    /// half-written after a crash.
+    /// half-written after a crash. An empty batch writes nothing.
     pub fn put_batch(&self, table: &str, puts: Vec<Put>) -> Result<(), StoreError> {
+        if puts.is_empty() {
+            return Ok(());
+        }
         self.inner.obs().incr("cfstore.puts", puts.len() as u64);
         let t = self.table(table)?;
-        for put in &puts {
-            if !t.families.iter().any(|f| f == &put.family) {
-                return Err(StoreError::NoSuchColumnFamily {
-                    table: table.to_string(),
-                    family: put.family.clone(),
-                });
-            }
+        if let Some(put) = puts
+            .iter()
+            .find(|p| !t.families.iter().any(|f| *f == p.family))
+        {
+            return Err(StoreError::NoSuchColumnFamily {
+                table: table.to_string(),
+                family: put.family.to_string(),
+            });
         }
         let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
-        let record = |put: Put| WalRecord::Put {
-            table: table.to_string(),
-            row: put.row,
-            family: put.family,
-            column: put.column,
-            value: put.value,
-            timestamp: self.inner.clock.fetch_add(1, Ordering::Relaxed),
-        };
-        let records: Vec<WalRecord> = puts.into_iter().map(record).collect();
+        // Every cell is stamped, in order, from one claim on the clock:
+        // the batch's runs are its puts with their first timestamps.
+        let first = self
+            .inner
+            .clock
+            .fetch_add(puts.len() as u64, Ordering::Relaxed);
+        let ops = || wal::runs(table, &puts, first).map(Op::Run);
         if let Some(d) = durable.as_mut() {
-            // Log-then-apply: stamp every cell, frame the whole batch,
-            // and only touch memory once the log accepted it. A torn
-            // frame means the caller never saw an ack and recovery drops
-            // the tail — nothing to undo.
-            d.wal.append(&records)?;
+            // Log-then-apply: frame the whole batch, and only touch
+            // memory once the log accepted it. A torn frame means the
+            // caller never saw an ack and recovery drops the tail —
+            // nothing to undo.
+            d.wal.append_ops(ops())?;
             // Wake the background flusher once the WAL has grown past
             // the configured threshold since the last flush. Signalled
             // under the durable lock (the flusher blocks on it), so the
@@ -694,7 +698,7 @@ impl MiniStore {
                 }
             }
         }
-        let applied = self.inner.apply(records)?;
+        let applied = self.inner.apply(ops())?;
         self.split_grown(applied, durable.as_deref_mut())
     }
 
@@ -703,12 +707,12 @@ impl MiniStore {
     /// (amortized: only when a region grew large).
     fn split_grown(
         &self,
-        applied: Applied,
+        applied: Applied<'_>,
         mut durable: Option<&mut DurableState>,
     ) -> Result<(), StoreError> {
         for (table, t, region) in applied.touched {
             if region.row_count() > t.split_threshold {
-                self.split_region(&table, &t, &region, durable.as_deref_mut())?;
+                self.split_region(table, &t, &region, durable.as_deref_mut())?;
             }
         }
         Ok(())
@@ -791,14 +795,14 @@ impl MiniStore {
     pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
         self.table(table)?;
         let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
-        let records = vec![WalRecord::DeleteRow {
+        let delete = WalRecord::DeleteRow {
             table: table.to_string(),
             row: Bytes::copy_from_slice(row),
-        }];
+        };
         if let Some(d) = durable.as_mut() {
-            d.wal.append(&records)?;
+            d.wal.append(std::slice::from_ref(&delete))?;
         }
-        Ok(self.inner.apply(records)?.rows_deleted > 0)
+        Ok(self.inner.apply([Op::Record(&delete)])?.rows_deleted > 0)
     }
 
     /// Scan with server-side filtering: [`Self::visit`], keeping each row
@@ -911,22 +915,22 @@ impl MiniStore {
 
     // ---- sharded-mode support (crate-internal, driven by `shard.rs`) ----
 
+    /// A region id of this store's own, for a table a sharded batch
+    /// creates on every shard: each shard numbers its regions itself.
+    pub(crate) fn reserve_region_id(&self) -> u64 {
+        self.inner.next_region_id.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Append one frame of a cross-shard batch (marker first) at
-    /// `lsn = gsn * LSN_STRIDE`, filling in this shard's own region id
-    /// for any table the frame creates. Only the log is touched — the
-    /// sharded store appends to *every* participant before applying
-    /// anywhere, so a torn append on a later participant leaves no
-    /// half-applied memory to undo.
-    pub(crate) fn log_frame_at(
+    /// `lsn = gsn * LSN_STRIDE`. Only the log is touched — the sharded
+    /// store appends to *every* participant before applying anywhere, so
+    /// a torn append on a later participant leaves no half-applied memory
+    /// to undo.
+    pub(crate) fn log_frame_at<'a>(
         &self,
         lsn: u64,
-        records: &mut [WalRecord],
+        ops: impl IntoIterator<Item = Op<'a>>,
     ) -> Result<(), StoreError> {
-        for record in records.iter_mut() {
-            if let WalRecord::CreateTable { root_region_id, .. } = record {
-                *root_region_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         // Only the sharded store calls this, and it opens every shard
         // with `MiniStore::open_with_opts`, which always sets `durable`.
         let mut d = self
@@ -935,7 +939,7 @@ impl MiniStore {
             .as_ref()
             .expect("sharded shards are always durable")
             .lock();
-        d.wal.append_at(lsn, records)?;
+        d.wal.append_ops_at(lsn, ops)?;
         Ok(())
     }
 
@@ -951,11 +955,18 @@ impl MiniStore {
     /// shard's own clock (and so its manifest's) ahead of them, so a
     /// reopened sharded store resumes its clock correctly even when
     /// every frame was flushed out of the WALs.
-    pub(crate) fn apply_frame(&self, records: Vec<WalRecord>) -> Result<(), StoreError> {
+    pub(crate) fn apply_frame<'a>(
+        &self,
+        ops: impl IntoIterator<Item = Op<'a>>,
+    ) -> Result<(), StoreError> {
         let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
-        let is_put = |r: &&WalRecord| matches!(r, WalRecord::Put { .. });
-        let puts = records.iter().filter(is_put).count() as u64;
-        let applied = self.inner.apply(records)?;
+        let mut puts = 0;
+        let counted = ops.into_iter().inspect(|op| {
+            if let Op::Run(run) = op {
+                puts += run.cells.len() as u64;
+            }
+        });
+        let applied = self.inner.apply(counted)?;
         self.split_grown(applied, durable.as_deref_mut())?;
         if puts > 0 {
             self.inner.obs().incr("cfstore.puts", puts);
@@ -965,7 +976,11 @@ impl MiniStore {
 
     /// Materialize every region that owns one of `rows`, surfacing any
     /// segment corruption *before* a batch is framed.
-    pub(crate) fn prepare_rows(&self, table: &str, rows: &[Bytes]) -> Result<(), StoreError> {
+    pub(crate) fn prepare_rows<'a>(
+        &self,
+        table: &str,
+        rows: impl IntoIterator<Item = &'a Bytes>,
+    ) -> Result<(), StoreError> {
         let t = self.table(table)?;
         let regions = t.regions.read();
         for row in rows {
@@ -1067,24 +1082,33 @@ impl StoreInner {
     }
 
     /// The one applier of [`WalRecord`]s (DESIGN.md §24): a live write
-    /// hands it the frame it just logged, a sharded batch the frame every
-    /// participant logged, and a reopen the frames it found. It never
-    /// logs and never decides a split; it keeps `clock` and
-    /// `next_region_id` ahead of whatever the records carry. Consecutive
-    /// puts to one table and row are one row run: the table and the region
-    /// are resolved once and the region writes the run under one lock
-    /// ([`Region::put_row`]), each cell as it would alone. Writing to a
-    /// segment-backed region promotes it, which can surface a typed
-    /// corruption error; a record naming a table, region or range the
-    /// store does not hold is refused as [`RecoveryError::InconsistentLog`].
-    fn apply(&self, records: Vec<WalRecord>) -> Result<Applied, RecoveryError> {
+    /// hands it the runs of the batch it just logged, a sharded batch the
+    /// frame every participant logged, and a reopen the frames it found,
+    /// each as [`Op`]s. It never logs and never decides a split; it keeps
+    /// `clock` and `next_region_id` ahead of whatever the records carry. A
+    /// row run's table and region are resolved once and the region writes
+    /// the run under one lock ([`Region::put_row`]), each cell as it would
+    /// alone. Writing to a segment-backed region promotes it, which can
+    /// surface a typed corruption error; a record naming a table, region
+    /// or range the store does not hold is refused as
+    /// [`RecoveryError::InconsistentLog`].
+    fn apply<'a>(
+        &self,
+        ops: impl IntoIterator<Item = Op<'a>>,
+    ) -> Result<Applied<'a>, RecoveryError> {
         let table = |name: &str| {
             let found = self.tables.read().get(name).cloned();
             found.ok_or_else(|| inconsistent(format!("record references unknown table `{name}`")))
         };
         let mut applied = Applied::default();
-        let mut records = records.into_iter().peekable();
-        while let Some(record) = records.next() {
+        for op in ops {
+            let record = match op {
+                Op::Run(run) => {
+                    self.apply_run(run, table(run.table)?, &mut applied)?;
+                    continue;
+                }
+                Op::Record(record) => record,
+            };
             match record {
                 // Bookkeeping for the sharded reopen's commit rule, which
                 // runs before any shard replays: by now the batch is
@@ -1098,75 +1122,28 @@ impl StoreInner {
                 } => {
                     let next = root_region_id.saturating_add(1);
                     self.next_region_id.fetch_max(next, Ordering::Relaxed);
-                    let threshold = split_threshold as usize;
+                    let threshold = *split_threshold as usize;
                     let mut tables = self.tables.write();
-                    create_table_in(&mut tables, name, families, threshold, root_region_id);
+                    let (name, families) = (name.clone(), families.clone());
+                    create_table_in(&mut tables, name, families, threshold, *root_region_id);
                 }
                 WalRecord::Put {
-                    table: name,
-                    row,
-                    family,
-                    column,
-                    value,
-                    timestamp,
+                    table: name, row, ..
                 } => {
-                    // A row run: this put and every put right behind it to
-                    // the same table and row, resolved and written once.
-                    // The clock goes past the run's largest timestamp,
-                    // which need not be its last: a log is applied in the
-                    // order it was written, by whoever wrote it.
-                    let mut newest = timestamp;
-                    let mut cells = vec![RunCell {
-                        family,
-                        column,
-                        value,
-                        timestamp,
-                    }];
-                    let same_row = |next: &WalRecord| match next {
-                        WalRecord::Put { table, row: r, .. } => *table == name && *r == row,
-                        _ => false,
+                    let cells = Cells::Logged(std::slice::from_ref(record));
+                    let run = Run {
+                        table: name,
+                        row,
+                        cells,
                     };
-                    while let Some(WalRecord::Put {
-                        family,
-                        column,
-                        value,
-                        timestamp,
-                        ..
-                    }) = records.next_if(same_row)
-                    {
-                        newest = newest.max(timestamp);
-                        cells.push(RunCell {
-                            family,
-                            column,
-                            value,
-                            timestamp,
-                        });
-                    }
-                    self.clock
-                        .fetch_max(newest.saturating_add(1), Ordering::Relaxed);
-                    let t = table(&name)?;
-                    // A concurrent split can shrink the chosen region's
-                    // range between lookup and write; `Region::put_row`
-                    // detects this under its lock and hands the cells
-                    // back, and we retry against the refreshed region list.
-                    let region = loop {
-                        let region = t.region_for(&row, &name)?;
-                        if region.put_row(&row, &mut cells)? {
-                            break region;
-                        }
-                    };
-                    let seen =
-                        |(n, _, r): &(String, _, Arc<Region>)| *n == name && r.id == region.id;
-                    if !applied.touched.iter().any(seen) {
-                        applied.touched.push((name, t, region));
-                    }
+                    self.apply_run(run, table(name)?, &mut applied)?;
                 }
                 WalRecord::DeleteRow { table: name, row } => {
-                    let t = table(&name)?;
+                    let t = table(name)?;
                     // `None` means a concurrent split moved the key:
                     // re-resolve.
                     let existed = loop {
-                        if let Some(existed) = t.region_for(&row, &name)?.delete_row(&row)? {
+                        if let Some(existed) = t.region_for(row, name)?.delete_row(row)? {
                             break existed;
                         }
                     };
@@ -1180,13 +1157,43 @@ impl StoreInner {
                 } => {
                     let next = new_id.saturating_add(1);
                     self.next_region_id.fetch_max(next, Ordering::Relaxed);
-                    let t = table(&name)?;
+                    let t = table(name)?;
                     let mut regions = t.regions.write();
-                    split_region_in(&mut regions, &name, parent_id, new_id, &split_key)?;
+                    split_region_in(&mut regions, name, *parent_id, *new_id, split_key)?;
                 }
             }
         }
         Ok(applied)
+    }
+
+    /// Write one row run to table `t`, noting the region it landed in. The
+    /// clock goes past the run's largest timestamp, which need not be its
+    /// last: a log is applied in the order it was written, by whoever
+    /// wrote it.
+    fn apply_run<'a>(
+        &self,
+        run: Run<'a>,
+        t: Arc<Table>,
+        applied: &mut Applied<'a>,
+    ) -> Result<(), RecoveryError> {
+        let newest = run.cells.iter().map(|c| c.timestamp).max().unwrap_or(0);
+        self.clock
+            .fetch_max(newest.saturating_add(1), Ordering::Relaxed);
+        // A concurrent split can shrink the chosen region's range between
+        // lookup and write; `Region::put_row` detects this under its lock
+        // and writes nothing, and we retry against the refreshed region
+        // list.
+        let region = loop {
+            let region = t.region_for(run.row, run.table)?;
+            if region.put_row(run.row, run.cells)? {
+                break region;
+            }
+        };
+        let seen = |(n, _, r): &(&str, _, Arc<Region>)| *n == run.table && r.id == region.id;
+        if !applied.touched.iter().any(seen) {
+            applied.touched.push((run.table, t, region));
+        }
+        Ok(())
     }
 
     /// The compacting flush (DESIGN.md §12): rewrite only *dirty*
@@ -1777,6 +1784,26 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_batch_logs_nothing_and_burns_no_lsn() {
+        let dir = tmp_dir("empty-batch");
+        {
+            let (store, _) = MiniStore::open(&dir).unwrap();
+            store.create_table("t", &["f"]).unwrap();
+            store.flush().unwrap();
+            let next_lsn =
+                |store: &MiniStore| store.inner.durable.as_ref().unwrap().lock().wal.next_lsn();
+            let (lsn, written) = (next_lsn(&store), store.wal_bytes_written());
+            store.put_batch("t", vec![]).unwrap();
+            assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+            assert_eq!(store.wal_bytes_written(), written);
+            assert_eq!(next_lsn(&store), lsn);
+        }
+        let (_, report) = MiniStore::open(&dir).unwrap();
+        assert_eq!((report.frames_replayed, report.records_replayed), (0, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn flush_moves_rows_into_segments_and_truncates_the_wal() {
         let dir = tmp_dir("flush");
         {
@@ -2241,10 +2268,8 @@ mod tests {
             new_id,
             split_key: Bytes::from(key.to_string()),
         };
-        store
-            .inner
-            .apply(vec![split(root, 100, "r3"), split(100, 101, "r6")])
-            .unwrap();
+        let splits = [split(root, 100, "r3"), split(100, 101, "r6")];
+        store.inner.apply(wal::ops(&splits)).unwrap();
         assert_eq!(store.region_count("a").unwrap(), 3);
         store
     }
@@ -2255,9 +2280,9 @@ mod tests {
     fn assert_batch_applies_as_cells(records: Vec<WalRecord>) {
         let batched = run_store();
         let per_cell = run_store();
-        batched.inner.apply(records.clone()).unwrap();
-        for record in records {
-            per_cell.inner.apply(vec![record]).unwrap();
+        batched.inner.apply(wal::ops(&records)).unwrap();
+        for record in &records {
+            per_cell.inner.apply([Op::Record(record)]).unwrap();
         }
         for t in ["a", "b"] {
             assert_eq!(batched.export_table_rows(t), per_cell.export_table_rows(t));
@@ -2375,13 +2400,13 @@ mod tests {
                         new_id: 1000 + i,
                         split_key,
                     };
-                    inner.apply(vec![split]).unwrap();
+                    inner.apply([Op::Record(&split)]).unwrap();
                     i += 1;
                 }
             });
             start.wait();
             for run in 0..RUNS {
-                let records = (0..CELLS)
+                let records: Vec<WalRecord> = (0..CELLS)
                     .map(|c| {
                         let timestamp = 1 + run * CELLS + c;
                         WalRecord::Put {
@@ -2394,7 +2419,7 @@ mod tests {
                         }
                     })
                     .collect();
-                inner.apply(records).unwrap();
+                inner.apply(wal::ops(&records)).unwrap();
             }
             done.store(true, Ordering::Release);
         });

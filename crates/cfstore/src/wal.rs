@@ -35,6 +35,7 @@ use bytes::{BufMut, Bytes};
 
 use crate::encoding::CodecError;
 use crate::frame::{self, put_bytes, put_str, CrashWriter, Cursor, FrameError, ScanStop};
+use crate::kv::Put;
 
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -82,6 +83,122 @@ pub enum WalRecord {
     /// multi-shard writes atomic. Replaying the marker itself is a
     /// no-op.
     BatchMarker { gsn: u64, participants: Vec<u32> },
+}
+
+/// A record as a frame holds it, borrowed from whoever owns it: a run of
+/// cell writes to one row, or any other record. The log frames a run as
+/// one [`WalRecord::Put`] per cell, and the applier writes it to its row
+/// at once. A live write hands both the runs of its batch ([`runs`]); a
+/// reopen, the runs of each frame it read ([`ops`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Op<'a> {
+    Run(Run<'a>),
+    Record(&'a WalRecord),
+}
+
+/// Consecutive cell writes to one row of one table.
+#[derive(Clone, Copy)]
+pub(crate) struct Run<'a> {
+    pub(crate) table: &'a str,
+    pub(crate) row: &'a Bytes,
+    pub(crate) cells: Cells<'a>,
+}
+
+/// Where the cells of a [`Run`] are held.
+#[derive(Clone, Copy)]
+pub(crate) enum Cells<'a> {
+    /// A batch's puts to the row, stamped `first`, `first + 1`, … in turn.
+    Stamped { puts: &'a [Put], first: u64 },
+    /// A frame's decoded [`WalRecord::Put`]s to the row.
+    Logged(&'a [WalRecord]),
+}
+
+/// One cell of a [`Run`]: a stamped put minus the table and row the run
+/// shares.
+pub(crate) struct Cell<'a> {
+    pub(crate) family: &'a str,
+    pub(crate) column: &'a Bytes,
+    pub(crate) value: &'a Bytes,
+    pub(crate) timestamp: u64,
+}
+
+impl<'a> Cells<'a> {
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Cells::Stamped { puts, .. } => puts.len(),
+            Cells::Logged(records) => records.len(),
+        }
+    }
+
+    pub(crate) fn iter(self) -> impl Iterator<Item = Cell<'a>> {
+        let (puts, first, logged) = match self {
+            Cells::Stamped { puts, first } => (puts, first, &[][..]),
+            Cells::Logged(records) => (&[][..], 0, records),
+        };
+        let stamped = puts.iter().zip(first..).map(|(put, timestamp)| Cell {
+            family: &put.family,
+            column: &put.column,
+            value: &put.value,
+            timestamp,
+        });
+        let logged = logged.iter().filter_map(|record| match record {
+            WalRecord::Put {
+                family,
+                column,
+                value,
+                timestamp,
+                ..
+            } => Some(Cell {
+                family,
+                column,
+                value,
+                timestamp: *timestamp,
+            }),
+            _ => None,
+        });
+        stamped.chain(logged)
+    }
+}
+
+/// The row runs of a batch of `puts` to `table` whose first cell is
+/// stamped `first` and every next one the next timestamp: consecutive puts
+/// to one row are one run.
+pub(crate) fn runs<'a>(
+    table: &'a str,
+    puts: &'a [Put],
+    first: u64,
+) -> impl Iterator<Item = Run<'a>> {
+    let mut next = first;
+    puts.chunk_by(|a, b| a.row == b.row).map(move |run| {
+        let first = next;
+        next += run.len() as u64;
+        Run {
+            table,
+            row: &run[0].row,
+            cells: Cells::Stamped { puts: run, first },
+        }
+    })
+}
+
+/// The records of a decoded frame as [`Op`]s: consecutive puts to one
+/// table and row are one run.
+pub(crate) fn ops(records: &[WalRecord]) -> impl Iterator<Item = Op<'_>> {
+    let mut rest = records;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let WalRecord::Put { table, row, .. } = first else {
+            rest = &rest[1..];
+            return Some(Op::Record(first));
+        };
+        let same_row = |r: &&WalRecord| matches!(r, WalRecord::Put { table: t, row: w, .. } if t == table && w == row);
+        let (run, tail) = rest.split_at(rest.iter().take_while(same_row).count());
+        rest = tail;
+        Some(Op::Run(Run {
+            table,
+            row,
+            cells: Cells::Logged(run),
+        }))
+    })
 }
 
 const TAG_CREATE_TABLE: u8 = 1;
@@ -240,24 +357,36 @@ impl WalWriter {
     /// in `wal.log`; no `fsync` follows, so it outlives the process, not
     /// the machine.
     pub fn append(&mut self, records: &[WalRecord]) -> Result<u64, WalError> {
+        self.append_ops(records.iter().map(Op::Record))
+    }
+
+    /// [`WalWriter::append`] of a frame given as [`Op`]s: each cell of a
+    /// run is framed as its own record.
+    pub(crate) fn append_ops<'a>(
+        &mut self,
+        ops: impl IntoIterator<Item = Op<'a>>,
+    ) -> Result<u64, WalError> {
         if self.is_crashed() {
             return Err(WalError::Crashed);
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
+        let mut is_split = false;
         frame::encode(&mut self.buf, |body| {
             body.put_u64(lsn);
-            body.put_u32(records.len() as u32);
-            for r in records {
-                encode_record(body, r);
+            // The record count, filled in once the records are written.
+            let count_at = body.len();
+            body.put_u32(0);
+            let mut count = 0u32;
+            for op in ops {
+                is_split |= matches!(op, Op::Record(WalRecord::RegionSplit { .. }));
+                count += encode_op(body, op);
             }
+            body[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
         });
 
         // Mid-split crash point: tear this frame halfway regardless of
         // where the byte budget stands.
-        let is_split = records
-            .iter()
-            .any(|r| matches!(r, WalRecord::RegionSplit { .. }));
         let tear = is_split && self.crash.during_split == Some(self.splits_logged);
         self.splits_logged += u32::from(is_split);
         let written = if tear {
@@ -275,13 +404,22 @@ impl WalWriter {
     /// incrementing — `lsn` must be ≥ the writer's current `next_lsn`
     /// so replay order stays monotone within each shard's log.
     pub fn append_at(&mut self, lsn: u64, records: &[WalRecord]) -> Result<u64, WalError> {
+        self.append_ops_at(lsn, records.iter().map(Op::Record))
+    }
+
+    /// [`WalWriter::append_at`] of a frame given as [`Op`]s.
+    pub(crate) fn append_ops_at<'a>(
+        &mut self,
+        lsn: u64,
+        ops: impl IntoIterator<Item = Op<'a>>,
+    ) -> Result<u64, WalError> {
         debug_assert!(
             lsn >= self.next_lsn,
             "append_at must not move the LSN backwards ({lsn} < {})",
             self.next_lsn
         );
         self.next_lsn = lsn;
-        self.append(records)
+        self.append_ops(ops)
     }
 
     /// Reset the log after a successful flush persisted everything
@@ -311,6 +449,33 @@ impl WalWriter {
     }
 }
 
+/// Write `op`'s records; returns how many.
+fn encode_op(buf: &mut Vec<u8>, op: Op<'_>) -> u32 {
+    match op {
+        Op::Record(r) => {
+            encode_record(buf, r);
+            1
+        }
+        Op::Run(run) => {
+            for cell in run.cells.iter() {
+                encode_put(buf, run.table, run.row, &cell);
+            }
+            run.cells.len() as u32
+        }
+    }
+}
+
+/// The one writer of a put's record: every cell is framed alone.
+fn encode_put(buf: &mut Vec<u8>, table: &str, row: &[u8], cell: &Cell<'_>) {
+    buf.put_u8(TAG_PUT);
+    put_str(buf, table);
+    put_bytes(buf, row);
+    put_str(buf, cell.family);
+    put_bytes(buf, cell.column);
+    put_bytes(buf, cell.value);
+    buf.put_u64(cell.timestamp);
+}
+
 fn encode_record(buf: &mut Vec<u8>, r: &WalRecord) {
     match r {
         WalRecord::CreateTable {
@@ -336,13 +501,13 @@ fn encode_record(buf: &mut Vec<u8>, r: &WalRecord) {
             value,
             timestamp,
         } => {
-            buf.put_u8(TAG_PUT);
-            put_str(buf, table);
-            put_bytes(buf, row);
-            put_str(buf, family);
-            put_bytes(buf, column);
-            put_bytes(buf, value);
-            buf.put_u64(*timestamp);
+            let cell = Cell {
+                family,
+                column,
+                value,
+                timestamp: *timestamp,
+            };
+            encode_put(buf, table, row, &cell);
         }
         WalRecord::DeleteRow { table, row } => {
             buf.put_u8(TAG_DELETE_ROW);
