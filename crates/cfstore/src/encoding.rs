@@ -185,9 +185,7 @@ pub fn encode_f64(v: f64) -> Bytes {
     } else {
         !bits
     };
-    let mut b = BytesMut::with_capacity(8);
-    b.put_u64(flipped);
-    b.freeze()
+    Bytes::copy_from_slice(&flipped.to_be_bytes())
 }
 
 /// Decode an order-preserving `f64`.

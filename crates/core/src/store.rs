@@ -602,28 +602,35 @@ impl ProfileStore {
         // and the refreshed normalization bounds — is written as ONE
         // atomic batch (a single WAL frame in durable mode), so recovery
         // can never surface a half-written profile: either every row of
-        // the job replays or none does.
-        let mut puts: Vec<Put> = Vec::new();
+        // the job replays or none does. Each row's cells are built once,
+        // sharing the row's key and every column name.
+        let map_dyn = profile.map.dynamic_features();
+        let red_dyn = profile.reduce.as_ref().map(|r| r.dynamic_features());
+        let cost = profile.map.cost_factors.as_vec();
 
         // Static/<job>: categorical features + CFG cells.
-        let mut static_cells: Vec<(Bytes, Bytes)> = statics
-            .map
-            .categorical
-            .iter()
-            .chain(&statics.reduce.categorical)
-            .map(|(name, value)| {
-                (
-                    Bytes::copy_from_slice(name.as_bytes()),
-                    Bytes::copy_from_slice(value.as_bytes()),
-                )
-            })
-            .collect();
-        if let Some(cfg) = &statics.map.cfg {
-            static_cells.push((fixed_column(MAP_CFG_COLUMN), encode_cfg(cfg)));
+        let categorical = statics.map.categorical.iter();
+        let categorical = categorical.chain(&statics.reduce.categorical);
+        let cfgs = [
+            (MAP_CFG_COLUMN, &statics.map.cfg),
+            (RED_CFG_COLUMN, &statics.reduce.cfg),
+        ];
+        let mut static_cells: Vec<(Bytes, Bytes)> =
+            Vec::with_capacity(categorical.clone().count() + cfgs.len());
+        static_cells.extend(
+            categorical
+                .map(|(name, value)| (column(name), Bytes::copy_from_slice(value.as_bytes()))),
+        );
+        for (name, cfg) in cfgs {
+            if let Some(cfg) = cfg {
+                static_cells.push((column(name), encode_cfg(cfg)));
+            }
         }
-        if let Some(cfg) = &statics.reduce.cfg {
-            static_cells.push((fixed_column(RED_CFG_COLUMN), encode_cfg(cfg)));
-        }
+        // The static cells, the dynamic and cost-factor ones, the blob and
+        // the three bounds.
+        let dynamic_cells = map_dyn.len() + red_dyn.as_ref().map_or(0, Vec::len) + 2;
+        let mut puts: Vec<Put> =
+            Vec::with_capacity(static_cells.len() + dynamic_cells + cost.len() + 1 + 3);
         let static_key = self.key("Static", job_id);
         for (column, value) in &static_cells {
             puts.push(Put::new(
@@ -636,8 +643,6 @@ impl ProfileStore {
 
         // Dynamic/<job>: dataflow statistics + input size + reduce flag.
         let dynamic_key = self.key("Dynamic", job_id);
-        let map_dyn = profile.map.dynamic_features();
-        let red_dyn = profile.reduce.as_ref().map(|r| r.dynamic_features());
         for (name, v) in MAP_DYNAMIC_COLUMNS.iter().zip(&map_dyn) {
             puts.push(f64_put(dynamic_key.clone(), name, *v));
         }
@@ -657,7 +662,6 @@ impl ProfileStore {
 
         // CostFactor/<job>.
         let cost_key = self.key("CostFactor", job_id);
-        let cost = profile.map.cost_factors.as_vec();
         for (name, v) in CostFactors::names().iter().zip(&cost) {
             puts.push(f64_put(cost_key.clone(), name, *v));
         }
@@ -666,7 +670,7 @@ impl ProfileStore {
         puts.push(Put::new(
             self.key("Profile", job_id),
             FAMILY,
-            fixed_column(BLOB_COLUMN),
+            column(BLOB_COLUMN),
             encode_profile(profile),
         ));
 
@@ -681,24 +685,14 @@ impl ProfileStore {
             .observe(red_dyn.as_deref().unwrap_or(&[1.0, 1.0]));
         bounds.cost.observe(&cost);
         let meta_key = self.meta_key();
-        puts.push(Put::new(
-            meta_key.clone(),
-            FAMILY,
-            "map_dyn",
-            encode_bounds(&bounds.map_dyn),
-        ));
-        puts.push(Put::new(
-            meta_key.clone(),
-            FAMILY,
-            "red_dyn",
-            encode_bounds(&bounds.red_dyn),
-        ));
-        puts.push(Put::new(
-            meta_key,
-            FAMILY,
-            "cost",
-            encode_bounds(&bounds.cost),
-        ));
+        for (name, bounds) in [
+            ("map_dyn", &bounds.map_dyn),
+            ("red_dyn", &bounds.red_dyn),
+            ("cost", &bounds.cost),
+        ] {
+            let value = encode_bounds(bounds);
+            puts.push(Put::new(meta_key.clone(), FAMILY, column(name), value));
+        }
 
         if let Err(e) = self.backend().put_batch(TABLE, puts) {
             self.state.invalidate();
@@ -1849,9 +1843,7 @@ fn identity_bounds(dim: usize) -> MinMaxNormalizer {
 }
 
 fn encode_bounds(n: &MinMaxNormalizer) -> Bytes {
-    let mut all = n.mins.clone();
-    all.extend(&n.maxs);
-    encode_f64_vec(&all)
+    encode_f64_vec(&[&n.mins[..], &n.maxs[..]].concat())
 }
 
 fn decode_bounds(bytes: &[u8]) -> Result<MinMaxNormalizer, ProfileStoreError> {
@@ -1863,30 +1855,25 @@ fn decode_bounds(bytes: &[u8]) -> Result<MinMaxNormalizer, ProfileStoreError> {
     })
 }
 
-fn f64_put(row: Bytes, column: &'static str, v: f64) -> Put {
-    Put::new(row, FAMILY, fixed_column(column), encode_f64(v))
+fn f64_put(row: Bytes, name: &'static str, v: f64) -> Put {
+    Put::new(row, FAMILY, column(name), encode_f64(v))
 }
 
-/// A column every profile writes, as `Bytes` shared by every put of it
-/// rather than copied into each: a stored cell keeps the column name it
-/// was put with, and 19 of a profile's cells have one of these names.
-fn fixed_column(name: &'static str) -> Bytes {
-    static COLUMNS: OnceLock<BTreeMap<&'static str, Bytes>> = OnceLock::new();
-    let columns = COLUMNS.get_or_init(|| {
-        let fixed = [
-            INPUT_BYTES_COLUMN,
-            HAS_REDUCE_COLUMN,
-            MAP_CFG_COLUMN,
-            RED_CFG_COLUMN,
-            BLOB_COLUMN,
-        ];
-        let names = MAP_DYNAMIC_COLUMNS.iter().chain(&RED_DYNAMIC_COLUMNS);
-        let names = names.chain(&fixed).chain(CostFactors::names());
-        names.map(|&name| (name, Bytes::from(name))).collect()
-    });
-    let column = columns.get(name).cloned();
-    debug_assert!(column.is_some(), "{name} is not listed as a fixed column");
-    column.unwrap_or_else(|| Bytes::from(name))
+/// A column name as `Bytes` shared by every put of it rather than copied
+/// into each: a stored cell keeps the column name it was put with, and
+/// every column a profile writes is named by a `&'static str`, so the
+/// names are a fixed, small set.
+fn column(name: &'static str) -> Bytes {
+    static COLUMNS: OnceLock<RwLock<BTreeMap<&'static str, Bytes>>> = OnceLock::new();
+    let columns = COLUMNS.get_or_init(RwLock::default);
+    if let Some(column) = columns.read().get(name) {
+        return column.clone();
+    }
+    let mut columns = columns.write();
+    columns
+        .entry(name)
+        .or_insert_with(|| Bytes::from(name))
+        .clone()
 }
 
 impl Default for ProfileStore {
