@@ -2,10 +2,11 @@
 //!
 //! A test binary declares it as its allocator, as
 //! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`, and
-//! then reads four things. [`allocations`] counts the allocations
+//! then reads five things. [`allocations`] counts the allocations
 //! (`alloc` and `realloc` calls) of every thread of the process, and
 //! [`thread_allocations`] those of the current thread alone, which the
-//! harness's other test threads cannot move; [`live_bytes`] and
+//! harness's other test threads cannot move; [`thread_allocated_bytes`]
+//! the bytes those calls of the current thread asked for; [`live_bytes`] and
 //! [`peak_bytes`] track the bytes live at once;
 //! [`largest_request`] is the largest single request the *current* thread
 //! made since its last [`reset_largest_request`] — the only way to see an
@@ -25,6 +26,7 @@ static PEAK: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -38,6 +40,7 @@ fn note(allocs: u64, delta: i64, request: usize) {
     // A const-initialised `Cell` has no lazy init and no destructor, so
     // touching it from inside the allocator cannot allocate or recurse.
     let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + allocs));
+    let _ = THREAD_BYTES.try_with(|n| n.set(n.get() + request as u64));
     let _ = LARGEST.try_with(|l| l.set(l.get().max(request)));
 }
 
@@ -66,6 +69,12 @@ pub fn allocations() -> u64 {
 /// Allocations made so far by the current thread.
 pub fn thread_allocations() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
+}
+
+/// The bytes the current thread's allocations so far asked for: each
+/// `alloc` its size, each `realloc` its new size.
+pub fn thread_allocated_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
 }
 
 /// Heap bytes live now, process-wide.
