@@ -293,6 +293,25 @@ if [ "$(nontest $(find crates/cfstore/src -name '*.rs' ! -name wal.rs) | grep -c
   echo "more than one RegionSplit destructuring outside wal.rs"; exit 1
 fi
 
+# A put is framed once (DESIGN.md §40): a batch's puts reach the log and
+# the applier as row runs borrowed from the caller, so neither store's
+# `put_batch` builds a `WalRecord`, the shard layer copies no cell into a
+# `WalRecord::Put` of its own, and one function of non-test cfstore writes a
+# put's record (`TAG_PUT`), whoever holds the cell.
+step "source gate (a put is framed once)"
+if [ "$(nontest crates/cfstore/src/shard.rs | grep -c 'WalRecord::Put' || true)" -ne 0 ]; then
+  echo "non-test shard.rs must construct no WalRecord::Put"; exit 1
+fi
+if [ "$(nontest $cfstore_src | grep -c 'put_u8(TAG_PUT)' || true)" -ne 1 ]; then
+  echo "non-test cfstore must write a put's log record (put_u8(TAG_PUT)) at exactly one site"; exit 1
+fi
+for f in crates/cfstore/src/store.rs crates/cfstore/src/shard.rs; do
+  put_body=$(nontest "$f" | awk '/: +pub fn put_batch\(/ && !done { on = 1 } on { print } on && /:     }$/ { on = 0; done = 1 }')
+  if [ -z "$put_body" ] || printf '%s\n' "$put_body" | grep -F 'WalRecord'; then
+    echo "$f must have a pub fn put_batch that builds no WalRecord"; exit 1
+  fi
+done
+
 # One durability rule (DESIGN.md §37): an acknowledged write is in the
 # log. Every WAL append writes its frame before it returns; no mode buffers
 # one past its call, so nothing names one, test modules included.
