@@ -430,13 +430,15 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
 ///
 /// `store_put/reopened_4000` is `put_profile` of profiles the store has
 /// not seen, on the store reopened at the default cache — the shape of
-/// the benchmark's `churn_durable` ingest. A put writes ≈ 30 cells in five
+/// the benchmark's `churn_durable` ingest. A put writes 36 cells in five
 /// rows, and the first put into a region promotes it.
 fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
-    const PUTS: usize = 2000;
     let dir = std::env::temp_dir().join(format!("pstorm-perf-reopen-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let size = TRAJECTORY_SIZES[2];
+    let mut row = |op, variant, samples: &[u128], per_call| {
+        entries.push(Entry::new(op, variant, size, samples, per_call))
+    };
     filled(ProfileStore::reopen(&dir).unwrap().0, size, seeds)
         .flush()
         .unwrap();
@@ -450,13 +452,7 @@ fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
         ))
     };
     let samples = sample_ns(reopen, 10, 200);
-    entries.push(Entry::new(
-        "store_reopen",
-        "4000_profiles",
-        size,
-        &samples,
-        size as f64,
-    ));
+    row("store_reopen", "4000_profiles", &samples, size as f64);
 
     let warm = StoreOptions {
         block_cache_bytes: 1 << 30,
@@ -465,34 +461,29 @@ fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
     let (store, _) = ProfileStore::reopen_with_opts(&dir, warm).unwrap();
     let build = || drop(std::hint::black_box(store.build_columnar_index().unwrap()));
     let samples = sample_ns(build, 10, 200);
-    entries.push(Entry::new(
-        "store_index_build",
-        "4000_profiles",
-        size,
-        &samples,
-        size as f64,
-    ));
+    row("store_index_build", "4000_profiles", &samples, size as f64);
     drop(store);
 
     let (store, _) = ProfileStore::reopen(&dir).unwrap();
-    // One more than the most `sample_ns` takes: its warm-up call.
-    let fresh: Vec<_> = (size..=size + PUTS).map(|i| variant(seeds, i)).collect();
-    let mut fresh = fresh.iter();
-    let put = || {
-        if let Some((statics, p)) = fresh.next() {
-            store.put_profile(statics, p).unwrap();
-        }
-    };
-    let samples = sample_ns(put, 200, PUTS);
-    entries.push(Entry::new(
-        "store_put",
-        "reopened_4000",
-        size,
-        &samples,
-        1.0,
-    ));
+    let samples = fresh_puts(std::slice::from_ref(&store), seeds, size);
+    row("store_put", "reopened_4000", &samples, 1.0);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Samples of `put_profile` of profiles `views` have not seen, `from` on,
+/// into each view in turn: a `store_put` row.
+fn fresh_puts(views: &[ProfileStore], seeds: &Seeds, from: usize) -> Vec<u128> {
+    const PUTS: usize = 2000;
+    // One more than the most `sample_ns` takes: its warm-up call.
+    let fresh: Vec<_> = (from..=from + PUTS).map(|i| variant(seeds, i)).collect();
+    let mut fresh = fresh.iter().zip(views.iter().cycle());
+    let put = || {
+        if let Some(((statics, p), view)) = fresh.next() {
+            view.put_profile(statics, p).unwrap();
+        }
+    };
+    sample_ns(put, 200, PUTS)
 }
 
 /// `store_reopen/sharded_2000_profiles`: a flushed 3-shard, R = 2 store of
@@ -500,6 +491,11 @@ fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
 /// and each tenant's `columnar_index()` built — the shape of the tail of
 /// the benchmark's `tenants_sharded`. A sharded open reads no rows until a
 /// tenant asks for its index (DESIGN.md §34).
+///
+/// `store_put/sharded_reopened_2000` is `put_profile` of profiles the
+/// tenants have not seen, into each tenant in turn, on that store reopened:
+/// the `tenants_sharded` ingest. A put writes its 36 cells to both
+/// replicas of each of its five rows (DESIGN.md §40).
 fn bench_sharded_reopen(entries: &mut Vec<Entry>, seeds: &Seeds) {
     const TENANTS: [&str; 4] = ["acme", "globex", "initech", "umbrella"];
     const PER_TENANT: usize = 500;
@@ -518,15 +514,18 @@ fn bench_sharded_reopen(entries: &mut Vec<Entry>, seeds: &Seeds) {
             std::hint::black_box(view.columnar_index().unwrap());
         }
     };
-    let samples = sample_ns(reopen, 10, 200);
     let size = TENANTS.len() * PER_TENANT;
-    entries.push(Entry::new(
-        "store_reopen",
-        "sharded_2000_profiles",
-        size,
-        &samples,
-        size as f64,
-    ));
+    let mut row = |op, variant, samples: &[u128], per_call| {
+        entries.push(Entry::new(op, variant, size, samples, per_call))
+    };
+    let samples = sample_ns(reopen, 10, 200);
+    let rows = size as f64;
+    row("store_reopen", "sharded_2000_profiles", &samples, rows);
+    let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
+    let views: Vec<_> = TENANTS.map(|t| store.tenant_view(t).unwrap()).into();
+    let samples = fresh_puts(&views, seeds, PER_TENANT);
+    row("store_put", "sharded_reopened_2000", &samples, 1.0);
+    drop((views, store));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
