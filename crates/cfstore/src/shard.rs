@@ -1311,6 +1311,8 @@ impl ShardedStore {
             gsn,
             participants: participants.to_vec(),
         };
+        // The identity map shortens the ops' lifetime to the marker's.
+        #[allow(clippy::map_identity)]
         let framed = |g| std::iter::once(Op::Record(&marker)).chain(frame(g).map(|op| op));
         // In shard order, whatever order the marker names them in.
         let n = st.shards.len() as u32;

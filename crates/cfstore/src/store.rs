@@ -687,7 +687,7 @@ impl MiniStore {
             // memory once the log accepted it. A torn frame means the
             // caller never saw an ack and recovery drops the tail —
             // nothing to undo.
-            d.wal.append_ops(ops())?;
+            d.wal.append(ops())?;
             // Wake the background flusher once the WAL has grown past
             // the configured threshold since the last flush. Signalled
             // under the durable lock (the flusher blocks on it), so the
@@ -939,7 +939,7 @@ impl MiniStore {
             .as_ref()
             .expect("sharded shards are always durable")
             .lock();
-        d.wal.append_ops_at(lsn, ops)?;
+        d.wal.append_at(lsn, ops)?;
         Ok(())
     }
 

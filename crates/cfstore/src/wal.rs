@@ -87,18 +87,24 @@ pub enum WalRecord {
 
 /// A record as a frame holds it, borrowed from whoever owns it: a run of
 /// cell writes to one row, or any other record. The log frames a run as
-/// one [`WalRecord::Put`] per cell, and the applier writes it to its row
-/// at once. A live write hands both the runs of its batch ([`runs`]); a
-/// reopen, the runs of each frame it read ([`ops`]).
+/// one [`WalRecord::Put`] per cell, and the store's applier writes it to
+/// its row at once. A live write hands both the runs of its batch; a
+/// reopen, the runs of each frame it read.
 #[derive(Clone, Copy)]
-pub(crate) enum Op<'a> {
+pub enum Op<'a> {
     Run(Run<'a>),
     Record(&'a WalRecord),
 }
 
+impl<'a> From<&'a WalRecord> for Op<'a> {
+    fn from(record: &'a WalRecord) -> Self {
+        Op::Record(record)
+    }
+}
+
 /// Consecutive cell writes to one row of one table.
 #[derive(Clone, Copy)]
-pub(crate) struct Run<'a> {
+pub struct Run<'a> {
     pub(crate) table: &'a str,
     pub(crate) row: &'a Bytes,
     pub(crate) cells: Cells<'a>,
@@ -106,7 +112,7 @@ pub(crate) struct Run<'a> {
 
 /// Where the cells of a [`Run`] are held.
 #[derive(Clone, Copy)]
-pub(crate) enum Cells<'a> {
+pub enum Cells<'a> {
     /// A batch's puts to the row, stamped `first`, `first + 1`, … in turn.
     Stamped { puts: &'a [Put], first: u64 },
     /// A frame's decoded [`WalRecord::Put`]s to the row.
@@ -115,7 +121,7 @@ pub(crate) enum Cells<'a> {
 
 /// One cell of a [`Run`]: a stamped put minus the table and row the run
 /// shares.
-pub(crate) struct Cell<'a> {
+pub struct Cell<'a> {
     pub(crate) family: &'a str,
     pub(crate) column: &'a Bytes,
     pub(crate) value: &'a Bytes,
@@ -353,18 +359,13 @@ impl WalWriter {
     }
 
     /// Append one frame holding `records` (atomic as a unit on replay) and
-    /// write it to the file. Returns the frame's LSN. On `Ok` the frame is
-    /// in `wal.log`; no `fsync` follows, so it outlives the process, not
-    /// the machine.
-    pub fn append(&mut self, records: &[WalRecord]) -> Result<u64, WalError> {
-        self.append_ops(records.iter().map(Op::Record))
-    }
-
-    /// [`WalWriter::append`] of a frame given as [`Op`]s: each cell of a
-    /// run is framed as its own record.
-    pub(crate) fn append_ops<'a>(
+    /// write it to the file; each cell of a row run is framed as a record
+    /// of its own. Returns the frame's LSN. On `Ok` the frame is in
+    /// `wal.log`; no `fsync` follows, so it outlives the process, not the
+    /// machine.
+    pub fn append<'a>(
         &mut self,
-        ops: impl IntoIterator<Item = Op<'a>>,
+        records: impl IntoIterator<Item = impl Into<Op<'a>>>,
     ) -> Result<u64, WalError> {
         if self.is_crashed() {
             return Err(WalError::Crashed);
@@ -378,7 +379,8 @@ impl WalWriter {
             let count_at = body.len();
             body.put_u32(0);
             let mut count = 0u32;
-            for op in ops {
+            for op in records {
+                let op = op.into();
                 is_split |= matches!(op, Op::Record(WalRecord::RegionSplit { .. }));
                 count += encode_op(body, op);
             }
@@ -403,15 +405,10 @@ impl WalWriter {
     /// LSN_STRIDE + seq`), so per-shard LSNs jump forward rather than
     /// incrementing — `lsn` must be ≥ the writer's current `next_lsn`
     /// so replay order stays monotone within each shard's log.
-    pub fn append_at(&mut self, lsn: u64, records: &[WalRecord]) -> Result<u64, WalError> {
-        self.append_ops_at(lsn, records.iter().map(Op::Record))
-    }
-
-    /// [`WalWriter::append_at`] of a frame given as [`Op`]s.
-    pub(crate) fn append_ops_at<'a>(
+    pub fn append_at<'a>(
         &mut self,
         lsn: u64,
-        ops: impl IntoIterator<Item = Op<'a>>,
+        records: impl IntoIterator<Item = impl Into<Op<'a>>>,
     ) -> Result<u64, WalError> {
         debug_assert!(
             lsn >= self.next_lsn,
@@ -419,7 +416,7 @@ impl WalWriter {
             self.next_lsn
         );
         self.next_lsn = lsn;
-        self.append_ops(ops)
+        self.append(records)
     }
 
     /// Reset the log after a successful flush persisted everything
