@@ -27,10 +27,10 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::BlockCache;
-use crate::kv::{self, intact, CellVersion, RowResult};
+use crate::kv::{self, intact, CellVersion, Put, RowResult};
 use crate::segment::{Block, SegmentError, SegmentReader};
 use crate::store::{Scan, StoreError};
-use crate::wal::{Cell, Cells};
+use crate::wal::Cells;
 
 /// Room for a row's cells in a walk's view: a `Static/` row, the widest
 /// the profile store writes, has 16.
@@ -241,8 +241,8 @@ impl Region {
         self.dirty.store(true, Ordering::Release);
         let data = rows.entry(row.clone()).or_default();
         let n = cells.len();
-        for (i, cell) in cells.iter().enumerate() {
-            put_cell(data, cell, n - i);
+        for (i, (put, timestamp)) in cells.iter().enumerate() {
+            put_cell(data, put, timestamp, n - i);
         }
         data.iter_mut()
             .for_each(|(_, columns)| columns.shrink_to_fit());
@@ -492,17 +492,18 @@ impl Region {
 /// [`MAX_VERSIONS`] of them, and every `Vec` exactly sized but a family
 /// that takes a new column when it is full: it makes room for `room`
 /// columns, the cells left in the run ([`Region::put_row`] sizes it again).
-fn put_cell(row: &mut RowData, cell: Cell<'_>, room: usize) {
-    let columns = sorted_entry(row, cell.family, 1, || cell.family.to_owned());
-    let versions = sorted_entry(columns, cell.column, room, || cell.column.clone());
+fn put_cell(row: &mut RowData, put: &Put, timestamp: u64, room: usize) {
+    let family: &str = &put.family;
+    let columns = sorted_entry(row, family, 1, || family.to_owned());
+    let versions = sorted_entry(columns, &put.column, room, || put.column.clone());
     let pos = versions
         .iter()
-        .position(|v| v.timestamp <= cell.timestamp)
+        .position(|v| v.timestamp <= timestamp)
         .unwrap_or(versions.len());
     if pos < MAX_VERSIONS {
         versions.truncate(MAX_VERSIONS - 1);
         versions.reserve_exact(1);
-        versions.insert(pos, CellVersion::new(cell.timestamp, cell.value.clone()));
+        versions.insert(pos, CellVersion::new(timestamp, put.value.clone()));
     }
 }
 
@@ -688,12 +689,15 @@ pub(crate) mod tests {
 
     /// A logged put to row `row` of table `t`, as a run's cell.
     pub(crate) fn cell(family: &str, column: &str, value: &str, timestamp: u64) -> WalRecord {
+        let put = Put::new(
+            "row",
+            family.to_string(),
+            column.to_string(),
+            value.to_string(),
+        );
         WalRecord::Put {
             table: "t".to_string(),
-            row: Bytes::from("row"),
-            family: family.to_string(),
-            column: Bytes::copy_from_slice(column.as_bytes()),
-            value: Bytes::copy_from_slice(value.as_bytes()),
+            put,
             timestamp,
         }
     }

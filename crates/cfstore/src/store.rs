@@ -1128,12 +1128,12 @@ impl StoreInner {
                     create_table_in(&mut tables, name, families, threshold, *root_region_id);
                 }
                 WalRecord::Put {
-                    table: name, row, ..
+                    table: name, put, ..
                 } => {
                     let cells = Cells::Logged(std::slice::from_ref(record));
                     let run = Run {
                         table: name,
-                        row,
+                        row: &put.row,
                         cells,
                     };
                     self.apply_run(run, table(name)?, &mut applied)?;
@@ -1176,7 +1176,7 @@ impl StoreInner {
         t: Arc<Table>,
         applied: &mut Applied<'a>,
     ) -> Result<(), RecoveryError> {
-        let newest = run.cells.iter().map(|c| c.timestamp).max().unwrap_or(0);
+        let newest = run.cells.iter().map(|(_, t)| t).max().unwrap_or(0);
         self.clock
             .fetch_max(newest.saturating_add(1), Ordering::Relaxed);
         // A concurrent split can shrink the chosen region's range between
@@ -2292,12 +2292,15 @@ mod tests {
     }
 
     fn run_put(table: &str, row: &str, family: &str, column: &str, timestamp: u64) -> WalRecord {
+        let value = format!("{table}/{row}/{family}:{column}@{timestamp}");
         WalRecord::Put {
             table: table.into(),
-            row: Bytes::from(row.to_string()),
-            family: family.into(),
-            column: Bytes::from(column.to_string()),
-            value: Bytes::from(format!("{table}/{row}/{family}:{column}@{timestamp}")),
+            put: Put::new(
+                row.to_string(),
+                family.to_string(),
+                column.to_string(),
+                value,
+            ),
             timestamp,
         }
     }
@@ -2409,12 +2412,15 @@ mod tests {
                 let records: Vec<WalRecord> = (0..CELLS)
                     .map(|c| {
                         let timestamp = 1 + run * CELLS + c;
+                        let put = Put::new(
+                            "m",
+                            "f",
+                            format!("c{timestamp:05}"),
+                            format!("v{timestamp}"),
+                        );
                         WalRecord::Put {
                             table: "t".into(),
-                            row: Bytes::from("m"),
-                            family: "f".into(),
-                            column: Bytes::from(format!("c{timestamp:05}")),
-                            value: Bytes::from(format!("v{timestamp}")),
+                            put,
                             timestamp,
                         }
                     })

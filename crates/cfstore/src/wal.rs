@@ -56,10 +56,7 @@ pub enum WalRecord {
     /// time so replay reproduces version order exactly.
     Put {
         table: String,
-        row: Bytes,
-        family: String,
-        column: Bytes,
-        value: Bytes,
+        put: Put,
         timestamp: u64,
     },
     /// A whole row removed.
@@ -119,15 +116,6 @@ pub enum Cells<'a> {
     Logged(&'a [WalRecord]),
 }
 
-/// One cell of a [`Run`]: a stamped put minus the table and row the run
-/// shares.
-pub struct Cell<'a> {
-    pub(crate) family: &'a str,
-    pub(crate) column: &'a Bytes,
-    pub(crate) value: &'a Bytes,
-    pub(crate) timestamp: u64,
-}
-
 impl<'a> Cells<'a> {
     pub(crate) fn len(self) -> usize {
         match self {
@@ -136,33 +124,17 @@ impl<'a> Cells<'a> {
         }
     }
 
-    pub(crate) fn iter(self) -> impl Iterator<Item = Cell<'a>> {
+    /// Each cell, with its timestamp.
+    pub(crate) fn iter(self) -> impl Iterator<Item = (&'a Put, u64)> {
         let (puts, first, logged) = match self {
             Cells::Stamped { puts, first } => (puts, first, &[][..]),
             Cells::Logged(records) => (&[][..], 0, records),
         };
-        let stamped = puts.iter().zip(first..).map(|(put, timestamp)| Cell {
-            family: &put.family,
-            column: &put.column,
-            value: &put.value,
-            timestamp,
-        });
         let logged = logged.iter().filter_map(|record| match record {
-            WalRecord::Put {
-                family,
-                column,
-                value,
-                timestamp,
-                ..
-            } => Some(Cell {
-                family,
-                column,
-                value,
-                timestamp: *timestamp,
-            }),
+            WalRecord::Put { put, timestamp, .. } => Some((put, *timestamp)),
             _ => None,
         });
-        stamped.chain(logged)
+        puts.iter().zip(first..).chain(logged)
     }
 }
 
@@ -189,21 +161,22 @@ pub(crate) fn runs<'a>(
 /// The records of a decoded frame as [`Op`]s: consecutive puts to one
 /// table and row are one run.
 pub(crate) fn ops(records: &[WalRecord]) -> impl Iterator<Item = Op<'_>> {
-    let mut rest = records;
-    std::iter::from_fn(move || {
-        let first = rest.first()?;
-        let WalRecord::Put { table, row, .. } = first else {
-            rest = &rest[1..];
-            return Some(Op::Record(first));
-        };
-        let same_row = |r: &&WalRecord| matches!(r, WalRecord::Put { table: t, row: w, .. } if t == table && w == row);
-        let (run, tail) = rest.split_at(rest.iter().take_while(same_row).count());
-        rest = tail;
-        Some(Op::Run(Run {
+    let same_row = |a: &WalRecord, b: &WalRecord| match (a, b) {
+        (
+            WalRecord::Put { table, put, .. },
+            WalRecord::Put {
+                table: t, put: p, ..
+            },
+        ) => table == t && put.row == p.row,
+        _ => false,
+    };
+    records.chunk_by(same_row).map(|run| match &run[0] {
+        WalRecord::Put { table, put, .. } => Op::Run(Run {
             table,
-            row,
+            row: &put.row,
             cells: Cells::Logged(run),
-        }))
+        }),
+        record => Op::Record(record),
     })
 }
 
@@ -380,9 +353,19 @@ impl WalWriter {
             body.put_u32(0);
             let mut count = 0u32;
             for op in records {
-                let op = op.into();
-                is_split |= matches!(op, Op::Record(WalRecord::RegionSplit { .. }));
-                count += encode_op(body, op);
+                match op.into() {
+                    Op::Record(record) => {
+                        is_split |= matches!(record, WalRecord::RegionSplit { .. });
+                        encode_record(body, record);
+                        count += 1;
+                    }
+                    Op::Run(run) => {
+                        for (put, timestamp) in run.cells.iter() {
+                            encode_put(body, run.table, put, timestamp);
+                            count += 1;
+                        }
+                    }
+                }
             }
             body[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
         });
@@ -446,31 +429,15 @@ impl WalWriter {
     }
 }
 
-/// Write `op`'s records; returns how many.
-fn encode_op(buf: &mut Vec<u8>, op: Op<'_>) -> u32 {
-    match op {
-        Op::Record(r) => {
-            encode_record(buf, r);
-            1
-        }
-        Op::Run(run) => {
-            for cell in run.cells.iter() {
-                encode_put(buf, run.table, run.row, &cell);
-            }
-            run.cells.len() as u32
-        }
-    }
-}
-
 /// The one writer of a put's record: every cell is framed alone.
-fn encode_put(buf: &mut Vec<u8>, table: &str, row: &[u8], cell: &Cell<'_>) {
+fn encode_put(buf: &mut Vec<u8>, table: &str, put: &Put, timestamp: u64) {
     buf.put_u8(TAG_PUT);
     put_str(buf, table);
-    put_bytes(buf, row);
-    put_str(buf, cell.family);
-    put_bytes(buf, cell.column);
-    put_bytes(buf, cell.value);
-    buf.put_u64(cell.timestamp);
+    put_bytes(buf, &put.row);
+    put_str(buf, &put.family);
+    put_bytes(buf, &put.column);
+    put_bytes(buf, &put.value);
+    buf.put_u64(timestamp);
 }
 
 fn encode_record(buf: &mut Vec<u8>, r: &WalRecord) {
@@ -492,20 +459,9 @@ fn encode_record(buf: &mut Vec<u8>, r: &WalRecord) {
         }
         WalRecord::Put {
             table,
-            row,
-            family,
-            column,
-            value,
+            put,
             timestamp,
-        } => {
-            let cell = Cell {
-                family,
-                column,
-                value,
-                timestamp: *timestamp,
-            };
-            encode_put(buf, table, row, &cell);
-        }
+        } => encode_put(buf, table, put, *timestamp),
         WalRecord::DeleteRow { table, row } => {
             buf.put_u8(TAG_DELETE_ROW);
             put_str(buf, table);
@@ -548,10 +504,12 @@ fn decode_record(c: &mut Cursor<'_>) -> Result<WalRecord, CodecError> {
         }),
         TAG_PUT => Ok(WalRecord::Put {
             table: c.str()?,
-            row: c.bytes()?,
-            family: c.str()?,
-            column: c.bytes()?,
-            value: c.bytes()?,
+            put: Put {
+                row: c.bytes()?,
+                family: c.str()?.into(),
+                column: c.bytes()?,
+                value: c.bytes()?,
+            },
             timestamp: c.u64()?,
         }),
         TAG_DELETE_ROW => Ok(WalRecord::DeleteRow {
@@ -654,10 +612,7 @@ mod tests {
             },
             WalRecord::Put {
                 table: "t".into(),
-                row: Bytes::from("row1"),
-                family: "f".into(),
-                column: Bytes::from("c"),
-                value: Bytes::from("v"),
+                put: Put::new("row1", "f", "c", "v"),
                 timestamp: 7,
             },
             WalRecord::DeleteRow {

@@ -88,10 +88,7 @@ fn wal_records() -> Vec<WalRecord> {
         },
         WalRecord::Put {
             table: "t".into(),
-            row: Bytes::from("row1"),
-            family: "f".into(),
-            column: Bytes::from("c"),
-            value: Bytes::from("v"),
+            put: Put::new("row1", "f", "c", "v"),
             timestamp: 7,
         },
         WalRecord::DeleteRow {
@@ -771,10 +768,7 @@ fn an_inconsistent_log_is_a_typed_refusal_not_a_panic() {
     };
     let put = WalRecord::Put {
         table: "ghost".into(),
-        row: Bytes::from("row1"),
-        family: "f".into(),
-        column: Bytes::from("c"),
-        value: Bytes::from("v"),
+        put: Put::new("row1", "f", "c", "v"),
         timestamp: 7,
     };
     let delete = WalRecord::DeleteRow {
@@ -824,10 +818,7 @@ fn an_inconsistent_log_is_a_typed_refusal_not_a_panic() {
         },
         WalRecord::Put {
             table: "t".into(),
-            row: Bytes::from("row1"),
-            family: "f".into(),
-            column: Bytes::from("c"),
-            value: Bytes::from("v"),
+            put: Put::new("row1", "f", "c", "v"),
             timestamp: u64::MAX,
         },
     ];

@@ -113,10 +113,12 @@ fn session_a() -> Vec<Step> {
 fn hand_frame() -> Vec<WalRecord> {
     let cell = |table: &str, row: &str, family: &str, ts: u64| WalRecord::Put {
         table: table.to_string(),
-        row: Bytes::copy_from_slice(row.as_bytes()),
-        family: family.to_string(),
-        column: Bytes::from_static(b"c0"),
-        value: Bytes::from(format!("hand@{ts}")),
+        put: Put::new(
+            row.to_string(),
+            family.to_string(),
+            "c0",
+            format!("hand@{ts}"),
+        ),
         timestamp: ts,
     };
     vec![
