@@ -29,6 +29,7 @@
 //! (DESIGN.md §17). A match reads the table only for the profiles it
 //! returns.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::iter::Peekable;
@@ -1859,21 +1860,19 @@ fn f64_put(row: Bytes, name: &'static str, v: f64) -> Put {
     Put::new(row, FAMILY, column(name), encode_f64(v))
 }
 
-/// A column name as `Bytes` shared by every put of it rather than copied
-/// into each: a stored cell keeps the column name it was put with, and
-/// every column a profile writes is named by a `&'static str`, so the
-/// names are a fixed, small set.
+/// A column name as `Bytes` shared by every put of it on this thread
+/// rather than copied into each: a stored cell keeps the column name it was
+/// put with, and every column a profile writes is named by a `&'static
+/// str`, so a thread keeps one `Bytes` per name, made at its first put. No
+/// lock is taken: a put looks up each of its 36 names.
 fn column(name: &'static str) -> Bytes {
-    static COLUMNS: OnceLock<RwLock<BTreeMap<&'static str, Bytes>>> = OnceLock::new();
-    let columns = COLUMNS.get_or_init(RwLock::default);
-    if let Some(column) = columns.read().get(name) {
-        return column.clone();
+    thread_local! {
+        static COLUMNS: RefCell<HashMap<&'static str, Bytes>> = RefCell::default();
     }
-    let mut columns = columns.write();
-    columns
-        .entry(name)
-        .or_insert_with(|| Bytes::from(name))
-        .clone()
+    COLUMNS.with_borrow_mut(|columns| {
+        let column = columns.entry(name).or_insert_with(|| Bytes::from(name));
+        column.clone()
+    })
 }
 
 impl Default for ProfileStore {
