@@ -1,8 +1,7 @@
 //! End-to-end tuning-latency report: stage-1 matcher latency (the
-//! lane-vectorized columnar sweep vs its scalar reference sweep vs the
-//! `filter_dynamic` pushdown scan) at several store sizes, full
-//! `match_profile` latency, `put_then_match` (a `put_profile` and the
-//! match that folds its index delta in), the stage-2 CFG comparison and
+//! columnar sweep vs the `filter_dynamic` pushdown scan) at several store
+//! sizes, full `match_profile` latency, `put_then_match` (a `put_profile`
+//! and the match that folds its index delta in), the stage-2 CFG comparison and
 //! the GBRT training the learned baseline needs before its first match,
 //! a selective scan with its filter pushed down vs applied by the client,
 //! segment block reads through the
@@ -18,10 +17,9 @@
 //! the interpreter's cost per evaluated node (`interp_node`).
 //! Writes `BENCH_tuning_latency.json` at the repo root.
 //!
-//! Every row times code a submission can reach. The three stage-1 rows
-//! compare the production sweep with the two references it is
-//! property-tested against (`ColumnarIndex::sweep_map_dyn_scalar`,
-//! `ProfileStore::filter_dynamic`), both public store API.
+//! Every row times code a submission can reach. The two stage-1 rows
+//! compare the production sweep with the reference it is property-tested
+//! against, `ProfileStore::filter_dynamic`, public store API.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -189,8 +187,7 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &Seeds) {
             entries.push(Entry::new(op, variant, size, &samples, size as f64));
         };
 
-        // Stage 1 in isolation: the dynamic-feature distance filter, on
-        // the lane-vectorized sweep and the scalar reference sweep.
+        // Stage 1 in isolation: the dynamic-feature distance filter.
         let ix = store.columnar_index().unwrap();
         let samples = sample_ns(
             || {
@@ -200,15 +197,6 @@ fn bench_matcher(entries: &mut Vec<Entry>, seeds: &Seeds) {
             20_000,
         );
         push("matcher_stage1", "columnar", samples);
-
-        let samples = sample_ns(
-            || {
-                std::hint::black_box(ix.sweep_map_dyn_scalar(&bounds.map_dyn, &q_dyn, theta));
-            },
-            50,
-            20_000,
-        );
-        push("matcher_stage1", "columnar_scalar", samples);
 
         let samples = sample_ns(
             || {
@@ -1105,7 +1093,6 @@ fn main() {
     let stage1_speedup = find(&entries, "matcher_stage1", "filter_dynamic", 1000)
         / find(&entries, "matcher_stage1", "columnar", 1000);
     let stage1_p50 = find(&entries, "matcher_stage1", "columnar", 1000);
-    let lane_speedup = find(&entries, "matcher_stage1", "columnar_scalar", 1000) / stage1_p50;
     let match_at_4000 = find(&entries, "match_profile", "columnar", 4000);
     let put_then_match_at_4000 = find(&entries, "put_then_match", "columnar", 4000);
     let put_tail_ratio = entry(&entries, "store_put", "inline_flush", 2048).p95_ns as f64
@@ -1179,7 +1166,7 @@ fn main() {
     );
     let _ = write!(
         json,
-        "  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"sweep_lane_vs_scalar_speedup_at_1000\": {lane_speedup:.1},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2},\n    \"two_thread_speedup\": {speedup_json}\n  }}\n}}\n"
+        "  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2},\n    \"two_thread_speedup\": {speedup_json}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -1190,7 +1177,6 @@ fn main() {
     println!("{json}");
     println!("wrote {path}");
     println!("stage-1 matcher speedup at store size 1000: {stage1_speedup:.1}x");
-    println!("stage-1 lane-vectorized vs scalar sweep: {lane_speedup:.1}x");
     println!(
         "at store size 4000: match_profile {:.0} us, put_then_match {:.0} us",
         match_at_4000 / 1e3,

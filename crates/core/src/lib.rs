@@ -27,6 +27,7 @@ pub mod codec;
 pub mod daemon;
 pub mod explain;
 pub mod extensions;
+mod index;
 pub mod matcher;
 pub mod service;
 pub mod store;

@@ -388,9 +388,9 @@ fn match_side(
     // Tie-break by closest input size (§4.3), then by smallest dynamic
     // distance for candidates on the very same dataset.
     let dyn_distance = |c: usize| -> f64 {
-        let stored = match side {
-            Side::Map => ix.map_dyn(c),
-            Side::Reduce => ix.red_dyn(c).expect("reduce sweep only yields reduce rows"),
+        let stored: &[f64] = match side {
+            Side::Map => &ix.map_dyn(c),
+            Side::Reduce => &ix.red_dyn(c).expect("reduce sweep only yields reduce rows"),
         };
         dyn_bounds.distance(&q_dyn, stored)
     };

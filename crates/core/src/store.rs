@@ -30,31 +30,30 @@
 //! returns.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
-use std::iter::Peekable;
-use std::ops::Range;
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use cfstore::encoding::{decode_f64, decode_f64_vec, encode_f64, encode_f64_vec};
+use cfstore::encoding::{decode_f64_vec, encode_f64, encode_f64_vec};
 use cfstore::{
     MiniStore, Put, RecoveryError, RecoveryReport, ReshardStatus, RowResult, RowView, Scan,
     ScanMetrics, ShardOptions, ShardedRecoveryReport, ShardedStore, StoreError, StoreOptions,
     Topology,
 };
-use mlmatch::{DimPrep, MinMaxNormalizer};
+use mlmatch::MinMaxNormalizer;
 use profiler::{CostFactors, JobProfile};
-use staticanalysis::{Cfg, SideFeatures, StaticFeatures};
+use staticanalysis::{SideFeatures, StaticFeatures};
 
-use crate::codec::{decode_cfg, decode_profile, encode_cfg, encode_profile};
+use crate::codec::{decode_profile, encode_cfg, encode_profile};
+pub use crate::index::ColumnarIndex;
+use crate::index::{self, copied, decode_cost_factors, decode_statics, family_cells, WrittenRow};
 
 /// Table and family names.
 const TABLE: &str = "Jobs";
-const FAMILY: &str = "f";
+pub(crate) const FAMILY: &str = "f";
 
 /// Dynamic feature column names: the map-side Table 4.1 statistics, then
 /// the reduce-side ones.
@@ -65,10 +64,10 @@ pub const MAP_DYNAMIC_COLUMNS: [&str; 4] = [
     "COMBINE_PAIRS_SEL",
 ];
 pub const RED_DYNAMIC_COLUMNS: [&str; 2] = ["RED_SIZE_SEL", "RED_PAIRS_SEL"];
-const INPUT_BYTES_COLUMN: &str = "INPUT_BYTES";
-const HAS_REDUCE_COLUMN: &str = "HAS_REDUCE";
-const MAP_CFG_COLUMN: &str = "MAP_CFG";
-const RED_CFG_COLUMN: &str = "RED_CFG";
+pub(crate) const INPUT_BYTES_COLUMN: &str = "INPUT_BYTES";
+pub(crate) const HAS_REDUCE_COLUMN: &str = "HAS_REDUCE";
+pub(crate) const MAP_CFG_COLUMN: &str = "MAP_CFG";
+pub(crate) const RED_CFG_COLUMN: &str = "RED_CFG";
 const BLOB_COLUMN: &str = "blob";
 
 /// Errors from the profile store.
@@ -291,14 +290,6 @@ struct NsCache {
     pending: Vec<(Arc<str>, Option<WrittenRow>)>,
 }
 
-/// What one `put_profile` batch wrote, as far as the index cares.
-struct WrittenRow {
-    /// `statics` is still `None`: it depends on what the row held before.
-    row: IndexRow,
-    /// The `Static/` cells of the batch, in write order.
-    static_cells: Vec<(Bytes, Bytes)>,
-}
-
 impl NsCache {
     /// Note an acknowledged write, if there is a snapshot to keep current
     /// (the return value).
@@ -307,53 +298,6 @@ impl NsCache {
             self.pending.push((Arc::from(job_id), written));
         }
         self.index.is_some()
-    }
-
-    /// The current snapshot, with the pending deltas folded into a new one
-    /// first if there are any; `None` while no index has been built. Reads
-    /// no store row.
-    fn fold_pending(&mut self) -> Option<Arc<ColumnarIndex>> {
-        let index = Arc::clone(self.index.as_ref()?);
-        if self.pending.is_empty() {
-            return Some(index);
-        }
-        // By job id: a later write to a job replaces the earlier delta,
-        // and the merge wants key order.
-        let mut deltas: BTreeMap<Arc<str>, Option<IndexRow>> = BTreeMap::new();
-        for (job_id, written) in std::mem::take(&mut self.pending) {
-            let row = written.map(
-                |WrittenRow {
-                     mut row,
-                     static_cells,
-                 }| {
-                    // A put rewrites columns; the ones it left out keep the
-                    // value the job's row had, in the table and so here.
-                    let held = match deltas.get(&job_id) {
-                        Some(delta) => delta.as_ref().and_then(|r| r.statics.as_ref()),
-                        None => index.find(&job_id).and_then(|r| index.static_cells(r)),
-                    };
-                    row.statics = Some(overlay_cells(
-                        held.map_or(&[], |cells| &cells[..]),
-                        static_cells,
-                    ));
-                    row
-                },
-            );
-            deltas.insert(job_id, row);
-        }
-        match index.merged(&deltas) {
-            Ok(merged) => {
-                let merged = Arc::new(merged);
-                self.index = Some(Arc::clone(&merged));
-                Some(merged)
-            }
-            // Cells the table accepted that do not decode: a scan would
-            // refuse them too. Start over and let it.
-            Err(_) => {
-                *self = NsCache::default();
-                None
-            }
-        }
     }
 }
 
@@ -704,18 +648,13 @@ impl ProfileStore {
         // the index row a scan of its cells would decode.
         let mut cache = self.state.cache.write();
         cache.bounds = Some(bounds);
-        let written = WrittenRow {
-            row: IndexRow {
-                dynamic: Dynamic {
-                    map_dyn: array(&map_dyn),
-                    red_dyn: red_dyn.as_deref().map(array),
-                    input_bytes: profile.input_bytes,
-                },
-                cost: array(&cost),
-                statics: None,
-            },
+        let written = WrittenRow::new(
+            &map_dyn,
+            red_dyn.as_deref(),
+            profile.input_bytes,
+            &cost,
             static_cells,
-        };
+        );
         if cache.record(job_id, Some(written)) {
             self.obs.incr("store.index_deltas", 1);
         }
@@ -926,16 +865,28 @@ impl ProfileStore {
         Ok(index)
     }
 
+    /// The current snapshot, with the pending deltas folded into a new one
+    /// first if there are any; `None` while no index has been built. Reads
+    /// no store row.
     fn fold_pending(&self) -> Option<Arc<ColumnarIndex>> {
         let mut cache = self.state.cache.write();
-        let merged = !cache.pending.is_empty();
-        let index = cache.fold_pending()?;
-        drop(cache);
-        let counter = if merged {
-            "store.index_merges"
-        } else {
+        let mut index = Arc::clone(cache.index.as_ref()?);
+        let counter = if cache.pending.is_empty() {
             "store.index_hits"
+        } else {
+            match index.merged(std::mem::take(&mut cache.pending)) {
+                Ok(merged) => index = Arc::new(merged),
+                // Cells the table accepted that do not decode: a scan would
+                // refuse them too. Start over and let it.
+                Err(_) => {
+                    *cache = NsCache::default();
+                    return None;
+                }
+            }
+            cache.index = Some(Arc::clone(&index));
+            "store.index_merges"
         };
+        drop(cache);
         self.obs.incr(counter, 1);
         Some(index)
     }
@@ -951,52 +902,11 @@ impl ProfileStore {
     /// order the rows are read in: the `CostFactor/` rows first, then job
     /// by job.
     pub fn build_columnar_index(&self) -> Result<ColumnarIndex, ProfileStoreError> {
-        let mut dynamic = self.parse_rows("Dynamic", parse_dynamic)?;
-        let statics = self.parse_rows("Static", parse_static)?;
-        let mut costs = self.parse_rows("CostFactor", parse_cost)?;
-        if let Some((_, e)) = first_error(&mut costs) {
-            return Err(e);
-        }
-        let mut costs = in_order(costs.iter().map(Part::rows))
-            .into_iter()
-            .peekable();
-        // A part's set is interned once: its id in the index, by part.
-        let mut ids: Vec<Vec<u32>> = statics
-            .iter()
-            .map(|(_, sets)| vec![NO_STATICS; sets.sets.len()])
-            .collect();
-        let by_part = statics.iter().enumerate();
-        let by_part = by_part
-            .map(|(p, (part, _))| part.rows().map(move |(id, &set)| (id, (p, set as usize))));
-        let mut static_rows = in_order(by_part).into_iter().peekable();
-        // A part's rows stop at its error, which fails the build where its
-        // key falls among the other parts' rows.
-        let mut failed = first_error(&mut dynamic);
-        let dynamic = in_order(dynamic.iter().map(Part::rows));
-        let empty = Arc::default();
-        let mut builder = IndexBuilder::new(dynamic.len(), &empty);
-        for (job_id, dynamic) in dynamic {
-            if let Some((_, e)) = failed.take_if(|(at, _)| **at < *job_id.as_bytes()) {
-                return Err(e);
-            }
-            let cost = joined(&mut costs, job_id).ok_or_else(|| {
-                ProfileStoreError::Corrupt(format!("no CostFactor row for {job_id}"))
-            })?;
-            let statics = match joined(&mut static_rows, job_id) {
-                Some((p, set)) if ids[p][set] == NO_STATICS => {
-                    let (hash, cells) = &statics[p].1.sets[set];
-                    ids[p][set] = builder.intern(*hash, cells)?;
-                    ids[p][set]
-                }
-                Some((p, set)) => ids[p][set],
-                None => NO_STATICS,
-            };
-            builder.push(Arc::from(job_id), dynamic, cost, statics);
-        }
-        match failed {
-            Some((_, e)) => Err(e),
-            None => Ok(builder.finish()),
-        }
+        index::build(
+            self.parse_rows("Dynamic", index::parse_dynamic)?,
+            self.parse_rows("Static", index::parse_static)?,
+            self.parse_rows("CostFactor", index::parse_cost)?,
+        )
     }
 
     /// The namespace's `<feature>/` rows, each parsed by `parse` with its
@@ -1085,722 +995,8 @@ impl ProfileStore {
     }
 }
 
-/// Lane width of the chunked struct-of-arrays sweep matrices: eight f64s
-/// fill one 64-byte cache line and one AVX-512 register (two AVX2 ones),
-/// and LLVM reliably autovectorizes fixed-trip-count loops of this width.
-pub const SWEEP_LANES: usize = 8;
-
-/// A dense feature matrix blocked for the stage-1 sweep: rows are grouped
-/// into chunks of [`SWEEP_LANES`], and *within* a chunk values are stored
-/// dimension-major — a struct-of-arrays layout where each dimension's
-/// eight values are contiguous. The sweep then runs dimensions-outer /
-/// lanes-inner over fixed-width slices, which the compiler turns into
-/// packed SIMD without any explicit intrinsics.
-///
-/// Each row's distance still accumulates its dimensions in order and
-/// compares `acc.sqrt() <= theta`, exactly like the scalar
-/// [`MinMaxNormalizer::distance`]; only the loop nest is interchanged, so
-/// survivor sets are bit-identical (property-tested against the scan
-/// oracle in `tests/tests/property_columnar.rs`).
-#[derive(Debug, Clone, PartialEq)]
-struct LaneMatrix {
-    dims: usize,
-    len: usize,
-    /// `len.div_ceil(SWEEP_LANES) * dims * SWEEP_LANES` values; row `r`,
-    /// dimension `d` lives at
-    /// `(r / SWEEP_LANES * dims + d) * SWEEP_LANES + r % SWEEP_LANES`.
-    /// Padding rows hold 0.0 and are excluded by the `len` bound.
-    data: Vec<f64>,
-}
-
-impl LaneMatrix {
-    fn empty(dims: usize) -> LaneMatrix {
-        LaneMatrix {
-            dims,
-            len: 0,
-            data: Vec::new(),
-        }
-    }
-
-    fn from_row_major(rows: &[f64], dims: usize, len: usize) -> LaneMatrix {
-        debug_assert_eq!(rows.len(), dims * len);
-        let mut data = vec![0.0; len.div_ceil(SWEEP_LANES) * dims * SWEEP_LANES];
-        for r in 0..len {
-            for d in 0..dims {
-                data[(r / SWEEP_LANES * dims + d) * SWEEP_LANES + r % SWEEP_LANES] =
-                    rows[r * dims + d];
-            }
-        }
-        LaneMatrix { dims, len, data }
-    }
-
-    /// Rows whose distance to the prepared query is within `theta`, in row
-    /// order; rows where `mask` is false are dropped after the distance
-    /// check (matching the scalar sweeps, which also evaluate the masked
-    /// predicate per row).
-    fn sweep(&self, prep: &[DimPrep], theta: f64, mask: Option<&[bool]>) -> Vec<usize> {
-        let mut out = Vec::new();
-        let width = self.dims * SWEEP_LANES;
-        for (c, chunk) in self.data.chunks_exact(width).enumerate() {
-            let mut acc = [0.0f64; SWEEP_LANES];
-            for (d, p) in prep.iter().enumerate() {
-                let ys = &chunk[d * SWEEP_LANES..(d + 1) * SWEEP_LANES];
-                match *p {
-                    // The hot regime: branch-free per lane, vectorizes.
-                    DimPrep::Scaled { min, range, nx } => {
-                        for (a, y) in acc.iter_mut().zip(ys) {
-                            let dd = nx - ((y - min) / range).clamp(0.0, 1.0);
-                            *a += dd * dd;
-                        }
-                    }
-                    // Degenerate dimensions carry a data-dependent branch;
-                    // rare (near-empty stores), so scalar is fine.
-                    DimPrep::Degenerate { .. } => {
-                        for (a, y) in acc.iter_mut().zip(ys) {
-                            let dd = p.delta(*y);
-                            *a += dd * dd;
-                        }
-                    }
-                }
-            }
-            let base = c * SWEEP_LANES;
-            for (l, a) in acc.iter().enumerate() {
-                let row = base + l;
-                if row >= self.len {
-                    break;
-                }
-                if a.sqrt() <= theta && mask.is_none_or(|m| m[row]) {
-                    out.push(row);
-                }
-            }
-        }
-        out
-    }
-}
-
-/// A columnar, contiguous in-memory projection of the store's numeric
-/// feature rows, in `Dynamic/` key (= lexicographic job id) order.
-///
-/// Stage 1 of the matcher is a dense distance sweep over every stored
-/// profile; doing it over contiguous matrices replaces one B-tree
-/// traversal + column decode per row with a linear scan of a few cache
-/// lines per candidate. The dynamic-feature matrices are kept twice: a
-/// row-major copy serving the per-row accessors (and the scalar reference
-/// sweeps), and a `LaneMatrix` blocked for the vectorized sweep — a few
-/// dozen bytes per row buys the hot path its SIMD layout. The statics and
-/// cost factors ride along so the later stages become array lookups
-/// instead of per-job point-gets. The stored rows remain the oracle:
-/// property tests assert that every index row equals point reads of them
-/// and that the sweep's survivors equal a pushed-down
-/// [`ProfileStore::filter_dynamic`] scan's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnarIndex {
-    job_ids: Vec<Arc<str>>,
-    /// Row-major `len() x MAP_DYNAMIC_COLUMNS.len()`.
-    map_dyn: Vec<f64>,
-    /// Row-major `len() x RED_DYNAMIC_COLUMNS.len()`; zero-padded for
-    /// map-only jobs (masked by `has_reduce`).
-    red_dyn: Vec<f64>,
-    /// Lane-blocked copy of `map_dyn` (the vectorized sweep operand).
-    map_lanes: LaneMatrix,
-    /// Lane-blocked copy of `red_dyn`.
-    red_lanes: LaneMatrix,
-    has_reduce: Vec<bool>,
-    /// Row-major `len() x CostFactors::names().len()`.
-    cost: Vec<f64>,
-    input_bytes: Vec<f64>,
-    /// Per row, an id into `statics`; [`NO_STATICS`] for a job without a
-    /// `Static/` row.
-    statics_id: Vec<u32>,
-    /// The distinct static features of the rows, numbered in order of
-    /// first appearance — so the table, like every other field, is a
-    /// function of the rows alone, however the index came to hold them.
-    statics: Arc<StaticsTable>,
-}
-
-/// `statics_id` of a row whose job has no `Static/` row.
-const NO_STATICS: u32 = u32::MAX;
-
-/// The raw cells of one `Static/` row, `(column, value)` sorted by column:
-/// what static features are interned on. Jobs of one program share them
-/// byte for byte, so a store of many profiles per job decodes — and the
-/// matcher compares — each distinct CFG once. Copied out of the block or
-/// row they were read from, so an index keeps no block alive.
-type StaticCells = Arc<[(Bytes, Bytes)]>;
-
-/// Distinct sets of `Static/` cells, numbered in order of first
-/// appearance, each with its [`hash_cells`], and found by it.
-#[derive(Debug, Default, PartialEq)]
-struct CellSets {
-    sets: Vec<(u64, StaticCells)>,
-    ids: HashMap<u64, Vec<u32>>,
-}
-
-impl CellSets {
-    /// The id of the set whose cells are `cells`, which hash to `hash`.
-    fn find<'a>(
-        &self,
-        hash: u64,
-        cells: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
-    ) -> Option<u32> {
-        let ids = self.ids.get(&hash)?;
-        ids.iter()
-            .copied()
-            .find(|&id| self.holds(id, cells.clone()))
-    }
-
-    /// Whether set `id`'s cells are `cells`.
-    fn holds<'a>(&self, id: u32, mut cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> bool {
-        let mut set = self.sets[id as usize].1.iter();
-        set.all(|(c, v)| cells.next() == Some((&c[..], &v[..]))) && cells.next().is_none()
-    }
-
-    fn push(&mut self, hash: u64, cells: StaticCells) -> u32 {
-        let id = self.sets.len() as u32;
-        self.ids.entry(hash).or_default().push(id);
-        self.sets.push((hash, cells));
-        id
-    }
-}
-
-/// The distinct static features of an index's rows, numbered in order of
-/// first appearance: their cells, and each set decoded.
-#[derive(Debug, Default, PartialEq)]
-struct StaticsTable {
-    cells: CellSets,
-    decoded: Vec<Arc<StoredStatics>>,
-}
-
-/// The `(column, value)` cells of a row's family, in column order.
-fn family_cells<'a>(row: &RowView<'a>) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone {
-    let cells = row.cells.iter().filter(|c| c.family == FAMILY.as_bytes());
-    cells.map(|c| (c.column, c.value))
-}
-
-/// The latest value of a row's `column`.
-fn cell<'a>(row: &RowView<'a>, column: &str) -> Option<&'a [u8]> {
-    family_cells(row).find_map(|(c, v)| (c == column.as_bytes()).then_some(v))
-}
-
-fn copied<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> StaticCells {
-    let copy = |(c, v): (&[u8], &[u8])| (Bytes::copy_from_slice(c), Bytes::copy_from_slice(v));
-    cells.map(copy).collect()
-}
-
-/// A hash of cells for [`CellSets`], keyed once per process so that cells
-/// a job's code determines cannot be made to collide.
-fn hash_cells<'a>(cells: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> u64 {
-    static KEYS: OnceLock<RandomState> = OnceLock::new();
-    let mut hasher = KEYS.get_or_init(RandomState::new).build_hasher();
-    cells.for_each(|cell| cell.hash(&mut hasher));
-    hasher.finish()
-}
-
-/// The cells a `Static/` row holds after a batch wrote `written` over
-/// `held`: every written column replaces its old value (the last write of
-/// a column wins), every other column stays.
-fn overlay_cells(held: &[(Bytes, Bytes)], written: Vec<(Bytes, Bytes)>) -> StaticCells {
-    let mut cells: BTreeMap<Bytes, Bytes> = held.iter().cloned().collect();
-    cells.extend(written);
-    cells.into_iter().collect()
-}
-
-/// The cost factors a row holds, in [`CostFactors::NAMES`] order.
-const COSTS: usize = CostFactors::NAMES.len();
-
-/// The numbers of a job's `Dynamic/` row.
-#[derive(Debug, Default)]
-struct Dynamic {
-    map_dyn: [f64; MAP_DYNAMIC_COLUMNS.len()],
-    red_dyn: Option<[f64; RED_DYNAMIC_COLUMNS.len()]>,
-    input_bytes: f64,
-}
-
-impl Dynamic {
-    /// Decoded in place from the row's cells; `None` if a column the row
-    /// needs is missing or does not decode.
-    fn parse(row: &RowView<'_>) -> Option<Dynamic> {
-        let f64s = |columns: &[&str], out: &mut [f64]| {
-            for (v, c) in out.iter_mut().zip(columns) {
-                *v = decode_f64(cell(row, c)?).ok()?;
-            }
-            Some(())
-        };
-        let mut dynamic = Dynamic::default();
-        let mut flags = [0.0; 2];
-        f64s(&MAP_DYNAMIC_COLUMNS, &mut dynamic.map_dyn)?;
-        f64s(&[HAS_REDUCE_COLUMN, INPUT_BYTES_COLUMN], &mut flags)?;
-        if flags[0] > 0.5 {
-            let red = dynamic.red_dyn.insert([0.0; RED_DYNAMIC_COLUMNS.len()]);
-            f64s(&RED_DYNAMIC_COLUMNS, red)?;
-        }
-        dynamic.input_bytes = flags[1];
-        Some(dynamic)
-    }
-}
-
-/// The first `N` of `values`, zero-padded: the columns a put writes of
-/// them, by `zip`.
-fn array<const N: usize>(values: &[f64]) -> [f64; N] {
-    let mut out = [0.0; N];
-    out.iter_mut().zip(values).for_each(|(o, v)| *o = *v);
-    out
-}
-
-/// One job's row of the index as an acknowledged write leaves it behind
-/// as a delta.
-#[derive(Debug)]
-struct IndexRow {
-    dynamic: Dynamic,
-    cost: [f64; COSTS],
-    /// The job's `Static/` cells, if it has the row.
-    statics: Option<StaticCells>,
-}
-
-/// One region's rows of one feature prefix, parsed where they are stored:
-/// the rows' job ids one after another, where each ends, and what the
-/// index takes from each row. Parsing stops at the first row that does
-/// not parse; its error, with the row's job id, waits until every scan
-/// has verified its cells.
-#[derive(Default)]
-struct Part<T> {
-    ids: String,
-    ends: Vec<usize>,
-    rows: Vec<T>,
-    error: Option<(Box<[u8]>, ProfileStoreError)>,
-}
-
-impl<T> Part<T> {
-    fn push(&mut self, id: &[u8], parsed: Result<(&str, T), ProfileStoreError>) {
-        match parsed {
-            _ if self.error.is_some() => {}
-            Ok((id, row)) => {
-                self.ids.push_str(id);
-                self.ends.push(self.ids.len());
-                self.rows.push(row);
-            }
-            Err(e) => self.error = Some((id.into(), e)),
-        }
-    }
-
-    fn rows(&self) -> impl Iterator<Item = (&str, &T)> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        let ids = starts
-            .zip(&self.ends)
-            .map(|(start, &end)| &self.ids[start..end]);
-        ids.zip(&self.rows)
-    }
-}
-
-fn parse_dynamic(part: &mut Part<Dynamic>, id: &[u8], row: &RowView<'_>) {
-    let parsed = std::str::from_utf8(id).ok().zip(Dynamic::parse(row));
-    let parsed = parsed.ok_or_else(|| {
-        let key = String::from_utf8_lossy(row.key);
-        ProfileStoreError::Corrupt(format!("undecodable Dynamic row {key}"))
-    });
-    part.push(id, parsed);
-}
-
-fn parse_cost(part: &mut Part<[f64; COSTS]>, id: &[u8], row: &RowView<'_>) {
-    let parsed = job_id_of(id).and_then(|job_id| Ok((job_id, decode_cost_factors(row, job_id)?)));
-    part.push(id, parsed);
-}
-
-/// A `Static/` row's set of cells: copied out only if the part has not
-/// met the set before. A row whose job id is not UTF-8 has no `Dynamic/`
-/// row to join, and is left out.
-fn parse_static((part, sets): &mut (Part<u32>, CellSets), id: &[u8], row: &RowView<'_>) {
-    let Ok(id) = std::str::from_utf8(id) else {
-        return;
-    };
-    let cells = family_cells(row);
-    // The jobs of one program mostly lie together: try the last row's set
-    // before hashing.
-    let last = part
-        .rows
-        .last()
-        .filter(|&&set| sets.holds(set, cells.clone()));
-    let set = match last {
-        Some(&set) => set,
-        None => {
-            let hash = hash_cells(cells.clone());
-            match sets.find(hash, cells.clone()) {
-                Some(set) => set,
-                None => sets.push(hash, copied(cells)),
-            }
-        }
-    };
-    part.push(id.as_bytes(), Ok((id, set)));
-}
-
-/// The first error of `parts` in key order, taken out of its part.
-fn first_error<T>(parts: &mut [Part<T>]) -> Option<(Box<[u8]>, ProfileStoreError)> {
-    let errors = parts.iter().enumerate();
-    let (_, p) = errors
-        .filter_map(|(p, part)| Some((&part.error.as_ref()?.0, p)))
-        .min()?;
-    parts[p].error.take()
-}
-
-/// The rows of runs each sorted by job id, in job-id order: one after
-/// another and sorted, which costs a comparison a row when the runs already
-/// lie in order, as a single store's regions do. No id is in two runs.
-fn in_order<'a, T, I: Iterator<Item = (&'a str, T)>>(
-    runs: impl Iterator<Item = I> + Clone,
-) -> Vec<(&'a str, T)> {
-    let mut rows = Vec::with_capacity(runs.clone().map(|run| run.size_hint().0).sum());
-    rows.extend(runs.flatten());
-    rows.sort_unstable_by_key(|&(id, _)| id);
-    rows
-}
-
-/// The row of `job_id` in `rows`, sorted by job id, skipping the rows
-/// before it: one step of a merge-join by job id.
-fn joined<'a, T>(
-    rows: &mut Peekable<impl Iterator<Item = (&'a str, T)>>,
-    job_id: &str,
-) -> Option<T> {
-    while rows.next_if(|(id, _)| *id < job_id).is_some() {}
-    rows.next_if(|(id, _)| *id == job_id).map(|(_, row)| row)
-}
-
-/// Appends rows in key order — decoded ones, or runs of an existing
-/// index's rows — renumbering static features by first appearance.
-struct IndexBuilder<'a> {
-    out: ColumnarIndex,
-    /// The table of the index rows are copied from (empty for a build).
-    base: &'a Arc<StaticsTable>,
-    /// `base` id → id in `table`, [`NO_STATICS`] until first carried.
-    remap: Vec<u32>,
-    table: StaticsTable,
-    /// Whether `table` holds a set that `base` does not.
-    fresh: bool,
-}
-
-impl<'a> IndexBuilder<'a> {
-    fn new(rows: usize, base: &'a Arc<StaticsTable>) -> Self {
-        IndexBuilder {
-            out: ColumnarIndex {
-                job_ids: Vec::with_capacity(rows),
-                map_dyn: Vec::with_capacity(rows * MAP_DYNAMIC_COLUMNS.len()),
-                red_dyn: Vec::with_capacity(rows * RED_DYNAMIC_COLUMNS.len()),
-                has_reduce: Vec::with_capacity(rows),
-                cost: Vec::with_capacity(rows * COSTS),
-                input_bytes: Vec::with_capacity(rows),
-                statics_id: Vec::with_capacity(rows),
-                ..ColumnarIndex::default()
-            },
-            base,
-            remap: vec![NO_STATICS; base.decoded.len()],
-            table: StaticsTable::default(),
-            fresh: false,
-        }
-    }
-
-    /// The new id of `base`'s set `old`.
-    fn carry(&mut self, old: u32) -> u32 {
-        let slot = &mut self.remap[old as usize];
-        if *slot == NO_STATICS {
-            let (hash, cells) = &self.base.cells.sets[old as usize];
-            *slot = self.table.cells.push(*hash, Arc::clone(cells));
-            self.table
-                .decoded
-                .push(Arc::clone(&self.base.decoded[old as usize]));
-        }
-        *slot
-    }
-
-    /// The id of `cells`, which hash to `hash`, decoding them if no row so
-    /// far carried them: one decode per distinct set, however many jobs
-    /// share it.
-    fn intern(&mut self, hash: u64, cells: &StaticCells) -> Result<u32, ProfileStoreError> {
-        let borrowed = || cells.iter().map(|(c, v)| (&c[..], &v[..]));
-        if let Some(id) = self.table.cells.find(hash, borrowed()) {
-            return Ok(id);
-        }
-        if let Some(old) = self.base.cells.find(hash, borrowed()) {
-            return Ok(self.carry(old));
-        }
-        let decoded = Arc::new(decode_statics(cells)?);
-        self.fresh = true;
-        self.table.decoded.push(decoded);
-        Ok(self.table.cells.push(hash, Arc::clone(cells)))
-    }
-
-    fn push(&mut self, job_id: Arc<str>, dynamic: &Dynamic, cost: &[f64], statics: u32) {
-        let out = &mut self.out;
-        out.job_ids.push(job_id);
-        out.map_dyn.extend_from_slice(&dynamic.map_dyn);
-        let red = dynamic.red_dyn.unwrap_or_default();
-        out.red_dyn.extend_from_slice(&red);
-        out.has_reduce.push(dynamic.red_dyn.is_some());
-        out.cost.extend_from_slice(cost);
-        out.input_bytes.push(dynamic.input_bytes);
-        out.statics_id.push(statics);
-    }
-
-    /// Append a delta's row, interning its statics.
-    fn push_row(&mut self, job_id: Arc<str>, row: &IndexRow) -> Result<(), ProfileStoreError> {
-        let statics = match &row.statics {
-            Some(cells) => {
-                let hash = hash_cells(cells.iter().map(|(c, v)| (&c[..], &v[..])));
-                self.intern(hash, cells)?
-            }
-            None => NO_STATICS,
-        };
-        self.push(job_id, &row.dynamic, &row.cost, statics);
-        Ok(())
-    }
-
-    /// Append `rows` of `from` (whose table is `base`) as they are.
-    fn copy_rows(&mut self, from: &ColumnarIndex, rows: Range<usize>) {
-        let span = |dims: usize| rows.start * dims..rows.end * dims;
-        for &old in &from.statics_id[rows.clone()] {
-            let id = if old == NO_STATICS {
-                old
-            } else {
-                self.carry(old)
-            };
-            self.out.statics_id.push(id);
-        }
-        let out = &mut self.out;
-        out.job_ids.extend_from_slice(&from.job_ids[rows.clone()]);
-        out.map_dyn
-            .extend_from_slice(&from.map_dyn[span(MAP_DYNAMIC_COLUMNS.len())]);
-        out.red_dyn
-            .extend_from_slice(&from.red_dyn[span(RED_DYNAMIC_COLUMNS.len())]);
-        out.has_reduce
-            .extend_from_slice(&from.has_reduce[rows.clone()]);
-        out.cost.extend_from_slice(&from.cost[span(COSTS)]);
-        out.input_bytes.extend_from_slice(&from.input_bytes[rows]);
-    }
-
-    fn finish(self) -> ColumnarIndex {
-        let mut out = self.out;
-        let n = out.job_ids.len();
-        out.map_lanes = LaneMatrix::from_row_major(&out.map_dyn, MAP_DYNAMIC_COLUMNS.len(), n);
-        out.red_lanes = LaneMatrix::from_row_major(&out.red_dyn, RED_DYNAMIC_COLUMNS.len(), n);
-        // The usual merge changes rows, not the set or order of distinct
-        // statics: keep the table, and its hash map, as they are.
-        let unchanged = !self.fresh && self.remap.iter().enumerate().all(|(i, &id)| id == i as u32);
-        out.statics = if unchanged {
-            Arc::clone(self.base)
-        } else {
-            Arc::new(self.table)
-        };
-        out
-    }
-}
-
-impl Default for ColumnarIndex {
-    /// The index of an empty namespace.
-    fn default() -> Self {
-        ColumnarIndex {
-            job_ids: Vec::new(),
-            map_dyn: Vec::new(),
-            red_dyn: Vec::new(),
-            map_lanes: LaneMatrix::empty(MAP_DYNAMIC_COLUMNS.len()),
-            red_lanes: LaneMatrix::empty(RED_DYNAMIC_COLUMNS.len()),
-            has_reduce: Vec::new(),
-            cost: Vec::new(),
-            input_bytes: Vec::new(),
-            statics_id: Vec::new(),
-            statics: Arc::default(),
-        }
-    }
-}
-
-impl ColumnarIndex {
-    /// This index with `pending` applied — one pass over both in key
-    /// order, copying the runs of rows between deltas; reads no store row.
-    /// Fails if a delta carries `Static/` cells that do not decode.
-    fn merged(
-        &self,
-        pending: &BTreeMap<Arc<str>, Option<IndexRow>>,
-    ) -> Result<ColumnarIndex, ProfileStoreError> {
-        let mut builder = IndexBuilder::new(self.len() + pending.len(), &self.statics);
-        let mut next = 0;
-        for (job_id, delta) in pending {
-            let at = next + self.job_ids[next..].partition_point(|j| j < job_id);
-            builder.copy_rows(self, next..at);
-            // The job's old row, if it had one, is replaced or dropped.
-            next = at + usize::from(self.job_ids.get(at) == Some(job_id));
-            if let Some(row) = delta {
-                builder.push_row(Arc::clone(job_id), row)?;
-            }
-        }
-        builder.copy_rows(self, next..self.len());
-        Ok(builder.finish())
-    }
-
-    /// The row of `job_id`, if it is indexed.
-    fn find(&self, job_id: &str) -> Option<usize> {
-        self.job_ids.binary_search_by(|j| (**j).cmp(job_id)).ok()
-    }
-
-    /// The `Static/` cells of the row's job, if it has the row.
-    fn static_cells(&self, row: usize) -> Option<&StaticCells> {
-        let sets = &self.statics.cells.sets;
-        sets.get(self.statics_id[row] as usize)
-            .map(|(_, cells)| cells)
-    }
-
-    pub fn len(&self) -> usize {
-        self.job_ids.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.job_ids.is_empty()
-    }
-
-    pub fn job_id(&self, row: usize) -> &str {
-        &self.job_ids[row]
-    }
-
-    pub fn map_dyn(&self, row: usize) -> &[f64] {
-        let d = MAP_DYNAMIC_COLUMNS.len();
-        &self.map_dyn[row * d..(row + 1) * d]
-    }
-
-    /// `None` for map-only jobs (which cannot serve a reduce side).
-    pub fn red_dyn(&self, row: usize) -> Option<&[f64]> {
-        if !self.has_reduce[row] {
-            return None;
-        }
-        let d = RED_DYNAMIC_COLUMNS.len();
-        Some(&self.red_dyn[row * d..(row + 1) * d])
-    }
-
-    pub fn cost_factors(&self, row: usize) -> &[f64] {
-        let d = CostFactors::names().len();
-        &self.cost[row * d..(row + 1) * d]
-    }
-
-    pub fn input_bytes(&self, row: usize) -> f64 {
-        self.input_bytes[row]
-    }
-
-    pub fn statics(&self, row: usize) -> Option<&StoredStatics> {
-        let decoded = &self.statics.decoded;
-        decoded.get(self.statics_id[row] as usize).map(Arc::as_ref)
-    }
-
-    /// Which of the [`Self::distinct_statics`] static-feature sets the
-    /// row carries (`None`: the job has no `Static/` row). Rows with equal
-    /// ids have equal [`Self::statics`], so whatever is computed from a
-    /// row's statics alone needs computing once per id.
-    pub fn statics_id(&self, row: usize) -> Option<usize> {
-        let id = self.statics_id[row];
-        (id != NO_STATICS).then_some(id as usize)
-    }
-
-    /// How many distinct static-feature sets the rows carry; every
-    /// [`Self::statics_id`] is below it.
-    pub fn distinct_statics(&self) -> usize {
-        self.statics.decoded.len()
-    }
-
-    /// Stage-1 sweep over the map-side dynamic features: rows whose
-    /// normalized Euclidean distance to `q` is within `theta`, in store
-    /// order. The vectorized `LaneMatrix::sweep` performs the exact
-    /// floating-point operations of [`MinMaxNormalizer::distance`] (the
-    /// function the pushed-down scan filter calls) with the loop nest
-    /// interchanged, so the survivor set is bit-identical to the scan
-    /// path's and to [`Self::sweep_map_dyn_scalar`].
-    pub fn sweep_map_dyn(&self, bounds: &MinMaxNormalizer, q: &[f64], theta: f64) -> Vec<usize> {
-        self.map_lanes.sweep(&bounds.prepare(q), theta, None)
-    }
-
-    /// Stage-1 sweep over the reduce-side dynamic features; map-only rows
-    /// never survive.
-    pub fn sweep_red_dyn(&self, bounds: &MinMaxNormalizer, q: &[f64], theta: f64) -> Vec<usize> {
-        self.red_lanes
-            .sweep(&bounds.prepare(q), theta, Some(&self.has_reduce))
-    }
-
-    /// The pre-vectorization map-side sweep: one scalar
-    /// [`MinMaxNormalizer::distance`] call per row-major row. Kept as the
-    /// reference implementation `perf_report` times the lane-blocked sweep
-    /// against (the property suite's oracle is [`ProfileStore::filter_dynamic`]).
-    pub fn sweep_map_dyn_scalar(
-        &self,
-        bounds: &MinMaxNormalizer,
-        q: &[f64],
-        theta: f64,
-    ) -> Vec<usize> {
-        self.map_dyn
-            .chunks_exact(MAP_DYNAMIC_COLUMNS.len())
-            .enumerate()
-            .filter(|(_, row)| bounds.distance(q, row) <= theta)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-fn job_id_of(id: &[u8]) -> Result<&str, ProfileStoreError> {
+pub(crate) fn job_id_of(id: &[u8]) -> Result<&str, ProfileStoreError> {
     std::str::from_utf8(id).map_err(|_| ProfileStoreError::Corrupt("non-UTF8 job id".to_string()))
-}
-
-/// Decode a `Static/` row from its cells (sorted by column).
-fn decode_statics(cells: &[(Bytes, Bytes)]) -> Result<StoredStatics, ProfileStoreError> {
-    let value = |column: &str| {
-        cells
-            .binary_search_by(|(c, _)| c.as_ref().cmp(column.as_bytes()))
-            .ok()
-            .map(|i| &cells[i].1)
-    };
-    let read_side =
-        |names: &[&'static str], cfg_col: &str| -> Result<SideFeatures, ProfileStoreError> {
-            let mut categorical = Vec::with_capacity(names.len());
-            for name in names {
-                let v = value(name)
-                    .map(|b| String::from_utf8_lossy(b).to_string())
-                    .unwrap_or_else(|| "NULL".to_string());
-                categorical.push((*name, v));
-            }
-            let cfg: Option<Cfg> = match value(cfg_col) {
-                Some(bytes) => Some(decode_cfg(bytes)?),
-                None => None,
-            };
-            Ok(SideFeatures { categorical, cfg })
-        };
-    Ok(StoredStatics {
-        map: read_side(
-            &[
-                "IN_FORMATTER",
-                "MAPPER",
-                "MAP_IN_KEY",
-                "MAP_IN_VAL",
-                "MAP_OUT_KEY",
-                "MAP_OUT_VAL",
-                "COMBINER",
-                "PARTITIONER",
-            ],
-            MAP_CFG_COLUMN,
-        )?,
-        reduce: read_side(
-            &[
-                "REDUCER",
-                "RED_OUT_KEY",
-                "RED_OUT_VAL",
-                "OUT_FORMATTER",
-                "RED_IN_KEY",
-                "RED_IN_VAL",
-            ],
-            RED_CFG_COLUMN,
-        )?,
-    })
-}
-
-fn decode_cost_factors(row: &RowView<'_>, job_id: &str) -> Result<[f64; COSTS], ProfileStoreError> {
-    let mut costs = [0.0; COSTS];
-    for (v, name) in costs.iter_mut().zip(CostFactors::NAMES) {
-        let bytes = cell(row, name).ok_or_else(|| {
-            ProfileStoreError::Corrupt(format!("CostFactor/{job_id} missing {name}"))
-        })?;
-        *v = decode_f64(bytes)?;
-    }
-    Ok(costs)
 }
 
 /// A decoded `Dynamic/` row as seen by pushdown predicates.
@@ -1817,7 +1013,7 @@ impl DynamicRow {
     /// that scanned the row ([`ProfileStore::skip`]).
     fn parse(row: &RowView<'_>, skip: usize) -> Option<DynamicRow> {
         let job_id = std::str::from_utf8(row.key.get(skip..)?).ok()?;
-        let dynamic = Dynamic::parse(row)?;
+        let dynamic = index::Dynamic::parse(row)?;
         Some(DynamicRow {
             job_id: job_id.to_string(),
             map_dyn: dynamic.map_dyn.to_vec(),
@@ -2026,10 +1222,10 @@ mod tests {
             let from_store = store.get_statics(id).unwrap().unwrap();
             assert_eq!(statics.map.jaccard(&from_store.map), 1.0);
             let profile = store.get_profile(id).unwrap().unwrap();
-            assert_eq!(index.map_dyn(i), profile.map.dynamic_features());
+            assert_eq!(index.map_dyn(i)[..], profile.map.dynamic_features()[..]);
             assert_eq!(index.input_bytes(i), profile.input_bytes);
             match &profile.reduce {
-                Some(r) => assert_eq!(index.red_dyn(i).unwrap(), r.dynamic_features()),
+                Some(r) => assert_eq!(index.red_dyn(i).unwrap()[..], r.dynamic_features()[..]),
                 None => assert!(index.red_dyn(i).is_none()),
             }
         }

@@ -282,7 +282,7 @@ fn check_views(views: &[ProfileStore; 3], whole_jobs: bool, step: &str) {
             assert_eq!(maintained.statics(r), oracle.statics(r), "{at}");
             assert_eq!(maintained.statics_id(r), oracle.statics_id(r), "{at}");
         }
-        // ... and whatever no accessor shows: lane matrices, the table.
+        // ... and whatever no accessor shows: the columns, the table.
         assert!(*maintained == oracle, "{step}: view {v}: index != oracle");
 
         assert_eq!(view.len().unwrap(), oracle.len(), "{step}: view {v}: len");
@@ -293,7 +293,7 @@ fn check_views(views: &[ProfileStore; 3], whole_jobs: bool, step: &str) {
         // The index is a projection of the stored rows: every row of it
         // equals point reads of the job's `Static/` and `CostFactor/` rows
         // and the `Dynamic/` row an accept-all pushdown scan returns. With
-        // sweep ≡ scalar ≡ pushdown filter above, that is all the matcher
+        // sweep ≡ pushdown filter above, that is all the matcher
         // reads before compose.
         let (dynamic, _) = view.filter_dynamic(|_| true).unwrap();
         assert_eq!(dynamic.len(), maintained.len(), "{step}: view {v}: rows");
@@ -302,7 +302,7 @@ fn check_views(views: &[ProfileStore; 3], whole_jobs: bool, step: &str) {
             let at = format!("{step}: view {v}: row {r} ({job})");
             assert_eq!(row.job_id, job, "{at}");
             assert_eq!(row.map_dyn, maintained.map_dyn(r), "{at}");
-            assert_eq!(row.red_dyn.as_deref(), maintained.red_dyn(r), "{at}");
+            assert_eq!(row.red_dyn, maintained.red_dyn(r).map(Vec::from), "{at}");
             assert_eq!(row.input_bytes, maintained.input_bytes(r), "{at}");
             let statics = view.get_statics(job).unwrap();
             assert_eq!(statics.as_ref(), maintained.statics(r), "{at}");
@@ -467,8 +467,12 @@ fn assert_built_from_point_reads(store: &ProfileStore, when: &str) {
         assert_eq!(row.job_id, job, "{at}");
         let profile = store.get_profile(job).unwrap().unwrap();
         let red = profile.reduce.as_ref().map(|red| red.dynamic_features());
-        assert_eq!(index.map_dyn(r), profile.map.dynamic_features(), "{at}");
-        assert_eq!(index.red_dyn(r), red.as_deref(), "{at}");
+        assert_eq!(
+            index.map_dyn(r)[..],
+            profile.map.dynamic_features()[..],
+            "{at}"
+        );
+        assert_eq!(index.red_dyn(r).map(Vec::from), red, "{at}");
         assert_eq!(index.input_bytes(r), profile.input_bytes, "{at}");
         assert_eq!(
             index.cost_factors(r),
