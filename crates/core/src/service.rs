@@ -70,15 +70,9 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Admission bound on concurrently *tuning* submissions (the full
     /// sample → match → CBO pipeline). With every slot taken a
-    /// submission is shed down the degradation ladder.
+    /// submission is shed down the degradation ladder; `0` sheds every
+    /// submission.
     pub max_in_flight: usize,
-    /// Admission bound on the memory charged to in-flight tuning
-    /// pipelines, in bytes.
-    pub memory_budget_bytes: u64,
-    /// Memory charged per tuning pipeline against
-    /// [`Self::memory_budget_bytes`] (sample profile + columnar index
-    /// snapshot + CBO search state).
-    pub submission_memory_bytes: u64,
     /// Consecutive hard failures (not degradations) before a tenant's
     /// circuit breaker opens.
     pub breaker_max_failures: u32,
@@ -103,8 +97,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_depth: 64,
             max_in_flight: 4,
-            memory_budget_bytes: 256 << 20,
-            submission_memory_bytes: 32 << 20,
             breaker_max_failures: 3,
             breaker_cooldown: 8,
             dlq_capacity: 64,
@@ -228,10 +220,8 @@ struct Sched {
     queued: usize,
     /// Requests currently being processed by workers.
     in_flight: usize,
-    /// Admission: tuning pipelines in flight (≤ `max_in_flight`) and the
-    /// memory charged to them (≤ `memory_budget_bytes`).
+    /// Admission: tuning pipelines in flight (≤ `max_in_flight`).
     tasks_in_flight: usize,
-    memory_in_use: u64,
     /// Tenants that have had a submission claimed.
     tenants: usize,
     shutdown: bool,
@@ -315,7 +305,6 @@ impl TuningService {
                 queued: 0,
                 in_flight: 0,
                 tasks_in_flight: 0,
-                memory_in_use: 0,
                 tenants: 0,
                 shutdown: false,
             }),
@@ -647,15 +636,10 @@ fn claim(inner: &Inner) -> Option<(Request, Gate)> {
         return Some((req, Gate::FastFail));
     }
 
-    // Admission: a full tuning pipeline needs one slot and its memory
-    // charge. Either one exhausted → shed, still serialized with the
-    // tenant's other submissions.
-    let mem = cfg.submission_memory_bytes;
-    let gate = if sched.tasks_in_flight < cfg.max_in_flight.max(1)
-        && cfg.memory_budget_bytes - sched.memory_in_use >= mem
-    {
+    // Admission: a full tuning pipeline needs one slot. None free → shed,
+    // still serialized with the tenant's other submissions.
+    let gate = if sched.tasks_in_flight < cfg.max_in_flight {
         sched.tasks_in_flight += 1;
-        sched.memory_in_use += mem;
         Gate::Admitted
     } else {
         obs.incr("service.admission.shed", 1);
@@ -670,10 +654,6 @@ fn admission_gauges(obs: &obs::Registry, sched: &Sched) {
     obs.set_gauge(
         "service.admission.tasks_in_flight",
         sched.tasks_in_flight as f64,
-    );
-    obs.set_gauge(
-        "service.admission.memory_in_use",
-        sched.memory_in_use as f64,
     );
 }
 
@@ -706,7 +686,6 @@ fn complete(inner: &Inner, req: &Request, gate: Gate, outcome: &ServiceOutcome) 
     let sched = &mut *guard;
     if gate == Gate::Admitted {
         sched.tasks_in_flight -= 1;
-        sched.memory_in_use -= cfg.submission_memory_bytes;
         admission_gauges(obs, sched);
     }
     let tq = sched.queues.get_mut(tenant);
@@ -900,12 +879,12 @@ mod tests {
 
     #[test]
     fn memory_exhaustion_sheds_through_the_ladder() {
-        // Tasks are plentiful but the memory budget fits nothing: every
-        // submission sheds through the tenant's daemon (admission shed,
-        // not queue shed) and still serves.
+        // No tuning slot at all: every submission sheds through the
+        // tenant's daemon (admission shed, not queue shed) and still
+        // serves.
         let svc = small_service(ServiceConfig {
             workers: 2,
-            memory_budget_bytes: 1,
+            max_in_flight: 0,
             ..ServiceConfig::default()
         });
         let spec = jobs::word_count();
@@ -1071,7 +1050,6 @@ mod tests {
         assert_eq!(counter(&svc, "tenant.b.failed"), 1);
         let gauges = svc.obs().snapshot().gauges;
         assert_eq!(gauges["service.admission.tasks_in_flight"], 0.0);
-        assert_eq!(gauges["service.admission.memory_in_use"], 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ticket awaited before the next is submitted, so the transcript is a
 //! function of the script alone: profile → tune; the queue-full shed
 //! (`queue_depth: 0`, tenants that are only ever shed); the admission shed
-//! (`memory_budget_bytes: 1`); and a breaker's whole life — two hard
+//! (`max_in_flight: 0`); and a breaker's whole life — two hard
 //! failures trip it, its fast-fails, a half-open trial that closes it, a
 //! second trip, a half-open trial that fails and re-opens it, the
 //! dead-letter queue overflowing at `dlq_capacity: 2` — beside a healthy
@@ -222,7 +222,7 @@ fn queue_full_shed_is_pinned() {
     s.finish("QUEUE_FULL_SHED", QUEUE_FULL_SHED);
 }
 
-/// `memory_budget_bytes: 1`: every claimed submission is shed through its
+/// `max_in_flight: 0`: every claimed submission is shed through its
 /// tenant's daemon — with the request's faults, so a hostile one fails
 /// hard and is dead-lettered.
 #[test]
@@ -231,7 +231,7 @@ fn admission_shed_is_pinned() {
         ClusterSpec::ec2_c1_medium_16(),
         ServiceConfig {
             workers: 2,
-            memory_budget_bytes: 1,
+            max_in_flight: 0,
             ..ServiceConfig::default()
         },
     );

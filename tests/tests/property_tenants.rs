@@ -286,7 +286,6 @@ fn flooding_tenant_sheds_itself_but_not_its_neighbour() {
             // Two slots: per-tenant FIFO means the spammer can hold at
             // most one, so the quiet tenant always finds the other.
             max_in_flight: 2,
-            memory_budget_bytes: 2 * (32 << 20),
             cbo: small_cbo(),
             ..ServiceConfig::default()
         },
