@@ -571,7 +571,6 @@ tenant.zen.profiled = 1
 tenant.zen.submissions = 2
 tenant.zen.tuned = 1
 -- gauges
-service.admission.memory_in_use = 0
 service.admission.tasks_in_flight = 0
 service.queue.depth = 0
 service.queue.peak_depth = 1
@@ -618,7 +617,6 @@ tenant.zen.degraded = 1
 tenant.zen.shed = 1
 tenant.zen.submissions = 1
 -- gauges
-service.admission.memory_in_use = 0
 service.admission.tasks_in_flight = 0
 service.queue.depth = 0
 service.queue.peak_depth = 1
@@ -666,7 +664,6 @@ tenant.good.profiled = 1
 tenant.good.submissions = 3
 tenant.good.tuned = 2
 -- gauges
-service.admission.memory_in_use = 0
 service.admission.tasks_in_flight = 0
 service.queue.depth = 0
 service.queue.peak_depth = 1
