@@ -196,13 +196,14 @@ pub fn match_profile(
     if store.tenant() != cfstore::encoding::DEFAULT_TENANT {
         span.attr("tenant", store.tenant());
     }
-    if store.is_empty()? {
+    // One snapshot serves the whole match, the empty check included.
+    let index = store.columnar_index()?;
+    if index.is_empty() {
         reg.incr("matcher.no_match", 1);
         span.attr("outcome", "empty_store");
         return Ok(Err(MatchFailure::EmptyStore));
     }
     let bounds = store.normalization_bounds()?;
-    let index = store.columnar_index()?;
 
     // ---- Map side -------------------------------------------------------
     let map_side = match match_side(store, q, cfg, Side::Map, &bounds, &index)? {
