@@ -159,12 +159,6 @@ pub struct Dataflow {
 }
 
 impl Dataflow {
-    /// Total map output records at logical scale (before combining).
-    pub fn total_map_out_records(&self) -> f64 {
-        let per_chunk: f64 = self.per_task.iter().map(|t| t.out_records).sum();
-        per_chunk * self.num_map_tasks as f64 / self.per_task.len() as f64
-    }
-
     /// Total map output bytes at logical scale (before combining).
     pub fn total_map_out_bytes(&self) -> f64 {
         let per_chunk: f64 = self.per_task.iter().map(|t| t.out_bytes).sum();
