@@ -752,3 +752,49 @@ impl ColumnarIndex {
         sweep(&self.red_cols, &prep, theta, Some(&self.has_reduce))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The sweep against one [`MinMaxNormalizer::distance`] per row, at
+    /// every length from 0 to 17 rows: no block of eight, one, two, and a
+    /// tail of every size. The second dimension is degenerate (its bounds
+    /// span nothing), with stored values equal to, below and above the
+    /// query's; the mask drops rows that would otherwise survive, in the
+    /// blocks and in the tail.
+    #[test]
+    fn sweep_matches_a_per_row_distance_at_every_length() {
+        let bounds = MinMaxNormalizer {
+            mins: vec![0.0, 5.0, -1.0],
+            maxs: vec![1.0, 5.0, 1.0],
+        };
+        let (q, theta) = ([0.4, 5.0, 0.0], 0.6);
+        let prep = bounds.prepare(&q);
+        assert!(matches!(prep[1], DimPrep::Degenerate { .. }));
+        let row = |r: usize| {
+            [
+                (r % 5) as f64 / 4.0,
+                [5.0, 4.0, 5.5][r % 3],
+                (r % 7) as f64 / 3.0,
+            ]
+        };
+        let (mut in_tail, mut masked) = (0, 0);
+        for len in 0..=17 {
+            let cols: Vec<Vec<f64>> = (0..3)
+                .map(|d| (0..len).map(|r| row(r)[d]).collect())
+                .collect();
+            let mask: Vec<bool> = (0..len).map(|r| r % 4 != 1).collect();
+            let near: Vec<usize> = (0..len)
+                .filter(|&r| bounds.distance(&q, &row(r)) <= theta)
+                .collect();
+            let kept: Vec<usize> = near.iter().copied().filter(|&r| mask[r]).collect();
+            assert_eq!(sweep(&cols, &prep, theta, None), near, "{len} rows");
+            assert_eq!(sweep(&cols, &prep, theta, Some(&mask)), kept, "{len} rows");
+            in_tail += near.iter().filter(|&&r| r >= len / 8 * 8).count();
+            masked += near.len() - kept.len();
+        }
+        // The cases reach what they are for.
+        assert!(in_tail > 0 && masked > 0, "{in_tail} {masked}");
+    }
+}
