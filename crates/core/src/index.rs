@@ -602,11 +602,11 @@ fn sweep(cols: &[Vec<f64>], prep: &[DimPrep], theta: f64, mask: Option<&[bool]>)
     let len = cols.first().map_or(0, Vec::len);
     let keep = |row: usize, acc: f64| acc.sqrt() <= theta && mask.is_none_or(|m| m[row]);
     let mut out = Vec::new();
-    let blocks = len / SWEEP_LANES;
-    for b in 0..blocks {
+    let full = len - len % SWEEP_LANES;
+    for base in (0..full).step_by(SWEEP_LANES) {
         let mut acc = [0.0f64; SWEEP_LANES];
         for (col, p) in cols.iter().zip(prep) {
-            let ys = &col.as_chunks::<SWEEP_LANES>().0[b];
+            let ys = &col[base..base + SWEEP_LANES];
             match *p {
                 // The hot regime: branch-free per row, vectorizes.
                 DimPrep::Scaled { min, range, nx } => {
@@ -625,10 +625,13 @@ fn sweep(cols: &[Vec<f64>], prep: &[DimPrep], theta: f64, mask: Option<&[bool]>)
                 }
             }
         }
-        let base = b * SWEEP_LANES;
-        out.extend((base..base + SWEEP_LANES).filter(|&row| keep(row, acc[row - base])));
+        for (row, acc) in (base..).zip(acc) {
+            if keep(row, acc) {
+                out.push(row);
+            }
+        }
     }
-    for row in blocks * SWEEP_LANES..len {
+    for row in full..len {
         let mut acc = 0.0;
         for (col, p) in cols.iter().zip(prep) {
             let dd = p.delta(col[row]);
