@@ -217,6 +217,19 @@ if [ "$core_panics" -gt 3 ]; then
   echo "core/store.rs panic sites: $core_panics (max 3)"; exit 1
 fi
 
+# One index layout (DESIGN.md §41): each dynamic feature is held once, as
+# one column per dimension, with no lane-blocked copy beside it and no
+# scalar twin of the sweep; and the index, its builder, its row parsers
+# and the fold of pending writes live in core/index.rs, not in the store.
+step "source gate (one index layout)"
+if nontest $(find crates -name '*.rs') | grep -E 'LaneMatrix|from_row_major|sweep_map_dyn_scalar'; then
+  echo "crates/ must not name LaneMatrix, from_row_major or sweep_map_dyn_scalar"; exit 1
+fi
+if nontest crates/core/src/store.rs | grep -E 'IndexBuilder|overlay_cells|CellSets'; then
+  echo "core/store.rs must not name IndexBuilder, overlay_cells or CellSets"; exit 1
+fi
+index_lines=$(nontest crates/core/src/store.rs crates/core/src/index.rs | wc -l)
+
 # A sharded index build walks each shard's rows in place (DESIGN.md §34):
 # `Backend::visit` forwards to the store's own walk on either backend and
 # scans nothing.
@@ -519,4 +532,6 @@ printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + flush
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
 # 2357 before replay was apply (DESIGN.md §24).
 printf '%6d  non-test lines in store.rs + recovery.rs + region.rs\n' "$store_core_lines"
+# 1886 before the index left the store with one layout (DESIGN.md §41).
+printf '%6d  non-test lines in core/src/store.rs + index.rs\n' "$index_lines"
 echo "CI OK"
