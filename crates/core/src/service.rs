@@ -537,18 +537,18 @@ impl Drop for TuningService {
 enum Gate {
     /// The tenant's breaker is open: dead-lettered at the claim, not run.
     FastFail,
-    /// No tuning slot or no memory for it: runs untuned, holding nothing.
+    /// No tuning slot free: runs untuned, holding nothing.
     Shed,
-    /// Holds one tuning slot and its memory charge until completion.
+    /// Holds one tuning slot until completion.
     Admitted,
 }
 
 /// A worker takes the lock twice per submission. The *claim* decides
 /// everything the scheduler decides — which tenant runs, whether its
-/// breaker lets the submission through, whether a tuning slot and its
-/// memory charge are free; the *completion* applies everything the
-/// finished submission changes. The submission runs between the two with
-/// no lock held, and the ticket resolves after the second, so
+/// breaker lets the submission through, whether a tuning slot is free;
+/// the *completion* applies everything the finished submission changes.
+/// The submission runs between the two with no lock held, and the ticket
+/// resolves after the second, so
 /// `dead_letters()` and the counters are current when `wait()` returns.
 fn worker_loop(inner: &Inner) {
     while let Some((req, gate)) = claim(inner) {
