@@ -26,13 +26,25 @@
 //!    so the budget is a hard ceiling, not a hint.
 //! 4. **Fills off the lock, one per block.** A miss leaves a marker for
 //!    the block in the map and reads, CRC-checks and decodes with the lock
-//!    released, so readers of different blocks fill side by side (the
-//!    threads of one scan, DESIGN.md §28). A reader that finds the marker
-//!    waits for that fill and then looks again — a hit that bumps recency
-//!    as any hit does — so concurrent readers of one block fill it once.
-//!    Admission takes the lock again after the fill. A single thread's
-//!    hits, misses, evictions and eviction order are what they were when
-//!    the lock was held across the fill.
+//!    released, so readers of different blocks fill side by side. A
+//!    reader that finds the marker waits for that fill and then looks
+//!    again — a hit that bumps recency as any hit does — so concurrent
+//!    readers of one block fill it once. Admission takes the lock again
+//!    after the fill. A single thread's hits, misses, evictions and
+//!    eviction order are what they were when the lock was held across the
+//!    fill.
+//! 5. **Only a point read admits** (DESIGN.md §42). [`get_or_load`] is
+//!    the point get's read. Every walk of many blocks — a range scan or
+//!    visit, a region's promotion, a scrub — reads through
+//!    [`peek_or_read`]: a cached block is served without touching its
+//!    recency, any other block is read and verified but not admitted,
+//!    and a fill in flight is not waited for. Nothing re-reads what an
+//!    index build or a promotion walked, so the budget holds the blocks
+//!    point gets come back to, as a full scan with HBase's
+//!    `setCacheBlocks(false)` leaves them.
+//!
+//! [`get_or_load`]: BlockCache::get_or_load
+//! [`peek_or_read`]: BlockCache::peek_or_read
 //!
 //! Counters (recorded against the store's `obs` registry):
 //! `cfstore.block_cache.hits`, `.misses`, `.evictions`, `.fill_bytes`.
@@ -129,10 +141,10 @@ impl BlockCache {
         }
     }
 
-    /// Drop every cached block of one reader. Called when a heal
-    /// replaces a corrupt segment: the reader id is process-unique and
-    /// never reused, so without this its admitted blocks would pin cache
-    /// budget until evicted by pressure.
+    /// Drop every cached block of one reader. Called when a region drops
+    /// its segment, promoted or healed: the reader id is process-unique
+    /// and never reused, so without this its admitted blocks would pin
+    /// cache budget until evicted by pressure.
     pub fn evict_reader(&self, reader_id: u64) {
         let mut inner = self.lock();
         let victims: Vec<(u64, Key)> = inner
@@ -190,6 +202,27 @@ impl BlockCache {
         let (block, bytes) = fill(reader, idx)?;
         obs.incr("cfstore.block_cache.fill_bytes", bytes);
         claim.admit(block.clone(), bytes, &obs);
+        Ok(block)
+    }
+
+    /// Serve block `idx` of `reader` to a walk that reads around the
+    /// cache: a cached block is a hit that leaves its recency alone, and
+    /// any other block, one being filled included, is a CRC-verified read
+    /// that is not admitted. The entries, their bytes and their LRU order
+    /// are the point reads' alone.
+    pub fn peek_or_read(
+        &self,
+        reader: &SegmentReader,
+        idx: usize,
+    ) -> Result<Arc<Block>, SegmentError> {
+        let obs = self.obs.read().clone();
+        if let Some(Slot::Cached(entry)) = self.lock().map.get(&(reader.id(), idx as u32)) {
+            obs.incr("cfstore.block_cache.hits", 1);
+            return Ok(entry.block.clone());
+        }
+        obs.incr("cfstore.block_cache.misses", 1);
+        let (block, bytes) = fill(reader, idx)?;
+        obs.incr("cfstore.block_cache.fill_bytes", bytes);
         Ok(block)
     }
 }
@@ -321,6 +354,34 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         assert!(cache.get_or_load(&reader, 0).is_ok());
         assert_eq!(cache.stats().entries, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A walk's read serves a cached block without moving it in the LRU
+    /// order, reads any other block without admitting it, and reads a
+    /// block another reader is filling instead of waiting for it.
+    #[test]
+    fn a_peek_admits_nothing_and_moves_nothing() {
+        let (path, reader) = sample_segment("peek", 100);
+        let cache = BlockCache::new(1 << 20);
+        let obs = obs::Registry::new();
+        cache.set_obs(obs.clone());
+        let order = || cache.lock().order.values().copied().collect::<Vec<Key>>();
+        let a = cache.get_or_load(&reader, 0).unwrap();
+        cache.get_or_load(&reader, 1).unwrap();
+        let before = (cache.stats(), order());
+
+        assert!(Arc::ptr_eq(&a, &cache.peek_or_read(&reader, 0).unwrap()));
+        cache.peek_or_read(&reader, 2).unwrap();
+        cache.lock().map.insert((reader.id(), 3), Slot::Filling);
+        cache.peek_or_read(&reader, 3).unwrap();
+        assert_eq!((cache.stats(), order()), before);
+
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters["cfstore.block_cache.hits"], 1);
+        assert_eq!(snap.counters["cfstore.block_cache.misses"], 4);
+        let read: u64 = (0..4).map(|i| reader.block_bytes(i)).sum();
+        assert_eq!(snap.counters["cfstore.block_cache.fill_bytes"], read);
         std::fs::remove_file(&path).unwrap();
     }
 

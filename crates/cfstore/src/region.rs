@@ -12,11 +12,12 @@
 //!   the pre-PR-6 behaviour. Every mutable region is in this state.
 //! * **Segment-backed (lazy)** — the region was recovered from a flushed
 //!   segment and has not been written since. Reads go block-at-a-time
-//!   through the shared [`BlockCache`]; nothing is materialized beyond
-//!   the blocks a read actually touches. The *first mutation* promotes
-//!   the region to materialized (reading every block once, through the
-//!   cache), so the memstore invariants — and the WAL-covers-memstore
-//!   durability contract — are untouched for anything that can change.
+//!   through the shared [`BlockCache`] (a point get admits its block; a
+//!   range walks around it, DESIGN.md §42); nothing is materialized
+//!   beyond the blocks a read actually touches. The *first mutation*
+//!   promotes the region to materialized (reading every block once), so
+//!   the memstore invariants — and the WAL-covers-memstore durability
+//!   contract — are untouched for anything that can change.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, Range};
@@ -176,10 +177,11 @@ impl Region {
     }
 
     /// Promote a segment-backed region to materialized: read every block
-    /// once (through the cache) into the memstore and drop the base.
-    /// Idempotent; a no-op for materialized regions. Every mutation goes
-    /// through here first, so an unreadable segment is the one error a
-    /// mutation can fail with.
+    /// once (around the cache) into the memstore, drop the base and evict
+    /// the blocks point gets had admitted from it, which nothing can hit
+    /// again. Idempotent; a no-op for materialized regions. Every mutation
+    /// goes through here first, so an unreadable segment is the one error
+    /// a mutation can fail with.
     fn ensure_materialized(&self) -> Result<(), SegmentError> {
         let mut base = self.base.write();
         let Some(b) = base.as_ref() else {
@@ -188,8 +190,9 @@ impl Region {
         let mut rows = self.rows.write();
         debug_assert!(rows.is_empty(), "lazy regions have empty memstores");
         for idx in 0..b.reader.block_count() {
-            rows.extend(b.cache.get_or_load(&b.reader, idx)?.rows());
+            rows.extend(b.cache.peek_or_read(&b.reader, idx)?.rows());
         }
+        b.cache.evict_reader(b.reader.id());
         *base = None;
         Ok(())
     }
@@ -251,7 +254,7 @@ impl Region {
 
     /// Read one row (latest versions only), verifying cell checksums.
     /// On a segment-backed region this reads exactly one block through
-    /// the cache; it never materializes the region.
+    /// the cache, admitting it; it never materializes the region.
     pub fn get(&self, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
         let mut found = None;
         self.walk(Keys::One(row), |row| found = Some(materialize(row)))?;
@@ -279,7 +282,7 @@ impl Region {
     /// filter, which runs on the walked row: a row it drops is never
     /// materialized. Counts every row walked, and every row passed with the
     /// bytes of its values as returned. On a segment-backed region only
-    /// the blocks overlapping the range are read (through the cache).
+    /// the blocks overlapping the range are read, around the cache.
     pub(crate) fn visit(
         &self,
         scan: &Scan,
@@ -306,11 +309,15 @@ impl Region {
     /// Walk the rows `keys` selects in key order, handing each to `each`
     /// once every one of its cells passed its checksum; the first that
     /// does not fails the walk. The one body under every read of rows,
-    /// from a block or from the memstore.
+    /// from a block or from the memstore. Only a point read admits its
+    /// block to the cache; a range reads around it (DESIGN.md §42).
     fn walk(&self, keys: Keys<'_>, mut each: impl FnMut(RowView<'_>)) -> Result<(), StoreError> {
         if let Some(b) = self.base.read().as_ref() {
             for idx in keys.blocks(&b.reader) {
-                let block = b.cache.get_or_load(&b.reader, idx)?;
+                let block = match keys {
+                    Keys::One(_) => b.cache.get_or_load(&b.reader, idx)?,
+                    Keys::Range(..) => b.cache.peek_or_read(&b.reader, idx)?,
+                };
                 let mut cells = Vec::with_capacity(ROW_CELLS);
                 for i in keys.rows(&block) {
                     cells.clear();
@@ -352,7 +359,7 @@ impl Region {
     /// Check every retained cell version of this region against its
     /// write-time checksum ([`kv::first_bad_version`]); the first that
     /// fails is the error. Read where the rows are stored: a
-    /// segment-backed region's blocks one at a time, through the cache,
+    /// segment-backed region's blocks one at a time, around the cache,
     /// without promoting it.
     pub(crate) fn verify_versions(&self) -> Result<(), StoreError> {
         let check = |bad: Option<(&Bytes, &Bytes, u64)>| match bad {
@@ -361,7 +368,7 @@ impl Region {
         };
         if let Some(b) = self.base.read().as_ref() {
             for idx in 0..b.reader.block_count() {
-                for (key, data) in b.cache.get_or_load(&b.reader, idx)?.rows() {
+                for (key, data) in b.cache.peek_or_read(&b.reader, idx)?.rows() {
                     check(kv::first_bad_version([(&key, &data)]))?;
                 }
             }

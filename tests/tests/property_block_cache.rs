@@ -12,11 +12,17 @@
 //! - reopen reads **zero** segment blocks when the WAL is clean (the
 //!   read-amplification bound from ISSUE 6);
 //! - cache occupancy never exceeds the byte budget;
+//! - only a point get admits a block: scans, promotions and scrubs read
+//!   around the cache and leave its entries and LRU order alone
+//!   (DESIGN.md §42);
 //! - a crash injected into the **background** flusher mid-segment-write
 //!   poisons the store without losing a single acked write — the
 //!   manifest never swaps, and recovery replays the intact WAL.
 
-use cfstore::{CrashSpec, MiniStore, Put, RowResult, StoreError, StoreOptions};
+use cfstore::{
+    CrashSpec, MiniStore, Put, RowResult, SegmentReader, ShardOptions, ShardedStore, StoreError,
+    StoreOptions,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -162,17 +168,27 @@ fn check_budget(tag: &str, ops: &[Op], budget: u64) {
         report.segment_blocks
     );
 
-    // Warm scan: identical rows; with an ample budget it is all hits.
+    // Warm scan: identical rows. A scan reads around the cache at every
+    // budget (DESIGN.md §42): it re-reads exactly the cold scan's blocks,
+    // and neither scan leaves an entry.
+    prop_assert_eq!(
+        subject.cache_stats().entries,
+        0,
+        "cold scan admitted a block"
+    );
     let warm = scan_all(&subject);
     prop_assert_eq!(&warm, &want, "warm lazy scan diverges");
-    if budget >= 8 << 20 {
-        prop_assert_eq!(
-            counter(&obs, "cfstore.block_cache.misses"),
-            cold_misses,
-            "ample budget: warm scan must not re-read blocks"
-        );
-        prop_assert!(counter(&obs, "cfstore.block_cache.hits") >= report.segment_blocks);
-    }
+    prop_assert_eq!(
+        counter(&obs, "cfstore.block_cache.misses"),
+        2 * cold_misses,
+        "warm scan must re-read exactly the cold scan's blocks"
+    );
+    prop_assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 0);
+    prop_assert_eq!(
+        subject.cache_stats().entries,
+        0,
+        "warm scan admitted a block"
+    );
 
     // Point gets exercise the single-block path (block_for + get_or_load).
     for key in 0..KEYS {
@@ -242,6 +258,169 @@ proptest! {
         let ops = workload(seed, len);
         check_budget("prop", &ops, budget);
     }
+}
+
+/// `rows` rows of one fixed-size cell each, flushed to segments in `dir`
+/// under a split threshold of `split`.
+fn flushed_rows(dir: &std::path::Path, rows: u64, split: usize) {
+    let (store, _) = MiniStore::open(dir).expect("open");
+    store
+        .create_table_with_threshold(TABLE, &[FAMILY], split)
+        .expect("create_table");
+    for key in 0..rows {
+        let put = Put::new(
+            row_key(key),
+            FAMILY,
+            b"c0".to_vec(),
+            key.to_be_bytes().to_vec(),
+        );
+        store.put(TABLE, put).expect("put");
+    }
+    store.flush().expect("flush");
+}
+
+fn reopen(dir: &std::path::Path, budget: u64) -> (MiniStore, obs::Registry) {
+    let opts = StoreOptions {
+        block_cache_bytes: budget,
+        ..StoreOptions::default()
+    };
+    let (mut store, _) = MiniStore::open_with_opts(dir, opts).expect("reopen");
+    let obs = obs::Registry::new();
+    store.set_obs(obs.clone());
+    (store, obs)
+}
+
+/// Only a point get admits a block (DESIGN.md §42). A scan and the
+/// promotion of a region none of whose blocks is cached leave the cache's
+/// entries and bytes as they found them; promoting a region evicts the
+/// blocks point gets had admitted from its segment; and a scrub, which
+/// walks every replica's blocks, admits none of them.
+#[test]
+fn scans_promotions_and_scrubs_leave_the_cache_as_they_found_it() {
+    let dir = tmp_dir("walks");
+    flushed_rows(&dir, 96, 8);
+    let (store, obs) = reopen(&dir, 8 << 20);
+    for key in [0, 50] {
+        store.get(TABLE, &row_key(key)).expect("get").expect("row");
+    }
+    let found = store.cache_stats();
+    assert_eq!(found.entries, 2);
+
+    assert_eq!(scan_all(&store).len(), 96);
+    assert_eq!(store.cache_stats(), found, "a scan changed the cache");
+
+    apply(
+        &store,
+        &Op::Put {
+            key: 90,
+            col: 1,
+            val: 7,
+        },
+    );
+    assert_eq!(store.cache_stats(), found, "a promotion changed the cache");
+
+    // Row 0's region holds the block its get admitted: promoting the
+    // region drops that block, and row 50's stays.
+    apply(
+        &store,
+        &Op::Put {
+            key: 0,
+            col: 1,
+            val: 7,
+        },
+    );
+    assert_eq!(store.cache_stats().entries, 1);
+    assert!(store.cache_stats().used_bytes < found.used_bytes);
+    // Hits: the scan's two cached blocks, the promotion's read of row 0's
+    // and this get's.
+    store.get(TABLE, &row_key(50)).expect("get").expect("row");
+    assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 4);
+    assert_eq!(counter(&obs, "cfstore.block_cache.evictions"), 0);
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    let dir = tmp_dir("scrub");
+    {
+        let (store, _) = ShardedStore::open(&dir).expect("open sharded");
+        store
+            .create_table_with_threshold(TABLE, &[FAMILY], 8)
+            .expect("create_table");
+        for key in 0..KEYS {
+            let put = Put::new(row_key(key), FAMILY, b"c0".to_vec(), vec![key as u8]);
+            store.put(TABLE, put).expect("put");
+        }
+        store.flush().expect("flush");
+    }
+    let (mut store, _) =
+        ShardedStore::open_with_opts(&dir, ShardOptions::default()).expect("reopen sharded");
+    let obs = obs::Registry::new();
+    store.set_obs(obs.clone());
+    store.get(TABLE, &row_key(3)).expect("get").expect("row");
+    assert_eq!(counter(&obs, "cfstore.block_cache.misses"), 1);
+    assert_eq!(store.scrub().expect("scrub"), 0);
+    let walked = counter(&obs, "cfstore.block_cache.misses") - 1;
+    assert!(walked >= 2, "the scrub read {walked} uncached blocks");
+    assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 1);
+    // A second scrub finds exactly what the first did: the one block the
+    // get admitted, and nothing the first scrub read.
+    assert_eq!(store.scrub().expect("scrub"), 0);
+    assert_eq!(counter(&obs, "cfstore.block_cache.misses"), 1 + 2 * walked);
+    assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 2);
+    store.get(TABLE, &row_key(3)).expect("get").expect("row");
+    assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 3);
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A scan touches no block's recency: with blocks 0 and 1 of one segment
+/// cached at a two-block budget, a full scan in between leaves block 0 the
+/// least recently used, so the get that admits block 2 evicts block 0 and
+/// block 1 still hits.
+#[test]
+fn a_scan_leaves_the_lru_order_to_point_gets() {
+    let dir = tmp_dir("lru");
+    flushed_rows(&dir, 96, 1024);
+    let segments: Vec<SegmentReader> = std::fs::read_dir(&dir)
+        .expect("read_dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .map(|p| SegmentReader::open(&p).expect("segment"))
+        .collect();
+    assert_eq!(segments.len(), 1);
+    let reader = &segments[0];
+    assert_eq!(reader.block_count(), 3);
+    let bytes: Vec<u64> = (0..3).map(|i| reader.block_bytes(i)).collect();
+    let budget = (bytes[0] + bytes[1]).max(bytes[1] + bytes[2]);
+    assert!(
+        bytes.iter().sum::<u64>() > budget,
+        "three blocks fit the budget"
+    );
+
+    let (store, obs) = reopen(&dir, budget);
+    let get = |key: u64| store.get(TABLE, &row_key(key)).expect("get").expect("row");
+    get(0);
+    get(32);
+    assert_eq!(store.cache_stats().entries, 2);
+    assert_eq!(scan_all(&store).len(), 96);
+    assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 2);
+    assert_eq!(counter(&obs, "cfstore.block_cache.misses"), 3);
+
+    get(64);
+    assert_eq!(counter(&obs, "cfstore.block_cache.evictions"), 1);
+    get(32);
+    assert_eq!(
+        counter(&obs, "cfstore.block_cache.hits"),
+        3,
+        "block 1 was evicted"
+    );
+    get(0);
+    assert_eq!(
+        counter(&obs, "cfstore.block_cache.misses"),
+        5,
+        "block 0 was kept"
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Crash injected into the *background* flusher mid-segment-write: the
