@@ -23,7 +23,10 @@
 //! instead of grown (ceiling re-pinned to 3 280). Taking the parts' rows
 //! in key order for the sharded build (DESIGN.md §34) adds three vectors
 //! of row references, one per feature prefix: 2 990 allocations and
-//! 2 471 164 bytes peak, inside both ceilings.
+//! 2 471 164 bytes peak, inside both ceilings. Since scans read around
+//! the block cache (DESIGN.md §42) the reopen's index build admits no
+//! block: 2 940 allocations and 593 141 bytes peak, the peak re-pinned
+//! with the same headroom.
 //!
 //! The sharded row counts one `ProfileStore::reopen_sharded` of a flushed
 //! 3-shard, R = 2 store of two tenants × 500 profiles, and each tenant's
@@ -38,7 +41,10 @@
 //! 6 331 allocations and 6 839 457 bytes peak, re-pinned with the same
 //! headroom; then 6 295 once the slot resolution stopped building a mask
 //! and a turn stack per shard read (allocations ceiling re-pinned to
-//! 6 925); 6 286 once a stored row is flat (DESIGN.md §38).
+//! 6 925); 6 286 once a stored row is flat (DESIGN.md §38); 6 281
+//! allocations and 509 453 bytes peak once no shard's cache admits a
+//! block the index builds walk (DESIGN.md §42), the peak re-pinned with
+//! the same headroom.
 //!
 //! The heap row counts what a durable store of 1 000 profiles holds live
 //! per profile: once [`fill`] has put them, and once the store, flushed
@@ -50,7 +56,9 @@
 //! (DESIGN.md §38) reads 7 834 and 6 758, and 7 210 filled once
 //! `put_profile` shares its fixed column names between puts; pinned with
 //! 10 % headroom. Filled reads 6 210 since every column name, the
-//! categorical ones too, is shared (DESIGN.md §40).
+//! categorical ones too, is shared (DESIGN.md §40). Promoted reads 6 027
+//! since a promotion neither admits the blocks it reads nor keeps those
+//! its segment had in the cache (DESIGN.md §42).
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -71,14 +79,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const REOPEN_ALLOCS: u64 = 3_280;
 /// Ceiling on the heap bytes live at once during one reopen, beyond what
 /// was live before it.
-const REOPEN_PEAK_BYTES: i64 = 2_560_000;
+const REOPEN_PEAK_BYTES: i64 = 653_000;
 
 /// Ceiling on the allocations of one sharded reopen and its tenants'
 /// index builds.
 const SHARDED_ALLOCS: u64 = 6_925;
 /// Ceiling on the heap bytes live at once meanwhile, beyond what was live
 /// before.
-const SHARDED_PEAK_BYTES: i64 = 7_530_000;
+const SHARDED_PEAK_BYTES: i64 = 561_000;
 
 const PROFILES: usize = 1000;
 
