@@ -19,6 +19,8 @@
 //! The final answer composes the map-side winner's map profile with the
 //! reduce-side winner's reduce profile.
 
+use std::cmp::Ordering;
+
 use mrjobs::JobSpec;
 use profiler::JobProfile;
 use staticanalysis::{SideFeatures, StaticFeatures};
@@ -395,23 +397,32 @@ fn match_side(
         };
         dyn_bounds.distance(&q_dyn, stored)
     };
+    // One pass that keeps the first of equal minima, as `min_by` does, and
+    // computes each candidate's gap once and its distance only on a tie
+    // of gaps, at most once.
     let pick = |candidates: &[usize]| -> String {
-        let winner = candidates
-            .iter()
-            .min_by(|&&a, &&b| {
-                if cfg.tie_break_input_size {
-                    let da = (ix.input_bytes(a) - q.input_bytes as f64).abs();
-                    let db = (ix.input_bytes(b) - q.input_bytes as f64).abs();
-                    da.total_cmp(&db)
-                        .then_with(|| dyn_distance(a).total_cmp(&dyn_distance(b)))
-                } else {
-                    // Ablation: no size tie-break; an arbitrary but
-                    // deterministic pick among the candidates.
-                    std::cmp::Ordering::Less
+        let (&first, rest) = candidates.split_first().expect("non-empty candidate set");
+        let mut winner = first;
+        // Ablation: no size tie-break; the first candidate wins.
+        if cfg.tie_break_input_size {
+            let gap = |c: usize| (ix.input_bytes(c) - q.input_bytes as f64).abs();
+            let (mut best_gap, mut best_distance) = (gap(first), None);
+            for &c in rest {
+                let g = gap(c);
+                match g.total_cmp(&best_gap) {
+                    Ordering::Less => (winner, best_gap, best_distance) = (c, g, None),
+                    Ordering::Equal => {
+                        let best = *best_distance.get_or_insert_with(|| dyn_distance(winner));
+                        let d = dyn_distance(c);
+                        if d.total_cmp(&best).is_lt() {
+                            (winner, best_distance) = (c, Some(d));
+                        }
+                    }
+                    Ordering::Greater => {}
                 }
-            })
-            .expect("non-empty candidate set");
-        ix.job_id(*winner).to_string()
+            }
+        }
+        ix.job_id(winner).to_string()
     };
 
     reg.incr("matcher.stage2.survivors", stage2.len() as u64);
@@ -522,6 +533,61 @@ mod tests {
         assert_eq!(result.reduce.as_ref().unwrap().source_job, "word-count");
         assert!(!result.is_composite());
         assert!(!result.map.via_fallback);
+    }
+
+    /// The tie-break takes the smallest input-size gap, then the smallest
+    /// dynamic distance, and of equal candidates the first in key order;
+    /// without it the first candidate wins.
+    #[test]
+    fn tie_break_keeps_the_first_of_equal_candidates() {
+        let (text, spec) = (corpus::random_text_1g(), jobs::word_count());
+        let config = JobConfig::submitted(&spec);
+        let near = collect_full_profile(&spec, &text, &cl(), &config, 17)
+            .unwrap()
+            .0;
+        let mut far = near.clone();
+        far.map.size_selectivity *= 1.03;
+        let q = submitted(&spec, &text, 3);
+        let store = ProfileStore::new().unwrap();
+        let put = |id: &str, profile: &JobProfile, gap: f64| {
+            let profile = JobProfile {
+                job_id: id.to_string(),
+                input_bytes: q.input_bytes as f64 + gap,
+                ..profile.clone()
+            };
+            let statics = StaticFeatures::extract(&spec);
+            store.put_profile(&statics, &profile).unwrap();
+        };
+        let winner = |cfg: MatcherConfig| {
+            let matched = match_profile(&store, &q, &cfg).unwrap().unwrap();
+            let (stage1, _, stage3) = matched.map.survivors;
+            assert_eq!((stage1, stage3), (store.len().unwrap(), stage1));
+            matched.map.source_job
+        };
+        let untied = MatcherConfig {
+            tie_break_input_size: false,
+            ..MatcherConfig::default()
+        };
+
+        put("wc-b", &near, 100.0);
+        put("wc-c", &near, -100.0);
+        assert_eq!(winner(MatcherConfig::default()), "wc-b");
+        put("wc-e", &near, 10.0);
+        assert_eq!(winner(MatcherConfig::default()), "wc-e");
+        assert_eq!(winner(untied), "wc-b");
+
+        // Equal gaps: the smaller distance wins over the first in order.
+        put("wc-a", &far, -10.0);
+        let bounds = store.normalization_bounds().unwrap();
+        let distance = |p: &JobProfile| {
+            let stored = p.map.dynamic_features();
+            bounds
+                .map_dyn
+                .distance(&q.sample.map.dynamic_features(), &stored)
+        };
+        assert!(distance(&far) > distance(&near));
+        assert_eq!(winner(MatcherConfig::default()), "wc-e");
+        assert_eq!(winner(untied), "wc-a");
     }
 
     #[test]
