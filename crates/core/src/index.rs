@@ -17,7 +17,7 @@ use cfstore::encoding::decode_f64;
 use cfstore::RowView;
 use mlmatch::{DimPrep, MinMaxNormalizer};
 use profiler::CostFactors;
-use staticanalysis::{Cfg, SideFeatures};
+use staticanalysis::{Cfg, SideFeatures, MAP_CATEGORICAL, REDUCE_CATEGORICAL};
 
 use crate::codec::decode_cfg;
 use crate::store::{
@@ -173,30 +173,8 @@ pub(crate) fn decode_statics(cells: &[(Bytes, Bytes)]) -> Result<StoredStatics, 
             Ok(SideFeatures { categorical, cfg })
         };
     Ok(StoredStatics {
-        map: read_side(
-            &[
-                "IN_FORMATTER",
-                "MAPPER",
-                "MAP_IN_KEY",
-                "MAP_IN_VAL",
-                "MAP_OUT_KEY",
-                "MAP_OUT_VAL",
-                "COMBINER",
-                "PARTITIONER",
-            ],
-            MAP_CFG_COLUMN,
-        )?,
-        reduce: read_side(
-            &[
-                "REDUCER",
-                "RED_OUT_KEY",
-                "RED_OUT_VAL",
-                "OUT_FORMATTER",
-                "RED_IN_KEY",
-                "RED_IN_VAL",
-            ],
-            RED_CFG_COLUMN,
-        )?,
+        map: read_side(&MAP_CATEGORICAL, MAP_CFG_COLUMN)?,
+        reduce: read_side(&REDUCE_CATEGORICAL, RED_CFG_COLUMN)?,
     })
 }
 

@@ -1144,6 +1144,35 @@ mod tests {
         assert_eq!(stored.reduce.jaccard(&statics.reduce), 1.0);
     }
 
+    /// One list names the categorical `Static/` columns: what
+    /// `StaticFeatures::extract` writes is what a point read and the
+    /// columnar index read back, for every job of the suite.
+    #[test]
+    fn every_suite_jobs_statics_read_back_as_extracted() {
+        let store = ProfileStore::new().unwrap();
+        let (_, template) = profile_of(&jobs::word_count(), &corpus::random_text_1g());
+        let suite = jobs::standard_suite();
+        for spec in &suite {
+            let profile = JobProfile {
+                job_id: spec.job_id(),
+                ..template.clone()
+            };
+            store
+                .put_profile(&StaticFeatures::extract(spec), &profile)
+                .unwrap();
+        }
+        let index = store.columnar_index().unwrap();
+        assert_eq!(index.len(), suite.len());
+        let rows: HashMap<&str, usize> = (0..index.len()).map(|i| (index.job_id(i), i)).collect();
+        for spec in &suite {
+            let want = StaticFeatures::extract(spec);
+            let stored = store.get_statics(&spec.job_id()).unwrap().unwrap();
+            assert_eq!((&stored.map, &stored.reduce), (&want.map, &want.reduce));
+            let indexed = index.statics(rows[spec.job_id().as_str()]).unwrap();
+            assert_eq!((&indexed.map, &indexed.reduce), (&want.map, &want.reduce));
+        }
+    }
+
     #[test]
     fn dynamic_filter_pushdown_prunes_rows() {
         let store = ProfileStore::new().unwrap();

@@ -62,41 +62,60 @@ pub struct StaticFeatures {
     pub reduce: SideFeatures,
 }
 
+/// The names of the map side's categorical features, in vector order:
+/// the `Static/` columns a stored job's map side is read back from.
+pub const MAP_CATEGORICAL: [&str; 8] = [
+    "IN_FORMATTER",
+    "MAPPER",
+    "MAP_IN_KEY",
+    "MAP_IN_VAL",
+    "MAP_OUT_KEY",
+    "MAP_OUT_VAL",
+    "COMBINER",
+    "PARTITIONER",
+];
+
+/// The names of the reduce side's categorical features, in vector order.
+pub const REDUCE_CATEGORICAL: [&str; 6] = [
+    "REDUCER",
+    "RED_OUT_KEY",
+    "RED_OUT_VAL",
+    "OUT_FORMATTER",
+    "RED_IN_KEY",
+    "RED_IN_VAL",
+];
+
 impl StaticFeatures {
     /// Extract the Table 4.3 features from a job spec.
     pub fn extract(spec: &JobSpec) -> StaticFeatures {
-        let map_categorical = vec![
-            ("IN_FORMATTER", spec.input_formatter.clone()),
-            ("MAPPER", spec.mapper_class.clone()),
-            ("MAP_IN_KEY", spec.map_in_key.class_name().to_string()),
-            ("MAP_IN_VAL", spec.map_in_val.class_name().to_string()),
-            ("MAP_OUT_KEY", spec.map_out_key.class_name().to_string()),
-            ("MAP_OUT_VAL", spec.map_out_val.class_name().to_string()),
-            (
-                "COMBINER",
-                spec.combiner_class.clone().unwrap_or_else(|| "NULL".into()),
-            ),
-            ("PARTITIONER", spec.partitioner.class_name().to_string()),
+        let or_null = |class: &Option<String>| class.clone().unwrap_or_else(|| "NULL".into());
+        // Values in the order of `MAP_CATEGORICAL` and `REDUCE_CATEGORICAL`.
+        let map_values = [
+            spec.input_formatter.clone(),
+            spec.mapper_class.clone(),
+            spec.map_in_key.class_name().to_string(),
+            spec.map_in_val.class_name().to_string(),
+            spec.map_out_key.class_name().to_string(),
+            spec.map_out_val.class_name().to_string(),
+            or_null(&spec.combiner_class),
+            spec.partitioner.class_name().to_string(),
         ];
-        let reduce_categorical = vec![
-            (
-                "REDUCER",
-                spec.reducer_class.clone().unwrap_or_else(|| "NULL".into()),
-            ),
-            ("RED_OUT_KEY", spec.red_out_key.class_name().to_string()),
-            ("RED_OUT_VAL", spec.red_out_val.class_name().to_string()),
-            ("OUT_FORMATTER", spec.output_formatter.clone()),
+        let reduce_values = [
+            or_null(&spec.reducer_class),
+            spec.red_out_key.class_name().to_string(),
+            spec.red_out_val.class_name().to_string(),
+            spec.output_formatter.clone(),
             // The reduce side consumes the intermediate key/value types.
-            ("RED_IN_KEY", spec.map_out_key.class_name().to_string()),
-            ("RED_IN_VAL", spec.map_out_val.class_name().to_string()),
+            spec.map_out_key.class_name().to_string(),
+            spec.map_out_val.class_name().to_string(),
         ];
         StaticFeatures {
             map: SideFeatures {
-                categorical: map_categorical,
+                categorical: MAP_CATEGORICAL.into_iter().zip(map_values).collect(),
                 cfg: Some(Cfg::from_udf(&spec.map_udf)),
             },
             reduce: SideFeatures {
-                categorical: reduce_categorical,
+                categorical: REDUCE_CATEGORICAL.into_iter().zip(reduce_values).collect(),
                 cfg: spec.reduce_udf.as_ref().map(Cfg::from_udf),
             },
         }

@@ -10,4 +10,4 @@ pub mod cfg;
 pub mod features;
 
 pub use cfg::{Cfg, Node, NodeKind};
-pub use features::{SideFeatures, StaticFeatures};
+pub use features::{SideFeatures, StaticFeatures, MAP_CATEGORICAL, REDUCE_CATEGORICAL};
