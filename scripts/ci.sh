@@ -162,6 +162,21 @@ if nontest crates/cfstore/src/blockcache.rs | awk '
   exit 1
 fi
 
+# Walks read around the block cache (DESIGN.md §42): only a point read
+# admits a block, so cfstore calls `get_or_load(` at one site, the
+# `Keys::One` arm of `Region::walk`; scans, promotion and the scrub read
+# through `peek_or_read(`.
+step "source gate (walks read around the block cache)"
+loads=$(nontest $cfstore_src | grep -F 'get_or_load(' | grep -vF 'fn get_or_load(' || true)
+walk_body=$(nontest crates/cfstore/src/region.rs |
+  awk '/: +fn walk\(/ && !done { on = 1 } on { print } on && /:     }$/ { on = 0; done = 1 }')
+if [ "$(printf '%s\n' "$loads" | grep -c . || true)" -ne 1 ] ||
+  ! printf '%s\n' "$loads" | grep -qE '^crates/cfstore/src/region\.rs:[0-9]+: +Keys::One\(_\) => ' ||
+  ! printf '%s\n' "$walk_body" | grep -qF "$loads"; then
+  echo "cfstore must call get_or_load( at one site, the Keys::One arm of Region::walk; it calls it at:"
+  printf '%s\n' "$loads"; exit 1
+fi
+
 # Blocks decode flat (DESIGN.md §32): a segment block decodes into one
 # table of cell versions whose fields are offsets into the block's one
 # buffer, so `decode_block` builds no `BTreeMap` and no `RowData`, and the
