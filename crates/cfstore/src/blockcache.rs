@@ -33,18 +33,11 @@
 //!    after the fill. A single thread's hits, misses, evictions and
 //!    eviction order are what they were when the lock was held across the
 //!    fill.
-//! 5. **Only a point read admits** (DESIGN.md §42). [`get_or_load`] is
-//!    the point get's read. Every walk of many blocks — a range scan or
-//!    visit, a region's promotion, a scrub — reads through
-//!    [`peek_or_read`]: a cached block is served without touching its
-//!    recency, any other block is read and verified but not admitted,
-//!    and a fill in flight is not waited for. Nothing re-reads what an
-//!    index build or a promotion walked, so the budget holds the blocks
-//!    point gets come back to, as a full scan with HBase's
-//!    `setCacheBlocks(false)` leaves them.
-//!
-//! [`get_or_load`]: BlockCache::get_or_load
-//! [`peek_or_read`]: BlockCache::peek_or_read
+//! 5. **Only a point read admits** (DESIGN.md §42): a point get reads
+//!    through [`BlockCache::get_or_load`]; a scan, a promotion and a
+//!    scrub read around the cache through [`BlockCache::peek_or_read`],
+//!    as HBase's `setCacheBlocks(false)` scans do, since nothing re-reads
+//!    what they walk.
 //!
 //! Counters (recorded against the store's `obs` registry):
 //! `cfstore.block_cache.hits`, `.misses`, `.evictions`, `.fill_bytes`.
