@@ -58,7 +58,9 @@
 //! 10 % headroom. Filled reads 6 210 since every column name, the
 //! categorical ones too, is shared (DESIGN.md §40). Promoted reads 6 027
 //! since a promotion neither admits the blocks it reads nor keeps those
-//! its segment had in the cache (DESIGN.md §42).
+//! its segment had in the cache (DESIGN.md §42), and its ceiling was
+//! re-pinned to that with the same 10 % headroom: 6 630, down from 7 400,
+//! which a 23 % regression would have passed.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -95,7 +97,7 @@ const PROFILES: usize = 1000;
 const FILLED_BYTES_PER_PROFILE: i64 = 7_900;
 /// Ceiling on the same of that store flushed, reopened and written to in
 /// every region, which promotes each into memory.
-const PROMOTED_BYTES_PER_PROFILE: i64 = 7_400;
+const PROMOTED_BYTES_PER_PROFILE: i64 = 6_630;
 
 /// The tenants of the sharded store, `PROFILES / 2` profiles each.
 const TENANTS: [&str; 2] = ["acme", "zen"];
