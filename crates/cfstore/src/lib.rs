@@ -14,12 +14,12 @@
 //! [`CrashSpec`] so property tests can enumerate "crash anywhere,
 //! reopen, invariants hold".
 //!
-//! Since PR 6 the read and write hot paths are lazy and asynchronous:
-//! reopening a flushed store keeps clean regions *segment-backed* — rows
-//! are read block-at-a-time through a bounded LRU [`BlockCache`] instead
-//! of being materialized wholesale — and flushes can run on a background
-//! flusher thread with a compaction policy that rewrites only dirty
-//! regions, reusing clean segments by reference (DESIGN.md §12).
+//! Since PR 6 the read path is lazy: reopening a flushed store keeps
+//! clean regions *segment-backed* — rows are read block-at-a-time through
+//! a bounded LRU [`BlockCache`] instead of being materialized wholesale —
+//! and a flush rewrites only dirty regions, reusing clean segments by
+//! reference (DESIGN.md §12). The caller decides when to flush; no
+//! thread of cfstore's does (DESIGN.md §43).
 //!
 //! * [`kv`] — cells, puts, row results.
 //! * [`filter`] — pushdown predicates (`RowPrefixFilter`,
@@ -42,7 +42,6 @@
 pub mod blockcache;
 pub mod encoding;
 pub mod filter;
-mod flusher;
 pub mod frame;
 pub mod kv;
 pub mod recovery;

@@ -39,10 +39,10 @@
 //! the replicas that are not. The repair copies every verified row the
 //! suspect shard owns from clean replicas, swaps them in below the
 //! corrupt base ([`Region::install_rows`]), and flushes — rewriting the
-//! bad copy on disk. It runs at the start of every [`ShardedStore::flush`]
-//! and of the background flusher's work, in [`ShardedStore::scrub`]
-//! (which first walks every stored row), and before a write logs to a
-//! region it cannot read: a write has no replica to fail over to.
+//! bad copy on disk. It runs at the start of every [`ShardedStore::flush`],
+//! in [`ShardedStore::scrub`] (which first walks every stored row), and
+//! before a write logs to a region it cannot read: a write has no replica
+//! to fail over to.
 //! Counted per shard as `cfstore.shard.<id>.heal.*` (DESIGN.md §36).
 //! Losing a shard *entirely* (directory deleted, manifest corrupt) is
 //! the degenerate case: reopen rebuilds the whole shard from its
@@ -67,12 +67,10 @@ pub mod resharding;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
-use crate::flusher::Flusher;
 use crate::frame;
 use crate::kv::{Put, RowResult};
 use crate::recovery::{self, io_err, RecoveryError, RecoveryReport};
@@ -128,8 +126,9 @@ pub struct ShardOptions {
     pub replication: u32,
     /// Per-shard block cache budget (each shard owns its cache).
     pub block_cache_bytes: u64,
-    /// When `Some(n)`, a background flusher thread flushes any shard
-    /// whose WAL grew `n` bytes past its last flush.
+    /// Recorded, not read: the caller flushes whatever this says. The
+    /// field stays because the benchmark writes it into every run's
+    /// `env` (DESIGN.md §43).
     pub background_flush_wal_bytes: Option<u64>,
     /// Inject a crash into one shard: `(shard, spec)`. The chaos
     /// harness uses this to kill each shard at every WAL byte.
@@ -297,35 +296,9 @@ fn is_rot(e: &StoreError) -> bool {
     )
 }
 
-struct ShardedInner {
-    dir: PathBuf,
-    state: RwLock<GlobalState>,
-    obs: RwLock<obs::Registry>,
-    /// What the store was opened with (the on-disk catalog overrides
-    /// its `shards`/`replication`).
-    opts: ShardOptions,
-}
-
-impl ShardedInner {
-    fn obs(&self) -> obs::Registry {
-        self.obs.read().clone()
-    }
-
-    /// The global lock, exclusively, for a mutation: refused once a crash
-    /// has poisoned the store.
-    fn writer(&self) -> Result<RwLockWriteGuard<'_, GlobalState>, StoreError> {
-        let st = self.state.write();
-        if st.poisoned {
-            return Err(StoreError::Crashed);
-        }
-        Ok(st)
-    }
-}
-
 impl ShardOptions {
     /// Per-shard open options (at reopen, and when a grow creates shards
-    /// at runtime). Shard-level flushers stay off: the sharded flusher
-    /// drives per-shard flushes so they serialize under the global lock.
+    /// at runtime).
     fn store_opts(&self, g: u32) -> StoreOptions {
         StoreOptions {
             crash: match &self.crash_shard {
@@ -333,7 +306,6 @@ impl ShardOptions {
                 _ => CrashSpec::default(),
             },
             block_cache_bytes: self.block_cache_bytes,
-            background_flush_wal_bytes: None,
             ..StoreOptions::default()
         }
     }
@@ -342,10 +314,12 @@ impl ShardOptions {
 /// The sharded store handle. API mirrors [`MiniStore`]; every operation
 /// is transparently fanned out and replicated; reads fail over.
 pub struct ShardedStore {
-    inner: Arc<ShardedInner>,
-    /// One thread for the whole store ([`flush_grown_shards`]); dropping
-    /// the handle joins it.
-    flusher: Option<Flusher>,
+    dir: PathBuf,
+    state: RwLock<GlobalState>,
+    obs: obs::Registry,
+    /// What the store was opened with (the on-disk catalog overrides
+    /// its `shards`/`replication`).
+    opts: ShardOptions,
 }
 
 pub(crate) fn shard_dir_name(shard: u32) -> String {
@@ -764,41 +738,6 @@ fn rebuild_lost(
     Ok(healed_rows)
 }
 
-/// Repair the suspect shards, then flush each shard `due` picks, stopping
-/// at the first error: the work of [`ShardedStore::flush`] and of the
-/// background flusher, under the exclusive lock. A shard whose repair
-/// cannot complete (no clean replica to copy from) stays suspect — its
-/// reads keep failing over, and [`ShardedStore::scrub`] reports why —
-/// and the flush goes on. Returns the shards flushed.
-fn flush_shards(
-    inner: &ShardedInner,
-    st: &mut GlobalState,
-    due: impl Fn(&MiniStore) -> bool,
-) -> Result<u64, StoreError> {
-    let _ = ShardedStore::repair_suspects(inner, st);
-    let mut flushed = 0;
-    for shard in st.shards.iter().filter(|s| due(s)) {
-        if let Err(e) = shard.flush() {
-            st.poisoned |= e == StoreError::Crashed;
-            return Err(e);
-        }
-        flushed += 1;
-    }
-    Ok(flushed)
-}
-
-/// The sharded background flusher's work: [`flush_shards`] of the shards
-/// whose WAL outgrew the threshold. It serializes with writers exactly
-/// like a caller-driven [`ShardedStore::flush`], so crash safety reduces
-/// to the single-store argument.
-fn flush_grown_shards(inner: &ShardedInner, threshold: u64) {
-    let Ok(mut st) = inner.writer() else { return };
-    let grown = |s: &MiniStore| s.wal_bytes_since_flush() >= threshold;
-    if let Ok(n) = flush_shards(inner, &mut st, grown) {
-        inner.obs().incr("cfstore.shard.flush.background", n);
-    }
-}
-
 impl ShardedStore {
     /// Open (or create) a sharded store with default options.
     pub fn open(dir: &Path) -> Result<(Self, ShardedRecoveryReport), RecoveryError> {
@@ -932,7 +871,7 @@ impl ShardedStore {
             reshard_in_flight: migration.as_ref().map(|m| m.epoch),
         };
         let clock = shards.iter().map(|s| s.clock_value()).max();
-        let inner = Arc::new(ShardedInner {
+        let store = ShardedStore {
             dir: dir.to_path_buf(),
             state: RwLock::new(GlobalState {
                 shards,
@@ -945,21 +884,10 @@ impl ShardedStore {
                 migration,
                 suspect: Mutex::default(),
             }),
-            obs: RwLock::new(reg),
+            obs: reg,
             opts,
-        });
-        let flusher = inner
-            .opts
-            .background_flush_wal_bytes
-            .map(|threshold| {
-                let inner = inner.clone();
-                Flusher::spawn("cfstore-shard-flusher", move || {
-                    flush_grown_shards(&inner, threshold)
-                })
-            })
-            .transpose()
-            .map_err(|e| io_err(dir, e))?;
-        Ok((ShardedStore { inner, flusher }, report))
+        };
+        Ok((store, report))
     }
 
     // -----------------------------------------------------------------
@@ -978,8 +906,7 @@ impl ShardedStore {
         families: &[&str],
         split_threshold: usize,
     ) -> Result<(), StoreError> {
-        let inner = &self.inner;
-        let mut st = inner.writer()?;
+        let mut st = self.writer()?;
         if st.schemas.contains_key(name) {
             return Err(StoreError::TableExists(name.to_string()));
         }
@@ -1015,8 +942,7 @@ impl ShardedStore {
         if puts.is_empty() {
             return Ok(());
         }
-        let inner = &self.inner;
-        let mut st = inner.writer()?;
+        let mut st = self.writer()?;
         let (families, _) = st
             .schemas
             .get(table)
@@ -1056,28 +982,25 @@ impl ShardedStore {
             let rows = || runs_of(g).map(|run| run.row);
             match shard.prepare_rows(table, rows()) {
                 Err(e) if is_rot(&e) => {
-                    count_heal(&inner.obs(), g, "reads", 1);
-                    Self::repair(inner, &st, g, table)?;
+                    count_heal(&self.obs, g, "reads", 1);
+                    self.repair(&st, g, table)?;
                     shard.prepare_rows(table, rows())?;
                 }
                 other => other?,
             }
         }
-        Self::commit_batch(&mut st, &participants, |g| runs_of(g).map(Op::Run))?;
-        self.maybe_wake_flusher(&st);
-        Ok(())
+        Self::commit_batch(&mut st, &participants, |g| runs_of(g).map(Op::Run))
     }
 
     /// Delete a row from every replica holding it.
     pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
-        let inner = &self.inner;
-        let mut st = inner.writer()?;
-        if Self::get_inner(inner, &st, table, row)?.is_none() {
+        let mut st = self.writer()?;
+        if self.get_inner(&st, table, row)?.is_none() {
             return Ok(false);
         }
         // The delete applies to every replica, and a write cannot fail
         // over: repair a shard the read above marked before it logs.
-        Self::repair_suspects(inner, &mut st)?;
+        self.repair_suspects(&mut st)?;
         let participants = st.write_replicas(row);
         let delete = WalRecord::DeleteRow {
             table: table.to_string(),
@@ -1085,7 +1008,6 @@ impl ShardedStore {
         };
         let frame = |_| std::iter::once(Op::Record(&delete));
         Self::commit_batch(&mut st, &participants, frame)?;
-        self.maybe_wake_flusher(&st);
         Ok(true)
     }
 
@@ -1095,11 +1017,11 @@ impl ShardedStore {
     pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
         // Every shard holds every table's schema: a table none has fails
         // the first read.
-        Self::get_inner(&self.inner, &self.inner.state.read(), table, row)
+        self.get_inner(&self.state.read(), table, row)
     }
 
     fn get_inner(
-        inner: &ShardedInner,
+        &self,
         st: &GlobalState,
         table: &str,
         row: &[u8],
@@ -1109,7 +1031,7 @@ impl ShardedStore {
         // the old epoch, making the cutover record the visibility switch.
         for g in st.by_preference(st.active.replicas_of_row(row)) {
             match st.shards[g as usize].get(table, row) {
-                Err(e) => last_err = Some(st.fail_over(&inner.obs(), g, e)?),
+                Err(e) => last_err = Some(st.fail_over(&self.obs, g, e)?),
                 ok => return ok,
             }
         }
@@ -1148,8 +1070,8 @@ impl ShardedStore {
         scan: &Scan,
         fold: impl Fn(&mut T, RowView<'_>) + Sync,
     ) -> Result<(Vec<T>, ScanMetrics), StoreError> {
-        let st = self.inner.state.read();
-        let reads = Self::read_slots(&self.inner, &st, table, |shard, serves| {
+        let st = self.state.read();
+        let reads = self.read_slots(&st, table, |shard, serves| {
             shard.visit(table, scan, |part, row| {
                 if serves(row.key) {
                     fold(part, row);
@@ -1173,14 +1095,24 @@ impl ShardedStore {
         family: &str,
         column: &[u8],
     ) -> Result<bool, StoreError> {
-        let st = self.inner.state.write();
+        let st = self.state.write();
         let g = st.active.replicas_of_row(row)[0];
         st.shards[g as usize].corrupt_cell(table, row, family, column)
     }
 
-    /// Repair the suspect shards, then flush every shard.
+    /// Repair the suspect shards, then flush every shard, stopping at the
+    /// first error. A shard whose repair cannot complete (no clean
+    /// replica to copy from) stays suspect — its reads keep failing over,
+    /// and [`Self::scrub`] reports why — and the flush goes on. The
+    /// caller decides when (DESIGN.md §43).
     pub fn flush(&self) -> Result<(), StoreError> {
-        flush_shards(&self.inner, &mut self.inner.state.write(), |_| true).map(drop)
+        let mut st = self.state.write();
+        let _ = self.repair_suspects(&mut st);
+        let Some(e) = st.shards.iter().find_map(|s| s.flush().err()) else {
+            return Ok(());
+        };
+        st.poisoned |= e == StoreError::Crashed;
+        Err(e)
     }
 
     /// Verify every retained cell version and repair what fails: check
@@ -1189,7 +1121,7 @@ impl ShardedStore {
     /// suspect, and repair every suspect shard as [`Self::flush`] does.
     /// Returns the rows repaired; an error is the repair's.
     pub fn scrub(&self) -> Result<u64, StoreError> {
-        let mut st = self.inner.state.write();
+        let mut st = self.state.write();
         for (g, shard) in st.shards.iter().enumerate() {
             for table in st.schemas.keys() {
                 match shard.verify_versions(table) {
@@ -1201,14 +1133,14 @@ impl ShardedStore {
                 }
             }
         }
-        Self::repair_suspects(&self.inner, &mut st)
+        self.repair_suspects(&mut st)
     }
 
     /// The sharded META catalog: placement plus every region entry.
     /// Placement reflects the *active* topology — mid-migration the
     /// old epoch stays authoritative until cutover.
     pub fn meta(&self) -> ShardedMeta {
-        let st = self.inner.state.read();
+        let st = self.state.read();
         let n = st.active.shards;
         ShardedMeta {
             shards: n,
@@ -1232,51 +1164,49 @@ impl ShardedStore {
     /// Mutations are refused until the directory is reopened; reads
     /// keep serving.
     pub fn is_crashed(&self) -> bool {
-        let st = self.inner.state.read();
+        let st = self.state.read();
         st.poisoned || st.shards.iter().any(|s| s.is_crashed())
     }
 
     /// Swap the observability registry (shared by every shard).
     pub fn set_obs(&mut self, reg: obs::Registry) {
-        let mut st = self.inner.state.write();
-        for s in st.shards.iter_mut() {
+        for s in self.state.get_mut().shards.iter_mut() {
             s.set_obs(reg.clone());
         }
-        drop(st);
-        *self.inner.obs.write() = reg;
+        self.obs = reg;
     }
 
     /// Number of shards N in the active topology.
     pub fn shard_count(&self) -> u32 {
-        self.inner.state.read().active.shards
+        self.state.read().active.shards
     }
 
     /// Replication factor R of the active topology.
     pub fn replication(&self) -> u32 {
-        self.inner.state.read().active.replication
+        self.state.read().active.replication
     }
 
     /// The directory of one shard (tests reach in to kill/corrupt it).
     pub fn shard_dir(&self, shard: u32) -> PathBuf {
-        self.inner.dir.join(shard_dir_name(shard))
+        self.dir.join(shard_dir_name(shard))
     }
 
     /// Cumulative WAL bytes one shard wrote this session, across flush
     /// truncations — the currency [`CrashSpec::after_wal_bytes`] counts,
     /// so the crash sweeps measure a clean run and tear every byte.
     pub fn shard_wal_bytes_written(&self, shard: u32) -> u64 {
-        let st = self.inner.state.read();
+        let st = self.state.read();
         st.shards[shard as usize].wal_bytes_written()
     }
 
     /// The primary shard a row lives on (active topology).
     pub fn primary_shard(&self, row: &[u8]) -> u32 {
-        self.inner.state.read().active.replicas_of_row(row)[0]
+        self.state.read().active.replicas_of_row(row)[0]
     }
 
     /// The full replica set of a row (active topology).
     pub fn replica_shards(&self, row: &[u8]) -> Vec<u32> {
-        self.inner.state.read().active.replicas_of_row(row)
+        self.state.read().active.replicas_of_row(row)
     }
 
     /// Scan one shard directly, bypassing placement resolution — the
@@ -1287,7 +1217,7 @@ impl ShardedStore {
         table: &str,
         scan: &Scan,
     ) -> Result<(Vec<RowResult>, ScanMetrics), StoreError> {
-        let st = self.inner.state.read();
+        let st = self.state.read();
         st.shards[shard as usize].scan(table, scan)
     }
 
@@ -1339,7 +1269,7 @@ impl ShardedStore {
     /// slots served by their next replica. The one slot resolution, under
     /// `visit`.
     fn read_slots<R>(
-        inner: &ShardedInner,
+        &self,
         st: &GlobalState,
         table: &str,
         read: impl Fn(&MiniStore, &(dyn Fn(&[u8]) -> bool + Sync)) -> Result<R, StoreError>,
@@ -1370,7 +1300,7 @@ impl ShardedStore {
                 match read(&st.shards[g as usize], &serves) {
                     Ok(r) => reads.push(r),
                     Err(e) => {
-                        last_err = Some(st.fail_over(&inner.obs(), g, e)?);
+                        last_err = Some(st.fail_over(&self.obs, g, e)?);
                         failed[g as usize] = true;
                         continue 'pass;
                     }
@@ -1388,12 +1318,7 @@ impl ShardedStore {
     /// the corrupt base it replaces; durability comes from the flush.
     /// Called with the global lock held exclusively, by the `put_batch`
     /// pre-pass and by [`Self::repair_suspects`] only.
-    fn repair(
-        inner: &ShardedInner,
-        st: &GlobalState,
-        bad: u32,
-        table: &str,
-    ) -> Result<u64, StoreError> {
+    fn repair(&self, st: &GlobalState, bad: u32, table: &str) -> Result<u64, StoreError> {
         // Pre-cutover, a migration target shard also holds dual-applied
         // and copied rows it owns under the *new* topology; the repair
         // must restore those too or a completed Copy unit would lose
@@ -1410,9 +1335,8 @@ impl ShardedStore {
         // Durability of the repair, and the moment the bad on-disk copy
         // is rewritten (the superseded segment file is deleted).
         st.shards[bad as usize].flush()?;
-        let reg = inner.obs();
-        count_heal(&reg, bad, "repairs", 1);
-        count_heal(&reg, bad, "rows", healed);
+        count_heal(&self.obs, bad, "repairs", 1);
+        count_heal(&self.obs, bad, "rows", healed);
         Ok(healed)
     }
 
@@ -1421,13 +1345,13 @@ impl ShardedStore {
     /// marked a replica. Returns the rows repaired. A repair that fails
     /// ends the pass with its error, leaving its shard (and those after
     /// it) suspect.
-    fn repair_suspects(inner: &ShardedInner, st: &mut GlobalState) -> Result<u64, StoreError> {
+    fn repair_suspects(&self, st: &mut GlobalState) -> Result<u64, StoreError> {
         let mut rows = 0;
         for g in st.suspect.get_mut().clone() {
             // A shrink may have closed the shard since it was marked.
             if (g as usize) < st.shards.len() {
                 for table in st.schemas.keys() {
-                    rows += Self::repair(inner, st, g, table)?;
+                    rows += self.repair(st, g, table)?;
                 }
             }
             st.suspect.get_mut().remove(&g);
@@ -1435,20 +1359,14 @@ impl ShardedStore {
         Ok(rows)
     }
 
-    /// Called under the global lock, which the flusher's work takes.
-    fn maybe_wake_flusher(&self, st: &GlobalState) {
-        let (Some(threshold), Some(flusher)) =
-            (self.inner.opts.background_flush_wal_bytes, &self.flusher)
-        else {
-            return;
-        };
-        if st
-            .shards
-            .iter()
-            .any(|s| s.wal_bytes_since_flush() >= threshold)
-        {
-            flusher.wake();
+    /// The global lock, exclusively, for a mutation: refused once a crash
+    /// has poisoned the store.
+    fn writer(&self) -> Result<RwLockWriteGuard<'_, GlobalState>, StoreError> {
+        let st = self.state.write();
+        if st.poisoned {
+            return Err(StoreError::Crashed);
         }
+        Ok(st)
     }
 }
 

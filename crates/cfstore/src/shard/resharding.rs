@@ -38,8 +38,8 @@ use std::path::Path;
 use bytes::{BufMut, Bytes};
 
 use super::{
-    mirror_schemas, remove_if_present, shard_dir_id, shard_dir_name, GlobalState, ShardedInner,
-    ShardedMeta, ShardedStore,
+    mirror_schemas, remove_if_present, shard_dir_id, shard_dir_name, GlobalState, ShardedMeta,
+    ShardedStore,
 };
 use crate::encoding::CodecError;
 use crate::frame::{self, CrashWriter, Cursor, ScanStop, WriteError};
@@ -713,8 +713,7 @@ impl ShardedStore {
     /// [`ShardedStore::reshard_step`] / [`ShardedStore::resume_reshard`],
     /// or use [`ShardedStore::reshard`] to run it to completion.
     pub fn begin_reshard(&self, target: Topology) -> Result<ReshardStatus, StoreError> {
-        let inner = &self.inner;
-        let mut st = inner.writer()?;
+        let mut st = self.writer()?;
         if st.migration.is_some() {
             return Err(StoreError::Io(
                 "a reshard is already in flight; resume or abort it first".to_string(),
@@ -727,7 +726,7 @@ impl ShardedStore {
             ));
         }
         let epoch = st.epoch + 1;
-        let mut journal = JournalWriter::create(&inner.dir, inner.opts.crash_topology)?;
+        let mut journal = JournalWriter::create(&self.dir, self.opts.crash_topology)?;
         let begin = JournalRecord::Begin {
             epoch,
             old: st.active.clone(),
@@ -742,14 +741,14 @@ impl ShardedStore {
         // Grow: open the new shard directories and mirror every schema,
         // flushed so the shards are durably nonempty before any write
         // names them as participants.
-        if let Err(e) = ensure_target_shards(inner, &mut st, &target) {
+        if let Err(e) = ensure_target_shards(self, &mut st, &target) {
             st.poisoned = true;
             return Err(e);
         }
         let m = st
             .migration
             .insert(Migration::begun(epoch, target, journal));
-        inner.obs().incr("cfstore.reshard.begins", 1);
+        self.obs.incr("cfstore.reshard.begins", 1);
         Ok(m.status())
     }
 
@@ -759,9 +758,8 @@ impl ShardedStore {
     /// steps is always resumable. The global lock is released between
     /// calls — interleave reads and writes freely.
     pub fn reshard_step(&self) -> Result<ReshardStatus, StoreError> {
-        let inner = &self.inner;
-        let mut st = inner.writer()?;
-        let result = step_inner(inner, &mut st);
+        let mut st = self.writer()?;
+        let result = step_inner(self, &mut st);
         if let Err(e) = &result {
             if *e == StoreError::Crashed {
                 st.poisoned = true;
@@ -777,8 +775,7 @@ impl ShardedStore {
         if self.reshard_status().is_none() {
             return Ok(None);
         }
-        let reg = self.inner.obs();
-        let _span = reg.span("cfstore.reshard.run");
+        let _span = self.obs.span("cfstore.reshard.run");
         self.run_to_done().map(Some)
     }
 
@@ -796,8 +793,7 @@ impl ShardedStore {
     /// deleted; on an error mid-way the journal keeps the migration
     /// resumable after reopen.
     pub fn reshard(&self, target: Topology) -> Result<ReshardStatus, StoreError> {
-        let reg = self.inner.obs();
-        let _span = reg.span("cfstore.reshard.run");
+        let _span = self.obs.span("cfstore.reshard.run");
         self.begin_reshard(target)?;
         self.run_to_done()
     }
@@ -807,8 +803,7 @@ impl ShardedStore {
     /// directories are deleted, and the journal is removed. A migration
     /// past its commit point can only roll forward.
     pub fn abort_reshard(&self) -> Result<(), StoreError> {
-        let inner = &self.inner;
-        let mut st = inner.writer()?;
+        let mut st = self.writer()?;
         let Some(m) = &st.migration else {
             return Err(StoreError::Io("no reshard in flight".to_string()));
         };
@@ -821,37 +816,37 @@ impl ShardedStore {
         prune_to_ownership(&mut st, &active)?;
         st.shards.truncate(active.shards as usize);
         st.migration = None;
-        remove_extra_shard_dirs(&inner.dir, active.shards)?;
-        remove_journal(&inner.dir)?;
-        inner.obs().incr("cfstore.reshard.aborts", 1);
+        remove_extra_shard_dirs(&self.dir, active.shards)?;
+        remove_journal(&self.dir)?;
+        self.obs.incr("cfstore.reshard.aborts", 1);
         Ok(())
     }
 
     /// The in-flight migration, if any.
     pub fn reshard_status(&self) -> Option<ReshardStatus> {
-        let st = self.inner.state.read();
+        let st = self.state.read();
         st.migration.as_ref().map(|m| m.status())
     }
 
     /// The active topology (epoch-current placement).
     pub fn topology(&self) -> Topology {
-        self.inner.state.read().active.clone()
+        self.state.read().active.clone()
     }
 }
 
 /// One step of the migration, which is taken out of the state while
 /// its step runs (so a step holds `&mut Migration` and `&mut
 /// GlobalState` at once) and put back unless that step finished it.
-fn step_inner(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardStatus, StoreError> {
+fn step_inner(sharded: &ShardedStore, st: &mut GlobalState) -> Result<ReshardStatus, StoreError> {
     let Some(mut m) = st.migration.take() else {
         return Err(StoreError::Io("no reshard in flight".to_string()));
     };
     let next_unit = (0..m.target.shards).find(|u| !m.copied.contains(u));
     let result = match next_unit {
-        _ if m.cut_over => gc_step(inner, st, &mut m),
-        Some(unit) => copy_unit(inner, st, &mut m, unit),
-        None if !m.verified => verify_units(inner, st, &mut m),
-        None => do_cutover(inner, st, &mut m),
+        _ if m.cut_over => gc_step(sharded, st, &mut m),
+        Some(unit) => copy_unit(sharded, st, &mut m, unit),
+        None if !m.verified => verify_units(sharded, st, &mut m),
+        None => do_cutover(sharded, st, &mut m),
     };
     if !matches!(&result, Ok(status) if status.phase == ReshardPhase::Done) {
         st.migration = Some(m);
@@ -863,16 +858,16 @@ fn step_inner(inner: &ShardedInner, st: &mut GlobalState) -> Result<ReshardStatu
 /// directories. Idempotent: re-opening an existing shard is a plain
 /// reopen and re-creating an existing table is tolerated.
 fn ensure_target_shards(
-    inner: &ShardedInner,
+    sharded: &ShardedStore,
     st: &mut GlobalState,
     target: &Topology,
 ) -> Result<(), StoreError> {
     let io = |e: RecoveryError| StoreError::Io(format!("open target shard: {e}"));
     for g in st.shards.len() as u32..target.shards {
-        let dir = inner.dir.join(shard_dir_name(g));
+        let dir = sharded.dir.join(shard_dir_name(g));
         let (mut store, _) =
-            MiniStore::open_with_opts(&dir, inner.opts.store_opts(g)).map_err(io)?;
-        store.set_obs(inner.obs());
+            MiniStore::open_with_opts(&dir, sharded.opts.store_opts(g)).map_err(io)?;
+        store.set_obs(sharded.obs.clone());
         st.shards.push(store);
     }
     for shard in &st.shards[..target.shards as usize] {
@@ -914,7 +909,7 @@ pub(super) fn owned_rows(
 /// shard serving both epochs a wholesale install would clobber its
 /// old-epoch rows.
 fn copy_unit(
-    inner: &ShardedInner,
+    sharded: &ShardedStore,
     st: &mut GlobalState,
     m: &mut Migration,
     unit: u32,
@@ -937,9 +932,8 @@ fn copy_unit(
     })?;
     m.copied.insert(unit);
     m.rows_copied += rows_copied;
-    let reg = inner.obs();
-    reg.incr("cfstore.reshard.units_copied", 1);
-    reg.incr("cfstore.reshard.rows_copied", rows_copied);
+    sharded.obs.incr("cfstore.reshard.units_copied", 1);
+    sharded.obs.incr("cfstore.reshard.rows_copied", rows_copied);
     Ok(m.status())
 }
 
@@ -1006,7 +1000,7 @@ fn export_slot_from_peers(
 /// Compare every target unit's new-epoch ownership against
 /// old-placement truth, cell-for-cell, then journal `Verified`.
 fn verify_units(
-    inner: &ShardedInner,
+    sharded: &ShardedStore,
     st: &mut GlobalState,
     m: &mut Migration,
 ) -> Result<ReshardStatus, StoreError> {
@@ -1031,7 +1025,7 @@ fn verify_units(
     m.journal
         .append(&JournalRecord::Verified { epoch: m.epoch })?;
     m.verified = true;
-    inner.obs().incr("cfstore.reshard.verifies", 1);
+    sharded.obs.incr("cfstore.reshard.verifies", 1);
     Ok(m.status())
 }
 
@@ -1039,7 +1033,7 @@ fn verify_units(
 /// the active topology. A torn append leaves the store in the old epoch
 /// (and poisoned, like any mid-protocol crash).
 fn do_cutover(
-    inner: &ShardedInner,
+    sharded: &ShardedStore,
     st: &mut GlobalState,
     m: &mut Migration,
 ) -> Result<ReshardStatus, StoreError> {
@@ -1048,7 +1042,7 @@ fn do_cutover(
     m.cut_over = true;
     st.epoch = m.epoch;
     st.active = m.target.clone();
-    inner.obs().incr("cfstore.reshard.cutovers", 1);
+    sharded.obs.incr("cfstore.reshard.cutovers", 1);
     Ok(m.status())
 }
 
@@ -1057,7 +1051,7 @@ fn do_cutover(
 /// separate steps so a crash between any two reopens resumable; each is
 /// idempotent.
 fn gc_step(
-    inner: &ShardedInner,
+    sharded: &ShardedStore,
     st: &mut GlobalState,
     m: &mut Migration,
 ) -> Result<ReshardStatus, StoreError> {
@@ -1072,15 +1066,15 @@ fn gc_step(
             topology: active.clone(),
             epoch: m.epoch,
         };
-        write_catalog(&inner.dir, &catalog)
+        write_catalog(&sharded.dir, &catalog)
             .map_err(|e| StoreError::Io(format!("swap SHARDS catalog: {e}")))?;
         st.shards.truncate(active.shards as usize);
         m.catalog_swapped = true;
         return Ok(m.status());
     }
-    remove_extra_shard_dirs(&inner.dir, active.shards)?;
-    remove_journal(&inner.dir)?;
-    inner.obs().incr("cfstore.reshard.completions", 1);
+    remove_extra_shard_dirs(&sharded.dir, active.shards)?;
+    remove_journal(&sharded.dir)?;
+    sharded.obs.incr("cfstore.reshard.completions", 1);
     Ok(ReshardStatus {
         epoch: m.epoch,
         phase: ReshardPhase::Done,

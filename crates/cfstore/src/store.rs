@@ -16,13 +16,10 @@
 //! exactly the apply order — replay is then a rerun, by the code that ran
 //! the first time.
 //!
-//! [`StoreOptions::background_flush_wal_bytes`] moves flushing off the
-//! write path: a background flusher thread wakes whenever the WAL grows
-//! past the threshold and runs the same compacting flush a caller
-//! would. Because every flush happens under the durable lock and the
-//! WAL always covers the memstore, flush *timing* is irrelevant to
-//! crash safety — the crash-at-every-WAL-byte property tests run with
-//! the flusher enabled.
+//! The caller flushes (DESIGN.md §43): nothing flushes on its own, and a
+//! reopen replays whatever WAL the last flush left. Every flush runs
+//! under the durable lock and the WAL always covers the memstore, so
+//! where a caller flushes never matters to crash safety.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -34,7 +31,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::{BlockCache, BlockCacheStats};
 use crate::filter::Filter;
-use crate::flusher::Flusher;
 use crate::frame;
 use crate::kv::{self, Put, RowResult};
 use crate::recovery::{
@@ -321,15 +317,10 @@ struct DurableState {
     wal: WalWriter,
     /// Flush generation; names the next batch of segment files.
     generation: u64,
-    /// `wal.bytes_written()` at the last flush reset (the WAL byte
-    /// counter is cumulative across flushes — it is the crash-budget
-    /// currency); the background-flush trigger measures growth against
-    /// this baseline.
-    wal_bytes_at_reset: u64,
 }
 
-/// How to open a durable store: crash injection, block cache budget, and
-/// the optional background flusher.
+/// How to open a durable store: crash injection and the block cache
+/// budget.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// The durability rule; [`SyncPolicy::EveryOp`] is its one value.
@@ -340,10 +331,9 @@ pub struct StoreOptions {
     /// `0` disables caching: lazy reads still work, block-at-a-time,
     /// but nothing is retained.
     pub block_cache_bytes: u64,
-    /// When `Some(n)`, a background flusher thread runs [`MiniStore::flush`]
-    /// whenever the WAL has grown `n` bytes past the last flush, taking
-    /// segment writing off the put path. `None` (the default) keeps
-    /// flushing fully caller-driven.
+    /// Recorded, not read: the caller flushes whatever this says. The
+    /// field stays because the benchmark writes it into every run's
+    /// `env` (DESIGN.md §43).
     pub background_flush_wal_bytes: Option<u64>,
 }
 
@@ -358,9 +348,8 @@ impl Default for StoreOptions {
     }
 }
 
-/// Everything the store owns, shareable with the background flusher
-/// (which needs exactly [`StoreInner::flush`] and [`StoreInner::obs`]).
-struct StoreInner {
+/// The miniature column-family store.
+pub struct MiniStore {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
     clock: AtomicU64,
     next_region_id: AtomicU64,
@@ -368,10 +357,8 @@ struct StoreInner {
     region_servers: u32,
     /// Observability sink for the `cfstore.*` counters (DESIGN.md §10);
     /// disabled (a single branch per operation) unless a caller attaches
-    /// an enabled registry via [`MiniStore::set_obs`]. Behind a lock so
-    /// the flusher thread sees registry swaps; reads clone the (cheap,
-    /// `Arc`-backed) registry.
-    obs: RwLock<obs::Registry>,
+    /// an enabled registry via [`MiniStore::set_obs`].
+    obs: obs::Registry,
     /// The shared segment block cache every lazy region reads through.
     cache: Arc<BlockCache>,
     /// `Some` when the store is backed by a directory (WAL + segments);
@@ -379,31 +366,17 @@ struct StoreInner {
     durable: Option<Mutex<DurableState>>,
 }
 
-/// The miniature column-family store. A thin handle around the shared
-/// `StoreInner`; dropping the handle shuts down and joins the
-/// background flusher (when one is configured).
-pub struct MiniStore {
-    inner: Arc<StoreInner>,
-    /// The WAL-growth threshold that wakes the background flusher, and
-    /// the flusher: wait for the wake-up, run the same compacting flush
-    /// a caller would, repeat.
-    flusher: Option<(u64, Flusher)>,
-}
-
 impl MiniStore {
     /// An empty store with no tables and observability disabled.
     pub fn new() -> Self {
         MiniStore {
-            inner: Arc::new(StoreInner {
-                tables: RwLock::new(BTreeMap::new()),
-                clock: AtomicU64::new(1),
-                next_region_id: AtomicU64::new(1),
-                region_servers: 4,
-                obs: RwLock::new(obs::Registry::disabled()),
-                cache: Arc::new(BlockCache::new(0)),
-                durable: None,
-            }),
-            flusher: None,
+            tables: RwLock::new(BTreeMap::new()),
+            clock: AtomicU64::new(1),
+            next_region_id: AtomicU64::new(1),
+            region_servers: 4,
+            obs: obs::Registry::disabled(),
+            cache: Arc::new(BlockCache::new(0)),
+            durable: None,
         }
     }
 
@@ -476,23 +449,21 @@ impl MiniStore {
                 WalError::Crashed => io_err(&wal_path, std::io::Error::other("crash during open")),
             },
         )?;
-        let wal_bytes_at_reset = wal.bytes_written();
-        let inner = Arc::new(StoreInner {
+        let store = MiniStore {
             tables: RwLock::new(tables),
             // The next timestamp to assign: past the manifest's, and —
             // the applier raises it — past every replayed one.
             clock: AtomicU64::new(manifest.clock + 1),
             next_region_id: AtomicU64::new(next_region_id),
             region_servers: 4,
-            obs: RwLock::new(obs::Registry::disabled()),
+            obs: obs::Registry::disabled(),
             cache,
             durable: Some(Mutex::new(DurableState {
                 dir: dir.to_path_buf(),
                 wal,
                 generation: manifest.generation + 1,
-                wal_bytes_at_reset,
             })),
-        });
+        };
 
         // Replay: frames a flush did not capture go through the applier
         // that applied them the first time. Nothing is logged, and what
@@ -505,44 +476,30 @@ impl MiniStore {
             }
             report.frames_replayed += 1;
             report.records_replayed += frame.records.len() as u64;
-            inner.apply(wal::ops(&frame.records))?;
+            store.apply(wal::ops(&frame.records))?;
         }
         // A region replay wrote to was promoted, every block read once.
         let promoted = lazy.iter().filter(|(r, _)| !r.is_lazy());
         report.segment_blocks_read = promoted.map(|(_, blocks)| blocks).sum();
         // Every table needs at least one region covering the key space.
-        for t in inner.tables.read().values() {
+        for t in store.tables.read().values() {
             let mut regions = t.regions.write();
             if regions.is_empty() {
-                let id = inner.next_region_id.fetch_add(1, Ordering::Relaxed);
+                let id = store.next_region_id.fetch_add(1, Ordering::Relaxed);
                 regions.push(Arc::new(Region::new(id, KeyRange::all())));
             }
         }
-        let flusher = opts
-            .background_flush_wal_bytes
-            .map(|threshold| {
-                let inner = inner.clone();
-                let work = move || {
-                    if inner.flush().is_ok() {
-                        inner.obs().incr("cfstore.flush.background", 1);
-                    }
-                };
-                Flusher::spawn("cfstore-flusher", work).map(|f| (threshold, f))
-            })
-            .transpose()
-            .map_err(|e| io_err(dir, e))?;
-        Ok((MiniStore { inner, flusher }, report))
+        Ok((store, report))
     }
 
     /// Whether this store is backed by a directory.
     pub fn is_durable(&self) -> bool {
-        self.inner.durable.is_some()
+        self.durable.is_some()
     }
 
     /// Whether an injected crash point has poisoned the store.
     pub fn is_crashed(&self) -> bool {
-        self.inner
-            .durable
+        self.durable
             .as_ref()
             .map(|m| m.lock().wal.is_crashed())
             .unwrap_or(false)
@@ -552,13 +509,13 @@ impl MiniStore {
     /// puts, gets, scans, scanned/returned rows, checksum-verified
     /// cells, and block-cache traffic against it (`cfstore.*` counters).
     pub fn set_obs(&mut self, obs: obs::Registry) {
-        self.inner.cache.set_obs(obs.clone());
-        *self.inner.obs.write() = obs;
+        self.cache.set_obs(obs.clone());
+        self.obs = obs;
     }
 
     /// Occupancy of the shared segment block cache.
     pub fn cache_stats(&self) -> BlockCacheStats {
-        self.inner.cache.stats()
+        self.cache.stats()
     }
 
     /// Create a table with a fixed set of column families.
@@ -572,33 +529,11 @@ impl MiniStore {
         self.put_batch(table, vec![put])
     }
 
-    /// Flush dirty regions to immutable segment files and swap the
-    /// MANIFEST atomically; clean regions' existing segments are reused
-    /// by reference (size-tiered compaction's degenerate-but-correct
-    /// base case), and the WAL is truncated afterwards. A no-op for
-    /// in-memory stores.
-    pub fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-
     /// Current logical-clock value (the next timestamp this store would
     /// assign). The sharded store resumes its global clock from the max
     /// across shards.
     pub(crate) fn clock_value(&self) -> u64 {
-        self.inner.clock.load(Ordering::Relaxed)
-    }
-
-    /// WAL growth since the last flush — the sharded flusher's per-shard
-    /// trigger currency.
-    pub(crate) fn wal_bytes_since_flush(&self) -> u64 {
-        self.inner
-            .durable
-            .as_ref()
-            .map(|m| {
-                let d = m.lock();
-                d.wal.bytes_written() - d.wal_bytes_at_reset
-            })
-            .unwrap_or(0)
+        self.clock.load(Ordering::Relaxed)
     }
 
     /// Cumulative WAL bytes written this session, *across* flush
@@ -606,8 +541,7 @@ impl MiniStore {
     /// budgets count, so the crash harnesses can measure a clean run
     /// and sweep every byte of it. Zero for an in-memory store.
     pub fn wal_bytes_written(&self) -> u64 {
-        self.inner
-            .durable
+        self.durable
             .as_ref()
             .map(|m| m.lock().wal.bytes_written())
             .unwrap_or(0)
@@ -626,13 +560,13 @@ impl MiniStore {
         // The catalog stays write-locked from the existence check to the
         // insert, which is why this calls the applier's `CreateTable` arm
         // rather than the applier.
-        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
-        let mut tables = self.inner.tables.write();
+        let mut durable = self.durable.as_ref().map(|m| m.lock());
+        let mut tables = self.tables.write();
         if tables.contains_key(name) {
             return Err(StoreError::TableExists(name.to_string()));
         }
         let families: Vec<String> = families.iter().map(|f| f.to_string()).collect();
-        let root_region_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
+        let root_region_id = self.next_region_id.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = durable.as_mut() {
             d.wal.append(&[WalRecord::CreateTable {
                 name: name.to_string(),
@@ -647,8 +581,7 @@ impl MiniStore {
     }
 
     fn table(&self, name: &str) -> Result<Arc<Table>, StoreError> {
-        self.inner
-            .tables
+        self.tables
             .read()
             .get(name)
             .cloned()
@@ -663,7 +596,7 @@ impl MiniStore {
         if puts.is_empty() {
             return Ok(());
         }
-        self.inner.obs().incr("cfstore.puts", puts.len() as u64);
+        self.obs.incr("cfstore.puts", puts.len() as u64);
         let t = self.table(table)?;
         if let Some(put) = puts
             .iter()
@@ -674,13 +607,10 @@ impl MiniStore {
                 family: put.family.to_string(),
             });
         }
-        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let mut durable = self.durable.as_ref().map(|m| m.lock());
         // Every cell is stamped, in order, from one claim on the clock:
         // the batch's runs are its puts with their first timestamps.
-        let first = self
-            .inner
-            .clock
-            .fetch_add(puts.len() as u64, Ordering::Relaxed);
+        let first = self.clock.fetch_add(puts.len() as u64, Ordering::Relaxed);
         let ops = || wal::runs(table, &puts, first).map(Op::Run);
         if let Some(d) = durable.as_mut() {
             // Log-then-apply: frame the whole batch, and only touch
@@ -688,17 +618,8 @@ impl MiniStore {
             // caller never saw an ack and recovery drops the tail —
             // nothing to undo.
             d.wal.append(ops())?;
-            // Wake the background flusher once the WAL has grown past
-            // the configured threshold since the last flush. Signalled
-            // under the durable lock (the flusher blocks on it), so the
-            // wake-up cannot race a concurrent flush's reset.
-            if let Some((threshold, flusher)) = &self.flusher {
-                if d.wal.bytes_written() - d.wal_bytes_at_reset >= *threshold {
-                    flusher.wake();
-                }
-            }
         }
-        let applied = self.inner.apply(ops())?;
+        let applied = self.apply(ops())?;
         self.split_grown(applied, durable.as_deref_mut())
     }
 
@@ -735,7 +656,7 @@ impl MiniStore {
         let Some(split_key) = region.median_key() else {
             return Ok(());
         };
-        let new_id = self.inner.next_region_id.fetch_add(1, Ordering::Relaxed);
+        let new_id = self.next_region_id.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = durable {
             d.wal.append(&[WalRecord::RegionSplit {
                 table: table.to_string(),
@@ -745,7 +666,7 @@ impl MiniStore {
             }])?;
         }
         split_region_in(&mut regions, table, region.id, new_id, &split_key)?;
-        let obs = self.inner.obs();
+        let obs = &self.obs;
         obs.event(
             "cfstore.region.split",
             &[
@@ -760,7 +681,7 @@ impl MiniStore {
 
     /// Read one row (checksum-verified).
     pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
-        let obs = self.inner.obs();
+        let obs = &self.obs;
         obs.incr("cfstore.gets", 1);
         let t = self.table(table)?;
         let regions = t.regions.read();
@@ -794,7 +715,7 @@ impl MiniStore {
     /// Delete one row.
     pub fn delete_row(&self, table: &str, row: &[u8]) -> Result<bool, StoreError> {
         self.table(table)?;
-        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let mut durable = self.durable.as_ref().map(|m| m.lock());
         let delete = WalRecord::DeleteRow {
             table: table.to_string(),
             row: Bytes::copy_from_slice(row),
@@ -802,7 +723,7 @@ impl MiniStore {
         if let Some(d) = durable.as_mut() {
             d.wal.append(std::slice::from_ref(&delete))?;
         }
-        Ok(self.inner.apply([Op::Record(&delete)])?.rows_deleted > 0)
+        Ok(self.apply([Op::Record(&delete)])?.rows_deleted > 0)
     }
 
     /// Scan with server-side filtering: [`Self::visit`], keeping each row
@@ -863,7 +784,7 @@ impl MiniStore {
         // touched vs returned), recorded before the merge flattens the
         // partials. Key formatting is gated so the disabled-registry
         // fast path stays allocation-free.
-        let obs = self.inner.obs();
+        let obs = &self.obs;
         if obs.is_enabled() {
             for (region, (_, m)) in regions.iter().zip(&partials) {
                 obs.incr(
@@ -893,7 +814,7 @@ impl MiniStore {
 
     /// The META catalog: one entry per region, keyed like §5.2.2 describes.
     pub fn meta_entries(&self) -> Vec<MetaEntry> {
-        let tables = self.inner.tables.read();
+        let tables = self.tables.read();
         let mut entries = Vec::new();
         for (name, t) in tables.iter() {
             for r in t.regions.read().iter() {
@@ -901,7 +822,7 @@ impl MiniStore {
                     table: name.clone(),
                     start_key: r.range().start.clone(),
                     region_id: r.id,
-                    region_server: (r.id % self.inner.region_servers as u64) as u32,
+                    region_server: (r.id % self.region_servers as u64) as u32,
                 });
             }
         }
@@ -918,7 +839,7 @@ impl MiniStore {
     /// A region id of this store's own, for a table a sharded batch
     /// creates on every shard: each shard numbers its regions itself.
     pub(crate) fn reserve_region_id(&self) -> u64 {
-        self.inner.next_region_id.fetch_add(1, Ordering::Relaxed)
+        self.next_region_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Append one frame of a cross-shard batch (marker first) at
@@ -934,7 +855,6 @@ impl MiniStore {
         // Only the sharded store calls this, and it opens every shard
         // with `MiniStore::open_with_opts`, which always sets `durable`.
         let mut d = self
-            .inner
             .durable
             .as_ref()
             .expect("sharded shards are always durable")
@@ -959,17 +879,17 @@ impl MiniStore {
         &self,
         ops: impl IntoIterator<Item = Op<'a>>,
     ) -> Result<(), StoreError> {
-        let mut durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let mut durable = self.durable.as_ref().map(|m| m.lock());
         let mut puts = 0;
         let counted = ops.into_iter().inspect(|op| {
             if let Op::Run(run) = op {
                 puts += run.cells.len() as u64;
             }
         });
-        let applied = self.inner.apply(counted)?;
+        let applied = self.apply(counted)?;
         self.split_grown(applied, durable.as_deref_mut())?;
         if puts > 0 {
-            self.inner.obs().incr("cfstore.puts", puts);
+            self.obs.incr("cfstore.puts", puts);
         }
         Ok(())
     }
@@ -1005,7 +925,7 @@ impl MiniStore {
         let t = self.table(table)?;
         // Hold the durable lock so no flush snapshots a half-installed
         // table.
-        let _durable = self.inner.durable.as_ref().map(|m| m.lock());
+        let _durable = self.durable.as_ref().map(|m| m.lock());
         let regions = t.regions.read();
         let installed = rows.len() as u64;
         for region in regions.iter() {
@@ -1067,18 +987,11 @@ impl MiniStore {
     /// `table → (families, split_threshold)` — the schemas a shard rebuild
     /// replays onto a fresh replacement shard.
     pub(crate) fn table_schemas(&self) -> crate::shard::Schemas {
-        let tables = self.inner.tables.read();
+        let tables = self.tables.read();
         let schema = |(name, t): (&String, &Arc<Table>)| {
             (name.clone(), (t.families.clone(), t.split_threshold))
         };
         tables.iter().map(schema).collect()
-    }
-}
-
-impl StoreInner {
-    /// Snapshot the current registry (cheap: `Arc` clone).
-    fn obs(&self) -> obs::Registry {
-        self.obs.read().clone()
     }
 
     /// The one applier of [`WalRecord`]s (DESIGN.md §24): a live write
@@ -1196,14 +1109,15 @@ impl StoreInner {
         Ok(())
     }
 
-    /// The compacting flush (DESIGN.md §12): rewrite only *dirty*
-    /// regions; a clean region's existing segment file is carried into
-    /// the new manifest by name, so a manifest may mix generations.
+    /// Flush dirty regions to immutable segment files and swap the
+    /// MANIFEST atomically, then truncate the WAL: the compacting flush
+    /// (DESIGN.md §12). A clean region's existing segment file is carried
+    /// into the new manifest by name, so a manifest may mix generations.
     /// Region dirty bits are cleared only after the manifest swap — a
     /// crash mid-flush leaves every region dirty and the next flush
-    /// simply retries. Runs under the durable lock, whether called by a
-    /// client or by the background flusher.
-    fn flush(&self) -> Result<(), StoreError> {
+    /// simply retries. Runs under the durable lock; the caller decides
+    /// when (DESIGN.md §43). A no-op for in-memory stores.
+    pub fn flush(&self) -> Result<(), StoreError> {
         let Some(m) = &self.durable else {
             return Ok(());
         };
@@ -1268,7 +1182,6 @@ impl StoreInner {
         };
         recovery::write_manifest(&d.dir, &manifest).map_err(|e| StoreError::Io(e.to_string()))?;
         d.wal.reset_after_flush()?;
-        d.wal_bytes_at_reset = d.wal.bytes_written();
         d.generation = generation;
         // Only after the manifest swap do the rewritten regions become
         // clean (crash-safe ordering: an un-swapped manifest must leave
@@ -1290,7 +1203,7 @@ impl StoreInner {
                 }
             }
         }
-        let obs = self.obs();
+        let obs = &self.obs;
         obs.event(
             "cfstore.flush",
             &[
@@ -1791,7 +1704,7 @@ mod tests {
             store.create_table("t", &["f"]).unwrap();
             store.flush().unwrap();
             let next_lsn =
-                |store: &MiniStore| store.inner.durable.as_ref().unwrap().lock().wal.next_lsn();
+                |store: &MiniStore| store.durable.as_ref().unwrap().lock().wal.next_lsn();
             let (lsn, written) = (next_lsn(&store), store.wal_bytes_written());
             store.put_batch("t", vec![]).unwrap();
             assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
@@ -2076,7 +1989,7 @@ mod tests {
     }
 
     fn regions_of(store: &MiniStore, table: &str) -> Vec<Arc<Region>> {
-        store.inner.tables.read()[table].regions.read().clone()
+        store.tables.read()[table].regions.read().clone()
     }
 
     /// The region list is sorted by start key and tiles the key space: it
@@ -2269,7 +2182,7 @@ mod tests {
             split_key: Bytes::from(key.to_string()),
         };
         let splits = [split(root, 100, "r3"), split(100, 101, "r6")];
-        store.inner.apply(wal::ops(&splits)).unwrap();
+        store.apply(wal::ops(&splits)).unwrap();
         assert_eq!(store.region_count("a").unwrap(), 3);
         store
     }
@@ -2280,9 +2193,9 @@ mod tests {
     fn assert_batch_applies_as_cells(records: Vec<WalRecord>) {
         let batched = run_store();
         let per_cell = run_store();
-        batched.inner.apply(wal::ops(&records)).unwrap();
+        batched.apply(wal::ops(&records)).unwrap();
         for record in &records {
-            per_cell.inner.apply([Op::Record(record)]).unwrap();
+            per_cell.apply([Op::Record(record)]).unwrap();
         }
         for t in ["a", "b"] {
             assert_eq!(batched.export_table_rows(t), per_cell.export_table_rows(t));
@@ -2382,7 +2295,6 @@ mod tests {
         store
             .create_table_with_threshold("t", &["f"], usize::MAX)
             .unwrap();
-        let inner = &store.inner;
         let done = std::sync::atomic::AtomicBool::new(false);
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
@@ -2403,7 +2315,7 @@ mod tests {
                         new_id: 1000 + i,
                         split_key,
                     };
-                    inner.apply([Op::Record(&split)]).unwrap();
+                    store.apply([Op::Record(&split)]).unwrap();
                     i += 1;
                 }
             });
@@ -2425,7 +2337,7 @@ mod tests {
                         }
                     })
                     .collect();
-                inner.apply(wal::ops(&records)).unwrap();
+                store.apply(wal::ops(&records)).unwrap();
             }
             done.store(true, Ordering::Release);
         });

@@ -359,7 +359,7 @@ impl ProfileStore {
 
     /// [`Self::reopen`] with full [`StoreOptions`] control — sync policy
     /// and crash injection (the crash-recovery property tests), block
-    /// cache budget and the background flusher (the hot-path benchmarks).
+    /// cache budget (the hot-path benchmarks).
     pub fn reopen_with_opts(
         dir: &Path,
         opts: StoreOptions,

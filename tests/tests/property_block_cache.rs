@@ -15,9 +15,9 @@
 //! - only a point get admits a block: scans, promotions and scrubs read
 //!   around the cache and leave its entries and LRU order alone
 //!   (DESIGN.md §42);
-//! - a crash injected into the **background** flusher mid-segment-write
-//!   poisons the store without losing a single acked write — the
-//!   manifest never swaps, and recovery replays the intact WAL.
+//! - a crash injected into a flush mid-segment-write poisons the store
+//!   without losing a single acked write — the manifest never swaps, and
+//!   recovery replays the intact WAL.
 
 use cfstore::{
     CrashSpec, MiniStore, Put, RowResult, SegmentReader, ShardOptions, ShardedStore, StoreError,
@@ -423,13 +423,13 @@ fn a_scan_leaves_the_lru_order_to_point_gets() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Crash injected into the *background* flusher mid-segment-write: the
-/// store is poisoned asynchronously, the manifest never swaps, and a
+/// Crash injected into a flush mid-segment-write: the flush returns
+/// `Err(Crashed)` and poisons the store, the manifest never swaps, and a
 /// reopen recovers every acked write from the intact WAL — the torn
 /// segment surfaces only as an orphan for fsck.
 #[test]
-fn background_flush_crash_loses_nothing() {
-    let dir = tmp_dir("bgcrash");
+fn mid_flush_crash_loses_nothing() {
+    let dir = tmp_dir("flushcrash");
     let (store, _) = MiniStore::open_with_opts(
         &dir,
         StoreOptions {
@@ -437,7 +437,6 @@ fn background_flush_crash_loses_nothing() {
                 during_flush_segment: Some(0),
                 ..CrashSpec::default()
             },
-            background_flush_wal_bytes: Some(256),
             ..StoreOptions::default()
         },
     )
@@ -453,29 +452,17 @@ fn background_flush_crash_loses_nothing() {
             b"c0".to_vec(),
             key.to_be_bytes().to_vec(),
         );
-        match store.put(TABLE, put) {
-            Ok(()) => acked.push(key),
-            // The flusher already tripped the armed crash point; the
-            // poisoned store degrades writes with a typed error.
-            Err(StoreError::Crashed) => break,
-            Err(e) => panic!("unexpected error at key {key}: {e}"),
-        }
+        store.put(TABLE, put).expect("put before the flush");
+        acked.push(key);
     }
-    // The WAL-growth trigger fired long before 200 puts; wait (bounded)
-    // for the flusher thread to hit the armed crash point.
-    for _ in 0..2000 {
-        if store.is_crashed() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    assert!(
-        store.is_crashed(),
-        "background flusher never reached the armed mid-flush crash point"
-    );
-    drop(store); // joins the flusher thread
+    assert_eq!(store.flush(), Err(StoreError::Crashed));
+    assert!(store.is_crashed(), "the torn flush poisons the store");
+    // The poisoned store degrades writes with a typed error.
+    let late = Put::new(row_key(200), FAMILY, b"c0".to_vec(), vec![0u8]);
+    assert_eq!(store.put(TABLE, late), Err(StoreError::Crashed));
+    drop(store);
 
-    let (reopened, report) = MiniStore::open(&dir).expect("reopen after background-flush crash");
+    let (reopened, report) = MiniStore::open(&dir).expect("reopen after a mid-flush crash");
     // The manifest never swapped: no segment is trusted, the torn
     // segment 0 is reported as an orphan, and the WAL replays whole.
     assert_eq!(
@@ -501,7 +488,7 @@ fn background_flush_crash_loses_nothing() {
         let row = reopened
             .get(TABLE, &row_key(*key))
             .expect("get after recovery")
-            .unwrap_or_else(|| panic!("acked key {key} lost across background-flush crash"));
+            .unwrap_or_else(|| panic!("acked key {key} lost across a mid-flush crash"));
         let got = row.value(FAMILY, b"c0").expect("cell present");
         assert_eq!(got.as_ref(), key.to_be_bytes().as_slice());
     }

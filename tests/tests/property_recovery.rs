@@ -91,27 +91,6 @@ fn open_store(dir: &Path, crash: CrashSpec) -> MiniStore {
     store
 }
 
-/// Open the crashing store with the background flusher armed at a small
-/// WAL-growth threshold, so the crash sweep also races background flushes
-/// against every crash point. A flush appends no WAL bytes, so the crash
-/// budget fires at the same byte regardless of flush timing — the invariants must hold whenever the flusher happens to run.
-fn open_crashing_store(dir: &Path, crash: CrashSpec) -> MiniStore {
-    let (store, _) = MiniStore::open_with_opts(
-        dir,
-        StoreOptions {
-            crash,
-            background_flush_wal_bytes: Some(700),
-            ..StoreOptions::default()
-        },
-    )
-    .expect("open");
-    match store.create_table_with_threshold(TABLE, &[FAMILY], 8) {
-        Ok(()) | Err(StoreError::TableExists(_)) => {}
-        Err(e) => panic!("create_table: {e}"),
-    }
-    store
-}
-
 /// Create the table in its own inert session so its WAL frame is durable
 /// before any crash budget starts firing — a crash budget smaller than
 /// the CreateTable frame then simply tears the first workload op.
@@ -171,7 +150,7 @@ fn oracle_rows(tag: &str, ops: &[Op]) -> Vec<RowResult> {
 fn check_crash_point(tag: &str, ops: &[Op], crash_at: u64) {
     let dir = tmp_dir(tag);
     init_table(&dir);
-    let store = open_crashing_store(&dir, CrashSpec::after_wal_bytes(crash_at));
+    let store = open_store(&dir, CrashSpec::after_wal_bytes(crash_at));
     let (acked, in_flight) = drive_until_crash(&store, ops);
     prop_assert!(
         in_flight.is_some() || !store.is_crashed() || acked == ops.len(),

@@ -1,15 +1,15 @@
 //! Crash-safe elastic resharding property tests (DESIGN.md §15) — the
 //! acceptance sweep for the online topology-change engine:
 //!
-//! (a) **Crash at every `TOPOLOGY` journal byte** (background flusher
-//!     racing, writes dual-applied mid-migration) for grow (3→4),
+//! (a) **Crash at every `TOPOLOGY` journal byte** (writes
+//!     dual-applied and flushed mid-migration) for grow (3→4),
 //!     shrink (3→2), and replication-change (R 2→3) plans: the store
 //!     reopens into exactly one epoch, loses nothing acked, aborts at
 //!     most the one in-flight batch, and the migration resumes
 //!     idempotently to a scan bit-identical to a never-resharded oracle.
-//! (b) **Crash any shard at any WAL byte mid-migration** with the
-//!     flusher racing: the same invariants hold when the tear is in a
-//!     data WAL instead of the journal.
+//! (b) **Crash any shard at any WAL byte mid-migration**: the same
+//!     invariants hold when the tear is in a data WAL instead of the
+//!     journal.
 //! (c) **Pause at every step boundary** — including between the three
 //!     idempotent GC sub-steps — and every intermediate state is
 //!     `store_fsck`-clean (exit 0), resumable, and lands on the target
@@ -246,7 +246,6 @@ fn check_crash_point(
     let store = open_sharded(
         &dir,
         ShardOptions {
-            background_flush_wal_bytes: Some(700),
             crash_shard: crash_shard.map(|(g, b)| (g, CrashSpec::after_wal_bytes(b))),
             crash_topology,
             ..opts(init.0, init.1)
@@ -353,13 +352,7 @@ fn check_crash_point(
 fn measure_journal_len(ops: &[Op], init: (u32, u32), plan: &Topology) -> u64 {
     let dir = tmp_dir("measure-topo");
     init_store(&dir, init);
-    let store = open_sharded(
-        &dir,
-        ShardOptions {
-            background_flush_wal_bytes: Some(700),
-            ..opts(init.0, init.1)
-        },
-    );
+    let store = open_sharded(&dir, opts(init.0, init.1));
     let half = ops.len() / 2;
     for op in &ops[..half] {
         apply_sharded(&store, op).expect("measure op");
@@ -386,13 +379,7 @@ fn measure_journal_len(ops: &[Op], init: (u32, u32), plan: &Topology) -> u64 {
 fn measure_wal_lens(ops: &[Op], init: (u32, u32), plan: &Topology) -> Vec<u64> {
     let dir = tmp_dir("measure-wal");
     init_store(&dir, init);
-    let store = open_sharded(
-        &dir,
-        ShardOptions {
-            background_flush_wal_bytes: Some(700),
-            ..opts(init.0, init.1)
-        },
-    );
+    let store = open_sharded(&dir, opts(init.0, init.1));
     let half = ops.len() / 2;
     for op in &ops[..half] {
         apply_sharded(&store, op).expect("measure op");
@@ -413,8 +400,8 @@ fn measure_wal_lens(ops: &[Op], init: (u32, u32), plan: &Topology) -> Vec<u64> {
 }
 
 /// (a) Exhaustive journal sweep: for each plan shape, tear the
-/// `TOPOLOGY` journal at every byte of its full extent (flusher racing,
-/// writes dual-applied mid-migration).
+/// `TOPOLOGY` journal at every byte of its full extent (writes
+/// dual-applied and flushed mid-migration).
 #[test]
 fn crash_at_every_topology_journal_byte_resumes_to_exactly_one_epoch() {
     let ops = workload(42, 28);
@@ -442,7 +429,7 @@ fn crash_at_every_topology_journal_byte_resumes_to_exactly_one_epoch() {
 /// (b) WAL sweep mid-migration: for each plan shape, kill a shard at
 /// stride-1 offsets through the first WAL frames and a coprime stride
 /// beyond (victims rotating so every shard faces every alignment
-/// class), with the background flusher racing throughout.
+/// class).
 #[test]
 fn crash_any_shard_wal_mid_migration_preserves_acked_writes() {
     let ops = workload(1234, 32);

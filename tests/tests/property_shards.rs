@@ -1,8 +1,8 @@
 //! Crash, loss, and heal property tests for the sharded, replicated
 //! cfstore (DESIGN.md §13). The PR-4 crash harness extended per shard:
 //!
-//! (a) **Kill any single shard at every WAL byte** (with the background
-//!     flusher racing) and every acked write still scans bit-identical
+//! (a) **Kill any single shard at every WAL byte** (the workload's own
+//!     flushes included) and every acked write still scans bit-identical
 //!     to an unsharded oracle that executed the same acked prefix — or,
 //!     when the in-flight batch happened to reach every participant's
 //!     WAL, the oracle that also applied that one op. The cross-shard
@@ -188,7 +188,7 @@ fn reopen_changed_nothing(report: &ShardedRecoveryReport) -> bool {
 }
 
 /// The core of the shard-kill sweep: crash shard `victim` after it wrote
-/// `crash_at` WAL bytes (background flusher racing), reopen the whole
+/// `crash_at` WAL bytes, reopen the whole
 /// sharded store, and verify nothing acked was lost and nothing was torn.
 fn check_shard_crash_point(
     tag: &str,
@@ -203,7 +203,6 @@ fn check_shard_crash_point(
         &dir,
         ShardOptions {
             crash_shard: Some((victim, CrashSpec::after_wal_bytes(crash_at))),
-            background_flush_wal_bytes: Some(700),
             ..base_opts()
         },
     );
