@@ -6,9 +6,7 @@
 //! drives one fixed seeded workload through the public API only and
 //! records, at every checkpoint:
 //!
-//! * every `cfstore.shard.*` / `cfstore.reshard.*` counter (the
-//!   thread-timed `*.flush.background` excluded — no scenario runs a
-//!   flusher),
+//! * every `cfstore.shard.*` / `cfstore.reshard.*` counter,
 //! * every field of the `ShardedRecoveryReport` a reopen returned,
 //! * a digest of each open shard's `shard_scan` — row, family, column,
 //!   timestamp, value, checksum of every cell,
@@ -179,8 +177,7 @@ impl Transcript {
     ) {
         self.note(format!("-- {label}"));
         for (name, value) in reg.snapshot().counters {
-            let pinned = name.starts_with("cfstore.shard.") || name.starts_with("cfstore.reshard.");
-            if pinned && !name.ends_with("flush.background") {
+            if name.starts_with("cfstore.shard.") || name.starts_with("cfstore.reshard.") {
                 self.note(format!("{name} = {value}"));
             }
         }
