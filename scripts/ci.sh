@@ -60,8 +60,8 @@ cargo test -q -p pstorm-tests --test budget_gate
 
 # Block-cache oracle: lazy segment-backed reads through the bounded
 # cache must be bit-identical to full materialization at every budget
-# (including 0 bytes), and a crash injected into the background flusher
-# mid-segment-write must lose nothing.
+# (including 0 bytes), and a crash injected into a flush mid-segment-write
+# must lose nothing.
 step "block cache property tests (cached reads vs materialized oracle)"
 cargo test -q -p pstorm-tests --test property_block_cache
 
@@ -111,9 +111,9 @@ if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | gre
 step "source gate (no shipped twins)"
 if nontest $(find crates -name '*.rs') | grep -E 'fn simulate_clean|use_columnar_index|fn predict_runtime_ms_unplanned|"legacy"'; then exit 1; fi
 
-# One of each mechanism in the shard layer (DESIGN.md §20): one flusher
-# (its condition variable lives in flusher.rs; the only other one is the
-# block cache's, which readers of a block being filled wait on), one installer, one
+# One of each mechanism in the shard layer (DESIGN.md §20): one condition
+# variable (the block cache's, which readers of a block being filled wait
+# on), one installer, one
 # owned-row-set builder (the sole caller of `export_slot_from_peers`), no
 # catalog wrapper kept for its own test — and `store_fsck` takes its
 # sharded verdict from `ShardedStore::recovery_plan`: it neither parses
@@ -121,27 +121,34 @@ if nontest $(find crates -name '*.rs') | grep -E 'fn simulate_clean|use_columnar
 step "source gate (one of each in the shard layer)"
 cfstore_src=$(find crates/cfstore/src -name '*.rs')
 count() { nontest $cfstore_src | grep -cE "$1" || true; }
-if nontest $(find crates/cfstore/src -name '*.rs' ! -name flusher.rs ! -name blockcache.rs) | grep -F 'Condvar'; then exit 1; fi
-if [ "$(count 'Condvar::new')" -gt 2 ]; then echo "more than two Condvar::new in cfstore"; exit 1; fi
-if [ "$(count 'fn .*flusher_loop|fn run_flusher')" -gt 1 ]; then echo "more than one flusher loop"; exit 1; fi
+if nontest $(find crates/cfstore/src -name '*.rs' ! -name blockcache.rs) | grep -F 'Condvar'; then exit 1; fi
+if [ "$(count 'Condvar::new')" -gt 1 ]; then echo "more than one Condvar::new in cfstore"; exit 1; fi
 if nontest $cfstore_src | grep -E 'fn heal_table|fn merge_table_rows|fn read_shards_file'; then exit 1; fi
 if [ "$(nontest $cfstore_src | grep -F 'export_slot_from_peers(' | grep -vcF 'fn export_slot_from_peers(')" -gt 1 ]; then
   echo "export_slot_from_peers has more than one call site"; exit 1
 fi
 if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/fsck.rs; then exit 1; fi
-shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/cfstore/src/flusher.rs crates/bench/src/fsck.rs"
+shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/bench/src/fsck.rs"
 shard_layer_lines=$(nontest $shard_layer_files | wc -l)
 
 # cfstore's threads and panic sites (DESIGN.md §26, §36): a scan's regions
-# run on `std::thread::scope` threads, not through a vendored stand-in; the
-# flusher and shard.rs have no panic site, and the one left in store.rs
-# names the invariant that guarantees it.
+# run on `std::thread::scope` threads, not through a vendored stand-in;
+# shard.rs has no panic site, and the one left in store.rs names the
+# invariant that guarantees it.
 step "source gate (cfstore: std threads, audited panic sites)"
 if nontest $cfstore_src | grep -F 'crossbeam::'; then exit 1; fi
 panics() { nontest "crates/cfstore/src/$1" | grep -cE 'expect\(|unwrap\(\)|panic!|unreachable!' || true; }
-if [ "$(panics flusher.rs)" -gt 0 ] || [ "$(panics store.rs)" -gt 1 ] || [ "$(panics shard.rs)" -gt 0 ]; then
-  echo "cfstore panic sites: flusher.rs $(panics flusher.rs) (max 0), store.rs $(panics store.rs) (max 1), shard.rs $(panics shard.rs) (max 0)"
+if [ "$(panics store.rs)" -gt 1 ] || [ "$(panics shard.rs)" -gt 0 ]; then
+  echo "cfstore panic sites: store.rs $(panics store.rs) (max 1), shard.rs $(panics shard.rs) (max 0)"
   exit 1
+fi
+
+# The caller flushes (DESIGN.md §43): cfstore starts no thread of its own
+# (its only threads are a scan's `thread::scope` ones, above), so no
+# store is split into a handle and an `Arc`'d half to share with one.
+step "source gate (the caller flushes: no cfstore thread, no shared store half)"
+if nontest $cfstore_src | grep -E 'thread::spawn|thread::Builder|\bStoreInner\b|\bShardedInner\b'; then
+  echo "non-test cfstore must not name thread::spawn, thread::Builder, StoreInner or ShardedInner"; exit 1
 fi
 
 # Store reads run in parallel (DESIGN.md §28): a scan fans its regions out
@@ -285,8 +292,8 @@ fi
 # Reads never write (DESIGN.md §36): a sharded read takes the state lock
 # shared and fails over, marking a shard suspect; it never repairs. A
 # shard's copy of a table is repaired by one function, called by the write
-# pre-pass (a write cannot fail over) and by `repair_suspects` (flush, the
-# flusher and `scrub`), and by nothing else; the heal-and-retry wrapper
+# pre-pass (a write cannot fail over) and by `repair_suspects` (flush,
+# `delete_row` and `scrub`), and by nothing else; the heal-and-retry wrapper
 # that every read went through is gone.
 step "source gate (reads never write: one repair, two callers)"
 if nontest crates/cfstore/src/shard.rs | grep -E '\bwith_heal\b|\bUnhealed\b'; then
@@ -541,8 +548,9 @@ one=$(least "$one")
 two=$(least "$two")
 awk -v one="$one" -v two="$two" \
   'BEGIN { printf "%6.2f  two-thread speed-up of sha256sum over 256 MiB (%.2f s alone, %.2f s two at once)\n", 2 * one / two, one, two }'
-# Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16).
-printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + flusher.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
+# Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16; 4359,
+# flusher.rs included, before the caller flushed, DESIGN.md §43).
+printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
 # 2357 before replay was apply (DESIGN.md §24).
