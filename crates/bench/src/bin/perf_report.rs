@@ -297,8 +297,7 @@ fn bench_put_then_match(entries: &mut Vec<Entry>, seeds: &Seeds) {
 /// Durable-store hot paths: segment block reads through the bounded
 /// cache (cold = 0-byte budget, every get fetches and CRC-verifies its
 /// block; warm = ample budget primed by one pass of the timed gets)
-/// and put latency with the flush inline on the caller vs handed to the
-/// background flusher. Returns `(blocks_indexed, blocks_read)` from the
+/// and put latency with the caller flushing every 16 puts. Returns `(blocks_indexed, blocks_read)` from the
 /// lazy reopen — the read-amplification proof that reopening is bounded
 /// by segment trailers, not segment bodies.
 fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
@@ -357,49 +356,31 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
         ProfileStore::reopen_with_opts(&dir, uncached).unwrap().0,
     );
 
-    // Put latency, per-op samples: inline flushing charges a periodic
-    // segment rewrite to whichever put drew the short straw (visible at
-    // p95); the background flusher takes it off the caller entirely.
-    // Flush every 16 puts so >5% of inline-flush samples pay a segment
-    // rewrite — the caller-pays cost then lands inside the p95 horizon.
+    // Put latency, per-op samples: the caller flushes (DESIGN.md §43),
+    // which charges a periodic segment rewrite to whichever put drew the
+    // short straw. Flush every 16 puts so >5% of the samples pay a
+    // segment rewrite — the cost then lands inside the p95 horizon.
     const PUTS: usize = 2048;
     const FLUSH_EVERY: usize = 16;
-    let put_samples = |store: &ProfileStore, inline_flush: bool| -> Vec<u128> {
-        let mut samples = Vec::with_capacity(PUTS);
-        for i in 0..PUTS {
-            let t = Instant::now();
-            store
-                .inner()
-                .put(
-                    "Jobs",
-                    Put::new(format!("Bench/put-{i:06}"), "f", "v", vec![7u8; 256]),
-                )
-                .unwrap();
-            if inline_flush && i % FLUSH_EVERY == FLUSH_EVERY - 1 {
-                store.flush().unwrap();
-            }
-            samples.push(t.elapsed().as_nanos());
+    let (store, _) = ProfileStore::reopen(&base.join("inline_flush")).unwrap();
+    let mut samples = Vec::with_capacity(PUTS);
+    for i in 0..PUTS {
+        let t = Instant::now();
+        store
+            .inner()
+            .put(
+                "Jobs",
+                Put::new(format!("Bench/put-{i:06}"), "f", "v", vec![7u8; 256]),
+            )
+            .unwrap();
+        if i % FLUSH_EVERY == FLUSH_EVERY - 1 {
+            store.flush().unwrap();
         }
-        samples.sort_unstable();
-        samples
-    };
-    for (variant, opts) in [
-        ("inline_flush", StoreOptions::default()),
-        (
-            "background_flush",
-            StoreOptions {
-                background_flush_wal_bytes: Some(64 << 10),
-                ..StoreOptions::default()
-            },
-        ),
-    ] {
-        let dir = base.join(variant);
-        let inline = variant == "inline_flush";
-        let (store, _) = ProfileStore::reopen_with_opts(&dir, opts).unwrap();
-        let samples = put_samples(&store, inline);
-        entries.push(Entry::new("store_put", variant, PUTS, &samples, 1.0));
-        drop(store);
+        samples.push(t.elapsed().as_nanos());
     }
+    samples.sort_unstable();
+    entries.push(Entry::new("store_put", "inline_flush", PUTS, &samples, 1.0));
+    drop(store);
 
     let _ = std::fs::remove_dir_all(&base);
     read_amp
@@ -1093,8 +1074,6 @@ fn main() {
     let stage1_p50 = find(&entries, "matcher_stage1", "columnar", 1000);
     let match_at_4000 = find(&entries, "match_profile", "columnar", 4000);
     let put_then_match_at_4000 = find(&entries, "put_then_match", "columnar", 4000);
-    let put_tail_ratio = entry(&entries, "store_put", "inline_flush", 2048).p95_ns as f64
-        / entry(&entries, "store_put", "background_flush", 2048).p95_ns as f64;
     let current_cps = entry(&entries, "cbo_search", "current", 0).candidates_per_sec;
     let shard_rebuild_ms = shard_rebuild_ns as f64 * 1e-6;
     // Per prediction: the row's sample is `CBO_BUDGET` of them.
@@ -1164,7 +1143,7 @@ fn main() {
     );
     let _ = write!(
         json,
-        "  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"put_p95_inline_over_background\": {put_tail_ratio:.1},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2},\n    \"two_thread_speedup\": {speedup_json}\n  }}\n}}\n"
+        "  \"summary\": {{\n    \"matcher_stage1_speedup_at_1000\": {stage1_speedup:.1},\n    \"matcher_stage1_columnar_p50_at_1000_ns\": {stage1_p50:.0},\n    \"match_profile_p50_at_4000_ns\": {match_at_4000:.0},\n    \"put_then_match_p50_at_4000_ns\": {put_then_match_at_4000:.0},\n    \"reopen_segment_blocks_indexed\": {reopen_blocks},\n    \"reopen_segment_blocks_read\": {reopen_blocks_read},\n    \"shard_scan_rows_scanned\": {shard_scanned},\n    \"shard_scan_rows_returned\": {shard_returned},\n    \"shard_rebuild_healed_rows\": {shard_healed},\n    \"shard_rebuild_ms\": {shard_rebuild_ms:.1},\n    \"reshard_grow_rows_moved\": {reshard_rows_moved},\n    \"reshard_grow_ms\": {reshard_grow_ms:.1},\n    \"reshard_matcher_p50_mid_over_quiesced\": {reshard_matcher_ratio:.2},\n    \"cbo_search_current_candidates_per_sec\": {current_cps:.1},\n    \"whatif_eval_p50_ns_at_560_splits\": {whatif_eval_at_560:.0},\n    \"analyze.suite_total_ms\": {analyze_total_ms:.1},\n    \"analyze.pairs_per_s\": {analyze_pairs_per_s:.0},\n    \"analyze.group_sort_share\": {group_sort_share:.3},\n    \"group_sort_speedup\": {group_sort_speedup:.2},\n    \"two_thread_speedup\": {speedup_json}\n  }}\n}}\n"
     );
 
     let path = concat!(
@@ -1192,7 +1171,6 @@ fn main() {
         "sharded reopen of 4 tenants x 500 profiles and their index builds: {:.1} ms",
         find(&entries, "store_reopen", "sharded_2000_profiles", 2000) / 1e6
     );
-    println!("put p95 inline-flush / background-flush: {put_tail_ratio:.1}x");
     println!(
         "sharded scan read amplification: {shard_scanned} scanned for {shard_returned} returned"
     );
