@@ -1,11 +1,10 @@
 //! A bounded, deterministic LRU cache over segment blocks.
 //!
-//! Since PR 6 a reopened store no longer materializes flushed rows into
-//! memstores: clean regions stay backed by their segment file and read
-//! ≤[`crate::segment::BLOCK_ROWS`]-row blocks on demand through this
-//! cache (DESIGN.md §12). The cache is shared by every region of one
-//! store, keyed by `(reader id, block index)`, and charged the *framed
-//! on-disk size* of each block so the byte budget tracks real I/O saved.
+//! A region reads its segment ≤[`crate::segment::BLOCK_ROWS`]-row blocks
+//! on demand through this cache (DESIGN.md §12, §44). The cache is shared
+//! by every region of one store, keyed by `(reader id, block index)`, and
+//! charged the *framed on-disk size* of each block so the byte budget
+//! tracks real I/O saved.
 //!
 //! Design constraints, in order:
 //!
@@ -34,8 +33,8 @@
 //!    eviction order are what they were when the lock was held across the
 //!    fill.
 //! 5. **Only a point read admits** (DESIGN.md §42): a point get reads
-//!    through [`BlockCache::get_or_load`]; a scan, a promotion and a
-//!    scrub read around the cache through [`BlockCache::peek_or_read`],
+//!    through [`BlockCache::get_or_load`]; a scan, a flush and a scrub
+//!    read around the cache through [`BlockCache::peek_or_read`],
 //!    as HBase's `setCacheBlocks(false)` scans do, since nothing re-reads
 //!    what they walk.
 //!
@@ -135,7 +134,7 @@ impl BlockCache {
     }
 
     /// Drop every cached block of one reader. Called when a region drops
-    /// its segment, promoted or healed: the reader id is process-unique
+    /// its segment, rebased or healed: the reader id is process-unique
     /// and never reused, so without this its admitted blocks would pin
     /// cache budget until evicted by pressure.
     pub fn evict_reader(&self, reader_id: u64) {

@@ -14,19 +14,15 @@
 //! [`CrashSpec`] so property tests can enumerate "crash anywhere,
 //! reopen, invariants hold".
 //!
-//! Since PR 6 the read path is lazy: reopening a flushed store keeps
-//! clean regions *segment-backed* — rows are read block-at-a-time through
-//! a bounded LRU [`BlockCache`] instead of being materialized wholesale —
-//! and a flush rewrites only dirty regions, reusing clean segments by
-//! reference (DESIGN.md §12). The caller decides when to flush; no
-//! thread of cfstore's does (DESIGN.md §43).
+//! A region is a memstore over its segment (DESIGN.md §44): writes fill
+//! the memstore, reads merge it over segment blocks read through a bounded
+//! LRU [`BlockCache`], and a flush rewrites only dirty regions, reusing
+//! clean segments by reference (DESIGN.md §12), and empties the memstores
+//! it wrote. The caller decides when to flush (DESIGN.md §43).
 //!
 //! * [`kv`] — cells, puts, row results.
-//! * [`filter`] — pushdown predicates (`RowPrefixFilter`,
-//!   `SingleColumnValueFilter`, arbitrary predicates, conjunctions),
-//!   evaluated on each row where a scan walks it, before it is
-//!   materialized.
-//! * [`region`] — sorted row partitions with scan metrics and splits.
+//! * [`filter`] — pushdown predicates evaluated on each row a scan walks.
+//! * [`region`] — sorted row partitions, memstore over segment, splits.
 //! * [`store`] — tables, META, the client API, durable mode.
 //! * [`shard`] — N replicated store shards behind one API: commit rule,
 //!   read fail-over and repair, whole-shard rebuild (DESIGN.md §13, §36), and

@@ -227,10 +227,9 @@ pub struct RecoveryReport {
     pub segment_rows: u64,
     /// Blocks indexed across all loaded segments.
     pub segment_blocks: u64,
-    /// Blocks recovery actually read (CRC-verified on fill) to promote
-    /// regions the WAL replay mutated. The read-amplification proof:
-    /// `segment_blocks_read ≤ segment_blocks`, with equality only when
-    /// every region was written after its flush.
+    /// Blocks the WAL replay read (CRC-verified on fill): replayed puts
+    /// and splits read none, a delete the one its row could be in
+    /// (DESIGN.md §44).
     pub segment_blocks_read: u64,
     /// WAL frames replayed (lsn above the manifest's flush mark).
     pub frames_replayed: u64,

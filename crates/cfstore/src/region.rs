@@ -6,31 +6,25 @@
 //! independently lockable, so scans of disjoint regions proceed in
 //! parallel.
 //!
-//! Since PR 6 a region is in one of two states (DESIGN.md §12):
-//!
-//! * **Materialized** — all rows live in the in-memory memstore, exactly
-//!   the pre-PR-6 behaviour. Every mutable region is in this state.
-//! * **Segment-backed (lazy)** — the region was recovered from a flushed
-//!   segment and has not been written since. Reads go block-at-a-time
-//!   through the shared [`BlockCache`] (a point get admits its block; a
-//!   range walks around it, DESIGN.md §42); nothing is materialized
-//!   beyond the blocks a read actually touches. The *first mutation*
-//!   promotes the region to materialized (reading every block once), so
-//!   the memstore invariants — and the WAL-covers-memstore durability
-//!   contract — are untouched for anything that can change.
+//! A region is a memstore over its segment, as in HBase (DESIGN.md §44):
+//! an optional *base*, the segment it was last flushed to or recovered
+//! from, read block by block through the store's [`BlockCache`], and a
+//! memstore of the rows written since. A put writes the memstore only; a
+//! read merges each memstore row over its base row; a flush writes that
+//! merge as a new segment and then takes it as the base, emptying the
+//! memstore ([`Region::rebase`]).
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, Range};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::BlockCache;
-use crate::kv::{self, intact, CellVersion, Put, RowResult};
+use crate::kv::{intact, CellVersion, Put, RowResult};
 use crate::segment::{Block, SegmentError, SegmentReader};
-use crate::store::{Scan, StoreError};
+use crate::store::{Install, Scan, StoreError};
 use crate::wal::Cells;
 
 /// Room for a row's cells in a walk's view: a `Static/` row, the widest
@@ -42,9 +36,8 @@ pub(crate) const MAX_VERSIONS: usize = 3;
 
 /// One stored row, flat: its families in name order, each holding its
 /// columns in name order, each column its retained versions newest first.
-/// Every `Vec` is sized exactly: the memstore holds a row in this shape for
-/// as long as its region stays in memory. Public because segment files and
-/// recovery move rows in and out of regions in this shape.
+/// Every `Vec` of a memstore row is sized exactly. Public because segment
+/// files and heals move rows in and out of regions in this shape.
 pub type RowData = Vec<(String, Vec<(Bytes, Vec<CellVersion>)>)>;
 
 /// A half-open row-key range `[start, end)`; `None` end means unbounded.
@@ -71,10 +64,60 @@ impl KeyRange {
     }
 }
 
-/// A lazily read segment backing a clean recovered region.
+/// The segment under a region's memstore, shared by the halves of a split
+/// (each reads its own range) until a flush rebases them.
 struct SegmentBase {
     reader: Arc<SegmentReader>,
     cache: Arc<BlockCache>,
+    /// Its row keys, read once a split check needs an exact row count.
+    keys: OnceLock<Vec<Bytes>>,
+}
+
+impl SegmentBase {
+    /// Its row keys in `range`, read around the cache the first time.
+    fn keys_in(&self, range: &KeyRange) -> Result<&[Bytes], SegmentError> {
+        if self.keys.get().is_none() {
+            let mut keys = Vec::with_capacity(self.reader.meta().row_count as usize);
+            for idx in 0..self.reader.block_count() {
+                let block = self.cache.peek_or_read(&self.reader, idx)?;
+                keys.extend((0..block.len()).map(|i| Bytes::copy_from_slice(block.key(i))));
+            }
+            let _ = self.keys.set(keys);
+        }
+        Ok(within(self.keys.get().map_or(&[], Vec::as_slice), range))
+    }
+
+    /// The block holding row `key`, read around the cache, and its index.
+    fn find(&self, key: &[u8]) -> Result<Option<(Arc<Block>, usize)>, SegmentError> {
+        let Some(idx) = self.reader.block_for(key) else {
+            return Ok(None);
+        };
+        let block = self.cache.peek_or_read(&self.reader, idx)?;
+        Ok(block.find(key).map(|i| (block, i)))
+    }
+}
+
+/// A segment no region reads leaves no block in the cache, where its
+/// blocks would pin budget: no reader id is reused.
+impl Drop for SegmentBase {
+    fn drop(&mut self) {
+        self.cache.evict_reader(self.reader.id());
+    }
+}
+
+/// The part of `keys`, which are sorted, that lies in `range`.
+fn within<'k>(keys: &'k [Bytes], range: &KeyRange) -> &'k [Bytes] {
+    let below = |bound: &Bytes| keys.partition_point(|k| k < bound);
+    let lo = below(&range.start);
+    &keys[lo..range.end.as_ref().map_or(keys.len(), below).max(lo)]
+}
+
+/// A memstore row: the cells written since the base, and whether it hides
+/// the base's row (deleted, or installed whole); empty, it is a tombstone.
+#[derive(Default)]
+struct Memrow {
+    cells: RowData,
+    hides_base: bool,
 }
 
 /// A region: a contiguous, sorted slice of a table's rows.
@@ -85,17 +128,12 @@ struct SegmentBase {
 pub struct Region {
     pub id: u64,
     range: RwLock<KeyRange>,
-    /// The memstore. Empty while `base` is `Some` (lazy state): a region
-    /// never splits its rows between memory and segment.
-    rows: RwLock<BTreeMap<Bytes, RowData>>,
-    /// `Some` while segment-backed; dropped on promotion.
-    base: RwLock<Option<SegmentBase>>,
-    /// Mutated since the segment named by `flushed_as` captured it. The
-    /// flush compaction policy rewrites only dirty regions.
-    dirty: AtomicBool,
-    /// Segment file whose contents equal this region's current rows
-    /// (when clean) — the file a compacting flush reuses by reference.
-    flushed_as: Mutex<Option<String>>,
+    /// The memstore: the rows written since `base`.
+    rows: RwLock<BTreeMap<Bytes, Memrow>>,
+    base: RwLock<Option<Arc<SegmentBase>>>,
+    /// The segment file this region's rows equal until a mutation, which a
+    /// compacting flush reuses by reference; `None` when dirty.
+    clean_as: Mutex<Option<String>>,
 }
 
 /// Scan bookkeeping (cells touched, rows matched), the §5.2/5.3
@@ -124,86 +162,30 @@ impl Region {
         Region {
             id,
             range: RwLock::new(range),
-            rows: RwLock::new(BTreeMap::new()),
-            base: RwLock::new(None),
-            dirty: AtomicBool::new(true),
-            flushed_as: Mutex::new(None),
+            rows: RwLock::default(),
+            base: RwLock::default(),
+            clean_as: Mutex::default(),
         }
     }
 
-    /// Rebuild a clean region lazily from its flushed segment: no rows
-    /// are materialized until a read touches their block or a write
-    /// promotes the whole region.
-    pub fn from_segment(
-        id: u64,
-        range: KeyRange,
-        reader: Arc<SegmentReader>,
-        cache: Arc<BlockCache>,
-    ) -> Self {
-        let file = reader.file_name().to_string();
-        Region {
-            id,
-            range: RwLock::new(range),
-            rows: RwLock::new(BTreeMap::new()),
-            base: RwLock::new(Some(SegmentBase { reader, cache })),
-            dirty: AtomicBool::new(false),
-            flushed_as: Mutex::new(Some(file)),
-        }
+    /// The segment file this region's rows equal, unless it is dirty.
+    pub(crate) fn clean_file(&self) -> Option<String> {
+        self.clean_as.lock().clone()
     }
 
-    /// Whether this region is still segment-backed (no read-triggered
-    /// materialization, no mutation since recovery).
-    pub fn is_lazy(&self) -> bool {
-        self.base.read().is_some()
-    }
-
-    /// Whether this region mutated since its `flushed_as` segment was
-    /// written (a compacting flush must rewrite it).
-    pub(crate) fn is_dirty(&self) -> bool {
-        self.dirty.load(Ordering::Acquire)
-    }
-
-    /// The segment file whose contents equal this region's rows, if any.
-    pub(crate) fn flushed_file(&self) -> Option<String> {
-        self.flushed_as.lock().clone()
-    }
-
-    /// Record that `file` now captures this region's exact contents
-    /// (called after the manifest swap, so a crash mid-flush leaves the
-    /// region dirty and the next flush retries).
-    pub(crate) fn mark_flushed(&self, file: String) {
-        *self.flushed_as.lock() = Some(file);
-        self.dirty.store(false, Ordering::Release);
-    }
-
-    /// Promote a segment-backed region to materialized: read every block
-    /// once (around the cache) into the memstore, drop the base and evict
-    /// the blocks point gets had admitted from it, which nothing can hit
-    /// again. Idempotent; a no-op for materialized regions. Every mutation
-    /// goes through here first, so an unreadable segment is the one error
-    /// a mutation can fail with.
-    fn ensure_materialized(&self) -> Result<(), SegmentError> {
+    /// Take `reader`, a segment of exactly this region's rows, as the base
+    /// and drop the memstore (a flush does, after its manifest swap).
+    pub(crate) fn rebase(&self, reader: Arc<SegmentReader>, cache: Arc<BlockCache>) {
         let mut base = self.base.write();
-        let Some(b) = base.as_ref() else {
-            return Ok(());
-        };
         let mut rows = self.rows.write();
-        debug_assert!(rows.is_empty(), "lazy regions have empty memstores");
-        for idx in 0..b.reader.block_count() {
-            rows.extend(b.cache.peek_or_read(&b.reader, idx)?.rows());
-        }
-        b.cache.evict_reader(b.reader.id());
-        *base = None;
-        Ok(())
-    }
-
-    /// Force promotion ahead of a write. The sharded batch path calls
-    /// this *before* appending the batch to any WAL, so a segment-CRC
-    /// failure surfaces (and can be healed from a replica) while the
-    /// batch can still be cleanly rejected — once the frame is logged on
-    /// one shard, the in-memory apply must not be able to fail.
-    pub(crate) fn prepare_for_write(&self) -> Result<(), SegmentError> {
-        self.ensure_materialized()
+        *self.clean_as.lock() = Some(reader.file_name().to_string());
+        let keys = OnceLock::new();
+        *base = Some(Arc::new(SegmentBase {
+            reader,
+            cache,
+            keys,
+        }));
+        rows.clear();
     }
 
     /// This region's current row-key range.
@@ -223,56 +205,60 @@ impl Region {
         self.range.read().start.as_ref() <= key
     }
 
-    /// Write a run of cells to one row, promoting, locking the rows and
-    /// checking the range once for the whole run. Returns `Ok(false)`,
-    /// having written nothing, when the row no longer belongs to this
-    /// region (a concurrent split moved the key range) — the caller must
-    /// re-resolve the region and retry. The range check happens under the
-    /// rows write lock, which `split_at` also holds while shrinking the
-    /// range, so the answer cannot go stale. A write to a segment-backed
-    /// region promotes it first (which can surface a typed corruption
-    /// error from the segment). Every cell keeps its own timestamp and
-    /// checksum, and every column its `MAX_VERSIONS` cap. A family that
-    /// takes new columns makes room for the rest of the run at once and
-    /// is sized exactly again when the run is written.
-    pub(crate) fn put_row(&self, row: &Bytes, cells: Cells<'_>) -> Result<bool, SegmentError> {
-        self.ensure_materialized()?;
+    /// Write a run of cells to one memstore row, reading nothing of the
+    /// base. Returns `false`, having written nothing, when the row no
+    /// longer belongs to this region (a concurrent split moved the key
+    /// range, checked under the rows lock `split_at` holds): the caller
+    /// re-resolves the region and retries. Every cell keeps its own
+    /// timestamp and checksum, every column its `MAX_VERSIONS` cap.
+    pub(crate) fn put_row(&self, row: &Bytes, cells: Cells<'_>) -> bool {
         let mut rows = self.rows.write();
         if !self.range.read().contains(row) {
-            return Ok(false);
+            return false;
         }
-        self.dirty.store(true, Ordering::Release);
-        let data = rows.entry(row.clone()).or_default();
+        *self.clean_as.lock() = None;
+        let data = &mut rows.entry(row.clone()).or_default().cells;
         let n = cells.len();
         for (i, (put, timestamp)) in cells.iter().enumerate() {
             put_cell(data, put, timestamp, n - i);
         }
         data.iter_mut()
             .for_each(|(_, columns)| columns.shrink_to_fit());
-        Ok(true)
+        true
     }
 
     /// Read one row (latest versions only), verifying cell checksums.
-    /// On a segment-backed region this reads exactly one block through
-    /// the cache, admitting it; it never materializes the region.
+    /// Reads at most one base block, through the cache, admitting it.
     pub fn get(&self, row: &[u8]) -> Result<Option<RowResult>, StoreError> {
         let mut found = None;
         self.walk(Keys::One(row), |row| found = Some(materialize(row)))?;
         Ok(found)
     }
 
-    /// Delete one row entirely. Returns `None` when the row key no longer
-    /// belongs to this region (concurrent split — retry), otherwise
-    /// whether the row existed.
+    /// Delete one row. Returns `None` when the row key no longer belongs to
+    /// this region (concurrent split — retry), otherwise whether the row
+    /// existed: a row the memstore does not hold is looked up in the one
+    /// base block that could hold it. A tombstone hides a base row.
     pub fn delete_row(&self, row: &[u8]) -> Result<Option<bool>, SegmentError> {
-        self.ensure_materialized()?;
+        let base = self.base.read();
         let mut rows = self.rows.write();
         if !self.range.read().contains(row) {
             return Ok(None);
         }
-        let existed = rows.remove(row).is_some();
+        let existed = match rows.get(row) {
+            Some(m) => !m.cells.is_empty(),
+            None => base.as_ref().map_or(Ok(None), |b| b.find(row))?.is_some(),
+        };
         if existed {
-            self.dirty.store(true, Ordering::Release);
+            *self.clean_as.lock() = None;
+            let tombstone = Memrow {
+                cells: RowData::new(),
+                hides_base: true,
+            };
+            match base.is_some() {
+                true => rows.insert(Bytes::copy_from_slice(row), tombstone),
+                false => rows.remove(row),
+            };
         }
         Ok(Some(existed))
     }
@@ -281,8 +267,7 @@ impl Region {
     /// checksum-verified, and hand `each` those that pass the scan's
     /// filter, which runs on the walked row: a row it drops is never
     /// materialized. Counts every row walked, and every row passed with the
-    /// bytes of its values as returned. On a segment-backed region only
-    /// the blocks overlapping the range are read, around the cache.
+    /// bytes of its values as returned.
     pub(crate) fn visit(
         &self,
         scan: &Scan,
@@ -306,13 +291,19 @@ impl Region {
         Ok(metrics)
     }
 
-    /// Walk the rows `keys` selects in key order, handing each to `each`
-    /// once every one of its cells passed its checksum; the first that
-    /// does not fails the walk. The one body under every read of rows,
-    /// from a block or from the memstore. Only a point read admits its
-    /// block to the cache; a range reads around it (DESIGN.md §42).
+    /// Walk the rows `keys` selects in key order, each memstore row merged
+    /// over its base row, handing each to `each` once all its cells passed
+    /// their checksums; the first that does not fails the walk. The one
+    /// body under every read of rows. Only a point read admits its block to
+    /// the cache; a range reads around it (DESIGN.md §42).
     fn walk(&self, keys: Keys<'_>, mut each: impl FnMut(RowView<'_>)) -> Result<(), StoreError> {
-        if let Some(b) = self.base.read().as_ref() {
+        let base = self.base.read();
+        let rows = self.rows.read();
+        let range = self.range.read().clone();
+        let keys = keys.within(&range);
+        let mut mem = rows.range::<[u8], _>(keys.bounds()).peekable();
+        let mut alone = Vec::with_capacity(ROW_CELLS);
+        if let Some(b) = base.as_ref() {
             for idx in keys.blocks(&b.reader) {
                 let block = match keys {
                     Keys::One(_) => b.cache.get_or_load(&b.reader, idx)?,
@@ -320,175 +311,168 @@ impl Region {
                 };
                 let mut cells = Vec::with_capacity(ROW_CELLS);
                 for i in keys.rows(&block) {
+                    let key = block.key(i);
+                    while let Some((k, m)) = mem.next_if(|(k, _)| k.as_ref() < key) {
+                        walk_memrow(k, m, &mut alone, &mut each)?;
+                    }
                     cells.clear();
-                    cells.extend(
-                        block
-                            .latest(i)
-                            .map(|(family, column, value, ts, checksum)| {
-                                let version = Version::Block(&block, ts);
-                                Latest {
-                                    family,
-                                    column,
-                                    value,
-                                    checksum,
-                                    version,
+                    match mem.next_if(|(k, _)| k.as_ref() == key) {
+                        Some((k, m)) if m.hides_base => walk_memrow(k, m, &mut alone, &mut each)?,
+                        Some((k, m)) => {
+                            cells.extend(block_latest(&block, i));
+                            for over in latest_of(&m.cells) {
+                                let column = (over.family, over.column);
+                                match cells.binary_search_by(|c| (c.family, c.column).cmp(&column))
+                                {
+                                    Ok(j) if cells[j].timestamp() > over.timestamp() => {}
+                                    Ok(j) => cells[j] = over,
+                                    Err(j) => cells.insert(j, over),
                                 }
-                            }),
-                    );
-                    each(verified(block.key(i), &cells, Home::Block(&block))?);
-                }
-            }
-            return Ok(());
-        }
-        let rows = self.rows.read();
-        let mut cells = Vec::with_capacity(ROW_CELLS);
-        for (key, data) in rows.range::<[u8], _>(keys.bounds()) {
-            cells.clear();
-            for (family, columns) in data {
-                for (column, versions) in columns {
-                    if let Some(latest) = versions.first() {
-                        cells.push(Latest::owned(family, column, latest));
+                            }
+                            each(verified(k, &cells, Home::Owned(k))?);
+                        }
+                        None => {
+                            cells.extend(block_latest(&block, i));
+                            each(verified(key, &cells, Home::Block(&block))?);
+                        }
                     }
                 }
             }
-            each(verified(key, &cells, Home::Owned(key))?);
+        }
+        for (k, m) in mem {
+            walk_memrow(k, m, &mut alone, &mut each)?;
         }
         Ok(())
     }
 
-    /// Check every retained cell version of this region against its
-    /// write-time checksum ([`kv::first_bad_version`]); the first that
-    /// fails is the error. Read where the rows are stored: a
-    /// segment-backed region's blocks one at a time, around the cache,
-    /// without promoting it.
-    pub(crate) fn verify_versions(&self) -> Result<(), StoreError> {
-        let check = |bad: Option<(&Bytes, &Bytes, u64)>| match bad {
-            Some((row, column, _)) => Err(StoreError::corruption(row, column)),
-            None => Ok(()),
-        };
-        if let Some(b) = self.base.read().as_ref() {
-            for idx in 0..b.reader.block_count() {
-                for (key, data) in b.cache.peek_or_read(&b.reader, idx)?.rows() {
-                    check(kv::first_bad_version([(&key, &data)]))?;
-                }
-            }
-            return Ok(());
-        }
-        check(kv::first_bad_version(&*self.rows.read()))
-    }
-
     /// Test/chaos hook: flip one byte of the latest stored version of a
     /// cell *without* refreshing its checksum, simulating at-rest bit rot.
-    /// Returns whether a cell was actually hit. Corrupting is a mutation,
-    /// so a segment-backed region is promoted first (an unreadable
-    /// segment means there is nothing in memory to corrupt: `false`).
+    /// Returns whether a cell was hit. The flipped copy goes to the
+    /// memstore under the version's timestamp, hiding it.
     pub fn corrupt_cell(&self, row: &[u8], family: &str, column: &[u8]) -> bool {
-        if self.ensure_materialized().is_err() {
-            return false;
-        }
+        let base = self.base.read();
         let mut rows = self.rows.write();
-        let Some(latest) = rows
-            .get_mut(row)
-            .and_then(|data| data.iter_mut().find(|(f, _)| f == family))
-            .and_then(|(_, columns)| columns.iter_mut().find(|(c, _)| c.as_ref() == column))
-            .and_then(|(_, versions)| versions.first_mut())
+        let hit = |c: &Latest| c.family == family.as_bytes() && c.column == column;
+        let over = rows.get(row);
+        let in_base = match (base.as_ref(), over) {
+            (Some(b), m) if !m.is_some_and(|m| m.hides_base) => b.find(row).ok().flatten(),
+            _ => None,
+        };
+        let in_base =
+            in_base.and_then(|(block, i)| Some(block_latest(&block, i).find(hit)?.shared().1));
+        let in_memstore = over.and_then(|m| Some(latest_of(&m.cells).find(hit)?.shared().1));
+        let Some(latest) = in_base
+            .into_iter()
+            .chain(in_memstore)
+            .max_by_key(|v| v.timestamp)
         else {
             return false;
         };
-        let mut v = latest.value.to_vec();
-        if v.is_empty() {
-            v.push(0xde);
-        } else {
-            v[0] ^= 0xff;
-        }
-        latest.value = Bytes::from(v);
-        self.dirty.store(true, Ordering::Release);
+        let data = &mut rows.entry(Bytes::copy_from_slice(row)).or_default().cells;
+        let columns = sorted_entry(data, family, 1, || family.to_owned());
+        let versions = sorted_entry(columns, column, 1, || Bytes::copy_from_slice(column));
+        versions.retain(|v| v.timestamp != latest.timestamp);
+        let value = match &latest.value[..] {
+            [first, rest @ ..] => Bytes::from([&[first ^ 0xff], rest].concat()),
+            [] => Bytes::from_static(&[0xde]),
+        };
+        insert_version(versions, CellVersion { value, ..latest });
+        *self.clean_as.lock() = None;
         true
     }
 
-    /// Number of rows stored. For a segment-backed region this is the
-    /// segment trailer's exact row count — the region is clean, so the
-    /// segment *is* its contents and no block needs reading.
-    pub fn row_count(&self) -> usize {
-        if let Some(b) = self.base.read().as_ref() {
-            return b.reader.meta().row_count as usize;
-        }
-        self.rows.read().len()
-    }
-
-    /// The median row key — the point a split cuts at. Returns
-    /// `None` when the region has fewer than 2 rows. Exposed separately
-    /// so the durable store can write-ahead-log the split point *before*
-    /// applying it (log-then-apply, like every other mutation).
-    ///
-    /// A segment-backed region reports `None`: splits only ever follow
-    /// threshold-crossing puts, and a put promotes the region first, so a
-    /// lazy region can never be split-eligible.
-    pub fn median_key(&self) -> Option<Bytes> {
-        if self.base.read().is_some() {
+    /// The median row key, where a split cuts once this region holds more
+    /// than `threshold` rows (and two): the durable store logs it before
+    /// splitting. The base's keys are read only once the memstore's rows
+    /// and the base's could pass the threshold; a base that cannot be read
+    /// skips the split, and the next read, flush or scrub meets the rot.
+    pub(crate) fn split_point(&self, threshold: usize) -> Option<Bytes> {
+        let (base, rows, range) = (self.base.read(), self.rows.read(), self.range.read());
+        // All the base's rows, until its keys were read.
+        let all = |b: &SegmentBase| b.reader.meta().row_count as usize;
+        let at_most = |b: &SegmentBase| b.keys.get().map_or(all(b), |k| within(k, &range).len());
+        if base.as_deref().map_or(0, at_most) + rows.len() <= threshold {
             return None;
         }
-        let rows = self.rows.read();
-        if rows.len() < 2 {
-            return None;
-        }
-        rows.keys().nth(rows.len() / 2).cloned()
+        let in_base = match base.as_ref() {
+            Some(b) => b.keys_in(&range).ok()?,
+            None => &[],
+        };
+        let live = rows.iter().filter(|(_, m)| !m.cells.is_empty());
+        let base_only = in_base.iter().filter(|k| !rows.contains_key(*k));
+        let mut keys: Vec<&Bytes> = base_only.chain(live.map(|(k, _)| k)).collect();
+        keys.sort_unstable();
+        (keys.len() > threshold && keys.len() >= 2).then(|| keys[keys.len() / 2].clone())
     }
 
     /// Split this region at an explicit key: the logged split point, for
-    /// the live split and for its replay alike. `Ok(None)` if the key is
-    /// empty or outside this region's range.
-    pub fn split_at(&self, key: &Bytes, new_id: u64) -> Result<Option<Region>, SegmentError> {
-        self.ensure_materialized()?;
+    /// the live split and for its replay alike. `None` if the key is empty
+    /// or outside this region's range. The halves share the base and read
+    /// no block.
+    pub fn split_at(&self, key: &Bytes, new_id: u64) -> Option<Region> {
+        let base = self.base.read();
         let mut rows = self.rows.write();
         let mut my_range = self.range.write();
         if !my_range.contains(key) || key.is_empty() {
-            return Ok(None);
+            return None;
         }
-        let upper_rows = rows.split_off(key);
-        let upper = Region {
-            id: new_id,
-            range: RwLock::new(KeyRange {
-                start: key.clone(),
-                end: my_range.end.clone(),
-            }),
-            rows: RwLock::new(upper_rows),
-            base: RwLock::new(None),
-            dirty: AtomicBool::new(true),
-            flushed_as: Mutex::new(None),
+        let upper_range = KeyRange {
+            start: key.clone(),
+            end: my_range.end.clone(),
         };
-        // Shrink this region's range to end at the split point. Both
-        // halves diverge from any flushed segment.
+        let upper = Region::new(new_id, upper_range);
+        *upper.rows.write() = rows.split_off(key);
+        *upper.base.write() = base.clone();
         my_range.end = Some(key.clone());
-        self.dirty.store(true, Ordering::Release);
-        Ok(Some(upper))
+        *self.clean_as.lock() = None;
+        Some(upper)
     }
 
-    /// Snapshot this region's rows for a segment flush, promoting a
-    /// segment-backed region first.
+    /// This region's rows with every retained version, memstore merged over
+    /// base: what a flush writes and a heal copies.
     pub fn export_rows(&self) -> Result<BTreeMap<Bytes, RowData>, SegmentError> {
-        self.ensure_materialized()?;
-        Ok(self.rows.read().clone())
+        let base = self.base.read();
+        let rows = self.rows.read();
+        let range = self.range.read().clone();
+        let mut out = BTreeMap::new();
+        if let Some(b) = base.as_ref() {
+            for idx in b
+                .reader
+                .blocks_overlapping(&range.start, range.end.as_deref())
+            {
+                let block = b.cache.peek_or_read(&b.reader, idx)?;
+                for (key, data) in block.rows().filter(|(key, _)| range.contains(key)) {
+                    let data = match rows.get(&key) {
+                        Some(m) if m.hides_base => continue,
+                        Some(m) => merge_rows(data, &m.cells),
+                        None => data,
+                    };
+                    out.insert(key, data);
+                }
+            }
+        }
+        for (key, m) in rows.iter().filter(|(_, m)| !m.cells.is_empty()) {
+            out.entry(key.clone()).or_insert_with(|| m.cells.clone());
+        }
+        Ok(out)
     }
 
-    /// Replace this region's contents wholesale with rows copied from a
-    /// healthy replica, *without reading the current base* — the whole
-    /// point of a heal is that the backing segment failed its CRC, so
-    /// promotion is off the table. Any cached blocks of the dropped
-    /// segment are evicted (the reader id will never be reused, but the
-    /// bytes would pin cache budget forever). The region comes out
-    /// materialized and dirty; the caller flushes to make the repair
-    /// durable and delete the corrupt file.
-    pub(crate) fn install_rows(&self, new_rows: BTreeMap<Bytes, RowData>) {
+    /// Install rows copied from healthy replicas, each whole over its key,
+    /// reading nothing of the base (a heal's failed its CRC);
+    /// [`Install::Replace`] drops the base. The caller flushes to make the
+    /// install durable.
+    pub(crate) fn install_rows(&self, new_rows: BTreeMap<Bytes, RowData>, how: Install) {
         let mut base = self.base.write();
-        if let Some(b) = base.as_ref() {
-            b.cache.evict_reader(b.reader.id());
-        }
         let mut rows = self.rows.write();
-        *rows = new_rows;
-        *base = None;
-        self.dirty.store(true, Ordering::Release);
-        *self.flushed_as.lock() = None;
+        if how == Install::Replace {
+            *base = None;
+            rows.clear();
+        }
+        let hides_base = true;
+        for (key, cells) in new_rows {
+            rows.insert(key, Memrow { cells, hides_base });
+        }
+        *self.clean_as.lock() = None;
     }
 }
 
@@ -503,14 +487,20 @@ fn put_cell(row: &mut RowData, put: &Put, timestamp: u64, room: usize) {
     let family: &str = &put.family;
     let columns = sorted_entry(row, family, 1, || family.to_owned());
     let versions = sorted_entry(columns, &put.column, room, || put.column.clone());
+    insert_version(versions, CellVersion::new(timestamp, put.value.clone()));
+}
+
+/// Insert `version` among a column's `versions`, newest first, of equal
+/// timestamps the later first, keeping at most [`MAX_VERSIONS`].
+fn insert_version(versions: &mut Vec<CellVersion>, version: CellVersion) {
     let pos = versions
         .iter()
-        .position(|v| v.timestamp <= timestamp)
+        .position(|v| v.timestamp <= version.timestamp)
         .unwrap_or(versions.len());
     if pos < MAX_VERSIONS {
         versions.truncate(MAX_VERSIONS - 1);
         versions.reserve_exact(1);
-        versions.insert(pos, CellVersion::new(timestamp, put.value.clone()));
+        versions.insert(pos, version);
     }
 }
 
@@ -541,6 +531,59 @@ where
     &mut list[i].1
 }
 
+/// A memstore row merged over its base row, as writing its cells there
+/// would; a memstore version hides the base's of its timestamp.
+fn merge_rows(mut base: RowData, over: &RowData) -> RowData {
+    for (family, columns) in over {
+        let merged = sorted_entry(&mut base, family.as_str(), 1, || family.clone());
+        for (column, versions) in columns {
+            let merged = sorted_entry(merged, column, 1, || column.clone());
+            merged.retain(|v| versions.iter().all(|o| o.timestamp != v.timestamp));
+            versions
+                .iter()
+                .rev()
+                .for_each(|v| insert_version(merged, v.clone()));
+        }
+    }
+    base
+}
+
+/// Hand `each` memstore row `key` alone, unless it is a tombstone.
+fn walk_memrow<'a>(
+    key: &'a Bytes,
+    m: &'a Memrow,
+    cells: &mut Vec<Latest<'a>>,
+    each: &mut impl FnMut(RowView<'_>),
+) -> Result<(), StoreError> {
+    if !m.cells.is_empty() {
+        cells.clear();
+        cells.extend(latest_of(&m.cells));
+        each(verified(key, cells, Home::Owned(key))?);
+    }
+    Ok(())
+}
+
+/// The latest version of each column of a stored row, families first.
+fn latest_of(data: &RowData) -> impl Iterator<Item = Latest<'_>> {
+    data.iter().flat_map(|(family, columns)| {
+        columns.iter().filter_map(move |(column, versions)| {
+            Some(Latest::owned(family, column, versions.first()?))
+        })
+    })
+}
+
+/// The latest version of each column of block row `i`, families first.
+fn block_latest(block: &Block, i: usize) -> impl Iterator<Item = Latest<'_>> {
+    block
+        .latest(i)
+        .map(move |(family, column, value, ts, checksum)| Latest {
+            family,
+            column,
+            value,
+            checksum,
+            version: Version::Block(block, ts),
+        })
+}
 /// A stored row as a read walks it: its key and the latest version of
 /// each of its columns, families first, each cell checksum-verified, all
 /// borrowed from the block or the memstore row that holds them.
@@ -566,7 +609,7 @@ pub struct Latest<'a> {
 enum Home<'a> {
     /// A block: the key is a slice of its buffer.
     Block(&'a Block),
-    /// A memstore row or a materialized one.
+    /// A memstore row, or a row read whole.
     Owned(&'a Bytes),
 }
 
@@ -575,7 +618,7 @@ enum Version<'a> {
     /// A block's cell, its column and value slices of the block's buffer:
     /// its timestamp.
     Block(&'a Block, u64),
-    /// A memstore's or a materialized row's column and latest version.
+    /// A memstore row's or a row read whole's column and latest version.
     Owned(&'a Bytes, &'a CellVersion),
 }
 
@@ -588,6 +631,14 @@ impl<'a> Latest<'a> {
             value: &latest.value,
             checksum: latest.checksum,
             version,
+        }
+    }
+
+    /// This version's timestamp.
+    fn timestamp(&self) -> u64 {
+        match self.version {
+            Version::Block(_, timestamp) => timestamp,
+            Version::Owned(_, latest) => latest.timestamp,
         }
     }
 
@@ -635,6 +686,18 @@ enum Keys<'k> {
 }
 
 impl<'k> Keys<'k> {
+    /// These keys, of those in `range`: a split shares its base.
+    fn within(self, range: &'k KeyRange) -> Keys<'k> {
+        let (start, end) = match self {
+            Keys::One(key) if range.contains(key) => return self,
+            Keys::One(key) => (key, Some(key)),
+            Keys::Range(start, end) => (start, end),
+        };
+        let start = start.max(&range.start);
+        let end = [end, range.end.as_deref()].into_iter().flatten().min();
+        Keys::Range(start, end.map(|end| end.max(start)))
+    }
+
     fn blocks(self, reader: &SegmentReader) -> Range<usize> {
         match self {
             Keys::Range(start, end) => reader.blocks_overlapping(start, end),
@@ -712,7 +775,7 @@ pub(crate) mod tests {
     fn put(region: &Region, row: &str, col: &str, val: &str, ts: u64) {
         let cells = [cell("cf", col, val, ts)];
         let row = Bytes::copy_from_slice(row.as_bytes());
-        assert!(region.put_row(&row, Cells::Logged(&cells)).unwrap());
+        assert!(region.put_row(&row, Cells::Logged(&cells)));
     }
 
     /// What a scan keeps of `region`: the rows `scan` passes, materialized,
@@ -816,13 +879,20 @@ pub(crate) mod tests {
         for k in ["a", "b", "c", "d", "e", "f"] {
             put(&r, k, "c", "v", 1);
         }
-        let upper = r.split_at(&r.median_key().unwrap(), 2).unwrap().unwrap();
-        assert_eq!(r.row_count() + upper.row_count(), 6);
-        assert!(upper.row_count() >= 3);
+        let upper = r.split_at(&r.split_point(5).unwrap(), 2).unwrap();
+        let (lower, upper_rows) = (r.export_rows().unwrap(), upper.export_rows().unwrap());
+        assert_eq!(lower.len() + upper_rows.len(), 6);
+        assert!(upper_rows.len() >= 3);
         assert_eq!(upper.range().start, Bytes::from("d"));
         assert_eq!(r.range().end, Some(Bytes::from("d")));
         assert!(r.contains_key(b"a"));
         assert!(!r.contains_key(b"d"));
+        // The median of an odd count is its middle key; none until the
+        // count passes the threshold.
+        put(&upper, "g", "c", "v", 1);
+        put(&upper, "h", "c", "v", 1);
+        assert_eq!(upper.split_point(5), None);
+        assert_eq!(upper.split_point(4), Some(Bytes::from("f")));
     }
 
     #[test]
@@ -830,9 +900,9 @@ pub(crate) mod tests {
         let r = Region::new(1, KeyRange::all());
         put(&r, "a", "c", "v", 1);
         put(&r, "b", "c", "v", 1);
-        let _upper = r.split_at(&Bytes::from("b"), 2).unwrap().unwrap();
+        let _upper = r.split_at(&Bytes::from("b"), 2).unwrap();
         let cells = [cell("cf", "c", "v", 2), cell("cf", "c", "v", 3)];
-        assert!(!r.put_row(&Bytes::from("c"), Cells::Logged(&cells)).unwrap());
+        assert!(!r.put_row(&Bytes::from("c"), Cells::Logged(&cells)));
         assert!(r.get(b"c").unwrap().is_none());
     }
 
@@ -840,7 +910,7 @@ pub(crate) mod tests {
     fn tiny_region_refuses_split() {
         let r = Region::new(1, KeyRange::all());
         put(&r, "only", "c", "v", 1);
-        assert!(r.median_key().is_none());
+        assert!(r.split_point(0).is_none());
     }
 
     #[test]
@@ -925,9 +995,9 @@ pub(crate) mod tests {
             let key = Bytes::from("row");
             for (run, first) in [(&run, 0), (&more, run.len())] {
                 let run = cells(run, first);
-                proptest::prop_assert!(region.put_row(&key, Cells::Logged(&run)).unwrap());
+                proptest::prop_assert!(region.put_row(&key, Cells::Logged(&run)));
             }
-            proptest::prop_assert!(exactly_sized(&region.rows.read()[&key]));
+            proptest::prop_assert!(exactly_sized(&region.rows.read()[&key].cells));
             let stored = region.export_rows().unwrap().remove(&key).unwrap();
             proptest::prop_assert_eq!(stored, expected);
         }

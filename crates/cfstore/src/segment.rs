@@ -448,8 +448,8 @@ impl Block {
         })
     }
 
-    /// Every row with every version, as a memstore holds it: a promotion's
-    /// rows, and [`read_segment`]'s.
+    /// Every row with every version, as a memstore holds it: what a flush
+    /// merges and a heal copies, and [`read_segment`]'s rows.
     pub fn rows(&self) -> impl Iterator<Item = (Bytes, RowData)> + '_ {
         let cut = |f| self.cut(at(&self.buf, f));
         let same_family = |a: &Cell, b: &Cell| a.family == b.family;

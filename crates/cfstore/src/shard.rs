@@ -18,8 +18,8 @@
 //! `lsn = gsn × LSN_STRIDE` (1024), beginning with a
 //! [`WalRecord::BatchMarker`] naming the gsn and the full participant
 //! set. The frame is appended to **every** participant before it is
-//! applied **anywhere** (regions are pre-materialized first, so apply
-//! cannot fail on at-rest corruption after bytes are logged).
+//! applied **anywhere** (a put reads nothing of a region's segment, so
+//! apply cannot fail on at-rest corruption after bytes are logged).
 //!
 //! ## Commit rule
 //!
@@ -37,12 +37,12 @@
 //! (cell checksum or segment block) serves the row or slot from the
 //! next replica and marks the bad shard *suspect*; later reads prefer
 //! the replicas that are not. The repair copies every verified row the
-//! suspect shard owns from clean replicas, swaps them in below the
+//! suspect shard owns from clean replicas, installs them in place of the
 //! corrupt base ([`Region::install_rows`]), and flushes — rewriting the
 //! bad copy on disk. It runs at the start of every [`ShardedStore::flush`],
 //! in [`ShardedStore::scrub`] (which first walks every stored row), and
-//! before a write logs to a region it cannot read: a write has no replica
-//! to fail over to.
+//! when a shard's flush meets rot in the base of a region it rewrites:
+//! then the shard is repaired and flushed again (DESIGN.md §44).
 //! Counted per shard as `cfstore.shard.<id>.heal.*` (DESIGN.md §36).
 //! Losing a shard *entirely* (directory deleted, manifest corrupt) is
 //! the degenerate case: reopen rebuilds the whole shard from its
@@ -968,28 +968,10 @@ impl ShardedStore {
         let mut participants: Vec<u32> = placed.iter().flat_map(|(_, g)| g).copied().collect();
         participants.sort_unstable();
         participants.dedup();
-        let runs_of = |g: u32| {
+        Self::commit_batch(&mut st, &participants, |g| {
             let hosted = move |(_, replicas): &&(Run<'_>, Vec<u32>)| replicas.contains(&g);
-            placed.iter().filter(hosted).map(|(run, _)| *run)
-        };
-        // Materialize target regions up front: at-rest corruption must
-        // surface (and be repaired) *before* any WAL append, because puts
-        // are not idempotent and a half-applied batch cannot be retried.
-        // A write has no other replica to fail over to: whatever stops
-        // the repair, or the retry after it, stops the batch.
-        for &g in &participants {
-            let shard = &st.shards[g as usize];
-            let rows = || runs_of(g).map(|run| run.row);
-            match shard.prepare_rows(table, rows()) {
-                Err(e) if is_rot(&e) => {
-                    count_heal(&self.obs, g, "reads", 1);
-                    self.repair(&st, g, table)?;
-                    shard.prepare_rows(table, rows())?;
-                }
-                other => other?,
-            }
-        }
-        Self::commit_batch(&mut st, &participants, |g| runs_of(g).map(Op::Run))
+            placed.iter().filter(hosted).map(|(run, _)| Op::Run(*run))
+        })
     }
 
     /// Delete a row from every replica holding it.
@@ -1103,16 +1085,23 @@ impl ShardedStore {
     /// Repair the suspect shards, then flush every shard, stopping at the
     /// first error. A shard whose repair cannot complete (no clean
     /// replica to copy from) stays suspect — its reads keep failing over,
-    /// and [`Self::scrub`] reports why — and the flush goes on. The
-    /// caller decides when (DESIGN.md §43).
+    /// and [`Self::scrub`] reports why — and the flush goes on. A shard
+    /// whose flush meets rot is repaired and flushed again (DESIGN.md §44).
+    /// The caller decides when (DESIGN.md §43).
     pub fn flush(&self) -> Result<(), StoreError> {
         let mut st = self.state.write();
         let _ = self.repair_suspects(&mut st);
-        let Some(e) = st.shards.iter().find_map(|s| s.flush().err()) else {
-            return Ok(());
-        };
-        st.poisoned |= e == StoreError::Crashed;
-        Err(e)
+        let flushed = (0..st.shards.len()).try_for_each(|g| match st.shards[g].flush() {
+            Err(e) if is_rot(&e) => {
+                count_heal(&self.obs, g as u32, "reads", 1);
+                st.suspect.get_mut().insert(g as u32);
+                self.repair_suspects(&mut st)?;
+                st.shards[g].flush()
+            }
+            other => other,
+        });
+        st.poisoned |= flushed == Err(StoreError::Crashed);
+        flushed
     }
 
     /// Verify every retained cell version and repair what fails: check
@@ -1124,7 +1113,7 @@ impl ShardedStore {
         let mut st = self.state.write();
         for (g, shard) in st.shards.iter().enumerate() {
             for table in st.schemas.keys() {
-                match shard.verify_versions(table) {
+                match shard.verify_versions(table, drop) {
                     Err(e) if is_rot(&e) => {
                         st.suspect.lock().insert(g as u32);
                         break;
@@ -1312,12 +1301,12 @@ impl ShardedStore {
 
     /// Repair one shard's copy of a table from its peers: copy every
     /// row the shard owns from the first clean replica of each slot,
-    /// install below the corrupt base, and flush — making the repair
+    /// install it over the corrupt base, and flush — making the repair
     /// durable and deleting the superseded corrupt segment file. The
-    /// repair is deliberately *not* WAL-logged: replay would re-promote
-    /// the corrupt base it replaces; durability comes from the flush.
-    /// Called with the global lock held exclusively, by the `put_batch`
-    /// pre-pass and by [`Self::repair_suspects`] only.
+    /// repair is deliberately *not* WAL-logged: the log holds writes, and
+    /// the repair replaces what a corrupt base held; durability comes from
+    /// the flush. Called with the global lock held exclusively, by
+    /// [`Self::repair_suspects`] only.
     fn repair(&self, st: &GlobalState, bad: u32, table: &str) -> Result<u64, StoreError> {
         // Pre-cutover, a migration target shard also holds dual-applied
         // and copied rows it owns under the *new* topology; the repair
@@ -1341,10 +1330,10 @@ impl ShardedStore {
     }
 
     /// Repair every table of each suspect shard, and clear its mark: at
-    /// every flush, in [`Self::scrub`], and in a `delete_row` whose read
-    /// marked a replica. Returns the rows repaired. A repair that fails
-    /// ends the pass with its error, leaving its shard (and those after
-    /// it) suspect.
+    /// every flush (and again for a shard whose flush met rot), in
+    /// [`Self::scrub`], and in a `delete_row` whose read marked a
+    /// replica. Returns the rows repaired. A repair that fails ends the
+    /// pass with its error, leaving its shard (and those after) suspect.
     fn repair_suspects(&self, st: &mut GlobalState) -> Result<u64, StoreError> {
         let mut rows = 0;
         for g in st.suspect.get_mut().clone() {

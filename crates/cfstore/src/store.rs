@@ -10,8 +10,8 @@
 //! applier (log-then-apply, DESIGN.md §24); [`MiniStore::flush`] persists
 //! dirty regions as immutable segment files and swaps the MANIFEST
 //! atomically; and reopening the directory hands the WAL tail to that
-//! same applier over lazily opened segments (clean regions stay
-//! segment-backed, reading blocks through a shared [`BlockCache`]).
+//! same applier over lazily opened segments, each the base under a
+//! region's memstore, read through a shared [`BlockCache`] (DESIGN.md §44).
 //! Durable mutations are serialized under one lock so the WAL order is
 //! exactly the apply order — replay is then a rerun, by the code that ran
 //! the first time.
@@ -37,7 +37,7 @@ use crate::recovery::{
     self, inconsistent, io_err, Manifest, ManifestTable, RecoveryError, RecoveryReport,
 };
 use crate::region::{materialize, KeyRange, Region, RowData, RowView, ScanMetrics};
-use crate::segment::{self, SegmentError};
+use crate::segment::{self, SegmentError, SegmentReader};
 use crate::wal::{
     self, Cells, CrashSpec, Op, Run, SyncPolicy, WalError, WalRecord, WalWriter, WAL_FILE,
 };
@@ -269,7 +269,7 @@ fn split_region_in(
             "split of unknown region {parent_id} in `{table}`"
         )));
     };
-    let Some(upper) = regions[pos].split_at(split_key, new_id)? else {
+    let Some(upper) = regions[pos].split_at(split_key, new_id) else {
         return Err(outside());
     };
     regions.insert(pos + 1, Arc::new(upper));
@@ -407,7 +407,6 @@ impl MiniStore {
             tables.insert(t.name.clone(), Arc::new(table));
         }
         let mut next_region_id = manifest.next_region_id.max(1);
-        let mut lazy: Vec<(Arc<Region>, u64)> = Vec::new();
         for reader in recovery::open_segments(dir, &manifest, &mut report)? {
             let meta = reader.meta().clone();
             let Some(table) = tables.get(&meta.table) else {
@@ -418,11 +417,9 @@ impl MiniStore {
                 )));
             };
             next_region_id = next_region_id.max(meta.region_id.saturating_add(1));
-            let blocks = reader.block_count() as u64;
-            let region = Region::from_segment(meta.region_id, meta.range, reader, cache.clone());
-            let region = Arc::new(region);
-            lazy.push((region.clone(), blocks));
-            table.regions.write().push(region);
+            let region = Region::new(meta.region_id, meta.range);
+            region.rebase(reader, cache.clone());
+            table.regions.write().push(Arc::new(region));
         }
         for t in tables.values() {
             let by_start = |a: &Arc<Region>, b: &Arc<Region>| a.range().start.cmp(&b.range().start);
@@ -468,7 +465,9 @@ impl MiniStore {
         // Replay: frames a flush did not capture go through the applier
         // that applied them the first time. Nothing is logged, and what
         // the puts touched is dropped: a split the live write made is in
-        // the log behind it.
+        // the log behind it. Only a delete reads a block, which is counted.
+        let reads = obs::Registry::new();
+        store.cache.set_obs(reads.clone());
         for frame in scan.frames {
             if frame.lsn <= manifest.flushed_lsn {
                 report.frames_skipped += 1;
@@ -478,9 +477,12 @@ impl MiniStore {
             report.records_replayed += frame.records.len() as u64;
             store.apply(wal::ops(&frame.records))?;
         }
-        // A region replay wrote to was promoted, every block read once.
-        let promoted = lazy.iter().filter(|(r, _)| !r.is_lazy());
-        report.segment_blocks_read = promoted.map(|(_, blocks)| blocks).sum();
+        store.cache.set_obs(obs::Registry::disabled());
+        let misses = reads
+            .snapshot()
+            .counters
+            .remove("cfstore.block_cache.misses");
+        report.segment_blocks_read = misses.unwrap_or(0);
         // Every table needs at least one region covering the key space.
         for t in store.tables.read().values() {
             let mut regions = t.regions.write();
@@ -624,58 +626,43 @@ impl MiniStore {
     }
 
     /// The half of a live write that replay never runs: split every
-    /// region the write touched that outgrew its table's threshold
-    /// (amortized: only when a region grew large).
+    /// region the write touched that outgrew its table's threshold at its
+    /// median key ([`Region::split_point`]). In durable mode the split
+    /// point and new region id are WAL-logged *before* the split is
+    /// applied, so replay reproduces the exact region topology. The region
+    /// list stays write-locked from the median to the insert, which is why
+    /// this calls the applier's `RegionSplit` arm rather than the applier.
     fn split_grown(
         &self,
         applied: Applied<'_>,
         mut durable: Option<&mut DurableState>,
     ) -> Result<(), StoreError> {
         for (table, t, region) in applied.touched {
-            if region.row_count() > t.split_threshold {
-                self.split_region(table, &t, &region, durable.as_deref_mut())?;
+            let mut regions = t.regions.write();
+            let Some(split_key) = region.split_point(t.split_threshold) else {
+                continue;
+            };
+            let new_id = self.next_region_id.fetch_add(1, Ordering::Relaxed);
+            if let Some(d) = durable.as_deref_mut() {
+                d.wal.append(&[WalRecord::RegionSplit {
+                    table: table.to_string(),
+                    parent_id: region.id,
+                    new_id,
+                    split_key: split_key.clone(),
+                }])?;
             }
+            split_region_in(&mut regions, table, region.id, new_id, &split_key)?;
+            let obs = &self.obs;
+            obs.event(
+                "cfstore.region.split",
+                &[
+                    ("table", obs::Value::from(table)),
+                    ("parent", obs::Value::from(region.id)),
+                    ("new", obs::Value::from(new_id)),
+                ],
+            );
+            obs.incr("cfstore.region.splits", 1);
         }
-        Ok(())
-    }
-
-    /// Split one oversized region at its median key. In durable mode the
-    /// split point and new region id are WAL-logged *before* the split is
-    /// applied, so replay reproduces the exact region topology. The
-    /// region list stays write-locked from the median to the insert,
-    /// which is why this calls the applier's `RegionSplit` arm rather
-    /// than the applier.
-    fn split_region(
-        &self,
-        table: &str,
-        t: &Table,
-        region: &Arc<Region>,
-        durable: Option<&mut DurableState>,
-    ) -> Result<(), StoreError> {
-        let mut regions = t.regions.write();
-        let Some(split_key) = region.median_key() else {
-            return Ok(());
-        };
-        let new_id = self.next_region_id.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = durable {
-            d.wal.append(&[WalRecord::RegionSplit {
-                table: table.to_string(),
-                parent_id: region.id,
-                new_id,
-                split_key: split_key.clone(),
-            }])?;
-        }
-        split_region_in(&mut regions, table, region.id, new_id, &split_key)?;
-        let obs = &self.obs;
-        obs.event(
-            "cfstore.region.split",
-            &[
-                ("table", obs::Value::from(table)),
-                ("parent", obs::Value::from(region.id)),
-                ("new", obs::Value::from(new_id)),
-            ],
-        );
-        obs.incr("cfstore.region.splits", 1);
         Ok(())
     }
 
@@ -865,15 +852,12 @@ impl MiniStore {
 
     /// Apply an already-appended sharded frame to memory, running the
     /// usual split check afterwards (splits are WAL-logged at the LSNs
-    /// following the frame, inside the same gsn stride). The batch path
-    /// promoted every target region *before* the frame was appended
-    /// anywhere ([`MiniStore::prepare_rows`]), so nothing here can fail
-    /// with a corruption error; the only fallible part is WAL-logging a
-    /// split this batch triggers, and by then the frame is durable on
-    /// every participant — recovery replays it whole. Cell timestamps
-    /// are the sharded store's global clock's; the applier keeps this
-    /// shard's own clock (and so its manifest's) ahead of them, so a
-    /// reopened sharded store resumes its clock correctly even when
+    /// following the frame, inside the same gsn stride). A put reads no
+    /// block (DESIGN.md §44); whatever fails here fails with the frame
+    /// durable on every participant, and recovery replays it whole. Cell
+    /// timestamps are the sharded store's global clock's; the applier
+    /// keeps this shard's own clock (and so its manifest's) ahead of them,
+    /// so a reopened sharded store resumes its clock correctly even when
     /// every frame was flushed out of the WALs.
     pub(crate) fn apply_frame<'a>(
         &self,
@@ -894,59 +878,28 @@ impl MiniStore {
         Ok(())
     }
 
-    /// Materialize every region that owns one of `rows`, surfacing any
-    /// segment corruption *before* a batch is framed.
-    pub(crate) fn prepare_rows<'a>(
-        &self,
-        table: &str,
-        rows: impl IntoIterator<Item = &'a Bytes>,
-    ) -> Result<(), StoreError> {
-        let t = self.table(table)?;
-        let regions = t.regions.read();
-        for row in rows {
-            if let Some(i) = owner_index(&regions, row) {
-                regions[i].prepare_for_write()?;
-            }
-        }
-        Ok(())
-    }
-
     /// Install rows copied from healthy replicas into a table, region by
     /// region ([`Region::install_rows`]) — wholesale or merged, per
-    /// [`Install`]. Not WAL-logged (a replay would try to promote the
-    /// corrupt base a heal is replacing): the caller makes it durable
+    /// [`Install`]. Not WAL-logged (the log holds writes, and a heal
+    /// replaces what a corrupt base held): the caller makes it durable
     /// with an immediate flush. Returns the number of rows installed.
     pub(crate) fn install_table_rows(
         &self,
         table: &str,
-        rows: BTreeMap<Bytes, RowData>,
+        mut rows: BTreeMap<Bytes, RowData>,
         how: Install,
     ) -> Result<u64, StoreError> {
         let t = self.table(table)?;
         // Hold the durable lock so no flush snapshots a half-installed
         // table.
         let _durable = self.durable.as_ref().map(|m| m.lock());
-        let regions = t.regions.read();
         let installed = rows.len() as u64;
-        for region in regions.iter() {
-            let range = region.range();
-            let lower = std::ops::Bound::Included(range.start.clone());
-            let upper = match &range.end {
-                Some(end) => std::ops::Bound::Excluded(end.clone()),
-                None => std::ops::Bound::Unbounded,
-            };
-            let mine: BTreeMap<Bytes, RowData> = rows
-                .range::<Bytes, _>((lower, upper))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            match how {
-                Install::Replace => region.install_rows(mine),
-                Install::Merge if mine.is_empty() => {}
-                Install::Merge => {
-                    let mut all = region.export_rows()?;
-                    all.extend(mine);
-                    region.install_rows(all);
-                }
+        // The regions tile the key space in start-key order: each takes
+        // the rows from its start on that the regions after it left.
+        for region in t.regions.read().iter().rev() {
+            let mine = rows.split_off(&region.range().start);
+            if how == Install::Replace || !mine.is_empty() {
+                region.install_rows(mine, how);
             }
         }
         Ok(installed)
@@ -959,29 +912,29 @@ impl MiniStore {
         &self,
         table: &str,
     ) -> Result<BTreeMap<Bytes, RowData>, StoreError> {
-        let t = self.table(table)?;
-        let regions: Vec<Arc<Region>> = t.regions.read().iter().cloned().collect();
         let mut out = BTreeMap::new();
-        for r in regions {
-            let rows = r.export_rows()?;
-            // A heal donor must be provably clean: every retained version,
-            // not just the latest a read would check, so corruption never
-            // propagates between replicas.
-            if let Some((row, column, _)) = kv::first_bad_version(&rows) {
-                return Err(StoreError::corruption(row, column));
-            }
-            out.extend(rows);
-        }
+        self.verify_versions(table, |rows| out.extend(rows))?;
         Ok(out)
     }
 
-    /// Check every retained cell version of `table` against its
-    /// write-time checksum, one region at a time, where each is stored
-    /// ([`Region::verify_versions`]): a corrupt version that a newer
-    /// write superseded fails this, though no read returns it.
-    pub(crate) fn verify_versions(&self, table: &str) -> Result<(), StoreError> {
+    /// Check every retained cell version of `table` against its write-time
+    /// checksum ([`kv::first_bad_version`]), one region at a time, handing
+    /// `each` the rows of each region that passes: a corrupt version that
+    /// a newer write superseded fails this, though no read returns it.
+    pub(crate) fn verify_versions(
+        &self,
+        table: &str,
+        mut each: impl FnMut(BTreeMap<Bytes, RowData>),
+    ) -> Result<(), StoreError> {
         let regions = self.table(table)?.regions.read().to_vec();
-        regions.iter().try_for_each(|r| r.verify_versions())
+        for r in regions {
+            let rows = r.export_rows()?;
+            if let Some((row, column, _)) = kv::first_bad_version(&rows) {
+                return Err(StoreError::corruption(row, column));
+            }
+            each(rows);
+        }
+        Ok(())
     }
 
     /// `table → (families, split_threshold)` — the schemas a shard rebuild
@@ -1001,10 +954,10 @@ impl MiniStore {
     /// `clock` and `next_region_id` ahead of whatever the records carry. A
     /// row run's table and region are resolved once and the region writes
     /// the run under one lock ([`Region::put_row`]), each cell as it would
-    /// alone. Writing to a segment-backed region promotes it, which can
-    /// surface a typed corruption error; a record naming a table, region
-    /// or range the store does not hold is refused as
-    /// [`RecoveryError::InconsistentLog`].
+    /// alone. A put reads nothing of a region's base; a delete reads the
+    /// one block its row could be in, which can surface a typed corruption
+    /// error. A record naming a table, region or range the store does not
+    /// hold is refused as [`RecoveryError::InconsistentLog`].
     fn apply<'a>(
         &self,
         ops: impl IntoIterator<Item = Op<'a>>,
@@ -1098,7 +1051,7 @@ impl MiniStore {
         // list.
         let region = loop {
             let region = t.region_for(run.row, run.table)?;
-            if region.put_row(run.row, run.cells)? {
+            if region.put_row(run.row, run.cells) {
                 break region;
             }
         };
@@ -1111,12 +1064,14 @@ impl MiniStore {
 
     /// Flush dirty regions to immutable segment files and swap the
     /// MANIFEST atomically, then truncate the WAL: the compacting flush
-    /// (DESIGN.md §12). A clean region's existing segment file is carried
-    /// into the new manifest by name, so a manifest may mix generations.
-    /// Region dirty bits are cleared only after the manifest swap — a
-    /// crash mid-flush leaves every region dirty and the next flush
-    /// simply retries. Runs under the durable lock; the caller decides
-    /// when (DESIGN.md §43). A no-op for in-memory stores.
+    /// (DESIGN.md §12): a dirty region's memstore merged over its base; a
+    /// clean region's segment file is carried into the new manifest by
+    /// name, so a manifest may mix generations. Only after the manifest
+    /// swap is each rewritten region rebased on its new segment — a crash
+    /// mid-flush leaves every region dirty and the next flush retries. A
+    /// base block that fails its CRC fails the flush, typed. Runs under the
+    /// durable lock; the caller decides when (DESIGN.md §43). A no-op for
+    /// in-memory stores.
     pub fn flush(&self) -> Result<(), StoreError> {
         let Some(m) = &self.durable else {
             return Ok(());
@@ -1131,7 +1086,7 @@ impl MiniStore {
         let tables = self.tables.read();
         let mut manifest_tables = Vec::new();
         let mut seg_names = Vec::new();
-        let mut newly_flushed: Vec<(Arc<Region>, String)> = Vec::new();
+        let mut newly_flushed: Vec<(Arc<Region>, Arc<SegmentReader>)> = Vec::new();
         let mut reused = 0u64;
         for (name, t) in tables.iter() {
             manifest_tables.push(ManifestTable {
@@ -1140,15 +1095,13 @@ impl MiniStore {
                 split_threshold: t.split_threshold as u64,
             });
             for r in t.regions.read().iter() {
-                if !r.is_dirty() {
-                    if let Some(file) = r.flushed_file() {
-                        // Clean region: its segment already captures the
-                        // exact current rows (no mutation since it was
-                        // written — splits and writes both mark dirty).
-                        seg_names.push(file);
-                        reused += 1;
-                        continue;
-                    }
+                if let Some(file) = r.clean_file() {
+                    // Clean region: its segment already captures the
+                    // exact current rows (no mutation since it was
+                    // written — splits and writes both mark dirty).
+                    seg_names.push(file);
+                    reused += 1;
+                    continue;
                 }
                 let rows = r.export_rows()?;
                 let bytes = segment::encode_segment(name, r.id, &r.range(), &rows);
@@ -1158,8 +1111,8 @@ impl MiniStore {
                     Ok(()) => {
                         std::fs::write(&path, &bytes).map_err(|e| StoreError::Io(e.to_string()))?;
                         d.wal.segments_written += 1;
-                        seg_names.push(file.clone());
-                        newly_flushed.push((r.clone(), file));
+                        seg_names.push(file);
+                        newly_flushed.push((r.clone(), Arc::new(SegmentReader::open(&path)?)));
                     }
                     Err(WalError::Crashed) => {
                         // Tear the victim segment halfway and die: the
@@ -1183,12 +1136,12 @@ impl MiniStore {
         recovery::write_manifest(&d.dir, &manifest).map_err(|e| StoreError::Io(e.to_string()))?;
         d.wal.reset_after_flush()?;
         d.generation = generation;
-        // Only after the manifest swap do the rewritten regions become
-        // clean (crash-safe ordering: an un-swapped manifest must leave
-        // them dirty so the retry rewrites them).
+        // Only after the manifest swap are the rewritten regions rebased
+        // and clean (crash-safe ordering: an un-swapped manifest must
+        // leave them dirty so the retry rewrites them).
         let written = newly_flushed.len() as u64;
-        for (r, file) in newly_flushed {
-            r.mark_flushed(file);
+        for (r, reader) in newly_flushed {
+            r.rebase(reader, self.cache.clone());
         }
         let mut superseded = 0u64;
         if let Ok(entries) = std::fs::read_dir(&d.dir) {
@@ -1868,8 +1821,9 @@ mod tests {
     }
 
     /// Replay is the live path, so a replayed delete of a row its region
-    /// does not hold leaves the region as the live delete did: promoted,
-    /// but clean, and the next flush reuses its segment by name.
+    /// does not hold leaves the region as the live delete did: it looked
+    /// the row up in the one block that could hold it, wrote nothing, and
+    /// stays clean, and the next flush reuses its segment by name.
     #[test]
     fn a_replayed_delete_of_a_missing_row_leaves_its_region_clean() {
         let dir = tmp_dir("noopdelete");
@@ -1878,13 +1832,13 @@ mod tests {
             store.create_table("t", &["f"]).unwrap();
             store.put("t", bput("r1", "c", "v")).unwrap();
             store.flush().unwrap();
-            assert!(!store.delete_row("t", b"missing").unwrap());
+            assert!(!store.delete_row("t", b"r2").unwrap());
         }
         let (mut store, report) = MiniStore::open(&dir).unwrap();
         assert_eq!(report.records_replayed, 1);
         assert_eq!(
             report.segment_blocks_read, 1,
-            "the delete promoted the region"
+            "the delete looked its row up in one block"
         );
         let reg = obs::Registry::new();
         store.set_obs(reg.clone());
@@ -2012,7 +1966,7 @@ mod tests {
         Put(u16, u8),
         Get(u16),
         Delete(u16),
-        Prepare(Vec<u16>),
+        Flush,
         Corrupt(u16, u8),
     }
 
@@ -2022,7 +1976,7 @@ mod tests {
             3 => (0u16..400, 0u8..3).prop_map(|(k, c)| RouteOp::Put(k, c)),
             2 => (0u16..400).prop_map(RouteOp::Get),
             1 => (0u16..400).prop_map(RouteOp::Delete),
-            1 => proptest::collection::vec(0u16..400, 1..6).prop_map(RouteOp::Prepare),
+            1 => proptest::strategy::Just(RouteOp::Flush),
             1 => (0u16..400, 0u8..3).prop_map(|(k, c)| RouteOp::Corrupt(k, c)),
         ]
     }
@@ -2067,7 +2021,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// Every put, get, delete, `prepare_rows` and `corrupt_cell` lands
+        /// Every put, get, delete and `corrupt_cell` lands
         /// in the region a walk of the region list from the front picks —
         /// over live splits, splits replayed from the WAL and a reopened
         /// segment-backed table — and the list stays sorted by start and
@@ -2134,15 +2088,12 @@ mod tests {
                             proptest::prop_assert_eq!(r.get(&row), Ok(None));
                         }
                     }
-                    RouteOp::Prepare(ks) => {
-                        let rows: Vec<Bytes> = ks.into_iter().map(route_key).collect();
-                        let lazy: Vec<bool> = regions.iter().map(|r| r.is_lazy()).collect();
-                        store.prepare_rows("t", &rows).unwrap();
-                        let owners: BTreeSet<usize> = rows.iter().map(|r| owner(&r[..])).collect();
-                        for (j, r) in regions.iter().enumerate() {
-                            let promoted = owners.contains(&j);
-                            proptest::prop_assert_eq!(r.is_lazy(), lazy[j] && !promoted);
+                    RouteOp::Flush => {
+                        store.flush().unwrap();
+                        for r in &regions {
+                            proptest::prop_assert_eq!(r.clean_file().is_some(), store.is_durable());
                         }
+                        assert_tiles(&regions_of(&store, "t"));
                     }
                     RouteOp::Corrupt(k, c) => {
                         let row = route_key(k);
@@ -2382,5 +2333,156 @@ mod tests {
         }));
         let (rows, _) = store.scan("t", &scan).unwrap();
         assert_eq!(rows.len(), 1);
+    }
+
+    /// One step of the memstore-over-segment model: a row number, and a
+    /// column number where the step names a cell.
+    #[derive(Debug, Clone)]
+    enum ModelOp {
+        Put(u8, u8),
+        Delete(u8),
+        Flush,
+        Reopen,
+        Corrupt(u8, u8),
+        Get(u8),
+        Scan(u8, u8),
+    }
+
+    fn model_op() -> impl proptest::strategy::Strategy<Value = ModelOp> {
+        use proptest::strategy::{Just, Strategy};
+        proptest::prop_oneof![
+            6 => (0u8..40, 0u8..3).prop_map(|(k, c)| ModelOp::Put(k, c)),
+            2 => (0u8..40).prop_map(ModelOp::Delete),
+            1 => Just(ModelOp::Flush),
+            1 => Just(ModelOp::Reopen),
+            1 => (0u8..40, 0u8..3).prop_map(|(k, c)| ModelOp::Corrupt(k, c)),
+            2 => (0u8..40).prop_map(ModelOp::Get),
+            1 => (0u8..40, 0u8..40).prop_map(|(a, b)| ModelOp::Scan(a.min(b), a.max(b))),
+        ]
+    }
+
+    fn model_key(n: u8) -> Bytes {
+        Bytes::from(format!("m{n:02}"))
+    }
+
+    /// A cell as two stores agree on it: its family, column, value and
+    /// checksum. Each store stamps its cells with its own clock, and a
+    /// reopen moves a durable store's clock on.
+    type PlainCell = (String, Bytes, Bytes, u32);
+
+    /// What a read returned, timestamps left out.
+    fn plain(
+        rows: Result<Vec<RowResult>, StoreError>,
+    ) -> Result<Vec<(Bytes, Vec<PlainCell>)>, StoreError> {
+        let cells = |r: RowResult| {
+            let cells = r.families.into_iter().flat_map(|(f, columns)| {
+                columns
+                    .into_iter()
+                    .map(move |(c, v)| (f.clone(), c, v.value, v.checksum))
+            });
+            (r.row, cells.collect())
+        };
+        Ok(rows?.into_iter().map(cells).collect())
+    }
+
+    /// Every row of table `t` with every retained version, newest first,
+    /// timestamps left out.
+    fn retained(store: &MiniStore) -> Vec<(Bytes, Vec<(PlainCell, usize)>)> {
+        let mut out = Vec::new();
+        for region in regions_of(store, "t") {
+            for (key, data) in region.export_rows().unwrap() {
+                let mut cells = Vec::new();
+                for (f, columns) in data {
+                    for (c, versions) in columns {
+                        for (i, v) in versions.into_iter().enumerate() {
+                            cells.push(((f.clone(), c.clone(), v.value, v.checksum), i));
+                        }
+                    }
+                }
+                out.push((key, cells));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A region is a memstore over its segment (DESIGN.md §44): under
+        /// any interleaving of puts, deletes, the splits they set off,
+        /// flushes, reopens and rotted cells, every get, scan and
+        /// retained version, and every region's key range and id, are
+        /// those of a store that never left memory. A reopen flushes
+        /// first if a cell was rotted since the last flush: rot is not
+        /// logged, so a replay would heal it.
+        #[test]
+        fn a_memstore_over_its_segment_reads_as_one_held_in_memory(
+            threshold in proptest::prop_oneof![2usize..7, proptest::strategy::Just(64)],
+            ops in proptest::collection::vec(model_op(), 1..90),
+        ) {
+            let dir = tmp_dir("model");
+            let oracle = MiniStore::new();
+            oracle.create_table_with_threshold("t", &["f"], threshold).unwrap();
+            let (mut store, _) = MiniStore::open(&dir).unwrap();
+            store.create_table_with_threshold("t", &["f"], threshold).unwrap();
+            let mut rotted = false;
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    ModelOp::Put(k, c) => {
+                        let value = format!("v{i}").repeat(1 + i % 5);
+                        let put = Put::new(model_key(k), "f", format!("c{c}"), value);
+                        store.put("t", put.clone()).unwrap();
+                        oracle.put("t", put).unwrap();
+                    }
+                    ModelOp::Delete(k) => {
+                        let key = model_key(k);
+                        proptest::prop_assert_eq!(
+                            store.delete_row("t", &key),
+                            oracle.delete_row("t", &key)
+                        );
+                    }
+                    ModelOp::Flush => {
+                        store.flush().unwrap();
+                        rotted = false;
+                    }
+                    ModelOp::Reopen => {
+                        if rotted {
+                            store.flush().unwrap();
+                            rotted = false;
+                        }
+                        drop(store);
+                        store = MiniStore::open(&dir).unwrap().0;
+                    }
+                    ModelOp::Corrupt(k, c) => {
+                        let (key, column) = (model_key(k), format!("c{c}"));
+                        let hit = store.corrupt_cell("t", &key, "f", column.as_bytes());
+                        let want = oracle.corrupt_cell("t", &key, "f", column.as_bytes());
+                        proptest::prop_assert_eq!(&hit, &want);
+                        rotted |= hit == Ok(true);
+                    }
+                    ModelOp::Get(k) => {
+                        let key = model_key(k);
+                        let get = |s: &MiniStore| plain(s.get("t", &key).map(|r| r.into_iter().collect()));
+                        proptest::prop_assert_eq!(get(&store), get(&oracle));
+                    }
+                    ModelOp::Scan(a, b) => {
+                        let scan = || Scan {
+                            start: model_key(a),
+                            stop: Some(model_key(b)),
+                            filter: None,
+                        };
+                        let rows = |s: &MiniStore| plain(s.scan("t", &scan()).map(|(rows, _)| rows));
+                        proptest::prop_assert_eq!(rows(&store), rows(&oracle));
+                    }
+                }
+                let regions = |s: &MiniStore| -> Vec<(Bytes, u64)> {
+                    s.meta_entries().into_iter().map(|e| (e.start_key, e.region_id)).collect()
+                };
+                proptest::prop_assert_eq!(regions(&store), regions(&oracle));
+                proptest::prop_assert_eq!(retained(&store), retained(&oracle));
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
