@@ -408,6 +408,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step None
 -- session B counters
+cfstore.block_cache.fill_bytes = 1395
+cfstore.block_cache.misses = 5
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -421,8 +423,8 @@ event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U6
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
 event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
 event cfstore.region.split table=Str("aux") parent=U64(11) new=U64(14)
-open C RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 7, frames_replayed: 18, records_replayed: 27, frames_skipped: 0, wal_bytes_valid: 1578, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 7, frames_replayed: 33, records_replayed: 42, frames_skipped: 0, wal_bytes_valid: 2563, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+open C RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 18, records_replayed: 27, frames_skipped: 0, wal_bytes_valid: 1578, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 33, records_replayed: 42, frames_skipped: 0, wal_bytes_valid: 2563, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -445,8 +447,8 @@ meta profiles "job-45" region 18 server 2
 profiles: 31 rows 0x5789f9e366e34b27
 aux: 14 rows 0xe6c6ae3867f03f86
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 860
-cfstore.block_cache.misses = 4
+cfstore.block_cache.fill_bytes = 8870
+cfstore.block_cache.misses = 34
 cfstore.cells_verified = 65
 cfstore.flush.segments_reused = 4
 cfstore.flush.segments_written = 15
@@ -696,6 +698,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(18)
 -- session B counters
+cfstore.block_cache.fill_bytes = 263
+cfstore.block_cache.misses = 1
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -706,7 +710,7 @@ event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 148, wal_bytes_dropped: 3, truncation: Some(Torn { offset: 148 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 2, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 148, wal_bytes_dropped: 3, truncation: Some(Torn { offset: 148 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -721,8 +725,8 @@ meta profiles "job-22" region 10 server 2
 profiles: 22 rows 0x617f9ac5966d6f5b
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 2292
-cfstore.block_cache.misses = 10
+cfstore.block_cache.fill_bytes = 2818
+cfstore.block_cache.misses = 12
 cfstore.cells_verified = 48
 cfstore.flush.segments_reused = 10
 cfstore.flush.segments_written = 1
@@ -739,6 +743,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(22)
 -- session B counters
+cfstore.block_cache.fill_bytes = 263
+cfstore.block_cache.misses = 1
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -750,7 +756,7 @@ event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 3, frames_replayed: 6, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 429, wal_bytes_dropped: 9, truncation: Some(Torn { offset: 429 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 6, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 429, wal_bytes_dropped: 9, truncation: Some(Torn { offset: 429 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -766,8 +772,8 @@ meta profiles "job-25" region 12 server 0
 profiles: 23 rows 0x52812382cc9d9216
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 1901
-cfstore.block_cache.misses = 8
+cfstore.block_cache.fill_bytes = 3735
+cfstore.block_cache.misses = 16
 cfstore.cells_verified = 51
 cfstore.flush.segments_reused = 8
 cfstore.flush.segments_written = 4
@@ -784,6 +790,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(25)
 -- session B counters
+cfstore.block_cache.fill_bytes = 503
+cfstore.block_cache.misses = 2
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -796,7 +804,7 @@ event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
 event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 4, frames_replayed: 10, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 710, wal_bytes_dropped: 14, truncation: Some(Torn { offset: 710 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 10, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 710, wal_bytes_dropped: 14, truncation: Some(Torn { offset: 710 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -813,8 +821,8 @@ meta profiles "job-31" region 13 server 1
 profiles: 25 rows 0x94fc5fbfe108dcd1
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 1661
-cfstore.block_cache.misses = 7
+cfstore.block_cache.fill_bytes = 4501
+cfstore.block_cache.misses = 19
 cfstore.cells_verified = 54
 cfstore.flush.segments_reused = 7
 cfstore.flush.segments_written = 6
@@ -831,6 +839,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(29)
 -- session B counters
+cfstore.block_cache.fill_bytes = 503
+cfstore.block_cache.misses = 2
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -843,7 +853,7 @@ event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
 event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 5, frames_replayed: 14, records_replayed: 14, frames_skipped: 0, wal_bytes_valid: 1006, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 14, records_replayed: 14, frames_skipped: 0, wal_bytes_valid: 1006, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -860,8 +870,8 @@ meta profiles "job-31" region 13 server 1
 profiles: 26 rows 0x9cc0d0539e89b8d3
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 1535
-cfstore.block_cache.misses = 6
+cfstore.block_cache.fill_bytes = 4627
+cfstore.block_cache.misses = 20
 cfstore.cells_verified = 56
 cfstore.flush.segments_reused = 6
 cfstore.flush.segments_written = 7
@@ -878,6 +888,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(30)
 -- session B counters
+cfstore.block_cache.fill_bytes = 720
+cfstore.block_cache.misses = 3
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -890,7 +902,7 @@ event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
 event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 5, frames_replayed: 15, records_replayed: 15, frames_skipped: 0, wal_bytes_valid: 1049, wal_bytes_dropped: 244, truncation: Some(Torn { offset: 1049 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 15, records_replayed: 15, frames_skipped: 0, wal_bytes_valid: 1049, wal_bytes_dropped: 244, truncation: Some(Torn { offset: 1049 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -907,8 +919,8 @@ meta profiles "job-31" region 13 server 1
 profiles: 25 rows 0x59b5e2b8b4008f92
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 1535
-cfstore.block_cache.misses = 6
+cfstore.block_cache.fill_bytes = 4627
+cfstore.block_cache.misses = 20
 cfstore.cells_verified = 54
 cfstore.flush.segments_reused = 6
 cfstore.flush.segments_written = 7
@@ -1024,6 +1036,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(18)
 -- session B counters
+cfstore.block_cache.fill_bytes = 263
+cfstore.block_cache.misses = 1
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -1034,7 +1048,7 @@ event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 148, wal_bytes_dropped: 29, truncation: Some(Torn { offset: 148 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 2, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 148, wal_bytes_dropped: 29, truncation: Some(Torn { offset: 148 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -1049,8 +1063,8 @@ meta profiles "job-22" region 10 server 2
 profiles: 22 rows 0x617f9ac5966d6f5b
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 2292
-cfstore.block_cache.misses = 10
+cfstore.block_cache.fill_bytes = 2818
+cfstore.block_cache.misses = 12
 cfstore.cells_verified = 48
 cfstore.flush.segments_reused = 10
 cfstore.flush.segments_written = 1
@@ -1067,6 +1081,8 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(30)
 -- session B counters
+cfstore.block_cache.fill_bytes = 1086
+cfstore.block_cache.misses = 4
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -1079,7 +1095,7 @@ event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
 event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 6, frames_replayed: 16, records_replayed: 25, frames_skipped: 0, wal_bytes_valid: 1492, wal_bytes_dropped: 25, truncation: Some(Torn { offset: 1492 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 16, records_replayed: 25, frames_skipped: 0, wal_bytes_valid: 1492, wal_bytes_dropped: 25, truncation: Some(Torn { offset: 1492 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -1096,8 +1112,8 @@ meta profiles "job-31" region 13 server 1
 profiles: 25 rows 0x59b5e2b8b4008f92
 aux: 14 rows 0x96a4ce12a563043c
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 1169
-cfstore.block_cache.misses = 5
+cfstore.block_cache.fill_bytes = 4993
+cfstore.block_cache.misses = 21
 cfstore.cells_verified = 60
 cfstore.flush.segments_reused = 5
 cfstore.flush.segments_written = 8
