@@ -396,69 +396,51 @@ fn corrupt_block_healed_through_scan_is_pinned() {
     t.check("HEAL_SCAN", HEAL_SCAN);
 }
 
-const HEAL_PUT: &str = r#"
+const ROT_MET_AT_FLUSH: &str = r#"
 corrupted seg-000008-r000002.seg
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 32, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
-put 0: heal.reads=0
-put 1: heal.reads=0
-put 2: heal.reads=0
-put 3: heal.reads=0
-put 4: heal.reads=0
-put 5: heal.reads=0
-put 6: heal.reads=0
-put 7: heal.reads=0
-put 8: heal.reads=0
-put 9: heal.reads=0
-put 10: heal.reads=1
-put 11: heal.reads=1
-put 12: heal.reads=1
-put 13: heal.reads=1
-put 14: heal.reads=1
-put 15: heal.reads=1
-put 16: heal.reads=1
-put 17: heal.reads=1
-put 18: heal.reads=1
-put 19: heal.reads=1
-put 20: heal.reads=1
-put 21: heal.reads=1
-put 22: heal.reads=1
-put 23: heal.reads=1
--- healed by put
+puts: heal.reads=0
+flush: heal.reads=1
+-- healed at flush
 cfstore.shard.0.heal.reads = 1
 cfstore.shard.0.heal.repairs = 1
-cfstore.shard.0.heal.rows = 12
+cfstore.shard.0.heal.rows = 16
 cfstore.shard.heal.reads = 1
 cfstore.shard.heal.repairs = 1
-cfstore.shard.heal.rows = 12
+cfstore.shard.heal.rows = 16
 topology 3x2 overrides {}
 shard 0: 16 rows 0xf92560d9c7a484e1
 shard 1: 16 rows 0xb5c347a9c283f061
 shard 2: 16 rows 0x0c2f66b65581cb8b
 scan: 24 rows, 48 scanned
-disk 0xe581391240565fe8
+disk 0xc094d6d0f487fe10
 "#;
 
+/// A put reads nothing of a region's segment (DESIGN.md §44): the puts
+/// into the rotted shard log and apply without a repair, and the flush,
+/// which merges each written region over its segment, meets the rot,
+/// repairs the shard from its peers and flushes it again.
 #[test]
-fn corrupt_block_healed_through_put_is_pinned() {
+fn corrupt_block_met_at_flush_is_pinned() {
     let mut t = Transcript::new();
-    let (dir, store, reg) = with_corrupt_block("heal-put", &mut t);
+    let (dir, store, reg) = with_corrupt_block("heal-flush", &mut t);
     for key in 0..KEYS {
         store
             .put(
                 TABLE,
                 Put::new(row_key(key), FAMILY, "c9", key.to_be_bytes().to_vec()),
             )
-            .expect("healed put");
-        t.note(format!(
-            "put {key}: heal.reads={}",
-            heal_count(&reg, "reads")
-        ));
+            .expect("a put reads no block");
     }
-    assert_eq!(heal_count(&reg, "repairs"), 1, "the puts healed shard 0");
-    t.state("healed by put", &dir, &store, 3, &reg);
+    t.note(format!("puts: heal.reads={}", heal_count(&reg, "reads")));
+    assert_eq!(heal_count(&reg, "repairs"), 0, "a put never repairs");
+    store.flush().expect("the flush repairs shard 0");
+    t.note(format!("flush: heal.reads={}", heal_count(&reg, "reads")));
+    assert_eq!(heal_count(&reg, "repairs"), 1, "the flush healed shard 0");
+    t.state("healed at flush", &dir, &store, 3, &reg);
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");
-    t.check("HEAL_PUT", HEAL_PUT);
+    t.check("ROT_MET_AT_FLUSH", ROT_MET_AT_FLUSH);
 }
 
 /// One plan, twice: run clean to `Done`; then torn mid-copy by a
@@ -540,7 +522,7 @@ fn check_reshard(name: &str, init: (u32, u32), plan: Topology, want: &str) {
 }
 
 const GROW_3_TO_5: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 5, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 0, rows_copied: 0 }
 journal after Begin: 45 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 1, rows_copied: 4 }
@@ -610,7 +592,7 @@ scan: 19 rows, 38 scanned
 disk 0xbe53bf42783de023
 "#;
 const SHRINK_5_TO_2: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 198, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 9, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 8, segment_blocks: 1, segment_blocks_read: 1, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 1, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 7, segment_rows: 36, segment_blocks: 7, segment_blocks_read: 6, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 198, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 9, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 8, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 7, segment_rows: 36, segment_blocks: 7, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 2, units_copied: 0, rows_copied: 0 }
 journal after Begin: 45 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 2, units_copied: 1, rows_copied: 17 }
@@ -645,7 +627,7 @@ shard 3: 8 rows 0x6c14ce8648d533c6
 shard 4: 4 rows 0x6aea69f133fbaaf4
 scan: 17 rows, 56 scanned
 disk 0x3334a6e4a357137f
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 17, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 17, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 8, segment_blocks: 1, segment_blocks_read: 1, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 1, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 7, segment_rows: 57, segment_blocks: 7, segment_blocks_read: 4, frames_replayed: 5, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 464, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 17, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 17, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 8, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 7, segment_rows: 57, segment_blocks: 7, segment_blocks_read: 1, frames_replayed: 5, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 464, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
 cfstore.reshard.resumes = 1
 topology 5x2 overrides {}
@@ -671,7 +653,7 @@ scan: 19 rows, 38 scanned
 disk 0x65add9ec62c6518c
 "#;
 const REPLICATION_2_TO_3: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 5, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 0, rows_copied: 0 }
 journal after Begin: 45 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 17 }
@@ -731,7 +713,7 @@ scan: 19 rows, 57 scanned
 disk 0x45cadc2433ff0dd9
 "#;
 const OVERRIDE_SLOT_0: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 2, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 5, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 0, rows_copied: 0 }
 journal after Begin: 61 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 12 }
