@@ -12,9 +12,11 @@
 //! - reopen reads **zero** segment blocks when the WAL is clean (the
 //!   read-amplification bound from ISSUE 6);
 //! - cache occupancy never exceeds the byte budget;
-//! - only a point get admits a block: scans, promotions and scrubs read
+//! - only a point get admits a block: scans, flushes and scrubs read
 //!   around the cache and leave its entries and LRU order alone
-//!   (DESIGN.md §42);
+//!   (DESIGN.md §42), a put reads no block, and a flush that rebases a
+//!   region onto its new segment evicts its old segment's blocks
+//!   (DESIGN.md §44);
 //! - a crash injected into a flush mid-segment-write poisons the store
 //!   without losing a single acked write — the manifest never swaps, and
 //!   recovery replays the intact WAL.
@@ -212,10 +214,10 @@ fn check_budget(tag: &str, ops: &[Op], budget: u64) {
         prop_assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 0);
     }
 
-    // Mutation promotes the touched region out of the cache path. A
-    // fresh key (outside the workload keyspace, so its timestamp is not
-    // compared against the oracle's clock) must be readable, and every
-    // pre-existing row must come back bit-identical after the promotion.
+    // A write lands in the memstore over the segment. A fresh key
+    // (outside the workload keyspace, so its timestamp is not compared
+    // against the oracle's clock) must be readable, and every
+    // pre-existing row must come back bit-identical beside it.
     let fresh = KEYS + 1;
     apply(
         &subject,
@@ -229,11 +231,11 @@ fn check_budget(tag: &str, ops: &[Op], budget: u64) {
         .into_iter()
         .filter(|r| r.row.as_ref() != row_key(fresh).as_slice())
         .collect();
-    prop_assert_eq!(&after, &want, "post-promotion scan diverges");
+    prop_assert_eq!(&after, &want, "scan after a write diverges");
     let fresh_row = subject
         .get(TABLE, &row_key(fresh))
-        .expect("get promoted row")
-        .expect("promoted row present");
+        .expect("get written row")
+        .expect("written row present");
     prop_assert_eq!(
         fresh_row.value(FAMILY, b"c0").expect("cell").as_ref(),
         0xDEAD_BEEFu64.to_be_bytes().as_slice()
@@ -290,13 +292,14 @@ fn reopen(dir: &std::path::Path, budget: u64) -> (MiniStore, obs::Registry) {
     (store, obs)
 }
 
-/// Only a point get admits a block (DESIGN.md §42). A scan and the
-/// promotion of a region none of whose blocks is cached leave the cache's
-/// entries and bytes as they found them; promoting a region evicts the
-/// blocks point gets had admitted from its segment; and a scrub, which
+/// Only a point get admits a block (DESIGN.md §42). A scan and a put
+/// leave the cache's entries and bytes as they found them, and a put
+/// reads no block at all (DESIGN.md §44); a flush that rebases a region
+/// onto its new segment evicts the blocks point gets had admitted from
+/// the old one, and leaves a clean region's alone; and a scrub, which
 /// walks every replica's blocks, admits none of them.
 #[test]
-fn scans_promotions_and_scrubs_leave_the_cache_as_they_found_it() {
+fn scans_puts_and_scrubs_leave_the_cache_and_a_rebase_evicts() {
     let dir = tmp_dir("walks");
     flushed_rows(&dir, 96, 8);
     let (store, obs) = reopen(&dir, 8 << 20);
@@ -309,29 +312,29 @@ fn scans_promotions_and_scrubs_leave_the_cache_as_they_found_it() {
     assert_eq!(scan_all(&store).len(), 96);
     assert_eq!(store.cache_stats(), found, "a scan changed the cache");
 
-    apply(
-        &store,
-        &Op::Put {
-            key: 90,
+    let misses = counter(&obs, "cfstore.block_cache.misses");
+    for key in [30, 0] {
+        let put = Op::Put {
+            key,
             col: 1,
             val: 7,
-        },
+        };
+        apply(&store, &put);
+    }
+    assert_eq!(store.cache_stats(), found, "a put changed the cache");
+    assert_eq!(
+        counter(&obs, "cfstore.block_cache.misses"),
+        misses,
+        "a put read a block"
     );
-    assert_eq!(store.cache_stats(), found, "a promotion changed the cache");
 
-    // Row 0's region holds the block its get admitted: promoting the
-    // region drops that block, and row 50's stays.
-    apply(
-        &store,
-        &Op::Put {
-            key: 0,
-            col: 1,
-            val: 7,
-        },
-    );
+    // The flush rewrites the two written regions and rebases them: row
+    // 0's region drops the block its get admitted, and row 50's, clean,
+    // keeps its own.
+    store.flush().expect("flush");
     assert_eq!(store.cache_stats().entries, 1);
     assert!(store.cache_stats().used_bytes < found.used_bytes);
-    // Hits: the scan's two cached blocks, the promotion's read of row 0's
+    // Hits: the scan's two cached blocks, the flush's read of row 0's
     // and this get's.
     store.get(TABLE, &row_key(50)).expect("get").expect("row");
     assert_eq!(counter(&obs, "cfstore.block_cache.hits"), 4);
