@@ -30,10 +30,11 @@
 //!     and for an emptied shard directory and an uncommitted cross-shard
 //!     batch, `fsck::run(dir, false)` exits 0 exactly when the reopen
 //!     that follows changes nothing.
-//! (f) **The write path heals too**: a `put` whose target region sits on
-//!     a corrupt segment repairs the replica *before* any WAL byte is
-//!     appended — or, when the repair cannot be made durable, fails
-//!     without appending one — and so does a `delete_row`.
+//! (f) **A put reads no segment, the flush heals**: a `put` whose target
+//!     region sits on a corrupt segment logs and applies; the flush that
+//!     merges the region meets the rot and repairs the replica — or, when
+//!     the repair cannot be made durable, fails and loses no put. A
+//!     `delete_row` repairs the replica *before* any WAL byte is appended.
 
 use cfstore::{
     CrashSpec, MiniStore, Put, RowResult, Scan, SegmentReader, ShardOptions, ShardedRecoveryReport,
@@ -705,15 +706,19 @@ fn store_with_rotten_primary_block(
     (dir, store, segment, row)
 }
 
-/// (f) The heal ladder under `put_batch`: corruption found while
-/// materializing the target region is repaired from the replica, and
-/// only then is the batch logged.
+/// (f) A put reads nothing of a region's segment (DESIGN.md §44), so a
+/// put to a row on a corrupt block logs and applies without a repair;
+/// the flush, which merges the written region over its segment, meets the
+/// rot and repairs the shard from the replica.
 #[test]
-fn put_to_a_corrupt_block_heals_first_then_logs() {
+fn put_to_a_corrupt_block_logs_and_the_flush_heals() {
     let reg = obs::Registry::new();
     let (dir, store, segment, row) = store_with_rotten_primary_block("put-heal", base_opts(), &reg);
     let put = Put::new(row, FAMILY, "c9", b"after the heal".to_vec());
-    store.put(TABLE, put.clone()).expect("healed put");
+    store.put(TABLE, put.clone()).expect("a put reads no block");
+    let healed = |k: &String| k.contains(".heal.");
+    assert!(!reg.snapshot().counters.keys().any(healed), "a put healed");
+    store.flush().expect("the flush heals");
 
     let counters = reg.snapshot().counters;
     assert_eq!(counters["cfstore.shard.0.heal.reads"], 1);
@@ -786,11 +791,12 @@ fn delete_of_a_row_on_a_corrupt_block_repairs_first_then_logs() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// (f) When the repair cannot be made durable (the victim dies in the
-/// heal's flush), the put fails with that error and no participant's
-/// WAL received a byte — the batch was never half-logged.
+/// (f) When the repair the flush runs cannot be made durable (the victim
+/// dies in the heal's own flush), the flush fails with that error and
+/// loses nothing: the put was logged on every replica before it was
+/// acknowledged, a reopen replays it, and the next flush heals.
 #[test]
-fn put_whose_heal_cannot_flush_fails_without_logging() {
+fn flush_whose_heal_cannot_flush_fails_and_loses_no_put() {
     let reg = obs::Registry::new();
     let opts = ShardOptions {
         crash_shard: Some((
@@ -809,16 +815,41 @@ fn put_whose_heal_cannot_flush_fails_without_logging() {
             .collect()
     };
     let before = wal_bytes(&store);
-    let put = Put::new(row.clone(), FAMILY, "c9", b"never logged".to_vec());
-    assert_eq!(store.put(TABLE, put), Err(StoreError::Crashed));
-    assert_eq!(wal_bytes(&store), before, "a failed heal must not log");
+    let put = Put::new(row.clone(), FAMILY, "c9", b"logged".to_vec());
+    store.put(TABLE, put).expect("a put reads no block");
+    let logged = |(after, before): (&u64, &u64)| after > before;
+    let replicas = wal_bytes(&store)
+        .iter()
+        .zip(&before)
+        .filter(|p| logged(*p))
+        .count();
+    assert_eq!(
+        replicas, REPLICATION as usize,
+        "the put is on every replica's log"
+    );
+    assert_eq!(store.flush(), Err(StoreError::Crashed));
     let counters = reg.snapshot().counters;
     assert_eq!(counters["cfstore.shard.0.heal.reads"], 1);
     assert!(!counters.contains_key("cfstore.shard.0.heal.repairs"));
     assert!(segment.exists(), "nothing superseded the corrupt segment");
-    // Reads still serve: the get falls through to the clean replica.
-    let got = store.get(TABLE, &row).expect("replica read").expect("row");
-    assert!(got.value(FAMILY, b"c9").is_none());
+    drop(store);
+
+    let store = open_sharded(&dir, base_opts());
+    let value = |store: &ShardedStore| {
+        let got = store.get(TABLE, &row).expect("replica read").expect("row");
+        got.value(FAMILY, b"c9").cloned()
+    };
+    assert_eq!(
+        value(&store),
+        Some(bytes::Bytes::from("logged")),
+        "the put survived"
+    );
+    store.flush().expect("the next flush heals");
+    assert!(
+        !segment.exists(),
+        "the corrupt segment file must be replaced"
+    );
+    assert_eq!(value(&store), Some(bytes::Bytes::from("logged")));
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
