@@ -46,21 +46,24 @@
 //! block the index builds walk (DESIGN.md §42), the peak re-pinned with
 //! the same headroom.
 //!
-//! The heap row counts what a durable store of 1 000 profiles holds live
-//! per profile: once [`fill`] has put them, and once the store, flushed
-//! and reopened, has taken a write in every region, which promotes each
-//! into memory. A written region stays in memory until the next reopen,
-//! so these are what a long-running store costs. With each row held as
-//! nested maps, and each column's versions in a `Vec` of capacity 4, it
-//! read 15 555 and 10 519 bytes. One flat row of exactly sized `Vec`s
-//! (DESIGN.md §38) reads 7 834 and 6 758, and 7 210 filled once
-//! `put_profile` shares its fixed column names between puts; pinned with
-//! 10 % headroom. Filled reads 6 210 since every column name, the
-//! categorical ones too, is shared (DESIGN.md §40). Promoted reads 6 027
-//! since a promotion neither admits the blocks it reads nor keeps those
-//! its segment had in the cache (DESIGN.md §42), and its ceiling was
-//! re-pinned to that with the same 10 % headroom: 6 630, down from 7 400,
-//! which a 23 % regression would have passed.
+//! The heap rows count what a durable store holds live. Filled: per
+//! profile, once [`fill`] has put 1 000 into its memstore. With each row
+//! held as nested maps, and each column's versions in a `Vec` of
+//! capacity 4, it read 15 555 bytes. One flat row of exactly sized `Vec`s
+//! (DESIGN.md §38) reads 7 834, and 7 210 once `put_profile` shares its
+//! fixed column names between puts; pinned with 10 % headroom. It reads
+//! 6 210 since every column name, the categorical ones too, is shared
+//! (DESIGN.md §40).
+//!
+//! Ingested: what a long-running store costs, the whole heap a store of
+//! 4 000 profiles, flushed and reopened at a 1 MiB block cache, holds live
+//! once it took 2 000 more ingests, flushed every 500, and answered `len`.
+//! A region used to be promoted into memory by its first write after a
+//! reopen and stayed there until the next (DESIGN.md §12): that store
+//! held 20 123 989 bytes live. Since a region is a memstore over its
+//! segment, and a flush empties the memstore (DESIGN.md §44), it holds
+//! 1 313 068; the ceiling is that with 10 % headroom, 7 % of the promoted
+//! store's.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -95,9 +98,15 @@ const PROFILES: usize = 1000;
 /// Ceiling on the heap bytes a durable store holds live per profile once
 /// [`fill`] has put them.
 const FILLED_BYTES_PER_PROFILE: i64 = 7_900;
-/// Ceiling on the same of that store flushed, reopened and written to in
-/// every region, which promotes each into memory.
-const PROMOTED_BYTES_PER_PROFILE: i64 = 6_630;
+
+/// Profiles the ingest budget's store holds when it is reopened, the
+/// ingests it takes then, and how many of them go between two flushes.
+const STORED: usize = 4000;
+const INGESTS: usize = 2000;
+const INGESTS_PER_FLUSH: usize = 500;
+/// Ceiling on the heap bytes that store holds live once the ingests and
+/// their flushes are done, beyond what was live before its reopen.
+const INGESTED_BYTES: i64 = 1_445_000;
 
 /// The tenants of the sharded store, `PROFILES / 2` profiles each.
 const TENANTS: [&str; 2] = ["acme", "zen"];
@@ -113,9 +122,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Puts `count` profiles into `store`: `perf_report`'s four seed jobs in
+/// Puts profiles `ids` into `store`: `perf_report`'s four seed jobs in
 /// turn, each under its own job id.
-fn fill(store: &ProfileStore, count: usize) {
+fn fill(store: &ProfileStore, ids: std::ops::Range<usize>) {
     let text = corpus::random_text_1g();
     let cluster = ClusterSpec::ec2_c1_medium_16();
     let seeds: Vec<_> = [
@@ -131,7 +140,7 @@ fn fill(store: &ProfileStore, count: usize) {
         (StaticFeatures::extract(&spec), profile)
     })
     .collect();
-    for i in 0..count {
+    for i in ids {
         let (statics, profile) = &seeds[i % seeds.len()];
         let mut p = profile.clone();
         p.job_id = format!("{}#{i}", p.job_id);
@@ -173,7 +182,7 @@ fn one_reopen_stays_inside_its_allocation_budget() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = fresh_dir("single");
     let (store, _) = ProfileStore::reopen(&dir).unwrap();
-    fill(&store, PROFILES);
+    fill(&store, 0..PROFILES);
     store.flush().unwrap();
     drop(store);
     let _held = hold_other_cores();
@@ -214,7 +223,7 @@ fn one_sharded_reopen_stays_inside_its_allocation_budget() {
     let dir = fresh_dir("sharded");
     let (store, _) = ProfileStore::reopen_sharded(&dir).unwrap();
     for t in TENANTS {
-        fill(&store.tenant_view(t).unwrap(), PROFILES / 2);
+        fill(&store.tenant_view(t).unwrap(), 0..PROFILES / 2);
     }
     store.flush().unwrap();
     drop(store);
@@ -236,31 +245,32 @@ fn one_sharded_reopen_stays_inside_its_allocation_budget() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Deletes a row that is not stored from every region of `store`'s one
-/// table: a write that changes no row and promotes each region it lands
-/// in.
-fn promote_every_region(store: &ProfileStore) {
-    let inner = store.inner();
-    for region in inner.meta_entries() {
-        // The key right after the region's start key: inside the region,
-        // and no profile row.
-        let absent = [region.start_key.as_ref(), b"\0"].concat();
-        assert!(!inner.delete_row(&region.table, &absent).unwrap());
-    }
-}
-
 #[test]
 fn a_stored_profile_stays_inside_its_heap_budget() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // Warm the lazies a fill leaves behind.
-    fill(&ProfileStore::new().unwrap(), 4);
+    fill(&ProfileStore::new().unwrap(), 0..4);
     let dir = fresh_dir("heap");
-    let per_profile = |before: i64| (alloc::live_bytes() - before) / PROFILES as i64;
-
     let before = alloc::live_bytes();
     let (store, _) = ProfileStore::reopen(&dir).unwrap();
-    fill(&store, PROFILES);
-    let filled = per_profile(before);
+    fill(&store, 0..PROFILES);
+    let filled = (alloc::live_bytes() - before) / PROFILES as i64;
+    println!("{PROFILES} profiles: {filled} bytes live per profile filled");
+    assert!(
+        filled <= FILLED_BYTES_PER_PROFILE,
+        "a filled store holds {filled} bytes per profile, ceiling {FILLED_BYTES_PER_PROFILE}"
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_reopened_store_taking_ingests_stays_inside_its_heap_budget() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    fill(&ProfileStore::new().unwrap(), 0..4);
+    let dir = fresh_dir("ingest");
+    let (store, _) = ProfileStore::reopen(&dir).unwrap();
+    fill(&store, 0..STORED);
     store.flush().unwrap();
     drop(store);
 
@@ -270,21 +280,52 @@ fn a_stored_profile_stays_inside_its_heap_budget() {
         ..StoreOptions::default()
     };
     let (store, _) = ProfileStore::reopen_with_opts(&dir, opts).unwrap();
-    promote_every_region(&store);
+    for from in (STORED..STORED + INGESTS).step_by(INGESTS_PER_FLUSH) {
+        fill(&store, from..from + INGESTS_PER_FLUSH);
+        store.flush().unwrap();
+    }
+    assert_eq!(store.len().unwrap(), STORED + INGESTS);
+    let live = alloc::live_bytes() - before;
+    println!("{STORED} profiles reopened, {INGESTS} ingested: {live} bytes live");
     assert!(
-        store.inner().meta_entries().len() > 1,
-        "the store never split"
+        live <= INGESTED_BYTES,
+        "the ingested store holds {live} bytes, ceiling {INGESTED_BYTES}"
     );
-    let promoted = per_profile(before);
-    println!("{PROFILES} profiles: {filled} bytes live per profile filled, {promoted} promoted");
-    assert!(
-        filled <= FILLED_BYTES_PER_PROFILE,
-        "a filled store holds {filled} bytes per profile, ceiling {FILLED_BYTES_PER_PROFILE}"
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A put writes the memstore and reads nothing of its region's segment
+/// (DESIGN.md §44): a profile put into a flushed, reopened store reads no
+/// block, through the cache or around it.
+#[test]
+fn a_put_into_a_clean_region_reads_no_segment_block() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = fresh_dir("clean-put");
+    let (store, _) = ProfileStore::reopen(&dir).unwrap();
+    fill(&store, 0..PROFILES);
+    store.flush().unwrap();
+    drop(store);
+    let (mut store, _) = ProfileStore::reopen(&dir).unwrap();
+    let reg = obs::Registry::new();
+    store.set_obs(reg.clone());
+    let blocks_read = || {
+        let counters = reg.snapshot().counters;
+        let blocks = ["hits", "misses"].map(|c| format!("cfstore.block_cache.{c}"));
+        blocks.iter().filter_map(|c| counters.get(c)).sum::<u64>()
+    };
+    // The put reads the normalization bounds it extends, a row it keeps
+    // once read: read them first.
+    store.normalization_bounds().unwrap();
+    let before = blocks_read();
+    fill(&store, PROFILES..PROFILES + 1);
+    assert_eq!(
+        reg.snapshot().counters["cfstore.puts"],
+        36,
+        "one profile is 36 cells"
     );
-    assert!(
-        promoted <= PROMOTED_BYTES_PER_PROFILE,
-        "a promoted store holds {promoted} bytes per profile, ceiling {PROMOTED_BYTES_PER_PROFILE}"
-    );
+    let read = blocks_read() - before;
+    assert_eq!(read, 0, "the put read {read} segment blocks");
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
