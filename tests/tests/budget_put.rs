@@ -7,12 +7,10 @@
 //! 1 000 profiles, and a 3-shard, R = 2 store of two tenants × 500.
 //!
 //! A put is counted where it costs what a long-running store pays: the
-//! first write into a reopened region promotes it into memory, which reads
-//! all of its blocks, so the measured puts land beside warm-up puts that
-//! did that already. Profile `<job>#<i>` is put first, then `<job>#<i>+`,
-//! whose five rows sort right after its own. A region split that a
-//! measured put causes is counted with it: every put pays its share of
-//! them.
+//! measured puts land beside warm-up puts. Profile `<job>#<i>` is put
+//! first, then `<job>#<i>+`, whose five rows sort right after its own. A
+//! region split that a measured put causes is counted with it: every put
+//! pays its share of them.
 //!
 //! The write path before DESIGN.md §40 made 276.4 allocations asking for
 //! 42 204 bytes per put on the single store, and 502.5 allocations asking
@@ -23,6 +21,15 @@
 //! the log and every replica's memstore as borrowed row runs, column names
 //! shared) makes 124.4 allocations of 13 580 bytes and 185.1 of 17 656;
 //! the ceilings are those with 10 % headroom.
+//!
+//! A first write into a reopened region used to promote it into memory,
+//! reading all of its blocks, and the warm-up puts paid for that outside
+//! the count. Since a region is a memstore over its segment (DESIGN.md
+//! §44) no put reads a block, but a split reads its segment's keys (once
+//! per segment, around the cache) to find the median: a sharded put asks
+//! for 22 616 bytes in 188.5 allocations, the single store's 13 551 in
+//! 124.4. The sharded bytes ceiling is re-pinned to the new count with the
+//! same headroom.
 //!
 //! A test binary of its own: the allocation counters are the process's.
 
@@ -47,7 +54,7 @@ const SINGLE_BYTES: f64 = 14_900.0;
 
 /// Ceilings on one put into the sharded store.
 const SHARDED_ALLOCS: f64 = 203.0;
-const SHARDED_BYTES: f64 = 19_400.0;
+const SHARDED_BYTES: f64 = 24_900.0;
 
 const PROFILES: usize = 1000;
 
