@@ -171,8 +171,8 @@ fi
 
 # Walks read around the block cache (DESIGN.md §42): only a point read
 # admits a block, so cfstore calls `get_or_load(` at one site, the
-# `Keys::One` arm of `Region::walk`; scans, promotion and the scrub read
-# through `peek_or_read(`.
+# `Keys::One` arm of `Region::walk`; scans, flushes, split checks, deletes
+# and the scrub read through `peek_or_read(`.
 step "source gate (walks read around the block cache)"
 loads=$(nontest $cfstore_src | grep -F 'get_or_load(' | grep -vF 'fn get_or_load(' || true)
 walk_body=$(nontest crates/cfstore/src/region.rs |
@@ -291,10 +291,11 @@ fi
 
 # Reads never write (DESIGN.md §36): a sharded read takes the state lock
 # shared and fails over, marking a shard suspect; it never repairs. A
-# shard's copy of a table is repaired by one function, called by the write
-# pre-pass (a write cannot fail over) and by `repair_suspects` (flush,
-# `delete_row` and `scrub`), and by nothing else; the heal-and-retry wrapper
-# that every read went through is gone.
+# shard's copy of a table is repaired by one function, called by
+# `repair_suspects` (flush, a flush that met rot, `delete_row` and `scrub`)
+# and by nothing else: a put reads no segment, so it has nothing to repair
+# (DESIGN.md §44); the heal-and-retry wrapper that every read went through
+# is gone.
 step "source gate (reads never write: one repair, two callers)"
 if nontest crates/cfstore/src/shard.rs | grep -E '\bwith_heal\b|\bUnhealed\b'; then
   echo "shard.rs must not bring back with_heal or Unhealed"; exit 1
@@ -302,8 +303,8 @@ fi
 repairers=$(nontest crates/cfstore/src/shard.rs |
   awk '/ fn [a-z_]+/ { f = $0; sub(/.* fn /, "", f); sub(/[<(].*/, "", f) }
     /[^a-z_]repair\(/ && !/fn repair\(/ && !/: +\/\// { print f }' | sort -u | tr '\n' ' ')
-if [ "$repairers" != "put_batch repair_suspects " ]; then
-  echo "shard.rs must call repair( only from put_batch and repair_suspects; it does from: $repairers"; exit 1
+if [ "$repairers" != "repair_suspects " ]; then
+  echo "shard.rs must call repair( only from repair_suspects; it does from: $repairers"; exit 1
 fi
 read_sigs=$(nontest crates/cfstore/src/shard.rs |
   awk '/ fn (get_inner|read_slots)[<(]/ { on = 1; n++ } on { print } on && /\{$/ { on = 0 } END { print "fns " n }')
@@ -314,6 +315,17 @@ fi
 if [ "$(nontest crates/cfstore/src/shard.rs | grep -cF 'state: RwLock<GlobalState>' || true)" -ne 1 ]; then
   echo "shard.rs must keep its state behind an RwLock (state: RwLock<GlobalState>)"; exit 1
 fi
+
+# A region is a memstore over its segment (DESIGN.md §44): one state, an
+# optional segment base under a memstore of the rows written since. No
+# write promotes a region into memory, so no path to promote one, no put
+# pre-pass that promoted ahead of the log, and no lazy state to ask about
+# come back into non-test cfstore.
+step "source gate (a region is a memstore over its segment)"
+if nontest $cfstore_src | grep -E 'ensure_materialized|prepare_for_write|prepare_rows|is_lazy'; then
+  echo "non-test cfstore must not name ensure_materialized, prepare_for_write, prepare_rows or is_lazy"; exit 1
+fi
+cfstore_lines=$(nontest $cfstore_src | wc -l)
 
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live
 # `Table`/`Region` objects by one piece of code, whether a write just
@@ -549,11 +561,15 @@ two=$(least "$two")
 awk -v one="$one" -v two="$two" \
   'BEGIN { printf "%6.2f  two-thread speed-up of sha256sum over 256 MiB (%.2f s alone, %.2f s two at once)\n", 2 * one / two, one, two }'
 # Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16; 4359,
-# flusher.rs included, before the caller flushed, DESIGN.md §43).
+# flusher.rs included, before the caller flushed, DESIGN.md §43; 4089
+# before a region was a memstore over its segment, DESIGN.md §44).
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
-# 2357 before replay was apply (DESIGN.md §24).
+# 7306 before a region was a memstore over its segment (DESIGN.md §44).
+printf '%6d  non-test lines in crates/cfstore/src\n' "$cfstore_lines"
+# 2357 before replay was apply (DESIGN.md §24); 2333 before a region was
+# a memstore over its segment (DESIGN.md §44).
 printf '%6d  non-test lines in store.rs + recovery.rs + region.rs\n' "$store_core_lines"
 # 1886 before the index left the store with one layout (DESIGN.md §41).
 printf '%6d  non-test lines in core/src/store.rs + index.rs\n' "$index_lines"
