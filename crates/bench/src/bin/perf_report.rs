@@ -15,7 +15,8 @@
 //! (`group_sort`, beside a `Value`-comparing sort as oracle) and the map
 //! UDF under the interpreter (`interp_map`, output dropped and kept) and
 //! the interpreter's cost per evaluated node (`interp_node`).
-//! Writes `BENCH_tuning_latency.json` at the repo root.
+//! Writes `BENCH_tuning_latency.json` at the repo root; `--only <op>`
+//! runs just the row groups with rows of `op` and prints those rows.
 //!
 //! Every row times code a submission can reach. The two stage-1 rows
 //! compare the production sweep with the reference it is property-tested
@@ -402,7 +403,7 @@ fn bench_store(entries: &mut Vec<Entry>, seeds: &Seeds) -> (u64, u64) {
 /// `store_put/reopened_4000` is `put_profile` of profiles the store has
 /// not seen, on the store reopened at the default cache — the shape of
 /// the benchmark's `churn_durable` ingest. A put writes 36 cells in five
-/// rows, and the first put into a region promotes it.
+/// rows to the memstores over the regions' segments (DESIGN.md §44).
 fn bench_reopened_store(entries: &mut Vec<Entry>, seeds: &Seeds) {
     let dir = std::env::temp_dir().join(format!("pstorm-perf-reopen-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -1028,7 +1029,45 @@ fn find(entries: &[Entry], op: &str, variant: &str, size: usize) -> f64 {
     entry(entries, op, variant, size).p50_ns as f64
 }
 
+/// The row groups `--only` picks from, each with the ops of its rows.
+type Group = (&'static [&'static str], fn(&mut Vec<Entry>, &Seeds));
+const GROUPS: [Group; 12] = [
+    (&["matcher_stage1", "match_profile"], bench_matcher),
+    (&["put_then_match", "match_profile"], bench_put_then_match),
+    (&["cfg_match"], |e, _| bench_cfg_match(e)),
+    (&["gbrt_train"], bench_gbrt_train),
+    (&["store_block_read", "store_put"], |e, s| {
+        _ = bench_store(e, s)
+    }),
+    (
+        &["store_reopen", "store_index_build", "store_put"],
+        bench_reopened_store,
+    ),
+    (&["store_reopen", "store_put"], bench_sharded_reopen),
+    (&["crc32"], |e, _| bench_crc32(e)),
+    (&["store_scan"], |e, _| bench_store_scan(e)),
+    (&["shard_get", "shard_scan", "shard_rebuild"], |e, _| {
+        _ = bench_sharded(e)
+    }),
+    (&["reshard"], |e, s| _ = bench_reshard(e, s)),
+    (&["cbo_search", "whatif_eval"], |e, _| bench_cbo(e)),
+];
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, op] = &args[..] {
+        assert_eq!(flag, "--only", "usage: perf_report [--only <op>]");
+        let seeds = seed_profiles();
+        let mut entries = Vec::new();
+        for (_, group) in GROUPS.iter().filter(|(ops, _)| ops.contains(&op.as_str())) {
+            group(&mut entries, &seeds);
+        }
+        for e in entries.iter().filter(|e| e.op == op) {
+            let (p50, p95) = (e.p50_ns as f64 / 1e3, e.p95_ns as f64 / 1e3);
+            println!("{}/{}: p50 {p50:.1} us, p95 {p95:.1} us", e.op, e.variant);
+        }
+        return;
+    }
     let mut entries = Vec::new();
     eprintln!("profiling seed jobs...");
     let seeds = seed_profiles();
