@@ -12,7 +12,7 @@
 //! memstore of the rows written since. A put writes the memstore only; a
 //! read merges each memstore row over its base row; a flush writes that
 //! merge as a new segment and then takes it as the base, emptying the
-//! memstore ([`Region::rebase`]).
+//! memstore.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, Range};
