@@ -296,7 +296,7 @@ fi
 # and by nothing else: a put reads no segment, so it has nothing to repair
 # (DESIGN.md §44); the heal-and-retry wrapper that every read went through
 # is gone.
-step "source gate (reads never write: one repair, two callers)"
+step "source gate (reads never write: one repair, one caller)"
 if nontest crates/cfstore/src/shard.rs | grep -E '\bwith_heal\b|\bUnhealed\b'; then
   echo "shard.rs must not bring back with_heal or Unhealed"; exit 1
 fi
