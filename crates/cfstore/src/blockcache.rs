@@ -208,14 +208,44 @@ impl BlockCache {
         idx: usize,
     ) -> Result<Arc<Block>, SegmentError> {
         let obs = self.obs.read().clone();
-        if let Some(Slot::Cached(entry)) = self.lock().map.get(&(reader.id(), idx as u32)) {
-            obs.incr("cfstore.block_cache.hits", 1);
-            return Ok(entry.block.clone());
+        if let Some(block) = self.peek(reader, idx, &obs) {
+            return Ok(block);
         }
-        obs.incr("cfstore.block_cache.misses", 1);
         let (block, bytes) = fill(reader, idx)?;
         obs.incr("cfstore.block_cache.fill_bytes", bytes);
         Ok(block)
+    }
+
+    /// Hand `each` the row keys of block `idx` of `reader`, read around
+    /// the cache as [`Self::peek_or_read`] reads and counted alike, but a
+    /// block that is not cached is read into `framed`, CRC-checked and
+    /// walked for its keys, not decoded.
+    pub(crate) fn peek_keys(
+        &self,
+        reader: &SegmentReader,
+        idx: usize,
+        framed: &mut Vec<u8>,
+        mut each: impl FnMut(&[u8]),
+    ) -> Result<(), SegmentError> {
+        let obs = self.obs.read().clone();
+        if let Some(block) = self.peek(reader, idx, &obs) {
+            (0..block.len()).for_each(|i| each(block.key(i)));
+            return Ok(());
+        }
+        reader.read_keys(idx, framed, each)?;
+        obs.incr("cfstore.block_cache.fill_bytes", reader.block_bytes(idx));
+        Ok(())
+    }
+
+    /// Block `idx` of `reader` if it is cached, a hit that leaves its
+    /// recency alone; otherwise a miss, counted, and `None`.
+    fn peek(&self, reader: &SegmentReader, idx: usize, obs: &obs::Registry) -> Option<Arc<Block>> {
+        if let Some(Slot::Cached(entry)) = self.lock().map.get(&(reader.id(), idx as u32)) {
+            obs.incr("cfstore.block_cache.hits", 1);
+            return Some(entry.block.clone());
+        }
+        obs.incr("cfstore.block_cache.misses", 1);
+        None
     }
 }
 

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::blockcache::BlockCache;
 use crate::kv::{intact, CellVersion, Put, RowResult};
-use crate::segment::{Block, SegmentError, SegmentReader};
+use crate::segment::{Block, SegmentError, SegmentReader, BLOCK_ROWS};
 use crate::store::{Install, Scan, StoreError};
 use crate::wal::Cells;
 
@@ -74,13 +74,19 @@ struct SegmentBase {
 }
 
 impl SegmentBase {
-    /// Its row keys in `range`, read around the cache the first time.
+    /// Its row keys in `range`, read around the cache the first time,
+    /// through one buffer and without decoding a block.
     fn keys_in(&self, range: &KeyRange) -> Result<&[Bytes], SegmentError> {
         if self.keys.get().is_none() {
-            let mut keys = Vec::with_capacity(self.reader.meta().row_count as usize);
-            for idx in 0..self.reader.block_count() {
-                let block = self.cache.peek_or_read(&self.reader, idx)?;
-                keys.extend((0..block.len()).map(|i| Bytes::copy_from_slice(block.key(i))));
+            let blocks = 0..self.reader.block_count();
+            // The trailer's row count, bounded by what its blocks can hold.
+            let room = (blocks.len() * BLOCK_ROWS) as u64;
+            let mut keys = Vec::with_capacity(self.reader.meta().row_count.min(room) as usize);
+            let largest = blocks.clone().map(|i| self.reader.block_bytes(i)).max();
+            let mut framed = Vec::with_capacity(largest.unwrap_or(0) as usize);
+            for idx in blocks {
+                let each = |key: &[u8]| keys.push(Bytes::copy_from_slice(key));
+                self.cache.peek_keys(&self.reader, idx, &mut framed, each)?;
             }
             let _ = self.keys.set(keys);
         }

@@ -330,29 +330,53 @@ impl SegmentReader {
         lo..hi.max(lo)
     }
 
-    /// Read, CRC-verify, and decode one block. This is the only place
-    /// where block bodies leave the disk; corruption surfaces here as a
-    /// typed error. The body is frozen once into the [`Block`]'s one
-    /// buffer, and its table holds offsets into it.
+    /// Read, CRC-verify, and decode one block. The body is frozen once
+    /// into the [`Block`]'s one buffer, and its table holds offsets into it.
     pub fn read_block(&self, idx: usize) -> Result<Block, SegmentError> {
+        let decode = |body: &[u8]| decode_block(Bytes::copy_from_slice(body));
+        self.read_body(idx, &mut Vec::new(), decode)
+    }
+
+    /// Hand `each` block `idx`'s row keys in order, read into `framed`,
+    /// its cells not decoded: how a split check reads a segment's keys.
+    pub(crate) fn read_keys(
+        &self,
+        idx: usize,
+        framed: &mut Vec<u8>,
+        mut each: impl FnMut(&[u8]),
+    ) -> Result<(), SegmentError> {
+        let keys = |body: &[u8]| walk(body, |key, _| key.iter().for_each(|&k| each(at(body, k))));
+        self.read_body(idx, framed, keys)
+    }
+
+    /// Read block `idx` into `framed`, verify its CRC and `decode` its
+    /// body. This is the only place where block bodies leave the disk;
+    /// corruption surfaces here as a typed error.
+    fn read_body<T>(
+        &self,
+        idx: usize,
+        framed: &mut Vec<u8>,
+        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
+    ) -> Result<T, SegmentError> {
         let corrupt = |detail: String| SegmentError::Corrupt {
             file: self.file_name.clone(),
             detail,
         };
         let (first_key, offset, len) = &self.meta.blocks[idx];
-        let mut framed = vec![0u8; *len as usize];
+        framed.clear();
+        framed.resize(*len as usize, 0);
         {
             let mut file = self.file.lock();
             file.seek(SeekFrom::Start(*offset))?;
-            file.read_exact(&mut framed)?;
+            file.read_exact(framed)?;
         }
-        let body = frame::verify_exact(&framed).map_err(|d| {
+        let body = frame::verify_exact(framed).map_err(|d| {
             corrupt(format!(
                 "block {idx}: {d} (first key {:?})",
                 String::from_utf8_lossy(first_key)
             ))
         })?;
-        decode_block(Bytes::copy_from_slice(body)).map_err(|e| corrupt(format!("block {idx}: {e}")))
+        decode(body).map_err(|e| corrupt(format!("block {idx}: {e}")))
     }
 }
 
@@ -1064,6 +1088,13 @@ mod tests {
             merged, rows,
             "lazy block reads must materialize bit-identically"
         );
+        // A keys-only read walks the same keys through one buffer.
+        let (mut framed, mut keys) = (Vec::new(), Vec::new());
+        for idx in 0..reader.block_count() {
+            let each = |key: &[u8]| keys.push(Bytes::copy_from_slice(key));
+            reader.read_keys(idx, &mut framed, each).unwrap();
+        }
+        assert!(keys.iter().eq(rows.keys()));
 
         // Point lookups route to the single covering block.
         let probe = Bytes::from("row0050");
@@ -1122,6 +1153,8 @@ mod tests {
             }
             other => panic!("expected corruption, got {other:?}"),
         }
+        let keys = reader.read_keys(0, &mut Vec::new(), |_| {});
+        assert!(matches!(keys, Err(SegmentError::Corrupt { .. })));
         // The other block is untouched and still reads cleanly.
         assert!(reader.read_block(1).is_ok());
         std::fs::remove_file(&path).unwrap();
