@@ -629,15 +629,21 @@ impl MiniStore {
     /// region the write touched that outgrew its table's threshold at its
     /// median key ([`Region::split_point`]). In durable mode the split
     /// point and new region id are WAL-logged *before* the split is
-    /// applied, so replay reproduces the exact region topology. The region
-    /// list stays write-locked from the median to the insert, which is why
-    /// this calls the applier's `RegionSplit` arm rather than the applier.
+    /// applied, so replay reproduces the exact region topology. A region
+    /// is checked first with the region list unlocked, since the check may
+    /// read its segment's keys; one that splits is checked again, from the
+    /// keys read, with the list write-locked from the median to the
+    /// insert, which is why this calls the applier's `RegionSplit` arm
+    /// rather than the applier.
     fn split_grown(
         &self,
         applied: Applied<'_>,
         mut durable: Option<&mut DurableState>,
     ) -> Result<(), StoreError> {
         for (table, t, region) in applied.touched {
+            if region.split_point(t.split_threshold).is_none() {
+                continue;
+            }
             let mut regions = t.regions.write();
             let Some(split_key) = region.split_point(t.split_threshold) else {
                 continue;
