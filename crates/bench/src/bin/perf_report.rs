@@ -6,8 +6,8 @@
 //! a selective scan with its filter pushed down vs applied by the client,
 //! segment block reads through the
 //! bounded cache (cold vs warm), a 4 000-profile store's reopen and a
-//! profile put on it, CRC-32 over 64 KiB, put latency with inline vs
-//! background flushing, online-resharding cost (rows moved per second by a grow
+//! profile put on it, CRC-32 over 64 KiB, put latency with an inline
+//! flush, online-resharding cost (rows moved per second by a grow
 //! migration, matcher latency with a migration in flight vs quiesced),
 //! CBO search and what-if evaluation throughput at 16 and at 560 map
 //! tasks, and the dataflow measurement (`mrsim::analyze`) of every suite
@@ -111,20 +111,19 @@ type Seeds = [(StaticFeatures, JobProfile)];
 
 fn seed_profiles() -> Vec<(StaticFeatures, JobProfile)> {
     let text = corpus::random_text_1g();
-    let specs = vec![
+    [
         jobs::word_count(),
         jobs::word_cooccurrence_pairs(2),
         jobs::bigram_relative_frequency(),
         jobs::grep("ba"),
-    ];
-    specs
-        .into_iter()
-        .map(|spec| {
-            let (profile, _) =
-                collect_full_profile(&spec, &text, &cl(), &JobConfig::submitted(&spec), 5).unwrap();
-            (StaticFeatures::extract(&spec), profile)
-        })
-        .collect()
+    ]
+    .into_iter()
+    .map(|spec| {
+        let (profile, _) =
+            collect_full_profile(&spec, &text, &cl(), &JobConfig::submitted(&spec), 5).unwrap();
+        (StaticFeatures::extract(&spec), profile)
+    })
+    .collect()
 }
 
 /// Distinct profile `i`: seed `i mod 4` under its own job id.
@@ -1029,67 +1028,68 @@ fn find(entries: &[Entry], op: &str, variant: &str, size: usize) -> f64 {
     entry(entries, op, variant, size).p50_ns as f64
 }
 
-/// The row groups `--only` picks from, each with the ops of its rows.
-type Group = (&'static [&'static str], fn(&mut Vec<Entry>, &Seeds));
+/// The summary's numbers from `bench_store`, `bench_sharded` and `bench_reshard`.
+type Summary = ((u64, u64), (u64, u64, u64, u128), (u64, f64, f64));
+
+/// Every row group in run order with the ops of its rows, for `--only`.
+type Group = (&'static [&'static str], Bench);
+type Bench = fn(&mut Vec<Entry>, &Seeds, &mut Summary);
 const GROUPS: [Group; 12] = [
-    (&["matcher_stage1", "match_profile"], bench_matcher),
-    (&["put_then_match", "match_profile"], bench_put_then_match),
-    (&["cfg_match"], |e, _| bench_cfg_match(e)),
-    (&["gbrt_train"], bench_gbrt_train),
-    (&["store_block_read", "store_put"], |e, s| {
-        _ = bench_store(e, s)
+    (&["matcher_stage1", "match_profile"], |e, s, _| {
+        bench_matcher(e, s)
+    }),
+    (&["put_then_match", "match_profile"], |e, s, _| {
+        bench_put_then_match(e, s)
+    }),
+    (&["cfg_match"], |e, _, _| bench_cfg_match(e)),
+    (&["gbrt_train"], |e, s, _| bench_gbrt_train(e, s)),
+    (&["store_block_read", "store_put"], |e, s, sum| {
+        sum.0 = bench_store(e, s)
     }),
     (
         &["store_reopen", "store_index_build", "store_put"],
-        bench_reopened_store,
+        |e, s, _| bench_reopened_store(e, s),
     ),
-    (&["store_reopen", "store_put"], bench_sharded_reopen),
-    (&["crc32"], |e, _| bench_crc32(e)),
-    (&["store_scan"], |e, _| bench_store_scan(e)),
-    (&["shard_get", "shard_scan", "shard_rebuild"], |e, _| {
-        _ = bench_sharded(e)
+    (&["store_reopen", "store_put"], |e, s, _| {
+        bench_sharded_reopen(e, s)
     }),
-    (&["reshard"], |e, s| _ = bench_reshard(e, s)),
-    (&["cbo_search", "whatif_eval"], |e, _| bench_cbo(e)),
+    (&["crc32"], |e, _, _| bench_crc32(e)),
+    (&["store_scan"], |e, _, _| bench_store_scan(e)),
+    (
+        &["shard_get", "shard_scan", "shard_rebuild"],
+        |e, _, sum| sum.1 = bench_sharded(e),
+    ),
+    (&["reshard"], |e, s, sum| sum.2 = bench_reshard(e, s)),
+    (&["cbo_search", "whatif_eval"], |e, _, _| bench_cbo(e)),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let [flag, op] = &args[..] {
-        assert_eq!(flag, "--only", "usage: perf_report [--only <op>]");
-        let seeds = seed_profiles();
-        let mut entries = Vec::new();
-        for (_, group) in GROUPS.iter().filter(|(ops, _)| ops.contains(&op.as_str())) {
-            group(&mut entries, &seeds);
-        }
-        for e in entries.iter().filter(|e| e.op == op) {
+    let only = match &args[..] {
+        [] => None,
+        [flag, op] if flag == "--only" => Some(op.as_str()),
+        _ => panic!("usage: perf_report [--only <op>]"),
+    };
+    eprintln!("profiling seed jobs...");
+    let seeds = seed_profiles();
+    let (mut entries, mut summary) = (Vec::new(), Summary::default());
+    let picked = |ops: &[&str]| only.is_none_or(|op| ops.contains(&op));
+    for (ops, group) in GROUPS.iter().filter(|(ops, _)| picked(ops)) {
+        eprintln!("benchmarking {}...", ops.join(", "));
+        group(&mut entries, &seeds, &mut summary);
+    }
+    if let Some(op) = only {
+        let rows: Vec<&Entry> = entries.iter().filter(|e| e.op == op).collect();
+        assert!(!rows.is_empty(), "no row of {op}");
+        for e in rows {
             let (p50, p95) = (e.p50_ns as f64 / 1e3, e.p95_ns as f64 / 1e3);
             println!("{}/{}: p50 {p50:.1} us, p95 {p95:.1} us", e.op, e.variant);
         }
         return;
     }
-    let mut entries = Vec::new();
-    eprintln!("profiling seed jobs...");
-    let seeds = seed_profiles();
-    eprintln!("benchmarking matcher...");
-    bench_matcher(&mut entries, &seeds);
-    bench_put_then_match(&mut entries, &seeds);
-    bench_cfg_match(&mut entries);
-    bench_gbrt_train(&mut entries, &seeds);
-    eprintln!("benchmarking durable store...");
-    let (reopen_blocks, reopen_blocks_read) = bench_store(&mut entries, &seeds);
-    bench_reopened_store(&mut entries, &seeds);
-    bench_sharded_reopen(&mut entries, &seeds);
-    bench_crc32(&mut entries);
-    bench_store_scan(&mut entries);
-    eprintln!("benchmarking sharded store...");
-    let (shard_scanned, shard_returned, shard_healed, shard_rebuild_ns) =
-        bench_sharded(&mut entries);
-    eprintln!("benchmarking online resharding...");
-    let (reshard_rows_moved, reshard_grow_ms, reshard_matcher_ratio) =
-        bench_reshard(&mut entries, &seeds);
-    eprintln!("benchmarking CBO...");
-    bench_cbo(&mut entries);
+    let ((reopen_blocks, reopen_blocks_read), sharded, reshard) = summary;
+    let (shard_scanned, shard_returned, shard_healed, shard_rebuild_ns) = sharded;
+    let (reshard_rows_moved, reshard_grow_ms, reshard_matcher_ratio) = reshard;
     eprintln!("probing for a second core...");
     let speedup = two_thread_speedup();
     let speedup_json = speedup.map_or("null".to_string(), |x| format!("{x:.2}"));
