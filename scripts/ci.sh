@@ -171,8 +171,8 @@ fi
 
 # Walks read around the block cache (DESIGN.md §42): only a point read
 # admits a block, so cfstore calls `get_or_load(` at one site, the
-# `Keys::One` arm of `Region::walk`; scans, flushes, split checks, deletes
-# and the scrub read through `peek_or_read(`.
+# `Keys::One` arm of `Region::walk`; scans, flushes, deletes and the
+# scrub read through `peek_or_read(`, split checks through `peek_keys(`.
 step "source gate (walks read around the block cache)"
 loads=$(nontest $cfstore_src | grep -F 'get_or_load(' | grep -vF 'fn get_or_load(' || true)
 walk_body=$(nontest crates/cfstore/src/region.rs |
