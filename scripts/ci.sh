@@ -191,7 +191,10 @@ fi
 # becomes `Bytes` in one place, `Block::cut` in segment.rs, the one
 # `slice_ref(` call under crates/.
 step "source gate (blocks decode flat, their fields cut in one place)"
-decode_body=$(nontest crates/cfstore/src/segment.rs | awk '/: fn decode_block\(/ { on = 1 } on { print } on && /: }$/ { exit }')
+# The awk reads to the end: one that exits early can leave the writer a
+# SIGPIPE, which pipefail turns into this step's failure.
+decode_body=$(nontest crates/cfstore/src/segment.rs |
+  awk '/: fn decode_block\(/ && !done { on = 1 } on { print } on && /: }$/ { on = 0; done = 1 }')
 if [ -z "$decode_body" ] || printf '%s\n' "$decode_body" | grep -E 'BTreeMap|RowData'; then
   echo "segment.rs must have a fn decode_block that builds no BTreeMap or RowData"; exit 1
 fi
