@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, Range};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -69,30 +69,9 @@ impl KeyRange {
 struct SegmentBase {
     reader: Arc<SegmentReader>,
     cache: Arc<BlockCache>,
-    /// Its row keys, read once a split check needs an exact row count.
-    keys: OnceLock<Vec<Bytes>>,
 }
 
 impl SegmentBase {
-    /// Its row keys in `range`, read around the cache the first time,
-    /// through one buffer and without decoding a block.
-    fn keys_in(&self, range: &KeyRange) -> Result<&[Bytes], SegmentError> {
-        if self.keys.get().is_none() {
-            let blocks = 0..self.reader.block_count();
-            // The trailer's row count, bounded by what its blocks can hold.
-            let room = (blocks.len() * BLOCK_ROWS) as u64;
-            let mut keys = Vec::with_capacity(self.reader.meta().row_count.min(room) as usize);
-            let largest = blocks.clone().map(|i| self.reader.block_bytes(i)).max();
-            let mut framed = Vec::with_capacity(largest.unwrap_or(0) as usize);
-            for idx in blocks {
-                let each = |key: &[u8]| keys.push(Bytes::copy_from_slice(key));
-                self.cache.peek_keys(&self.reader, idx, &mut framed, each)?;
-            }
-            let _ = self.keys.set(keys);
-        }
-        Ok(within(self.keys.get().map_or(&[], Vec::as_slice), range))
-    }
-
     /// The block holding row `key`, read around the cache, and its index.
     fn find(&self, key: &[u8]) -> Result<Option<(Arc<Block>, usize)>, SegmentError> {
         let Some(idx) = self.reader.block_for(key) else {
@@ -109,13 +88,6 @@ impl Drop for SegmentBase {
     fn drop(&mut self) {
         self.cache.evict_reader(self.reader.id());
     }
-}
-
-/// The part of `keys`, which are sorted, that lies in `range`.
-fn within<'k>(keys: &'k [Bytes], range: &KeyRange) -> &'k [Bytes] {
-    let below = |bound: &Bytes| keys.partition_point(|k| k < bound);
-    let lo = below(&range.start);
-    &keys[lo..range.end.as_ref().map_or(keys.len(), below).max(lo)]
 }
 
 /// A memstore row: the cells written since the base, and whether it hides
@@ -185,12 +157,7 @@ impl Region {
         let mut base = self.base.write();
         let mut rows = self.rows.write();
         *self.clean_as.lock() = Some(reader.file_name().to_string());
-        let keys = OnceLock::new();
-        *base = Some(Arc::new(SegmentBase {
-            reader,
-            cache,
-            keys,
-        }));
+        *base = Some(Arc::new(SegmentBase { reader, cache }));
         rows.clear();
     }
 
@@ -387,28 +354,46 @@ impl Region {
         true
     }
 
-    /// The median row key, where a split cuts once this region holds more
-    /// than `threshold` rows (and two): the durable store logs it before
-    /// splitting. The base's keys are read only once the memstore's rows
-    /// and the base's could pass the threshold; a base that cannot be read
-    /// skips the split, and the next read, flush or scrub meets the rot.
+    /// Where a split cuts once this region's rows could pass `threshold`
+    /// (and two), decided from the base's block index and the memstore
+    /// without reading a block, as HBase takes a split's mid-key from its
+    /// store file's block index (DESIGN.md §46). The base counts
+    /// [`BLOCK_ROWS`] for each block the range overlaps, at most its
+    /// trailer's row count; the memstore counts its live rows. The cut is
+    /// the first key of the middle overlapping block, or the memstore's
+    /// median live key when the memstore holds more. A region whose base
+    /// overlaps one block waits for its memstore, and no cut falls outside
+    /// the range or on its start. The durable store logs the cut before
+    /// splitting.
     pub(crate) fn split_point(&self, threshold: usize) -> Option<Bytes> {
         let (base, rows, range) = (self.base.read(), self.rows.read(), self.range.read());
-        // All the base's rows, until its keys were read.
-        let all = |b: &SegmentBase| b.reader.meta().row_count as usize;
-        let at_most = |b: &SegmentBase| b.keys.get().map_or(all(b), |k| within(k, &range).len());
-        if base.as_deref().map_or(0, at_most) + rows.len() <= threshold {
+        let (start, end) = (&range.start, range.end.as_deref());
+        let blocks = base
+            .as_ref()
+            .map(|b| (b, b.reader.blocks_overlapping(start, end)));
+        let in_base = blocks.as_ref().map_or(0, |(b, blocks)| {
+            (blocks.len() * BLOCK_ROWS).min(b.reader.meta().row_count as usize)
+        });
+        if in_base + rows.len() <= threshold {
             return None;
         }
-        let in_base = match base.as_ref() {
-            Some(b) => b.keys_in(&range).ok()?,
-            None => &[],
+        let mut live = rows
+            .iter()
+            .filter(|(_, m)| !m.cells.is_empty())
+            .map(|(k, _)| k);
+        let in_memstore = live.clone().count();
+        if in_base + in_memstore <= threshold.max(1) {
+            return None;
+        }
+        let cut = match blocks {
+            _ if in_memstore > in_base => live.nth(in_memstore / 2)?.clone(),
+            Some((b, blocks)) if blocks.len() > 1 => b.reader.meta().blocks
+                [blocks.start + blocks.len() / 2]
+                .0
+                .clone(),
+            _ => return None,
         };
-        let live = rows.iter().filter(|(_, m)| !m.cells.is_empty());
-        let base_only = in_base.iter().filter(|k| !rows.contains_key(*k));
-        let mut keys: Vec<&Bytes> = base_only.chain(live.map(|(k, _)| k)).collect();
-        keys.sort_unstable();
-        (keys.len() > threshold && keys.len() >= 2).then(|| keys[keys.len() / 2].clone())
+        (cut > range.start && range.contains(&cut)).then_some(cut)
     }
 
     /// Split this region at an explicit key: the logged split point, for

@@ -627,14 +627,13 @@ impl MiniStore {
 
     /// The half of a live write that replay never runs: split every
     /// region the write touched that outgrew its table's threshold at its
-    /// median key ([`Region::split_point`]). In durable mode the split
-    /// point and new region id are WAL-logged *before* the split is
-    /// applied, so replay reproduces the exact region topology. A region
-    /// is checked first with the region list unlocked, since the check may
-    /// read its segment's keys; one that splits is checked again, from the
-    /// keys read, with the list write-locked from the median to the
-    /// insert, which is why this calls the applier's `RegionSplit` arm
-    /// rather than the applier.
+    /// split point ([`Region::split_point`], which reads no block). In
+    /// durable mode the split point and new region id are WAL-logged
+    /// *before* the split is applied, so replay reproduces the exact
+    /// region topology. A region is checked first with the region list
+    /// unlocked; one that splits is checked again with the list
+    /// write-locked from the cut to the insert, which is why this calls
+    /// the applier's `RegionSplit` arm rather than the applier.
     fn split_grown(
         &self,
         applied: Applied<'_>,
@@ -2411,16 +2410,157 @@ mod tests {
         out
     }
 
+    /// One region of [`SplitModel`]: its range's start and end, its id,
+    /// the keys of the segment it was last flushed to (shared by the halves
+    /// of a split until the next flush) and its memstore's live rows.
+    struct ModelRegion {
+        start: Bytes,
+        end: Option<Bytes>,
+        id: u64,
+        base: Arc<Vec<Bytes>>,
+        live: std::collections::BTreeSet<Bytes>,
+    }
+
+    impl ModelRegion {
+        fn contains(&self, key: &Bytes) -> bool {
+            *key >= self.start && self.end.as_ref().is_none_or(|end| key < end)
+        }
+
+        /// The base's blocks this region's range overlaps: a flush writes a
+        /// region's rows in blocks of `BLOCK_ROWS`, each indexed by its
+        /// first key.
+        fn blocks(&self) -> (Vec<&Bytes>, std::ops::Range<usize>) {
+            let firsts: Vec<&Bytes> = self.base.iter().step_by(segment::BLOCK_ROWS).collect();
+            let lo = firsts
+                .partition_point(|f| **f <= self.start)
+                .saturating_sub(1);
+            let hi = self
+                .end
+                .as_ref()
+                .map_or(firsts.len(), |end| firsts.partition_point(|f| *f < end));
+            (firsts, lo..hi.max(lo))
+        }
+
+        /// Its memstore rows that overwrite base rows.
+        fn overwrites(&self) -> usize {
+            self.live
+                .iter()
+                .filter(|k| self.base.binary_search(k).is_ok())
+                .count()
+        }
+    }
+
+    /// The regions a durable store's puts cut (DESIGN.md §46), modelled
+    /// from the keys each region held at its last flush: the base counts
+    /// `BLOCK_ROWS` a block its range overlaps, at most the segment's
+    /// rows, and the memstore its live rows; past the threshold the cut is
+    /// the middle overlapping block's first key, or the memstore's median
+    /// live key when the memstore holds more.
+    struct SplitModel {
+        threshold: usize,
+        next_id: u64,
+        keys: std::collections::BTreeSet<Bytes>,
+        regions: Vec<ModelRegion>,
+    }
+
+    impl SplitModel {
+        fn new(store: &MiniStore, threshold: usize) -> Self {
+            let [root] = &store.meta_entries()[..] else {
+                panic!("a new table has one region");
+            };
+            let root = ModelRegion {
+                start: root.start_key.clone(),
+                end: None,
+                id: root.region_id,
+                base: Arc::default(),
+                live: Default::default(),
+            };
+            let (keys, next_id) = (Default::default(), root.id + 1);
+            SplitModel {
+                threshold,
+                next_id,
+                keys,
+                regions: vec![root],
+            }
+        }
+
+        fn owner(&mut self, key: &Bytes) -> &mut ModelRegion {
+            let i = self.regions.partition_point(|r| r.start <= *key) - 1;
+            &mut self.regions[i]
+        }
+
+        /// A put, and the split it sets off.
+        fn put(&mut self, key: &Bytes) {
+            self.keys.insert(key.clone());
+            let threshold = self.threshold;
+            let i = self.regions.partition_point(|r| r.start <= *key) - 1;
+            let r = &mut self.regions[i];
+            r.live.insert(key.clone());
+            let (firsts, blocks) = r.blocks();
+            let in_base = (blocks.len() * segment::BLOCK_ROWS).min(r.base.len());
+            let in_memstore = r.live.len();
+            if in_base + in_memstore <= threshold.max(1) {
+                return;
+            }
+            let cut = match blocks.len() {
+                _ if in_memstore > in_base => r.live.iter().nth(in_memstore / 2).unwrap(),
+                0 | 1 => return,
+                n => firsts[blocks.start + n / 2],
+            }
+            .clone();
+            if cut <= r.start || !r.contains(&cut) {
+                return;
+            }
+            let upper = ModelRegion {
+                start: cut.clone(),
+                end: r.end.replace(cut.clone()),
+                id: self.next_id,
+                base: r.base.clone(),
+                live: r.live.split_off(&cut),
+            };
+            self.next_id += 1;
+            self.regions.insert(i + 1, upper);
+        }
+
+        fn delete(&mut self, key: &Bytes) {
+            self.keys.remove(key);
+            self.owner(key).live.remove(key);
+        }
+
+        /// A rotted cell goes to the memstore, over its base row.
+        fn corrupt(&mut self, key: &Bytes) {
+            self.owner(key).live.insert(key.clone());
+        }
+
+        /// Every region takes its rows as its base and empties its memstore.
+        fn flush(&mut self) {
+            for r in &mut self.regions {
+                let held = self.keys.iter().filter(|k| r.contains(k));
+                r.base = Arc::new(held.cloned().collect());
+                r.live.clear();
+            }
+        }
+
+        fn regions(&self) -> Vec<(Bytes, u64)> {
+            self.regions
+                .iter()
+                .map(|r| (r.start.clone(), r.id))
+                .collect()
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// A region is a memstore over its segment (DESIGN.md §44): under
         /// any interleaving of puts, deletes, the splits they set off,
         /// flushes, reopens and rotted cells, every get, scan and
-        /// retained version, and every region's key range and id, are
-        /// those of a store that never left memory. A reopen flushes
-        /// first if a cell was rotted since the last flush: rot is not
-        /// logged, so a replay would heal it.
+        /// retained version is that of a store that never left memory, and
+        /// every region's start key and id those of [`SplitModel`]
+        /// (DESIGN.md §46); after a put, a region holds at most the
+        /// threshold, two blocks and its memstore rows that overwrite base
+        /// rows. A reopen flushes first if a cell was rotted since the
+        /// last flush: rot is not logged, so a replay would heal it.
         #[test]
         fn a_memstore_over_its_segment_reads_as_one_held_in_memory(
             threshold in proptest::prop_oneof![2usize..7, proptest::strategy::Just(64)],
@@ -2431,29 +2571,35 @@ mod tests {
             oracle.create_table_with_threshold("t", &["f"], threshold).unwrap();
             let (mut store, _) = MiniStore::open(&dir).unwrap();
             store.create_table_with_threshold("t", &["f"], threshold).unwrap();
+            let mut model = SplitModel::new(&store, threshold);
             let mut rotted = false;
             for (i, op) in ops.into_iter().enumerate() {
+                let put = matches!(op, ModelOp::Put(..));
                 match op {
                     ModelOp::Put(k, c) => {
                         let value = format!("v{i}").repeat(1 + i % 5);
                         let put = Put::new(model_key(k), "f", format!("c{c}"), value);
                         store.put("t", put.clone()).unwrap();
                         oracle.put("t", put).unwrap();
+                        model.put(&model_key(k));
                     }
                     ModelOp::Delete(k) => {
                         let key = model_key(k);
-                        proptest::prop_assert_eq!(
-                            store.delete_row("t", &key),
-                            oracle.delete_row("t", &key)
-                        );
+                        let existed = store.delete_row("t", &key);
+                        proptest::prop_assert_eq!(&existed, &oracle.delete_row("t", &key));
+                        if existed == Ok(true) {
+                            model.delete(&key);
+                        }
                     }
                     ModelOp::Flush => {
                         store.flush().unwrap();
+                        model.flush();
                         rotted = false;
                     }
                     ModelOp::Reopen => {
                         if rotted {
                             store.flush().unwrap();
+                            model.flush();
                             rotted = false;
                         }
                         drop(store);
@@ -2464,7 +2610,10 @@ mod tests {
                         let hit = store.corrupt_cell("t", &key, "f", column.as_bytes());
                         let want = oracle.corrupt_cell("t", &key, "f", column.as_bytes());
                         proptest::prop_assert_eq!(&hit, &want);
-                        rotted |= hit == Ok(true);
+                        if hit == Ok(true) {
+                            model.corrupt(&key);
+                            rotted = true;
+                        }
                     }
                     ModelOp::Get(k) => {
                         let key = model_key(k);
@@ -2481,10 +2630,14 @@ mod tests {
                         proptest::prop_assert_eq!(rows(&store), rows(&oracle));
                     }
                 }
-                let regions = |s: &MiniStore| -> Vec<(Bytes, u64)> {
-                    s.meta_entries().into_iter().map(|e| (e.start_key, e.region_id)).collect()
-                };
-                proptest::prop_assert_eq!(regions(&store), regions(&oracle));
+                let regions: Vec<(Bytes, u64)> =
+                    store.meta_entries().into_iter().map(|e| (e.start_key, e.region_id)).collect();
+                proptest::prop_assert_eq!(regions, model.regions());
+                let bound = threshold + 2 * segment::BLOCK_ROWS;
+                for (region, r) in regions_of(&store, "t").iter().zip(&model.regions) {
+                    let held = region.export_rows().unwrap().len();
+                    proptest::prop_assert!(!put || held <= bound + r.overwrites(), "{held} rows");
+                }
                 proptest::prop_assert_eq!(retained(&store), retained(&oracle));
             }
             drop(store);
