@@ -17,6 +17,8 @@
 //!   (DESIGN.md §42), a put reads no block, and a flush that rebases a
 //!   region onto its new segment evicts its old segment's blocks
 //!   (DESIGN.md §44);
+//! - a split reads no block, and halves cut at a block boundary share no
+//!   block (DESIGN.md §46);
 //! - a crash injected into a flush mid-segment-write poisons the store
 //!   without losing a single acked write — the manifest never swaps, and
 //!   recovery replays the intact WAL.
@@ -422,6 +424,63 @@ fn a_scan_leaves_the_lru_order_to_point_gets() {
         5,
         "block 0 was kept"
     );
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// One region of 96 rows, at a threshold of 96, flushed to a segment of
+/// three blocks and reopened with a fresh registry.
+fn reopened_three_blocks(tag: &str) -> (PathBuf, MiniStore, obs::Registry) {
+    let dir = tmp_dir(tag);
+    flushed_rows(&dir, 96, 96);
+    let blocks: Vec<usize> = std::fs::read_dir(&dir)
+        .expect("read_dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .map(|p| SegmentReader::open(&p).expect("segment").block_count())
+        .collect();
+    assert_eq!(blocks, [3], "one segment of three blocks");
+    let (store, obs) = reopen(&dir, 8 << 20);
+    (dir, store, obs)
+}
+
+/// A split reads no block (DESIGN.md §46): its cut comes from the
+/// segment's block index, and its count from the index and the trailer.
+#[test]
+fn a_split_reads_no_block() {
+    let (dir, store, obs) = reopened_three_blocks("split");
+    let mut key = 96;
+    while counter(&obs, "cfstore.region.splits") == 0 {
+        assert!(key < 200, "no put split the region");
+        let val = key;
+        apply(&store, &Op::Put { key, col: 0, val });
+        key += 1;
+    }
+    for name in ["hits", "misses", "fill_bytes"] {
+        let count = counter(&obs, &format!("cfstore.block_cache.{name}"));
+        assert_eq!(count, 0, "the split counted block-cache {name}");
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Halves cut at a block boundary share no block (DESIGN.md §46): the
+/// flush that rewrites both halves reads each of the segment's three
+/// blocks once. A cut inside a block would have both halves read it.
+#[test]
+fn halves_cut_at_a_block_boundary_share_no_block() {
+    let (dir, mut store, _) = reopened_three_blocks("halves");
+    let put = Op::Put {
+        key: 96,
+        col: 0,
+        val: 96,
+    };
+    apply(&store, &put);
+    assert_eq!(store.region_count(TABLE), Ok(2));
+    let obs = obs::Registry::new();
+    store.set_obs(obs.clone());
+    store.flush().expect("flush");
+    assert_eq!(counter(&obs, "cfstore.block_cache.misses"), 3);
     drop(store);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
