@@ -349,7 +349,7 @@ fn uncrashed_history_is_pinned() {
 /// Session B's WAL bytes, from a clean run: the sampled budgets are
 /// spread over exactly this span. A format change moves it — and every
 /// literal here with it.
-const SESSION_B_WAL_SPAN: (u64, u64) = (2821, 6250);
+const SESSION_B_WAL_SPAN: (u64, u64) = (2821, 6191);
 
 #[test]
 fn crashes_at_sampled_wal_bytes_are_pinned() {
@@ -408,28 +408,26 @@ open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, 
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step None
 -- session B counters
-cfstore.block_cache.fill_bytes = 1395
-cfstore.block_cache.misses = 5
+cfstore.block_cache.fill_bytes = 526
+cfstore.block_cache.misses = 2
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
 cfstore.puts = 48
-cfstore.region.splits = 7
+cfstore.region.splits = 6
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-event cfstore.region.split table=Str("aux") parent=U64(11) new=U64(14)
-open C RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 18, records_replayed: 27, frames_skipped: 0, wal_bytes_valid: 1578, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 33, records_replayed: 42, frames_skipped: 0, wal_bytes_valid: 2563, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+event cfstore.region.split table=Str("aux") parent=U64(11) new=U64(13)
+open C RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 17, records_replayed: 26, frames_skipped: 0, wal_bytes_valid: 1519, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 31, records_replayed: 40, frames_skipped: 0, wal_bytes_valid: 2453, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
-meta aux "x10" region 14 server 2
-meta aux "x12" region 19 server 3
+meta aux "x11" region 13 server 1
 meta profiles "" region 1 server 1
 meta profiles "job-02" region 6 server 2
 meta profiles "job-05" region 3 server 3
@@ -438,28 +436,27 @@ meta profiles "job-10" region 5 server 1
 meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
 meta profiles "job-22" region 10 server 2
-meta profiles "job-25" region 12 server 0
-meta profiles "job-31" region 13 server 1
-meta profiles "job-38" region 15 server 3
-meta profiles "job-41" region 16 server 0
-meta profiles "job-43" region 17 server 1
-meta profiles "job-45" region 18 server 2
+meta profiles "job-29" region 12 server 0
+meta profiles "job-36" region 14 server 2
+meta profiles "job-40" region 15 server 3
+meta profiles "job-42" region 16 server 0
+meta profiles "job-44" region 17 server 1
 profiles: 31 rows 0x5789f9e366e34b27
 aux: 14 rows 0xe6c6ae3867f03f86
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 8870
-cfstore.block_cache.misses = 34
+cfstore.block_cache.fill_bytes = 7612
+cfstore.block_cache.misses = 30
 cfstore.cells_verified = 65
 cfstore.flush.segments_reused = 4
-cfstore.flush.segments_written = 15
+cfstore.flush.segments_written = 13
 cfstore.flushes = 1
 cfstore.rows_returned = 45
 cfstore.rows_scanned = 45
 cfstore.scans = 2
-event cfstore.flush segments=U64(19) written=U64(15) reused=U64(4) superseded=U64(7) flushed_lsn=U64(5053)
-files MANIFEST(604) seg-000002-r000001.seg(263) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000004-r000002.seg(303) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(316) seg-000004-r000011.seg(401) seg-000004-r000012.seg(225) seg-000004-r000013.seg(225) seg-000004-r000014.seg(319) seg-000004-r000015.seg(168) seg-000004-r000016.seg(225) seg-000004-r000017.seg(225) seg-000004-r000018.seg(295) seg-000004-r000019.seg(321) wal.log(0)
-disk 0x2e03710a0cbdc96c
-reopen again RecoveryReport { segments_loaded: 19, segment_rows: 45, segment_blocks: 19, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+event cfstore.flush segments=U64(17) written=U64(13) reused=U64(4) superseded=U64(7) flushed_lsn=U64(5051)
+files MANIFEST(552) seg-000002-r000001.seg(263) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000004-r000002.seg(303) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(373) seg-000004-r000011.seg(533) seg-000004-r000012.seg(225) seg-000004-r000013.seg(411) seg-000004-r000014.seg(225) seg-000004-r000015.seg(168) seg-000004-r000016.seg(225) seg-000004-r000017.seg(352) wal.log(0)
+disk 0x59c816c2345ee33c
+reopen again RecoveryReport { segments_loaded: 17, segment_rows: 45, segment_blocks: 17, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 "#;
 
 const WAL_BYTES_GOLDEN: &str = r#"
@@ -491,7 +488,7 @@ event cfstore.flush segments=U64(7) written=U64(7) reused=U64(0) superseded=U64(
 files MANIFEST(292) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(168) seg-000002-r000004.seg(282) seg-000002-r000005.seg(409) seg-000002-r000006.seg(330) seg-000002-r000007.seg(266) wal.log(0)
 disk 0x261fb5b14bdbfb7b
 reopen again RecoveryReport { segments_loaded: 7, segment_rows: 19, segment_blocks: 7, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 3107
+==== after_wal_bytes 3102
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(2)
@@ -499,7 +496,7 @@ session B: crashed at step Some(2)
 cfstore.puts = 3
 cfstore.region.splits = 1
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
-reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 33, records_replayed: 52, frames_skipped: 0, wal_bytes_valid: 3102, wal_bytes_dropped: 5, truncation: Some(Torn { offset: 3102 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 33, records_replayed: 52, frames_skipped: 0, wal_bytes_valid: 3102, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta profiles "" region 1 server 1
@@ -522,7 +519,7 @@ event cfstore.flush segments=U64(8) written=U64(8) reused=U64(0) superseded=U64(
 files MANIFEST(318) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(168) seg-000002-r000004.seg(282) seg-000002-r000005.seg(282) seg-000002-r000006.seg(330) seg-000002-r000007.seg(266) seg-000002-r000008.seg(409) wal.log(0)
 disk 0x73d69881e71ed1ca
 reopen again RecoveryReport { segments_loaded: 8, segment_rows: 22, segment_blocks: 8, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 3394
+==== after_wal_bytes 3384
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(6)
@@ -531,7 +528,7 @@ cfstore.puts = 7
 cfstore.region.splits = 2
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
-reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 37, records_replayed: 56, frames_skipped: 0, wal_bytes_valid: 3383, wal_bytes_dropped: 11, truncation: Some(Torn { offset: 3383 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 37, records_replayed: 56, frames_skipped: 0, wal_bytes_valid: 3383, wal_bytes_dropped: 1, truncation: Some(Torn { offset: 3383 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta profiles "" region 1 server 1
@@ -555,16 +552,16 @@ event cfstore.flush segments=U64(9) written=U64(9) reused=U64(0) superseded=U64(
 files MANIFEST(344) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(282) seg-000002-r000005.seg(282) seg-000002-r000006.seg(354) seg-000002-r000007.seg(266) seg-000002-r000008.seg(225) seg-000002-r000009.seg(352) wal.log(0)
 disk 0x3d0c6afc866d9038
 reopen again RecoveryReport { segments_loaded: 9, segment_rows: 24, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 3681
+==== after_wal_bytes 3666
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-session B: crashed at step Some(10)
+session B: crashed at step Some(9)
 -- session B counters
-cfstore.puts = 11
+cfstore.puts = 10
 cfstore.region.splits = 2
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
-reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 41, records_replayed: 60, frames_skipped: 0, wal_bytes_valid: 3679, wal_bytes_dropped: 2, truncation: Some(Torn { offset: 3679 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 40, records_replayed: 59, frames_skipped: 0, wal_bytes_valid: 3605, wal_bytes_dropped: 61, truncation: Some(Torn { offset: 3605 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta profiles "" region 1 server 1
@@ -574,21 +571,21 @@ meta profiles "job-07" region 4 server 0
 meta profiles "job-10" region 5 server 1
 meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
-profiles: 21 rows 0x17350709c99a5801
+profiles: 20 rows 0xfe6d48224232337f
 aux: 5 rows 0x00acfa0864776f85
 -- reopened store counters
-cfstore.cells_verified = 34
+cfstore.cells_verified = 33
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 9
 cfstore.flushes = 1
-cfstore.rows_returned = 26
-cfstore.rows_scanned = 26
+cfstore.rows_returned = 25
+cfstore.rows_scanned = 25
 cfstore.scans = 2
-event cfstore.flush segments=U64(9) written=U64(9) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5012)
-files MANIFEST(344) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(316) seg-000002-r000005.seg(316) seg-000002-r000006.seg(354) seg-000002-r000007.seg(266) seg-000002-r000008.seg(339) seg-000002-r000009.seg(352) wal.log(0)
-disk 0x3bcb85081a888db8
-reopen again RecoveryReport { segments_loaded: 9, segment_rows: 26, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 3968
+event cfstore.flush segments=U64(9) written=U64(9) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5011)
+files MANIFEST(344) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(316) seg-000002-r000005.seg(316) seg-000002-r000006.seg(354) seg-000002-r000007.seg(266) seg-000002-r000008.seg(282) seg-000002-r000009.seg(352) wal.log(0)
+disk 0xf6ae57cf17623a92
+reopen again RecoveryReport { segments_loaded: 9, segment_rows: 25, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+==== after_wal_bytes 3948
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(13)
@@ -598,7 +595,7 @@ cfstore.region.splits = 3
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
-reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 45, records_replayed: 64, frames_skipped: 0, wal_bytes_valid: 3929, wal_bytes_dropped: 39, truncation: Some(Torn { offset: 3929 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 45, records_replayed: 64, frames_skipped: 0, wal_bytes_valid: 3929, wal_bytes_dropped: 19, truncation: Some(Torn { offset: 3929 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta profiles "" region 1 server 1
@@ -623,7 +620,7 @@ event cfstore.flush segments=U64(10) written=U64(10) reused=U64(0) superseded=U6
 files MANIFEST(370) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(316) seg-000002-r000005.seg(316) seg-000002-r000006.seg(273) seg-000002-r000007.seg(266) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000010.seg(352) wal.log(0)
 disk 0xbfcbfdfa78d920a9
 reopen again RecoveryReport { segments_loaded: 10, segment_rows: 27, segment_blocks: 10, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 4249
+==== after_wal_bytes 4225
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(15)
@@ -633,7 +630,7 @@ cfstore.region.splits = 3
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
-reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 47, records_replayed: 66, frames_skipped: 0, wal_bytes_valid: 4018, wal_bytes_dropped: 231, truncation: Some(Torn { offset: 4018 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 47, records_replayed: 66, frames_skipped: 0, wal_bytes_valid: 4018, wal_bytes_dropped: 207, truncation: Some(Torn { offset: 4018 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta profiles "" region 1 server 1
@@ -658,7 +655,7 @@ event cfstore.flush segments=U64(10) written=U64(10) reused=U64(0) superseded=U6
 files MANIFEST(370) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000005.seg(316) seg-000002-r000006.seg(273) seg-000002-r000007.seg(266) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000010.seg(352) wal.log(0)
 disk 0x3e23f2168626fe17
 reopen again RecoveryReport { segments_loaded: 10, segment_rows: 26, segment_blocks: 10, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 4536
+==== after_wal_bytes 4507
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(15)
@@ -668,7 +665,7 @@ cfstore.region.splits = 3
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
-reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 47, records_replayed: 66, frames_skipped: 0, wal_bytes_valid: 4018, wal_bytes_dropped: 518, truncation: Some(Torn { offset: 4018 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 47, records_replayed: 66, frames_skipped: 0, wal_bytes_valid: 4018, wal_bytes_dropped: 489, truncation: Some(Torn { offset: 4018 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta profiles "" region 1 server 1
@@ -693,13 +690,11 @@ event cfstore.flush segments=U64(10) written=U64(10) reused=U64(0) superseded=U6
 files MANIFEST(370) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000005.seg(316) seg-000002-r000006.seg(273) seg-000002-r000007.seg(266) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000010.seg(352) wal.log(0)
 disk 0x3e23f2168626fe17
 reopen again RecoveryReport { segments_loaded: 10, segment_rows: 26, segment_blocks: 10, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 4823
+==== after_wal_bytes 4788
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(18)
 -- session B counters
-cfstore.block_cache.fill_bytes = 263
-cfstore.block_cache.misses = 1
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -710,7 +705,7 @@ event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 2, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 148, wal_bytes_dropped: 3, truncation: Some(Torn { offset: 148 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 1, frames_skipped: 0, wal_bytes_valid: 74, wal_bytes_dropped: 42, truncation: Some(Torn { offset: 74 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -722,33 +717,74 @@ meta profiles "job-10" region 5 server 1
 meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
 meta profiles "job-22" region 10 server 2
-profiles: 22 rows 0x617f9ac5966d6f5b
+profiles: 21 rows 0x6c527a5992f32b72
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
 cfstore.block_cache.fill_bytes = 2818
 cfstore.block_cache.misses = 12
-cfstore.cells_verified = 48
+cfstore.cells_verified = 47
 cfstore.flush.segments_reused = 10
 cfstore.flush.segments_written = 1
 cfstore.flushes = 1
-cfstore.rows_returned = 33
-cfstore.rows_scanned = 33
+cfstore.rows_returned = 32
+cfstore.rows_scanned = 32
 cfstore.scans = 2
-event cfstore.flush segments=U64(11) written=U64(1) reused=U64(10) superseded=U64(1) flushed_lsn=U64(5022)
-files MANIFEST(396) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000005.seg(316) seg-000002-r000006.seg(273) seg-000002-r000007.seg(489) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000010.seg(443) wal.log(0)
-disk 0xa95dcf20b0f3373e
-reopen again RecoveryReport { segments_loaded: 11, segment_rows: 33, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 5110
+event cfstore.flush segments=U64(11) written=U64(1) reused=U64(10) superseded=U64(1) flushed_lsn=U64(5021)
+files MANIFEST(396) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000005.seg(316) seg-000002-r000006.seg(273) seg-000002-r000007.seg(489) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000010.seg(386) wal.log(0)
+disk 0x45eef50d25e47ec5
+reopen again RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+==== after_wal_bytes 5070
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 session B: crashed at step Some(22)
 -- session B counters
-cfstore.block_cache.fill_bytes = 263
-cfstore.block_cache.misses = 1
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
 cfstore.puts = 32
+cfstore.region.splits = 4
+event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
+event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
+event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
+event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
+event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 5, records_replayed: 5, frames_skipped: 0, wal_bytes_valid: 370, wal_bytes_dropped: 28, truncation: Some(Torn { offset: 370 }), orphan_segments: [] }
+meta aux "" region 2 server 2
+meta aux "x03" region 7 server 3
+meta aux "x07" region 11 server 3
+meta profiles "" region 1 server 1
+meta profiles "job-02" region 6 server 2
+meta profiles "job-05" region 3 server 3
+meta profiles "job-07" region 4 server 0
+meta profiles "job-10" region 5 server 1
+meta profiles "job-13" region 8 server 0
+meta profiles "job-19" region 9 server 1
+meta profiles "job-22" region 10 server 2
+profiles: 23 rows 0x52812382cc9d9216
+aux: 11 rows 0x17ff5d51a7e1babe
+-- reopened store counters
+cfstore.block_cache.fill_bytes = 3209
+cfstore.block_cache.misses = 14
+cfstore.cells_verified = 51
+cfstore.flush.segments_reused = 8
+cfstore.flush.segments_written = 3
+cfstore.flushes = 1
+cfstore.rows_returned = 34
+cfstore.rows_scanned = 34
+cfstore.scans = 2
+event cfstore.flush segments=U64(11) written=U64(3) reused=U64(8) superseded=U64(3) flushed_lsn=U64(5025)
+files MANIFEST(396) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000005.seg(350) seg-000004-r000006.seg(307) seg-000004-r000010.seg(500) wal.log(0)
+disk 0x75b75a18bd973816
+reopen again RecoveryReport { segments_loaded: 11, segment_rows: 34, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+==== after_wal_bytes 5352
+open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+session B: crashed at step Some(25)
+-- session B counters
+cfstore.flush.segments_reused = 0
+cfstore.flush.segments_written = 11
+cfstore.flushes = 1
+cfstore.puts = 35
 cfstore.region.splits = 5
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
@@ -756,7 +792,7 @@ event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 6, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 429, wal_bytes_dropped: 9, truncation: Some(Torn { offset: 429 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 9, records_replayed: 9, frames_skipped: 0, wal_bytes_valid: 651, wal_bytes_dropped: 29, truncation: Some(Torn { offset: 651 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -768,43 +804,40 @@ meta profiles "job-10" region 5 server 1
 meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
 meta profiles "job-22" region 10 server 2
-meta profiles "job-25" region 12 server 0
-profiles: 23 rows 0x52812382cc9d9216
+meta profiles "job-29" region 12 server 0
+profiles: 25 rows 0x94fc5fbfe108dcd1
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 3735
-cfstore.block_cache.misses = 16
-cfstore.cells_verified = 51
-cfstore.flush.segments_reused = 8
-cfstore.flush.segments_written = 4
+cfstore.block_cache.fill_bytes = 3975
+cfstore.block_cache.misses = 17
+cfstore.cells_verified = 54
+cfstore.flush.segments_reused = 7
+cfstore.flush.segments_written = 5
 cfstore.flushes = 1
-cfstore.rows_returned = 34
-cfstore.rows_scanned = 34
+cfstore.rows_returned = 36
+cfstore.rows_scanned = 36
 cfstore.scans = 2
-event cfstore.flush segments=U64(12) written=U64(4) reused=U64(8) superseded=U64(3) flushed_lsn=U64(5026)
-files MANIFEST(422) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000005.seg(350) seg-000004-r000006.seg(307) seg-000004-r000010.seg(259) seg-000004-r000012.seg(352) wal.log(0)
-disk 0x089f3978fc1465bb
-reopen again RecoveryReport { segments_loaded: 12, segment_rows: 34, segment_blocks: 12, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 5396
+event cfstore.flush segments=U64(12) written=U64(5) reused=U64(7) superseded=U64(4) flushed_lsn=U64(5029)
+files MANIFEST(422) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000005.seg(350) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(373) seg-000004-r000012.seg(352) wal.log(0)
+disk 0xbce9dac9bf5d9310
+reopen again RecoveryReport { segments_loaded: 12, segment_rows: 36, segment_blocks: 12, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+==== after_wal_bytes 5629
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-session B: crashed at step Some(25)
+session B: crashed at step Some(29)
 -- session B counters
-cfstore.block_cache.fill_bytes = 503
-cfstore.block_cache.misses = 2
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
-cfstore.puts = 35
-cfstore.region.splits = 6
+cfstore.puts = 38
+cfstore.region.splits = 5
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 10, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 710, wal_bytes_dropped: 14, truncation: Some(Torn { offset: 710 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 13, records_replayed: 13, frames_skipped: 0, wal_bytes_valid: 947, wal_bytes_dropped: 10, truncation: Some(Torn { offset: 947 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -816,122 +849,70 @@ meta profiles "job-10" region 5 server 1
 meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
 meta profiles "job-22" region 10 server 2
-meta profiles "job-25" region 12 server 0
-meta profiles "job-31" region 13 server 1
-profiles: 25 rows 0x94fc5fbfe108dcd1
+meta profiles "job-29" region 12 server 0
+profiles: 26 rows 0x9cc0d0539e89b8d3
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 4501
-cfstore.block_cache.misses = 19
+cfstore.block_cache.fill_bytes = 4101
+cfstore.block_cache.misses = 18
+cfstore.cells_verified = 56
+cfstore.flush.segments_reused = 6
+cfstore.flush.segments_written = 6
+cfstore.flushes = 1
+cfstore.rows_returned = 37
+cfstore.rows_scanned = 37
+cfstore.scans = 2
+event cfstore.flush segments=U64(12) written=U64(6) reused=U64(6) superseded=U64(5) flushed_lsn=U64(5033)
+files MANIFEST(422) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000003.seg(259) seg-000004-r000005.seg(350) seg-000004-r000006.seg(308) seg-000004-r000008.seg(373) seg-000004-r000010.seg(373) seg-000004-r000012.seg(409) wal.log(0)
+disk 0xf88120d1e4861aed
+reopen again RecoveryReport { segments_loaded: 12, segment_rows: 37, segment_blocks: 12, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+==== after_wal_bytes 5911
+open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+session B: crashed at step Some(30)
+-- session B counters
+cfstore.block_cache.fill_bytes = 217
+cfstore.block_cache.misses = 1
+cfstore.flush.segments_reused = 0
+cfstore.flush.segments_written = 11
+cfstore.flushes = 1
+cfstore.puts = 48
+cfstore.region.splits = 5
+event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
+event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
+event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
+event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
+event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
+event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 14, records_replayed: 14, frames_skipped: 0, wal_bytes_valid: 990, wal_bytes_dropped: 249, truncation: Some(Torn { offset: 990 }), orphan_segments: [] }
+meta aux "" region 2 server 2
+meta aux "x03" region 7 server 3
+meta aux "x07" region 11 server 3
+meta profiles "" region 1 server 1
+meta profiles "job-02" region 6 server 2
+meta profiles "job-05" region 3 server 3
+meta profiles "job-07" region 4 server 0
+meta profiles "job-10" region 5 server 1
+meta profiles "job-13" region 8 server 0
+meta profiles "job-19" region 9 server 1
+meta profiles "job-22" region 10 server 2
+meta profiles "job-29" region 12 server 0
+profiles: 25 rows 0x59b5e2b8b4008f92
+aux: 11 rows 0x17ff5d51a7e1babe
+-- reopened store counters
+cfstore.block_cache.fill_bytes = 4101
+cfstore.block_cache.misses = 18
 cfstore.cells_verified = 54
-cfstore.flush.segments_reused = 7
+cfstore.flush.segments_reused = 6
 cfstore.flush.segments_written = 6
 cfstore.flushes = 1
 cfstore.rows_returned = 36
 cfstore.rows_scanned = 36
 cfstore.scans = 2
-event cfstore.flush segments=U64(13) written=U64(6) reused=U64(7) superseded=U64(4) flushed_lsn=U64(5030)
-files MANIFEST(448) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000005.seg(350) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(316) seg-000004-r000012.seg(225) seg-000004-r000013.seg(295) wal.log(0)
-disk 0x9292effaafd2a000
-reopen again RecoveryReport { segments_loaded: 13, segment_rows: 36, segment_blocks: 13, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 5678
-open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-session B: crashed at step Some(29)
--- session B counters
-cfstore.block_cache.fill_bytes = 503
-cfstore.block_cache.misses = 2
-cfstore.flush.segments_reused = 0
-cfstore.flush.segments_written = 11
-cfstore.flushes = 1
-cfstore.puts = 38
-cfstore.region.splits = 6
-event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
-event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
-event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
-event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
-event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
-event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 14, records_replayed: 14, frames_skipped: 0, wal_bytes_valid: 1006, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-meta aux "" region 2 server 2
-meta aux "x03" region 7 server 3
-meta aux "x07" region 11 server 3
-meta profiles "" region 1 server 1
-meta profiles "job-02" region 6 server 2
-meta profiles "job-05" region 3 server 3
-meta profiles "job-07" region 4 server 0
-meta profiles "job-10" region 5 server 1
-meta profiles "job-13" region 8 server 0
-meta profiles "job-19" region 9 server 1
-meta profiles "job-22" region 10 server 2
-meta profiles "job-25" region 12 server 0
-meta profiles "job-31" region 13 server 1
-profiles: 26 rows 0x9cc0d0539e89b8d3
-aux: 11 rows 0x17ff5d51a7e1babe
--- reopened store counters
-cfstore.block_cache.fill_bytes = 4627
-cfstore.block_cache.misses = 20
-cfstore.cells_verified = 56
-cfstore.flush.segments_reused = 6
-cfstore.flush.segments_written = 7
-cfstore.flushes = 1
-cfstore.rows_returned = 37
-cfstore.rows_scanned = 37
-cfstore.scans = 2
-event cfstore.flush segments=U64(13) written=U64(7) reused=U64(6) superseded=U64(5) flushed_lsn=U64(5034)
-files MANIFEST(448) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000003.seg(259) seg-000004-r000005.seg(350) seg-000004-r000006.seg(308) seg-000004-r000008.seg(373) seg-000004-r000010.seg(316) seg-000004-r000012.seg(225) seg-000004-r000013.seg(352) wal.log(0)
-disk 0xb866a77a8d47ac26
-reopen again RecoveryReport { segments_loaded: 13, segment_rows: 37, segment_blocks: 13, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== after_wal_bytes 5965
-open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-session B: crashed at step Some(30)
--- session B counters
-cfstore.block_cache.fill_bytes = 720
-cfstore.block_cache.misses = 3
-cfstore.flush.segments_reused = 0
-cfstore.flush.segments_written = 11
-cfstore.flushes = 1
-cfstore.puts = 48
-cfstore.region.splits = 6
-event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
-event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
-event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
-event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
-event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
-event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 15, records_replayed: 15, frames_skipped: 0, wal_bytes_valid: 1049, wal_bytes_dropped: 244, truncation: Some(Torn { offset: 1049 }), orphan_segments: [] }
-meta aux "" region 2 server 2
-meta aux "x03" region 7 server 3
-meta aux "x07" region 11 server 3
-meta profiles "" region 1 server 1
-meta profiles "job-02" region 6 server 2
-meta profiles "job-05" region 3 server 3
-meta profiles "job-07" region 4 server 0
-meta profiles "job-10" region 5 server 1
-meta profiles "job-13" region 8 server 0
-meta profiles "job-19" region 9 server 1
-meta profiles "job-22" region 10 server 2
-meta profiles "job-25" region 12 server 0
-meta profiles "job-31" region 13 server 1
-profiles: 25 rows 0x59b5e2b8b4008f92
-aux: 11 rows 0x17ff5d51a7e1babe
--- reopened store counters
-cfstore.block_cache.fill_bytes = 4627
-cfstore.block_cache.misses = 20
-cfstore.cells_verified = 54
-cfstore.flush.segments_reused = 6
-cfstore.flush.segments_written = 7
-cfstore.flushes = 1
-cfstore.rows_returned = 36
-cfstore.rows_scanned = 36
-cfstore.scans = 2
-event cfstore.flush segments=U64(13) written=U64(7) reused=U64(6) superseded=U64(5) flushed_lsn=U64(5035)
-files MANIFEST(448) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(308) seg-000004-r000008.seg(373) seg-000004-r000010.seg(316) seg-000004-r000012.seg(225) seg-000004-r000013.seg(352) wal.log(0)
-disk 0x2c44dd4ae8deda34
-reopen again RecoveryReport { segments_loaded: 13, segment_rows: 36, segment_blocks: 13, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+event cfstore.flush segments=U64(12) written=U64(6) reused=U64(6) superseded=U64(5) flushed_lsn=U64(5034)
+files MANIFEST(422) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(308) seg-000004-r000008.seg(373) seg-000004-r000010.seg(373) seg-000004-r000012.seg(409) wal.log(0)
+disk 0xaa2007d94dd3c4d3
+reopen again RecoveryReport { segments_loaded: 12, segment_rows: 36, segment_blocks: 12, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 "#;
 
 const SPLIT_GOLDEN: &str = r#"
@@ -1034,21 +1015,19 @@ reopen again RecoveryReport { segments_loaded: 10, segment_rows: 32, segment_blo
 ==== during_split 4
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-session B: crashed at step Some(18)
+session B: crashed at step Some(24)
 -- session B counters
-cfstore.block_cache.fill_bytes = 263
-cfstore.block_cache.misses = 1
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
-cfstore.puts = 28
+cfstore.puts = 34
 cfstore.region.splits = 4
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 2, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 148, wal_bytes_dropped: 29, truncation: Some(Torn { offset: 148 }), orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 8, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 592, wal_bytes_dropped: 29, truncation: Some(Torn { offset: 592 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
@@ -1060,29 +1039,29 @@ meta profiles "job-10" region 5 server 1
 meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
 meta profiles "job-22" region 10 server 2
-profiles: 22 rows 0x617f9ac5966d6f5b
+profiles: 25 rows 0x94fc5fbfe108dcd1
 aux: 11 rows 0x17ff5d51a7e1babe
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 2818
-cfstore.block_cache.misses = 12
-cfstore.cells_verified = 48
-cfstore.flush.segments_reused = 10
-cfstore.flush.segments_written = 1
+cfstore.block_cache.fill_bytes = 3449
+cfstore.block_cache.misses = 15
+cfstore.cells_verified = 54
+cfstore.flush.segments_reused = 7
+cfstore.flush.segments_written = 4
 cfstore.flushes = 1
-cfstore.rows_returned = 33
-cfstore.rows_scanned = 33
+cfstore.rows_returned = 36
+cfstore.rows_scanned = 36
 cfstore.scans = 2
-event cfstore.flush segments=U64(11) written=U64(1) reused=U64(10) superseded=U64(1) flushed_lsn=U64(5022)
-files MANIFEST(396) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000005.seg(316) seg-000002-r000006.seg(273) seg-000002-r000007.seg(489) seg-000002-r000008.seg(339) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000010.seg(443) wal.log(0)
-disk 0xa95dcf20b0f3373e
-reopen again RecoveryReport { segments_loaded: 11, segment_rows: 33, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+event cfstore.flush segments=U64(11) written=U64(4) reused=U64(7) superseded=U64(4) flushed_lsn=U64(5028)
+files MANIFEST(396) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000005.seg(350) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(614) wal.log(0)
+disk 0x5c8997f3c1242b22
+reopen again RecoveryReport { segments_loaded: 11, segment_rows: 36, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 ==== during_split 6
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-session B: crashed at step Some(30)
+session B: crashed at step None
 -- session B counters
-cfstore.block_cache.fill_bytes = 1086
-cfstore.block_cache.misses = 4
+cfstore.block_cache.fill_bytes = 526
+cfstore.block_cache.misses = 2
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
@@ -1094,11 +1073,13 @@ event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-event cfstore.region.split table=Str("profiles") parent=U64(12) new=U64(13)
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 16, records_replayed: 25, frames_skipped: 0, wal_bytes_valid: 1492, wal_bytes_dropped: 25, truncation: Some(Torn { offset: 1492 }), orphan_segments: [] }
+event cfstore.region.split table=Str("aux") parent=U64(11) new=U64(13)
+open C RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 17, records_replayed: 26, frames_skipped: 0, wal_bytes_valid: 1519, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 31, records_replayed: 40, frames_skipped: 0, wal_bytes_valid: 2453, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
+meta aux "x11" region 13 server 1
 meta profiles "" region 1 server 1
 meta profiles "job-02" region 6 server 2
 meta profiles "job-05" region 3 server 3
@@ -1107,24 +1088,27 @@ meta profiles "job-10" region 5 server 1
 meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
 meta profiles "job-22" region 10 server 2
-meta profiles "job-25" region 12 server 0
-meta profiles "job-31" region 13 server 1
-profiles: 25 rows 0x59b5e2b8b4008f92
-aux: 14 rows 0x96a4ce12a563043c
+meta profiles "job-29" region 12 server 0
+meta profiles "job-36" region 14 server 2
+meta profiles "job-40" region 15 server 3
+meta profiles "job-42" region 16 server 0
+meta profiles "job-44" region 17 server 1
+profiles: 31 rows 0x5789f9e366e34b27
+aux: 14 rows 0xe6c6ae3867f03f86
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 4993
-cfstore.block_cache.misses = 21
-cfstore.cells_verified = 60
-cfstore.flush.segments_reused = 5
-cfstore.flush.segments_written = 8
+cfstore.block_cache.fill_bytes = 7612
+cfstore.block_cache.misses = 30
+cfstore.cells_verified = 65
+cfstore.flush.segments_reused = 4
+cfstore.flush.segments_written = 13
 cfstore.flushes = 1
-cfstore.rows_returned = 39
-cfstore.rows_scanned = 39
+cfstore.rows_returned = 45
+cfstore.rows_scanned = 45
 cfstore.scans = 2
-event cfstore.flush segments=U64(13) written=U64(8) reused=U64(5) superseded=U64(6) flushed_lsn=U64(5036)
-files MANIFEST(448) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(308) seg-000004-r000008.seg(373) seg-000004-r000010.seg(316) seg-000004-r000011.seg(796) seg-000004-r000012.seg(225) seg-000004-r000013.seg(352) wal.log(0)
-disk 0x903e4d8a508c023e
-reopen again RecoveryReport { segments_loaded: 13, segment_rows: 39, segment_blocks: 13, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+event cfstore.flush segments=U64(17) written=U64(13) reused=U64(4) superseded=U64(7) flushed_lsn=U64(5051)
+files MANIFEST(552) seg-000002-r000001.seg(263) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000004-r000002.seg(303) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(373) seg-000004-r000011.seg(533) seg-000004-r000012.seg(225) seg-000004-r000013.seg(411) seg-000004-r000014.seg(225) seg-000004-r000015.seg(168) seg-000004-r000016.seg(225) seg-000004-r000017.seg(352) wal.log(0)
+disk 0x59c816c2345ee33c
+reopen again RecoveryReport { segments_loaded: 17, segment_rows: 45, segment_blocks: 17, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 "#;
 
 const FLUSH_GOLDEN: &str = r#"
