@@ -188,19 +188,19 @@ fn a_single_store_of_segment_backed_and_written_regions() {
         &got,
         &[
             "rows=87 first=k000 last=k107 digest=fb5d0ff659b3a1cc\n\
-             ScanMetrics { regions_visited: 10, rows_scanned: 87, cells_scanned: 196, rows_returned: 87, bytes_returned: 579 }\n\
+             ScanMetrics { regions_visited: 9, rows_scanned: 87, cells_scanned: 196, rows_returned: 87, bytes_returned: 579 }\n\
              cfstore.cells_verified=196\n\
              cfstore.rows_returned=87\n\
              cfstore.rows_scanned=87\n\
              cfstore.scans=1\n\
-             regions scanned/returned: 1=8/8 2=7/7 3=8/8 4=8/8 5=8/8 6=8/8 7=8/8 8=8/8 9=8/8 10=16/16\n",
+             regions scanned/returned: 1=8/8 2=7/7 3=8/8 4=8/8 5=8/8 6=8/8 7=8/8 8=8/8 9=24/24\n",
             "rows=26 first=k001 last=k076 digest=c11dc9410ef4c4a3\n\
-             ScanMetrics { regions_visited: 10, rows_scanned: 87, cells_scanned: 196, rows_returned: 26, bytes_returned: 156 }\n\
+             ScanMetrics { regions_visited: 9, rows_scanned: 87, cells_scanned: 196, rows_returned: 26, bytes_returned: 156 }\n\
              cfstore.cells_verified=196\n\
              cfstore.rows_returned=26\n\
              cfstore.rows_scanned=87\n\
              cfstore.scans=1\n\
-             regions scanned/returned: 1=8/2 2=7/1 3=8/4 4=8/3 5=8/3 6=8/2 7=8/3 8=8/3 9=8/2 10=16/3\n",
+             regions scanned/returned: 1=8/2 2=7/1 3=8/4 4=8/3 5=8/3 6=8/2 7=8/3 8=8/3 9=24/5\n",
         ],
     );
     drop(store);
