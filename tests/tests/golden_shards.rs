@@ -225,7 +225,7 @@ fn corrupt_largest_segment(dir: &Path, shard: u32) -> PathBuf {
 }
 
 const LOSS_REBUILD: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 3, segment_rows: 13, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 5, segment_rows: 25, segment_blocks: 5, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [1], aborted_batches: 0, healed_rows: 11, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 13, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 12, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 2, segment_rows: 25, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [1], aborted_batches: 0, healed_rows: 11, reshard_in_flight: None }
 -- rebuilt
 cfstore.shard.1.heal.rebuilds = 1
 cfstore.shard.1.heal.rows = 11
@@ -236,15 +236,15 @@ shard 0: 13 rows 0x712a1312b5ec29c1
 shard 1: 11 rows 0xc6ed81c30b9723d9
 shard 2: 12 rows 0x216bca579ad017fd
 scan: 18 rows, 36 scanned
-disk 0x1aaebcd79c31834b
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 3, segment_rows: 13, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 11, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+disk 0x632f77839cfdba46
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 13, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 11, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 12, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 3, segment_rows: 36, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 -- reopened
 topology 3x2 overrides {}
 shard 0: 13 rows 0x712a1312b5ec29c1
 shard 1: 11 rows 0xc6ed81c30b9723d9
 shard 2: 12 rows 0x216bca579ad017fd
 scan: 18 rows, 36 scanned
-disk 0x1aaebcd79c31834b
+disk 0x632f77839cfdba46
 "#;
 
 #[test]
@@ -300,23 +300,23 @@ fn heal_count(reg: &obs::Registry, what: &str) -> u64 {
 }
 
 const HEAL_GET: &str = r#"
-corrupted seg-000008-r000002.seg
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 32, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+corrupted seg-000008-r000001.seg
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 4, segment_rows: 32, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 get 0: Some(2) heal.reads=0
 get 1: None heal.reads=0
 get 2: Some(2) heal.reads=0
-get 3: Some(1) heal.reads=0
-get 4: Some(2) heal.reads=0
-get 5: None heal.reads=0
-get 6: Some(1) heal.reads=0
-get 7: Some(2) heal.reads=0
-get 8: Some(2) heal.reads=0
-get 9: None heal.reads=0
-get 10: None heal.reads=0
-get 11: Some(2) heal.reads=0
-get 12: Some(1) heal.reads=0
-get 13: None heal.reads=0
-get 14: Some(3) heal.reads=0
+get 3: Some(1) heal.reads=1
+get 4: Some(2) heal.reads=1
+get 5: None heal.reads=1
+get 6: Some(1) heal.reads=1
+get 7: Some(2) heal.reads=1
+get 8: Some(2) heal.reads=1
+get 9: None heal.reads=1
+get 10: None heal.reads=1
+get 11: Some(2) heal.reads=1
+get 12: Some(1) heal.reads=1
+get 13: None heal.reads=1
+get 14: Some(3) heal.reads=1
 get 15: Some(3) heal.reads=1
 get 16: Some(3) heal.reads=1
 get 17: Some(2) heal.reads=1
@@ -338,7 +338,7 @@ shard 0: 10 rows 0x9c07000dc3d7ef4b
 shard 1: 12 rows 0x902619cb08dd1e25
 shard 2: 10 rows 0x8b00ed9e96f26a2b
 scan: 16 rows, 32 scanned
-disk 0x412361a6879b3fda
+disk 0x73d1c881f6ef0e73
 "#;
 
 #[test]
@@ -363,9 +363,9 @@ fn corrupt_block_healed_through_get_is_pinned() {
 }
 
 const HEAL_SCAN: &str = r#"
-corrupted seg-000008-r000002.seg
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 32, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
-scan: 16 rows, ScanMetrics { regions_visited: 4, rows_scanned: 22, cells_scanned: 46, rows_returned: 22, bytes_returned: 368 }
+corrupted seg-000008-r000001.seg
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 4, segment_rows: 32, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+scan: 16 rows, ScanMetrics { regions_visited: 3, rows_scanned: 22, cells_scanned: 46, rows_returned: 22, bytes_returned: 368 }
 -- healed by scan
 cfstore.shard.0.heal.reads = 1
 cfstore.shard.0.heal.repairs = 1
@@ -378,7 +378,7 @@ shard 0: 10 rows 0x9c07000dc3d7ef4b
 shard 1: 12 rows 0x902619cb08dd1e25
 shard 2: 10 rows 0x8b00ed9e96f26a2b
 scan: 16 rows, 32 scanned
-disk 0x412361a6879b3fda
+disk 0x73d1c881f6ef0e73
 "#;
 
 #[test]
@@ -397,8 +397,8 @@ fn corrupt_block_healed_through_scan_is_pinned() {
 }
 
 const ROT_MET_AT_FLUSH: &str = r#"
-corrupted seg-000008-r000002.seg
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 32, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+corrupted seg-000008-r000001.seg
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 4, segment_rows: 32, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 puts: heal.reads=0
 flush: heal.reads=1
 -- healed at flush
@@ -413,7 +413,7 @@ shard 0: 16 rows 0xf92560d9c7a484e1
 shard 1: 16 rows 0xb5c347a9c283f061
 shard 2: 16 rows 0x0c2f66b65581cb8b
 scan: 24 rows, 48 scanned
-disk 0xc094d6d0f487fe10
+disk 0x7070247888d0a3ac
 "#;
 
 /// A put reads nothing of a region's segment (DESIGN.md §44): the puts
@@ -522,7 +522,7 @@ fn check_reshard(name: &str, init: (u32, u32), plan: Topology, want: &str) {
 }
 
 const GROW_3_TO_5: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 13, segment_blocks: 4, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 12, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 9, segment_rows: 36, segment_blocks: 9, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 0, rows_copied: 0 }
 journal after Begin: 45 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 1, rows_copied: 4 }
@@ -549,7 +549,7 @@ shard 2: 10 rows 0x9144eec78d413705
 shard 3: 8 rows 0x6c14ce8648d533c6
 shard 4: 4 rows 0x6aea69f133fbaaf4
 scan: 17 rows, 34 scanned
-disk 0x676facf057835dd8
+disk 0x056301e72db4898c
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 1, rows_copied: 4 }
 -- torn mid-copy
 cfstore.reshard.begins = 1
@@ -562,8 +562,8 @@ shard 2: 10 rows 0xff15986678de6121
 shard 3: 0 rows 0xcbf29ce484222325
 shard 4: 0 rows 0xcbf29ce484222325
 scan: 17 rows, 38 scanned
-disk 0x2860bffa0c0cc5f1
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 15, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 8, segment_rows: 38, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
+disk 0x63a4340f67a20091
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 13, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 15, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 11, segment_rows: 38, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
 cfstore.reshard.resumes = 1
 topology 3x2 overrides {}
@@ -573,7 +573,7 @@ shard 2: 12 rows 0xbabdd8a0e090b11b
 shard 3: 1 rows 0x37bb0b62c13fb264
 shard 4: 2 rows 0xc6fe206c433c70e0
 scan: 19 rows, 43 scanned
-disk 0x439004db7cffaa5a
+disk 0x5925bc61b75bc867
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 5, units_copied: 5, rows_copied: 33 }
 -- resumed to done
 cfstore.reshard.completions = 1
@@ -589,10 +589,10 @@ shard 2: 11 rows 0xfc3c43ebe0987f3e
 shard 3: 8 rows 0x213d90f3f7517341
 shard 4: 5 rows 0xea4218646f5e3c23
 scan: 19 rows, 38 scanned
-disk 0xbe53bf42783de023
+disk 0xe3e2b71ae650895f
 "#;
 const SHRINK_5_TO_2: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 198, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 9, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 8, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 7, segment_rows: 36, segment_blocks: 7, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 198, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 9, segment_blocks: 1, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 11, segment_blocks: 3, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 8, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 8, segment_rows: 36, segment_blocks: 8, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 2, units_copied: 0, rows_copied: 0 }
 journal after Begin: 45 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 2, units_copied: 1, rows_copied: 17 }
@@ -613,7 +613,7 @@ topology 2x2 overrides {}
 shard 0: 17 rows 0xfc0822a539386913
 shard 1: 17 rows 0xfc0822a539386913
 scan: 17 rows, 34 scanned
-disk 0x2487555d7a2dfef0
+disk 0x9be6f8ad33eb24cb
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 2, units_copied: 1, rows_copied: 17 }
 -- torn mid-copy
 cfstore.reshard.begins = 1
@@ -626,8 +626,8 @@ shard 2: 10 rows 0x9144eec78d413705
 shard 3: 8 rows 0x6c14ce8648d533c6
 shard 4: 4 rows 0x6aea69f133fbaaf4
 scan: 17 rows, 56 scanned
-disk 0x3334a6e4a357137f
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 17, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 17, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 8, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 7, segment_rows: 57, segment_blocks: 7, segment_blocks_read: 1, frames_replayed: 5, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 464, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
+disk 0xbf645ae4d8855732
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 17, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 17, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 11, segment_blocks: 3, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 8, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 8, segment_rows: 57, segment_blocks: 8, segment_blocks_read: 1, frames_replayed: 5, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 464, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
 cfstore.reshard.resumes = 1
 topology 5x2 overrides {}
@@ -637,7 +637,7 @@ shard 2: 11 rows 0xfc3c43ebe0987f3e
 shard 3: 8 rows 0x213d90f3f7517341
 shard 4: 5 rows 0xea4218646f5e3c23
 scan: 19 rows, 62 scanned
-disk 0x9efb4b93c51e63cf
+disk 0xed35d2d32b675588
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 2, units_copied: 2, rows_copied: 19 }
 -- resumed to done
 cfstore.reshard.completions = 1
@@ -650,10 +650,10 @@ topology 2x2 overrides {}
 shard 0: 19 rows 0x251760d43803ead1
 shard 1: 19 rows 0x251760d43803ead1
 scan: 19 rows, 38 scanned
-disk 0x65add9ec62c6518c
+disk 0xf39a7a6842d545cd
 "#;
 const REPLICATION_2_TO_3: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 13, segment_blocks: 4, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 12, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 9, segment_rows: 36, segment_blocks: 9, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 0, rows_copied: 0 }
 journal after Begin: 45 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 17 }
@@ -676,7 +676,7 @@ shard 0: 17 rows 0xfc0822a539386913
 shard 1: 17 rows 0xfc0822a539386913
 shard 2: 17 rows 0xfc0822a539386913
 scan: 17 rows, 51 scanned
-disk 0x785656bc8f647d9c
+disk 0x59c71b0df6a8b5af
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 17 }
 -- torn mid-copy
 cfstore.reshard.begins = 1
@@ -687,8 +687,8 @@ shard 0: 17 rows 0xfc0822a539386913
 shard 1: 17 rows 0xfc0822a539386913
 shard 2: 10 rows 0xff15986678de6121
 scan: 17 rows, 44 scanned
-disk 0x8c159a80ca2b0bfe
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 17, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 17, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 44, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
+disk 0x5940c03151f10e05
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 17, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 17, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 9, segment_rows: 44, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
 cfstore.reshard.resumes = 1
 topology 3x2 overrides {}
@@ -696,7 +696,7 @@ shard 0: 19 rows 0x251760d43803ead1
 shard 1: 19 rows 0x251760d43803ead1
 shard 2: 12 rows 0xbabdd8a0e090b11b
 scan: 19 rows, 50 scanned
-disk 0xf591ee6e66702b72
+disk 0x42df0adf1a724b3c
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 3, units_copied: 3, rows_copied: 38 }
 -- resumed to done
 cfstore.reshard.completions = 1
@@ -710,10 +710,10 @@ shard 0: 19 rows 0x251760d43803ead1
 shard 1: 19 rows 0x251760d43803ead1
 shard 2: 19 rows 0x251760d43803ead1
 scan: 19 rows, 57 scanned
-disk 0x45cadc2433ff0dd9
+disk 0x80ba5f37292e8541
 "#;
 const OVERRIDE_SLOT_0: &str = r#"
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 36, segment_blocks: 6, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 13, segment_blocks: 4, segment_blocks_read: 1, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 365, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 12, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 4, records_replayed: 8, frames_skipped: 0, wal_bytes_valid: 396, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 11, segment_blocks: 2, segment_blocks_read: 1, frames_replayed: 2, records_replayed: 4, frames_skipped: 0, wal_bytes_valid: 167, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 9, segment_rows: 36, segment_blocks: 9, segment_blocks_read: 2, frames_replayed: 10, records_replayed: 20, frames_skipped: 0, wal_bytes_valid: 928, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 begin ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 0, rows_copied: 0 }
 journal after Begin: 61 bytes
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 12 }
@@ -736,7 +736,7 @@ shard 0: 12 rows 0x2061c6101c4b3ea4
 shard 1: 5 rows 0x866671661491054a
 shard 2: 17 rows 0xfc0822a539386913
 scan: 17 rows, 34 scanned
-disk 0x003f38f5180e2b1c
+disk 0xfe9fbdfff92a887d
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 12 }
 -- torn mid-copy
 cfstore.reshard.begins = 1
@@ -747,8 +747,8 @@ shard 0: 12 rows 0x2061c6101c4b3ea4
 shard 1: 12 rows 0x08988eea87181b56
 shard 2: 10 rows 0xff15986678de6121
 scan: 17 rows, 34 scanned
-disk 0x2f578034c7a78bc1
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 34, segment_blocks: 6, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
+disk 0x44feec2035bbd281
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 12, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 12, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 9, segment_rows: 34, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
 cfstore.reshard.resumes = 1
 topology 3x2 overrides {}
@@ -756,7 +756,7 @@ shard 0: 13 rows 0x1441b9f2d78fc1df
 shard 1: 13 rows 0xdeb5eb2ec7287667
 shard 2: 12 rows 0xbabdd8a0e090b11b
 scan: 19 rows, 38 scanned
-disk 0xfdc0e86f49970827
+disk 0x6d8f06dcc4bc1775
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 3, units_copied: 3, rows_copied: 25 }
 -- resumed to done
 cfstore.reshard.completions = 1
@@ -770,7 +770,7 @@ shard 0: 13 rows 0x1441b9f2d78fc1df
 shard 1: 6 rows 0xe3b9ce7a53c0eff3
 shard 2: 19 rows 0x251760d43803ead1
 scan: 19 rows, 38 scanned
-disk 0x493d88c43e0a5e47
+disk 0xe134a6717c4ca3bf
 "#;
 
 #[test]
@@ -829,7 +829,7 @@ shard 2: 15 rows 0x77ddb41ace6388d2
 shard 3: 1 rows 0xbd83833562978e17
 shard 4: 1 rows 0x0a99c359e4a982c5
 scan: 21 rows, 48 scanned
-disk 0xf05fa5665d72389f
+disk 0x75e2e912f081c9e9
 -- aborted
 cfstore.reshard.aborts = 1
 cfstore.reshard.begins = 1
@@ -846,15 +846,15 @@ shard 0: 14 rows 0x892ffd6826435c39
 shard 1: 15 rows 0x626b8bda4efc12e8
 shard 2: 13 rows 0xa16c7f7a81adb006
 scan: 21 rows, 42 scanned
-disk 0xd076f01026de011b
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 3, segment_rows: 14, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 15, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 13, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 8, segment_rows: 42, segment_blocks: 8, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
+disk 0xf7aad1937a700897
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 14, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 15, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 13, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 3, segment_rows: 42, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 -- reopened
 topology 3x2 overrides {}
 shard 0: 14 rows 0x892ffd6826435c39
 shard 1: 15 rows 0x626b8bda4efc12e8
 shard 2: 13 rows 0xa16c7f7a81adb006
 scan: 21 rows, 42 scanned
-disk 0xd076f01026de011b
+disk 0xf7aad1937a700897
 "#;
 
 /// Pre-cutover, a healed shard must get back the rows it owns under the
@@ -905,7 +905,7 @@ const LOSS_MID_MIGRATION: &str = r#"
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 1, rows_copied: 7 }
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 2, rows_copied: 15 }
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 3, rows_copied: 25 }
-report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 15, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 18, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 7, segment_rows: 33, segment_blocks: 5, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [1], aborted_batches: 0, healed_rows: 14, reshard_in_flight: Some(1) }
+report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 2, segment_rows: 15, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 18, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 6, segment_rows: 33, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [1], aborted_batches: 0, healed_rows: 14, reshard_in_flight: Some(1) }
 status Some(ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 2, rows_copied: 0 })
 -- rebuilt mid-migration
 cfstore.reshard.resumes = 1
@@ -920,7 +920,7 @@ shard 2: 18 rows 0x5222c29643909fd6
 shard 3: 0 rows 0xcbf29ce484222325
 shard 4: 0 rows 0xcbf29ce484222325
 scan: 20 rows, 47 scanned
-disk 0x1dda78efa11a68f4
+disk 0x7573a2c0d341a676
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 5, units_copied: 5, rows_copied: 23 }
 -- resumed to done
 cfstore.reshard.completions = 1
@@ -940,7 +940,7 @@ shard 2: 10 rows 0xaefb058de410c068
 shard 3: 8 rows 0x7a98b3f8da1accbb
 shard 4: 7 rows 0xd660f1f0968c0336
 scan: 20 rows, 40 scanned
-disk 0xbdfacce4a1f5c795
+disk 0x36444233bdcc5ead
 "#;
 
 /// Losing a shard whose unit was already journaled `Copied`: the reopen
