@@ -172,7 +172,7 @@ fi
 # Walks read around the block cache (DESIGN.md §42): only a point read
 # admits a block, so cfstore calls `get_or_load(` at one site, the
 # `Keys::One` arm of `Region::walk`; scans, flushes, deletes and the
-# scrub read through `peek_or_read(`, split checks through `peek_keys(`.
+# scrub read through `peek_or_read(`, and a split check reads no block.
 step "source gate (walks read around the block cache)"
 loads=$(nontest $cfstore_src | grep -F 'get_or_load(' | grep -vF 'fn get_or_load(' || true)
 walk_body=$(nontest crates/cfstore/src/region.rs |
@@ -329,6 +329,12 @@ if nontest $cfstore_src | grep -E 'ensure_materialized|prepare_for_write|prepare
   echo "non-test cfstore must not name ensure_materialized, prepare_for_write, prepare_rows or is_lazy"; exit 1
 fi
 cfstore_lines=$(nontest $cfstore_src | wc -l)
+
+# A split reads no block (DESIGN.md §46): its cut comes from the base's
+# block index and its memstore, so no keys-only read of a segment comes
+# back into non-test cfstore.
+step "source gate (a split reads no block)"
+if nontest $cfstore_src | grep -E 'peek_keys\(|read_keys\(|keys_in\('; then echo "a split check reads keys again"; exit 1; fi
 
 # Replay is apply (DESIGN.md §24): a WAL record is applied to the live
 # `Table`/`Region` objects by one piece of code, whether a write just
@@ -569,7 +575,8 @@ awk -v one="$one" -v two="$two" \
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
-# 7306 before a region was a memstore over its segment (DESIGN.md §44).
+# 7306 before a region was a memstore over its segment (DESIGN.md §44);
+# 7371 before a split read no block (DESIGN.md §46).
 printf '%6d  non-test lines in crates/cfstore/src\n' "$cfstore_lines"
 # 2357 before replay was apply (DESIGN.md §24); 2333 before a region was
 # a memstore over its segment (DESIGN.md §44).
