@@ -25,11 +25,11 @@
 //! A first write into a reopened region used to promote it into memory,
 //! reading all of its blocks, and the warm-up puts paid for that outside
 //! the count. Since a region is a memstore over its segment (DESIGN.md
-//! §44) no put reads a block, but a split reads its segment's row keys
-//! once, through one buffer and without decoding a block, to find the
-//! median: a sharded put asks for 18 533 bytes in 188.1 allocations
-//! (17 656 in 185.1 before), the single store's 13 551 in 124.4; the
-//! ceilings stand.
+//! §44) no put reads a block, and since a split cuts at its segment's
+//! block-index middle key (DESIGN.md §46) no split does either: a sharded
+//! put asks for 17 695 bytes in 185.0 allocations (18 533 in 188.1 while
+//! a split read its segment's keys), the single store's 13 551 in 124.4;
+//! the ceilings stand.
 //!
 //! A test binary of its own: the allocation counters are the process's.
 
