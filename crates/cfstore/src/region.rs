@@ -385,13 +385,12 @@ impl Region {
         if in_base + in_memstore <= threshold.max(1) {
             return None;
         }
-        let cut = match blocks {
-            _ if in_memstore > in_base => live.nth(in_memstore / 2)?.clone(),
-            Some((b, blocks)) if blocks.len() > 1 => b.reader.meta().blocks
-                [blocks.start + blocks.len() / 2]
-                .0
-                .clone(),
-            _ => return None,
+        let cut = if in_memstore > in_base {
+            live.nth(in_memstore / 2)?.clone()
+        } else {
+            let (b, blocks) = blocks.filter(|(_, blocks)| blocks.len() > 1)?;
+            let middle = blocks.start + blocks.len() / 2;
+            b.reader.meta().blocks[middle].0.clone()
         };
         (cut > range.start && range.contains(&cut)).then_some(cut)
     }
