@@ -2484,16 +2484,15 @@ mod tests {
             }
         }
 
-        fn owner(&mut self, key: &Bytes) -> &mut ModelRegion {
-            let i = self.regions.partition_point(|r| r.start <= *key) - 1;
-            &mut self.regions[i]
+        /// The index of the region that holds `key`.
+        fn owner(&self, key: &Bytes) -> usize {
+            self.regions.partition_point(|r| r.start <= *key) - 1
         }
 
         /// A put, and the split it sets off.
         fn put(&mut self, key: &Bytes) {
             self.keys.insert(key.clone());
-            let threshold = self.threshold;
-            let i = self.regions.partition_point(|r| r.start <= *key) - 1;
+            let (threshold, i) = (self.threshold, self.owner(key));
             let r = &mut self.regions[i];
             r.live.insert(key.clone());
             let (firsts, blocks) = r.blocks();
@@ -2524,12 +2523,14 @@ mod tests {
 
         fn delete(&mut self, key: &Bytes) {
             self.keys.remove(key);
-            self.owner(key).live.remove(key);
+            let i = self.owner(key);
+            self.regions[i].live.remove(key);
         }
 
         /// A rotted cell goes to the memstore, over its base row.
         fn corrupt(&mut self, key: &Bytes) {
-            self.owner(key).live.insert(key.clone());
+            let i = self.owner(key);
+            self.regions[i].live.insert(key.clone());
         }
 
         /// Every region takes its rows as its base and empties its memstore.
