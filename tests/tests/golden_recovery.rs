@@ -325,7 +325,8 @@ fn history(tag: &str, crash: CrashSpec) -> (String, (u64, u64)) {
     (t.out, span)
 }
 
-fn check(name: &str, cases: &[(String, CrashSpec)], want: &str) {
+/// Run each case and compare their transcripts with `want`; returns them.
+fn check(name: &str, cases: &[(String, CrashSpec)], want: &str) -> String {
     let mut out = String::new();
     for (label, crash) in cases {
         out.push_str(&format!("==== {label}\n"));
@@ -335,6 +336,7 @@ fn check(name: &str, cases: &[(String, CrashSpec)], want: &str) {
         eprintln!("==== {name}: actual transcript ====\n{out}");
         panic!("{name}: recovery transcript diverged from its golden literal");
     }
+    out
 }
 
 #[test]
@@ -374,7 +376,8 @@ fn crashes_at_sampled_wal_bytes_are_pinned() {
 
 #[test]
 fn crashes_during_split_are_pinned() {
-    let cases: Vec<(String, CrashSpec)> = [0, 2, 3, 4, 6]
+    // Session B splits six times, ordinals 0-5.
+    let cases: Vec<(String, CrashSpec)> = [0, 2, 3, 4, 5]
         .into_iter()
         .map(|n| {
             let spec = CrashSpec {
@@ -384,7 +387,13 @@ fn crashes_during_split_are_pinned() {
             (format!("during_split {n}"), spec)
         })
         .collect();
-    check("split", &cases, SPLIT_GOLDEN);
+    let out = check("split", &cases, SPLIT_GOLDEN);
+    for case in out.split("==== ").skip(1) {
+        assert!(
+            case.contains("session B: crashed at step Some("),
+            "no crash in {case}"
+        );
+    }
 }
 
 #[test]
@@ -1055,31 +1064,28 @@ event cfstore.flush segments=U64(11) written=U64(4) reused=U64(7) superseded=U64
 files MANIFEST(396) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000003.seg(225) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000002-r000011.seg(444) seg-000004-r000005.seg(350) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(614) wal.log(0)
 disk 0x5c8997f3c1242b22
 reopen again RecoveryReport { segments_loaded: 11, segment_rows: 36, segment_blocks: 11, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-==== during_split 6
+==== during_split 5
 open A RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 open B RecoveryReport { segments_loaded: 0, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 29, records_replayed: 48, frames_skipped: 0, wal_bytes_valid: 2821, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-session B: crashed at step None
+session B: crashed at step Some(30)
 -- session B counters
-cfstore.block_cache.fill_bytes = 526
-cfstore.block_cache.misses = 2
+cfstore.block_cache.fill_bytes = 217
+cfstore.block_cache.misses = 1
 cfstore.flush.segments_reused = 0
 cfstore.flush.segments_written = 11
 cfstore.flushes = 1
 cfstore.puts = 48
-cfstore.region.splits = 6
+cfstore.region.splits = 5
 event cfstore.region.split table=Str("profiles") parent=U64(5) new=U64(8)
 event cfstore.region.split table=Str("profiles") parent=U64(8) new=U64(9)
 event cfstore.region.split table=Str("profiles") parent=U64(9) new=U64(10)
 event cfstore.region.split table=Str("aux") parent=U64(7) new=U64(11)
 event cfstore.flush segments=U64(11) written=U64(11) reused=U64(0) superseded=U64(0) flushed_lsn=U64(5020)
 event cfstore.region.split table=Str("profiles") parent=U64(10) new=U64(12)
-event cfstore.region.split table=Str("aux") parent=U64(11) new=U64(13)
-open C RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 17, records_replayed: 26, frames_skipped: 0, wal_bytes_valid: 1519, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
-reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 2, frames_replayed: 31, records_replayed: 40, frames_skipped: 0, wal_bytes_valid: 2453, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+reopen RecoveryReport { segments_loaded: 11, segment_rows: 32, segment_blocks: 11, segment_blocks_read: 1, frames_replayed: 15, records_replayed: 24, frames_skipped: 0, wal_bytes_valid: 1433, wal_bytes_dropped: 25, truncation: Some(Torn { offset: 1433 }), orphan_segments: [] }
 meta aux "" region 2 server 2
 meta aux "x03" region 7 server 3
 meta aux "x07" region 11 server 3
-meta aux "x11" region 13 server 1
 meta profiles "" region 1 server 1
 meta profiles "job-02" region 6 server 2
 meta profiles "job-05" region 3 server 3
@@ -1089,26 +1095,22 @@ meta profiles "job-13" region 8 server 0
 meta profiles "job-19" region 9 server 1
 meta profiles "job-22" region 10 server 2
 meta profiles "job-29" region 12 server 0
-meta profiles "job-36" region 14 server 2
-meta profiles "job-40" region 15 server 3
-meta profiles "job-42" region 16 server 0
-meta profiles "job-44" region 17 server 1
-profiles: 31 rows 0x5789f9e366e34b27
-aux: 14 rows 0xe6c6ae3867f03f86
+profiles: 25 rows 0x59b5e2b8b4008f92
+aux: 14 rows 0x96a4ce12a563043c
 -- reopened store counters
-cfstore.block_cache.fill_bytes = 7612
-cfstore.block_cache.misses = 30
-cfstore.cells_verified = 65
-cfstore.flush.segments_reused = 4
-cfstore.flush.segments_written = 13
+cfstore.block_cache.fill_bytes = 4467
+cfstore.block_cache.misses = 19
+cfstore.cells_verified = 60
+cfstore.flush.segments_reused = 5
+cfstore.flush.segments_written = 7
 cfstore.flushes = 1
-cfstore.rows_returned = 45
-cfstore.rows_scanned = 45
+cfstore.rows_returned = 39
+cfstore.rows_scanned = 39
 cfstore.scans = 2
-event cfstore.flush segments=U64(17) written=U64(13) reused=U64(4) superseded=U64(7) flushed_lsn=U64(5051)
-files MANIFEST(552) seg-000002-r000001.seg(263) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000004-r000002.seg(303) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(307) seg-000004-r000008.seg(373) seg-000004-r000010.seg(373) seg-000004-r000011.seg(533) seg-000004-r000012.seg(225) seg-000004-r000013.seg(411) seg-000004-r000014.seg(225) seg-000004-r000015.seg(168) seg-000004-r000016.seg(225) seg-000004-r000017.seg(352) wal.log(0)
-disk 0x59c816c2345ee33c
-reopen again RecoveryReport { segments_loaded: 17, segment_rows: 45, segment_blocks: 17, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
+event cfstore.flush segments=U64(12) written=U64(7) reused=U64(5) superseded=U64(6) flushed_lsn=U64(5035)
+files MANIFEST(422) seg-000002-r000001.seg(263) seg-000002-r000002.seg(391) seg-000002-r000004.seg(259) seg-000002-r000007.seg(489) seg-000002-r000009.seg(225) seg-000004-r000003.seg(259) seg-000004-r000005.seg(259) seg-000004-r000006.seg(308) seg-000004-r000008.seg(373) seg-000004-r000010.seg(373) seg-000004-r000011.seg(796) seg-000004-r000012.seg(409) wal.log(0)
+disk 0xcd82eaf2b152facd
+reopen again RecoveryReport { segments_loaded: 12, segment_rows: 39, segment_blocks: 12, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }
 "#;
 
 const FLUSH_GOLDEN: &str = r#"
