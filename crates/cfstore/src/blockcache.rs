@@ -23,15 +23,15 @@
 //!    entries until the block fits; a block larger than the whole budget
 //!    (or any block under a 0-byte budget) is served but never admitted,
 //!    so the budget is a hard ceiling, not a hint.
-//! 4. **Fills off the lock, one per block.** A miss leaves a marker for
-//!    the block in the map and reads, CRC-checks and decodes with the lock
-//!    released, so readers of different blocks fill side by side. A
-//!    reader that finds the marker waits for that fill and then looks
-//!    again — a hit that bumps recency as any hit does — so concurrent
-//!    readers of one block fill it once. Admission takes the lock again
-//!    after the fill. A single thread's hits, misses, evictions and
-//!    eviction order are what they were when the lock was held across the
-//!    fill.
+//! 4. **Fills off the lock.** A miss reads, CRC-checks and decodes with
+//!    the lock released, so readers of different blocks fill side by
+//!    side, and takes the lock again to admit the block. Readers that miss
+//!    one block at once each read it: the first admit keeps its entry and
+//!    the others leave it in place, charging no bytes and moving no
+//!    recency. No reader waits for another's fill; no `tenants_sharded`
+//!    run has had one to wait for (DESIGN.md §47). A single thread's hits,
+//!    misses, evictions and eviction order are what they were when the
+//!    lock was held across the fill.
 //! 5. **Only a point read admits** (DESIGN.md §42): a point get reads
 //!    through [`BlockCache::get_or_load`]; a scan, a flush and a scrub
 //!    read around the cache through [`BlockCache::peek_or_read`],
@@ -42,9 +42,9 @@
 //! `cfstore.block_cache.hits`, `.misses`, `.evictions`, `.fill_bytes`.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::segment::{Block, SegmentError, SegmentReader};
 
@@ -59,18 +59,11 @@ struct Entry {
     tick: u64,
 }
 
-/// What the map holds for a block: the admitted block, or the marker of a
-/// fill in flight that other readers of the block wait for.
-enum Slot {
-    Filling,
-    Cached(Entry),
-}
-
 #[derive(Default)]
 struct Inner {
-    map: HashMap<Key, Slot>,
-    /// LRU order: tick → key, oldest first, one per cached entry. Ticks
-    /// are unique, so this is a total order and eviction is deterministic.
+    map: HashMap<Key, Entry>,
+    /// LRU order: tick → key, oldest first, one per entry. Ticks are
+    /// unique, so this is a total order and eviction is deterministic.
     order: BTreeMap<u64, Key>,
     used: u64,
     next_tick: u64,
@@ -87,10 +80,7 @@ pub struct BlockCacheStats {
 /// The shared segment block cache. See the module docs for the policy.
 pub struct BlockCache {
     budget: u64,
-    /// std primitives (not `parking_lot`, whose vendored stand-in has no
-    /// `Condvar`): readers of a block being filled wait on `filled`.
     inner: Mutex<Inner>,
-    filled: Condvar,
     /// Observability sink, swapped in by `MiniStore::set_obs` after open
     /// (recovery-time fills run against the disabled default).
     obs: RwLock<obs::Registry>,
@@ -102,15 +92,8 @@ impl BlockCache {
         BlockCache {
             budget,
             inner: Mutex::default(),
-            filled: Condvar::new(),
             obs: RwLock::new(obs::Registry::disabled()),
         }
-    }
-
-    /// Nothing panics while holding the lock but on a broken map/order
-    /// invariant, so a poisoned lock still guards valid state.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Attach the registry the hit/miss/eviction counters record against.
@@ -125,7 +108,7 @@ impl BlockCache {
 
     /// Current occupancy.
     pub fn stats(&self) -> BlockCacheStats {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         BlockCacheStats {
             entries: inner.order.len(),
             used_bytes: inner.used,
@@ -138,7 +121,7 @@ impl BlockCache {
     /// and never reused, so without this its admitted blocks would pin
     /// cache budget until evicted by pressure.
     pub fn evict_reader(&self, reader_id: u64) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let victims: Vec<(u64, Key)> = inner
             .order
             .iter()
@@ -147,17 +130,14 @@ impl BlockCache {
             .collect();
         for (tick, key) in victims {
             inner.order.remove(&tick);
-            if let Some(Slot::Cached(entry)) = inner.map.remove(&key) {
+            if let Some(entry) = inner.map.remove(&key) {
                 inner.used -= entry.bytes;
             }
         }
     }
 
     /// Serve block `idx` of `reader`, from cache or by a CRC-verified
-    /// fill. A miss leaves a marker for the block and fills with the lock
-    /// released, so fills of different blocks run side by side; readers
-    /// of the same block wait for that one fill and then look again (a
-    /// hit, or a fill of their own if it failed or was not admitted).
+    /// fill with the lock released, which is then admitted.
     pub fn get_or_load(
         &self,
         reader: &SegmentReader,
@@ -165,43 +145,60 @@ impl BlockCache {
     ) -> Result<Arc<Block>, SegmentError> {
         let key: Key = (reader.id(), idx as u32);
         let obs = self.obs.read().clone();
-        let mut guard = self.lock();
-        loop {
+        {
+            let mut guard = self.inner.lock();
             let inner = &mut *guard;
-            match inner.map.get_mut(&key) {
-                Some(Slot::Cached(entry)) => {
-                    let tick = inner.next_tick;
-                    inner.next_tick += 1;
-                    inner.order.remove(&entry.tick);
-                    inner.order.insert(tick, key);
-                    entry.tick = tick;
-                    obs.incr("cfstore.block_cache.hits", 1);
-                    return Ok(entry.block.clone());
-                }
-                Some(Slot::Filling) => {
-                    guard = self
-                        .filled
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                None => break,
+            if let Some(entry) = inner.map.get_mut(&key) {
+                let tick = inner.next_tick;
+                inner.next_tick += 1;
+                inner.order.remove(&entry.tick);
+                inner.order.insert(tick, key);
+                entry.tick = tick;
+                obs.incr("cfstore.block_cache.hits", 1);
+                return Ok(entry.block.clone());
             }
         }
-        guard.map.insert(key, Slot::Filling);
-        drop(guard);
-        let claim = Claim { cache: self, key };
         obs.incr("cfstore.block_cache.misses", 1);
         let (block, bytes) = fill(reader, idx)?;
         obs.incr("cfstore.block_cache.fill_bytes", bytes);
-        claim.admit(block.clone(), bytes, &obs);
+        self.admit(key, block.clone(), bytes, &obs);
         Ok(block)
+    }
+
+    /// Admit a filled block: evict least-recently-used entries until it
+    /// fits, unless it is larger than the whole budget or a racing reader
+    /// admitted it first. The evicted blocks are freed after the lock is
+    /// released.
+    fn admit(&self, key: Key, block: Arc<Block>, bytes: u64, obs: &obs::Registry) {
+        if bytes > self.budget {
+            return;
+        }
+        let mut evicted = Vec::new();
+        let mut inner = self.inner.lock();
+        if inner.map.contains_key(&key) {
+            return;
+        }
+        while inner.used + bytes > self.budget {
+            let (_, victim) = inner.order.pop_first().expect("used > 0 implies entries");
+            if let Some(entry) = inner.map.remove(&victim) {
+                inner.used -= entry.bytes;
+                evicted.push(entry.block);
+            }
+            obs.incr("cfstore.block_cache.evictions", 1);
+        }
+        let tick = inner.next_tick;
+        inner.next_tick += 1;
+        inner.order.insert(tick, key);
+        inner.map.insert(key, Entry { block, bytes, tick });
+        inner.used += bytes;
+        drop(inner);
+        drop(evicted);
     }
 
     /// Serve block `idx` of `reader` to a walk that reads around the
     /// cache: a cached block is a hit that leaves its recency alone, and
-    /// any other block, one being filled included, is a CRC-verified read
-    /// that is not admitted. The entries, their bytes and their LRU order
-    /// are the point reads' alone.
+    /// any other block is a CRC-verified read that is not admitted. The
+    /// entries, their bytes and their LRU order are the point reads' alone.
     pub fn peek_or_read(
         &self,
         reader: &SegmentReader,
@@ -219,7 +216,7 @@ impl BlockCache {
     /// Block `idx` of `reader` if it is cached, a hit that leaves its
     /// recency alone; otherwise a miss, counted, and `None`.
     fn peek(&self, reader: &SegmentReader, idx: usize, obs: &obs::Registry) -> Option<Arc<Block>> {
-        if let Some(Slot::Cached(entry)) = self.lock().map.get(&(reader.id(), idx as u32)) {
+        if let Some(entry) = self.inner.lock().map.get(&(reader.id(), idx as u32)) {
             obs.incr("cfstore.block_cache.hits", 1);
             return Some(entry.block.clone());
         }
@@ -231,58 +228,6 @@ impl BlockCache {
 /// Read, CRC-check and decode one block, holding no cache lock.
 fn fill(reader: &SegmentReader, idx: usize) -> Result<(Arc<Block>, u64), SegmentError> {
     Ok((Arc::new(reader.read_block(idx)?), reader.block_bytes(idx)))
-}
-
-/// The fill marker of one block. However the fill ends (admitted, served
-/// but not admitted, failed or panicking) dropping the claim takes the
-/// marker out of the map and wakes the block's waiters, so a failure is
-/// never cached and every waiter looks again.
-struct Claim<'a> {
-    cache: &'a BlockCache,
-    key: Key,
-}
-
-impl Claim<'_> {
-    /// Admit a filled block: evict least-recently-used entries until it
-    /// fits, unless it is larger than the whole budget. The evicted blocks
-    /// are freed after the lock is released.
-    fn admit(self, block: Arc<Block>, bytes: u64, obs: &obs::Registry) {
-        if bytes > self.cache.budget {
-            return;
-        }
-        let mut evicted = Vec::new();
-        let mut inner = self.cache.lock();
-        while inner.used + bytes > self.cache.budget {
-            let (_, victim) = inner.order.pop_first().expect("used > 0 implies entries");
-            match inner.map.remove(&victim) {
-                Some(Slot::Cached(entry)) => {
-                    inner.used -= entry.bytes;
-                    evicted.push(entry.block);
-                }
-                _ => unreachable!("order lists cached entries only"),
-            }
-            obs.incr("cfstore.block_cache.evictions", 1);
-        }
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        inner.order.insert(tick, self.key);
-        let entry = Entry { block, bytes, tick };
-        inner.map.insert(self.key, Slot::Cached(entry));
-        inner.used += bytes;
-        drop(inner);
-        drop(evicted);
-    }
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.cache.lock();
-        if let Some(Slot::Filling) = inner.map.get(&self.key) {
-            inner.map.remove(&self.key);
-        }
-        drop(inner);
-        self.cache.filled.notify_all();
-    }
 }
 
 #[cfg(test)]
@@ -340,8 +285,8 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A fill that panics takes its marker with it: the next reader of the
-    /// block fills (and panics) again instead of waiting forever.
+    /// A fill that panics leaves nothing behind: the next reader of the
+    /// block fills (and panics) again.
     #[test]
     fn a_panicking_fill_leaves_no_marker() {
         let (path, reader) = sample_segment("panic", 40);
@@ -359,30 +304,65 @@ mod tests {
     }
 
     /// A walk's read serves a cached block without moving it in the LRU
-    /// order, reads any other block without admitting it, and reads a
-    /// block another reader is filling instead of waiting for it.
+    /// order and reads any other block without admitting it.
     #[test]
     fn a_peek_admits_nothing_and_moves_nothing() {
         let (path, reader) = sample_segment("peek", 100);
         let cache = BlockCache::new(1 << 20);
         let obs = obs::Registry::new();
         cache.set_obs(obs.clone());
-        let order = || cache.lock().order.values().copied().collect::<Vec<Key>>();
+        let order = || {
+            cache
+                .inner
+                .lock()
+                .order
+                .values()
+                .copied()
+                .collect::<Vec<Key>>()
+        };
         let a = cache.get_or_load(&reader, 0).unwrap();
         cache.get_or_load(&reader, 1).unwrap();
         let before = (cache.stats(), order());
 
         assert!(Arc::ptr_eq(&a, &cache.peek_or_read(&reader, 0).unwrap()));
         cache.peek_or_read(&reader, 2).unwrap();
-        cache.lock().map.insert((reader.id(), 3), Slot::Filling);
-        cache.peek_or_read(&reader, 3).unwrap();
         assert_eq!((cache.stats(), order()), before);
 
         let snap = obs.snapshot();
         assert_eq!(snap.counters["cfstore.block_cache.hits"], 1);
-        assert_eq!(snap.counters["cfstore.block_cache.misses"], 4);
-        let read: u64 = (0..4).map(|i| reader.block_bytes(i)).sum();
+        assert_eq!(snap.counters["cfstore.block_cache.misses"], 3);
+        let read: u64 = (0..3).map(|i| reader.block_bytes(i)).sum();
         assert_eq!(snap.counters["cfstore.block_cache.fill_bytes"], read);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Two readers that miss one block at once each fill it; the second
+    /// admit finds the first's entry and leaves it in place, charging no
+    /// bytes and taking no tick, so it evicts nothing even under a budget
+    /// of exactly one block.
+    #[test]
+    fn a_racing_admit_leaves_the_first_entry_in_place() {
+        let (path, reader) = sample_segment("race", 40);
+        let bytes = reader.block_bytes(0);
+        let cache = BlockCache::new(bytes);
+        let obs = obs::Registry::new();
+        cache.set_obs(obs.clone());
+        let key = (reader.id(), 0);
+        let (first, _) = fill(&reader, 0).unwrap();
+        let (second, _) = fill(&reader, 0).unwrap();
+        cache.admit(key, first.clone(), bytes, &obs);
+        cache.admit(key, second, bytes, &obs);
+
+        let inner = cache.inner.lock();
+        assert_eq!(inner.map.len(), 1);
+        assert!(Arc::ptr_eq(&inner.map[&key].block, &first));
+        assert_eq!(inner.used, inner.map.values().map(|e| e.bytes).sum::<u64>());
+        assert_eq!(inner.order.len(), inner.map.len());
+        assert_eq!(
+            obs.snapshot().counters.get("cfstore.block_cache.evictions"),
+            None
+        );
+        drop(inner);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -2,9 +2,8 @@
 //!
 //! Rows live in regions sorted by row key; a region splits at its median
 //! key when it outgrows the split threshold, which is how HBase scales
-//! "in rows by horizontal partitioning" (§5 of the paper). Each region is
-//! independently lockable, so scans of disjoint regions proceed in
-//! parallel.
+//! "in rows by horizontal partitioning" (§5 of the paper). Each region has
+//! its own lock, so scans of disjoint regions proceed in parallel.
 //!
 //! A region is a memstore over its segment, as in HBase (DESIGN.md §44):
 //! an optional *base*, the segment it was last flushed to or recovered
@@ -19,7 +18,7 @@ use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::blockcache::BlockCache;
 use crate::kv::{intact, CellVersion, Put, RowResult};
@@ -98,20 +97,27 @@ struct Memrow {
     hides_base: bool,
 }
 
-/// A region: a contiguous, sorted slice of a table's rows.
-///
-/// Lock order (matching the store's durable → catalog → region order):
-/// `base` before `rows` before `range`. No path acquires them the other
-/// way around.
+/// A region: a contiguous, sorted slice of a table's rows. Its start
+/// never moves (a split moves only its end), so it is read with no lock;
+/// the rest of it is one [`State`] behind one lock, which each method
+/// takes once (DESIGN.md §47).
 pub struct Region {
     pub id: u64,
-    range: RwLock<KeyRange>,
+    start: Bytes,
+    state: RwLock<State>,
+}
+
+/// What a region's lock guards.
+#[derive(Default)]
+struct State {
+    /// The end of the region's range, exclusive; `None` is unbounded.
+    end: Option<Bytes>,
     /// The memstore: the rows written since `base`.
-    rows: RwLock<BTreeMap<Bytes, Memrow>>,
-    base: RwLock<Option<Arc<SegmentBase>>>,
+    rows: BTreeMap<Bytes, Memrow>,
+    base: Option<Arc<SegmentBase>>,
     /// The segment file this region's rows equal until a mutation, which a
     /// compacting flush reuses by reference; `None` when dirty.
-    clean_as: Mutex<Option<String>>,
+    clean_as: Option<String>,
 }
 
 /// Scan bookkeeping (cells touched, rows matched), the §5.2/5.3
@@ -137,60 +143,69 @@ impl ScanMetrics {
 
 impl Region {
     pub fn new(id: u64, range: KeyRange) -> Self {
-        Region {
-            id,
-            range: RwLock::new(range),
-            rows: RwLock::default(),
-            base: RwLock::default(),
-            clean_as: Mutex::default(),
-        }
+        let state = State {
+            end: range.end,
+            ..State::default()
+        };
+        let (start, state) = (range.start, RwLock::new(state));
+        Region { id, start, state }
     }
 
     /// The segment file this region's rows equal, unless it is dirty.
     pub(crate) fn clean_file(&self) -> Option<String> {
-        self.clean_as.lock().clone()
+        self.state.read().clean_as.clone()
     }
 
     /// Take `reader`, a segment of exactly this region's rows, as the base
     /// and drop the memstore (a flush does, after its manifest swap).
     pub(crate) fn rebase(&self, reader: Arc<SegmentReader>, cache: Arc<BlockCache>) {
-        let mut base = self.base.write();
-        let mut rows = self.rows.write();
-        *self.clean_as.lock() = Some(reader.file_name().to_string());
-        *base = Some(Arc::new(SegmentBase { reader, cache }));
-        rows.clear();
+        let mut state = self.state.write();
+        state.clean_as = Some(reader.file_name().to_string());
+        state.base = Some(Arc::new(SegmentBase { reader, cache }));
+        state.rows.clear();
     }
 
     /// This region's current row-key range.
     pub fn range(&self) -> KeyRange {
-        self.range.read().clone()
+        self.range_in(&self.state.read())
+    }
+
+    /// This region's range, its end as `state` holds it.
+    fn range_in(&self, state: &State) -> KeyRange {
+        let (start, end) = (self.start.clone(), state.end.clone());
+        KeyRange { start, end }
     }
 
     /// Whether a row key belongs to this region.
     pub fn contains_key(&self, key: &[u8]) -> bool {
-        self.range.read().contains(key)
+        self.holds(&self.state.read(), key)
+    }
+
+    /// Whether a row key belongs to this region, its end as `state` holds it.
+    fn holds(&self, state: &State, key: &[u8]) -> bool {
+        key >= self.start.as_ref() && state.end.as_deref().is_none_or(|end| key < end)
     }
 
     /// Whether this region's range starts at or before `key`: the probe
     /// of a binary search over a table's region list, which is sorted by
-    /// start key (a region's start never moves; a split moves its end).
+    /// start key.
     pub(crate) fn starts_at_or_before(&self, key: &[u8]) -> bool {
-        self.range.read().start.as_ref() <= key
+        self.start.as_ref() <= key
     }
 
     /// Write a run of cells to one memstore row, reading nothing of the
     /// base. Returns `false`, having written nothing, when the row no
     /// longer belongs to this region (a concurrent split moved the key
-    /// range, checked under the rows lock `split_at` holds): the caller
-    /// re-resolves the region and retries. Every cell keeps its own
-    /// timestamp and checksum, every column its `MAX_VERSIONS` cap.
+    /// range): the caller re-resolves the region and retries. Every cell
+    /// keeps its own timestamp and checksum, every column its
+    /// `MAX_VERSIONS` cap.
     pub(crate) fn put_row(&self, row: &Bytes, cells: Cells<'_>) -> bool {
-        let mut rows = self.rows.write();
-        if !self.range.read().contains(row) {
+        let mut state = self.state.write();
+        if !self.holds(&state, row) {
             return false;
         }
-        *self.clean_as.lock() = None;
-        let data = &mut rows.entry(row.clone()).or_default().cells;
+        state.clean_as = None;
+        let data = &mut state.rows.entry(row.clone()).or_default().cells;
         let n = cells.len();
         for (i, (put, timestamp)) in cells.iter().enumerate() {
             put_cell(data, put, timestamp, n - i);
@@ -213,17 +228,17 @@ impl Region {
     /// existed: a row the memstore does not hold is looked up in the one
     /// base block that could hold it. A tombstone hides a base row.
     pub fn delete_row(&self, row: &[u8]) -> Result<Option<bool>, SegmentError> {
-        let base = self.base.read();
-        let mut rows = self.rows.write();
-        if !self.range.read().contains(row) {
+        let state = &mut *self.state.write();
+        if !self.holds(state, row) {
             return Ok(None);
         }
+        let (rows, base) = (&mut state.rows, &state.base);
         let existed = match rows.get(row) {
             Some(m) => !m.cells.is_empty(),
             None => base.as_ref().map_or(Ok(None), |b| b.find(row))?.is_some(),
         };
         if existed {
-            *self.clean_as.lock() = None;
+            state.clean_as = None;
             let tombstone = Memrow {
                 cells: RowData::new(),
                 hides_base: true,
@@ -270,9 +285,8 @@ impl Region {
     /// body under every read of rows. Only a point read admits its block to
     /// the cache; a range reads around it (DESIGN.md §42).
     fn walk(&self, keys: Keys<'_>, mut each: impl FnMut(RowView<'_>)) -> Result<(), StoreError> {
-        let base = self.base.read();
-        let rows = self.rows.read();
-        let range = self.range.read().clone();
+        let state = self.state.read();
+        let (rows, base, range) = (&state.rows, &state.base, self.range_in(&state));
         let keys = keys.within(&range);
         let mut mem = rows.range::<[u8], _>(keys.bounds()).peekable();
         let mut alone = Vec::with_capacity(ROW_CELLS);
@@ -323,8 +337,8 @@ impl Region {
     /// Returns whether a cell was hit. The flipped copy goes to the
     /// memstore under the version's timestamp, hiding it.
     pub fn corrupt_cell(&self, row: &[u8], family: &str, column: &[u8]) -> bool {
-        let base = self.base.read();
-        let mut rows = self.rows.write();
+        let state = &mut *self.state.write();
+        let (rows, base) = (&mut state.rows, &state.base);
         let hit = |c: &Latest| c.family == family.as_bytes() && c.column == column;
         let over = rows.get(row);
         let in_base = match (base.as_ref(), over) {
@@ -350,7 +364,7 @@ impl Region {
             [] => Bytes::from_static(&[0xde]),
         };
         insert_version(versions, CellVersion { value, ..latest });
-        *self.clean_as.lock() = None;
+        state.clean_as = None;
         true
     }
 
@@ -366,11 +380,11 @@ impl Region {
     /// the range or on its start. The durable store logs the cut before
     /// splitting.
     pub(crate) fn split_point(&self, threshold: usize) -> Option<Bytes> {
-        let (base, rows, range) = (self.base.read(), self.rows.read(), self.range.read());
-        let (start, end) = (&range.start, range.end.as_deref());
+        let state = self.state.read();
+        let (base, rows, end) = (&state.base, &state.rows, state.end.as_deref());
         let blocks = base
             .as_ref()
-            .map(|b| (b, b.reader.blocks_overlapping(start, end)));
+            .map(|b| (b, b.reader.blocks_overlapping(&self.start, end)));
         let in_base = blocks.as_ref().map_or(0, |(b, blocks)| {
             (blocks.len() * BLOCK_ROWS).min(b.reader.meta().row_count as usize)
         });
@@ -392,7 +406,7 @@ impl Region {
             let middle = blocks.start + blocks.len() / 2;
             b.reader.meta().blocks[middle].0.clone()
         };
-        (cut > range.start && range.contains(&cut)).then_some(cut)
+        (cut > self.start && self.holds(&state, &cut)).then_some(cut)
     }
 
     /// Split this region at an explicit key: the logged split point, for
@@ -400,30 +414,26 @@ impl Region {
     /// or outside this region's range. The halves share the base and read
     /// no block.
     pub fn split_at(&self, key: &Bytes, new_id: u64) -> Option<Region> {
-        let base = self.base.read();
-        let mut rows = self.rows.write();
-        let mut my_range = self.range.write();
-        if !my_range.contains(key) || key.is_empty() {
+        let state = &mut *self.state.write();
+        if !self.holds(state, key) || key.is_empty() {
             return None;
         }
-        let upper_range = KeyRange {
-            start: key.clone(),
-            end: my_range.end.clone(),
+        state.clean_as = None;
+        let upper = State {
+            end: state.end.replace(key.clone()),
+            rows: state.rows.split_off(key),
+            base: state.base.clone(),
+            clean_as: None,
         };
-        let upper = Region::new(new_id, upper_range);
-        *upper.rows.write() = rows.split_off(key);
-        *upper.base.write() = base.clone();
-        my_range.end = Some(key.clone());
-        *self.clean_as.lock() = None;
-        Some(upper)
+        let (id, start, state) = (new_id, key.clone(), RwLock::new(upper));
+        Some(Region { id, start, state })
     }
 
     /// This region's rows with every retained version, memstore merged over
     /// base: what a flush writes and a heal copies.
     pub fn export_rows(&self) -> Result<BTreeMap<Bytes, RowData>, SegmentError> {
-        let base = self.base.read();
-        let rows = self.rows.read();
-        let range = self.range.read().clone();
+        let state = self.state.read();
+        let (base, rows, range) = (&state.base, &state.rows, self.range_in(&state));
         let mut out = BTreeMap::new();
         if let Some(b) = base.as_ref() {
             for idx in b
@@ -452,17 +462,16 @@ impl Region {
     /// [`Install::Replace`] drops the base. The caller flushes to make the
     /// install durable.
     pub(crate) fn install_rows(&self, new_rows: BTreeMap<Bytes, RowData>, how: Install) {
-        let mut base = self.base.write();
-        let mut rows = self.rows.write();
+        let mut state = self.state.write();
         if how == Install::Replace {
-            *base = None;
-            rows.clear();
+            state.base = None;
+            state.rows.clear();
         }
         let hides_base = true;
         for (key, cells) in new_rows {
-            rows.insert(key, Memrow { cells, hides_base });
+            state.rows.insert(key, Memrow { cells, hides_base });
         }
-        *self.clean_as.lock() = None;
+        state.clean_as = None;
     }
 }
 
@@ -987,7 +996,7 @@ pub(crate) mod tests {
                 let run = cells(run, first);
                 proptest::prop_assert!(region.put_row(&key, Cells::Logged(&run)));
             }
-            proptest::prop_assert!(exactly_sized(&region.rows.read()[&key].cells));
+            proptest::prop_assert!(exactly_sized(&region.state.read().rows[&key].cells));
             let stored = region.export_rows().unwrap().remove(&key).unwrap();
             proptest::prop_assert_eq!(stored, expected);
         }

@@ -1855,11 +1855,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Eight readers of one cold block fill it once and all see their
-    /// rows; eight readers of a rotted block each get the corruption, and
-    /// nothing is cached.
+    /// Eight readers of one cold block all see their rows, and the block
+    /// is cached once however many of them raced to fill it; eight readers
+    /// of a rotted block each get the corruption, and nothing is cached.
     #[test]
-    fn concurrent_readers_of_one_cold_block_fill_it_once() {
+    fn concurrent_readers_of_one_cold_block_cache_it_once() {
         const READERS: usize = 8;
         let dir = tmp_dir("coldblock");
         {
@@ -1915,10 +1915,19 @@ mod tests {
             );
         }
         let counters = reg.snapshot().counters;
-        assert_eq!(counters["cfstore.block_cache.misses"], 1);
-        assert_eq!(counters["cfstore.block_cache.hits"], READERS as u64 - 1);
-        assert_eq!(counters["cfstore.block_cache.fill_bytes"], block_bytes);
+        let misses = counters["cfstore.block_cache.misses"];
+        let hits = counters
+            .get("cfstore.block_cache.hits")
+            .copied()
+            .unwrap_or(0);
+        assert!(misses >= 1);
+        assert_eq!(hits + misses, READERS as u64);
+        assert_eq!(
+            counters["cfstore.block_cache.fill_bytes"],
+            misses * block_bytes
+        );
         assert_eq!(store.cache_stats().entries, 1);
+        assert_eq!(store.cache_stats().used_bytes, block_bytes);
         drop(store);
 
         // Rot one byte of the block's body: magic, then the frame header.

@@ -4,36 +4,68 @@
 //! state over it: views and threads writing one tenant must lose neither a
 //! bounds update nor an index row.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use cfstore::{MiniStore, Put, Scan};
+use cfstore::{MiniStore, Put, Scan, StoreOptions};
 
 #[test]
 fn concurrent_writers_and_scanners_agree() {
-    let store = Arc::new(MiniStore::new());
+    // In memory, where a flush is a no-op and every acknowledged row is
+    // read back at once.
+    writers_and_scanners_agree(MiniStore::new(), 1);
+
+    // Durable, over a block cache of about two blocks, flushed every 100
+    // puts of each writer: point reads of flushed rows miss the cache and
+    // fill blocks beside each other while the writers split regions over
+    // their bases.
+    let dir = std::env::temp_dir().join(format!(
+        "pstorm-concurrent-store-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = StoreOptions {
+        block_cache_bytes: 3 << 10,
+        ..StoreOptions::default()
+    };
+    let (store, _) = MiniStore::open_with_opts(&dir, opts).unwrap();
+    let store = writers_and_scanners_agree(store, 100);
+    let cache = store.cache_stats();
+    assert!(cache.entries > 0 && cache.used_bytes <= cache.budget_bytes);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Four writers put 500 rows each into a table that splits every 32 rows,
+/// flushing after every `flush_every` of their puts, while a scanner scans
+/// the table and two readers get rows already flushed. Every scan is
+/// sorted, every get finds its row, no acknowledged write is lost, and
+/// the table split.
+fn writers_and_scanners_agree(store: MiniStore, flush_every: usize) -> Arc<MiniStore> {
+    const WRITERS: usize = 4;
+    const PER_WRITER: usize = 500;
+    let store = Arc::new(store);
     store.create_table_with_threshold("t", &["f"], 32).unwrap();
-    let writers = 4usize;
-    let per_writer = 500usize;
+    let value = |w: usize, i: usize| Bytes::from(format!("{w}:{i}"));
+    // Per writer, how many of its rows a flush has made durable.
+    let flushed: Arc<[AtomicUsize; WRITERS]> = Arc::default();
 
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
-    for w in 0..writers {
-        let store = Arc::clone(&store);
+    for w in 0..WRITERS {
+        let (store, flushed) = (Arc::clone(&store), Arc::clone(&flushed));
         handles.push(std::thread::spawn(move || {
-            for i in 0..per_writer {
+            for i in 0..PER_WRITER {
+                let row = Bytes::from(format!("w{w}-{i:05}"));
                 store
-                    .put(
-                        "t",
-                        Put::new(
-                            Bytes::from(format!("w{w}-{i:05}")),
-                            "f",
-                            "v",
-                            Bytes::from(format!("{w}:{i}")),
-                        ),
-                    )
+                    .put("t", Put::new(row, "f", "v", value(w, i)))
                     .unwrap();
+                if (i + 1) % flush_every == 0 {
+                    store.flush().unwrap();
+                    flushed[w].store(i + 1, Ordering::Release);
+                }
             }
         }));
     }
@@ -53,18 +85,46 @@ fn concurrent_writers_and_scanners_agree() {
             max_seen
         })
     };
+    // Readers getting flushed rows, a different one each time.
+    let readers: Vec<_> = (0..2u64)
+        .map(|r| {
+            let (store, flushed, stop) =
+                (Arc::clone(&store), Arc::clone(&flushed), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut x = r + 1;
+                while !stop.load(Ordering::Relaxed) {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let w = (x >> 33) as usize % WRITERS;
+                    let n = flushed[w].load(Ordering::Acquire);
+                    if n == 0 {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let i = (x >> 40) as usize % n;
+                    let row = store.get("t", format!("w{w}-{i:05}").as_bytes()).unwrap();
+                    let row = row.unwrap_or_else(|| panic!("lost flushed write w{w}-{i}"));
+                    assert_eq!(row.value("f", b"v"), Some(&value(w, i)));
+                }
+            })
+        })
+        .collect();
     for h in handles {
         h.join().unwrap();
     }
     stop.store(true, Ordering::Relaxed);
     let observed = scanner.join().unwrap();
     assert!(observed > 0);
+    for r in readers {
+        r.join().unwrap();
+    }
 
     // Every acknowledged write is readable afterwards.
     let (rows, _) = store.scan("t", &Scan::all()).unwrap();
-    assert_eq!(rows.len(), writers * per_writer);
-    for w in 0..writers {
-        for i in (0..per_writer).step_by(97) {
+    assert_eq!(rows.len(), WRITERS * PER_WRITER);
+    for w in 0..WRITERS {
+        for i in (0..PER_WRITER).step_by(97) {
             let row = store
                 .get("t", format!("w{w}-{i:05}").as_bytes())
                 .unwrap()
@@ -77,6 +137,7 @@ fn concurrent_writers_and_scanners_agree() {
     }
     // Splits actually happened under concurrency.
     assert!(store.region_count("t").unwrap() > 8);
+    store
 }
 
 #[test]
