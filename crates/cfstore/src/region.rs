@@ -99,7 +99,7 @@ struct Memrow {
 
 /// A region: a contiguous, sorted slice of a table's rows. Its start
 /// never moves (a split moves only its end), so it is read with no lock;
-/// the rest of it is one [`State`] behind one lock, which each method
+/// the rest of it is one `State` behind one lock, which each method
 /// takes once (DESIGN.md §47).
 pub struct Region {
     pub id: u64,
