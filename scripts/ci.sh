@@ -111,18 +111,16 @@ if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | gre
 step "source gate (no shipped twins)"
 if nontest $(find crates -name '*.rs') | grep -E 'fn simulate_clean|use_columnar_index|fn predict_runtime_ms_unplanned|"legacy"'; then exit 1; fi
 
-# One of each mechanism in the shard layer (DESIGN.md §20): one condition
-# variable (the block cache's, which readers of a block being filled wait
-# on), one installer, one
+# One of each mechanism in the shard layer (DESIGN.md §20): no condition
+# variable anywhere in cfstore (no reader waits for another's block fill,
+# DESIGN.md §47), one installer, one
 # owned-row-set builder (the sole caller of `export_slot_from_peers`), no
 # catalog wrapper kept for its own test — and `store_fsck` takes its
 # sharded verdict from `ShardedStore::recovery_plan`: it neither parses
 # `shard-NNN` names nor resolves the journal itself.
 step "source gate (one of each in the shard layer)"
 cfstore_src=$(find crates/cfstore/src -name '*.rs')
-count() { nontest $cfstore_src | grep -cE "$1" || true; }
-if nontest $(find crates/cfstore/src -name '*.rs' ! -name blockcache.rs) | grep -F 'Condvar'; then exit 1; fi
-if [ "$(count 'Condvar::new')" -gt 1 ]; then echo "more than one Condvar::new in cfstore"; exit 1; fi
+if nontest $cfstore_src | grep -F 'Condvar'; then echo "non-test cfstore must not name Condvar"; exit 1; fi
 if nontest $cfstore_src | grep -E 'fn heal_table|fn merge_table_rows|fn read_shards_file'; then exit 1; fi
 if [ "$(nontest $cfstore_src | grep -F 'export_slot_from_peers(' | grep -vcF 'fn export_slot_from_peers(')" -gt 1 ]; then
   echo "export_slot_from_peers has more than one call site"; exit 1
@@ -167,6 +165,13 @@ if nontest crates/cfstore/src/blockcache.rs | awk '
   /\.lock\(\)/ { locks[f] = 1 }
   END { for (f in reads) if (f in locks) { print "read_block under the cache lock in: " f; found = 1 } exit !found }'; then
   exit 1
+fi
+
+# A region has one lock (DESIGN.md §47): its start never moves, and its
+# end, memstore, base and clean file sit behind one `RwLock`.
+step "source gate (one lock a region)"
+if [ "$(nontest crates/cfstore/src/region.rs | grep -cE '(RwLock|Mutex)<' || true)" -ne 1 ]; then
+  echo "region.rs must declare exactly one lock"; exit 1
 fi
 
 # Walks read around the block cache (DESIGN.md §42): only a point read
@@ -576,7 +581,8 @@ printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + bench
 # 1997 before the serving path owned its state (DESIGN.md §23).
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
 # 7306 before a region was a memstore over its segment (DESIGN.md §44);
-# 7371 before a split read no block (DESIGN.md §46).
+# 7371 before a split read no block (DESIGN.md §46); 7309 before each
+# lock earned its number (DESIGN.md §47).
 printf '%6d  non-test lines in crates/cfstore/src\n' "$cfstore_lines"
 # 2357 before replay was apply (DESIGN.md §24); 2333 before a region was
 # a memstore over its segment (DESIGN.md §44).
