@@ -186,11 +186,10 @@ impl Region {
         key >= self.start.as_ref() && state.end.as_deref().is_none_or(|end| key < end)
     }
 
-    /// Whether this region's range starts at or before `key`: the probe
-    /// of a binary search over a table's region list, which is sorted by
-    /// start key.
-    pub(crate) fn starts_at_or_before(&self, key: &[u8]) -> bool {
-        self.start.as_ref() <= key
+    /// The first key of this region's range: what a table's region list
+    /// is sorted and searched by, read with no lock.
+    pub(crate) fn start(&self) -> &Bytes {
+        &self.start
     }
 
     /// Write a run of cells to one memstore row, reading nothing of the

@@ -228,7 +228,7 @@ impl Table {
 /// binary search in O(log regions), and its range must hold `row`, or
 /// the list does not tile the key space.
 fn owner_index(regions: &[Arc<Region>], row: &[u8]) -> Option<usize> {
-    let after = regions.partition_point(|r| r.starts_at_or_before(row));
+    let after = regions.partition_point(|r| r.start().as_ref() <= row);
     let i = after.checked_sub(1)?;
     regions[i].contains_key(row).then_some(i)
 }
@@ -422,8 +422,7 @@ impl MiniStore {
             table.regions.write().push(Arc::new(region));
         }
         for t in tables.values() {
-            let by_start = |a: &Arc<Region>, b: &Arc<Region>| a.range().start.cmp(&b.range().start);
-            t.regions.write().sort_by(by_start);
+            t.regions.write().sort_by(|a, b| a.start().cmp(b.start()));
         }
 
         // The WAL: account for every byte, drop the torn tail physically
@@ -747,15 +746,20 @@ impl MiniStore {
         self.read_regions(&regions, 1 + cores.helpers(), scan, fold)
     }
 
-    /// The regions of `table` that `scan`'s key range overlaps, in order.
+    /// The regions of `table` that `scan`'s key range overlaps, in order:
+    /// the list tiles the key space in start-key order, so they run from
+    /// the owner of the scan's start to the last region starting before
+    /// its stop, found by start keys alone, which take no region's lock.
     fn overlapping(&self, table: &str, scan: &Scan) -> Result<Vec<Arc<Region>>, StoreError> {
         let t = self.table(table)?;
-        let guard = t.regions.read();
-        Ok(guard
-            .iter()
-            .filter(|r| range_overlaps(&r.range(), &scan.start, scan.stop.as_deref()))
-            .cloned()
-            .collect())
+        let regions = t.regions.read();
+        let first = regions.partition_point(|r| r.start() <= &scan.start);
+        let first = first.saturating_sub(1);
+        let end = match scan.stop.as_deref() {
+            Some(stop) => regions.partition_point(|r| r.start().as_ref() < stop),
+            None => regions.len(),
+        };
+        Ok(regions[first..end.max(first)].to_vec())
     }
 
     /// [`Self::visit`] of `regions` on at most `width` threads
@@ -812,7 +816,7 @@ impl MiniStore {
             for r in t.regions.read().iter() {
                 entries.push(MetaEntry {
                     table: name.clone(),
-                    start_key: r.range().start.clone(),
+                    start_key: r.start().clone(),
                     region_id: r.id,
                     region_server: (r.id % self.region_servers as u64) as u32,
                 });
@@ -902,7 +906,7 @@ impl MiniStore {
         // The regions tile the key space in start-key order: each takes
         // the rows from its start on that the regions after it left.
         for region in t.regions.read().iter().rev() {
-            let mine = rows.split_off(&region.range().start);
+            let mine = rows.split_off(region.start());
             if how == Install::Replace || !mine.is_empty() {
                 region.install_rows(mine, how);
             }
@@ -1231,18 +1235,6 @@ fn read_in_runs<R: Send>(
         partials.extend(result?);
     }
     Ok(partials)
-}
-
-fn range_overlaps(range: &KeyRange, start: &[u8], stop: Option<&[u8]>) -> bool {
-    let starts_before_range_end = match &range.end {
-        Some(end) => start < end.as_ref(),
-        None => true,
-    };
-    let stops_after_range_start = match stop {
-        Some(stop) => stop > range.start.as_ref(),
-        None => true,
-    };
-    starts_before_range_end && stops_after_range_start
 }
 
 #[cfg(test)]
@@ -2039,7 +2031,8 @@ mod tests {
         /// in the region a walk of the region list from the front picks —
         /// over live splits, splits replayed from the WAL and a reopened
         /// segment-backed table — and the list stays sorted by start and
-        /// tiles the key space.
+        /// tiles the key space. A scan beside each get reads the regions
+        /// the walk finds its range overlaps.
         #[test]
         fn single_row_operations_land_where_the_linear_walk_says(
             keys in proptest::collection::vec(0u16..400, 0..160),
@@ -2092,6 +2085,20 @@ mod tests {
                             store.get("t", &row),
                             regions[owner(&row[..])].get(&row)
                         );
+                        let overlaps = |r: &Region, start: &[u8], stop: Option<&[u8]>| {
+                            let range = r.range();
+                            range.end.is_none_or(|end| start < &end[..])
+                                && stop.is_none_or(|stop| stop > &range.start[..])
+                        };
+                        for (start, stop) in [(route_key(k / 2), Some(row.clone())), (row, None)] {
+                            let scan = Scan { start, stop, filter: None };
+                            let (start, stop) = (&scan.start[..], scan.stop.as_deref());
+                            let walked = regions.iter().filter(|r| overlaps(r, start, stop));
+                            let walked: Vec<u64> = walked.map(|r| r.id).collect();
+                            let found = store.overlapping("t", &scan).unwrap();
+                            let found: Vec<u64> = found.iter().map(|r| r.id).collect();
+                            proptest::prop_assert_eq!(found, walked);
+                        }
                     }
                     RouteOp::Delete(k) => {
                         let row = route_key(k);

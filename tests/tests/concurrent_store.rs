@@ -49,7 +49,8 @@ fn writers_and_scanners_agree(store: MiniStore, flush_every: usize) -> Arc<MiniS
     let store = Arc::new(store);
     store.create_table_with_threshold("t", &["f"], 32).unwrap();
     let value = |w: usize, i: usize| Bytes::from(format!("{w}:{i}"));
-    // Per writer, how many of its rows a flush has made durable.
+    // Per writer, how many of its rows the readers may get: those its
+    // last flush covered.
     let flushed: Arc<[AtomicUsize; WRITERS]> = Arc::default();
 
     let stop = Arc::new(AtomicBool::new(false));
