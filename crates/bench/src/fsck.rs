@@ -26,7 +26,7 @@
 //! block, every retained cell version).
 
 use cfstore::kv::first_bad_version;
-use cfstore::recovery::{read_manifest, RecoveryReport};
+use cfstore::recovery::{account_wal, read_manifest, RecoveryReport};
 use cfstore::segment::{read_segment, SegmentError};
 use cfstore::shard::resharding::{read_catalog, Catalog};
 use cfstore::shard::{Probe, SHARDS_FILE};
@@ -50,22 +50,17 @@ fn scrub(dir: &Path, label: &str) -> Result<Scrub, String> {
         Ok(m) => m,
         Err(e) => return Err(format!("manifest: {e}")),
     };
-    let (flushed_lsn, trusted): (u64, Vec<String>) = match &manifest {
-        Some(m) => {
-            println!(
-                "{label}manifest            : generation {}, flushed_lsn {}, {} table(s), {} segment(s)",
-                m.generation,
-                m.flushed_lsn,
-                m.tables.len(),
-                m.segments.len()
-            );
-            (m.flushed_lsn, m.segments.clone())
-        }
-        None => {
-            println!("{label}manifest            : none (store never flushed)");
-            (0, Vec::new())
-        }
-    };
+    match &manifest {
+        Some(m) => println!(
+            "{label}manifest            : generation {}, flushed_lsn {}, {} table(s), {} segment(s)",
+            m.generation,
+            m.flushed_lsn,
+            m.tables.len(),
+            m.segments.len()
+        ),
+        None => println!("{label}manifest            : none (store never flushed)"),
+    }
+    let manifest = manifest.unwrap_or_default();
 
     // 2. Every trusted segment must verify end to end: its trailer, every
     // block's CRC and decode through the reader a lazy read uses
@@ -73,7 +68,7 @@ fn scrub(dir: &Path, label: &str) -> Result<Scrub, String> {
     // returned, every retained cell version against its write-time CRC
     // (`first_bad_version`), catching corruption introduced *before* the
     // block frame was written.
-    for name in &trusted {
+    for name in &manifest.segments {
         let path = dir.join(name);
         let segment = read_segment(&path).map_err(|e| format!("segment {name}: {e}"))?;
         let deep = match first_bad_version(&segment.rows) {
@@ -106,37 +101,15 @@ fn scrub(dir: &Path, label: &str) -> Result<Scrub, String> {
         report.segment_blocks_read += meta.blocks.len() as u64;
     }
 
-    // 3. Orphans: segment files a crashed flush left behind. Not trusted,
-    // not an error — the WAL still covers their contents.
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("seg-") && name.ends_with(".seg") && !trusted.contains(&name) {
-                report.orphan_segments.push(name);
-            }
-        }
-        report.orphan_segments.sort();
-    }
-
-    // 4. The WAL tail: count what replays and what a crash tore off.
-    let scan = cfstore::wal::read_wal(&dir.join(cfstore::wal::WAL_FILE))
-        .map_err(|e| format!("wal: {e}"))?;
-    report.wal_bytes_valid = scan.valid_bytes;
-    report.wal_bytes_dropped = scan.total_bytes - scan.valid_bytes;
-    report.truncation = scan.truncation;
+    // 3. Orphans and the WAL tail, counted as a reopen counts them:
+    // orphans are a crashed flush's leftovers (not trusted, not an
+    // error — the WAL still covers their contents); a torn tail is.
+    account_wal(dir, &manifest, &mut report).map_err(|e| format!("wal: {e}"))?;
     if let Some(t) = &report.truncation {
         corruption.push(format!(
             "wal: torn tail ({t}; {} byte(s) to truncate)",
             report.wal_bytes_dropped
         ));
-    }
-    for frame in &scan.frames {
-        if frame.lsn <= flushed_lsn {
-            report.frames_skipped += 1;
-        } else {
-            report.frames_replayed += 1;
-            report.records_replayed += frame.records.len() as u64;
-        }
     }
 
     Ok(Scrub { report, corruption })

@@ -99,12 +99,42 @@ pub fn verify_exact(buf: &[u8]) -> Result<&[u8], String> {
 // ---------------------------------------------------------------------
 
 /// Why a walk over back-to-back frames stopped before the end of its
-/// buffer: the frame at `valid_bytes` is damaged, or intact and not a
-/// record.
+/// buffer. Whatever stopped it, the log ends there: a crash tears the
+/// tail, and a frame that does not decode is dropped with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScanStop {
-    Frame(FrameError),
-    Record(CodecError),
+pub enum Truncation {
+    /// Fewer bytes on disk than the frame header promised — the classic
+    /// torn write of a crash mid-append.
+    Torn { offset: u64 },
+    /// A complete frame whose body no longer matches its CRC.
+    BadChecksum { offset: u64 },
+    /// A frame whose body decoded to garbage (bad tag, truncated field).
+    BadRecord { offset: u64, detail: String },
+}
+
+impl Truncation {
+    /// Byte offset of the first dropped byte.
+    pub fn offset(&self) -> u64 {
+        match self {
+            Truncation::Torn { offset }
+            | Truncation::BadChecksum { offset }
+            | Truncation::BadRecord { offset, .. } => *offset,
+        }
+    }
+}
+
+impl std::fmt::Display for Truncation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Truncation::Torn { offset } => write!(f, "torn frame at byte {offset}"),
+            Truncation::BadChecksum { offset } => {
+                write!(f, "frame checksum mismatch at byte {offset}")
+            }
+            Truncation::BadRecord { offset, detail } => {
+                write!(f, "undecodable frame at byte {offset}: {detail}")
+            }
+        }
+    }
 }
 
 /// What a log holds: every record up to the first frame that is not one.
@@ -112,13 +142,16 @@ pub enum ScanStop {
 pub struct LogScan<T> {
     pub records: Vec<T>,
     /// Byte offset of each record's frame, parallel to `records`.
+    /// Shard-aware recovery cuts a log at one of these to abort an
+    /// uncommitted cross-shard batch.
     pub offsets: Vec<u64>,
-    /// Bytes up to the end of the last intact, decodable frame.
+    /// Bytes up to the end of the last intact, decodable frame: where a
+    /// reopen truncates the file.
     pub valid_bytes: u64,
     /// Length of the buffer; `total_bytes - valid_bytes` is the tail.
     pub total_bytes: u64,
     /// `None` when the buffer ended on a frame boundary.
-    pub stop: Option<ScanStop>,
+    pub stop: Option<Truncation>,
 }
 
 /// Walk the frames of `data` from byte `start`, decoding each body with
@@ -134,16 +167,21 @@ pub fn scan_log<T>(
     let (mut records, mut offsets, mut stop) = (Vec::new(), Vec::new(), None);
     let mut at = start;
     while at < data.len() {
+        let offset = at as u64;
         let record = match verify(&data[at..]) {
             Ok(body) => decode(body)
                 .map(|r| (r, body.len()))
-                .map_err(ScanStop::Record),
-            Err(e) => Err(ScanStop::Frame(e)),
+                .map_err(|e| Truncation::BadRecord {
+                    offset,
+                    detail: e.to_string(),
+                }),
+            Err(FrameError::Torn) => Err(Truncation::Torn { offset }),
+            Err(FrameError::BadChecksum) => Err(Truncation::BadChecksum { offset }),
         };
         match record {
             Ok((record, body_len)) => {
                 records.push(record);
-                offsets.push(at as u64);
+                offsets.push(offset);
                 at += HEADER_LEN + body_len;
             }
             Err(why) => {

@@ -51,6 +51,7 @@ pub use blockcache::{BlockCache, BlockCacheStats};
 pub use filter::{
     CompareOp, Filter, FilterList, PredicateFilter, RowPrefixFilter, SingleColumnValueFilter,
 };
+pub use frame::Truncation;
 pub use kv::{CellVersion, Put, RowResult};
 pub use recovery::{Manifest, RecoveryError, RecoveryReport};
 pub use region::{KeyRange, Latest, Region, RowData, RowView, ScanMetrics};
@@ -58,4 +59,4 @@ pub use segment::{SegmentError, SegmentReader};
 pub use shard::resharding::{ReshardPhase, ReshardStatus, Topology};
 pub use shard::{ShardOptions, ShardedMeta, ShardedRecoveryReport, ShardedStore};
 pub use store::{MetaEntry, MiniStore, Scan, StoreError, StoreOptions};
-pub use wal::{CrashSpec, WalTruncation};
+pub use wal::CrashSpec;

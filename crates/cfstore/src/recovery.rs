@@ -44,9 +44,9 @@ use std::sync::Arc;
 use bytes::BufMut;
 
 use crate::encoding::CodecError;
-use crate::frame::{self, put_str, Cursor};
+use crate::frame::{self, put_str, Cursor, LogScan, Truncation};
 use crate::segment::{SegmentError, SegmentReader};
-use crate::wal::WalTruncation;
+use crate::wal::{read_wal, WalFrame, WAL_FILE};
 
 /// Manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -242,7 +242,7 @@ pub struct RecoveryReport {
     /// WAL bytes dropped at the torn/corrupt tail.
     pub wal_bytes_dropped: u64,
     /// Why the tail was dropped; `None` when the log ended cleanly.
-    pub truncation: Option<WalTruncation>,
+    pub truncation: Option<Truncation>,
     /// Orphan `seg-*.seg` files not referenced by the manifest (partial
     /// flushes from a crash) — ignored by recovery, listed for fsck.
     pub orphan_segments: Vec<String>,
@@ -310,7 +310,7 @@ impl RecoveryReport {
 
 /// Open every segment the manifest names — header, footer and trailer
 /// index checksum-verified, block bodies left on disk — counting them
-/// into `report`, and list the `seg-*.seg` files it does not name.
+/// into `report`.
 pub(crate) fn open_segments(
     dir: &Path,
     manifest: &Manifest,
@@ -324,6 +324,20 @@ pub(crate) fn open_segments(
         report.segment_blocks += reader.block_count() as u64;
         readers.push(reader);
     }
+    Ok(readers)
+}
+
+/// Count into `report` what a reopen of `dir` keeps and drops besides
+/// the segments `manifest` names: the `seg-*.seg` files it does not name
+/// (a crashed flush's leftovers, ignored), and every byte of the WAL —
+/// valid and dropped, why the tail dropped, which frames the flush that
+/// wrote `manifest` already holds and which replay. The reopen and
+/// `store_fsck` both count through here, so the two cannot disagree.
+pub fn account_wal(
+    dir: &Path,
+    manifest: &Manifest,
+    report: &mut RecoveryReport,
+) -> std::io::Result<LogScan<WalFrame>> {
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -336,7 +350,19 @@ pub(crate) fn open_segments(
         }
         report.orphan_segments.sort();
     }
-    Ok(readers)
+    let scan = read_wal(&dir.join(WAL_FILE))?;
+    report.wal_bytes_valid = scan.valid_bytes;
+    report.wal_bytes_dropped = scan.total_bytes - scan.valid_bytes;
+    report.truncation = scan.stop.clone();
+    for frame in &scan.records {
+        if frame.lsn <= manifest.flushed_lsn {
+            report.frames_skipped += 1;
+        } else {
+            report.frames_replayed += 1;
+            report.records_replayed += frame.records.len() as u64;
+        }
+    }
+    Ok(scan)
 }
 
 /// A log record or segment that names what its store does not hold — the

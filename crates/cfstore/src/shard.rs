@@ -403,9 +403,9 @@ fn probe_shard(dir: &Path) -> Result<Probe, RecoveryError> {
     let wal_path = dir.join(WAL_FILE);
     let scan = wal::read_wal(&wal_path).map_err(|e| io_err(&wal_path, e))?;
     let mut markers = Vec::new();
-    for (i, frame) in scan.frames.iter().enumerate() {
+    for (frame, &offset) in scan.records.iter().zip(&scan.offsets) {
         if let Some(WalRecord::BatchMarker { gsn, participants }) = frame.records.first() {
-            markers.push((*gsn, participants.clone(), scan.frame_offsets[i]));
+            markers.push((*gsn, participants.clone(), offset));
         }
     }
     Ok(Probe::Alive(ProbedShard {

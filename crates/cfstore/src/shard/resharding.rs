@@ -42,7 +42,7 @@ use super::{
     ShardedStore,
 };
 use crate::encoding::CodecError;
-use crate::frame::{self, CrashWriter, Cursor, ScanStop, WriteError};
+use crate::frame::{self, CrashWriter, Cursor, LogScan, Truncation, WriteError};
 use crate::recovery::{corrupt_file, io_err, read_framed_file, RecoveryError};
 use crate::region::RowData;
 use crate::store::{Install, MiniStore, StoreError};
@@ -267,7 +267,8 @@ const TAG_VERIFIED: u8 = 4;
 const TAG_CUTOVER: u8 = 5;
 
 impl JournalRecord {
-    fn encode(&self, b: &mut Vec<u8>) {
+    /// Frame this record and append it to `journal` ([`open_journal`]).
+    fn append_to(&self, journal: &mut CrashWriter) -> Result<(), StoreError> {
         let (tag, epoch) = match self {
             JournalRecord::Begin { epoch, .. } => (TAG_BEGIN, epoch),
             JournalRecord::Copied { epoch, .. } => (TAG_COPIED, epoch),
@@ -275,18 +276,22 @@ impl JournalRecord {
             JournalRecord::Verified { epoch } => (TAG_VERIFIED, epoch),
             JournalRecord::Cutover { epoch } => (TAG_CUTOVER, epoch),
         };
-        b.put_u8(tag);
-        b.put_u64(*epoch);
-        match self {
-            JournalRecord::Begin { old, new, .. } => {
-                old.encode(b);
-                new.encode(b);
+        let mut framed = Vec::new();
+        frame::encode(&mut framed, |b| {
+            b.put_u8(tag);
+            b.put_u64(*epoch);
+            match self {
+                JournalRecord::Begin { old, new, .. } => {
+                    old.encode(b);
+                    new.encode(b);
+                }
+                JournalRecord::Copied { unit, .. } | JournalRecord::Invalidated { unit, .. } => {
+                    b.put_u32(*unit)
+                }
+                JournalRecord::Verified { .. } | JournalRecord::Cutover { .. } => {}
             }
-            JournalRecord::Copied { unit, .. } | JournalRecord::Invalidated { unit, .. } => {
-                b.put_u32(*unit)
-            }
-            JournalRecord::Verified { .. } | JournalRecord::Cutover { .. } => {}
-        }
+        });
+        Ok(journal.write(&framed)?)
     }
 
     fn decode(body: &[u8]) -> Result<Self, CodecError> {
@@ -316,55 +321,32 @@ impl JournalRecord {
     }
 }
 
-/// What a raw read of the `TOPOLOGY` file found.
-#[derive(Debug)]
-pub struct JournalScan {
-    /// Intact records, append order (the torn tail is dropped).
-    pub records: Vec<JournalRecord>,
-    /// Bytes up to the end of the last intact frame; reopen truncates
-    /// the file here before resuming.
-    pub valid_bytes: u64,
-    /// Physical file length.
-    pub total_bytes: u64,
-}
-
 /// Read the journal. `Ok(None)` when absent. A torn tail (short frame,
 /// CRC mismatch, or a header shorter than the magic) is *resolvable* —
-/// it is dropped and reported via `valid_bytes < total_bytes`. A wrong
-/// magic or a CRC-valid record that fails to decode is **unresolvable**
-/// (no crash of our writer produces it) and errors.
-pub fn read_journal(dir: &Path) -> Result<Option<JournalScan>, RecoveryError> {
+/// it is dropped and reported in `stop`. A wrong magic or a CRC-valid
+/// record that fails to decode is **unresolvable** (no crash of our
+/// writer produces it) and errors.
+pub fn read_journal(dir: &Path) -> Result<Option<LogScan<JournalRecord>>, RecoveryError> {
     let path = dir.join(TOPOLOGY_FILE);
     let Some(data) = frame::read_optional(&path).map_err(|e| io_err(&path, e))? else {
         return Ok(None);
     };
-    let total_bytes = data.len() as u64;
-    // A header torn before its fourth byte: nothing usable, nothing
-    // migrating.
-    let Some(magic) = data.first_chunk::<4>() else {
-        return Ok(Some(JournalScan {
-            records: Vec::new(),
-            valid_bytes: 0,
-            total_bytes,
-        }));
+    let start = match data.first_chunk::<4>() {
+        // A header torn before its fourth byte scans as a torn frame at
+        // byte 0: nothing usable, nothing migrating.
+        None => 0,
+        Some(magic) if *magic == TOPOLOGY_MAGIC.to_be_bytes() => magic.len(),
+        Some(_) => return Err(corrupt_file(&path, "bad TOPOLOGY magic")),
     };
-    if *magic != TOPOLOGY_MAGIC.to_be_bytes() {
-        return Err(corrupt_file(&path, "bad TOPOLOGY magic"));
-    }
-    let scan = frame::scan_log(&data, magic.len(), JournalRecord::decode);
-    if let Some(ScanStop::Record(e)) = scan.stop {
+    let scan = frame::scan_log(&data, start, JournalRecord::decode);
+    if let Some(Truncation::BadRecord { offset, detail }) = &scan.stop {
         let detail = format!(
-            "CRC-valid record at offset {} does not decode ({e}) — \
-             not producible by a crash",
-            scan.valid_bytes
+            "CRC-valid record at offset {offset} does not decode ({detail}) — \
+             not producible by a crash"
         );
         return Err(corrupt_file(&path, detail));
     }
-    Ok(Some(JournalScan {
-        records: scan.records,
-        valid_bytes: scan.valid_bytes,
-        total_bytes,
-    }))
+    Ok(Some(scan))
 }
 
 /// What the journal means for a store whose `SHARDS` catalog it is held
@@ -486,45 +468,29 @@ pub fn resolve_against_catalog(
     })
 }
 
-/// Append-only journal writer: a [`CrashWriter`] that fsyncs every
-/// append (torn ones too — the torn bytes are durable, exactly like a
-/// real power cut mid-write) and whose budget counts cumulative
-/// `TOPOLOGY` bytes written this session.
-pub(crate) struct JournalWriter {
-    out: CrashWriter,
-}
-
-impl JournalWriter {
-    /// Create a fresh journal (truncating any stale file) and write the
-    /// file magic. The magic counts against the crash budget too — a
-    /// torn header resolves to "no migration".
-    pub(crate) fn create(dir: &Path, crash_after_bytes: Option<u64>) -> Result<Self, StoreError> {
-        let file = std::fs::File::create(dir.join(TOPOLOGY_FILE)).map_err(WriteError::Io)?;
-        let mut out = CrashWriter::new(file, 0, crash_after_bytes, true);
-        out.write(&TOPOLOGY_MAGIC.to_be_bytes())?;
-        Ok(JournalWriter { out })
+/// The journal's writer: a [`CrashWriter`] that fsyncs every append
+/// (torn ones too — the torn bytes are durable, exactly like a real
+/// power cut mid-write) and whose budget counts the `TOPOLOGY` bytes
+/// written this session. `create` starts a fresh journal, truncating any
+/// stale file, and writes the file magic, which counts against the budget
+/// too — a torn header resolves to "no migration"; otherwise it reattaches
+/// to a journal whose torn tail, if it had one, reopen already cut off.
+pub(crate) fn open_journal(
+    dir: &Path,
+    create: bool,
+    crash_after_bytes: Option<u64>,
+) -> Result<CrashWriter, StoreError> {
+    let path = dir.join(TOPOLOGY_FILE);
+    let file = if create {
+        std::fs::File::create(path)
+    } else {
+        std::fs::OpenOptions::new().append(true).open(path)
+    };
+    let mut journal = CrashWriter::new(file.map_err(WriteError::Io)?, 0, crash_after_bytes, true);
+    if create {
+        journal.write(&TOPOLOGY_MAGIC.to_be_bytes())?;
     }
-
-    /// Reattach to an existing journal whose torn tail, if it had one,
-    /// reopen already cut off.
-    pub(crate) fn open_existing(
-        dir: &Path,
-        crash_after_bytes: Option<u64>,
-    ) -> Result<Self, StoreError> {
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join(TOPOLOGY_FILE))
-            .map_err(WriteError::Io)?;
-        Ok(JournalWriter {
-            out: CrashWriter::new(file, 0, crash_after_bytes, true),
-        })
-    }
-
-    pub(crate) fn append(&mut self, rec: &JournalRecord) -> Result<(), StoreError> {
-        let mut framed = Vec::new();
-        frame::encode(&mut framed, |b| rec.encode(b));
-        Ok(self.out.write(&framed)?)
-    }
+    Ok(journal)
 }
 
 // ---------------------------------------------------------------------
@@ -613,12 +579,12 @@ pub(crate) struct Migration {
     pub(crate) gc_pruned: bool,
     pub(crate) catalog_swapped: bool,
     pub(crate) rows_copied: u64,
-    pub(crate) journal: JournalWriter,
+    pub(crate) journal: CrashWriter,
 }
 
 impl Migration {
     /// A migration whose `Begin` record was just journaled.
-    fn begun(epoch: u64, target: Topology, journal: JournalWriter) -> Self {
+    fn begun(epoch: u64, target: Topology, journal: CrashWriter) -> Self {
         Migration {
             epoch,
             target,
@@ -643,7 +609,7 @@ impl Migration {
         pending: Pending,
         lost: &BTreeSet<u32>,
     ) -> Result<Option<Self>, StoreError> {
-        let journal = || JournalWriter::open_existing(dir, crash_after_bytes);
+        let journal = || open_journal(dir, false, crash_after_bytes);
         let mut m = match pending {
             Pending::None => return Ok(None),
             Pending::PreCutover {
@@ -672,8 +638,7 @@ impl Migration {
         for &unit in lost.iter().filter(|_| !m.cut_over) {
             if m.copied.remove(&unit) {
                 let epoch = m.epoch;
-                m.journal
-                    .append(&JournalRecord::Invalidated { epoch, unit })?;
+                JournalRecord::Invalidated { epoch, unit }.append_to(&mut m.journal)?;
                 m.verified = false;
             }
         }
@@ -726,13 +691,13 @@ impl ShardedStore {
             ));
         }
         let epoch = st.epoch + 1;
-        let mut journal = JournalWriter::create(&self.dir, self.opts.crash_topology)?;
+        let mut journal = open_journal(&self.dir, true, self.opts.crash_topology)?;
         let begin = JournalRecord::Begin {
             epoch,
             old: st.active.clone(),
             new: target.clone(),
         };
-        if let Err(e) = journal.append(&begin) {
+        if let Err(e) = begin.append_to(&mut journal) {
             if e == StoreError::Crashed {
                 st.poisoned = true;
             }
@@ -926,10 +891,11 @@ fn copy_unit(
         rows_copied += shard.install_table_rows(table, rows, Install::Merge)?;
     }
     shard.flush()?;
-    m.journal.append(&JournalRecord::Copied {
+    JournalRecord::Copied {
         epoch: m.epoch,
         unit,
-    })?;
+    }
+    .append_to(&mut m.journal)?;
     m.copied.insert(unit);
     m.rows_copied += rows_copied;
     sharded.obs.incr("cfstore.reshard.units_copied", 1);
@@ -1022,8 +988,7 @@ fn verify_units(
             }
         }
     }
-    m.journal
-        .append(&JournalRecord::Verified { epoch: m.epoch })?;
+    JournalRecord::Verified { epoch: m.epoch }.append_to(&mut m.journal)?;
     m.verified = true;
     sharded.obs.incr("cfstore.reshard.verifies", 1);
     Ok(m.status())
@@ -1037,8 +1002,7 @@ fn do_cutover(
     st: &mut GlobalState,
     m: &mut Migration,
 ) -> Result<ReshardStatus, StoreError> {
-    m.journal
-        .append(&JournalRecord::Cutover { epoch: m.epoch })?;
+    JournalRecord::Cutover { epoch: m.epoch }.append_to(&mut m.journal)?;
     m.cut_over = true;
     st.epoch = m.epoch;
     st.active = m.target.clone();
@@ -1231,39 +1195,54 @@ mod tests {
             old: old.clone(),
             new: new.clone(),
         };
-        let mut w = JournalWriter::create(&dir, None).unwrap();
-        w.append(&begin).unwrap();
-        w.append(&JournalRecord::Copied { epoch: 1, unit: 0 })
+        let mut w = open_journal(&dir, true, None).unwrap();
+        begin.append_to(&mut w).unwrap();
+        JournalRecord::Copied { epoch: 1, unit: 0 }
+            .append_to(&mut w)
             .unwrap();
         drop(w);
-        let clean_len = std::fs::metadata(dir.join(TOPOLOGY_FILE)).unwrap().len();
-
-        // Tear the last frame: resolvable, the Copied record drops out.
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join(TOPOLOGY_FILE))
-            .unwrap();
-        f.set_len(clean_len - 3).unwrap();
-        drop(f);
-        let scan = read_journal(&dir).unwrap().unwrap();
-        assert!(scan.valid_bytes < scan.total_bytes);
-        assert_eq!(scan.records, vec![begin.clone()]);
+        let path = dir.join(TOPOLOGY_FILE);
+        let clean = std::fs::read(&path).unwrap();
+        let copied_at = read_journal(&dir).unwrap().unwrap().offsets[1];
         let catalog = Catalog {
             topology: old,
             epoch: 0,
         };
-        match resolve_against_catalog(&catalog, &scan.records).unwrap() {
-            Pending::PreCutover {
-                epoch,
-                copied,
-                verified,
-                ..
-            } => {
-                assert_eq!(epoch, 1);
-                assert!(copied.is_empty());
-                assert!(!verified);
+        // Either damage to the last frame is resolvable: the Copied
+        // record drops out, and the scan says why and where.
+        let mut rotted = clean.clone();
+        rotted[copied_at as usize + frame::HEADER_LEN] ^= 0xff;
+        for (image, why) in [
+            // Torn: the last frame is 3 bytes short.
+            (
+                &clean[..clean.len() - 3],
+                Truncation::Torn { offset: copied_at },
+            ),
+            // Rotted: a flipped byte in the last frame's body.
+            (&rotted[..], Truncation::BadChecksum { offset: copied_at }),
+        ] {
+            std::fs::write(&path, image).unwrap();
+            let scan = read_journal(&dir).unwrap().unwrap();
+            assert!(scan.valid_bytes < scan.total_bytes);
+            assert_eq!(
+                scan.stop.as_ref().map(Truncation::offset),
+                Some(scan.valid_bytes)
+            );
+            assert_eq!(scan.stop, Some(why));
+            assert_eq!(scan.records, vec![begin.clone()]);
+            match resolve_against_catalog(&catalog, &scan.records).unwrap() {
+                Pending::PreCutover {
+                    epoch,
+                    copied,
+                    verified,
+                    ..
+                } => {
+                    assert_eq!(epoch, 1);
+                    assert!(copied.is_empty());
+                    assert!(!verified);
+                }
+                other => panic!("expected PreCutover, got {other:?}"),
             }
-            other => panic!("expected PreCutover, got {other:?}"),
         }
 
         // Wrong magic: unresolvable.

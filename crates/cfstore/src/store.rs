@@ -429,15 +429,13 @@ impl MiniStore {
         // so appends never interleave with it, and continue after the
         // highest LSN seen.
         let wal_path = dir.join(WAL_FILE);
-        let scan = wal::read_wal(&wal_path).map_err(|e| io_err(&wal_path, e))?;
-        report.wal_bytes_valid = scan.valid_bytes;
-        report.wal_bytes_dropped = scan.total_bytes - scan.valid_bytes;
-        report.truncation = scan.truncation;
+        let scan =
+            recovery::account_wal(dir, &manifest, &mut report).map_err(|e| io_err(&wal_path, e))?;
         if report.wal_bytes_dropped > 0 {
             frame::truncate_and_sync(&wal_path, scan.valid_bytes)
                 .map_err(|e| io_err(&wal_path, e))?;
         }
-        let max_lsn = scan.frames.iter().map(|f| f.lsn).max();
+        let max_lsn = scan.records.iter().map(|f| f.lsn).max();
         let next_lsn = manifest.flushed_lsn.max(max_lsn.unwrap_or(0)) + 1;
         let wal = WalWriter::open(&wal_path, scan.valid_bytes, next_lsn, opts.crash).map_err(
             |e| match e {
@@ -467,13 +465,7 @@ impl MiniStore {
         // the log behind it. Only a delete reads a block, which is counted.
         let reads = obs::Registry::new();
         store.cache.set_obs(reads.clone());
-        for frame in scan.frames {
-            if frame.lsn <= manifest.flushed_lsn {
-                report.frames_skipped += 1;
-                continue;
-            }
-            report.frames_replayed += 1;
-            report.records_replayed += frame.records.len() as u64;
+        for frame in scan.records.iter().filter(|f| f.lsn > manifest.flushed_lsn) {
             store.apply(wal::ops(&frame.records))?;
         }
         store.cache.set_obs(obs::Registry::disabled());

@@ -34,7 +34,7 @@ use std::path::Path;
 use bytes::{BufMut, Bytes};
 
 use crate::encoding::CodecError;
-use crate::frame::{self, put_bytes, put_str, CrashWriter, Cursor, FrameError, ScanStop};
+use crate::frame::{self, put_bytes, put_str, CrashWriter, Cursor, LogScan};
 use crate::kv::Put;
 
 /// WAL file name inside a store directory.
@@ -185,43 +185,6 @@ const TAG_PUT: u8 = 2;
 const TAG_DELETE_ROW: u8 = 3;
 const TAG_REGION_SPLIT: u8 = 4;
 const TAG_BATCH_MARKER: u8 = 5;
-
-/// Why a WAL scan stopped before the end of the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalTruncation {
-    /// Fewer bytes on disk than the frame header promised — the classic
-    /// torn write of a crash mid-append.
-    Torn { offset: u64 },
-    /// A complete frame whose body no longer matches its CRC.
-    BadChecksum { offset: u64 },
-    /// A frame whose body decoded to garbage (bad tag, truncated field).
-    BadRecord { offset: u64, detail: String },
-}
-
-impl WalTruncation {
-    /// Byte offset of the first dropped byte.
-    pub fn offset(&self) -> u64 {
-        match self {
-            WalTruncation::Torn { offset }
-            | WalTruncation::BadChecksum { offset }
-            | WalTruncation::BadRecord { offset, .. } => *offset,
-        }
-    }
-}
-
-impl std::fmt::Display for WalTruncation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalTruncation::Torn { offset } => write!(f, "torn frame at byte {offset}"),
-            WalTruncation::BadChecksum { offset } => {
-                write!(f, "frame checksum mismatch at byte {offset}")
-            }
-            WalTruncation::BadRecord { offset, detail } => {
-                write!(f, "undecodable frame at byte {offset}: {detail}")
-            }
-        }
-    }
-}
 
 /// Errors from the WAL writer: an injected [`CrashSpec`] point fired (the
 /// store is dead until reopened), or a real I/O failure under the log.
@@ -537,46 +500,11 @@ pub struct WalFrame {
     pub records: Vec<WalRecord>,
 }
 
-/// The result of scanning a WAL file: every valid frame in order, the
-/// number of bytes they span, and why the scan stopped early (if it did).
-#[derive(Debug)]
-pub struct WalScan {
-    pub frames: Vec<WalFrame>,
-    /// Byte offset of each valid frame, parallel to `frames`. Shard-aware
-    /// recovery uses these to truncate a log at an exact frame boundary
-    /// when aborting an uncommitted cross-shard batch.
-    pub frame_offsets: Vec<u64>,
-    /// Bytes covered by valid frames (the truncation point on recovery).
-    pub valid_bytes: u64,
-    /// Total file length; `total_bytes - valid_bytes` is the dropped tail.
-    pub total_bytes: u64,
-    /// `None` when the file ended cleanly on a frame boundary.
-    pub truncation: Option<WalTruncation>,
-}
-
 /// Scan the WAL at `path`, stopping (without erroring) at the first torn
 /// or corrupt frame. A missing file scans as empty.
-pub fn read_wal(path: &Path) -> Result<WalScan, std::io::Error> {
+pub fn read_wal(path: &Path) -> Result<LogScan<WalFrame>, std::io::Error> {
     let data = frame::read_optional(path)?.unwrap_or_default();
-    let scan = frame::scan_log(&data, 0, decode_frame_body);
-    // Whatever stopped the scan, the log ends there: a crash tears the
-    // tail, and a frame that does not decode is dropped with it.
-    let offset = scan.valid_bytes;
-    let truncation = scan.stop.map(|why| match why {
-        ScanStop::Frame(FrameError::Torn) => WalTruncation::Torn { offset },
-        ScanStop::Frame(FrameError::BadChecksum) => WalTruncation::BadChecksum { offset },
-        ScanStop::Record(e) => WalTruncation::BadRecord {
-            offset,
-            detail: e.to_string(),
-        },
-    });
-    Ok(WalScan {
-        frames: scan.records,
-        frame_offsets: scan.offsets,
-        valid_bytes: scan.valid_bytes,
-        total_bytes: scan.total_bytes,
-        truncation,
-    })
+    Ok(frame::scan_log(&data, 0, decode_frame_body))
 }
 
 fn decode_frame_body(body: &[u8]) -> Result<WalFrame, CodecError> {
@@ -642,13 +570,13 @@ mod tests {
         }
         w.append(&sample_records()).unwrap(); // multi-record frame
         let scan = read_wal(&path).unwrap();
-        assert_eq!(scan.frames.len(), 6);
-        assert_eq!(scan.frame_offsets.len(), 6);
-        assert_eq!(scan.frame_offsets[0], 0);
-        assert!(scan.truncation.is_none());
+        assert_eq!(scan.records.len(), 6);
+        assert_eq!(scan.offsets.len(), 6);
+        assert_eq!(scan.offsets[0], 0);
+        assert!(scan.stop.is_none());
         assert_eq!(scan.valid_bytes, scan.total_bytes);
-        assert_eq!(scan.frames[0].lsn, 1);
-        assert_eq!(scan.frames[5].records, sample_records());
+        assert_eq!(scan.records[0].lsn, 1);
+        assert_eq!(scan.records[5].records, sample_records());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -665,8 +593,8 @@ mod tests {
         // Tear 3 bytes off the last frame.
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         let scan = read_wal(&path).unwrap();
-        assert_eq!(scan.frames.len(), 4);
-        assert!(matches!(scan.truncation, Some(WalTruncation::Torn { .. })));
+        assert_eq!(scan.records.len(), 4);
+        assert!(matches!(scan.stop, Some(frame::Truncation::Torn { .. })));
         assert_eq!(scan.total_bytes, (full.len() - 3) as u64);
         assert!(scan.valid_bytes < scan.total_bytes);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -686,10 +614,10 @@ mod tests {
         data[first_len + 10] ^= 0xff; // flip a byte inside the 2nd frame body
         std::fs::write(&path, &data).unwrap();
         let scan = read_wal(&path).unwrap();
-        assert_eq!(scan.frames.len(), 1);
+        assert_eq!(scan.records.len(), 1);
         assert!(matches!(
-            scan.truncation,
-            Some(WalTruncation::BadChecksum { .. })
+            scan.stop,
+            Some(frame::Truncation::BadChecksum { .. })
         ));
         assert_eq!(scan.valid_bytes, first_len as u64);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -725,7 +653,7 @@ mod tests {
         ));
         assert_eq!(std::fs::metadata(&path).unwrap().len(), limit);
         let scan = read_wal(&path).unwrap();
-        assert_eq!(scan.frames.len(), acked);
+        assert_eq!(scan.records.len(), acked);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -105,6 +105,22 @@ nontest() { awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FIL
 if nontest $(find crates/cfstore/src -name '*.rs' ! -name frame.rs ! -name encoding.rs ! -name kv.rs) | grep -F 'crc32('; then exit 1; fi
 if nontest $(find crates -name '*.rs' ! -path crates/cfstore/src/frame.rs) | grep -E 'fn (take_(u[0-9]|str|bytes)|get_u|put_bytes|put_str)'; then exit 1; fi
 
+# One log (DESIGN.md §48): the WAL and the TOPOLOGY journal are walked by
+# `frame::scan_log`, which stops with its one `Truncation` and returns its
+# `LogScan`; both logs append through `frame::CrashWriter`. No per-log
+# scan, stop or writer type comes back beside them, and the walk has two
+# callers, `read_wal` and `read_journal`.
+step "source gate (one log: one scan, one truncation, one writer)"
+if nontest $(find crates -name '*.rs') | grep -E '\b(WalTruncation|WalScan|JournalScan|JournalWriter|ScanStop)\b'; then
+  echo "non-test crates/ must not name WalTruncation, WalScan, JournalScan, JournalWriter or ScanStop"; exit 1
+fi
+log_scanners=$(nontest $(find crates -name '*.rs') |
+  awk '/ fn [a-z_]+/ { f = $0; sub(/.* fn /, "", f); sub(/[<(].*/, "", f) } /scan_log\(/ && !/fn scan_log\(/ { print f }' |
+  sort | tr '\n' ' ')
+if [ "$log_scanners" != "read_journal read_wal " ]; then
+  echo "scan_log( must have two non-test callers, read_wal and read_journal; it has: $log_scanners"; exit 1
+fi
+
 # One production path per operation (DESIGN.md §19): the twins ROADMAP
 # item 4 named do not come back as shipped code. Test modules, where
 # `predict_runtime_ms_unplanned` lives on as an oracle, are exempt.
@@ -582,7 +598,8 @@ printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + bench
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
 # 7306 before a region was a memstore over its segment (DESIGN.md §44);
 # 7371 before a split read no block (DESIGN.md §46); 7309 before each
-# lock earned its number (DESIGN.md §47).
+# lock earned its number (DESIGN.md §47); 7254 before one log (DESIGN.md
+# §48).
 printf '%6d  non-test lines in crates/cfstore/src\n' "$cfstore_lines"
 # 2357 before replay was apply (DESIGN.md §24); 2333 before a region was
 # a memstore over its segment (DESIGN.md §44).

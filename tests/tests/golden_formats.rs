@@ -21,7 +21,7 @@ use cfstore::shard::SHARDS_FILE;
 use cfstore::wal::{read_wal, WalRecord, WalWriter, WAL_FILE};
 use cfstore::{
     CellVersion, CrashSpec, KeyRange, Manifest, MiniStore, Put, ReshardPhase, RowData,
-    SegmentReader, ShardOptions, ShardedStore, Topology, WalTruncation,
+    SegmentReader, ShardOptions, ShardedStore, Topology, Truncation,
 };
 use mrsim::{MapPhase, ReducePhase};
 use profiler::{CostFactors, JobProfile, MapProfile, ReduceProfile};
@@ -115,12 +115,12 @@ fn wal_frame_bytes_are_pinned() {
 
     std::fs::write(&path, unhex(WAL_GOLDEN)).unwrap();
     let scan = read_wal(&path).unwrap();
-    assert!(scan.truncation.is_none());
+    assert!(scan.stop.is_none());
     assert_eq!(scan.valid_bytes, scan.total_bytes);
-    assert_eq!(scan.frame_offsets, vec![0]);
-    assert_eq!(scan.frames.len(), 1);
-    assert_eq!(scan.frames[0].lsn, 1024);
-    assert_eq!(scan.frames[0].records, wal_records());
+    assert_eq!(scan.offsets, vec![0]);
+    assert_eq!(scan.records.len(), 1);
+    assert_eq!(scan.records[0].lsn, 1024);
+    assert_eq!(scan.records[0].records, wal_records());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -459,8 +459,8 @@ fn read_wal_image(dir: &Path, image: &[u8]) -> Verdict {
     let scan = measured(image, || read_wal(&path)).expect("a damaged log is not an I/O error");
     assert_eq!(scan.total_bytes, image.len() as u64);
     assert!(scan.valid_bytes <= scan.total_bytes);
-    assert_eq!(scan.frames.len(), scan.frame_offsets.len());
-    match &scan.truncation {
+    assert_eq!(scan.records.len(), scan.offsets.len());
+    match &scan.stop {
         None => assert_eq!(scan.valid_bytes, scan.total_bytes),
         Some(t) => assert_eq!(
             t.offset(),
@@ -468,7 +468,7 @@ fn read_wal_image(dir: &Path, image: &[u8]) -> Verdict {
             "the tail drops where it is cut"
         ),
     }
-    if scan.frames.len() == 1 {
+    if scan.records.len() == 1 {
         Verdict::Accepted
     } else {
         Verdict::Noticed
@@ -739,12 +739,12 @@ fn a_sealed_wal_frame_claiming_four_billion_records_is_a_bad_record() {
     });
     std::fs::write(dir.join(WAL_FILE), &image).unwrap();
     let scan = measured(&image, || read_wal(&dir.join(WAL_FILE))).unwrap();
-    assert_eq!(scan.frames.len(), 1, "the frame before it still replays");
+    assert_eq!(scan.records.len(), 1, "the frame before it still replays");
     assert_eq!(scan.valid_bytes, intact);
     assert!(
-        matches!(scan.truncation, Some(WalTruncation::BadRecord { offset, .. }) if offset == intact),
+        matches!(scan.stop, Some(Truncation::BadRecord { offset, .. }) if offset == intact),
         "{:?}",
-        scan.truncation
+        scan.stop
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
