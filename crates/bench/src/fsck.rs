@@ -101,9 +101,9 @@ fn scrub(dir: &Path, label: &str) -> Result<Scrub, String> {
         report.segment_blocks_read += meta.blocks.len() as u64;
     }
 
-    // 3. Orphans and the WAL tail, counted as a reopen counts them:
-    // orphans are a crashed flush's leftovers (not trusted, not an
-    // error — the WAL still covers their contents); a torn tail is.
+    // 3. Orphans and the WAL tail, counted as a reopen counts them: an
+    // orphan is a crashed flush's leftover (not a finding: the WAL still
+    // covers its contents); a torn tail is a finding.
     account_wal(dir, &manifest, &mut report).map_err(|e| format!("wal: {e}"))?;
     if let Some(t) = &report.truncation {
         corruption.push(format!(
