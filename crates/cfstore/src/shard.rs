@@ -33,10 +33,14 @@
 //!
 //! ## Healing
 //!
-//! Reads never write. A read that meets a CRC failure on one replica
-//! (cell checksum or segment block) serves the row or slot from the
-//! next replica and marks the bad shard *suspect*; later reads prefer
-//! the replicas that are not. The repair copies every verified row the
+//! Reads never write. A point read goes to a row's primary first; a walk
+//! (`scan`, `visit`) reads the fewest shards that serve every slot
+//! (DESIGN.md §49), so it meets rot only on the replicas it reads, and
+//! [`ShardedStore::scrub`] is what verifies every replica. A read that
+//! meets a CRC failure on one replica (cell checksum or segment block)
+//! serves the row or slot from the next replica and marks the bad shard
+//! *suspect*; later reads prefer the replicas that are not. The repair
+//! copies every verified row the
 //! suspect shard owns from clean replicas, installs them in place of the
 //! corrupt base ([`Region::install_rows`]), and flushes — rewriting the
 //! bad copy on disk. It runs at the start of every [`ShardedStore::flush`],
@@ -65,6 +69,7 @@
 
 pub mod resharding;
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -294,6 +299,51 @@ fn is_rot(e: &StoreError) -> bool {
         e,
         StoreError::Corruption { .. } | StoreError::SegmentCorrupt { .. }
     )
+}
+
+/// The shard a walk of `topology` reads each slot from, indexed by slot:
+/// the fewest live shards (not `failed`) that together serve every slot
+/// (DESIGN.md §49). A greedy set cover, over the shards not `suspect`
+/// first: it takes the shard that serves the most slots not yet served,
+/// a tie going to the shard with the least summed position in those
+/// slots' preference orders (the replicas, the suspect ones last), then
+/// to the lowest id. A suspect shard is taken only for a slot no other
+/// live replica serves. Each slot is then served by the first taken
+/// shard in its own preference order. `None` if a slot has no live
+/// replica. On a ring topology of S shards × R this takes ⌈S/R⌉ shards.
+fn read_cover(topology: &Topology, failed: &[bool], suspect: &BTreeSet<u32>) -> Option<Vec<u32>> {
+    let prefs: Vec<Vec<u32>> = (0..topology.shards)
+        .map(|slot| {
+            let mut replicas = topology.replicas(slot);
+            replicas.retain(|&g| !failed[g as usize]);
+            replicas.sort_by_key(|g| suspect.contains(g));
+            replicas
+        })
+        .collect();
+    let (mut taken, mut served) = (Vec::new(), vec![false; prefs.len()]);
+    for suspects in [false, true] {
+        loop {
+            let gain = |g: u32| {
+                let unserved = prefs.iter().zip(&served).filter(|(_, &done)| !done);
+                let at = unserved.filter_map(|(replicas, _)| replicas.iter().position(|&r| r == g));
+                at.fold((0, 0), |(slots, rank), pos| (slots + 1, rank + pos))
+            };
+            let best = (0..topology.shards)
+                .filter(|g| suspect.contains(g) == suspects)
+                .map(|g| (gain(g), g))
+                .filter(|&((slots, _), _)| slots > 0)
+                .min_by_key(|&((slots, rank), g)| (Reverse(slots), rank, g));
+            let Some((_, g)) = best else { break };
+            taken.push(g);
+            for (replicas, done) in prefs.iter().zip(&mut served) {
+                *done |= replicas.contains(&g);
+            }
+        }
+    }
+    prefs
+        .iter()
+        .map(|replicas| replicas.iter().copied().find(|g| taken.contains(g)))
+        .collect()
 }
 
 impl ShardOptions {
@@ -1024,9 +1074,9 @@ impl ShardedStore {
     /// Scan with filter pushdown: [`Self::visit`], keeping each row the
     /// filter passes, materialized, in key order. Results are
     /// bit-identical to an unsharded store's scan; metrics are summed
-    /// across shard reads (replication makes `rows_scanned` larger than a
-    /// single store's — the read-amplification cost of redundancy,
-    /// visible on purpose).
+    /// across shard reads (a shard read walks the rows of every slot the
+    /// shard holds, so `rows_scanned` can exceed a single store's — the
+    /// read-amplification cost of redundancy, visible on purpose).
     pub fn scan(
         &self,
         table: &str,
@@ -1040,12 +1090,12 @@ impl ShardedStore {
     }
 
     /// The rows `scan` covers folded into parts as [`MiniStore::visit`]
-    /// folds them: every shard is read (a suspect one only when it serves
-    /// a slot), its cells verified, and each row its filter passes is
-    /// folded once, by the shard that serves its slot (normally the
-    /// primary). A part holds one region's rows of one shard in key order;
-    /// different shards' parts interleave. The metrics are summed over
-    /// the reads that served.
+    /// folds them: the fewest shards that serve every slot are read
+    /// (`read_cover`), their cells verified, and each row its filter
+    /// passes is folded once, by the shard that serves its slot. A part
+    /// holds one region's rows of one shard in key order; different
+    /// shards' parts interleave. The metrics are summed over the reads
+    /// that served.
     pub fn visit<T: Default + Send>(
         &self,
         table: &str,
@@ -1069,7 +1119,9 @@ impl ShardedStore {
     }
 
     /// Chaos hook: corrupt a stored cell on the *primary* replica of its
-    /// row, so the next read exercises the fail-over path.
+    /// row, so the next `get` of the row exercises the fail-over path. A
+    /// walk meets it only if the primary is in its `read_cover`;
+    /// [`Self::scrub`] always does.
     pub fn corrupt_cell(
         &self,
         table: &str,
@@ -1250,13 +1302,12 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Read `table` from the active shards, through `read`, for the rows
-    /// of the slots each serves (`read` is handed whether it serves a
-    /// row): a slot is served by the first of its replicas, the suspect
-    /// ones last, whose read has not failed. A read that fails a CRC
-    /// marks its shard suspect, and the reads start over with the shard's
-    /// slots served by their next replica. The one slot resolution, under
-    /// `visit`.
+    /// Read `table` from the active shards of the [`read_cover`], through
+    /// `read`, for the rows of the slots each serves (`read` is handed
+    /// whether it serves a row); a shard that serves no slot is not read.
+    /// A read that fails a CRC marks its shard suspect, and the reads
+    /// start over with a cover of the shards whose reads have not failed.
+    /// The one slot resolution, under `visit` (DESIGN.md §49).
     fn read_slots<R>(
         &self,
         st: &GlobalState,
@@ -1269,23 +1320,16 @@ impl ShardedStore {
         let n = st.active.shards;
         let (mut failed, mut last_err) = (vec![false; n as usize], None);
         'pass: loop {
-            let first_live = |slot| {
-                let replicas = st.by_preference(st.active.replicas(slot));
-                replicas.into_iter().find(|&g| !failed[g as usize])
-            };
-            let server: Vec<Option<u32>> = (0..n).map(first_live).collect();
             // R ≥ 1 (`Topology::validate`): a slot has no server only
             // after every replica of it failed.
-            if server.contains(&None) {
+            let cover = read_cover(&st.active, &failed, &st.suspect.lock());
+            let Some(server) = cover else {
                 let none = || StoreError::Io(format!("a slot of `{table}` has no replica to read"));
                 return Err(last_err.unwrap_or_else(none));
-            }
-            // A shard that serves no slot is read all the same (its walk
-            // is counted), unless it is suspect.
-            let read_from = |g: &u32| server.contains(&Some(*g)) || !st.suspect.lock().contains(g);
+            };
             let mut reads = Vec::new();
-            for g in (0..n).filter(read_from) {
-                let serves = |row: &[u8]| server[slot_of(row, n) as usize] == Some(g);
+            for g in (0..n).filter(|g| server.contains(g)) {
+                let serves = |row: &[u8]| server[slot_of(row, n) as usize] == g;
                 match read(&st.shards[g as usize], &serves) {
                     Ok(r) => reads.push(r),
                     Err(e) => {
@@ -1398,6 +1442,48 @@ mod tests {
             let unique: BTreeSet<u32> = reps.iter().copied().collect();
             assert_eq!(unique.len(), 3, "replicas are distinct shards");
         }
+    }
+
+    /// The cover of every ring topology S × R reads ⌈S/R⌉ shards, and
+    /// serves each slot from one of its replicas.
+    #[test]
+    fn a_ring_cover_reads_the_fewest_shards() {
+        for s in 2..=6u32 {
+            for r in (1..=3).filter(|&r| r <= s) {
+                let topo = Topology::uniform(s, r);
+                let cover = read_cover(&topo, &vec![false; s as usize], &BTreeSet::new()).unwrap();
+                let read: BTreeSet<u32> = cover.iter().copied().collect();
+                assert_eq!(read.len() as u32, s.div_ceil(r), "{s} x R{r}: {cover:?}");
+                for (slot, g) in (0..s).zip(&cover) {
+                    assert!(topo.replicas(slot).contains(g), "{s} x R{r}: {cover:?}");
+                }
+            }
+        }
+        let cover = |topo: &Topology, failed: &[bool], suspect: &[u32]| {
+            read_cover(topo, failed, &suspect.iter().copied().collect())
+        };
+        let ring = Topology::uniform(3, 2);
+        assert_eq!(cover(&ring, &[false; 3], &[]), Some(vec![0, 1, 0]));
+        // An override plan: slot 3 moves to {0, 4}, so shard 0 serves
+        // three slots and shard 2 the other two.
+        let plan = Topology::uniform(5, 2).with_override(3, vec![0, 4]);
+        assert_eq!(cover(&plan, &[false; 5], &[]), Some(vec![0, 2, 2, 0, 0]));
+        // A failed shard is never read; a slot with no live replica
+        // leaves no cover.
+        assert_eq!(
+            cover(&ring, &[true, false, false], &[]),
+            Some(vec![1, 1, 2])
+        );
+        let lone = Topology::uniform(3, 1);
+        assert_eq!(cover(&lone, &[false, true, false], &[]), None);
+        // A suspect shard is read only for a slot no other live replica
+        // serves, and then serves that slot alone.
+        assert_eq!(cover(&ring, &[false; 3], &[0]), Some(vec![1, 1, 2]));
+        assert_eq!(
+            cover(&ring, &[false, true, false], &[0]),
+            Some(vec![0, 2, 2])
+        );
+        assert_eq!(cover(&lone, &[false; 3], &[1]), Some(vec![0, 1, 2]));
     }
 
     #[test]

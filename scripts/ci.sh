@@ -141,6 +141,14 @@ if nontest $cfstore_src | grep -E 'fn heal_table|fn merge_table_rows|fn read_sha
 if [ "$(nontest $cfstore_src | grep -F 'export_slot_from_peers(' | grep -vcF 'fn export_slot_from_peers(')" -gt 1 ]; then
   echo "export_slot_from_peers has more than one call site"; exit 1
 fi
+# One cover rule (DESIGN.md §49): a walk's shards are chosen by
+# `read_cover`, defined once, in shard.rs, and called by `read_slots` alone.
+cover_callers=$(nontest $cfstore_src | awk '/fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+  /read_cover\(/ && !/fn read_cover\(/ { print f }')
+if [ "$(nontest crates/cfstore/src/shard.rs | grep -cF 'fn read_cover(')" -ne 1 ] \
+  || [ "$(nontest $cfstore_src | grep -cF 'fn read_cover(')" -ne 1 ] || [ "$cover_callers" != read_slots ]; then
+  echo "read_cover must be defined once, in shard.rs, and called by read_slots alone (callers: $cover_callers)"; exit 1
+fi
 if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/fsck.rs; then exit 1; fi
 shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/bench/src/fsck.rs"
 shard_layer_lines=$(nontest $shard_layer_files | wc -l)
@@ -592,14 +600,16 @@ awk -v one="$one" -v two="$two" \
   'BEGIN { printf "%6.2f  two-thread speed-up of sha256sum over 256 MiB (%.2f s alone, %.2f s two at once)\n", 2 * one / two, one, two }'
 # Not seconds: the size ROADMAP item 4 tracks (4369 before PR 16; 4359,
 # flusher.rs included, before the caller flushed, DESIGN.md §43; 4089
-# before a region was a memstore over its segment, DESIGN.md §44).
+# before a region was a memstore over its segment, DESIGN.md §44; 3957
+# before a walk read the fewest shards that serve every slot, DESIGN.md
+# §49).
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
 # 7306 before a region was a memstore over its segment (DESIGN.md §44);
 # 7371 before a split read no block (DESIGN.md §46); 7309 before each
 # lock earned its number (DESIGN.md §47); 7254 before one log (DESIGN.md
-# §48).
+# §48); 7203 before a walk read the fewest shards (DESIGN.md §49).
 printf '%6d  non-test lines in crates/cfstore/src\n' "$cfstore_lines"
 # 2357 before replay was apply (DESIGN.md §24); 2333 before a region was
 # a memstore over its segment (DESIGN.md §44).

@@ -286,7 +286,11 @@ fn a_sharded_store_whose_rotted_primary_heals() {
 
 /// A crashed shard cannot flush, so its heal cannot complete: it stays
 /// corrupt, and every slot it serves is read from the slot's next replica.
-/// Each shard in turn is the victim.
+/// Each shard in turn is the victim. A scan reads the fewest shards that
+/// serve every slot (DESIGN.md §49), shards 0 and 1 here: victims 0 and 1
+/// meet their rot and fail over, and victim 2 is never read, so its rot
+/// stays for a walk of that shard alone to meet (the walk `scrub` makes,
+/// which cannot repair a crashed store).
 #[test]
 fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
     let mut got = Vec::new();
@@ -309,6 +313,14 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
                 .unwrap());
             let scanned = transcript(store.scan(TABLE, &scan), &reg);
             got.push(format!("victim {victim} ({row}), {tag}:\n{scanned}"));
+            let met = reg
+                .snapshot()
+                .counters
+                .get(&format!("cfstore.shard.{victim}.heal.reads"))
+                .copied();
+            assert_eq!(met, (victim != 2).then_some(1), "victim {victim}");
+            let walked = store.shard_scan(victim, TABLE, &Scan::all());
+            assert!(matches!(walked, Err(StoreError::Corruption { .. })));
             drop(store);
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -351,19 +363,19 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
             "victim 2 (k001), unfiltered:\n\
              rows=80 first=k000 last=k079 digest=4ae6b96d17d600c4\n\
              ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 239, rows_returned: 106, bytes_returned: 692 }\n\
-             cfstore.cells_verified=478\n\
-             cfstore.rows_returned=212\n\
-             cfstore.rows_scanned=212\n\
-             cfstore.scans=4\n\
-             regions scanned/returned: 1=32/32 2=32/32 3=32/32 4=32/32 5=32/32 6=52/52\n",
+             cfstore.cells_verified=239\n\
+             cfstore.rows_returned=106\n\
+             cfstore.rows_scanned=106\n\
+             cfstore.scans=2\n\
+             regions scanned/returned: 1=16/16 2=16/16 3=16/16 4=16/16 5=16/16 6=26/26\n",
             "victim 2 (k001), filtered:\n\
              rows=27 first=k001 last=k076 digest=8df6b3f789332efd\n\
              ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 239, rows_returned: 32, bytes_returned: 189 }\n\
-             cfstore.cells_verified=478\n\
-             cfstore.rows_returned=64\n\
-             cfstore.rows_scanned=212\n\
-             cfstore.scans=4\n\
-             regions scanned/returned: 1=32/6 2=32/14 3=32/10 4=32/8 5=32/10 6=52/16\n",
+             cfstore.cells_verified=239\n\
+             cfstore.rows_returned=32\n\
+             cfstore.rows_scanned=106\n\
+             cfstore.scans=2\n\
+             regions scanned/returned: 1=16/3 2=16/7 3=16/5 4=16/4 5=16/5 6=26/8\n",
         ],
     );
 }

@@ -235,7 +235,7 @@ topology 3x2 overrides {}
 shard 0: 13 rows 0x712a1312b5ec29c1
 shard 1: 11 rows 0xc6ed81c30b9723d9
 shard 2: 12 rows 0x216bca579ad017fd
-scan: 18 rows, 36 scanned
+scan: 18 rows, 24 scanned
 disk 0x632f77839cfdba46
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 13, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 11, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 12, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 3, segment_rows: 36, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 -- reopened
@@ -243,7 +243,7 @@ topology 3x2 overrides {}
 shard 0: 13 rows 0x712a1312b5ec29c1
 shard 1: 11 rows 0xc6ed81c30b9723d9
 shard 2: 12 rows 0x216bca579ad017fd
-scan: 18 rows, 36 scanned
+scan: 18 rows, 24 scanned
 disk 0x632f77839cfdba46
 "#;
 
@@ -337,7 +337,7 @@ topology 3x2 overrides {}
 shard 0: 10 rows 0x9c07000dc3d7ef4b
 shard 1: 12 rows 0x902619cb08dd1e25
 shard 2: 10 rows 0x8b00ed9e96f26a2b
-scan: 16 rows, 32 scanned
+scan: 16 rows, 22 scanned
 disk 0x73d1c881f6ef0e73
 "#;
 
@@ -377,7 +377,7 @@ topology 3x2 overrides {}
 shard 0: 10 rows 0x9c07000dc3d7ef4b
 shard 1: 12 rows 0x902619cb08dd1e25
 shard 2: 10 rows 0x8b00ed9e96f26a2b
-scan: 16 rows, 32 scanned
+scan: 16 rows, 22 scanned
 disk 0x73d1c881f6ef0e73
 "#;
 
@@ -412,7 +412,7 @@ topology 3x2 overrides {}
 shard 0: 16 rows 0xf92560d9c7a484e1
 shard 1: 16 rows 0xb5c347a9c283f061
 shard 2: 16 rows 0x0c2f66b65581cb8b
-scan: 24 rows, 48 scanned
+scan: 24 rows, 32 scanned
 disk 0x7070247888d0a3ac
 "#;
 
@@ -548,7 +548,7 @@ shard 1: 8 rows 0x346c3c77faa1367e
 shard 2: 10 rows 0x9144eec78d413705
 shard 3: 8 rows 0x6c14ce8648d533c6
 shard 4: 4 rows 0x6aea69f133fbaaf4
-scan: 17 rows, 34 scanned
+scan: 17 rows, 22 scanned
 disk 0x056301e72db4898c
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 5, units_copied: 1, rows_copied: 4 }
 -- torn mid-copy
@@ -561,7 +561,7 @@ shard 1: 15 rows 0xd9284c224e9cf0da
 shard 2: 10 rows 0xff15986678de6121
 shard 3: 0 rows 0xcbf29ce484222325
 shard 4: 0 rows 0xcbf29ce484222325
-scan: 17 rows, 38 scanned
+scan: 17 rows, 28 scanned
 disk 0x63a4340f67a20091
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 13, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 15, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 0, segment_blocks: 0, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 11, segment_rows: 38, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
@@ -572,7 +572,7 @@ shard 1: 17 rows 0xa32c2393ed57e1ea
 shard 2: 12 rows 0xbabdd8a0e090b11b
 shard 3: 1 rows 0x37bb0b62c13fb264
 shard 4: 2 rows 0xc6fe206c433c70e0
-scan: 19 rows, 43 scanned
+scan: 19 rows, 31 scanned
 disk 0x5925bc61b75bc867
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 5, units_copied: 5, rows_copied: 33 }
 -- resumed to done
@@ -588,7 +588,7 @@ shard 1: 9 rows 0xc0ef6a16c7c13a5f
 shard 2: 11 rows 0xfc3c43ebe0987f3e
 shard 3: 8 rows 0x213d90f3f7517341
 shard 4: 5 rows 0xea4218646f5e3c23
-scan: 19 rows, 38 scanned
+scan: 19 rows, 24 scanned
 disk 0xe3e2b71ae650895f
 "#;
 const SHRINK_5_TO_2: &str = r#"
@@ -612,7 +612,7 @@ cfstore.reshard.verifies = 1
 topology 2x2 overrides {}
 shard 0: 17 rows 0xfc0822a539386913
 shard 1: 17 rows 0xfc0822a539386913
-scan: 17 rows, 34 scanned
+scan: 17 rows, 17 scanned
 disk 0x9be6f8ad33eb24cb
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 2, units_copied: 1, rows_copied: 17 }
 -- torn mid-copy
@@ -625,7 +625,7 @@ shard 1: 17 rows 0xfc0822a539386913
 shard 2: 10 rows 0x9144eec78d413705
 shard 3: 8 rows 0x6c14ce8648d533c6
 shard 4: 4 rows 0x6aea69f133fbaaf4
-scan: 17 rows, 56 scanned
+scan: 17 rows, 35 scanned
 disk 0xbf645ae4d8855732
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 17, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 17, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 11, segment_blocks: 3, segment_blocks_read: 1, frames_replayed: 3, records_replayed: 6, frames_skipped: 0, wal_bytes_valid: 266, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 8, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 4, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 1, records_replayed: 2, frames_skipped: 0, wal_bytes_valid: 99, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 8, segment_rows: 57, segment_blocks: 8, segment_blocks_read: 1, frames_replayed: 5, records_replayed: 10, frames_skipped: 0, wal_bytes_valid: 464, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
@@ -636,7 +636,7 @@ shard 1: 19 rows 0x251760d43803ead1
 shard 2: 11 rows 0xfc3c43ebe0987f3e
 shard 3: 8 rows 0x213d90f3f7517341
 shard 4: 5 rows 0xea4218646f5e3c23
-scan: 19 rows, 62 scanned
+scan: 19 rows, 38 scanned
 disk 0xed35d2d32b675588
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 2, units_copied: 2, rows_copied: 19 }
 -- resumed to done
@@ -649,7 +649,7 @@ cfstore.reshard.verifies = 1
 topology 2x2 overrides {}
 shard 0: 19 rows 0x251760d43803ead1
 shard 1: 19 rows 0x251760d43803ead1
-scan: 19 rows, 38 scanned
+scan: 19 rows, 19 scanned
 disk 0xf39a7a6842d545cd
 "#;
 const REPLICATION_2_TO_3: &str = r#"
@@ -675,7 +675,7 @@ topology 3x3 overrides {}
 shard 0: 17 rows 0xfc0822a539386913
 shard 1: 17 rows 0xfc0822a539386913
 shard 2: 17 rows 0xfc0822a539386913
-scan: 17 rows, 51 scanned
+scan: 17 rows, 17 scanned
 disk 0x59c71b0df6a8b5af
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 17 }
 -- torn mid-copy
@@ -686,7 +686,7 @@ topology 3x2 overrides {}
 shard 0: 17 rows 0xfc0822a539386913
 shard 1: 17 rows 0xfc0822a539386913
 shard 2: 10 rows 0xff15986678de6121
-scan: 17 rows, 44 scanned
+scan: 17 rows, 34 scanned
 disk 0x5940c03151f10e05
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 17, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 17, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 9, segment_rows: 44, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
@@ -695,7 +695,7 @@ topology 3x2 overrides {}
 shard 0: 19 rows 0x251760d43803ead1
 shard 1: 19 rows 0x251760d43803ead1
 shard 2: 12 rows 0xbabdd8a0e090b11b
-scan: 19 rows, 50 scanned
+scan: 19 rows, 38 scanned
 disk 0x42df0adf1a724b3c
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 3, units_copied: 3, rows_copied: 38 }
 -- resumed to done
@@ -709,7 +709,7 @@ topology 3x3 overrides {}
 shard 0: 19 rows 0x251760d43803ead1
 shard 1: 19 rows 0x251760d43803ead1
 shard 2: 19 rows 0x251760d43803ead1
-scan: 19 rows, 57 scanned
+scan: 19 rows, 19 scanned
 disk 0x80ba5f37292e8541
 "#;
 const OVERRIDE_SLOT_0: &str = r#"
@@ -735,7 +735,7 @@ topology 3x2 overrides {0: [2, 0]}
 shard 0: 12 rows 0x2061c6101c4b3ea4
 shard 1: 5 rows 0x866671661491054a
 shard 2: 17 rows 0xfc0822a539386913
-scan: 17 rows, 34 scanned
+scan: 17 rows, 17 scanned
 disk 0xfe9fbdfff92a887d
 step ReshardStatus { epoch: 1, phase: Copy, units_total: 3, units_copied: 1, rows_copied: 12 }
 -- torn mid-copy
@@ -746,7 +746,7 @@ topology 3x2 overrides {}
 shard 0: 12 rows 0x2061c6101c4b3ea4
 shard 1: 12 rows 0x08988eea87181b56
 shard 2: 10 rows 0xff15986678de6121
-scan: 17 rows, 34 scanned
+scan: 17 rows, 24 scanned
 disk 0x44feec2035bbd281
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 4, segment_rows: 12, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 3, segment_rows: 12, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 10, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 9, segment_rows: 34, segment_blocks: 9, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: Some(1) }
 -- parked, written to
@@ -755,7 +755,7 @@ topology 3x2 overrides {}
 shard 0: 13 rows 0x1441b9f2d78fc1df
 shard 1: 13 rows 0xdeb5eb2ec7287667
 shard 2: 12 rows 0xbabdd8a0e090b11b
-scan: 19 rows, 38 scanned
+scan: 19 rows, 26 scanned
 disk 0x6d8f06dcc4bc1775
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 3, units_copied: 3, rows_copied: 25 }
 -- resumed to done
@@ -769,7 +769,7 @@ topology 3x2 overrides {0: [2, 0]}
 shard 0: 13 rows 0x1441b9f2d78fc1df
 shard 1: 6 rows 0xe3b9ce7a53c0eff3
 shard 2: 19 rows 0x251760d43803ead1
-scan: 19 rows, 38 scanned
+scan: 19 rows, 19 scanned
 disk 0xe134a6717c4ca3bf
 "#;
 
@@ -828,7 +828,7 @@ shard 1: 17 rows 0x4b0310e1fe4bf073
 shard 2: 15 rows 0x77ddb41ace6388d2
 shard 3: 1 rows 0xbd83833562978e17
 shard 4: 1 rows 0x0a99c359e4a982c5
-scan: 21 rows, 48 scanned
+scan: 21 rows, 33 scanned
 disk 0x75e2e912f081c9e9
 -- aborted
 cfstore.reshard.aborts = 1
@@ -845,7 +845,7 @@ topology 3x2 overrides {}
 shard 0: 14 rows 0x892ffd6826435c39
 shard 1: 15 rows 0x626b8bda4efc12e8
 shard 2: 13 rows 0xa16c7f7a81adb006
-scan: 21 rows, 42 scanned
+scan: 21 rows, 29 scanned
 disk 0xf7aad1937a700897
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 14, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 15, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 13, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 3, segment_rows: 42, segment_blocks: 3, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
 -- reopened
@@ -853,7 +853,7 @@ topology 3x2 overrides {}
 shard 0: 14 rows 0x892ffd6826435c39
 shard 1: 15 rows 0x626b8bda4efc12e8
 shard 2: 13 rows 0xa16c7f7a81adb006
-scan: 21 rows, 42 scanned
+scan: 21 rows, 29 scanned
 disk 0xf7aad1937a700897
 "#;
 
@@ -919,7 +919,7 @@ shard 1: 14 rows 0xd413d4824914f16c
 shard 2: 18 rows 0x5222c29643909fd6
 shard 3: 0 rows 0xcbf29ce484222325
 shard 4: 0 rows 0xcbf29ce484222325
-scan: 20 rows, 47 scanned
+scan: 20 rows, 29 scanned
 disk 0x7573a2c0d341a676
 resumed ReshardStatus { epoch: 1, phase: Done, units_total: 5, units_copied: 5, rows_copied: 23 }
 -- resumed to done
@@ -939,7 +939,7 @@ shard 1: 8 rows 0x5b20646836b59c0b
 shard 2: 10 rows 0xaefb058de410c068
 shard 3: 8 rows 0x7a98b3f8da1accbb
 shard 4: 7 rows 0xd660f1f0968c0336
-scan: 20 rows, 40 scanned
+scan: 20 rows, 25 scanned
 disk 0x36444233bdcc5ead
 "#;
 

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cfstore::{CrashSpec, ShardOptions, StoreOptions, Topology};
+use cfstore::{CrashSpec, Scan, ShardOptions, StoreError, StoreOptions, Topology};
 use datagen::corpus;
 use mrjobs::jobs;
 use mrsim::{ClusterSpec, JobConfig};
@@ -734,21 +734,45 @@ fn heal_counters(reg: &obs::Registry) -> String {
     heals.map(|(name, n)| format!("{name}={n}\n")).collect()
 }
 
+/// The index `store` builds, checking that the build walked exactly the
+/// rows the shards of `cover` hold: a sharded read walks the fewest shards
+/// that serve every slot (DESIGN.md §49), and no other.
+fn build_walking(store: &ProfileStore, reg: &obs::Registry, cover: &[u32]) -> ColumnarIndex {
+    let scanned = || reg.snapshot().counters["cfstore.rows_scanned"];
+    let before = scanned();
+    let index = store.build_columnar_index().unwrap();
+    let walked = scanned() - before;
+    let sharded = store.sharded().unwrap();
+    let features = ["Dynamic/", "Static/", "CostFactor/"];
+    let held = |g: u32| {
+        let (rows, _) = sharded.shard_scan(g, "Jobs", &Scan::all()).unwrap();
+        let built = |row: &[u8]| features.iter().any(|f| row.starts_with(f.as_bytes()));
+        rows.iter().filter(|r| built(&r.row)).count() as u64
+    };
+    assert_eq!(walked, cover.iter().map(|&g| held(g)).sum(), "{cover:?}");
+    index
+}
+
 #[test]
 fn the_sharded_build_is_point_reads_in_every_topology() {
     let want = single_store_index(0..160);
-    for layout in [(3, 2), (4, 3)] {
+    let reg = obs::Registry::new();
+    for (layout, cover) in [
+        ((3, 2), &[0, 1][..]),
+        ((4, 3), &[0, 1]),
+        ((5, 2), &[0, 2, 3]),
+    ] {
         let dir = fresh_dir("topology");
-        let store = open_sharded(&dir, layout, None, &obs::Registry::disabled());
+        let store = open_sharded(&dir, layout, None, &reg);
         fill(&store, 0..160);
         let when = format!("{layout:?}");
         assert_built_from_point_reads(&store, &when);
-        assert!(store.build_columnar_index().unwrap() == want, "{when}");
+        assert!(build_walking(&store, &reg, cover) == want, "{when}");
         store.flush().unwrap();
         drop(store);
-        let store = open_sharded(&dir, layout, None, &obs::Registry::disabled());
+        let store = open_sharded(&dir, layout, None, &reg);
         assert_built_from_point_reads(&store, &format!("{when}, reopened"));
-        assert!(store.build_columnar_index().unwrap() == want, "{when}");
+        assert!(build_walking(&store, &reg, cover) == want, "{when}");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -757,28 +781,30 @@ fn the_sharded_build_is_point_reads_in_every_topology() {
     // to 2 × R2, building after each and after a reopen.
     let dir = fresh_dir("reshard");
     flushed_sharded(&dir, (3, 2), 0..160);
-    let store = open_sharded(&dir, (3, 2), None, &obs::Registry::disabled());
-    for (shards, replication) in [(4, 3), (2, 2)] {
+    let store = open_sharded(&dir, (3, 2), None, &reg);
+    for ((shards, replication), cover) in [((4, 3), &[0, 1][..]), ((2, 2), &[0])] {
         store
             .reshard(Topology::uniform(shards, replication))
             .unwrap();
         assert_eq!(store.sharded().unwrap().shard_count(), shards);
         let when = format!("resharded to {shards} × R{replication}");
         assert_built_from_point_reads(&store, &when);
-        assert!(store.build_columnar_index().unwrap() == want, "{when}");
+        assert!(build_walking(&store, &reg, cover) == want, "{when}");
     }
     store.flush().unwrap();
     drop(store);
-    let store = open_sharded(&dir, (2, 2), None, &obs::Registry::disabled());
+    let store = open_sharded(&dir, (2, 2), None, &reg);
     assert_built_from_point_reads(&store, "resharded, reopened");
-    assert!(store.build_columnar_index().unwrap() == want);
+    assert!(build_walking(&store, &reg, &[0]) == want);
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `filter_dynamic` on a sharded store returns the jobs whose rows pass in
 /// key order, as a single store of the same jobs does, though each shard
-/// serves its own slots' rows; its metrics sum every shard's scan. Pinned
+/// serves its own slots' rows; its metrics sum the scans of the shards it
+/// reads, shards 0 and 1 (DESIGN.md §49), so `rows_returned` counts the
+/// passing rows of slot 0 twice and those of slots 1 and 2 once. Pinned
 /// live and reopened, with `job_ids`' order beside it.
 #[test]
 fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
@@ -809,8 +835,8 @@ fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
     }
     assert!(want.is_sorted());
     assert_eq!(want.len(), 104);
-    let summed = "ScanMetrics { regions_visited: 3, rows_scanned: 320, cells_scanned: 2348, \
-                  rows_returned: 208, bytes_returned: 12160 }";
+    let summed = "ScanMetrics { regions_visited: 2, rows_scanned: 210, cells_scanned: 1546, \
+                  rows_returned: 143, bytes_returned: 8416 }";
     assert_eq!(metrics, [summed, summed]);
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -848,7 +874,11 @@ fn a_rotted_primary_heals_under_the_sharded_build() {
 
 /// A shard whose heal cannot complete — it crashed, so the repair cannot
 /// flush — stays corrupt, and each slot it serves is read from the slot's
-/// next replica: a later shard for some victims, an earlier one for others.
+/// next replica: a later shard for victim 0, an earlier one for victim 1.
+/// The build reads shards 0 and 1 only (DESIGN.md §49), so it meets the rot
+/// of those two victims and never walks shard 2, whose rot only the scrub
+/// meets: with no rot, a scrub of the crashed store repairs nothing; with
+/// it, the scrub's repair of the rotted shard cannot flush.
 #[test]
 fn a_shard_that_cannot_heal_leaves_its_slots_to_the_next_replica() {
     let want = single_store_index(0..160);
@@ -862,6 +892,7 @@ fn a_shard_that_cannot_heal_leaves_its_slots_to_the_next_replica() {
         let (statics, p) = perturbed(&(1, 1.0, 1.0, 1.0, false), "job-0000a".to_string());
         assert!(store.put_profile(statics, &p).is_err(), "the put crashes");
         assert!(sharded.is_crashed());
+        assert_eq!(sharded.scrub(), Ok(0));
         let row = (0..160)
             .map(|i| format!("Dynamic/job-{i:04}"))
             .find(|row| sharded.primary_shard(row.as_bytes()) == victim)
@@ -870,9 +901,10 @@ fn a_shard_that_cannot_heal_leaves_its_slots_to_the_next_replica() {
         let when = format!("shard {victim} unhealed");
         assert!(store.build_columnar_index().unwrap() == want, "{when}");
         let reads = format!("cfstore.shard.{victim}.heal.reads=");
-        assert!(heal_counters(&reg).contains(&reads), "{when}");
+        assert_eq!(heal_counters(&reg).contains(&reads), victim != 2, "{when}");
         assert!(!heal_counters(&reg).contains("repairs"), "{when}");
         assert_built_from_point_reads(&store, &when);
+        assert_eq!(sharded.scrub(), Err(StoreError::Crashed), "{when}");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
