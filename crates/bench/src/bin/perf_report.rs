@@ -559,16 +559,17 @@ fn bench_store_scan(entries: &mut Vec<Entry>) {
 /// read path (replicated gets, R-way scan amplification) and what a
 /// whole-shard rebuild costs, measured one-shot on a lost-and-rebuilt
 /// shard. Returns `(rows_scanned, rows_returned, healed_rows,
-/// rebuild_ns)` — the scan pair is the R× read-amplification proof, the
-/// heal pair sizes the repair path via the `cfstore.shard.<id>.heal.*`
-/// counters' own bookkeeping.
+/// rebuild_ns)` — the scan pair is the read amplification of the shards a
+/// walk reads, the heal pair sizes the repair path via the
+/// `cfstore.shard.<id>.heal.*` counters' own bookkeeping.
 fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
-    use cfstore::{ShardedMeta, ShardedStore};
+    use cfstore::{ShardOptions, ShardedStore};
 
     let dir = std::env::temp_dir().join(format!("pstorm-perf-shards-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     const ROWS: usize = 512;
-    let (store, _) = ShardedStore::open(&dir).unwrap();
+    let (store, _) =
+        ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
     store.create_table_with_threshold("t", &["f"], 64).unwrap();
     for i in 0..ROWS {
         store
@@ -579,7 +580,6 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
             .unwrap();
     }
     store.flush().unwrap();
-    let ShardedMeta { replication, .. } = store.meta();
 
     // Replicated point reads: served by the primary, failover armed.
     let mut k = 0usize;
@@ -594,11 +594,14 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
     );
     entries.push(Entry::new("shard_get", "replicated", ROWS, &samples, 1.0));
 
-    // Merged scans: every replica of every row is visited (the read
-    // amplification of redundancy — R rows scanned per merged row).
+    // Merged scans read the fewest shards that serve every slot
+    // (DESIGN.md §49), shards 0 and 1 of 3 × R2: a scan walks every row
+    // those two hold (slot 0's rows twice, the read amplification of
+    // redundancy).
     let (rows, metrics) = store.scan("t", &Scan::all()).unwrap();
     assert_eq!(rows.len(), ROWS);
-    assert_eq!(metrics.rows_scanned, replication as u64 * ROWS as u64);
+    let held = |g| store.shard_scan(g, "t", &Scan::all()).unwrap().0.len() as u64;
+    assert_eq!(metrics.rows_scanned, held(0) + held(1));
     let scanned = || drop(std::hint::black_box(store.scan("t", &Scan::all()).unwrap()));
     let samples = sample_ns(scanned, 20, 20_000);
     entries.push(Entry::new(
@@ -614,7 +617,8 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
     drop(store);
     std::fs::remove_dir_all(&victim_dir).unwrap();
     let t = Instant::now();
-    let (store, report) = ShardedStore::open(&dir).unwrap();
+    let (store, report) =
+        ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
     let rebuild_ns = t.elapsed().as_nanos();
     assert_eq!(report.lost_shards, vec![1]);
     let healed = report.healed_rows;

@@ -30,8 +30,7 @@ fn sharded_exercise(reg: &obs::Registry) {
     let dir = std::env::temp_dir().join(format!("pstorm-trace-shards-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let victim_dir = {
-        let (store, _) =
-            ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+        let (store, _) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
         store.create_table_with_threshold("t", &["f"], 8).unwrap();
         for i in 0..24u32 {
             store
@@ -44,11 +43,11 @@ fn sharded_exercise(reg: &obs::Registry) {
         assert!(store.corrupt_cell("t", b"row-0007", "f", b"c").unwrap());
         store.get("t", b"row-0007").unwrap().expect("healed read");
         store.flush().unwrap();
-        store.shard_dir((store.primary_shard(b"row-0007") + 1) % store.shard_count())
+        store
+            .shard_dir((store.topology().replicas_of_row(b"row-0007")[0] + 1) % store.shard_count())
     };
     std::fs::remove_dir_all(&victim_dir).unwrap();
-    let (store, report) =
-        ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+    let (store, report) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
     assert_eq!(report.lost_shards.len(), 1, "the lost shard must rebuild");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

@@ -202,7 +202,7 @@ fn run_sharded(dir: &Path, catalog: &Catalog, repair: bool) -> u8 {
     }
 
     if repair {
-        match ShardedStore::open(dir) {
+        match ShardedStore::open(dir, ShardOptions::default(), obs::Registry::disabled()) {
             Ok((store, rep)) => {
                 println!("--- repair (shard-aware recovery) ---");
                 print!("{}", rep.render_text());
@@ -227,8 +227,7 @@ fn run_sharded(dir: &Path, catalog: &Catalog, repair: bool) -> u8 {
                         return 1;
                     }
                 }
-                let meta = store.meta();
-                for (shard, entry) in &meta.regions {
+                for (shard, entry) in &store.meta_entries() {
                     println!("shard {shard}: {entry:?}");
                 }
             }

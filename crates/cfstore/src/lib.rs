@@ -57,6 +57,6 @@ pub use recovery::{Manifest, RecoveryError, RecoveryReport};
 pub use region::{KeyRange, Latest, Region, RowData, RowView, ScanMetrics};
 pub use segment::{SegmentError, SegmentReader};
 pub use shard::resharding::{ReshardPhase, ReshardStatus, Topology};
-pub use shard::{ShardOptions, ShardedMeta, ShardedRecoveryReport, ShardedStore};
+pub use shard::{ShardOptions, ShardedRecoveryReport, ShardedStore};
 pub use store::{MetaEntry, MiniStore, Scan, StoreError, StoreOptions};
 pub use wal::CrashSpec;

@@ -6,9 +6,10 @@
 //! A [`ShardedStore`] is a directory holding a `SHARDS` catalog plus N
 //! subdirectories `shard-000` … `shard-NNN`, each a complete durable
 //! [`MiniStore`] (its own WAL, segment files, MANIFEST, and block
-//! cache). Rows are placed deterministically: row `k` hashes to *slot*
-//! `fnv1a64(k) % N`, and slot `s` is stored on the replica set
-//! `{s, s+1, …, s+R-1} (mod N)` — the first replica is the *primary*.
+//! cache). Rows are placed deterministically by the active
+//! [`resharding::Topology`]: row `k` hashes to *slot* `fnv1a64(k) % N`,
+//! and slot `s` is stored on the replica set `{s, s+1, …, s+R-1} (mod N)`
+//! unless an override pins it — the first replica is the *primary*.
 //!
 //! ## Write protocol
 //!
@@ -58,7 +59,7 @@
 //! The shard count, replication factor, and per-slot placement live in
 //! an epoch-stamped [`resharding::Topology`]. Handing
 //! [`ShardedStore::reshard`] another one changes it **online** —
-//! grow/shrink N, change R, or rebalance hot slots — via the journaled
+//! grow/shrink N, change R, or pin a hot slot — via the journaled
 //! state machine in [`resharding`] (DESIGN.md §15): reads stay on the
 //! old placement until the journaled `Cutover` record, writes are
 //! dual-applied to both placements under the same gsn, and a crash at
@@ -99,27 +100,6 @@ pub(crate) const SHARDS_MAGIC: u32 = 0x5348_4431;
 /// region splits to overflow).
 pub(crate) const LSN_STRIDE: u64 = 1024;
 
-/// FNV-1a, the placement hash: stable, dependency-free, and uniform
-/// enough that the property tests exercise every shard.
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The slot (home shard index) a row key hashes to.
-pub fn slot_of(row: &[u8], shards: u32) -> u32 {
-    (fnv1a64(row) % shards as u64) as u32
-}
-
-/// The replica set of a slot: `slot, slot+1, …` mod N, primary first.
-pub fn replica_set(slot: u32, shards: u32, replication: u32) -> Vec<u32> {
-    (0..replication).map(|j| (slot + j) % shards).collect()
-}
-
 /// How to open a sharded store.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
@@ -156,17 +136,6 @@ impl Default for ShardOptions {
             crash_topology: None,
         }
     }
-}
-
-/// The sharded META catalog: placement plus every shard's region map.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedMeta {
-    pub shards: u32,
-    pub replication: u32,
-    /// `placement[slot]` = replica set, primary first.
-    pub placement: Vec<Vec<u32>>,
-    /// `(shard, entry)` for every region of every shard, shard order.
-    pub regions: Vec<(u32, MetaEntry)>,
 }
 
 /// What one sharded reopen did, per shard and in aggregate.
@@ -789,19 +758,6 @@ fn rebuild_lost(
 }
 
 impl ShardedStore {
-    /// Open (or create) a sharded store with default options.
-    pub fn open(dir: &Path) -> Result<(Self, ShardedRecoveryReport), RecoveryError> {
-        Self::open_with_opts(dir, ShardOptions::default())
-    }
-
-    /// [`ShardedStore::open`] with explicit options.
-    pub fn open_with_opts(
-        dir: &Path,
-        opts: ShardOptions,
-    ) -> Result<(Self, ShardedRecoveryReport), RecoveryError> {
-        Self::open_traced(dir, opts, obs::Registry::disabled())
-    }
-
     /// Decide, read-only, what opening `dir` will do: resolve the
     /// `TOPOLOGY` journal against the `SHARDS` catalog, probe every shard
     /// directory the resulting topology names, classify the lost ones
@@ -872,16 +828,17 @@ impl ShardedStore {
         })
     }
 
-    /// Open with an observability registry attached from the first
-    /// byte, so rebuild/heal counters from recovery itself are counted.
-    /// All shards share the one registry (counters namespaced by
+    /// Open (or create) a sharded store, with `reg` attached from the
+    /// first byte so rebuild/heal counters from recovery itself are
+    /// counted (`obs::Registry::disabled()` counts nothing). All shards
+    /// share the one registry (counters namespaced by
     /// `cfstore.shard.<id>.*` where a per-shard split matters).
     ///
     /// Open is [`ShardedStore::recovery_plan`] followed by its
     /// execution: truncate what the plan cut, open the survivors, rebuild
     /// the lost shards from their peers, reattach an in-flight migration,
     /// assemble the handle.
-    pub fn open_traced(
+    pub fn open(
         dir: &Path,
         opts: ShardOptions,
         reg: obs::Registry,
@@ -1177,28 +1134,14 @@ impl ShardedStore {
         self.repair_suspects(&mut st)
     }
 
-    /// The sharded META catalog: placement plus every region entry.
-    /// Placement reflects the *active* topology — mid-migration the
-    /// old epoch stays authoritative until cutover.
-    pub fn meta(&self) -> ShardedMeta {
+    /// The META catalog of every open shard, `(shard, entry)` in shard
+    /// order: [`MiniStore::meta_entries`] with the shard each entry is on.
+    /// Where a row lives is [`Self::topology`]'s to say.
+    pub fn meta_entries(&self) -> Vec<(u32, MetaEntry)> {
         let st = self.state.read();
-        let n = st.active.shards;
-        ShardedMeta {
-            shards: n,
-            replication: st.active.replication,
-            placement: (0..n).map(|s| st.active.replicas(s)).collect(),
-            regions: st
-                .shards
-                .iter()
-                .enumerate()
-                .flat_map(|(g, s)| {
-                    s.meta_entries()
-                        .into_iter()
-                        .map(move |e| (g as u32, e))
-                        .collect::<Vec<_>>()
-                })
-                .collect(),
-        }
+        let each =
+            |(g, s): (usize, &MiniStore)| s.meta_entries().into_iter().map(move |e| (g as u32, e));
+        st.shards.iter().enumerate().flat_map(each).collect()
     }
 
     /// Whether a crash point fired (on any shard or mid-protocol).
@@ -1222,11 +1165,6 @@ impl ShardedStore {
         self.state.read().active.shards
     }
 
-    /// Replication factor R of the active topology.
-    pub fn replication(&self) -> u32 {
-        self.state.read().active.replication
-    }
-
     /// The directory of one shard (tests reach in to kill/corrupt it).
     pub fn shard_dir(&self, shard: u32) -> PathBuf {
         self.dir.join(shard_dir_name(shard))
@@ -1238,16 +1176,6 @@ impl ShardedStore {
     pub fn shard_wal_bytes_written(&self, shard: u32) -> u64 {
         let st = self.state.read();
         st.shards[shard as usize].wal_bytes_written()
-    }
-
-    /// The primary shard a row lives on (active topology).
-    pub fn primary_shard(&self, row: &[u8]) -> u32 {
-        self.state.read().active.replicas_of_row(row)[0]
-    }
-
-    /// The full replica set of a row (active topology).
-    pub fn replica_shards(&self, row: &[u8]) -> Vec<u32> {
-        self.state.read().active.replicas_of_row(row)
     }
 
     /// Scan one shard directly, bypassing placement resolution — the
@@ -1329,7 +1257,7 @@ impl ShardedStore {
             };
             let mut reads = Vec::new();
             for g in (0..n).filter(|g| server.contains(g)) {
-                let serves = |row: &[u8]| server[slot_of(row, n) as usize] == g;
+                let serves = |row: &[u8]| server[st.active.slot_of_row(row) as usize] == g;
                 match read(&st.shards[g as usize], &serves) {
                     Ok(r) => reads.push(r),
                     Err(e) => {
@@ -1432,11 +1360,12 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic_and_replicated() {
+        let topo = Topology::uniform(5, 3);
         for row in [b"alpha".as_slice(), b"beta", b"", b"row0001"] {
-            let s = slot_of(row, 5);
-            assert_eq!(s, slot_of(row, 5));
+            let s = topo.slot_of_row(row);
+            assert_eq!(s, topo.slot_of_row(row));
             assert!(s < 5);
-            let reps = replica_set(s, 5, 3);
+            let reps = topo.replicas(s);
             assert_eq!(reps.len(), 3);
             assert_eq!(reps[0], s, "primary is the slot's home shard");
             let unique: BTreeSet<u32> = reps.iter().copied().collect();
@@ -1490,13 +1419,14 @@ mod tests {
     fn shards_catalog_roundtrip_and_opts_override() {
         let dir = tmp_dir("catalog");
         {
-            let (store, rep) = ShardedStore::open_with_opts(
+            let (store, rep) = ShardedStore::open(
                 &dir,
                 ShardOptions {
                     shards: 4,
                     replication: 2,
                     ..ShardOptions::default()
                 },
+                obs::Registry::disabled(),
             )
             .unwrap();
             assert_eq!(store.shard_count(), 4);
@@ -1507,17 +1437,18 @@ mod tests {
             .expect("catalog written");
         assert_eq!(catalog.topology, Topology::uniform(4, 2));
         // Reopen with conflicting options: the file wins.
-        let (store, _) = ShardedStore::open_with_opts(
+        let (store, _) = ShardedStore::open(
             &dir,
             ShardOptions {
                 shards: 7,
                 replication: 3,
                 ..ShardOptions::default()
             },
+            obs::Registry::disabled(),
         )
         .unwrap();
         assert_eq!(store.shard_count(), 4);
-        assert_eq!(store.replication(), 2);
+        assert_eq!(store.topology().replication, 2);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1525,7 +1456,8 @@ mod tests {
     #[test]
     fn replicas_hold_identical_copies_and_scan_matches_oracle() {
         let dir = tmp_dir("oracle");
-        let (store, _) = ShardedStore::open(&dir).unwrap();
+        let (store, _) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
         let oracle = MiniStore::new();
         oracle.create_table("t", &["f"]).unwrap();
         seed_rows(&store, 60);
@@ -1544,7 +1476,7 @@ mod tests {
         // Each row is present, identical, on every one of its replicas.
         for i in 0..60 {
             let row = format!("row{i:04}");
-            let reps = store.replica_shards(row.as_bytes());
+            let reps = store.topology().replicas_of_row(row.as_bytes());
             assert_eq!(reps.len(), 2);
             let mut copies = Vec::new();
             for g in reps {
@@ -1564,10 +1496,13 @@ mod tests {
     fn reopen_preserves_data_and_gsn_clock() {
         let dir = tmp_dir("reopen");
         {
-            let (store, _) = ShardedStore::open(&dir).unwrap();
+            let (store, _) =
+                ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled())
+                    .unwrap();
             seed_rows(&store, 30);
         }
-        let (store, rep) = ShardedStore::open(&dir).unwrap();
+        let (store, rep) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
         assert!(rep.lost_shards.is_empty());
         assert_eq!(rep.aborted_batches, 0);
         assert_eq!(rep.shards.len(), 3);
@@ -1585,11 +1520,10 @@ mod tests {
     fn get_heals_corrupt_primary_from_replica() {
         let dir = tmp_dir("heal-get");
         let reg = obs::Registry::new();
-        let (store, _) =
-            ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+        let (store, _) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
         seed_rows(&store, 20);
         let victim = b"row0007";
-        let primary = store.primary_shard(victim);
+        let primary = store.topology().replicas_of_row(victim)[0];
         assert!(store.corrupt_cell("t", victim, "f", b"c").unwrap());
         let got = store.get("t", victim).unwrap().expect("row still readable");
         assert_eq!(got.value("f", b"c").unwrap(), &Bytes::from("v7"));
@@ -1623,20 +1557,19 @@ mod tests {
     fn get_reads_a_suspect_replica_when_it_is_the_last_one() {
         let dir = tmp_dir("suspect-last");
         let reg = obs::Registry::new();
-        let (store, _) =
-            ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+        let (store, _) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
         seed_rows(&store, 20);
         let x = b"row0007";
-        let p = store.primary_shard(x);
+        let p = store.topology().replicas_of_row(x)[0];
         assert!(store.corrupt_cell("t", x, "f", b"c").unwrap());
         assert!(store.get("t", x).unwrap().is_some());
         // A row whose primary is another shard and whose other replica is
         // the suspect `p`; rot it on its primary.
         let y = (0..20)
             .map(|i| format!("row{i:04}"))
-            .find(|r| store.replica_shards(r.as_bytes())[1] == p)
+            .find(|r| store.topology().replicas_of_row(r.as_bytes())[1] == p)
             .unwrap();
-        let q = store.primary_shard(y.as_bytes());
+        let q = store.topology().replicas_of_row(y.as_bytes())[0];
         assert!(store.corrupt_cell("t", y.as_bytes(), "f", b"c").unwrap());
         let got = store.get("t", y.as_bytes()).unwrap().expect("served by p");
         let i: usize = y["row".len()..].parse().unwrap();
@@ -1655,18 +1588,21 @@ mod tests {
     fn whole_shard_loss_rebuilds_from_peers() {
         let dir = tmp_dir("lost");
         {
-            let (store, _) = ShardedStore::open(&dir).unwrap();
+            let (store, _) =
+                ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled())
+                    .unwrap();
             seed_rows(&store, 50);
             store.flush().unwrap();
         }
         let victim_dir = {
-            let (store, _) = ShardedStore::open(&dir).unwrap();
+            let (store, _) =
+                ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled())
+                    .unwrap();
             store.shard_dir(1)
         };
         std::fs::remove_dir_all(&victim_dir).unwrap();
         let reg = obs::Registry::new();
-        let (store, rep) =
-            ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+        let (store, rep) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
         assert_eq!(rep.lost_shards, vec![1]);
         assert!(rep.healed_rows > 0, "the rebuilt shard received rows");
         let (rows, _) = store.scan("t", &Scan::all()).unwrap();
@@ -1676,7 +1612,7 @@ mod tests {
         // The rebuilt shard serves its replicas again, identically.
         let (replica_rows, _) = store.shard_scan(1, "t", &Scan::all()).unwrap();
         for row in &replica_rows {
-            assert!(store.replica_shards(&row.row).contains(&1));
+            assert!(store.topology().replicas_of_row(&row.row).contains(&1));
         }
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1685,7 +1621,8 @@ mod tests {
     #[test]
     fn filters_push_down_through_shards() {
         let dir = tmp_dir("filter");
-        let (store, _) = ShardedStore::open(&dir).unwrap();
+        let (store, _) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
         seed_rows(&store, 40);
         let scan = Scan::all().with_filter(Box::new(RowPrefixFilter {
             prefix: Bytes::from_static(b"row001"),
@@ -1700,7 +1637,8 @@ mod tests {
     #[test]
     fn delete_row_removes_from_all_replicas() {
         let dir = tmp_dir("delete");
-        let (store, _) = ShardedStore::open(&dir).unwrap();
+        let (store, _) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
         seed_rows(&store, 10);
         assert!(store.delete_row("t", b"row0003").unwrap());
         assert!(!store.delete_row("t", b"row0003").unwrap());

@@ -1,8 +1,8 @@
 //! Online, crash-proven topology changes for [`ShardedStore`]
 //! (DESIGN.md §15).
 //!
-//! A target [`Topology`] — grow/shrink N, change R, or rebalance hot
-//! slots — is reached as an epoch-stamped state machine journaled in the
+//! A target [`Topology`] — grow/shrink N, change R, or pin a hot slot
+//! to chosen shards — is reached as an epoch-stamped state machine journaled in the
 //! `TOPOLOGY` file next to the `SHARDS` catalog:
 //!
 //! ```text
@@ -38,8 +38,7 @@ use std::path::Path;
 use bytes::{BufMut, Bytes};
 
 use super::{
-    mirror_schemas, remove_if_present, shard_dir_id, shard_dir_name, GlobalState, ShardedMeta,
-    ShardedStore,
+    mirror_schemas, remove_if_present, shard_dir_id, shard_dir_name, GlobalState, ShardedStore,
 };
 use crate::encoding::CodecError;
 use crate::frame::{self, CrashWriter, Cursor, LogScan, Truncation, WriteError};
@@ -59,7 +58,8 @@ const TOPOLOGY_MAGIC: u32 = 0x544f_5031;
 /// A placement topology: shard count, replication factor, and optional
 /// per-slot replica-set overrides (the rebalance mechanism — a hot slot
 /// can be pinned to an explicit replica set instead of the default
-/// `{s, s+1, …}` window).
+/// `{s, s+1, …}` window). The one answer to where a row lives: its slot
+/// and replicas, primary first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     pub shards: u32,
@@ -84,16 +84,20 @@ impl Topology {
         self
     }
 
-    /// The slot a row key hashes to under this topology.
+    /// The slot a row key hashes to under this topology: its home shard
+    /// index, `fnv1a64(row) % shards`.
     pub fn slot_of_row(&self, row: &[u8]) -> u32 {
-        super::slot_of(row, self.shards)
+        (fnv1a64(row) % self.shards as u64) as u32
     }
 
-    /// The replica set of a slot, primary first.
+    /// The replica set of a slot, primary first: its override, or else
+    /// `slot, slot+1, …` mod N.
     pub fn replicas(&self, slot: u32) -> Vec<u32> {
         match self.overrides.get(&slot) {
             Some(set) => set.clone(),
-            None => super::replica_set(slot, self.shards, self.replication),
+            None => (0..self.replication)
+                .map(|j| (slot + j) % self.shards)
+                .collect(),
         }
     }
 
@@ -147,6 +151,17 @@ impl Topology {
             overrides: read_overrides(c)?,
         })
     }
+}
+
+/// FNV-1a, the placement hash: stable, dependency-free, and uniform
+/// enough that the property tests exercise every shard.
+fn fnv1a64(data: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in data {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// `count · (slot · replica count · replicas)*`, shared by the journal's
@@ -496,49 +511,6 @@ pub(crate) fn open_journal(
 // ---------------------------------------------------------------------
 // Plans and status
 // ---------------------------------------------------------------------
-
-/// Derive a rebalance plan from the per-region read-amplification
-/// counters (`cfstore.region.<id>.rows_scanned`): slots whose primary is
-/// the most-scanned shard are re-pinned onto a replica window starting
-/// at the least-scanned shard. Returns `None` when the counters show no
-/// imbalance (or are absent).
-pub fn rebalance_hot_slots(
-    meta: &ShardedMeta,
-    counters: &BTreeMap<String, u64>,
-    max_moves: usize,
-) -> Option<Topology> {
-    let mut load = vec![0u64; meta.shards as usize];
-    for (shard, entry) in &meta.regions {
-        let key = format!("cfstore.region.{}.rows_scanned", entry.region_id);
-        load[*shard as usize] += counters.get(&key).copied().unwrap_or(0);
-    }
-    let hottest = (0..meta.shards).max_by_key(|g| load[*g as usize])?;
-    let coldest = (0..meta.shards).min_by_key(|g| load[*g as usize])?;
-    if load[hottest as usize] == load[coldest as usize] {
-        return None;
-    }
-    let mut plan = Topology::uniform(meta.shards, meta.replication);
-    let mut moves = 0usize;
-    for (slot, set) in meta.placement.iter().enumerate() {
-        if moves >= max_moves {
-            break;
-        }
-        if set.first() == Some(&hottest) {
-            let new_set: Vec<u32> = (0..meta.replication)
-                .map(|j| (coldest + j) % meta.shards)
-                .collect();
-            if new_set != *set {
-                plan = plan.with_override(slot as u32, new_set);
-                moves += 1;
-            }
-        }
-    }
-    if moves == 0 {
-        None
-    } else {
-        Some(plan)
-    }
-}
 
 /// Where a migration stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1116,7 +1088,7 @@ mod tests {
     /// A sharded store plus a never-resharded single-store oracle fed
     /// the identical workload.
     fn seeded(dir: &Path, n: u32, r: u32, rows: usize) -> (ShardedStore, MiniStore) {
-        let (store, _) = ShardedStore::open_with_opts(dir, opts(n, r)).unwrap();
+        let (store, _) = ShardedStore::open(dir, opts(n, r), obs::Registry::disabled()).unwrap();
         let oracle = MiniStore::new();
         store.create_table("t", &["f"]).unwrap();
         oracle.create_table("t", &["f"]).unwrap();
@@ -1315,7 +1287,8 @@ mod tests {
         assert_matches_oracle(&store, &oracle);
         drop(store);
         // Reopen: the new topology is durable; no migration in flight.
-        let (store, rep) = ShardedStore::open(&dir).unwrap();
+        let (store, rep) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
         assert!(rep.reshard_in_flight.is_none());
         assert!(rep.lost_shards.is_empty());
         assert_eq!(store.shard_count(), 4);
@@ -1337,7 +1310,8 @@ mod tests {
         );
         assert_matches_oracle(&store, &oracle);
         drop(store);
-        let (store, rep) = ShardedStore::open(&dir).unwrap();
+        let (store, rep) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
         assert!(rep.lost_shards.is_empty());
         assert_matches_oracle(&store, &oracle);
         drop(store);
@@ -1349,12 +1323,12 @@ mod tests {
         let dir = tmp_dir("rchange");
         let (store, oracle) = seeded(&dir, 3, 1, 40);
         store.reshard(Topology::uniform(3, 2)).unwrap();
-        assert_eq!(store.replication(), 2);
+        assert_eq!(store.topology().replication, 2);
         assert_matches_oracle(&store, &oracle);
         // Every row now has two bit-identical copies.
         for i in 0..40 {
             let row = format!("row{i:04}");
-            let reps = store.replica_shards(row.as_bytes());
+            let reps = store.topology().replicas_of_row(row.as_bytes());
             assert_eq!(reps.len(), 2);
             let a = store.shard_scan(reps[0], "t", &Scan::all()).unwrap().0;
             let b = store.shard_scan(reps[1], "t", &Scan::all()).unwrap().0;
@@ -1420,12 +1394,13 @@ mod tests {
         drop(store);
         // Reopen with a TOPOLOGY crash budget that survives Begin but
         // tears the first Copied append.
-        let (store, _) = ShardedStore::open_with_opts(
+        let (store, _) = ShardedStore::open(
             &dir,
             ShardOptions {
                 crash_topology: Some(60),
                 ..opts(3, 2)
             },
+            obs::Registry::disabled(),
         )
         .unwrap();
         store.begin_reshard(Topology::uniform(4, 2)).unwrap();
@@ -1439,7 +1414,8 @@ mod tests {
         assert!(store.is_crashed());
         drop(store);
         // Reopen clean: the migration is in flight and resumes to done.
-        let (store, rep) = ShardedStore::open(&dir).unwrap();
+        let (store, rep) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
         assert_eq!(rep.reshard_in_flight, Some(1));
         assert!(rep.lost_shards.is_empty());
         assert_eq!(store.shard_count(), 3, "pre-cutover: old epoch");
@@ -1449,39 +1425,5 @@ mod tests {
         assert_matches_oracle(&store, &oracle);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn rebalance_plan_pins_hot_primaries_on_the_cold_shard() {
-        let meta = ShardedMeta {
-            shards: 3,
-            replication: 2,
-            placement: (0..3).map(|s| super::super::replica_set(s, 3, 2)).collect(),
-            regions: (0..3)
-                .map(|g| {
-                    (
-                        g,
-                        crate::store::MetaEntry {
-                            table: "t".to_string(),
-                            start_key: Bytes::new(),
-                            region_id: g as u64,
-                            region_server: g,
-                        },
-                    )
-                })
-                .collect(),
-        };
-        let mut counters = BTreeMap::new();
-        counters.insert("cfstore.region.0.rows_scanned".to_string(), 1000u64);
-        counters.insert("cfstore.region.2.rows_scanned".to_string(), 5u64);
-        let plan = rebalance_hot_slots(&meta, &counters, 4).expect("imbalance found");
-        assert_eq!(plan.shards, 3);
-        assert_eq!(plan.replication, 2);
-        // Slot 0's primary (the hot shard 0) is re-pinned onto the
-        // coldest shard (shard 1, which scanned nothing at all).
-        assert_eq!(plan.overrides.get(&0), Some(&vec![1, 2]));
-        assert!(plan.validate().is_ok());
-        // Balanced counters produce no plan.
-        assert!(rebalance_hot_slots(&meta, &BTreeMap::new(), 4).is_none());
     }
 }

@@ -390,7 +390,7 @@ impl ProfileStore {
         opts: ShardOptions,
         reg: obs::Registry,
     ) -> Result<(Self, ShardedRecoveryReport), ProfileStoreError> {
-        let (store, report) = ShardedStore::open_traced(dir, opts, reg.clone())?;
+        let (store, report) = ShardedStore::open(dir, opts, reg.clone())?;
         let mut ps = Self::finish_open(Backend::Sharded(store))?;
         if reg.is_enabled() {
             ps.obs = reg;

@@ -241,8 +241,7 @@ fn shard_heal_budgets_hold() {
     let rows = 48u32;
     let reg = obs::Registry::new();
     {
-        let (store, _) =
-            ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+        let (store, _) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
         store.create_table_with_threshold("t", &["f"], 8).unwrap();
         for i in 0..rows {
             store
@@ -267,12 +266,11 @@ fn shard_heal_budgets_hold() {
     // 2. One corrupt cell costs exactly one heal read + one repair, and
     //    the repaired rows stay within the victim shard's replica count.
     let reg = obs::Registry::new();
-    let (store, report) =
-        ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+    let (store, report) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
     assert!(report.lost_shards.is_empty());
     assert!(heal_counters(&reg).is_empty(), "clean reopen must not heal");
     let victim_row = b"row-0007";
-    let g = store.primary_shard(victim_row);
+    let g = store.topology().replicas_of_row(victim_row)[0];
     assert!(store.corrupt_cell("t", victim_row, "f", b"c").unwrap());
     store
         .get("t", victim_row)
@@ -302,8 +300,7 @@ fn shard_heal_budgets_hold() {
     //    are heal-free again.
     std::fs::remove_dir_all(&victim_dir).unwrap();
     let reg = obs::Registry::new();
-    let (store, report) =
-        ShardedStore::open_traced(&dir, ShardOptions::default(), reg.clone()).unwrap();
+    let (store, report) = ShardedStore::open(&dir, ShardOptions::default(), reg.clone()).unwrap();
     assert_eq!(report.lost_shards, vec![lost]);
     let c = heal_counters(&reg);
     assert_eq!(c[&format!("cfstore.shard.{lost}.heal.rebuilds")], 1);

@@ -206,7 +206,7 @@ fn shards_catalog_and_topology_journal_bytes_are_pinned() {
         replication: 1,
         ..ShardOptions::default()
     };
-    let (store, _) = ShardedStore::open_with_opts(&dir, opts).unwrap();
+    let (store, _) = ShardedStore::open(&dir, opts, obs::Registry::disabled()).unwrap();
     assert_golden(
         "SHARDS v1",
         &std::fs::read(dir.join(SHARDS_FILE)).unwrap(),
@@ -942,8 +942,12 @@ fn random_put_batches_log_pinned_bytes_single_and_sharded() {
         single
             .create_table_with_threshold("t", &["f", "g"], 4)
             .unwrap();
-        let (sharded, _) =
-            ShardedStore::open_with_opts(&dir.join("sharded"), ShardOptions::default()).unwrap();
+        let (sharded, _) = ShardedStore::open(
+            &dir.join("sharded"),
+            ShardOptions::default(),
+            obs::Registry::disabled(),
+        )
+        .unwrap();
         sharded
             .create_table_with_threshold("t", &["f", "g"], 4)
             .unwrap();

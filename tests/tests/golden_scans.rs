@@ -215,7 +215,7 @@ fn sharded(dir: &Path, crash_shard: Option<(u32, CrashSpec)>, reg: &obs::Registr
         ..ShardOptions::default()
     };
     if !dir.exists() {
-        let (store, _) = ShardedStore::open_with_opts(dir, opts()).unwrap();
+        let (store, _) = ShardedStore::open(dir, opts(), obs::Registry::disabled()).unwrap();
         store
             .create_table_with_threshold(TABLE, &["f", "g"], 16)
             .unwrap();
@@ -228,7 +228,7 @@ fn sharded(dir: &Path, crash_shard: Option<(u32, CrashSpec)>, reg: &obs::Registr
         crash_shard,
         ..opts()
     };
-    let (mut store, _) = ShardedStore::open_with_opts(dir, opts).unwrap();
+    let (mut store, _) = ShardedStore::open(dir, opts, obs::Registry::disabled()).unwrap();
     store.set_obs(reg.clone());
     store
 }
@@ -246,7 +246,7 @@ fn a_sharded_store_whose_rotted_primary_heals() {
         let reg = obs::Registry::new();
         let store = sharded(&dir, None, &reg);
         assert!(store.corrupt_cell(TABLE, b"k007", "f", b"b").unwrap());
-        let primary = store.primary_shard(b"k007");
+        let primary = store.topology().replicas_of_row(b"k007")[0];
         let mut scanned = transcript(store.scan(TABLE, &scan), &reg);
         let repairs = || {
             let counters = reg.snapshot().counters;
@@ -303,7 +303,7 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
             let store = sharded(&dir, crash, &reg);
             let row = (0..80)
                 .map(|i| format!("k{i:03}"))
-                .find(|row| store.primary_shard(row.as_bytes()) == victim)
+                .find(|row| store.topology().replicas_of_row(row.as_bytes())[0] == victim)
                 .unwrap();
             let put = Put::new(row.clone(), "f", "z", "crashes");
             assert!(store.put(TABLE, put).is_err(), "the put crashes");

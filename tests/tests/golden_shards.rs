@@ -111,7 +111,7 @@ fn opts(shards: u32, replication: u32) -> ShardOptions {
 }
 
 fn open(dir: &Path, o: ShardOptions, reg: &obs::Registry) -> (ShardedStore, ShardedRecoveryReport) {
-    ShardedStore::open_traced(dir, o, reg.clone()).expect("open sharded")
+    ShardedStore::open(dir, o, reg.clone()).expect("open sharded")
 }
 
 /// A fresh `shards × replication` store holding `workload(seed, len)`.

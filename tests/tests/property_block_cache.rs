@@ -346,7 +346,9 @@ fn scans_puts_and_scrubs_leave_the_cache_and_a_rebase_evicts() {
 
     let dir = tmp_dir("scrub");
     {
-        let (store, _) = ShardedStore::open(&dir).expect("open sharded");
+        let (store, _) =
+            ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled())
+                .expect("open sharded");
         store
             .create_table_with_threshold(TABLE, &[FAMILY], 8)
             .expect("create_table");
@@ -357,7 +359,8 @@ fn scans_puts_and_scrubs_leave_the_cache_and_a_rebase_evicts() {
         store.flush().expect("flush");
     }
     let (mut store, _) =
-        ShardedStore::open_with_opts(&dir, ShardOptions::default()).expect("reopen sharded");
+        ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled())
+            .expect("reopen sharded");
     let obs = obs::Registry::new();
     store.set_obs(obs.clone());
     store.get(TABLE, &row_key(3)).expect("get").expect("row");

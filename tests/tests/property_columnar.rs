@@ -853,7 +853,10 @@ fn a_rotted_primary_heals_under_the_sharded_build() {
     let reg = obs::Registry::new();
     let store = open_sharded(&dir, (3, 2), None, &reg);
     let sharded = store.sharded().unwrap();
-    assert_eq!(sharded.primary_shard(b"Dynamic/job-0007"), 0);
+    assert_eq!(
+        sharded.topology().replicas_of_row(b"Dynamic/job-0007")[0],
+        0
+    );
     assert!(store
         .corrupt_cell(b"Dynamic/job-0007", b"MAP_SIZE_SEL")
         .unwrap());
@@ -895,7 +898,7 @@ fn a_shard_that_cannot_heal_leaves_its_slots_to_the_next_replica() {
         assert_eq!(sharded.scrub(), Ok(0));
         let row = (0..160)
             .map(|i| format!("Dynamic/job-{i:04}"))
-            .find(|row| sharded.primary_shard(row.as_bytes()) == victim)
+            .find(|row| sharded.topology().replicas_of_row(row.as_bytes())[0] == victim)
             .unwrap();
         assert!(store.corrupt_cell(row.as_bytes(), b"HAS_REDUCE").unwrap());
         let when = format!("shard {victim} unhealed");
@@ -924,7 +927,7 @@ fn a_slot_with_no_readable_replica_fails_the_sharded_build() {
     let sharded = store.sharded().unwrap();
     let row = (0..40)
         .map(|i| format!("Dynamic/job-{i:04}"))
-        .find(|row| sharded.primary_shard(row.as_bytes()) == 1)
+        .find(|row| sharded.topology().replicas_of_row(row.as_bytes())[0] == 1)
         .unwrap();
     assert!(store.corrupt_cell(row.as_bytes(), b"HAS_REDUCE").unwrap());
     let err = store.build_columnar_index().unwrap_err().to_string();
@@ -951,7 +954,7 @@ fn bad_rows_on_different_shards_fail_the_sharded_build_in_key_order() {
     let store = open_sharded(&dir, (3, 2), None, &obs::Registry::disabled());
     fill(&store, 0..40);
     let sharded = store.sharded().unwrap();
-    let shard = |row: &str| sharded.primary_shard(row.as_bytes());
+    let shard = |row: &str| sharded.topology().replicas_of_row(row.as_bytes())[0];
     let fails = |expected: &str| {
         let err = store.build_columnar_index().unwrap_err().to_string();
         assert_eq!(err, expected);

@@ -94,7 +94,7 @@ fn opts(shards: u32, replication: u32) -> ShardOptions {
 }
 
 fn open_sharded(dir: &Path, o: ShardOptions) -> ShardedStore {
-    let (store, _) = ShardedStore::open_with_opts(dir, o).expect("open sharded");
+    let (store, _) = ShardedStore::open(dir, o, obs::Registry::disabled()).expect("open sharded");
     match store.create_table_with_threshold(TABLE, &[FAMILY], SPLIT_THRESHOLD) {
         Ok(()) | Err(StoreError::TableExists(_)) => {}
         Err(e) => panic!("create_table: {e}"),
@@ -260,7 +260,8 @@ fn check_crash_point(
     let fsck = pstorm_bench::fsck::run(&dir, false);
     let journal_before = std::fs::read(dir.join(TOPOLOGY_FILE)).ok();
     let (reopened, report) =
-        ShardedStore::open_with_opts(&dir, opts(init.0, init.1)).expect("reopen after crash");
+        ShardedStore::open(&dir, opts(init.0, init.1), obs::Registry::disabled())
+            .expect("reopen after crash");
     let unchanged = report.lost_shards.is_empty()
         && report.aborted_batches == 0
         && report.total.wal_bytes_dropped == 0
@@ -331,7 +332,7 @@ fn check_crash_point(
 
     // Replica bit-identity under the final placement.
     for row in &got {
-        for g in reopened.replica_shards(&row.row) {
+        for g in reopened.topology().replicas_of_row(&row.row) {
             let (copies, _) = reopened
                 .shard_scan(g, TABLE, &Scan::prefix(&row.row))
                 .expect("replica scan");
@@ -490,9 +491,8 @@ fn pause_at_every_step_boundary_is_fsck_clean_and_resumes() {
             );
 
             let reg = obs::Registry::new();
-            let (reopened, report) =
-                ShardedStore::open_traced(&dir, opts(init.0, init.1), reg.clone())
-                    .expect("reopen paused migration");
+            let (reopened, report) = ShardedStore::open(&dir, opts(init.0, init.1), reg.clone())
+                .expect("reopen paused migration");
             assert!(report.lost_shards.is_empty());
             if done_in_session {
                 assert!(
@@ -565,7 +565,8 @@ fn rebalance_overrides_survive_reshard_and_reopen() {
     assert_eq!(&scan_all(&store), oracle);
     drop(store);
 
-    let (reopened, report) = ShardedStore::open_with_opts(&dir, opts(3, 2)).expect("reopen");
+    let (reopened, report) =
+        ShardedStore::open(&dir, opts(3, 2), obs::Registry::disabled()).expect("reopen");
     assert!(report.reshard_in_flight.is_none());
     assert!(report.lost_shards.is_empty());
     let topo = reopened.topology();
@@ -579,12 +580,12 @@ fn rebalance_overrides_survive_reshard_and_reopen() {
     for row in &got {
         if topo.slot_of_row(&row.row) == 0 {
             assert_eq!(
-                reopened.replica_shards(&row.row),
+                reopened.topology().replicas_of_row(&row.row),
                 vec![2, 0],
                 "pinned slot not placed on its override"
             );
         }
-        for g in reopened.replica_shards(&row.row) {
+        for g in reopened.topology().replicas_of_row(&row.row) {
             let (copies, _) = reopened
                 .shard_scan(g, TABLE, &Scan::prefix(&row.row))
                 .expect("replica scan");

@@ -38,7 +38,7 @@
 
 use cfstore::{
     CrashSpec, MiniStore, Put, RowResult, Scan, SegmentReader, ShardOptions, ShardedRecoveryReport,
-    ShardedStore, StoreError,
+    ShardedStore, StoreError, Topology,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -107,7 +107,8 @@ fn base_opts() -> ShardOptions {
 }
 
 fn open_sharded(dir: &Path, opts: ShardOptions) -> ShardedStore {
-    let (store, _) = ShardedStore::open_with_opts(dir, opts).expect("open sharded");
+    let (store, _) =
+        ShardedStore::open(dir, opts, obs::Registry::disabled()).expect("open sharded");
     match store.create_table_with_threshold(TABLE, &[FAMILY], SPLIT_THRESHOLD) {
         Ok(()) | Err(StoreError::TableExists(_)) => {}
         Err(e) => panic!("create_table: {e}"),
@@ -223,8 +224,8 @@ fn check_shard_crash_point(
     drop(store);
 
     let fsck = pstorm_bench::fsck::run(&dir, false);
-    let (reopened, report) =
-        ShardedStore::open_with_opts(&dir, base_opts()).expect("reopen after shard crash");
+    let (reopened, report) = ShardedStore::open(&dir, base_opts(), obs::Registry::disabled())
+        .expect("reopen after shard crash");
     assert_eq!(
         fsck,
         if reopen_changed_nothing(&report) {
@@ -265,7 +266,7 @@ fn check_shard_crash_point(
     // The in-flight batch is atomic *across shards*: every replica of
     // every row agrees with the merged scan, cell for cell.
     for row in &got {
-        for g in reopened.replica_shards(&row.row) {
+        for g in reopened.topology().replicas_of_row(&row.row) {
             let (copies, _) = reopened
                 .shard_scan(g, TABLE, &Scan::prefix(&row.row))
                 .expect("replica scan");
@@ -354,9 +355,8 @@ fn bounded_shard_chaos_sweep() {
 /// shard's split history is not replicated — DESIGN.md §13).
 #[derive(Debug, PartialEq)]
 struct CatalogView {
-    shards: u32,
-    replication: u32,
-    placement: Vec<Vec<u32>>,
+    /// Shard count, replication and every slot's replicas.
+    topology: Topology,
     /// Merged scan, bit-identical rows.
     merged: Vec<RowResult>,
     /// Per-shard row sets (row → full result), shard by shard.
@@ -368,7 +368,6 @@ struct CatalogView {
 }
 
 fn capture(store: &ShardedStore) -> CatalogView {
-    let meta = store.meta();
     let (merged, metrics) = store.scan(TABLE, &Scan::all()).expect("capture scan");
     let per_shard = (0..SHARDS)
         .map(|g| {
@@ -382,9 +381,7 @@ fn capture(store: &ShardedStore) -> CatalogView {
         })
         .collect();
     CatalogView {
-        shards: meta.shards,
-        replication: meta.replication,
-        placement: meta.placement,
+        topology: store.topology(),
         merged,
         per_shard,
         rows_scanned: metrics.rows_scanned,
@@ -407,7 +404,8 @@ fn whole_shard_loss_rebuilds_an_identical_catalog() {
             }
             store.flush().expect("flush");
         }
-        let (store, _) = ShardedStore::open_with_opts(&dir, base_opts()).expect("clean reopen");
+        let (store, _) =
+            ShardedStore::open(&dir, base_opts(), obs::Registry::disabled()).expect("clean reopen");
         let want = capture(&store);
         assert!(
             !want.per_shard[victim as usize].is_empty(),
@@ -419,7 +417,7 @@ fn whole_shard_loss_rebuilds_an_identical_catalog() {
         std::fs::remove_dir_all(&victim_dir).expect("kill shard");
         let reg = obs::Registry::new();
         let (store, report) =
-            ShardedStore::open_traced(&dir, base_opts(), reg.clone()).expect("rebuild reopen");
+            ShardedStore::open(&dir, base_opts(), reg.clone()).expect("rebuild reopen");
         assert_eq!(report.lost_shards, vec![victim]);
         assert!(report.healed_rows > 0, "rebuild of {victim} healed no rows");
         let counters = reg.snapshot().counters;
@@ -436,7 +434,7 @@ fn whole_shard_loss_rebuilds_an_identical_catalog() {
         // and heals nothing.
         drop(store);
         let (store, report) =
-            ShardedStore::open_with_opts(&dir, base_opts()).expect("post-rebuild");
+            ShardedStore::open(&dir, base_opts(), obs::Registry::disabled()).expect("post-rebuild");
         assert!(report.lost_shards.is_empty(), "rebuild did not stick");
         assert_eq!(capture(&store), want);
         drop(store);
@@ -478,14 +476,14 @@ proptest! {
             }
             store.flush().expect("flush");
         }
-        let (store, _) = ShardedStore::open_with_opts(&dir, base_opts()).expect("clean reopen");
+        let (store, _) = ShardedStore::open(&dir, base_opts(), obs::Registry::disabled()).expect("clean reopen");
         let want = capture(&store);
         let victim_dir = store.shard_dir(victim);
         drop(store);
 
         std::fs::remove_dir_all(&victim_dir).expect("kill shard");
         let (store, report) =
-            ShardedStore::open_with_opts(&dir, base_opts()).expect("rebuild reopen");
+            ShardedStore::open(&dir, base_opts(), obs::Registry::disabled()).expect("rebuild reopen");
         prop_assert_eq!(&report.lost_shards, &vec![victim]);
         let got = capture(&store);
         prop_assert_eq!(got, want);
@@ -535,7 +533,8 @@ fn corrupt_segment_on_disk_heals_from_replica_and_rewrites_bad_copy() {
         }
         store.flush().expect("flush");
     }
-    let (store, _) = ShardedStore::open_with_opts(&dir, base_opts()).expect("clean reopen");
+    let (store, _) =
+        ShardedStore::open(&dir, base_opts(), obs::Registry::disabled()).expect("clean reopen");
     let want = scan_all(&store);
     let shard_dir = store.shard_dir(0);
     drop(store);
@@ -543,7 +542,7 @@ fn corrupt_segment_on_disk_heals_from_replica_and_rewrites_bad_copy() {
 
     let reg = obs::Registry::new();
     let (store, report) =
-        ShardedStore::open_traced(&dir, base_opts(), reg.clone()).expect("reopen over corruption");
+        ShardedStore::open(&dir, base_opts(), reg.clone()).expect("reopen over corruption");
     assert!(
         report.lost_shards.is_empty(),
         "a single bad block must heal in place, not demote the shard to lost"
@@ -637,7 +636,8 @@ fn fsck_flags_an_emptied_shard_dir_and_an_uncommitted_batch() {
     let names_gsn =
         |(finding, line): &(bool, String)| *finding && line.contains(&format!("batch gsn {gsn}"));
     assert!(plan.lines().iter().any(names_gsn), "{:?}", plan.lines());
-    let (_, report) = ShardedStore::open_with_opts(&dir, base_opts()).expect("reopen");
+    let (_, report) =
+        ShardedStore::open(&dir, base_opts(), obs::Registry::disabled()).expect("reopen");
     assert_eq!(report.aborted_batches, 1);
     assert_eq!(
         report.total.wal_bytes_dropped, 0,
@@ -691,7 +691,7 @@ fn store_with_rotten_primary_block(
         .clone();
 
     let (store, report) =
-        ShardedStore::open_traced(&dir, opts, reg.clone()).expect("lazy reopen over corruption");
+        ShardedStore::open(&dir, opts, reg.clone()).expect("lazy reopen over corruption");
     assert!(
         report.lost_shards.is_empty(),
         "the lazy open must not notice"
@@ -701,7 +701,7 @@ fn store_with_rotten_primary_block(
     let row = rows
         .iter()
         .map(|r| r.row.to_vec())
-        .find(|row| range.contains(row) && store.primary_shard(row) == 0)
+        .find(|row| range.contains(row) && store.topology().replicas_of_row(row)[0] == 0)
         .expect("the segment holds a row whose primary is shard 0");
     (dir, store, segment, row)
 }
@@ -751,7 +751,7 @@ fn put_to_a_corrupt_block_logs_and_the_flush_heals() {
         "healed-then-written store diverged from the single-store oracle"
     );
     for row in &got {
-        for g in store.replica_shards(&row.row) {
+        for g in store.topology().replicas_of_row(&row.row) {
             let (copies, _) = store
                 .shard_scan(g, TABLE, &Scan::prefix(&row.row))
                 .expect("replica scan");
@@ -781,7 +781,7 @@ fn delete_of_a_row_on_a_corrupt_block_repairs_first_then_logs() {
         !segment.exists(),
         "the corrupt segment file must be replaced"
     );
-    for g in store.replica_shards(&row) {
+    for g in store.topology().replicas_of_row(&row) {
         let (copies, _) = store
             .shard_scan(g, TABLE, &Scan::prefix(&row))
             .expect("replica scan");
@@ -954,7 +954,7 @@ fn heal_counters(reg: &obs::Registry) -> BTreeMap<String, u64> {
 fn a_sharded_read_never_writes() {
     let (dir, want, _) = flushed_then_rotted("read-no-write");
     let reg = obs::Registry::new();
-    let (store, _) = ShardedStore::open_traced(&dir, base_opts(), reg.clone()).expect("reopen");
+    let (store, _) = ShardedStore::open(&dir, base_opts(), reg.clone()).expect("reopen");
     let before = pstorm_tests::disk_digest(&dir);
     let got: Vec<RowResult> = want
         .iter()
