@@ -597,11 +597,12 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
     // Merged scans read the fewest shards that serve every slot
     // (DESIGN.md §49), shards 0 and 1 of 3 × R2: a scan walks every row
     // those two hold (slot 0's rows twice, the read amplification of
-    // redundancy).
+    // redundancy) and returns each row once.
     let (rows, metrics) = store.scan("t", &Scan::all()).unwrap();
     assert_eq!(rows.len(), ROWS);
     let held = |g| store.shard_scan(g, "t", &Scan::all()).unwrap().0.len() as u64;
     assert_eq!(metrics.rows_scanned, held(0) + held(1));
+    assert_eq!(metrics.rows_returned, ROWS as u64);
     let scanned = || drop(std::hint::black_box(store.scan("t", &Scan::all()).unwrap()));
     let samples = sample_ns(scanned, 20, 20_000);
     entries.push(Entry::new(
@@ -632,7 +633,12 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
     ));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
-    (metrics.rows_scanned, ROWS as u64, healed, rebuild_ns)
+    (
+        metrics.rows_scanned,
+        metrics.rows_returned,
+        healed,
+        rebuild_ns,
+    )
 }
 
 /// Online-resharding costs (PR 9): rows moved per second by a full

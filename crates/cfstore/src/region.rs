@@ -139,6 +139,12 @@ impl ScanMetrics {
         self.rows_returned += other.rows_returned;
         self.bytes_returned += other.bytes_returned;
     }
+
+    /// Count `row` as returned: one row, and the bytes of its values.
+    pub(crate) fn returned(&mut self, row: &RowView<'_>) {
+        self.rows_returned += 1;
+        self.bytes_returned += row.cells.iter().map(|c| c.value.len() as u64).sum::<u64>();
+    }
 }
 
 impl Region {
@@ -269,9 +275,7 @@ impl Region {
             metrics.rows_scanned += 1;
             metrics.cells_scanned += row.cells.len() as u64;
             if filter.is_none_or(|f| f.matches(&row)) {
-                metrics.rows_returned += 1;
-                let bytes = row.cells.iter().map(|c| c.value.len() as u64);
-                metrics.bytes_returned += bytes.sum::<u64>();
+                metrics.returned(&row);
                 each(row);
             }
         })?;

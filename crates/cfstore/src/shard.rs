@@ -1030,9 +1030,10 @@ impl ShardedStore {
 
     /// Scan with filter pushdown: [`Self::visit`], keeping each row the
     /// filter passes, materialized, in key order. Results are
-    /// bit-identical to an unsharded store's scan; metrics are summed
-    /// across shard reads (a shard read walks the rows of every slot the
-    /// shard holds, so `rows_scanned` can exceed a single store's — the
+    /// bit-identical to an unsharded store's scan, and so are the rows and
+    /// bytes returned; the rest of the metrics is summed across shard
+    /// reads (a shard read walks the rows of every slot the shard holds,
+    /// so `rows_scanned` can exceed a single store's — the
     /// read-amplification cost of redundancy, visible on purpose).
     pub fn scan(
         &self,
@@ -1052,7 +1053,9 @@ impl ShardedStore {
     /// passes is folded once, by the shard that serves its slot. A part
     /// holds one region's rows of one shard in key order; different
     /// shards' parts interleave. The metrics are summed over the reads
-    /// that served.
+    /// that served, but count as returned only the rows folded: a shard
+    /// also walks, and its filter passes, rows of slots another serves.
+    /// (The registry's `cfstore.rows_returned` counts each shard's walk.)
     pub fn visit<T: Default + Send>(
         &self,
         table: &str,
@@ -1061,17 +1064,27 @@ impl ShardedStore {
     ) -> Result<(Vec<T>, ScanMetrics), StoreError> {
         let st = self.state.read();
         let reads = self.read_slots(&st, table, |shard, serves| {
-            shard.visit(table, scan, |part, row| {
+            shard.visit(table, scan, |(part, served): &mut (T, ScanMetrics), row| {
                 if serves(row.key) {
+                    served.returned(&row);
                     fold(part, row);
                 }
             })
         })?;
-        let (mut parts, mut metrics) = (Vec::new(), ScanMetrics::default());
+        let (mut parts, mut walked, mut served) =
+            (Vec::new(), ScanMetrics::default(), ScanMetrics::default());
         for (read, m) in reads {
-            parts.extend(read);
-            metrics.merge(m);
+            walked.merge(m);
+            for (part, m) in read {
+                parts.push(part);
+                served.merge(m);
+            }
         }
+        let metrics = ScanMetrics {
+            rows_returned: served.rows_returned,
+            bytes_returned: served.bytes_returned,
+            ..walked
+        };
         Ok((parts, metrics))
     }
 

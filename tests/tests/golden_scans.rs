@@ -263,7 +263,7 @@ fn a_sharded_store_whose_rotted_primary_heals() {
         &got,
         &[
             "rows=80 first=k000 last=k079 digest=4ae6b96d17d600c4\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 108, bytes_returned: 719 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 80, bytes_returned: 531 }\n\
              cfstore.cells_verified=361\n\
              cfstore.rows_returned=162\n\
              cfstore.rows_scanned=162\n\
@@ -272,7 +272,7 @@ fn a_sharded_store_whose_rotted_primary_heals() {
              primary=1 repairs=None\n\
              scrubbed: repairs=Some(1)\n",
             "rows=27 first=k001 last=k076 digest=8df6b3f789332efd\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 39, bytes_returned: 243 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 27, bytes_returned: 168 }\n\
              cfstore.cells_verified=361\n\
              cfstore.rows_returned=56\n\
              cfstore.rows_scanned=162\n\
@@ -330,7 +330,7 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
         &[
             "victim 0 (k003), unfiltered:\n\
              rows=80 first=k000 last=k079 digest=4ae6b96d17d600c4\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 240, rows_returned: 106, bytes_returned: 713 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 240, rows_returned: 80, bytes_returned: 531 }\n\
              cfstore.cells_verified=240\n\
              cfstore.rows_returned=106\n\
              cfstore.rows_scanned=106\n\
@@ -338,7 +338,7 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
              regions scanned/returned: 1=16/16 2=16/16 3=16/16 4=16/16 5=16/16 6=26/26\n",
             "victim 0 (k003), filtered:\n\
              rows=27 first=k001 last=k076 digest=8df6b3f789332efd\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 240, rows_returned: 37, bytes_returned: 240 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 240, rows_returned: 27, bytes_returned: 168 }\n\
              cfstore.cells_verified=240\n\
              cfstore.rows_returned=37\n\
              cfstore.rows_scanned=106\n\
@@ -346,7 +346,7 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
              regions scanned/returned: 1=16/3 2=16/9 3=16/7 4=16/3 5=16/5 6=26/10\n",
             "victim 1 (k000), unfiltered:\n\
              rows=80 first=k000 last=k079 digest=4ae6b96d17d600c4\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 108, bytes_returned: 719 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 80, bytes_returned: 531 }\n\
              cfstore.cells_verified=361\n\
              cfstore.rows_returned=162\n\
              cfstore.rows_scanned=162\n\
@@ -354,7 +354,7 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
              regions scanned/returned: 1=24/24 2=24/24 3=24/24 4=24/24 5=24/24 6=42/42\n",
             "victim 1 (k000), filtered:\n\
              rows=27 first=k001 last=k076 digest=8df6b3f789332efd\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 39, bytes_returned: 243 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 108, cells_scanned: 241, rows_returned: 27, bytes_returned: 168 }\n\
              cfstore.cells_verified=361\n\
              cfstore.rows_returned=56\n\
              cfstore.rows_scanned=162\n\
@@ -362,7 +362,7 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
              regions scanned/returned: 1=24/6 2=24/11 3=24/8 4=24/8 5=24/9 6=42/14\n",
             "victim 2 (k001), unfiltered:\n\
              rows=80 first=k000 last=k079 digest=4ae6b96d17d600c4\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 239, rows_returned: 106, bytes_returned: 692 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 239, rows_returned: 80, bytes_returned: 531 }\n\
              cfstore.cells_verified=239\n\
              cfstore.rows_returned=106\n\
              cfstore.rows_scanned=106\n\
@@ -370,7 +370,7 @@ fn a_sharded_store_whose_crashed_rotted_shard_fails_over() {
              regions scanned/returned: 1=16/16 2=16/16 3=16/16 4=16/16 5=16/16 6=26/26\n",
             "victim 2 (k001), filtered:\n\
              rows=27 first=k001 last=k076 digest=8df6b3f789332efd\n\
-             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 239, rows_returned: 32, bytes_returned: 189 }\n\
+             ScanMetrics { regions_visited: 12, rows_scanned: 106, cells_scanned: 239, rows_returned: 27, bytes_returned: 168 }\n\
              cfstore.cells_verified=239\n\
              cfstore.rows_returned=32\n\
              cfstore.rows_scanned=106\n\

@@ -365,7 +365,7 @@ fn corrupt_block_healed_through_get_is_pinned() {
 const HEAL_SCAN: &str = r#"
 corrupted seg-000008-r000001.seg
 report ShardedRecoveryReport { shards: [RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 2, segment_rows: 12, segment_blocks: 2, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, RecoveryReport { segments_loaded: 1, segment_rows: 10, segment_blocks: 1, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }], total: RecoveryReport { segments_loaded: 4, segment_rows: 32, segment_blocks: 4, segment_blocks_read: 0, frames_replayed: 0, records_replayed: 0, frames_skipped: 0, wal_bytes_valid: 0, wal_bytes_dropped: 0, truncation: None, orphan_segments: [] }, lost_shards: [], aborted_batches: 0, healed_rows: 0, reshard_in_flight: None }
-scan: 16 rows, ScanMetrics { regions_visited: 3, rows_scanned: 22, cells_scanned: 46, rows_returned: 22, bytes_returned: 368 }
+scan: 16 rows, ScanMetrics { regions_visited: 3, rows_scanned: 22, cells_scanned: 46, rows_returned: 16, bytes_returned: 272 }
 -- healed by scan
 cfstore.shard.0.heal.reads = 1
 cfstore.shard.0.heal.repairs = 1

@@ -803,9 +803,9 @@ fn the_sharded_build_is_point_reads_in_every_topology() {
 /// `filter_dynamic` on a sharded store returns the jobs whose rows pass in
 /// key order, as a single store of the same jobs does, though each shard
 /// serves its own slots' rows; its metrics sum the scans of the shards it
-/// reads, shards 0 and 1 (DESIGN.md §49), so `rows_returned` counts the
-/// passing rows of slot 0 twice and those of slots 1 and 2 once. Pinned
-/// live and reopened, with `job_ids`' order beside it.
+/// reads, shards 0 and 1 (DESIGN.md §49), so `rows_scanned` counts the rows
+/// of slot 0 twice, while `rows_returned` counts each row it returns once.
+/// Pinned live and reopened, with `job_ids`' order beside it.
 #[test]
 fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
     let single = ProfileStore::new().unwrap();
@@ -836,10 +836,48 @@ fn filter_dynamic_on_a_sharded_store_returns_job_ids_in_key_order() {
     assert!(want.is_sorted());
     assert_eq!(want.len(), 104);
     let summed = "ScanMetrics { regions_visited: 2, rows_scanned: 210, cells_scanned: 1546, \
-                  rows_returned: 143, bytes_returned: 8416 }";
+                  rows_returned: 104, bytes_returned: 6080 }";
     assert_eq!(metrics, [summed, summed]);
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sharded read returns what a single store of the same rows returns:
+/// its metrics count each row it hands on once, whichever shards it reads
+/// and however many of them hold the row, so `rows_returned` and
+/// `bytes_returned` equal the single store's in every topology above,
+/// unfiltered, through `filter_dynamic`'s filter and through one that
+/// drops most rows, live and reopened.
+#[test]
+fn a_sharded_read_returns_what_a_single_store_returns() {
+    let returned = |store: &ProfileStore| {
+        let all = match store.sharded() {
+            Some(sharded) => sharded.scan("Jobs", &Scan::all()),
+            None => store.inner().scan("Jobs", &Scan::all()),
+        };
+        let dynamic = |pass: fn(&pstorm::DynamicRow) -> bool| store.filter_dynamic(pass).unwrap().1;
+        let pairs = [
+            all.unwrap().1,
+            dynamic(|_| true),
+            dynamic(|d| d.map_dyn[0] > 2.0),
+        ];
+        pairs.map(|m| (m.rows_returned, m.bytes_returned))
+    };
+    let single = ProfileStore::new().unwrap();
+    fill(&single, 0..160);
+    let want = returned(&single);
+    for layout in [(3, 2), (4, 3), (5, 2), (2, 2), (3, 1)] {
+        let dir = fresh_dir("returned");
+        let store = open_sharded(&dir, layout, None, &obs::Registry::disabled());
+        fill(&store, 0..160);
+        assert_eq!(returned(&store), want, "{layout:?}");
+        store.flush().unwrap();
+        drop(store);
+        let store = open_sharded(&dir, layout, None, &obs::Registry::disabled());
+        assert_eq!(returned(&store), want, "{layout:?}, reopened");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// A rotted cell on a row's primary replica heals under the build exactly
