@@ -1227,20 +1227,15 @@ impl ShardedStore {
         #[allow(clippy::map_identity)]
         let framed = |g| std::iter::once(Op::Record(&marker)).chain(frame(g).map(|op| op));
         // In shard order, whatever order the marker names them in.
-        let n = st.shards.len() as u32;
-        for g in (0..n).filter(|g| participants.contains(g)) {
-            if let Err(e) = st.shards[g as usize].log_frame_at(gsn * LSN_STRIDE, framed(g)) {
-                st.poisoned = true;
-                return Err(e);
-            }
-        }
-        for g in (0..n).filter(|g| participants.contains(g)) {
-            if let Err(e) = st.shards[g as usize].apply_frame(framed(g)) {
-                st.poisoned = true;
-                return Err(e);
-            }
-        }
-        Ok(())
+        let shards = &st.shards;
+        let mut hosts = (0..shards.len()).filter(|&g| participants.contains(&(g as u32)));
+        let logged = hosts
+            .clone()
+            .try_for_each(|g| shards[g].log_frame_at(gsn * LSN_STRIDE, framed(g as u32)));
+        let applied =
+            logged.and_then(|()| hosts.try_for_each(|g| shards[g].apply_frame(framed(g as u32))));
+        st.poisoned |= applied.is_err();
+        applied
     }
 
     /// Read `table` from the active shards of the [`read_cover`], through

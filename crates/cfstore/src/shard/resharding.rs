@@ -618,16 +618,11 @@ impl Migration {
     }
 
     pub(crate) fn status(&self) -> ReshardStatus {
-        let phase = if !self.cut_over {
-            if (self.copied.len() as u32) < self.target.shards {
-                ReshardPhase::Copy
-            } else if !self.verified {
-                ReshardPhase::Verify
-            } else {
-                ReshardPhase::Cutover
-            }
-        } else {
-            ReshardPhase::Gc
+        let phase = match () {
+            _ if self.cut_over => ReshardPhase::Gc,
+            _ if (self.copied.len() as u32) < self.target.shards => ReshardPhase::Copy,
+            _ if !self.verified => ReshardPhase::Verify,
+            _ => ReshardPhase::Cutover,
         };
         ReshardStatus {
             epoch: self.epoch,
@@ -669,12 +664,9 @@ impl ShardedStore {
             old: st.active.clone(),
             new: target.clone(),
         };
-        if let Err(e) = begin.append_to(&mut journal) {
-            if e == StoreError::Crashed {
-                st.poisoned = true;
-            }
-            return Err(e);
-        }
+        let begun = begin.append_to(&mut journal);
+        st.poisoned |= begun == Err(StoreError::Crashed);
+        begun?;
         // Grow: open the new shard directories and mirror every schema,
         // flushed so the shards are durably nonempty before any write
         // names them as participants.
@@ -697,11 +689,7 @@ impl ShardedStore {
     pub fn reshard_step(&self) -> Result<ReshardStatus, StoreError> {
         let mut st = self.writer()?;
         let result = step_inner(self, &mut st);
-        if let Err(e) = &result {
-            if *e == StoreError::Crashed {
-                st.poisoned = true;
-            }
-        }
+        st.poisoned |= result.as_ref().err() == Some(&StoreError::Crashed);
         result
     }
 
@@ -1011,12 +999,10 @@ fn gc_step(
     remove_extra_shard_dirs(&sharded.dir, active.shards)?;
     remove_journal(&sharded.dir)?;
     sharded.obs.incr("cfstore.reshard.completions", 1);
+    // Cut over, every unit of the target (now active) topology is copied.
     Ok(ReshardStatus {
-        epoch: m.epoch,
         phase: ReshardPhase::Done,
-        units_total: active.shards,
-        units_copied: active.shards,
-        rows_copied: m.rows_copied,
+        ..m.status()
     })
 }
 

@@ -150,6 +150,20 @@ if [ "$(nontest crates/cfstore/src/shard.rs | grep -cF 'fn read_cover(')" -ne 1 
   echo "read_cover must be defined once, in shard.rs, and called by read_slots alone (callers: $cover_callers)"; exit 1
 fi
 if grep -nE 'strip_prefix\("shard-"\)|resolve_against_catalog' crates/bench/src/fsck.rs; then exit 1; fi
+# One placement type, one opener (DESIGN.md §50): where a row lives is
+# `Topology`'s to say. No free slot or replica-set function, no second
+# snapshot of the placement, no per-row placement accessor on the store,
+# and no hot-slot planner reading per-region counters whose region ids
+# every shard reuses; and `ShardedStore` opens one way, `open(dir, opts,
+# reg)`.
+if nontest $(find crates -name '*.rs') |
+  grep -E '\brebalance_hot_slots\b|\bShardedMeta\b|fn slot_of\(|fn replica_set\(|fn primary_shard\b|fn replica_shards\b'; then
+  echo "non-test crates/ must not name rebalance_hot_slots, ShardedMeta, fn slot_of(, fn replica_set(, fn primary_shard or fn replica_shards"
+  exit 1
+fi
+if nontest crates/cfstore/src/shard.rs | grep -E 'fn (open_with_opts|open_traced)\b'; then
+  echo "shard.rs must define one opener, fn open"; exit 1
+fi
 shard_layer_files="crates/cfstore/src/store.rs crates/cfstore/src/shard.rs crates/cfstore/src/shard/resharding.rs crates/bench/src/fsck.rs"
 shard_layer_lines=$(nontest $shard_layer_files | wc -l)
 
@@ -602,14 +616,15 @@ awk -v one="$one" -v two="$two" \
 # flusher.rs included, before the caller flushed, DESIGN.md §43; 4089
 # before a region was a memstore over its segment, DESIGN.md §44; 3957
 # before a walk read the fewest shards that serve every slot, DESIGN.md
-# §49).
+# §49; 4001 before one placement type, DESIGN.md §50).
 printf '%6d  non-test lines in store.rs + shard.rs + shard/resharding.rs + bench/src/fsck.rs\n' "$shard_layer_lines"
 # 1997 before the serving path owned its state (DESIGN.md §23).
 printf '%6d  non-test lines in service.rs + daemon.rs + optimizer/src/cbo.rs + whatif/src/lib.rs\n' "$serving_path_lines"
 # 7306 before a region was a memstore over its segment (DESIGN.md §44);
 # 7371 before a split read no block (DESIGN.md §46); 7309 before each
 # lock earned its number (DESIGN.md §47); 7254 before one log (DESIGN.md
-# §48); 7203 before a walk read the fewest shards (DESIGN.md §49).
+# §48); 7203 before a walk read the fewest shards (DESIGN.md §49); 7247
+# before one placement type (DESIGN.md §50).
 printf '%6d  non-test lines in crates/cfstore/src\n' "$cfstore_lines"
 # 2357 before replay was apply (DESIGN.md §24); 2333 before a region was
 # a memstore over its segment (DESIGN.md §44).
