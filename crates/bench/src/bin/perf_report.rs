@@ -568,16 +568,15 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
     let dir = std::env::temp_dir().join(format!("pstorm-perf-shards-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     const ROWS: usize = 512;
-    let (store, _) =
-        ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
+    let open = || ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled());
+    let mut push = |op, variant, samples: &[u128], per_call| {
+        entries.push(Entry::new(op, variant, ROWS, samples, per_call));
+    };
+    let (store, _) = open().unwrap();
     store.create_table_with_threshold("t", &["f"], 64).unwrap();
     for i in 0..ROWS {
-        store
-            .put(
-                "t",
-                Put::new(format!("row-{i:05}"), "f", "c", vec![7u8; 128]),
-            )
-            .unwrap();
+        let put = Put::new(format!("row-{i:05}"), "f", "c", vec![7u8; 128]);
+        store.put("t", put).unwrap();
     }
     store.flush().unwrap();
 
@@ -592,12 +591,11 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
         200,
         200_000,
     );
-    entries.push(Entry::new("shard_get", "replicated", ROWS, &samples, 1.0));
+    push("shard_get", "replicated", &samples, 1.0);
 
-    // Merged scans read the fewest shards that serve every slot
-    // (DESIGN.md §49), shards 0 and 1 of 3 × R2: a scan walks every row
-    // those two hold (slot 0's rows twice, the read amplification of
-    // redundancy) and returns each row once.
+    // Merged scans read the fewest shards that serve every slot (DESIGN.md
+    // §49), 0 and 1 of 3 × R2: they walk every row those two hold (slot 0's
+    // twice, the read amplification of redundancy), returning each once.
     let (rows, metrics) = store.scan("t", &Scan::all()).unwrap();
     assert_eq!(rows.len(), ROWS);
     let held = |g| store.shard_scan(g, "t", &Scan::all()).unwrap().0.len() as u64;
@@ -605,32 +603,23 @@ fn bench_sharded(entries: &mut Vec<Entry>) -> (u64, u64, u64, u128) {
     assert_eq!(metrics.rows_returned, ROWS as u64);
     let scanned = || drop(std::hint::black_box(store.scan("t", &Scan::all()).unwrap()));
     let samples = sample_ns(scanned, 20, 20_000);
-    entries.push(Entry::new(
-        "shard_scan",
-        "replicated",
-        ROWS,
-        &samples,
-        ROWS as f64,
-    ));
+    push("shard_scan", "replicated", &samples, ROWS as f64);
 
     // One-shot: lose a whole shard, time the rebuilding reopen.
     let victim_dir = store.shard_dir(1);
     drop(store);
     std::fs::remove_dir_all(&victim_dir).unwrap();
     let t = Instant::now();
-    let (store, report) =
-        ShardedStore::open(&dir, ShardOptions::default(), obs::Registry::disabled()).unwrap();
+    let (store, report) = open().unwrap();
     let rebuild_ns = t.elapsed().as_nanos();
     assert_eq!(report.lost_shards, vec![1]);
     let healed = report.healed_rows;
-    let per_call = healed as f64;
-    entries.push(Entry::new(
+    push(
         "shard_rebuild",
         "whole_shard_loss",
-        ROWS,
         &[rebuild_ns],
-        per_call,
-    ));
+        healed as f64,
+    );
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     (

@@ -2,8 +2,8 @@
 //! (DESIGN.md §15).
 //!
 //! A target [`Topology`] — grow/shrink N, change R, or pin a hot slot
-//! to chosen shards — is reached as an epoch-stamped state machine journaled in the
-//! `TOPOLOGY` file next to the `SHARDS` catalog:
+//! to chosen shards — is reached as an epoch-stamped state machine
+//! journaled in the `TOPOLOGY` file next to the `SHARDS` catalog:
 //!
 //! ```text
 //! Prepare ── Begin{epoch, old, new}         (journal append, new dirs)
