@@ -618,11 +618,14 @@ impl Migration {
     }
 
     pub(crate) fn status(&self) -> ReshardStatus {
-        let phase = match () {
-            _ if self.cut_over => ReshardPhase::Gc,
-            _ if (self.copied.len() as u32) < self.target.shards => ReshardPhase::Copy,
-            _ if !self.verified => ReshardPhase::Verify,
-            _ => ReshardPhase::Cutover,
+        let phase = if self.cut_over {
+            ReshardPhase::Gc
+        } else if (self.copied.len() as u32) < self.target.shards {
+            ReshardPhase::Copy
+        } else if !self.verified {
+            ReshardPhase::Verify
+        } else {
+            ReshardPhase::Cutover
         };
         ReshardStatus {
             epoch: self.epoch,
